@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"hop"
+	"hop/cmd/internal/profflag"
 )
 
 func main() {
@@ -38,8 +39,14 @@ func main() {
 
 		computeWorkers = flag.Int("compute-workers", 0, "compute-plane width for tensor kernels (0 = GOMAXPROCS); results are bit-identical at any width")
 	)
+	prof := profflag.Register()
 	flag.Parse()
 	hop.SetComputeWorkers(*computeWorkers)
+	stopProf, err := prof.Start()
+	if err != nil {
+		fail(err)
+	}
+	defer stopProf()
 
 	if *list {
 		fmt.Println("built-in sweeps:")

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"hop"
+	"hop/cmd/internal/profflag"
 	"hop/internal/hetero"
 )
 
@@ -61,8 +62,14 @@ func main() {
 		liveRun      = flag.Bool("live", false, "with -scenario: run the spec as a live loopback TCP cluster instead of simulating it")
 		timeScale    = flag.Float64("time-scale", 1, "with -live: scale the spec's injected heterogeneity delay")
 	)
+	prof := profflag.Register()
 	flag.Parse()
 	hop.SetComputeWorkers(*computeWorkers)
+	stopProf, err := prof.Start()
+	if err != nil {
+		fail(err)
+	}
+	defer stopProf()
 
 	if *liveRun && *scenarioFile == "" {
 		fail(fmt.Errorf("-live requires -scenario (live clusters run declarative specs; see DESIGN.md §5)"))

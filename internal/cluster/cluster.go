@@ -141,13 +141,25 @@ func (h *host) SleepUntil(w int, t time.Duration) {
 // path: when the scenario enables net faults, updates and ACKs can be
 // dropped, duplicated, reordered, corrupted, or partitioned. Death
 // notices (below) keep the fault-free Deliver — chaos models a lossy
-// data plane, not a lying failure detector.
+// data plane, not a lying failure detector. Messages travel as typed
+// records (src is always u.From) and arrive at deliver, so a send
+// allocates no closure.
 func (h *host) Send(src, dst int, u core.Update) {
-	h.fabric.DeliverData(src, dst, h.payload, u.Iter, func() { h.engine.Deliver(dst, u) })
+	h.fabric.DeliverData(h.payload, netsim.Message{Dst: dst, From: src, Iter: u.Iter, Params: u.Params})
 }
 
 func (h *host) SendAck(src, dst, iter int) {
-	h.fabric.DeliverData(src, dst, h.ack, iter, func() { h.engine.DeliverAck(dst, src, iter) })
+	h.fabric.DeliverData(h.ack, netsim.Message{Dst: dst, From: src, Iter: iter, Ack: true})
+}
+
+// deliver is the fabric's message handler: the arrival end of Send and
+// SendAck.
+func (h *host) deliver(m netsim.Message) {
+	if m.Ack {
+		h.engine.DeliverAck(m.Dst, m.From, m.Iter)
+		return
+	}
+	h.engine.Deliver(m.Dst, core.Update{Params: m.Params, Iter: m.Iter, From: m.From})
 }
 
 // Run executes the configured cluster and returns its results.
@@ -227,6 +239,7 @@ func Run(opts Options) (*Result, error) {
 		return nil, err
 	}
 	h.engine = eng
+	fabric.Handle(h.deliver)
 
 	// dead tracks currently-crashed workers, so a restarted worker can
 	// be told about peers that died before it existed. Kernel callbacks

@@ -16,14 +16,14 @@ import (
 //
 // Two representations share the API. The dense form keeps the full
 // n×n max-gap matrix — exact for every ordered pair, O(n) per Advance
-// — and is what small clusters (and NewGapTracker callers) get. Above
+// — and is what small clusters (and NewGapTracker callers) get; the
+// Theorem 1 and Table 1 assertions check non-adjacent pairs too. Above
 // gapDenseLimit workers, NewGapTrackerFor switches to the sparse form:
 // per-pair maxima are kept for graph-adjacent ordered pairs only
-// (the pairs Table 1 bounds and every protocol decision actually
-// concern), and the overall maximum is maintained incrementally from
-// the cluster-wide minimum iteration — O(degree) amortized per
-// Advance, which is what keeps the per-step cost of an n=1000+
-// simulation independent of n.
+// (the pairs every protocol decision concerns), and the overall
+// maximum is maintained incrementally from the cluster-wide minimum
+// iteration — O(degree) amortized per Advance, which is what keeps the
+// per-step cost of an n=1000+ simulation independent of n.
 type GapTracker struct {
 	mon    Monitor
 	iters  []int
@@ -42,7 +42,10 @@ type GapTracker struct {
 }
 
 // gapDenseLimit is the largest cluster the engine tracks with the
-// dense all-pairs matrix; larger clusters use the sparse form.
+// dense all-pairs matrix. Sparse is never slower (BenchmarkGapAdvance,
+// DESIGN.md §10.2), so dense is kept for what it answers — every
+// ordered pair — up to where its 1.2 ns·n per Advance stops being
+// cheap: ~155 ns at n=128, 4% of an engine step.
 const gapDenseLimit = 128
 
 // NewGapTracker creates a dense tracker for n workers, all at
@@ -59,10 +62,15 @@ func NewGapTracker(mon Monitor, n int) *GapTracker {
 // to gapDenseLimit workers, sparse (adjacent pairs + exact overall
 // maximum) beyond it.
 func NewGapTrackerFor(mon Monitor, g *graph.Graph) *GapTracker {
-	n := g.N()
-	if n <= gapDenseLimit {
-		return NewGapTracker(mon, n)
+	if g.N() <= gapDenseLimit {
+		return NewGapTracker(mon, g.N())
 	}
+	return newSparseGapTracker(mon, g)
+}
+
+// newSparseGapTracker creates the adjacent-pairs form for g.
+func newSparseGapTracker(mon Monitor, g *graph.Graph) *GapTracker {
+	n := g.N()
 	t := &GapTracker{mon: mon, iters: make([]int, n), minCount: n}
 	t.nbrs = make([][]int, n)
 	t.nbrMax = make([][]int, n)

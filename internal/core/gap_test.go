@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"hop/internal/graph"
@@ -184,5 +185,26 @@ func TestNumSlots(t *testing.T) {
 	c = Config{Graph: g, Staleness: 2}
 	if got := c.numSlots(); got != 13 {
 		t.Errorf("staleness numSlots = %d, want 13", got)
+	}
+}
+
+// BenchmarkGapAdvance measures one Advance on a ring, dense against
+// sparse at the same n — the measurement behind gapDenseLimit
+// (DESIGN.md §10.2).
+func BenchmarkGapAdvance(b *testing.B) {
+	for _, n := range []int{8, 16, 64, 128, 1024} {
+		g := graph.Ring(n)
+		forms := map[string]*GapTracker{
+			"dense":  NewGapTracker(NewSyncMonitor(), n),
+			"sparse": newSparseGapTracker(NewSyncMonitor(), g),
+		}
+		for _, form := range []string{"dense", "sparse"} {
+			tr := forms[form]
+			b.Run(fmt.Sprintf("%s/n=%d", form, n), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					tr.Advance(i%n, i/n+1)
+				}
+			})
+		}
 	}
 }

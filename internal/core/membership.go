@@ -215,31 +215,36 @@ func (p *Protocol) wakeAllLocked() {
 	}
 }
 
-// reduceBlockHook applies pending deaths of in-neighbors whose
-// tagged-iter update is missing — and only those: a dead peer's
-// already-arrived final update must be consumed exactly as if the peer
-// were alive, or the applied iteration would depend on notice timing.
+// reduceBlockHook arms the reduce's on-block hook for iteration iter:
+// the hook applies pending deaths of in-neighbors whose tagged-iter
+// update is missing — and only those: a dead peer's already-arrived
+// final update must be consumed exactly as if the peer were alive, or
+// the applied iteration would depend on notice timing. The hook itself
+// is built once (Protocol.reduceHook, nil without fault tolerance) and
+// reads iter from hookIter; one reduce waits at a time, on the Run
+// goroutine.
 func (p *Protocol) reduceBlockHook(iter int) func() bool {
-	if !p.cfg.FaultTolerance {
-		return nil
+	p.hookIter = iter
+	return p.reduceHook
+}
+
+// applyMissingDeaths is reduceHook's body (see reduceBlockHook).
+func (p *Protocol) applyMissingDeaths() bool {
+	if len(p.pendingDead) == 0 {
+		return false
 	}
-	return func() bool {
-		if len(p.pendingDead) == 0 {
-			return false
+	changed := false
+	for _, d := range append([]int(nil), p.in...) {
+		if !p.pendingDead[d] {
+			continue
 		}
-		changed := false
-		for _, d := range append([]int(nil), p.in...) {
-			if !p.pendingDead[d] {
-				continue
-			}
-			if p.queue.hasIterFromLocked(d, iter) {
-				continue
-			}
-			p.applyDeathLocked(d)
-			changed = true
+		if p.queue.hasIterFromLocked(d, p.hookIter) {
+			continue
 		}
-		return changed
+		p.applyDeathLocked(d)
+		changed = true
 	}
+	return changed
 }
 
 // ackBlockHook applies pending deaths of out-neighbors whose ACK for

@@ -141,9 +141,7 @@ func (p *Protocol) iterPrague(k int) {
 
 	// 2. Compute gradients on x_k, overlapping the Recv below.
 	start := p.rt.Now()
-	var grads []float64
-	var loss float64
-	d := p.rt.Compute(k, func() { grads, loss = t.ComputeGrad(p.rng) })
+	d := p.rt.Compute(k, p.computeFn)
 
 	// 3+4. Quorum Recv and partial all-reduce.
 	reduced := p.pragueRecv(k, group)
@@ -152,10 +150,10 @@ func (p *Protocol) iterPrague(k int) {
 
 	// 5. Apply gradients to the group average.
 	tensor.Copy(x, reduced)
-	t.Apply(grads)
+	t.Apply(p.grads)
 
 	if p.cfg.OnIteration != nil {
-		p.cfg.OnIteration(p.id, k, loss, p.rt.Now())
+		p.cfg.OnIteration(p.id, k, p.loss, p.rt.Now())
 	}
 }
 

@@ -155,6 +155,20 @@ type Protocol struct {
 	vecScratch [][]float64
 	reduceBuf  []float64
 
+	// The iteration loop's callbacks, built once in NewProtocol so a
+	// steady-state iteration allocates no closures; their per-iteration
+	// inputs and outputs travel through the fields beside them.
+	// computeFn is the gradient step handed to Runtime.Compute, leaving
+	// its results in grads/loss. reduceNeed is the Recv requirement of
+	// recvReduceInto. reduceHook (nil without fault tolerance) is the
+	// body of reduceBlockHook, testing iteration hookIter.
+	computeFn  func()
+	grads      []float64
+	loss       float64
+	reduceNeed func() int
+	reduceHook func() bool
+	hookIter   int
+
 	// crashIter is this worker's scheduled halt (0 = none).
 	crashIter int
 
@@ -198,6 +212,16 @@ func NewProtocol(cfg Config, id int, t model.Trainer, mon Monitor, rt Runtime, t
 		trace:   tr,
 	}
 	p.alloc, _ = rt.(ParamsAllocator)
+	p.computeFn = func() { p.grads, p.loss = p.trainer.ComputeGrad(p.rng) }
+	p.reduceNeed = func() int {
+		// Self included (§3.1); re-evaluated per pass because a peer
+		// death shrinks the in-set mid-wait. The floor keeps a worker
+		// whose every in-neighbor died training solo on its own update.
+		return max(len(p.in)+1-p.cfg.Backup, 1)
+	}
+	if cfg.FaultTolerance {
+		p.reduceHook = p.applyMissingDeaths
+	}
 	if cfg.Mode == ModePrague {
 		// Prague groups span the whole cluster regardless of topology
 		// (the graph is a placement/cost substrate only), so the live
@@ -415,9 +439,7 @@ func (p *Protocol) iterParallel(k int) {
 	// 2. Compute gradients on x_k; the runtime returns the modeled
 	// duration so the protocol can overlap it with Recv below.
 	start := p.rt.Now()
-	var grads []float64
-	var loss float64
-	d := p.rt.Compute(k, func() { grads, loss = t.ComputeGrad(p.rng) })
+	d := p.rt.Compute(k, p.computeFn)
 
 	// 3+4. Recv and Reduce (mode-dependent) into the persistent reduce
 	// scratch — not into x, which stays untouched until the compute
@@ -430,10 +452,10 @@ func (p *Protocol) iterParallel(k int) {
 
 	// 5. Apply gradients to the reduced parameters.
 	tensor.Copy(x, reduced)
-	t.Apply(grads)
+	t.Apply(p.grads)
 
 	if p.cfg.OnIteration != nil {
-		p.cfg.OnIteration(p.id, k, loss, p.rt.Now())
+		p.cfg.OnIteration(p.id, k, p.loss, p.rt.Now())
 	}
 }
 
@@ -445,11 +467,9 @@ func (p *Protocol) iterSerial(k int) {
 	x := t.Params()
 
 	start := p.rt.Now()
-	var grads []float64
-	var loss float64
-	d := p.rt.Compute(k, func() { grads, loss = t.ComputeGrad(p.rng) })
+	d := p.rt.Compute(k, p.computeFn)
 	p.rt.SleepUntil(start + d)
-	t.Apply(grads)
+	t.Apply(p.grads)
 
 	snap := p.snapshotParams(x)
 	p.queue.Enqueue(Update{Params: snap, Iter: k, From: p.id})
@@ -461,7 +481,7 @@ func (p *Protocol) iterSerial(k int) {
 	p.recvReduceInto(x, k)
 
 	if p.cfg.OnIteration != nil {
-		p.cfg.OnIteration(p.id, k, loss, p.rt.Now())
+		p.cfg.OnIteration(p.id, k, p.loss, p.rt.Now())
 	}
 }
 
@@ -473,11 +493,9 @@ func (p *Protocol) iterNotifyAck(k int) {
 	x := t.Params()
 
 	start := p.rt.Now()
-	var grads []float64
-	var loss float64
-	d := p.rt.Compute(k, func() { grads, loss = t.ComputeGrad(p.rng) })
+	d := p.rt.Compute(k, p.computeFn)
 	p.rt.SleepUntil(start + d)
-	t.Apply(grads)
+	t.Apply(p.grads)
 
 	// Send(k) is gated on the previous iteration's ACKs; a dead
 	// neighbor's pending edge is released rather than waited on.
@@ -497,7 +515,7 @@ func (p *Protocol) iterNotifyAck(k int) {
 	}
 
 	if p.cfg.OnIteration != nil {
-		p.cfg.OnIteration(p.id, k, loss, p.rt.Now())
+		p.cfg.OnIteration(p.id, k, p.loss, p.rt.Now())
 	}
 }
 
@@ -523,17 +541,7 @@ func (p *Protocol) recvReduceInto(dst []float64, k int) {
 		p.recvReduceStaleInto(dst, k)
 		return
 	}
-	need := func() int {
-		// Self included (§3.1); re-evaluated per pass because a peer
-		// death shrinks the in-set mid-wait. The floor keeps a worker
-		// whose every in-neighbor died training solo on its own update.
-		n := len(p.in) + 1 - p.cfg.Backup
-		if n < 1 {
-			n = 1
-		}
-		return n
-	}
-	ups := p.queue.dequeueIterOr(k, need, p.reduceBlockHook(k))
+	ups := p.queue.dequeueIterOr(k, p.reduceNeed, p.reduceBlockHook(k))
 	p.meanInto(dst, ups)
 	p.recycleUpdates(ups)
 }

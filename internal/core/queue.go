@@ -6,9 +6,11 @@ package core
 //     physically laid out as rotating per-iteration slots indexed by
 //     iter mod numSlots, exactly the multi-queue implementation of
 //     §6.1. Entries carry their full (iter, w_id) tags, so correctness
-//     never depends on the slot count; the slot layout is what keeps
-//     dequeue scans O(slot) and lets stale entries be found and
-//     discarded cheaply.
+//     never depends on the slot count — or on which backing array a
+//     slot holds: emptied slots recycle their arrays through a spare
+//     list, so memory follows occupancy and the steady state allocates
+//     nothing. The slot layout is what keeps dequeue scans O(slot) and
+//     lets stale entries be found and discarded cheaply.
 //   - TokenQueue (§4.2): a counting semaphore realizing the
 //     iteration-gap control of Theorem 2. Its Size doubles as the
 //     straggler self-identification signal of §5.
@@ -35,6 +37,11 @@ type UpdateQueue struct {
 
 	slots    [][]Update
 	numSlots int
+	// spare holds the (zeroed, length-0) backing arrays of emptied
+	// slots; the next Enqueue into an empty slot draws from it. out is
+	// the result buffer dequeueIterOr fills.
+	spare [][]Update
+	out   []Update
 
 	size      int
 	highWater int // maximum total occupancy ever observed
@@ -43,14 +50,22 @@ type UpdateQueue struct {
 	closed    bool
 }
 
+// maxQueueSlots caps the rotating-slot count. The Theorem 1 sizing
+// diameter+1 is 513 slot headers per worker on a 1024-ring, nearly all
+// of them empty at any instant; since entries are fully tagged, folding
+// iterations that far apart onto one slot changes no dequeue result,
+// only lets a stale entry be found a lap sooner.
+const maxQueueSlots = 16
+
 // NewUpdateQueue creates an update queue with the given number of
-// rotating slots (≥1). §6.1 sizes it at max_ig+1 when token queues
-// bound the gap; callers without a bound may pass the graph diameter+1
-// per Theorem 1.
+// rotating slots (≥1), capped at maxQueueSlots. §6.1 sizes it at
+// max_ig+1 when token queues bound the gap; callers without a bound
+// may pass the graph diameter+1 per Theorem 1.
 func NewUpdateQueue(mon Monitor, numSlots int) *UpdateQueue {
 	if numSlots < 1 {
 		panic(fmt.Sprintf("core: update queue needs >=1 slot, got %d", numSlots))
 	}
+	numSlots = min(numSlots, maxQueueSlots)
 	return &UpdateQueue{
 		mon:      mon,
 		cond:     mon.NewCond(),
@@ -68,15 +83,35 @@ func (q *UpdateQueue) Enqueue(u Update) {
 	q.mon.Lock()
 	defer q.mon.Unlock()
 	s := q.slotOf(u.Iter)
-	q.slots[s] = append(q.slots[s], u)
+	slot := q.slots[s]
+	if n := len(q.spare); slot == nil && n > 0 {
+		slot, q.spare[n-1] = q.spare[n-1], nil
+		q.spare = q.spare[:n-1]
+	}
+	slot = append(slot, u)
+	q.slots[s] = slot
 	q.size++
 	if q.size > q.highWater {
 		q.highWater = q.size
 	}
-	if n := len(q.slots[s]); n > q.slotHigh {
+	if n := len(slot); n > q.slotHigh {
 		q.slotHigh = n
 	}
 	q.cond.Broadcast()
+}
+
+// compactLocked replaces slot s by keep, the surviving entries
+// compacted in place over the slot's own array. The vacated tail is
+// zeroed so the array does not pin removed parameter vectors, and an
+// emptied slot gives its array to the spare list.
+func (q *UpdateQueue) compactLocked(s int, keep []Update) {
+	old := q.slots[s]
+	clear(old[len(keep):])
+	if old != nil && len(keep) == 0 {
+		q.spare = append(q.spare, keep)
+		keep = nil
+	}
+	q.slots[s] = keep
 }
 
 // countIterLocked returns how many entries tagged exactly iter are
@@ -85,21 +120,21 @@ func (q *UpdateQueue) Enqueue(u Update) {
 // operation" rule of §6.2(a).
 func (q *UpdateQueue) countIterLocked(iter int) int {
 	s := q.slotOf(iter)
-	slot := q.slots[s][:0]
+	keep := q.slots[s][:0]
 	n := 0
 	for _, u := range q.slots[s] {
 		switch {
 		case u.Iter == iter:
 			n++
-			slot = append(slot, u)
+			keep = append(keep, u)
 		case u.Iter < iter:
 			q.stale++
 			q.size--
 		default: // future iteration that happens to share the slot
-			slot = append(slot, u)
+			keep = append(keep, u)
 		}
 	}
-	q.slots[s] = slot
+	q.compactLocked(s, keep)
 	return n
 }
 
@@ -107,6 +142,11 @@ func (q *UpdateQueue) countIterLocked(iter int) int {
 // present, then removes and returns all entries tagged iter — the
 // composition of the two dequeues in the backup-worker Recv (Fig. 8):
 // the needed updates plus any extras already available.
+//
+// The returned slice is the queue's own result buffer: it is valid
+// until the next DequeueIterAtLeast on this queue, so the caller must
+// finish with it (reduce, recycle) before dequeuing again — which every
+// protocol mode does, one Recv+Reduce per iteration on one goroutine.
 func (q *UpdateQueue) DequeueIterAtLeast(need, iter int) []Update {
 	return q.dequeueIterOr(iter, func() int { return need }, nil)
 }
@@ -129,7 +169,8 @@ func (q *UpdateQueue) dequeueIterOr(iter int, need func() int, onBlock func() bo
 		q.cond.Wait()
 	}
 	s := q.slotOf(iter)
-	var out []Update
+	clear(q.out) // the previous result is dead: unpin its vectors
+	out := q.out[:0]
 	keep := q.slots[s][:0]
 	for _, u := range q.slots[s] {
 		if u.Iter == iter {
@@ -138,7 +179,8 @@ func (q *UpdateQueue) dequeueIterOr(iter int, need func() int, onBlock func() bo
 			keep = append(keep, u)
 		}
 	}
-	q.slots[s] = keep
+	q.compactLocked(s, keep)
+	q.out = out
 	q.size -= len(out)
 	return out
 }
@@ -163,7 +205,7 @@ func (q *UpdateQueue) drainFromLocked(wid int) []Update {
 				keep = append(keep, u)
 			}
 		}
-		q.slots[s] = keep
+		q.compactLocked(s, keep)
 	}
 	q.size -= len(out)
 	return out

@@ -96,15 +96,19 @@ func (f *Fabric) reorderDelay() time.Duration {
 	return d
 }
 
-// DeliverData schedules fn like Deliver, but routes the message — a
-// protocol data message tagged with iteration iter — through the chaos
-// injector first. Membership/control traffic (death notices) should
-// keep using Deliver: chaos models a lossy data plane, not a lying
-// failure detector.
-func (f *Fabric) DeliverData(src, dst, bytes, iter int, fn func()) {
+// DeliverData prices protocol data message m like Deliver and hands it
+// to the fabric's handler (Handle) on arrival, routing it through the
+// chaos injector first. Membership/control traffic (death notices)
+// should keep using Deliver: chaos models a lossy data plane, not a
+// lying failure detector.
+func (f *Fabric) DeliverData(bytes int, m Message) {
+	if f.eq.handle == nil {
+		panic("netsim: DeliverData before Handle installed a message handler")
+	}
+	src, dst, iter := m.From, m.Dst, m.Iter
 	c := f.cfg.Chaos
 	if c == nil {
-		f.Deliver(src, dst, bytes, fn)
+		f.eq.enqueueMsg(f.placement[dst], f.arrivalTime(src, dst, bytes), m)
 		return
 	}
 	for _, p := range c.Partitions {
@@ -137,9 +141,9 @@ func (f *Fabric) DeliverData(src, dst, bytes, iter int, fn func()) {
 		f.stats.NetReordered++
 		at += f.reorderDelay()
 	}
-	f.eq.enqueue(f.placement[dst], at, fn)
+	f.eq.enqueueMsg(f.placement[dst], at, m)
 	if dup {
 		f.stats.NetDuplicated++
-		f.eq.enqueue(f.placement[dst], at+f.reorderDelay(), fn)
+		f.eq.enqueueMsg(f.placement[dst], at+f.reorderDelay(), m)
 	}
 }

@@ -23,12 +23,10 @@ func TestChaosDeterministic(t *testing.T) {
 			Drop: 0.2, Duplicate: 0.15, Reorder: 0.2, Corrupt: 0.1, Seed: 42,
 		}), 3, []int{0, 1, 2})
 		var arrivals []time.Duration
+		f.Handle(func(Message) { arrivals = append(arrivals, k.Now()) })
 		k.Spawn("tx", func(p *sim.Proc) {
 			for i := 0; i < 40; i++ {
-				src, dst := i%3, (i+1)%3
-				f.DeliverData(src, dst, 1000, i, func() {
-					arrivals = append(arrivals, k.Now())
-				})
+				f.DeliverData(1000, Message{From: i % 3, Dst: (i + 1) % 3, Iter: i})
 				p.Sleep(time.Millisecond)
 			}
 		})
@@ -64,14 +62,21 @@ func TestChaosPartitionWindow(t *testing.T) {
 	f := New(k, chaosCfg(&ChaosConfig{
 		Partitions: []ChaosPartition{{A: 0, B: 1, FromIter: 5, ToIter: 8}},
 	}), 3, []int{0, 1, 2})
-	delivered := map[int]bool{}
+	delivered := map[int]bool{} // iter → arrived at worker 0
+	otherLink := false
+	f.Handle(func(m Message) {
+		if m.Dst == 0 {
+			delivered[m.Iter] = true
+		} else {
+			otherLink = true
+		}
+	})
 	k.Spawn("tx", func(p *sim.Proc) {
 		for i := 0; i < 10; i++ {
-			i := i
-			f.DeliverData(1, 0, 100, i, func() { delivered[i] = true }) // both directions severed
+			f.DeliverData(100, Message{From: 1, Dst: 0, Iter: i}) // both directions severed
 			p.Sleep(time.Millisecond)
 		}
-		f.DeliverData(0, 2, 100, 6, func() { delivered[100] = true }) // other link, in-window iter
+		f.DeliverData(100, Message{From: 0, Dst: 2, Iter: 6}) // other link, in-window iter
 	})
 	run(t, k, time.Minute)
 	for i := 0; i < 10; i++ {
@@ -80,7 +85,7 @@ func TestChaosPartitionWindow(t *testing.T) {
 			t.Errorf("iter %d delivered=%v, want %v", i, delivered[i], want)
 		}
 	}
-	if !delivered[100] {
+	if !otherLink {
 		t.Error("unpartitioned link was severed")
 	}
 	if got := f.Stats().NetPartitioned; got != 3 {
@@ -116,13 +121,17 @@ func TestChaosOffIsIdentity(t *testing.T) {
 	k := sim.NewKernel()
 	f := New(k, cfg(), 2, []int{0, 1})
 	var at time.Duration
-	k.Spawn("tx", func(*sim.Proc) {
-		f.DeliverData(0, 1, 1_000_000, 3, func() { at = k.Now() })
-	})
+	var got Message
+	f.Handle(func(m Message) { at, got = k.Now(), m })
+	sent := Message{From: 0, Dst: 1, Iter: 3, Params: []float64{1, 2}}
+	k.Spawn("tx", func(*sim.Proc) { f.DeliverData(1_000_000, sent) })
 	run(t, k, 5*time.Second)
 	want := 10*time.Millisecond + time.Second
 	if at != want {
 		t.Errorf("delivery at %v, want %v", at, want)
+	}
+	if got.From != 0 || got.Dst != 1 || got.Iter != 3 || got.Ack || &got.Params[0] != &sent.Params[0] {
+		t.Errorf("handler received %+v, want the sent message (params shared, not copied)", got)
 	}
 	s := f.Stats()
 	if s.NetDropped+s.NetDuplicated+s.NetReordered+s.NetCorrupted+s.NetPartitioned != 0 {

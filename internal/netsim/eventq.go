@@ -2,27 +2,26 @@ package netsim
 
 // eventq.go — the fabric's sharded delivery queue.
 //
-// Before it existed, every in-flight message was its own timer in the
-// kernel's global heap, so the heap grew with the number of in-flight
-// messages — O(n·degree) entries for a busy n-worker cluster, paid as
-// log(n·degree) on every kernel operation. The queue shards pending
-// deliveries by destination machine instead: each shard is a small
-// min-heap keyed (arrival time, fabric-global sequence), a top-level
-// index heap tracks the earliest shard head, and the kernel carries at
-// most a handful of armed drain timers regardless of how many messages
-// are in flight.
+// Pending deliveries wait in the fabric's own (arrival time, sequence)
+// min-heaps instead of as one kernel timer each: the kernel carries at
+// most a handful of armed drain timers however many messages are in
+// flight, and a message costs no allocation — callbacks ride the heaps
+// by value and typed data messages park in a recycled slab.
 //
-// Sharding by destination machine is not arbitrary: the fabric's
-// per-machine ingress NIC timeline makes inter-machine arrivals to one
-// machine monotone in enqueue order, so pushes into a shard are
-// near-sorted and cheap, while intra-machine traffic (not NIC-priced)
-// provides the only out-of-order pushes.
+// The queue is sharded by destination machine: each shard is a small
+// heap, and a heap of shard heads finds the earliest. The sharding is
+// not arbitrary: the fabric's per-machine ingress NIC timeline makes
+// inter-machine arrivals to one machine monotone in enqueue order, so
+// pushes into a shard are near-sorted and cheap, and a pop sifts a
+// dozen events, not everything in flight (half the cost per message
+// of one flat heap at n=1024).
 //
 // Determinism: deliveries fire in exactly the global (when, seq) order
 // the old one-timer-per-message scheme produced — seq is assigned at
-// enqueue, and a drain pops across all shards through the top-level
-// index, so same-instant deliveries to different machines still fire
-// in the order they were priced.
+// enqueue, the same total order the kernel's own timer heap uses, and
+// a drain pops across all shards through the heads heap, so
+// same-instant deliveries to different machines still fire in the
+// order they were priced.
 
 import (
 	"time"
@@ -34,31 +33,24 @@ import (
 // so any armed time compares above it.
 const eqNone = time.Duration(-1)
 
-// event is one pending delivery callback.
-type event struct {
-	when time.Duration
-	seq  int64
-	fn   func()
-}
-
-// before orders events by (when, seq): arrival time first, fabric
-// enqueue order as the tiebreak — the same total order the kernel's
-// own timer heap uses, which is what keeps traces byte-identical
-// across the two scheduling schemes.
-func (e event) before(o event) bool {
-	if e.when != o.when {
-		return e.when < o.when
-	}
-	return e.seq < o.seq
-}
-
-// eventQueue shards pending deliveries by destination machine.
+// eventQueue holds the fabric's pending deliveries. A shard event is a
+// control-plane callback (Fn) or, when Fn is nil, the typed data
+// message parked in msgs[Arg]; keeping messages out of line keeps heap
+// moves at 32 bytes.
 type eventQueue struct {
 	k      *sim.Kernel
-	seq    int64
-	shards [][]event // per destination machine, min-heap on (when, seq)
-	top    []int     // heap of nonempty shard ids, keyed by shard head
-	pos    []int     // shard id → index in top, -1 when absent
+	handle func(Message)   // receives every arriving data message
+	shards []sim.EventHeap // per destination machine
+	// heads orders the shards by their head events: an entry copies a
+	// shard head's (When, Seq) with the shard id as Arg, pushed
+	// whenever a shard gets a new head. Entries are never fixed in
+	// place; one whose shard head has since changed is stale and is
+	// dropped when it surfaces (head).
+	heads   sim.EventHeap
+	msgs    []Message // in-flight data messages, indexed by Event.Arg
+	free    []int32   // vacant msgs indices, reused before msgs grows
+	seq     int64
+	drainFn func() // q.drain, bound once: arming a timer allocates nothing
 	// armedAt is the earliest drain timer currently armed in the
 	// kernel, or eqNone. Stale timers (superseded by an earlier arm)
 	// fire as no-ops; the invariant that matters is that a nonempty
@@ -67,185 +59,88 @@ type eventQueue struct {
 }
 
 func newEventQueue(k *sim.Kernel, machines int) *eventQueue {
-	if machines < 1 {
-		machines = 1
-	}
-	q := &eventQueue{
-		k:       k,
-		shards:  make([][]event, machines),
-		top:     make([]int, 0, machines),
-		pos:     make([]int, machines),
-		armedAt: eqNone,
-	}
-	for i := range q.pos {
-		q.pos[i] = -1
-	}
+	q := &eventQueue{k: k, shards: make([]sim.EventHeap, max(machines, 1)), armedAt: eqNone}
+	q.drainFn = q.drain
 	return q
 }
 
-// enqueue schedules fn to run at virtual time when on the given
-// destination-machine shard.
-func (q *eventQueue) enqueue(shard int, when time.Duration, fn func()) {
-	now := q.k.Now()
-	if when < now {
-		when = now
+// enqueueMsg schedules m for the handler at virtual time when, parking
+// it in a recycled msgs slot: no allocation once the slab has grown to
+// the peak number of messages in flight.
+func (q *eventQueue) enqueueMsg(shard int, when time.Duration, m Message) {
+	slot := int32(len(q.msgs))
+	if n := len(q.free); n > 0 {
+		slot, q.free = q.free[n-1], q.free[:n-1]
+		q.msgs[slot] = m
+	} else {
+		q.msgs = append(q.msgs, m)
 	}
+	q.push(shard, sim.Event{When: when, Arg: slot})
+}
+
+// push schedules e (When and Fn or Arg set) on a destination-machine
+// shard: it stamps the next sequence number, clamps When to now, and
+// records the shard's new head if e became it.
+func (q *eventQueue) push(shard int, e sim.Event) {
 	q.seq++
-	q.pushShard(shard, event{when: when, seq: q.seq, fn: fn})
-	head := q.shards[q.top[0]][0]
-	if q.armedAt == eqNone || head.when < q.armedAt {
-		q.armedAt = head.when
-		q.k.After(head.when-now, q.drain)
+	e.When, e.Seq = max(e.When, q.k.Now()), q.seq
+	h := &q.shards[shard]
+	h.Push(e)
+	if (*h)[0].Seq == e.Seq {
+		q.heads.Push(sim.Event{When: e.When, Seq: e.Seq, Arg: int32(shard)})
+	}
+	q.arm()
+}
+
+// head returns the shard holding the earliest pending event, or -1
+// when the queue is empty, dropping stale heads entries on the way.
+func (q *eventQueue) head() int {
+	for len(q.heads) > 0 {
+		top := q.heads[0]
+		if h := q.shards[top.Arg]; len(h) > 0 && h[0].Seq == top.Seq {
+			return int(top.Arg)
+		}
+		q.heads.Pop()
+	}
+	return -1
+}
+
+// arm keeps the invariant that a nonempty queue has a kernel timer
+// armed at or before its head's time.
+func (q *eventQueue) arm() {
+	s := q.head()
+	if s < 0 {
+		return
+	}
+	head := q.shards[s][0].When
+	if q.armedAt == eqNone || head < q.armedAt {
+		q.armedAt = head
+		q.k.After(head-q.k.Now(), q.drainFn)
 	}
 }
 
 // drain is the armed kernel callback: it fires every due delivery, in
 // global (when, seq) order, then re-arms for the next head. Callbacks
-// may enqueue further deliveries (chaos duplicates do); the loop
-// re-reads the top-level head after each one, matching the kernel's
-// own same-instant semantics.
+// may enqueue further deliveries; the loop re-reads the head after
+// each one, matching the kernel's own same-instant semantics.
 func (q *eventQueue) drain() {
 	now := q.k.Now()
 	q.armedAt = eqNone
-	for len(q.top) > 0 {
-		s := q.top[0]
-		if q.shards[s][0].when > now {
-			break
+	for s := q.head(); s >= 0 && q.shards[s][0].When <= now; s = q.head() {
+		e := q.shards[s].Pop()
+		if h := q.shards[s]; len(h) > 0 {
+			q.heads.ReplaceTop(sim.Event{When: h[0].When, Seq: h[0].Seq, Arg: int32(s)})
+		} else {
+			q.heads.Pop()
 		}
-		e := q.popShard(s)
-		e.fn()
-	}
-	if len(q.top) > 0 {
-		head := q.shards[q.top[0]][0]
-		if q.armedAt == eqNone || head.when < q.armedAt {
-			q.armedAt = head.when
-			q.k.After(head.when-now, q.drain)
+		if e.Fn != nil {
+			e.Fn()
+		} else {
+			m := q.msgs[e.Arg]
+			q.msgs[e.Arg] = Message{} // release params for GC
+			q.free = append(q.free, e.Arg)
+			q.handle(m)
 		}
 	}
-}
-
-// pushShard adds e to shard s's heap and fixes the top-level index.
-func (q *eventQueue) pushShard(s int, e event) {
-	h := append(q.shards[s], e)
-	q.shards[s] = h
-	// Sift up within the shard.
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h[i].before(h[parent]) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-	if q.pos[s] == -1 {
-		q.topPush(s)
-	} else if i == 0 {
-		q.topFix(q.pos[s])
-	}
-}
-
-// popShard removes and returns shard s's head event, updating the
-// top-level index.
-func (q *eventQueue) popShard(s int) event {
-	h := q.shards[s]
-	e := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h[last] = event{} // release fn for GC
-	h = h[:last]
-	q.shards[s] = h
-	// Sift down within the shard.
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(h) && h[l].before(h[small]) {
-			small = l
-		}
-		if r < len(h) && h[r].before(h[small]) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		h[i], h[small] = h[small], h[i]
-		i = small
-	}
-	if len(h) == 0 {
-		q.topRemove(q.pos[s])
-	} else {
-		q.topFix(q.pos[s])
-	}
-	return e
-}
-
-// topLess compares two top-level entries by their shards' head events.
-func (q *eventQueue) topLess(i, j int) bool {
-	return q.shards[q.top[i]][0].before(q.shards[q.top[j]][0])
-}
-
-func (q *eventQueue) topSwap(i, j int) {
-	q.top[i], q.top[j] = q.top[j], q.top[i]
-	q.pos[q.top[i]] = i
-	q.pos[q.top[j]] = j
-}
-
-func (q *eventQueue) topPush(s int) {
-	q.top = append(q.top, s)
-	q.pos[s] = len(q.top) - 1
-	q.topUp(len(q.top) - 1)
-}
-
-func (q *eventQueue) topRemove(i int) {
-	last := len(q.top) - 1
-	q.pos[q.top[i]] = -1
-	if i != last {
-		q.top[i] = q.top[last]
-		q.pos[q.top[i]] = i
-	}
-	q.top = q.top[:last]
-	if i < last {
-		q.topFix(i)
-	}
-}
-
-// topFix restores the heap property at i after the shard's head
-// changed in either direction.
-func (q *eventQueue) topFix(i int) {
-	if !q.topUp(i) {
-		q.topDown(i)
-	}
-}
-
-func (q *eventQueue) topUp(i int) bool {
-	moved := false
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.topLess(i, parent) {
-			break
-		}
-		q.topSwap(i, parent)
-		i = parent
-		moved = true
-	}
-	return moved
-}
-
-func (q *eventQueue) topDown(i int) {
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(q.top) && q.topLess(l, small) {
-			small = l
-		}
-		if r < len(q.top) && q.topLess(r, small) {
-			small = r
-		}
-		if small == i {
-			return
-		}
-		q.topSwap(i, small)
-		i = small
-	}
+	q.arm()
 }

@@ -171,9 +171,9 @@ type Fabric struct {
 	// nil when Config.Chaos is nil.
 	chaosRNG map[[2]int]*rand.Rand
 
-	// eq shards pending delivery callbacks by destination machine so
-	// the kernel's timer heap stays small regardless of how many
-	// messages are in flight (see eventq.go).
+	// eq shards pending deliveries by destination machine so the
+	// kernel's timer heap stays small regardless of how many messages
+	// are in flight (see eventq.go).
 	eq *eventQueue
 
 	stats Stats
@@ -298,11 +298,26 @@ func (f *Fabric) bandwidthAt(m int, t time.Duration) (bw float64, bursting bool)
 
 // Deliver schedules fn to run when a message of the given size sent
 // now from src to dst would arrive. It must be called from simulation
-// context (a running process or an After callback).
+// context (a running process or an After callback). It is the
+// control-plane form (death notices, the baselines' private loops);
+// protocol data rides DeliverData as a typed Message, closure-free.
 func (f *Fabric) Deliver(src, dst, bytes int, fn func()) {
-	at := f.arrivalTime(src, dst, bytes)
-	f.eq.enqueue(f.placement[dst], at, fn)
+	f.eq.push(f.placement[dst], sim.Event{When: f.arrivalTime(src, dst, bytes), Fn: fn})
 }
+
+// Message is one protocol data message in flight: worker From's
+// iteration-Iter parameter update for worker Dst or, with Ack set, its
+// NOTIFY-ACK. It rides the event queue by value, so a send allocates
+// nothing.
+type Message struct {
+	Dst, From, Iter int
+	Ack             bool
+	Params          []float64
+}
+
+// Handle installs the one handler every DeliverData message is passed
+// to on arrival (scheduler context, like an After callback).
+func (f *Fabric) Handle(h func(Message)) { f.eq.handle = h }
 
 // arrivalTime advances the NIC timelines and returns the delivery
 // time.

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -330,5 +331,125 @@ func TestDefault1GbE(t *testing.T) {
 	}
 	if c.Intra.Bandwidth <= c.Inter.Bandwidth {
 		t.Error("intra should be faster than inter")
+	}
+}
+
+// BenchmarkDeliverDrain is the shape of the benchmark's netsim.deliver_ns
+// probe: one proc prices a run of cross-machine messages toward one
+// machine, then the kernel drains them.
+func BenchmarkDeliverDrain(b *testing.B) {
+	const msgs = 20000
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		k := sim.NewKernel()
+		f := New(k, Default1GbE(), 2, []int{0, 1})
+		k.Spawn("sender", func(*sim.Proc) {
+			for j := 0; j < msgs; j++ {
+				f.Deliver(0, 1, 16384, func() {})
+			}
+		})
+		if err := k.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*msgs), "ns/msg")
+}
+
+// BenchmarkDeliverSteady is the fabric's share of a 1024-worker ring
+// run, without the workers: every round each worker sends its two
+// neighbors one typed update (one in four crosses machines), and the
+// kernel delivers the 2048 in flight before the next round.
+func BenchmarkDeliverSteady(b *testing.B) {
+	const workers, perMachine = 1024, 8
+	placement := make([]int, workers)
+	for w := range placement {
+		placement[w] = w / perMachine
+	}
+	k := sim.NewKernel()
+	f := New(k, Default1GbE(), workers, placement)
+	delivered := 0
+	f.Handle(func(Message) { delivered++ })
+	rounds := b.N/(2*workers) + 1
+	k.Spawn("tx", func(p *sim.Proc) {
+		for r := 0; r < rounds; r++ {
+			for w := 0; w < workers; w++ {
+				f.DeliverData(16384, Message{From: w, Dst: (w + 1) % workers, Iter: r})
+				f.DeliverData(16384, Message{From: w, Dst: (w + workers - 1) % workers, Iter: r})
+			}
+			p.Sleep(100 * time.Millisecond)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := k.Run(); err != nil {
+		b.Fatal(err)
+	}
+	if delivered != rounds*2*workers {
+		b.Fatalf("delivered %d of %d messages", delivered, rounds*2*workers)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(delivered), "ns/msg")
+}
+
+// TestDeliveriesFireInTimeThenPricingOrder drives the sharded queue
+// through what its lazy heads heap must survive: intra-machine
+// messages of mixed sizes overtake each other inside a shard (a new
+// earlier head supersedes a recorded one), shards interleave, a
+// callback enqueues more, and many arrivals tie. Every delivery fires,
+// in arrival-time order, ties in the order they were priced.
+func TestDeliveriesFireInTimeThenPricingOrder(t *testing.T) {
+	const workers, machines, sends = 12, 4, 600
+	placement := make([]int, workers)
+	for w := range placement {
+		placement[w] = w % machines
+	}
+	k := sim.NewKernel()
+	f := New(k, cfg(), workers, placement)
+	type arrival struct {
+		at    time.Duration
+		order int // pricing order
+	}
+	var got []arrival
+	priced := 0
+	rng := rand.New(rand.NewSource(5))
+	var send func(src, dst, bytes int, again bool)
+	send = func(src, dst, bytes int, again bool) {
+		order := priced
+		priced++
+		f.Deliver(src, dst, bytes, func() {
+			got = append(got, arrival{k.Now(), order})
+			if again {
+				send(dst, src, 10, false) // a delivery that sends
+			}
+		})
+	}
+	k.Spawn("tx", func(p *sim.Proc) {
+		for i := 0; i < sends; i++ {
+			src, dst := rng.Intn(workers), rng.Intn(workers)
+			// Large then small on one link: the small one overtakes.
+			send(src, dst, []int{1_000_000, 10, 10, 50_000}[i%4], i%7 == 0)
+			if i%5 == 0 {
+				p.Sleep(time.Duration(rng.Intn(3)) * time.Millisecond)
+			}
+		}
+	})
+	run(t, k, time.Hour)
+	if len(got) != priced {
+		t.Fatalf("%d of %d deliveries fired", len(got), priced)
+	}
+	ties := 0
+	for i := 1; i < len(got); i++ {
+		a, b := got[i-1], got[i]
+		if b.at < a.at {
+			t.Fatalf("delivery %d fired at %v after one at %v", i, b.at, a.at)
+		}
+		if b.at == a.at {
+			ties++
+			if b.order < a.order {
+				t.Fatalf("same-instant deliveries fired out of pricing order: %d before %d", a.order, b.order)
+			}
+		}
+	}
+	if ties == 0 {
+		t.Error("no same-instant deliveries; the tie-break went untested")
 	}
 }

@@ -1,0 +1,164 @@
+package sim
+
+// baton_test.go — the contracts of the baton-passing scheduler: the
+// run order the old kernel-goroutine round trip produced, scheduler
+// context for callbacks now that they run on a parker's goroutine, the
+// hand-off-free path, and clean termination.
+
+import (
+	"errors"
+	"reflect"
+	"runtime"
+	"testing"
+	"time"
+)
+
+// TestSameInstantWakeupsRunInSeqOrder: procs whose timers fire at one
+// instant run in the order the timers were armed, not in spawn order,
+// and a callback at that instant keeps its place in the same sequence.
+func TestSameInstantWakeupsRunInSeqOrder(t *testing.T) {
+	k := NewKernel()
+	var order []string
+	first := map[string]time.Duration{"a": 3, "b": 1, "c": 2} // arming order: b, c, a
+	for _, name := range []string{"a", "b", "c"} {
+		name := name
+		k.Spawn(name, func(p *Proc) {
+			p.Sleep(first[name] * time.Millisecond)
+			if name == "c" {
+				k.After(10*time.Millisecond-p.Now(), func() { order = append(order, "callback") })
+			}
+			p.Sleep(10*time.Millisecond - p.Now()) // everyone wakes at t=10ms
+			order = append(order, name)
+		})
+	}
+	if err := k.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	// The callback fires while the timers of the instant are drained,
+	// before any woken proc runs; the procs follow in arming order.
+	want := []string{"callback", "b", "c", "a"}
+	if !reflect.DeepEqual(order, want) {
+		t.Errorf("order %v, want %v", order, want)
+	}
+}
+
+// TestAfterCallbackSpawnsAndBroadcasts: callbacks run in scheduler
+// context — no current proc — even though a parking proc's goroutine
+// executes them; they may Spawn and Broadcast, and what they make
+// runnable runs in FIFO order.
+func TestAfterCallbackSpawnsAndBroadcasts(t *testing.T) {
+	k := NewKernel()
+	c := NewCond(k)
+	var order []string
+	ready := false
+	k.Spawn("waiter", func(p *Proc) {
+		for !ready {
+			c.Wait()
+		}
+		order = append(order, "waiter")
+	})
+	k.After(time.Millisecond, func() {
+		if k.current != nil {
+			t.Errorf("callback ran with current proc %q", k.current.name)
+		}
+		k.Spawn("spawned", func(p *Proc) {
+			p.Sleep(time.Millisecond)
+			order = append(order, "spawned")
+		})
+	})
+	k.After(time.Millisecond, func() {
+		ready = true
+		c.Broadcast()
+	})
+	if err := k.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	want := []string{"waiter", "spawned"}
+	if !reflect.DeepEqual(order, want) {
+		t.Errorf("order %v, want %v", order, want)
+	}
+	if k.Now() != 2*time.Millisecond {
+		t.Errorf("clock %v, want 2ms", k.Now())
+	}
+}
+
+// TestLoneSleepResumesItself: with nothing else runnable the sleeper's
+// own scheduling step picks the sleeper again and park returns without
+// touching a channel. The proc runs with its resume channel removed, so
+// a hand-off on that path would block forever (the test would time
+// out) instead of passing by accident.
+func TestLoneSleepResumesItself(t *testing.T) {
+	k := NewKernel()
+	ticks := 0
+	k.Spawn("lone", func(p *Proc) {
+		resume := p.resume
+		p.resume = nil
+		defer func() { p.resume = resume }()
+		for i := 0; i < 100; i++ {
+			p.Sleep(time.Millisecond)
+			p.Sleep(0)
+			if k.current != p || p.state != stateRunning {
+				t.Errorf("after self-resume: current=%v state=%v", k.current, p.state)
+			}
+			ticks++
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if ticks != 100 || k.Now() != 100*time.Millisecond {
+		t.Errorf("ticks=%d clock=%v, want 100 and 100ms", ticks, k.Now())
+	}
+}
+
+// TestDeadlockBlockedNames: the report names exactly the blocked procs,
+// sorted, with the clock at the instant progress stopped — whichever
+// goroutine happened to detect it.
+func TestDeadlockBlockedNames(t *testing.T) {
+	k := NewKernel()
+	c := NewCond(k)
+	k.Spawn("zeta", func(p *Proc) { p.Sleep(3 * time.Millisecond); c.Wait() })
+	k.Spawn("alpha", func(p *Proc) { c.Wait() })
+	k.Spawn("finisher", func(p *Proc) { p.Sleep(time.Millisecond) })
+	err := k.Run()
+	var de *DeadlockError
+	if !errors.As(err, &de) {
+		t.Fatalf("want DeadlockError, got %v", err)
+	}
+	if want := []string{"alpha", "zeta"}; !reflect.DeepEqual(de.Blocked, want) {
+		t.Errorf("blocked %v, want %v", de.Blocked, want)
+	}
+	if de.Now != 3*time.Millisecond {
+		t.Errorf("deadlock at %v, want 3ms", de.Now)
+	}
+}
+
+// TestRunUntilLeavesNoGoroutines: after a deadline stop every proc
+// goroutine — sleeping, waiting, never scheduled or finished — is gone.
+func TestRunUntilLeavesNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	k := NewKernel()
+	c := NewCond(k)
+	for i := 0; i < 50; i++ {
+		k.Spawn("sleeper", func(p *Proc) {
+			for {
+				p.Sleep(time.Duration(1+p.ID()) * time.Millisecond)
+			}
+		})
+		k.Spawn("waiter", func(p *Proc) { c.Wait() })
+		k.Spawn("short", func(p *Proc) { p.Sleep(time.Millisecond) })
+	}
+	k.After(20*time.Millisecond, func() { k.Spawn("late", func(p *Proc) { c.Wait() }) })
+	if err := k.RunUntil(20 * time.Millisecond); err != nil {
+		t.Fatalf("RunUntil: %v", err)
+	}
+	// A killed proc's goroutine signals the kernel a few instructions
+	// before it exits, so give the stragglers a moment to finish.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after RunUntil, %d before", runtime.NumGoroutine(), before)
+		}
+		runtime.Gosched()
+	}
+}

@@ -11,6 +11,14 @@
 // callbacks remain, Run returns a *DeadlockError naming the blocked
 // processes.
 //
+// Scheduling is baton passing: a process that parks (or exits) runs
+// the scheduling step itself, on its own goroutine — fire the due
+// timers and callbacks in (when, seq) order, pop the run queue — and
+// resumes the next process directly: one goroutine hand-off per park,
+// none when the next process is the parker. The goroutine that called
+// Run only starts the first process and takes the baton back when
+// nothing is left to run (all done, deadlock, or deadline).
+//
 // The kernel is the substrate for the cluster simulator: workers,
 // parameter servers and network-delivery callbacks are all sim
 // processes or timed callbacks, and every experiment built on it
@@ -18,7 +26,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 	"time"
@@ -77,41 +84,107 @@ func (p *Proc) ID() int { return p.id }
 // errKilled unwinds a proc goroutine when the kernel shuts it down.
 type errKilled struct{}
 
-// timer is a scheduled wake-up or callback.
-type timer struct {
-	when time.Duration
-	seq  int64 // tiebreaker: FIFO among equal times
-	proc *Proc // non-nil: wake this proc
-	fn   func()
-	idx  int
+// Event is one entry of an EventHeap: something due at virtual time
+// When, ordered among equal times by Seq (FIFO). What it stands for is
+// its owner's business — a callback Fn or, when Fn is nil, an integer
+// Arg: the id of the kernel's sleeping proc, the slot of the network
+// fabric's in-flight message.
+type Event struct {
+	When time.Duration
+	Seq  int64
+	Fn   func()
+	Arg  int32
 }
 
-type timerHeap []*timer
-
-func (h timerHeap) Len() int { return len(h) }
-func (h timerHeap) Less(i, j int) bool {
-	if h[i].when != h[j].when {
-		return h[i].when < h[j].when
+func (e *Event) before(o *Event) bool {
+	if e.When != o.When {
+		return e.When < o.When
 	}
-	return h[i].seq < h[j].seq
+	return e.Seq < o.Seq
 }
-func (h timerHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
+
+// EventHeap is a min-heap on (When, Seq) holding its events by value:
+// once the slice has grown, pushing and popping allocate nothing. It
+// is 4-ary — half a binary heap's levels, a node's children adjacent
+// in memory — which is where a pop among thousands of pending events
+// spends its time. The zero value is empty; h[0] is the earliest.
+type EventHeap []Event
+
+// Push adds e.
+func (hp *EventHeap) Push(e Event) {
+	h := append(*hp, e)
+	for i := len(h) - 1; i > 0; {
+		parent := (i - 1) / 4
+		if !h[i].before(&h[parent]) {
+			break
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
+	*hp = h
 }
-func (h *timerHeap) Push(x any) {
-	t := x.(*timer)
-	t.idx = len(*h)
-	*h = append(*h, t)
+
+// Pop removes and returns the earliest event.
+func (hp *EventHeap) Pop() Event {
+	h := *hp
+	e, last := h[0], len(h)-1
+	h[0], h[last] = h[last], Event{} // release Fn for GC
+	*hp = h[:last]
+	h[:last].siftDown()
+	return e
 }
-func (h *timerHeap) Pop() any {
-	old := *h
-	n := len(old)
-	t := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return t
+
+// ReplaceTop overwrites the earliest event with e and restores the
+// order: one sift where a Pop and a Push would take two.
+func (h EventHeap) ReplaceTop(e Event) {
+	h[0] = e
+	h.siftDown()
+}
+
+// siftDown sinks h[0] to its place.
+func (h EventHeap) siftDown() {
+	for i := 0; ; {
+		small := i
+		for c := 4*i + 1; c <= 4*i+4 && c < len(h); c++ {
+			if h[c].before(&h[small]) {
+				small = c
+			}
+		}
+		if small == i {
+			return
+		}
+		h[i], h[small] = h[small], h[i]
+		i = small
+	}
+}
+
+// procRing is a FIFO of procs on a circular buffer: unlike q = q[1:]
+// plus append it neither re-allocates as it slides forward nor keeps
+// popped procs reachable.
+type procRing struct {
+	buf  []*Proc // length zero or a power of two
+	head int
+	n    int
+}
+
+func (r *procRing) push(p *Proc) {
+	if r.n == len(r.buf) {
+		grown := make([]*Proc, max(1, 2*len(r.buf)))
+		for i := 0; i < r.n; i++ {
+			grown[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
+		}
+		r.buf, r.head = grown, 0
+	}
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = p
+	r.n++
+}
+
+func (r *procRing) pop() *Proc {
+	p := r.buf[r.head]
+	r.buf[r.head] = nil
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+	return p
 }
 
 // DeadlockError reports that the simulation can make no further
@@ -131,20 +204,25 @@ func (e *DeadlockError) Error() string {
 type Kernel struct {
 	now     time.Duration
 	procs   []*Proc
-	runq    []*Proc
-	timers  timerHeap
+	runq    procRing
+	timers  EventHeap // sleeping procs (Arg = proc id) and After callbacks
 	seq     int64
 	nLive   int
 	current *Proc
-	yield   chan struct{}
+	// idle hands the baton back to the goroutine in RunUntil: a value
+	// arrives whenever a parking or exiting proc finds nothing to run.
+	idle chan struct{}
 	// deadline, when >0, stops the simulation at that virtual time.
 	deadline time.Duration
+	// stopping is set by shutdown: the scheduling step then picks
+	// nothing, so killed procs hand straight back to RunUntil.
+	stopping bool
 	stopped  bool
 }
 
 // NewKernel returns a kernel with the clock at zero and no processes.
 func NewKernel() *Kernel {
-	return &Kernel{yield: make(chan struct{})}
+	return &Kernel{idle: make(chan struct{})}
 }
 
 // Now returns the current virtual time. Safe to call from the
@@ -160,11 +238,11 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 		id:     len(k.procs),
 		name:   name,
 		state:  stateRunnable,
-		resume: make(chan struct{}),
+		resume: make(chan struct{}, 1),
 	}
 	k.procs = append(k.procs, p)
 	k.nLive++
-	k.runq = append(k.runq, p)
+	k.runq.push(p)
 	go func() {
 		<-p.resume // wait for first schedule
 		defer func() {
@@ -175,7 +253,7 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 			}
 			p.state = stateDone
 			k.nLive--
-			k.yield <- struct{}{}
+			k.handOff(k.next())
 		}()
 		if p.killed {
 			panic(errKilled{})
@@ -190,11 +268,8 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 // call Broadcast/Signal on conds, Spawn, and After. Used for modeling
 // asynchronous events such as network deliveries.
 func (k *Kernel) After(d time.Duration, fn func()) {
-	if d < 0 {
-		d = 0
-	}
 	k.seq++
-	heap.Push(&k.timers, &timer{when: k.now + d, seq: k.seq, fn: fn})
+	k.timers.Push(Event{When: k.now + max(d, 0), Seq: k.seq, Fn: fn})
 }
 
 // Sleep blocks the calling process for virtual duration d.
@@ -206,12 +281,12 @@ func (p *Proc) Sleep(d time.Duration) {
 	if d <= 0 {
 		// Still yield so equal-priority procs interleave
 		// deterministically rather than starving.
-		p.yieldNow()
-		return
+		k.wake(p)
+	} else {
+		k.seq++
+		k.timers.Push(Event{When: k.now + d, Seq: k.seq, Arg: int32(p.id)})
+		p.state = stateSleeping
 	}
-	k.seq++
-	heap.Push(&k.timers, &timer{when: k.now + d, seq: k.seq, proc: p})
-	p.state = stateSleeping
 	p.park()
 }
 
@@ -247,65 +322,72 @@ func (k *Kernel) Compute(fn func()) {
 	k.current.Compute(fn)
 }
 
-// Yield gives other runnable processes a chance to run at the same
-// virtual instant.
-func (p *Proc) yieldNow() {
-	k := p.k
+// wake makes p runnable, at the back of the run queue.
+func (k *Kernel) wake(p *Proc) {
 	p.state = stateRunnable
-	k.runq = append(k.runq, p)
-	p.park()
+	p.waitingOn = nil
+	k.runq.push(p)
 }
 
-// park hands control back to the scheduler and blocks until resumed.
-// On resume, if the kernel is shutting this proc down, it unwinds.
+// park passes the baton: the parker runs the scheduling step on its own
+// goroutine, resumes whatever comes next and blocks until resumed
+// itself — or returns at once when the next proc is the parker (a lone
+// proc sleeping, a yield with an empty run queue). On resume, if the
+// kernel is shutting this proc down, it unwinds.
 func (p *Proc) park() {
-	k := p.k
-	k.yield <- struct{}{}
-	<-p.resume
+	if next := p.k.next(); next != p {
+		p.k.handOff(next)
+		<-p.resume
+	}
 	if p.killed {
 		panic(errKilled{})
 	}
-	p.state = stateRunning
 }
 
-// schedule runs one process (or timer batch) step. Returns false when
-// nothing remains to run.
-func (k *Kernel) step() (progress bool, err error) {
-	for len(k.runq) == 0 {
-		if k.timers.Len() == 0 {
-			if k.nLive > 0 {
-				return false, k.deadlockError()
-			}
-			return false, nil
-		}
-		next := k.timers[0]
-		if k.deadline > 0 && next.when > k.deadline {
-			k.now = k.deadline
-			return false, nil // deadline reached
-		}
-		k.now = next.when
-		// Fire every timer scheduled for this instant, in seq order.
-		for k.timers.Len() > 0 && k.timers[0].when == k.now {
-			t := heap.Pop(&k.timers).(*timer)
-			if t.proc != nil {
-				t.proc.state = stateRunnable
-				k.runq = append(k.runq, t.proc)
-			} else {
-				t.fn()
-			}
-		}
-	}
-	p := k.runq[0]
-	k.runq = k.runq[1:]
-	if p.state == stateDone {
-		return true, nil
-	}
-	p.state = stateRunning
-	k.current = p
-	p.resume <- struct{}{}
-	<-k.yield
+// next is the scheduling step: it fires due timers and callbacks in
+// (when, seq) order, jumping the clock whenever the run queue is empty,
+// and returns the next proc to run, already marked running — or nil
+// when nothing remains (every proc done, deadlock, deadline reached, or
+// the kernel shutting down). Callbacks run here with no current proc,
+// on the goroutine of whoever parked last.
+func (k *Kernel) next() *Proc {
 	k.current = nil
-	return true, nil
+	if k.stopping {
+		return nil
+	}
+	for k.runq.n == 0 {
+		if len(k.timers) == 0 {
+			return nil
+		}
+		k.now = k.timers[0].When
+		if k.deadline > 0 && k.now > k.deadline {
+			k.now = k.deadline
+			return nil
+		}
+		// Fire every timer scheduled for this instant, in seq order.
+		for len(k.timers) > 0 && k.timers[0].When == k.now {
+			if t := k.timers.Pop(); t.Fn != nil {
+				t.Fn()
+			} else {
+				k.wake(k.procs[t.Arg])
+			}
+		}
+	}
+	// Only runnable procs are ever queued, and a proc finishes only
+	// while running, so whatever pops is live.
+	k.current = k.runq.pop()
+	k.current.state = stateRunning
+	return k.current
+}
+
+// handOff passes the baton to next, or back to RunUntil when next is
+// nil.
+func (k *Kernel) handOff(next *Proc) {
+	if next != nil {
+		next.resume <- struct{}{}
+	} else {
+		k.idle <- struct{}{}
+	}
 }
 
 func (k *Kernel) deadlockError() *DeadlockError {
@@ -333,16 +415,15 @@ func (k *Kernel) RunUntil(deadline time.Duration) error {
 		return fmt.Errorf("sim: kernel already stopped")
 	}
 	k.deadline = deadline
+	if first := k.next(); first != nil {
+		first.resume <- struct{}{}
+		<-k.idle
+	}
+	// Nothing is runnable. With timers pending that was the deadline;
+	// with none, any proc still alive is blocked forever.
 	var dead error
-	for {
-		progress, err := k.step()
-		if err != nil {
-			dead = err
-			break
-		}
-		if !progress {
-			break
-		}
+	if k.nLive > 0 && len(k.timers) == 0 {
+		dead = k.deadlockError()
 	}
 	k.shutdown()
 	k.stopped = true
@@ -351,6 +432,7 @@ func (k *Kernel) RunUntil(deadline time.Duration) error {
 
 // shutdown kills every live process so no goroutines leak.
 func (k *Kernel) shutdown() {
+	k.stopping = true
 	// Kill sleeping/waiting procs first, then drain any runnable ones.
 	for {
 		resumed := false
@@ -361,7 +443,7 @@ func (k *Kernel) shutdown() {
 					p.waitingOn.removeWaiter(p)
 				}
 				p.resume <- struct{}{}
-				<-k.yield
+				<-k.idle
 				resumed = true
 			}
 		}
@@ -380,7 +462,7 @@ func (k *Kernel) shutdown() {
 // woken process may consume the state first.
 type Cond struct {
 	k       *Kernel
-	waiters []*Proc
+	waiters procRing
 }
 
 // NewCond returns a condition variable bound to kernel k.
@@ -396,41 +478,33 @@ func (c *Cond) Wait() {
 	if p.killed {
 		panic(errKilled{})
 	}
-	c.waiters = append(c.waiters, p)
+	c.waiters.push(p)
 	p.state = stateWaiting
 	p.waitingOn = c
 	p.park()
-	p.waitingOn = nil
 }
 
 // Broadcast wakes all waiting processes (they become runnable in FIFO
 // order). Safe to call from processes and After callbacks.
 func (c *Cond) Broadcast() {
-	for _, p := range c.waiters {
-		p.state = stateRunnable
-		p.waitingOn = nil
-		c.k.runq = append(c.k.runq, p)
+	for c.waiters.n > 0 {
+		c.k.wake(c.waiters.pop())
 	}
-	c.waiters = c.waiters[:0]
 }
 
 // Signal wakes the longest-waiting process, if any.
 func (c *Cond) Signal() {
-	if len(c.waiters) == 0 {
-		return
+	if c.waiters.n > 0 {
+		c.k.wake(c.waiters.pop())
 	}
-	p := c.waiters[0]
-	c.waiters = c.waiters[1:]
-	p.state = stateRunnable
-	p.waitingOn = nil
-	c.k.runq = append(c.k.runq, p)
 }
 
+// removeWaiter drops target by rotating the ring once, which keeps the
+// remaining waiters in order.
 func (c *Cond) removeWaiter(target *Proc) {
-	for i, p := range c.waiters {
-		if p == target {
-			c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
-			return
+	for i := c.waiters.n; i > 0; i-- {
+		if p := c.waiters.pop(); p != target {
+			c.waiters.push(p)
 		}
 	}
 }

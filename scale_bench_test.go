@@ -43,8 +43,10 @@ func BenchmarkScaleRingN8(b *testing.B)    { benchScale(b, "ring", 8) }
 func BenchmarkScaleRingN64(b *testing.B)   { benchScale(b, "ring", 64) }
 func BenchmarkScaleRingN256(b *testing.B)  { benchScale(b, "ring", 256) }
 func BenchmarkScaleRingN1024(b *testing.B) { benchScale(b, "ring", 1024) }
+func BenchmarkScaleRingN4096(b *testing.B) { benchScale(b, "ring", 4096) }
 
 func BenchmarkScaleHierN8(b *testing.B)    { benchScale(b, "hier-allreduce", 8) }
 func BenchmarkScaleHierN64(b *testing.B)   { benchScale(b, "hier-allreduce", 64) }
 func BenchmarkScaleHierN256(b *testing.B)  { benchScale(b, "hier-allreduce", 256) }
 func BenchmarkScaleHierN1024(b *testing.B) { benchScale(b, "hier-allreduce", 1024) }
+func BenchmarkScaleHierN4096(b *testing.B) { benchScale(b, "hier-allreduce", 4096) }

@@ -96,6 +96,8 @@ for base_path, fresh_path in ((sys.argv[2], sys.argv[3]),
             if bu and fu is not None and fu < bu * (1 - thresh):
                 regressions.append(
                     f"{name}: {metric} {bu:.0f} -> {fu:.0f} ({pct(bu, fu):+.1f}%)")
+    for name in sorted(set(fresh) - set(base)):
+        print(f"bench_compare: {name}: new point, no baseline")
 
 if regressions:
     for r in regressions:
