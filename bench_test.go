@@ -8,8 +8,10 @@ package hop_test
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 	"io"
 	"math/rand"
+	"os"
 	"testing"
 	"time"
 
@@ -130,15 +132,55 @@ func BenchmarkSimContextSwitch(b *testing.B) {
 	}
 }
 
-func BenchmarkCNNLossGrad(b *testing.B) {
-	cfg := model.DefaultCNNConfig()
-	c := model.NewCNN(cfg)
-	rng := rand.New(rand.NewSource(1))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.ComputeGrad(rng)
+// benchWidths runs fn as width=1|2|4 sub-benchmarks of the compute
+// plane. Widths above the machine's core count are recorded all the
+// same: they show what over-subscription costs (BENCH.md).
+func benchWidths(b *testing.B, fn func(b *testing.B)) {
+	defer hop.SetComputeWorkers(0)
+	for _, w := range []int{1, 2, 4} {
+		hop.SetComputeWorkers(w)
+		b.Run(fmt.Sprintf("width=%d", w), fn)
 	}
+}
+
+// BenchmarkCNNLossGrad is one replica's gradient step on its own: the
+// only parallelism on offer is row sharding inside the step.
+func BenchmarkCNNLossGrad(b *testing.B) {
+	benchWidths(b, func(b *testing.B) {
+		c := model.NewCNN(model.DefaultCNNConfig())
+		rng := rand.New(rand.NewSource(1))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c.ComputeGrad(rng)
+		}
+	})
+}
+
+// BenchmarkSimCNNHetero16 is the committed end-to-end CNN workload of
+// BENCHMARK.json (16 workers, 6× random stragglers, 300 iterations)
+// run through the scenario engine: sixteen replicas' steps to overlap,
+// so the width axis measures whole-step parallelism.
+func BenchmarkSimCNNHetero16(b *testing.B) {
+	data, err := os.ReadFile("benchmark/workloads/sim-cnn-hetero16.json")
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec, err := hop.ParseScenario(data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchWidths(b, func(b *testing.B) {
+		steps := 0
+		for i := 0; i < b.N; i++ {
+			res, err := hop.RunScenario(spec)
+			if err != nil {
+				b.Fatal(err)
+			}
+			steps += res.Metrics.Iterations()
+		}
+		b.ReportMetric(float64(steps)/b.Elapsed().Seconds(), "steps/s")
+	})
 }
 
 func BenchmarkSVMLossGrad(b *testing.B) {

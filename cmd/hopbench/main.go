@@ -6,6 +6,7 @@
 //	hopbench -exp all -scale full  # everything, EXPERIMENTS.md scale
 //	hopbench -exp fig12 -series    # also dump the raw loss series
 //	hopbench -list                 # list experiment ids
+//	hopbench -exp fig12 -cpuprofile cpu.prof   # profile the run (also -memprofile)
 package main
 
 import (
@@ -14,6 +15,7 @@ import (
 	"os"
 	"time"
 
+	"hop/cmd/internal/profflag"
 	"hop/internal/experiments"
 	"hop/internal/tensor"
 )
@@ -26,6 +28,7 @@ func main() {
 		list    = flag.Bool("list", false, "list experiment ids and exit")
 		workers = flag.Int("compute-workers", 0, "compute-plane width for tensor kernels (0 = GOMAXPROCS); reports are byte-identical at any width")
 	)
+	prof := profflag.Register()
 	flag.Parse()
 	tensor.SetWorkers(*workers)
 
@@ -59,6 +62,11 @@ func main() {
 		entries = []experiments.Entry{e}
 	}
 
+	stopProf, err := prof.Start()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "hopbench:", err)
+		os.Exit(2)
+	}
 	failed := 0
 	for _, e := range entries {
 		start := time.Now()
@@ -76,6 +84,7 @@ func main() {
 		}
 		fmt.Printf("[%s done in %v]\n\n", e.ID, time.Since(start).Round(time.Millisecond))
 	}
+	stopProf() // not deferred: a failed experiment still exits non-zero below
 	if failed > 0 {
 		os.Exit(1)
 	}

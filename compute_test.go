@@ -7,18 +7,59 @@ package hop_test
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"testing"
 
 	"hop"
 )
 
+// callSiteSpecs are small heterogeneous CNN clusters, one per iteration
+// mode the figure below does not reach: with fig12's parallel graph
+// they cover all four Compute/EndCompute call sites of the protocol
+// (iterParallel, iterSerial, iterNotifyAck, iterPrague).
+var callSiteSpecs = []hop.ScenarioProtocol{
+	{Mode: "prague", GroupSize: 4},
+	{Serial: true, MaxIG: 4, Backup: 1},
+	{Mode: "notify-ack"},
+}
+
+// runFingerprint renders everything a run decided and computed: clock,
+// counters, the loss series and every replica's parameter bits.
+func runFingerprint(t *testing.T, buf *bytes.Buffer, p hop.ScenarioProtocol) {
+	t.Helper()
+	res, err := hop.RunScenario(hop.Scenario{
+		Workload: "cnn",
+		Topology: hop.ScenarioTopology{Kind: "ring-based", Workers: 8, Machines: 2},
+		Protocol: p,
+		Hetero:   hop.ScenarioHetero{Kind: "random", Factor: 6, Prob: 0.125},
+		MaxIter:  10,
+		Seed:     7,
+	})
+	if err != nil {
+		t.Fatalf("%+v: %v", p, err)
+	}
+	fmt.Fprintf(buf, "%+v: %v %d %+v %+v\n", p, res.Duration, res.Metrics.Iterations(), res.Engine.Stats(), res.Fabric.Stats())
+	res.Metrics.Eval.Render(buf)
+	res.Metrics.Train.Render(buf)
+	for _, tr := range res.Trainers {
+		for _, v := range tr.Params() {
+			fmt.Fprintf(buf, "%x", math.Float64bits(v))
+		}
+		buf.WriteByte('\n')
+	}
+}
+
 // TestFigureOutputComputeWidthInvariant regenerates the Figure 12
 // quick reproduction — the CNN + SVM sweep over all three topologies,
-// the heaviest GEMM consumer in the registry — at compute-plane width
-// 1 and width 4 and requires the two reports to be byte-identical.
+// the heaviest GEMM consumer in the registry — and one run per
+// remaining iteration mode at compute-plane widths 1, 2 and 4, and
+// requires the outputs to be byte-identical: width 1 runs every
+// gradient step inline on the scheduler's goroutine, widths 2 and 4 run
+// them concurrently on the pool.
 func TestFigureOutputComputeWidthInvariant(t *testing.T) {
 	if testing.Short() {
-		t.Skip("two full fig12 quick reproductions; skipped with -short")
+		t.Skip("three full fig12 quick reproductions; skipped with -short")
 	}
 	if raceEnabled {
 		t.Skip("runs ~10 minutes under the race detector; the race CI step would hit the per-binary test timeout")
@@ -30,11 +71,17 @@ func TestFigureOutputComputeWidthInvariant(t *testing.T) {
 		if err := hop.RunExperiment("fig12", hop.ScaleQuick, &buf); err != nil {
 			t.Fatalf("fig12 at %d workers: %v", workers, err)
 		}
+		for _, p := range callSiteSpecs {
+			runFingerprint(t, &buf, p)
+		}
 		return buf.Bytes()
 	}
 	seq := run(1)
-	par := run(4)
-	if !bytes.Equal(seq, par) {
+	for _, workers := range []int{2, 4} {
+		par := run(workers)
+		if bytes.Equal(seq, par) {
+			continue
+		}
 		i := 0
 		for i < len(seq) && i < len(par) && seq[i] == par[i] {
 			i++
@@ -53,6 +100,6 @@ func TestFigureOutputComputeWidthInvariant(t *testing.T) {
 			}
 			return string(b[lo:h])
 		}
-		t.Fatalf("fig12 output diverges at byte %d:\n  1 worker:  …%s…\n  4 workers: …%s…", i, clip(seq), clip(par))
+		t.Fatalf("output diverges at byte %d:\n  1 worker:  …%s…\n  %d workers: …%s…", i, clip(seq), workers, clip(par))
 	}
 }

@@ -53,11 +53,12 @@ import (
 // --- Compute plane ----------------------------------------------------
 
 // SetComputeWorkers sets the width of the parallel compute plane: how
-// many row shards the tensor kernels split across the persistent
-// worker pool (the -compute-workers flag of the commands). n <= 0
-// restores the GOMAXPROCS default. Results are bit-identical at any
-// width — experiment outputs do not depend on the setting (DESIGN.md
-// §3).
+// many cores the persistent worker pool keeps busy, with simulated
+// workers' whole gradient steps first and the tensor kernels' row
+// shards on whatever is left idle (the -compute-workers flag of the
+// commands). n <= 0 restores the GOMAXPROCS default. Results are
+// bit-identical at any width — experiment outputs do not depend on the
+// setting (DESIGN.md §3).
 func SetComputeWorkers(n int) { tensor.SetWorkers(n) }
 
 // ComputeWorkers returns the current compute-plane width.

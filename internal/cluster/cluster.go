@@ -22,6 +22,7 @@ import (
 	"hop/internal/model"
 	"hop/internal/netsim"
 	"hop/internal/sim"
+	"hop/internal/tensor"
 )
 
 // Options configure one simulated run.
@@ -67,6 +68,12 @@ type Result struct {
 	Fabric   *netsim.Fabric
 	Trainers []model.Trainer // the per-worker replicas actually trained
 	Duration time.Duration   // virtual time at completion
+	// StepsOffloaded counts the gradient steps that ran as whole-step
+	// tasks on the compute plane; the rest ran inline — each worker's
+	// timed first step, and every step of a worker whose first was too
+	// cheap to hand off. Host-time bookkeeping: nothing simulated
+	// depends on it.
+	StepsOffloaded int
 	// Deadlock is non-nil when the run deadlocked (e.g. the naive
 	// AD-PSGD demo); the paper's protocols never deadlock.
 	Deadlock error
@@ -116,25 +123,51 @@ type host struct {
 	compute hetero.Compute
 	rngs    []*rand.Rand // per-worker slowdown RNG
 	procs   []*sim.Proc
+	steps   []gradStep
 	payload int
 	ack     int
+
+	offloaded int // Result.StepsOffloaded
+}
+
+// gradStep is one worker's slot on the compute plane: the reusable
+// whole-step task its gradient closures run as, and where they run.
+// The choice is made from the closure itself: the worker's first step
+// is timed inline, and its later steps go to the pool only if that one
+// took longer than a hand-off is worth (tensor.StepOffloadMin). The
+// closure is pure, so the choice can move host time and nothing else.
+type gradStep struct {
+	task    tensor.Step
+	timed   bool
+	offload bool
 }
 
 func (h *host) Now() time.Duration { return h.k.Now() }
 
+// Compute starts worker w's gradient step on the compute plane. The
+// math costs no *virtual* time; in host time it overlaps the other
+// workers' steps and everything the scheduler does until w's
+// EndCompute, which joins it (DESIGN.md §3.2).
 func (h *host) Compute(w, iter int, fn func()) time.Duration {
-	// Gradient math runs instantly in *virtual* time, as one atomic
-	// step of the worker's sim process; inside the hatch it may use
-	// every core through the tensor worker pool without the scheduler
-	// observing any intermediate state (DESIGN.md §3).
-	h.k.Compute(fn)
+	switch s := &h.steps[w]; {
+	case s.offload:
+		s.task.Start(fn)
+		h.offloaded++
+	case s.timed:
+		fn()
+	default:
+		t0 := time.Now()
+		fn()
+		s.timed, s.offload = true, time.Since(t0) > tensor.StepOffloadMin
+	}
 	return h.compute.IterTime(w, iter, h.rngs[w])
 }
 
-func (h *host) SleepUntil(w int, t time.Duration) {
+func (h *host) EndCompute(w int, t time.Duration) {
 	if d := t - h.k.Now(); d > 0 {
 		h.procs[w].Sleep(d)
 	}
+	h.steps[w].task.Join()
 }
 
 // Send and SendAck route through DeliverData, the chaos-injectable
@@ -207,6 +240,7 @@ func Run(opts Options) (*Result, error) {
 		compute: opts.Compute,
 		rngs:    make([]*rand.Rand, n),
 		procs:   make([]*sim.Proc, n),
+		steps:   make([]gradStep, n),
 		payload: opts.PayloadBytes,
 		ack:     opts.AckBytes,
 	}
@@ -251,6 +285,8 @@ func Run(opts Options) (*Result, error) {
 		if rejoined {
 			name = fmt.Sprintf("worker-%d-rejoin", w)
 		}
+		// A (re)started worker's first step is timed afresh.
+		h.steps[w].timed, h.steps[w].offload = false, false
 		h.procs[w] = k.Spawn(name, func(p *sim.Proc) {
 			err := eng.RunWorker(w)
 			if err == nil || !errors.Is(err, core.ErrCrashed) || !cfg.FaultTolerance {
@@ -297,12 +333,20 @@ func Run(opts Options) (*Result, error) {
 	}
 
 	runErr := k.RunUntil(opts.Deadline)
+	// A worker cut off between Compute and EndCompute — by the deadline,
+	// a deadlock, a wedged neighbor — leaves its gradient step on the
+	// compute plane. Finish every one before handing the trainers out:
+	// the caller may evaluate them at once.
+	for w := range h.steps {
+		h.steps[w].task.Join()
+	}
 	res := &Result{
-		Metrics:  rec,
-		Engine:   eng,
-		Fabric:   fabric,
-		Trainers: trainers,
-		Duration: k.Now(),
+		Metrics:        rec,
+		Engine:         eng,
+		Fabric:         fabric,
+		Trainers:       trainers,
+		Duration:       k.Now(),
+		StepsOffloaded: h.offloaded,
 	}
 	if runErr != nil {
 		if _, ok := runErr.(*sim.DeadlockError); ok {

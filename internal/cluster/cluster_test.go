@@ -398,6 +398,11 @@ func TestStaleDiscardHappens(t *testing.T) {
 	if total == 0 {
 		t.Error("expected stale updates to be discarded somewhere")
 	}
+	// The engine's aggregate must carry the queues' count (it read 0
+	// while Protocol never fed Stats.StaleDiscarded).
+	if got := res.Engine.Stats().StaleDiscarded; got != total {
+		t.Errorf("Engine.Stats().StaleDiscarded = %d, queues counted %d", got, total)
+	}
 }
 
 // TestDeadlineTermination: a run with no MaxIter stops at the

@@ -213,7 +213,9 @@ type Config struct {
 	// OnIteration, when non-nil, is called after worker w finishes
 	// iteration iter (post-apply) with the training loss of the batch.
 	// In simulation it runs in deterministic order; live it may be
-	// called concurrently from worker goroutines.
+	// called concurrently from worker goroutines. It may touch worker
+	// w's trainer only: any other worker's gradient step may be in
+	// flight on the compute plane (Runtime.Compute).
 	OnIteration func(w, iter int, trainLoss float64, now time.Duration)
 
 	// OnJump, when non-nil, is called when worker w skips from

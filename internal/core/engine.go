@@ -65,7 +65,7 @@ func (r *engineRuntime) Compute(iter int, fn func()) time.Duration {
 	return r.e.host.Compute(r.w, iter, fn)
 }
 
-func (r *engineRuntime) SleepUntil(t time.Duration) { r.e.host.SleepUntil(r.w, t) }
+func (r *engineRuntime) EndCompute(t time.Duration) { r.e.host.EndCompute(r.w, t) }
 
 func (r *engineRuntime) Send(dst int, u Update) { r.e.host.Send(r.w, dst, u) }
 

@@ -77,19 +77,18 @@ type Host interface {
 	// live).
 	Now() time.Duration
 
-	// Compute models the gradient computation of worker w at iteration
-	// iter: it runs fn and accounts for the modeled duration. In
-	// simulation fn executes instantly in host time and the process
-	// sleeps the modeled duration; live, fn's real execution time is
-	// the cost. The returned duration is the modeled cost (used by the
-	// parallel computation graph to overlap compute with Recv).
+	// Compute starts the gradient computation of worker w at iteration
+	// iter and returns its modeled duration (Runtime.Compute, per
+	// worker). In simulation fn costs no virtual time and may still be
+	// running on the compute plane when Compute returns; live, fn has
+	// run and its real execution time is the cost.
 	Compute(w, iter int, fn func()) time.Duration
 
-	// SleepUntil blocks worker w until the given time (no-op if past).
-	// It is how the engine realizes the parallel computation graph:
-	// compute and Recv overlap, and the iteration ends at
-	// max(computeDone, recvDone).
-	SleepUntil(w int, t time.Duration)
+	// EndCompute blocks worker w until the given time (no-op if past)
+	// and until the fn of its last Compute has finished. It is how the
+	// engine realizes the parallel computation graph: compute and Recv
+	// overlap, and the iteration ends at max(computeDone, recvDone).
+	EndCompute(w int, t time.Duration)
 
 	// Send delivers u to dst's update queue asynchronously (the Send
 	// operation of §3.2 is non-blocking). src == dst never happens;

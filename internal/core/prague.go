@@ -13,7 +13,7 @@ package core
 // arrived, instead of waiting for the full group. See DESIGN.md §8.
 //
 // The protocol reuses the existing Runtime primitives unchanged —
-// Send/Deliver into the same tagged UpdateQueue, Compute/SleepUntil
+// Send/Deliver into the same tagged UpdateQueue, Compute/EndCompute
 // for the overlapped computation graph, ObserveAdvance for the gap
 // tracker — so both the simulator and the live TCP runtime execute
 // this file verbatim. The graph is a placement/cost substrate only:
@@ -146,7 +146,7 @@ func (p *Protocol) iterPrague(k int) {
 	// 3+4. Quorum Recv and partial all-reduce.
 	reduced := p.pragueRecv(k, group)
 
-	p.rt.SleepUntil(start + d)
+	p.rt.EndCompute(start + d)
 
 	// 5. Apply gradients to the group average.
 	tensor.Copy(x, reduced)

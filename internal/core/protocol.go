@@ -53,17 +53,24 @@ type Runtime interface {
 	// live).
 	Now() time.Duration
 
-	// Compute models the gradient computation at iteration iter: it
-	// runs fn and accounts for the modeled duration. In simulation fn
-	// executes instantly in host time and the returned duration is the
-	// heterogeneity model's cost; live, fn's real execution time (plus
-	// any injected delay) is the cost. The parallel computation graph
-	// uses the return value to overlap compute with Recv.
+	// Compute starts the gradient computation of iteration iter and
+	// returns its modeled duration; EndCompute(start+d) is the join.
+	// Between the two calls fn may be running on another goroutine, so
+	// everything it touches — the trainer (parameters read-only to
+	// everyone, the rest not at all), the mini-batch RNG, the grads and
+	// loss it leaves behind — is off-limits to the caller, and fn
+	// itself must be pure compute. The simulator runs fn on the compute
+	// plane, concurrently with other workers' steps, and returns the
+	// heterogeneity model's cost; live, fn has run when Compute returns
+	// and its real execution time (plus any injected delay) is the
+	// cost. The parallel computation graph uses the return value to
+	// overlap compute with Recv.
 	Compute(iter int, fn func()) time.Duration
 
-	// SleepUntil blocks this worker until the given time (no-op if
-	// past).
-	SleepUntil(t time.Duration)
+	// EndCompute ends the compute overlap: it blocks this worker until
+	// time t (no-op if past) and until the fn handed to the last
+	// Compute has finished. Only then are fn's results readable.
+	EndCompute(t time.Duration)
 
 	// Send delivers u to dst's update queue asynchronously (the Send
 	// operation of §3.2 is non-blocking). dst is never this worker;
@@ -159,9 +166,10 @@ type Protocol struct {
 	// steady-state iteration allocates no closures; their per-iteration
 	// inputs and outputs travel through the fields beside them.
 	// computeFn is the gradient step handed to Runtime.Compute, leaving
-	// its results in grads/loss. reduceNeed is the Recv requirement of
-	// recvReduceInto. reduceHook (nil without fault tolerance) is the
-	// body of reduceBlockHook, testing iteration hookIter.
+	// its results in grads/loss — readable only after EndCompute.
+	// reduceNeed is the Recv requirement of recvReduceInto. reduceHook
+	// (nil without fault tolerance) is the body of reduceBlockHook,
+	// testing iteration hookIter.
 	computeFn  func()
 	grads      []float64
 	loss       float64
@@ -320,11 +328,14 @@ func (p *Protocol) Queue() *UpdateQueue { return p.queue }
 // not an out-going neighbor or token queues are disabled.
 func (p *Protocol) TokenIn(j int) *TokenQueue { return p.tokens[j] }
 
-// Stats snapshots this worker's protocol counters.
+// Stats snapshots this worker's protocol counters. Stale discards are
+// counted where they happen, in the update queue.
 func (p *Protocol) Stats() Stats {
 	p.mon.Lock()
-	defer p.mon.Unlock()
-	return p.stats
+	s := p.stats
+	p.mon.Unlock()
+	s.StaleDiscarded = p.queue.StaleDiscarded()
+	return s
 }
 
 // MaxObservedStaleness reports the largest k − iter over all updates a
@@ -443,12 +454,12 @@ func (p *Protocol) iterParallel(k int) {
 
 	// 3+4. Recv and Reduce (mode-dependent) into the persistent reduce
 	// scratch — not into x, which stays untouched until the compute
-	// overlap below ends, exactly as with the old allocate-and-copy.
+	// overlap below ends: the gradient step may still be reading it.
 	reduced := p.reduceScratch(len(x))
 	p.recvReduceInto(reduced, k)
 
 	// The iteration ends no earlier than the compute does.
-	p.rt.SleepUntil(start + d)
+	p.rt.EndCompute(start + d)
 
 	// 5. Apply gradients to the reduced parameters.
 	tensor.Copy(x, reduced)
@@ -468,7 +479,7 @@ func (p *Protocol) iterSerial(k int) {
 
 	start := p.rt.Now()
 	d := p.rt.Compute(k, p.computeFn)
-	p.rt.SleepUntil(start + d)
+	p.rt.EndCompute(start + d)
 	t.Apply(p.grads)
 
 	snap := p.snapshotParams(x)
@@ -494,7 +505,7 @@ func (p *Protocol) iterNotifyAck(k int) {
 
 	start := p.rt.Now()
 	d := p.rt.Compute(k, p.computeFn)
-	p.rt.SleepUntil(start + d)
+	p.rt.EndCompute(start + d)
 	t.Apply(p.grads)
 
 	// Send(k) is gated on the previous iteration's ACKs; a dead

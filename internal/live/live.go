@@ -427,11 +427,12 @@ func (r *liveRuntime) Compute(iter int, fn func()) time.Duration {
 	return time.Since(t0)
 }
 
-// SleepUntil realizes the parallel computation graph's "iteration ends
-// no earlier than the compute" rule. Live compute already took its
-// real time before Recv, so this is effectively a no-op; it is kept
-// faithful for completeness.
-func (r *liveRuntime) SleepUntil(t time.Duration) {
+// EndCompute realizes the parallel computation graph's "iteration ends
+// no earlier than the compute" rule. Live compute is synchronous — fn
+// ran, and took its real time, inside Compute — so there is nothing to
+// join and the wait is effectively a no-op; it is kept faithful for
+// completeness.
+func (r *liveRuntime) EndCompute(t time.Duration) {
 	if d := t - time.Since(r.w.start); d > 0 {
 		time.Sleep(d)
 	}

@@ -254,7 +254,12 @@ func (c *Conv2D) backwardShard(lo, hi int) {
 
 // --- ReLU ------------------------------------------------------------
 
-// ReLU applies max(0, x) element-wise.
+// ReLU applies max(0, x) element-wise. Both passes are branch-free:
+// on activations the sign of x is a coin flip, and a mispredicted
+// branch per element costs more than the arithmetic of the layers
+// around it. The mask forms agree with the comparison `x > 0` on every
+// input but one: a NaN with a clear sign bit passes through Forward
+// (and lets dy through Backward) where the comparison would give 0.
 type ReLU struct {
 	lastX []float64
 	out   []float64
@@ -277,11 +282,10 @@ func (r *ReLU) Forward(x []float64, b int) []float64 {
 	}
 	out := r.out[:len(x)]
 	for i, v := range x {
-		if v > 0 {
-			out[i] = v
-		} else {
-			out[i] = 0
-		}
+		// Clear every bit when the sign bit is set: negatives and −0
+		// become +0, everything else is kept as is.
+		bits := math.Float64bits(v)
+		out[i] = math.Float64frombits(bits &^ uint64(int64(bits)>>63))
 	}
 	r.lastX = x
 	return out
@@ -292,12 +296,13 @@ func (r *ReLU) Backward(dy []float64, b int) []float64 {
 		r.dx = make([]float64, len(dy))
 	}
 	dx := r.dx[:len(dy)]
+	dy = dy[:len(r.lastX)] // hoist the bounds check
 	for i, v := range r.lastX {
-		if v > 0 {
-			dx[i] = dy[i]
-		} else {
-			dx[i] = 0
-		}
+		// x > 0 ⇔ sign bit clear and some other bit set; bits|(bits−1)
+		// has its sign bit set for exactly the rest (negatives, and +0
+		// through the borrow).
+		bits := math.Float64bits(v)
+		dx[i] = math.Float64frombits(math.Float64bits(dy[i]) &^ uint64(int64(bits|(bits-1))>>63))
 	}
 	return dx
 }

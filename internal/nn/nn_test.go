@@ -176,6 +176,32 @@ func TestMaxPoolForwardValues(t *testing.T) {
 	}
 }
 
+// TestReLUMatchesComparison pins the branch-free ReLU against the
+// comparison it replaces, bit for bit, over the values where a mask
+// could go wrong: both zeros, the smallest denormals, ordinary values
+// and the infinities. The gradient entries carry their own sign bits so
+// a mask leaking into dy would show.
+func TestReLUMatchesComparison(t *testing.T) {
+	tiny := math.SmallestNonzeroFloat64
+	xs := []float64{0, math.Copysign(0, -1), tiny, -tiny, 1, -1, 2.5, -2.5, math.MaxFloat64, -math.MaxFloat64, math.Inf(1), math.Inf(-1)}
+	dys := []float64{3, -3, math.Copysign(0, -1), tiny, -tiny, math.Inf(-1), 7, -7, 1, 1, -2, 2}
+	r := NewReLU()
+	out := r.Forward(xs, 1)
+	dx := r.Backward(dys, 1)
+	for i, x := range xs {
+		wantOut, wantDx := 0.0, 0.0
+		if x > 0 {
+			wantOut, wantDx = x, dys[i]
+		}
+		if math.Float64bits(out[i]) != math.Float64bits(wantOut) {
+			t.Errorf("Forward(%v) = %v (bits %#x), want %v", x, out[i], math.Float64bits(out[i]), wantOut)
+		}
+		if math.Float64bits(dx[i]) != math.Float64bits(wantDx) {
+			t.Errorf("Backward at x=%v, dy=%v: %v (bits %#x), want %v", x, dys[i], dx[i], math.Float64bits(dx[i]), wantDx)
+		}
+	}
+}
+
 func TestOddKernelRequired(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -305,21 +305,20 @@ func (p *Proc) Now() time.Duration { return p.k.now }
 // no goroutines running when it returns. This is the split between the
 // scheduling plane (one process at a time, deterministic) and the
 // compute plane (all cores); see DESIGN.md §3.
+//
+// The hatch is the synchronous form: the process waits for fn. A
+// process whose fn is expensive and whose result is not needed until a
+// later scheduling point should start it as a tensor.Step instead and
+// join it there — the same purity rule makes that invisible to the
+// kernel too, and lets the steps of many processes overlap in host
+// time. The cluster host does so for gradient steps (DESIGN.md §3.2);
+// the parameter-server baseline, whose reduce is needed at once, uses
+// the hatch.
 func (p *Proc) Compute(fn func()) {
 	if p.k.current != p {
 		panic("sim: Compute called by a process that is not running")
 	}
 	fn()
-}
-
-// Compute runs fn as one atomic compute step of the currently running
-// process — the Kernel-level form of Proc.Compute for callers that
-// hold the kernel rather than the Proc.
-func (k *Kernel) Compute(fn func()) {
-	if k.current == nil {
-		panic("sim: Compute called outside a running process")
-	}
-	k.current.Compute(fn)
 }
 
 // wake makes p runnable, at the back of the run queue.

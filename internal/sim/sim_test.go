@@ -355,15 +355,3 @@ func TestComputeIsAtomicStep(t *testing.T) {
 		t.Fatalf("interleaving %q, want %q (Compute changed scheduling)", got, want)
 	}
 }
-
-// TestComputeOutsideProcPanics pins the misuse guard: the hatch is only
-// valid while a process is running.
-func TestComputeOutsideProcPanics(t *testing.T) {
-	k := NewKernel()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Kernel.Compute outside a running process did not panic")
-		}
-	}()
-	k.Compute(func() {})
-}

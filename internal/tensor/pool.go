@@ -2,29 +2,43 @@ package tensor
 
 // pool.go — the parallel compute plane. The deterministic simulation
 // kernel (internal/sim) runs exactly one simulated process at a time,
-// so without help every GEMM in a figure reproduction executes on one
-// core no matter the machine. The compute plane fixes that without
-// touching the scheduling plane: numeric kernels shard their *row*
-// loops across a persistent worker pool, and because every output cell
-// is still produced by exactly one goroutine accumulating its terms in
-// exactly the same order as the sequential kernel, results are
-// bit-identical at any pool size — including pool size one. The
-// scheduler keeps its deterministic interleavings; the arithmetic gets
-// all the cores (see DESIGN.md §3).
+// so without help every gradient step of a figure reproduction executes
+// on one core no matter the machine. The compute plane fixes that
+// without touching the scheduling plane, with two grains of work on one
+// persistent worker pool (DESIGN.md §3):
 //
-// Lifecycle: worker goroutines are started lazily on first use and are
-// never torn down (they are parked on a channel receive when idle, so
-// an idle pool costs nothing but a few KiB of stacks). The pool grows
-// to the largest worker count ever requested and shards each call over
-// Workers() chunks. Hand-off is by unbuffered channel: a task is either
-// picked up by an idle worker immediately or run inline by the
-// submitter, so nested Parallel calls degrade to sequential execution
-// instead of deadlocking.
+//   - Whole steps (Step.Start / Step.Join): a pure closure — one
+//     simulated worker's gradient computation — started now and joined
+//     later. Steps of different owners run concurrently; this is where
+//     a simulated cluster's parallelism comes from.
+//   - Row shards (Parallel and the GEMM kernels): one call's row loop
+//     split across the cores that are idle at that moment. Every output
+//     cell is still produced by exactly one goroutine accumulating its
+//     terms in exactly the same order as the sequential kernel.
+//
+// Neither grain can change a result: a step is pure and runs exactly
+// once, a shard never splits a cell. Results are bit-identical at any
+// pool size — including pool size one — and the scheduler keeps its
+// deterministic interleavings.
+//
+// Lifecycle: worker goroutines are started lazily on first use, up to
+// Workers()−1 of them, and persist (they are parked on a channel
+// receive when idle, so an idle pool costs nothing but a few KiB of
+// stacks); only SetWorkers lowering the width stops the surplus. Row
+// shards are handed off by unbuffered channel: a shard is either picked
+// up by an idle worker immediately or run inline by the submitter, so
+// nested Parallel calls degrade to sequential execution instead of
+// deadlocking — and while every worker is busy with a whole step, the
+// row loops inside those steps find no idle receiver and stay on their
+// own core. Steps wait in a buffered queue instead, because their owner
+// has other things to do before it needs the result; whoever gets there
+// first — a pool worker or the owner's Join — runs the step.
 
 import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // configuredWorkers is the SetWorkers override; 0 means "use
@@ -45,12 +59,27 @@ func Workers() int {
 // knob). n <= 0 restores the GOMAXPROCS default. Results are
 // bit-identical at any width — the setting trades wall-clock speed
 // against CPU share only, so tests may pin it to compare runs. Safe
-// for concurrent use; takes effect on subsequent Parallel calls.
+// for concurrent use; takes effect on subsequent Parallel and Start
+// calls. A pool grown under a larger width is shrunk to the new one, so
+// that whole steps — which any pool goroutine may claim — keep at most
+// Workers() cores busy; SetWorkers waits for the surplus goroutines to
+// finish what they are running.
 func SetWorkers(n int) {
 	if n < 0 {
 		n = 0
 	}
 	configuredWorkers.Store(int64(n))
+	startedMu.Lock()
+	surplus := started - (Workers() - 1)
+	if surplus > 0 {
+		started -= surplus
+	}
+	startedMu.Unlock()
+	// Outside the lock: a busy worker may need it (a nested dispatch
+	// calls ensureWorkers) before it comes back to receive.
+	for ; surplus > 0; surplus-- {
+		tasks <- parTask{op: opQuit}
+	}
 }
 
 // parTask is one row shard. It is sent by value over an unbuffered
@@ -67,12 +96,13 @@ type parTask struct {
 	wg      *sync.WaitGroup
 }
 
-// Shard op codes.
+// Shard op codes; opQuit is not a shard but the pool's stop signal.
 const (
 	opFunc uint8 = iota
 	opMatMul
 	opMatMulATB
 	opMatMulABT
+	opQuit
 )
 
 func (t *parTask) run() {
@@ -89,12 +119,20 @@ func (t *parTask) run() {
 }
 
 var (
-	// tasks is the unbuffered hand-off channel; see the package
-	// comment for why it must not be buffered.
+	// tasks is the unbuffered row-shard hand-off channel; see the
+	// package comment for why it must not be buffered.
 	tasks = make(chan parTask)
 
+	// steps queues started whole steps for the pool. An entry is a
+	// hint, not ownership: whoever wins the step's queued→running
+	// transition runs it, and entries whose step the owner already ran
+	// are skipped. Sized for the largest committed cluster (1024
+	// simulated workers, each with at most one step outstanding); a
+	// Start that finds it full leaves the step to its owner's Join.
+	steps = make(chan *Step, 1024)
+
 	// started counts live worker goroutines; ensureWorkers grows the
-	// pool up to the requested width.
+	// pool up to the requested width, SetWorkers shrinks it.
 	startedMu sync.Mutex
 	started   int
 
@@ -108,15 +146,124 @@ func ensureWorkers(n int) {
 	}
 	startedMu.Lock()
 	for started < n {
-		go func() {
-			for t := range tasks {
-				t.run()
-				t.wg.Done()
-			}
-		}()
+		go poolWorker()
 		started++
 	}
 	startedMu.Unlock()
+}
+
+// poolWorker is the loop of one pool goroutine: row shards and whole
+// steps from the same loop, so a worker busy with a step is not an
+// idle receiver for the shards of the steps around it.
+func poolWorker() {
+	for {
+		select {
+		case t := <-tasks:
+			if t.op == opQuit {
+				return
+			}
+			t.run()
+			t.wg.Done()
+		case s := <-steps:
+			s.runIfQueued()
+		}
+	}
+}
+
+// StepOffloadMin is the host time a closure must take before starting
+// it as a Step pays for itself; cheaper closures should simply be
+// called. BenchmarkStepHandOff on the 2-core reference sandbox: an
+// empty step costs its owner 0.06 µs run inline, 0.85 µs handed to a
+// pool worker that is still spinning, and 11 µs handed to one that has
+// parked, which is the state a real run finds it in — the owner wakes a
+// thread (futex) and the closure starts on a cold core. An
+// unconditional hand-off of the 16-float toy gradient cost the
+// 1024-worker ring 12–25 % of its run time. The bound is ten parked
+// hand-offs: a step that long loses at most a tenth to being moved, and
+// a cheap closure's first, cold, timed call still lands under it.
+const StepOffloadMin = 100 * time.Microsecond
+
+// Step is one whole-step task on the compute plane: Start hands a pure
+// closure to the pool and returns at once, Join returns when the
+// closure has run — exactly once, on a pool worker or on the joining
+// goroutine itself. Between the two calls everything the closure reads
+// or writes belongs to it. A Step is reusable (Start, Join, Start, …),
+// allocates nothing after its first Start, and must not be copied. The
+// zero value is ready; Start and Join must come from one goroutine at a
+// time (the owner).
+type Step struct {
+	fn    func()
+	state atomic.Uint32 // stepIdle → stepQueued → stepRunning → stepIdle
+	// done carries the one completion signal of a run the owner did
+	// not perform itself; capacity 1, so the runner never blocks.
+	done chan struct{}
+}
+
+const (
+	stepIdle uint32 = iota
+	stepQueued
+	stepRunning
+)
+
+// Start queues fn, which must be pure compute: no blocking on other
+// goroutines, no simulated-kernel operations. fn may itself call
+// Parallel or the GEMM kernels. At width 1 nothing is handed off and no
+// goroutine is started: Join runs fn inline.
+func (s *Step) Start(fn func()) {
+	if s.state.Load() != stepIdle {
+		panic("tensor: Step.Start before the previous run was joined")
+	}
+	if s.done == nil {
+		s.done = make(chan struct{}, 1)
+	}
+	s.fn = fn
+	s.state.Store(stepQueued)
+	w := Workers()
+	if w <= 1 {
+		return
+	}
+	ensureWorkers(w - 1)
+	select {
+	case steps <- s:
+	default:
+		// Queue full: the owner's Join runs it.
+	}
+}
+
+// runIfQueued runs s on behalf of its owner if nobody has yet.
+func (s *Step) runIfQueued() {
+	if s.state.CompareAndSwap(stepQueued, stepRunning) {
+		s.fn()
+		s.done <- struct{}{}
+	}
+}
+
+// Join returns once the started closure has finished; it is a no-op
+// when none is outstanding. The wait helps: if the step is still
+// queued the joiner runs it itself, and while a pool worker has it the
+// joiner runs other queued steps — so pool goroutines plus joiner keep
+// Workers() cores busy, and at width 1 the joiner is the only
+// executor.
+func (s *Step) Join() {
+	switch s.state.Load() {
+	case stepIdle:
+		return
+	case stepQueued:
+		if s.state.CompareAndSwap(stepQueued, stepRunning) {
+			s.fn()
+			s.state.Store(stepIdle)
+			return
+		}
+	}
+	for {
+		select {
+		case <-s.done:
+			s.state.Store(stepIdle)
+			return
+		case o := <-steps:
+			o.runIfQueued()
+		}
+	}
 }
 
 // dispatch shards [0, t.hi) over w chunks, runs the last chunk inline,

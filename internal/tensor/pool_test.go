@@ -82,6 +82,11 @@ func TestGemmMatchesNaiveExactly(t *testing.T) {
 		{1, 1, 1}, {1, 7, 1}, {3, 1, 5}, {2, 2, 2},
 		{5, 3, 7}, {7, 13, 9}, {8, 27, 64}, {16, 72, 16},
 		{17, 31, 29}, {64, 64, 64}, {33, 129, 65}, {16, 1024, 10},
+		// Both sides of MatMulABT's transpose-or-not shape test (m ≥
+		// abtTransposeMinRows and n ≥ axpyVecMin), and the CNN's own
+		// A·Bᵀ shapes: conv weight gradients and the dense forwards.
+		{3, 5, 8}, {4, 5, 7}, {4, 5, 8}, {4, 1, 9}, {5, 6, 11},
+		{8, 64, 27}, {16, 16, 72}, {16, 64, 64}, {16, 64, 4},
 	}
 	for _, workers := range []int{1, 2, 3, 4, 7, 16} {
 		SetWorkers(workers)
@@ -105,6 +110,24 @@ func TestGemmMatchesNaiveExactly(t *testing.T) {
 			MatMulABT(got, a, bt, m, k, n)
 			refMatMulABT(want, a, bt, m, k, n)
 			exactEq(t, "MatMulABT", got, want, m, n)
+		}
+	}
+}
+
+// TestTranspose covers the four-row blocks and the row tail.
+func TestTranspose(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, s := range [][2]int{{1, 1}, {1, 5}, {3, 4}, {4, 3}, {7, 9}, {8, 1}, {27, 64}} {
+		rows, cols := s[0], s[1]
+		src := randVec(rng, rows*cols)
+		dst := make([]float64, rows*cols)
+		transpose(dst, src, rows, cols)
+		for r := 0; r < rows; r++ {
+			for c := 0; c < cols; c++ {
+				if dst[c*rows+r] != src[r*cols+c] {
+					t.Fatalf("%dx%d: dst[%d,%d] = %g, want src[%d,%d] = %g", rows, cols, c, r, dst[c*rows+r], r, c, src[r*cols+c])
+				}
+			}
 		}
 	}
 }

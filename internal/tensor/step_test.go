@@ -1,0 +1,205 @@
+package tensor
+
+import (
+	"math/rand"
+	"runtime"
+	"sync/atomic"
+	"testing"
+	"time"
+)
+
+// goid returns the calling goroutine's id, parsed from the stack
+// header ("goroutine N [running]: …") — test-only identity.
+func goid() int {
+	var buf [64]byte
+	s := buf[:runtime.Stack(buf[:], false)]
+	id := 0
+	for _, c := range s[len("goroutine "):] {
+		if c < '0' || c > '9' {
+			break
+		}
+		id = id*10 + int(c-'0')
+	}
+	return id
+}
+
+// TestStepRunsExactlyOnce drives both claim paths at every width: a
+// step a pool worker picks up (the owner waits for the closure's own
+// signal before joining, so nobody but the pool can have run it) and a
+// step the joiner has to run itself (the only eligible pool worker is
+// pinned inside another step).
+func TestStepRunsExactlyOnce(t *testing.T) {
+	defer SetWorkers(0)
+	for _, w := range []int{1, 2, 4} {
+		SetWorkers(w)
+		for round := 0; round < 50; round++ {
+			var s Step
+			var runs atomic.Int32
+			if w > 1 {
+				ran := make(chan struct{})
+				s.Start(func() { runs.Add(1); close(ran) })
+				<-ran
+				s.Join()
+				if n := runs.Load(); n != 1 {
+					t.Fatalf("width %d: pool-claimed step ran %d times", w, n)
+				}
+				runs.Store(0)
+			}
+
+			// Pin every eligible pool worker, then start one more.
+			pinned := make([]Step, w-1)
+			entered, release := make(chan struct{}), make(chan struct{})
+			for i := range pinned {
+				pinned[i].Start(func() { entered <- struct{}{}; <-release })
+			}
+			for range pinned {
+				<-entered
+			}
+			s.Start(func() { runs.Add(1) })
+			s.Join()
+			if n := runs.Load(); n != 1 {
+				t.Fatalf("width %d: joiner-claimed step ran %d times", w, n)
+			}
+			close(release)
+			for i := range pinned {
+				pinned[i].Join()
+			}
+			s.Join() // nothing outstanding: no-op
+			if n := runs.Load(); n != 1 {
+				t.Fatalf("width %d: second Join re-ran the step (%d runs)", w, n)
+			}
+		}
+	}
+}
+
+// TestStepWidthOneIsInline pins the degenerate case: at width 1 the
+// closure runs on the joining goroutine, inside Join, and the pool is
+// not grown.
+func TestStepWidthOneIsInline(t *testing.T) {
+	defer SetWorkers(0)
+	SetWorkers(1)
+	before := runtime.NumGoroutine()
+	me := goid()
+	var s Step
+	for i := 0; i < 10; i++ {
+		ranOn := 0
+		s.Start(func() { ranOn = goid() })
+		if ranOn != 0 {
+			t.Fatal("closure ran before Join")
+		}
+		s.Join()
+		if ranOn != me {
+			t.Fatalf("closure ran on goroutine %d, joiner is %d", ranOn, me)
+		}
+	}
+	// (Fewer is fine: SetWorkers(1) above stopped the pool, and those
+	// goroutines exit in their own time.)
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("goroutines %d -> %d across width-1 steps", before, after)
+	}
+}
+
+// TestStepNestedParallel runs more steps than cores, each one a GEMM
+// large enough to shard, and checks every product against the
+// sequential reference bit for bit: row sharding inside a whole step
+// neither deadlocks nor changes a result.
+func TestStepNestedParallel(t *testing.T) {
+	defer SetWorkers(0)
+	rng := rand.New(rand.NewSource(5))
+	const m, k, n, count = 24, 64, 48, 9 // m·k·n ≥ gemmParFlops
+	as, bs, want := make([][]float64, count), make([][]float64, count), make([][]float64, count)
+	for i := range as {
+		as[i], bs[i] = randVec(rng, m*k), randVec(rng, k*n)
+		want[i] = make([]float64, m*n)
+		refMatMul(want[i], as[i], bs[i], m, k, n)
+	}
+	for _, w := range []int{1, 2, 4} {
+		SetWorkers(w)
+		steps := make([]Step, count)
+		got := make([][]float64, count)
+		for i := range steps {
+			i := i
+			got[i] = make([]float64, m*n)
+			steps[i].Start(func() {
+				MatMul(got[i], as[i], bs[i], m, k, n)
+				Parallel(m*n, func(lo, hi int) {
+					for j := lo; j < hi; j++ {
+						got[i][j] += 0 // touch every cell from a shard
+					}
+				})
+			})
+		}
+		for i := range steps {
+			steps[i].Join()
+			exactEq(t, "step MatMul", got[i], want[i], m, n)
+		}
+	}
+}
+
+// TestStepReuseAllocatesNothing: after its first Start a Step is
+// allocation-free, whoever runs it.
+func TestStepReuseAllocatesNothing(t *testing.T) {
+	defer SetWorkers(0)
+	for _, w := range []int{1, 2} {
+		SetWorkers(w)
+		var s Step
+		fn := func() {}
+		s.Start(fn)
+		s.Join()
+		if a := testing.AllocsPerRun(200, func() { s.Start(fn); s.Join() }); a != 0 {
+			t.Errorf("width %d: %.1f allocs per Start+Join of a reused Step", w, a)
+		}
+	}
+}
+
+// BenchmarkStepHandOff is the measurement behind StepOffloadMin: what
+// one empty step costs its owner, Start to the end of Join. "inline" is
+// width 1 (the joiner claims it); "handoff" is width 2 with the pool
+// worker still spinning from the previous step; "parked" lets the pool
+// worker go to sleep first, as it does between the steps of a real run
+// — the owner then pays for waking a thread, and waits for it.
+func BenchmarkStepHandOff(b *testing.B) {
+	defer SetWorkers(0)
+	ran := make(chan struct{}, 1)
+	bench := func(width int, fn func(), idle time.Duration) func(*testing.B) {
+		return func(b *testing.B) {
+			SetWorkers(width)
+			var s Step
+			var total time.Duration
+			for i := 0; i < b.N; i++ {
+				for t0 := time.Now(); time.Since(t0) < idle; {
+				}
+				t0 := time.Now()
+				s.Start(fn)
+				if width > 1 {
+					<-ran // a pool worker has it
+				}
+				s.Join()
+				total += time.Since(t0)
+			}
+			b.ReportMetric(float64(total.Nanoseconds())/float64(b.N), "ns/step")
+		}
+	}
+	b.Run("inline", bench(1, func() {}, 0))
+	b.Run("handoff", bench(2, func() { ran <- struct{}{} }, 0))
+	b.Run("parked", bench(2, func() { ran <- struct{}{} }, 200*time.Microsecond))
+}
+
+// TestSetWorkersResizesPool: any pool goroutine may claim a whole
+// step, so the width is only honoured if lowering it stops the
+// surplus; raising it grows the pool on the next use.
+func TestSetWorkersResizesPool(t *testing.T) {
+	defer SetWorkers(0)
+	poolSize := func() int {
+		startedMu.Lock()
+		defer startedMu.Unlock()
+		return started
+	}
+	for _, w := range []int{4, 2, 1, 3} {
+		SetWorkers(w)
+		Parallel(64, func(lo, hi int) {})
+		if got := poolSize(); got != w-1 {
+			t.Fatalf("width %d: pool has %d goroutines, want %d", w, got, w-1)
+		}
+	}
+}

@@ -217,9 +217,23 @@ func matMulATBCols(c, a, b []float64, k, m, n, i0, i1 int) {
 	}
 }
 
+// abtTransposeMinRows is the fewest rows of A for which MatMulABT
+// transposes B first: the transpose moves n·k elements once, and every
+// row of A then saves that many scalar multiply-adds.
+const abtTransposeMinRows = 4
+
 // MatMulABT computes C = A·Bᵀ where A is m×k, B is n×k, C is m×n.
 // Rows of C are sharded across the worker pool; each cell is one dot
 // product accumulated over p = 0…k−1 in increasing order.
+//
+// A dot product may not be vectorized along k (§3.1 of DESIGN.md: never
+// across the summation index), which leaves the direct kernel scalar.
+// So for all but the thinnest shapes B is transposed into pooled
+// scratch (GetVec: calls arrive concurrently from every step on the
+// compute plane) and the product runs as MatMul's AXPY kernel, vectorized
+// across the cells of a row of C: cell (i, j) still starts from +0 and
+// adds a[i,p]·b[j,p] for p ascending with a separate multiply and add —
+// the bits of the direct loop.
 func MatMulABT(c, a, b []float64, m, k, n int) {
 	if len(a) != m*k || len(b) != n*k || len(c) != m*n {
 		panic(fmt.Sprintf("tensor: MatMulABT shape mismatch a=%d b=%d c=%d (m=%d k=%d n=%d)", len(a), len(b), len(c), m, k, n))
@@ -228,10 +242,43 @@ func MatMulABT(c, a, b []float64, m, k, n int) {
 	if m >= 2 && m*k*n >= gemmParFlops {
 		w = Workers()
 	}
-	dispatch(parTask{op: opMatMulABT, c: c, a: a, b: b, k: k, n: n}, m, w)
+	if m < abtTransposeMinRows || n < axpyVecMin {
+		dispatch(parTask{op: opMatMulABT, c: c, a: a, b: b, k: k, n: n}, m, w)
+		return
+	}
+	bt := GetVec(k * n)
+	transpose(bt, b, n, k)
+	dispatch(parTask{op: opMatMul, c: c, a: a, b: bt, k: k, n: n}, m, w)
+	PutVec(bt)
 }
 
-// matMulABTRows computes rows [i0, i1) of C = A·Bᵀ: the row of A is
+// transpose writes the rows×cols row-major matrix src into dst as its
+// cols×rows transpose. Four source rows advance together so each
+// destination row is written four adjacent cells at a time.
+func transpose(dst, src []float64, rows, cols int) {
+	r := 0
+	for ; r+4 <= rows; r += 4 {
+		s0 := src[r*cols : (r+1)*cols]
+		s1 := src[(r+1)*cols : (r+2)*cols]
+		s2 := src[(r+2)*cols : (r+3)*cols]
+		s3 := src[(r+3)*cols : (r+4)*cols]
+		s1, s2, s3 = s1[:len(s0)], s2[:len(s0)], s3[:len(s0)] // hoist bounds checks
+		o := r
+		for p, v := range s0 {
+			d := dst[o : o+4 : o+4]
+			d[0], d[1], d[2], d[3] = v, s1[p], s2[p], s3[p]
+			o += rows
+		}
+	}
+	for ; r < rows; r++ {
+		for p, v := range src[r*cols : (r+1)*cols] {
+			dst[p*rows+r] = v
+		}
+	}
+}
+
+// matMulABTRows computes rows [i0, i1) of C = A·Bᵀ directly — the
+// kernel of the shapes too thin to transpose for: the row of A is
 // streamed once against four rows of B, with one independent
 // accumulator per output cell.
 func matMulABTRows(c, a, b []float64, k, n, i0, i1 int) {

@@ -1,14 +1,15 @@
 #!/usr/bin/env bash
 # bench.sh — run the benchmark trajectory and write the
 # machine-readable result files (BENCH_gemm.json for the compute
-# plane, BENCH_live.json for the live loopback wire plane). See
-# BENCH.md.
+# plane, BENCH_live.json for the live loopback wire plane,
+# BENCH_e2e.json for the compute plane's width axis). See BENCH.md.
 #
 # Usage:
 #   scripts/bench.sh                 # GEMM + codec micro -> BENCH_gemm.json,
-#                                    # live loopback      -> BENCH_live.json
+#                                    # live loopback      -> BENCH_live.json,
+#                                    # width axis         -> BENCH_e2e.json
 #   scripts/bench.sh --figures       # also smoke the figure benchmarks (benchtime=1x)
-#   BENCH_OUT=custom.json BENCH_LIVE_OUT=live.json scripts/bench.sh
+#   BENCH_OUT=custom.json BENCH_LIVE_OUT=live.json BENCH_E2E_OUT=e2e.json scripts/bench.sh
 #
 # Each JSON is a flat array of {bench, ns_per_op, allocs_per_op,
 # bytes_per_op, mb_per_s, extra{...}} objects plus a header record with
@@ -25,6 +26,13 @@ PATTERN="${BENCH_PATTERN:-Gemm|Axpy|Delta|WireCompress|WireDecode|ParallelOverhe
 LIVE_OUT="${BENCH_LIVE_OUT:-BENCH_live.json}"
 LIVE_BENCHTIME="${BENCH_LIVE_TIME:-3x}"
 LIVE_PATTERN="${BENCH_LIVE_PATTERN:-LiveLoopback}"
+# The width axis (width=1|2|4 sub-benchmarks): the 16-worker CNN
+# workload end to end — whole gradient steps overlapping — and one
+# replica's step alone — row sharding only. One op of the first is a
+# full 4800-step run, one op of the second about a millisecond.
+E2E_OUT="${BENCH_E2E_OUT:-BENCH_e2e.json}"
+E2E_BENCHTIME="${BENCH_E2E_TIME:-3x}"
+E2E_STEP_BENCHTIME="${BENCH_E2E_STEP_TIME:-3000x}"
 
 # bench_to_json lives in bench_json.sh, shared with bench_scale.sh.
 # (We already cd'ed to the repo root above.)
@@ -32,7 +40,8 @@ LIVE_PATTERN="${BENCH_LIVE_PATTERN:-LiveLoopback}"
 
 RAW="$(mktemp)"
 LIVE_RAW="$(mktemp)"
-trap 'rm -f "$RAW" "$LIVE_RAW"' EXIT
+E2E_RAW="$(mktemp)"
+trap 'rm -f "$RAW" "$LIVE_RAW" "$E2E_RAW"' EXIT
 
 echo "running: go test -run '^$' -bench '$PATTERN' -benchmem -benchtime=$BENCHTIME ./ ./internal/tensor/" >&2
 go test -run '^$' -bench "$PATTERN" -benchmem -benchtime="$BENCHTIME" -count=1 ./ ./internal/tensor/ | tee "$RAW" >&2
@@ -43,6 +52,13 @@ echo "running: go test -run '^$' -bench '$LIVE_PATTERN' -benchtime=$LIVE_BENCHTI
 go test -run '^$' -bench "$LIVE_PATTERN" -benchtime="$LIVE_BENCHTIME" -count=1 ./ | tee "$LIVE_RAW" >&2
 bench_to_json "$LIVE_RAW" "$LIVE_OUT"
 echo "wrote $LIVE_OUT" >&2
+
+echo "running: go test -run '^$' -bench 'SimCNNHetero16' -benchtime=$E2E_BENCHTIME ./" >&2
+go test -run '^$' -bench 'SimCNNHetero16' -benchtime="$E2E_BENCHTIME" -count=1 ./ | tee "$E2E_RAW" >&2
+echo "running: go test -run '^$' -bench 'CNNLossGrad' -benchmem -benchtime=$E2E_STEP_BENCHTIME ./" >&2
+go test -run '^$' -bench 'CNNLossGrad' -benchmem -benchtime="$E2E_STEP_BENCHTIME" -count=1 ./ | tee -a "$E2E_RAW" >&2
+bench_to_json "$E2E_RAW" "$E2E_OUT"
+echo "wrote $E2E_OUT" >&2
 
 if [ "${1:-}" = "--figures" ]; then
     echo "running figure smoke benchmarks (one full reproduction each)" >&2
