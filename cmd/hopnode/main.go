@@ -2,10 +2,11 @@
 // per worker; each needs the full peer address list.
 //
 // The worker's protocol configuration is a declarative scenario spec —
-// either loaded from a file with -scenario (the same JSON documents
-// hoptrain and hopsweep run on the simulator; DESIGN.md §4) or
-// assembled from the flags. With -scenario, explicitly-set flags
-// override the file's axes, so one committed spec can drive a whole
+// the built-in default (ring of 4, SVM, 100 iterations) or a file
+// loaded with -scenario (the same JSON documents hoptrain and hopsweep
+// run on the simulator; DESIGN.md §4). Explicitly-set flags override
+// the spec's axes — the flag table hoptrain shares
+// (cmd/internal/specflag) — so one committed spec can drive a whole
 // cluster while individual cells tweak, say, the codec.
 //
 // Example (3-worker ring on one host):
@@ -29,103 +30,38 @@ import (
 	"time"
 
 	"hop"
+	"hop/cmd/internal/specflag"
 )
 
 func main() {
 	var (
-		id       = flag.Int("id", 0, "this worker's id")
-		listen   = flag.String("listen", ":0", "listen address")
-		peers    = flag.String("peers", "", "comma-separated id=host:port list for all workers")
-		dialWait = flag.Duration("dial-wait", 30*time.Second, "how long to retry dialing peers")
-		linger   = flag.Duration("linger", 10*time.Second, "after finishing, how long to keep serving slower neighbors before closing")
-		cworkers = flag.Int("compute-workers", 0, "compute-plane width for tensor kernels (0 = GOMAXPROCS)")
-
-		scenarioFile = flag.String("scenario", "", "declarative scenario spec JSON (DESIGN.md §4); protocol flags below override its axes")
-		timeScale    = flag.Float64("time-scale", 1, "scale the spec's injected heterogeneity delay")
-
-		graphKind = flag.String("graph", "ring", "ring | ring-based | double-ring | complete | star | chain | directed-ring")
-		workers   = flag.Int("workers", 4, "worker count")
-		workload  = flag.String("workload", "svm", "cnn | svm | quadratic")
-		maxIG     = flag.Int("maxig", 0, "token-queue max iteration gap")
-		backup    = flag.Int("backup", 0, "backup workers")
-		staleness = flag.Int("staleness", -1, "staleness bound (<=0 disables)")
-		skip      = flag.Bool("skip", false, "enable skipping iterations")
-		maxJump   = flag.Int("max-jump", 10, "max iterations per jump")
-		iters     = flag.Int("iters", 100, "iterations to run")
-		comp      = flag.String("compress", "none", "wire codec for update payloads: none | float32 | topk[:ratio]")
+		id        = flag.Int("id", 0, "this worker's id")
+		listen    = flag.String("listen", ":0", "listen address")
+		peers     = flag.String("peers", "", "comma-separated id=host:port list for all workers")
+		dialWait  = flag.Duration("dial-wait", 30*time.Second, "how long to retry dialing peers")
+		linger    = flag.Duration("linger", 10*time.Second, "after finishing, how long to keep serving slower neighbors before closing")
+		cworkers  = flag.Int("compute-workers", 0, "compute-plane width for tensor kernels (0 = GOMAXPROCS)")
+		timeScale = flag.Float64("time-scale", 1, "scale the spec's injected heterogeneity delay")
 		chunk     = flag.Int("chunk-bytes", 0, "max wire payload bytes per frame (0 = transport default)")
-		seed      = flag.Int64("seed", 1, "scenario seed")
 		delay     = flag.Duration("delay", 0, "artificial extra compute time per iteration")
 		rejoin    = flag.Bool("rejoin", false, "rejoin a running cluster as a restarted worker (clears this worker's own crash schedule)")
 		chaosSeed = flag.Int64("chaos-seed", 0, "override the base seed of the spec's fault.net chaos injection (0 = spec seed; no effect without fault.net)")
 	)
+	// Worker placement has no live meaning; 1 machine always satisfies
+	// topology validation.
+	specFlags := specflag.Register(flag.CommandLine, hop.Scenario{
+		Workload: "svm",
+		Topology: hop.ScenarioTopology{Kind: "ring", Workers: 4, Machines: 1},
+		MaxIter:  100,
+		Seed:     1,
+	})
 	flag.Parse()
 	hop.SetComputeWorkers(*cworkers)
 
-	// Which flags the user actually set: with -scenario they become
-	// overrides; without, every flag (at its default) shapes the spec.
-	explicit := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	fromFile := *scenarioFile != ""
-	set := func(name string) bool { return !fromFile || explicit[name] }
-
-	var spec hop.Scenario
-	if fromFile {
-		data, err := os.ReadFile(*scenarioFile)
-		if err != nil {
-			fail(err)
-		}
-		if spec, err = hop.ParseScenario(data); err != nil {
-			fail(err)
-		}
-	} else {
-		// Worker placement has no live meaning; 1 machine always
-		// satisfies topology validation.
-		spec.Topology.Machines = 1
+	spec, err := specFlags.Spec()
+	if err != nil {
+		fail(err)
 	}
-	if set("graph") {
-		spec.Topology.Kind = *graphKind
-	}
-	if set("workers") {
-		spec.Topology.Workers = *workers
-	}
-	if set("workload") {
-		spec.Workload = *workload
-	}
-	if set("maxig") {
-		spec.Protocol.MaxIG = *maxIG
-	}
-	if set("backup") {
-		spec.Protocol.Backup = *backup
-		spec.Protocol.SendCheck = *backup > 0
-	}
-	if set("staleness") {
-		spec.Protocol.Staleness = 0
-		if *staleness > 0 {
-			spec.Protocol.Staleness = *staleness
-		}
-	}
-	if set("skip") {
-		spec.Protocol.SkipMaxJump = 0
-		if *skip {
-			spec.Protocol.SkipMaxJump = *maxJump
-		}
-	}
-	// -max-jump alone re-caps a spec that already enables skipping; it
-	// never toggles skipping itself.
-	if set("max-jump") && spec.Protocol.SkipMaxJump > 0 {
-		spec.Protocol.SkipMaxJump = *maxJump
-	}
-	if set("iters") {
-		spec.MaxIter = *iters
-	}
-	if set("compress") {
-		spec.Compression = *comp
-	}
-	if set("seed") {
-		spec.Seed = *seed
-	}
-
 	extra := func(w, iter int) time.Duration {
 		if w == *id {
 			return *delay
@@ -144,10 +80,9 @@ func main() {
 	cfg.WireChunkBytes = *chunk
 	if *rejoin {
 		cfg.Rejoin = true
-		cfg.CrashIter = 0
-		cfg.RestartAfter = 0
+		cfg.Faults = nil // drops its crash schedule without writing to the resolved slice
 	}
-	cfg.OnIteration = func(iter int, loss float64) {
+	cfg.OnIteration = func(_, iter int, loss float64, _ time.Duration) {
 		if iter%10 == 0 {
 			fmt.Printf("worker %d: iteration %d, train loss %.4f\n", *id, iter, loss)
 		}
@@ -174,7 +109,7 @@ func main() {
 		// A scheduled fault is an intentional outcome: exit cleanly so
 		// the deferred Close announces the death to the neighbors, which
 		// reform the graph and keep training.
-		fmt.Printf("worker %d halted by scheduled fault at iteration %d\n", *id, cfg.CrashIter)
+		fmt.Printf("worker %d halted by scheduled fault at iteration %d\n", *id, cfg.Faults[*id].CrashIter)
 		return
 	}
 	if err != nil {

@@ -31,22 +31,27 @@ func main() {
 
 	fmt.Printf("starting %d live workers over loopback TCP (ring, backup-1, tokens, %s wire codec)...\n", n, comp)
 
+	// The protocol knobs are the same hop.Config the simulator runs,
+	// stated once for the whole cluster; each worker adds only what a
+	// socket-backed process needs.
+	proto := hop.Config{
+		Graph:       g,
+		MaxIG:       3,
+		Backup:      1,
+		SendCheck:   true,
+		Staleness:   -1,
+		MaxIter:     maxIter,
+		Compression: comp,
+	}
 	cfgs := make([]hop.LiveWorkerConfig, n)
 	for i := 0; i < n; i++ {
 		cfg := hop.LiveWorkerConfig{
+			Config:     proto,
 			ID:         i,
-			Graph:      g,
 			ListenAddr: "127.0.0.1:0",
 			Trainer:    hop.NewQuadratic([]float64{float64(i), 0, 0}, []float64{1, 2, 3}, 0.2, 0.05),
-			MaxIG:      3,
-			Backup:     1,
-			SendCheck:  true,
-			Staleness:  -1,
-			MaxIter:    maxIter,
-			Seed:       int64(i) + 1,
-
-			Compression: comp,
 		}
+		cfg.Seed = int64(i) + 1
 		if i == 0 {
 			// Worker 0 is artificially slow: backup workers keep the
 			// rest of the ring moving.

@@ -16,7 +16,12 @@
 //     DeterministicSlowdown) and the network fabric configuration.
 //   - The deterministic simulated cluster (Run / Options / Result) on
 //     which all paper figures regenerate, and the live TCP runtime
-//     (live worker nodes) for real deployments.
+//     (live worker nodes) for real deployments. Both take the same
+//     Config: Options.Core is one, LiveWorkerConfig embeds one.
+//   - Declarative scenarios (Scenario, ParseScenario, RunScenario,
+//     RunScenarioLive): every knob stated once as a spec field and
+//     resolved once into that Config — what the commands' flags
+//     override and what sweeps expand.
 //   - The experiment registry (Experiments, RunExperiment) that
 //     regenerates every table and figure of the paper's §7.
 //
@@ -289,7 +294,9 @@ func RunSweep(sw Sweep, width int) (*SweepResult, error) { return sw.Run(width) 
 // logging, decision tracing).
 type ScenarioLiveOptions = scenario.LiveOptions
 
-// LiveWorkerConfig configures one live TCP worker.
+// LiveWorkerConfig configures one live TCP worker: an embedded Config
+// (the protocol knobs, exactly as the simulator takes them) plus the
+// worker's id, listen address, trainer and socket-side settings.
 type LiveWorkerConfig = live.WorkerConfig
 
 // LiveWorker is one live TCP protocol participant, running the same

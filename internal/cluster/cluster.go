@@ -148,6 +148,14 @@ func (h *host) Now() time.Duration { return h.k.Now() }
 // math costs no *virtual* time; in host time it overlaps the other
 // workers' steps and everything the scheduler does until w's
 // EndCompute, which joins it (DESIGN.md §3.2).
+//
+// This is the hatch between the scheduling plane (one simulated process
+// at a time, deterministic) and the compute plane (all cores), and what
+// keeps it invisible to the kernel is a rule on fn: pure compute on
+// worker w's own state. It must not call a kernel operation (Sleep,
+// Wait, Spawn, After) or block on another simulated process; it may
+// fan out across real OS threads — the tensor pool's goroutines are
+// not simulated processes — as long as none outlive the join.
 func (h *host) Compute(w, iter int, fn func()) time.Duration {
 	switch s := &h.steps[w]; {
 	case s.offload:

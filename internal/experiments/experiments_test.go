@@ -30,12 +30,9 @@ func TestRegistryLookups(t *testing.T) {
 	}
 }
 
-func TestScaleAndWorkloadStrings(t *testing.T) {
+func TestScaleStrings(t *testing.T) {
 	if Quick.String() != "quick" || Full.String() != "full" {
 		t.Error("scale strings")
-	}
-	if CNN.String() != "cnn" || SVM.String() != "svm" {
-		t.Error("workload strings")
 	}
 }
 

@@ -102,8 +102,6 @@ func runPSBSP(p Profile, workers int, machines int, deadline time.Duration, seed
 	}
 	return ps.Run(ps.Options{
 		Workers:      workers,
-		Mode:         ps.BSP,
-		Staleness:    -1,
 		Trainer:      p.NewTrainer(),
 		Compute:      hetero.Compute{Base: p.ComputeBase},
 		PayloadBytes: p.PayloadBytes,

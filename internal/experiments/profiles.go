@@ -24,7 +24,6 @@ package experiments
 import (
 	"time"
 
-	"hop/internal/model"
 	"hop/internal/scenario"
 )
 
@@ -47,82 +46,37 @@ func (s Scale) String() string {
 	return "quick"
 }
 
-// Workload identifies which of the paper's two tasks a run uses.
-type Workload int
-
-const (
-	// CNN is the image-classification task (paper: VGG11/CIFAR-10).
-	CNN Workload = iota
-	// SVM is the sparse linear task (paper: SVM/webspam, log loss).
-	SVM
-)
-
-func (w Workload) String() string {
-	if w == SVM {
-		return "svm"
-	}
-	return "cnn"
-}
-
-// Profile bundles a workload's trainer prototype with its paper-scale
-// cost model. The cost constants come from the scenario workload
-// definitions; the per-scale deadlines are the experiment suite's own.
+// Profile is a scenario workload — trainer prototype plus paper-scale
+// cost model — together with the per-scale deadlines the experiment
+// suite runs its loss-vs-time figures to.
 type Profile struct {
-	Workload Workload
-	Name     string
-
-	// NewTrainer builds the prototype replica (cloned per worker).
-	NewTrainer func() model.Trainer
-
-	// ComputeBase is the homogeneous per-iteration gradient time at
-	// paper scale (VGG11 on a CPU ≈ seconds; SVM ≈ tens of ms).
-	ComputeBase time.Duration
-
-	// PayloadBytes is the wire size of one parameter update at paper
-	// scale (VGG11-CIFAR fp32 ≈ 37 MB; webspam-scale SVM ≈ 1.4 MB).
-	PayloadBytes int
-
-	// Deadline per scale for loss-vs-time experiments.
+	scenario.Workload
 	Deadline map[Scale]time.Duration
-
-	// EvalEvery controls evaluation cadence (iterations).
-	EvalEvery int
-
-	// TargetLoss is the eval-loss level used for time-to-target
-	// comparisons in reports.
-	TargetLoss float64
 }
 
-// profileFor builds a Profile from the scenario workload of the same
-// name plus the suite's per-scale deadlines.
-func profileFor(w Workload, deadlines map[Scale]time.Duration) Profile {
-	def, err := scenario.WorkloadByName(w.String())
+// profileFor pairs the named scenario workload with the suite's
+// deadlines.
+func profileFor(name string, deadlines map[Scale]time.Duration) Profile {
+	w, err := scenario.WorkloadByName(name)
 	if err != nil {
 		panic(err) // the scenario package defines both paper workloads
 	}
-	return Profile{
-		Workload:     w,
-		Name:         def.Name,
-		NewTrainer:   def.NewTrainer,
-		ComputeBase:  def.ComputeBase,
-		PayloadBytes: def.PayloadBytes,
-		Deadline:     deadlines,
-		EvalEvery:    def.EvalEvery,
-		TargetLoss:   def.TargetLoss,
-	}
+	return Profile{Workload: w, Deadline: deadlines}
 }
 
-// CNNProfile returns the image-classification profile.
+// CNNProfile returns the image-classification profile (paper:
+// VGG11/CIFAR-10).
 func CNNProfile() Profile {
-	return profileFor(CNN, map[Scale]time.Duration{
+	return profileFor("cnn", map[Scale]time.Duration{
 		Quick: 500 * time.Second,
 		Full:  1500 * time.Second,
 	})
 }
 
-// SVMProfile returns the sparse linear profile.
+// SVMProfile returns the sparse linear profile (paper: SVM/webspam,
+// log loss).
 func SVMProfile() Profile {
-	return profileFor(SVM, map[Scale]time.Duration{
+	return profileFor("svm", map[Scale]time.Duration{
 		Quick: 30 * time.Second,
 		Full:  100 * time.Second,
 	})

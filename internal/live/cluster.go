@@ -62,8 +62,8 @@ func (r *ClusterResult) WireStats() transport.Stats {
 // With FaultTolerance on, a worker whose Run ends in core.ErrCrashed
 // is treated as a scheduled fault rather than a failure: the worker is
 // closed (the goodbye tells its neighbors to reform the graph) and, if
-// its RestartAfter is positive, a fresh Worker is rebuilt on the same
-// listen address after that delay and rejoins the cluster.
+// its Faults[ID].RestartAfter is positive, a fresh Worker is rebuilt on
+// the same listen address after that delay and rejoins the cluster.
 func RunCluster(cfgs []WorkerConfig, dialTimeout time.Duration) (*ClusterResult, error) {
 	n := len(cfgs)
 	if n == 0 {
@@ -153,13 +153,14 @@ func RunCluster(cfgs []WorkerConfig, dialTimeout time.Duration) (*ClusterResult,
 			// can redial it when it announces itself.
 			addr := w.Addr()
 			w.Close()
-			if cfgs[i].RestartAfter <= 0 {
+			restart := cfgs[i].Faults[i].RestartAfter
+			if restart <= 0 {
 				return
 			}
-			time.Sleep(cfgs[i].RestartAfter)
+			time.Sleep(restart)
 			cfg := cfgs[i]
 			cfg.ListenAddr = addr
-			cfg.CrashIter = 0
+			cfg.Faults = nil // the replacement runs fault-free
 			cfg.Rejoin = true
 			nw, nerr := NewWorker(cfg)
 			if nerr != nil {

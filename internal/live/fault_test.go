@@ -20,8 +20,11 @@ func faultClusterConfigs(g *graph.Graph, mut func(i int, cfg *WorkerConfig)) []W
 	cfgs := make([]WorkerConfig, g.N())
 	for i := range cfgs {
 		cfgs[i] = WorkerConfig{
-			ID: i, Graph: g, Trainer: quadStart(i),
-			Staleness: -1, MaxIter: 20, Seed: 1,
+			Config: core.Config{
+				Graph:     g,
+				Staleness: -1, MaxIter: 20, Seed: 1,
+			},
+			ID: i, Trainer: quadStart(i),
 			Logger: NopLogger(),
 		}
 		if mut != nil {
@@ -29,6 +32,13 @@ func faultClusterConfigs(g *graph.Graph, mut func(i int, cfg *WorkerConfig)) []W
 		}
 	}
 	return cfgs
+}
+
+// crashSchedule is an n-worker fault schedule holding worker w's fault.
+func crashSchedule(n, w int, f core.FaultSchedule) []core.FaultSchedule {
+	faults := make([]core.FaultSchedule, n)
+	faults[w] = f
+	return faults
 }
 
 // TestRunClusterRejectsMisnumberedConfigs: a config whose ID does not
@@ -63,7 +73,7 @@ func TestRunClusterCrashSurfacesOriginatingError(t *testing.T) {
 	g := graph.Ring(4)
 	cfgs := faultClusterConfigs(g, func(i int, cfg *WorkerConfig) {
 		if i == 2 {
-			cfg.CrashIter = 5
+			cfg.Faults = crashSchedule(g.N(), i, core.FaultSchedule{CrashIter: 5})
 		}
 	})
 	_, err := RunCluster(cfgs, time.Second)
@@ -91,7 +101,7 @@ func TestRunClusterCrashReform(t *testing.T) {
 		cfg.MaxIter = 30
 		cfg.Trace = core.NewTrace()
 		if i == 3 {
-			cfg.CrashIter = 10
+			cfg.Faults = crashSchedule(g.N(), i, core.FaultSchedule{CrashIter: 10})
 		}
 	})
 	res, err := RunCluster(cfgs, 5*time.Second)
@@ -127,8 +137,7 @@ func TestRunClusterCrashRestartRejoins(t *testing.T) {
 		// Stretch iterations to real time so the restart lands mid-run.
 		cfg.ComputeDelay = func(int) time.Duration { return 5 * time.Millisecond }
 		if i == 3 {
-			cfg.CrashIter = 10
-			cfg.RestartAfter = 50 * time.Millisecond
+			cfg.Faults = crashSchedule(g.N(), i, core.FaultSchedule{CrashIter: 10, RestartAfter: 50 * time.Millisecond})
 		}
 	})
 	res, err := RunCluster(cfgs, 5*time.Second)
@@ -168,12 +177,15 @@ func TestWorkerAbortCloseRunRace(t *testing.T) {
 		addrs := make(map[int]string, n)
 		for i := 0; i < n; i++ {
 			cfg := WorkerConfig{
-				ID: i, Graph: g, Trainer: quadStart(i),
-				Staleness: -1, MaxIter: 200, Seed: 1,
+				Config: core.Config{
+					Graph:     g,
+					Staleness: -1, MaxIter: 200, Seed: 1,
+					// Fault tolerance keeps post-Close send failures from
+					// panicking the loop; they declare the peer dead instead.
+					FaultTolerance: true,
+				},
+				ID: i, Trainer: quadStart(i),
 				ListenAddr: "127.0.0.1:0", Logger: NopLogger(),
-				// Fault tolerance keeps post-Close send failures from
-				// panicking the loop; they declare the peer dead instead.
-				FaultTolerance: true,
 			}
 			w, err := NewWorker(cfg)
 			if err != nil {

@@ -28,9 +28,7 @@ import (
 	"sync"
 	"time"
 
-	"hop/internal/compress"
 	"hop/internal/core"
-	"hop/internal/graph"
 	"hop/internal/model"
 	"hop/internal/tensor"
 	"hop/internal/transport"
@@ -51,55 +49,31 @@ func (nopLogger) Printf(string, ...any) {}
 // NopLogger returns a Logger that discards everything.
 func NopLogger() Logger { return nopLogger{} }
 
-// WorkerConfig configures one live worker.
+// WorkerConfig configures one live worker: the shared protocol
+// configuration, stated once, plus what only a socket-backed worker
+// needs.
 type WorkerConfig struct {
-	ID    int
-	Graph *graph.Graph
+	// Config holds every protocol knob with core.Config semantics — the
+	// same struct the simulator runs, so a knob crosses into the live
+	// plane without being restated. One process holds one worker's view:
+	// Trainers and Tracers are ignored (Trainer and Trace below are this
+	// worker's), this worker's scheduled fault is Faults[ID] (RunCluster
+	// restarts it after Faults[ID].RestartAfter), Compression is
+	// negotiated per connection at Dial, and OnIteration/OnJump may be
+	// called concurrently with other workers' callbacks.
+	core.Config
+
+	ID int
 
 	// ListenAddr is this worker's bind address (":0" for ephemeral).
 	ListenAddr string
 
 	Trainer model.Trainer
 
-	// Protocol knobs, matching core.Config semantics.
-	Mode           core.Mode
-	Serial         bool
-	MaxIG          int
-	Backup         int
-	Staleness      int // -1 disables
-	StaleWeighting core.StaleWeighting
-	SendCheck      bool
-	Skip           *core.SkipConfig
-	Prague         *core.PragueConfig
-
-	// Compression selects the wire codec for outgoing update payloads
-	// (negotiated per connection at Dial; see internal/transport). The
-	// zero value is lossless.
-	Compression compress.Spec
-
 	// WireChunkBytes caps the per-frame payload size so control
 	// frames interleave with large updates; 0 means
 	// transport.DefaultMaxChunk.
 	WireChunkBytes int
-
-	// NoPipelineSends disables the transport's pipelined update path
-	// and encodes/writes every update synchronously on the protocol
-	// goroutine. By default updates are staged with a per-peer sender
-	// goroutine so the next iteration's gradient compute overlaps the
-	// encode and the socket wait; the one-in-flight barrier keeps the
-	// delta stream's stage/commit discipline — and therefore the
-	// payload bytes and retransmit-on-failure semantics — identical to
-	// the synchronous path (transport.Config.PipelineUpdates).
-	NoPipelineSends bool
-
-	MaxIter int
-	Seed    int64
-
-	// FaultTolerance makes peer death survivable (core.Config
-	// semantics): a peer whose connection drops, or whose sends fail,
-	// is declared dead and the protocol reforms its iteration graph
-	// around it instead of aborting the run.
-	FaultTolerance bool
 
 	// HeartbeatInterval and ReadDeadline tune the liveness layer
 	// (transport.Config semantics). Zero means the defaults below when
@@ -127,28 +101,9 @@ type WorkerConfig struct {
 	// scenario layer and hopnode -chaos-seed.
 	Chaos *transport.ChaosConfig
 
-	// CrashIter, when > 0, schedules this worker to halt at the start
-	// of that iteration (Run returns core.ErrCrashed). RestartAfter,
-	// when also > 0, tells the cluster orchestrator (RunCluster) to
-	// restart the worker that long after the crash.
-	CrashIter    int
-	RestartAfter time.Duration
-
-	// Rejoin marks this worker a restarted participant: it announces
-	// itself to its neighbors and fast-forwards to one past their
-	// newest observed iteration before training (core.Config.Rejoin).
-	Rejoin bool
-
 	// ComputeDelay, when non-nil, injects artificial per-iteration
 	// compute time (for demonstrating heterogeneity on real clusters).
 	ComputeDelay func(iter int) time.Duration
-
-	// OnIteration, when non-nil, runs after each completed iteration.
-	OnIteration func(iter int, loss float64)
-
-	// OnJump, when non-nil, runs when this worker skips from iteration
-	// from to iteration to (§5).
-	OnJump func(from, to int)
 
 	// Logger receives the worker's diagnostics (dropped in-neighbor
 	// connections, ...). nil means the standard library logger.
@@ -176,71 +131,6 @@ const (
 	// error instead of blocking the protocol loop forever.
 	DefaultWriteTimeout = 2 * time.Second
 )
-
-// NewWorkerConfig seeds a live WorkerConfig for worker id from the
-// shared protocol configuration — the one place core.Config knobs
-// (modes, token queues, backup, staleness, skipping, wire compression)
-// cross into the live runtime. The trainer is taken from c.Trainers
-// when present; the caller fills the live-only fields (ListenAddr,
-// ComputeDelay, OnIteration, ...) before NewWorker.
-func NewWorkerConfig(c core.Config, id int) WorkerConfig {
-	cfg := WorkerConfig{
-		ID:             id,
-		Graph:          c.Graph,
-		Mode:           c.Mode,
-		Serial:         c.Serial,
-		MaxIG:          c.MaxIG,
-		Backup:         c.Backup,
-		Staleness:      c.Staleness,
-		StaleWeighting: c.StaleWeighting,
-		SendCheck:      c.SendCheck,
-		Skip:           c.Skip,
-		Prague:         c.Prague,
-		Compression:    c.Compression,
-		MaxIter:        c.MaxIter,
-		Seed:           c.Seed,
-		FaultTolerance: c.FaultTolerance,
-		Rejoin:         c.Rejoin,
-	}
-	if id >= 0 && id < len(c.Faults) {
-		cfg.CrashIter = c.Faults[id].CrashIter
-		cfg.RestartAfter = c.Faults[id].RestartAfter
-	}
-	if id >= 0 && id < len(c.Trainers) {
-		cfg.Trainer = c.Trainers[id]
-	}
-	return cfg
-}
-
-// coreConfig expands the live worker configuration back into the
-// shared protocol configuration the state machine is built from.
-func (cfg WorkerConfig) coreConfig() core.Config {
-	c := core.Config{
-		Graph:          cfg.Graph,
-		Mode:           cfg.Mode,
-		Serial:         cfg.Serial,
-		MaxIG:          cfg.MaxIG,
-		Backup:         cfg.Backup,
-		Staleness:      cfg.Staleness,
-		StaleWeighting: cfg.StaleWeighting,
-		SendCheck:      cfg.SendCheck,
-		Compression:    cfg.Compression,
-		Skip:           cfg.Skip,
-		Prague:         cfg.Prague,
-		MaxIter:        cfg.MaxIter,
-		Seed:           cfg.Seed,
-		FaultTolerance: cfg.FaultTolerance,
-		Rejoin:         cfg.Rejoin,
-	}
-	// One process holds one worker's view: only its own fault schedule
-	// crosses back into the shared configuration.
-	if cfg.CrashIter > 0 && cfg.Graph != nil {
-		faults := make([]core.FaultSchedule, cfg.Graph.N())
-		faults[cfg.ID] = core.FaultSchedule{CrashIter: cfg.CrashIter, RestartAfter: cfg.RestartAfter}
-		c.Faults = faults
-	}
-	return c
-}
 
 // Worker is one live protocol participant: transport shell + shared
 // protocol state machine.
@@ -308,27 +198,28 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		start:     time.Now(),
 		logger:    logger,
 	}
-	coreCfg := cfg.coreConfig()
+	coreCfg := cfg.Config
 	if cfg.FaultTolerance {
 		// A rejoined peer needs a fresh outbound connection before the
 		// protocol's next send to it; the membership callback runs
 		// under the monitor, so the redial happens off to the side.
-		coreCfg.OnMembership = func(_ int, ev core.TraceEvent) {
+		onMembership := cfg.OnMembership
+		coreCfg.OnMembership = func(id int, ev core.TraceEvent) {
+			if onMembership != nil {
+				onMembership(id, ev)
+			}
 			if ev.Kind == core.TraceJoin {
 				go w.redialPeer(ev.From)
 			}
 		}
 	}
-	coreCfg.OnIteration = func(_, iter int, loss float64, _ time.Duration) {
+	coreCfg.OnIteration = func(id, iter int, loss float64, now time.Duration) {
 		w.mu.Lock()
 		w.lastLoss = loss
 		w.mu.Unlock()
 		if cfg.OnIteration != nil {
-			cfg.OnIteration(iter, loss)
+			cfg.OnIteration(id, iter, loss, now)
 		}
-	}
-	if cfg.OnJump != nil {
-		coreCfg.OnJump = func(_, from, to int, _ time.Duration) { cfg.OnJump(from, to) }
 	}
 	proto, err := core.NewProtocol(coreCfg, cfg.ID, cfg.Trainer, w.mon, &liveRuntime{w: w}, cfg.Trace)
 	if err != nil {
@@ -394,8 +285,13 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		OnPeerSilent: func(peer int) { w.suspect(peer, "silent past read deadline") },
 		// Send errors with no caller to return to (the heartbeat
 		// loop's) route through the same policy as protocol sends.
-		OnSendError:     func(peer int, err error) { w.noteSendError(peer, err) },
-		PipelineUpdates: !cfg.NoPipelineSends,
+		OnSendError: func(peer int, err error) { w.noteSendError(peer, err) },
+		// Updates are staged with a per-peer sender goroutine so the
+		// next iteration's gradient compute overlaps the encode and the
+		// socket wait; the one-in-flight barrier keeps the delta
+		// stream's stage/commit discipline identical to a synchronous
+		// send.
+		PipelineUpdates: true,
 		Chaos:           cfg.Chaos,
 	})
 	if err != nil {
@@ -842,9 +738,6 @@ func (w *Worker) LastLoss() float64 {
 // iterations, suppressed sends) — the same counters the simulated
 // engine aggregates.
 func (w *Worker) Stats() core.Stats { return w.proto.Stats() }
-
-// QueueSize reports the update-queue occupancy (diagnostics).
-func (w *Worker) QueueSize() int { return w.proto.Queue().Size() }
 
 // TokenIn returns the local counter for TokenQ(j→me) (diagnostics and
 // the Theorem 2 conservation tests), or nil.

@@ -67,7 +67,7 @@ func quadStart(i int) model.Trainer {
 func TestLiveStandardConverges(t *testing.T) {
 	g := graph.Ring(4)
 	workers := launch(t, g, func(i int) WorkerConfig {
-		return WorkerConfig{Trainer: quadStart(i), Staleness: -1, MaxIter: 40, Seed: 1}
+		return WorkerConfig{Config: core.Config{Staleness: -1, MaxIter: 40, Seed: 1}, Trainer: quadStart(i)}
 	})
 	for i, w := range workers {
 		if loss := w.cfg.Trainer.EvalLoss(); loss > 0.3 {
@@ -86,9 +86,12 @@ func TestLiveTokensAndBackup(t *testing.T) {
 	}
 	workers := launch(t, g, func(i int) WorkerConfig {
 		return WorkerConfig{
-			Trainer: quadStart(i), Staleness: -1,
-			MaxIG: 3, Backup: 1, SendCheck: true,
-			MaxIter: 30, Seed: 2, ComputeDelay: delay(i),
+			Config: core.Config{
+				Staleness: -1,
+				MaxIG:     3, Backup: 1, SendCheck: true,
+				MaxIter: 30, Seed: 2,
+			},
+			Trainer: quadStart(i), ComputeDelay: delay(i),
 		}
 	})
 	for i, w := range workers {
@@ -102,8 +105,11 @@ func TestLiveStaleness(t *testing.T) {
 	g := graph.Ring(4)
 	workers := launch(t, g, func(i int) WorkerConfig {
 		return WorkerConfig{
-			Trainer: quadStart(i), Staleness: 2, MaxIG: 6,
-			MaxIter: 40, Seed: 3,
+			Config: core.Config{
+				Staleness: 2, MaxIG: 6,
+				MaxIter: 40, Seed: 3,
+			},
+			Trainer: quadStart(i),
 		}
 	})
 	for i, w := range workers {
@@ -119,15 +125,18 @@ func TestLiveSkipWithStraggler(t *testing.T) {
 	var mu sync.Mutex
 	workers := launch(t, g, func(i int) WorkerConfig {
 		cfg := WorkerConfig{
-			Trainer: quadStart(i), Staleness: -1,
-			MaxIG: 3, Backup: 1, SendCheck: true,
-			Skip:    &core.SkipConfig{MaxJump: 5, TriggerBehind: 2},
-			MaxIter: 40, Seed: 4,
+			Config: core.Config{
+				Staleness: -1,
+				MaxIG:     3, Backup: 1, SendCheck: true,
+				Skip:    &core.SkipConfig{MaxJump: 5, TriggerBehind: 2},
+				MaxIter: 40, Seed: 4,
+			},
+			Trainer: quadStart(i),
 		}
 		if i == 0 {
 			cfg.ComputeDelay = func(int) time.Duration { return 5 * time.Millisecond }
 			prev := -1
-			cfg.OnIteration = func(iter int, _ float64) {
+			cfg.OnIteration = func(_, iter int, _ float64, _ time.Duration) {
 				mu.Lock()
 				if prev >= 0 && iter > prev+1 {
 					jumpsSeen++
@@ -151,9 +160,9 @@ func TestLiveIterationCallbacksOrdered(t *testing.T) {
 	var iters []int
 	var mu sync.Mutex
 	launch(t, g, func(i int) WorkerConfig {
-		cfg := WorkerConfig{Trainer: quadStart(i), Staleness: -1, MaxIter: 10, Seed: 5}
+		cfg := WorkerConfig{Config: core.Config{Staleness: -1, MaxIter: 10, Seed: 5}, Trainer: quadStart(i)}
 		if i == 0 {
-			cfg.OnIteration = func(iter int, _ float64) {
+			cfg.OnIteration = func(_, iter int, _ float64, _ time.Duration) {
 				mu.Lock()
 				iters = append(iters, iter)
 				mu.Unlock()
@@ -215,7 +224,7 @@ func TestLiveStalenessBoundWithCompressedChunkedUpdates(t *testing.T) {
 				t.Fatal(err)
 			}
 			workers := launch(t, g, func(i int) WorkerConfig {
-				cfg := NewWorkerConfig(coreCfg, i)
+				cfg := WorkerConfig{Config: coreCfg, Trainer: coreCfg.Trainers[i]}
 				cfg.Seed += int64(i)
 				cfg.WireChunkBytes = 64 // 64-dim updates -> >=4 chunks even at float32
 				if i%2 == 0 {
@@ -274,12 +283,12 @@ func TestLiveConfigValidation(t *testing.T) {
 	g := graph.Ring(4)
 	cases := []WorkerConfig{
 		{},
-		{Graph: g},
-		{Graph: g, ID: 9, Trainer: quadStart(0), MaxIter: 1},
-		{Graph: g, ID: 0, Trainer: quadStart(0)},
-		{Graph: g, ID: 0, Trainer: quadStart(0), MaxIter: 1, Backup: 1},
-		{Graph: g, ID: 0, Trainer: quadStart(0), MaxIter: 1, Skip: &core.SkipConfig{MaxJump: 2}},
-		{Graph: g, ID: 0, Trainer: quadStart(0), MaxIter: 1, Compression: compress.Spec{Kind: compress.TopK, Ratio: 1e-5}},
+		{Config: core.Config{Graph: g}},
+		{Config: core.Config{Graph: g, MaxIter: 1}, ID: 9, Trainer: quadStart(0)},
+		{Config: core.Config{Graph: g}, ID: 0, Trainer: quadStart(0)},
+		{Config: core.Config{Graph: g, MaxIter: 1, Backup: 1}, ID: 0, Trainer: quadStart(0)},
+		{Config: core.Config{Graph: g, MaxIter: 1, Skip: &core.SkipConfig{MaxJump: 2}}, ID: 0, Trainer: quadStart(0)},
+		{Config: core.Config{Graph: g, MaxIter: 1, Compression: compress.Spec{Kind: compress.TopK, Ratio: 1e-5}}, ID: 0, Trainer: quadStart(0)},
 	}
 	for i, cfg := range cases {
 		cfg.Staleness = -1
@@ -292,8 +301,9 @@ func TestLiveConfigValidation(t *testing.T) {
 func TestLiveMissingNeighborAddress(t *testing.T) {
 	g := graph.Ring(3)
 	w, err := NewWorker(WorkerConfig{
-		ID: 0, Graph: g, ListenAddr: "127.0.0.1:0",
-		Trainer: quadStart(0), Staleness: -1, MaxIter: 1,
+		Config: core.Config{Graph: g, Staleness: -1, MaxIter: 1},
+		ID:     0, ListenAddr: "127.0.0.1:0",
+		Trainer: quadStart(0),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -307,8 +317,9 @@ func TestLiveMissingNeighborAddress(t *testing.T) {
 func TestLiveAddrFormat(t *testing.T) {
 	g := graph.Ring(3)
 	w, err := NewWorker(WorkerConfig{
-		ID: 1, Graph: g, ListenAddr: "127.0.0.1:0",
-		Trainer: quadStart(1), Staleness: -1, MaxIter: 1,
+		Config: core.Config{Graph: g, Staleness: -1, MaxIter: 1},
+		ID:     1, ListenAddr: "127.0.0.1:0",
+		Trainer: quadStart(1),
 	})
 	if err != nil {
 		t.Fatal(err)

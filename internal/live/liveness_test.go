@@ -225,10 +225,13 @@ func TestLiveStallSuspectsThenHeals(t *testing.T) {
 	var suspects, heals atomic.Int64
 	workers, addrs := buildWorkers(t, g, func(i int) WorkerConfig {
 		cfg := WorkerConfig{
-			Trainer: quadStart(i), Staleness: -1, MaxIter: 60, Seed: 1,
-			Logger:         NopLogger(),
-			FaultTolerance: true,
-			Trace:          core.NewTrace(),
+			Config: core.Config{
+				Staleness: -1, MaxIter: 60, Seed: 1,
+				FaultTolerance: true,
+			},
+			Trainer: quadStart(i),
+			Logger:  NopLogger(),
+			Trace:   core.NewTrace(),
 			// Fast detector, generous budget: the 400ms stall must
 			// outlive the 150ms deadline but never the 5s budget.
 			HeartbeatInterval: 40 * time.Millisecond,
@@ -289,9 +292,12 @@ func TestLiveStallPastBudgetDeclaresDead(t *testing.T) {
 	g := graph.Ring(3)
 	workers, addrs := buildWorkers(t, g, func(i int) WorkerConfig {
 		return WorkerConfig{
-			Trainer: quadStart(i), Staleness: -1, MaxIter: 40, Seed: 1,
+			Config: core.Config{
+				Staleness: -1, MaxIter: 40, Seed: 1,
+				FaultTolerance: true,
+			},
+			Trainer:           quadStart(i),
 			Logger:            NopLogger(),
-			FaultTolerance:    true,
 			Trace:             core.NewTrace(),
 			HeartbeatInterval: 40 * time.Millisecond,
 			ReadDeadline:      150 * time.Millisecond,
@@ -348,7 +354,8 @@ func TestLiveSendFailureFailsFastWithoutTolerance(t *testing.T) {
 	g := graph.Chain(2)
 	workers, addrs := buildWorkers(t, g, func(i int) WorkerConfig {
 		return WorkerConfig{
-			Trainer: quadStart(i), Staleness: -1, MaxIter: 500, Seed: 1,
+			Config:       core.Config{Staleness: -1, MaxIter: 500, Seed: 1},
+			Trainer:      quadStart(i),
 			Logger:       NopLogger(),
 			ComputeDelay: func(int) time.Duration { return 2 * time.Millisecond },
 		}

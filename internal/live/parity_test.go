@@ -27,8 +27,11 @@ func TestLiveNotifyAck(t *testing.T) {
 	g := graph.Ring(4)
 	workers := launch(t, g, func(i int) WorkerConfig {
 		return WorkerConfig{
-			Trainer: quadStart(i), Mode: core.ModeNotifyAck, Staleness: -1,
-			MaxIter: 30, Seed: 21, Logger: NopLogger(),
+			Config: core.Config{
+				Mode: core.ModeNotifyAck, Staleness: -1,
+				MaxIter: 30, Seed: 21,
+			},
+			Trainer: quadStart(i), Logger: NopLogger(),
 		}
 	})
 	for i, w := range workers {
@@ -50,8 +53,11 @@ func TestLiveSerialGraph(t *testing.T) {
 	g := graph.Ring(4)
 	workers := launch(t, g, func(i int) WorkerConfig {
 		return WorkerConfig{
-			Trainer: quadStart(i), Serial: true, Staleness: -1,
-			MaxIter: 30, Seed: 22, Logger: NopLogger(),
+			Config: core.Config{
+				Serial: true, Staleness: -1,
+				MaxIter: 30, Seed: 22,
+			},
+			Trainer: quadStart(i), Logger: NopLogger(),
 		}
 	})
 	for i, w := range workers {
@@ -98,20 +104,22 @@ func TestLiveStaleWeightingSkipCompressionMatrix(t *testing.T) {
 					var mu sync.Mutex
 					workers := launch(t, g, func(i int) WorkerConfig {
 						cfg := WorkerConfig{
-							Trainer:        start(i),
-							Staleness:      s,
-							StaleWeighting: sw,
-							MaxIG:          6,
-							Compression:    comp,
-							MaxIter:        30,
-							Seed:           int64(23 + i),
-							Logger:         NopLogger(),
+							Config: core.Config{
+								Staleness:      s,
+								StaleWeighting: sw,
+								MaxIG:          6,
+								Compression:    comp,
+								MaxIter:        30,
+								Seed:           int64(23 + i),
+							},
+							Trainer: start(i),
+							Logger:  NopLogger(),
 						}
 						if skip {
 							cfg.Skip = &core.SkipConfig{MaxJump: 4, TriggerBehind: 2}
 							if i == 0 {
 								cfg.ComputeDelay = func(int) time.Duration { return 4 * time.Millisecond }
-								cfg.OnJump = func(from, to int) {
+								cfg.OnJump = func(_, from, to int, _ time.Duration) {
 									mu.Lock()
 									jumps++
 									mu.Unlock()
@@ -165,10 +173,13 @@ func TestLiveAbortUnblocksWorkers(t *testing.T) {
 	addrs := map[int]string{}
 	for i := 0; i < n; i++ {
 		w, err := NewWorker(WorkerConfig{
-			ID: i, Graph: g, ListenAddr: "127.0.0.1:0",
-			Trainer: quadStart(i), Staleness: -1,
-			MaxIter: 1 << 20, // far beyond what this test lets run
-			Seed:    31, Logger: NopLogger(),
+			Config: core.Config{
+				Graph: g, Staleness: -1,
+				MaxIter: 1 << 20, // far beyond what this test lets run
+				Seed:    31,
+			},
+			ID: i, ListenAddr: "127.0.0.1:0",
+			Trainer: quadStart(i), Logger: NopLogger(),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -218,9 +229,12 @@ func TestLiveAbortUnblocksWorkers(t *testing.T) {
 func TestLiveAbortBeforeRun(t *testing.T) {
 	g := graph.Ring(3)
 	w, err := NewWorker(WorkerConfig{
-		ID: 0, Graph: g, ListenAddr: "127.0.0.1:0",
-		Trainer: quadStart(0), Staleness: -1, MaxIter: 100,
-		Seed: 32, Logger: NopLogger(),
+		Config: core.Config{
+			Graph: g, Staleness: -1, MaxIter: 100,
+			Seed: 32,
+		},
+		ID: 0, ListenAddr: "127.0.0.1:0",
+		Trainer: quadStart(0), Logger: NopLogger(),
 	})
 	if err != nil {
 		t.Fatal(err)

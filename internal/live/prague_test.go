@@ -61,14 +61,16 @@ func TestLivePragueMatrix(t *testing.T) {
 					g := graph.Ring(4)
 					workers := launch(t, g, func(i int) WorkerConfig {
 						cfg := WorkerConfig{
-							Trainer:     pragueStart(i),
-							Mode:        core.ModePrague,
-							Prague:      &core.PragueConfig{GroupSize: gs, Quorum: quorum, Seed: 513},
-							Staleness:   -1,
-							Compression: comp,
-							MaxIter:     30,
-							Seed:        int64(41 + i),
-							Logger:      NopLogger(),
+							Config: core.Config{
+								Mode:        core.ModePrague,
+								Prague:      &core.PragueConfig{GroupSize: gs, Quorum: quorum, Seed: 513},
+								Staleness:   -1,
+								Compression: comp,
+								MaxIter:     30,
+								Seed:        int64(41 + i),
+							},
+							Trainer: pragueStart(i),
+							Logger:  NopLogger(),
 						}
 						if straggler && i == 0 {
 							cfg.ComputeDelay = func(int) time.Duration { return 4 * time.Millisecond }
@@ -112,7 +114,7 @@ func TestLivePragueCrashDropsMember(t *testing.T) {
 		cfg.MaxIter = 30
 		cfg.Trace = core.NewTrace()
 		if i == 3 {
-			cfg.CrashIter = 8
+			cfg.Faults = crashSchedule(g.N(), i, core.FaultSchedule{CrashIter: 8})
 		}
 	})
 	res, err := RunCluster(cfgs, 5*time.Second)

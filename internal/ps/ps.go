@@ -1,7 +1,7 @@
-// Package ps implements the centralized baselines the paper compares
-// against (§2.1, §7.3.2): a parameter server in three coordination
-// modes — BSP (bulk synchronous parallel), ASP (fully asynchronous,
-// Hogwild-style at the server) and SSP (stale synchronous parallel).
+// Package ps implements the centralized baseline the paper compares
+// against (§2.1, §7.3.2, Fig. 13): a bulk-synchronous (BSP) parameter
+// server. Each round the server waits for every worker's gradient,
+// applies their mean, then broadcasts fresh parameters.
 //
 // The server occupies its own machine; all worker↔server traffic
 // crosses the inter-machine network and serializes on the server
@@ -22,38 +22,9 @@ import (
 	"hop/internal/tensor"
 )
 
-// Mode selects the server's coordination protocol.
-type Mode int
-
-const (
-	// BSP: the server waits for every worker's gradient each round,
-	// applies them, then broadcasts fresh parameters.
-	BSP Mode = iota
-	// ASP: the server applies each gradient on arrival and replies
-	// immediately with current parameters.
-	ASP
-	// SSP: like ASP, but a worker may run at most Staleness rounds
-	// ahead of the slowest worker.
-	SSP
-)
-
-func (m Mode) String() string {
-	switch m {
-	case BSP:
-		return "ps-bsp"
-	case ASP:
-		return "ps-asp"
-	case SSP:
-		return "ps-ssp"
-	}
-	return fmt.Sprintf("ps-mode(%d)", int(m))
-}
-
 // Options configure a parameter-server run.
 type Options struct {
-	Workers   int
-	Mode      Mode
-	Staleness int // SSP bound
+	Workers int
 
 	// Trainer is the model prototype; the server holds the master
 	// replica (and its optimizer state), workers hold compute
@@ -82,12 +53,6 @@ type Result struct {
 	Server   model.Trainer
 }
 
-type gradMsg struct {
-	from  int
-	iter  int
-	grads []float64
-}
-
 // Run executes the parameter-server baseline in virtual time.
 func Run(opts Options) (*Result, error) {
 	if opts.Workers < 1 {
@@ -98,9 +63,6 @@ func Run(opts Options) (*Result, error) {
 	}
 	if opts.MaxIter == 0 && opts.Deadline == 0 {
 		return nil, fmt.Errorf("ps: need MaxIter or Deadline")
-	}
-	if opts.Mode == SSP && opts.Staleness < 0 {
-		return nil, fmt.Errorf("ps: SSP needs Staleness >= 0")
 	}
 	if opts.Net.IsZero() {
 		opts.Net = netsim.Default1GbE()
@@ -141,13 +103,10 @@ func Run(opts Options) (*Result, error) {
 
 	// Server state.
 	var (
-		gradQ     []gradMsg
+		gradQ     [][]float64 // this round's gradients, in arrival order
 		gradCond  = sim.NewCond(k)
 		paramVer  = make([]int, n) // rounds each worker has received
 		paramCond = make([]*sim.Cond, n)
-		clocks    = make([]int, n) // SSP worker clocks
-		clockCond = sim.NewCond(k)
-		round     int
 	)
 	for i := range paramCond {
 		paramCond[i] = sim.NewCond(k)
@@ -163,43 +122,20 @@ func Run(opts Options) (*Result, error) {
 		})
 	}
 
-	// Server process. The BSP reduction buffers live outside the loop:
-	// one mean vector and one gather slice serve every round instead of
+	// Server process. One mean vector serves every round instead of
 	// being reallocated per reduction.
-	meanBuf := make([]float64, len(server.Params()))
-	vecsBuf := make([][]float64, n)
-	k.Spawn("server", func(p *sim.Proc) {
-		applied := 0
-		for opts.MaxIter == 0 || applied < opts.MaxIter*n {
-			for len(gradQ) == 0 {
+	mean := make([]float64, len(server.Params()))
+	k.Spawn("server", func(*sim.Proc) {
+		for round := 0; opts.MaxIter == 0 || round < opts.MaxIter; round++ {
+			for len(gradQ) < n {
 				gradCond.Wait()
 			}
-			if opts.Mode == BSP {
-				for len(gradQ) < n {
-					gradCond.Wait()
-				}
-				for i, g := range gradQ {
-					vecsBuf[i] = g.grads
-				}
-				mean := meanBuf
-				p.Compute(func() { tensor.Mean(mean, vecsBuf) })
-				server.Apply(mean)
-				applied += n
-				gradQ = gradQ[:0]
-				round++
-				for w := 0; w < n; w++ {
-					sendParams(w)
-				}
-				continue
+			tensor.Mean(mean, gradQ)
+			server.Apply(mean)
+			gradQ = gradQ[:0]
+			for w := 0; w < n; w++ {
+				sendParams(w)
 			}
-			// ASP / SSP: apply one gradient, reply to its sender.
-			g := gradQ[0]
-			gradQ = gradQ[1:]
-			server.Apply(g.grads)
-			applied++
-			clocks[g.from] = g.iter + 1
-			clockCond.Broadcast()
-			sendParams(g.from)
 		}
 	})
 
@@ -219,31 +155,11 @@ func Run(opts Options) (*Result, error) {
 			t := workers[w]
 			seen := 0
 			for iter := 0; opts.MaxIter == 0 || iter < opts.MaxIter; iter++ {
-				if opts.Mode == SSP {
-					// Block while more than Staleness rounds ahead of
-					// the slowest worker.
-					for {
-						min := clocks[0]
-						for _, c := range clocks[1:] {
-							if c < min {
-								min = c
-							}
-						}
-						if iter <= min+opts.Staleness {
-							break
-						}
-						clockCond.Wait()
-					}
-				}
-				var (
-					grads []float64
-					loss  float64
-				)
-				p.Compute(func() { grads, loss = t.ComputeGrad(rngs[w]) })
+				grads, loss := t.ComputeGrad(rngs[w])
 				p.Sleep(opts.Compute.IterTime(w, iter, slowRngs[w]))
 				snapshot := tensor.Clone(grads)
 				fabric.Deliver(w, n, opts.PayloadBytes, func() {
-					gradQ = append(gradQ, gradMsg{from: w, iter: iter, grads: snapshot})
+					gradQ = append(gradQ, snapshot)
 					gradCond.Broadcast()
 				})
 				// Wait for the server's reply for this round.

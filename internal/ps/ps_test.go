@@ -20,7 +20,7 @@ func quad(dim int) model.Trainer {
 
 func TestBSPConverges(t *testing.T) {
 	res, err := Run(Options{
-		Workers: 4, Mode: BSP, Trainer: quad(5),
+		Workers: 4, Trainer: quad(5),
 		Compute: hetero.Compute{Base: 50 * time.Millisecond},
 		MaxIter: 40, Seed: 1, PayloadBytes: 1 << 16,
 	})
@@ -37,7 +37,7 @@ func TestBSPConverges(t *testing.T) {
 
 func TestBSPWorkersLockstep(t *testing.T) {
 	res, err := Run(Options{
-		Workers: 4, Mode: BSP, Trainer: quad(3),
+		Workers: 4, Trainer: quad(3),
 		Compute: hetero.Compute{Base: 50 * time.Millisecond,
 			Slow: hetero.Deterministic{Factors: map[int]float64{2: 5}}},
 		MaxIter: 10, Seed: 2, PayloadBytes: 1 << 16,
@@ -58,57 +58,6 @@ func TestBSPWorkersLockstep(t *testing.T) {
 	}
 }
 
-func TestASPDoesNotLockstep(t *testing.T) {
-	res, err := Run(Options{
-		Workers: 4, Mode: ASP, Trainer: quad(3),
-		Compute: hetero.Compute{Base: 50 * time.Millisecond,
-			Slow: hetero.Deterministic{Factors: map[int]float64{2: 6}}},
-		Deadline: 10 * time.Second, Seed: 3, PayloadBytes: 1 << 16,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast := res.Metrics.WorkerIterations(0)
-	slow := res.Metrics.WorkerIterations(2)
-	if fast <= slow*2 {
-		t.Errorf("ASP fast worker %d vs slow %d: fast should run far ahead", fast, slow)
-	}
-}
-
-func TestSSPBoundsClockGap(t *testing.T) {
-	res, err := Run(Options{
-		Workers: 4, Mode: SSP, Staleness: 3, Trainer: quad(3),
-		Compute: hetero.Compute{Base: 50 * time.Millisecond,
-			Slow: hetero.Deterministic{Factors: map[int]float64{2: 100}}},
-		Deadline: 20 * time.Second, Seed: 4, PayloadBytes: 1 << 16,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast := res.Metrics.WorkerIterations(0)
-	slow := res.Metrics.WorkerIterations(2)
-	if fast > slow+3+1 {
-		t.Errorf("SSP violated staleness: fast %d vs slow %d (bound 3)", fast, slow)
-	}
-	if fast < slow+2 {
-		t.Errorf("SSP should allow some gap: fast %d vs slow %d", fast, slow)
-	}
-}
-
-func TestSSPConverges(t *testing.T) {
-	res, err := Run(Options{
-		Workers: 4, Mode: SSP, Staleness: 2, Trainer: quad(4),
-		Compute: hetero.Compute{Base: 50 * time.Millisecond},
-		MaxIter: 40, Seed: 5, PayloadBytes: 1 << 16,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loss := res.Server.EvalLoss(); loss > 0.2 {
-		t.Errorf("SSP server loss %g", loss)
-	}
-}
-
 func TestOptionValidation(t *testing.T) {
 	if _, err := Run(Options{}); err == nil {
 		t.Error("empty options should fail")
@@ -118,14 +67,5 @@ func TestOptionValidation(t *testing.T) {
 	}
 	if _, err := Run(Options{Workers: 2, Trainer: quad(2)}); err == nil {
 		t.Error("missing termination should fail")
-	}
-	if _, err := Run(Options{Workers: 2, Trainer: quad(2), MaxIter: 1, Mode: SSP, Staleness: -1}); err == nil {
-		t.Error("SSP without staleness should fail")
-	}
-}
-
-func TestModeStrings(t *testing.T) {
-	if BSP.String() != "ps-bsp" || ASP.String() != "ps-asp" || SSP.String() != "ps-ssp" {
-		t.Error("mode strings")
 	}
 }

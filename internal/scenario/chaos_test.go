@@ -34,7 +34,10 @@ func TestNetFaultValidation(t *testing.T) {
 		{"corrupt needs loss absorption", Protocol{}, "", &NetFault{Corrupt: 0.1}, false},
 		{"duplicate and reorder are not lossy", Protocol{}, "", &NetFault{Duplicate: 0.2, Reorder: 0.2}, true},
 		{"drop with staleness", Protocol{Staleness: 5}, "", &NetFault{Drop: 0.1}, true},
-		{"drop with backup", Protocol{Backup: 1}, "", &NetFault{Drop: 0.1}, true},
+		// Backup needs token queues (core), loss refuses them: Validate
+		// used to accept this and Run reject it.
+		{"drop with backup alone", Protocol{Backup: 1}, "", &NetFault{Drop: 0.1}, false},
+		{"drop with backup and token queues", Protocol{MaxIG: 4, Backup: 1}, "", &NetFault{Drop: 0.1}, false},
 		{"loss under notify-ack", Protocol{Mode: "notify-ack", Staleness: 5}, "", &NetFault{Drop: 0.1}, false},
 		{"loss with token queues", Protocol{MaxIG: 4, Staleness: 5}, "", &NetFault{Drop: 0.1}, false},
 		{"partition worker out of range", Protocol{Staleness: 5}, "", &NetFault{Partitions: []Partition{{A: 0, B: 4, FromIter: 2, ToIter: 4}}}, false},

@@ -69,13 +69,12 @@ type LiveOptions struct {
 // replicas are clones of one prototype, exactly like the simulated
 // cluster's trainer layout.
 func (s Spec) ResolveLive(o LiveOptions) ([]live.WorkerConfig, error) {
-	opts, err := s.resolveLiveOptions()
+	opts, err := s.resolveLiveOptions(o)
 	if err != nil {
 		return nil, err
 	}
-	n := opts.Core.Graph.N()
-	cfgs := make([]live.WorkerConfig, n)
-	for i := 0; i < n; i++ {
+	cfgs := make([]live.WorkerConfig, opts.Core.Graph.N())
+	for i := range cfgs {
 		cfgs[i] = liveWorkerConfig(opts, i, o, opts.Trainer.Clone())
 	}
 	return cfgs, nil
@@ -85,7 +84,7 @@ func (s Spec) ResolveLive(o LiveOptions) ([]live.WorkerConfig, error) {
 // hopnode process needs, without materializing the other n−1 model
 // replicas.
 func (s Spec) ResolveLiveWorker(id int, o LiveOptions) (live.WorkerConfig, error) {
-	opts, err := s.resolveLiveOptions()
+	opts, err := s.resolveLiveOptions(o)
 	if err != nil {
 		return live.WorkerConfig{}, err
 	}
@@ -96,9 +95,20 @@ func (s Spec) ResolveLiveWorker(id int, o LiveOptions) (live.WorkerConfig, error
 	return liveWorkerConfig(opts, id, o, opts.Trainer), nil
 }
 
+// timeScale returns the effective TimeScale.
+func (o LiveOptions) timeScale() float64 {
+	if o.TimeScale <= 0 {
+		return 1
+	}
+	return o.TimeScale
+}
+
 // resolveLiveOptions resolves the spec and applies the live-execution
-// constraints.
-func (s Spec) resolveLiveOptions() (cluster.Options, error) {
+// constraints. Restart delays model virtual time in the spec; they are
+// realized on the same clock as the injected heterogeneity delays —
+// scaled once, into a copy, because the n worker configs built from
+// these options all share the one Faults slice.
+func (s Spec) resolveLiveOptions(o LiveOptions) (cluster.Options, error) {
 	opts, err := s.Resolve()
 	if err != nil {
 		return cluster.Options{}, err
@@ -106,32 +116,31 @@ func (s Spec) resolveLiveOptions() (cluster.Options, error) {
 	if opts.Core.MaxIter <= 0 {
 		return cluster.Options{}, fmt.Errorf("scenario: live execution needs max_iter (deadline is virtual-time only)")
 	}
+	faults := append([]core.FaultSchedule(nil), opts.Core.Faults...)
+	for i, f := range faults {
+		if f.RestartAfter > 0 {
+			faults[i].RestartAfter = max(time.Duration(float64(f.RestartAfter)*o.timeScale()), time.Millisecond)
+		}
+	}
+	opts.Core.Faults = faults
 	return opts, nil
 }
 
 // liveWorkerConfig builds worker i's live configuration from resolved
-// cluster options.
+// cluster options: the protocol configuration as is, plus the
+// socket-side fields.
 func liveWorkerConfig(opts cluster.Options, i int, o LiveOptions, t model.Trainer) live.WorkerConfig {
-	scale := o.TimeScale
-	if scale <= 0 {
-		scale = 1
+	cfg := live.WorkerConfig{
+		Config:       opts.Core,
+		ID:           i,
+		ListenAddr:   "127.0.0.1:0",
+		Trainer:      t,
+		Logger:       o.Logger,
+		ComputeDelay: liveComputeDelay(i, opts.Compute, opts.Seed, o.timeScale(), o.ExtraDelay),
+		Chaos:        liveChaos(opts.Net.Chaos, i, o.ChaosSeed),
 	}
-	cfg := live.NewWorkerConfig(opts.Core, i)
-	cfg.Trainer = t
-	cfg.ListenAddr = "127.0.0.1:0"
-	cfg.Logger = o.Logger
 	if o.Trace {
 		cfg.Trace = core.NewTrace()
-	}
-	cfg.ComputeDelay = liveComputeDelay(i, opts.Compute, opts.Seed, scale, o.ExtraDelay)
-	cfg.Chaos = liveChaos(opts.Net.Chaos, i, o.ChaosSeed)
-	// Restart delays model virtual time in the spec; realize them on the
-	// same clock as the injected heterogeneity delays.
-	if cfg.RestartAfter > 0 {
-		cfg.RestartAfter = time.Duration(float64(cfg.RestartAfter) * scale)
-		if cfg.RestartAfter < time.Millisecond {
-			cfg.RestartAfter = time.Millisecond
-		}
 	}
 	return cfg
 }

@@ -11,6 +11,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"hop/internal/cluster"
 )
 
 func TestPragueSpecValidation(t *testing.T) {
@@ -129,5 +131,36 @@ func TestPragueCrashSimDeterminism(t *testing.T) {
 	}
 	if !strings.Contains(joined, "P3@") {
 		t.Errorf("no survivor excluded worker 3 from a group reduce: %s", joined)
+	}
+}
+
+// TestAllReduceBaselineIsASpec: synchronous all-reduce is Prague with
+// the group equal to the whole cluster and a full quorum — a spec
+// (examples/scenarios/allreduce8.json), not a package. Every step
+// averages over all 8 workers, so nobody is ever excluded, everybody
+// finishes the same iterations, and the 4× deterministic straggler
+// gates the whole cluster's iteration time.
+func TestAllReduceBaselineIsASpec(t *testing.T) {
+	spec := loadSpec(t, "../../examples/scenarios/allreduce8.json")
+	if n := spec.Topology.Workers; spec.Protocol.GroupSize != n || spec.Protocol.GroupQuorum != 0 {
+		t.Fatalf("allreduce8 is not a full-group, full-quorum spec: %+v on %d workers", spec.Protocol, n)
+	}
+	slow := matrixRun(t, spec)
+	spec.Hetero = Hetero{}
+	homo := matrixRun(t, spec)
+
+	for _, res := range []*cluster.Result{slow, homo} {
+		if ex := res.Engine.Stats().GroupExcluded; ex != 0 {
+			t.Errorf("%d group members excluded from a full-cluster reduce", ex)
+		}
+		for w := 0; w < spec.Topology.Workers; w++ {
+			if got := res.Metrics.WorkerIterations(w); got != spec.MaxIter {
+				t.Errorf("worker %d finished %d iterations, want %d", w, got, spec.MaxIter)
+			}
+		}
+	}
+	ratio := float64(slow.Metrics.MeanIterDurationAll(1)) / float64(homo.Metrics.MeanIterDurationAll(1))
+	if ratio < 3.5 {
+		t.Errorf("4x straggler slowed all-reduce iterations only %.2fx; it should gate every step", ratio)
 	}
 }

@@ -797,15 +797,12 @@ func (s Spec) resolve(buildTrainer bool) (cluster.Options, error) {
 			}
 		}
 	}
-	// Surface Prague's protocol-level constraint violations (group size
-	// bounds, knob compositions, fault schedules) at spec validation,
-	// not first at cluster construction — sweeps validate every cell up
-	// front. Hop specs keep their historical laxness: their core-level
-	// rules fire at engine construction as before.
-	if cfg.Mode == core.ModePrague {
-		if err := cfg.ValidateProtocol(); err != nil {
-			return zero, err
-		}
+	// Surface the protocol-level constraint violations (knob
+	// compositions, group size bounds, fault schedules) at spec
+	// validation, not first at cluster construction — sweeps validate
+	// every cell up front.
+	if err := cfg.ValidateProtocol(); err != nil {
+		return zero, err
 	}
 
 	base := time.Duration(s.ComputeBase)

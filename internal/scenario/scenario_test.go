@@ -200,6 +200,38 @@ func TestResolveErrors(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsWhatRunRejects: the core protocol constraints hold
+// for every mode at spec validation, with the error Run would return —
+// hopsweep validates every cell up front, so a spec Validate accepts
+// must not die at engine construction.
+func TestValidateRejectsWhatRunRejects(t *testing.T) {
+	cases := []struct {
+		name     string
+		protocol Protocol
+	}{
+		{"backup without max_ig", Protocol{Backup: 1}},
+		{"skip without max_ig", Protocol{SkipMaxJump: 4}},
+		{"staleness with backup", Protocol{MaxIG: 4, Backup: 1, Staleness: 2}},
+		{"notify-ack with max_ig", Protocol{Mode: "notify-ack", MaxIG: 4}},
+	}
+	for _, c := range cases {
+		spec := Spec{
+			Workload: "quadratic",
+			Topology: Topology{Kind: "ring", Workers: 4},
+			Protocol: c.protocol,
+			MaxIter:  5,
+		}
+		verr := spec.Validate()
+		if verr == nil {
+			t.Errorf("%s: Validate accepted the spec", c.name)
+			continue
+		}
+		if _, rerr := spec.Run(); rerr == nil || rerr.Error() != verr.Error() {
+			t.Errorf("%s: Validate says %q, Run says %v", c.name, verr, rerr)
+		}
+	}
+}
+
 func TestWorkloadDefaultsDefined(t *testing.T) {
 	for _, w := range Workloads() {
 		if w.Name == "" || w.NewTrainer == nil || w.ComputeBase <= 0 || w.PayloadBytes <= 0 ||

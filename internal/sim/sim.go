@@ -293,34 +293,6 @@ func (p *Proc) Sleep(d time.Duration) {
 // Now returns the current virtual time.
 func (p *Proc) Now() time.Duration { return p.k.now }
 
-// Compute runs fn as one atomic compute step of the calling process:
-// the scheduler never observes an intermediate state, so deterministic
-// interleavings are preserved exactly as if fn were inline code. The
-// point of the hatch is what fn is *allowed* to do: it may fan work out
-// across real OS threads (e.g. the tensor worker pool), because those
-// goroutines are invisible to the kernel — they are joined before
-// Compute returns and touch no simulated state. fn must be pure
-// compute: it must not call any kernel operation (Sleep, Wait, Spawn,
-// After), must not block on other simulated processes, and must leave
-// no goroutines running when it returns. This is the split between the
-// scheduling plane (one process at a time, deterministic) and the
-// compute plane (all cores); see DESIGN.md §3.
-//
-// The hatch is the synchronous form: the process waits for fn. A
-// process whose fn is expensive and whose result is not needed until a
-// later scheduling point should start it as a tensor.Step instead and
-// join it there — the same purity rule makes that invisible to the
-// kernel too, and lets the steps of many processes overlap in host
-// time. The cluster host does so for gradient steps (DESIGN.md §3.2);
-// the parameter-server baseline, whose reduce is needed at once, uses
-// the hatch.
-func (p *Proc) Compute(fn func()) {
-	if p.k.current != p {
-		panic("sim: Compute called by a process that is not running")
-	}
-	fn()
-}
-
 // wake makes p runnable, at the back of the run queue.
 func (k *Kernel) wake(p *Proc) {
 	p.state = stateRunnable

@@ -315,43 +315,3 @@ func TestTimersFIFOAtSameInstant(t *testing.T) {
 		}
 	}
 }
-
-// TestComputeIsAtomicStep checks the compute-plane hatch: a Compute
-// closure may run real goroutines, but the scheduler never interleaves
-// another simulated process inside it, and the interleaving around it
-// is the same as for inline code.
-func TestComputeIsAtomicStep(t *testing.T) {
-	k := NewKernel()
-	var trace []string
-	for i := 0; i < 2; i++ {
-		i := i
-		k.Spawn("p", func(p *Proc) {
-			for step := 0; step < 3; step++ {
-				p.Compute(func() {
-					// Fan out across real goroutines inside the atomic
-					// step; they are joined before the step ends.
-					done := make(chan int, 4)
-					for g := 0; g < 4; g++ {
-						go func(g int) { done <- g }(g)
-					}
-					for g := 0; g < 4; g++ {
-						<-done
-					}
-					trace = append(trace, string(rune('a'+i)))
-				})
-				p.Sleep(time.Millisecond)
-			}
-		})
-	}
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	want := "ababab"
-	got := ""
-	for _, s := range trace {
-		got += s
-	}
-	if got != want {
-		t.Fatalf("interleaving %q, want %q (Compute changed scheduling)", got, want)
-	}
-}

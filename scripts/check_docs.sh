@@ -6,8 +6,10 @@
 #      directory in the repo (anchors and external http(s)/mailto links
 #      are skipped);
 #   2. every `internal/<pkg>`, `cmd/<name>`, `examples/<name>` or
-#      `scripts/<name>` path mentioned in README.md actually exists, so
-#      the package map cannot rot.
+#      `scripts/<name>` path mentioned in README.md actually exists, and
+#      so does every package the README's package-map tree names under
+#      `internal/` (rows like "  ps / adpsgd   baselines ..."), so the
+#      package map cannot keep listing a deleted package.
 #
 # Usage: scripts/check_docs.sh    (exits non-zero listing broken refs)
 
@@ -51,6 +53,22 @@ if [ -f README.md ]; then
     for p in $(grep -oE '(internal|cmd|examples|scripts)/[A-Za-z0-9._-]+' README.md | sort -u); do
         if [ ! -e "$p" ]; then
             note "BROKEN PACKAGE REF: README.md names $p which does not exist"
+        fi
+    done
+    # The tree under the "internal/" line of the package map: a row
+    # starts with exactly two spaces and one or more package names
+    # joined by " / "; deeper-indented rows continue a description.
+    for pkg in $(awk '
+        /^internal\/$/ { tree = 1; next }
+        /^```/ { tree = 0 }
+        tree && /^  [a-z]/ {
+            for (i = 1; i <= NF; i += 2) {
+                print $i
+                if ($(i + 1) != "/") break
+            }
+        }' README.md); do
+        if [ ! -d "internal/$pkg" ]; then
+            note "BROKEN PACKAGE REF: README.md package map lists internal/$pkg which does not exist"
         fi
     done
 fi
