@@ -18,6 +18,7 @@ import (
 	"hop"
 	"hop/internal/compress"
 	"hop/internal/core"
+	"hop/internal/data"
 	"hop/internal/graph"
 	"hop/internal/hetero"
 	"hop/internal/live"
@@ -26,6 +27,7 @@ import (
 	"hop/internal/nn"
 	"hop/internal/sim"
 	"hop/internal/tensor"
+	"hop/internal/transport"
 )
 
 func benchExperiment(b *testing.B, id string) {
@@ -210,6 +212,21 @@ func BenchmarkSpectralGap16(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		graph.SpectralGap(w)
+	}
+}
+
+// BenchmarkWebspamSample measures the SVM workload's mini-batch draw
+// at its default shape (32 samples of 24 active features out of 4096):
+// on the live plane it is the largest single line of a worker's
+// iteration (DESIGN.md §9.4).
+func BenchmarkWebspamSample(b *testing.B) {
+	d := data.NewWebspam(4096, 24, 0.05, 2)
+	rng := rand.New(rand.NewSource(1))
+	var batch data.SpamBatch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.SampleInto(&batch, rng, 32)
 	}
 }
 
@@ -598,6 +615,54 @@ func benchLiveLoopback(b *testing.B, compression string) {
 	b.ReportMetric(float64(updates)/elapsed.Seconds(), "updates/s")
 	b.ReportMetric(float64(wireBytes)/float64(updates), "wireB/update")
 	b.ReportMetric(float64(rawBytes)/float64(wireBytes), "xcomp")
+}
+
+// BenchmarkTransportTokenThenUpdate measures the protocol's per-
+// neighbour wire pattern in isolation: a token grant followed at once
+// by a 32 KiB uncompressed update to the same peer, timed until the
+// peer's handler has the update. writes/op is the sender's socket
+// writes per pair: 2 when every frame pays its own syscall, 1 when the
+// token rides the update's write.
+func BenchmarkTransportTokenThenUpdate(b *testing.B) {
+	got := make(chan struct{}, 1)
+	rx, err := transport.Listen(1, "127.0.0.1:0", func(m transport.Message) {
+		if m.Kind == transport.KindUpdate {
+			tensor.PutVec(m.Params)
+			got <- struct{}{}
+		}
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer rx.Close()
+	tx, err := transport.Listen(0, "127.0.0.1:0", func(transport.Message) {})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer tx.Close()
+	if err := tx.Dial(1, rx.Addr(), 5*time.Second); err != nil {
+		b.Fatal(err)
+	}
+	params := wireParams(4096)
+	exchange := func(iter int) {
+		if err := tx.Send(1, transport.Message{Kind: transport.KindToken, Iter: iter, Count: 1}); err != nil {
+			b.Fatal(err)
+		}
+		if err := tx.Send(1, transport.Message{Kind: transport.KindUpdate, Iter: iter, Params: params}); err != nil {
+			b.Fatal(err)
+		}
+		<-got
+	}
+	exchange(0) // warm the pools and the socket buffers
+	before := tx.Stats().Writes
+	b.SetBytes(int64(8 * len(params)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 1; i <= b.N; i++ {
+		exchange(i)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(tx.Stats().Writes-before)/float64(b.N), "writes/op")
 }
 
 // BenchmarkLiveLoopbackNone measures the lossless baseline.

@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"hop"
+	"hop/cmd/internal/profflag"
 	"hop/cmd/internal/specflag"
 )
 
@@ -55,8 +56,14 @@ func main() {
 		MaxIter:  100,
 		Seed:     1,
 	})
+	prof := profflag.Register()
 	flag.Parse()
 	hop.SetComputeWorkers(*cworkers)
+	stopProf, err := prof.Start()
+	if err != nil {
+		fail(err)
+	}
+	defer stopProf()
 
 	spec, err := specFlags.Spec()
 	if err != nil {
@@ -125,8 +132,8 @@ func main() {
 		*id, cfg.MaxIter, time.Since(start).Round(time.Millisecond), loss)
 	st := w.WireStats()
 	ps := w.Stats()
-	fmt.Printf("worker %d wire: %d updates in %d frames, %s sent (%s recv), update payloads %s vs %s raw (%.1fx, codec %s), read errors %d\n",
-		*id, st.UpdatesSent, st.FramesSent, fmtBytes(st.BytesSent), fmtBytes(st.BytesRecv),
+	fmt.Printf("worker %d wire: %d updates in %d frames (%d writes), %s sent (%s recv), update payloads %s vs %s raw (%.1fx, codec %s), read errors %d\n",
+		*id, st.UpdatesSent, st.FramesSent, st.Writes, fmtBytes(st.BytesSent), fmtBytes(st.BytesRecv),
 		fmtBytes(st.WireUpdateBytesSent), fmtBytes(st.RawUpdateBytesSent), st.CompressionRatio(), cfg.Compression, st.ReadErrors)
 	fmt.Printf("worker %d protocol: jumps=%d skipped=%d suppressed-sends=%d\n",
 		*id, ps.Jumps, ps.IterationsSkipped, ps.SendsSuppressed)

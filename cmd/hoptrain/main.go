@@ -113,8 +113,8 @@ func printLiveResult(res *hop.LiveClusterResult) {
 	fmt.Printf("worst eval loss:       %.4f\n", maxLoss)
 	fmt.Printf("protocol stats:        jumps=%d skipped=%d\n", jumps, skipped)
 	ws := res.WireStats()
-	fmt.Printf("wire:                  %d updates in %d frames, %.1f MB sent (%.1fx payload compression), read errors %d\n",
-		ws.UpdatesSent, ws.FramesSent, float64(ws.BytesSent)/1e6, ws.CompressionRatio(), ws.ReadErrors)
+	fmt.Printf("wire:                  %d updates in %d frames (%d writes), %.1f MB sent (%.1fx payload compression), read errors %d\n",
+		ws.UpdatesSent, ws.FramesSent, ws.Writes, float64(ws.BytesSent)/1e6, ws.CompressionRatio(), ws.ReadErrors)
 }
 
 func fail(err error) {

@@ -30,6 +30,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -212,8 +213,15 @@ func DecodeInto(dst []float64, k Kind, payload []byte) ([]float64, error) {
 			return nil, fmt.Errorf("compress: none payload length %d not a multiple of 8", len(payload))
 		}
 		out := sizeVec(dst, len(payload)/8)
-		for i := range out {
-			out[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[8*i:]))
+		o := out // filled four at a time, check-free (see extend)
+		for ; len(o) >= 4 && len(payload) >= 32; o, payload = o[4:], payload[32:] {
+			o[0] = math.Float64frombits(binary.LittleEndian.Uint64(payload[0:8]))
+			o[1] = math.Float64frombits(binary.LittleEndian.Uint64(payload[8:16]))
+			o[2] = math.Float64frombits(binary.LittleEndian.Uint64(payload[16:24]))
+			o[3] = math.Float64frombits(binary.LittleEndian.Uint64(payload[24:32]))
+		}
+		for ; len(o) > 0 && len(payload) >= 8; o, payload = o[1:], payload[8:] {
+			o[0] = math.Float64frombits(binary.LittleEndian.Uint64(payload[:8]))
 		}
 		return out, nil
 	case Float32:
@@ -221,8 +229,15 @@ func DecodeInto(dst []float64, k Kind, payload []byte) ([]float64, error) {
 			return nil, fmt.Errorf("compress: float32 payload length %d not a multiple of 4", len(payload))
 		}
 		out := sizeVec(dst, len(payload)/4)
-		for i := range out {
-			out[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(payload[4*i:])))
+		o := out
+		for ; len(o) >= 4 && len(payload) >= 16; o, payload = o[4:], payload[16:] {
+			o[0] = float64(math.Float32frombits(binary.LittleEndian.Uint32(payload[0:4])))
+			o[1] = float64(math.Float32frombits(binary.LittleEndian.Uint32(payload[4:8])))
+			o[2] = float64(math.Float32frombits(binary.LittleEndian.Uint32(payload[8:12])))
+			o[3] = float64(math.Float32frombits(binary.LittleEndian.Uint32(payload[12:16])))
+		}
+		for ; len(o) > 0 && len(payload) >= 4; o, payload = o[1:], payload[4:] {
+			o[0] = float64(math.Float32frombits(binary.LittleEndian.Uint32(payload[:4])))
 		}
 		return out, nil
 	case TopK:
@@ -247,10 +262,26 @@ type noneCodec struct{}
 func (noneCodec) Kind() Kind { return None }
 
 func (noneCodec) Compress(dst []byte, src []float64) []byte {
-	for _, v := range src {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+	dst, out := extend(dst, 8*len(src))
+	for ; len(src) >= 4 && len(out) >= 32; src, out = src[4:], out[32:] {
+		binary.LittleEndian.PutUint64(out[0:8], math.Float64bits(src[0]))
+		binary.LittleEndian.PutUint64(out[8:16], math.Float64bits(src[1]))
+		binary.LittleEndian.PutUint64(out[16:24], math.Float64bits(src[2]))
+		binary.LittleEndian.PutUint64(out[24:32], math.Float64bits(src[3]))
+	}
+	for ; len(src) > 0 && len(out) >= 8; src, out = src[1:], out[8:] {
+		binary.LittleEndian.PutUint64(out[:8], math.Float64bits(src[0]))
 	}
 	return dst
+}
+
+// extend grows dst by n bytes in one step and returns it with the new
+// tail, so an encoder fills a pre-sized destination instead of
+// appending element by element. The fill loops' conditions prove every
+// index, so their bodies carry no bounds check.
+func extend(dst []byte, n int) (whole, tail []byte) {
+	whole = slices.Grow(dst, n)[:len(dst)+n]
+	return whole, whole[len(dst):]
 }
 
 // --- Float32 ----------------------------------------------------------
@@ -260,8 +291,15 @@ type float32Codec struct{}
 func (float32Codec) Kind() Kind { return Float32 }
 
 func (float32Codec) Compress(dst []byte, src []float64) []byte {
-	for _, v := range src {
-		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(float32(v)))
+	dst, out := extend(dst, 4*len(src))
+	for ; len(src) >= 4 && len(out) >= 16; src, out = src[4:], out[16:] {
+		binary.LittleEndian.PutUint32(out[0:4], math.Float32bits(float32(src[0])))
+		binary.LittleEndian.PutUint32(out[4:8], math.Float32bits(float32(src[1])))
+		binary.LittleEndian.PutUint32(out[8:12], math.Float32bits(float32(src[2])))
+		binary.LittleEndian.PutUint32(out[12:16], math.Float32bits(float32(src[3])))
+	}
+	for ; len(src) > 0 && len(out) >= 4; src, out = src[1:], out[4:] {
+		binary.LittleEndian.PutUint32(out[:4], math.Float32bits(float32(src[0])))
 	}
 	return dst
 }

@@ -1,6 +1,8 @@
 package compress
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"sort"
@@ -45,6 +47,44 @@ func TestFloat32RoundTripWithinRounding(t *testing.T) {
 		for i := range src {
 			if got[i] != float64(float32(src[i])) {
 				t.Fatalf("coord %d: %g is not the float32 rounding of %g", i, got[i], src[i])
+			}
+		}
+	}
+}
+
+// TestDenseCodecBytesMatchElementwiseReference pins the bulk encode
+// and decode loops of None and Float32 to the one-element-at-a-time
+// definition of the payload, for every length around the unrolled
+// stride and for a destination that already holds bytes.
+func TestDenseCodecBytesMatchElementwiseReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	prefix := []byte{0xAA, 0xBB, 0xCC}
+	for n := 0; n <= 13; n++ {
+		src := randVec(rng, n)
+		want64, want32 := append([]byte(nil), prefix...), append([]byte(nil), prefix...)
+		for _, v := range src {
+			want64 = binary.LittleEndian.AppendUint64(want64, math.Float64bits(v))
+			want32 = binary.LittleEndian.AppendUint32(want32, math.Float32bits(float32(v)))
+		}
+		got64 := NewNone().Compress(append([]byte(nil), prefix...), src)
+		got32 := NewFloat32().Compress(append([]byte(nil), prefix...), src)
+		if !bytes.Equal(got64, want64) || !bytes.Equal(got32, want32) {
+			t.Fatalf("n=%d: encoded bytes differ from the element-wise reference", n)
+		}
+		dec64, err := DecodeInto(make([]float64, 0, 16), None, want64[len(prefix):])
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec32, err := DecodeInto(make([]float64, 0, 16), Float32, want32[len(prefix):])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(dec64) != n || len(dec32) != n {
+			t.Fatalf("n=%d: decoded %d and %d elements", n, len(dec64), len(dec32))
+		}
+		for i, v := range src {
+			if math.Float64bits(dec64[i]) != math.Float64bits(v) || dec32[i] != float64(float32(v)) {
+				t.Fatalf("n=%d: element %d decoded as %g / %g from %g", n, i, dec64[i], dec32[i], v)
 			}
 		}
 	}

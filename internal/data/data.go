@@ -14,7 +14,9 @@
 package data
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 )
 
@@ -105,6 +107,10 @@ func (s SparseVec) Dot(w []float64) float64 {
 type SpamBatch struct {
 	X      []SparseVec
 	Labels []float64 // ±1
+
+	// seen is the sampler's scratch: one bit per feature, all clear
+	// between samples (sampleSparseInto).
+	seen []uint64
 }
 
 // Webspam is a synthetic sparse binary-classification dataset.
@@ -116,8 +122,13 @@ type Webspam struct {
 }
 
 // NewWebspam creates a dataset over the given feature dimension with
-// nnz active features per sample and label-flip noise.
+// nnz active features per sample and label-flip noise. It panics when
+// nnz exceeds features: a sample's active features are distinct, so no
+// such sample exists and the sampler would never return.
 func NewWebspam(features, nnz int, flip float64, seed int64) *Webspam {
+	if nnz > features {
+		panic(fmt.Sprintf("data: NewWebspam: %d active features per sample out of only %d features", nnz, features))
+	}
 	rng := rand.New(rand.NewSource(seed))
 	d := &Webspam{Features: features, nnz: nnz, flip: flip}
 	d.truth = make([]float64, features)
@@ -147,8 +158,11 @@ func (d *Webspam) SampleInto(batch *SpamBatch, rng *rand.Rand, b int) {
 		batch.Labels = make([]float64, b)
 	}
 	batch.Labels = batch.Labels[:b]
+	if words := (d.Features + 63) / 64; len(batch.seen) != words {
+		batch.seen = make([]uint64, words)
+	}
 	for i := 0; i < b; i++ {
-		sampleSparseInto(&batch.X[i], rng, d.Features, d.nnz)
+		sampleSparseInto(&batch.X[i], batch.seen, rng, d.Features, d.nnz)
 		margin := batch.X[i].Dot(d.truth)
 		label := 1.0
 		if margin < 0 {
@@ -162,33 +176,31 @@ func (d *Webspam) SampleInto(batch *SpamBatch, rng *rand.Rand, b int) {
 }
 
 // sampleSparseInto draws nnz distinct sorted indices with ±1 values
-// into v, reusing its backing arrays. The accepted prefix is kept
-// sorted as it grows: each draw binary-searches it — answering the
-// duplicate question with the same accept/reject outcome (and
-// therefore the same RNG stream) as the linear scan it replaces — and
-// inserts in place, so no final sort pass is needed.
-func sampleSparseInto(v *SparseVec, rng *rand.Rand, features, nnz int) {
+// into v, reusing its backing arrays. seen holds one bit per feature,
+// all clear on entry and on return: a draw is accepted iff its bit was
+// clear — the accept/reject outcome of any duplicate check, hence the
+// same RNG stream — and the sorted index list falls out of one scan
+// over the set bits, which clears them again.
+func sampleSparseInto(v *SparseVec, seen []uint64, rng *rand.Rand, features, nnz int) {
+	for accepted := 0; accepted < nnz; {
+		i := rng.Intn(features)
+		if bit := uint64(1) << (i & 63); seen[i>>6]&bit == 0 {
+			seen[i>>6] |= bit
+			accepted++
+		}
+	}
 	if cap(v.Idx) < nnz {
 		v.Idx = make([]int, 0, nnz)
 	}
 	idx := v.Idx[:0]
-	for len(idx) < nnz {
-		i := rng.Intn(features)
-		lo, hi := 0, len(idx)
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if idx[mid] < i {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
+	for w, word := range seen {
+		if word == 0 {
+			continue
 		}
-		if lo < len(idx) && idx[lo] == i {
-			continue // duplicate: rejected, exactly as before
+		seen[w] = 0
+		for ; word != 0; word &= word - 1 {
+			idx = append(idx, w<<6|bits.TrailingZeros64(word))
 		}
-		idx = append(idx, 0)
-		copy(idx[lo+1:], idx[lo:])
-		idx[lo] = i
 	}
 	v.Idx = idx
 	if cap(v.Val) < nnz {

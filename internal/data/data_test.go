@@ -139,3 +139,88 @@ func TestPropertySparseSampleIndicesInRange(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// sampleSparseRef is the sampler sampleSparseInto replaced, kept as
+// the reference: each draw binary-searches the sorted accepted prefix
+// and inserts in place.
+func sampleSparseRef(v *SparseVec, rng *rand.Rand, features, nnz int) {
+	idx := v.Idx[:0]
+	for len(idx) < nnz {
+		i := rng.Intn(features)
+		lo, hi := 0, len(idx)
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if idx[mid] < i {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		if lo < len(idx) && idx[lo] == i {
+			continue
+		}
+		idx = append(idx, 0)
+		copy(idx[lo+1:], idx[lo:])
+		idx[lo] = i
+	}
+	v.Idx = idx
+	v.Val = v.Val[:0]
+	for range idx {
+		if rng.Intn(2) == 0 {
+			v.Val = append(v.Val, 1)
+		} else {
+			v.Val = append(v.Val, -1)
+		}
+	}
+}
+
+// TestSampleSparseMatchesReference pins the bit-set sampler to the
+// reference draw for draw: same indices, same values, same labels, and
+// the RNG left in the same state — every SVM loss in the repository
+// depends on it.
+func TestSampleSparseMatchesReference(t *testing.T) {
+	for _, c := range []struct{ features, nnz int }{{4096, 24}, {64, 63}, {7, 7}} {
+		d := NewWebspam(c.features, c.nnz, 0.05, 3)
+		got, want := rand.New(rand.NewSource(11)), rand.New(rand.NewSource(11))
+		var batch SpamBatch
+		var ref SparseVec
+		for draw := 0; draw < 10000; draw++ {
+			d.SampleInto(&batch, got, 1)
+			sampleSparseRef(&ref, want, c.features, c.nnz)
+			label := 1.0
+			if ref.Dot(d.truth) < 0 {
+				label = -1
+			}
+			if want.Float64() < d.flip {
+				label = -label
+			}
+			v := batch.X[0]
+			if len(v.Idx) != c.nnz || len(v.Val) != c.nnz {
+				t.Fatalf("(%d,%d) draw %d: %d indices, %d values", c.features, c.nnz, draw, len(v.Idx), len(v.Val))
+			}
+			for j := range ref.Idx {
+				if v.Idx[j] != ref.Idx[j] || v.Val[j] != ref.Val[j] {
+					t.Fatalf("(%d,%d) draw %d: got %v %v, want %v %v", c.features, c.nnz, draw, v.Idx, v.Val, ref.Idx, ref.Val)
+				}
+			}
+			if batch.Labels[0] != label {
+				t.Fatalf("(%d,%d) draw %d: label %g, want %g", c.features, c.nnz, draw, batch.Labels[0], label)
+			}
+		}
+		if g, w := got.Int63(), want.Int63(); g != w {
+			t.Errorf("(%d,%d): RNG streams diverged (%d vs %d)", c.features, c.nnz, g, w)
+		}
+	}
+}
+
+// TestNewWebspamRejectsMoreActiveThanFeatures: the rejection sampler
+// can never collect nnz distinct indices out of fewer features, so the
+// constructor refuses instead of letting the first Sample spin.
+func TestNewWebspamRejectsMoreActiveThanFeatures(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("NewWebspam(16, 24, ...) accepted")
+		}
+	}()
+	NewWebspam(16, 24, 0, 1)
+}

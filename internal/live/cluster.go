@@ -40,6 +40,7 @@ func (r *ClusterResult) WireStats() transport.Stats {
 		total.FramesRecv += s.FramesRecv
 		total.BytesSent += s.BytesSent
 		total.BytesRecv += s.BytesRecv
+		total.Writes += s.Writes
 		total.UpdatesSent += s.UpdatesSent
 		total.UpdatesRecv += s.UpdatesRecv
 		total.RawUpdateBytesSent += s.RawUpdateBytesSent

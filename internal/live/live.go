@@ -283,16 +283,11 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		// A full read-deadline window of silence from a peer: the
 		// failure detector's trigger.
 		OnPeerSilent: func(peer int) { w.suspect(peer, "silent past read deadline") },
-		// Send errors with no caller to return to (the heartbeat
-		// loop's) route through the same policy as protocol sends.
+		// Frames reach the wire on the peers' writer goroutines, after
+		// Send has returned; a failed write routes through the same
+		// policy as a send the protocol loop saw fail.
 		OnSendError: func(peer int, err error) { w.noteSendError(peer, err) },
-		// Updates are staged with a per-peer sender goroutine so the
-		// next iteration's gradient compute overlaps the encode and the
-		// socket wait; the one-in-flight barrier keeps the delta
-		// stream's stage/commit discipline identical to a synchronous
-		// send.
-		PipelineUpdates: true,
-		Chaos:           cfg.Chaos,
+		Chaos:       cfg.Chaos,
 	})
 	if err != nil {
 		return nil, err
@@ -450,7 +445,18 @@ func (w *Worker) probe(peer int) {
 			if dialT > 300*time.Millisecond {
 				dialT = 300 * time.Millisecond
 			}
-			if err := w.node.Redial(peer, addr, dialT); err == nil {
+			err := w.node.Redial(peer, addr, dialT)
+			if err == nil && w.cfg.Staleness >= 0 {
+				// What the torn connection swallowed before its first
+				// write failed is gone, and this worker may by now be
+				// blocked on the very peer that is waiting for it.
+				// Bounded staleness keeps the newest update per sender,
+				// so repeating the latest is always safe there; the
+				// other modes count updates and tolerate neither a loss
+				// nor a repeat.
+				err = w.node.Resend(peer)
+			}
+			if err == nil {
 				w.notePeerAlive(peer)
 				return
 			}
@@ -489,10 +495,9 @@ func (r *liveRuntime) ObserveAdvance(int) {}
 // The live runtime satisfies core.ParamsAllocator: every inbound
 // update decodes into its own buffer (transport readConn draws from
 // tensor.GetVec), and outbound Send releases the caller's slice before
-// returning (the synchronous sender fully serializes it; the pipelined
-// sender snapshots it into the peer's staging buffer). The protocol
-// may therefore recycle reduced update buffers, making the live
-// iteration hot path allocation-free.
+// returning (the transport encodes or snapshots it while staging the
+// update). The protocol may therefore recycle reduced update buffers,
+// making the live iteration hot path allocation-free.
 func (r *liveRuntime) GetParams(n int) []float64 { return tensor.GetVec(n) }
 
 func (r *liveRuntime) RecycleParams(v []float64) { tensor.PutVec(v) }
@@ -631,6 +636,11 @@ func (w *Worker) Trace() *core.Trace { return w.cfg.Trace }
 // produced.
 func (w *Worker) Run() (float64, error) {
 	err := w.proto.Run()
+	if err == nil {
+		// The loop's last token grants and ACKs are queued, not yet
+		// written: a finished Run means they are on the wire.
+		w.node.Flush()
+	}
 	if errors.Is(err, core.ErrAborted) {
 		w.mu.Lock()
 		ferr := w.failErr

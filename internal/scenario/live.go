@@ -177,11 +177,12 @@ func liveComputeDelay(w int, c hetero.Compute, seed int64, scale float64, extra 
 // liveChaos translates the resolved simulator chaos config into
 // worker w's transport-level injector. Reorder becomes Delay — on a
 // real TCP stream a message cannot overtake its predecessors, so the
-// live realization of reordering is holding a frame long enough for
-// concurrent traffic on other connections (and control frames from
-// other goroutines) to land first. Each worker derives its own seed
-// from the base so the per-process RNG streams are uncorrelated but
-// reproducible from the spec.
+// live realization of reordering is holding a frame, and with it its
+// connection (the peer's one writer sleeps), long enough for the
+// worker's traffic on its other connections to land first: live
+// reordering is across connections, never within one. Each worker
+// derives its own seed from the base so the per-process RNG streams
+// are uncorrelated but reproducible from the spec.
 func liveChaos(c *netsim.ChaosConfig, w int, seedOverride int64) *transport.ChaosConfig {
 	if c == nil {
 		return nil

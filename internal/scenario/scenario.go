@@ -318,7 +318,9 @@ type NetFault struct {
 	// Duplicate is the probability a message is delivered twice.
 	Duplicate float64 `json:"duplicate,omitempty"`
 	// Reorder is the probability a message is delayed past later
-	// traffic (live: a seeded pre-write delay).
+	// traffic (live: a seeded pre-write delay that holds the frame's
+	// connection, so it is overtaken by the sender's other connections
+	// only).
 	Reorder float64 `json:"reorder,omitempty"`
 	// Corrupt is the probability a message is damaged in flight; the
 	// receiver's CRC32-C check detects and drops it.

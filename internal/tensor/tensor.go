@@ -81,17 +81,60 @@ func Dist2(a, b []float64) float64 {
 	return math.Sqrt(s)
 }
 
+// meanTile is how many elements of dst Mean finishes before moving on
+// when it has to walk the vectors one after another: 4 KiB of dst, so
+// the running sums stay in L1 across the passes.
+const meanTile = 512
+
 // Mean overwrites dst with the element-wise mean of the vectors.
 // vectors must be non-empty and all the same length as dst.
+//
+// Each element is ((0 + v₀) + v₁ + …)·(1/n), summed in vector order —
+// bit for bit what zero-filling dst, adding the vectors one at a time
+// and scaling produces (0 + −0 is +0, NaN propagates) — in one pass
+// over dst instead of n+2.
 func Mean(dst []float64, vectors [][]float64) {
 	if len(vectors) == 0 {
 		panic("tensor: Mean of no vectors")
 	}
-	Fill(dst, 0)
 	for _, v := range vectors {
-		Add(dst, v)
+		if len(v) != len(dst) {
+			panic(fmt.Sprintf("tensor: Mean length mismatch %d vs %d", len(dst), len(v)))
+		}
 	}
-	Scale(dst, 1/float64(len(vectors)))
+	inv := 1 / float64(len(vectors))
+	switch len(vectors) {
+	case 1: // the tiled path takes first and last as two vectors
+		a := vectors[0][:len(dst)]
+		for i := range dst {
+			dst[i] = (0 + a[i]) * inv
+		}
+	case 3: // a ring's reduce: both neighbours and self
+		a, b, c := vectors[0][:len(dst)], vectors[1][:len(dst)], vectors[2][:len(dst)]
+		for i := range dst {
+			dst[i] = (0 + a[i] + b[i] + c[i]) * inv
+		}
+	default:
+		first, last := vectors[0], vectors[len(vectors)-1]
+		for lo := 0; lo < len(dst); lo += meanTile {
+			hi := lo + meanTile
+			if hi > len(dst) {
+				hi = len(dst)
+			}
+			t := dst[lo:hi]
+			for i, x := range first[lo:hi][:len(t)] {
+				t[i] = 0 + x
+			}
+			for _, v := range vectors[1 : len(vectors)-1] {
+				for i, x := range v[lo:hi][:len(t)] {
+					t[i] += x
+				}
+			}
+			for i, x := range last[lo:hi][:len(t)] {
+				t[i] = (t[i] + x) * inv
+			}
+		}
+	}
 }
 
 // WeightedMean overwrites dst with Σ wᵢ·vᵢ / Σ wᵢ. The weight sum must

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -169,5 +170,58 @@ func TestFillZerosClone(t *testing.T) {
 	Copy(v, []float64{1, 2, 3})
 	if v[2] != 3 {
 		t.Error("Copy")
+	}
+}
+
+// meanRef is the implementation Mean replaced: zero-fill, one AXPY per
+// vector, scale.
+func meanRef(dst []float64, vectors [][]float64) {
+	Fill(dst, 0)
+	for _, v := range vectors {
+		Add(dst, v)
+	}
+	Scale(dst, 1/float64(len(vectors)))
+}
+
+// TestMeanMatchesReference: the one-pass Mean must round exactly as
+// the multi-pass one did (§3.1's bit-identical rule), including the
+// sign of zero and non-finite entries, for every vector count on both
+// sides of the tiled path and lengths on both sides of a tile.
+func TestMeanMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	special := []float64{math.Copysign(0, -1), 0, math.NaN(), math.Inf(1), math.Inf(-1), 1e308, -1e308, 5e-324}
+	for count := 1; count <= 5; count++ {
+		for _, n := range []int{0, 1, 7, 4096} {
+			vecs := make([][]float64, count)
+			for k := range vecs {
+				vecs[k] = make([]float64, n)
+				for i := range vecs[k] {
+					if rng.Intn(4) == 0 {
+						vecs[k][i] = special[rng.Intn(len(special))]
+					} else {
+						vecs[k][i] = rng.NormFloat64()
+					}
+				}
+			}
+			if n > 0 {
+				// Every vector −0 at one element: the mean is +0.
+				for k := range vecs {
+					vecs[k][0] = math.Copysign(0, -1)
+				}
+			}
+			got, want := make([]float64, n), make([]float64, n)
+			Fill(got, 42) // previous contents must not leak
+			Mean(got, vecs)
+			meanRef(want, vecs)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) && !(math.IsNaN(got[i]) && math.IsNaN(want[i])) {
+					t.Fatalf("%d vectors of %d: element %d = %g (%#x), reference %g (%#x)",
+						count, n, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+				}
+			}
+			if n > 0 && math.Signbit(got[0]) {
+				t.Fatalf("%d vectors of %d: mean of −0s is −0", count, n)
+			}
+		}
 	}
 }

@@ -1,21 +1,23 @@
 package transport
 
 // chaos.go — the live plane's seeded fault injector. ChaosConfig sits
-// between frame encoding and the socket write: frames can be dropped,
-// duplicated, delayed, or bit-flipped before they reach the wire, and
-// partition windows sever the data plane between a pair of workers for
-// an iteration range. The CRC trailer (codec.go) turns every injected
-// bit-flip into a detected corrupt frame at the receiver, which tears
-// the connection down and recovers via redial + the dense warm-start
-// delta frame — never by folding garbage into model parameters.
+// in each peer's writer, between frame encoding and the socket write:
+// every frame of a batch meets the injector on its own before the
+// batch is assembled, and can be dropped, duplicated, delayed, or
+// bit-flipped before it reaches the wire; partition windows sever the
+// data plane between a pair of workers for an iteration range. The CRC
+// trailer (codec.go) turns every injected bit-flip into a detected
+// corrupt frame at the receiver, which tears the connection down and
+// recovers via redial + the dense warm-start delta frame — never by
+// folding garbage into model parameters.
 //
 // Handshake and goodbye frames are structurally exempt: they are
-// written directly by the handshake/Close paths and never pass through
-// writeFrame, so dialing stays convergent and an orderly shutdown
-// remains recognizable. Heartbeats are subject to the probabilistic
-// faults (losing one occasionally is exactly what the failure detector
-// must absorb) but exempt from partition windows, which model data
-// loss, not process death.
+// written directly by the handshake and by the writer's exit and never
+// pass through Node.flush, so dialing stays convergent and an orderly
+// shutdown remains recognizable. Heartbeats are subject to the
+// probabilistic faults (losing one occasionally is exactly what the
+// failure detector must absorb) but exempt from partition windows,
+// which model data loss, not process death.
 //
 // Unlike the simulator's per-link RNG (internal/netsim), live chaos is
 // seeded but not reproducible run-to-run: goroutine scheduling decides
@@ -53,8 +55,9 @@ type ChaosConfig struct {
 	Corrupt float64
 	// Delay is the probability a frame's write is delayed by a random
 	// duration up to MaxDelay — the live realization of the scenario
-	// axis's reorder probability (a delayed frame lets later control
-	// frames overtake it on the stream).
+	// axis's reorder probability. The peer's one writer sleeps, so the
+	// delay holds that connection's stream back as a whole and reorders
+	// it against the node's other connections, not within itself.
 	Delay float64
 	// MaxDelay caps injected delays (default 20ms).
 	MaxDelay time.Duration
@@ -106,33 +109,49 @@ func (c *chaosState) stats() ChaosStats {
 	return c.stat
 }
 
-// intercept inspects one encoded frame about to be written to peer id
-// and applies the configured faults. It returns handled=true when it
-// fully consumed the write (dropped the frame, or wrote a mutated
-// copy); handled=false means the caller should perform the normal
-// write (possibly after an injected delay, possibly preceded by a
-// duplicate already on the wire).
-func (c *chaosState) intercept(n *Node, p *peer, id int, frame []byte) (handled bool, err error) {
-	kind := frameKind(frame[4])
-	if kind == frameHello || kind == frameHelloAck || kind == frameGoodbye {
-		return false, nil
+// filter passes one batch — the control frames in ctl and, with update
+// set, the update frame hdr+chunk+crc — through the injector frame by
+// frame, appending what survives to iov in order. It returns iov and
+// the number of frames in it.
+func (c *chaosState) filter(self, peer int, iov [][]byte, ctl []byte, update bool, hdr, chunk, crc []byte) ([][]byte, int) {
+	frames := 0
+	for off := 0; off < len(ctl); off += ctlFrameLen {
+		iov, frames = c.inject(self, peer, iov, frames, ctl[off:off+ctlFrameLen])
 	}
+	if update {
+		iov, frames = c.inject(self, peer, iov, frames, hdr, chunk, crc)
+	}
+	return iov, frames
+}
+
+// inject applies the configured faults to one encoded frame, given as
+// consecutive parts of which the first starts with the header: the
+// frame is appended to iov zero times (dropped, partitioned), once
+// (possibly after a sleep, possibly as a bit-flipped copy) or twice
+// (duplicated).
+func (c *chaosState) inject(self, peer int, iov [][]byte, frames int, parts ...[]byte) ([][]byte, int) {
+	head := parts[0]
+	size := 0
+	for _, part := range parts {
+		size += len(part)
+	}
+	kind := frameKind(head[4])
 	if kind != frameHeartbeat {
-		iter := int(int32(binary.LittleEndian.Uint32(frame[16:20])))
+		iter := int(int32(binary.LittleEndian.Uint32(head[16:20])))
 		for _, pt := range c.cfg.Partitions {
-			if ((n.id == pt.A && id == pt.B) || (n.id == pt.B && id == pt.A)) &&
+			if ((self == pt.A && peer == pt.B) || (self == pt.B && peer == pt.A)) &&
 				iter >= pt.FromIter && iter < pt.ToIter {
 				c.mu.Lock()
 				c.stat.Partitioned++
 				c.mu.Unlock()
-				return true, nil
+				return iov, frames
 			}
 		}
 	}
 	// Chunks of multi-chunk updates are never duplicated: a duplicate
 	// chunk violates the reassembly contract, modeling a sender bug
 	// rather than a network fault.
-	dupable := !(kind == frameUpdate && binary.LittleEndian.Uint16(frame[8:10]) > 1)
+	dupable := !(kind == frameUpdate && binary.LittleEndian.Uint16(head[8:10]) > 1)
 	c.mu.Lock()
 	drop := c.rng.Float64() < c.cfg.Drop
 	dup := dupable && c.rng.Float64() < c.cfg.Duplicate
@@ -147,7 +166,7 @@ func (c *chaosState) intercept(n *Node, p *peer, id int, frame []byte) (handled 
 		c.stat.Dropped++
 	case corrupt:
 		c.stat.Corrupted++
-		bit = c.rng.Intn(len(frame) * 8)
+		bit = c.rng.Intn(size * 8)
 	case dup:
 		c.stat.Duplicated++
 	}
@@ -157,24 +176,30 @@ func (c *chaosState) intercept(n *Node, p *peer, id int, frame []byte) (handled 
 	c.mu.Unlock()
 
 	if drop {
-		// The frame vanishes "on the wire": the caller sees success,
+		// The frame vanishes "on the wire": the sender sees success,
 		// the receiver sees nothing. (The scenario layer refuses drop
 		// faults under configurations that cannot absorb loss —
 		// stateful TopK streams, NOTIFY-ACK, token queues.)
-		return true, nil
+		return iov, frames
 	}
 	if delay > 0 {
 		time.Sleep(delay)
 	}
 	if corrupt {
-		mut := append([]byte(nil), frame...)
-		mut[bit/8] ^= 1 << (bit % 8)
-		return true, n.writeFrameRaw(p, id, mut)
-	}
-	if dup {
-		if err := n.writeFrameRaw(p, id, frame); err != nil {
-			return true, err
+		mut := make([]byte, 0, size)
+		for _, part := range parts {
+			mut = append(mut, part...)
 		}
+		mut[bit/8] ^= 1 << (bit % 8)
+		return append(iov, mut), frames + 1
 	}
-	return false, nil
+	copies := 1
+	if dup {
+		copies = 2
+	}
+	for ; copies > 0; copies-- {
+		iov = append(iov, parts...)
+		frames++
+	}
+	return iov, frames
 }

@@ -9,6 +9,7 @@ package transport
 // handshake.
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -98,7 +99,7 @@ var errCorruptFrame = errors.New("frame CRC mismatch (corrupt)")
 // frameHeader is the fixed prefix of every frame:
 //
 //	off size field
-//	 0   4   magic "HOP" + version 0x02
+//	 0   4   magic "HOP" + version 0x03
 //	 4   1   frame kind
 //	 5   1   payload codec (compress.Kind)
 //	 6   2   chunk index
@@ -126,26 +127,37 @@ type frameHeader struct {
 	payloadLen uint32
 }
 
-// appendFrame appends the encoded header, payload and CRC32-C trailer
-// to dst.
-func appendFrame(dst []byte, h frameHeader, payload []byte) []byte {
-	h.payloadLen = uint32(len(payload))
-	var b [headerLen]byte
+// putHeader encodes h, payloadLen included, into b.
+func putHeader(b *[headerLen]byte, h frameHeader) {
 	copy(b[0:4], magic)
 	b[4] = byte(h.kind)
 	b[5] = byte(h.codec)
 	binary.LittleEndian.PutUint16(b[6:], h.chunkIndex)
 	binary.LittleEndian.PutUint16(b[8:], h.chunkCount)
+	b[10], b[11] = 0, 0
 	binary.LittleEndian.PutUint32(b[12:], h.from)
 	binary.LittleEndian.PutUint32(b[16:], uint32(h.iter))
 	binary.LittleEndian.PutUint32(b[20:], uint32(h.count))
 	binary.LittleEndian.PutUint32(b[24:], h.seq)
 	binary.LittleEndian.PutUint32(b[28:], h.payloadLen)
+}
+
+// frameCRC is the trailer value of a frame: CRC32-C over the encoded
+// header, continued over the payload.
+func frameCRC(header, payload []byte) uint32 {
+	return crc32.Update(crc32.Checksum(header, castagnoli), castagnoli, payload)
+}
+
+// appendFrame appends the encoded header, payload and CRC32-C trailer
+// to dst.
+func appendFrame(dst []byte, h frameHeader, payload []byte) []byte {
+	h.payloadLen = uint32(len(payload))
+	var b [headerLen]byte
+	putHeader(&b, h)
 	start := len(dst)
 	dst = append(append(dst, b[:]...), payload...)
-	var cb [crcLen]byte
-	binary.LittleEndian.PutUint32(cb[:], crc32.Checksum(dst[start:], castagnoli))
-	return append(dst, cb[:]...)
+	// Summed over dst, not b: handing b to crc32 would move it to the heap.
+	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[start:], castagnoli))
 }
 
 // parseHeader decodes and validates a frame header.
@@ -190,55 +202,127 @@ func parseHeader(b []byte) (frameHeader, error) {
 	return h, nil
 }
 
-// readFrame reads one full frame from r and verifies its CRC32-C
-// trailer before any field of the header is trusted — a bit-flipped
-// kind byte can no more forge a goodbye than a bit-flipped payload can
-// reach the aggregation. The magic is checked first (a version
-// mismatch is a protocol error, not corruption) and the payload length
-// is bounds-checked before it drives an allocation.
+// framePrefix checks the two header fields that have to be believed
+// before the CRC can be: the magic (a version mismatch is a protocol
+// error, not corruption) and the payload length, bounds-checked before
+// it sizes a read or an allocation. It returns the payload length.
+func framePrefix(hb []byte) (int, error) {
+	if string(hb[0:4]) != magic {
+		return 0, fmt.Errorf("transport: bad magic %q (version mismatch or not a hop peer): %w", hb[0:4], errProtocol)
+	}
+	plen := binary.LittleEndian.Uint32(hb[28:])
+	if plen > maxFramePayload {
+		return 0, fmt.Errorf("transport: frame payload %d exceeds limit %d: %w", plen, maxFramePayload, errCorruptFrame)
+	}
+	return int(plen), nil
+}
+
+// verifyFrame checks a whole frame's CRC32-C trailer before any other
+// field of the header is trusted — a bit-flipped kind byte can no more
+// forge a goodbye than a bit-flipped payload can reach the aggregation
+// — and then parses the header.
+func verifyFrame(hb, payload, trailer []byte) (frameHeader, []byte, error) {
+	want := binary.LittleEndian.Uint32(trailer)
+	if got := frameCRC(hb, payload); got != want {
+		return frameHeader{}, nil, fmt.Errorf("transport: frame CRC %08x, trailer says %08x: %w", got, want, errCorruptFrame)
+	}
+	h, err := parseHeader(hb)
+	if err != nil {
+		return frameHeader{}, nil, err
+	}
+	if len(payload) == 0 {
+		payload = nil
+	}
+	return h, payload, nil
+}
+
+// readFrame reads one full frame from r into fresh memory and verifies
+// it (framePrefix, verifyFrame). It consumes exactly the frame's bytes,
+// which is what the dialer's handshake needs of an unbuffered
+// connection.
 func readFrame(r io.Reader) (frameHeader, []byte, error) {
 	h, payload, _, err := readFrameBuf(r, nil)
 	return h, payload, err
 }
 
 // readFrameBuf is readFrame reading the frame body into scratch's
-// capacity (growing it only when too small), so a per-connection read
-// loop runs allocation-free in steady state. The returned payload
+// capacity (growing it only when too small). The returned payload
 // aliases the returned scratch and is valid only until the next call
-// with the same buffer; callers that retain payload bytes must copy
-// them (the reassembler does, for multi-chunk stashes).
+// with the same buffer.
 func readFrameBuf(r io.Reader, scratch []byte) (frameHeader, []byte, []byte, error) {
 	var hb [headerLen]byte
 	if _, err := io.ReadFull(r, hb[:]); err != nil {
 		return frameHeader{}, nil, scratch, err
 	}
-	if string(hb[0:4]) != magic {
-		return frameHeader{}, nil, scratch, fmt.Errorf("transport: bad magic %q (version mismatch or not a hop peer): %w", hb[0:4], errProtocol)
-	}
-	plen := binary.LittleEndian.Uint32(hb[28:])
-	if plen > maxFramePayload {
-		return frameHeader{}, nil, scratch, fmt.Errorf("transport: frame payload %d exceeds limit %d: %w", plen, maxFramePayload, errCorruptFrame)
-	}
-	if need := int(plen) + crcLen; cap(scratch) < need {
-		scratch = make([]byte, need)
-	}
-	body := scratch[:int(plen)+crcLen]
-	if _, err := io.ReadFull(r, body); err != nil {
-		return frameHeader{}, nil, scratch, err
-	}
-	payload := body[:plen]
-	want := binary.LittleEndian.Uint32(body[plen:])
-	if got := crc32.Update(crc32.Checksum(hb[:], castagnoli), castagnoli, payload); got != want {
-		return frameHeader{}, nil, scratch, fmt.Errorf("transport: frame CRC %08x, trailer says %08x: %w", got, want, errCorruptFrame)
-	}
-	h, err := parseHeader(hb[:])
+	plen, err := framePrefix(hb[:])
 	if err != nil {
 		return frameHeader{}, nil, scratch, err
 	}
-	if plen == 0 {
-		payload = nil
+	if need := plen + crcLen; cap(scratch) < need {
+		scratch = make([]byte, need)
 	}
-	return h, payload, scratch, nil
+	body := scratch[:plen+crcLen]
+	if _, err := io.ReadFull(r, body); err != nil {
+		return frameHeader{}, nil, scratch, err
+	}
+	h, payload, err := verifyFrame(hb[:], body[:plen], body[plen:])
+	return h, payload, scratch, err
+}
+
+// readBufLen sizes a connection's read buffer for one maximal frame at
+// the default chunk size, so every frame a default-configured sender
+// emits is parsed where the socket read put it.
+const readBufLen = headerLen + DefaultMaxChunk + crcLen
+
+// frameReader is the per-connection read path: frames are parsed,
+// CRC-checked and handed out in place from the read buffer, so a
+// payload is touched once on its way from the socket to the decoded
+// vector. Only a frame larger than the buffer (a sender configured
+// with MaxChunk above the default) is copied out, into scratch. A
+// returned payload is valid until the next call.
+type frameReader struct {
+	br      *bufio.Reader
+	held    int    // bytes of the frame handed out in place, discarded by the next call
+	scratch []byte // body of a frame too large for br
+}
+
+func newFrameReader(r io.Reader) *frameReader {
+	return &frameReader{br: bufio.NewReaderSize(r, readBufLen)}
+}
+
+// next returns the next verified frame. Errors are readFrame's: io.EOF
+// only at a frame boundary, io.ErrUnexpectedEOF inside a frame.
+func (fr *frameReader) next() (frameHeader, []byte, error) {
+	if fr.held > 0 {
+		fr.br.Discard(fr.held) // buffered by the Peek that handed it out: cannot fail
+		fr.held = 0
+	}
+	hb, err := fr.br.Peek(headerLen)
+	if err != nil {
+		if err == io.EOF && len(hb) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		return frameHeader{}, nil, err
+	}
+	plen, err := framePrefix(hb)
+	if err != nil {
+		return frameHeader{}, nil, err
+	}
+	total := headerLen + plen + crcLen
+	if total > fr.br.Size() {
+		h, payload, scratch, err := readFrameBuf(fr.br, fr.scratch)
+		fr.scratch = scratch
+		return h, payload, err
+	}
+	frame, err := fr.br.Peek(total)
+	if err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return frameHeader{}, nil, err
+	}
+	fr.held = total
+	return verifyFrame(frame[:headerLen], frame[headerLen:headerLen+plen], frame[headerLen+plen:])
 }
 
 // partialMsg accumulates the chunks of one in-flight update message.

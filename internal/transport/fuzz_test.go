@@ -1,8 +1,9 @@
 package transport
 
 // fuzz_test.go — hostile-bytes fuzzing of the frame decode path.
-// FuzzFrameDecode drives readFrame plus chunk reassembly over
-// arbitrary byte streams: truncated frames, bit-flipped headers,
+// FuzzFrameDecode drives the connection read path — the in-place
+// frameReader, checked frame by frame against the copying readFrame —
+// plus chunk reassembly over arbitrary byte streams: truncated frames, bit-flipped headers,
 // payloads, and CRC trailers, oversized claimed lengths. The decode
 // path must reject every malformed stream with an error — never panic,
 // never allocate unboundedly, and never accept a frame whose CRC does
@@ -12,6 +13,7 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"testing"
 
 	"hop/internal/compress"
@@ -61,19 +63,29 @@ func fuzzSeedFrames() [][]byte {
 	return seeds
 }
 
-// FuzzFrameDecode feeds an arbitrary byte stream through readFrame and
-// the reassembler until the stream errors or runs dry.
+// FuzzFrameDecode feeds an arbitrary byte stream through the in-place
+// frame reader and the reassembler until the stream errors or runs
+// dry. The copying reader walks the same bytes alongside: the two must
+// accept and reject the same frames and agree on every accepted one.
 func FuzzFrameDecode(f *testing.F) {
 	for _, s := range fuzzSeedFrames() {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, stream []byte) {
-		r := bytes.NewReader(stream)
+		fr := newFrameReader(bytes.NewReader(stream))
+		ref := bytes.NewReader(stream)
 		ra := newReassembler()
 		for {
-			h, payload, err := readFrame(r)
+			h, payload, err := fr.next()
+			rh, rpayload, rerr := readFrame(ref)
+			if (err == nil) != (rerr == nil) {
+				t.Fatalf("in-place reader says %v, copying reader %v", err, rerr)
+			}
 			if err != nil {
 				return // rejection is the expected outcome for damage
+			}
+			if h != rh || !bytes.Equal(payload, rpayload) {
+				t.Fatalf("in-place reader decoded %+v %x, copying reader %+v %x", h, payload, rh, rpayload)
 			}
 			// An accepted frame's bytes round-trip: CRC held, so the
 			// header fields must re-encode identically.
@@ -90,10 +102,13 @@ func TestFuzzSeedsDecode(t *testing.T) {
 	// The healthy seeds must decode cleanly end-to-end (guards the
 	// corpus itself against rot when the wire format changes).
 	for i, s := range fuzzSeedFrames()[:6] {
-		r := bytes.NewReader(s)
+		fr := newFrameReader(bytes.NewReader(s))
 		ra := newReassembler()
-		for r.Len() > 0 {
-			h, payload, err := readFrame(r)
+		for frames := 0; ; frames++ {
+			h, payload, err := fr.next()
+			if err == io.EOF && frames > 0 {
+				break
+			}
 			if err != nil {
 				t.Fatalf("seed %d: %v", i, err)
 			}

@@ -14,21 +14,27 @@
 // (compress.DeltaEncoder/DeltaDecoder), so sparsification never zeroes
 // coordinates of the state the protocol aggregates.
 //
+// Every dialed peer has one writer goroutine that owns the socket.
+// Whatever is bound for the peer — token, ACK, heartbeat, update — is
+// put in the peer's outbox, and each time the writer wakes it drains
+// all of it into a single vectored write: a token grant followed
+// microseconds later by an update leaves as one syscall, and a lone
+// token on an idle connection leaves at once (DESIGN.md §9.1).
+//
 // Update payloads larger than Config.MaxChunk are split across frames
 // tagged with a per-peer sequence number and reassembled on receipt;
-// the sender releases the connection lock between chunks, so token and
-// ACK frames from other goroutines interleave instead of queueing
-// behind a large parameter vector (no head-of-line blocking). The full
-// frame layout is documented in DESIGN.md §2 and codec.go.
+// the writer drains the outbox's control frames again before every
+// chunk, so token and ACK frames interleave instead of queueing behind
+// a large parameter vector (no head-of-line blocking). The full frame
+// layout is documented in DESIGN.md §2 and codec.go.
 package transport
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -157,34 +163,23 @@ type Config struct {
 	// trigger, not its verdict: declaring the peer dead is the
 	// caller's policy.
 	ReadDeadline time.Duration
-	// WriteTimeout, when > 0, bounds each frame write, so a peer that
-	// is alive-but-wedged (an open connection accepting no bytes)
-	// surfaces as a prompt send error instead of blocking the sender
-	// forever.
+	// WriteTimeout, when > 0, bounds each socket write (one flush of a
+	// peer's outbox), so a peer that is alive-but-wedged (an open
+	// connection accepting no bytes) surfaces as a prompt send error
+	// instead of blocking its writer forever.
 	WriteTimeout time.Duration
 	// OnPeerSilent, when non-nil, is invoked each time an inbound
 	// connection pinned to peer completes a full ReadDeadline window
 	// with no traffic. Called from reader goroutines; must be safe for
 	// concurrent use.
 	OnPeerSilent func(peer int)
-	// OnSendError, when non-nil, receives send failures that have no
-	// caller to return to: the heartbeat loop's, and — in pipelined
-	// mode — failed background update sends. Called from heartbeat and
-	// per-peer sender goroutines; must be safe for concurrent use.
+	// OnSendError, when non-nil, receives every failed socket write:
+	// Send has long returned by the time a frame reaches the wire, so
+	// this is the only place a write error surfaces. One call per
+	// failed flush, whatever it carried; callers that must not lose
+	// frames silently should set it. Called from the per-peer writer
+	// goroutines; must be safe for concurrent use.
 	OnSendError func(peer int, err error)
-	// PipelineUpdates moves update sends off the caller's goroutine:
-	// Send stages the update (snapshotting Params) with a per-peer
-	// sender goroutine and returns nil immediately, so the caller's
-	// compute overlaps the encode and the socket wait. At most one
-	// update per peer is in flight — the next Send to that peer blocks
-	// until the previous frame is fully written (or has failed), a
-	// barrier that keeps the stream-codec stage/commit discipline
-	// exactly as in synchronous mode: a failed frame is never
-	// committed, so its mass is re-encoded into the next frame and
-	// payload bytes are identical to a synchronous sender's. Failures
-	// surface through OnSendError (Send itself has already returned),
-	// which pipelined callers should therefore set.
-	PipelineUpdates bool
 	// Chaos, when non-nil, injects seeded faults (drop, duplicate,
 	// delay, bit-flip, partition windows) into outgoing frames before
 	// they reach the socket. See ChaosConfig.
@@ -213,8 +208,13 @@ func (c Config) maxChunk() int {
 // WireUpdateBytesSent is their actual compressed payload cost, so the
 // ratio of the two is the realized compression factor.
 type Stats struct {
-	FramesSent, FramesRecv   int64
-	BytesSent, BytesRecv     int64 // on-the-wire bytes including headers
+	FramesSent, FramesRecv int64
+	BytesSent, BytesRecv   int64 // on-the-wire bytes including headers
+	// Writes counts socket writes. Every write carries everything the
+	// peer's outbox held, so Writes/FramesSent is how well frames
+	// coalesce: 1 means each frame paid its own syscall, 0.5 that the
+	// typical write carried a token and an update.
+	Writes                   int64
 	UpdatesSent, UpdatesRecv int64
 	RawUpdateBytesSent       int64
 	WireUpdateBytesSent      int64
@@ -228,11 +228,10 @@ type Stats struct {
 	// CorruptFrames counts inbound frames dropped on a CRC32-C
 	// mismatch. Zero on a healthy network — live_smoke.sh asserts it.
 	CorruptFrames int64
-	// PipelineStalls counts pipelined update sends that found the
-	// previous frame to the same peer still in flight and had to wait
-	// at the barrier. Zero in synchronous mode; a high value relative
-	// to UpdatesSent means the wire, not the compute, is the
-	// bottleneck.
+	// PipelineStalls counts update sends that found the previous
+	// update to the same peer still in flight and had to wait at the
+	// one-in-flight barrier. A high value relative to UpdatesSent means
+	// the wire, not the compute, is the bottleneck.
 	PipelineStalls int64
 	// Chaos counts faults injected by this node's ChaosConfig (all
 	// zero when chaos is off).
@@ -247,91 +246,6 @@ func (s Stats) CompressionRatio() float64 {
 	}
 	return float64(s.RawUpdateBytesSent) / float64(s.WireUpdateBytesSent)
 }
-
-type peer struct {
-	mu   sync.Mutex // serializes frame writes; released between chunks
-	conn net.Conn
-	comp compress.Compressor // negotiated for this connection
-	seq  atomic.Uint32
-	// lastWrite is the UnixNano timestamp of the last successful frame
-	// write; the heartbeat loop reads it to find idle connections.
-	lastWrite atomic.Int64
-
-	// updMu serializes whole update sends to this peer so the scratch
-	// buffer below can be reused allocation-free; control frames take
-	// only mu, so they still interleave between an update's chunks.
-	// (The compressed payload itself lives in the shared-encode entry.)
-	updMu sync.Mutex
-	frame []byte // per-chunk header+payload scratch, guarded by updMu
-
-	// Pipeline state (Config.PipelineUpdates). jobs hands at most one
-	// staged update to the sender goroutine; done reports each frame's
-	// resolution back (buffered so the sender never blocks on it).
-	// pending and stopped are guarded by updMu. The staged params and
-	// payload travel in the job's encShared entry; the one-in-flight
-	// barrier means the staging caller and the sender goroutine access
-	// peer state strictly alternately (each hand-off through jobs/done
-	// is a happens-before edge).
-	jobs    chan pipelineJob
-	done    chan error
-	pending bool
-	stopped bool
-
-	// hist fingerprints this peer's update-stream state: seeded from
-	// the negotiated codec kind, advanced on every committed stream
-	// frame by the frame's iteration tag. Two peers of one node with
-	// equal hist have byte-identical encoder replicas (same codec spec,
-	// same committed frame sequence from the same snapshots, and the
-	// codec is deterministic), so they can share one encoded payload.
-	// Owned by whichever side currently holds the send right: the
-	// submitter under updMu once the pipeline barrier has resolved, or
-	// the sender goroutine mid-job.
-	hist uint64
-}
-
-// pipelineJob is one staged update send; the params (and, once the
-// leader encoded, the payload) travel in e under the one-in-flight
-// barrier.
-type pipelineJob struct {
-	e          *encShared
-	leader     bool
-	from, iter int
-}
-
-// encShared is one encoded update payload shared across every peer
-// whose stream state is bit-identical at stage time: same negotiated
-// codec (hist seed), same committed frame history (hist), same source
-// update (from, iter, and the exact parameter bits). The first peer
-// staged — the leader — encodes with its own stream encoder; riders
-// wait on ready and adopt the payload byte for byte, which is exactly
-// what their encoder would have produced (codec determinism plus
-// induction over the shared history). In a ring this halves encode
-// CPU: one worker snapshots once and sends to two neighbors.
-type encShared struct {
-	from, iter int
-	hist       uint64
-	params     []float64
-	payload    []byte
-	ready      chan struct{} // closed by the leader once payload is valid
-	// refs counts the stage hand-offs plus Node.encCur's matchability
-	// reference; the entry returns to the pool at zero.
-	refs atomic.Int32
-}
-
-var encSharedPool = sync.Pool{New: func() any { return new(encShared) }}
-
-func releaseEncShared(e *encShared) {
-	if e.refs.Add(-1) == 0 {
-		encSharedPool.Put(e)
-	}
-}
-
-// histSeed is the FNV-1a offset basis mixed with the negotiated codec
-// kind; histNext is one FNV-1a-style step folding a committed frame's
-// iteration tag in.
-func histSeed(k compress.Kind) uint64 { return 0xcbf29ce484222325 ^ uint64(k) }
-
-func histNext(h uint64, iter int) uint64 { return (h ^ uint64(uint32(iter))) * 1099511628211 }
 
 // Node is one transport endpoint: a listener plus outgoing peer
 // connections.
@@ -357,6 +271,7 @@ type Node struct {
 
 	framesSent, framesRecv   atomic.Int64
 	bytesSent, bytesRecv     atomic.Int64
+	writes                   atomic.Int64
 	updatesSent, updatesRecv atomic.Int64
 	rawUpdateBytes           atomic.Int64
 	wireUpdateBytes          atomic.Int64
@@ -411,6 +326,7 @@ func (n *Node) Stats() Stats {
 		FramesRecv:          n.framesRecv.Load(),
 		BytesSent:           n.bytesSent.Load(),
 		BytesRecv:           n.bytesRecv.Load(),
+		Writes:              n.writes.Load(),
 		UpdatesSent:         n.updatesSent.Load(),
 		UpdatesRecv:         n.updatesRecv.Load(),
 		RawUpdateBytesSent:  n.rawUpdateBytes.Load(),
@@ -428,12 +344,13 @@ func (n *Node) Stats() Stats {
 	return s
 }
 
-// heartbeatLoop ticks at half the configured interval and sends a
+// heartbeatLoop ticks at half the configured interval and queues a
 // heartbeat frame on every outgoing connection that has written
 // nothing for at least that long, bounding a healthy connection's
-// silent gap at about one interval. Send failures are counted and
-// reported through OnSendError — a heartbeat is often the first write
-// to notice a dead or wedged peer.
+// silent gap at about one interval. It never waits on a peer: a full
+// outbox is traffic enough. A heartbeat is often the first write to
+// notice a dead or wedged peer; the writer counts it as sent or missed
+// and reports the failure through OnSendError like any other.
 func (n *Node) heartbeatLoop() {
 	defer n.wg.Done()
 	tick := n.cfg.HeartbeatInterval / 2
@@ -442,6 +359,7 @@ func (n *Node) heartbeatLoop() {
 	}
 	t := time.NewTicker(tick)
 	defer t.Stop()
+	var idle []*peer
 	for {
 		select {
 		case <-n.done:
@@ -449,33 +367,16 @@ func (n *Node) heartbeatLoop() {
 		case <-t.C:
 		}
 		cutoff := time.Now().Add(-tick).UnixNano()
+		idle = idle[:0]
 		n.mu.Lock()
-		idle := make(map[int]*peer)
-		for id, p := range n.peers {
+		for _, p := range n.peers {
 			if p.lastWrite.Load() <= cutoff {
-				idle[id] = p
+				idle = append(idle, p)
 			}
 		}
 		n.mu.Unlock()
-		for id, p := range idle {
-			// Skip peers redialed since the snapshot: a write on the
-			// replaced (closed) connection would report a spurious
-			// failure.
-			n.mu.Lock()
-			cur := n.peers[id]
-			n.mu.Unlock()
-			if cur != p {
-				continue
-			}
-			err := n.sendControlFrame(p, id, frameHeader{kind: frameHeartbeat, from: uint32(n.id)})
-			if err != nil {
-				n.heartbeatsMissed.Add(1)
-				if cb := n.cfg.OnSendError; cb != nil {
-					cb(id, err)
-				}
-				continue
-			}
-			n.heartbeatsSent.Add(1)
+		for _, p := range idle {
+			p.enqueue(frameHeader{kind: frameHeartbeat, from: uint32(n.id)}, false)
 		}
 	}
 }
@@ -519,13 +420,22 @@ func (n *Node) readLoop(conn net.Conn) {
 // failure is observable instead of manifesting as updates silently
 // ceasing.
 func (n *Node) readConn(conn net.Conn) (int, error) {
-	br := bufio.NewReaderSize(conn, 64<<10)
+	// The rolling-silence detector sits beneath the read buffer, where
+	// the socket reads happen; it stays dormant until the handshake has
+	// pinned a sender to report.
+	var src io.Reader = conn
+	var silence *silenceReader
+	if n.cfg.ReadDeadline > 0 {
+		silence = &silenceReader{conn: conn}
+		src = silence
+	}
+	fr := newFrameReader(src)
 
 	// Handshake: the first frame must be a hello carrying a compatible
-	// magic/version (readFrame rejects the rest). Answer with the
-	// codec this build supports — the dialer's proposal if decodable,
-	// compress.None otherwise.
-	h, _, err := readFrame(br)
+	// magic/version (the frame reader rejects the rest). Answer with
+	// the codec this build supports — the dialer's proposal if
+	// decodable, compress.None otherwise.
+	h, _, err := fr.next()
 	if err != nil {
 		if errors.Is(err, io.EOF) {
 			return -1, nil // connect-and-leave (port probe); nothing to report
@@ -555,19 +465,13 @@ func (n *Node) readConn(conn net.Conn) (int, error) {
 	// full ReadDeadline window with no bytes fires OnPeerSilent and
 	// keeps reading, so a transient stall suspects the peer without
 	// sacrificing the bytes still in flight behind it.
-	var r io.Reader = br
-	if d := n.cfg.ReadDeadline; d > 0 {
-		r = &silenceReader{conn: conn, r: br, window: d, onSilent: func() {
-			n.notePeerSilent(sender)
-		}}
+	if silence != nil {
+		silence.onSilent = func() { n.notePeerSilent(sender) }
+		silence.window = n.cfg.ReadDeadline
 	}
 	var delta *compress.DeltaDecoder
-	var frameBuf []byte // per-connection frame body scratch (readFrameBuf)
 	for {
-		var h frameHeader
-		var payload []byte
-		var err error
-		h, payload, frameBuf, err = readFrameBuf(r, frameBuf)
+		h, payload, err := fr.next()
 		if err != nil {
 			if errors.Is(err, io.EOF) {
 				// A goodbye-less FIN means the peer process died (an
@@ -593,9 +497,10 @@ func (n *Node) readConn(conn net.Conn) (int, error) {
 			if !done {
 				continue
 			}
-			// Decode into a recycled buffer: the handler's consumer owns
-			// the slice exclusively (each frame decodes into its own
-			// buffer) and hands it back to the pool once reduced.
+			// Decode into a recycled buffer, straight from the read
+			// buffer for a single-chunk update: the handler's consumer
+			// owns the slice exclusively (each frame decodes into its
+			// own buffer) and hands it back to the pool once reduced.
 			var params []float64
 			if mh.codec == compress.TopK {
 				if delta == nil {
@@ -628,23 +533,25 @@ func (n *Node) readConn(conn net.Conn) (int, error) {
 	}
 }
 
-// silenceReader wraps a connection's buffered reader with a rolling
-// read deadline: every Read arms the deadline, a pure timeout (no
-// bytes) fires the silence callback and retries in place, and a
-// timeout racing real data just returns the data. The connection — and
-// everything later delivered on it — survives the stall; only real
-// errors surface.
+// silenceReader puts a rolling read deadline on a connection, beneath
+// its read buffer: once armed (window > 0), every Read arms the
+// deadline, a pure timeout (no bytes) fires the silence callback and
+// retries in place, and a timeout racing real data just returns the
+// data. The connection — and everything later delivered on it —
+// survives the stall; only real errors surface.
 type silenceReader struct {
 	conn     net.Conn
-	r        *bufio.Reader
 	window   time.Duration
 	onSilent func()
 }
 
 func (s *silenceReader) Read(p []byte) (int, error) {
+	if s.window <= 0 {
+		return s.conn.Read(p)
+	}
 	for {
 		s.conn.SetReadDeadline(time.Now().Add(s.window))
-		n, err := s.r.Read(p)
+		n, err := s.conn.Read(p)
 		if err != nil {
 			var ne net.Error
 			if errors.As(err, &ne) && ne.Timeout() {
@@ -727,7 +634,9 @@ var errProtocol = errors.New("protocol mismatch")
 // accept cannot consume the whole budget.
 func (n *Node) connect(addr string, deadline time.Time) (net.Conn, compress.Compressor, error) {
 	bo := NewBackoff(BackoffConfig{})
-	var lastErr error
+	// Never empty-handed without an error: a budget that has run out by
+	// the time the first attempt would start is a failed dial.
+	lastErr := error(os.ErrDeadlineExceeded)
 	for time.Now().Before(deadline) {
 		conn, err := net.DialTimeout("tcp", addr, time.Second)
 		if err == nil {
@@ -757,16 +666,6 @@ func (n *Node) connect(addr string, deadline time.Time) (net.Conn, compress.Comp
 	return nil, nil, lastErr
 }
 
-// newPeer wraps a freshly handshaken connection, stamping lastWrite so
-// the heartbeat loop measures idleness from establishment, not from
-// the epoch.
-func newPeer(conn net.Conn, comp compress.Compressor) *peer {
-	p := &peer{conn: conn, comp: perStream(comp)}
-	p.hist = histSeed(p.comp.Kind())
-	p.lastWrite.Store(time.Now().UnixNano())
-	return p
-}
-
 // Dial connects to peer id at addr, retrying the TCP connect — and
 // transient handshake failures such as a peer restarting mid-accept —
 // until the deadline (peers start in arbitrary order), then performs
@@ -774,104 +673,63 @@ func newPeer(conn net.Conn, comp compress.Compressor) *peer {
 // negotiation. Protocol mismatches fail immediately; dialing the same
 // peer twice is an error.
 func (n *Node) Dial(id int, addr string, timeout time.Duration) error {
-	conn, comp, err := n.connect(addr, time.Now().Add(timeout))
-	if err != nil {
-		if errors.Is(err, errProtocol) {
-			return err
-		}
-		return fmt.Errorf("transport: dial peer %d at %s: %w", id, addr, err)
-	}
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		conn.Close()
-		return fmt.Errorf("transport: node closed")
-	}
-	if _, dup := n.peers[id]; dup {
-		n.mu.Unlock()
-		conn.Close()
-		return fmt.Errorf("transport: peer %d already connected", id)
-	}
-	n.registerPeer(id, newPeer(conn, comp))
-	n.mu.Unlock()
-	return nil
-}
-
-// registerPeer installs p as the connection to peer id and, in
-// pipelined mode, starts its sender goroutine. Called under n.mu.
-func (n *Node) registerPeer(id int, p *peer) {
-	n.peers[id] = p
-	if n.cfg.PipelineUpdates {
-		p.jobs = make(chan pipelineJob)
-		p.done = make(chan error, 1)
-		n.wg.Add(1)
-		go n.peerSender(p, id)
-	}
-}
-
-// peerSender is the per-peer background update sender: it encodes and
-// writes each staged frame, reports failures through OnSendError, and
-// posts the frame's resolution for the next Send's barrier.
-func (n *Node) peerSender(p *peer, id int) {
-	defer n.wg.Done()
-	for job := range p.jobs {
-		err := n.writeShared(p, id, job.e, job.leader, job.from, job.iter)
-		if err != nil {
-			if cb := n.cfg.OnSendError; cb != nil {
-				cb(id, err)
-			}
-		}
-		p.done <- err
-	}
-}
-
-// stopPipeline drains a pipelined peer's in-flight frame and shuts its
-// sender goroutine down; a no-op for synchronous peers. The write
-// deadline set first bounds the drain when the socket is wedged (the
-// abandoned frame was never committed, so its mass is re-sent on the
-// next connection).
-func (n *Node) stopPipeline(p *peer) {
-	if p.jobs == nil {
-		return
-	}
-	p.conn.SetWriteDeadline(time.Now().Add(200 * time.Millisecond))
-	p.updMu.Lock()
-	if p.pending {
-		<-p.done
-		p.pending = false
-	}
-	p.stopped = true
-	close(p.jobs)
-	p.updMu.Unlock()
+	return n.dial(id, addr, timeout, false)
 }
 
 // Redial re-establishes the outgoing connection to peer id (e.g. after
 // the peer restarted on its original address), replacing — and closing
-// — any existing connection to it. Unlike Dial it tolerates an already
-// -connected peer; everything else (retry loop, handshake, negotiation)
-// is identical.
+// — any existing connection to it: sends switch to the new connection
+// at once, the old one's writer drains what its outbox still holds
+// (bounded by closeDrainTimeout if the socket is wedged — an abandoned
+// update was never committed, so its mass is re-sent on the new
+// connection) and Redial returns once it has closed it. Unlike Dial it
+// tolerates an already-connected peer; everything else (retry loop,
+// handshake, negotiation) is identical.
 func (n *Node) Redial(id int, addr string, timeout time.Duration) error {
+	return n.dial(id, addr, timeout, true)
+}
+
+func (n *Node) dial(id int, addr string, timeout time.Duration, replace bool) error {
 	conn, comp, err := n.connect(addr, time.Now().Add(timeout))
 	if err != nil {
 		if errors.Is(err, errProtocol) {
 			return err
 		}
-		return fmt.Errorf("transport: redial peer %d at %s: %w", id, addr, err)
+		verb := "dial"
+		if replace {
+			verb = "redial"
+		}
+		return fmt.Errorf("transport: %s peer %d at %s: %w", verb, id, addr, err)
 	}
 	n.mu.Lock()
-	if n.closed {
+	old := n.peers[id]
+	switch {
+	case n.closed:
+		err = fmt.Errorf("transport: node closed")
+	case old != nil && !replace:
+		err = fmt.Errorf("transport: peer %d already connected", id)
+	}
+	if err != nil {
 		n.mu.Unlock()
 		conn.Close()
-		return fmt.Errorf("transport: node closed")
+		return err
 	}
-	old := n.peers[id]
-	n.registerPeer(id, newPeer(conn, comp))
+	n.adopt(id, conn, comp)
 	n.mu.Unlock()
 	if old != nil {
-		n.stopPipeline(old)
-		old.conn.Close()
+		old.stop(false)
+		<-old.done
 	}
 	return nil
+}
+
+// adopt installs a handshaken connection as the one to peer id and
+// starts its writer. Called under n.mu.
+func (n *Node) adopt(id int, conn net.Conn, comp compress.Compressor) {
+	p := newPeer(conn, comp)
+	n.peers[id] = p
+	n.wg.Add(1)
+	go n.writeLoop(p, id)
 }
 
 // handshake proposes this node's configured codec and returns the
@@ -898,29 +756,6 @@ func (n *Node) handshake(conn net.Conn, deadline time.Time) (compress.Compressor
 	return compress.NewNone(), nil
 }
 
-// framePool recycles the header-only frame buffers of control sends
-// (token, ACK, goodbye, hello-ack). Update frames reuse the per-peer
-// scratch under updMu instead; this pool exists because control frames
-// are sent from arbitrary goroutines at protocol rate and previously
-// cost one allocation each. A buffer is returned to the pool only
-// after conn.Write has fully consumed it (writeFrame is synchronous),
-// so a pooled buffer is never reused while referenced — the race
-// stress test runs this path under -race.
-var framePool = sync.Pool{New: func() any {
-	b := make([]byte, 0, headerLen)
-	return &b
-}}
-
-// sendControlFrame encodes and writes a payload-less frame through the
-// buffer pool.
-func (n *Node) sendControlFrame(p *peer, id int, h frameHeader) error {
-	fb := framePool.Get().(*[]byte)
-	*fb = appendFrame((*fb)[:0], h, nil)
-	err := n.writeFrame(p, id, *fb)
-	framePool.Put(fb)
-	return err
-}
-
 // perStream instantiates per-connection encoder state for stateful
 // codecs (the TopK delta stream); stateless codecs are shared as-is.
 // Each dialed peer gets its own instance because the encoder tracks
@@ -932,206 +767,83 @@ func perStream(c compress.Compressor) compress.Compressor {
 	return c
 }
 
-// Send encodes m (stamped with this node's id) to peer id. It is safe
-// for concurrent use; frames to one peer are serialized, but chunks of
-// a large update release the connection between writes so concurrent
-// token/ACK sends interleave.
+// Send queues m (stamped with this node's id) for peer id and returns;
+// the peer's writer puts it on the wire. It is safe for concurrent use
+// and frames to one peer leave in the order their Sends returned,
+// except that control frames overtake an update still being written
+// (between its chunks) or still being encoded. Send blocks only when
+// the peer's outbox is full or, for an update, while the previous
+// update to the same peer is unresolved. An update's Params are
+// snapshotted before Send returns.
+//
+// Updates sent to several peers are encoded once where the streams
+// allow it, and recognised by identity, not content: within one Iter,
+// Params with the same backing array and length must be the same
+// update — do not modify the vector between the Sends of one
+// iteration.
+//
+// A nil return means queued, not written: write failures are reported
+// through Config.OnSendError.
 func (n *Node) Send(id int, m Message) error {
-	m.From = n.id
-	n.mu.Lock()
-	p, ok := n.peers[id]
-	n.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("transport: no connection to peer %d", id)
-	}
-	switch m.Kind {
-	case KindUpdate:
-		return n.sendUpdate(p, id, m)
-	case KindToken, KindAck:
-		h := frameHeader{
-			kind: frameToken, from: uint32(m.From),
-			iter: int32(m.Iter), count: int32(m.Count),
+	for {
+		p := n.peer(id)
+		if p == nil {
+			return fmt.Errorf("transport: no connection to peer %d", id)
 		}
-		if m.Kind == KindAck {
-			h.kind = frameAck
+		var err error
+		switch m.Kind {
+		case KindUpdate:
+			err = n.sendUpdate(p, m)
+		case KindToken:
+			err = p.enqueue(frameHeader{kind: frameToken, from: uint32(n.id), iter: int32(m.Iter), count: int32(m.Count)}, true)
+		case KindAck:
+			err = p.enqueue(frameHeader{kind: frameAck, from: uint32(n.id), iter: int32(m.Iter)}, true)
+		default:
+			err = fmt.Errorf("unknown message kind %d", m.Kind)
 		}
-		return n.sendControlFrame(p, id, h)
-	}
-	return fmt.Errorf("transport: send to %d: unknown message kind %d", id, m.Kind)
-}
-
-func (n *Node) sendUpdate(p *peer, id int, m Message) error {
-	p.updMu.Lock()
-	defer p.updMu.Unlock()
-	if p.jobs != nil && !p.stopped {
-		// Pipelined hand-off: barrier on the previous in-flight frame
-		// (so the stream encoder's staged/committed state — and hist —
-		// is resolved before the next frame is derived from it), stage
-		// the shared entry (which snapshots the params; the caller
-		// mutates them during the overlapped compute), and hand the job
-		// off. Errors surface via OnSendError.
-		if p.pending {
-			select {
-			case <-p.done:
-			default:
-				n.pipelineStalls.Add(1)
-				<-p.done
-			}
-			p.pending = false
+		if err == errPeerClosed && n.peer(id) != p {
+			continue // a Redial replaced the connection meanwhile: the frame belongs on the new one
 		}
-		e, leader := n.stageUpdate(p, m)
-		p.jobs <- pipelineJob{e: e, leader: leader, from: m.From, iter: m.Iter}
-		p.pending = true
+		if err != nil {
+			return fmt.Errorf("transport: send to %d: %w", id, err)
+		}
 		return nil
 	}
-	e, leader := n.stageUpdate(p, m)
-	return n.writeShared(p, id, e, leader, m.From, m.Iter)
 }
 
-// stageUpdate returns the shared-encode entry for m and whether this
-// peer is its leader. A peer rides an existing entry only when it is
-// for the same update and the peer's stream fingerprint equals the
-// leader's at stage time — the condition under which the leader's
-// bytes are provably this peer's bytes. The caller must hold p.updMu
-// with the pipeline barrier resolved (hist quiescent).
-func (n *Node) stageUpdate(p *peer, m Message) (*encShared, bool) {
-	n.encMu.Lock()
-	defer n.encMu.Unlock()
-	if e := n.encCur; e != nil && e.iter == m.Iter && e.from == m.From &&
-		e.hist == p.hist && paramsEqual(e.params, m.Params) {
-		e.refs.Add(1)
-		return e, false
-	}
-	e := encSharedPool.Get().(*encShared)
-	e.from, e.iter, e.hist = m.From, m.Iter, p.hist
-	e.params = append(e.params[:0], m.Params...)
-	e.payload = e.payload[:0]
-	e.ready = make(chan struct{})
-	e.refs.Store(2) // this stage + encCur's matchability reference
-	if old := n.encCur; old != nil {
-		releaseEncShared(old)
-	}
-	n.encCur = e
-	return e, true
+// peer returns the current connection to peer id, or nil.
+func (n *Node) peer(id int) *peer {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.peers[id]
 }
 
-// paramsEqual reports bit-exact equality (Float64bits, so NaNs only
-// match themselves and -0 ≠ +0 — the encoder is a function of the
-// bits, so only bit equality guarantees byte-equal payloads).
-func paramsEqual(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
+// Flush blocks until every frame queued before the call has been
+// written to its socket or has failed (and been reported). It is how a
+// caller that is done sending makes sure its last words are on the
+// wire — and in Stats — before it moves on.
+func (n *Node) Flush() {
+	n.mu.Lock()
+	peers := make([]*peer, 0, len(n.peers))
+	for _, p := range n.peers {
+		peers = append(peers, p)
 	}
-	if len(a) == 0 || &a[0] == &b[0] {
-		return true
-	}
-	for i, v := range a {
-		if math.Float64bits(v) != math.Float64bits(b[i]) {
-			return false
+	n.mu.Unlock()
+	for _, p := range peers {
+		p.mu.Lock()
+		for !p.idle() {
+			p.room.Wait()
 		}
+		p.mu.Unlock()
 	}
-	return true
-}
-
-// writeShared realizes one staged update send: the leader encodes the
-// entry's snapshot into its payload and publishes it; a rider waits
-// for the payload and stages it into its own stream encoder verbatim
-// (compress.SharedStager). Either way the payload is then written as
-// chunked frames, committing stream-codec state — and advancing the
-// stream fingerprint — only after every chunk is on the wire. Callers
-// must hold p.updMu or be the peer's sender goroutine (which owns the
-// peer state between hand-offs).
-func (n *Node) writeShared(p *peer, id int, e *encShared, leader bool, from, iter int) error {
-	defer releaseEncShared(e)
-	if leader {
-		// Encode into the entry so riders can alias it; ready is closed
-		// before any socket write, so a wedged connection here never
-		// blocks a rider.
-		e.payload = p.comp.Compress(e.payload[:0], e.params)
-		close(e.ready)
-	} else {
-		<-e.ready
-		if s, ok := p.comp.(compress.SharedStager); ok {
-			s.StageShared(e.payload, len(e.params))
-		}
-	}
-	payload := e.payload
-	maxChunk := n.cfg.maxChunk()
-	chunks := (len(payload) + maxChunk - 1) / maxChunk
-	if chunks < 1 {
-		chunks = 1 // empty payload still needs one frame to carry the tags
-	}
-	if chunks > 1<<16-1 {
-		return fmt.Errorf("transport: update of %d payload bytes needs %d chunks (limit %d); raise MaxChunk", len(payload), chunks, 1<<16-1)
-	}
-	seq := p.seq.Add(1)
-	for c := 0; c < chunks; c++ {
-		lo := c * maxChunk
-		hi := lo + maxChunk
-		if hi > len(payload) {
-			hi = len(payload)
-		}
-		h := frameHeader{
-			kind: frameUpdate, codec: p.comp.Kind(),
-			chunkIndex: uint16(c), chunkCount: uint16(chunks),
-			from: uint32(from), iter: int32(iter), seq: seq,
-		}
-		p.frame = appendFrame(p.frame[:0], h, payload[lo:hi])
-		if err := n.writeFrame(p, id, p.frame); err != nil {
-			return err
-		}
-	}
-	// Only now has the receiver (eventually) seen the frame: advance
-	// stream-codec state. An errored send above stays uncommitted — and
-	// leaves hist unadvanced — so the encoder re-sends the same mass
-	// next time instead of desyncing from a receiver that saw nothing.
-	// Stateless codecs keep their seed fingerprint: their payloads are
-	// pure functions of the params, so history never gates sharing.
-	if c, ok := p.comp.(compress.StreamCommitter); ok {
-		c.Commit()
-		p.hist = histNext(p.hist, iter)
-	}
-	n.updatesSent.Add(1)
-	n.rawUpdateBytes.Add(int64(8 * len(e.params)))
-	n.wireUpdateBytes.Add(int64(len(payload)))
-	return nil
-}
-
-// writeFrame writes one encoded frame, routing it through the chaos
-// injector first when one is configured. Handshake and goodbye frames
-// never pass through here (they write the conn directly), which is
-// what keeps them structurally exempt from chaos.
-func (n *Node) writeFrame(p *peer, id int, frame []byte) error {
-	if n.chaos != nil {
-		if handled, err := n.chaos.intercept(n, p, id, frame); handled {
-			return err
-		}
-	}
-	return n.writeFrameRaw(p, id, frame)
-}
-
-// writeFrameRaw performs the actual socket write under the peer lock,
-// bounded by Config.WriteTimeout when set, and stamps lastWrite for
-// the heartbeat loop's idle detection.
-func (n *Node) writeFrameRaw(p *peer, id int, frame []byte) error {
-	p.mu.Lock()
-	if d := n.cfg.WriteTimeout; d > 0 {
-		p.conn.SetWriteDeadline(time.Now().Add(d))
-	}
-	_, err := p.conn.Write(frame)
-	p.mu.Unlock()
-	if err != nil {
-		return fmt.Errorf("transport: send to %d: %w", id, err)
-	}
-	p.lastWrite.Store(time.Now().UnixNano())
-	n.framesSent.Add(1)
-	n.bytesSent.Add(int64(len(frame)))
-	return nil
 }
 
 // Close shuts the listener and all peer connections — both the
 // outgoing connections this node dialed and the inbound connections it
-// accepted — and waits for the reader goroutines to drain.
+// accepted — and waits for the reader and writer goroutines to finish.
+// Every outgoing connection's writer first drains its outbox and then
+// announces the orderly close with a goodbye, so a goodbye never
+// overtakes a queued token or update.
 func (n *Node) Close() {
 	n.mu.Lock()
 	if n.closed {
@@ -1146,20 +858,8 @@ func (n *Node) Close() {
 	n.inbound = nil
 	n.mu.Unlock()
 	n.ln.Close()
-	goodbye := appendFrame(nil, frameHeader{kind: frameGoodbye, from: uint32(n.id)}, nil)
 	for _, p := range peers {
-		// Drain any pipelined in-flight update first: the goodbye must
-		// come after the last update frame, or the receiver treats a
-		// clean shutdown as a truncated stream.
-		n.stopPipeline(p)
-		// Best-effort goodbye so receivers can tell this orderly close
-		// from a crash. The write deadline also unblocks any Send stuck
-		// on a full socket, letting us take the frame lock.
-		p.conn.SetWriteDeadline(time.Now().Add(200 * time.Millisecond))
-		p.mu.Lock()
-		p.conn.Write(goodbye)
-		p.mu.Unlock()
-		p.conn.Close()
+		p.stop(true)
 	}
 	for _, c := range inbound {
 		c.Close()

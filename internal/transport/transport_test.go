@@ -211,13 +211,14 @@ func TestConcurrentSendersSafe(t *testing.T) {
 	}
 }
 
-// TestFramePoolNotReusedWhileReferenced drives the pooled control-frame
-// path hard from many goroutines to two peers while chunked updates
-// interleave on the same connections. Under -race (the CI test mode)
-// this fails if a pooled buffer is ever handed out again while a
-// previous send still references it; without -race it still verifies
+// TestConcurrentKindsToTwoPeers drives both outboxes hard from many
+// goroutines while chunked updates of one shared vector — so the two
+// peers ride each other's encodes — interleave with control frames on
+// the same connections. Under -race (the CI test mode) this fails if
+// an outbox buffer or a shared payload is ever touched by a sender
+// while a writer still references it; without -race it still verifies
 // that every message arrives intact.
-func TestFramePoolNotReusedWhileReferenced(t *testing.T) {
+func TestConcurrentKindsToTwoPeers(t *testing.T) {
 	type rxCount struct {
 		mu               sync.Mutex
 		tokens, acks, up int
@@ -245,8 +246,8 @@ func TestFramePoolNotReusedWhileReferenced(t *testing.T) {
 	defer rx1.Close()
 	rx2, c2 := newRx(2)
 	defer rx2.Close()
-	// Small MaxChunk so updates span many frames and interleave with
-	// pooled control frames on the same peer lock.
+	// Small MaxChunk so updates span many frames and the writers
+	// re-drain the control frames between them.
 	tx, err := ListenConfig(0, "127.0.0.1:0", func(Message) {}, Config{MaxChunk: 64})
 	if err != nil {
 		t.Fatal(err)
@@ -306,5 +307,23 @@ func TestFramePoolNotReusedWhileReferenced(t *testing.T) {
 				t1, a1, u1, t2, a2, u2, wantTokens, wantAcks, wantUp)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// A dial whose budget is spent before its first attempt fails with an
+// error (live's probe redials with whatever its budget has left).
+func TestDialWithSpentBudgetFails(t *testing.T) {
+	rx, err := Listen(1, "127.0.0.1:0", func(Message) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rx.Close()
+	tx, err := Listen(0, "127.0.0.1:0", func(Message) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tx.Close()
+	if err := tx.Redial(1, rx.Addr(), 0); err == nil {
+		t.Fatal("Redial with no time left reported success")
 	}
 }
