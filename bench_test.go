@@ -398,7 +398,12 @@ func BenchmarkWireDecode(b *testing.B) {
 
 // BenchmarkDeltaEncode measures the TopK delta-stream sender hot path:
 // residual computation, quickselect sparsification and staging, plus
-// the replica commit — one neighbor's worth of work per iteration.
+// the replica commit — one neighbor's worth of work per iteration. It
+// moves one coordinate per op, so once the warm start's rounding error
+// has been sent the residual is zero everywhere else: every frame ties
+// at a threshold of zero and refills. That is the encoder's worst
+// case, not a stream SGD produces (BenchmarkTopKStreamEncode is); the
+// body stays as it is so the recorded trajectory stays comparable.
 func BenchmarkDeltaEncode(b *testing.B) {
 	enc := compress.NewDeltaEncoder(0.1)
 	params := wireParams(1 << 16)
@@ -412,6 +417,49 @@ func BenchmarkDeltaEncode(b *testing.B) {
 		params[i&0xffff] += 1e-3 // keep the delta stream non-degenerate
 		dst = enc.Compress(dst[:0], params)
 		enc.Commit()
+	}
+}
+
+// BenchmarkTopKStreamEncode is the delta-stream sender on a stream
+// shaped like training: every coordinate drifts on every op (a
+// rotating window of one noise table, so the walk costs an add per
+// coordinate and is inside the timed op), then encode and commit. The
+// width axis is there because the encode must not depend on it: it
+// runs on the sender's goroutine whatever the pool offers. Recorded in
+// BENCH_live.json, whose host has the two CPUs width=2 needs.
+func BenchmarkTopKStreamEncode(b *testing.B) {
+	defer hop.SetComputeWorkers(0)
+	for _, n := range []int{4096, 65536} {
+		for _, w := range []int{1, 2} {
+			b.Run(fmt.Sprintf("n=%d/width=%d", n, w), func(b *testing.B) {
+				hop.SetComputeWorkers(w)
+				enc := compress.NewDeltaEncoder(0.1)
+				noise := wireParams(n)
+				params := make([]float64, n)
+				var dst []byte
+				off := 0
+				step := func() {
+					off = (off + 1237) % n
+					for i, v := range noise[off:] {
+						params[i] += v
+					}
+					for i, v := range noise[:off] {
+						params[n-off+i] += v
+					}
+					dst = enc.Compress(dst[:0], params)
+					enc.Commit()
+				}
+				for i := 0; i < 50; i++ {
+					step() // past the dense warm start, threshold settled
+				}
+				b.SetBytes(int64(8 * n))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					step()
+				}
+			})
+		}
 	}
 }
 

@@ -336,17 +336,18 @@ func (c topKCodec) KeepCount(n int) int {
 }
 
 // idxPool recycles the index scratch of the emitReference fallback
-// path (topk_select.go); the threshold hot path keeps its own pooled
-// scratch.
+// path (topk_select.go); the threshold path keeps its own pooled
+// candidate scratch.
 var idxPool = sync.Pool{New: func() any { return new([]int) }}
 
-// Compress selects via the sharded threshold path of topk_select.go:
+// Compress selects via the threshold path of topk_select.go:
 // quickselect the kth largest magnitude, then one index-order scan
 // keeps everything above it plus the lowest-indexed ties. The
 // selection order is the same strict total order (|value| descending,
 // index ascending) as selectTopK, so the kept *set* — and therefore
-// the wire bytes — is deterministic, identical to the index-
-// quickselect reference, and invariant to the worker-pool width.
+// the wire bytes — is deterministic and identical to the index-
+// quickselect reference. It runs on the calling goroutine, whatever
+// the worker-pool width.
 func (c topKCodec) Compress(dst []byte, src []float64) []byte {
 	return encodeTopK(dst, src, c.KeepCount(len(src)), nil, nil, nil)
 }

@@ -69,12 +69,10 @@ type DeltaEncoder struct {
 	// pendingRekey records that it is a warm-start frame.
 	pending      []byte
 	pendingRekey bool
-	// lastT is the previous frame's selection threshold, handed back
-	// to the selector as a candidate-gather hint (topk_select.go). The
-	// zero value means "gather everything non-zero", which is correct
-	// for the first sparse frame; −1 disables gathering after a
-	// non-finite frame. The hint never affects payload bytes.
-	lastT float64
+	// sel carries the previous frame's selection threshold to the next
+	// frame's candidate gather (topk_select.go). It never affects
+	// payload bytes.
+	sel streamSel
 }
 
 // NewDeltaEncoder returns a delta-stream encoder keeping ceil(ratio·n)
@@ -109,10 +107,10 @@ func (e *DeltaEncoder) Compress(dst []byte, x []float64) []byte {
 		copy(e.delta, x)
 		dst = encodeTopK(dst, e.delta, len(e.delta), nil, nil, nil)
 	} else {
-		// Fused hot path: the selector's fill phase computes
-		// delta = x − ref and |delta| in the same sharded sweep,
-		// gathering candidates near the previous threshold.
-		dst = encodeTopK(dst, e.delta, enc.KeepCount(len(x)), x, e.ref, &e.lastT)
+		// Fused hot path: the selector's gather pass computes
+		// delta = x − ref while it collects the candidates above the
+		// previous frame's threshold.
+		dst = encodeTopK(dst, e.delta, enc.KeepCount(len(x)), x, e.ref, &e.sel)
 	}
 	e.pending = dst[start:]
 	return dst

@@ -1,272 +1,166 @@
 package compress
 
-// topk_select.go — the sharded threshold selection behind the TopK
-// codec (DESIGN.md §9). The original encoder built an explicit index
+// topk_select.go — the threshold selection behind the TopK codec
+// (DESIGN.md §2.3). The original encoder built an explicit index
 // permutation, quickselected it with indirect compares, and sorted the
-// survivors; this implementation selects by *value threshold* instead
-// and shards every O(n) pass over the tensor worker pool:
+// survivors; this one selects by *value threshold* among a gathered
+// candidate set, in three steps on the calling goroutine:
 //
-//	phase 1 (sharded)  mag[i] = |src[i]|. The delta encoder fuses
-//	                   src[i] = x[i] − ref[i] into the same sweep.
-//	phase 2 (sharded)  each shard quickselects its local top-k
-//	                   magnitudes to the front of its slice range; the
-//	                   global threshold T — the kth largest |src[i]| —
-//	                   is the kth largest of the gathered shard
-//	                   candidates (every global top-k magnitude is in
-//	                   some shard's local top-k, so the candidate
-//	                   multiset preserves the kth order statistic).
-//	phase 3 (sharded)  each shard counts magnitudes > T and == T; a
-//	                   sequential prefix over the counts assigns each
-//	                   shard its byte range of the output and its
-//	                   budget of ==T ties. Ties go to the smallest
-//	                   indices first, so earlier shards drain the
-//	                   budget before later ones see any.
-//	phase 4 (sharded)  each shard writes its (uint32 index, float32
-//	                   value) pairs into its disjoint byte range in
-//	                   ascending index order. Because shards are
-//	                   contiguous index ranges, concatenation IS the
-//	                   deterministic k-way merge in index order.
+//	gather  the candidates are the indices whose magnitude exceeds a
+//	        cutoff, in ascending order. A delta stream that has a
+//	        threshold from its previous frame cuts at 0.9 × it: the kth
+//	        magnitude drifts slowly from frame to frame, so about 1.5·k
+//	        of the n coordinates clear the cutoff, and one pass computes
+//	        src[i] = x[i] − ref[i] and compacts their indices. Without
+//	        a cutoff every index is a candidate and there is nothing to
+//	        compact: the stateless codec, a stream's first sparse frame
+//	        after a NaN, and a refill — fewer than k candidates cleared
+//	        the cutoff, so the threshold fell by more than the margin.
+//	select  the threshold T — the kth largest magnitude — is the kth
+//	        largest candidate: at least k magnitudes exceed the cutoff,
+//	        so T does, and every magnitude ≥ T is a candidate.
+//	emit    one scan of the candidate indices writes the (uint32 index,
+//	        float32 value) pairs of everything above T plus the
+//	        lowest-indexed ties at T, already in ascending index order.
 //
 // Byte identity: selection follows the strict total order of topKLess
 // (|value| descending, index ascending), under which the top-k *set*
 // is unique — all magnitudes above T, plus the lowest-indexed ties at
-// T — so the kept set and the emitted payload are identical at every
-// pool width, including width 1, and identical to the index-
-// quickselect reference the property tests pin against.
+// T — so the payload is the same whatever the cutoff was and identical
+// to the index-quickselect reference the property tests pin against.
 //
-// The value comparisons assume finite data (gradients are). If a
-// non-finite magnitude ever defeats the threshold accounting, the
-// encoder detects the mismatch and falls back to emitReference, the
-// original index-quickselect path, which never panics on any input.
+// topKLess is a total order only without NaNs (±Inf compare like any
+// other magnitude). The gather compares magnitude *bits* as integers,
+// under which a NaN exceeds every cutoff, so a NaN anywhere in the
+// vector is always among the candidates; the encoder finds it there
+// and falls back to emitReference, the original index-quickselect
+// path, which never panics on any input.
+//
+// Nothing here is sharded over the tensor worker pool. An earlier
+// version fanned every pass out; on the vectors this repository
+// encodes (≤ 65k elements) the hand-offs cost several times the work
+// they split, on cores the training steps already use (§2.3 has the
+// measurements and what would have to change to revisit this).
 
 import (
 	"encoding/binary"
 	"math"
 	"sort"
 	"sync"
-
-	"hop/internal/tensor"
 )
 
-// topkShardMin is the smallest vector worth sharding the selection
-// for; below it one scan beats the fan-out. Purely a latency knob:
-// the payload bytes do not depend on it (or on the pool width).
-const topkShardMin = 128
-
-// topkScratch is the pooled per-encode state. The phase closures are
-// built once per scratch (not per call) and read their inputs from the
-// struct, so a steady-state encode performs no allocation.
+// topkScratch is the pooled per-encode state: the gathered candidates.
 type topkScratch struct {
-	src    []float64 // vector being encoded (delta scratch when fused)
-	x, ref []float64 // fused delta inputs; nil for a plain encode
-	mag    []float64 // |src[i]|; destroyed by the quickselect phases
-	out    []byte    // the payload's 8k-byte pairs region
-	n, k   int
-	T      float64 // selection threshold: the kth largest magnitude
-
-	// Stream-hint state: a delta encoder passes the previous frame's
-	// threshold, and the fill pass gathers only the magnitudes above
-	// cutoff (a safety margin below it) as selection candidates —
-	// exact as long as at least k magnitudes clear the cutoff, and
-	// verified cheaply by that count.
-	hint     *float64
-	cutoff   float64
-	gathered bool
-
-	// Shard geometry and per-shard counters (len w each).
-	w, shardLen           int
-	kloc, g, e, offs, tie []int
-
-	cand    []float64 // gathered per-shard candidate magnitudes
-	candIdx []int32   // hint-gather candidate indices, ascending
-
-	fillAbs, fillDelta, fillDeltaOnly, fillDeltaGather, selectShard, countShard, emitShard, emitDense func(lo, hi int)
+	idx []int32   // candidate indices, ascending
+	mag []float64 // their magnitudes; permuted by the selection
+	all []int32   // 0, 1, 2, …: the candidates when there is no cutoff
 }
 
-var topkPool = sync.Pool{New: func() any { return newTopkScratch() }}
+var topkPool = sync.Pool{New: func() any { return new(topkScratch) }}
 
-func newTopkScratch() *topkScratch {
-	sc := &topkScratch{}
-	sc.fillAbs = func(lo, hi int) {
-		src, mag := sc.src, sc.mag
-		for i := lo; i < hi; i++ {
-			mag[i] = math.Abs(src[i])
-		}
+// everything returns the candidate list of a gather without a cutoff:
+// all n indices.
+func (sc *topkScratch) everything(n int) []int32 {
+	for i := len(sc.all); i < n; i++ {
+		sc.all = append(sc.all, int32(i))
 	}
-	sc.fillDelta = func(lo, hi int) {
-		x, ref, src, mag := sc.x, sc.ref, sc.src, sc.mag
-		for i := lo; i < hi; i++ {
-			d := x[i] - ref[i]
-			src[i] = d
-			mag[i] = math.Abs(d)
-		}
-	}
-	sc.fillDeltaOnly = func(lo, hi int) {
-		// k ≥ n: every coordinate survives, so the delta is computed
-		// without materializing magnitudes.
-		x, ref, src := sc.x, sc.ref, sc.src
-		for i := lo; i < hi; i++ {
-			src[i] = x[i] - ref[i]
-		}
-	}
-	sc.fillDeltaGather = func(lo, hi int) {
-		// Single-shard only: computes the delta and gathers candidate
-		// magnitudes above the cutoff in one pass, skipping the dense
-		// mag scratch entirely.
-		x, ref, src, cut := sc.x, sc.ref, sc.src, sc.cutoff
-		cand, candIdx := sc.cand, sc.candIdx
-		for i := lo; i < hi; i++ {
-			d := x[i] - ref[i]
-			src[i] = d
-			if a := math.Abs(d); a > cut {
-				cand = append(cand, a)
-				candIdx = append(candIdx, int32(i))
-			}
-		}
-		sc.cand, sc.candIdx = cand, candIdx
-	}
-	sc.selectShard = func(lo, hi int) {
-		for s := lo; s < hi; s++ {
-			slo, shi := sc.shardBounds(s)
-			kl := sc.k
-			if kl > shi-slo {
-				kl = shi - slo
-			}
-			sc.kloc[s] = kl
-			quickselectDesc(sc.mag[slo:shi], kl)
-		}
-	}
-	sc.countShard = func(lo, hi int) {
-		src, T := sc.src, sc.T
-		for s := lo; s < hi; s++ {
-			slo, shi := sc.shardBounds(s)
-			g, e := 0, 0
-			for i := slo; i < shi; i++ {
-				a := math.Abs(src[i])
-				if a > T {
-					g++
-				} else if a == T {
-					e++
-				}
-			}
-			sc.g[s], sc.e[s] = g, e
-		}
-	}
-	sc.emitShard = func(lo, hi int) {
-		src, T, out := sc.src, sc.T, sc.out
-		for s := lo; s < hi; s++ {
-			slo, shi := sc.shardBounds(s)
-			pos := 8 * sc.offs[s]
-			rem := sc.tie[s]
-			for i := slo; i < shi; i++ {
-				v := src[i]
-				a := math.Abs(v)
-				if a > T {
-					// keep: strictly above threshold
-				} else if a == T && rem > 0 {
-					rem-- // keep: one of this shard's budgeted ties
-				} else {
-					continue
-				}
-				binary.LittleEndian.PutUint32(out[pos:], uint32(i))
-				binary.LittleEndian.PutUint32(out[pos+4:], math.Float32bits(float32(v)))
-				pos += 8
-			}
-		}
-	}
-	sc.emitDense = func(lo, hi int) {
-		src, out := sc.src, sc.out
-		for i := lo; i < hi; i++ {
-			binary.LittleEndian.PutUint32(out[8*i:], uint32(i))
-			binary.LittleEndian.PutUint32(out[8*i+4:], math.Float32bits(float32(src[i])))
-		}
-	}
-	return sc
+	return sc.all[:n]
 }
 
-func (sc *topkScratch) shardBounds(s int) (lo, hi int) {
-	lo = s * sc.shardLen
-	hi = lo + sc.shardLen
-	if lo > sc.n {
-		lo = sc.n
-	}
-	if hi > sc.n {
-		hi = sc.n
-	}
-	return lo, hi
+// streamSel is what a delta stream carries from one frame's selection
+// to the next. It changes the work done to find a payload, never its
+// bytes.
+type streamSel struct {
+	// lastT is the previous frame's threshold. The zero value gathers
+	// every non-zero coordinate, which is right for a first sparse
+	// frame; −1, left by a frame that held a NaN, gathers everything.
+	lastT float64
+	// Work counters for the in-package work-bound test: sparse frames
+	// encoded, refills among them, and candidates selected among.
+	frames, refills, cands int
 }
 
-// release drops the per-call aliases so a pooled scratch never pins
-// caller memory between encodes.
-func (sc *topkScratch) release() {
-	sc.src, sc.x, sc.ref, sc.out, sc.hint = nil, nil, nil, nil, nil
+// gatherDelta fills src[i] = x[i] − ref[i] and compacts into idx, in
+// ascending order, the indices whose magnitude exceeds cutoff ≥ 0; it
+// returns their count. Magnitudes are compared as integers on their
+// bits — the float order on non-NaN magnitudes, with every NaN above
+// all of them — and each index is stored unconditionally while the
+// cursor advances by the comparison's sign bit, so the loop has no
+// data-dependent branch to mispredict. idx must hold len(src) entries.
+func gatherDelta(idx []int32, src, x, ref []float64, cutoff float64) int {
+	n, cut := len(src), int64(math.Float64bits(cutoff))
+	idx, x, ref = idx[:n], x[:n], ref[:n]
+	m := 0
+	for i := range src {
+		d := x[i] - ref[i]
+		src[i] = d
+		idx[m] = int32(i)
+		m += int(uint64(cut-int64(math.Float64bits(d)&^(1<<63))) >> 63)
+	}
+	return m
 }
 
 // encodeTopK appends the canonical TopK payload (header, then pairs in
 // ascending index order) for src to dst, keeping the k coordinates
 // that come first under (|value| desc, index asc). When x and ref are
-// non-nil, the fill phase also computes src[i] = x[i] − ref[i] — src
-// then aliases the caller's delta scratch and is overwritten. hint,
-// when non-nil and non-negative, is the previous frame's threshold; it
-// narrows the candidate gather and is updated with this frame's
-// threshold. None of this changes the payload bytes — only the work
-// done to find them.
-func encodeTopK(dst []byte, src []float64, k int, x, ref []float64, hint *float64) []byte {
+// non-nil it first computes src[i] = x[i] − ref[i] — src then aliases
+// the caller's delta scratch and is overwritten. sel, which goes with
+// x and ref, is the stream's selection state: its threshold narrows the
+// gather and is replaced by this frame's.
+func encodeTopK(dst []byte, src []float64, k int, x, ref []float64, sel *streamSel) []byte {
 	n := len(src)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(k))
 	if k <= 0 {
 		return dst
 	}
-	sc := topkPool.Get().(*topkScratch)
-	sc.src, sc.x, sc.ref, sc.hint = src, x, ref, hint
-	sc.n, sc.k = n, k
-	w := tensor.Workers()
-	if n < topkShardMin || w > n {
-		w = 1
-	}
-	sc.w = w
-	sc.gathered = w == 1 && x != nil && k < n && hint != nil && *hint >= 0
-	if !sc.gathered && k < n {
-		if cap(sc.mag) < n {
-			sc.mag = make([]float64, n)
+	dst, out := extend(dst, 8*k)
+	hinted := k < n && sel != nil && sel.lastT >= 0
+	if x != nil && !hinted {
+		for i := range src {
+			src[i] = x[i] - ref[i]
 		}
-		sc.mag = sc.mag[:n]
 	}
-	switch {
-	case sc.gathered:
-		// Margin below the previous threshold: the kth magnitude
-		// drifts frame to frame, and a shortfall costs a dense refill.
-		sc.cutoff = 0.9 * *hint
-		if cap(sc.cand) < n {
-			sc.cand = make([]float64, 0, n)
-			sc.candIdx = make([]int32, 0, n)
-		}
-		sc.cand, sc.candIdx = sc.cand[:0], sc.candIdx[:0]
-		sc.fillDeltaGather(0, n)
-	case x != nil && k < n:
-		tensor.Parallel(n, sc.fillDelta)
-	case x != nil:
-		tensor.Parallel(n, sc.fillDeltaOnly)
-	case k < n:
-		tensor.Parallel(n, sc.fillAbs)
-		// plain encode with k == n needs no fill at all: emitDense
-		// reads src directly.
-	}
-	base := len(dst)
-	dst = growBytes(dst, 8*k)
-	sc.out = dst[base : base+8*k]
 	if k >= n {
-		tensor.Parallel(n, sc.emitDense)
-	} else if !sc.selectAndEmit() {
-		emitReference(sc.out, src, k)
-		if hint != nil {
-			// Non-finite data defeated the threshold accounting; stop
-			// gathering until a finite frame restores the hint.
-			*hint = -1
+		// Every coordinate survives: nothing to select.
+		for i, v := range src {
+			putPair(out[8*i:], i, v)
+		}
+		return dst
+	}
+	sc := topkPool.Get().(*topkScratch)
+	if cap(sc.idx) < n {
+		sc.idx, sc.mag = make([]int32, n), make([]float64, n)
+	}
+	idx := sc.everything(n)
+	if hinted {
+		if m := gatherDelta(sc.idx, src, x, ref, 0.9*sel.lastT); m >= k {
+			idx = sc.idx[:m]
+		} else {
+			// The threshold fell by more than the margin: a refill.
+			sel.refills++
 		}
 	}
-	sc.release()
+	mag := sc.mag[:len(idx)]
+	nan := false
+	for j, i := range idx {
+		a := math.Abs(src[i])
+		mag[j] = a
+		nan = nan || math.IsNaN(a)
+	}
+	T := -1.0 // after a NaN, the next frame gathers everything
+	if nan {
+		emitReference(out, src, k)
+	} else {
+		var g int
+		T, g = candThreshold(mag, k)
+		emitCand(out, src, idx, T, k-g)
+	}
+	if sel != nil {
+		sel.lastT = T
+		sel.frames++
+		sel.cands += len(idx)
+	}
 	topkPool.Put(sc)
 	return dst
 }
@@ -291,170 +185,42 @@ func candThreshold(cand []float64, k int) (T float64, g int) {
 	return T, g
 }
 
-// selectAndEmit runs the threshold selection and writes the pairs
-// region. It returns false — leaving out in an undefined state — only
-// when non-finite magnitudes break the threshold accounting.
-func (sc *topkScratch) selectAndEmit() bool {
-	n, k := sc.n, sc.k
-	w := sc.w
-	if w <= 1 {
-		if sc.gathered {
-			if len(sc.cand) >= k {
-				// At least k magnitudes cleared the cutoff, so the
-				// candidates contain the whole top-k: select among
-				// them without ever materializing dense magnitudes,
-				// and emit from the candidate indices alone — every
-				// kept coordinate is a candidate, because T (the kth
-				// largest magnitude) exceeds the cutoff whenever k
-				// candidates do.
-				T, g := candThreshold(sc.cand, k)
-				if sc.emitCand(T, k-g) {
-					*sc.hint = T
-					return true
-				}
-				return false
-			}
-			// Shortfall: the threshold fell by more than the margin.
-			// The delta is already computed; rebuild dense magnitudes
-			// and run the ordinary path.
-			if cap(sc.mag) < n {
-				sc.mag = make([]float64, n)
-			}
-			sc.mag = sc.mag[:n]
-			sc.fillAbs(0, n)
+// emitCand fills out, the payload's pairs region, from the candidates:
+// everything above T plus the first ties at T, in index order. idx is
+// ascending, so scanning it keeps exactly what a scan of the whole
+// vector would, while touching only the gathered coordinates — and it
+// stops at the kth pair, which a frame of ties reaches long before the
+// last candidate. candThreshold has permuted the magnitudes, so they
+// are re-derived from src.
+func emitCand(out []byte, src []float64, idx []int32, T float64, ties int) {
+	for _, i := range idx {
+		if len(out) == 0 {
+			return
 		}
-		mag := sc.mag
-		T, g := candThreshold(mag, k)
-		if !sc.emitSingle(T, k-g) {
-			return false
-		}
-		if sc.hint != nil {
-			*sc.hint = T
-		}
-		return true
-	}
-
-	sc.shardLen = (n + w - 1) / w
-	if cap(sc.kloc) < w {
-		sc.kloc = make([]int, w)
-		sc.g = make([]int, w)
-		sc.e = make([]int, w)
-		sc.offs = make([]int, w)
-		sc.tie = make([]int, w)
-	}
-	sc.kloc, sc.g, sc.e = sc.kloc[:w], sc.g[:w], sc.e[:w]
-	sc.offs, sc.tie = sc.offs[:w], sc.tie[:w]
-
-	tensor.Parallel(w, sc.selectShard)
-
-	// Gather each shard's candidate prefix; the kth largest of the
-	// union is the global kth largest magnitude.
-	m := 0
-	for s := 0; s < w; s++ {
-		m += sc.kloc[s]
-	}
-	if cap(sc.cand) < m {
-		sc.cand = make([]float64, 0, m)
-	}
-	cand := sc.cand[:0]
-	for s := 0; s < w; s++ {
-		slo, _ := sc.shardBounds(s)
-		cand = append(cand, sc.mag[slo:slo+sc.kloc[s]]...)
-	}
-	sc.cand = cand
-	// m = Σ min(k, shard) ≥ min(k, n) = k, so the quickselect is valid.
-	T, _ := candThreshold(cand, k)
-	sc.T = T
-
-	tensor.Parallel(w, sc.countShard)
-
-	// Prefix the shard counts into output offsets and tie budgets.
-	G := 0
-	for s := 0; s < w; s++ {
-		G += sc.g[s]
-	}
-	if G > k {
-		return false
-	}
-	off, rem := 0, k-G
-	for s := 0; s < w; s++ {
-		sc.offs[s] = off
-		b := sc.e[s]
-		if b > rem {
-			b = rem
-		}
-		sc.tie[s] = b
-		rem -= b
-		off += sc.g[s] + b
-	}
-	if off != k {
-		return false
-	}
-	tensor.Parallel(w, sc.emitShard)
-	if sc.hint != nil {
-		*sc.hint = T
-	}
-	return true
-}
-
-// emitSingle is the unsharded fast path: one index-order scan keeps
-// everything above T plus the first budget ties at T.
-func (sc *topkScratch) emitSingle(T float64, budget int) bool {
-	out, src := sc.out, sc.src
-	pos, limit := 0, 8*sc.k
-	rem := budget
-	for i, v := range src {
-		a := math.Abs(v)
-		if a > T {
-			// keep
-		} else if a == T && rem > 0 {
-			rem--
-		} else {
-			continue
-		}
-		if pos == limit {
-			return false
-		}
-		binary.LittleEndian.PutUint32(out[pos:], uint32(i))
-		binary.LittleEndian.PutUint32(out[pos+4:], math.Float32bits(float32(v)))
-		pos += 8
-	}
-	return pos == limit
-}
-
-// emitCand is emitSingle restricted to the hint-gather candidates:
-// candIdx is already in ascending index order, so scanning it applies
-// the same keep rule in the same order while touching only the
-// gathered coordinates instead of all n. candThreshold has permuted
-// the magnitudes, so they are re-derived from src.
-func (sc *topkScratch) emitCand(T float64, budget int) bool {
-	out, src := sc.out, sc.src
-	pos, limit := 0, 8*sc.k
-	rem := budget
-	for _, i := range sc.candIdx {
 		v := src[i]
 		a := math.Abs(v)
 		if a > T {
 			// keep
-		} else if a == T && rem > 0 {
-			rem--
+		} else if a == T && ties > 0 {
+			ties--
 		} else {
 			continue
 		}
-		if pos == limit {
-			return false
-		}
-		binary.LittleEndian.PutUint32(out[pos:], uint32(i))
-		binary.LittleEndian.PutUint32(out[pos+4:], math.Float32bits(float32(v)))
-		pos += 8
+		putPair(out, int(i), v)
+		out = out[8:]
 	}
-	return pos == limit
+}
+
+// putPair writes one (uint32 index, float32 value) pair.
+func putPair(out []byte, i int, v float64) {
+	binary.LittleEndian.PutUint32(out, uint32(i))
+	binary.LittleEndian.PutUint32(out[4:], math.Float32bits(float32(v)))
 }
 
 // emitReference writes the pairs region via the original index
 // quickselect — kept both as the specification oracle of the property
-// tests and as the fallback for non-finite inputs, where it reproduces
-// the pre-threshold encoder's bytes exactly.
+// tests and as the fallback for vectors holding a NaN, where it
+// reproduces the pre-threshold encoder's bytes exactly.
 func emitReference(out []byte, src []float64, k int) {
 	n := len(src)
 	ip := idxPool.Get().(*[]int)
@@ -468,11 +234,8 @@ func emitReference(out []byte, src []float64, k int) {
 	selectTopK(idx, src, k)
 	kept := idx[:k]
 	sort.Ints(kept)
-	pos := 0
-	for _, i := range kept {
-		binary.LittleEndian.PutUint32(out[pos:], uint32(i))
-		binary.LittleEndian.PutUint32(out[pos+4:], math.Float32bits(float32(src[i])))
-		pos += 8
+	for p, i := range kept {
+		putPair(out[8*p:], i, src[i])
 	}
 	idxPool.Put(ip)
 }
@@ -535,14 +298,4 @@ func quickselectDesc(v []float64, k int) {
 			v[j], v[j-1] = v[j-1], v[j]
 		}
 	}
-}
-
-// growBytes extends dst by n bytes (contents unspecified), reusing
-// capacity when available so a recycled buffer reaches zero
-// steady-state allocation.
-func growBytes(dst []byte, n int) []byte {
-	if cap(dst)-len(dst) >= n {
-		return dst[:len(dst)+n]
-	}
-	return append(dst, make([]byte, n)...)
 }

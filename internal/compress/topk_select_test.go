@@ -32,12 +32,12 @@ func refEncodeTopK(src []float64, k int) []byte {
 	return dst
 }
 
-// TestTopKShardedBytesPoolWidthInvariant is the tentpole determinism
-// pin: the sharded threshold encoder must emit byte-identical payloads
-// at pool widths 1 and 8 — and both must equal the sort-reference
-// bytes — across keep ratios, shapes (including n ≤ 1), heavy-tie
-// vectors, and the all-zero gradient.
-func TestTopKShardedBytesPoolWidthInvariant(t *testing.T) {
+// TestTopKBytesPoolWidthInvariant is the determinism pin: the
+// threshold encoder must emit byte-identical payloads at pool widths 1
+// and 8 — it runs on the caller's goroutine at either — and both must
+// equal the sort-reference bytes, across keep ratios, shapes (including
+// n ≤ 1), heavy-tie vectors, and the all-zero gradient.
+func TestTopKBytesPoolWidthInvariant(t *testing.T) {
 	defer tensor.SetWorkers(0)
 	rng := rand.New(rand.NewSource(99))
 	shapes := []int{0, 1, 2, 7, 100, 127, 128, 129, 500, 2048, 4097}
@@ -77,9 +77,9 @@ func TestTopKShardedBytesPoolWidthInvariant(t *testing.T) {
 }
 
 // TestDeltaEncoderBytesPoolWidthInvariant runs the fused delta path
-// (fill computes x − ref in the sharded sweep) through a multi-frame
-// stream at widths 1 and 8 and requires identical frame bytes, so
-// pipelined/sharded encoding can never desync a replica pair.
+// (the gather pass computes x − ref) through a multi-frame stream at
+// widths 1 and 8 and requires identical frame bytes, so the pool width
+// can never desync a replica pair.
 func TestDeltaEncoderBytesPoolWidthInvariant(t *testing.T) {
 	defer tensor.SetWorkers(0)
 	const n, frames = 1000, 6
@@ -110,7 +110,7 @@ func TestDeltaEncoderBytesPoolWidthInvariant(t *testing.T) {
 }
 
 // TestTopKThresholdFallbackNonFinite feeds NaN and Inf magnitudes —
-// which defeat value-threshold comparisons — and checks the encoder
+// a NaN defeats value-threshold comparisons — and checks the encoder
 // falls back to the index-quickselect reference bytes instead of
 // panicking or emitting a short payload.
 func TestTopKThresholdFallbackNonFinite(t *testing.T) {

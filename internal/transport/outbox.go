@@ -131,20 +131,57 @@ type encShared struct {
 	n       int
 	params  []float64 // stream codecs only: the snapshot the leader encodes
 	payload []byte
-	ready   chan struct{} // closed once payload is valid
+	ready   latch // fired once payload is valid
 	// refs counts the stage hand-offs plus Node.encCur's matchability
 	// reference; the entry returns to the pool at zero.
 	refs atomic.Int32
 }
 
-var encSharedPool = sync.Pool{New: func() any { return new(encShared) }}
+var encSharedPool = sync.Pool{New: func() any {
+	e := new(encShared)
+	e.ready.cond.L = &e.ready.mu
+	return e
+}}
 
-// encodedAtStage is every stateless entry's ready channel.
-var encodedAtStage = func() chan struct{} {
-	c := make(chan struct{})
-	close(c)
-	return c
-}()
+// latch is a one-shot event that can be armed again, so it lives in
+// the pooled entry where a channel would have to be made per update.
+// Arming is the stager's alone, before the entry is visible to anyone
+// else; whoever waits holds a reference to the entry, so no waiter is
+// left when it returns to the pool.
+type latch struct {
+	mu    sync.Mutex
+	cond  sync.Cond
+	fired bool
+}
+
+// arm resets the latch: already fired (encodedAtStage, a stateless
+// codec's entry) or to be fired by the leader's writer.
+func (l *latch) arm(encodedAtStage bool) {
+	l.mu.Lock()
+	l.fired = encodedAtStage
+	l.mu.Unlock()
+}
+
+func (l *latch) fire() {
+	l.mu.Lock()
+	l.fired = true
+	l.mu.Unlock()
+	l.cond.Broadcast()
+}
+
+func (l *latch) hasFired() bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.fired
+}
+
+func (l *latch) wait() {
+	l.mu.Lock()
+	for !l.fired {
+		l.cond.Wait()
+	}
+	l.mu.Unlock()
+}
 
 func releaseEncShared(e *encShared) {
 	if e.refs.Add(-1) == 0 {
@@ -253,13 +290,12 @@ func (n *Node) stageUpdate(p *peer, m Message) updateJob {
 	_, stream := p.comp.(compress.StreamCommitter)
 	if stream {
 		e.params = append(e.params[:0], m.Params...)
-		e.ready = make(chan struct{})
 	} else {
 		// One pass: the encode is the snapshot.
 		e.params = e.params[:0]
 		e.payload = p.comp.Compress(e.payload[:0], m.Params)
-		e.ready = encodedAtStage
 	}
+	e.ready.arm(!stream)
 	e.refs.Store(2) // this stage + encCur's matchability reference
 	if old := n.encCur; old != nil {
 		releaseEncShared(old)
@@ -400,17 +436,15 @@ func (n *Node) writeUpdate(p *peer, id int, job updateJob, ctl []byte) error {
 		// Published before any socket write of this update, so a wedged
 		// connection here does not hold the riders' payload back.
 		e.payload = p.comp.Compress(e.payload[:0], e.params)
-		close(e.ready)
+		e.ready.fire()
 	} else {
-		select {
-		case <-e.ready:
-		default:
+		if !e.ready.hasFired() {
 			// The leader is still encoding: this peer's control frames
 			// do not wait for it.
 			if err := n.flush(p, id, ctl, nil, false); err != nil {
 				return err
 			}
-			<-e.ready
+			e.ready.wait()
 			ctl, _ = p.take(false)
 		}
 		if s, ok := p.comp.(compress.SharedStager); ok {

@@ -483,45 +483,67 @@ func TestOutboxFullBlocksProducer(t *testing.T) {
 
 // (g) The steady state allocates nothing: a token from Send to the
 // peer's handler, and an uncompressed update likewise, both ways
-// through the outbox, the vectored write and the in-place reader.
+// through the outbox, the vectored write and the in-place reader — and
+// a topk:0.1 update to two sibling peers, one stream leading the encode
+// and the other riding it (§9.2), through the pooled shared entry and
+// its ready latch.
 func TestOutboxSteadyStateAllocatesNothing(t *testing.T) {
-	got := make(chan struct{}, 1)
-	rx, err := Listen(1, "127.0.0.1:0", func(m Message) {
-		tensor.PutVec(m.Params)
-		got <- struct{}{}
-	})
-	if err != nil {
-		t.Fatal(err)
+	got := make(chan struct{}, 2)
+	listen := func(id int, cfg Config) *Node {
+		n, err := ListenConfig(id, "127.0.0.1:0", func(m Message) {
+			tensor.PutVec(m.Params)
+			got <- struct{}{}
+		}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(n.Close)
+		return n
 	}
-	defer rx.Close()
-	tx, err := Listen(0, "127.0.0.1:0", func(Message) {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tx.Close()
-	if err := tx.Dial(1, rx.Addr(), 2*time.Second); err != nil {
-		t.Fatal(err)
+	rx1, rx2 := listen(1, Config{}), listen(2, Config{})
+	tx := listen(0, Config{})
+	txTopK := listen(3, Config{Compressor: compress.NewTopK(0.1)})
+	for _, d := range []struct {
+		from *Node
+		to   int
+		addr string
+	}{{tx, 1, rx1.Addr()}, {txTopK, 1, rx1.Addr()}, {txTopK, 2, rx2.Addr()}} {
+		if err := d.from.Dial(d.to, d.addr, 2*time.Second); err != nil {
+			t.Fatal(err)
+		}
 	}
 	params := make([]float64, 4096)
 	iter := 0
-	exchange := func(kind Kind) func() {
+	exchange := func(from *Node, kind Kind, to ...int) func() {
 		return func() {
 			iter++
-			if err := tx.Send(1, Message{Kind: kind, Iter: iter, Count: 1, Params: params}); err != nil {
-				t.Fatal(err)
+			for i := range params {
+				// Every coordinate drifts, so a TopK frame is a real
+				// selection and not a run of ties.
+				params[i] += float64((i*7+iter*13)%31-15) * 1e-3
 			}
-			<-got
+			for _, id := range to {
+				if err := from.Send(id, Message{Kind: kind, Iter: iter, Count: 1, Params: params}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for range to {
+				<-got
+			}
 		}
 	}
 	for _, c := range []struct {
 		name string
-		kind Kind
-	}{{"token", KindToken}, {"update", KindUpdate}} {
-		run := exchange(c.kind)
+		run  func()
+	}{
+		{"token", exchange(tx, KindToken, 1)},
+		{"update", exchange(tx, KindUpdate, 1)},
+		{"topk update, leader and rider", exchange(txTopK, KindUpdate, 1, 2)},
+	} {
 		for i := 0; i < 20; i++ {
-			run() // warm the pools and the socket buffers
+			c.run() // warm the pools and the socket buffers
 		}
-		if avg := testing.AllocsPerRun(200, run); avg != 0 && !raceEnabled {
+		if avg := testing.AllocsPerRun(200, c.run); avg != 0 && !raceEnabled {
 			t.Errorf("%s exchange: %.2f allocs", c.name, avg)
 		}
 	}
