@@ -41,6 +41,8 @@ type Conv2D struct {
 	fwdFn, bwdFn func(lo, hi int)
 	lastB        int
 	lastDy       []float64
+
+	noDx bool // first layer of its network: Backward returns nil
 }
 
 // NewConv2D returns a conv layer producing outC channels with a k×k
@@ -79,35 +81,48 @@ func (c *Conv2D) Init(rng *rand.Rand) {
 
 func (c *Conv2D) clone() Layer { return NewConv2D(c.OutC, c.K) }
 
+func (c *Conv2D) skipInputGrad() { c.noDx = true }
+
+// validRange returns the positions i of [0, n) for which i+off also
+// lies in [0, n), as a half-open range (empty when |off| >= n).
+func validRange(n, off int) (lo, hi int) {
+	lo = min(max(0, -off), n)
+	return lo, max(min(n, n-off), lo)
+}
+
 // im2col extracts the K×K patch around every pixel of sample x
-// (in.C×H×W) into cols, a (inC*K*K) × (H*W) row-major matrix.
+// (in.C×H×W) into cols, a (inC*K*K) × (H*W) row-major matrix. For one
+// kernel offset the pixels it can see are a contiguous run of x, off by
+// a constant from where they land: one copy moves them, and the border
+// the offset cannot see — whole rows above or below, a few columns left
+// or right, where the run wrapped around — is zeroed afterwards.
 func (c *Conv2D) im2col(x, cols []float64) {
 	in, k, pad := c.in, c.K, c.K/2
 	h, w := in.H, in.W
 	p := h * w
 	row := 0
 	for ch := 0; ch < in.C; ch++ {
-		chOff := ch * p
 		for ky := 0; ky < k; ky++ {
+			ylo, yhi := validRange(h, ky-pad)
 			for kx := 0; kx < k; kx++ {
+				xlo, xhi := validRange(w, kx-pad)
 				dst := cols[row*p : (row+1)*p]
 				row++
-				for y := 0; y < h; y++ {
-					sy := y + ky - pad
-					if sy < 0 || sy >= h {
-						for x0 := 0; x0 < w; x0++ {
-							dst[y*w+x0] = 0
-						}
-						continue
+				if ylo == yhi || xlo == xhi { // kernel wider than the image
+					clear(dst)
+					continue
+				}
+				first, last := ylo*w+xlo, (yhi-1)*w+xhi
+				clear(dst[:first])
+				copy(dst[first:last], x[ch*p+(ky-pad)*w+kx-pad+first:])
+				clear(dst[last:])
+				for y := ylo; y < yhi; y++ {
+					drow := dst[y*w : (y+1)*w]
+					for i := 0; i < xlo; i++ {
+						drow[i] = 0
 					}
-					srcRow := chOff + sy*w
-					for x0 := 0; x0 < w; x0++ {
-						sx := x0 + kx - pad
-						if sx < 0 || sx >= w {
-							dst[y*w+x0] = 0
-						} else {
-							dst[y*w+x0] = x[srcRow+sx]
-						}
+					for i := xhi; i < w; i++ {
+						drow[i] = 0
 					}
 				}
 			}
@@ -115,29 +130,29 @@ func (c *Conv2D) im2col(x, cols []float64) {
 	}
 }
 
-// col2im scatter-adds the column gradient back into dx.
+// col2im scatter-adds the column gradient back into dx, visiting the
+// cells im2col copied in the same order.
 func (c *Conv2D) col2im(cols, dx []float64) {
 	in, k, pad := c.in, c.K, c.K/2
 	h, w := in.H, in.W
 	p := h * w
 	row := 0
 	for ch := 0; ch < in.C; ch++ {
-		chOff := ch * p
 		for ky := 0; ky < k; ky++ {
+			ylo, yhi := validRange(h, ky-pad)
 			for kx := 0; kx < k; kx++ {
+				xlo, xhi := validRange(w, kx-pad)
 				src := cols[row*p : (row+1)*p]
 				row++
-				for y := 0; y < h; y++ {
-					sy := y + ky - pad
-					if sy < 0 || sy >= h {
-						continue
-					}
-					dstRow := chOff + sy*w
-					for x0 := 0; x0 < w; x0++ {
-						sx := x0 + kx - pad
-						if sx >= 0 && sx < w {
-							dx[dstRow+sx] += src[y*w+x0]
-						}
+				if xlo == xhi {
+					continue
+				}
+				shift := ch*p + (ky-pad)*w + kx - pad
+				for y := ylo; y < yhi; y++ {
+					srow := src[y*w+xlo : y*w+xhi]
+					drow := dx[shift+y*w+xlo:][:len(srow)]
+					for i, v := range srow {
+						drow[i] += v
 					}
 				}
 			}
@@ -192,19 +207,20 @@ func (c *Conv2D) Backward(dy []float64, b int) []float64 {
 	p := in.H * in.W
 	kdim := in.C * c.K * c.K
 	nw := len(c.dw)
-	if cap(c.dx) < b*in.Size() {
-		c.dx = make([]float64, b*in.Size())
-	}
 	if cap(c.dwAll) < b*nw {
 		c.dwAll = make([]float64, b*nw)
 	}
 	if cap(c.dbAll) < b*c.OutC {
 		c.dbAll = make([]float64, b*c.OutC)
 	}
-	if cap(c.dcolAll) < b*kdim*p {
-		c.dcolAll = make([]float64, b*kdim*p)
+	if !c.noDx {
+		if cap(c.dx) < b*in.Size() {
+			c.dx = make([]float64, b*in.Size())
+		}
+		if cap(c.dcolAll) < b*kdim*p {
+			c.dcolAll = make([]float64, b*kdim*p)
+		}
 	}
-	dx := c.dx[:b*in.Size()]
 	c.lastDy, c.lastB = dy, b
 	// Per-sample partials compute in parallel into disjoint regions …
 	tensor.Parallel(b, c.bwdFn)
@@ -217,7 +233,10 @@ func (c *Conv2D) Backward(dy []float64, b int) []float64 {
 			c.db[oc] += dbAll[s*c.OutC+oc]
 		}
 	}
-	return dx
+	if c.noDx {
+		return nil
+	}
+	return c.dx[:b*in.Size()]
 }
 
 // backwardShard computes per-sample gradient partials for samples
@@ -227,7 +246,7 @@ func (c *Conv2D) backwardShard(lo, hi int) {
 	p := in.H * in.W
 	kdim := in.C * c.K * c.K
 	nw := len(c.dw)
-	dy, dx := c.lastDy, c.dx[:c.lastB*in.Size()]
+	dy := c.lastDy
 	for s := lo; s < hi; s++ {
 		dout := dy[s*c.OutC*p : (s+1)*c.OutC*p]
 		cols := c.lastCol[s*kdim*p : (s+1)*kdim*p]
@@ -241,13 +260,14 @@ func (c *Conv2D) backwardShard(lo, hi int) {
 			}
 			c.dbAll[s*c.OutC+oc] = s2
 		}
+		if c.noDx {
+			continue
+		}
 		// dcols = Wᵀ · dOut, then scatter back into this sample's dx
 		dcol := c.dcolAll[s*kdim*p : (s+1)*kdim*p]
 		tensor.MatMulATB(dcol, c.weights, dout, c.OutC, kdim, p)
-		dxs := dx[s*in.Size() : (s+1)*in.Size()]
-		for i := range dxs {
-			dxs[i] = 0
-		}
+		dxs := c.dx[s*in.Size() : (s+1)*in.Size()]
+		clear(dxs)
 		c.col2im(dcol, dxs)
 	}
 }
@@ -340,33 +360,42 @@ func (m *MaxPool2) clone() Layer { return NewMaxPool2() }
 
 func (m *MaxPool2) Forward(x []float64, b int) []float64 {
 	in := m.in
-	oh, ow := in.H/2, in.W/2
-	outSize := in.C * oh * ow
+	w, ow := in.W, in.W/2
+	outSize := in.C * (in.H / 2) * ow
 	if cap(m.out) < b*outSize {
 		m.out = make([]float64, b*outSize)
 		m.argmax = make([]int, b*outSize)
 	}
 	out := m.out[:b*outSize]
 	arg := m.argmax[:b*outSize]
-	for s := 0; s < b; s++ {
-		for ch := 0; ch < in.C; ch++ {
-			for y := 0; y < oh; y++ {
-				for x0 := 0; x0 < ow; x0++ {
-					base := s*in.Size() + ch*in.H*in.W + 2*y*in.W + 2*x0
-					bi, bv := base, x[base]
-					for _, off := range [3]int{1, in.W, in.W + 1} {
-						if v := x[base+off]; v > bv {
-							bv, bi = v, base+off
-						}
-					}
-					oi := s*outSize + ch*oh*ow + y*ow + x0
-					out[oi] = bv
-					arg[oi] = bi
-				}
-			}
+	// Planes are contiguous and H is even, so the batch is one run of
+	// row pairs: pair r pools rows 2r and 2r+1 into output row r.
+	for base, o := 0, 0; o < len(out); base, o = base+2*w, o+ow {
+		pair := x[base : base+2*w]
+		orow, arow := out[o:o+ow], arg[o:o+ow]
+		for j := range orow {
+			// Strict > in window order: the first of equal values wins
+			// and a NaN never beats a number (nor loses the lead).
+			k := 2 * j
+			bi := k + greater(pair[k+1], pair[k])
+			bi += (k + w - bi) & -greater(pair[k+w], pair[bi])
+			bi += (k + w + 1 - bi) & -greater(pair[k+w+1], pair[bi])
+			orow[j] = pair[bi]
+			arow[j] = base + bi
 		}
 	}
 	return out
+}
+
+// greater returns 1 if v > lead and 0 otherwise, as a flag-to-register
+// move rather than a branch: which of four activations is largest is a
+// coin flip the predictor loses (same reasoning as ReLU's masks).
+func greater(v, lead float64) int {
+	gt := 0
+	if v > lead {
+		gt = 1
+	}
+	return gt
 }
 
 func (m *MaxPool2) Backward(dy []float64, b int) []float64 {
@@ -401,6 +430,8 @@ type Dense struct {
 	out   []float64
 	dx    []float64
 	dwTmp []float64
+
+	noDx bool // first layer of its network: Backward returns nil
 }
 
 // NewDense returns a fully connected layer with out units.
@@ -428,6 +459,8 @@ func (d *Dense) Init(rng *rand.Rand) {
 }
 
 func (d *Dense) clone() Layer { return NewDense(d.Out) }
+
+func (d *Dense) skipInputGrad() { d.noDx = true }
 
 func (d *Dense) Forward(x []float64, b int) []float64 {
 	in := d.in.Size()
@@ -459,6 +492,9 @@ func (d *Dense) Backward(dy []float64, b int) []float64 {
 		for j, v := range row {
 			d.db[j] += v
 		}
+	}
+	if d.noDx {
+		return nil
 	}
 	if cap(d.dx) < b*in {
 		d.dx = make([]float64, b*in)

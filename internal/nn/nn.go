@@ -48,9 +48,15 @@ type Layer interface {
 	// Forward computes the layer output for a batch of b samples.
 	Forward(x []float64, b int) []float64
 	// Backward consumes dLoss/dOut and returns dLoss/dIn, accumulating
-	// parameter gradients into the bound gradient slice.
+	// parameter gradients into the bound gradient slice. A network's
+	// first layer may return nil: nothing reads the input's gradient.
 	Backward(dy []float64, b int) []float64
 }
+
+// inputGradSkipper is implemented by layers that pay for dLoss/dIn
+// separately from their parameter gradients; NewNetwork tells its first
+// layer to leave it out.
+type inputGradSkipper interface{ skipInputGrad() }
 
 // Network is a sequential stack of layers with a flat parameter store.
 type Network struct {
@@ -88,6 +94,11 @@ func NewNetwork(in Shape, layers ...Layer) *Network {
 		l.Bind(shape, n.params[off:off+c], n.grads[off:off+c])
 		off += c
 		shape = l.OutShape(shape)
+	}
+	if len(layers) > 0 {
+		if l, ok := layers[0].(inputGradSkipper); ok {
+			l.skipInputGrad()
+		}
 	}
 	return n
 }

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -278,6 +279,239 @@ func TestLossGradPoolSizeInvariant(t *testing.T) {
 	for i := range g1 {
 		if g1[i] != g4[i] {
 			t.Fatalf("grad[%d] differs across pool sizes: %g vs %g", i, g1[i], g4[i])
+		}
+	}
+}
+
+// --- Per-element references --------------------------------------------
+//
+// The loops the layers ran before they walked valid ranges: one bounds
+// branch per element, one compare-and-branch per pooling candidate. The
+// layer code must reproduce them bit for bit.
+
+func refIm2col(in Shape, k int, x, cols []float64) {
+	pad := k / 2
+	h, w := in.H, in.W
+	p := h * w
+	row := 0
+	for ch := 0; ch < in.C; ch++ {
+		for ky := 0; ky < k; ky++ {
+			for kx := 0; kx < k; kx++ {
+				dst := cols[row*p : (row+1)*p]
+				row++
+				for y := 0; y < h; y++ {
+					for x0 := 0; x0 < w; x0++ {
+						sy, sx := y+ky-pad, x0+kx-pad
+						if sy < 0 || sy >= h || sx < 0 || sx >= w {
+							dst[y*w+x0] = 0
+						} else {
+							dst[y*w+x0] = x[ch*p+sy*w+sx]
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func refCol2im(in Shape, k int, cols, dx []float64) {
+	pad := k / 2
+	h, w := in.H, in.W
+	p := h * w
+	row := 0
+	for ch := 0; ch < in.C; ch++ {
+		for ky := 0; ky < k; ky++ {
+			for kx := 0; kx < k; kx++ {
+				src := cols[row*p : (row+1)*p]
+				row++
+				for y := 0; y < h; y++ {
+					for x0 := 0; x0 < w; x0++ {
+						sy, sx := y+ky-pad, x0+kx-pad
+						if sy >= 0 && sy < h && sx >= 0 && sx < w {
+							dx[ch*p+sy*w+sx] += src[y*w+x0]
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func refMaxPool(in Shape, x []float64, b int) (out []float64, arg []int) {
+	oh, ow := in.H/2, in.W/2
+	outSize := in.C * oh * ow
+	out, arg = make([]float64, b*outSize), make([]int, b*outSize)
+	for s := 0; s < b; s++ {
+		for ch := 0; ch < in.C; ch++ {
+			for y := 0; y < oh; y++ {
+				for x0 := 0; x0 < ow; x0++ {
+					base := s*in.Size() + ch*in.H*in.W + 2*y*in.W + 2*x0
+					bi, bv := base, x[base]
+					for _, off := range [3]int{1, in.W, in.W + 1} {
+						if v := x[base+off]; v > bv {
+							bv, bi = v, base+off
+						}
+					}
+					oi := s*outSize + ch*oh*ow + y*ow + x0
+					out[oi] = bv
+					arg[oi] = bi
+				}
+			}
+		}
+	}
+	return out, arg
+}
+
+// awkward fills v with values drawn to collide: a handful of small
+// integers (so pooling windows tie), both zeros, infinities and NaN.
+func awkward(rng *rand.Rand, v []float64) {
+	pool := []float64{0, math.Copysign(0, -1), 1, 1, 2, -1, 3, math.Inf(1), math.Inf(-1), math.NaN(), math.SmallestNonzeroFloat64}
+	for i := range v {
+		v[i] = pool[rng.Intn(len(pool))]
+	}
+}
+
+func bitsEqual(t *testing.T, name string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d values, want %d", name, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: [%d] = %v (%#x), reference %v (%#x)", name, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+// convShapes are the CNN's two conv inputs, a non-square image, a 5×5
+// kernel on each kind, and kernels reaching past a tiny image.
+var convShapes = []struct {
+	in Shape
+	k  int
+}{
+	{Shape{3, 8, 8}, 3}, {Shape{8, 4, 4}, 3}, {Shape{2, 6, 10}, 3}, {Shape{2, 10, 4}, 3},
+	{Shape{3, 8, 8}, 5}, {Shape{8, 4, 4}, 5}, {Shape{2, 6, 10}, 5},
+	{Shape{1, 2, 2}, 5}, {Shape{2, 2, 4}, 7}, {Shape{1, 1, 1}, 3},
+}
+
+func TestIm2colCol2imMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for _, s := range convShapes {
+		c := NewConv2D(4, s.k)
+		c.in = s.in
+		n := s.in.C * s.k * s.k * s.in.H * s.in.W
+		for _, fill := range []func(*rand.Rand, []float64){awkward, func(r *rand.Rand, v []float64) {
+			for i := range v {
+				v[i] = r.NormFloat64()
+			}
+		}} {
+			x := make([]float64, s.in.Size())
+			fill(rng, x)
+			got, want := make([]float64, n), make([]float64, n)
+			for i := range got {
+				got[i] = math.NaN() // every cell must be written
+			}
+			c.im2col(x, got)
+			refIm2col(s.in, s.k, x, want)
+			bitsEqual(t, fmt.Sprintf("im2col %v k=%d", s.in, s.k), got, want)
+
+			cols := make([]float64, n)
+			fill(rng, cols)
+			gotDx, wantDx := make([]float64, s.in.Size()), make([]float64, s.in.Size())
+			fill(rng, gotDx) // col2im accumulates onto what is there
+			copy(wantDx, gotDx)
+			c.col2im(cols, gotDx)
+			refCol2im(s.in, s.k, cols, wantDx)
+			// Sums of NaNs may differ in payload; everything else in bits.
+			for i := range wantDx {
+				if math.IsNaN(wantDx[i]) && math.IsNaN(gotDx[i]) {
+					gotDx[i] = wantDx[i]
+				}
+			}
+			bitsEqual(t, fmt.Sprintf("col2im %v k=%d", s.in, s.k), gotDx, wantDx)
+		}
+	}
+}
+
+func TestMaxPoolMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	for _, in := range []Shape{{8, 8, 8}, {16, 4, 4}, {2, 6, 10}, {3, 2, 2}, {1, 4, 2}} {
+		for _, b := range []int{1, 3} {
+			for rep := 0; rep < 20; rep++ {
+				x := make([]float64, b*in.Size())
+				awkward(rng, x)
+				m := NewMaxPool2()
+				m.Bind(in, nil, nil)
+				got := m.Forward(x, b)
+				want, wantArg := refMaxPool(in, x, b)
+				bitsEqual(t, fmt.Sprintf("maxpool %v b=%d", in, b), got, want)
+				for i, a := range wantArg {
+					if m.argmax[i] != a {
+						t.Fatalf("maxpool %v b=%d: argmax[%d] = %d, reference %d", in, b, i, m.argmax[i], a)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestFirstLayerSkipsInputGrad: the first layer of a network computes
+// no dLoss/dIn and holds no scratch for it, and its parameter gradients
+// are those of the same layer with a layer in front of it. The layer in
+// front is a ReLU fed positive inputs, i.e. the identity.
+func TestFirstLayerSkipsInputGrad(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	positive := func(in Shape, b int) []float64 {
+		x := make([]float64, b*in.Size())
+		for i := range x {
+			x[i] = rng.Float64() + 0.1
+		}
+		return x
+	}
+	const b = 5
+	labels := []int{0, 1, 2, 3, 1}
+	for _, tc := range []struct {
+		name  string
+		in    Shape
+		first func() Layer
+		rest  func() []Layer
+	}{
+		{"conv", Shape{3, 8, 8}, func() Layer { return NewConv2D(8, 3) },
+			func() []Layer { return []Layer{NewReLU(), NewMaxPool2(), NewDense(4)} }},
+		{"dense", Shape{6, 1, 1}, func() Layer { return NewDense(7) },
+			func() []Layer { return []Layer{NewReLU(), NewDense(4)} }},
+	} {
+		first, second := tc.first(), tc.first()
+		lead := NewNetwork(tc.in, append([]Layer{first}, tc.rest()...)...)
+		behind := NewNetwork(tc.in, append([]Layer{NewReLU(), second}, tc.rest()...)...)
+		lead.Init(rand.New(rand.NewSource(31)))
+		copy(behind.Params(), lead.Params())
+		x := positive(tc.in, b)
+		for step := 0; step < 2; step++ {
+			lossLead, lossBehind := lead.LossGrad(x, labels, b), behind.LossGrad(x, labels, b)
+			if lossLead != lossBehind {
+				t.Fatalf("%s: loss %v as first layer, %v as second", tc.name, lossLead, lossBehind)
+			}
+			bitsEqual(t, tc.name+" grads", lead.Grads(), behind.Grads())
+		}
+		switch l := first.(type) {
+		case *Conv2D:
+			if l.dx != nil || l.dcolAll != nil {
+				t.Errorf("conv as first layer holds dx (%d) / dcolAll (%d) scratch", cap(l.dx), cap(l.dcolAll))
+			}
+			if s := second.(*Conv2D); s.dx == nil || s.dcolAll == nil {
+				t.Errorf("conv as second layer computed no input gradient")
+			}
+		case *Dense:
+			if l.dx != nil {
+				t.Errorf("dense as first layer holds dx (%d) scratch", cap(l.dx))
+			}
+			if second.(*Dense).dx == nil {
+				t.Errorf("dense as second layer computed no input gradient")
+			}
+		}
+		if dx := first.Backward(make([]float64, b*first.OutShape(tc.in).Size()), b); dx != nil {
+			t.Errorf("%s as first layer returned an input gradient of %d values", tc.name, len(dx))
 		}
 	}
 }

@@ -1,24 +1,43 @@
 package tensor
 
-// axpy.go — the vectorized inner kernels of the GEMM family. Every
-// matMul* row kernel bottoms out in the same AXPY shape,
+// axpy.go — the inner kernels of the GEMM family. matMulRows cuts C
+// into tiles of four rows and hands each tile to tile4,
 //
-//	c_row[j] += av * b_row[j]    for j = 0…n−1
+//	C[r, j] += a[r, p] * b[p, j]    for p ascending, r = 0…3, j = 0…n−1
 //
 // which vectorizes *across output cells*: lane j of a SIMD register
-// holds cell (i, j)'s accumulator, and one vector step performs the
+// holds cell (r, j)'s accumulator, and one vector step performs the
 // identical multiply-then-add each cell would have performed scalar.
 // Because no lane ever combines terms from two cells — and because the
 // kernels use separate multiply and add instructions, never FMA — the
 // vectorized result is bit-for-bit the scalar result, preserving the
-// fixed-summation-order contract of DESIGN.md §3 (vectorize across
-// cells, never across k).
+// fixed-summation-order contract of DESIGN.md §3.1 (cells stay in
+// registers across k; never vectorize across k).
 //
-// The amd64 build carries a hand-written AVX implementation
+// The amd64 build carries the hand-written AVX tile kernel
 // (axpy_amd64.s, gonum/asm-style) selected at init by CPUID; every
-// other platform, and machines without AVX, run the unrolled Go loops
-// below, which the property tests pin bit-identical to the naive
-// triple loop either way.
+// other platform, and machines without AVX, run the Go loops below,
+// which the property tests pin bit-identical to the naive triple loop
+// either way.
+
+// tile4 adds the k-term partial products of four rows of A with B to a
+// four-row, n-column tile of C: c[r*ldc+j] += a[r*ars+p*aps] * b[p*ldb+j]
+// for p = 0…k−1 in ascending order per cell. Strides are in elements;
+// k and n must be at least 1.
+func tile4(c []float64, ldc int, a []float64, ars, aps int, b []float64, ldb, k, n int) {
+	// One bounds check per operand for the whole tile: the last element
+	// each side touches.
+	_, _, _ = c[3*ldc+n-1], a[3*ars+(k-1)*aps], b[(k-1)*ldb+n-1]
+	if haveAVX {
+		gemmTile4AVX(&c[0], ldc, &a[0], ars, aps, &b[0], ldb, k, n)
+		return
+	}
+	c0, c1, c2, c3 := c[:n], c[ldc:ldc+n], c[2*ldc:2*ldc+n], c[3*ldc:3*ldc+n]
+	for p := 0; p < k; p++ {
+		ap := a[p*aps:]
+		axpy4(c0, c1, c2, c3, b[p*ldb:p*ldb+n], ap[0], ap[ars], ap[2*ars], ap[3*ars])
+	}
+}
 
 // axpyVecMin is the shortest row worth a vector-kernel call; below it
 // the call overhead exceeds the arithmetic and the inlined Go loop
@@ -26,13 +45,10 @@ package tensor
 const axpyVecMin = 8
 
 // axpy4 computes cr[j] += ar·b[j] for four C rows sharing one streamed
-// B row. The rows must each be at least len(b) long.
+// B row: the portable form of one p step of the tile kernel. The rows
+// must each be at least len(b) long.
 func axpy4(c0, c1, c2, c3, b []float64, a0, a1, a2, a3 float64) {
 	n := len(b)
-	if haveAVX && n >= axpyVecMin {
-		axpy4AVX(&c0[0], &c1[0], &c2[0], &c3[0], &b[0], n, a0, a1, a2, a3)
-		return
-	}
 	_, _, _ = c0[n-1], c1[n-1], c2[n-1] // hoist bounds checks
 	_ = c3[n-1]
 	for j, bv := range b {

@@ -12,16 +12,20 @@ var haveAVX = cpuHasAVX()
 // cpuHasAVX is implemented in axpy_amd64.s.
 func cpuHasAVX() bool
 
-// axpy4AVX performs c_r[j] += a_r·b[j] for j = 0…n−1 over four rows
-// with AVX multiplies and adds (no FMA: each lane performs exactly the
-// scalar kernel's round-to-nearest multiply then add, so results are
-// bit-identical). n must be >= 1; the pointers address rows of at
-// least n elements.
+// gemmTile4AVX is tile4's AVX form. A 4×8 block of the tile stays in
+// eight YMM registers across the whole p loop; each step broadcasts the
+// four a values, loads eight b values and issues a separate multiply
+// and add per register (no FMA: each lane performs exactly the scalar
+// round-to-nearest multiply then add, so results are bit-identical).
+// Columns left over run as one 4×4 block and then single columns, the
+// same way.
 //
 //go:noescape
-func axpy4AVX(c0, c1, c2, c3, b *float64, n int, a0, a1, a2, a3 float64)
+func gemmTile4AVX(c *float64, ldc int, a *float64, ars, aps int, b *float64, ldb, k, n int)
 
-// axpy1AVX is the single-row form of axpy4AVX.
+// axpy1AVX performs c[j] += a·b[j] for j = 0…n−1, n >= 1, with the
+// same separate multiply and add: the kernel of the one to three rows
+// a quad leaves over.
 //
 //go:noescape
 func axpy1AVX(c, b *float64, n int, a float64)

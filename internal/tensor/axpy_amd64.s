@@ -32,61 +32,168 @@ noavx:
 	MOVB $0, ret+0(FP)
 	RET
 
-// func axpy4AVX(c0, c1, c2, c3, b *float64, n int, a0, a1, a2, a3 float64)
-TEXT ·axpy4AVX(SB), NOSPLIT, $0-80
-	MOVQ c0+0(FP), R8
-	MOVQ c1+8(FP), R9
-	MOVQ c2+16(FP), R10
-	MOVQ c3+24(FP), R11
-	MOVQ b+32(FP), SI
-	MOVQ n+40(FP), CX
-	VBROADCASTSD a0+48(FP), Y0
-	VBROADCASTSD a1+56(FP), Y1
-	VBROADCASTSD a2+64(FP), Y2
-	VBROADCASTSD a3+72(FP), Y3
-	XORQ AX, AX
-	MOVQ CX, DX
-	ANDQ $-4, DX
+// func gemmTile4AVX(c *float64, ldc int, a *float64, ars, aps int, b *float64, ldb, k, n int)
+//
+// C[r, j] += Σ_p a[r·ars + p·aps] · b[p·ldb + j] for r = 0…3, j = 0…n−1,
+// p = 0…k−1 ascending; k, n >= 1, strides in elements. Columns go in
+// tiles of 8 (Y0–Y7 hold the 4×8 cells across the whole p loop), then
+// one tile of 4, then single columns.
+TEXT ·gemmTile4AVX(SB), NOSPLIT, $0-72
+	MOVQ c+0(FP), DI
+	MOVQ ldc+8(FP), R8
+	MOVQ a+16(FP), SI
+	MOVQ ars+24(FP), R9
+	MOVQ aps+32(FP), R10
+	MOVQ b+40(FP), DX
+	MOVQ ldb+48(FP), R11
+	MOVQ n+64(FP), BX
+	SHLQ $3, R8
+	SHLQ $3, R9
+	SHLQ $3, R10
+	SHLQ $3, R11
+
+tile8:
+	CMPQ BX, $8
+	JLT  tile4
+	LEAQ (DI)(R8*2), AX
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD (DI)(R8*1), Y2
+	VMOVUPD 32(DI)(R8*1), Y3
+	VMOVUPD (AX), Y4
+	VMOVUPD 32(AX), Y5
+	VMOVUPD (AX)(R8*1), Y6
+	VMOVUPD 32(AX)(R8*1), Y7
+	MOVQ SI, AX           // a rows 0, 1
+	LEAQ (SI)(R9*2), R13  // a rows 2, 3
+	MOVQ DX, R12          // b row p
+	MOVQ k+56(FP), CX
+
+loop8:
+	VMOVUPD (R12), Y8
+	VMOVUPD 32(R12), Y9
+	VBROADCASTSD (AX), Y10
+	VMULPD Y8, Y10, Y11
+	VADDPD Y11, Y0, Y0
+	VMULPD Y9, Y10, Y12
+	VADDPD Y12, Y1, Y1
+	VBROADCASTSD (AX)(R9*1), Y13
+	VMULPD Y8, Y13, Y14
+	VADDPD Y14, Y2, Y2
+	VMULPD Y9, Y13, Y15
+	VADDPD Y15, Y3, Y3
+	VBROADCASTSD (R13), Y10
+	VMULPD Y8, Y10, Y11
+	VADDPD Y11, Y4, Y4
+	VMULPD Y9, Y10, Y12
+	VADDPD Y12, Y5, Y5
+	VBROADCASTSD (R13)(R9*1), Y13
+	VMULPD Y8, Y13, Y14
+	VADDPD Y14, Y6, Y6
+	VMULPD Y9, Y13, Y15
+	VADDPD Y15, Y7, Y7
+	ADDQ R10, AX
+	ADDQ R10, R13
+	ADDQ R11, R12
+	DECQ CX
+	JNZ  loop8
+
+	LEAQ (DI)(R8*2), AX
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, (DI)(R8*1)
+	VMOVUPD Y3, 32(DI)(R8*1)
+	VMOVUPD Y4, (AX)
+	VMOVUPD Y5, 32(AX)
+	VMOVUPD Y6, (AX)(R8*1)
+	VMOVUPD Y7, 32(AX)(R8*1)
+	ADDQ $64, DI
+	ADDQ $64, DX
+	SUBQ $8, BX
+	JMP  tile8
+
+tile4:
+	CMPQ BX, $4
+	JLT  tile1
+	LEAQ (DI)(R8*2), AX
+	VMOVUPD (DI), Y0
+	VMOVUPD (DI)(R8*1), Y2
+	VMOVUPD (AX), Y4
+	VMOVUPD (AX)(R8*1), Y6
+	MOVQ SI, AX
+	LEAQ (SI)(R9*2), R13
+	MOVQ DX, R12
+	MOVQ k+56(FP), CX
 
 loop4:
-	CMPQ AX, DX
-	JGE  tail4
-	VMOVUPD (SI)(AX*8), Y4
-	VMULPD  Y4, Y0, Y5
-	VADDPD  (R8)(AX*8), Y5, Y5
-	VMOVUPD Y5, (R8)(AX*8)
-	VMULPD  Y4, Y1, Y6
-	VADDPD  (R9)(AX*8), Y6, Y6
-	VMOVUPD Y6, (R9)(AX*8)
-	VMULPD  Y4, Y2, Y7
-	VADDPD  (R10)(AX*8), Y7, Y7
-	VMOVUPD Y7, (R10)(AX*8)
-	VMULPD  Y4, Y3, Y8
-	VADDPD  (R11)(AX*8), Y8, Y8
-	VMOVUPD Y8, (R11)(AX*8)
-	ADDQ $4, AX
-	JMP  loop4
+	VMOVUPD (R12), Y8
+	VBROADCASTSD (AX), Y10
+	VMULPD Y8, Y10, Y11
+	VADDPD Y11, Y0, Y0
+	VBROADCASTSD (AX)(R9*1), Y13
+	VMULPD Y8, Y13, Y14
+	VADDPD Y14, Y2, Y2
+	VBROADCASTSD (R13), Y10
+	VMULPD Y8, Y10, Y11
+	VADDPD Y11, Y4, Y4
+	VBROADCASTSD (R13)(R9*1), Y13
+	VMULPD Y8, Y13, Y14
+	VADDPD Y14, Y6, Y6
+	ADDQ R10, AX
+	ADDQ R10, R13
+	ADDQ R11, R12
+	DECQ CX
+	JNZ  loop4
 
-tail4:
-	CMPQ AX, CX
-	JGE  done4
-	VMOVSD (SI)(AX*8), X4
-	VMULSD X4, X0, X5
-	VADDSD (R8)(AX*8), X5, X5
-	VMOVSD X5, (R8)(AX*8)
-	VMULSD X4, X1, X6
-	VADDSD (R9)(AX*8), X6, X6
-	VMOVSD X6, (R9)(AX*8)
-	VMULSD X4, X2, X7
-	VADDSD (R10)(AX*8), X7, X7
-	VMOVSD X7, (R10)(AX*8)
-	VMULSD X4, X3, X8
-	VADDSD (R11)(AX*8), X8, X8
-	VMOVSD X8, (R11)(AX*8)
-	INCQ AX
-	JMP  tail4
+	LEAQ (DI)(R8*2), AX
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y2, (DI)(R8*1)
+	VMOVUPD Y4, (AX)
+	VMOVUPD Y6, (AX)(R8*1)
+	ADDQ $32, DI
+	ADDQ $32, DX
+	SUBQ $4, BX
 
-done4:
+tile1:
+	TESTQ BX, BX
+	JZ    done
+	LEAQ (DI)(R8*2), AX
+	VMOVSD (DI), X0
+	VMOVSD (DI)(R8*1), X2
+	VMOVSD (AX), X4
+	VMOVSD (AX)(R8*1), X6
+	MOVQ SI, AX
+	LEAQ (SI)(R9*2), R13
+	MOVQ DX, R12
+	MOVQ k+56(FP), CX
+
+loop1:
+	VMOVSD (R12), X8
+	VMULSD (AX), X8, X11
+	VADDSD X11, X0, X0
+	VMULSD (AX)(R9*1), X8, X14
+	VADDSD X14, X2, X2
+	VMULSD (R13), X8, X11
+	VADDSD X11, X4, X4
+	VMULSD (R13)(R9*1), X8, X14
+	VADDSD X14, X6, X6
+	ADDQ R10, AX
+	ADDQ R10, R13
+	ADDQ R11, R12
+	DECQ CX
+	JNZ  loop1
+
+	LEAQ (DI)(R8*2), AX
+	VMOVSD X0, (DI)
+	VMOVSD X2, (DI)(R8*1)
+	VMOVSD X4, (AX)
+	VMOVSD X6, (AX)(R8*1)
+	ADDQ $8, DI
+	ADDQ $8, DX
+	DECQ BX
+	JMP  tile1
+
+done:
 	VZEROUPPER
 	RET
 

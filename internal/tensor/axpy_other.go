@@ -6,8 +6,8 @@ package tensor
 // loops in axpy.go serve every call.
 const haveAVX = false
 
-func axpy4AVX(c0, c1, c2, c3, b *float64, n int, a0, a1, a2, a3 float64) {
-	panic("tensor: axpy4AVX on non-amd64")
+func gemmTile4AVX(c *float64, ldc int, a *float64, ars, aps int, b *float64, ldb, k, n int) {
+	panic("tensor: gemmTile4AVX on non-amd64")
 }
 
 func axpy1AVX(c, b *float64, n int, a float64) {

@@ -17,15 +17,21 @@ func scalarAxpy(c, b []float64, a float64) {
 
 func fillRand(r *rand.Rand, v []float64) {
 	for i := range v {
+		if x, ok := special(r); ok {
+			v[i] = x
+			continue
+		}
 		// Mix magnitudes so rounding differences would surface.
 		v[i] = (r.Float64() - 0.5) * math.Pow(10, float64(r.Intn(7)-3))
 	}
 }
 
-// TestAxpyBitIdentical pins axpy1/axpy4 (including the AVX path when
-// the host has it) bit-for-bit against the scalar kernel across row
-// lengths straddling axpyVecMin, odd tails, and long rows.
-func TestAxpyBitIdentical(t *testing.T) {
+// TestAxpyBitIdentical pins axpy1/axpy4 (axpy1's AVX path included,
+// when the host has it) bit-for-bit against the scalar kernel across
+// row lengths straddling axpyVecMin, odd tails, and long rows.
+func TestAxpyBitIdentical(t *testing.T) { eachKernel(t, testAxpyBitIdentical) }
+
+func testAxpyBitIdentical(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	lengths := []int{1, 2, 3, 4, 5, 7, 8, 9, 11, 15, 16, 17, 31, 64, 100, 1023}
 	for _, n := range lengths {
@@ -38,12 +44,7 @@ func TestAxpyBitIdentical(t *testing.T) {
 			got := append([]float64(nil), want...)
 			scalarAxpy(want, b, a)
 			axpy1(got, b, a)
-			for j := range want {
-				if math.Float64bits(want[j]) != math.Float64bits(got[j]) {
-					t.Fatalf("axpy1 n=%d a=%g: bit mismatch at %d: %x vs %x",
-						n, a, j, math.Float64bits(want[j]), math.Float64bits(got[j]))
-				}
-			}
+			exactEq(t, fmt.Sprintf("axpy1 a=%g", a), got, want, 1, n)
 		}
 
 		// Four rows with distinct coefficients through axpy4.
@@ -58,19 +59,14 @@ func TestAxpyBitIdentical(t *testing.T) {
 		}
 		axpy4(got[0], got[1], got[2], got[3], b, as[0], as[1], as[2], as[3])
 		for r4 := 0; r4 < 4; r4++ {
-			for j := range want[r4] {
-				if math.Float64bits(want[r4][j]) != math.Float64bits(got[r4][j]) {
-					t.Fatalf("axpy4 n=%d row=%d: bit mismatch at %d", n, r4, j)
-				}
-			}
+			exactEq(t, fmt.Sprintf("axpy4 row %d", r4), got[r4], want[r4], 1, n)
 		}
 	}
 }
 
-// TestAxpyGoFallbackBitIdentical forces the portable Go path (rows
-// shorter than axpyVecMin always take it; on non-AVX hosts every row
-// does) and pins it against the scalar reference, so the fallback is
-// covered even on machines where the AVX path is live.
+// TestAxpyGoFallbackBitIdentical pins the portable Go path of axpy1 on
+// its own at the lengths that always take it (rows shorter than
+// axpyVecMin), whatever the host.
 func TestAxpyGoFallbackBitIdentical(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	for n := 1; n < axpyVecMin; n++ {
@@ -81,61 +77,65 @@ func TestAxpyGoFallbackBitIdentical(t *testing.T) {
 		got := append([]float64(nil), want...)
 		scalarAxpy(want, b, 1.75)
 		axpy1(got, b, 1.75)
-		for j := range want {
-			if math.Float64bits(want[j]) != math.Float64bits(got[j]) {
-				t.Fatalf("axpy1 fallback n=%d: bit mismatch at %d", n, j)
-			}
-		}
+		exactEq(t, "axpy1 fallback", got, want, 1, n)
 	}
 }
 
-// TestGemmAxpyKernelShapes runs the full GEMM entry points on shapes
-// chosen to exercise the AXPY kernels' edges — odd tails, rows shorter
-// than axpyVecMin, quad remainders, and a large shape — at pool widths
-// 1 and 4, pinning every output bit against the naive triple loop.
-func TestGemmAxpyKernelShapes(t *testing.T) {
-	shapes := []struct{ m, k, n int }{
-		{1, 1, 1},
-		{3, 2, 7},    // n below axpyVecMin: pure Go path
-		{4, 5, 8},    // n exactly axpyVecMin
-		{5, 3, 9},    // quad remainder row + odd tail
-		{6, 7, 13},   // odd everything
-		{4, 4, 1024}, // long aligned rows
-		{7, 9, 257},  // long rows with scalar tail
-		{64, 128, 96},
-		{33, 17, 129},
-	}
-	r := rand.New(rand.NewSource(43))
-	for _, s := range shapes {
-		a := make([]float64, s.m*s.k)
-		b := make([]float64, s.k*s.n)
-		bt := make([]float64, s.n*s.k)
-		at := make([]float64, s.k*s.m)
+// TestTile4MatchesScalar drives the tile kernel directly, with strides
+// no GEMM entry point produces: C, A and B each a window of a wider
+// matrix, partial sums already in C (a k-block continuing another), and
+// both A layouts.
+func TestTile4MatchesScalar(t *testing.T) { eachKernel(t, testTile4MatchesScalar) }
+
+func testTile4MatchesScalar(t *testing.T) {
+	r := rand.New(rand.NewSource(44))
+	for _, s := range []struct{ k, n, ldc, ldb, ars, aps int }{
+		{1, 1, 1, 1, 1, 1},
+		{5, 8, 8, 8, 5, 1},    // one full 4×8 block, A row-major
+		{5, 8, 11, 13, 1, 7},  // the same inside wider C and B, A transposed
+		{9, 12, 12, 12, 9, 1}, // 8 + 4 columns
+		{9, 15, 17, 19, 1, 4}, // 8 + 4 + 3 single columns
+		{3, 3, 5, 4, 6, 2},    // single columns only, A strided both ways
+		{130, 37, 40, 41, 131, 1},
+	} {
+		c := make([]float64, 3*s.ldc+s.n)
+		a := make([]float64, 3*s.ars+(s.k-1)*s.aps+1)
+		b := make([]float64, (s.k-1)*s.ldb+s.n)
+		fillRand(r, c)
 		fillRand(r, a)
 		fillRand(r, b)
-		fillRand(r, bt)
-		fillRand(r, at)
-
-		wantAB := make([]float64, s.m*s.n)
-		refMatMul(wantAB, a, b, s.m, s.k, s.n)
-		wantATB := make([]float64, s.m*s.n)
-		refMatMulATB(wantATB, at, b, s.k, s.m, s.n)
-		wantABT := make([]float64, s.m*s.n)
-		refMatMulABT(wantABT, a, bt, s.m, s.k, s.n)
-
-		for _, w := range []int{1, 4} {
-			SetWorkers(w)
-			name := fmt.Sprintf("axpy/w%d", w)
-			c := make([]float64, s.m*s.n)
-			MatMul(c, a, b, s.m, s.k, s.n)
-			exactEq(t, "MatMul/"+name, c, wantAB, s.m, s.n)
-			MatMulATB(c, at, b, s.k, s.m, s.n)
-			exactEq(t, "MatMulATB/"+name, c, wantATB, s.m, s.n)
-			MatMulABT(c, a, bt, s.m, s.k, s.n)
-			exactEq(t, "MatMulABT/"+name, c, wantABT, s.m, s.n)
+		want := append([]float64(nil), c...)
+		for row := 0; row < 4; row++ {
+			for p := 0; p < s.k; p++ {
+				scalarAxpy(want[row*s.ldc:row*s.ldc+s.n], b[p*s.ldb:p*s.ldb+s.n], a[row*s.ars+p*s.aps])
+			}
 		}
+		tile4(c, s.ldc, a, s.ars, s.aps, b, s.ldb, s.k, s.n)
+		// The whole of c: cells between the rows of the window must be
+		// untouched.
+		exactEq(t, fmt.Sprintf("tile4 %+v", s), c, want, 4, s.n)
 	}
-	SetWorkers(0)
+}
+
+// TestGemmTileKernelShapes runs the full GEMM entry points on shapes
+// chosen to exercise the tile kernel's edges — every row and column
+// remainder, k and n on both sides of a cache block, rows shorter than
+// axpyVecMin, and a large shape — at pool widths 1 and 4, pinning every
+// output bit against the naive triple loop.
+func TestGemmTileKernelShapes(t *testing.T) {
+	eachKernel(t, func(t *testing.T) {
+		checkGemmShapes(t, rand.New(rand.NewSource(43)), append([][3]int{
+			{1, 1, 1},
+			{3, 2, 7},    // n below axpyVecMin
+			{4, 5, 8},    // n exactly axpyVecMin
+			{5, 3, 9},    // quad remainder row + odd tail
+			{6, 7, 13},   // odd everything
+			{4, 4, 1024}, // long aligned rows
+			{7, 9, 257},  // long rows with scalar tail
+			{64, 128, 96},
+			{33, 17, 129},
+		}, tileEdgeShapes()...), []int{1, 4})
+	})
 }
 
 func benchAxpyRow(b *testing.B, n int) {
@@ -157,21 +157,24 @@ func benchAxpyRow(b *testing.B, n int) {
 func BenchmarkAxpy1Row256(b *testing.B)  { benchAxpyRow(b, 256) }
 func BenchmarkAxpy1Row4096(b *testing.B) { benchAxpyRow(b, 4096) }
 
-func BenchmarkAxpy4Row256(b *testing.B) {
-	const n = 256
-	x := make([]float64, n)
-	c := make([][]float64, 4)
+// BenchmarkGemmTile4 is the tile kernel on its own: four rows of C by
+// one n-block, one k-block deep, operands resident in L1 — the ceiling
+// the blocked GEMMs can approach.
+func BenchmarkGemmTile4(b *testing.B) {
+	a := make([]float64, 4*gemmKC)
+	x := make([]float64, gemmKC*gemmNC)
+	c := make([]float64, 4*gemmNC)
+	for i := range a {
+		a[i] = float64(i%17) * 0.25
+	}
 	for i := range x {
-		x[i] = float64(i%17) * 0.25
+		x[i] = float64(i%13) * 0.5
 	}
-	for r := range c {
-		c[r] = make([]float64, n)
-	}
-	b.SetBytes(int64(8 * n * 5))
+	b.SetBytes(int64(8 * (len(a) + len(x) + 2*len(c))))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		axpy4(c[0], c[1], c[2], c[3], x, 0.25, -0.5, 1.5, 2.0)
+		tile4(c, gemmNC, a, gemmKC, 1, x, gemmNC, gemmKC, gemmNC)
 	}
-	b.ReportMetric(float64(8*n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "gflops")
+	b.ReportMetric(float64(2*4*gemmKC*gemmNC)*float64(b.N)/b.Elapsed().Seconds()/1e9, "gflops")
 }

@@ -88,19 +88,19 @@ func SetWorkers(n int) {
 // kernels dispatch with a typed op to stay closure-free on the hot
 // path.
 type parTask struct {
-	op      uint8
-	fn      func(lo, hi int) // opFunc only
-	c, a, b []float64
-	m, k, n int
-	lo, hi  int
-	wg      *sync.WaitGroup
+	op       uint8
+	fn       func(lo, hi int) // opFunc only
+	c, a, b  []float64
+	ars, aps int // opMatMul: A's row and p strides
+	k, n     int
+	lo, hi   int
+	wg       *sync.WaitGroup
 }
 
 // Shard op codes; opQuit is not a shard but the pool's stop signal.
 const (
 	opFunc uint8 = iota
 	opMatMul
-	opMatMulATB
 	opMatMulABT
 	opQuit
 )
@@ -110,9 +110,7 @@ func (t *parTask) run() {
 	case opFunc:
 		t.fn(t.lo, t.hi)
 	case opMatMul:
-		matMulRows(t.c, t.a, t.b, t.k, t.n, t.lo, t.hi)
-	case opMatMulATB:
-		matMulATBCols(t.c, t.a, t.b, t.k, t.m, t.n, t.lo, t.hi)
+		matMulRows(t.c, t.a, t.b, t.ars, t.aps, t.k, t.n, t.lo, t.hi)
 	case opMatMulABT:
 		matMulABTRows(t.c, t.a, t.b, t.k, t.n, t.lo, t.hi)
 	}

@@ -106,7 +106,7 @@ func TestStepWidthOneIsInline(t *testing.T) {
 func TestStepNestedParallel(t *testing.T) {
 	defer SetWorkers(0)
 	rng := rand.New(rand.NewSource(5))
-	const m, k, n, count = 24, 64, 48, 9 // m·k·n ≥ gemmParFlops
+	const m, k, n, count = 96, 256, 192, 9 // m·k·n ≥ gemmParFlops
 	as, bs, want := make([][]float64, count), make([][]float64, count), make([][]float64, count)
 	for i := range as {
 		as[i], bs[i] = randVec(rng, m*k), randVec(rng, k*n)
@@ -124,7 +124,7 @@ func TestStepNestedParallel(t *testing.T) {
 				MatMul(got[i], as[i], bs[i], m, k, n)
 				Parallel(m*n, func(lo, hi int) {
 					for j := lo; j < hi; j++ {
-						got[i][j] += 0 // touch every cell from a shard
+						got[i][j] *= 1 // touch every cell from a shard
 					}
 				})
 			})

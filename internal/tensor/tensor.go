@@ -160,104 +160,98 @@ func WeightedMean(dst []float64, vectors [][]float64, weights []float64) {
 // loop across the worker pool; below it the hand-off overhead exceeds
 // the arithmetic. Sharding never changes results (each output cell is
 // produced whole, in the same summation order, by exactly one shard),
-// so the threshold is purely a latency tuning knob.
-const gemmParFlops = 1 << 16
+// so the threshold is purely a latency tuning knob. It is the smallest
+// power of two at which two shards were no slower than one on the
+// 2-core reference sandbox (one shard → two, µs per product):
+//
+//	16·64·64    = 2^16    4.8 →   7.5   (BenchmarkGemmDense: 6.3 → 10.5)
+//	128·128·64  = 2^20   73   →  97
+//	128·128·128 = 2^21  147   → 177
+//	128·256·128 = 2^22  300   → 255     (256·128·128: 320 → 338)
+//	128·256·256 = 2^23  650   → 430
+//	BenchmarkGemmLarge  2960  → 1650
+//
+// A shard handed to a parked pool worker starts tens of microseconds
+// late, so a product has to be some hundreds of microseconds long
+// before half of it is worth that wait.
+const gemmParFlops = 1 << 22
+
+// Cache blocking of the tile loops: a gemmKC × gemmNC block of B (32
+// KiB) is walked by every row quad before the next block is touched, so
+// it is read from L1 rather than streamed once per quad. A k-block
+// continues each cell's partial sum from C, in the same ascending-p
+// order, so the block sizes never change a bit. Measured at -cpu 1 on
+// the reference sandbox: BenchmarkGemmLarge (128·1152·256) 12.2 GFLOPS
+// unblocked, 27 with k blocked, the same with n blocked as well; a
+// 64·512·4096 panel 8.0 with k alone, 19 with both. 64–256 × 16–64 all
+// read within the run-to-run spread of each other.
+const (
+	gemmKC = 128
+	gemmNC = 32
+)
 
 // MatMul computes C = A·B for row-major flat matrices:
 // A is m×k, B is k×n, C is m×n. C must not alias A or B.
 //
-// The kernel is register-tiled (four rows of C per pass over a row of
-// B) and shards rows of C across the worker pool for large shapes.
-// Each cell C[i,j] accumulates a[i,p]·b[p,j] for p = 0…k−1 in
-// increasing p order into a single accumulator on every code path, so
-// the result is bit-identical at any pool size and any tile shape.
+// The kernel is register-tiled (four rows of C by eight columns stay in
+// registers across k) and shards rows of C across the worker pool for
+// large shapes. Each cell C[i,j] accumulates a[i,p]·b[p,j] for p =
+// 0…k−1 in increasing p order on every code path, so the result is
+// bit-identical at any pool size, tile shape and block size.
 func MatMul(c, a, b []float64, m, k, n int) {
 	if len(a) != m*k || len(b) != k*n || len(c) != m*n {
 		panic(fmt.Sprintf("tensor: MatMul shape mismatch a=%d b=%d c=%d (m=%d k=%d n=%d)", len(a), len(b), len(c), m, k, n))
 	}
-	w := 1
-	if m >= 2 && m*k*n >= gemmParFlops {
-		w = Workers()
-	}
-	dispatch(parTask{op: opMatMul, c: c, a: a, b: b, k: k, n: n}, m, w)
+	dispatch(parTask{op: opMatMul, c: c, a: a, b: b, ars: k, aps: 1, k: k, n: n}, m, gemmWidth(m, k, n))
 }
 
-// matMulRows computes rows [i0, i1) of C = A·B. Four C rows advance
-// together so each row of B is streamed once per quad; each per-p step
-// is an AXPY across the quad's output cells (axpy4/axpy1, vectorized
-// on capable hardware), so every cell keeps its own accumulator and p
-// increases monotonically — the summation order of the plain triple
-// loop.
-func matMulRows(c, a, b []float64, k, n, i0, i1 int) {
+// gemmWidth is the number of shards an m×k×n product is cut into.
+func gemmWidth(m, k, n int) int {
+	if m >= 2 && m*k*n >= gemmParFlops {
+		return Workers()
+	}
+	return 1
+}
+
+// matMulRows computes rows [i0, i1) of C = A·B, where a[i*ars+p*aps] is
+// A's element (i, p): row-major A has strides (k, 1), a k×m matrix read
+// as its transpose (1, m). Rows advance four at a time through tile4,
+// block by block of B; every cell starts from +0 and takes its terms in
+// ascending p — the summation order of the plain triple loop. The one
+// to three rows a quad leaves over take one AXPY per p.
+func matMulRows(c, a, b []float64, ars, aps, k, n, i0, i1 int) {
 	z := c[i0*n : i1*n]
 	for j := range z {
 		z[j] = 0
 	}
-	i := i0
-	for ; i+4 <= i1; i += 4 {
-		a0 := a[i*k : (i+1)*k]
-		a1 := a[(i+1)*k : (i+2)*k]
-		a2 := a[(i+2)*k : (i+3)*k]
-		a3 := a[(i+3)*k : (i+4)*k]
-		c0 := c[i*n : (i+1)*n]
-		c1 := c[(i+1)*n : (i+2)*n]
-		c2 := c[(i+2)*n : (i+3)*n]
-		c3 := c[(i+3)*n : (i+4)*n]
-		for p := 0; p < k; p++ {
-			brow := b[p*n : (p+1)*n]
-			axpy4(c0, c1, c2, c3, brow, a0[p], a1[p], a2[p], a3[p])
+	i4 := i0 + (i1-i0)&^3
+	for p0 := 0; p0 < k; p0 += gemmKC {
+		kb := min(gemmKC, k-p0)
+		for j0 := 0; j0 < n; j0 += gemmNC {
+			nb := min(gemmNC, n-j0)
+			bb := b[p0*n+j0:]
+			for i := i0; i < i4; i += 4 {
+				tile4(c[i*n+j0:], n, a[i*ars+p0*aps:], ars, aps, bb, n, kb, nb)
+			}
 		}
 	}
-	for ; i < i1; i++ {
-		arow := a[i*k : (i+1)*k]
+	for i := i4; i < i1; i++ {
 		crow := c[i*n : (i+1)*n]
 		for p := 0; p < k; p++ {
-			axpy1(crow, b[p*n:(p+1)*n], arow[p])
+			axpy1(crow, b[p*n:(p+1)*n], a[i*ars+p*aps])
 		}
 	}
 }
 
-// MatMulATB computes C = Aᵀ·B where A is k×m, B is k×n, C is m×n.
-// Rows of C (columns of A) are sharded across the worker pool; every
-// cell accumulates over p = 0…k−1 in increasing order, exactly as
-// MatMul, so results are pool-size invariant.
+// MatMulATB computes C = Aᵀ·B where A is k×m, B is k×n, C is m×n: the
+// kernel of MatMul with A's strides swapped, so rows of C (columns of
+// A) shard the same way and every cell accumulates over p = 0…k−1 in
+// increasing order.
 func MatMulATB(c, a, b []float64, k, m, n int) {
 	if len(a) != k*m || len(b) != k*n || len(c) != m*n {
 		panic(fmt.Sprintf("tensor: MatMulATB shape mismatch a=%d b=%d c=%d (k=%d m=%d n=%d)", len(a), len(b), len(c), k, m, n))
 	}
-	w := 1
-	if m >= 2 && m*k*n >= gemmParFlops {
-		w = Workers()
-	}
-	dispatch(parTask{op: opMatMulATB, c: c, a: a, b: b, m: m, k: k, n: n}, m, w)
-}
-
-// matMulATBCols computes rows [i0, i1) of C = Aᵀ·B (A is k×m): four C
-// rows per pass so each row of B is streamed once per quad; A's
-// strided column reads amortize over the whole B row.
-func matMulATBCols(c, a, b []float64, k, m, n, i0, i1 int) {
-	z := c[i0*n : i1*n]
-	for j := range z {
-		z[j] = 0
-	}
-	i := i0
-	for ; i+4 <= i1; i += 4 {
-		c0 := c[i*n : (i+1)*n]
-		c1 := c[(i+1)*n : (i+2)*n]
-		c2 := c[(i+2)*n : (i+3)*n]
-		c3 := c[(i+3)*n : (i+4)*n]
-		for p := 0; p < k; p++ {
-			apos := p*m + i
-			brow := b[p*n : (p+1)*n]
-			axpy4(c0, c1, c2, c3, brow, a[apos], a[apos+1], a[apos+2], a[apos+3])
-		}
-	}
-	for ; i < i1; i++ {
-		crow := c[i*n : (i+1)*n]
-		for p := 0; p < k; p++ {
-			axpy1(crow, b[p*n:(p+1)*n], a[p*m+i])
-		}
-	}
+	dispatch(parTask{op: opMatMul, c: c, a: a, b: b, ars: 1, aps: m, k: k, n: n}, m, gemmWidth(m, k, n))
 }
 
 // abtTransposeMinRows is the fewest rows of A for which MatMulABT
@@ -273,7 +267,7 @@ const abtTransposeMinRows = 4
 // across the summation index), which leaves the direct kernel scalar.
 // So for all but the thinnest shapes B is transposed into pooled
 // scratch (GetVec: calls arrive concurrently from every step on the
-// compute plane) and the product runs as MatMul's AXPY kernel, vectorized
+// compute plane) and the product runs as MatMul's tile kernel, vectorized
 // across the cells of a row of C: cell (i, j) still starts from +0 and
 // adds a[i,p]·b[j,p] for p ascending with a separate multiply and add —
 // the bits of the direct loop.
@@ -281,17 +275,14 @@ func MatMulABT(c, a, b []float64, m, k, n int) {
 	if len(a) != m*k || len(b) != n*k || len(c) != m*n {
 		panic(fmt.Sprintf("tensor: MatMulABT shape mismatch a=%d b=%d c=%d (m=%d k=%d n=%d)", len(a), len(b), len(c), m, k, n))
 	}
-	w := 1
-	if m >= 2 && m*k*n >= gemmParFlops {
-		w = Workers()
-	}
+	w := gemmWidth(m, k, n)
 	if m < abtTransposeMinRows || n < axpyVecMin {
 		dispatch(parTask{op: opMatMulABT, c: c, a: a, b: b, k: k, n: n}, m, w)
 		return
 	}
 	bt := GetVec(k * n)
 	transpose(bt, b, n, k)
-	dispatch(parTask{op: opMatMul, c: c, a: a, b: bt, k: k, n: n}, m, w)
+	dispatch(parTask{op: opMatMul, c: c, a: a, b: bt, ars: k, aps: 1, k: k, n: n}, m, w)
 	PutVec(bt)
 }
 
