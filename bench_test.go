@@ -134,35 +134,23 @@ func BenchmarkSimContextSwitch(b *testing.B) {
 	}
 }
 
-// benchWidths runs fn as width=1|2|4 sub-benchmarks of the compute
-// plane. Widths above the machine's core count are recorded all the
-// same: they show what over-subscription costs (BENCH.md).
-func benchWidths(b *testing.B, fn func(b *testing.B)) {
-	defer hop.SetComputeWorkers(0)
-	for _, w := range []int{1, 2, 4} {
-		hop.SetComputeWorkers(w)
-		b.Run(fmt.Sprintf("width=%d", w), fn)
-	}
-}
-
-// BenchmarkCNNLossGrad is one replica's gradient step on its own: the
-// only parallelism on offer is row sharding inside the step.
+// BenchmarkCNNLossGrad is one replica's gradient step on its own.
 func BenchmarkCNNLossGrad(b *testing.B) {
-	benchWidths(b, func(b *testing.B) {
-		c := model.NewCNN(model.DefaultCNNConfig())
-		rng := rand.New(rand.NewSource(1))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			c.ComputeGrad(rng)
-		}
-	})
+	c := model.NewCNN(model.DefaultCNNConfig())
+	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.ComputeGrad(rng)
+	}
 }
 
 // BenchmarkSimCNNHetero16 is the committed end-to-end CNN workload of
 // BENCHMARK.json (16 workers, 6× random stragglers, 300 iterations)
-// run through the scenario engine: sixteen replicas' steps to overlap,
-// so the width axis measures whole-step parallelism.
+// run through the scenario engine, as width=1|2|4 sub-benchmarks of the
+// compute plane: sixteen replicas' steps to overlap. Widths above the
+// machine's core count are recorded all the same: they show what
+// over-subscription costs (BENCH.md).
 func BenchmarkSimCNNHetero16(b *testing.B) {
 	data, err := os.ReadFile("benchmark/workloads/sim-cnn-hetero16.json")
 	if err != nil {
@@ -172,17 +160,21 @@ func BenchmarkSimCNNHetero16(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchWidths(b, func(b *testing.B) {
-		steps := 0
-		for i := 0; i < b.N; i++ {
-			res, err := hop.RunScenario(spec)
-			if err != nil {
-				b.Fatal(err)
+	defer hop.SetComputeWorkers(0)
+	for _, w := range []int{1, 2, 4} {
+		hop.SetComputeWorkers(w)
+		b.Run(fmt.Sprintf("width=%d", w), func(b *testing.B) {
+			steps := 0
+			for i := 0; i < b.N; i++ {
+				res, err := hop.RunScenario(spec)
+				if err != nil {
+					b.Fatal(err)
+				}
+				steps += res.Metrics.Iterations()
 			}
-			steps += res.Metrics.Iterations()
-		}
-		b.ReportMetric(float64(steps)/b.Elapsed().Seconds(), "steps/s")
-	})
+			b.ReportMetric(float64(steps)/b.Elapsed().Seconds(), "steps/s")
+		})
+	}
 }
 
 func BenchmarkSVMLossGrad(b *testing.B) {
@@ -248,10 +240,10 @@ func BenchmarkTensorMean(b *testing.B) {
 // The shapes are the ones the CNN workload actually issues (see
 // BENCH.md): conv1/conv2 are the per-sample im2col products of the
 // MiniVGG stand-in, dense the batched fully-connected products, and
-// "large" a paper-scale panel that exercises the cache blocking and
-// row sharding. All report allocations: the acceptance bar is zero
-// allocs/op in steady state. scripts/bench.sh runs these and records
-// the results in BENCH_gemm.json.
+// "large" a paper-scale panel that exercises the cache blocking. All
+// report allocations: the acceptance bar is zero allocs/op in steady
+// state. scripts/bench.sh runs these and records the results in
+// BENCH_gemm.json.
 
 func benchGemm(b *testing.B, kind string, m, k, n int) {
 	rng := rand.New(rand.NewSource(3))

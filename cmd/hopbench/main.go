@@ -26,7 +26,7 @@ func main() {
 		scale   = flag.String("scale", "quick", "quick or full")
 		series  = flag.Bool("series", false, "dump raw recorded series after each report")
 		list    = flag.Bool("list", false, "list experiment ids and exit")
-		workers = flag.Int("compute-workers", 0, "compute-plane width for tensor kernels (0 = GOMAXPROCS); reports are byte-identical at any width")
+		workers = flag.Int("compute-workers", 0, "how many simulated workers' gradient steps run at once (0 = GOMAXPROCS); reports are byte-identical at any width")
 	)
 	prof := profflag.Register()
 	flag.Parse()

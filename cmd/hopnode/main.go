@@ -41,7 +41,6 @@ func main() {
 		peers     = flag.String("peers", "", "comma-separated id=host:port list for all workers")
 		dialWait  = flag.Duration("dial-wait", 30*time.Second, "how long to retry dialing peers")
 		linger    = flag.Duration("linger", 10*time.Second, "after finishing, how long to keep serving slower neighbors before closing")
-		cworkers  = flag.Int("compute-workers", 0, "compute-plane width for tensor kernels (0 = GOMAXPROCS)")
 		timeScale = flag.Float64("time-scale", 1, "scale the spec's injected heterogeneity delay")
 		chunk     = flag.Int("chunk-bytes", 0, "max wire payload bytes per frame (0 = transport default)")
 		delay     = flag.Duration("delay", 0, "artificial extra compute time per iteration")
@@ -58,7 +57,6 @@ func main() {
 	})
 	prof := profflag.Register()
 	flag.Parse()
-	hop.SetComputeWorkers(*cworkers)
 	stopProf, err := prof.Start()
 	if err != nil {
 		fail(err)

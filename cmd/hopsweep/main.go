@@ -37,7 +37,7 @@ func main() {
 		parallel = flag.Int("parallel", 0, "max concurrent cells (0 = one goroutine per cell); any width yields byte-identical reports")
 		outDir   = flag.String("out", "", "directory for per-cell JSON reports and aggregate.json (empty = table only)")
 
-		computeWorkers = flag.Int("compute-workers", 0, "compute-plane width for tensor kernels (0 = GOMAXPROCS); results are bit-identical at any width")
+		computeWorkers = flag.Int("compute-workers", 0, "how many simulated workers' gradient steps run at once (0 = GOMAXPROCS); results are bit-identical at any width")
 	)
 	prof := profflag.Register()
 	flag.Parse()

@@ -31,7 +31,7 @@ import (
 
 func main() {
 	var (
-		computeWorkers = flag.Int("compute-workers", 0, "compute-plane width for tensor kernels (0 = GOMAXPROCS); results are bit-identical at any width")
+		computeWorkers = flag.Int("compute-workers", 0, "how many simulated workers' gradient steps run at once (0 = GOMAXPROCS); results are bit-identical at any width")
 		series         = flag.Bool("series", false, "print the eval-loss series")
 		liveRun        = flag.Bool("live", false, "run the spec as a live loopback TCP cluster instead of simulating it (needs -iters or a spec with max_iter)")
 		timeScale      = flag.Float64("time-scale", 1, "with -live: scale the spec's injected heterogeneity delay")

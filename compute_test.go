@@ -2,8 +2,8 @@ package hop_test
 
 // compute_test.go — determinism guarantees of the parallel compute
 // plane (DESIGN.md §3): figure reproductions must be byte-identical at
-// every compute-plane width, because parallelism only shards
-// independent rows and never reassociates floating-point sums.
+// every compute-plane width, because a gradient step is a pure closure
+// that runs exactly once, wherever it runs.
 
 import (
 	"bytes"

@@ -57,17 +57,13 @@ import (
 
 // --- Compute plane ----------------------------------------------------
 
-// SetComputeWorkers sets the width of the parallel compute plane: how
-// many cores the persistent worker pool keeps busy, with simulated
-// workers' whole gradient steps first and the tensor kernels' row
-// shards on whatever is left idle (the -compute-workers flag of the
-// commands). n <= 0 restores the GOMAXPROCS default. Results are
+// SetComputeWorkers sets the width of the compute plane (DESIGN.md §3):
+// how many simulated workers' gradient steps run at once (the
+// -compute-workers flag of the simulator commands; a live worker
+// computes inline). n <= 0 restores the GOMAXPROCS default. Results are
 // bit-identical at any width — experiment outputs do not depend on the
-// setting (DESIGN.md §3).
+// setting.
 func SetComputeWorkers(n int) { tensor.SetWorkers(n) }
-
-// ComputeWorkers returns the current compute-plane width.
-func ComputeWorkers() int { return tensor.Workers() }
 
 // --- Topology ---------------------------------------------------------
 

@@ -10,8 +10,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"hop/internal/tensor"
 )
 
 // One script byte is one frame: the low three bits say what happens to
@@ -30,20 +28,14 @@ const (
 	opDrop     = 8
 )
 
-// runDeltaStream drives one encoder per pool width through script in
-// lockstep, and one decoder behind them. Every frame must equal the
-// specification bytes for x − ref at every width, and after every
-// commit the decoder's replica must equal the encoder's bit for bit.
-// It returns the work counters of the stream.
-func runDeltaStream(t testing.TB, n int, ratio float64, seed int64, frames int, script []byte, widths []int) streamSel {
+// runDeltaStream drives an encoder through script, and a decoder behind
+// it. Every frame must equal the specification bytes for x − ref, and
+// after every commit the decoder's replica must equal the encoder's bit
+// for bit. It returns the work counters of the stream.
+func runDeltaStream(t testing.TB, n int, ratio float64, seed int64, frames int, script []byte) streamSel {
 	t.Helper()
-	defer tensor.SetWorkers(0)
 	rng := rand.New(rand.NewSource(seed))
-	encs := make([]*DeltaEncoder, len(widths))
-	for i := range encs {
-		encs[i] = NewDeltaEncoder(ratio)
-	}
-	lead := encs[0]
+	enc := NewDeltaEncoder(ratio)
 	var dec DeltaDecoder
 	x := make([]float64, n)
 	for i := range x {
@@ -54,7 +46,7 @@ func runDeltaStream(t testing.TB, n int, ratio float64, seed int64, frames int, 
 		if len(script) > 0 {
 			op = script[f%len(script)]
 		}
-		rekey := len(lead.ref) != len(x)
+		rekey := len(enc.ref) != len(x)
 		var saved []float64 // a non-finite frame's state, restored after it
 		switch kind := op % opKinds; {
 		case kind == opResize:
@@ -62,7 +54,7 @@ func runDeltaStream(t testing.TB, n int, ratio float64, seed int64, frames int, 
 			for i := range x {
 				x[i] = rng.NormFloat64()
 			}
-			rekey = len(lead.ref) != len(x)
+			rekey = len(enc.ref) != len(x)
 		case kind == opDrift || rekey:
 			// Before the warm start there is no replica to perturb
 			// against, so every other op degrades to a drift.
@@ -71,14 +63,14 @@ func runDeltaStream(t testing.TB, n int, ratio float64, seed int64, frames int, 
 			}
 		case kind == opCollapse:
 			for i := range x {
-				x[i] = lead.ref[i] + (x[i]-lead.ref[i])/100
+				x[i] = enc.ref[i] + (x[i]-enc.ref[i])/100
 			}
 		case kind == opHold:
 		case kind == opSettle:
-			copy(x, lead.ref)
+			copy(x, enc.ref)
 		case kind == opTies:
 			for i := range x {
-				x[i] = lead.ref[i] + float64(rng.Intn(3)-1)/2
+				x[i] = enc.ref[i] + float64(rng.Intn(3)-1)/2
 			}
 		default: // opNaN, opInf
 			saved = append(saved, x...)
@@ -96,9 +88,9 @@ func runDeltaStream(t testing.TB, n int, ratio float64, seed int64, frames int, 
 		// the index quickselect makes of it.
 		k, delta, nan := len(x), append([]float64(nil), x...), false
 		if !rekey {
-			k = lead.codec.KeepCount(len(x))
+			k = enc.codec.KeepCount(len(x))
 			for i := range delta {
-				delta[i] -= lead.ref[i]
+				delta[i] -= enc.ref[i]
 				nan = nan || math.IsNaN(delta[i])
 			}
 		}
@@ -110,8 +102,8 @@ func runDeltaStream(t testing.TB, n int, ratio float64, seed int64, frames int, 
 		// when the stream has a threshold and fewer than k magnitudes
 		// clear nine tenths of it (a NaN clears any cutoff).
 		sparse := !rekey && k < len(x)
-		wantRefills := lead.sel.refills
-		if prevT := lead.sel.lastT; sparse && prevT >= 0 {
+		wantRefills := enc.sel.refills
+		if prevT := enc.sel.lastT; sparse && prevT >= 0 {
 			m := 0
 			for _, d := range delta {
 				if a := math.Abs(d); a > 0.9*prevT || math.IsNaN(a) {
@@ -123,35 +115,27 @@ func runDeltaStream(t testing.TB, n int, ratio float64, seed int64, frames int, 
 			}
 		}
 
-		var payload []byte
-		for i, enc := range encs {
-			tensor.SetWorkers(widths[i])
-			payload = enc.Compress(nil, x)
-			if !bytes.Equal(payload, want) {
-				t.Fatalf("frame %d (op %#x, n=%d k=%d, width %d): payload differs from the specification", f, op, len(x), k, widths[i])
-			}
-			if sparse && (enc.sel.lastT >= 0) == nan {
-				t.Fatalf("frame %d (op %#x, width %d): threshold hint %g after a frame with NaN=%v", f, op, widths[i], enc.sel.lastT, nan)
-			}
-			if enc.sel.refills != wantRefills {
-				t.Fatalf("frame %d (op %#x, n=%d k=%d, width %d): %d refills so far, want %d", f, op, len(x), k, widths[i], enc.sel.refills, wantRefills)
-			}
+		payload := enc.Compress(nil, x)
+		if !bytes.Equal(payload, want) {
+			t.Fatalf("frame %d (op %#x, n=%d k=%d): payload differs from the specification", f, op, len(x), k)
+		}
+		if sparse && (enc.sel.lastT >= 0) == nan {
+			t.Fatalf("frame %d (op %#x): threshold hint %g after a frame with NaN=%v", f, op, enc.sel.lastT, nan)
+		}
+		if enc.sel.refills != wantRefills {
+			t.Fatalf("frame %d (op %#x, n=%d k=%d): %d refills so far, want %d", f, op, len(x), k, enc.sel.refills, wantRefills)
 		}
 		if op&opDrop == 0 {
-			for _, enc := range encs {
-				enc.Commit()
-			}
+			enc.Commit()
 			if _, err := dec.DecodeInto(nil, payload); err != nil {
 				t.Fatalf("frame %d (op %#x): decode: %v", f, op, err)
 			}
-			for _, enc := range encs {
-				if len(enc.ref) != len(dec.ref) {
-					t.Fatalf("frame %d: replica dimensions %d and %d", f, len(enc.ref), len(dec.ref))
-				}
-				for i, v := range enc.ref {
-					if math.Float64bits(v) != math.Float64bits(dec.ref[i]) {
-						t.Fatalf("frame %d (op %#x): replicas differ at %d: %g vs %g", f, op, i, v, dec.ref[i])
-					}
+			if len(enc.ref) != len(dec.ref) {
+				t.Fatalf("frame %d: replica dimensions %d and %d", f, len(enc.ref), len(dec.ref))
+			}
+			for i, v := range enc.ref {
+				if math.Float64bits(v) != math.Float64bits(dec.ref[i]) {
+					t.Fatalf("frame %d (op %#x): replicas differ at %d: %g vs %g", f, op, i, v, dec.ref[i])
 				}
 			}
 		}
@@ -159,7 +143,7 @@ func runDeltaStream(t testing.TB, n int, ratio float64, seed int64, frames int, 
 			x = saved
 		}
 	}
-	return lead.sel
+	return enc.sel
 }
 
 // The five turns the issue names, as scripts (each is cycled, so every
@@ -174,10 +158,9 @@ var (
 
 // TestDeltaStreamMatchesReference runs long dense-drift streams — the
 // shape training produces, where the threshold hint does its work —
-// with every perturbation above injected along the way, at widths 1, 2
-// and 8: a committed NaN poisons the replica until the next re-key, so
-// the script also covers a stream that stays on the fallback for a
-// while and then recovers.
+// with every perturbation above injected along the way: a committed NaN
+// poisons the replica until the next re-key, so the script also covers
+// a stream that stays on the fallback for a while and then recovers.
 func TestDeltaStreamMatchesReference(t *testing.T) {
 	frames := 320
 	if testing.Short() {
@@ -192,7 +175,7 @@ func TestDeltaStreamMatchesReference(t *testing.T) {
 	}
 	for _, n := range []int{1, 7, 410, 4096, 4097} {
 		for _, ratio := range []float64{0.01, 0.1, 0.5, 1} {
-			sel := runDeltaStream(t, n, ratio, int64(n)+int64(ratio*1000), frames, script, []int{1, 2, 8})
+			sel := runDeltaStream(t, n, ratio, int64(n)+int64(ratio*1000), frames, script)
 			if sparse := n >= 410 && ratio < 1; sparse && (sel.refills == 0 || sel.frames < frames/2) {
 				t.Errorf("n=%d ratio=%g: %d sparse frames and %d refills: the script missed the paths it is for", n, ratio, sel.frames, sel.refills)
 			}
@@ -210,48 +193,38 @@ func FuzzDeltaStream(f *testing.F) {
 	f.Add(uint8(12), uint16(1), uint8(0), int64(9), []byte{opTies, opNaN})
 	f.Fuzz(func(t *testing.T, frames uint8, n uint16, ratio uint8, seed int64, script []byte) {
 		r := math.Max(MinTopKRatio, float64(ratio)/255)
-		runDeltaStream(t, 1+int(n)%1024, r, seed, int(frames), script, []int{1, 2})
+		runDeltaStream(t, 1+int(n)%1024, r, seed, int(frames), script)
 	})
 }
 
 // TestDeltaStreamWorkBound counts what the selection does on a stream
 // shaped like training, instead of timing it: once the threshold hint
 // has settled, no frame refills and a frame selects among fewer than
-// 2k candidates, not n magnitudes — the same counts at every width.
+// 2k candidates, not n magnitudes.
 func TestDeltaStreamWorkBound(t *testing.T) {
-	defer tensor.SetWorkers(0)
 	const n, warm, frames = 4096, 20, 1000
-	var first streamSel
-	for _, w := range []int{1, 2, 4} {
-		tensor.SetWorkers(w)
-		rng := rand.New(rand.NewSource(17))
-		enc := NewDeltaEncoder(0.1)
-		k := enc.codec.KeepCount(n)
-		x := make([]float64, n)
-		var buf []byte
-		var base streamSel
-		for f := 0; f < warm+frames; f++ {
-			if f == warm {
-				base = enc.sel
-			}
-			for i := range x {
-				x[i] += rng.NormFloat64()
-			}
-			buf = enc.Compress(buf[:0], x)
-			enc.Commit()
+	rng := rand.New(rand.NewSource(17))
+	enc := NewDeltaEncoder(0.1)
+	k := enc.codec.KeepCount(n)
+	x := make([]float64, n)
+	var buf []byte
+	var base streamSel
+	for f := 0; f < warm+frames; f++ {
+		if f == warm {
+			base = enc.sel
 		}
-		got := enc.sel // lastT included: the same stream ends on the same threshold
-		got.frames -= base.frames
-		got.refills -= base.refills
-		got.cands -= base.cands
-		if got.frames != frames || got.refills != 0 || got.cands > 2*k*frames {
-			t.Errorf("width %d: %d sparse frames, %d refills, %.0f candidates a frame (k=%d, n=%d); want %d, 0, at most %d",
-				w, got.frames, got.refills, float64(got.cands)/frames, k, n, frames, 2*k)
+		for i := range x {
+			x[i] += rng.NormFloat64()
 		}
-		if w == 1 {
-			first = got
-		} else if got != first {
-			t.Errorf("width %d did %+v, width 1 did %+v", w, got, first)
-		}
+		buf = enc.Compress(buf[:0], x)
+		enc.Commit()
+	}
+	got := enc.sel
+	got.frames -= base.frames
+	got.refills -= base.refills
+	got.cands -= base.cands
+	if got.frames != frames || got.refills != 0 || got.cands > 2*k*frames {
+		t.Errorf("%d sparse frames, %d refills, %.0f candidates a frame (k=%d, n=%d); want %d, 0, at most %d",
+			got.frames, got.refills, float64(got.cands)/frames, k, n, frames, 2*k)
 	}
 }

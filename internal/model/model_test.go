@@ -3,8 +3,6 @@ package model
 import (
 	"math/rand"
 	"testing"
-
-	"hop/internal/tensor"
 )
 
 func TestCNNTrainerLearns(t *testing.T) {
@@ -117,8 +115,6 @@ func TestEvalLossPositive(t *testing.T) {
 // contract of the per-iteration hot path (sample + forward + backward)
 // for both workloads: after warm-up, an iteration must not allocate.
 func TestComputeGradZeroSteadyStateAllocs(t *testing.T) {
-	defer tensor.SetWorkers(0)
-	tensor.SetWorkers(1) // inline shards: only hot-path allocations count
 	for _, tc := range []struct {
 		name    string
 		trainer Trainer

@@ -20,27 +20,15 @@ type Conv2D struct {
 	bias    []float64 // [OutC]
 	dw, db  []float64
 
-	lastX   []float64 // retained input for backward
-	lastCol []float64 // retained im2col buffer (per batch sample loop reuse)
+	lastCol []float64 // [b, kdim*p] im2col of the last input, kept for Backward
 	out     []float64
 
 	// Backward scratch, retained across steps so the training hot path
 	// is allocation-free in steady state (same cap-check pattern as
-	// Forward). dwAll/dbAll/dcolAll hold per-sample partials so samples
-	// can run in parallel; the fold into dw/db is sequential in sample
-	// order, keeping results bit-identical at any pool size.
-	dx      []float64
-	dwAll   []float64 // [b, len(dw)]
-	dbAll   []float64 // [b, OutC]
-	dcolAll []float64 // [b, kdim*p]
-
-	// Persistent shard closures (bound once in Bind) plus the per-call
-	// state they read: handing tensor.Parallel a fresh closure every
-	// Forward/Backward would put one allocation per layer per step back
-	// on the hot path.
-	fwdFn, bwdFn func(lo, hi int)
-	lastB        int
-	lastDy       []float64
+	// Forward). dwS and dcol hold one sample's partials at a time.
+	dx   []float64
+	dwS  []float64 // [len(dw)]
+	dcol []float64 // [kdim*p]
 
 	noDx bool // first layer of its network: Backward returns nil
 }
@@ -65,7 +53,6 @@ func (c *Conv2D) Bind(in Shape, params, grads []float64) {
 	nw := c.OutC * in.C * c.K * c.K
 	c.weights, c.bias = params[:nw], params[nw:]
 	c.dw, c.db = grads[:nw], grads[nw:]
-	c.fwdFn, c.bwdFn = c.forwardShard, c.backwardShard
 }
 
 func (c *Conv2D) Init(rng *rand.Rand) {
@@ -170,26 +157,10 @@ func (c *Conv2D) Forward(x []float64, b int) []float64 {
 	if cap(c.out) < b*c.OutC*p {
 		c.out = make([]float64, b*c.OutC*p)
 	}
-	c.lastX = x
-	c.lastB = b
 	out := c.out[:b*c.OutC*p]
-	// Samples are independent, so the batch shards across the compute
-	// plane; per-sample results are written to disjoint regions and each
-	// is computed exactly as in the sequential loop, so the output is
-	// bit-identical at any pool size.
-	tensor.Parallel(b, c.fwdFn)
-	return out
-}
-
-// forwardShard computes samples [lo, hi) of the current forward pass.
-func (c *Conv2D) forwardShard(lo, hi int) {
-	in := c.in
-	p := in.H * in.W
-	kdim := in.C * c.K * c.K
-	out := c.out[:c.lastB*c.OutC*p]
-	for s := lo; s < hi; s++ {
+	for s := 0; s < b; s++ {
 		cols := c.lastCol[s*kdim*p : (s+1)*kdim*p]
-		c.im2col(c.lastX[s*in.Size():(s+1)*in.Size()], cols)
+		c.im2col(x[s*in.Size():(s+1)*in.Size()], cols)
 		o := out[s*c.OutC*p : (s+1)*c.OutC*p]
 		tensor.MatMul(o, c.weights, cols, c.OutC, kdim, p)
 		for oc := 0; oc < c.OutC; oc++ {
@@ -200,76 +171,57 @@ func (c *Conv2D) forwardShard(lo, hi int) {
 			}
 		}
 	}
+	return out
 }
 
+// Backward computes one sample's dW and db at a time and adds them to
+// the shared gradient in sample order; every pinned report's bits depend
+// on that order (DESIGN.md §3.1).
 func (c *Conv2D) Backward(dy []float64, b int) []float64 {
 	in := c.in
 	p := in.H * in.W
 	kdim := in.C * c.K * c.K
-	nw := len(c.dw)
-	if cap(c.dwAll) < b*nw {
-		c.dwAll = make([]float64, b*nw)
+	if cap(c.dwS) < len(c.dw) {
+		c.dwS = make([]float64, len(c.dw))
 	}
-	if cap(c.dbAll) < b*c.OutC {
-		c.dbAll = make([]float64, b*c.OutC)
-	}
+	dwS := c.dwS[:len(c.dw)]
+	var dcol []float64
 	if !c.noDx {
 		if cap(c.dx) < b*in.Size() {
 			c.dx = make([]float64, b*in.Size())
 		}
-		if cap(c.dcolAll) < b*kdim*p {
-			c.dcolAll = make([]float64, b*kdim*p)
+		if cap(c.dcol) < kdim*p {
+			c.dcol = make([]float64, kdim*p)
 		}
+		dcol = c.dcol[:kdim*p]
 	}
-	c.lastDy, c.lastB = dy, b
-	// Per-sample partials compute in parallel into disjoint regions …
-	tensor.Parallel(b, c.bwdFn)
-	// … and fold into the shared gradient sequentially in sample order,
-	// the same accumulation order as the sequential loop.
-	dwAll, dbAll := c.dwAll[:b*nw], c.dbAll[:b*c.OutC]
 	for s := 0; s < b; s++ {
-		tensor.Add(c.dw, dwAll[s*nw:(s+1)*nw])
-		for oc := 0; oc < c.OutC; oc++ {
-			c.db[oc] += dbAll[s*c.OutC+oc]
-		}
-	}
-	if c.noDx {
-		return nil
-	}
-	return c.dx[:b*in.Size()]
-}
-
-// backwardShard computes per-sample gradient partials for samples
-// [lo, hi) of the current backward pass.
-func (c *Conv2D) backwardShard(lo, hi int) {
-	in := c.in
-	p := in.H * in.W
-	kdim := in.C * c.K * c.K
-	nw := len(c.dw)
-	dy := c.lastDy
-	for s := lo; s < hi; s++ {
 		dout := dy[s*c.OutC*p : (s+1)*c.OutC*p]
 		cols := c.lastCol[s*kdim*p : (s+1)*kdim*p]
 		// dWₛ = dOut · colsᵀ
-		tensor.MatMulABT(c.dwAll[s*nw:(s+1)*nw], dout, cols, c.OutC, p, kdim)
+		tensor.MatMulABT(dwS, dout, cols, c.OutC, p, kdim)
+		tensor.Add(c.dw, dwS)
 		// dbₛ = row sums of dOut
 		for oc := 0; oc < c.OutC; oc++ {
-			s2 := 0.0
+			sum := 0.0
 			for _, v := range dout[oc*p : (oc+1)*p] {
-				s2 += v
+				sum += v
 			}
-			c.dbAll[s*c.OutC+oc] = s2
+			c.db[oc] += sum
 		}
 		if c.noDx {
 			continue
 		}
 		// dcols = Wᵀ · dOut, then scatter back into this sample's dx
-		dcol := c.dcolAll[s*kdim*p : (s+1)*kdim*p]
 		tensor.MatMulATB(dcol, c.weights, dout, c.OutC, kdim, p)
 		dxs := c.dx[s*in.Size() : (s+1)*in.Size()]
 		clear(dxs)
 		c.col2im(dcol, dxs)
 	}
+	if c.noDx {
+		return nil
+	}
+	return c.dx[:b*in.Size()]
 }
 
 // --- ReLU ------------------------------------------------------------

@@ -239,8 +239,6 @@ func TestLayerNames(t *testing.T) {
 // the training hot path: after a warm-up step has grown every layer's
 // retained scratch, repeated forward+backward passes must not allocate.
 func TestLossGradZeroSteadyStateAllocs(t *testing.T) {
-	defer tensor.SetWorkers(0)
-	tensor.SetWorkers(1) // inline shards: only hot-path allocations count
 	rng := rand.New(rand.NewSource(5))
 	in := Shape{C: 3, H: 8, W: 8}
 	net := MiniVGG(in, 4)
@@ -255,39 +253,12 @@ func TestLossGradZeroSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestLossGradPoolSizeInvariant checks the other half of the compute
-// plane contract at layer level: gradients are bit-identical whether
-// the batch runs on one worker or many.
-func TestLossGradPoolSizeInvariant(t *testing.T) {
-	defer tensor.SetWorkers(0)
-	rng := rand.New(rand.NewSource(6))
-	in := Shape{C: 3, H: 8, W: 8}
-	x, labels := randomBatch(rng, in, 4, 16)
-
-	grad := func(workers int) ([]float64, float64) {
-		tensor.SetWorkers(workers)
-		net := MiniVGG(in, 4)
-		net.Init(rand.New(rand.NewSource(9)))
-		loss := net.LossGrad(x, labels, 16)
-		return tensor.Clone(net.Grads()), loss
-	}
-	g1, l1 := grad(1)
-	g4, l4 := grad(4)
-	if l1 != l4 {
-		t.Fatalf("loss differs across pool sizes: %g vs %g", l1, l4)
-	}
-	for i := range g1 {
-		if g1[i] != g4[i] {
-			t.Fatalf("grad[%d] differs across pool sizes: %g vs %g", i, g1[i], g4[i])
-		}
-	}
-}
-
 // --- Per-element references --------------------------------------------
 //
 // The loops the layers ran before they walked valid ranges: one bounds
-// branch per element, one compare-and-branch per pooling candidate. The
-// layer code must reproduce them bit for bit.
+// branch per element, one compare-and-branch per pooling candidate, one
+// gradient partial per sample. The layer code must reproduce them bit
+// for bit.
 
 func refIm2col(in Shape, k int, x, cols []float64) {
 	pad := k / 2
@@ -455,6 +426,81 @@ func TestMaxPoolMatchesReference(t *testing.T) {
 	}
 }
 
+// refConvBackward is the convolution's backward pass with every
+// sample's dW, db and dcols held in its own [b × …] partial and the
+// partials folded into dw and db afterwards, in sample order. It returns
+// dx (nil when the layer skips it).
+func refConvBackward(c *Conv2D, dy []float64, b int) []float64 {
+	in := c.in
+	p := in.H * in.W
+	kdim := in.C * c.K * c.K
+	nw := len(c.dw)
+	dwAll, dbAll := make([]float64, b*nw), make([]float64, b*c.OutC)
+	dcolAll, dx := make([]float64, b*kdim*p), make([]float64, b*in.Size())
+	for s := 0; s < b; s++ {
+		dout := dy[s*c.OutC*p : (s+1)*c.OutC*p]
+		tensor.MatMulABT(dwAll[s*nw:(s+1)*nw], dout, c.lastCol[s*kdim*p:(s+1)*kdim*p], c.OutC, p, kdim)
+		for oc := 0; oc < c.OutC; oc++ {
+			sum := 0.0
+			for _, v := range dout[oc*p : (oc+1)*p] {
+				sum += v
+			}
+			dbAll[s*c.OutC+oc] = sum
+		}
+		dcol := dcolAll[s*kdim*p : (s+1)*kdim*p]
+		tensor.MatMulATB(dcol, c.weights, dout, c.OutC, kdim, p)
+		refCol2im(in, c.K, dcol, dx[s*in.Size():(s+1)*in.Size()])
+	}
+	for s := 0; s < b; s++ {
+		tensor.Add(c.dw, dwAll[s*nw:(s+1)*nw])
+		for oc := 0; oc < c.OutC; oc++ {
+			c.db[oc] += dbAll[s*c.OutC+oc]
+		}
+	}
+	if c.noDx {
+		return nil
+	}
+	return dx
+}
+
+// TestConvBackwardMatchesPerSamplePartials pins the fold of one
+// sample's scratch into dw/db against the per-sample-partials reference
+// on MiniVGG's two conv layers, as a network's first layer and not, at
+// the batch sizes a run issues (1, the training batch, the eval batch).
+func TestConvBackwardMatchesPerSamplePartials(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	for _, l := range []struct {
+		in   Shape
+		outC int
+	}{{Shape{3, 8, 8}, 8}, {Shape{8, 4, 4}, 16}} {
+		for _, b := range []int{1, 16, 128} {
+			for _, noDx := range []bool{true, false} {
+				name := fmt.Sprintf("conv %v->%d b=%d noDx=%v", l.in, l.outC, b, noDx)
+				c := NewConv2D(l.outC, 3)
+				n := c.ParamCount(l.in)
+				params, grads := make([]float64, n), make([]float64, n)
+				c.Bind(l.in, params, grads)
+				c.Init(rng)
+				c.noDx = noDx
+				x, _ := randomBatch(rng, l.in, 2, b)
+				dy, _ := randomBatch(rng, c.OutShape(l.in), 2, b)
+				// Gradients accumulate onto what the buffer holds.
+				for i := range grads {
+					grads[i] = rng.NormFloat64()
+				}
+				start := tensor.Clone(grads)
+				c.Forward(x, b)
+				gotDx := tensor.Clone(c.Backward(dy, b))
+				got := tensor.Clone(grads)
+				copy(grads, start)
+				wantDx := refConvBackward(c, dy, b)
+				bitsEqual(t, name+" dw/db", got, grads)
+				bitsEqual(t, name+" dx", gotDx, wantDx)
+			}
+		}
+	}
+}
+
 // TestFirstLayerSkipsInputGrad: the first layer of a network computes
 // no dLoss/dIn and holds no scratch for it, and its parameter gradients
 // are those of the same layer with a layer in front of it. The layer in
@@ -496,10 +542,10 @@ func TestFirstLayerSkipsInputGrad(t *testing.T) {
 		}
 		switch l := first.(type) {
 		case *Conv2D:
-			if l.dx != nil || l.dcolAll != nil {
-				t.Errorf("conv as first layer holds dx (%d) / dcolAll (%d) scratch", cap(l.dx), cap(l.dcolAll))
+			if l.dx != nil || l.dcol != nil {
+				t.Errorf("conv as first layer holds dx (%d) / dcol (%d) scratch", cap(l.dx), cap(l.dcol))
 			}
-			if s := second.(*Conv2D); s.dx == nil || s.dcolAll == nil {
+			if s := second.(*Conv2D); s.dx == nil || s.dcol == nil {
 				t.Errorf("conv as second layer computed no input gradient")
 			}
 		case *Dense:

@@ -120,8 +120,8 @@ func testTile4MatchesScalar(t *testing.T) {
 // TestGemmTileKernelShapes runs the full GEMM entry points on shapes
 // chosen to exercise the tile kernel's edges — every row and column
 // remainder, k and n on both sides of a cache block, rows shorter than
-// axpyVecMin, and a large shape — at pool widths 1 and 4, pinning every
-// output bit against the naive triple loop.
+// axpyVecMin, and a large shape — pinning every output bit against the
+// naive triple loop.
 func TestGemmTileKernelShapes(t *testing.T) {
 	eachKernel(t, func(t *testing.T) {
 		checkGemmShapes(t, rand.New(rand.NewSource(43)), append([][3]int{
@@ -134,7 +134,7 @@ func TestGemmTileKernelShapes(t *testing.T) {
 			{7, 9, 257},  // long rows with scalar tail
 			{64, 128, 96},
 			{33, 17, 129},
-		}, tileEdgeShapes()...), []int{1, 4})
+		}, tileEdgeShapes()...))
 	})
 }
 

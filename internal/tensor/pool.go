@@ -4,35 +4,23 @@ package tensor
 // kernel (internal/sim) runs exactly one simulated process at a time,
 // so without help every gradient step of a figure reproduction executes
 // on one core no matter the machine. The compute plane fixes that
-// without touching the scheduling plane, with two grains of work on one
-// persistent worker pool (DESIGN.md §3):
+// without touching the scheduling plane: a persistent worker pool runs
+// whole steps (Step.Start / Step.Join, DESIGN.md §3) — a pure closure,
+// one simulated worker's gradient computation, started now and joined
+// later. Steps of different owners run concurrently; inside a step
+// every kernel runs on the goroutine that called it.
 //
-//   - Whole steps (Step.Start / Step.Join): a pure closure — one
-//     simulated worker's gradient computation — started now and joined
-//     later. Steps of different owners run concurrently; this is where
-//     a simulated cluster's parallelism comes from.
-//   - Row shards (Parallel and the GEMM kernels): one call's row loop
-//     split across the cores that are idle at that moment. Every output
-//     cell is still produced by exactly one goroutine accumulating its
-//     terms in exactly the same order as the sequential kernel.
-//
-// Neither grain can change a result: a step is pure and runs exactly
-// once, a shard never splits a cell. Results are bit-identical at any
-// pool size — including pool size one — and the scheduler keeps its
+// A step is pure and runs exactly once, so results are bit-identical at
+// any pool size — including pool size one — and the scheduler keeps its
 // deterministic interleavings.
 //
-// Lifecycle: worker goroutines are started lazily on first use, up to
-// Workers()−1 of them, and persist (they are parked on a channel
+// Lifecycle: worker goroutines are started lazily by the first Start,
+// up to Workers()−1 of them, and persist (they are parked on a channel
 // receive when idle, so an idle pool costs nothing but a few KiB of
-// stacks); only SetWorkers lowering the width stops the surplus. Row
-// shards are handed off by unbuffered channel: a shard is either picked
-// up by an idle worker immediately or run inline by the submitter, so
-// nested Parallel calls degrade to sequential execution instead of
-// deadlocking — and while every worker is busy with a whole step, the
-// row loops inside those steps find no idle receiver and stay on their
-// own core. Steps wait in a buffered queue instead, because their owner
-// has other things to do before it needs the result; whoever gets there
-// first — a pool worker or the owner's Join — runs the step.
+// stacks); only SetWorkers lowering the width stops the surplus. Steps
+// wait in a buffered queue, because their owner has other things to do
+// before it needs the result; whoever gets there first — a pool worker
+// or the owner's Join — runs the step.
 
 import (
 	"runtime"
@@ -45,9 +33,9 @@ import (
 // GOMAXPROCS".
 var configuredWorkers atomic.Int64
 
-// Workers returns the current compute-plane width: the number of row
-// shards Parallel splits work into. It defaults to runtime.GOMAXPROCS
-// and can be overridden with SetWorkers.
+// Workers returns the current compute-plane width: how many whole steps
+// run at once (Workers()−1 pool goroutines plus the joining owner). It
+// defaults to runtime.GOMAXPROCS and can be overridden with SetWorkers.
 func Workers() int {
 	if w := configuredWorkers.Load(); w > 0 {
 		return int(w)
@@ -59,11 +47,11 @@ func Workers() int {
 // knob). n <= 0 restores the GOMAXPROCS default. Results are
 // bit-identical at any width — the setting trades wall-clock speed
 // against CPU share only, so tests may pin it to compare runs. Safe
-// for concurrent use; takes effect on subsequent Parallel and Start
-// calls. A pool grown under a larger width is shrunk to the new one, so
-// that whole steps — which any pool goroutine may claim — keep at most
-// Workers() cores busy; SetWorkers waits for the surplus goroutines to
-// finish what they are running.
+// for concurrent use; takes effect on subsequent Start calls. A pool
+// grown under a larger width is shrunk to the new one, so that steps —
+// which any pool goroutine may claim — keep at most Workers() cores
+// busy; SetWorkers waits for the surplus goroutines to finish the step
+// they are running.
 func SetWorkers(n int) {
 	if n < 0 {
 		n = 0
@@ -75,52 +63,14 @@ func SetWorkers(n int) {
 		started -= surplus
 	}
 	startedMu.Unlock()
-	// Outside the lock: a busy worker may need it (a nested dispatch
-	// calls ensureWorkers) before it comes back to receive.
+	// Outside the lock, which Start takes: the send waits for a worker
+	// to finish its step.
 	for ; surplus > 0; surplus-- {
-		tasks <- parTask{op: opQuit}
-	}
-}
-
-// parTask is one row shard. It is sent by value over an unbuffered
-// channel, so dispatching a shard performs no allocation; the fn
-// field is only used by the generic Parallel entry point — the GEMM
-// kernels dispatch with a typed op to stay closure-free on the hot
-// path.
-type parTask struct {
-	op       uint8
-	fn       func(lo, hi int) // opFunc only
-	c, a, b  []float64
-	ars, aps int // opMatMul: A's row and p strides
-	k, n     int
-	lo, hi   int
-	wg       *sync.WaitGroup
-}
-
-// Shard op codes; opQuit is not a shard but the pool's stop signal.
-const (
-	opFunc uint8 = iota
-	opMatMul
-	opMatMulABT
-	opQuit
-)
-
-func (t *parTask) run() {
-	switch t.op {
-	case opFunc:
-		t.fn(t.lo, t.hi)
-	case opMatMul:
-		matMulRows(t.c, t.a, t.b, t.ars, t.aps, t.k, t.n, t.lo, t.hi)
-	case opMatMulABT:
-		matMulABTRows(t.c, t.a, t.b, t.k, t.n, t.lo, t.hi)
+		quit <- struct{}{}
 	}
 }
 
 var (
-	// tasks is the unbuffered row-shard hand-off channel; see the
-	// package comment for why it must not be buffered.
-	tasks = make(chan parTask)
-
 	// steps queues started whole steps for the pool. An entry is a
 	// hint, not ownership: whoever wins the step's queued→running
 	// transition runs it, and entries whose step the owner already ran
@@ -134,7 +84,9 @@ var (
 	startedMu sync.Mutex
 	started   int
 
-	wgPool = sync.Pool{New: func() any { return new(sync.WaitGroup) }}
+	// quit stops one pool goroutine per value sent. Unbuffered: the
+	// send returns once an idle worker has taken it.
+	quit = make(chan struct{})
 )
 
 // ensureWorkers grows the pool to at least n goroutines.
@@ -150,18 +102,12 @@ func ensureWorkers(n int) {
 	startedMu.Unlock()
 }
 
-// poolWorker is the loop of one pool goroutine: row shards and whole
-// steps from the same loop, so a worker busy with a step is not an
-// idle receiver for the shards of the steps around it.
+// poolWorker is the loop of one pool goroutine.
 func poolWorker() {
 	for {
 		select {
-		case t := <-tasks:
-			if t.op == opQuit {
-				return
-			}
-			t.run()
-			t.wg.Done()
+		case <-quit:
+			return
 		case s := <-steps:
 			s.runIfQueued()
 		}
@@ -204,9 +150,8 @@ const (
 )
 
 // Start queues fn, which must be pure compute: no blocking on other
-// goroutines, no simulated-kernel operations. fn may itself call
-// Parallel or the GEMM kernels. At width 1 nothing is handed off and no
-// goroutine is started: Join runs fn inline.
+// goroutines, no simulated-kernel operations. At width 1 nothing is
+// handed off and no goroutine is started: Join runs fn inline.
 func (s *Step) Start(fn func()) {
 	if s.state.Load() != stepIdle {
 		panic("tensor: Step.Start before the previous run was joined")
@@ -262,52 +207,4 @@ func (s *Step) Join() {
 			o.runIfQueued()
 		}
 	}
-}
-
-// dispatch shards [0, t.hi) over w chunks, runs the last chunk inline,
-// and waits for the rest. Each index lands in exactly one chunk, and
-// chunk boundaries never split the work a single output cell depends
-// on (callers shard independent rows), so results are identical for
-// every w.
-func dispatch(t parTask, n, w int) {
-	if w > n {
-		w = n
-	}
-	if w <= 1 || n <= 0 {
-		t.lo, t.hi = 0, n
-		t.run()
-		return
-	}
-	ensureWorkers(w - 1)
-	wg := wgPool.Get().(*sync.WaitGroup)
-	t.wg = wg
-	for c := 0; c < w-1; c++ {
-		s := t
-		s.lo, s.hi = c*n/w, (c+1)*n/w
-		wg.Add(1)
-		select {
-		case tasks <- s:
-			// An idle worker took it.
-		default:
-			// Every worker is busy (or we are nested inside one):
-			// run the shard on this goroutine instead of blocking.
-			s.run()
-			wg.Done()
-		}
-	}
-	t.lo, t.hi = (w-1)*n/w, n
-	t.run()
-	wg.Wait()
-	wgPool.Put(wg)
-}
-
-// Parallel runs fn(lo, hi) over disjoint contiguous shards covering
-// [0, n), using up to Workers() goroutines from the persistent pool;
-// with one worker (or n < 2) it is exactly fn(0, n). fn must be safe
-// to run concurrently on disjoint ranges and must not depend on shard
-// boundaries — under that contract the result is identical at any pool
-// size. Nested calls are safe: shards that cannot be handed to an idle
-// worker run inline on the caller.
-func Parallel(n int, fn func(lo, hi int)) {
-	dispatch(parTask{op: opFunc, fn: fn}, n, Workers())
 }

@@ -4,15 +4,14 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 	"testing"
 )
 
 // --- Naive reference kernels -----------------------------------------
 //
 // These are the plain triple loops the tiled kernels must match *bit
-// for bit* (not within epsilon): the tiling and sharding contract is
-// that every output cell accumulates its k-dimension terms in
+// for bit* (not within epsilon): the tiling contract is that every
+// output cell accumulates its k-dimension terms in
 // increasing order into one accumulator, which is exactly what these
 // loops do.
 
@@ -139,10 +138,9 @@ func tileEdgeShapes() [][3]int {
 }
 
 // checkGemmShapes holds MatMul, MatMulATB and MatMulABT to the naive
-// triple loops on every shape, at every pool width given.
-func checkGemmShapes(t *testing.T, rng *rand.Rand, shapes [][3]int, widths []int) {
+// triple loops on every shape.
+func checkGemmShapes(t *testing.T, rng *rand.Rand, shapes [][3]int) {
 	t.Helper()
-	defer SetWorkers(0)
 	for _, s := range shapes {
 		m, k, n := s[0], s[1], s[2]
 		a, at := randVec(rng, m*k), randVec(rng, k*m)
@@ -152,23 +150,19 @@ func checkGemmShapes(t *testing.T, rng *rand.Rand, shapes [][3]int, widths []int
 		refMatMulATB(wantATB, at, b, k, m, n)
 		refMatMulABT(wantABT, a, bt, m, k, n)
 		got := make([]float64, m*n)
-		for _, w := range widths {
-			SetWorkers(w)
-			name := fmt.Sprintf("/k=%d/width=%d", k, w)
-			MatMul(got, a, b, m, k, n)
-			exactEq(t, "MatMul"+name, got, wantAB, m, n)
-			MatMulATB(got, at, b, k, m, n)
-			exactEq(t, "MatMulATB"+name, got, wantATB, m, n)
-			MatMulABT(got, a, bt, m, k, n)
-			exactEq(t, "MatMulABT"+name, got, wantABT, m, n)
-		}
+		name := fmt.Sprintf("/k=%d", k)
+		MatMul(got, a, b, m, k, n)
+		exactEq(t, "MatMul"+name, got, wantAB, m, n)
+		MatMulATB(got, at, b, k, m, n)
+		exactEq(t, "MatMulATB"+name, got, wantATB, m, n)
+		MatMulABT(got, a, bt, m, k, n)
+		exactEq(t, "MatMulABT"+name, got, wantABT, m, n)
 	}
 }
 
 // TestGemmMatchesNaiveExactly is the determinism property test: across
 // odd and degenerate shapes, every tiled kernel must equal the naive
-// triple loop exactly, at several pool widths including widths larger
-// than the machine.
+// triple loop exactly.
 func TestGemmMatchesNaiveExactly(t *testing.T) {
 	eachKernel(t, func(t *testing.T) {
 		checkGemmShapes(t, rand.New(rand.NewSource(7)), [][3]int{
@@ -180,11 +174,9 @@ func TestGemmMatchesNaiveExactly(t *testing.T) {
 			// A·Bᵀ shapes: conv weight gradients and the dense forwards.
 			{3, 5, 8}, {4, 5, 7}, {4, 5, 8}, {4, 1, 9}, {5, 6, 11},
 			{8, 64, 27}, {16, 16, 72}, {16, 64, 64}, {16, 64, 4},
-			// Large enough to shard (m·k·n ≥ gemmParFlops): a different
-			// row remainder in each shard at most widths, several blocks
-			// each way.
+			// Several blocks each way under a row remainder.
 			{67, 2*gemmKC + 3, 8*gemmNC + 5},
-		}, []int{1, 2, 3, 4, 7, 16})
+		})
 	})
 }
 
@@ -206,83 +198,6 @@ func TestTranspose(t *testing.T) {
 	}
 }
 
-// TestGemmPoolSizeInvariant pins the tentpole guarantee directly: the
-// same inputs produce bit-identical outputs at every pool width.
-func TestGemmPoolSizeInvariant(t *testing.T) {
-	defer SetWorkers(0)
-	rng := rand.New(rand.NewSource(11))
-	m, k, n := 61, 270, 257 // m·k·n ≥ gemmParFlops
-	a, b := randVec(rng, m*k), randVec(rng, k*n)
-	SetWorkers(1)
-	want := make([]float64, m*n)
-	MatMul(want, a, b, m, k, n)
-	for _, w := range []int{2, 3, 5, 8, 32} {
-		SetWorkers(w)
-		got := make([]float64, m*n)
-		MatMul(got, a, b, m, k, n)
-		exactEq(t, "MatMul", got, want, m, n)
-	}
-}
-
-// TestParallelCoversExactlyOnce checks the sharding contract Parallel
-// promises its callers: disjoint contiguous shards covering [0, n),
-// each index exactly once, at any width.
-func TestParallelCoversExactlyOnce(t *testing.T) {
-	defer SetWorkers(0)
-	for _, workers := range []int{1, 2, 3, 8, 33} {
-		SetWorkers(workers)
-		for _, n := range []int{0, 1, 2, 7, 64, 1001} {
-			hits := make([]int32, n)
-			var mu sync.Mutex
-			covered := 0
-			Parallel(n, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					hits[i]++
-				}
-				mu.Lock()
-				covered += hi - lo
-				mu.Unlock()
-			})
-			if covered != n {
-				t.Fatalf("workers=%d n=%d: covered %d indices", workers, n, covered)
-			}
-			for i, h := range hits {
-				if h != 1 {
-					t.Fatalf("workers=%d n=%d: index %d visited %d times", workers, n, i, h)
-				}
-			}
-		}
-	}
-}
-
-// TestParallelNested checks that a shard may itself call Parallel (the
-// conv layers do: batch-parallel forward around row-sharded GEMMs)
-// without deadlock or double work.
-func TestParallelNested(t *testing.T) {
-	defer SetWorkers(0)
-	SetWorkers(4)
-	const outer, inner = 6, 40
-	hits := make([]int32, outer*inner)
-	var mu sync.Mutex
-	Parallel(outer, func(lo, hi int) {
-		for o := lo; o < hi; o++ {
-			o := o
-			Parallel(inner, func(ilo, ihi int) {
-				mu.Lock()
-				for i := ilo; i < ihi; i++ {
-					hits[o*inner+i]++
-				}
-				mu.Unlock()
-			})
-		}
-	})
-	for i, h := range hits {
-		if h != 1 {
-			t.Fatalf("nested: index %d visited %d times", i, h)
-		}
-	}
-}
-
 // TestSetWorkersClamp checks the knob semantics: negative resets to
 // the GOMAXPROCS default, positive values are honored as given.
 func TestSetWorkersClamp(t *testing.T) {
@@ -294,22 +209,5 @@ func TestSetWorkersClamp(t *testing.T) {
 	SetWorkers(-5)
 	if Workers() < 1 {
 		t.Fatalf("Workers() = %d after reset", Workers())
-	}
-}
-
-// BenchmarkParallelOverhead measures the cost of one pooled dispatch
-// against doing the work inline — the latency floor a GEMM must beat
-// for sharding to pay.
-func BenchmarkParallelOverhead(b *testing.B) {
-	sink := make([]float64, 256)
-	fn := func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			sink[j] += 1
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer() // exclude sink/closure setup: dispatch itself is alloc-free
-	for i := 0; i < b.N; i++ {
-		Parallel(len(sink), fn)
 	}
 }

@@ -1,7 +1,7 @@
 package tensor
 
 import (
-	"math/rand"
+	"bytes"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -99,43 +99,6 @@ func TestStepWidthOneIsInline(t *testing.T) {
 	}
 }
 
-// TestStepNestedParallel runs more steps than cores, each one a GEMM
-// large enough to shard, and checks every product against the
-// sequential reference bit for bit: row sharding inside a whole step
-// neither deadlocks nor changes a result.
-func TestStepNestedParallel(t *testing.T) {
-	defer SetWorkers(0)
-	rng := rand.New(rand.NewSource(5))
-	const m, k, n, count = 96, 256, 192, 9 // m·k·n ≥ gemmParFlops
-	as, bs, want := make([][]float64, count), make([][]float64, count), make([][]float64, count)
-	for i := range as {
-		as[i], bs[i] = randVec(rng, m*k), randVec(rng, k*n)
-		want[i] = make([]float64, m*n)
-		refMatMul(want[i], as[i], bs[i], m, k, n)
-	}
-	for _, w := range []int{1, 2, 4} {
-		SetWorkers(w)
-		steps := make([]Step, count)
-		got := make([][]float64, count)
-		for i := range steps {
-			i := i
-			got[i] = make([]float64, m*n)
-			steps[i].Start(func() {
-				MatMul(got[i], as[i], bs[i], m, k, n)
-				Parallel(m*n, func(lo, hi int) {
-					for j := lo; j < hi; j++ {
-						got[i][j] *= 1 // touch every cell from a shard
-					}
-				})
-			})
-		}
-		for i := range steps {
-			steps[i].Join()
-			exactEq(t, "step MatMul", got[i], want[i], m, n)
-		}
-	}
-}
-
 // TestStepReuseAllocatesNothing: after its first Start a Step is
 // allocation-free, whoever runs it.
 func TestStepReuseAllocatesNothing(t *testing.T) {
@@ -187,19 +150,53 @@ func BenchmarkStepHandOff(b *testing.B) {
 
 // TestSetWorkersResizesPool: any pool goroutine may claim a whole
 // step, so the width is only honoured if lowering it stops the
-// surplus; raising it grows the pool on the next use.
+// surplus; raising it grows the pool on the next Start. The width moves
+// while steps are queued and running: the stop signal has to reach a
+// worker between two steps without costing or repeating either.
 func TestSetWorkersResizesPool(t *testing.T) {
 	defer SetWorkers(0)
-	poolSize := func() int {
-		startedMu.Lock()
-		defer startedMu.Unlock()
-		return started
+	// alive counts pool goroutines in the all-goroutine dump, waiting
+	// for it to come down to want: a stopped goroutine leaves in its own
+	// time after taking the signal.
+	alive := func(want int) int {
+		buf := make([]byte, 1<<20)
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			n := bytes.Count(buf[:runtime.Stack(buf, true)], []byte("tensor.poolWorker("))
+			if n <= want || time.Now().After(deadline) {
+				return n
+			}
+		}
 	}
-	for _, w := range []int{4, 2, 1, 3} {
+	const count = 64
+	steps := make([]Step, count)
+	runs := make([]atomic.Int32, count)
+	for _, w := range []int{4, 2, 1, 3, 1} {
+		// Start at the widest setting, so the pool is full when the
+		// width drops under the queued steps.
+		SetWorkers(4)
+		for i := range steps {
+			i := i
+			steps[i].Start(func() {
+				runs[i].Add(1)
+				for t0 := time.Now(); time.Since(t0) < 20*time.Microsecond; {
+				}
+			})
+		}
 		SetWorkers(w)
-		Parallel(64, func(lo, hi int) {})
-		if got := poolSize(); got != w-1 {
+		startedMu.Lock()
+		got := started
+		startedMu.Unlock()
+		if got != w-1 {
 			t.Fatalf("width %d: pool has %d goroutines, want %d", w, got, w-1)
+		}
+		for i := range steps {
+			steps[i].Join()
+			if n := runs[i].Swap(0); n != 1 {
+				t.Fatalf("width %d: step %d ran %d times", w, i, n)
+			}
+		}
+		if n := alive(w - 1); n != w-1 {
+			t.Fatalf("width %d: %d pool goroutines alive, want %d", w, n, w-1)
 		}
 	}
 }

@@ -156,26 +156,6 @@ func WeightedMean(dst []float64, vectors [][]float64, weights []float64) {
 	}
 }
 
-// gemmParFlops is the minimum m·k·n at which a GEMM shards its row
-// loop across the worker pool; below it the hand-off overhead exceeds
-// the arithmetic. Sharding never changes results (each output cell is
-// produced whole, in the same summation order, by exactly one shard),
-// so the threshold is purely a latency tuning knob. It is the smallest
-// power of two at which two shards were no slower than one on the
-// 2-core reference sandbox (one shard → two, µs per product):
-//
-//	16·64·64    = 2^16    4.8 →   7.5   (BenchmarkGemmDense: 6.3 → 10.5)
-//	128·128·64  = 2^20   73   →  97
-//	128·128·128 = 2^21  147   → 177
-//	128·256·128 = 2^22  300   → 255     (256·128·128: 320 → 338)
-//	128·256·256 = 2^23  650   → 430
-//	BenchmarkGemmLarge  2960  → 1650
-//
-// A shard handed to a parked pool worker starts tens of microseconds
-// late, so a product has to be some hundreds of microseconds long
-// before half of it is worth that wait.
-const gemmParFlops = 1 << 22
-
 // Cache blocking of the tile loops: a gemmKC × gemmNC block of B (32
 // KiB) is walked by every row quad before the next block is touched, so
 // it is read from L1 rather than streamed once per quad. A k-block
@@ -194,48 +174,36 @@ const (
 // A is m×k, B is k×n, C is m×n. C must not alias A or B.
 //
 // The kernel is register-tiled (four rows of C by eight columns stay in
-// registers across k) and shards rows of C across the worker pool for
-// large shapes. Each cell C[i,j] accumulates a[i,p]·b[p,j] for p =
-// 0…k−1 in increasing p order on every code path, so the result is
-// bit-identical at any pool size, tile shape and block size.
+// registers across k). Each cell C[i,j] accumulates a[i,p]·b[p,j] for
+// p = 0…k−1 in increasing p order on every code path, so the result is
+// bit-identical at any tile shape and block size.
 func MatMul(c, a, b []float64, m, k, n int) {
 	if len(a) != m*k || len(b) != k*n || len(c) != m*n {
 		panic(fmt.Sprintf("tensor: MatMul shape mismatch a=%d b=%d c=%d (m=%d k=%d n=%d)", len(a), len(b), len(c), m, k, n))
 	}
-	dispatch(parTask{op: opMatMul, c: c, a: a, b: b, ars: k, aps: 1, k: k, n: n}, m, gemmWidth(m, k, n))
+	matMulRows(c, a, b, k, 1, m, k, n)
 }
 
-// gemmWidth is the number of shards an m×k×n product is cut into.
-func gemmWidth(m, k, n int) int {
-	if m >= 2 && m*k*n >= gemmParFlops {
-		return Workers()
-	}
-	return 1
-}
-
-// matMulRows computes rows [i0, i1) of C = A·B, where a[i*ars+p*aps] is
+// matMulRows computes the m rows of C = A·B, where a[i*ars+p*aps] is
 // A's element (i, p): row-major A has strides (k, 1), a k×m matrix read
 // as its transpose (1, m). Rows advance four at a time through tile4,
 // block by block of B; every cell starts from +0 and takes its terms in
 // ascending p — the summation order of the plain triple loop. The one
 // to three rows a quad leaves over take one AXPY per p.
-func matMulRows(c, a, b []float64, ars, aps, k, n, i0, i1 int) {
-	z := c[i0*n : i1*n]
-	for j := range z {
-		z[j] = 0
-	}
-	i4 := i0 + (i1-i0)&^3
+func matMulRows(c, a, b []float64, ars, aps, m, k, n int) {
+	clear(c)
+	m4 := m &^ 3
 	for p0 := 0; p0 < k; p0 += gemmKC {
 		kb := min(gemmKC, k-p0)
 		for j0 := 0; j0 < n; j0 += gemmNC {
 			nb := min(gemmNC, n-j0)
 			bb := b[p0*n+j0:]
-			for i := i0; i < i4; i += 4 {
+			for i := 0; i < m4; i += 4 {
 				tile4(c[i*n+j0:], n, a[i*ars+p0*aps:], ars, aps, bb, n, kb, nb)
 			}
 		}
 	}
-	for i := i4; i < i1; i++ {
+	for i := m4; i < m; i++ {
 		crow := c[i*n : (i+1)*n]
 		for p := 0; p < k; p++ {
 			axpy1(crow, b[p*n:(p+1)*n], a[i*ars+p*aps])
@@ -244,14 +212,13 @@ func matMulRows(c, a, b []float64, ars, aps, k, n, i0, i1 int) {
 }
 
 // MatMulATB computes C = Aᵀ·B where A is k×m, B is k×n, C is m×n: the
-// kernel of MatMul with A's strides swapped, so rows of C (columns of
-// A) shard the same way and every cell accumulates over p = 0…k−1 in
-// increasing order.
+// kernel of MatMul with A's strides swapped, so every cell accumulates
+// over p = 0…k−1 in increasing order.
 func MatMulATB(c, a, b []float64, k, m, n int) {
 	if len(a) != k*m || len(b) != k*n || len(c) != m*n {
 		panic(fmt.Sprintf("tensor: MatMulATB shape mismatch a=%d b=%d c=%d (k=%d m=%d n=%d)", len(a), len(b), len(c), k, m, n))
 	}
-	dispatch(parTask{op: opMatMul, c: c, a: a, b: b, ars: 1, aps: m, k: k, n: n}, m, gemmWidth(m, k, n))
+	matMulRows(c, a, b, 1, m, m, k, n)
 }
 
 // abtTransposeMinRows is the fewest rows of A for which MatMulABT
@@ -259,9 +226,9 @@ func MatMulATB(c, a, b []float64, k, m, n int) {
 // row of A then saves that many scalar multiply-adds.
 const abtTransposeMinRows = 4
 
-// MatMulABT computes C = A·Bᵀ where A is m×k, B is n×k, C is m×n.
-// Rows of C are sharded across the worker pool; each cell is one dot
-// product accumulated over p = 0…k−1 in increasing order.
+// MatMulABT computes C = A·Bᵀ where A is m×k, B is n×k, C is m×n. Each
+// cell is one dot product accumulated over p = 0…k−1 in increasing
+// order.
 //
 // A dot product may not be vectorized along k (§3.1 of DESIGN.md: never
 // across the summation index), which leaves the direct kernel scalar.
@@ -275,14 +242,13 @@ func MatMulABT(c, a, b []float64, m, k, n int) {
 	if len(a) != m*k || len(b) != n*k || len(c) != m*n {
 		panic(fmt.Sprintf("tensor: MatMulABT shape mismatch a=%d b=%d c=%d (m=%d k=%d n=%d)", len(a), len(b), len(c), m, k, n))
 	}
-	w := gemmWidth(m, k, n)
 	if m < abtTransposeMinRows || n < axpyVecMin {
-		dispatch(parTask{op: opMatMulABT, c: c, a: a, b: b, k: k, n: n}, m, w)
+		matMulABTRows(c, a, b, m, k, n)
 		return
 	}
 	bt := GetVec(k * n)
 	transpose(bt, b, n, k)
-	dispatch(parTask{op: opMatMul, c: c, a: a, b: bt, ars: k, aps: 1, k: k, n: n}, m, w)
+	matMulRows(c, a, bt, k, 1, m, k, n)
 	PutVec(bt)
 }
 
@@ -311,12 +277,12 @@ func transpose(dst, src []float64, rows, cols int) {
 	}
 }
 
-// matMulABTRows computes rows [i0, i1) of C = A·Bᵀ directly — the
-// kernel of the shapes too thin to transpose for: the row of A is
-// streamed once against four rows of B, with one independent
-// accumulator per output cell.
-func matMulABTRows(c, a, b []float64, k, n, i0, i1 int) {
-	for i := i0; i < i1; i++ {
+// matMulABTRows computes the m rows of C = A·Bᵀ directly — the kernel
+// of the shapes too thin to transpose for: the row of A is streamed
+// once against four rows of B, with one independent accumulator per
+// output cell.
+func matMulABTRows(c, a, b []float64, m, k, n int) {
+	for i := 0; i < m; i++ {
 		arow := a[i*k : (i+1)*k]
 		crow := c[i*n : (i+1)*n]
 		j := 0

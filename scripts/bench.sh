@@ -2,12 +2,12 @@
 # bench.sh — run the benchmark trajectory and write the
 # machine-readable result files (BENCH_gemm.json for the compute
 # plane, BENCH_live.json for the live loopback wire plane,
-# BENCH_e2e.json for the compute plane's width axis). See BENCH.md.
+# BENCH_e2e.json for the CNN workload end to end). See BENCH.md.
 #
 # Usage:
 #   scripts/bench.sh                 # GEMM + codec micro -> BENCH_gemm.json,
 #                                    # live loopback      -> BENCH_live.json,
-#                                    # width axis         -> BENCH_e2e.json
+#                                    # CNN end to end     -> BENCH_e2e.json
 #   scripts/bench.sh --figures       # also smoke the figure benchmarks (benchtime=1x)
 #   BENCH_OUT=custom.json BENCH_LIVE_OUT=live.json BENCH_E2E_OUT=e2e.json scripts/bench.sh
 #
@@ -22,14 +22,13 @@ cd "$(dirname "$0")/.."
 
 OUT="${BENCH_OUT:-BENCH_gemm.json}"
 BENCHTIME="${BENCH_TIME:-200x}"
-PATTERN="${BENCH_PATTERN:-Gemm|Axpy|Delta|WireCompress|WireDecode|ParallelOverhead}"
+PATTERN="${BENCH_PATTERN:-Gemm|Axpy|Delta|WireCompress|WireDecode}"
 LIVE_OUT="${BENCH_LIVE_OUT:-BENCH_live.json}"
 LIVE_BENCHTIME="${BENCH_LIVE_TIME:-3x}"
 LIVE_PATTERN="${BENCH_LIVE_PATTERN:-LiveLoopback}"
-# The width axis (width=1|2|4 sub-benchmarks): the 16-worker CNN
-# workload end to end — whole gradient steps overlapping — and one
-# replica's step alone — row sharding only. One op of the first is a
-# full 4800-step run, one op of the second about a millisecond.
+# The 16-worker CNN workload end to end at width=1|2|4 — whole gradient
+# steps overlapping — and one replica's step alone. One op of the first
+# is a full 4800-step run, one op of the second about half a millisecond.
 E2E_OUT="${BENCH_E2E_OUT:-BENCH_e2e.json}"
 E2E_BENCHTIME="${BENCH_E2E_TIME:-3x}"
 E2E_STEP_BENCHTIME="${BENCH_E2E_STEP_TIME:-3000x}"

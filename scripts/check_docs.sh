@@ -9,7 +9,10 @@
 #      `scripts/<name>` path mentioned in README.md actually exists, and
 #      so does every package the README's package-map tree names under
 #      `internal/` (rows like "  ps / adpsgd   baselines ..."), so the
-#      package map cannot keep listing a deleted package.
+#      package map cannot keep listing a deleted package;
+#   3. every `DESIGN.md §x.y` cited from a tracked *.go file is the
+#      number of a DESIGN.md heading, so renumbering a section cannot
+#      leave source comments pointing at another one.
 #
 # Usage: scripts/check_docs.sh    (exits non-zero listing broken refs)
 
@@ -72,6 +75,14 @@ if [ -f README.md ]; then
         fi
     done
 fi
+
+# --- 3. DESIGN.md sections cited from Go sources ---------------------
+while IFS=: read -r file line ref; do
+    sec="${ref#DESIGN.md }"
+    if ! grep -qE "^#+ ${sec//./\\.} " DESIGN.md; then
+        note "BROKEN SECTION REF: $file:$line cites $ref, which is not a heading of DESIGN.md"
+    fi
+done < <(git ls-files '*.go' | xargs grep -noE 'DESIGN\.md §[0-9]+(\.[0-9]+[a-z]?)?')
 
 if [ -n "$errors" ]; then
     printf '%s' "$errors" >&2
