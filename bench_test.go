@@ -25,6 +25,7 @@ import (
 	"hop/internal/metrics"
 	"hop/internal/model"
 	"hop/internal/nn"
+	"hop/internal/opt"
 	"hop/internal/sim"
 	"hop/internal/tensor"
 	"hop/internal/transport"
@@ -187,6 +188,23 @@ func BenchmarkSVMLossGrad(b *testing.B) {
 	}
 }
 
+// BenchmarkSGDStep measures the optimizer update at the SVM workload's
+// size and hyper-parameters: every live iteration ends with one.
+func BenchmarkSGDStep(b *testing.B) {
+	cfg := model.DefaultSVMConfig()
+	s := opt.NewSGD(cfg.Features, cfg.LR, cfg.Momentum, cfg.Decay)
+	params, grads := make([]float64, cfg.Features), make([]float64, cfg.Features)
+	rng := rand.New(rand.NewSource(1))
+	for i := range grads {
+		grads[i] = rng.NormFloat64() * 1e-3
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Step(params, grads)
+	}
+}
+
 func BenchmarkConvForward(b *testing.B) {
 	in := nn.Shape{C: 3, H: 16, W: 16}
 	net := nn.NewNetwork(in, nn.NewConv2D(8, 3), nn.NewReLU(), nn.NewMaxPool2(), nn.NewDense(10))
@@ -209,8 +227,8 @@ func BenchmarkSpectralGap16(b *testing.B) {
 
 // BenchmarkWebspamSample measures the SVM workload's mini-batch draw
 // at its default shape (32 samples of 24 active features out of 4096):
-// on the live plane it is the largest single line of a worker's
-// iteration (DESIGN.md §9.4).
+// on the live plane it is the largest line of a worker's iteration that
+// is not the wire's (DESIGN.md §9.4).
 func BenchmarkWebspamSample(b *testing.B) {
 	d := data.NewWebspam(4096, 24, 0.05, 2)
 	rng := rand.New(rand.NewSource(1))

@@ -136,6 +136,33 @@ func TestDeadlockDemo(t *testing.T) {
 	}
 }
 
+// TestFig13DecentralizedBeatsPS holds Figure 13 to its claim rather
+// than to its digits: on both workloads, decentralized training reaches
+// the target loss sooner than the BSP parameter server, in the
+// homogeneous and in the heterogeneous environment (§7.3.2).
+func TestFig13DecentralizedBeatsPS(t *testing.T) {
+	if testing.Short() {
+		t.Skip("cluster sweep")
+	}
+	rep, err := Fig13(Quick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range profiles() {
+		ps, ok := rep.Series[key(p.Name, "ps-bsp", "loss-vs-time")].TimeToValue(p.TargetLoss)
+		if !ok {
+			t.Errorf("%s: the parameter server never reached loss %g", p.Name, p.TargetLoss)
+			continue
+		}
+		for _, env := range []string{"dec-homo", "dec-hetero"} {
+			dec, ok := rep.Series[key(p.Name, env, "loss-vs-time")].TimeToValue(p.TargetLoss)
+			if !ok || dec >= ps {
+				t.Errorf("%s/%s: time to loss %g is %v (reached: %t), want below the parameter server's %v", p.Name, env, p.TargetLoss, dec, ok, ps)
+			}
+		}
+	}
+}
+
 func TestFig16BackupSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster sweep")

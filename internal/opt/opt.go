@@ -29,10 +29,16 @@ func (s *SGD) Step(params, grads []float64) {
 	if len(params) != len(grads) || len(params) != len(s.velocity) {
 		panic(fmt.Sprintf("opt: Step length mismatch params=%d grads=%d velocity=%d", len(params), len(grads), len(s.velocity)))
 	}
-	for i := range params {
-		v := s.Momentum*s.velocity[i] + grads[i] + s.WeightDecay*params[i]
-		s.velocity[i] = v
-		params[i] -= s.LR * v
+	// Locals, and slices cut to one length: a store through params or
+	// velocity may alias *s as far as the compiler knows, so reading the
+	// fields inside the loop reloads them — and re-checks the bounds —
+	// after every store.
+	m, lr, wd := s.Momentum, s.LR, s.WeightDecay
+	grads, velocity := grads[:len(params)], s.velocity[:len(params)]
+	for i, x := range params {
+		v := m*velocity[i] + grads[i] + wd*x
+		velocity[i] = v
+		params[i] = x - lr*v
 	}
 }
 

@@ -2,6 +2,7 @@ package opt
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -77,4 +78,43 @@ func TestLengthMismatchPanics(t *testing.T) {
 		}
 	}()
 	s.Step([]float64{1}, []float64{1})
+}
+
+// refStep is Step's loop as first written, one expression per element
+// with every operand read where it is used — the reference Step is
+// pinned to.
+func refStep(s *SGD, params, grads []float64) {
+	for i := range params {
+		v := s.Momentum*s.velocity[i] + grads[i] + s.WeightDecay*params[i]
+		s.velocity[i] = v
+		params[i] -= s.LR * v
+	}
+}
+
+// TestStepMatchesReference: 1 000 steps leave parameters and velocity
+// bit for bit where the reference loop leaves them, at the SVM's
+// hyper-parameters and with momentum and decay off.
+func TestStepMatchesReference(t *testing.T) {
+	const n = 257
+	for _, c := range []struct{ lr, momentum, decay float64 }{{0.2, 0.9, 1e-7}, {0.05, 0, 0}} {
+		got, want := NewSGD(n, c.lr, c.momentum, c.decay), NewSGD(n, c.lr, c.momentum, c.decay)
+		rng := rand.New(rand.NewSource(1))
+		p, q, g := make([]float64, n), make([]float64, n), make([]float64, n)
+		for i := range p {
+			p[i] = rng.NormFloat64()
+			q[i] = p[i]
+		}
+		for step := 0; step < 1000; step++ {
+			for i := range g {
+				g[i] = rng.NormFloat64()
+			}
+			got.Step(p, g)
+			refStep(want, q, g)
+		}
+		for i := range p {
+			if math.Float64bits(p[i]) != math.Float64bits(q[i]) || math.Float64bits(got.velocity[i]) != math.Float64bits(want.velocity[i]) {
+				t.Fatalf("lr %g momentum %g decay %g, element %d: param %v velocity %v, reference %v %v", c.lr, c.momentum, c.decay, i, p[i], got.velocity[i], q[i], want.velocity[i])
+			}
+		}
+	}
 }

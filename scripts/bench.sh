@@ -54,8 +54,8 @@ go test -run '^$' -bench "$LIVE_PATTERN" -benchtime="$LIVE_BENCHTIME" -count=1 .
 # microseconds, not a cluster run. TopKStreamEncode is here and not in
 # the codec rows above because its width=2 rows need the second CPU
 # this file is recorded with.
-echo "running: go test -run '^$' -bench 'WebspamSample|TransportTokenThenUpdate|TopKStreamEncode' -benchmem -benchtime=20000x ./" >&2
-go test -run '^$' -bench 'WebspamSample|TransportTokenThenUpdate|TopKStreamEncode' -benchmem -benchtime=20000x -count=1 ./ | tee -a "$LIVE_RAW" >&2
+echo "running: go test -run '^$' -bench 'WebspamSample|SVMLossGrad|SGDStep|TransportTokenThenUpdate|TopKStreamEncode' -benchmem -benchtime=20000x ./" >&2
+go test -run '^$' -bench 'WebspamSample|SVMLossGrad|SGDStep|TransportTokenThenUpdate|TopKStreamEncode' -benchmem -benchtime=20000x -count=1 ./ | tee -a "$LIVE_RAW" >&2
 bench_to_json "$LIVE_RAW" "$LIVE_OUT"
 echo "wrote $LIVE_OUT" >&2
 
