@@ -10,8 +10,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -67,14 +69,26 @@ func main() {
 		fmt.Fprintln(os.Stderr, "hopbench:", err)
 		os.Exit(2)
 	}
+	failed := runAll(os.Stdout, entries, sc, *series)
+	stopProf() // not deferred: a failed experiment still exits non-zero below
+	if failed > 0 {
+		os.Exit(1)
+	}
+}
+
+// runAll runs the experiments, writing their reports to w, and returns
+// how many failed — a report that could not be written (stdout on a
+// full disk, a closed pipe) counts as a failure.
+func runAll(w io.Writer, entries []experiments.Entry, sc experiments.Scale, series bool) int {
 	failed := 0
 	for _, e := range entries {
 		start := time.Now()
 		rep, err := e.Run(sc)
 		if rep != nil {
-			rep.WriteTo(os.Stdout)
-			if *series {
-				rep.RenderSeries(os.Stdout)
+			_, werr := rep.WriteTo(w)
+			err = errors.Join(err, werr)
+			if series {
+				rep.RenderSeries(w)
 			}
 		}
 		if err != nil {
@@ -82,10 +96,7 @@ func main() {
 			failed++
 			continue
 		}
-		fmt.Printf("[%s done in %v]\n\n", e.ID, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(w, "[%s done in %v]\n\n", e.ID, time.Since(start).Round(time.Millisecond))
 	}
-	stopProf() // not deferred: a failed experiment still exits non-zero below
-	if failed > 0 {
-		os.Exit(1)
-	}
+	return failed
 }

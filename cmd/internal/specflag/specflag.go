@@ -53,7 +53,7 @@ func Register(fs *flag.FlagSet, def scenario.Spec) *Flags {
 		func(s *spec, v string) { s.Workload = v })
 
 	groupSize := fs.Int("group-size", 4, "with -protocol prague: partial all-reduce group size")
-	add(f, "protocol", fs.String("protocol", "standard", "standard | notify-ack | prague"),
+	add(f, "protocol", fs.String("protocol", "standard", "standard | notify-ack | prague | ps | adpsgd"),
 		func(s *spec, v string) {
 			s.Protocol.Mode = v
 			if v == "prague" && s.Protocol.GroupSize == 0 {

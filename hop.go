@@ -38,6 +38,7 @@
 package hop
 
 import (
+	"errors"
 	"io"
 	"time"
 
@@ -361,7 +362,8 @@ const (
 func Experiments() []Experiment { return experiments.Registry }
 
 // RunExperiment regenerates one table/figure by id (e.g. "fig14",
-// "table1") and writes its report to w.
+// "table1") and writes its report to w. A failed write is an error
+// like a failed run.
 func RunExperiment(id string, scale ExperimentScale, w io.Writer) error {
 	e, err := experiments.Lookup(id)
 	if err != nil {
@@ -369,7 +371,8 @@ func RunExperiment(id string, scale ExperimentScale, w io.Writer) error {
 	}
 	rep, err := e.Run(scale)
 	if rep != nil {
-		rep.WriteTo(w)
+		_, werr := rep.WriteTo(w)
+		err = errors.Join(err, werr)
 	}
 	return err
 }

@@ -1,6 +1,7 @@
 package hop_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -87,7 +88,18 @@ func TestRunExperimentFacade(t *testing.T) {
 	if len(hop.Experiments()) != 12 {
 		t.Errorf("experiments: %d", len(hop.Experiments()))
 	}
+	// A report that cannot be written is a failed experiment.
+	if err := hop.RunExperiment("fig21", hop.ScaleQuick, failWriter{}); !errors.Is(err, errFull) {
+		t.Errorf("write to a full device returned %v, want %v", err, errFull)
+	}
 }
+
+var errFull = errors.New("no space left on device")
+
+// failWriter fails every write, like stdout redirected to /dev/full.
+type failWriter struct{}
+
+func (failWriter) Write([]byte) (int, error) { return 0, errFull }
 
 // TestScenarioFacade drives the declarative layer through the public
 // API: parse a spec, run it, and run a built-in sweep.

@@ -74,8 +74,8 @@ type Result struct {
 	// cheap to hand off. Host-time bookkeeping: nothing simulated
 	// depends on it.
 	StepsOffloaded int
-	// Deadlock is non-nil when the run deadlocked (e.g. the naive
-	// AD-PSGD demo); the paper's protocols never deadlock.
+	// Deadlock is non-nil when the run deadlocked (AD-PSGD on a
+	// non-bipartite graph, §5); the paper's protocols never deadlock.
 	Deadlock error
 }
 
@@ -186,7 +186,7 @@ func (h *host) EndCompute(w int, t time.Duration) {
 // records (src is always u.From) and arrive at deliver, so a send
 // allocates no closure.
 func (h *host) Send(src, dst int, u core.Update) {
-	h.fabric.DeliverData(h.payload, netsim.Message{Dst: dst, From: src, Iter: u.Iter, Params: u.Params})
+	h.fabric.DeliverData(h.payload, netsim.Message{Dst: dst, From: src, Iter: u.Iter, Reply: u.Reply, Params: u.Params})
 }
 
 func (h *host) SendAck(src, dst, iter int) {
@@ -200,7 +200,7 @@ func (h *host) deliver(m netsim.Message) {
 		h.engine.DeliverAck(m.Dst, m.From, m.Iter)
 		return
 	}
-	h.engine.Deliver(m.Dst, core.Update{Params: m.Params, Iter: m.Iter, From: m.From})
+	h.engine.Deliver(m.Dst, core.Update{Params: m.Params, Iter: m.Iter, From: m.From, Reply: m.Reply})
 }
 
 // Run executes the configured cluster and returns its results.

@@ -29,6 +29,15 @@ const (
 	// Config.Prague; the Hop-specific knobs (token queues, backup,
 	// staleness, skipping, send check) do not compose with it.
 	ModePrague
+	// ModePS is the bulk-synchronous parameter server of §7.3.2
+	// (Fig. 13) on a star graph: node 0 is the server, every other
+	// node a leaf (baselines.go).
+	ModePS
+	// ModeADPSGD is AD-PSGD (§5): each worker averages with one random
+	// out-neighbour per iteration, blocking for its reply. On a
+	// bipartite graph colour 0 initiates and colour 1 serves; otherwise
+	// every worker initiates, which can deadlock (baselines.go).
+	ModeADPSGD
 )
 
 func (m Mode) String() string {
@@ -39,6 +48,10 @@ func (m Mode) String() string {
 		return "notify-ack"
 	case ModePrague:
 		return "prague"
+	case ModePS:
+		return "ps"
+	case ModeADPSGD:
+		return "adpsgd"
 	}
 	return fmt.Sprintf("mode(%d)", int(m))
 }
@@ -247,9 +260,10 @@ func (c *Config) Validate() error {
 
 // ValidateProtocol checks the constraints the paper establishes on the
 // protocol knobs themselves (e.g. backup workers strictly require
-// token queues), ignoring Trainers — the check a single-worker runtime
-// (one live process) can apply without materializing the whole
-// cluster's replicas.
+// token queues, and the non-Hop modes reject every hopOnlyKnobs row),
+// ignoring Trainers — the check a single-worker runtime (one live
+// process) can apply without materializing the whole cluster's
+// replicas.
 func (c *Config) ValidateProtocol() error {
 	if c.Graph == nil {
 		return fmt.Errorf("core: config has no graph")
@@ -265,29 +279,18 @@ func (c *Config) ValidateProtocol() error {
 		if err := c.Prague.validate(n); err != nil {
 			return err
 		}
-		switch {
-		case c.Serial:
-			return fmt.Errorf("core: prague has its own computation graph; Serial does not compose with it")
-		case c.MaxIG > 0:
-			return fmt.Errorf("core: prague's quorum makes the iteration gap unbounded by design; token queues (MaxIG) do not compose with it")
-		case c.Backup > 0:
-			return fmt.Errorf("core: prague's quorum subsumes backup workers; Backup does not compose with it")
-		case c.Staleness >= 0:
-			return fmt.Errorf("core: prague reduces over current-iteration group updates only; bounded staleness does not compose with it")
-		case c.Skip != nil:
-			return fmt.Errorf("core: prague has no token signal to trigger on; skipping iterations does not compose with it")
-		case c.SendCheck:
-			return fmt.Errorf("core: prague group sends are required by the receivers' quorum; SendCheck does not compose with it")
-		case c.Rejoin:
-			return fmt.Errorf("core: prague does not support rejoin: peers send only on shared-group steps, so the rejoin handshake would wedge")
-		}
-		for i, f := range c.Faults {
-			if f.RestartAfter > 0 {
-				return fmt.Errorf("core: worker %d schedules a restart, which prague does not support (no rejoin)", i)
-			}
-		}
 	} else if c.Prague != nil {
 		return fmt.Errorf("core: Prague config set but mode is %v", c.Mode)
+	}
+	if c.Mode == ModePS && !isStarOnZero(c.Graph) {
+		return fmt.Errorf("core: ps needs a star graph with the server at node 0, got %v", c.Graph)
+	}
+	if c.Mode == ModePrague || c.Mode == ModePS || c.Mode == ModeADPSGD {
+		for _, k := range hopOnlyKnobs {
+			if k.set(c) {
+				return fmt.Errorf("core: %s not compose with %v: %s", k.knob, c.Mode, k.why)
+			}
+		}
 	}
 	if c.Backup > 0 {
 		if c.MaxIG <= 0 {
@@ -339,10 +342,64 @@ func (c *Config) ValidateProtocol() error {
 	return nil
 }
 
+// hopOnlyKnobs is the one table of Hop knobs the Prague, PS and
+// AD-PSGD modes reject: each row says when the knob is set and why it
+// cannot compose. Prague alone keeps crash faults — its groups reform
+// around a dead member (DESIGN.md §8.3) — so the fault row exempts it.
+var hopOnlyKnobs = []struct {
+	knob string // subject of "... not compose with <mode>"
+	set  func(c *Config) bool
+	why  string
+}{
+	{"Serial does", func(c *Config) bool { return c.Serial },
+		"the mode fixes its own computation graph"},
+	{"token queues (MaxIG) do", func(c *Config) bool { return c.MaxIG > 0 },
+		"the mode's own exchange sets the iteration gap"},
+	{"Backup does", func(c *Config) bool { return c.Backup > 0 },
+		"backup workers relax Hop's neighbour reduce, which the mode does not run"},
+	{"bounded staleness does", func(c *Config) bool { return c.Staleness >= 0 },
+		"bounded staleness relaxes Hop's neighbour reduce, which the mode does not run"},
+	{"skipping iterations does", func(c *Config) bool { return c.Skip != nil },
+		"a jump is triggered by token counts, which the mode does not keep"},
+	{"SendCheck does", func(c *Config) bool { return c.SendCheck },
+		"every send of the mode is awaited by its receiver"},
+	{"rejoin does", func(c *Config) bool {
+		for _, f := range c.Faults {
+			if f.RestartAfter > 0 {
+				return true
+			}
+		}
+		return c.Rejoin
+	}, "the rejoin handshake waits for neighbour updates the mode does not send"},
+	{"faults do", func(c *Config) bool {
+		return c.Mode != ModePrague && (c.FaultTolerance || c.Faults != nil)
+	}, "the baseline has no elastic membership"},
+}
+
+// isStarOnZero reports whether g is a star with node 0 as the hub:
+// every other node exchanges with node 0 and with nobody else.
+func isStarOnZero(g *graph.Graph) bool {
+	n := g.N()
+	if n < 2 || len(g.Out(0)) != n-1 || len(g.In(0)) != n-1 {
+		return false
+	}
+	for i := 1; i < n; i++ {
+		if len(g.Out(i)) != 1 || len(g.In(i)) != 1 {
+			return false
+		}
+	}
+	return true
+}
+
 // numSlots picks the rotating-slot count for update queues per §6.1:
 // max_ig+1 when token queues bound the gap, otherwise a Theorem 1 /
-// staleness-derived bound from the topology.
+// staleness-derived bound from the topology. AD-PSGD's gap is unbounded
+// and its messages are not matched by iteration, so its queue is one
+// arrival-ordered slot.
 func (c *Config) numSlots() int {
+	if c.Mode == ModeADPSGD {
+		return 1
+	}
 	if c.MaxIG > 0 {
 		return c.MaxIG + 1
 	}

@@ -1,7 +1,9 @@
 // Package core implements the Hop protocol: queue-based
 // synchronization for decentralized training (§4 of the paper), with
 // backup workers (§4.3), bounded staleness (§4.4), skipping iterations
-// (§5), and the NOTIFY-ACK baseline (§3.3).
+// (§5), and the NOTIFY-ACK baseline (§3.3) — plus, on the same state
+// machine, the Prague partial all-reduce, the BSP parameter server and
+// AD-PSGD (Mode).
 //
 // The protocol code is written against two small abstractions so that
 // the exact same engine runs on the deterministic simulator
@@ -69,6 +71,10 @@ type Update struct {
 	// metadata the live runtime stamps on receipt; the protocol never
 	// branches on it.
 	Codec compress.Kind
+
+	// Reply marks an AD-PSGD averaging reply (baselines.go); every
+	// other update, AD-PSGD's requests included, leaves it false.
+	Reply bool
 }
 
 // Host is the execution environment the worker engine runs against.

@@ -2,9 +2,10 @@ package core
 
 // This file is the runtime-agnostic heart of the repository: one Hop
 // protocol state machine (Figures 4 and 7-9, §5 skipping, and the
-// NOTIFY-ACK baseline) written once, against the Runtime interface,
-// and driven by two very different shells — the deterministic
-// simulator (Engine, engine.go) and the live TCP runtime
+// NOTIFY-ACK baseline; prague.go and baselines.go add the other
+// protocols as modes of the same loop) written once, against the
+// Runtime interface, and driven by two very different shells — the
+// deterministic simulator (Engine, engine.go) and the live TCP runtime
 // (internal/live.Worker). Before this extraction the live runtime
 // hand-mirrored recvReduce/jumpTarget/renewParams and silently lacked
 // NOTIFY-ACK, the serial graph and stale weighting; now any protocol
@@ -180,6 +181,13 @@ type Protocol struct {
 	// crashIter is this worker's scheduled halt (0 = none).
 	crashIter int
 
+	// AD-PSGD state (baselines.go), owned by the Run loop: whether this
+	// worker initiates averaging, with which out-neighbour (pick), and
+	// how many initiating in-neighbours exist and have said done.
+	initiator           bool
+	pick                *rand.Rand
+	initiatorsIn, dones int
+
 	// Elastic-membership state (membership.go); guarded by mon, nil
 	// maps when fault tolerance is off.
 	deadIn, deadOut map[int]bool
@@ -255,6 +263,9 @@ func NewProtocol(cfg Config, id int, t model.Trainer, mon Monitor, rt Runtime, t
 	}
 	if cfg.Faults != nil {
 		p.crashIter = cfg.Faults[id].CrashIter
+	}
+	if cfg.Mode == ModeADPSGD {
+		p.initADPSGD()
 	}
 	if cfg.FaultTolerance {
 		p.deadIn = make(map[int]bool)
@@ -399,6 +410,10 @@ func (p *Protocol) run() error {
 			p.iterPrague(k)
 		case cfg.Mode == ModeNotifyAck:
 			p.iterNotifyAck(k)
+		case cfg.Mode == ModePS:
+			p.iterPS(k)
+		case cfg.Mode == ModeADPSGD:
+			p.iterADPSGD(k)
 		case cfg.Serial:
 			p.iterSerial(k)
 		default:
@@ -431,6 +446,9 @@ func (p *Protocol) run() error {
 			}
 		}
 		k = next
+	}
+	if cfg.Mode == ModeADPSGD {
+		p.finishADPSGD()
 	}
 	return nil
 }

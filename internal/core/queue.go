@@ -238,6 +238,34 @@ func (q *UpdateQueue) waitFromOr(wid int, giveUp func() bool) ([]Update, bool) {
 	}
 }
 
+// takeFirst removes and returns the oldest queued entry match accepts;
+// with wait set it blocks until there is one, otherwise it reports
+// false at once. Entries are matched by content, never by iteration,
+// and nothing is discarded as stale: this is AD-PSGD's inbox
+// (baselines.go), whose single slot keeps arrival order.
+func (q *UpdateQueue) takeFirst(match func(Update) bool, wait bool) (Update, bool) {
+	q.mon.Lock()
+	defer q.mon.Unlock()
+	for {
+		for s, slot := range q.slots {
+			for i, u := range slot {
+				if match(u) {
+					q.compactLocked(s, append(slot[:i], slot[i+1:]...))
+					q.size--
+					return u, true
+				}
+			}
+		}
+		if !wait {
+			return Update{}, false
+		}
+		if q.closed {
+			panic(errAborted{})
+		}
+		q.cond.Wait()
+	}
+}
+
 // hasIterFromLocked reports whether an entry tagged exactly iter from
 // sender wid is queued — the guard that keeps a peer's already-arrived
 // final update consumable after its death notice lands (DESIGN.md §6).

@@ -131,7 +131,7 @@ func TestDeadlockDemo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Metrics["naive-deadlocked"] != 1 || rep.Metrics["nonbipartite-rejected"] != 1 {
+	if rep.Metrics["bipartite-iterations"] != 240 || rep.Metrics["odd-ring-deadlocked"] != 1 {
 		t.Errorf("demo metrics %+v", rep.Metrics)
 	}
 }

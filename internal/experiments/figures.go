@@ -49,14 +49,13 @@ func Fig12(scale Scale) (*Report, error) {
 
 // Fig13 — Decentralized vs parameter server (§7.3.2): standard
 // decentralized on ring-based (homogeneous and heterogeneous) against
-// a homogeneous BSP PS with a dedicated server machine. Claim:
-// decentralized training in either environment converges much faster
-// than the PS on wall-clock time (the PS NIC is the hotspot).
+// a homogeneous BSP PS — the ps protocol mode on a star of 16 leaves,
+// the server on a dedicated machine. Claim: decentralized training in
+// either environment converges much faster than the PS on wall-clock
+// time (the PS NIC is the hotspot).
 func Fig13(scale Scale) (*Report, error) {
 	rep := newReport("fig13", "decentralized vs parameter server (BSP)")
 	for _, p := range profiles() {
-		deadline := p.Deadline[scale]
-
 		homo, err := runSpec(decSpec(p, scale, paperTopology("ring-based"), 1))
 		if err != nil {
 			return nil, err
@@ -73,7 +72,9 @@ func Fig13(scale Scale) (*Report, error) {
 		summarize(rep, p.Name+"/decentralized-hetero", het.Metrics, het.Duration, p.TargetLoss)
 		rep.series(key(p.Name, "dec-hetero", "loss-vs-time"), het.Metrics.Eval)
 
-		psRes, err := runPSBSP(p, 16, 4, deadline, 3)
+		psSpec := decSpec(p, scale, scenario.Topology{Kind: "star", Workers: 17, Machines: 4}, 3)
+		psSpec.Protocol = scenario.Protocol{Mode: "ps"}
+		psRes, err := runSpec(psSpec)
 		if err != nil {
 			return nil, err
 		}

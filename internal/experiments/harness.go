@@ -8,9 +8,7 @@ import (
 	"time"
 
 	"hop/internal/cluster"
-	"hop/internal/hetero"
 	"hop/internal/metrics"
-	"hop/internal/ps"
 	"hop/internal/scenario"
 )
 
@@ -91,25 +89,6 @@ func decSpec(p Profile, scale Scale, topo scenario.Topology, seed int64) scenari
 // runSpec resolves and executes one scenario on the simulator.
 func runSpec(s scenario.Spec) (*cluster.Result, error) {
 	return s.Run()
-}
-
-// runPSBSP executes the BSP parameter-server baseline with the same
-// workload (one extra machine for the server, §7.3.2).
-func runPSBSP(p Profile, workers int, machines int, deadline time.Duration, seed int64) (*ps.Result, error) {
-	placement := make([]int, workers)
-	for i := range placement {
-		placement[i] = i * machines / workers
-	}
-	return ps.Run(ps.Options{
-		Workers:      workers,
-		Trainer:      p.NewTrainer(),
-		Compute:      hetero.Compute{Base: p.ComputeBase},
-		PayloadBytes: p.PayloadBytes,
-		Placement:    placement,
-		Deadline:     deadline,
-		EvalEvery:    p.EvalEvery,
-		Seed:         300 + seed,
-	})
 }
 
 // summarize prints the standard per-run row used across figures.

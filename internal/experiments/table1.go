@@ -9,6 +9,7 @@ import (
 	"hop/internal/graph"
 	"hop/internal/hetero"
 	"hop/internal/model"
+	"hop/internal/scenario"
 )
 
 // Table1 — Theoretical upper bounds on the iteration gap (§3-§4,
@@ -102,13 +103,45 @@ func Table1(scale Scale) (*Report, error) {
 	return rep, nil
 }
 
-// FigDeadlock — §5's AD-PSGD criticism as a runnable demonstration:
-// the naive variant deadlocks on a ring (detected by the simulation
-// kernel), the bipartite active/passive variant does not, and the safe
-// variant rejects non-bipartite graphs. Not a numbered figure in the
+// FigDeadlock — §5's AD-PSGD criticism as a runnable demonstration,
+// two specs of the adpsgd protocol mode. On the bipartite ring-6
+// colour 0 initiates and colour 1 serves, and every worker completes;
+// the odd ring-7 has no bipartition, so every worker initiates, blocks
+// for its reply without serving, and the simulation kernel reports the
+// deadlock with every worker named. Not a numbered figure in the
 // paper, but a claim its §5 argument rests on.
 func FigDeadlock(scale Scale) (*Report, error) {
 	rep := newReport("deadlock", "AD-PSGD deadlock demonstration (§5)")
-	// Implemented in adpsgd_demo.go to keep package imports tidy.
-	return runDeadlockDemo(rep, scale)
+	ring := func(n int) scenario.Spec {
+		return scenario.Spec{
+			Workload:    "quadratic",
+			Topology:    scenario.Topology{Kind: "ring", Workers: n, Machines: 1},
+			Protocol:    scenario.Protocol{Mode: "adpsgd"},
+			ComputeBase: scenario.Duration(50 * time.Millisecond),
+			MaxIter:     40,
+			Seed:        13,
+		}
+	}
+	even, err := runSpec(ring(6))
+	if err != nil {
+		return nil, err
+	}
+	rep.printf("bipartite ring-6 (colour 0 initiates, colour 1 serves): completed %d iterations, final loss %.4f\n",
+		even.Metrics.Iterations(), even.Trainers[0].EvalLoss())
+	rep.metric("bipartite-iterations", float64(even.Metrics.Iterations()))
+
+	opts, err := ring(7).Resolve()
+	if err != nil {
+		return nil, err
+	}
+	odd, err := cluster.Run(opts)
+	if err != nil {
+		return nil, err
+	}
+	if odd.Deadlock == nil {
+		return rep, fmt.Errorf("deadlock demo: AD-PSGD on the odd ring-7 completed")
+	}
+	rep.printf("odd ring-7 (every worker initiates): DEADLOCK at t=%v (%v)\n", odd.Duration, odd.Deadlock)
+	rep.metric("odd-ring-deadlocked", 1)
+	return rep, nil
 }

@@ -186,6 +186,9 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.MaxIter <= 0 {
 		return nil, fmt.Errorf("live: MaxIter must be positive")
 	}
+	if cfg.Mode == core.ModeADPSGD {
+		return nil, fmt.Errorf("live: adpsgd does not run live: the wire has no reply frame")
+	}
 	logger := cfg.Logger
 	if logger == nil {
 		logger = log.Default()

@@ -2,6 +2,7 @@ package live
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -295,6 +296,20 @@ func TestLiveConfigValidation(t *testing.T) {
 		if _, err := NewWorker(cfg); err == nil {
 			t.Errorf("case %d: invalid config accepted", i)
 		}
+	}
+}
+
+// TestLiveRejectsADPSGD: an AD-PSGD reply has no frame kind on the
+// wire, so the mode is simulator-only and refused before any listener
+// is bound.
+func TestLiveRejectsADPSGD(t *testing.T) {
+	_, err := NewWorker(WorkerConfig{
+		Config: core.Config{Graph: graph.Ring(4), Mode: core.ModeADPSGD, Staleness: -1, MaxIter: 1},
+		ID:     0, ListenAddr: "127.0.0.1:0",
+		Trainer: quadStart(0),
+	})
+	if err == nil || !strings.Contains(err.Error(), "the wire has no reply frame") {
+		t.Fatalf("error %v, want the adpsgd rejection", err)
 	}
 }
 

@@ -299,19 +299,19 @@ func (f *Fabric) bandwidthAt(m int, t time.Duration) (bw float64, bursting bool)
 // Deliver schedules fn to run when a message of the given size sent
 // now from src to dst would arrive. It must be called from simulation
 // context (a running process or an After callback). It is the
-// control-plane form (death notices, the baselines' private loops);
-// protocol data rides DeliverData as a typed Message, closure-free.
+// control-plane form (death notices); protocol data rides DeliverData
+// as a typed Message, closure-free.
 func (f *Fabric) Deliver(src, dst, bytes int, fn func()) {
 	f.eq.push(f.placement[dst], sim.Event{When: f.arrivalTime(src, dst, bytes), Fn: fn})
 }
 
 // Message is one protocol data message in flight: worker From's
 // iteration-Iter parameter update for worker Dst or, with Ack set, its
-// NOTIFY-ACK. It rides the event queue by value, so a send allocates
-// nothing.
+// NOTIFY-ACK; Reply marks an AD-PSGD averaging reply. It rides the
+// event queue by value, so a send allocates nothing.
 type Message struct {
 	Dst, From, Iter int
-	Ack             bool
+	Ack, Reply      bool
 	Params          []float64
 }
 

@@ -7,7 +7,7 @@ package scenario
 // iteration advances, §5 jumps, bounded-staleness exclusions — on
 // both planes, for the same spec and seed.
 //
-// Two specs are pinned:
+// The pinned specs:
 //
 //   - standard ring: full-participation reduces force the advance
 //     sequence 0..MaxIter−1 on every worker (and zero jumps or stale
@@ -15,7 +15,9 @@ package scenario
 //   - skip + deterministic straggler: the straggler's injected delay
 //     dominates its neighbors' iteration time by >50×, so every jump
 //     decision reads token counts at the max_ig bound — the jump
-//     cadence is forced, not raced.
+//     cadence is forced, not raced;
+//   - the committed Prague and parameter-server example specs, whose
+//     full-quorum and BSP waits force their sequences the same way.
 
 import (
 	"os"
@@ -181,6 +183,27 @@ func TestDifferentialTracePrague(t *testing.T) {
 		}
 		if wantStr := strings.Join(want, " "); sim[w] != wantStr {
 			t.Errorf("sim worker %d trace %q, want %q", w, sim[w], wantStr)
+		}
+	}
+	assertTracesEqual(t, sim, lv)
+}
+
+// TestDifferentialTracePS pins the committed parameter-server spec
+// (examples/scenarios/ps5.json) across both planes. BSP is
+// timing-forced — the server waits for every leaf, every leaf for the
+// server — so every node advances 0..MaxIter−1 and nothing else, on
+// the simulator and on TCP alike.
+func TestDifferentialTracePS(t *testing.T) {
+	spec := loadSpec(t, "../../examples/scenarios/ps5.json")
+	sim := simTraces(t, spec)
+	lv := liveTraces(t, spec, 1)
+	want := "+0"
+	for k := 1; k < spec.MaxIter; k++ {
+		want += " " + core.TraceEvent{Kind: core.TraceAdvance, Iter: k}.String()
+	}
+	for w := range sim {
+		if sim[w] != want {
+			t.Errorf("sim node %d trace %q, want %q", w, sim[w], want)
 		}
 	}
 	assertTracesEqual(t, sim, lv)

@@ -38,7 +38,7 @@ func TestPragueSpecValidation(t *testing.T) {
 	}{
 		{"valid", prague(nil), ""},
 		{"unknown mode", prague(func(s *Spec) { s.Protocol.Mode = "gossip" }),
-			`unknown protocol mode "gossip" (known: standard, notify-ack, prague)`},
+			`unknown protocol mode "gossip" (known: standard, notify-ack, prague, ps, adpsgd)`},
 		{"group size too small", prague(func(s *Spec) { s.Protocol.GroupSize = 1 }),
 			"prague group size must be >=2, got 1"},
 		{"group size exceeds cluster", prague(func(s *Spec) { s.Protocol.GroupSize = 5 }),
@@ -56,7 +56,7 @@ func TestPragueSpecValidation(t *testing.T) {
 		}), "fault net chaos cannot run under prague"},
 		{"restart rejected", prague(func(s *Spec) {
 			s.Fault = &Fault{Crashes: []Crash{{Worker: 3, Iter: 5, Restart: Duration(time.Second)}}}
-		}), "schedules a restart, which prague does not support"},
+		}), "rejoin does not compose with prague"},
 		{"max_ig rejected", prague(func(s *Spec) { s.Protocol.MaxIG = 4 }),
 			"token queues (MaxIG) do not compose"},
 		{"backup rejected", prague(func(s *Spec) { s.Protocol.Backup = 1 }),

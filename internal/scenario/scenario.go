@@ -167,7 +167,11 @@ func (t Topology) BuildSeeded(specSeed int64) (*graph.Graph, error) {
 // Protocol selects the coordination settings of core.Config in
 // declarative form.
 type Protocol struct {
-	// Mode is "" | "standard" | "notify-ack" | "prague".
+	// Mode is "" | "standard" | "notify-ack" | "prague" | "ps" |
+	// "adpsgd". ps needs a star topology: node 0 is the server, placed
+	// on its own machine after the leaves' machines, and the eval
+	// worker is leaf 1. adpsgd lets the graph pick who initiates: the
+	// bipartite formulation on a bipartite graph, everyone otherwise.
 	Mode string `json:"mode,omitempty"`
 	// GroupSize is the Prague partial all-reduce group size (prague
 	// mode only; required, 2 ≤ size ≤ workers).
@@ -759,8 +763,12 @@ func (s Spec) resolve(buildTrainer bool) (cluster.Options, error) {
 			Quorum:    s.Protocol.GroupQuorum,
 			Seed:      gseed,
 		}
+	case "ps":
+		cfg.Mode = core.ModePS
+	case "adpsgd":
+		cfg.Mode = core.ModeADPSGD
 	default:
-		return zero, fmt.Errorf("scenario: unknown protocol mode %q (known: standard, notify-ack, prague)", s.Protocol.Mode)
+		return zero, fmt.Errorf("scenario: unknown protocol mode %q (known: standard, notify-ack, prague, ps, adpsgd)", s.Protocol.Mode)
 	}
 	if cfg.Mode != core.ModePrague && (s.Protocol.GroupSize != 0 || s.Protocol.GroupQuorum != 0 || s.Protocol.GroupSeed != 0) {
 		return zero, fmt.Errorf("scenario: group_size/group_quorum/group_seed are prague knobs; set protocol mode \"prague\"")
@@ -852,6 +860,22 @@ func (s Spec) resolve(buildTrainer bool) (cluster.Options, error) {
 	}
 	if opts.Deadline == 0 && opts.Core.MaxIter == 0 {
 		return zero, fmt.Errorf("scenario: need deadline or max_iter to terminate")
+	}
+	if cfg.Mode == core.ModePS {
+		// The server gets a dedicated machine after the leaves' — every
+		// gradient and parameter crosses its NIC, the hotspot Fig. 13
+		// measures — and the eval replica is a leaf, which holds the
+		// server's parameters after every round.
+		m := s.Topology.Machines
+		if m == 0 {
+			m = 4
+		}
+		leaves := g.N() - 1
+		for i := 1; i <= leaves; i++ {
+			g.Machine[i] = (i - 1) * m / leaves
+		}
+		g.Machine[0] = m
+		opts.EvalWorker = 1
 	}
 	if buildTrainer {
 		opts.Trainer = w.NewTrainer()

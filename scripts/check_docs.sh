@@ -8,11 +8,14 @@
 #   2. every `internal/<pkg>`, `cmd/<name>`, `examples/<name>` or
 #      `scripts/<name>` path mentioned in README.md actually exists, and
 #      so does every package the README's package-map tree names under
-#      `internal/` (rows like "  ps / adpsgd   baselines ..."), so the
+#      `internal/` (rows like "  nn / model / svm / opt / data ..."), so the
 #      package map cannot keep listing a deleted package;
 #   3. every `DESIGN.md §x.y` cited from a tracked *.go file is the
 #      number of a DESIGN.md heading, so renumbering a section cannot
-#      leave source comments pointing at another one.
+#      leave source comments pointing at another one;
+#   4. every protocol mode the spec grammar accepts (the "known:" list
+#      of internal/scenario's unknown-mode error) is named in README.md
+#      as `mode`, so a new mode cannot land undocumented.
 #
 # Usage: scripts/check_docs.sh    (exits non-zero listing broken refs)
 
@@ -83,6 +86,16 @@ while IFS=: read -r file line ref; do
         note "BROKEN SECTION REF: $file:$line cites $ref, which is not a heading of DESIGN.md"
     fi
 done < <(git ls-files '*.go' | xargs grep -noE 'DESIGN\.md §[0-9]+(\.[0-9]+[a-z]?)?')
+
+# --- 4. protocol modes named in README.md ----------------------------
+modes=$(grep -oE 'unknown protocol mode %q \(known: [^)]*\)' internal/scenario/scenario.go |
+        sed -E 's/.*known: ([^)]*)\)/\1/; s/,/ /g')
+[ -z "$modes" ] && note "MODE LIST: no \"known:\" mode list found in internal/scenario/scenario.go"
+for mode in $modes; do
+    if ! grep -qF "\`$mode\`" README.md; then
+        note "MISSING MODE: README.md does not name protocol mode \`$mode\`"
+    fi
+done
 
 if [ -n "$errors" ]; then
     printf '%s' "$errors" >&2
