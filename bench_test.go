@@ -24,7 +24,6 @@ import (
 	"hop/internal/live"
 	"hop/internal/metrics"
 	"hop/internal/model"
-	"hop/internal/nn"
 	"hop/internal/opt"
 	"hop/internal/sim"
 	"hop/internal/tensor"
@@ -146,6 +145,19 @@ func BenchmarkCNNLossGrad(b *testing.B) {
 	}
 }
 
+// BenchmarkCNNEvalLoss is MiniVGG's forward pass at the eval batch
+// (128 samples): the held-out loss cluster.Run evaluates inline on the
+// scheduling plane.
+func BenchmarkCNNEvalLoss(b *testing.B) {
+	c := model.NewCNN(model.DefaultCNNConfig())
+	c.EvalLoss() // grow the layers' scratch to the eval batch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.EvalLoss()
+	}
+}
+
 // BenchmarkSimCNNHetero16 is the committed end-to-end CNN workload of
 // BENCHMARK.json (16 workers, 6× random stragglers, 300 iterations)
 // run through the scenario engine, as width=1|2|4 sub-benchmarks of the
@@ -202,18 +214,6 @@ func BenchmarkSGDStep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Step(params, grads)
-	}
-}
-
-func BenchmarkConvForward(b *testing.B) {
-	in := nn.Shape{C: 3, H: 16, W: 16}
-	net := nn.NewNetwork(in, nn.NewConv2D(8, 3), nn.NewReLU(), nn.NewMaxPool2(), nn.NewDense(10))
-	net.Init(rand.New(rand.NewSource(1)))
-	x := make([]float64, 8*in.Size())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net.Forward(x, 8)
 	}
 }
 
@@ -309,8 +309,12 @@ func BenchmarkGemmDense(b *testing.B) { benchGemm(b, "abt", 16, 64, 64) }
 // Dense weight gradient: dYᵀ(64×16) · X(16×64) over the batch.
 func BenchmarkGemmDenseGradATB(b *testing.B) { benchGemm(b, "atb", 64, 16, 64) }
 
-// Conv weight gradient: dOut(8×64) · colsᵀ(64×27), per sample.
-func BenchmarkGemmConvGradABT(b *testing.B) { benchGemm(b, "abt", 8, 64, 27) }
+// Conv1 weight gradient, transposed: im2col(27×64) · dOutᵀ(64×8), per
+// sample; 27 rows, so three run the one-row tile.
+func BenchmarkGemmConv1GradWT(b *testing.B) { benchGemm(b, "ab", 27, 64, 8) }
+
+// Conv2 weight gradient, transposed: im2col(72×16) · dOutᵀ(16×16).
+func BenchmarkGemmConv2GradWT(b *testing.B) { benchGemm(b, "ab", 72, 16, 16) }
 
 // Paper-scale panel: a 128×1152×256 product (VGG-sized im2col block),
 // large enough for the worker pool to engage.

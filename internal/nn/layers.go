@@ -20,15 +20,23 @@ type Conv2D struct {
 	bias    []float64 // [OutC]
 	dw, db  []float64
 
+	// plan is the im2col gather, built in Bind: for every cell of one
+	// sample's (kdim) × (H*W) column matrix, row-major, the element of
+	// the sample it copies, or in.Size() — the zero sentinel after the
+	// sample in xpad — where the kernel reaches into the padding.
+	plan []int32
+	xpad []float64 // [in.Size()+1]: one sample, then the sentinel
+
 	lastCol []float64 // [b, kdim*p] im2col of the last input, kept for Backward
 	out     []float64
 
 	// Backward scratch, retained across steps so the training hot path
 	// is allocation-free in steady state (same cap-check pattern as
-	// Forward). dwS and dcol hold one sample's partials at a time.
-	dx   []float64
-	dwS  []float64 // [len(dw)]
-	dcol []float64 // [kdim*p]
+	// Forward). doutT and dcol hold one sample's at a time.
+	dx    []float64
+	doutT []float64 // [p, OutC]: dOutₛᵀ
+	dwT   []float64 // [2, kdim, OutC]: the dWᵀ accumulator, then one sample's dWₛᵀ
+	dcol  []float64 // [kdim*p]
 
 	noDx bool // first layer of its network: Backward returns nil
 }
@@ -53,6 +61,32 @@ func (c *Conv2D) Bind(in Shape, params, grads []float64) {
 	nw := c.OutC * in.C * c.K * c.K
 	c.weights, c.bias = params[:nw], params[nw:]
 	c.dw, c.db = grads[:nw], grads[nw:]
+	c.plan = im2colPlan(in, c.K)
+	c.xpad = make([]float64, in.Size()+1)
+}
+
+// im2colPlan is Conv2D.plan for input shape in and a k×k kernel.
+func im2colPlan(in Shape, k int) []int32 {
+	pad := k / 2
+	h, w := in.H, in.W
+	plan := make([]int32, 0, in.C*k*k*h*w)
+	for ch := 0; ch < in.C; ch++ {
+		for ky := 0; ky < k; ky++ {
+			for kx := 0; kx < k; kx++ {
+				for y := 0; y < h; y++ {
+					for x := 0; x < w; x++ {
+						sy, sx := y+ky-pad, x+kx-pad
+						src := in.Size()
+						if sy >= 0 && sy < h && sx >= 0 && sx < w {
+							src = (ch*h+sy)*w + sx
+						}
+						plan = append(plan, int32(src))
+					}
+				}
+			}
+		}
+	}
+	return plan
 }
 
 func (c *Conv2D) Init(rng *rand.Rand) {
@@ -70,81 +104,33 @@ func (c *Conv2D) clone() Layer { return NewConv2D(c.OutC, c.K) }
 
 func (c *Conv2D) skipInputGrad() { c.noDx = true }
 
-// validRange returns the positions i of [0, n) for which i+off also
-// lies in [0, n), as a half-open range (empty when |off| >= n).
-func validRange(n, off int) (lo, hi int) {
-	lo = min(max(0, -off), n)
-	return lo, max(min(n, n-off), lo)
-}
-
 // im2col extracts the K×K patch around every pixel of sample x
-// (in.C×H×W) into cols, a (inC*K*K) × (H*W) row-major matrix. For one
-// kernel offset the pixels it can see are a contiguous run of x, off by
-// a constant from where they land: one copy moves them, and the border
-// the offset cannot see — whole rows above or below, a few columns left
-// or right, where the run wrapped around — is zeroed afterwards.
+// (in.C×H×W) into cols, a (inC*K*K) × (H*W) row-major matrix: one copy
+// of x in front of the zero sentinel, then one gather by the plan. It is
+// kept out of line: inlined into Forward's sample loop the gather's
+// index lives on the stack, and the step's im2col takes twice as long.
+//
+//go:noinline
 func (c *Conv2D) im2col(x, cols []float64) {
-	in, k, pad := c.in, c.K, c.K/2
-	h, w := in.H, in.W
-	p := h * w
-	row := 0
-	for ch := 0; ch < in.C; ch++ {
-		for ky := 0; ky < k; ky++ {
-			ylo, yhi := validRange(h, ky-pad)
-			for kx := 0; kx < k; kx++ {
-				xlo, xhi := validRange(w, kx-pad)
-				dst := cols[row*p : (row+1)*p]
-				row++
-				if ylo == yhi || xlo == xhi { // kernel wider than the image
-					clear(dst)
-					continue
-				}
-				first, last := ylo*w+xlo, (yhi-1)*w+xhi
-				clear(dst[:first])
-				copy(dst[first:last], x[ch*p+(ky-pad)*w+kx-pad+first:])
-				clear(dst[last:])
-				for y := ylo; y < yhi; y++ {
-					drow := dst[y*w : (y+1)*w]
-					for i := 0; i < xlo; i++ {
-						drow[i] = 0
-					}
-					for i := xhi; i < w; i++ {
-						drow[i] = 0
-					}
-				}
-			}
-		}
+	xp := c.xpad[:len(x)+1]
+	copy(xp, x)
+	xp[len(x)] = 0
+	cols = cols[:len(c.plan)]
+	for i, src := range c.plan {
+		cols[i] = xp[src]
 	}
 }
 
-// col2im scatter-adds the column gradient back into dx, visiting the
-// cells im2col copied in the same order.
+// col2im scatter-adds the column gradient back into dx by the plan, in
+// the plan's cell order; what lands on the sentinel is dropped.
 func (c *Conv2D) col2im(cols, dx []float64) {
-	in, k, pad := c.in, c.K, c.K/2
-	h, w := in.H, in.W
-	p := h * w
-	row := 0
-	for ch := 0; ch < in.C; ch++ {
-		for ky := 0; ky < k; ky++ {
-			ylo, yhi := validRange(h, ky-pad)
-			for kx := 0; kx < k; kx++ {
-				xlo, xhi := validRange(w, kx-pad)
-				src := cols[row*p : (row+1)*p]
-				row++
-				if xlo == xhi {
-					continue
-				}
-				shift := ch*p + (ky-pad)*w + kx - pad
-				for y := ylo; y < yhi; y++ {
-					srow := src[y*w+xlo : y*w+xhi]
-					drow := dx[shift+y*w+xlo:][:len(srow)]
-					for i, v := range srow {
-						drow[i] += v
-					}
-				}
-			}
-		}
+	xp := c.xpad[:len(dx)+1]
+	copy(xp, dx)
+	cols = cols[:len(c.plan)]
+	for i, dst := range c.plan {
+		xp[dst] += cols[i]
 	}
+	copy(dx, xp)
 }
 
 func (c *Conv2D) Forward(x []float64, b int) []float64 {
@@ -176,15 +162,24 @@ func (c *Conv2D) Forward(x []float64, b int) []float64 {
 
 // Backward computes one sample's dW and db at a time and adds them to
 // the shared gradient in sample order; every pinned report's bits depend
-// on that order (DESIGN.md §3.1).
+// on that order (DESIGN.md §3.1). dW is computed and folded transposed,
+// dWₛᵀ = cols · dOutₛᵀ, so the per-sample transpose is of dOut, the
+// small operand; the accumulator starts from what dw holds and is
+// written back once.
 func (c *Conv2D) Backward(dy []float64, b int) []float64 {
 	in := c.in
 	p := in.H * in.W
 	kdim := in.C * c.K * c.K
-	if cap(c.dwS) < len(c.dw) {
-		c.dwS = make([]float64, len(c.dw))
+	nw := len(c.dw)
+	if cap(c.doutT) < c.OutC*p {
+		c.doutT = make([]float64, c.OutC*p)
 	}
-	dwS := c.dwS[:len(c.dw)]
+	if cap(c.dwT) < 2*nw {
+		c.dwT = make([]float64, 2*nw)
+	}
+	doutT := c.doutT[:c.OutC*p]
+	dwT, dwsT := c.dwT[:nw], c.dwT[nw:2*nw]
+	tensor.Transpose(dwT, c.dw, c.OutC, kdim)
 	var dcol []float64
 	if !c.noDx {
 		if cap(c.dx) < b*in.Size() {
@@ -198,9 +193,9 @@ func (c *Conv2D) Backward(dy []float64, b int) []float64 {
 	for s := 0; s < b; s++ {
 		dout := dy[s*c.OutC*p : (s+1)*c.OutC*p]
 		cols := c.lastCol[s*kdim*p : (s+1)*kdim*p]
-		// dWₛ = dOut · colsᵀ
-		tensor.MatMulABT(dwS, dout, cols, c.OutC, p, kdim)
-		tensor.Add(c.dw, dwS)
+		tensor.Transpose(doutT, dout, c.OutC, p)
+		tensor.MatMul(dwsT, cols, doutT, kdim, p, c.OutC)
+		tensor.Add(dwT, dwsT)
 		// dbₛ = row sums of dOut
 		for oc := 0; oc < c.OutC; oc++ {
 			sum := 0.0
@@ -218,6 +213,7 @@ func (c *Conv2D) Backward(dy []float64, b int) []float64 {
 		clear(dxs)
 		c.col2im(dcol, dxs)
 	}
+	tensor.Transpose(c.dw, dwT, kdim, c.OutC)
 	if c.noDx {
 		return nil
 	}
@@ -226,12 +222,11 @@ func (c *Conv2D) Backward(dy []float64, b int) []float64 {
 
 // --- ReLU ------------------------------------------------------------
 
-// ReLU applies max(0, x) element-wise. Both passes are branch-free:
-// on activations the sign of x is a coin flip, and a mispredicted
-// branch per element costs more than the arithmetic of the layers
-// around it. The mask forms agree with the comparison `x > 0` on every
-// input but one: a NaN with a clear sign bit passes through Forward
-// (and lets dy through Backward) where the comparison would give 0.
+// ReLU applies max(0, x) element-wise with tensor.ReLU and
+// tensor.ReLUGrad: branch-free kernels that agree with the comparison
+// `x > 0` on every input but one — a NaN with a clear sign bit passes
+// through Forward (and lets dy through Backward) where the comparison
+// would give 0.
 type ReLU struct {
 	lastX []float64
 	out   []float64
@@ -253,12 +248,7 @@ func (r *ReLU) Forward(x []float64, b int) []float64 {
 		r.out = make([]float64, len(x))
 	}
 	out := r.out[:len(x)]
-	for i, v := range x {
-		// Clear every bit when the sign bit is set: negatives and −0
-		// become +0, everything else is kept as is.
-		bits := math.Float64bits(v)
-		out[i] = math.Float64frombits(bits &^ uint64(int64(bits)>>63))
-	}
+	tensor.ReLU(out, x)
 	r.lastX = x
 	return out
 }
@@ -268,14 +258,7 @@ func (r *ReLU) Backward(dy []float64, b int) []float64 {
 		r.dx = make([]float64, len(dy))
 	}
 	dx := r.dx[:len(dy)]
-	dy = dy[:len(r.lastX)] // hoist the bounds check
-	for i, v := range r.lastX {
-		// x > 0 ⇔ sign bit clear and some other bit set; bits|(bits−1)
-		// has its sign bit set for exactly the rest (negatives, and +0
-		// through the borrow).
-		bits := math.Float64bits(v)
-		dx[i] = math.Float64frombits(math.Float64bits(dy[i]) &^ uint64(int64(bits|(bits-1))>>63))
-	}
+	tensor.ReLUGrad(dx, r.lastX, dy)
 	return dx
 }
 

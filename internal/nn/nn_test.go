@@ -177,32 +177,6 @@ func TestMaxPoolForwardValues(t *testing.T) {
 	}
 }
 
-// TestReLUMatchesComparison pins the branch-free ReLU against the
-// comparison it replaces, bit for bit, over the values where a mask
-// could go wrong: both zeros, the smallest denormals, ordinary values
-// and the infinities. The gradient entries carry their own sign bits so
-// a mask leaking into dy would show.
-func TestReLUMatchesComparison(t *testing.T) {
-	tiny := math.SmallestNonzeroFloat64
-	xs := []float64{0, math.Copysign(0, -1), tiny, -tiny, 1, -1, 2.5, -2.5, math.MaxFloat64, -math.MaxFloat64, math.Inf(1), math.Inf(-1)}
-	dys := []float64{3, -3, math.Copysign(0, -1), tiny, -tiny, math.Inf(-1), 7, -7, 1, 1, -2, 2}
-	r := NewReLU()
-	out := r.Forward(xs, 1)
-	dx := r.Backward(dys, 1)
-	for i, x := range xs {
-		wantOut, wantDx := 0.0, 0.0
-		if x > 0 {
-			wantOut, wantDx = x, dys[i]
-		}
-		if math.Float64bits(out[i]) != math.Float64bits(wantOut) {
-			t.Errorf("Forward(%v) = %v (bits %#x), want %v", x, out[i], math.Float64bits(out[i]), wantOut)
-		}
-		if math.Float64bits(dx[i]) != math.Float64bits(wantDx) {
-			t.Errorf("Backward at x=%v, dy=%v: %v (bits %#x), want %v", x, dys[i], dx[i], math.Float64bits(dx[i]), wantDx)
-		}
-	}
-}
-
 func TestOddKernelRequired(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -354,13 +328,14 @@ func bitsEqual(t *testing.T, name string, got, want []float64) {
 	}
 }
 
-// convShapes are the CNN's two conv inputs, a non-square image, a 5×5
-// kernel on each kind, and kernels reaching past a tiny image.
+// convShapes are the CNN's two conv inputs, a non-square image, a 1×1
+// and a 5×5 kernel on each kind, and kernels reaching past a tiny image.
 var convShapes = []struct {
 	in Shape
 	k  int
 }{
 	{Shape{3, 8, 8}, 3}, {Shape{8, 4, 4}, 3}, {Shape{2, 6, 10}, 3}, {Shape{2, 10, 4}, 3},
+	{Shape{3, 8, 8}, 1}, {Shape{8, 4, 4}, 1}, {Shape{2, 6, 10}, 1},
 	{Shape{3, 8, 8}, 5}, {Shape{8, 4, 4}, 5}, {Shape{2, 6, 10}, 5},
 	{Shape{1, 2, 2}, 5}, {Shape{2, 2, 4}, 7}, {Shape{1, 1, 1}, 3},
 }
@@ -369,7 +344,8 @@ func TestIm2colCol2imMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, s := range convShapes {
 		c := NewConv2D(4, s.k)
-		c.in = s.in
+		np := c.ParamCount(s.in)
+		c.Bind(s.in, make([]float64, np), make([]float64, np)) // builds the plan
 		n := s.in.C * s.k * s.k * s.in.H * s.in.W
 		for _, fill := range []func(*rand.Rand, []float64){awkward, func(r *rand.Rand, v []float64) {
 			for i := range v {

@@ -1,7 +1,8 @@
 package tensor
 
 // axpy.go — the inner kernels of the GEMM family. matMulRows cuts C
-// into tiles of four rows and hands each tile to tile4,
+// into tiles of four rows and hands each tile to tile4 (and each row a
+// quad leaves over to row1, the same with r = 0 alone),
 //
 //	C[r, j] += a[r, p] * b[p, j]    for p ascending, r = 0…3, j = 0…n−1
 //
@@ -14,7 +15,7 @@ package tensor
 // fixed-summation-order contract of DESIGN.md §3.1 (cells stay in
 // registers across k; never vectorize across k).
 //
-// The amd64 build carries the hand-written AVX tile kernel
+// The amd64 build carries the hand-written AVX tile kernels
 // (axpy_amd64.s, gonum/asm-style) selected at init by CPUID; every
 // other platform, and machines without AVX, run the Go loops below,
 // which the property tests pin bit-identical to the naive triple loop
@@ -39,6 +40,20 @@ func tile4(c []float64, ldc int, a []float64, ars, aps int, b []float64, ldb, k,
 	}
 }
 
+// row1 is tile4 for a single row: c[j] += a[p*aps] * b[p*ldb+j] for
+// p = 0…k−1 in ascending order per cell; k and n must be at least 1.
+func row1(c, a []float64, aps int, b []float64, ldb, k, n int) {
+	_, _, _ = c[n-1], a[(k-1)*aps], b[(k-1)*ldb+n-1]
+	if haveAVX {
+		gemmRow1AVX(&c[0], &a[0], aps, &b[0], ldb, k, n)
+		return
+	}
+	c = c[:n]
+	for p := 0; p < k; p++ {
+		axpy1(c, b[p*ldb:p*ldb+n], a[p*aps])
+	}
+}
+
 // axpyVecMin is the shortest row worth a vector-kernel call; below it
 // the call overhead exceeds the arithmetic and the inlined Go loop
 // wins.
@@ -59,14 +74,16 @@ func axpy4(c0, c1, c2, c3, b []float64, a0, a1, a2, a3 float64) {
 	}
 }
 
-// axpy1 computes c[j] += a·b[j], the single-row remainder kernel.
+// axpy1 computes c[j] += a·b[j] for j < len(b): row1's portable step
+// and Add.
 func axpy1(c, b []float64, a float64) {
 	n := len(b)
 	if haveAVX && n >= axpyVecMin {
+		_ = c[n-1]
 		axpy1AVX(&c[0], &b[0], n, a)
 		return
 	}
-	_ = c[n-1]
+	c = c[:n]
 	for j, bv := range b {
 		c[j] += a * bv
 	}

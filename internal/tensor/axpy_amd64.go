@@ -23,9 +23,27 @@ func cpuHasAVX() bool
 //go:noescape
 func gemmTile4AVX(c *float64, ldc int, a *float64, ars, aps int, b *float64, ldb, k, n int)
 
+// gemmRow1AVX is row1's AVX form: tile4's kernel for one row, the
+// row's cells eight at a time in two YMM registers across the p loop.
+//
+//go:noescape
+func gemmRow1AVX(c *float64, a *float64, aps int, b *float64, ldb, k, n int)
+
 // axpy1AVX performs c[j] += a·b[j] for j = 0…n−1, n >= 1, with the
-// same separate multiply and add: the kernel of the one to three rows
-// a quad leaves over.
+// same separate multiply and add: Add's kernel.
 //
 //go:noescape
 func axpy1AVX(c, b *float64, n int, a float64)
+
+// reluAVX is ReLU over n elements, n a positive multiple of 4: VBLENDVPD
+// on x's own sign bit selects +0 or x.
+//
+//go:noescape
+func reluAVX(dst, x *float64, n int)
+
+// reluGradAVX is ReLUGrad over n elements, n a positive multiple of 4:
+// dy where x's sign bit is clear, then cleared where x compares equal
+// to zero.
+//
+//go:noescape
+func reluGradAVX(dst, x, dy *float64, n int)

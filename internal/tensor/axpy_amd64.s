@@ -197,6 +197,98 @@ done:
 	VZEROUPPER
 	RET
 
+// func gemmRow1AVX(c *float64, a *float64, aps int, b *float64, ldb, k, n int)
+//
+// C[j] += Σ_p a[p·aps] · b[p·ldb + j] for j = 0…n−1, p = 0…k−1
+// ascending; k, n >= 1, strides in elements. gemmTile4AVX's column
+// walk for one row: tiles of 8 (Y0, Y1 hold the cells across the whole
+// p loop), then one tile of 4, then single columns.
+TEXT ·gemmRow1AVX(SB), NOSPLIT, $0-56
+	MOVQ c+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ aps+16(FP), R10
+	MOVQ b+24(FP), DX
+	MOVQ ldb+32(FP), R11
+	MOVQ n+48(FP), BX
+	SHLQ $3, R10
+	SHLQ $3, R11
+
+tile8:
+	CMPQ BX, $8
+	JLT  tile4
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	MOVQ SI, AX
+	MOVQ DX, R12
+	MOVQ k+40(FP), CX
+
+loop8:
+	VBROADCASTSD (AX), Y10
+	VMULPD (R12), Y10, Y8
+	VADDPD Y8, Y0, Y0
+	VMULPD 32(R12), Y10, Y9
+	VADDPD Y9, Y1, Y1
+	ADDQ R10, AX
+	ADDQ R11, R12
+	DECQ CX
+	JNZ  loop8
+
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	ADDQ $64, DI
+	ADDQ $64, DX
+	SUBQ $8, BX
+	JMP  tile8
+
+tile4:
+	CMPQ BX, $4
+	JLT  tile1
+	VMOVUPD (DI), Y0
+	MOVQ SI, AX
+	MOVQ DX, R12
+	MOVQ k+40(FP), CX
+
+loop4:
+	VBROADCASTSD (AX), Y10
+	VMULPD (R12), Y10, Y8
+	VADDPD Y8, Y0, Y0
+	ADDQ R10, AX
+	ADDQ R11, R12
+	DECQ CX
+	JNZ  loop4
+
+	VMOVUPD Y0, (DI)
+	ADDQ $32, DI
+	ADDQ $32, DX
+	SUBQ $4, BX
+
+tile1:
+	TESTQ BX, BX
+	JZ    done
+	VMOVSD (DI), X0
+	MOVQ SI, AX
+	MOVQ DX, R12
+	MOVQ k+40(FP), CX
+
+loop1:
+	VMOVSD (AX), X10
+	VMULSD (R12), X10, X8
+	VADDSD X8, X0, X0
+	ADDQ R10, AX
+	ADDQ R11, R12
+	DECQ CX
+	JNZ  loop1
+
+	VMOVSD X0, (DI)
+	ADDQ $8, DI
+	ADDQ $8, DX
+	DECQ BX
+	JMP  tile1
+
+done:
+	VZEROUPPER
+	RET
+
 // func axpy1AVX(c, b *float64, n int, a float64)
 TEXT ·axpy1AVX(SB), NOSPLIT, $0-32
 	MOVQ c+0(FP), R8
@@ -243,5 +335,55 @@ tail1:
 	JMP  tail1
 
 done1:
+	VZEROUPPER
+	RET
+
+// ReLU kernels (see relu.go): lanes are elements, nothing is summed, so
+// the contract is only that each lane's bits are the Go mask form's.
+
+// func reluAVX(dst, x *float64, n int)
+//
+// dst[i] = x[i] if its sign bit is clear, else +0; n a positive
+// multiple of 4.
+TEXT ·reluAVX(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ n+16(FP), CX
+	VXORPD Y15, Y15, Y15
+	XORQ AX, AX
+
+loop:
+	VMOVUPD   (SI)(AX*8), Y0
+	VBLENDVPD Y0, Y15, Y0, Y1 // sign of Y0 set ? +0 : Y0
+	VMOVUPD   Y1, (DI)(AX*8)
+	ADDQ $4, AX
+	CMPQ AX, CX
+	JLT  loop
+	VZEROUPPER
+	RET
+
+// func reluGradAVX(dst, x, dy *float64, n int)
+//
+// dst[i] = dy[i] if x[i]'s sign bit is clear and x[i] != 0, else +0;
+// n a positive multiple of 4. A NaN compares unequal to zero, so a NaN
+// x with a clear sign lets dy through, as the mask form does.
+TEXT ·reluGradAVX(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ dy+16(FP), DX
+	MOVQ n+24(FP), CX
+	VXORPD Y15, Y15, Y15
+	XORQ AX, AX
+
+loop:
+	VMOVUPD   (SI)(AX*8), Y0
+	VMOVUPD   (DX)(AX*8), Y1
+	VCMPPD    $0, Y15, Y0, Y2 // x == 0 (ordered): all ones
+	VBLENDVPD Y0, Y15, Y1, Y1 // sign of x set ? +0 : dy
+	VANDNPD   Y1, Y2, Y1      // and +0 where x == 0
+	VMOVUPD   Y1, (DI)(AX*8)
+	ADDQ $4, AX
+	CMPQ AX, CX
+	JLT  loop
 	VZEROUPPER
 	RET

@@ -3,13 +3,25 @@
 package tensor
 
 // Non-amd64 builds have no hand-vectorized kernels; the portable Go
-// loops in axpy.go serve every call.
+// loops in axpy.go and relu.go serve every call.
 const haveAVX = false
 
 func gemmTile4AVX(c *float64, ldc int, a *float64, ars, aps int, b *float64, ldb, k, n int) {
 	panic("tensor: gemmTile4AVX on non-amd64")
 }
 
+func gemmRow1AVX(c *float64, a *float64, aps int, b *float64, ldb, k, n int) {
+	panic("tensor: gemmRow1AVX on non-amd64")
+}
+
 func axpy1AVX(c, b *float64, n int, a float64) {
 	panic("tensor: axpy1AVX on non-amd64")
+}
+
+func reluAVX(dst, x *float64, n int) {
+	panic("tensor: reluAVX on non-amd64")
+}
+
+func reluGradAVX(dst, x, dy *float64, n int) {
+	panic("tensor: reluGradAVX on non-amd64")
 }

@@ -81,10 +81,10 @@ func TestAxpyGoFallbackBitIdentical(t *testing.T) {
 	}
 }
 
-// TestTile4MatchesScalar drives the tile kernel directly, with strides
+// TestTile4MatchesScalar drives the tile kernels directly, with strides
 // no GEMM entry point produces: C, A and B each a window of a wider
 // matrix, partial sums already in C (a k-block continuing another), and
-// both A layouts.
+// both A layouts. row1 runs each window's first row on its own.
 func TestTile4MatchesScalar(t *testing.T) { eachKernel(t, testTile4MatchesScalar) }
 
 func testTile4MatchesScalar(t *testing.T) {
@@ -110,10 +110,16 @@ func testTile4MatchesScalar(t *testing.T) {
 				scalarAxpy(want[row*s.ldc:row*s.ldc+s.n], b[p*s.ldb:p*s.ldb+s.n], a[row*s.ars+p*s.aps])
 			}
 		}
-		tile4(c, s.ldc, a, s.ars, s.aps, b, s.ldb, s.k, s.n)
+		got := append([]float64(nil), c...)
+		tile4(got, s.ldc, a, s.ars, s.aps, b, s.ldb, s.k, s.n)
 		// The whole of c: cells between the rows of the window must be
 		// untouched.
-		exactEq(t, fmt.Sprintf("tile4 %+v", s), c, want, 4, s.n)
+		exactEq(t, fmt.Sprintf("tile4 %+v", s), got, want, 4, s.n)
+
+		got = append(got[:0], c...)
+		row1(got, a, s.aps, b, s.ldb, s.k, s.n)
+		copy(want[s.ldc:], c[s.ldc:]) // row1 leaves the other rows as they were
+		exactEq(t, fmt.Sprintf("row1 %+v", s), got, want, 1, s.n)
 	}
 }
 

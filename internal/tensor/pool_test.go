@@ -134,6 +134,16 @@ func tileEdgeShapes() [][3]int {
 	for _, n := range []int{gemmNC - 1, gemmNC, gemmNC + 1, 2*gemmNC + 9, 3*gemmNC + 5} {
 		shapes = append(shapes, [3]int{6, 7, n}, [3]int{4, gemmKC + 2, n})
 	}
+	// The rows a quad leaves over run row1 block by block: each m mod 4
+	// with and without a quad, k across a k-block, n through its column
+	// tiles (single columns only, 8, and 8+8+8+3).
+	for _, m := range []int{1, 2, 3, 5, 6, 7} {
+		for _, k := range []int{1, gemmKC - 1, gemmKC, gemmKC + 1, 300} {
+			for _, n := range []int{1, 3, 8, 27} {
+				shapes = append(shapes, [3]int{m, k, n})
+			}
+		}
+	}
 	return shapes
 }
 
@@ -170,10 +180,11 @@ func TestGemmMatchesNaiveExactly(t *testing.T) {
 			{5, 3, 7}, {7, 13, 9}, {8, 27, 64}, {16, 72, 16},
 			{17, 31, 29}, {64, 64, 64}, {33, 129, 65}, {16, 1024, 10},
 			// Both sides of MatMulABT's transpose-or-not shape test (m ≥
-			// abtTransposeMinRows and n ≥ axpyVecMin), and the CNN's own
-			// A·Bᵀ shapes: conv weight gradients and the dense forwards.
+			// abtTransposeMinRows and n ≥ axpyVecMin), the CNN's
+			// transposed conv weight gradients (27 rows: a quad
+			// remainder) and its dense forwards.
 			{3, 5, 8}, {4, 5, 7}, {4, 5, 8}, {4, 1, 9}, {5, 6, 11},
-			{8, 64, 27}, {16, 16, 72}, {16, 64, 64}, {16, 64, 4},
+			{27, 64, 8}, {72, 16, 16}, {16, 64, 64}, {16, 64, 4},
 			// Several blocks each way under a row remainder.
 			{67, 2*gemmKC + 3, 8*gemmNC + 5},
 		})
@@ -187,7 +198,7 @@ func TestTranspose(t *testing.T) {
 		rows, cols := s[0], s[1]
 		src := randVec(rng, rows*cols)
 		dst := make([]float64, rows*cols)
-		transpose(dst, src, rows, cols)
+		Transpose(dst, src, rows, cols)
 		for r := 0; r < rows; r++ {
 			for c := 0; c < cols; c++ {
 				if math.Float64bits(dst[c*rows+r]) != math.Float64bits(src[r*cols+c]) {

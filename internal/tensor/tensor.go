@@ -47,8 +47,14 @@ func Scale(v []float64, alpha float64) {
 	}
 }
 
-// Add computes dst += x.
-func Add(dst, x []float64) { AXPY(dst, 1, x) }
+// Add computes dst += x: AXPY with alpha 1, bit for bit (1·x is exact),
+// through the vector kernel when the CPU has one.
+func Add(dst, x []float64) {
+	if len(dst) != len(x) {
+		panic(fmt.Sprintf("tensor: Add length mismatch %d vs %d", len(dst), len(x)))
+	}
+	axpy1(dst, x, 1)
+}
 
 // Sub computes dst -= x.
 func Sub(dst, x []float64) { AXPY(dst, -1, x) }
@@ -187,9 +193,10 @@ func MatMul(c, a, b []float64, m, k, n int) {
 // matMulRows computes the m rows of C = A·B, where a[i*ars+p*aps] is
 // A's element (i, p): row-major A has strides (k, 1), a k×m matrix read
 // as its transpose (1, m). Rows advance four at a time through tile4,
-// block by block of B; every cell starts from +0 and takes its terms in
-// ascending p — the summation order of the plain triple loop. The one
-// to three rows a quad leaves over take one AXPY per p.
+// block by block of B, and the one to three rows a quad leaves over
+// through row1, block by block likewise; every cell starts from +0 and
+// takes its terms in ascending p — the summation order of the plain
+// triple loop.
 func matMulRows(c, a, b []float64, ars, aps, m, k, n int) {
 	clear(c)
 	m4 := m &^ 3
@@ -201,12 +208,9 @@ func matMulRows(c, a, b []float64, ars, aps, m, k, n int) {
 			for i := 0; i < m4; i += 4 {
 				tile4(c[i*n+j0:], n, a[i*ars+p0*aps:], ars, aps, bb, n, kb, nb)
 			}
-		}
-	}
-	for i := m4; i < m; i++ {
-		crow := c[i*n : (i+1)*n]
-		for p := 0; p < k; p++ {
-			axpy1(crow, b[p*n:(p+1)*n], a[i*ars+p*aps])
+			for i := m4; i < m; i++ {
+				row1(c[i*n+j0:], a[i*ars+p0*aps:], aps, bb, n, kb, nb)
+			}
 		}
 	}
 }
@@ -247,15 +251,19 @@ func MatMulABT(c, a, b []float64, m, k, n int) {
 		return
 	}
 	bt := GetVec(k * n)
-	transpose(bt, b, n, k)
+	Transpose(bt, b, n, k)
 	matMulRows(c, a, bt, k, 1, m, k, n)
 	PutVec(bt)
 }
 
-// transpose writes the rows×cols row-major matrix src into dst as its
-// cols×rows transpose. Four source rows advance together so each
-// destination row is written four adjacent cells at a time.
-func transpose(dst, src []float64, rows, cols int) {
+// Transpose writes the rows×cols row-major matrix src into dst as its
+// cols×rows transpose. dst must not alias src. Four source rows advance
+// together so each destination row is written four adjacent cells at a
+// time.
+func Transpose(dst, src []float64, rows, cols int) {
+	if len(src) != rows*cols || len(dst) != rows*cols {
+		panic(fmt.Sprintf("tensor: Transpose shape mismatch dst=%d src=%d (rows=%d cols=%d)", len(dst), len(src), rows, cols))
+	}
 	r := 0
 	for ; r+4 <= rows; r += 4 {
 		s0 := src[r*cols : (r+1)*cols]

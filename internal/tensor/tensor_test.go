@@ -141,6 +141,10 @@ func TestPanicsOnMismatch(t *testing.T) {
 	cases := []func(){
 		func() { Copy([]float64{1}, []float64{1, 2}) },
 		func() { AXPY([]float64{1}, 1, []float64{1, 2}) },
+		func() { Add([]float64{1}, []float64{1, 2}) },
+		func() { Transpose(make([]float64, 6), make([]float64, 6), 2, 4) },
+		func() { ReLU(make([]float64, 4), make([]float64, 5)) },
+		func() { ReLUGrad(make([]float64, 5), make([]float64, 5), make([]float64, 4)) },
 		func() { Dot([]float64{1}, []float64{1, 2}) },
 		func() { Dist2([]float64{1}, []float64{1, 2}) },
 		func() { Mean([]float64{1}, nil) },
