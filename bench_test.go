@@ -12,6 +12,7 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"runtime"
 	"testing"
 	"time"
 
@@ -240,16 +241,25 @@ func BenchmarkWebspamSample(b *testing.B) {
 	}
 }
 
+// BenchmarkTensorMean measures the Reduce at the shapes the workloads
+// issue: a ring worker's own parameters and its two neighbours' at the
+// SVM's 4096 (the live ring), and three or four vectors of the CNN's
+// 5812 parameters. Recorded in BENCH_live.json beside SGDStep.
 func BenchmarkTensorMean(b *testing.B) {
-	vecs := make([][]float64, 5)
-	for i := range vecs {
-		vecs[i] = make([]float64, 1<<16)
-	}
-	dst := make([]float64, 1<<16)
-	b.SetBytes(5 << 19)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tensor.Mean(dst, vecs)
+	for _, s := range []struct{ count, n int }{{3, 4096}, {3, 5812}, {4, 5812}} {
+		b.Run(fmt.Sprintf("%dx%d", s.count, s.n), func(b *testing.B) {
+			vecs := make([][]float64, s.count)
+			for i := range vecs {
+				vecs[i] = wireParams(s.n)
+			}
+			dst := make([]float64, s.n)
+			b.SetBytes(int64(8 * s.n * (s.count + 1)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tensor.Mean(dst, vecs)
+			}
+		})
 	}
 }
 
@@ -369,7 +379,13 @@ func benchCompressor(b *testing.B, spec string) {
 	params := wireParams(1 << 16)
 	gobBytes := gobUpdateBytes(params)
 	rec := metrics.NewRecorder(1)
-	var dst []byte
+	// Before the timer the set-up's garbage (the gob baseline) is
+	// collected and the retained buffer grown. Otherwise the first op
+	// grows the buffer, and collections finishing inside the timer can
+	// empty the TopK codec's scratch pool. Steady state is 0 B/op;
+	// allocs/op is gated by CI.
+	runtime.GC()
+	dst := comp.Compress(nil, params)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -391,10 +407,16 @@ func BenchmarkWireCompressTopK10(b *testing.B)  { benchCompressor(b, "topk:0.1")
 
 // BenchmarkWireDecode measures the receive path: decode of a TopK
 // payload back to a dense vector.
-func BenchmarkWireDecode(b *testing.B) {
-	sp, _ := hop.ParseCompression("topk:0.1")
+func BenchmarkWireDecode(b *testing.B) { benchDecode(b, "topk:0.1", 1<<16) }
+
+// BenchmarkWireDecodeNone is the same for the uncompressed payload of
+// the live SVM workload's 4096 parameters.
+func BenchmarkWireDecodeNone(b *testing.B) { benchDecode(b, "none", 4096) }
+
+func benchDecode(b *testing.B, spec string, n int) {
+	sp, _ := hop.ParseCompression(spec)
 	comp := sp.New()
-	payload := comp.Compress(nil, wireParams(1<<16))
+	payload := comp.Compress(nil, wireParams(n))
 	// The retained buffer is warmed before the timer: steady state is
 	// 0 allocs/op, gated by CI.
 	out, err := compress.DecodeInto(nil, comp.Kind(), payload)
@@ -424,6 +446,8 @@ func BenchmarkDeltaEncode(b *testing.B) {
 	var dst []byte
 	dst = enc.Compress(dst[:0], params)
 	enc.Commit() // warm start: subsequent frames are true sparse deltas
+	dst = enc.Compress(dst[:0], params)
+	enc.Commit() // one sparse frame sizes the encoder's selection scratch
 	b.SetBytes(int64(8 * len(params)))
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -34,6 +34,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"unsafe"
 )
 
 // Kind identifies a codec on the wire (one byte in the frame header).
@@ -213,6 +214,10 @@ func DecodeInto(dst []float64, k Kind, payload []byte) ([]float64, error) {
 			return nil, fmt.Errorf("compress: none payload length %d not a multiple of 8", len(payload))
 		}
 		out := sizeVec(dst, len(payload)/8)
+		if littleEndian {
+			copy(float64Bytes(out), payload)
+			return out, nil
+		}
 		o := out // filled four at a time, check-free (see extend)
 		for ; len(o) >= 4 && len(payload) >= 32; o, payload = o[4:], payload[32:] {
 			o[0] = math.Float64frombits(binary.LittleEndian.Uint64(payload[0:8]))
@@ -263,6 +268,10 @@ func (noneCodec) Kind() Kind { return None }
 
 func (noneCodec) Compress(dst []byte, src []float64) []byte {
 	dst, out := extend(dst, 8*len(src))
+	if littleEndian {
+		copy(out, float64Bytes(src))
+		return dst
+	}
 	for ; len(src) >= 4 && len(out) >= 32; src, out = src[4:], out[32:] {
 		binary.LittleEndian.PutUint64(out[0:8], math.Float64bits(src[0]))
 		binary.LittleEndian.PutUint64(out[8:16], math.Float64bits(src[1]))
@@ -273,6 +282,16 @@ func (noneCodec) Compress(dst []byte, src []float64) []byte {
 		binary.LittleEndian.PutUint64(out[:8], math.Float64bits(src[0]))
 	}
 	return dst
+}
+
+// littleEndian reports whether float64s sit in memory in their wire
+// byte order, so the None payload is a plain copy of their bytes; a
+// big-endian host swaps element by element.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// float64Bytes views v's memory as its 8·len(v) bytes.
+func float64Bytes(v []float64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), 8*len(v))
 }
 
 // extend grows dst by n bytes in one step and returns it with the new

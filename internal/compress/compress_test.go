@@ -52,42 +52,71 @@ func TestFloat32RoundTripWithinRounding(t *testing.T) {
 	}
 }
 
+// eachNonePath runs body on the None codec's path for this host and, on
+// a little-endian host, again on the element-by-element path a
+// big-endian host takes.
+func eachNonePath(t *testing.T, body func(t *testing.T)) {
+	t.Run("native", body)
+	if littleEndian {
+		t.Run("elementwise", func(t *testing.T) {
+			defer func() { littleEndian = true }()
+			littleEndian = false
+			body(t)
+		})
+	}
+}
+
 // TestDenseCodecBytesMatchElementwiseReference pins the bulk encode
-// and decode loops of None and Float32 to the one-element-at-a-time
+// and decode of None and Float32 to the one-element-at-a-time
 // definition of the payload, for every length around the unrolled
-// stride and for a destination that already holds bytes.
+// stride and for a destination that already holds bytes, with NaNs
+// carrying payloads, −0 and the extremes among the values, decoding
+// into a buffer shorter and one longer than the vector — None on both
+// its paths.
 func TestDenseCodecBytesMatchElementwiseReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	prefix := []byte{0xAA, 0xBB, 0xCC}
-	for n := 0; n <= 13; n++ {
-		src := randVec(rng, n)
-		want64, want32 := append([]byte(nil), prefix...), append([]byte(nil), prefix...)
-		for _, v := range src {
-			want64 = binary.LittleEndian.AppendUint64(want64, math.Float64bits(v))
-			want32 = binary.LittleEndian.AppendUint32(want32, math.Float32bits(float32(v)))
-		}
-		got64 := NewNone().Compress(append([]byte(nil), prefix...), src)
-		got32 := NewFloat32().Compress(append([]byte(nil), prefix...), src)
-		if !bytes.Equal(got64, want64) || !bytes.Equal(got32, want32) {
-			t.Fatalf("n=%d: encoded bytes differ from the element-wise reference", n)
-		}
-		dec64, err := DecodeInto(make([]float64, 0, 16), None, want64[len(prefix):])
-		if err != nil {
-			t.Fatal(err)
-		}
-		dec32, err := DecodeInto(make([]float64, 0, 16), Float32, want32[len(prefix):])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(dec64) != n || len(dec32) != n {
-			t.Fatalf("n=%d: decoded %d and %d elements", n, len(dec64), len(dec32))
-		}
-		for i, v := range src {
-			if math.Float64bits(dec64[i]) != math.Float64bits(v) || dec32[i] != float64(float32(v)) {
-				t.Fatalf("n=%d: element %d decoded as %g / %g from %g", n, i, dec64[i], dec32[i], v)
+	eachNonePath(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(4))
+		special := []float64{math.Float64frombits(0x7ff4_0000_dead_beef), math.Float64frombits(0xfff8_0000_0000_0042),
+			math.Copysign(0, -1), math.Inf(-1), 5e-324, -math.MaxFloat64}
+		prefix := []byte{0xAA, 0xBB, 0xCC}
+		for n := 0; n <= 13; n++ {
+			src := randVec(rng, n)
+			for i := range src {
+				if rng.Intn(3) == 0 {
+					src[i] = special[rng.Intn(len(special))]
+				}
+			}
+			want64, want32 := append([]byte(nil), prefix...), append([]byte(nil), prefix...)
+			for _, v := range src {
+				want64 = binary.LittleEndian.AppendUint64(want64, math.Float64bits(v))
+				want32 = binary.LittleEndian.AppendUint32(want32, math.Float32bits(float32(v)))
+			}
+			got64 := NewNone().Compress(append([]byte(nil), prefix...), src)
+			got32 := NewFloat32().Compress(append([]byte(nil), prefix...), src)
+			if !bytes.Equal(got64, want64) || !bytes.Equal(got32, want32) {
+				t.Fatalf("n=%d: encoded bytes differ from the element-wise reference", n)
+			}
+			for _, c := range []int{n / 2, n + 3} {
+				dec64, err := DecodeInto(make([]float64, c), None, want64[len(prefix):])
+				if err != nil {
+					t.Fatal(err)
+				}
+				dec32, err := DecodeInto(make([]float64, c), Float32, want32[len(prefix):])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(dec64) != n || len(dec32) != n {
+					t.Fatalf("n=%d into %d: decoded %d and %d elements", n, c, len(dec64), len(dec32))
+				}
+				for i, v := range src {
+					if math.Float64bits(dec64[i]) != math.Float64bits(v) || math.Float64bits(dec32[i]) != math.Float64bits(float64(float32(v))) {
+						t.Fatalf("n=%d into %d: element %d decoded as %#x / %#x from %#x", n, c, i,
+							math.Float64bits(dec64[i]), math.Float64bits(dec32[i]), math.Float64bits(v))
+					}
+				}
 			}
 		}
-	}
+	})
 }
 
 // TestTopKProperties checks the sparsification contract: exactly
@@ -256,6 +285,7 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		payload []byte
 	}{
 		{None, make([]byte, 7)},
+		{None, make([]byte, 12)}, // whole float32s, not whole float64s
 		{Float32, make([]byte, 6)},
 		{TopK, nil},
 		{TopK, make([]byte, 7)},

@@ -69,9 +69,9 @@ type DeltaEncoder struct {
 	// pendingRekey records that it is a warm-start frame.
 	pending      []byte
 	pendingRekey bool
-	// sel carries the previous frame's selection threshold to the next
-	// frame's candidate gather (topk_select.go). It never affects
-	// payload bytes.
+	// sel carries the previous frame's selection threshold, and the
+	// candidate scratch, to the next frame's gather (topk_select.go). It
+	// never affects payload bytes.
 	sel streamSel
 }
 

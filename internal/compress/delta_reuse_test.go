@@ -3,6 +3,7 @@ package compress
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -82,6 +83,34 @@ func TestDeltaDecodeIntoStreamReuse(t *testing.T) {
 		if !floatsEqual(reuse, want) {
 			t.Fatalf("frame %d: reused-buffer reconstruction diverged", f)
 		}
+	}
+}
+
+// TestDeltaEncoderAllocatesNothingAcrossGC: a warm stream's sparse frame
+// allocates nothing even when collections run between frames — its
+// selection scratch is the encoder's own, not a sync.Pool entry the
+// collector drops (two cycles empty a pool, victim cache included).
+func TestDeltaEncoderAllocatesNothingAcrossGC(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	enc := NewDeltaEncoder(0.1)
+	x := make([]float64, 4096)
+	dst := make([]byte, 0, 8+8*len(x))
+	step := func() {
+		for i := range x {
+			x[i] += rng.NormFloat64()
+		}
+		dst = enc.Compress(dst[:0], x)
+		enc.Commit()
+	}
+	for i := 0; i < 5; i++ {
+		step() // past the dense warm start
+	}
+	if a := testing.AllocsPerRun(10, func() {
+		runtime.GC()
+		runtime.GC()
+		step()
+	}); a != 0 {
+		t.Fatalf("a sparse frame after two collections allocated %v times", a)
 	}
 }
 

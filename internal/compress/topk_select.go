@@ -49,7 +49,9 @@ import (
 	"sync"
 )
 
-// topkScratch is the pooled per-encode state: the gathered candidates.
+// topkScratch is the per-encode state: the gathered candidates. A delta
+// stream keeps its own in its streamSel; the stateless codec borrows one
+// from topkPool, which a collection may empty between encodes.
 type topkScratch struct {
 	idx []int32   // candidate indices, ascending
 	mag []float64 // their magnitudes; permuted by the selection
@@ -78,6 +80,30 @@ type streamSel struct {
 	// Work counters for the in-package work-bound test: sparse frames
 	// encoded, refills among them, and candidates selected among.
 	frames, refills, cands int
+	// sc is the stream's candidate scratch, sized by its first sparse
+	// frame and kept.
+	sc topkScratch
+}
+
+// scratch returns the stream's own candidate scratch or, for the
+// stateless codec (a nil stream), one from topkPool; release hands the
+// latter back. Both stay out of line: inlined, their branches cost
+// encodeTopK's loops their registers (the gather pass spilled its index
+// and cursor and ran about 1.2× slower).
+//
+//go:noinline
+func (s *streamSel) scratch() *topkScratch {
+	if s == nil {
+		return topkPool.Get().(*topkScratch)
+	}
+	return &s.sc
+}
+
+//go:noinline
+func (s *streamSel) release(sc *topkScratch) {
+	if s == nil {
+		topkPool.Put(sc)
+	}
 }
 
 // gatherDelta fills src[i] = x[i] − ref[i] and compacts into idx, in
@@ -128,7 +154,7 @@ func encodeTopK(dst []byte, src []float64, k int, x, ref []float64, sel *streamS
 		}
 		return dst
 	}
-	sc := topkPool.Get().(*topkScratch)
+	sc := sel.scratch()
 	if cap(sc.idx) < n {
 		sc.idx, sc.mag = make([]int32, n), make([]float64, n)
 	}
@@ -161,7 +187,7 @@ func encodeTopK(dst []byte, src []float64, k int, x, ref []float64, sel *streamS
 		sel.frames++
 		sel.cands += len(idx)
 	}
-	topkPool.Put(sc)
+	sel.release(sc)
 	return dst
 }
 

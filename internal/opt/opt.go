@@ -4,7 +4,11 @@
 // constant learning rate, §7.2).
 package opt
 
-import "fmt"
+import (
+	"fmt"
+
+	"hop/internal/tensor"
+)
 
 // SGD holds the optimizer hyper-parameters and per-replica momentum
 // state. Each worker owns one SGD instance for its model replica.
@@ -24,22 +28,13 @@ func NewSGD(n int, lr, momentum, weightDecay float64) *SGD {
 	return &SGD{LR: lr, Momentum: momentum, WeightDecay: weightDecay, velocity: make([]float64, n)}
 }
 
-// Step applies one update in place: v ← m·v + g + wd·x; x ← x − lr·v.
+// Step applies one update in place: v ← m·v + g + wd·x; x ← x − lr·v
+// (tensor.MomentumStep, a lane per element where the CPU has AVX).
 func (s *SGD) Step(params, grads []float64) {
 	if len(params) != len(grads) || len(params) != len(s.velocity) {
 		panic(fmt.Sprintf("opt: Step length mismatch params=%d grads=%d velocity=%d", len(params), len(grads), len(s.velocity)))
 	}
-	// Locals, and slices cut to one length: a store through params or
-	// velocity may alias *s as far as the compiler knows, so reading the
-	// fields inside the loop reloads them — and re-checks the bounds —
-	// after every store.
-	m, lr, wd := s.Momentum, s.LR, s.WeightDecay
-	grads, velocity := grads[:len(params)], s.velocity[:len(params)]
-	for i, x := range params {
-		v := m*velocity[i] + grads[i] + wd*x
-		velocity[i] = v
-		params[i] = x - lr*v
-	}
+	tensor.MomentumStep(params, s.velocity, grads, s.Momentum, s.WeightDecay, s.LR)
 }
 
 // Reset zeroes the momentum state (used when a worker's parameters are

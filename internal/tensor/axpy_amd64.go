@@ -35,6 +35,20 @@ func gemmRow1AVX(c *float64, a *float64, aps int, b *float64, ldb, k, n int)
 //go:noescape
 func axpy1AVX(c, b *float64, n int, a float64)
 
+// meanAVX is Mean's kernel over n cells of count vectors, vs pointing
+// at the first of their slice headers: each lane sums one cell from +0
+// in vector order and scales it by inv.
+//
+//go:noescape
+func meanAVX(dst *float64, vs *[]float64, count, n int, inv float64)
+
+// momentumAVX is MomentumStep's kernel over n cells: each lane updates
+// one cell's velocity and parameter with the Go loop's separate
+// multiplies, adds and subtract.
+//
+//go:noescape
+func momentumAVX(x, v, grad *float64, n int, m, wd, lr float64)
+
 // reluAVX is ReLU over n elements, n a positive multiple of 4: VBLENDVPD
 // on x's own sign bit selects +0 or x.
 //

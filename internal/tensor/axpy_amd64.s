@@ -338,6 +338,179 @@ done1:
 	VZEROUPPER
 	RET
 
+// func meanAVX(dst *float64, vs *[]float64, count, n int, inv float64)
+//
+// dst[i] = ((0 + vs[0][i]) + vs[1][i] + … + vs[count−1][i])·inv for
+// i = 0…n−1; count >= 1. Lane i is cell i's running sum: it starts from
+// +0 (VXORPD) and takes one VADDPD per vector in list order, then one
+// VMULPD — Mean's Go loops, operation for operation. Cells go 16 at a
+// time in four independent accumulators (Y0–Y3) per walk of the list,
+// then 4 at a time, then singly. vs points at count slice headers of
+// 24 bytes, each at least n elements long.
+TEXT ·meanAVX(SB), NOSPLIT, $0-40
+	MOVQ dst+0(FP), DI
+	MOVQ vs+8(FP), R8
+	MOVQ count+16(FP), R9
+	MOVQ n+24(FP), BX
+	VBROADCASTSD inv+32(FP), Y15
+	XORQ AX, AX
+	MOVQ BX, DX
+	ANDQ $-16, DX
+
+loop16:
+	CMPQ AX, DX
+	JGE  quads
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	MOVQ R8, R10
+	MOVQ R9, CX
+
+vecs16:
+	MOVQ   (R10), SI
+	VADDPD (SI)(AX*8), Y0, Y0
+	VADDPD 32(SI)(AX*8), Y1, Y1
+	VADDPD 64(SI)(AX*8), Y2, Y2
+	VADDPD 96(SI)(AX*8), Y3, Y3
+	ADDQ   $24, R10
+	DECQ   CX
+	JNZ    vecs16
+
+	VMULPD  Y15, Y0, Y0
+	VMULPD  Y15, Y1, Y1
+	VMULPD  Y15, Y2, Y2
+	VMULPD  Y15, Y3, Y3
+	VMOVUPD Y0, (DI)(AX*8)
+	VMOVUPD Y1, 32(DI)(AX*8)
+	VMOVUPD Y2, 64(DI)(AX*8)
+	VMOVUPD Y3, 96(DI)(AX*8)
+	ADDQ    $16, AX
+	JMP     loop16
+
+quads:
+	MOVQ BX, DX
+	ANDQ $-4, DX
+
+loop4:
+	CMPQ AX, DX
+	JGE  loop1
+	VXORPD Y0, Y0, Y0
+	MOVQ R8, R10
+	MOVQ R9, CX
+
+vecs4:
+	MOVQ   (R10), SI
+	VADDPD (SI)(AX*8), Y0, Y0
+	ADDQ   $24, R10
+	DECQ   CX
+	JNZ    vecs4
+
+	VMULPD  Y15, Y0, Y0
+	VMOVUPD Y0, (DI)(AX*8)
+	ADDQ    $4, AX
+	JMP     loop4
+
+loop1:
+	CMPQ AX, BX
+	JGE  done
+	VXORPD X0, X0, X0
+	MOVQ R8, R10
+	MOVQ R9, CX
+
+vecs1:
+	MOVQ   (R10), SI
+	VADDSD (SI)(AX*8), X0, X0
+	ADDQ   $24, R10
+	DECQ   CX
+	JNZ    vecs1
+
+	VMULSD X15, X0, X0
+	VMOVSD X0, (DI)(AX*8)
+	INCQ   AX
+	JMP    loop1
+
+done:
+	VZEROUPPER
+	RET
+
+// func momentumAVX(x, v, grad *float64, n int, m, wd, lr float64)
+//
+// For i = 0…n−1: v[i] = ((m·v[i]) + grad[i]) + (wd·x[i]), then
+// x[i] = x[i] − lr·v[i] — MomentumStep's Go loop, each lane one cell,
+// every multiply, add and subtract rounded on its own (no FMA). Cells go
+// 8 at a time, then 4, then singly.
+TEXT ·momentumAVX(SB), NOSPLIT, $0-56
+	MOVQ x+0(FP), DI
+	MOVQ v+8(FP), SI
+	MOVQ grad+16(FP), DX
+	MOVQ n+24(FP), BX
+	VBROADCASTSD m+32(FP), Y13
+	VBROADCASTSD wd+40(FP), Y14
+	VBROADCASTSD lr+48(FP), Y15
+	XORQ AX, AX
+	MOVQ BX, CX
+	ANDQ $-8, CX
+
+loop8:
+	CMPQ AX, CX
+	JGE  quads
+	VMOVUPD (DI)(AX*8), Y0
+	VMOVUPD 32(DI)(AX*8), Y1
+	VMULPD  (SI)(AX*8), Y13, Y2   // m·v
+	VMULPD  32(SI)(AX*8), Y13, Y3
+	VADDPD  (DX)(AX*8), Y2, Y2    // + g
+	VADDPD  32(DX)(AX*8), Y3, Y3
+	VMULPD  Y0, Y14, Y4           // wd·x
+	VMULPD  Y1, Y14, Y5
+	VADDPD  Y4, Y2, Y2            // the new v
+	VADDPD  Y5, Y3, Y3
+	VMOVUPD Y2, (SI)(AX*8)
+	VMOVUPD Y3, 32(SI)(AX*8)
+	VMULPD  Y2, Y15, Y4           // lr·v
+	VMULPD  Y3, Y15, Y5
+	VSUBPD  Y4, Y0, Y0            // x − lr·v
+	VSUBPD  Y5, Y1, Y1
+	VMOVUPD Y0, (DI)(AX*8)
+	VMOVUPD Y1, 32(DI)(AX*8)
+	ADDQ    $8, AX
+	JMP     loop8
+
+quads:
+	MOVQ BX, CX
+	ANDQ $-4, CX
+	CMPQ AX, CX
+	JGE  loop1
+	VMOVUPD (DI)(AX*8), Y0
+	VMULPD  (SI)(AX*8), Y13, Y2
+	VADDPD  (DX)(AX*8), Y2, Y2
+	VMULPD  Y0, Y14, Y4
+	VADDPD  Y4, Y2, Y2
+	VMOVUPD Y2, (SI)(AX*8)
+	VMULPD  Y2, Y15, Y4
+	VSUBPD  Y4, Y0, Y0
+	VMOVUPD Y0, (DI)(AX*8)
+	ADDQ    $4, AX
+
+loop1:
+	CMPQ AX, BX
+	JGE  done
+	VMOVSD (DI)(AX*8), X0
+	VMULSD (SI)(AX*8), X13, X2
+	VADDSD (DX)(AX*8), X2, X2
+	VMULSD X0, X14, X4
+	VADDSD X4, X2, X2
+	VMOVSD X2, (SI)(AX*8)
+	VMULSD X2, X15, X4
+	VSUBSD X4, X0, X0
+	VMOVSD X0, (DI)(AX*8)
+	INCQ   AX
+	JMP    loop1
+
+done:
+	VZEROUPPER
+	RET
+
 // ReLU kernels (see relu.go): lanes are elements, nothing is summed, so
 // the contract is only that each lane's bits are the Go mask form's.
 

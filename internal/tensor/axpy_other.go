@@ -18,6 +18,14 @@ func axpy1AVX(c, b *float64, n int, a float64) {
 	panic("tensor: axpy1AVX on non-amd64")
 }
 
+func meanAVX(dst *float64, vs *[]float64, count, n int, inv float64) {
+	panic("tensor: meanAVX on non-amd64")
+}
+
+func momentumAVX(x, v, grad *float64, n int, m, wd, lr float64) {
+	panic("tensor: momentumAVX on non-amd64")
+}
+
 func reluAVX(dst, x *float64, n int) {
 	panic("tensor: reluAVX on non-amd64")
 }

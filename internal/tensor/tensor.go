@@ -98,7 +98,8 @@ const meanTile = 512
 // Each element is ((0 + v₀) + v₁ + …)·(1/n), summed in vector order —
 // bit for bit what zero-filling dst, adding the vectors one at a time
 // and scaling produces (0 + −0 is +0, NaN propagates) — in one pass
-// over dst instead of n+2.
+// over dst instead of n+2. With AVX one kernel serves every vector
+// count, a lane per element; the Go loops below are its portable form.
 func Mean(dst []float64, vectors [][]float64) {
 	if len(vectors) == 0 {
 		panic("tensor: Mean of no vectors")
@@ -109,6 +110,10 @@ func Mean(dst []float64, vectors [][]float64) {
 		}
 	}
 	inv := 1 / float64(len(vectors))
+	if haveAVX && len(dst) > 0 {
+		meanAVX(&dst[0], &vectors[0], len(vectors), len(dst), inv)
+		return
+	}
 	switch len(vectors) {
 	case 1: // the tiled path takes first and last as two vectors
 		a := vectors[0][:len(dst)]
@@ -140,6 +145,25 @@ func Mean(dst []float64, vectors [][]float64) {
 				t[i] = (t[i] + x) * inv
 			}
 		}
+	}
+}
+
+// MomentumStep is one momentum-SGD update in place, element by element:
+// v ← ((m·v) + g) + (wd·x), then x ← x − lr·v, each operation rounded
+// on its own. x, v and g must have the same length.
+func MomentumStep(x, v, g []float64, m, wd, lr float64) {
+	if len(v) != len(x) || len(g) != len(x) {
+		panic(fmt.Sprintf("tensor: MomentumStep length mismatch x=%d v=%d g=%d", len(x), len(v), len(g)))
+	}
+	if haveAVX && len(x) > 0 {
+		momentumAVX(&x[0], &v[0], &g[0], len(x), m, wd, lr)
+		return
+	}
+	v, g = v[:len(x)], g[:len(x)]
+	for i, xi := range x {
+		vi := m*v[i] + g[i] + wd*xi
+		v[i] = vi
+		x[i] = xi - lr*vi
 	}
 }
 

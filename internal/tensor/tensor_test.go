@@ -148,6 +148,8 @@ func TestPanicsOnMismatch(t *testing.T) {
 		func() { Dot([]float64{1}, []float64{1, 2}) },
 		func() { Dist2([]float64{1}, []float64{1, 2}) },
 		func() { Mean([]float64{1}, nil) },
+		func() { MomentumStep(make([]float64, 2), make([]float64, 2), make([]float64, 1), 0, 0, 1) },
+		func() { MomentumStep(make([]float64, 2), make([]float64, 3), make([]float64, 2), 0, 0, 1) },
 		func() { WeightedMean([]float64{1}, [][]float64{{1}}, []float64{0}) },
 		func() { MatMul(make([]float64, 1), make([]float64, 2), make([]float64, 2), 1, 1, 1) },
 	}
@@ -189,43 +191,100 @@ func meanRef(dst []float64, vectors [][]float64) {
 
 // TestMeanMatchesReference: the one-pass Mean must round exactly as
 // the multi-pass one did (§3.1's bit-identical rule), including the
-// sign of zero and non-finite entries, for every vector count on both
-// sides of the tiled path and lengths on both sides of a tile.
+// sign of zero and non-finite entries, for every vector count through
+// six — both sides of the Go loops' tiled path — and every length
+// through 13 (the kernel's 16-, 4- and 1-cell steps and their tails),
+// the live ring's 4096 and the CNN's 5812, with and without AVX.
 func TestMeanMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	special := []float64{math.Copysign(0, -1), 0, math.NaN(), math.Inf(1), math.Inf(-1), 1e308, -1e308, 5e-324}
-	for count := 1; count <= 5; count++ {
-		for _, n := range []int{0, 1, 7, 4096} {
-			vecs := make([][]float64, count)
-			for k := range vecs {
-				vecs[k] = make([]float64, n)
-				for i := range vecs[k] {
-					if rng.Intn(4) == 0 {
-						vecs[k][i] = special[rng.Intn(len(special))]
-					} else {
-						vecs[k][i] = rng.NormFloat64()
+	eachKernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(5))
+		special := []float64{math.Copysign(0, -1), 0, math.NaN(), math.Inf(1), math.Inf(-1), 1e308, -1e308, 5e-324}
+		lengths := []int{4096, 5812}
+		for n := 0; n <= 13; n++ {
+			lengths = append(lengths, n)
+		}
+		for count := 1; count <= 6; count++ {
+			for _, n := range lengths {
+				vecs := make([][]float64, count)
+				for k := range vecs {
+					vecs[k] = make([]float64, n)
+					for i := range vecs[k] {
+						if rng.Intn(4) == 0 {
+							vecs[k][i] = special[rng.Intn(len(special))]
+						} else {
+							vecs[k][i] = rng.NormFloat64()
+						}
 					}
 				}
-			}
-			if n > 0 {
-				// Every vector −0 at one element: the mean is +0.
-				for k := range vecs {
-					vecs[k][0] = math.Copysign(0, -1)
+				if n > 0 {
+					// Every vector −0 at the first and the last element
+					// (the kernel's widest step and its narrowest): the
+					// mean is +0.
+					for k := range vecs {
+						vecs[k][0], vecs[k][n-1] = math.Copysign(0, -1), math.Copysign(0, -1)
+					}
 				}
-			}
-			got, want := make([]float64, n), make([]float64, n)
-			Fill(got, 42) // previous contents must not leak
-			Mean(got, vecs)
-			meanRef(want, vecs)
-			for i := range want {
-				if math.Float64bits(got[i]) != math.Float64bits(want[i]) && !(math.IsNaN(got[i]) && math.IsNaN(want[i])) {
-					t.Fatalf("%d vectors of %d: element %d = %g (%#x), reference %g (%#x)",
-						count, n, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+				got, want := make([]float64, n), make([]float64, n)
+				Fill(got, 42) // previous contents must not leak
+				Mean(got, vecs)
+				meanRef(want, vecs)
+				exactEq(t, "Mean", got, want, count, n)
+				if n > 0 && (math.Signbit(got[0]) || math.Signbit(got[n-1])) {
+					t.Fatalf("%d vectors of %d: mean of −0s is −0", count, n)
 				}
-			}
-			if n > 0 && math.Signbit(got[0]) {
-				t.Fatalf("%d vectors of %d: mean of −0s is −0", count, n)
 			}
 		}
+	})
+}
+
+// stepRef is the momentum step as opt.SGD.Step first wrote it, one
+// expression per element with every operand read where it is used.
+func stepRef(x, v, g []float64, m, wd, lr float64) {
+	for i := range x {
+		vi := m*v[i] + g[i] + wd*x[i]
+		v[i] = vi
+		x[i] -= lr * vi
 	}
+}
+
+// TestMomentumStepMatchesReference pins MomentumStep to stepRef, bit
+// for bit, at every length through 13 (the kernel's 8-, 4- and 1-cell
+// steps) and at 257, with NaN, ±Inf, ±0 and subnormals in x, v and g,
+// over several steps so the velocity carries state; at the SVM's
+// hyper-parameters and at momentum and decay off.
+func TestMomentumStepMatchesReference(t *testing.T) {
+	eachKernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(9))
+		special := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1),
+			5e-324, -5e-324, 2.2e-308, -1e-310}
+		draw := func() float64 {
+			if rng.Intn(4) == 0 {
+				return special[rng.Intn(len(special))]
+			}
+			return rng.NormFloat64()
+		}
+		lengths := []int{257}
+		for n := 0; n <= 13; n++ {
+			lengths = append(lengths, n)
+		}
+		for _, h := range []struct{ m, wd, lr float64 }{{0.9, 1e-7, 0.2}, {0, 0, 0.05}, {0.5, 3, 1e-300}} {
+			for _, n := range lengths {
+				x, v := make([]float64, n), make([]float64, n)
+				for i := range x {
+					x[i], v[i] = draw(), draw()
+				}
+				xr, vr := Clone(x), Clone(v)
+				g := make([]float64, n)
+				for step := 0; step < 4; step++ {
+					for i := range g {
+						g[i] = draw()
+					}
+					MomentumStep(x, v, g, h.m, h.wd, h.lr)
+					stepRef(xr, vr, g, h.m, h.wd, h.lr)
+					exactEq(t, "MomentumStep params", x, xr, step, n)
+					exactEq(t, "MomentumStep velocity", v, vr, step, n)
+				}
+			}
+		}
+	})
 }

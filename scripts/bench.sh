@@ -53,11 +53,13 @@ echo "running: go test -run '^$' -bench '$LIVE_PATTERN' -benchtime=$LIVE_BENCHTI
 go test -run '^$' -bench "$LIVE_PATTERN" -benchtime="$LIVE_BENCHTIME" -count=1 ./ | tee "$LIVE_RAW" >&2
 # The microbenchmarks the live plane's budget names (DESIGN.md §9.4)
 # ride in the same file at their own iteration count: one op is tens of
-# microseconds, not a cluster run. TopKStreamEncode is here and not in
+# microseconds, not a cluster run: an iteration's draw, gradient, SGD
+# step and Reduce (TensorMean, at the ring's and the CNN's shapes), and
+# the wire's own. TopKStreamEncode is here and not in
 # the codec rows above because its width=2 rows need the second CPU
 # this file is recorded with.
-echo "running: go test -run '^$' -bench 'WebspamSample|SVMLossGrad|SGDStep|TransportTokenThenUpdate|TopKStreamEncode' -benchmem -benchtime=20000x ./" >&2
-go test -run '^$' -bench 'WebspamSample|SVMLossGrad|SGDStep|TransportTokenThenUpdate|TopKStreamEncode' -benchmem -benchtime=20000x -count=1 ./ | tee -a "$LIVE_RAW" >&2
+echo "running: go test -run '^$' -bench 'WebspamSample|SVMLossGrad|SGDStep|TensorMean|TransportTokenThenUpdate|TopKStreamEncode' -benchmem -benchtime=20000x ./" >&2
+go test -run '^$' -bench 'WebspamSample|SVMLossGrad|SGDStep|TensorMean|TransportTokenThenUpdate|TopKStreamEncode' -benchmem -benchtime=20000x -count=1 ./ | tee -a "$LIVE_RAW" >&2
 bench_to_json "$LIVE_RAW" "$LIVE_OUT"
 echo "wrote $LIVE_OUT" >&2
 
