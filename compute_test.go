@@ -15,9 +15,11 @@ import (
 )
 
 // callSiteSpecs are small heterogeneous CNN clusters, one per iteration
-// mode the figure below does not reach: with fig12's parallel graph
-// they cover all four Compute/EndCompute call sites of the protocol
-// (iterParallel, iterSerial, iterNotifyAck, iterPrague).
+// mode the figure below does not reach: with fig12's standard parallel
+// graph they cover both computation graphs of Protocol.iterate (the
+// parallel one, also with a Prague group, and the serial one, also with
+// NOTIFY-ACK's ACK gate) and so both of its Compute/EndCompute call
+// sites.
 var callSiteSpecs = []hop.ScenarioProtocol{
 	{Mode: "prague", GroupSize: 4},
 	{Serial: true, MaxIG: 4, Backup: 1},

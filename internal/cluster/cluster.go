@@ -79,32 +79,6 @@ type Result struct {
 	Deadlock error
 }
 
-// deathNoticePeers returns the recipients of w's death notice in
-// deterministic order: the graph neighbors (in ∪ out) under Hop, or
-// every other worker under Prague — group partners span the whole
-// cluster regardless of topology.
-func deathNoticePeers(cfg *core.Config, w int) []int {
-	g := cfg.Graph
-	if cfg.Mode == core.ModePrague {
-		out := make([]int, 0, g.N()-1)
-		for j := 0; j < g.N(); j++ {
-			if j != w {
-				out = append(out, j)
-			}
-		}
-		return out
-	}
-	seen := make(map[int]bool)
-	var out []int
-	for _, j := range append(append([]int(nil), g.In(w)...), g.Out(w)...) {
-		if !seen[j] {
-			seen[j] = true
-			out = append(out, j)
-		}
-	}
-	return out
-}
-
 // monitor adapts the sim kernel to core.Monitor: the kernel runs one
 // process at a time, so Lock/Unlock are no-ops and condition variables
 // are kernel conds.
@@ -304,11 +278,11 @@ func Run(opts Options) (*Result, error) {
 				return
 			}
 			dead[w] = true
-			// Death notices ride the fabric to every graph neighbor as
+			// Death notices ride the fabric to every protocol peer as
 			// metadata-sized frames: per-(src,dst) arrival order is
 			// monotone, so the notice lands after everything the worker
 			// sent before dying.
-			for _, j := range deathNoticePeers(&cfg, w) {
+			for _, j := range cfg.ProtocolPeers(w) {
 				j := j
 				fabric.Deliver(w, j, opts.AckBytes, func() { eng.Worker(j).DeclarePeerDead(w) })
 			}

@@ -8,7 +8,6 @@ package cluster
 import (
 	"math"
 	"math/rand"
-	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -16,6 +15,7 @@ import (
 	"hop/internal/core"
 	"hop/internal/graph"
 	"hop/internal/hetero"
+	"hop/internal/leaktest"
 	"hop/internal/model"
 	"hop/internal/tensor"
 )
@@ -169,19 +169,11 @@ func TestCheapStepsStayInline(t *testing.T) {
 func TestRunLeavesNoGoroutines(t *testing.T) {
 	defer tensor.SetWorkers(0)
 	tensor.SetWorkers(3)
-	before := runtime.NumGoroutine()
+	// The pool may grow by up to two goroutines during the run.
+	defer leaktest.Check(t, 2)()
 	opts := cnnOptions(0)
 	opts.Deadline = 10 * time.Second
 	if _, err := Run(opts); err != nil {
 		t.Fatal(err)
-	}
-	// Killed sim processes unwind on their own goroutines; give the
-	// last of them the moment it needs to return.
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before+2 && time.Now().Before(deadline) {
-		runtime.Gosched()
-	}
-	if after := runtime.NumGoroutine(); after > before+2 {
-		t.Errorf("goroutines %d -> %d across Run; the pool accounts for at most 2", before, after)
 	}
 }

@@ -4,7 +4,7 @@ package cluster
 //
 // The membership audit behind it: under Hop, death notices and
 // WaitPeersDone-style fan-outs already walk the graph neighborhood
-// (deathNoticePeers, core gnbrs), not the cluster; Prague's all-to-all
+// (core.Config.ProtocolPeers), not the cluster; Prague's all-to-all
 // group partners are inherently O(n) and out of scope here. What the
 // gate below pins is the steady-state iteration loop: per worker-step
 // allocation cost must not grow with the cluster size, only with the

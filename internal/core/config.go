@@ -316,8 +316,8 @@ func (c *Config) ValidateProtocol() error {
 	if err := c.Compression.Validate(); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	if c.Mode == ModeNotifyAck && (c.MaxIG > 0 || c.Backup > 0 || c.Staleness >= 0 || c.Skip != nil) {
-		return fmt.Errorf("core: NOTIFY-ACK is the fixed-gap baseline; token queues, backup workers, staleness and skipping do not compose with it (§3.4-3.5)")
+	if c.Mode == ModeNotifyAck && (c.MaxIG > 0 || c.Backup > 0 || c.Staleness >= 0 || c.Skip != nil || c.SendCheck) {
+		return fmt.Errorf("core: NOTIFY-ACK is the fixed-gap baseline; token queues, backup workers, staleness, skipping and the send check do not compose with it (§3.4-3.5)")
 	}
 	if c.Faults != nil && len(c.Faults) != n {
 		return fmt.Errorf("core: %d fault schedules for %d workers", len(c.Faults), n)
@@ -340,6 +340,33 @@ func (c *Config) ValidateProtocol() error {
 		return fmt.Errorf("core: Rejoin requires FaultTolerance")
 	}
 	return nil
+}
+
+// ProtocolPeers returns the workers w exchanges protocol messages
+// with, in deterministic order: its graph neighbors (in ∪ out) in
+// every mode but Prague, whose groups span the whole cluster regardless
+// of topology, so every other worker there. It is the set w's death
+// notice reaches and the set a live worker dials.
+func (c *Config) ProtocolPeers(w int) []int {
+	n := c.Graph.N()
+	if c.Mode == ModePrague {
+		peers := make([]int, 0, n-1)
+		for j := 0; j < n; j++ {
+			if j != w {
+				peers = append(peers, j)
+			}
+		}
+		return peers
+	}
+	seen := make(map[int]bool)
+	var peers []int
+	for _, j := range append(append([]int(nil), c.Graph.In(w)...), c.Graph.Out(w)...) {
+		if !seen[j] {
+			seen[j] = true
+			peers = append(peers, j)
+		}
+	}
+	return peers
 }
 
 // hopOnlyKnobs is the one table of Hop knobs the Prague, PS and

@@ -219,10 +219,12 @@ func (p *Protocol) wakeAllLocked() {
 // the hook applies pending deaths of in-neighbors whose tagged-iter
 // update is missing — and only those: a dead peer's already-arrived
 // final update must be consumed exactly as if the peer were alive, or
-// the applied iteration would depend on notice timing. The hook itself
-// is built once (Protocol.reduceHook, nil without fault tolerance) and
-// reads iter from hookIter; one reduce waits at a time, on the Run
-// goroutine.
+// the applied iteration would depend on notice timing. Under Prague
+// only the step's group members count: a non-member's pending death
+// stays pending until a shared step actually blocks on it. The hook
+// itself is built once (Protocol.reduceHook, nil without fault
+// tolerance) and reads iter from hookIter; one reduce waits at a time,
+// on the Run goroutine.
 func (p *Protocol) reduceBlockHook(iter int) func() bool {
 	p.hookIter = iter
 	return p.reduceHook
@@ -235,7 +237,7 @@ func (p *Protocol) applyMissingDeaths() bool {
 	}
 	changed := false
 	for _, d := range append([]int(nil), p.in...) {
-		if !p.pendingDead[d] {
+		if !p.pendingDead[d] || (p.group != nil && !containsInt(p.group, d)) {
 			continue
 		}
 		if p.queue.hasIterFromLocked(d, p.hookIter) {

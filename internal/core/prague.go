@@ -12,22 +12,20 @@ package core
 // worker's own) are present, folding in any extras that have already
 // arrived, instead of waiting for the full group. See DESIGN.md §8.
 //
-// The protocol reuses the existing Runtime primitives unchanged —
-// Send/Deliver into the same tagged UpdateQueue, Compute/EndCompute
-// for the overlapped computation graph, ObserveAdvance for the gap
-// tracker — so both the simulator and the live TCP runtime execute
-// this file verbatim. The graph is a placement/cost substrate only:
-// groups span all n workers regardless of topology, which is why
-// NewProtocol widens the in/out neighbor views to the full peer set
-// under ModePrague (and why elastic membership, which operates on
-// those views, works for Prague without modification).
+// A Prague step is Hop's parallel computation graph (Protocol.iterate)
+// with the step's group as its peer set: the send, the reduce's quorum
+// and its death hook are narrowed to the group, and the reduce
+// deduplicates by sender; the simulator and the live TCP runtime run
+// it verbatim. The graph is a placement/cost substrate only: groups
+// span all n workers regardless of topology, which is why
+// Config.ProtocolPeers is every other worker under ModePrague (and why
+// elastic membership, which operates on those views, works for Prague
+// without modification).
 
 import (
 	"fmt"
 	"math/rand"
 	"sort"
-
-	"hop/internal/tensor"
 )
 
 // PragueConfig configures the Prague partial all-reduce protocol
@@ -117,125 +115,50 @@ func PragueLastShared(seed int64, n, size, maxIter, a, b int) int {
 	return -1
 }
 
-// iterPrague is one Prague iteration: compute the step's scheduled
-// group locally, send x_k to the live group members, overlap the
-// gradient computation with the quorum Recv, average what arrived, and
-// apply. Structure mirrors iterParallel (Fig. 2(b)); only the peer set
-// and the Recv semantics differ.
-func (p *Protocol) iterPrague(k int) {
-	t := p.trainer
-	x := t.Params()
-	pc := p.cfg.Prague
-	group := PragueGroupOf(pc.Seed, k, p.cfg.Graph.N(), pc.GroupSize, p.id)
-	p.trace.group(group, k)
-
-	// 1. Send x_k to the scheduled group (self-loop local, dead
-	// members skipped — p.out is the live membership view).
-	snap := tensor.Clone(x)
-	p.queue.Enqueue(Update{Params: snap, Iter: k, From: p.id})
-	for _, j := range group {
-		if j != p.id && containsInt(p.out, j) {
-			p.rt.Send(j, Update{Params: snap, Iter: k, From: p.id})
+// groupQuorum is the reduce requirement of a Prague step: the live
+// members of p.group (the worker itself included), capped at Quorum.
+// It is re-evaluated per pass — a member's death shrinks the live group
+// mid-wait.
+func (p *Protocol) groupQuorum() int {
+	live := 0
+	for _, j := range p.group {
+		if j == p.id || containsInt(p.in, j) {
+			live++
 		}
 	}
-
-	// 2. Compute gradients on x_k, overlapping the Recv below.
-	start := p.rt.Now()
-	d := p.rt.Compute(k, p.computeFn)
-
-	// 3+4. Quorum Recv and partial all-reduce.
-	reduced := p.pragueRecv(k, group)
-
-	p.rt.EndCompute(start + d)
-
-	// 5. Apply gradients to the group average.
-	tensor.Copy(x, reduced)
-	t.Apply(p.grads)
-
-	if p.cfg.OnIteration != nil {
-		p.cfg.OnIteration(p.id, k, p.loss, p.rt.Now())
+	if q := p.cfg.Prague.Quorum; q > 0 {
+		live = min(live, q)
 	}
+	return max(live, 1)
 }
 
-// pragueRecv blocks until the quorum of iteration-k group updates is
-// present (the worker's own included), folds in any extras already
-// arrived, and returns the group mean. The requirement is re-evaluated
-// per pass: a group member's death shrinks the live group, and the
-// pragueBlockHook applies pending deaths of members whose tagged-k
-// update is provably missing — the same lazy-application rule as Hop's
-// reduce, so the applied iteration is deterministic (DESIGN.md §6, §8).
-func (p *Protocol) pragueRecv(k int, group []int) []float64 {
-	need := func() int {
-		live := 0
-		for _, j := range group {
-			if j == p.id || containsInt(p.in, j) {
-				live++
-			}
-		}
-		n := live
-		if q := p.cfg.Prague.Quorum; q > 0 && q < n {
-			n = q
-		}
-		if n < 1 {
-			n = 1
-		}
-		return n
-	}
-	ups := p.queue.dequeueIterOr(k, need, p.pragueBlockHook(k, group))
-
-	// Average one update per member — deduplicated by sender, first
-	// arrival wins, so a duplicated delivery can never skew the mean.
-	seen := make(map[int]bool, len(ups))
-	vecs := make([][]float64, 0, len(ups))
+// groupUpdates keeps one update per group member — first arrival wins,
+// so a duplicated delivery can never skew the mean — and records every
+// member absent from the reduce (quorum proceeded without it, or it is
+// dead) as a group exclusion. It compacts ups in place.
+func (p *Protocol) groupUpdates(ups []Update, k int) []Update {
+	kept := ups[:0]
 	for _, u := range ups {
-		if seen[u.From] {
-			continue
+		if !hasSender(kept, u.From) {
+			kept = append(kept, u)
 		}
-		seen[u.From] = true
-		vecs = append(vecs, u.Params)
 	}
-
-	// Members absent from the reduce — quorum proceeded without them,
-	// or they are dead — are recorded as group exclusions.
-	for _, j := range group {
-		if j != p.id && !seen[j] {
+	for _, j := range p.group {
+		if j != p.id && !hasSender(kept, j) {
 			p.mon.Lock()
 			p.stats.GroupExcluded++
 			p.mon.Unlock()
 			p.trace.groupSkip(j, k)
 		}
 	}
-
-	out := make([]float64, len(vecs[0]))
-	tensor.Mean(out, vecs)
-	return out
+	return kept
 }
 
-// pragueBlockHook applies pending deaths of scheduled group members
-// whose tagged-iter update is missing — and only those: a dead
-// member's already-arrived final update must be consumed exactly as if
-// the member were alive, or the applied iteration would depend on
-// notice timing. Pending deaths of non-members stay pending until a
-// shared step actually blocks on them.
-func (p *Protocol) pragueBlockHook(iter int, group []int) func() bool {
-	if !p.cfg.FaultTolerance {
-		return nil
-	}
-	return func() bool {
-		if len(p.pendingDead) == 0 {
-			return false
+func hasSender(ups []Update, from int) bool {
+	for _, u := range ups {
+		if u.From == from {
+			return true
 		}
-		changed := false
-		for _, d := range group {
-			if d == p.id || !p.pendingDead[d] {
-				continue
-			}
-			if p.queue.hasIterFromLocked(d, iter) {
-				continue
-			}
-			p.applyDeathLocked(d)
-			changed = true
-		}
-		return changed
 	}
+	return false
 }

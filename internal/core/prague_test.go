@@ -7,6 +7,8 @@ package core
 import (
 	"reflect"
 	"testing"
+
+	"hop/internal/graph"
 )
 
 func TestPragueGroupsPartition(t *testing.T) {
@@ -133,5 +135,85 @@ func TestPragueConfigValidate(t *testing.T) {
 		if !tc.ok && err == nil {
 			t.Errorf("%s: config accepted", tc.name)
 		}
+	}
+}
+
+// praguePeer builds worker 0 of an 8-worker Prague cluster (groups of
+// 4, fault tolerant) with the group of step k in place, as iterate
+// leaves it before the reduce, and returns the group's other members.
+func praguePeer(t *testing.T, k, quorum int) (*Protocol, *Trace, []int) {
+	t.Helper()
+	const seed, n = 5, 8
+	cfg := Config{Graph: graph.Ring(n), Mode: ModePrague, Staleness: -1, FaultTolerance: true,
+		Prague: &PragueConfig{GroupSize: 4, Quorum: quorum, Seed: seed}}
+	tr := NewTrace()
+	p, err := NewProtocol(cfg, 0, nil, NewSyncMonitor(), nil, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.group = PragueGroupOf(seed, k, n, 4, 0)
+	var others []int
+	for _, j := range p.group {
+		if j != 0 {
+			others = append(others, j)
+		}
+	}
+	return p, tr, others
+}
+
+// TestPragueReduceCountsEachMemberOnce: the group reduce averages one
+// update per member — first arrival wins, so a duplicated delivery
+// cannot skew the mean — and records every member it went without as
+// an exclusion.
+func TestPragueReduceCountsEachMemberOnce(t *testing.T) {
+	const k = 3
+	p, tr, others := praguePeer(t, k, 2)
+	p.queue.Enqueue(Update{Params: []float64{0}, Iter: k, From: 0})
+	p.queue.Enqueue(Update{Params: []float64{3}, Iter: k, From: others[0]})
+	p.queue.Enqueue(Update{Params: []float64{9}, Iter: k, From: others[0]})
+	dst := []float64{-1}
+	p.recvReduceInto(dst, k)
+	if dst[0] != 1.5 {
+		t.Errorf("reduced %v, want the mean of one update per member, 1.5", dst[0])
+	}
+	if got := p.Stats().GroupExcluded; got != 2 {
+		t.Errorf("GroupExcluded = %d, want 2", got)
+	}
+	var skipped []int
+	for _, e := range tr.Events() {
+		if e.Kind == TraceGroupSkip {
+			skipped = append(skipped, e.From)
+		}
+	}
+	if !reflect.DeepEqual(skipped, others[1:]) {
+		t.Errorf("exclusions %v, want %v", skipped, others[1:])
+	}
+}
+
+// TestPragueReduceAppliesOnlyMemberDeaths: a group reduce blocked on a
+// member whose update is missing applies that member's pending death,
+// and leaves a non-member's pending death pending — it is applied only
+// when a shared step blocks on it.
+func TestPragueReduceAppliesOnlyMemberDeaths(t *testing.T) {
+	const k = 3
+	p, _, others := praguePeer(t, k, 0)
+	outsider := -1
+	for j := 1; j < 8 && outsider < 0; j++ {
+		if !containsInt(p.group, j) {
+			outsider = j
+		}
+	}
+	p.DeclarePeerDead(outsider)
+	p.DeclarePeerDead(others[1])
+	p.queue.Enqueue(Update{Params: []float64{0}, Iter: k, From: 0})
+	p.queue.Enqueue(Update{Params: []float64{3}, Iter: k, From: others[0]})
+	p.queue.Enqueue(Update{Params: []float64{6}, Iter: k, From: others[2]})
+	dst := []float64{-1}
+	p.recvReduceInto(dst, k)
+	if dst[0] != 3 {
+		t.Errorf("reduced %v, want 3", dst[0])
+	}
+	if got, want := p.DeadPeers(), []int{others[1]}; !reflect.DeepEqual(got, want) {
+		t.Errorf("dead peers %v, want %v: only the blocking member's death applies", got, want)
 	}
 }

@@ -178,6 +178,10 @@ type Protocol struct {
 	reduceHook func() bool
 	hookIter   int
 
+	// group is this step's Prague group (prague.go), set at the top of
+	// each iteration; nil in every other mode.
+	group []int
+
 	// crashIter is this worker's scheduled halt (0 = none).
 	crashIter int
 
@@ -213,7 +217,6 @@ func NewProtocol(cfg Config, id int, t model.Trainer, mon Monitor, rt Runtime, t
 	if err := cfg.ValidateProtocol(); err != nil {
 		return nil, err
 	}
-	n := cfg.Graph.N()
 	p := &Protocol{
 		cfg:     cfg,
 		id:      id,
@@ -233,27 +236,21 @@ func NewProtocol(cfg Config, id int, t model.Trainer, mon Monitor, rt Runtime, t
 		// Self included (§3.1); re-evaluated per pass because a peer
 		// death shrinks the in-set mid-wait. The floor keeps a worker
 		// whose every in-neighbor died training solo on its own update.
+		if p.group != nil {
+			return p.groupQuorum()
+		}
 		return max(len(p.in)+1-p.cfg.Backup, 1)
 	}
 	if cfg.FaultTolerance {
 		p.reduceHook = p.applyMissingDeaths
 	}
+	p.gnbrs = cfg.ProtocolPeers(id)
 	if cfg.Mode == ModePrague {
-		// Prague groups span the whole cluster regardless of topology
-		// (the graph is a placement/cost substrate only), so the live
-		// neighbor views — which elastic membership filters — cover
-		// every peer.
-		peers := make([]int, 0, n-1)
-		for j := 0; j < n; j++ {
-			if j != id {
-				peers = append(peers, j)
-			}
-		}
-		p.in, p.out = peers, peers
+		// The live neighbor views — which elastic membership filters —
+		// cover every peer a Prague group may name.
+		p.in, p.out = p.gnbrs, p.gnbrs
 	}
 	p.gin, p.gout = p.in, p.out
-	p.gnbrs = append(append(make([]int, 0, len(p.gin)+len(p.gout)), p.gin...), p.gout...)
-	p.gnbrs = dedupInts(p.gnbrs)
 	p.iterRecv = make(map[int]int, len(p.gin))
 	if cfg.MaxIG > 0 {
 		p.tokens = make(map[int]*TokenQueue, len(p.out))
@@ -276,19 +273,6 @@ func NewProtocol(cfg Config, id int, t model.Trainer, mon Monitor, rt Runtime, t
 		p.joinLogged = make(map[int]bool)
 	}
 	return p, nil
-}
-
-// dedupInts removes duplicates preserving first-occurrence order.
-func dedupInts(xs []int) []int {
-	seen := make(map[int]bool, len(xs))
-	out := xs[:0]
-	for _, x := range xs {
-		if !seen[x] {
-			seen[x] = true
-			out = append(out, x)
-		}
-	}
-	return out
 }
 
 // ID returns the worker id this protocol instance runs as.
@@ -405,19 +389,13 @@ func (p *Protocol) run() error {
 		p.applyMembership(k)
 		p.rt.ObserveAdvance(k)
 		p.trace.advance(k)
-		switch {
-		case cfg.Mode == ModePrague:
-			p.iterPrague(k)
-		case cfg.Mode == ModeNotifyAck:
-			p.iterNotifyAck(k)
-		case cfg.Mode == ModePS:
+		switch cfg.Mode {
+		case ModePS:
 			p.iterPS(k)
-		case cfg.Mode == ModeADPSGD:
+		case ModeADPSGD:
 			p.iterADPSGD(k)
-		case cfg.Serial:
-			p.iterSerial(k)
 		default:
-			p.iterParallel(k)
+			p.iterate(k)
 		}
 
 		next := k + 1
@@ -453,94 +431,69 @@ func (p *Protocol) run() error {
 	return nil
 }
 
-// iterParallel is the parallel computation graph of Fig. 2(b): Send
-// and Compute proceed together, overlapping the blocking Recv;
-// gradients computed on x_k are applied after the Reduce.
-func (p *Protocol) iterParallel(k int) {
+// iterate is one iteration of the Hop family on the paper's two
+// computation graphs. The serial graph of Fig. 2(a) (Config.Serial, and
+// always NOTIFY-ACK, §3.3) computes and applies on x_k, then sends and
+// reduces: fewer, longer iterations, exact gradients (§3.2). The
+// parallel graph of Fig. 2(b) sends x_k and computes on it while the
+// blocking Recv runs; gradients computed on x_k are applied after the
+// Reduce. NOTIFY-ACK adds its ACK edges around the exchange; Prague
+// (prague.go) names the step's group, which narrows the send, the
+// reduce's quorum and its death hook to the group's members.
+func (p *Protocol) iterate(k int) {
 	t := p.trainer
 	x := t.Params()
+	notifyAck := p.cfg.Mode == ModeNotifyAck
+	serial := p.cfg.Serial || notifyAck
+	if pc := p.cfg.Prague; pc != nil {
+		p.group = PragueGroupOf(pc.Seed, k, p.cfg.Graph.N(), pc.GroupSize, p.id)
+		p.trace.group(p.group, k)
+	}
+	if serial {
+		start := p.rt.Now()
+		d := p.rt.Compute(k, p.computeFn)
+		p.rt.EndCompute(start + d)
+		t.Apply(p.grads)
+	}
+	if notifyAck {
+		// Send(k) is gated on the previous iteration's ACKs; a dead
+		// neighbor's pending edge is released rather than waited on.
+		p.acks.waitForOr(k-1, func() []int { return p.out }, p.ackBlockHook(k-1))
+	}
 
-	// 1. Send x_k (self-loop delivered locally for free, §3.1).
+	// Send x_k (self-loop delivered locally for free, §3.1).
 	snap := p.snapshotParams(x)
 	p.queue.Enqueue(Update{Params: snap, Iter: k, From: p.id})
 	p.sendAll(k, snap)
 
-	// 2. Compute gradients on x_k; the runtime returns the modeled
-	// duration so the protocol can overlap it with Recv below.
-	start := p.rt.Now()
-	d := p.rt.Compute(k, p.computeFn)
+	if serial {
+		// Reduce directly into x: the snapshot above (not x itself) is
+		// what sits in the queue, so no aggregated vector aliases the
+		// destination.
+		p.recvReduceInto(x, k)
+	} else {
+		// Compute gradients on x_k; the runtime returns the modeled
+		// duration so the protocol can overlap it with Recv below.
+		start := p.rt.Now()
+		d := p.rt.Compute(k, p.computeFn)
 
-	// 3+4. Recv and Reduce (mode-dependent) into the persistent reduce
-	// scratch — not into x, which stays untouched until the compute
-	// overlap below ends: the gradient step may still be reading it.
-	reduced := p.reduceScratch(len(x))
-	p.recvReduceInto(reduced, k)
+		// Recv and Reduce (mode-dependent) into the persistent reduce
+		// scratch — not into x, which stays untouched until the compute
+		// overlap below ends: the gradient step may still be reading it.
+		reduced := p.reduceScratch(len(x))
+		p.recvReduceInto(reduced, k)
 
-	// The iteration ends no earlier than the compute does.
-	p.rt.EndCompute(start + d)
+		// The iteration ends no earlier than the compute does.
+		p.rt.EndCompute(start + d)
 
-	// 5. Apply gradients to the reduced parameters.
-	tensor.Copy(x, reduced)
-	t.Apply(p.grads)
-
-	if p.cfg.OnIteration != nil {
-		p.cfg.OnIteration(p.id, k, p.loss, p.rt.Now())
+		// Apply gradients to the reduced parameters.
+		tensor.Copy(x, reduced)
+		t.Apply(p.grads)
 	}
-}
-
-// iterSerial is the serial computation graph of Fig. 2(a): compute and
-// apply on the same parameters, then send, then reduce. Fewer, longer
-// iterations; exact gradients (§3.2).
-func (p *Protocol) iterSerial(k int) {
-	t := p.trainer
-	x := t.Params()
-
-	start := p.rt.Now()
-	d := p.rt.Compute(k, p.computeFn)
-	p.rt.EndCompute(start + d)
-	t.Apply(p.grads)
-
-	snap := p.snapshotParams(x)
-	p.queue.Enqueue(Update{Params: snap, Iter: k, From: p.id})
-	p.sendAll(k, snap)
-
-	// Reduce directly into x: the snapshot above (not x itself) is
-	// what sits in the queue, so no aggregated vector aliases the
-	// destination.
-	p.recvReduceInto(x, k)
-
-	if p.cfg.OnIteration != nil {
-		p.cfg.OnIteration(p.id, k, p.loss, p.rt.Now())
-	}
-}
-
-// iterNotifyAck is the NOTIFY-ACK baseline (§3.3, Fig. 2(a)): serial
-// computation graph; Send(k) waits for ACK(k−1) from every out-going
-// neighbor; after the Reduce the worker ACKs its in-coming neighbors.
-func (p *Protocol) iterNotifyAck(k int) {
-	t := p.trainer
-	x := t.Params()
-
-	start := p.rt.Now()
-	d := p.rt.Compute(k, p.computeFn)
-	p.rt.EndCompute(start + d)
-	t.Apply(p.grads)
-
-	// Send(k) is gated on the previous iteration's ACKs; a dead
-	// neighbor's pending edge is released rather than waited on.
-	p.acks.waitForOr(k-1, func() []int { return p.out }, p.ackBlockHook(k-1))
-	snap := p.snapshotParams(x)
-	p.queue.Enqueue(Update{Params: snap, Iter: k, From: p.id})
-	for _, j := range p.out {
-		p.rt.Send(j, Update{Params: snap, Iter: k, From: p.id})
-	}
-
-	ups := p.queue.dequeueIterOr(k, func() int { return len(p.in) + 1 }, p.reduceBlockHook(k))
-	p.meanInto(x, ups)
-	p.recycleUpdates(ups)
-
-	for _, j := range p.in {
-		p.rt.SendAck(j, k)
+	if notifyAck {
+		for _, j := range p.in {
+			p.rt.SendAck(j, k)
+		}
 	}
 
 	if p.cfg.OnIteration != nil {
@@ -548,10 +501,14 @@ func (p *Protocol) iterNotifyAck(k int) {
 	}
 }
 
-// sendAll sends the iteration-k snapshot to all out-going neighbors,
-// applying the §6.2(b) receiver-iteration check when configured.
+// sendAll sends the iteration-k snapshot to all out-going neighbors —
+// under Prague only those in the step's group — applying the §6.2(b)
+// receiver-iteration check when configured.
 func (p *Protocol) sendAll(k int, snap []float64) {
 	for _, j := range p.out {
+		if p.group != nil && !containsInt(p.group, j) {
+			continue
+		}
 		if p.cfg.SendCheck && p.rt.PeerIter(j) > k {
 			p.mon.Lock()
 			p.stats.SendsSuppressed++
@@ -571,6 +528,9 @@ func (p *Protocol) recvReduceInto(dst []float64, k int) {
 		return
 	}
 	ups := p.queue.dequeueIterOr(k, p.reduceNeed, p.reduceBlockHook(k))
+	if p.group != nil {
+		ups = p.groupUpdates(ups, k)
+	}
 	p.meanInto(dst, ups)
 	p.recycleUpdates(ups)
 }
@@ -696,7 +656,7 @@ func (p *Protocol) renewParams(kr int) {
 				weights = append(weights, p.cfg.StaleWeighting.weight(newest.Iter-minIter+1))
 			}
 		}
-		reduced := make([]float64, len(x))
+		reduced := p.reduceScratch(len(x))
 		tensor.WeightedMean(reduced, vecs, weights)
 		tensor.Copy(x, reduced)
 		return
@@ -714,7 +674,7 @@ func (p *Protocol) renewParams(kr int) {
 	for _, u := range ups {
 		vecs = append(vecs, u.Params)
 	}
-	reduced := make([]float64, len(x))
+	reduced := p.reduceScratch(len(x))
 	tensor.Mean(reduced, vecs)
 	tensor.Copy(x, reduced)
 	p.recycleUpdates(ups)
@@ -770,7 +730,8 @@ func (p *Protocol) recycleUpdates(ups []Update) {
 
 // reduceScratch returns the persistent reduce target used by the
 // parallel computation graph, which must leave x untouched until the
-// compute overlap ends.
+// compute overlap ends. renewParams, the PS server and AD-PSGD's serve
+// reuse it: none of them overlaps a compute.
 func (p *Protocol) reduceScratch(n int) []float64 {
 	if cap(p.reduceBuf) < n {
 		p.reduceBuf = make([]float64, n)

@@ -13,6 +13,7 @@ import (
 
 	"hop/internal/core"
 	"hop/internal/graph"
+	"hop/internal/leaktest"
 )
 
 // faultClusterConfigs builds one in-order WorkerConfig per node of g.
@@ -93,8 +94,11 @@ func TestRunClusterCrashSurfacesOriginatingError(t *testing.T) {
 
 // TestRunClusterCrashReform: with fault tolerance on, a scheduled
 // crash is survivable — the cluster completes, the crashed worker's
-// neighbors record its death, and the survivors converge.
+// neighbors record its death, and the survivors converge. Nothing the
+// cluster started — sockets' readers and writers, detectors, the
+// crashed worker's goroutines — outlives RunCluster.
 func TestRunClusterCrashReform(t *testing.T) {
+	defer leaktest.Check(t, 0)()
 	g := graph.Ring(4)
 	cfgs := faultClusterConfigs(g, func(i int, cfg *WorkerConfig) {
 		cfg.FaultTolerance = true

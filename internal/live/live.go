@@ -229,7 +229,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		return nil, fmt.Errorf("live: %w", err)
 	}
 	w.proto = proto
-	for _, j := range cfg.protocolPeers() {
+	for _, j := range cfg.ProtocolPeers(cfg.ID) {
 		w.peerIter[j] = -1
 	}
 	// Liveness defaults kick in with fault tolerance; explicit values
@@ -508,39 +508,13 @@ func (r *liveRuntime) RecycleParams(v []float64) { tensor.PutVec(v) }
 // Addr returns the bound listen address.
 func (w *Worker) Addr() string { return w.node.Addr() }
 
-// protocolPeers returns the workers this one exchanges protocol
-// messages with: the graph neighbors (out ∪ in) under Hop, every
-// other worker under Prague — group schedules span the whole cluster
-// regardless of topology (core/prague.go).
-func (cfg WorkerConfig) protocolPeers() []int {
-	n := cfg.Graph.N()
-	if cfg.Mode == core.ModePrague {
-		out := make([]int, 0, n-1)
-		for j := 0; j < n; j++ {
-			if j != cfg.ID {
-				out = append(out, j)
-			}
-		}
-		return out
-	}
-	seen := make(map[int]bool)
-	var out []int
-	for _, j := range append(append([]int(nil), cfg.Graph.Out(cfg.ID)...), cfg.Graph.In(cfg.ID)...) {
-		if !seen[j] {
-			seen[j] = true
-			out = append(out, j)
-		}
-	}
-	return out
-}
-
 // Connect dials every peer this worker sends to: its out-going
 // neighbors (updates, acks) and its in-coming neighbors (token
 // grants) — or, under Prague, the whole cluster. addrs maps worker
 // id → address.
 func (w *Worker) Connect(addrs map[int]string, timeout time.Duration) error {
 	need := map[int]bool{}
-	for _, j := range w.cfg.protocolPeers() {
+	for _, j := range w.cfg.ProtocolPeers(w.cfg.ID) {
 		need[j] = true
 	}
 	w.mu.Lock()
@@ -688,7 +662,7 @@ func (w *Worker) WaitPeersDone(timeout time.Duration) bool {
 		// exchange nothing.
 		pc := w.cfg.Prague
 		n := w.cfg.Graph.N()
-		for _, j := range w.cfg.protocolPeers() {
+		for _, j := range w.cfg.ProtocolPeers(w.cfg.ID) {
 			if last := core.PragueLastShared(pc.Seed, n, pc.GroupSize, w.cfg.MaxIter, w.cfg.ID, j); last >= 0 {
 				need[j] = last
 			}

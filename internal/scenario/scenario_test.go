@@ -213,6 +213,7 @@ func TestValidateRejectsWhatRunRejects(t *testing.T) {
 		{"skip without max_ig", Protocol{SkipMaxJump: 4}},
 		{"staleness with backup", Protocol{MaxIG: 4, Backup: 1, Staleness: 2}},
 		{"notify-ack with max_ig", Protocol{Mode: "notify-ack", MaxIG: 4}},
+		{"notify-ack with send_check", Protocol{Mode: "notify-ack", SendCheck: true}},
 	}
 	for _, c := range cases {
 		spec := Spec{

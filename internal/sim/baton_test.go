@@ -8,9 +8,10 @@ package sim
 import (
 	"errors"
 	"reflect"
-	"runtime"
 	"testing"
 	"time"
+
+	"hop/internal/leaktest"
 )
 
 // TestSameInstantWakeupsRunInSeqOrder: procs whose timers fire at one
@@ -136,7 +137,7 @@ func TestDeadlockBlockedNames(t *testing.T) {
 // TestRunUntilLeavesNoGoroutines: after a deadline stop every proc
 // goroutine — sleeping, waiting, never scheduled or finished — is gone.
 func TestRunUntilLeavesNoGoroutines(t *testing.T) {
-	before := runtime.NumGoroutine()
+	defer leaktest.Check(t, 0)()
 	k := NewKernel()
 	c := NewCond(k)
 	for i := 0; i < 50; i++ {
@@ -151,14 +152,5 @@ func TestRunUntilLeavesNoGoroutines(t *testing.T) {
 	k.After(20*time.Millisecond, func() { k.Spawn("late", func(p *Proc) { c.Wait() }) })
 	if err := k.RunUntil(20 * time.Millisecond); err != nil {
 		t.Fatalf("RunUntil: %v", err)
-	}
-	// A killed proc's goroutine signals the kernel a few instructions
-	// before it exits, so give the stragglers a moment to finish.
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines after RunUntil, %d before", runtime.NumGoroutine(), before)
-		}
-		runtime.Gosched()
 	}
 }

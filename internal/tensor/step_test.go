@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"hop/internal/leaktest"
 )
 
 // goid returns the calling goroutine's id, parsed from the stack
@@ -78,7 +80,9 @@ func TestStepRunsExactlyOnce(t *testing.T) {
 func TestStepWidthOneIsInline(t *testing.T) {
 	defer SetWorkers(0)
 	SetWorkers(1)
-	before := runtime.NumGoroutine()
+	// (Fewer goroutines are fine: SetWorkers(1) stopped the pool, and
+	// those goroutines exit in their own time.)
+	defer leaktest.Check(t, 0)()
 	me := goid()
 	var s Step
 	for i := 0; i < 10; i++ {
@@ -91,11 +95,6 @@ func TestStepWidthOneIsInline(t *testing.T) {
 		if ranOn != me {
 			t.Fatalf("closure ran on goroutine %d, joiner is %d", ranOn, me)
 		}
-	}
-	// (Fewer is fine: SetWorkers(1) above stopped the pool, and those
-	// goroutines exit in their own time.)
-	if after := runtime.NumGoroutine(); after > before {
-		t.Fatalf("goroutines %d -> %d across width-1 steps", before, after)
 	}
 }
 

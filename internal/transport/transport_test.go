@@ -4,6 +4,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"hop/internal/leaktest"
 )
 
 func TestRoundTrip(t *testing.T) {
@@ -150,7 +152,11 @@ func TestDuplicateDialRejected(t *testing.T) {
 	}
 }
 
+// TestCloseIdempotentAndStopsAccept: Close may be called twice, and
+// once both ends of a connection are closed no goroutine of either
+// node — accept loop, reader, writer — is left running.
 func TestCloseIdempotentAndStopsAccept(t *testing.T) {
+	defer leaktest.Check(t, 0)()
 	n, err := Listen(0, "127.0.0.1:0", func(Message) {})
 	if err != nil {
 		t.Fatal(err)
@@ -158,8 +164,19 @@ func TestCloseIdempotentAndStopsAccept(t *testing.T) {
 	if n.ID() != 0 {
 		t.Error("ID")
 	}
+	peer, err := Listen(1, "127.0.0.1:0", func(Message) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Dial(1, peer.Addr(), time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Send(1, Message{Kind: KindAck, Iter: 1}); err != nil {
+		t.Fatal(err)
+	}
 	n.Close()
 	n.Close() // must not panic or hang
+	peer.Close()
 }
 
 func TestConcurrentSendersSafe(t *testing.T) {
