@@ -1,12 +1,16 @@
-// Command hopgraph inspects communication topologies: spectral gaps,
-// diameters, shortest paths and the Table 1 iteration-gap bounds for a
-// given protocol configuration.
+// Command hopgraph inspects the communication topology and protocol
+// configuration of a scenario spec: spectral gaps, diameter,
+// neighborhoods and the Table 1 iteration-gap bounds. The spec is the
+// built-in default or a -scenario file, with the flags hoptrain and
+// hopnode share (cmd/internal/specflag) applied as overrides, so it
+// analyses exactly what those commands would run.
 //
 // Examples:
 //
 //	hopgraph -graph ring-based -workers 16
 //	hopgraph -graph setting2
 //	hopgraph -graph ring -workers 8 -maxig 3 -bounds
+//	hopgraph -scenario examples/scenarios/ring4-crash.json
 package main
 
 import (
@@ -15,27 +19,32 @@ import (
 	"os"
 
 	"hop"
+	"hop/cmd/internal/specflag"
 	"hop/internal/core"
 	"hop/internal/graph"
 )
 
 func main() {
-	var (
-		kind      = flag.String("graph", "ring-based", "ring | ring-based | double-ring | complete | chain | setting1 | setting2 | setting3")
-		workers   = flag.Int("workers", 16, "worker count")
-		maxIG     = flag.Int("maxig", 0, "token-queue bound for the Table 1 calculation")
-		backup    = flag.Int("backup", 0, "backup workers for the Table 1 calculation")
-		staleness = flag.Int("staleness", -1, "staleness bound for the Table 1 calculation")
-		notifyAck = flag.Bool("notify-ack", false, "NOTIFY-ACK bounds")
-		bounds    = flag.Bool("bounds", false, "print the full Table 1 bound matrix")
-	)
+	bounds := flag.Bool("bounds", false, "print the full Table 1 bound matrix")
+	// Nothing runs, so the default spec's workload and iteration count
+	// only satisfy validation.
+	specFlags := specflag.Register(flag.CommandLine, hop.Scenario{
+		Workload: "quadratic",
+		Topology: hop.ScenarioTopology{Kind: "ring-based", Workers: 16},
+		MaxIter:  1,
+		Seed:     1,
+	})
 	flag.Parse()
-
-	g, err := build(*kind, *workers)
+	spec, err := specFlags.Spec()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hopgraph:", err)
-		os.Exit(2)
+		fail(err)
 	}
+	opts, err := spec.Resolve()
+	if err != nil {
+		fail(err)
+	}
+	cfg := opts.Core
+	g := cfg.Graph
 
 	fmt.Printf("graph:          %s\n", g)
 	fmt.Printf("connected:      %v   bipartite: %v   diameter: %d\n",
@@ -48,13 +57,9 @@ func main() {
 	fmt.Printf("spectral gap:   uniform=%.4f (doubly stochastic: %v)   metropolis=%.4f\n",
 		hop.SpectralGap(uw), graph.IsDoublyStochastic(uw, 1e-9), hop.SpectralGap(mw))
 
-	cfg := core.Config{Graph: g, MaxIG: *maxIG, Backup: *backup, Staleness: *staleness}
-	if *notifyAck {
-		cfg.Mode = core.ModeNotifyAck
-	}
 	b := core.NewBounds(cfg)
 	fmt.Printf("\nTable 1 bounds (mode=%s maxig=%d backup=%d staleness=%d):\n",
-		cfg.Mode, *maxIG, *backup, *staleness)
+		cfg.Mode, cfg.MaxIG, cfg.Backup, cfg.Staleness)
 	maxAdj := 0
 	for i := 0; i < g.N(); i++ {
 		for _, j := range g.In(i) {
@@ -82,24 +87,7 @@ func boundStr(v int) string {
 	return fmt.Sprintf("%d", v)
 }
 
-func build(kind string, workers int) (*hop.Graph, error) {
-	switch kind {
-	case "ring":
-		return hop.Ring(workers), nil
-	case "ring-based":
-		return hop.RingBased(workers), nil
-	case "double-ring":
-		return hop.DoubleRing(workers), nil
-	case "complete":
-		return hop.Complete(workers), nil
-	case "chain":
-		return graph.Chain(workers), nil
-	case "setting1":
-		return hop.Setting1(), nil
-	case "setting2":
-		return hop.Setting2(), nil
-	case "setting3":
-		return hop.Setting3(), nil
-	}
-	return nil, fmt.Errorf("unknown graph %q", kind)
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, "hopgraph:", err)
+	os.Exit(2)
 }

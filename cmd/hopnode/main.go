@@ -32,6 +32,7 @@ import (
 	"hop"
 	"hop/cmd/internal/profflag"
 	"hop/cmd/internal/specflag"
+	"hop/internal/live"
 )
 
 func main() {
@@ -40,7 +41,7 @@ func main() {
 		listen    = flag.String("listen", ":0", "listen address")
 		peers     = flag.String("peers", "", "comma-separated id=host:port list for all workers")
 		dialWait  = flag.Duration("dial-wait", 30*time.Second, "how long to retry dialing peers")
-		linger    = flag.Duration("linger", 10*time.Second, "after finishing, how long to keep serving slower neighbors before closing")
+		linger    = flag.Duration("linger", live.DefaultLinger, "after finishing, how long to keep serving slower neighbors before closing")
 		timeScale = flag.Float64("time-scale", 1, "scale the spec's injected heterogeneity delay")
 		chunk     = flag.Int("chunk-bytes", 0, "max wire payload bytes per frame (0 = transport default)")
 		delay     = flag.Duration("delay", 0, "artificial extra compute time per iteration")
@@ -120,10 +121,9 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	// Keep the listener serving until every neighbor's own loop is
-	// observed finishing, so their in-flight final frames do not hit a
-	// closed socket.
-	if !w.WaitPeersDone(*linger) {
+	// Say goodbye, and keep the listener serving until every peer has
+	// said goodbye too, so their final frames do not hit a closed socket.
+	if !w.Finish(*linger) {
 		fmt.Fprintf(os.Stderr, "hopnode: worker %d: neighbors still running after %v linger\n", *id, *linger)
 	}
 	fmt.Printf("worker %d finished %d iterations in %v, final train loss %.4f\n",

@@ -12,7 +12,8 @@
 //	hopsweep -name scale-topo             # cluster size × scalable topologies
 //	hopsweep -name het-comp -emit         # print its JSON (edit & rerun)
 //	hopsweep -f mysweep.json -parallel 4 -out results/
-//	hopsweep -scenario spec.json          # run one scenario instead
+//
+// One scenario is one run: hoptrain -scenario spec.json.
 package main
 
 import (
@@ -31,7 +32,6 @@ func main() {
 	var (
 		file     = flag.String("f", "", "sweep JSON file")
 		name     = flag.String("name", "", "built-in sweep name (see -list)")
-		scen     = flag.String("scenario", "", "run a single scenario JSON spec instead of a sweep")
 		list     = flag.Bool("list", false, "list built-in sweeps and exit")
 		emit     = flag.Bool("emit", false, "print the selected sweep as JSON and exit (start a sweep file from a built-in)")
 		parallel = flag.Int("parallel", 0, "max concurrent cells (0 = one goroutine per cell); any width yields byte-identical reports")
@@ -60,11 +60,6 @@ func main() {
 		return
 	}
 
-	if *scen != "" {
-		runScenarioFile(*scen)
-		return
-	}
-
 	var sw hop.Sweep
 	switch {
 	case *file != "" && *name != "":
@@ -83,7 +78,7 @@ func main() {
 			fail(err)
 		}
 	default:
-		fail(fmt.Errorf("need -f <sweep.json>, -name <builtin>, -scenario <spec.json> or -list"))
+		fail(fmt.Errorf("need -f <sweep.json>, -name <builtin> or -list (one scenario: hoptrain -scenario)"))
 	}
 
 	if *emit {
@@ -149,36 +144,6 @@ func cellFileName(id string) string {
 		}
 	}
 	return b.String() + ".json"
-}
-
-// runScenarioFile executes one scenario spec and prints its summary.
-func runScenarioFile(path string) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		fail(err)
-	}
-	spec, err := hop.ParseScenario(data)
-	if err != nil {
-		fail(err)
-	}
-	res, err := hop.RunScenario(spec)
-	if err != nil {
-		fail(err)
-	}
-	label := spec.Name
-	if label == "" {
-		label = path
-	}
-	fmt.Printf("scenario:         %s\n", label)
-	fmt.Printf("virtual duration: %v\n", res.Duration)
-	fmt.Printf("iterations:       %d total, %d on slowest worker\n",
-		res.Metrics.Iterations(), res.Metrics.MinWorkerIterations())
-	fmt.Printf("mean iteration:   %v\n", res.Metrics.MeanIterDurationAll(2).Round(time.Millisecond))
-	fmt.Printf("final eval loss:  %.4f\n", res.Metrics.Eval.Last(-1))
-	fmt.Printf("max iteration gap:%d\n", res.Engine.Gaps().MaxGapOverall())
-	fs := res.Fabric.Stats()
-	fmt.Printf("network:          %d msgs, %.1f MB (%.1f MB inter-machine, %d burst-degraded)\n",
-		fs.Messages, float64(fs.Bytes)/1e6, float64(fs.InterBytes)/1e6, fs.BurstMessages)
 }
 
 func fail(err error) {

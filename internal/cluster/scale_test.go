@@ -2,8 +2,8 @@ package cluster
 
 // scale_test.go — the O(degree) per-step cost contract at large n.
 //
-// The membership audit behind it: under Hop, death notices and
-// WaitPeersDone-style fan-outs already walk the graph neighborhood
+// The membership audit behind it: under Hop, death notices, live dials
+// and the live shutdown wait already walk the graph neighborhood
 // (core.Config.ProtocolPeers), not the cluster; Prague's all-to-all
 // group partners are inherently O(n) and out of scope here. What the
 // gate below pins is the steady-state iteration loop: per worker-step

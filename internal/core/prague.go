@@ -101,20 +101,6 @@ func PragueGroupOf(seed int64, step, n, size, w int) []int {
 	panic(fmt.Sprintf("core: worker %d not in any prague group (n=%d)", w, n))
 }
 
-// PragueLastShared returns the last step in [0, maxIter) whose group
-// schedule puts workers a and b in the same group, or -1 if they never
-// share one. The live runtime's drain barrier uses it: the final
-// protocol message between a pair of Prague workers is the update of
-// their last shared step.
-func PragueLastShared(seed int64, n, size, maxIter, a, b int) int {
-	for step := maxIter - 1; step >= 0; step-- {
-		if containsInt(PragueGroupOf(seed, step, n, size, a), b) {
-			return step
-		}
-	}
-	return -1
-}
-
 // groupQuorum is the reduce requirement of a Prague step: the live
 // members of p.group (the worker itself included), capped at Quorum.
 // It is re-evaluated per pass — a member's death shrinks the live group

@@ -81,38 +81,6 @@ func TestPragueGroupOfConsistent(t *testing.T) {
 	}
 }
 
-func TestPragueLastShared(t *testing.T) {
-	const seed, n, size, maxIter = 513, 8, 4, 40
-	for a := 0; a < n; a++ {
-		for b := 0; b < n; b++ {
-			if a == b {
-				continue
-			}
-			last := PragueLastShared(seed, n, size, maxIter, a, b)
-			if last != PragueLastShared(seed, n, size, maxIter, b, a) {
-				t.Fatalf("PragueLastShared not symmetric for (%d,%d)", a, b)
-			}
-			// Cross-check against the schedule: last really is the
-			// greatest shared step, and -1 means no shared step at all.
-			want := -1
-			for step := 0; step < maxIter; step++ {
-				if containsInt(PragueGroupOf(seed, step, n, size, a), b) {
-					want = step
-				}
-			}
-			if last != want {
-				t.Fatalf("PragueLastShared(%d,%d) = %d, schedule says %d", a, b, last, want)
-			}
-		}
-	}
-	// With group size 4 over 8 workers and 40 steps, every pair should
-	// have shared at least one group — the drain barrier relies on most
-	// pairs having a final protocol message.
-	if PragueLastShared(seed, n, size, maxIter, 0, 1) < 0 {
-		t.Error("pair (0,1) never shared a group in 40 steps")
-	}
-}
-
 func TestPragueConfigValidate(t *testing.T) {
 	cases := []struct {
 		cfg  PragueConfig

@@ -418,13 +418,6 @@ func (t *TokenQueue) resetLocked(initial int) {
 	t.cond.Broadcast()
 }
 
-// Released reports whether the queue's owner left the graph.
-func (t *TokenQueue) Released() bool {
-	t.mon.Lock()
-	defer t.mon.Unlock()
-	return t.released
-}
-
 // close marks the queue aborted (see UpdateQueue.close).
 func (t *TokenQueue) close() {
 	t.mon.Lock()

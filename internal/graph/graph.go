@@ -115,9 +115,6 @@ func (g *Graph) In(i int) []int { return g.in[i] }
 // this is the denominator of the uniform reduce weight in Eq. 1.
 func (g *Graph) InDegreeWithSelf(i int) int { return len(g.in[i]) + 1 }
 
-// OutDegreeWithSelf returns |Nout(i)| counting the implicit self-loop.
-func (g *Graph) OutDegreeWithSelf(i int) int { return len(g.out[i]) + 1 }
-
 // MachineOf returns worker i's machine, or 0 if no placement is set.
 func (g *Graph) MachineOf(i int) int {
 	if g.Machine == nil {

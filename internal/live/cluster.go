@@ -20,6 +20,11 @@ import (
 // neighbors before giving up.
 const DefaultDialTimeout = 10 * time.Second
 
+// DefaultLinger bounds how long a finished worker waits for its peers
+// to end (Worker.Finish) before it closes anyway: RunCluster's bound,
+// and hopnode's -linger default.
+const DefaultLinger = 10 * time.Second
+
 // ClusterResult is everything a live cluster run produced.
 type ClusterResult struct {
 	// Workers holds the participants (closed by RunCluster; their
@@ -27,7 +32,8 @@ type ClusterResult struct {
 	Workers []*Worker
 	// Losses is each worker's final training loss.
 	Losses []float64
-	// Duration is the wall-clock time from first Run to last return.
+	// Duration is the wall-clock time from the first Run call to the
+	// last Run return.
 	Duration time.Duration
 }
 
@@ -35,36 +41,27 @@ type ClusterResult struct {
 func (r *ClusterResult) WireStats() transport.Stats {
 	var total transport.Stats
 	for _, w := range r.Workers {
-		s := w.WireStats()
-		total.FramesSent += s.FramesSent
-		total.FramesRecv += s.FramesRecv
-		total.BytesSent += s.BytesSent
-		total.BytesRecv += s.BytesRecv
-		total.Writes += s.Writes
-		total.UpdatesSent += s.UpdatesSent
-		total.UpdatesRecv += s.UpdatesRecv
-		total.RawUpdateBytesSent += s.RawUpdateBytesSent
-		total.WireUpdateBytesSent += s.WireUpdateBytesSent
-		total.ReadErrors += s.ReadErrors
+		total.Add(w.WireStats())
 	}
 	return total
 }
 
 // RunCluster executes one complete live cluster in-process: it binds
 // every configured worker (ListenAddr defaults to "127.0.0.1:0"),
-// meshes the neighbor connections, runs all workers concurrently to
-// MaxIter and closes them. cfgs must hold one WorkerConfig per graph
-// node, in worker-id order with cfg.ID == index — RunCluster never
-// renumbers a config, because a config built for worker i carries
-// worker i's fault schedule, trainer shard and trace, and silently
-// reassigning it would corrupt the run. dialTimeout <= 0 means
-// DefaultDialTimeout.
+// meshes the neighbor connections and runs all workers concurrently to
+// MaxIter, each leaving the way one hopnode process does: Run, Finish,
+// Close. cfgs must hold one WorkerConfig per graph node, in worker-id
+// order with cfg.ID == index — RunCluster never renumbers a config,
+// because a config built for worker i carries worker i's fault
+// schedule, trainer shard and trace, and silently reassigning it would
+// corrupt the run. dialTimeout <= 0 means DefaultDialTimeout.
 //
-// With FaultTolerance on, a worker whose Run ends in core.ErrCrashed
-// is treated as a scheduled fault rather than a failure: the worker is
-// closed (the goodbye tells its neighbors to reform the graph) and, if
-// its Faults[ID].RestartAfter is positive, a fresh Worker is rebuilt on
-// the same listen address after that delay and rejoins the cluster.
+// A worker whose Run fails closes at once. With FaultTolerance on, a
+// worker whose Run ends in core.ErrCrashed is treated as a scheduled
+// fault rather than a failure: the goodbye of its Close tells its
+// neighbors to reform the graph and, if its Faults[ID].RestartAfter is
+// positive, a fresh Worker is rebuilt on the same listen address after
+// that delay and rejoins the cluster.
 func RunCluster(cfgs []WorkerConfig, dialTimeout time.Duration) (*ClusterResult, error) {
 	n := len(cfgs)
 	if n == 0 {
@@ -80,8 +77,7 @@ func RunCluster(cfgs []WorkerConfig, dialTimeout time.Duration) (*ClusterResult,
 	workers := make([]*Worker, n)
 	addrs := make(map[int]string, n)
 	// wmu guards workers: restart goroutines swap a crashed worker's
-	// slot for its rejoined replacement while closeAll/abort may walk
-	// the slice.
+	// slot for its rejoined replacement while abortRest walks the slice.
 	var wmu sync.Mutex
 	closeAll := func() {
 		wmu.Lock()
@@ -109,14 +105,15 @@ func RunCluster(cfgs []WorkerConfig, dialTimeout time.Duration) (*ClusterResult,
 		workers[i] = w
 		addrs[i] = w.Addr()
 	}
-	defer closeAll()
 	for i, w := range workers {
 		if err := w.Connect(addrs, dialTimeout); err != nil {
+			closeAll()
 			return nil, fmt.Errorf("live: connect worker %d: %w", i, err)
 		}
 	}
 
 	start := time.Now()
+	var end time.Time // the last Run return, guarded by wmu
 	losses := make([]float64, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
@@ -135,32 +132,30 @@ func RunCluster(cfgs []WorkerConfig, dialTimeout time.Duration) (*ClusterResult,
 	runWorker = func(i int, w *Worker) {
 		defer wg.Done()
 		loss, err := w.Run()
+		wmu.Lock()
+		end = time.Now()
+		wmu.Unlock()
 		losses[i] = loss
 		if err == nil {
-			if cfgs[i].FaultTolerance {
-				// Announce completion now rather than at cluster teardown:
-				// the goodbye (or, for a later rejoiner, the dead listener)
-				// tells fault-tolerant peers this worker sends nothing
-				// more, so nobody waits on it — notably a rejoiner whose
-				// neighbors all finished during its downtime.
-				w.Close()
-			}
+			// What one hopnode process does: leave once every peer has.
+			w.Finish(DefaultLinger)
+			w.Close()
 			return
 		}
+		// A failed, aborted or crashed worker closes at once, so no peer
+		// waits on it; its goodbye tells fault-tolerant neighbors to
+		// reform the graph around it.
+		w.Close()
 		if errors.Is(err, core.ErrCrashed) && cfgs[i].FaultTolerance {
-			// Scheduled fault: close so the goodbye reaches every
-			// neighbor (they reform the graph around this worker), then
-			// optionally restart on the original address so survivors
-			// can redial it when it announces itself.
-			addr := w.Addr()
-			w.Close()
+			// Scheduled fault: optionally restart on the original address
+			// so survivors can redial it when it announces itself.
 			restart := cfgs[i].Faults[i].RestartAfter
 			if restart <= 0 {
 				return
 			}
 			time.Sleep(restart)
 			cfg := cfgs[i]
-			cfg.ListenAddr = addr
+			cfg.ListenAddr = w.Addr()
 			cfg.Faults = nil // the replacement runs fault-free
 			cfg.Rejoin = true
 			nw, nerr := NewWorker(cfg)
@@ -173,6 +168,7 @@ func RunCluster(cfgs []WorkerConfig, dialTimeout time.Duration) (*ClusterResult,
 			workers[i] = nw
 			wmu.Unlock()
 			if cerr := nw.Connect(addrs, dialTimeout); cerr != nil {
+				nw.Close()
 				errs[i] = fmt.Errorf("live: reconnect worker %d: %w", i, cerr)
 				abortOnce.Do(abortRest)
 				return
@@ -203,5 +199,5 @@ func RunCluster(cfgs []WorkerConfig, dialTimeout time.Duration) (*ClusterResult,
 	if err := errors.Join(errs...); err != nil {
 		return nil, err
 	}
-	return &ClusterResult{Workers: workers, Losses: losses, Duration: time.Since(start)}, nil
+	return &ClusterResult{Workers: workers, Losses: losses, Duration: end.Sub(start)}, nil
 }

@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"slices"
 	"sync"
 	"time"
 
@@ -142,11 +143,16 @@ type Worker struct {
 	start  time.Time
 	logger Logger
 
-	// mu guards peerIter (the §6.2(b) observation), lastLoss, addrs
-	// (stored at Connect for rejoin redials), the failure-detector
+	// mu guards peerIter (the §6.2(b) observation), ended, lastLoss,
+	// addrs (stored at Connect for rejoin redials), the failure-detector
 	// state (suspected, closed) and failErr.
-	mu        sync.Mutex
-	peerIter  map[int]int
+	mu       sync.Mutex
+	peerIter map[int]int
+	// ended holds one entry per protocol peer, set once the peer's
+	// connection to this worker has ended (goodbye or EOF): everything
+	// it sent has been handled, and it sends nothing more. It stays set,
+	// even if the peer redials.
+	ended     map[int]bool
 	lastLoss  float64
 	addrs     map[int]string
 	suspected map[int]bool
@@ -197,6 +203,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		cfg:       cfg,
 		mon:       core.NewSyncMonitor(),
 		peerIter:  make(map[int]int),
+		ended:     make(map[int]bool),
 		suspected: make(map[int]bool),
 		start:     time.Now(),
 		logger:    logger,
@@ -231,6 +238,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	w.proto = proto
 	for _, j := range cfg.ProtocolPeers(cfg.ID) {
 		w.peerIter[j] = -1
+		w.ended[j] = false
 	}
 	// Liveness defaults kick in with fault tolerance; explicit values
 	// always win, negative disables.
@@ -259,14 +267,18 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		OnReadError: func(err error) {
 			logger.Printf("hop/live: worker %d: %v", cfg.ID, err)
 		},
-		// A handshake-pinned inbound connection ending is the live
-		// plane's death evidence: the per-connection frame stream is
-		// sequential, so everything the peer sent before dying has
-		// already been delivered. A goodbye (err == nil) is the peer
-		// *announcing* its exit — declared dead immediately; an abrupt
-		// end (EOF, reset) could be a transient network event, so it
-		// only raises suspicion and lets the probe budget decide.
+		// A handshake-pinned inbound connection ending means the peer
+		// sends nothing more on it, and — the per-connection frame
+		// stream being sequential — everything it sent before has
+		// already been delivered: the peer has ended (Finish). It is
+		// also the live plane's death evidence. A goodbye (err == nil)
+		// is the peer *announcing* its exit — declared dead immediately;
+		// an abrupt end (EOF, reset) could be a transient network event,
+		// so it only raises suspicion and lets the probe budget decide.
 		OnPeerDown: func(peer int, err error) {
+			w.mu.Lock()
+			w.ended[peer] = true
+			w.mu.Unlock()
 			if !cfg.FaultTolerance {
 				if err != nil {
 					w.fail(fmt.Errorf("live: worker %d: peer %d connection lost: %w", cfg.ID, peer, err))
@@ -634,83 +646,40 @@ func (w *Worker) Run() (float64, error) {
 // does not leave its neighbors blocked in Recv forever.
 func (w *Worker) Abort() { w.proto.Abort() }
 
-// WaitPeersDone blocks after Run until every neighbor has been
-// observed at its own final protocol message, or until timeout; it
-// returns whether all neighbors were seen finishing. A worker that
-// closes its listener the moment its own loop ends tears down sockets
-// its slower neighbors are still sending protocol frames to (their
-// final updates, token grants or ACKs) — killing *their* runs with
-// broken pipes. One process per worker should therefore Run, then
-// WaitPeersDone, then Close; the in-process orchestrator (RunCluster)
-// joins all loops before closing and does not need it.
-//
-// "Finished" is read off the peer-iteration observations: an
-// in-neighbor's last update is tagged MaxIter−1 (or as low as
-// MaxIter−MaxJump when §5 skipping lets it jump over the tail), an
-// out-neighbor's last token grant is tagged exactly MaxIter, and a
-// NOTIFY-ACK out-neighbor's last ACK is tagged MaxIter−1. Out-neighbors
-// that never send this worker anything (no token queues, standard
-// mode, not also in-neighbors) are not waited on. On directed
-// topologies the §6.2(b) send check can suppress an in-only neighbor's
-// final update; the timeout is the backstop there.
-func (w *Worker) WaitPeersDone(timeout time.Duration) bool {
-	need := map[int]int{}
-	if w.cfg.Mode == core.ModePrague {
-		// A Prague peer's final message to this worker is the update of
-		// the pair's last shared-group step — locally computable from
-		// the deterministic schedule. Peers never scheduled together
-		// exchange nothing.
-		pc := w.cfg.Prague
-		n := w.cfg.Graph.N()
-		for _, j := range w.cfg.ProtocolPeers(w.cfg.ID) {
-			if last := core.PragueLastShared(pc.Seed, n, pc.GroupSize, w.cfg.MaxIter, w.cfg.ID, j); last >= 0 {
-				need[j] = last
-			}
-		}
-	} else {
-		for _, j := range w.cfg.Graph.In(w.cfg.ID) {
-			need[j] = w.cfg.MaxIter - 1
-			if sc := w.cfg.Skip; sc != nil && sc.MaxJump > 1 {
-				need[j] = w.cfg.MaxIter - sc.MaxJump
-			}
-		}
-		for _, j := range w.cfg.Graph.Out(w.cfg.ID) {
-			switch {
-			case w.cfg.MaxIG > 0:
-				need[j] = w.cfg.MaxIter
-			case w.cfg.Mode == core.ModeNotifyAck:
-				if need[j] < w.cfg.MaxIter-1 {
-					need[j] = w.cfg.MaxIter - 1
-				}
-			}
-		}
-	}
+// Finish is how a worker whose Run returned nil leaves the cluster:
+// it closes this worker's sending half (every connection drains and
+// says goodbye, transport.Node.CloseSends) and then keeps the listener
+// serving until every protocol peer has ended — its connection to this
+// worker closed, by goodbye or EOF, after all it sent was handled — or
+// is dead. Peers finish at different iterations by design, and a
+// worker that closed its listener the moment its own loop ended would
+// tear down sockets its slower peers still send their final updates,
+// token grants or ACKs to. The rule names no mode and no knob: a peer
+// is done when it says so. Finish returns whether every peer was done
+// before timeout; call Close after it either way.
+func (w *Worker) Finish(timeout time.Duration) bool {
+	w.node.CloseSends()
 	deadline := time.Now().Add(timeout)
-	for {
-		dead := map[int]bool{}
-		for _, j := range w.proto.DeadPeers() {
-			dead[j] = true
-		}
-		done := true
-		w.mu.Lock()
-		for j, min := range need {
-			if dead[j] {
-				continue // a dead peer sends nothing further
-			}
-			if w.peerIter[j] < min {
-				done = false
-				break
-			}
-		}
-		w.mu.Unlock()
-		if done {
-			return true
-		}
+	for !w.peersDone() {
 		if time.Now().After(deadline) {
 			return false
 		}
 		time.Sleep(time.Millisecond)
 	}
+	return true
+}
+
+// peersDone reports whether every protocol peer has ended or is dead.
+func (w *Worker) peersDone() bool {
+	dead := w.proto.DeadPeers()
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for j, ended := range w.ended {
+		if !ended && !slices.Contains(dead, j) {
+			return false
+		}
+	}
+	return true
 }
 
 // LastLoss returns the most recent completed iteration's training
@@ -738,6 +707,5 @@ func (w *Worker) TokenIn(j int) *core.TokenQueue { return w.proto.TokenIn(j) }
 func (w *Worker) MaxObservedStaleness() int { return w.proto.MaxObservedStaleness() }
 
 // WireStats snapshots the transport's byte/frame counters (see
-// transport.Stats); feed them to metrics.Recorder.RecordWire to fold
-// into a run's metrics.
+// transport.Stats); transport.Stats.Add sums them over a cluster.
 func (w *Worker) WireStats() transport.Stats { return w.node.Stats() }

@@ -14,8 +14,9 @@ import (
 )
 
 // launch starts one live worker per graph node on loopback TCP, fully
-// meshes the neighbor connections, runs them all, and returns the
-// workers after every Run completes.
+// meshes the neighbor connections, and runs each the way one hopnode
+// process does — Run, Finish, Close, with no join before the close —
+// returning the (closed) workers once all have left.
 func launch(t *testing.T, g *graph.Graph, mk func(i int) WorkerConfig) []*Worker {
 	t.Helper()
 	n := g.N()
@@ -45,17 +46,24 @@ func launch(t *testing.T, g *graph.Graph, mk func(i int) WorkerConfig) []*Worker
 	}
 	var wg sync.WaitGroup
 	errs := make([]error, n)
+	finished := make([]bool, n)
 	for i, w := range workers {
 		wg.Add(1)
 		go func(i int, w *Worker) {
 			defer wg.Done()
-			_, errs[i] = w.Run()
+			defer w.Close()
+			if _, errs[i] = w.Run(); errs[i] == nil {
+				finished[i] = w.Finish(DefaultLinger)
+			}
 		}(i, w)
 	}
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("worker %d run: %v", i, err)
+		}
+		if !finished[i] {
+			t.Errorf("worker %d: peers still running after %v", i, DefaultLinger)
 		}
 	}
 	return workers

@@ -95,11 +95,6 @@ type Recorder struct {
 	iterCount []int
 	lastIter  []time.Duration
 	durations [][]time.Duration
-
-	// Bytes-on-wire counters (live runtime): what updates would have
-	// cost uncompressed vs what the wire codec actually shipped.
-	wireRawBytes int64
-	wireBytes    int64
 }
 
 // NewRecorder creates a recorder for n workers.
@@ -132,35 +127,6 @@ func (r *Recorder) RecordEval(now time.Duration, step int, loss float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.Eval.Add(now, step, loss)
-}
-
-// RecordWire accumulates bytes-on-wire counters for one worker's
-// sends: rawBytes is the uncompressed update cost (8 bytes per
-// coordinate), wireBytes the compressed payload cost actually put on
-// the wire. Call once per worker at run end with its transport stats,
-// or incrementally; amounts add up.
-func (r *Recorder) RecordWire(rawBytes, wireBytes int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.wireRawBytes += rawBytes
-	r.wireBytes += wireBytes
-}
-
-// WireBytes returns the accumulated (raw, wire) update byte counters.
-func (r *Recorder) WireBytes() (raw, wire int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.wireRawBytes, r.wireBytes
-}
-
-// WireCompressionRatio returns raw/wire — the realized compression
-// factor — or 1 when nothing was recorded.
-func (r *Recorder) WireCompressionRatio() float64 {
-	raw, wire := r.WireBytes()
-	if wire == 0 {
-		return 1
-	}
-	return float64(raw) / float64(wire)
 }
 
 // Iterations returns the total iterations completed across workers.

@@ -96,19 +96,3 @@ func TestEmptyRecorder(t *testing.T) {
 		t.Error("zero workers")
 	}
 }
-
-func TestWireCounters(t *testing.T) {
-	r := NewRecorder(2)
-	if r.WireCompressionRatio() != 1 {
-		t.Error("empty recorder ratio != 1")
-	}
-	r.RecordWire(8000, 1000) // worker 0: 8x
-	r.RecordWire(8000, 3000) // worker 1: amounts accumulate
-	raw, wire := r.WireBytes()
-	if raw != 16000 || wire != 4000 {
-		t.Errorf("raw=%d wire=%d", raw, wire)
-	}
-	if got := r.WireCompressionRatio(); got != 4 {
-		t.Errorf("ratio %g, want 4", got)
-	}
-}

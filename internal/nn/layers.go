@@ -453,11 +453,3 @@ func MiniVGG(in Shape, classes int) *Network {
 		NewDense(classes),
 	)
 }
-
-// MLP returns a small fully-connected network, used by fast tests.
-func MLP(in Shape, hidden, classes int) *Network {
-	return NewNetwork(in,
-		NewDense(hidden), NewReLU(),
-		NewDense(classes),
-	)
-}

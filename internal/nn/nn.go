@@ -122,9 +122,6 @@ func (n *Network) NumParams() int { return len(n.params) }
 // Classes returns the number of output classes.
 func (n *Network) Classes() int { return n.classes }
 
-// InShape returns the expected input shape.
-func (n *Network) InShape() Shape { return n.in }
-
 // Forward runs the network and returns the logits for b samples.
 func (n *Network) Forward(x []float64, b int) []float64 {
 	if len(x) != b*n.in.Size() {

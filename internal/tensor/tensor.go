@@ -56,9 +56,6 @@ func Add(dst, x []float64) {
 	axpy1(dst, x, 1)
 }
 
-// Sub computes dst -= x.
-func Sub(dst, x []float64) { AXPY(dst, -1, x) }
-
 // Dot returns the inner product of a and b.
 func Dot(a, b []float64) float64 {
 	if len(a) != len(b) {

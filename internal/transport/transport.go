@@ -140,8 +140,8 @@ type Config struct {
 	OnReadError func(err error)
 	// OnPeerDown, when non-nil, is invoked when an inbound connection
 	// whose sender was pinned by the handshake ends for any reason —
-	// err is nil for an announced goodbye (orderly Node.Close at the
-	// peer), non-nil for EOF or a read failure (process death). It does
+	// err is nil for an announced goodbye (Node.Close or CloseSends at
+	// the peer), non-nil for EOF or a read failure (process death). It does
 	// not fire while this node is itself closing. TCP delivers data in
 	// order before the FIN and the reader is sequential, so the
 	// callback runs strictly after every message the peer sent on this
@@ -238,6 +238,31 @@ type Stats struct {
 	Chaos ChaosStats
 }
 
+// Add adds o's counters to s, chaos counters included: the sum over
+// several nodes is what a cluster run reports.
+func (s *Stats) Add(o Stats) {
+	s.FramesSent += o.FramesSent
+	s.FramesRecv += o.FramesRecv
+	s.BytesSent += o.BytesSent
+	s.BytesRecv += o.BytesRecv
+	s.Writes += o.Writes
+	s.UpdatesSent += o.UpdatesSent
+	s.UpdatesRecv += o.UpdatesRecv
+	s.RawUpdateBytesSent += o.RawUpdateBytesSent
+	s.WireUpdateBytesSent += o.WireUpdateBytesSent
+	s.ReadErrors += o.ReadErrors
+	s.HeartbeatsSent += o.HeartbeatsSent
+	s.HeartbeatsRecv += o.HeartbeatsRecv
+	s.HeartbeatsMissed += o.HeartbeatsMissed
+	s.CorruptFrames += o.CorruptFrames
+	s.PipelineStalls += o.PipelineStalls
+	s.Chaos.Dropped += o.Chaos.Dropped
+	s.Chaos.Duplicated += o.Chaos.Duplicated
+	s.Chaos.Delayed += o.Chaos.Delayed
+	s.Chaos.Corrupted += o.Chaos.Corrupted
+	s.Chaos.Partitioned += o.Chaos.Partitioned
+}
+
 // CompressionRatio returns raw/wire update bytes (1 when nothing was
 // sent or compression is off and lossless).
 func (s Stats) CompressionRatio() float64 {
@@ -255,12 +280,13 @@ type Node struct {
 	handler Handler
 	cfg     Config
 
-	mu      sync.Mutex
-	peers   map[int]*peer
-	inbound []net.Conn
-	closed  bool
-	done    chan struct{} // closed by Close; stops the heartbeat loop
-	wg      sync.WaitGroup
+	mu          sync.Mutex
+	peers       map[int]*peer
+	inbound     []net.Conn
+	closed      bool
+	sendsClosed bool          // CloseSends or Close: no new outgoing connections
+	done        chan struct{} // closed by Close; stops the heartbeat loop
+	wg          sync.WaitGroup
 
 	chaos *chaosState // nil when Config.Chaos is nil
 
@@ -625,6 +651,9 @@ func (n *Node) noteReadError(conn net.Conn, err error) {
 // remote speaks a different wire format or version.
 var errProtocol = errors.New("protocol mismatch")
 
+// errSendsClosed is what a dial finds after CloseSends or Close.
+var errSendsClosed = errors.New("transport: node closed for sending")
+
 // connect is the shared retry loop under Dial and Redial: TCP connect
 // plus hello/hello-ack handshake, retried with capped exponential
 // backoff and jitter (see backoff.go) until the deadline. Transient
@@ -690,6 +719,12 @@ func (n *Node) Redial(id int, addr string, timeout time.Duration) error {
 }
 
 func (n *Node) dial(id int, addr string, timeout time.Duration, replace bool) error {
+	n.mu.Lock()
+	closed := n.sendsClosed
+	n.mu.Unlock()
+	if closed {
+		return errSendsClosed
+	}
 	conn, comp, err := n.connect(addr, time.Now().Add(timeout))
 	if err != nil {
 		if errors.Is(err, errProtocol) {
@@ -704,13 +739,18 @@ func (n *Node) dial(id int, addr string, timeout time.Duration, replace bool) er
 	n.mu.Lock()
 	old := n.peers[id]
 	switch {
-	case n.closed:
-		err = fmt.Errorf("transport: node closed")
+	case n.sendsClosed:
+		err = errSendsClosed
 	case old != nil && !replace:
 		err = fmt.Errorf("transport: peer %d already connected", id)
 	}
 	if err != nil {
 		n.mu.Unlock()
+		if err == errSendsClosed {
+			// CloseSends ran while this dial connected: leave the way every
+			// other connection did, with a goodbye.
+			conn.Write(appendFrame(nil, frameHeader{kind: frameGoodbye, from: uint32(n.id)}, nil))
+		}
 		conn.Close()
 		return err
 	}
@@ -838,6 +878,31 @@ func (n *Node) Flush() {
 	}
 }
 
+// CloseSends ends this node's sending half and returns once it is
+// done: every outgoing connection drains its outbox, says goodbye and
+// closes, exactly as under Close, and later Sends, Dials and Redials
+// fail. The listener and the inbound readers keep running, so a node
+// that has nothing more to say still hears the peers that do.
+func (n *Node) CloseSends() {
+	for _, p := range n.stopSends() {
+		<-p.done
+	}
+}
+
+// stopSends stops every outgoing connection (drain, goodbye, close)
+// without waiting for the writers, and bars new ones.
+func (n *Node) stopSends() map[int]*peer {
+	n.mu.Lock()
+	peers := n.peers
+	n.peers = map[int]*peer{}
+	n.sendsClosed = true
+	n.mu.Unlock()
+	for _, p := range peers {
+		p.stop(true)
+	}
+	return peers
+}
+
 // Close shuts the listener and all peer connections — both the
 // outgoing connections this node dialed and the inbound connections it
 // accepted — and waits for the reader and writer goroutines to finish.
@@ -852,15 +917,11 @@ func (n *Node) Close() {
 	}
 	n.closed = true
 	close(n.done) // stops the heartbeat loop
-	peers := n.peers
 	inbound := n.inbound
-	n.peers = map[int]*peer{}
 	n.inbound = nil
 	n.mu.Unlock()
 	n.ln.Close()
-	for _, p := range peers {
-		p.stop(true)
-	}
+	n.stopSends()
 	for _, c := range inbound {
 		c.Close()
 	}

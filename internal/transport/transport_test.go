@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -343,4 +344,129 @@ func TestDialWithSpentBudgetFails(t *testing.T) {
 	if err := tx.Redial(1, rx.Addr(), 0); err == nil {
 		t.Fatal("Redial with no time left reported success")
 	}
+}
+
+// TestCloseSendsKeepsReceiving: after CloseSends the peer hears a
+// goodbye behind every frame sent before it, while the closed node's
+// own listener and readers keep delivering; sending and dialing fail.
+func TestCloseSendsKeepsReceiving(t *testing.T) {
+	defer leaktest.Check(t, 0)()
+	type event struct {
+		down bool
+		err  error
+		m    Message
+	}
+	var mu sync.Mutex
+	var bEvents []event
+	var aGot []Message
+	a, err := Listen(0, "127.0.0.1:0", func(m Message) {
+		mu.Lock()
+		aGot = append(aGot, m)
+		mu.Unlock()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := ListenConfig(1, "127.0.0.1:0", func(m Message) {
+		mu.Lock()
+		bEvents = append(bEvents, event{m: m})
+		mu.Unlock()
+	}, Config{OnPeerDown: func(peer int, err error) {
+		mu.Lock()
+		bEvents = append(bEvents, event{down: true, err: err})
+		mu.Unlock()
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if err := a.Dial(1, b.Addr(), time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Dial(0, a.Addr(), time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		if err := a.Send(1, Message{Kind: KindToken, Iter: i, Count: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a.CloseSends()
+	if err := a.Send(1, Message{Kind: KindAck, Iter: 99}); err == nil {
+		t.Error("Send after CloseSends succeeded")
+	}
+	if err := a.Redial(1, b.Addr(), time.Second); err == nil {
+		t.Error("Redial after CloseSends succeeded")
+	}
+	if err := b.Send(0, Message{Kind: KindAck, Iter: 7}); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(3 * time.Second)
+	for {
+		mu.Lock()
+		nb, na := len(bEvents), len(aGot)
+		mu.Unlock()
+		if nb == 11 && na == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("b saw %d events (want 10 tokens then the goodbye), a got %d messages (want 1)", nb, na)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for i, e := range bEvents[:10] {
+		if e.down || e.m.Iter != i {
+			t.Fatalf("event %d is %+v, want token %d", i, e, i)
+		}
+	}
+	if last := bEvents[10]; !last.down || last.err != nil {
+		t.Errorf("last event %+v, want a goodbye (peer down, nil error)", last)
+	}
+	if aGot[0].Kind != KindAck || aGot[0].Iter != 7 {
+		t.Errorf("a received %v after CloseSends, want ack{iter:7}", aGot[0])
+	}
+}
+
+// TestStatsAddCoversEveryField fills every counter of two snapshots,
+// nested chaos counters included, with distinct values: a field Add
+// leaves out — such as one added to Stats later — reads wrong.
+func TestStatsAddCoversEveryField(t *testing.T) {
+	var a, b Stats
+	next := int64(1)
+	var fill func(v reflect.Value)
+	fill = func(v reflect.Value) {
+		for i := 0; i < v.NumField(); i++ {
+			f := v.Field(i)
+			switch f.Kind() {
+			case reflect.Struct:
+				fill(f)
+			case reflect.Int64:
+				f.SetInt(next)
+				next++
+			default:
+				t.Fatalf("Stats field %s has kind %v; teach this test and Add about it", v.Type().Field(i).Name, f.Kind())
+			}
+		}
+	}
+	fill(reflect.ValueOf(&a).Elem())
+	fill(reflect.ValueOf(&b).Elem())
+	sum := a
+	sum.Add(b)
+	var check func(path string, s, x, y reflect.Value)
+	check = func(path string, s, x, y reflect.Value) {
+		for i := 0; i < s.NumField(); i++ {
+			name := path + s.Type().Field(i).Name
+			if s.Field(i).Kind() == reflect.Struct {
+				check(name+".", s.Field(i), x.Field(i), y.Field(i))
+				continue
+			}
+			if got, want := s.Field(i).Int(), x.Field(i).Int()+y.Field(i).Int(); got != want {
+				t.Errorf("Add: %s = %d, want %d", name, got, want)
+			}
+		}
+	}
+	check("", reflect.ValueOf(sum), reflect.ValueOf(a), reflect.ValueOf(b))
 }

@@ -16,11 +16,12 @@
 #   4. every protocol mode the spec grammar accepts (the "known:" list
 #      of internal/scenario's unknown-mode error) is named in README.md
 #      as `mode`, so a new mode cannot land undocumented;
-#   5. every camelCase identifier inside a backticked span on a DESIGN.md
-#      line occurs in a tracked *.go file, so deleting or renaming a
-#      function cannot leave the design prose naming it. Markdown table
-#      rows are exempt: they record before/after measurements of code
-#      that has since been deleted.
+#   5. every camelCase or PascalCase identifier with an inner capital
+#      (`applyMissingDeaths`, `CloseSends`) inside a backticked span on a
+#      DESIGN.md line occurs in a tracked *.go file, so deleting or
+#      renaming a function, exported or not, cannot leave the design
+#      prose naming it. Markdown table rows are exempt: they record
+#      before/after measurements of code that has since been deleted.
 #
 # Usage: scripts/check_docs.sh    (exits non-zero listing broken refs)
 
@@ -104,8 +105,8 @@ done
 
 # --- 5. identifiers named in DESIGN.md prose -------------------------
 for id in $(grep -vE '^[[:space:]]*\|' DESIGN.md | grep -oE '`[^`]+`' |
-            grep -oE '(^|[^A-Za-z0-9_])[a-z][a-z0-9]*[A-Z][A-Za-z0-9]*' |
-            sed -E 's/^[^a-z]//' | sort -u); do
+            grep -oE '(^|[^A-Za-z0-9_])([a-z]|[A-Z][a-z])[a-z0-9]*[A-Z][A-Za-z0-9]*' |
+            sed -E 's/^[^A-Za-z]//' | sort -u); do
     if ! git grep -qw -e "$id" -- '*.go'; then
         note "STALE NAME: DESIGN.md names \`$id\`, which no tracked .go file contains"
     fi

@@ -2,8 +2,9 @@
 # live_smoke.sh — loopback cluster smoke test: N hopnode processes on
 # 127.0.0.1, all driven by one committed scenario spec, exactly as a
 # real multi-machine deployment would be (one process per worker,
-# explicit peer list). Asserts every worker exits cleanly, reports a
-# converged final training loss, and drops no inbound connections.
+# explicit peer list). Asserts every worker exits cleanly without
+# falling back on the -linger timeout, reports a converged final
+# training loss, and drops no inbound connections.
 #
 # Kill-and-rejoin mode (SMOKE_KILL_WORKER set): after SMOKE_KILL_AFTER
 # seconds one worker is killed with SIGKILL — a real process death, no
@@ -123,6 +124,16 @@ fail=0
 for i in "${!pids[@]}"; do
     if ! wait "${pids[$i]}"; then
         echo "FAIL: worker $i exited non-zero" >&2
+        fail=1
+    fi
+done
+
+# A finished worker leaves once every peer has said goodbye
+# (live.Worker.Finish); reaching the -linger timeout instead means a
+# goodbye never came, in any mode, the rejoined run included.
+for log in "$WORKDIR"/worker*.log; do
+    if grep -q "neighbors still running after" "$log"; then
+        echo "FAIL: $(basename "$log" .log) gave up waiting for its peers after the linger timeout" >&2
         fail=1
     fi
 done
