@@ -431,7 +431,7 @@ func benchDecode(b *testing.B, spec string, n int) {
 }
 
 // BenchmarkDeltaEncode measures the TopK delta-stream sender hot path:
-// residual computation, quickselect sparsification and staging, plus
+// residual computation, radix-select sparsification and staging, plus
 // the replica commit — one neighbor's worth of work per iteration. It
 // moves one coordinate per op, so once the warm start's rounding error
 // has been sent the residual is zero everywhere else: every frame ties

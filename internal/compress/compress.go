@@ -360,7 +360,7 @@ func (c topKCodec) KeepCount(n int) int {
 var idxPool = sync.Pool{New: func() any { return new([]int) }}
 
 // Compress selects via the threshold path of topk_select.go:
-// quickselect the kth largest magnitude, then one index-order scan
+// radix-select the kth largest magnitude, then one index-order scan
 // keeps everything above it plus the lowest-indexed ties. The
 // selection order is the same strict total order (|value| descending,
 // index ascending) as selectTopK, so the kept *set* — and therefore
@@ -464,19 +464,59 @@ func parseTopKHeader(payload []byte) (n, k int, err error) {
 	return n, k, nil
 }
 
-// topKPair reads pair p of a validated payload, enforcing index bounds
-// and the strictly-increasing canonical order against prev.
-func topKPair(payload []byte, p, n, prev int) (i int, v float64, err error) {
-	off := 8 + 8*p
-	i = int(binary.LittleEndian.Uint32(payload[off:]))
-	if i >= n {
-		return 0, 0, fmt.Errorf("compress: topk index %d out of range n=%d", i, n)
+// pairError names what is wrong with the first invalid pair of a
+// payload parseTopKHeader accepted (n, k) and foldPairs rejected: an
+// index out of range, or one not above its predecessor's.
+func pairError(payload []byte, n, k int) error {
+	prev := -1
+	for p := 0; p < k; p++ {
+		i := int(binary.LittleEndian.Uint32(payload[8+8*p:]))
+		if i >= n {
+			return fmt.Errorf("compress: topk index %d out of range n=%d", i, n)
+		}
+		if i <= prev {
+			return fmt.Errorf("compress: topk indices not strictly increasing at pair %d", p)
+		}
+		prev = i
 	}
-	if i <= prev {
-		return 0, 0, fmt.Errorf("compress: topk indices not strictly increasing at pair %d", p)
+	return nil
+}
+
+// foldPairs folds a TopK pairs region into dst, of length n: dst[i] += v
+// when add, dst[i] = v otherwise. An index is valid when it is above its
+// predecessor's and below n, one unsigned comparison; at the first
+// invalid pair foldPairs stops and reports false, with dst partially
+// written, and pairError says why. The loop calls nothing, so its
+// values stay in registers: with the error built inside it, the
+// compiler spilled the index to the stack on every pair.
+//
+// Both replicas of a delta stream advance through this one compiled
+// loop (DeltaEncoder.Commit and DeltaDecoder.DecodeInto), so they stay
+// bit-identical even through NaNs: when both operands of an add are
+// NaN the result carries one operand's payload, which one depends on
+// the instruction's operand order, and the compiler may order a
+// commutative add either way at two separate sites (FuzzDeltaStream's
+// NaN seed tells the difference). Hence out of line.
+//
+//go:noinline
+func foldPairs(dst []float64, pairs []byte, n int, add bool) bool {
+	prev := -1
+	for len(pairs) >= 8 {
+		pair := binary.LittleEndian.Uint64(pairs)
+		pairs = pairs[8:]
+		i := int(uint32(pair))
+		if uint(i-prev-1) >= uint(n-prev-1) {
+			return false
+		}
+		v := float64(math.Float32frombits(uint32(pair >> 32)))
+		if add {
+			dst[i] += v
+		} else {
+			dst[i] = v
+		}
+		prev = i
 	}
-	v = float64(math.Float32frombits(binary.LittleEndian.Uint32(payload[off+4:])))
-	return i, v, nil
+	return true
 }
 
 func decodeTopKInto(dst []float64, payload []byte) ([]float64, error) {
@@ -490,14 +530,8 @@ func decodeTopKInto(dst []float64, payload []byte) ([]float64, error) {
 	for i := range out {
 		out[i] = 0
 	}
-	prev := -1
-	for p := 0; p < k; p++ {
-		i, v, err := topKPair(payload, p, n, prev)
-		if err != nil {
-			return nil, err
-		}
-		prev = i
-		out[i] = v
+	if !foldPairs(out, payload[8:], n, false) {
+		return nil, pairError(payload, n, k)
 	}
 	return out, nil
 }

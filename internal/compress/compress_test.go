@@ -3,6 +3,7 @@ package compress
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -279,28 +280,91 @@ func TestSpecValidate(t *testing.T) {
 	}
 }
 
+// topkFrame builds a TopK payload with the given header and pair
+// indices; every value is 1.
+func topkFrame(n, k int, idx ...uint32) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, uint32(n))
+	b = binary.LittleEndian.AppendUint32(b, uint32(k))
+	for _, i := range idx {
+		b = binary.LittleEndian.AppendUint32(b, i)
+		b = binary.LittleEndian.AppendUint32(b, math.Float32bits(1))
+	}
+	return b
+}
+
+// TestDecodeRejectsMalformed feeds malformed payloads to Decode and, for
+// TopK, to a DeltaDecoder whose replica already has the frame's
+// dimension, so a sparse frame gets past the re-key check to its pairs.
+// Both decoders must reject every TopK case with the same text.
 func TestDecodeRejectsMalformed(t *testing.T) {
 	cases := []struct {
 		kind    Kind
 		payload []byte
+		err     string // TopK only
 	}{
-		{None, make([]byte, 7)},
-		{None, make([]byte, 12)}, // whole float32s, not whole float64s
-		{Float32, make([]byte, 6)},
-		{TopK, nil},
-		{TopK, make([]byte, 7)},
-		{TopK, []byte{2, 0, 0, 0, 3, 0, 0, 0}}, // k>n
-		{TopK, []byte{4, 0, 0, 0, 1, 0, 0, 0}}, // missing pairs
-		{TopK, []byte{2, 0, 0, 0, 1, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0}},      // index out of range
-		{Kind(250), []byte{1, 2, 3}},                                        // unknown codec
-		{TopK, append([]byte{2, 0, 0, 0, 2, 0, 0, 0}, make([]byte, 16)...)}, // duplicate index 0
+		{None, make([]byte, 7), ""},
+		{None, make([]byte, 12), ""}, // whole float32s, not whole float64s
+		{Float32, make([]byte, 6), ""},
+		{Kind(250), []byte{1, 2, 3}, ""}, // unknown codec
+		{TopK, nil, "compress: topk payload too short (0 bytes)"},
+		{TopK, make([]byte, 7), "compress: topk payload too short (7 bytes)"},
+		{TopK, topkFrame(2, 3), "compress: topk k=3 exceeds n=2"},
+		{TopK, topkFrame(4, 1), "compress: topk payload 8 bytes, want 16 for k=1"}, // missing pairs
+		{TopK, topkFrame(2, 1, 9), "compress: topk index 9 out of range n=2"},
+		{TopK, topkFrame(2, 2, 0, 0), "compress: topk indices not strictly increasing at pair 1"},
 		// Expansion bomb: 16 wire bytes claiming an n=2^20 vector (k=1)
 		// must not buy a megacoordinate allocation.
-		{TopK, append([]byte{0, 0, 16, 0, 1, 0, 0, 0}, make([]byte, 8)...)},
+		{TopK, topkFrame(1<<20, 1, 0), "compress: topk n=1048576 exceeds 1024·k (k=1)"},
+	}
+	// One bad pair among five valid ones, at the first, a middle and the
+	// last position: an index out of range (at n, and at the largest
+	// uint32), one repeating its predecessor, one below it. The first
+	// pair has no predecessor, so only the out-of-range kinds fit there.
+	const n = 16
+	good := []uint32{1, 3, 6, 9, 12}
+	for _, p := range []int{0, len(good) / 2, len(good) - 1} {
+		bad := map[uint32]string{
+			n:              fmt.Sprintf("compress: topk index %d out of range n=%d", n, n),
+			math.MaxUint32: fmt.Sprintf("compress: topk index %d out of range n=%d", uint32(math.MaxUint32), n),
+		}
+		if p > 0 {
+			bad[good[p-1]] = fmt.Sprintf("compress: topk indices not strictly increasing at pair %d", p)
+			bad[good[p-1]-1] = bad[good[p-1]]
+		}
+		for i, want := range bad {
+			idx := append([]uint32(nil), good...)
+			idx[p] = i
+			cases = append(cases, struct {
+				kind    Kind
+				payload []byte
+				err     string
+			}{TopK, topkFrame(n, len(idx), idx...), want})
+		}
 	}
 	for i, c := range cases {
-		if _, err := Decode(c.kind, c.payload); err == nil {
+		_, err := Decode(c.kind, c.payload)
+		if err == nil {
 			t.Errorf("case %d (%v, %d bytes): malformed payload accepted", i, c.kind, len(c.payload))
+			continue
+		}
+		if c.kind != TopK {
+			continue
+		}
+		if err.Error() != c.err {
+			t.Errorf("case %d: Decode says %q, want %q", i, err, c.err)
+		}
+		var dec DeltaDecoder
+		if n, _, err := parseTopKHeader(c.payload); err == nil {
+			dense := make([]uint32, n)
+			for j := range dense {
+				dense[j] = uint32(j)
+			}
+			if _, err := dec.Decode(topkFrame(n, n, dense...)); err != nil {
+				t.Fatalf("case %d: dense frame of dimension %d: %v", i, n, err)
+			}
+		}
+		if _, err := dec.DecodeInto(nil, c.payload); err == nil || err.Error() != c.err {
+			t.Errorf("case %d: DeltaDecoder says %v, want %q", i, err, c.err)
 		}
 	}
 }

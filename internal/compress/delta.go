@@ -26,11 +26,7 @@ package compress
 // use; the transport serializes update sends per peer and decodes per
 // connection.
 
-import (
-	"encoding/binary"
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // StreamCompressor is implemented by codecs whose encoding is stateful
 // per connection. The transport calls NewStream once per dialed peer
@@ -156,12 +152,10 @@ func (e *DeltaEncoder) Commit() {
 	if e.pendingRekey {
 		e.ref = make([]float64, len(e.delta))
 	}
-	k := int(binary.LittleEndian.Uint32(payload[4:]))
-	for p := 0; p < k; p++ {
-		off := 8 + 8*p
-		i := binary.LittleEndian.Uint32(payload[off:])
-		v := float64(math.Float32frombits(binary.LittleEndian.Uint32(payload[off+4:])))
-		e.ref[i] += v
+	if !foldPairs(e.ref, payload[8:], len(e.ref), true) {
+		// The encoder or a sibling stream made this frame: only a bug
+		// gets here.
+		panic("compress: staged frame has an invalid pair")
 	}
 }
 
@@ -202,14 +196,8 @@ func (d *DeltaDecoder) DecodeInto(dst []float64, payload []byte) ([]float64, err
 		}
 		d.ref = make([]float64, n)
 	}
-	prev := -1
-	for p := 0; p < k; p++ {
-		i, v, err := topKPair(payload, p, n, prev)
-		if err != nil {
-			return nil, err
-		}
-		prev = i
-		d.ref[i] += v
+	if !foldPairs(d.ref, payload[8:], n, true) {
+		return nil, pairError(payload, n, k)
 	}
 	out := sizeVec(dst, n)
 	copy(out, d.ref)

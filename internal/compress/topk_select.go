@@ -18,10 +18,16 @@ package compress
 //	        the cutoff, so the threshold fell by more than the margin.
 //	select  the threshold T — the kth largest magnitude — is the kth
 //	        largest candidate: at least k magnitudes exceed the cutoff,
-//	        so T does, and every magnitude ≥ T is a candidate.
+//	        so T does, and every magnitude ≥ T is a candidate. A radix
+//	        select finds it on the candidates' magnitude bits, which
+//	        order as the magnitudes do: a branch-free histogram of the
+//	        8 bits below their common prefix per round, only the bucket
+//	        holding T carried into the next (candThreshold).
 //	emit    one scan of the candidate indices writes the (uint32 index,
 //	        float32 value) pairs of everything above T plus the
-//	        lowest-indexed ties at T, already in ascending index order.
+//	        lowest-indexed ties at T, already in ascending index order,
+//	        each pair stored unconditionally and kept by advancing the
+//	        cursor.
 //
 // Byte identity: selection follows the strict total order of topKLess
 // (|value| descending, index ascending), under which the top-k *set*
@@ -45,6 +51,7 @@ package compress
 import (
 	"encoding/binary"
 	"math"
+	"math/bits"
 	"sort"
 	"sync"
 )
@@ -53,10 +60,14 @@ import (
 // stream keeps its own in its streamSel; the stateless codec borrows one
 // from topkPool, which a collection may empty between encodes.
 type topkScratch struct {
-	idx []int32   // candidate indices, ascending
-	mag []float64 // their magnitudes; permuted by the selection
-	all []int32   // 0, 1, 2, …: the candidates when there is no cutoff
+	idx []int32  // candidate indices, ascending
+	mag []uint64 // their magnitudes' bits; permuted by the selection
+	all []int32  // 0, 1, 2, …: the candidates when there is no cutoff
 }
+
+// infBits is the bit pattern of +Inf: a magnitude's bits above it are a
+// NaN's.
+const infBits = 0x7ff0000000000000
 
 var topkPool = sync.Pool{New: func() any { return new(topkScratch) }}
 
@@ -156,7 +167,7 @@ func encodeTopK(dst []byte, src []float64, k int, x, ref []float64, sel *streamS
 	}
 	sc := sel.scratch()
 	if cap(sc.idx) < n {
-		sc.idx, sc.mag = make([]int32, n), make([]float64, n)
+		sc.idx, sc.mag = make([]int32, n), make([]uint64, n)
 	}
 	idx := sc.everything(n)
 	if hinted {
@@ -168,19 +179,19 @@ func encodeTopK(dst []byte, src []float64, k int, x, ref []float64, sel *streamS
 		}
 	}
 	mag := sc.mag[:len(idx)]
-	nan := false
+	lo, hi := uint64(math.MaxUint64), uint64(0)
 	for j, i := range idx {
-		a := math.Abs(src[i])
-		mag[j] = a
-		nan = nan || math.IsNaN(a)
+		b := math.Float64bits(src[i]) &^ (1 << 63)
+		mag[j] = b
+		lo, hi = min(lo, b), max(hi, b)
 	}
 	T := -1.0 // after a NaN, the next frame gathers everything
-	if nan {
-		emitReference(out, src, k)
+	if hi <= infBits {
+		tb, g := candThreshold(mag, k, lo, hi)
+		emitCand(out, src, idx, tb, k-g)
+		T = math.Float64frombits(tb)
 	} else {
-		var g int
-		T, g = candThreshold(mag, k)
-		emitCand(out, src, idx, T, k-g)
+		emitReference(out, src, k)
 	}
 	if sel != nil {
 		sel.lastT = T
@@ -191,50 +202,105 @@ func encodeTopK(dst []byte, src []float64, k int, x, ref []float64, sel *streamS
 	return dst
 }
 
-// candThreshold extracts the selection threshold from a candidate
-// multiset known to contain the global top-k magnitudes: T is the kth
-// largest candidate and g the count above it (equal to the global
-// count above T).
-func candThreshold(cand []float64, k int) (T float64, g int) {
-	quickselectDesc(cand, k)
-	T = cand[0]
-	for _, v := range cand[1:k] {
-		if v < T {
-			T = v
+// candThreshold selects the threshold among the candidates' magnitude
+// bits — non-negative and non-NaN, so their bit patterns order as their
+// values do — which it permutes: T is the kth largest candidate and g
+// the count above it (equal to the global count above T), for
+// 1 ≤ k ≤ len(mag). lo and hi are the smallest and largest of mag.
+//
+// It is a radix select. Each round histograms the 8 bits just below the
+// common prefix of lo and hi, finds the bucket holding the kth largest,
+// counts every candidate in the buckets above it into g, and keeps only
+// that bucket's members for the next round, whose prefix is longer by
+// at least the digit: at most eight rounds, usually two. The histogram
+// is branch-free and split four ways, element j counting into
+// sub-histogram j mod 4, so a run of equal digits — the ties a settled
+// delta stream is full of — makes four independent chains of
+// increments, not one serialised on a single counter. When the target
+// bucket is the minimum's and too few of its members exceed the
+// minimum, T is the minimum and the select stops there: a frame of ties
+// at zero costs one pass.
+func candThreshold(mag []uint64, k int, lo, hi uint64) (T uint64, g int) {
+	for lo != hi {
+		shift := uint(max(0, 56-bits.LeadingZeros64(lo^hi)))
+		var h [4][256]uint32
+		eq := 0 // candidates equal to lo
+		j := 0
+		for ; j+4 <= len(mag); j += 4 {
+			b0, b1, b2, b3 := mag[j], mag[j+1], mag[j+2], mag[j+3]
+			h[0][uint8(b0>>shift)]++
+			h[1][uint8(b1>>shift)]++
+			h[2][uint8(b2>>shift)]++
+			h[3][uint8(b3>>shift)]++
+			eq += b2i(b0 == lo) + b2i(b1 == lo) + b2i(b2 == lo) + b2i(b3 == lo)
+		}
+		for ; j < len(mag); j++ {
+			h[0][uint8(mag[j]>>shift)]++
+			eq += b2i(mag[j] == lo)
+		}
+		// Walk down from the maximum's bucket; the minimum's bucket ends
+		// the walk at the latest, because every candidate lies between.
+		d := uint8(hi >> shift)
+		c := 0
+		for {
+			c = int(h[0][d] + h[1][d] + h[2][d] + h[3][d])
+			if c >= k {
+				break
+			}
+			k -= c
+			g += c
+			d--
+		}
+		if d == uint8(lo>>shift) && c-eq < k {
+			return lo, g + c - eq
+		}
+		m := 0
+		for _, b := range mag {
+			mag[m] = b
+			m += b2i(uint8(b>>shift) == d)
+		}
+		mag = mag[:m]
+		lo, hi = mag[0], mag[0]
+		for _, b := range mag[1:] {
+			lo, hi = min(lo, b), max(hi, b)
 		}
 	}
-	for _, v := range cand[:k] {
-		if v > T {
-			g++
-		}
-	}
-	return T, g
+	return lo, g
 }
 
 // emitCand fills out, the payload's pairs region, from the candidates:
-// everything above T plus the first ties at T, in index order. idx is
-// ascending, so scanning it keeps exactly what a scan of the whole
-// vector would, while touching only the gathered coordinates — and it
-// stops at the kth pair, which a frame of ties reaches long before the
-// last candidate. candThreshold has permuted the magnitudes, so they
-// are re-derived from src.
-func emitCand(out []byte, src []float64, idx []int32, T float64, ties int) {
+// everything whose magnitude bits exceed T plus the first ties at T, in
+// index order. idx is ascending, so scanning it keeps exactly what a
+// scan of the whole vector would, while touching only the gathered
+// coordinates — and it stops at the kth pair, which a frame of ties
+// reaches long before the last candidate. Each pair is written at the
+// cursor unconditionally and the cursor advances by the keep
+// predicate, so the loop has no data-dependent branch; candThreshold
+// has permuted the magnitudes, so they are re-derived from src.
+func emitCand(out []byte, src []float64, idx []int32, T uint64, ties int) {
+	p := 0 // byte offset of the next pair
 	for _, i := range idx {
-		if len(out) == 0 {
+		if p >= len(out) {
 			return
 		}
 		v := src[i]
-		a := math.Abs(v)
-		if a > T {
-			// keep
-		} else if a == T && ties > 0 {
-			ties--
-		} else {
-			continue
-		}
-		putPair(out, int(i), v)
-		out = out[8:]
+		a := math.Float64bits(v) &^ (1 << 63)
+		pair := uint64(uint32(i)) | uint64(math.Float32bits(float32(v)))<<32
+		binary.LittleEndian.PutUint64(out[p:p+8], pair)
+		eq := b2i(a == T)
+		p += 8 * (b2i(a > T) | eq&b2i(ties > 0))
+		ties -= eq
 	}
+}
+
+// b2i is 1 for true and 0 for false; the compiler makes it a flag set,
+// not a branch.
+func b2i(b bool) int {
+	var i int
+	if b {
+		i = 1
+	}
+	return i
 }
 
 // putPair writes one (uint32 index, float32 value) pair.
@@ -264,64 +330,4 @@ func emitReference(out []byte, src []float64, k int) {
 		putPair(out[8*p:], i, src[i])
 	}
 	idxPool.Put(ip)
-}
-
-// quickselectDesc partitions v so v[:k] holds a k-largest multiset of
-// its values, via iterative median-of-three quickselect with a
-// *three-way* partition and an insertion-sort base case. The
-// three-way split matters: gradient deltas are tie-heavy (converged
-// coordinates are exactly zero), and a binary partition degenerates to
-// O(n²) on duplicate keys, while grouping the ==pivot run finishes a
-// tied range in one pass. Direct float compares make it several times
-// cheaper than the index-indirect form it replaces.
-func quickselectDesc(v []float64, k int) {
-	if k >= len(v) {
-		return
-	}
-	lo, hi := 0, len(v)
-	for hi-lo > 12 {
-		mid := lo + (hi-lo)/2
-		a, b, c := v[lo], v[mid], v[hi-1]
-		pivot := b
-		switch {
-		case (a > b) == (b > c):
-			// b is the median
-		case (a > c) == (c > b):
-			pivot = c
-		default:
-			pivot = a
-		}
-		// Dutch-flag partition: [lo,lt) > pivot, [lt,i) == pivot,
-		// [gt,hi) < pivot.
-		lt, gt, i := lo, hi, lo
-		for i < gt {
-			switch x := v[i]; {
-			case x > pivot:
-				v[i], v[lt] = v[lt], v[i]
-				lt++
-				i++
-			case x < pivot:
-				gt--
-				v[i], v[gt] = v[gt], v[i]
-			default:
-				i++
-			}
-		}
-		switch {
-		case k <= lt:
-			hi = lt
-		case k <= gt:
-			// The boundary falls inside the ==pivot run: v[:k] is all
-			// the >pivot values plus k−lt copies of the pivot — a
-			// k-largest multiset already.
-			return
-		default:
-			lo = gt
-		}
-	}
-	for i := lo + 1; i < hi; i++ {
-		for j := i; j > lo && v[j] > v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
 }

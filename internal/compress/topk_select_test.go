@@ -113,27 +113,120 @@ func TestTopKThresholdFallbackNonFinite(t *testing.T) {
 	}
 }
 
-// TestQuickselectDescTopKMultiset pins the value quickselect: the
-// front k elements must be a k-largest multiset for adversarial
-// duplicate-heavy inputs.
-func TestQuickselectDescTopKMultiset(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 300; trial++ {
-		n := 1 + rng.Intn(300)
-		v := make([]float64, n)
-		for i := range v {
-			v[i] = float64(rng.Intn(6)) // heavy ties
+// sortThreshold is candThreshold's specification: sort the magnitude
+// bits descending, take the kth, count the ones above it.
+func sortThreshold(mag []uint64, k int) (T uint64, g int) {
+	s := append([]uint64(nil), mag...)
+	sort.Slice(s, func(a, b int) bool { return s[a] > s[b] })
+	T = s[k-1]
+	for _, b := range s {
+		if b > T {
+			g++
 		}
-		k := 1 + rng.Intn(n)
-		sorted := append([]float64(nil), v...)
-		sort.Sort(sort.Reverse(sort.Float64Slice(sorted)))
-		quickselectDesc(v, k)
-		got := append([]float64(nil), v[:k]...)
-		sort.Sort(sort.Reverse(sort.Float64Slice(got)))
-		for i := 0; i < k; i++ {
-			if got[i] != sorted[i] {
-				t.Fatalf("trial %d n=%d k=%d: front-k multiset wrong at %d: %g vs %g", trial, n, k, i, got[i], sorted[i])
+	}
+	return T, g
+}
+
+// checkThreshold runs candThreshold on a copy of mag and compares it
+// with the sort.
+func checkThreshold(t *testing.T, name string, mag []uint64, k int) {
+	t.Helper()
+	lo, hi := mag[0], mag[0]
+	for _, b := range mag {
+		lo, hi = min(lo, b), max(hi, b)
+	}
+	wantT, wantG := sortThreshold(mag, k)
+	T, g := candThreshold(append([]uint64(nil), mag...), k, lo, hi)
+	if T != wantT || g != wantG {
+		t.Fatalf("%s m=%d k=%d: T=%#x with %d above, want T=%#x with %d above", name, len(mag), k, T, g, wantT, wantG)
+	}
+}
+
+// TestCandThresholdMatchesSort pins the radix select against a sort on
+// the inputs that steer it: distinct magnitudes, all-equal and all-zero
+// sets, heavy ties, subnormals below a few normals (the minimum's bucket
+// holding members above the minimum), +Inf, and a ladder of magnitudes
+// one ulp apart at every bit position, which takes a round per digit. A
+// candidate set of up to 64 is checked at every k, a larger one at 1,
+// m/2 and m.
+func TestCandThresholdMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	fills := []struct {
+		name string
+		mag  func(j, m int) float64
+	}{
+		{"distinct", func(int, int) float64 { return math.Abs(rng.NormFloat64()) * float64(int(1)<<rng.Intn(12)) }},
+		{"equal", func(int, int) float64 { return 0.75 }},
+		{"zero", func(int, int) float64 { return 0 }},
+		{"ties", func(int, int) float64 { return float64(rng.Intn(3)) * 0.5 }},
+		{"subnormal", func(j, m int) float64 {
+			switch {
+			case j%5 == 0:
+				return float64(1 + rng.Intn(3)) // a few normals above
+			case j%5 < 3:
+				return math.Float64frombits(uint64(1 + rng.Intn(m)))
+			}
+			return 0
+		}},
+		{"inf", func(int, int) float64 {
+			if rng.Intn(4) == 0 {
+				return math.Inf(1)
+			}
+			return math.Abs(rng.NormFloat64())
+		}},
+	}
+	for _, m := range []int{1, 13, 600, 4096} {
+		for _, fill := range fills {
+			mag := make([]uint64, m)
+			for j := range mag {
+				mag[j] = math.Float64bits(fill.mag(j, m))
+			}
+			ks := []int{1, max(1, m/2), m}
+			if m <= 64 {
+				ks = ks[:0]
+				for k := 1; k <= m; k++ {
+					ks = append(ks, k)
+				}
+			}
+			for _, k := range ks {
+				checkThreshold(t, fill.name, mag, k)
 			}
 		}
 	}
+	// The ladder: x, the magnitude one ulp above it, and x with each of
+	// its other bits flipped in turn. Every pair shares a longer prefix
+	// than the pair below it, so a k at x makes the select descend
+	// through all eight digits.
+	const x = 0x2aaaaaaaaaaaaaaa
+	ladder := []uint64{x, x + 1}
+	for b := 1; b < 63; b++ {
+		ladder = append(ladder, x^1<<b)
+	}
+	rng.Shuffle(len(ladder), func(a, b int) { ladder[a], ladder[b] = ladder[b], ladder[a] })
+	for k := 1; k <= len(ladder); k++ {
+		checkThreshold(t, "ladder", ladder, k)
+	}
+}
+
+// FuzzCandThreshold lets the fuzzer write the candidate set: each script
+// byte is one magnitude, an offset of up to 31 ulps from one of eight
+// bases (zero, subnormal, normal, near the largest finite, clamped at
+// +Inf), so equal bytes are ties and neighbouring bytes are one ulp
+// apart; k picks the rank.
+func FuzzCandThreshold(f *testing.F) {
+	f.Add(uint16(0), []byte{0, 1, 2, 3})
+	f.Add(uint16(5), []byte{0xff, 0, 0, 0x20, 0x21, 0x40, 0x40, 0x40, 0xe0, 0x9f})
+	f.Add(uint16(3), []byte{0x60, 0x61, 0x60, 0x62, 0x61, 0x7f})
+	bases := [8]uint64{0, 1 << 40, 1 << 52, 0x3fe0000000000000, 0x3ff0000000000000,
+		0x3ff0000000100000, 0x4330000000000000, infBits - 16}
+	f.Fuzz(func(t *testing.T, k uint16, script []byte) {
+		if len(script) == 0 {
+			return
+		}
+		mag := make([]uint64, len(script))
+		for j, c := range script {
+			mag[j] = min(bases[c>>5]+uint64(c&31), infBits)
+		}
+		checkThreshold(t, "fuzz", mag, 1+int(k)%len(mag))
+	})
 }
