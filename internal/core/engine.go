@@ -106,14 +106,7 @@ func (e *Engine) Gaps() *GapTracker { return e.gaps }
 func (e *Engine) Stats() Stats {
 	var total Stats
 	for _, p := range e.workers {
-		s := p.Stats()
-		total.SendsSuppressed += s.SendsSuppressed
-		total.StaleDiscarded += s.StaleDiscarded
-		total.Jumps += s.Jumps
-		total.IterationsSkipped += s.IterationsSkipped
-		total.PeersLost += s.PeersLost
-		total.PeersJoined += s.PeersJoined
-		total.GroupExcluded += s.GroupExcluded
+		total.Add(p.Stats())
 	}
 	return total
 }

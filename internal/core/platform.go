@@ -116,3 +116,15 @@ type Stats struct {
 	PeersJoined       int // peers re-admitted after a restart
 	GroupExcluded     int // prague group members absent from a reduce (DESIGN.md §8)
 }
+
+// Add adds o's counters to s: the sum over workers is what an engine
+// reports.
+func (s *Stats) Add(o Stats) {
+	s.SendsSuppressed += o.SendsSuppressed
+	s.StaleDiscarded += o.StaleDiscarded
+	s.Jumps += o.Jumps
+	s.IterationsSkipped += o.IterationsSkipped
+	s.PeersLost += o.PeersLost
+	s.PeersJoined += o.PeersJoined
+	s.GroupExcluded += o.GroupExcluded
+}

@@ -2,8 +2,8 @@ package sim
 
 // baton_test.go — the contracts of the baton-passing scheduler: the
 // run order the old kernel-goroutine round trip produced, scheduler
-// context for callbacks now that they run on a parker's goroutine, the
-// hand-off-free path, and clean termination.
+// context for callbacks now that they run on a parker's stack, the
+// hand-off-free path, and clean termination, panics included.
 
 import (
 	"errors"
@@ -44,8 +44,8 @@ func TestSameInstantWakeupsRunInSeqOrder(t *testing.T) {
 }
 
 // TestAfterCallbackSpawnsAndBroadcasts: callbacks run in scheduler
-// context — no current proc — even though a parking proc's goroutine
-// executes them; they may Spawn and Broadcast, and what they make
+// context — no current proc — even though they run on a parking proc's
+// stack; they may Spawn and Broadcast, and what they make
 // runnable runs in FIFO order.
 func TestAfterCallbackSpawnsAndBroadcasts(t *testing.T) {
 	k := NewKernel()
@@ -85,16 +85,16 @@ func TestAfterCallbackSpawnsAndBroadcasts(t *testing.T) {
 
 // TestLoneSleepResumesItself: with nothing else runnable the sleeper's
 // own scheduling step picks the sleeper again and park returns without
-// touching a channel. The proc runs with its resume channel removed, so
-// a hand-off on that path would block forever (the test would time
-// out) instead of passing by accident.
+// a coroutine switch. The proc runs with its yield removed, so a
+// hand-off on that path would panic on the nil func, out of Run,
+// instead of passing by accident.
 func TestLoneSleepResumesItself(t *testing.T) {
 	k := NewKernel()
 	ticks := 0
 	k.Spawn("lone", func(p *Proc) {
-		resume := p.resume
-		p.resume = nil
-		defer func() { p.resume = resume }()
+		yield := p.yield
+		p.yield = nil
+		defer func() { p.yield = yield }()
 		for i := 0; i < 100; i++ {
 			p.Sleep(time.Millisecond)
 			p.Sleep(0)
@@ -114,8 +114,9 @@ func TestLoneSleepResumesItself(t *testing.T) {
 
 // TestDeadlockBlockedNames: the report names exactly the blocked procs,
 // sorted, with the clock at the instant progress stopped — whichever
-// goroutine happened to detect it.
+// proc happened to detect it — and the blocked procs are unwound.
 func TestDeadlockBlockedNames(t *testing.T) {
+	defer leaktest.Check(t, 0)()
 	k := NewKernel()
 	c := NewCond(k)
 	k.Spawn("zeta", func(p *Proc) { p.Sleep(3 * time.Millisecond); c.Wait() })
@@ -152,5 +153,48 @@ func TestRunUntilLeavesNoGoroutines(t *testing.T) {
 	k.After(20*time.Millisecond, func() { k.Spawn("late", func(p *Proc) { c.Wait() }) })
 	if err := k.RunUntil(20 * time.Millisecond); err != nil {
 		t.Fatalf("RunUntil: %v", err)
+	}
+}
+
+// TestPanicReachesRunUntilCaller: a real panic in a proc, or in a
+// callback fired on a parking proc's stack, reaches RunUntil's caller
+// with its value, after every other proc — sleeping, waiting or
+// runnable — has been unwound.
+func TestPanicReachesRunUntilCaller(t *testing.T) {
+	for _, where := range []string{"proc", "callback"} {
+		t.Run(where, func(t *testing.T) {
+			defer leaktest.Check(t, 0)()
+			k := NewKernel()
+			c := NewCond(k)
+			for i := 0; i < 50; i++ {
+				k.Spawn("sleeper", func(p *Proc) {
+					for {
+						p.Sleep(time.Duration(1+p.ID()%7) * time.Millisecond)
+					}
+				})
+				k.Spawn("waiter", func(p *Proc) { c.Wait() })
+			}
+			boom := errors.New("boom in a " + where)
+			if where == "proc" {
+				k.Spawn("panicker", func(p *Proc) {
+					p.Sleep(5 * time.Millisecond)
+					panic(boom)
+				})
+			} else {
+				k.After(5*time.Millisecond, func() { panic(boom) })
+			}
+			defer func() {
+				if r := recover(); r != boom {
+					t.Errorf("recovered %v, want %v", r, boom)
+				}
+				for _, p := range k.procs {
+					if p.state != stateDone {
+						t.Errorf("%s %d left %v", p.name, p.id, p.state)
+					}
+				}
+			}()
+			k.RunUntil(time.Second)
+			t.Error("RunUntil returned instead of panicking")
+		})
 	}
 }

@@ -1,7 +1,7 @@
 // Package sim implements a deterministic cooperative discrete-event
 // simulation kernel with a virtual clock.
 //
-// The kernel runs simulated processes (each backed by a goroutine) one
+// The kernel runs simulated processes (each a runtime coroutine) one
 // at a time: exactly one process executes between scheduling points, so
 // all interleavings are deterministic and reproducible. Processes
 // advance virtual time by sleeping; the kernel jumps the clock to the
@@ -12,12 +12,13 @@
 // processes.
 //
 // Scheduling is baton passing: a process that parks (or exits) runs
-// the scheduling step itself, on its own goroutine — fire the due
-// timers and callbacks in (when, seq) order, pop the run queue — and
-// resumes the next process directly: one goroutine hand-off per park,
-// none when the next process is the parker. The goroutine that called
-// Run only starts the first process and takes the baton back when
-// nothing is left to run (all done, deadlock, or deadline).
+// the scheduling step itself, on its own stack — fire the due timers
+// and callbacks in (when, seq) order, pop the run queue — then leaves
+// the next process in the baton and yields to one trampoline on the
+// goroutine that called Run, which resumes it: two coroutine switches
+// per hand-off, none when the next process is the parker, and no trip
+// through the Go scheduler. The trampoline returns when a process finds
+// nothing left to run (all done, deadlock, or deadline).
 //
 // The kernel is the substrate for the cluster simulator: workers,
 // parameter servers and network-delivery callbacks are all sim
@@ -60,13 +61,16 @@ func (s procState) String() string {
 }
 
 // Proc is a simulated process. Procs are created with Kernel.Spawn and
-// must only call kernel methods from their own goroutine while running.
+// must only call kernel methods from their own coroutine while running.
 type Proc struct {
-	k      *Kernel
-	id     int
-	name   string
-	state  procState
-	resume chan struct{}
+	k     *Kernel
+	id    int
+	name  string
+	state procState
+	// resume runs the proc's coroutine until it yields or returns (a
+	// no-op once it has); only Kernel.run calls it. yield suspends it.
+	resume func() (struct{}, bool)
+	yield  func(struct{}) bool
 	// killed is set by the kernel before resuming a proc that must
 	// unwind (deadline reached or kernel stopping). The next blocking
 	// call panics with errKilled, which the spawn wrapper recovers.
@@ -81,7 +85,7 @@ func (p *Proc) Name() string { return p.name }
 // ID returns the process id (dense, in spawn order).
 func (p *Proc) ID() int { return p.id }
 
-// errKilled unwinds a proc goroutine when the kernel shuts it down.
+// errKilled unwinds a proc's coroutine when the kernel shuts it down.
 type errKilled struct{}
 
 // Event is one entry of an EventHeap: something due at virtual time
@@ -209,21 +213,19 @@ type Kernel struct {
 	seq     int64
 	nLive   int
 	current *Proc
-	// idle hands the baton back to the goroutine in RunUntil: a value
-	// arrives whenever a parking or exiting proc finds nothing to run.
-	idle chan struct{}
+	// baton is the proc a yielding proc hands on to: the trampoline
+	// resumes it next, or returns when it is nil.
+	baton *Proc
 	// deadline, when >0, stops the simulation at that virtual time.
 	deadline time.Duration
 	// stopping is set by shutdown: the scheduling step then picks
-	// nothing, so killed procs hand straight back to RunUntil.
+	// nothing, so a killed proc leaves no baton.
 	stopping bool
 	stopped  bool
 }
 
 // NewKernel returns a kernel with the clock at zero and no processes.
-func NewKernel() *Kernel {
-	return &Kernel{idle: make(chan struct{})}
-}
+func NewKernel() *Kernel { return &Kernel{} }
 
 // Now returns the current virtual time. Safe to call from the
 // scheduler's caller between Run invocations and from running procs.
@@ -233,33 +235,27 @@ func (k *Kernel) Now() time.Duration { return k.now }
 // must use for all blocking operations. Spawn may be called before Run
 // or by a running process.
 func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{
-		k:      k,
-		id:     len(k.procs),
-		name:   name,
-		state:  stateRunnable,
-		resume: make(chan struct{}, 1),
-	}
+	p := &Proc{k: k, id: len(k.procs), name: name, state: stateRunnable}
 	k.procs = append(k.procs, p)
 	k.nLive++
 	k.runq.push(p)
-	go func() {
-		<-p.resume // wait for first schedule
+	p.resume = newCoro(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
 			if r := recover(); r != nil {
 				if _, ok := r.(errKilled); !ok {
-					panic(r) // real panic: propagate
+					panic(r) // real panic: it leaves through RunUntil
 				}
 			}
 			p.state = stateDone
 			k.nLive--
-			k.handOff(k.next())
+			k.baton = k.next()
 		}()
 		if p.killed {
 			panic(errKilled{})
 		}
 		fn(p)
-	}()
+	})
 	return p
 }
 
@@ -301,14 +297,15 @@ func (k *Kernel) wake(p *Proc) {
 }
 
 // park passes the baton: the parker runs the scheduling step on its own
-// goroutine, resumes whatever comes next and blocks until resumed
-// itself — or returns at once when the next proc is the parker (a lone
-// proc sleeping, a yield with an empty run queue). On resume, if the
-// kernel is shutting this proc down, it unwinds.
+// stack, leaves whatever comes next in the baton and yields to the
+// trampoline until resumed itself — or returns at once when the next
+// proc is the parker (a lone proc sleeping, a yield with an empty run
+// queue). On resume, if the kernel is shutting this proc down, it
+// unwinds.
 func (p *Proc) park() {
 	if next := p.k.next(); next != p {
-		p.k.handOff(next)
-		<-p.resume
+		p.k.baton = next
+		p.yield(struct{}{})
 	}
 	if p.killed {
 		panic(errKilled{})
@@ -320,7 +317,7 @@ func (p *Proc) park() {
 // and returns the next proc to run, already marked running — or nil
 // when nothing remains (every proc done, deadlock, deadline reached, or
 // the kernel shutting down). Callbacks run here with no current proc,
-// on the goroutine of whoever parked last.
+// on the stack of whoever parked last.
 func (k *Kernel) next() *Proc {
 	k.current = nil
 	if k.stopping {
@@ -351,13 +348,14 @@ func (k *Kernel) next() *Proc {
 	return k.current
 }
 
-// handOff passes the baton to next, or back to RunUntil when next is
-// nil.
-func (k *Kernel) handOff(next *Proc) {
-	if next != nil {
-		next.resume <- struct{}{}
-	} else {
-		k.idle <- struct{}{}
+// run is the trampoline, the only caller of resume: it resumes p, then
+// whatever proc each yielding proc left in the baton, until one leaves
+// none.
+func (k *Kernel) run(p *Proc) {
+	for p != nil {
+		k.baton = nil
+		p.resume()
+		p = k.baton
 	}
 }
 
@@ -379,42 +377,40 @@ func (k *Kernel) Run() error { return k.RunUntil(0) }
 // RunUntil drives the simulation until every process finishes or the
 // virtual clock would pass the deadline (deadline 0 means no limit).
 // When the deadline is reached, remaining processes are killed: their
-// next blocking call unwinds the goroutine. RunUntil returns a
-// *DeadlockError on deadlock, nil otherwise.
+// next blocking call unwinds the coroutine. RunUntil returns a
+// *DeadlockError on deadlock, nil otherwise. A panic in a process or a
+// callback kills the remaining processes, then RunUntil panics with the
+// same value.
 func (k *Kernel) RunUntil(deadline time.Duration) error {
 	if k.stopped {
 		return fmt.Errorf("sim: kernel already stopped")
 	}
 	k.deadline = deadline
-	if first := k.next(); first != nil {
-		first.resume <- struct{}{}
-		<-k.idle
-	}
+	k.stopped = true
+	defer k.shutdown() // on a panic too, which then goes on to the caller
+	k.run(k.next())
 	// Nothing is runnable. With timers pending that was the deadline;
 	// with none, any proc still alive is blocked forever.
-	var dead error
 	if k.nLive > 0 && len(k.timers) == 0 {
-		dead = k.deadlockError()
+		return k.deadlockError()
 	}
-	k.shutdown()
-	k.stopped = true
-	return dead
+	return nil
 }
 
-// shutdown kills every live process so no goroutines leak.
+// shutdown kills every unfinished process so no coroutines leak. A
+// proc whose coroutine a panic already ended resumes as a no-op.
 func (k *Kernel) shutdown() {
 	k.stopping = true
-	// Kill sleeping/waiting procs first, then drain any runnable ones.
 	for {
 		resumed := false
 		for _, p := range k.procs {
-			if p.state == stateSleeping || p.state == stateWaiting || p.state == stateRunnable {
+			if p.state != stateDone {
 				p.killed = true
 				if p.waitingOn != nil {
 					p.waitingOn.removeWaiter(p)
 				}
-				p.resume <- struct{}{}
-				<-k.idle
+				k.run(p)
+				p.state = stateDone
 				resumed = true
 			}
 		}
