@@ -32,6 +32,7 @@ import (
 	"hop"
 	"hop/cmd/internal/profflag"
 	"hop/cmd/internal/specflag"
+	"hop/internal/counters"
 	"hop/internal/live"
 )
 
@@ -128,26 +129,8 @@ func main() {
 	}
 	fmt.Printf("worker %d finished %d iterations in %v, final train loss %.4f\n",
 		*id, cfg.MaxIter, time.Since(start).Round(time.Millisecond), loss)
-	st := w.WireStats()
-	ps := w.Stats()
-	fmt.Printf("worker %d wire: %d updates in %d frames (%d writes), %s sent (%s recv), update payloads %s vs %s raw (%.1fx, codec %s), read errors %d\n",
-		*id, st.UpdatesSent, st.FramesSent, st.Writes, fmtBytes(st.BytesSent), fmtBytes(st.BytesRecv),
-		fmtBytes(st.WireUpdateBytesSent), fmtBytes(st.RawUpdateBytesSent), st.CompressionRatio(), cfg.Compression, st.ReadErrors)
-	fmt.Printf("worker %d protocol: jumps=%d skipped=%d suppressed-sends=%d\n",
-		*id, ps.Jumps, ps.IterationsSkipped, ps.SendsSuppressed)
-	fmt.Printf("worker %d liveness: heartbeats sent=%d recv=%d missed=%d, corrupt frames %d, chaos drop=%d dup=%d delay=%d corrupt=%d partition=%d\n",
-		*id, st.HeartbeatsSent, st.HeartbeatsRecv, st.HeartbeatsMissed, st.CorruptFrames,
-		st.Chaos.Dropped, st.Chaos.Duplicated, st.Chaos.Delayed, st.Chaos.Corrupted, st.Chaos.Partitioned)
-}
-
-func fmtBytes(n int64) string {
-	switch {
-	case n >= 1<<20:
-		return fmt.Sprintf("%.1fMiB", float64(n)/(1<<20))
-	case n >= 1<<10:
-		return fmt.Sprintf("%.1fKiB", float64(n)/(1<<10))
-	}
-	return fmt.Sprintf("%dB", n)
+	fmt.Printf("worker %d wire: %s\n", *id, counters.String(w.WireStats()))
+	fmt.Printf("worker %d protocol: %s\n", *id, counters.String(w.Stats()))
 }
 
 func parsePeers(s string) (map[int]string, error) {

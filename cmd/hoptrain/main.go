@@ -27,6 +27,8 @@ import (
 	"hop"
 	"hop/cmd/internal/profflag"
 	"hop/cmd/internal/specflag"
+	"hop/internal/core"
+	"hop/internal/counters"
 )
 
 func main() {
@@ -84,12 +86,8 @@ func printResult(g *hop.Graph, res *hop.Result, series bool) {
 	fmt.Printf("mean iteration:   %v\n", res.Metrics.MeanIterDurationAll(2).Round(time.Millisecond))
 	fmt.Printf("final eval loss:  %.4f\n", res.Metrics.Eval.Last(-1))
 	fmt.Printf("max iteration gap:%d\n", res.Engine.Gaps().MaxGapOverall())
-	st := res.Engine.Stats()
-	fmt.Printf("protocol stats:   jumps=%d skipped=%d suppressed-sends=%d\n",
-		st.Jumps, st.IterationsSkipped, st.SendsSuppressed)
-	fs := res.Fabric.Stats()
-	fmt.Printf("network:          %d msgs, %.1f MB (%.1f MB inter-machine)\n",
-		fs.Messages, float64(fs.Bytes)/1e6, float64(fs.InterBytes)/1e6)
+	fmt.Printf("protocol:         %s\n", counters.String(res.Engine.Stats()))
+	fmt.Printf("network:          %s\n", counters.String(res.Fabric.Stats()))
 	if series {
 		res.Metrics.Eval.Render(os.Stdout)
 	}
@@ -100,21 +98,17 @@ func printLiveResult(res *hop.LiveClusterResult) {
 	n := len(res.Workers)
 	fmt.Printf("live loopback cluster: %d workers\n", n)
 	fmt.Printf("wall-clock duration:   %v\n", res.Duration.Round(time.Millisecond))
-	var jumps, skipped int
+	var ps core.Stats
 	maxLoss := 0.0
 	for _, w := range res.Workers {
-		st := w.Stats()
-		jumps += st.Jumps
-		skipped += st.IterationsSkipped
+		counters.Add(&ps, w.Stats())
 		if l := w.Trainer().EvalLoss(); l > maxLoss {
 			maxLoss = l
 		}
 	}
 	fmt.Printf("worst eval loss:       %.4f\n", maxLoss)
-	fmt.Printf("protocol stats:        jumps=%d skipped=%d\n", jumps, skipped)
-	ws := res.WireStats()
-	fmt.Printf("wire:                  %d updates in %d frames (%d writes), %.1f MB sent (%.1fx payload compression), read errors %d\n",
-		ws.UpdatesSent, ws.FramesSent, ws.Writes, float64(ws.BytesSent)/1e6, ws.CompressionRatio(), ws.ReadErrors)
+	fmt.Printf("protocol:              %s\n", counters.String(ps))
+	fmt.Printf("wire:                  %s\n", counters.String(res.WireStats()))
 }
 
 func fail(err error) {

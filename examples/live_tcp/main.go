@@ -74,6 +74,6 @@ func main() {
 	}
 	ws := res.WireStats()
 	fmt.Printf("\nwire: update payloads %d bytes compressed vs %d raw (%.1fx saved by %s)\n",
-		ws.WireUpdateBytesSent, ws.RawUpdateBytesSent, float64(ws.RawUpdateBytesSent)/float64(ws.WireUpdateBytesSent), comp)
+		ws.WireUpdateBytesSent, ws.RawUpdateBytesSent, ws.CompressionRatio(), comp)
 	fmt.Println("replicas converged to the shared optimum over real TCP — no simulator.")
 }

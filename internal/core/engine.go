@@ -9,7 +9,11 @@ package core
 // accounting — lives in protocol.go and is shared verbatim with the
 // live TCP runtime (internal/live).
 
-import "time"
+import (
+	"time"
+
+	"hop/internal/counters"
+)
 
 // Engine wires per-worker protocol instances and trainers for one
 // simulated cluster and exposes the per-worker protocol loop.
@@ -106,7 +110,7 @@ func (e *Engine) Gaps() *GapTracker { return e.gaps }
 func (e *Engine) Stats() Stats {
 	var total Stats
 	for _, p := range e.workers {
-		total.Add(p.Stats())
+		counters.Add(&total, p.Stats())
 	}
 	return total
 }

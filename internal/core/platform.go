@@ -106,25 +106,14 @@ type Host interface {
 }
 
 // Stats aggregates engine-level counters, separate from the network
-// fabric's byte counters.
+// fabric's byte counters. It is a counter table (internal/counters):
+// every field is a counter named by its json tag.
 type Stats struct {
-	SendsSuppressed   int // sends skipped by the §6.2 receiver-iteration check
-	StaleDiscarded    int // stale updates dropped at dequeue (§6.1/§6.2)
-	Jumps             int // skip-iteration jumps executed (§5)
-	IterationsSkipped int // total iterations jumped over
-	PeersLost         int // peers removed from the iteration graph (DESIGN.md §6)
-	PeersJoined       int // peers re-admitted after a restart
-	GroupExcluded     int // prague group members absent from a reduce (DESIGN.md §8)
-}
-
-// Add adds o's counters to s: the sum over workers is what an engine
-// reports.
-func (s *Stats) Add(o Stats) {
-	s.SendsSuppressed += o.SendsSuppressed
-	s.StaleDiscarded += o.StaleDiscarded
-	s.Jumps += o.Jumps
-	s.IterationsSkipped += o.IterationsSkipped
-	s.PeersLost += o.PeersLost
-	s.PeersJoined += o.PeersJoined
-	s.GroupExcluded += o.GroupExcluded
+	SendsSuppressed   int `json:"sends_suppressed"`   // sends skipped by the §6.2 receiver-iteration check
+	StaleDiscarded    int `json:"stale_discarded"`    // stale updates dropped at dequeue (§6.1/§6.2)
+	Jumps             int `json:"jumps"`              // skip-iteration jumps executed (§5)
+	IterationsSkipped int `json:"iterations_skipped"` // total iterations jumped over
+	PeersLost         int `json:"peers_lost"`         // peers removed from the iteration graph (DESIGN.md §6)
+	PeersJoined       int `json:"peers_joined"`       // peers re-admitted after a restart
+	GroupExcluded     int `json:"group_excluded"`     // prague group members absent from a reduce (DESIGN.md §8)
 }

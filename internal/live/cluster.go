@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"hop/internal/core"
+	"hop/internal/counters"
 	"hop/internal/transport"
 )
 
@@ -41,7 +42,7 @@ type ClusterResult struct {
 func (r *ClusterResult) WireStats() transport.Stats {
 	var total transport.Stats
 	for _, w := range r.Workers {
-		total.Add(w.WireStats())
+		counters.Add(&total, w.WireStats())
 	}
 	return total
 }

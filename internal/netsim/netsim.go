@@ -112,30 +112,31 @@ func (c *Config) IsZero() bool {
 		c.MachineBandwidth == nil && c.Burst == nil && c.Chaos == nil
 }
 
-// Stats aggregates fabric counters.
+// Stats aggregates fabric counters. It is a counter table
+// (internal/counters): every field is a counter named by its json tag.
 type Stats struct {
 	// Messages counts every delivery, intra- or inter-machine.
-	Messages int
+	Messages int `json:"messages"`
 	// Bytes counts every delivered byte.
-	Bytes int64
+	Bytes int64 `json:"bytes"`
 	// InterMessages counts deliveries that crossed machines (and
 	// therefore occupied NICs).
-	InterMessages int
+	InterMessages int `json:"inter_messages"`
 	// InterBytes counts the bytes of those cross-machine deliveries.
-	InterBytes int64
+	InterBytes int64 `json:"inter_bytes"`
 	// BurstMessages counts inter-machine messages whose source or
 	// destination NIC was inside a degraded burst window when the
 	// transfer started.
-	BurstMessages int
+	BurstMessages int `json:"burst_messages"`
 	// Net* count faults injected by Config.Chaos on DeliverData
 	// messages (all zero when chaos is off). NetCorrupted is loss the
 	// receiver's integrity check would produce, kept distinct from
 	// NetDropped, the wire's own loss.
-	NetDropped     int
-	NetDuplicated  int
-	NetReordered   int
-	NetCorrupted   int
-	NetPartitioned int
+	NetDropped     int `json:"net_dropped"`
+	NetDuplicated  int `json:"net_duplicated"`
+	NetReordered   int `json:"net_reordered"`
+	NetCorrupted   int `json:"net_corrupted"`
+	NetPartitioned int `json:"net_partitioned"`
 }
 
 // burstWindow is one degraded period [start, end).

@@ -8,6 +8,8 @@ package scenario
 // and a partition window.
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 
 	"hop/internal/cluster"
@@ -119,6 +121,40 @@ func TestSimChaosDeterministic(t *testing.T) {
 			t.Errorf("worker %d loss %g under chaos", w, loss)
 		}
 	}
+
+	// A sweep cell's report carries every counter of its run, protocol
+	// and fault counters alike, byte-identically at any sweep width.
+	sw := Sweep{Name: "chaos", Base: spec, Axes: []Axis{{Name: "check", Values: []AxisValue{
+		{Label: "off"},
+		{Label: "send-check", Patch: json.RawMessage(`{"protocol": {"staleness": 5, "send_check": true}, "hetero": {"kind": "random", "factor": 6}}`)},
+	}}}}
+	serial, err := sw.Run(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide, err := sw.Run(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range serial.Cells {
+		if !bytes.Equal(serial.Cells[i].JSON, wide.Cells[i].JSON) {
+			t.Errorf("cell %s: width 1 vs 4 differs", serial.Cells[i].ID)
+		}
+	}
+	cells, err := sw.Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	solo, err := cells[1].Spec.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := serial.Cells[1].Report
+	if rep.Protocol != solo.Engine.Stats() || rep.Net != solo.Fabric.Stats() ||
+		rep.Protocol.SendsSuppressed == 0 || rep.Net.NetDropped == 0 {
+		t.Errorf("report counters %+v %+v, run counters %+v %+v",
+			rep.Protocol, rep.Net, solo.Engine.Stats(), solo.Fabric.Stats())
+	}
 }
 
 // TestLiveChaosConverges: the same committed spec on loopback TCP.
@@ -138,24 +174,15 @@ func TestLiveChaosConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var dropped, duplicated, delayed, corrupted, partitioned, crcDrops int64
-	for _, w := range res.Workers {
-		s := w.WireStats()
-		dropped += s.Chaos.Dropped
-		duplicated += s.Chaos.Duplicated
-		delayed += s.Chaos.Delayed
-		corrupted += s.Chaos.Corrupted
-		partitioned += s.Chaos.Partitioned
-		crcDrops += s.CorruptFrames
+	s := res.WireStats()
+	if s.ChaosDropped == 0 || s.ChaosPartitioned == 0 {
+		t.Errorf("live chaos never dropped (drops %d, partitioned %d)", s.ChaosDropped, s.ChaosPartitioned)
 	}
-	if dropped == 0 || partitioned == 0 {
-		t.Errorf("live chaos never dropped (drops %d, partitioned %d)", dropped, partitioned)
+	if s.ChaosDuplicated+s.ChaosDelayed+s.ChaosCorrupted == 0 {
+		t.Errorf("no duplicate/delay/corrupt fault fired (dup %d, delay %d, corrupt %d)", s.ChaosDuplicated, s.ChaosDelayed, s.ChaosCorrupted)
 	}
-	if duplicated+delayed+corrupted == 0 {
-		t.Errorf("no duplicate/delay/corrupt fault fired (dup %d, delay %d, corrupt %d)", duplicated, delayed, corrupted)
-	}
-	if corrupted > 0 && crcDrops == 0 {
-		t.Errorf("%d frames corrupted in flight but no receiver counted a CRC drop", corrupted)
+	if s.ChaosCorrupted > 0 && s.CorruptFrames == 0 {
+		t.Errorf("%d frames corrupted in flight but no receiver counted a CRC drop", s.ChaosCorrupted)
 	}
 	for w, worker := range res.Workers {
 		if loss := worker.Trainer().EvalLoss(); loss > 0.3 {

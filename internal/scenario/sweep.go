@@ -18,6 +18,8 @@ import (
 	"time"
 
 	"hop/internal/cluster"
+	"hop/internal/core"
+	"hop/internal/netsim"
 )
 
 // AxisValue is one point on an axis: a label naming the point in cell
@@ -219,20 +221,10 @@ type CellReport struct {
 	TimeToTargetS float64 `json:"time_to_target_s"`
 	// MaxGap is the largest observed iteration gap between any pair.
 	MaxGap int `json:"max_gap"`
-	// Jumps counts executed skip-iteration jumps (§5 of the paper).
-	Jumps int `json:"jumps"`
-	// SkippedIterations counts iterations covered by those jumps.
-	SkippedIterations int `json:"skipped_iterations"`
-	// SuppressedSends counts sends the §6.2(b) check skipped.
-	SuppressedSends int `json:"suppressed_sends"`
-	// NetMessages counts every modeled delivery.
-	NetMessages int `json:"net_messages"`
-	// NetBytes counts every delivered byte.
-	NetBytes int64 `json:"net_bytes"`
-	// InterBytes counts only cross-machine bytes.
-	InterBytes int64 `json:"inter_bytes"`
-	// BurstMessages counts burst-degraded transfers.
-	BurstMessages int `json:"burst_messages"`
+	// Protocol holds every protocol counter, summed over workers.
+	Protocol core.Stats `json:"protocol"`
+	// Net holds every modeled-network counter.
+	Net netsim.Stats `json:"net"`
 	// Eval is the probe worker's held-out loss series.
 	Eval []SeriesPoint `json:"eval"`
 }
@@ -251,19 +243,12 @@ func buildReport(cellID string, spec Spec, res *cluster.Result) CellReport {
 		TargetLoss:          spec.ResolvedTargetLoss(),
 		TimeToTargetS:       -1,
 		MaxGap:              res.Engine.Gaps().MaxGapOverall(),
+		Protocol:            res.Engine.Stats(),
+		Net:                 res.Fabric.Stats(),
 	}
 	if tt, ok := res.Metrics.Eval.TimeToValue(rep.TargetLoss); ok {
 		rep.TimeToTargetS = tt.Seconds()
 	}
-	st := res.Engine.Stats()
-	rep.Jumps = st.Jumps
-	rep.SkippedIterations = st.IterationsSkipped
-	rep.SuppressedSends = st.SendsSuppressed
-	fs := res.Fabric.Stats()
-	rep.NetMessages = fs.Messages
-	rep.NetBytes = fs.Bytes
-	rep.InterBytes = fs.InterBytes
-	rep.BurstMessages = fs.BurstMessages
 	rep.Eval = make([]SeriesPoint, 0, len(res.Metrics.Eval.Points))
 	for _, p := range res.Metrics.Eval.Points {
 		rep.Eval = append(rep.Eval, SeriesPoint{T: p.Time.Seconds(), Step: p.Step, Loss: p.Value})

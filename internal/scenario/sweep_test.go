@@ -247,8 +247,8 @@ func TestSweepReportsVaryAcrossCells(t *testing.T) {
 	if !ok1 || !ok2 {
 		t.Fatal("missing cells")
 	}
-	if topk.NetBytes >= none.NetBytes {
-		t.Errorf("topk cell moved %d bytes, none cell %d — compression not modeled", topk.NetBytes, none.NetBytes)
+	if topk.Net.Bytes >= none.Net.Bytes {
+		t.Errorf("topk cell moved %d bytes, none cell %d — compression not modeled", topk.Net.Bytes, none.Net.Bytes)
 	}
 	var table strings.Builder
 	res.RenderTable(&table)

@@ -29,6 +29,7 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -74,39 +75,24 @@ func (c *ChaosConfig) maxDelay() time.Duration {
 	return 20 * time.Millisecond
 }
 
-// ChaosStats counts injected faults (all zero when chaos is off —
-// live_smoke.sh asserts exactly that in non-chaos runs).
-type ChaosStats struct {
-	Dropped     int64
-	Duplicated  int64
-	Delayed     int64
-	Corrupted   int64
-	Partitioned int64
-}
-
 // chaosState is the per-node injector: one seeded RNG shared across
-// connections, plus the fault counters, all guarded by mu.
+// connections, guarded by mu. It counts the faults it injects in its
+// node's Stats (the Chaos* counters).
 type chaosState struct {
 	cfg ChaosConfig
+	st  *Stats
 
-	mu   sync.Mutex
-	rng  *rand.Rand
-	stat ChaosStats
+	mu  sync.Mutex
+	rng *rand.Rand
 }
 
-func newChaosState(cfg ChaosConfig) *chaosState {
+func newChaosState(cfg ChaosConfig, st *Stats) *chaosState {
 	seed := cfg.Seed
 	if seed == 0 {
 		seed = time.Now().UnixNano()
 	}
 	cfg.Partitions = append([]ChaosPartition(nil), cfg.Partitions...)
-	return &chaosState{cfg: cfg, rng: rand.New(rand.NewSource(seed))}
-}
-
-func (c *chaosState) stats() ChaosStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stat
+	return &chaosState{cfg: cfg, st: st, rng: rand.New(rand.NewSource(seed))}
 }
 
 // filter passes one batch — the control frames in ctl and, with update
@@ -141,9 +127,7 @@ func (c *chaosState) inject(self, peer int, iov [][]byte, frames int, parts ...[
 		for _, pt := range c.cfg.Partitions {
 			if ((self == pt.A && peer == pt.B) || (self == pt.B && peer == pt.A)) &&
 				iter >= pt.FromIter && iter < pt.ToIter {
-				c.mu.Lock()
-				c.stat.Partitioned++
-				c.mu.Unlock()
+				atomic.AddInt64(&c.st.ChaosPartitioned, 1)
 				return iov, frames
 			}
 		}
@@ -163,15 +147,15 @@ func (c *chaosState) inject(self, peer int, iov [][]byte, frames int, parts ...[
 	bit := 0
 	switch {
 	case drop:
-		c.stat.Dropped++
+		atomic.AddInt64(&c.st.ChaosDropped, 1)
 	case corrupt:
-		c.stat.Corrupted++
+		atomic.AddInt64(&c.st.ChaosCorrupted, 1)
 		bit = c.rng.Intn(size * 8)
 	case dup:
-		c.stat.Duplicated++
+		atomic.AddInt64(&c.st.ChaosDuplicated, 1)
 	}
 	if !drop && delay > 0 {
-		c.stat.Delayed++
+		atomic.AddInt64(&c.st.ChaosDelayed, 1)
 	}
 	c.mu.Unlock()
 

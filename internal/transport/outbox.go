@@ -247,7 +247,7 @@ func (p *peer) enqueue(h frameHeader, wait bool) error {
 func (n *Node) sendUpdate(p *peer, m Message) error {
 	p.mu.Lock()
 	if p.busy && !p.closed {
-		n.pipelineStalls.Add(1)
+		atomic.AddInt64(&n.st.PipelineStalls, 1)
 	}
 	for p.busy && !p.closed {
 		p.room.Wait()
@@ -493,9 +493,9 @@ func (n *Node) writeUpdate(p *peer, id int, job updateJob, ctl []byte) error {
 		c.Commit()
 		p.hist = histNext(p.hist, e.iter)
 	}
-	n.updatesSent.Add(1)
-	n.rawUpdateBytes.Add(int64(8 * e.n))
-	n.wireUpdateBytes.Add(int64(len(payload)))
+	atomic.AddInt64(&n.st.UpdatesSent, 1)
+	atomic.AddInt64(&n.st.RawUpdateBytesSent, int64(8*e.n))
+	atomic.AddInt64(&n.st.WireUpdateBytesSent, int64(len(payload)))
 	return nil
 }
 
@@ -546,15 +546,15 @@ func (n *Node) flush(p *peer, id int, ctl, chunk []byte, update bool) error {
 		}
 		p.bufs = p.iov
 		_, err := p.bufs.WriteTo(p.conn)
-		n.writes.Add(1)
+		atomic.AddInt64(&n.st.Writes, 1)
 		if err != nil {
-			n.heartbeatsMissed.Add(heartbeats)
+			atomic.AddInt64(&n.st.HeartbeatsMissed, heartbeats)
 			return fmt.Errorf("transport: send to %d: %w", id, err)
 		}
 		p.lastWrite.Store(time.Now().UnixNano())
 	}
-	n.framesSent.Add(int64(frames))
-	n.bytesSent.Add(bytes)
-	n.heartbeatsSent.Add(heartbeats)
+	atomic.AddInt64(&n.st.FramesSent, int64(frames))
+	atomic.AddInt64(&n.st.BytesSent, bytes)
+	atomic.AddInt64(&n.st.HeartbeatsSent, heartbeats)
 	return nil
 }

@@ -40,6 +40,7 @@ import (
 	"time"
 
 	"hop/internal/compress"
+	"hop/internal/counters"
 	"hop/internal/tensor"
 )
 
@@ -203,64 +204,52 @@ func (c Config) maxChunk() int {
 	return c.MaxChunk
 }
 
-// Stats is a snapshot of a node's wire counters. RawUpdateBytesSent is
-// what updates would have cost uncompressed (8 bytes per coordinate);
-// WireUpdateBytesSent is their actual compressed payload cost, so the
-// ratio of the two is the realized compression factor.
+// Stats holds a node's wire counters. It is a counter table
+// (internal/counters): every field is a counter named by its json tag,
+// which Node adds to with atomic.AddInt64 and snapshots with
+// counters.Load. RawUpdateBytesSent is what updates would have cost
+// uncompressed (8 bytes per coordinate); WireUpdateBytesSent is their
+// actual compressed payload cost, so the ratio of the two is the
+// realized compression factor.
 type Stats struct {
-	FramesSent, FramesRecv int64
-	BytesSent, BytesRecv   int64 // on-the-wire bytes including headers
+	FramesSent int64 `json:"frames_sent"`
+	FramesRecv int64 `json:"frames_recv"`
+	BytesSent  int64 `json:"bytes_sent"` // on-the-wire bytes including headers
+	BytesRecv  int64 `json:"bytes_recv"`
 	// Writes counts socket writes. Every write carries everything the
 	// peer's outbox held, so Writes/FramesSent is how well frames
 	// coalesce: 1 means each frame paid its own syscall, 0.5 that the
 	// typical write carried a token and an update.
-	Writes                   int64
-	UpdatesSent, UpdatesRecv int64
-	RawUpdateBytesSent       int64
-	WireUpdateBytesSent      int64
+	Writes              int64 `json:"writes"`
+	UpdatesSent         int64 `json:"updates_sent"`
+	UpdatesRecv         int64 `json:"updates_recv"`
+	RawUpdateBytesSent  int64 `json:"raw_update_bytes_sent"`
+	WireUpdateBytesSent int64 `json:"wire_update_bytes_sent"`
 	// ReadErrors counts inbound connections dropped for protocol-level
 	// failures (everything Config.OnReadError reports).
-	ReadErrors int64
+	ReadErrors int64 `json:"read_errors"`
 	// HeartbeatsSent and HeartbeatsRecv count liveness frames;
 	// HeartbeatsMissed counts heartbeat sends that failed (a strong
 	// hint the peer's connection is gone).
-	HeartbeatsSent, HeartbeatsRecv, HeartbeatsMissed int64
+	HeartbeatsSent   int64 `json:"heartbeats_sent"`
+	HeartbeatsRecv   int64 `json:"heartbeats_recv"`
+	HeartbeatsMissed int64 `json:"heartbeats_missed"`
 	// CorruptFrames counts inbound frames dropped on a CRC32-C
 	// mismatch. Zero on a healthy network — live_smoke.sh asserts it.
-	CorruptFrames int64
+	CorruptFrames int64 `json:"corrupt_frames"`
 	// PipelineStalls counts update sends that found the previous
 	// update to the same peer still in flight and had to wait at the
 	// one-in-flight barrier. A high value relative to UpdatesSent means
 	// the wire, not the compute, is the bottleneck.
-	PipelineStalls int64
-	// Chaos counts faults injected by this node's ChaosConfig (all
-	// zero when chaos is off).
-	Chaos ChaosStats
-}
-
-// Add adds o's counters to s, chaos counters included: the sum over
-// several nodes is what a cluster run reports.
-func (s *Stats) Add(o Stats) {
-	s.FramesSent += o.FramesSent
-	s.FramesRecv += o.FramesRecv
-	s.BytesSent += o.BytesSent
-	s.BytesRecv += o.BytesRecv
-	s.Writes += o.Writes
-	s.UpdatesSent += o.UpdatesSent
-	s.UpdatesRecv += o.UpdatesRecv
-	s.RawUpdateBytesSent += o.RawUpdateBytesSent
-	s.WireUpdateBytesSent += o.WireUpdateBytesSent
-	s.ReadErrors += o.ReadErrors
-	s.HeartbeatsSent += o.HeartbeatsSent
-	s.HeartbeatsRecv += o.HeartbeatsRecv
-	s.HeartbeatsMissed += o.HeartbeatsMissed
-	s.CorruptFrames += o.CorruptFrames
-	s.PipelineStalls += o.PipelineStalls
-	s.Chaos.Dropped += o.Chaos.Dropped
-	s.Chaos.Duplicated += o.Chaos.Duplicated
-	s.Chaos.Delayed += o.Chaos.Delayed
-	s.Chaos.Corrupted += o.Chaos.Corrupted
-	s.Chaos.Partitioned += o.Chaos.Partitioned
+	PipelineStalls int64 `json:"pipeline_stalls"`
+	// Chaos* count faults injected by this node's ChaosConfig (all zero
+	// when chaos is off — live_smoke.sh asserts exactly that in
+	// non-chaos runs).
+	ChaosDropped     int64 `json:"chaos_dropped"`
+	ChaosDuplicated  int64 `json:"chaos_duplicated"`
+	ChaosDelayed     int64 `json:"chaos_delayed"`
+	ChaosCorrupted   int64 `json:"chaos_corrupted"`
+	ChaosPartitioned int64 `json:"chaos_partitioned"`
 }
 
 // CompressionRatio returns raw/wire update bytes (1 when nothing was
@@ -275,6 +264,10 @@ func (s Stats) CompressionRatio() float64 {
 // Node is one transport endpoint: a listener plus outgoing peer
 // connections.
 type Node struct {
+	// st comes first: the first word of an allocated struct is 64-bit
+	// aligned, which atomic.AddInt64 needs on 32-bit platforms.
+	st Stats
+
 	id      int
 	ln      net.Listener
 	handler Handler
@@ -294,19 +287,6 @@ type Node struct {
 	// stream state matches it ride the leader's payload (see encShared).
 	encMu  sync.Mutex
 	encCur *encShared
-
-	framesSent, framesRecv   atomic.Int64
-	bytesSent, bytesRecv     atomic.Int64
-	writes                   atomic.Int64
-	updatesSent, updatesRecv atomic.Int64
-	rawUpdateBytes           atomic.Int64
-	wireUpdateBytes          atomic.Int64
-	readErrors               atomic.Int64
-
-	heartbeatsSent, heartbeatsRecv atomic.Int64
-	heartbeatsMissed               atomic.Int64
-	corruptFrames                  atomic.Int64
-	pipelineStalls                 atomic.Int64
 }
 
 // Listen starts a node with the given worker id on addr (use ":0" for
@@ -328,7 +308,7 @@ func ListenConfig(id int, addr string, handler Handler, cfg Config) (*Node, erro
 		done:  make(chan struct{}),
 	}
 	if cfg.Chaos != nil {
-		n.chaos = newChaosState(*cfg.Chaos)
+		n.chaos = newChaosState(*cfg.Chaos, &n.st)
 	}
 	n.wg.Add(1)
 	go n.acceptLoop()
@@ -346,29 +326,7 @@ func (n *Node) ID() int { return n.id }
 func (n *Node) Addr() string { return n.ln.Addr().String() }
 
 // Stats returns a snapshot of the wire counters.
-func (n *Node) Stats() Stats {
-	s := Stats{
-		FramesSent:          n.framesSent.Load(),
-		FramesRecv:          n.framesRecv.Load(),
-		BytesSent:           n.bytesSent.Load(),
-		BytesRecv:           n.bytesRecv.Load(),
-		Writes:              n.writes.Load(),
-		UpdatesSent:         n.updatesSent.Load(),
-		UpdatesRecv:         n.updatesRecv.Load(),
-		RawUpdateBytesSent:  n.rawUpdateBytes.Load(),
-		WireUpdateBytesSent: n.wireUpdateBytes.Load(),
-		ReadErrors:          n.readErrors.Load(),
-		HeartbeatsSent:      n.heartbeatsSent.Load(),
-		HeartbeatsRecv:      n.heartbeatsRecv.Load(),
-		HeartbeatsMissed:    n.heartbeatsMissed.Load(),
-		CorruptFrames:       n.corruptFrames.Load(),
-		PipelineStalls:      n.pipelineStalls.Load(),
-	}
-	if n.chaos != nil {
-		s.Chaos = n.chaos.stats()
-	}
-	return s
-}
+func (n *Node) Stats() Stats { return counters.Load(&n.st) }
 
 // heartbeatLoop ticks at half the configured interval and queues a
 // heartbeat frame on every outgoing connection that has written
@@ -505,12 +463,12 @@ func (n *Node) readConn(conn net.Conn) (int, error) {
 				return sender, fmt.Errorf("peer %d closed without goodbye (process died?)", sender)
 			}
 			if errors.Is(err, errCorruptFrame) {
-				n.corruptFrames.Add(1)
+				atomic.AddInt64(&n.st.CorruptFrames, 1)
 			}
 			return sender, fmt.Errorf("read frame: %w", err)
 		}
-		n.framesRecv.Add(1)
-		n.bytesRecv.Add(int64(headerLen + crcLen + len(payload)))
+		atomic.AddInt64(&n.st.FramesRecv, 1)
+		atomic.AddInt64(&n.st.BytesRecv, int64(headerLen+crcLen+len(payload)))
 		if (h.kind <= frameAck || h.kind == frameHeartbeat) && int(h.from) != sender {
 			return sender, fmt.Errorf("frame from %d on connection pinned to sender %d", h.from, sender)
 		}
@@ -539,7 +497,7 @@ func (n *Node) readConn(conn net.Conn) (int, error) {
 			if err != nil {
 				return sender, fmt.Errorf("update from %d iter %d: %w", mh.from, mh.iter, err)
 			}
-			n.updatesRecv.Add(1)
+			atomic.AddInt64(&n.st.UpdatesRecv, 1)
 			n.handler(Message{
 				Kind: KindUpdate, From: int(mh.from), Iter: int(mh.iter),
 				Params: params, Codec: mh.codec,
@@ -549,7 +507,7 @@ func (n *Node) readConn(conn net.Conn) (int, error) {
 		case frameAck:
 			n.handler(Message{Kind: KindAck, From: int(h.from), Iter: int(h.iter)})
 		case frameHeartbeat:
-			n.heartbeatsRecv.Add(1)
+			atomic.AddInt64(&n.st.HeartbeatsRecv, 1)
 			n.handler(Message{Kind: KindHeartbeat, From: sender})
 		case frameGoodbye:
 			return sender, nil // orderly shutdown announced; the EOF that follows is clean
@@ -641,7 +599,7 @@ func (n *Node) noteReadError(conn net.Conn, err error) {
 	if closed {
 		return
 	}
-	n.readErrors.Add(1)
+	atomic.AddInt64(&n.st.ReadErrors, 1)
 	if cb := n.cfg.OnReadError; cb != nil {
 		cb(fmt.Errorf("transport: dropping inbound connection %v: %w", conn.RemoteAddr(), err))
 	}

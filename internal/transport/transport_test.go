@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"hop/internal/counters"
 	"hop/internal/leaktest"
 )
 
@@ -430,43 +431,30 @@ func TestCloseSendsKeepsReceiving(t *testing.T) {
 	}
 }
 
-// TestStatsAddCoversEveryField fills every counter of two snapshots,
-// nested chaos counters included, with distinct values: a field Add
-// leaves out — such as one added to Stats later — reads wrong.
+// TestStatsAddCoversEveryField fills every counter of two nodes, chaos
+// counters included, with distinct values, snapshots them with
+// Node.Stats and merges the snapshots as a cluster's WireStats does: a
+// field the snapshot or the merge leaves out — such as one added to
+// Stats later — reads wrong.
 func TestStatsAddCoversEveryField(t *testing.T) {
-	var a, b Stats
-	next := int64(1)
-	var fill func(v reflect.Value)
-	fill = func(v reflect.Value) {
-		for i := 0; i < v.NumField(); i++ {
-			f := v.Field(i)
-			switch f.Kind() {
-			case reflect.Struct:
-				fill(f)
-			case reflect.Int64:
-				f.SetInt(next)
-				next++
-			default:
-				t.Fatalf("Stats field %s has kind %v; teach this test and Add about it", v.Type().Field(i).Name, f.Kind())
-			}
+	var a, b Node
+	va, vb := reflect.ValueOf(&a.st).Elem(), reflect.ValueOf(&b.st).Elem()
+	for i := 0; i < va.NumField(); i++ {
+		if k := va.Field(i).Kind(); k != reflect.Int64 {
+			t.Fatalf("Stats field %s has kind %v; a wire counter is an int64", va.Type().Field(i).Name, k)
+		}
+		va.Field(i).SetInt(int64(1 + i))
+		vb.Field(i).SetInt(int64(100 + i))
+	}
+	if got := a.Stats(); got != a.st {
+		t.Errorf("Node.Stats = %+v, want %+v", got, a.st)
+	}
+	sum := a.Stats()
+	counters.Add(&sum, b.Stats())
+	vs := reflect.ValueOf(sum)
+	for i := 0; i < vs.NumField(); i++ {
+		if got, want := vs.Field(i).Int(), va.Field(i).Int()+vb.Field(i).Int(); got != want {
+			t.Errorf("Add: %s = %d, want %d", vs.Type().Field(i).Name, got, want)
 		}
 	}
-	fill(reflect.ValueOf(&a).Elem())
-	fill(reflect.ValueOf(&b).Elem())
-	sum := a
-	sum.Add(b)
-	var check func(path string, s, x, y reflect.Value)
-	check = func(path string, s, x, y reflect.Value) {
-		for i := 0; i < s.NumField(); i++ {
-			name := path + s.Type().Field(i).Name
-			if s.Field(i).Kind() == reflect.Struct {
-				check(name+".", s.Field(i), x.Field(i), y.Field(i))
-				continue
-			}
-			if got, want := s.Field(i).Int(), x.Field(i).Int()+y.Field(i).Int(); got != want {
-				t.Errorf("Add: %s = %d, want %d", name, got, want)
-			}
-		}
-	}
-	check("", reflect.ValueOf(sum), reflect.ValueOf(a), reflect.ValueOf(b))
 }

@@ -35,7 +35,7 @@ if ! grep -q "final eval loss" "$WORKDIR/spec.out"; then
 fi
 
 "$WORKDIR/hoptrain" -scenario "$SPEC" -live > "$WORKDIR/live.out"
-if ! grep -q "read errors 0" "$WORKDIR/live.out"; then
+if ! grep -q "read_errors=0 " "$WORKDIR/live.out"; then
     echo "FAIL: hoptrain -live on $SPEC did not finish with zero read errors" >&2
     cat "$WORKDIR/live.out" >&2
     exit 1

@@ -57,17 +57,18 @@ cleanup() {
 }
 trap cleanup EXIT
 
-dump_stats() {
-    # The per-worker transport counters, for diagnosing a failed run at
-    # a glance before wading into the full logs.
-    echo "--- transport stats ---" >&2
-    grep -h "wire:\|liveness:" "$WORKDIR"/worker*.log >&2 || true
-}
-
 dump_logs() {
-    dump_stats
+    # The per-worker counters first, for diagnosing a failed run at a
+    # glance before wading into the full logs.
+    echo "--- counters ---" >&2
+    grep -hE "wire:|protocol:" "$WORKDIR"/worker*.log >&2 || true
     echo "--- worker logs ---" >&2
     cat "$WORKDIR"/worker*.log >&2
+}
+
+counter() { # counter <log> <name-regex>: sum of the matching name=value pairs on the last wire: line
+    awk -v re="^($2)=" '/ wire: / { line = $0 }
+        END { n = split(line, f, " "); v = ""; for (i = 1; i <= n; i++) if (f[i] ~ re) { sub(/.*=/, "", f[i]); v += f[i] } print v }' "$1"
 }
 
 echo "building hopnode" >&2
@@ -172,18 +173,18 @@ for i in $(seq 0 $((N - 1))); do
         continue
     fi
     check_loss "$i" "$log"
-    readerrs=$(awk '/read errors/ { sub(/.*read errors /, ""); print $1 }' "$log")
+    readerrs=$(counter "$log" read_errors)
     if [ "$ALLOW_READERRS" != 1 ] && [ "${readerrs:-missing}" != 0 ]; then
         echo "FAIL: worker $i read errors: ${readerrs:-missing}" >&2
         fail=1
     fi
     if [ "$ALLOW_CHAOS" != 1 ]; then
-        corrupt=$(awk '/liveness:/ { sub(/.*corrupt frames /, ""); sub(/,.*/, ""); v = $0 } END { print v }' "$log")
+        corrupt=$(counter "$log" corrupt_frames)
         if [ "${corrupt:-missing}" != 0 ]; then
             echo "FAIL: worker $i corrupt frames in a non-chaos run: ${corrupt:-missing}" >&2
             fail=1
         fi
-        chaos_total=$(awk '/liveness:/ { sub(/.*chaos /, ""); gsub(/[a-z]+=/, " "); n = 0; for (f = 1; f <= NF; f++) n += $f; v = n } END { print v }' "$log")
+        chaos_total=$(counter "$log" 'chaos_[a-z]+')
         if [ "${chaos_total:-missing}" != 0 ]; then
             echo "FAIL: worker $i chaos injector fired in a non-chaos run (total ${chaos_total:-missing})" >&2
             fail=1
