@@ -22,7 +22,7 @@ import (
 func (p *Protocol) iterPS(k int) {
 	x := p.trainer.Params()
 	if p.id == 0 {
-		ups := p.queue.dequeueIterOr(k, func() int { return len(p.in) }, nil)
+		ups := p.recv(k, 0) // every leaf's gradients
 		mean := p.reduceScratch(len(x))
 		p.meanInto(mean, ups)
 		p.recycleUpdates(ups)
@@ -37,7 +37,7 @@ func (p *Protocol) iterPS(k int) {
 	d := p.rt.Compute(k, p.computeFn)
 	p.rt.EndCompute(start + d)
 	p.rt.Send(0, Update{Params: tensor.Clone(p.grads), Iter: k, From: p.id})
-	ups := p.queue.dequeueIterOr(k, func() int { return 1 }, nil)
+	ups := p.recv(k, 0) // the server's parameters, its one in-neighbor
 	tensor.Copy(x, ups[0].Params)
 	p.recycleUpdates(ups)
 	if p.cfg.OnIteration != nil {
@@ -78,7 +78,7 @@ func (p *Protocol) iterADPSGD(k int) {
 	if p.initiator {
 		j := p.out[p.pick.Intn(len(p.out))]
 		p.rt.Send(j, Update{Params: tensor.Clone(x), Iter: k, From: p.id})
-		reply, _ := p.queue.takeFirst(isReply, true)
+		reply, _ := p.takeMatching(isReply, true)
 		tensor.Copy(x, reply.Params)
 	}
 	p.trainer.Apply(p.grads)
@@ -93,7 +93,7 @@ func (p *Protocol) iterADPSGD(k int) {
 // wait set it first blocks for one message.
 func (p *Protocol) serve(wait bool) {
 	for {
-		u, ok := p.queue.takeFirst(isRequest, wait)
+		u, ok := p.takeMatching(isRequest, wait)
 		if !ok {
 			return
 		}
@@ -123,6 +123,17 @@ func (p *Protocol) finishADPSGD() {
 	for p.dones < p.initiatorsIn {
 		p.serve(true)
 	}
+}
+
+// takeMatching removes the oldest queued message match accepts; with
+// wait set it blocks until there is one, otherwise it reports false at
+// once. AD-PSGD rejects fault tolerance, so no death is ever applied.
+func (p *Protocol) takeMatching(match func(Update) bool, wait bool) (u Update, ok bool) {
+	p.await(p.queue.cond, func() bool {
+		u, ok = p.queue.takeFirstLocked(match)
+		return ok || !wait
+	}, nil, nil)
+	return u, ok
 }
 
 func isRequest(u Update) bool { return !u.Reply }

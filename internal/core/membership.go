@@ -155,7 +155,8 @@ func (p *Protocol) applyMembership(k int) {
 // applyDeathLocked reforms the graph around dead peer d: drops it from
 // the live in/out views, releases its token queue so takes stop
 // counting the departed edge, and records the membership event. Called
-// with the monitor held, only from the Run goroutine's blocking waits.
+// with the monitor held, only from the Run goroutine's blocking waits
+// (applyDeathsLocked).
 func (p *Protocol) applyDeathLocked(d int) {
 	delete(p.pendingDead, d)
 	delete(p.pendingJoin, d)
@@ -206,7 +207,8 @@ func (p *Protocol) rebuildOutLocked() {
 }
 
 // wakeAllLocked wakes every wait this worker may be blocked in so it
-// re-evaluates against the pending death. Caller holds the monitor.
+// re-evaluates against a pending death or an abort. Caller holds the
+// monitor.
 func (p *Protocol) wakeAllLocked() {
 	p.queue.cond.Broadcast()
 	p.acks.cond.Broadcast()
@@ -215,104 +217,26 @@ func (p *Protocol) wakeAllLocked() {
 	}
 }
 
-// reduceBlockHook arms the reduce's on-block hook for iteration iter:
-// the hook applies pending deaths of in-neighbors whose tagged-iter
-// update is missing — and only those: a dead peer's already-arrived
-// final update must be consumed exactly as if the peer were alive, or
-// the applied iteration would depend on notice timing. Under Prague
-// only the step's group members count: a non-member's pending death
-// stays pending until a shared step actually blocks on it. The hook
-// itself is built once (Protocol.reduceHook, nil without fault
-// tolerance) and reads iter from hookIter; one reduce waits at a time,
-// on the Run goroutine.
-func (p *Protocol) reduceBlockHook(iter int) func() bool {
-	p.hookIter = iter
-	return p.reduceHook
-}
-
-// applyMissingDeaths is reduceHook's body (see reduceBlockHook).
-func (p *Protocol) applyMissingDeaths() bool {
+// applyDeathsLocked is the death rule of a blocked wait (Protocol.await):
+// it applies the pending death of each peer d in peers, in order, for
+// which missing(d) reports that the wait still lacks d's data, and
+// reports whether it applied any. Only such a wait may apply a death: a
+// dead peer's already-arrived final update (or ACK) must be consumed
+// exactly as if the peer were alive, or the applied iteration would
+// depend on notice timing. Applying replaces p.in and p.out with fresh
+// slices and never writes the one being ranged over.
+func (p *Protocol) applyDeathsLocked(peers []int, missing func(int) bool) bool {
 	if len(p.pendingDead) == 0 {
 		return false
 	}
-	changed := false
-	for _, d := range append([]int(nil), p.in...) {
-		if !p.pendingDead[d] || (p.group != nil && !containsInt(p.group, d)) {
-			continue
-		}
-		if p.queue.hasIterFromLocked(d, p.hookIter) {
-			continue
-		}
-		p.applyDeathLocked(d)
-		changed = true
-	}
-	return changed
-}
-
-// ackBlockHook applies pending deaths of out-neighbors whose ACK for
-// iter has not arrived, releasing the pending NOTIFY-ACK edge.
-func (p *Protocol) ackBlockHook(iter int) func() bool {
-	if !p.cfg.FaultTolerance {
-		return nil
-	}
-	return func() bool {
-		if len(p.pendingDead) == 0 {
-			return false
-		}
-		changed := false
-		for _, d := range append([]int(nil), p.out...) {
-			if !p.pendingDead[d] {
-				continue
-			}
-			if p.acks.hasLocked(iter, d) {
-				continue
-			}
+	applied := false
+	for _, d := range peers {
+		if p.pendingDead[d] && missing(d) {
 			p.applyDeathLocked(d)
-			changed = true
+			applied = true
 		}
-		return changed
 	}
-}
-
-// tokenBlockHook applies a pending death of out-neighbor j while
-// blocked taking from its token queue (the release unblocks the take).
-func (p *Protocol) tokenBlockHook(j int) func() bool {
-	if !p.cfg.FaultTolerance {
-		return nil
-	}
-	return func() bool {
-		if !p.pendingDead[j] {
-			return false
-		}
-		p.applyDeathLocked(j)
-		return true
-	}
-}
-
-// senderGoneHook abandons a WaitFrom on sender j once j is (or is
-// declared) dead — no more data is coming.
-func (p *Protocol) senderGoneHook(j int) func() bool {
-	if !p.cfg.FaultTolerance {
-		return nil
-	}
-	return func() bool {
-		if p.deadIn[j] {
-			return true
-		}
-		if !p.pendingDead[j] {
-			return false
-		}
-		p.applyDeathLocked(j)
-		return true
-	}
-}
-
-// outSnapshot returns the out-set to iterate while hooks may shrink it.
-func (p *Protocol) outSnapshot() []int {
-	if !p.cfg.FaultTolerance {
-		return p.out
-	}
-	return append([]int(nil), p.out...)
+	return applied
 }
 
 // joinSync is the rejoin handshake a restarted worker runs before its

@@ -14,7 +14,7 @@ package core
 //
 // A Prague step is Hop's parallel computation graph (Protocol.iterate)
 // with the step's group as its peer set: the send, the reduce's quorum
-// and its death hook are narrowed to the group, and the reduce
+// and its death rule are narrowed to the group, and the reduce
 // deduplicates by sender; the simulator and the live TCP runtime run
 // it verbatim. The graph is a placement/cost substrate only: groups
 // span all n workers regardless of topology, which is why

@@ -163,20 +163,14 @@ type Protocol struct {
 	vecScratch [][]float64
 	reduceBuf  []float64
 
-	// The iteration loop's callbacks, built once in NewProtocol so a
-	// steady-state iteration allocates no closures; their per-iteration
-	// inputs and outputs travel through the fields beside them.
 	// computeFn is the gradient step handed to Runtime.Compute, leaving
-	// its results in grads/loss — readable only after EndCompute.
-	// reduceNeed is the Recv requirement of recvReduceInto. reduceHook
-	// (nil without fault tolerance) is the body of reduceBlockHook,
-	// testing iteration hookIter.
-	computeFn  func()
-	grads      []float64
-	loss       float64
-	reduceNeed func() int
-	reduceHook func() bool
-	hookIter   int
+	// its results in grads/loss — readable only after EndCompute. It is
+	// built once in NewProtocol because a closure passed through an
+	// interface method escapes; the wait closures handed to await do
+	// not, so they cost no allocation.
+	computeFn func()
+	grads     []float64
+	loss      float64
 
 	// group is this step's Prague group (prague.go), set at the top of
 	// each iteration; nil in every other mode.
@@ -201,9 +195,10 @@ type Protocol struct {
 	joinLogged      map[int]bool
 	curIter         int
 
-	// stats and maxStale are guarded by mon.
+	// stats, maxStale and aborted (set by Abort) are guarded by mon.
 	stats    Stats
 	maxStale int
+	aborted  bool
 }
 
 // NewProtocol builds the state machine for worker id. cfg supplies the
@@ -232,18 +227,6 @@ func NewProtocol(cfg Config, id int, t model.Trainer, mon Monitor, rt Runtime, t
 	}
 	p.alloc, _ = rt.(ParamsAllocator)
 	p.computeFn = func() { p.grads, p.loss = p.trainer.ComputeGrad(p.rng) }
-	p.reduceNeed = func() int {
-		// Self included (§3.1); re-evaluated per pass because a peer
-		// death shrinks the in-set mid-wait. The floor keeps a worker
-		// whose every in-neighbor died training solo on its own update.
-		if p.group != nil {
-			return p.groupQuorum()
-		}
-		return max(len(p.in)+1-p.cfg.Backup, 1)
-	}
-	if cfg.FaultTolerance {
-		p.reduceHook = p.applyMissingDeaths
-	}
 	p.gnbrs = cfg.ProtocolPeers(id)
 	if cfg.Mode == ModePrague {
 		// The live neighbor views — which elastic membership filters —
@@ -279,16 +262,42 @@ func NewProtocol(cfg Config, id int, t model.Trainer, mon Monitor, rt Runtime, t
 func (p *Protocol) ID() int { return p.id }
 
 // Abort unblocks and unwinds this worker's Run: every blocked (or
-// future) wait on its queues panics with the abort sentinel, which Run
-// converts into ErrAborted. Safe from any goroutine, before, during or
-// after Run; used by live orchestration to tear down a cluster whose
-// peer has failed — without it, neighbors of a dead worker block
-// forever in Recv.
+// future) wait panics with the abort sentinel, which Run converts into
+// ErrAborted. Safe from any goroutine, before, during or after Run;
+// used by live orchestration to tear down a cluster whose peer has
+// failed — without it, neighbors of a dead worker block forever in
+// Recv. The simulator never aborts: its kernel kills processes at the
+// deadline instead.
 func (p *Protocol) Abort() {
-	p.queue.close()
-	p.acks.close()
-	for _, tq := range p.tokens {
-		tq.close()
+	p.mon.Lock()
+	defer p.mon.Unlock()
+	p.aborted = true
+	p.wakeAllLocked()
+}
+
+// errAborted unwinds a worker loop from the wait it is blocked in (or
+// about to block in) once Abort was called; Run recovers it.
+type errAborted struct{}
+
+// await is the one place a worker blocks: the Recv on its update queue,
+// the bounded-staleness drain, a token take, the NOTIFY-ACK wait, and
+// the baselines' receives all come here. With the monitor held it
+// loops until ready() holds: an aborted worker unwinds; otherwise the
+// pending deaths of the peers whose data the wait is missing are
+// applied (applyDeathsLocked) and the wait re-evaluated at once; with
+// none to apply it sleeps on c, the cond whose Broadcast announces this
+// wait's data. ready runs under the monitor and may consume what it
+// finds; missing is only called for peers with a pending death.
+func (p *Protocol) await(c Cond, ready func() bool, peers []int, missing func(int) bool) {
+	p.mon.Lock()
+	defer p.mon.Unlock()
+	for !ready() {
+		if p.aborted {
+			panic(errAborted{})
+		}
+		if !p.applyDeathsLocked(peers, missing) {
+			c.Wait()
+		}
 	}
 }
 
@@ -375,8 +384,12 @@ func (p *Protocol) run() error {
 		k = p.joinSync()
 	}
 	for cfg.MaxIter == 0 || k < cfg.MaxIter {
-		if p.queue.isClosed() {
-			panic(errAborted{})
+		// An abort lands here even when no wait blocks.
+		p.mon.Lock()
+		aborted := p.aborted
+		p.mon.Unlock()
+		if aborted {
+			return ErrAborted
 		}
 		if p.crashIter > 0 && k >= p.crashIter {
 			// The scheduled halt lands at the top of the iteration —
@@ -416,8 +429,11 @@ func (p *Protocol) run() error {
 		}
 		if cfg.MaxIG > 0 {
 			delta := next - k
-			for _, j := range p.outSnapshot() {
-				p.tokens[j].takeOr(delta, p.tokenBlockHook(j))
+			for _, j := range p.out {
+				// A pending death of j releases its queue, which ends the take.
+				tq := p.tokens[j]
+				p.await(tq.cond, func() bool { return tq.takeLocked(delta) },
+					p.out, func(d int) bool { return d == j })
 			}
 			for _, j := range p.in {
 				p.rt.GrantTokens(j, next, delta)
@@ -439,7 +455,7 @@ func (p *Protocol) run() error {
 // blocking Recv runs; gradients computed on x_k are applied after the
 // Reduce. NOTIFY-ACK adds its ACK edges around the exchange; Prague
 // (prague.go) names the step's group, which narrows the send, the
-// reduce's quorum and its death hook to the group's members.
+// reduce's quorum and its death rule to the group's members.
 func (p *Protocol) iterate(k int) {
 	t := p.trainer
 	x := t.Params()
@@ -458,7 +474,8 @@ func (p *Protocol) iterate(k int) {
 	if notifyAck {
 		// Send(k) is gated on the previous iteration's ACKs; a dead
 		// neighbor's pending edge is released rather than waited on.
-		p.acks.waitForOr(k-1, func() []int { return p.out }, p.ackBlockHook(k-1))
+		p.await(p.acks.cond, func() bool { return p.acks.doneLocked(k-1, p.out) },
+			p.out, func(d int) bool { return !p.acks.hasLocked(k-1, d) })
 	}
 
 	// Send x_k (self-loop delivered locally for free, §3.1).
@@ -527,12 +544,39 @@ func (p *Protocol) recvReduceInto(dst []float64, k int) {
 		p.recvReduceStaleInto(dst, k)
 		return
 	}
-	ups := p.queue.dequeueIterOr(k, p.reduceNeed, p.reduceBlockHook(k))
+	ups := p.recv(k, 1) // the worker's own update is queued too (§3.1)
 	if p.group != nil {
 		ups = p.groupUpdates(ups, k)
 	}
 	p.meanInto(dst, ups)
 	p.recycleUpdates(ups)
+}
+
+// recv is the Recv of iteration iter (Figs. 4 and 8): it blocks until
+// enough updates tagged iter are queued, then dequeues every one of
+// them (UpdateQueue.DequeueIterAtLeast). Enough is one per live
+// in-neighbor less the Backup slack, plus own (1 when the worker's own
+// update is queued) and never fewer than own, so a worker whose every
+// in-neighbor died trains solo; a Prague step needs its group quorum
+// instead. It is re-evaluated per pass because a peer death shrinks
+// the in-set mid-wait. An in-neighbor's pending death is applied only
+// while its tagged-iter update is absent — and under Prague only for a
+// member of the step's group: a non-member's death stays pending until
+// a shared step blocks on it.
+func (p *Protocol) recv(iter, own int) []Update {
+	var ups []Update
+	p.await(p.queue.cond, func() bool {
+		need := max(len(p.in)+own-p.cfg.Backup, own)
+		if p.group != nil {
+			need = p.groupQuorum()
+		}
+		var ok bool
+		ups, ok = p.queue.takeIterLocked(need, iter)
+		return ok
+	}, p.in, func(d int) bool {
+		return (p.group == nil || containsInt(p.group, d)) && !p.queue.hasIterFromLocked(d, iter)
+	})
+	return ups
 }
 
 // recvReduceStaleInto implements §4.4: keep the newest update per
@@ -566,12 +610,13 @@ func (p *Protocol) recvReduceStaleInto(dst []float64, k int) {
 
 // newestFrom drains sender j's queued updates, keeps the newest, and
 // blocks until the newest iteration ever received from j reaches
-// minIter (the Fig. 9 staleness gate). If j dies mid-wait the wait is
-// abandoned and whatever was drained is returned.
+// minIter (the Fig. 9 staleness gate). A pending death of j is applied
+// while the gate is shut, and a dead j ends the wait with whatever was
+// drained.
 func (p *Protocol) newestFrom(j, minIter int) Update {
 	newest := Update{Iter: -1}
-	consider := func(ups []Update) {
-		for _, u := range ups {
+	p.await(p.queue.cond, func() bool {
+		for _, u := range p.queue.drainFromLocked(j) {
 			if u.Iter > newest.Iter {
 				newest = u
 			}
@@ -579,21 +624,8 @@ func (p *Protocol) newestFrom(j, minIter int) Update {
 		if cur, ok := p.iterRecv[j]; !ok || newest.Iter > cur {
 			p.iterRecv[j] = newest.Iter
 		}
-	}
-	recv := func() int {
-		if cur, ok := p.iterRecv[j]; ok {
-			return cur
-		}
-		return -1
-	}
-	consider(p.queue.DrainFrom(j))
-	for recv() < minIter {
-		ups, ok := p.queue.waitFromOr(j, p.senderGoneHook(j))
-		if !ok {
-			break
-		}
-		consider(ups)
-	}
+		return p.iterRecv[j] >= minIter || p.deadIn[j]
+	}, p.in, func(d int) bool { return d == j })
 	return newest
 }
 
@@ -661,14 +693,7 @@ func (p *Protocol) renewParams(kr int) {
 		tensor.Copy(x, reduced)
 		return
 	}
-	need := func() int {
-		n := len(p.in) - p.cfg.Backup
-		if n < 0 {
-			n = 0
-		}
-		return n
-	}
-	ups := p.queue.dequeueIterOr(kr, need, p.reduceBlockHook(kr))
+	ups := p.recv(kr, 0)
 	vecs := make([][]float64, 0, len(ups)+1)
 	vecs = append(vecs, x)
 	for _, u := range ups {

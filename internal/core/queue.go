@@ -17,18 +17,14 @@ package core
 //   - AckTracker (§3.3): per-iteration ACK counting for the NOTIFY-ACK
 //     baseline.
 //
-// All blocking follows the monitor pattern against the cluster's
-// Monitor, so the same code runs deterministically in simulation and
-// concurrently in the live runtime.
+// The queues are passive state under the cluster's Monitor: a worker's
+// protocol blocks on them only through Protocol.await, whose ready
+// closures call the …Locked predicates below, so the same code runs
+// deterministically in simulation and concurrently in the live
+// runtime. DequeueIterAtLeast and Take are the standalone blocking
+// forms for callers without a protocol (tests, benchmarks).
 
 import "fmt"
-
-// errAborted unwinds a worker loop blocked on (or about to block on) a
-// closed queue; Protocol.Abort closes a worker's queues and the
-// runtime shell recovers the panic (live.Worker.Run). The simulator
-// never closes queues — its kernel kills processes at the deadline
-// instead.
-type errAborted struct{}
 
 // UpdateQueue is the update queue UpdateQ(i) of one worker.
 type UpdateQueue struct {
@@ -39,7 +35,7 @@ type UpdateQueue struct {
 	numSlots int
 	// spare holds the (zeroed, length-0) backing arrays of emptied
 	// slots; the next Enqueue into an empty slot draws from it. out is
-	// the result buffer dequeueIterOr fills.
+	// the result buffer takeIterLocked fills.
 	spare [][]Update
 	out   []Update
 
@@ -47,7 +43,6 @@ type UpdateQueue struct {
 	highWater int // maximum total occupancy ever observed
 	slotHigh  int // maximum single-slot occupancy ever observed
 	stale     int // stale entries discarded at dequeue
-	closed    bool
 }
 
 // maxQueueSlots caps the rotating-slot count. The Theorem 1 sizing
@@ -148,25 +143,23 @@ func (q *UpdateQueue) countIterLocked(iter int) int {
 // finish with it (reduce, recycle) before dequeuing again — which every
 // protocol mode does, one Recv+Reduce per iteration on one goroutine.
 func (q *UpdateQueue) DequeueIterAtLeast(need, iter int) []Update {
-	return q.dequeueIterOr(iter, func() int { return need }, nil)
-}
-
-// dequeueIterOr is DequeueIterAtLeast with membership hooks: need is
-// re-evaluated every pass (a peer death shrinks the requirement), and
-// onBlock — called with the monitor held just before the wait would
-// block — may change queue or membership state; returning true
-// re-evaluates immediately instead of waiting.
-func (q *UpdateQueue) dequeueIterOr(iter int, need func() int, onBlock func() bool) []Update {
 	q.mon.Lock()
 	defer q.mon.Unlock()
-	for q.countIterLocked(iter) < need() {
-		if q.closed {
-			panic(errAborted{})
-		}
-		if onBlock != nil && onBlock() {
-			continue
+	for {
+		if out, ok := q.takeIterLocked(need, iter); ok {
+			return out
 		}
 		q.cond.Wait()
+	}
+}
+
+// takeIterLocked is one non-blocking pass of DequeueIterAtLeast: with
+// at least need entries tagged iter queued it removes and returns all
+// of them, otherwise it reports false, having discarded the stale
+// entries it found. Caller holds the monitor.
+func (q *UpdateQueue) takeIterLocked(need, iter int) ([]Update, bool) {
+	if q.countIterLocked(iter) < need {
+		return nil, false
 	}
 	s := q.slotOf(iter)
 	clear(q.out) // the previous result is dead: unpin its vectors
@@ -182,12 +175,12 @@ func (q *UpdateQueue) dequeueIterOr(iter int, need func() int, onBlock func() bo
 	q.compactLocked(s, keep)
 	q.out = out
 	q.size -= len(out)
-	return out
+	return out, true
 }
 
 // DrainFrom removes and returns all queued entries from sender w_id,
-// in arrival order, without blocking (used by the bounded-staleness
-// Recv, which keeps only the newest).
+// in arrival order, without blocking (drainFromLocked is the
+// bounded-staleness Recv's pass, which keeps only the newest).
 func (q *UpdateQueue) DrainFrom(wid int) []Update {
 	q.mon.Lock()
 	defer q.mon.Unlock()
@@ -211,59 +204,22 @@ func (q *UpdateQueue) drainFromLocked(wid int) []Update {
 	return out
 }
 
-// WaitFrom blocks until at least one entry from sender w_id is
-// present, then drains and returns all of them.
-func (q *UpdateQueue) WaitFrom(wid int) []Update {
-	out, _ := q.waitFromOr(wid, nil)
-	return out
-}
-
-// waitFromOr is WaitFrom with a give-up hook, called with the monitor
-// held before each wait; returning true abandons the wait (nil, false)
-// — the sender is gone and no more data is coming.
-func (q *UpdateQueue) waitFromOr(wid int, giveUp func() bool) ([]Update, bool) {
-	q.mon.Lock()
-	defer q.mon.Unlock()
-	for {
-		if out := q.drainFromLocked(wid); len(out) > 0 {
-			return out, true
-		}
-		if q.closed {
-			panic(errAborted{})
-		}
-		if giveUp != nil && giveUp() {
-			return nil, false
-		}
-		q.cond.Wait()
-	}
-}
-
-// takeFirst removes and returns the oldest queued entry match accepts;
-// with wait set it blocks until there is one, otherwise it reports
-// false at once. Entries are matched by content, never by iteration,
-// and nothing is discarded as stale: this is AD-PSGD's inbox
-// (baselines.go), whose single slot keeps arrival order.
-func (q *UpdateQueue) takeFirst(match func(Update) bool, wait bool) (Update, bool) {
-	q.mon.Lock()
-	defer q.mon.Unlock()
-	for {
-		for s, slot := range q.slots {
-			for i, u := range slot {
-				if match(u) {
-					q.compactLocked(s, append(slot[:i], slot[i+1:]...))
-					q.size--
-					return u, true
-				}
+// takeFirstLocked removes and returns the oldest queued entry match
+// accepts, or reports false. Entries are matched by content, never by
+// iteration, and nothing is discarded as stale: this is AD-PSGD's
+// inbox (baselines.go), whose single slot keeps arrival order. Caller
+// holds the monitor.
+func (q *UpdateQueue) takeFirstLocked(match func(Update) bool) (Update, bool) {
+	for s, slot := range q.slots {
+		for i, u := range slot {
+			if match(u) {
+				q.compactLocked(s, append(slot[:i], slot[i+1:]...))
+				q.size--
+				return u, true
 			}
 		}
-		if !wait {
-			return Update{}, false
-		}
-		if q.closed {
-			panic(errAborted{})
-		}
-		q.cond.Wait()
 	}
+	return Update{}, false
 }
 
 // hasIterFromLocked reports whether an entry tagged exactly iter from
@@ -276,23 +232,6 @@ func (q *UpdateQueue) hasIterFromLocked(wid, iter int) bool {
 		}
 	}
 	return false
-}
-
-// close marks the queue aborted: blocked and future waiters unwind
-// with errAborted. Enqueue remains harmless.
-func (q *UpdateQueue) close() {
-	q.mon.Lock()
-	defer q.mon.Unlock()
-	q.closed = true
-	q.cond.Broadcast()
-}
-
-// isClosed reports whether close was called (the worker loop checks it
-// between iterations so an abort lands even when nothing blocks).
-func (q *UpdateQueue) isClosed() bool {
-	q.mon.Lock()
-	defer q.mon.Unlock()
-	return q.closed
 }
 
 // Size returns the total number of queued entries (the q.size() of
@@ -350,7 +289,6 @@ type TokenQueue struct {
 	tokens    int
 	highWater int
 	released  bool // owner left the graph: takes pass freely
-	closed    bool
 }
 
 // NewTokenQueue creates a token queue holding initial tokens.
@@ -377,28 +315,25 @@ func (t *TokenQueue) Put(n int) {
 // in-neighbor does this to advance). A released queue — its owner left
 // the graph — admits any take without blocking or counting.
 func (t *TokenQueue) Take(n int) {
-	t.takeOr(n, nil)
-}
-
-// takeOr is Take with an onBlock hook, called with the monitor held
-// just before the wait would block; returning true re-evaluates
-// immediately (the hook may have released this queue).
-func (t *TokenQueue) takeOr(n int, onBlock func() bool) {
 	t.mon.Lock()
 	defer t.mon.Unlock()
-	for !t.released && t.tokens < n {
-		if t.closed {
-			panic(errAborted{})
-		}
-		if onBlock != nil && onBlock() {
-			continue
-		}
+	for !t.takeLocked(n) {
 		t.cond.Wait()
 	}
+}
+
+// takeLocked is one non-blocking pass of Take: it removes n tokens if
+// they are there and reports whether the take is done. Caller holds
+// the monitor.
+func (t *TokenQueue) takeLocked(n int) bool {
 	if t.released {
-		return
+		return true
+	}
+	if t.tokens < n {
+		return false
 	}
 	t.tokens -= n
+	return true
 }
 
 // releaseLocked marks the owner dead: current and future takes return
@@ -415,14 +350,6 @@ func (t *TokenQueue) releaseLocked() {
 func (t *TokenQueue) resetLocked(initial int) {
 	t.released = false
 	t.tokens = initial
-	t.cond.Broadcast()
-}
-
-// close marks the queue aborted (see UpdateQueue.close).
-func (t *TokenQueue) close() {
-	t.mon.Lock()
-	defer t.mon.Unlock()
-	t.closed = true
 	t.cond.Broadcast()
 }
 
@@ -453,8 +380,7 @@ type AckTracker struct {
 	mon  Monitor
 	cond Cond
 
-	acks   map[int]map[int]bool // iter → set of acked senders
-	closed bool
+	acks map[int]map[int]bool // iter → set of acked senders
 }
 
 // NewAckTracker creates an empty tracker.
@@ -475,55 +401,25 @@ func (a *AckTracker) Deliver(from, iter int) {
 	a.cond.Broadcast()
 }
 
-// WaitFor blocks until every worker in want has acked iteration iter,
-// then forgets the iteration. Iterations below zero return immediately
-// (there is nothing to acknowledge before the first Send).
-func (a *AckTracker) WaitFor(iter int, want []int) {
-	a.waitForOr(iter, func() []int { return want }, nil)
-}
-
-// waitForOr is WaitFor with membership hooks: want is re-evaluated
-// every pass (a peer death releases its pending edge), and onBlock —
-// called with the monitor held before the wait would block — may
-// change membership; returning true re-evaluates immediately.
-func (a *AckTracker) waitForOr(iter int, want func() []int, onBlock func() bool) {
+// doneLocked reports whether every worker in want has acked iteration
+// iter, and then forgets the iteration. Iterations below zero are done:
+// there is nothing to acknowledge before the first Send. Caller holds
+// the monitor.
+func (a *AckTracker) doneLocked(iter int, want []int) bool {
 	if iter < 0 {
-		return
+		return true
 	}
-	a.mon.Lock()
-	defer a.mon.Unlock()
-	for {
-		missing := false
-		for _, j := range want() {
-			if !a.acks[iter][j] {
-				missing = true
-				break
-			}
+	for _, j := range want {
+		if !a.acks[iter][j] {
+			return false
 		}
-		if !missing {
-			delete(a.acks, iter)
-			return
-		}
-		if a.closed {
-			panic(errAborted{})
-		}
-		if onBlock != nil && onBlock() {
-			continue
-		}
-		a.cond.Wait()
 	}
+	delete(a.acks, iter)
+	return true
 }
 
 // hasLocked reports whether sender from has acked iteration iter.
 // Caller holds the monitor.
 func (a *AckTracker) hasLocked(iter, from int) bool {
 	return a.acks[iter][from]
-}
-
-// close marks the tracker aborted (see UpdateQueue.close).
-func (a *AckTracker) close() {
-	a.mon.Lock()
-	defer a.mon.Unlock()
-	a.closed = true
-	a.cond.Broadcast()
 }

@@ -89,6 +89,9 @@ func TestUpdateQueueBlocksUntilEnough(t *testing.T) {
 	}
 }
 
+// TestDrainFromAndWaitFrom: DrainFrom takes exactly one sender's
+// entries. The blocking wait for a sender is the staleness row of
+// TestEveryWaitHonoursAbortAndDeath.
 func TestDrainFromAndWaitFrom(t *testing.T) {
 	q := NewUpdateQueue(NewSyncMonitor(), 4)
 	q.Enqueue(upd(0, 7, 1))
@@ -100,22 +103,6 @@ func TestDrainFromAndWaitFrom(t *testing.T) {
 	}
 	if got := q.DrainFrom(7); len(got) != 0 {
 		t.Fatalf("second DrainFrom(7) = %d entries, want 0", len(got))
-	}
-	done := make(chan []Update, 1)
-	go func() { done <- q.WaitFrom(9) }()
-	select {
-	case <-done:
-		t.Fatal("WaitFrom returned without data")
-	case <-time.After(20 * time.Millisecond):
-	}
-	q.Enqueue(upd(2, 9, 4))
-	select {
-	case got := <-done:
-		if len(got) != 1 || got[0].From != 9 {
-			t.Errorf("WaitFrom got %+v", got)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("WaitFrom did not wake")
 	}
 	// The sender-8 entry must be untouched.
 	if q.Size() != 1 {
@@ -166,27 +153,30 @@ func TestTokenQueueTakeBlocks(t *testing.T) {
 }
 
 func TestAckTracker(t *testing.T) {
-	a := NewAckTracker(NewSyncMonitor())
-	a.WaitFor(-1, []int{1, 2, 3}) // nothing to wait for before iteration 0
+	mon := NewSyncMonitor()
+	a := NewAckTracker(mon)
+	done := func(iter int, want []int) bool {
+		mon.Lock()
+		defer mon.Unlock()
+		return a.doneLocked(iter, want)
+	}
+	if !done(-1, []int{1, 2, 3}) {
+		t.Error("iteration -1 not done: there is nothing to acknowledge before iteration 0")
+	}
 	a.Deliver(1, 0)
-	done := make(chan struct{})
-	go func() { a.WaitFor(0, []int{1, 2}); close(done) }()
-	select {
-	case <-done:
-		t.Fatal("WaitFor returned with 1 of 2 acks")
-	case <-time.After(20 * time.Millisecond):
+	if done(0, []int{1, 2}) {
+		t.Fatal("done with 1 of 2 acks")
 	}
 	a.Deliver(1, 0) // duplicate from the same sender must not satisfy it
-	select {
-	case <-done:
-		t.Fatal("WaitFor satisfied by duplicate ack")
-	case <-time.After(20 * time.Millisecond):
+	if done(0, []int{1, 2}) {
+		t.Fatal("done on a duplicate ack")
 	}
 	a.Deliver(2, 0)
-	select {
-	case <-done:
-	case <-time.After(time.Second):
-		t.Fatal("WaitFor did not wake")
+	if !done(0, []int{1, 2}) {
+		t.Fatal("not done with both acks")
+	}
+	if done(0, []int{1}) {
+		t.Error("a done iteration is not forgotten")
 	}
 }
 

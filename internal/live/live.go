@@ -707,5 +707,5 @@ func (w *Worker) TokenIn(j int) *core.TokenQueue { return w.proto.TokenIn(j) }
 func (w *Worker) MaxObservedStaleness() int { return w.proto.MaxObservedStaleness() }
 
 // WireStats snapshots the transport's byte/frame counters (see
-// transport.Stats); transport.Stats.Add sums them over a cluster.
+// transport.Stats); counters.Add sums them over a cluster.
 func (w *Worker) WireStats() transport.Stats { return w.node.Stats() }

@@ -17,6 +17,7 @@ import (
 	"hop/internal/compress"
 	"hop/internal/core"
 	"hop/internal/graph"
+	"hop/internal/leaktest"
 	"hop/internal/model"
 )
 
@@ -165,8 +166,10 @@ func TestLiveStaleWeightingSkipCompressionMatrix(t *testing.T) {
 // transport fails), its neighbors block in Recv with nothing to wake
 // them; Abort must unwind their loops with core.ErrAborted instead of
 // leaving them hung — the mechanism RunCluster uses so a single
-// worker failure surfaces as an error, not a deadlock.
+// worker failure surfaces as an error, not a deadlock. Every goroutine
+// the cluster started is gone once the workers are closed.
 func TestLiveAbortUnblocksWorkers(t *testing.T) {
+	defer leaktest.Check(t, 0)()
 	g := graph.Ring(3)
 	n := g.N()
 	workers := make([]*Worker, n)
@@ -225,8 +228,9 @@ func TestLiveAbortUnblocksWorkers(t *testing.T) {
 }
 
 // TestLiveAbortBeforeRun: aborting an idle worker makes a later Run
-// return immediately.
+// return immediately, and leaves no goroutine behind once closed.
 func TestLiveAbortBeforeRun(t *testing.T) {
+	defer leaktest.Check(t, 0)()
 	g := graph.Ring(3)
 	w, err := NewWorker(WorkerConfig{
 		Config: core.Config{

@@ -17,7 +17,7 @@
 #      of internal/scenario's unknown-mode error) is named in README.md
 #      as `mode`, so a new mode cannot land undocumented;
 #   5. every camelCase or PascalCase identifier with an inner capital
-#      (`applyMissingDeaths`, `CloseSends`) inside a backticked span on a
+#      (`applyDeathsLocked`, `CloseSends`) inside a backticked span on a
 #      DESIGN.md line occurs in a tracked *.go file, so deleting or
 #      renaming a function, exported or not, cannot leave the design
 #      prose naming it. Markdown table rows are exempt: they record

@@ -8,8 +8,9 @@
 # packages instrumented (-coverpkg), and per-package totals are
 # computed from the merged profile. Baselines sit a few points below
 # the measured values (core 88.6%, scenario 90.5% when the gate was
-# introduced) so routine churn passes while a real regression — e.g.
-# a new subsystem landing untested — fails.
+# introduced; core 93.6% when every protocol wait became one loop, its
+# floor two points under) so routine churn passes while a real
+# regression — e.g. a new subsystem landing untested — fails.
 #
 # Usage: scripts/coverage_gate.sh
 set -euo pipefail
@@ -17,7 +18,7 @@ cd "$(dirname "$0")/.."
 
 # package path prefix (as it appears in the profile) → minimum %.
 GATES=(
-    "hop/internal/core/:85.0"
+    "hop/internal/core/:91.6"
     "hop/internal/scenario/:87.0"
     "hop/internal/graph/:85.0"
     "hop/internal/netsim/:80.0"
