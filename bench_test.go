@@ -325,8 +325,12 @@ func BenchmarkGemmConv1GradWT(b *testing.B) { benchGemm(b, "ab", 27, 64, 8) }
 // Conv2 weight gradient, transposed: im2col(72×16) · dOutᵀ(16×16).
 func BenchmarkGemmConv2GradWT(b *testing.B) { benchGemm(b, "ab", 72, 16, 16) }
 
-// Paper-scale panel: a 128×1152×256 product (VGG-sized im2col block),
-// large enough for the worker pool to engage.
+// Conv2 input gradient: Wᵀ(72×16) · dOut(16×16), per sample.
+func BenchmarkGemmConv2GradX(b *testing.B) { benchGemm(b, "atb", 72, 16, 16) }
+
+// Paper-scale panel: a 128×1152×256 product (VGG-sized im2col block)
+// that no model issues, large enough to exercise the k and n cache
+// blocking.
 func BenchmarkGemmLarge(b *testing.B) { benchGemm(b, "ab", 128, 1152, 256) }
 
 // --- Wire codec & compression benchmarks -----------------------------

@@ -106,19 +106,12 @@ func (c *Conv2D) skipInputGrad() { c.noDx = true }
 
 // im2col extracts the K×K patch around every pixel of sample x
 // (in.C×H×W) into cols, a (inC*K*K) × (H*W) row-major matrix: one copy
-// of x in front of the zero sentinel, then one gather by the plan. It is
-// kept out of line: inlined into Forward's sample loop the gather's
-// index lives on the stack, and the step's im2col takes twice as long.
-//
-//go:noinline
+// of x in front of the zero sentinel, then one gather by the plan.
 func (c *Conv2D) im2col(x, cols []float64) {
 	xp := c.xpad[:len(x)+1]
 	copy(xp, x)
 	xp[len(x)] = 0
-	cols = cols[:len(c.plan)]
-	for i, src := range c.plan {
-		cols[i] = xp[src]
-	}
+	tensor.Gather(cols[:len(c.plan)], xp, c.plan)
 }
 
 // col2im scatter-adds the column gradient back into dx by the plan, in

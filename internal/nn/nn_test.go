@@ -329,7 +329,9 @@ func bitsEqual(t *testing.T, name string, got, want []float64) {
 }
 
 // convShapes are the CNN's two conv inputs, a non-square image, a 1×1
-// and a 5×5 kernel on each kind, and kernels reaching past a tiny image.
+// and a 5×5 kernel on each kind, kernels reaching past a tiny image,
+// and 1×1 kernels whose plans (10, 11, 13, 14, 15 cells) leave the
+// tails 2, 3, 5, 6 and 7 after the gather's blocks of eight.
 var convShapes = []struct {
 	in Shape
 	k  int
@@ -338,6 +340,7 @@ var convShapes = []struct {
 	{Shape{3, 8, 8}, 1}, {Shape{8, 4, 4}, 1}, {Shape{2, 6, 10}, 1},
 	{Shape{3, 8, 8}, 5}, {Shape{8, 4, 4}, 5}, {Shape{2, 6, 10}, 5},
 	{Shape{1, 2, 2}, 5}, {Shape{2, 2, 4}, 7}, {Shape{1, 1, 1}, 3},
+	{Shape{1, 2, 5}, 1}, {Shape{1, 1, 11}, 1}, {Shape{1, 1, 13}, 1}, {Shape{1, 2, 7}, 1}, {Shape{1, 3, 5}, 1},
 }
 
 func TestIm2colCol2imMatchReference(t *testing.T) {

@@ -9,13 +9,22 @@ package tensor
 // correct on any amd64 machine.
 var haveAVX = cpuHasAVX()
 
-// cpuHasAVX is implemented in axpy_amd64.s.
-func cpuHasAVX() bool
+// haveAVX512 reports whether the CPU also executes AVX-512F and the OS
+// preserves ZMM and opmask state (CPUID.(7,0):EBX bit 16, then XCR0
+// bits 1, 2, 5, 6, 7). It implies haveAVX. The GEMM tile kernels read
+// it to lead their column walk with 16-column blocks, and Gather to
+// use VGATHERDPD.
+var haveAVX512 = haveAVX && cpuHasAVX512()
 
-// gemmTile4AVX is tile4's AVX form. A 4×8 block of the tile stays in
-// eight YMM registers across the whole p loop; each step broadcasts the
-// four a values, loads eight b values and issues a separate multiply
-// and add per register (no FMA: each lane performs exactly the scalar
+// cpuHasAVX and cpuHasAVX512 are implemented in axpy_amd64.s.
+func cpuHasAVX() bool
+func cpuHasAVX512() bool
+
+// gemmTile4AVX is tile4's AVX form. A 4×16 block of the tile (with
+// AVX-512F, in eight ZMM registers) or a 4×8 block (eight YMM) stays in
+// registers across the whole p loop; each step broadcasts the four a
+// values, loads a row of b values and issues a separate multiply and add
+// per register (no FMA: each lane performs exactly the scalar
 // round-to-nearest multiply then add, so results are bit-identical).
 // Columns left over run as one 4×4 block and then single columns, the
 // same way.
@@ -24,10 +33,19 @@ func cpuHasAVX() bool
 func gemmTile4AVX(c *float64, ldc int, a *float64, ars, aps int, b *float64, ldb, k, n int)
 
 // gemmRow1AVX is row1's AVX form: tile4's kernel for one row, the
-// row's cells eight at a time in two YMM registers across the p loop.
+// row's cells sixteen (two ZMM) or eight (two YMM) at a time across the
+// p loop.
 //
 //go:noescape
 func gemmRow1AVX(c *float64, a *float64, aps int, b *float64, ldb, k, n int)
+
+// gatherAVX512 is Gather's AVX-512F kernel over the first n cells, n a
+// positive multiple of 8 and srcLen at least 1: it stops in front of
+// the first block of eight holding an index outside src and returns the
+// cells it gathered.
+//
+//go:noescape
+func gatherAVX512(dst, src *float64, srcLen int, idx *int32, n int) int
 
 // axpy1AVX performs c[j] += a·b[j] for j = 0…n−1, n >= 1, with the
 // same separate multiply and add: Add's kernel.

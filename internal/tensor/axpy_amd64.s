@@ -32,12 +32,42 @@ noavx:
 	MOVB $0, ret+0(FP)
 	RET
 
+// func cpuHasAVX512() bool
+//
+// Called only once cpuHasAVX holds, so OSXSAVE is known and XGETBV is
+// safe to execute.
+TEXT ·cpuHasAVX512(SB), NOSPLIT, $0-1
+	XORL AX, AX
+	XORL CX, CX
+	CPUID
+	CMPL AX, $7
+	JLT  no512
+	// AVX512F is CPUID.(7,0):EBX bit 16.
+	MOVL $7, AX
+	XORL CX, CX
+	CPUID
+	BTL  $16, BX
+	JCC  no512
+	// XCR0 must enable XMM, YMM, opmask, ZMM_Hi256 and Hi16_ZMM state
+	// (bits 1, 2, 5, 6, 7).
+	XORL CX, CX
+	XGETBV
+	ANDL $0xE6, AX
+	CMPL AX, $0xE6
+	JNE  no512
+	MOVB $1, ret+0(FP)
+	RET
+no512:
+	MOVB $0, ret+0(FP)
+	RET
+
 // func gemmTile4AVX(c *float64, ldc int, a *float64, ars, aps int, b *float64, ldb, k, n int)
 //
 // C[r, j] += Σ_p a[r·ars + p·aps] · b[p·ldb + j] for r = 0…3, j = 0…n−1,
-// p = 0…k−1 ascending; k, n >= 1, strides in elements. Columns go in
-// tiles of 8 (Y0–Y7 hold the 4×8 cells across the whole p loop), then
-// one tile of 4, then single columns.
+// p = 0…k−1 ascending; k, n >= 1, strides in elements. With AVX-512F
+// columns first go in tiles of 16 (Z0–Z7 hold the 4×16 cells across the
+// whole p loop); then tiles of 8 (Y0–Y7 hold 4×8), one tile of 4, and
+// single columns.
 TEXT ·gemmTile4AVX(SB), NOSPLIT, $0-72
 	MOVQ c+0(FP), DI
 	MOVQ ldc+8(FP), R8
@@ -51,6 +81,68 @@ TEXT ·gemmTile4AVX(SB), NOSPLIT, $0-72
 	SHLQ $3, R9
 	SHLQ $3, R10
 	SHLQ $3, R11
+	CMPB ·haveAVX512(SB), $0
+	JEQ  tile8
+
+tile16:
+	CMPQ BX, $16
+	JLT  tile8
+	LEAQ (DI)(R8*2), AX
+	VMOVUPD (DI), Z0
+	VMOVUPD 64(DI), Z1
+	VMOVUPD (DI)(R8*1), Z2
+	VMOVUPD 64(DI)(R8*1), Z3
+	VMOVUPD (AX), Z4
+	VMOVUPD 64(AX), Z5
+	VMOVUPD (AX)(R8*1), Z6
+	VMOVUPD 64(AX)(R8*1), Z7
+	MOVQ SI, AX           // a rows 0, 1
+	LEAQ (SI)(R9*2), R13  // a rows 2, 3
+	MOVQ DX, R12          // b row p
+	MOVQ k+56(FP), CX
+
+loop16:
+	VMOVUPD (R12), Z8
+	VMOVUPD 64(R12), Z9
+	VBROADCASTSD (AX), Z10
+	VMULPD Z8, Z10, Z11
+	VADDPD Z11, Z0, Z0
+	VMULPD Z9, Z10, Z12
+	VADDPD Z12, Z1, Z1
+	VBROADCASTSD (AX)(R9*1), Z13
+	VMULPD Z8, Z13, Z14
+	VADDPD Z14, Z2, Z2
+	VMULPD Z9, Z13, Z15
+	VADDPD Z15, Z3, Z3
+	VBROADCASTSD (R13), Z10
+	VMULPD Z8, Z10, Z11
+	VADDPD Z11, Z4, Z4
+	VMULPD Z9, Z10, Z12
+	VADDPD Z12, Z5, Z5
+	VBROADCASTSD (R13)(R9*1), Z13
+	VMULPD Z8, Z13, Z14
+	VADDPD Z14, Z6, Z6
+	VMULPD Z9, Z13, Z15
+	VADDPD Z15, Z7, Z7
+	ADDQ R10, AX
+	ADDQ R10, R13
+	ADDQ R11, R12
+	DECQ CX
+	JNZ  loop16
+
+	LEAQ (DI)(R8*2), AX
+	VMOVUPD Z0, (DI)
+	VMOVUPD Z1, 64(DI)
+	VMOVUPD Z2, (DI)(R8*1)
+	VMOVUPD Z3, 64(DI)(R8*1)
+	VMOVUPD Z4, (AX)
+	VMOVUPD Z5, 64(AX)
+	VMOVUPD Z6, (AX)(R8*1)
+	VMOVUPD Z7, 64(AX)(R8*1)
+	ADDQ $128, DI
+	ADDQ $128, DX
+	SUBQ $16, BX
+	JMP  tile16
 
 tile8:
 	CMPQ BX, $8
@@ -201,8 +293,9 @@ done:
 //
 // C[j] += Σ_p a[p·aps] · b[p·ldb + j] for j = 0…n−1, p = 0…k−1
 // ascending; k, n >= 1, strides in elements. gemmTile4AVX's column
-// walk for one row: tiles of 8 (Y0, Y1 hold the cells across the whole
-// p loop), then one tile of 4, then single columns.
+// walk for one row: with AVX-512F tiles of 16 (Z0, Z1 hold the cells
+// across the whole p loop), then tiles of 8 (Y0, Y1), one tile of 4,
+// and single columns.
 TEXT ·gemmRow1AVX(SB), NOSPLIT, $0-56
 	MOVQ c+0(FP), DI
 	MOVQ a+8(FP), SI
@@ -212,6 +305,35 @@ TEXT ·gemmRow1AVX(SB), NOSPLIT, $0-56
 	MOVQ n+48(FP), BX
 	SHLQ $3, R10
 	SHLQ $3, R11
+	CMPB ·haveAVX512(SB), $0
+	JEQ  tile8
+
+tile16:
+	CMPQ BX, $16
+	JLT  tile8
+	VMOVUPD (DI), Z0
+	VMOVUPD 64(DI), Z1
+	MOVQ SI, AX
+	MOVQ DX, R12
+	MOVQ k+40(FP), CX
+
+loop16:
+	VBROADCASTSD (AX), Z10
+	VMULPD (R12), Z10, Z8
+	VADDPD Z8, Z0, Z0
+	VMULPD 64(R12), Z10, Z9
+	VADDPD Z9, Z1, Z1
+	ADDQ R10, AX
+	ADDQ R11, R12
+	DECQ CX
+	JNZ  loop16
+
+	VMOVUPD Z0, (DI)
+	VMOVUPD Z1, 64(DI)
+	ADDQ $128, DI
+	ADDQ $128, DX
+	SUBQ $16, BX
+	JMP  tile16
 
 tile8:
 	CMPQ BX, $8
@@ -558,5 +680,43 @@ loop:
 	ADDQ $4, AX
 	CMPQ AX, CX
 	JLT  loop
+	VZEROUPPER
+	RET
+
+// func gatherAVX512(dst, src *float64, srcLen int, idx *int32, n int) int
+//
+// dst[i] = src[idx[i]] for i = 0…n−1, eight cells per VGATHERDPD; n a
+// positive multiple of 8, srcLen >= 1. Before each gather the block's
+// eight indices are compared unsigned against the bound min(srcLen,
+// 2³¹): an int32 index is below 2³¹, so every negative one is out of
+// range too. The walk stops in front of the first block holding one
+// and returns how many cells it gathered.
+TEXT ·gatherAVX512(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ srcLen+16(FP), R8
+	MOVQ idx+24(FP), DX
+	MOVQ n+32(FP), CX
+	MOVL $0x80000000, R9
+	CMPQ R8, R9
+	CMOVQHI R9, R8
+	VPBROADCASTD R8, Z15
+	XORQ AX, AX
+
+loop:
+	VMOVDQU  (DX)(AX*4), Y1 // VEX: Z1's upper eight lanes read 0, in range
+	VPCMPUD  $5, Z15, Z1, K2 // K2: the lanes with idx >= bound
+	KORTESTW K2, K2
+	JNZ      done
+	KXNORW   K1, K1, K1
+	VXORPD   Y0, Y0, Y0 // no wait on the last block's Z0
+	VGATHERDPD (SI)(Y1*8), K1, Z0
+	VMOVUPD  Z0, (DI)(AX*8)
+	ADDQ $8, AX
+	CMPQ AX, CX
+	JLT  loop
+
+done:
+	MOVQ AX, ret+40(FP)
 	VZEROUPPER
 	RET

@@ -4,7 +4,14 @@ package tensor
 
 // Non-amd64 builds have no hand-vectorized kernels; the portable Go
 // loops in axpy.go and relu.go serve every call.
-const haveAVX = false
+const (
+	haveAVX    = false
+	haveAVX512 = false
+)
+
+func gatherAVX512(dst, src *float64, srcLen int, idx *int32, n int) int {
+	panic("tensor: gatherAVX512 on non-amd64")
+}
 
 func gemmTile4AVX(c *float64, ldc int, a *float64, ars, aps int, b *float64, ldb, k, n int) {
 	panic("tensor: gemmTile4AVX on non-amd64")

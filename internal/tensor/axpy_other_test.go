@@ -2,5 +2,7 @@
 
 package tensor
 
-// withoutAVX runs fn: the portable loops are the only kernels here.
-func withoutAVX(fn func()) { fn() }
+// withoutAVX and withoutAVX512 run fn: the portable loops are the only
+// kernels here.
+func withoutAVX(fn func())    { fn() }
+func withoutAVX512(fn func()) { fn() }

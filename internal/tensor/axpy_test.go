@@ -96,7 +96,10 @@ func testTile4MatchesScalar(t *testing.T) {
 		{9, 12, 12, 12, 9, 1}, // 8 + 4 columns
 		{9, 15, 17, 19, 1, 4}, // 8 + 4 + 3 single columns
 		{3, 3, 5, 4, 6, 2},    // single columns only, A strided both ways
+		{5, 16, 16, 16, 5, 1}, // one full 4×16 block
+		{7, 31, 37, 35, 1, 9}, // 16 + 8 + 4 + 3 inside wider C and B, A transposed
 		{130, 37, 40, 41, 131, 1},
+		{4, 48, 53, 49, 1, 4}, // three 16-column blocks
 	} {
 		c := make([]float64, 3*s.ldc+s.n)
 		a := make([]float64, 3*s.ars+(s.k-1)*s.aps+1)

@@ -107,24 +107,39 @@ func exactEq(t *testing.T, name string, got, want []float64, m, n int) {
 	}
 }
 
-// eachKernel runs body against the kernels this machine selects and
-// again with the vector kernels switched off, so the portable loops —
-// the only path off amd64 — are held to the same tables on the one
-// platform CI has.
+// eachKernel runs body against the kernels this machine selects, again
+// with the AVX-512 paths switched off (the AVX2 column walk, 8 → 4 → 1),
+// and again with every vector kernel off, so the walks the other
+// machines take — the portable loops are the only path off amd64 — are
+// held to the same tables on whichever host runs the tests.
 func eachKernel(t *testing.T, body func(t *testing.T)) {
 	t.Run("native", body)
+	t.Run("avx2", func(t *testing.T) { withoutAVX512(func() { body(t) }) })
 	t.Run("portable", func(t *testing.T) { withoutAVX(func() { body(t) }) })
+}
+
+// TestKernelsSelected logs which kernels this host runs (go test -v):
+// a green run pins the native walk only for the host it ran on.
+func TestKernelsSelected(t *testing.T) {
+	t.Logf("haveAVX=%v haveAVX512=%v", haveAVX, haveAVX512)
+	if haveAVX512 && !haveAVX {
+		t.Fatal("haveAVX512 without haveAVX")
+	}
 }
 
 // tileEdgeShapes is every way a product can meet the tile kernel's
 // edges: each m mod 4 with and without a full quad beside it, each
-// n mod 8 likewise, k on both sides of a k-block and across several,
-// and n on both sides of an n-block. MatMulATB runs the same shapes
-// with A's strides swapped.
+// n mod 8 likewise, n through the 16-column block and the 8 and 4 after
+// it, k on both sides of a k-block and across several, and n on both
+// sides of an n-block. MatMulATB runs the same shapes with A's strides
+// swapped.
 func tileEdgeShapes() [][3]int {
 	var shapes [][3]int
 	for m := 1; m <= 8; m++ {
 		for n := 1; n <= 16; n++ {
+			shapes = append(shapes, [3]int{m, 3, n})
+		}
+		for _, n := range []int{17, 23, 24, 31, 33, 47, 48} {
 			shapes = append(shapes, [3]int{m, 3, n})
 		}
 	}

@@ -30,6 +30,26 @@ func Copy(dst, src []float64) {
 	copy(dst, src)
 }
 
+// Gather sets dst[i] = src[idx[i]] for every i; dst and idx must have the
+// same length. An index outside src panics as the expression src[idx[i]]
+// does, after the cells in front of it are written. With AVX-512F the
+// cells go eight per VGATHERDPD, each block's indices range-checked
+// first; the blocks stop in front of a bad index and the rest, like
+// every cell elsewhere, take the Go loop.
+func Gather(dst, src []float64, idx []int32) {
+	if len(dst) != len(idx) {
+		panic(fmt.Sprintf("tensor: Gather length mismatch dst=%d idx=%d", len(dst), len(idx)))
+	}
+	if haveAVX512 && len(idx) >= 8 && len(src) > 0 {
+		i := gatherAVX512(&dst[0], &src[0], len(src), &idx[0], len(idx)&^7)
+		dst, idx = dst[i:], idx[i:]
+	}
+	dst = dst[:len(idx)]
+	for i, k := range idx {
+		dst[i] = src[k]
+	}
+}
+
 // AXPY computes dst += alpha * x.
 func AXPY(dst []float64, alpha float64, x []float64) {
 	if len(dst) != len(x) {

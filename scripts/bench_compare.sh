@@ -75,14 +75,20 @@ thresh = float(sys.argv[1]) / 100.0
 
 def load(path):
     with open(path) as f:
-        return {r["bench"]: r for r in json.load(f)["results"]}
+        doc = json.load(f)
+    return doc.get("kernels"), {r["bench"]: r for r in doc["results"]}
 
 def pct(old, new):
     return 100.0 * (new - old) / old
 
 regressions = []
 for base_path, fresh_path in zip(sys.argv[2::2], sys.argv[3::2]):
-    base, fresh = load(base_path), load(fresh_path)
+    (base_k, base), (fresh_k, fresh) = load(base_path), load(fresh_path)
+    if base_k != fresh_k:
+        # A baseline recorded with other vector kernels (or before the
+        # header named them) times other code paths.
+        print(f"::warning::{fresh_path}: kernels {fresh_k or 'unrecorded'}, "
+              f"baseline {base_k or 'unrecorded'}: compare with care")
     for name, b in sorted(base.items()):
         f = fresh.get(name)
         if f is None:

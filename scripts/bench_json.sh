@@ -1,13 +1,32 @@
 # bench_json.sh — shared bench_to_json helper, sourced by bench.sh and
 # bench_scale.sh. Not executable on its own.
 #
+# host_kernels — which vector kernels internal/tensor selects on this
+# host: "avx512" (AVX-512F), "avx" or "portable", read from the CPU
+# flags the kernel reports in /proc/cpuinfo (Linux lists only the
+# features whose register state the OS enables, as the CPUID + XGETBV
+# check at init requires).
+host_kernels() {
+    local flags
+    if [ "$(go env GOARCH)" != amd64 ] || ! flags=$(grep -m1 '^flags' /proc/cpuinfo 2>/dev/null); then
+        echo portable
+        return
+    fi
+    case " ${flags#*:} " in
+        *" avx512f "*) echo avx512 ;;
+        *" avx "*) echo avx ;;
+        *) echo portable ;;
+    esac
+}
+
 # bench_to_json RAWFILE OUTFILE — fold `go test -bench` output into the
 # hop-bench/v1 trajectory schema: a flat array of {bench, ns_per_op,
 # allocs_per_op, bytes_per_op, mb_per_s, extra{...}} objects plus a
-# header record with host metadata. Custom go-bench metrics (updates/s,
-# steps/s, wireB/update, ...) land in extra{}.
+# header record with host metadata, the kernels included. Custom
+# go-bench metrics (updates/s, steps/s, wireB/update, ...) land in
+# extra{}.
 bench_to_json() {
-    awk -v out="$2" '
+    awk -v out="$2" -v kernels="$(host_kernels)" '
 BEGIN {
     n = 0
 }
@@ -43,6 +62,7 @@ END {
     printf "  \"timestamp\": \"%s\",\n", ts >> out
     printf "  \"goos\": \"%s\", \"goarch\": \"%s\", \"cpus\": %s,\n", goos, goarch, ncpu >> out
     printf "  \"cpu\": \"%s\",\n", cpu >> out
+    printf "  \"kernels\": \"%s\",\n", kernels >> out
     printf "  \"results\": [\n" >> out
     for (i = 0; i < n; i++) printf "%s%s\n", recs[i], (i < n-1 ? "," : "") >> out
     printf "  ]\n}\n" >> out
