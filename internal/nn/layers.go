@@ -26,6 +26,11 @@ type Conv2D struct {
 	// sample in xpad — where the kernel reaches into the padding.
 	plan []int32
 	xpad []float64 // [in.Size()+1]: one sample, then the sentinel
+	// back is the plan inverted for col2im, built in Bind: for kernel
+	// offset t = ky·K+kx and input cell j, back[t·in.Size()+j] is the
+	// plan cell that copies j at that offset, or len(plan) — a +0
+	// sentinel after the column matrix — where none does.
+	back []int32
 
 	lastCol []float64 // [b, kdim*p] im2col of the last input, kept for Backward
 	out     []float64
@@ -36,7 +41,7 @@ type Conv2D struct {
 	dx    []float64
 	doutT []float64 // [p, OutC]: dOutₛᵀ
 	dwT   []float64 // [2, kdim, OutC]: the dWᵀ accumulator, then one sample's dWₛᵀ
-	dcol  []float64 // [kdim*p]
+	dcol  []float64 // [kdim*p+1]: the column gradient, then the sentinel
 
 	noDx bool // first layer of its network: Backward returns nil
 }
@@ -63,6 +68,7 @@ func (c *Conv2D) Bind(in Shape, params, grads []float64) {
 	c.dw, c.db = grads[:nw], grads[nw:]
 	c.plan = im2colPlan(in, c.K)
 	c.xpad = make([]float64, in.Size()+1)
+	c.back = col2imPlan(c.plan, in, c.K)
 }
 
 // im2colPlan is Conv2D.plan for input shape in and a k×k kernel.
@@ -87,6 +93,23 @@ func im2colPlan(in Shape, k int) []int32 {
 		}
 	}
 	return plan
+}
+
+// col2imPlan inverts plan, im2colPlan(in, k), into Conv2D.back. Plan
+// cell i belongs to kernel offset t = (i / (H·W)) mod k², and no two
+// cells of one offset copy the same input cell.
+func col2imPlan(plan []int32, in Shape, k int) []int32 {
+	n, p := in.Size(), in.H*in.W
+	back := make([]int32, k*k*n)
+	for i := range back {
+		back[i] = int32(len(plan))
+	}
+	for i, src := range plan {
+		if int(src) < n {
+			back[(i/p)%(k*k)*n+int(src)] = int32(i)
+		}
+	}
+	return back
 }
 
 func (c *Conv2D) Init(rng *rand.Rand) {
@@ -114,16 +137,18 @@ func (c *Conv2D) im2col(x, cols []float64) {
 	tensor.Gather(cols[:len(c.plan)], xp, c.plan)
 }
 
-// col2im scatter-adds the column gradient back into dx by the plan, in
-// the plan's cell order; what lands on the sentinel is dropped.
+// col2im writes into dx, from +0, the sum of the column gradient cells
+// the plan copied each input cell to: one gather-add by back per kernel
+// offset, in ascending offset — which is ascending plan order, so each
+// cell takes the terms of a scatter-add by the plan in the scatter's
+// order (DESIGN.md §3.1). cols holds len(plan)+1 cells; col2im sets the
+// last to the +0 that offsets reaching padding add.
 func (c *Conv2D) col2im(cols, dx []float64) {
-	xp := c.xpad[:len(dx)+1]
-	copy(xp, dx)
-	cols = cols[:len(c.plan)]
-	for i, dst := range c.plan {
-		xp[dst] += cols[i]
+	cols[len(c.plan)] = 0
+	clear(dx)
+	for t := 0; t < c.K*c.K; t++ {
+		tensor.GatherAdd(dx, cols, c.back[t*len(dx):(t+1)*len(dx)])
 	}
-	copy(dx, xp)
 }
 
 func (c *Conv2D) Forward(x []float64, b int) []float64 {
@@ -142,12 +167,8 @@ func (c *Conv2D) Forward(x []float64, b int) []float64 {
 		c.im2col(x[s*in.Size():(s+1)*in.Size()], cols)
 		o := out[s*c.OutC*p : (s+1)*c.OutC*p]
 		tensor.MatMul(o, c.weights, cols, c.OutC, kdim, p)
-		for oc := 0; oc < c.OutC; oc++ {
-			bv := c.bias[oc]
-			orow := o[oc*p : (oc+1)*p]
-			for i := range orow {
-				orow[i] += bv
-			}
+		for oc, bv := range c.bias {
+			tensor.AddConst(o[oc*p:(oc+1)*p], bv)
 		}
 	}
 	return out
@@ -178,10 +199,10 @@ func (c *Conv2D) Backward(dy []float64, b int) []float64 {
 		if cap(c.dx) < b*in.Size() {
 			c.dx = make([]float64, b*in.Size())
 		}
-		if cap(c.dcol) < kdim*p {
-			c.dcol = make([]float64, kdim*p)
+		if cap(c.dcol) < kdim*p+1 {
+			c.dcol = make([]float64, kdim*p+1)
 		}
-		dcol = c.dcol[:kdim*p]
+		dcol = c.dcol[:kdim*p+1]
 	}
 	for s := 0; s < b; s++ {
 		dout := dy[s*c.OutC*p : (s+1)*c.OutC*p]
@@ -200,11 +221,9 @@ func (c *Conv2D) Backward(dy []float64, b int) []float64 {
 		if c.noDx {
 			continue
 		}
-		// dcols = Wᵀ · dOut, then scatter back into this sample's dx
-		tensor.MatMulATB(dcol, c.weights, dout, c.OutC, kdim, p)
-		dxs := c.dx[s*in.Size() : (s+1)*in.Size()]
-		clear(dxs)
-		c.col2im(dcol, dxs)
+		// dcols = Wᵀ · dOut, then summed back into this sample's dx
+		tensor.MatMulATB(dcol[:kdim*p], c.weights, dout, c.OutC, kdim, p)
+		c.col2im(dcol, c.dx[s*in.Size():(s+1)*in.Size()])
 	}
 	tensor.Transpose(c.dw, dwT, kdim, c.OutC)
 	if c.noDx {
@@ -261,6 +280,7 @@ func (r *ReLU) Backward(dy []float64, b int) []float64 {
 // even.
 type MaxPool2 struct {
 	in     Shape
+	plan   []int32 // per output of a sample: its window's top-left cell
 	argmax []int
 	out    []float64
 	dx     []float64
@@ -280,63 +300,43 @@ func (m *MaxPool2) OutShape(in Shape) Shape {
 
 func (m *MaxPool2) ParamCount(in Shape) int { return 0 }
 
-func (m *MaxPool2) Bind(in Shape, _, _ []float64) { m.in = in }
+func (m *MaxPool2) Bind(in Shape, _, _ []float64) {
+	// Planes are contiguous and H is even, so a sample is one run of row
+	// pairs: output o pools row pair o/ow, columns 2·(o mod ow) and one on.
+	ow := m.OutShape(in).W
+	m.in, m.plan = in, make([]int32, in.Size()/4)
+	for o := range m.plan {
+		m.plan[o] = int32(o/ow*2*in.W + o%ow*2)
+	}
+}
 
 func (m *MaxPool2) Init(*rand.Rand) {}
 
 func (m *MaxPool2) clone() Layer { return NewMaxPool2() }
 
+// Forward pools each sample's windows by the plan in window order, the
+// first of equal values winning and a NaN never beating a number (nor
+// losing the lead): tensor.WindowMax4's rule.
 func (m *MaxPool2) Forward(x []float64, b int) []float64 {
-	in := m.in
-	w, ow := in.W, in.W/2
-	outSize := in.C * (in.H / 2) * ow
-	if cap(m.out) < b*outSize {
-		m.out = make([]float64, b*outSize)
-		m.argmax = make([]int, b*outSize)
+	size, n := m.in.Size(), len(m.plan)
+	if cap(m.out) < b*n {
+		m.out = make([]float64, b*n)
+		m.argmax = make([]int, b*n)
 	}
-	out := m.out[:b*outSize]
-	arg := m.argmax[:b*outSize]
-	// Planes are contiguous and H is even, so the batch is one run of
-	// row pairs: pair r pools rows 2r and 2r+1 into output row r.
-	for base, o := 0, 0; o < len(out); base, o = base+2*w, o+ow {
-		pair := x[base : base+2*w]
-		orow, arow := out[o:o+ow], arg[o:o+ow]
-		for j := range orow {
-			// Strict > in window order: the first of equal values wins
-			// and a NaN never beats a number (nor loses the lead).
-			k := 2 * j
-			bi := k + greater(pair[k+1], pair[k])
-			bi += (k + w - bi) & -greater(pair[k+w], pair[bi])
-			bi += (k + w + 1 - bi) & -greater(pair[k+w+1], pair[bi])
-			orow[j] = pair[bi]
-			arow[j] = base + bi
-		}
+	for s := 0; s < b; s++ {
+		tensor.WindowMax4(m.out[s*n:(s+1)*n], m.argmax[s*n:(s+1)*n], x[s*size:(s+1)*size], m.plan, m.in.W, s*size)
 	}
-	return out
-}
-
-// greater returns 1 if v > lead and 0 otherwise, as a flag-to-register
-// move rather than a branch: which of four activations is largest is a
-// coin flip the predictor loses (same reasoning as ReLU's masks).
-func greater(v, lead float64) int {
-	gt := 0
-	if v > lead {
-		gt = 1
-	}
-	return gt
+	return m.out[:b*n]
 }
 
 func (m *MaxPool2) Backward(dy []float64, b int) []float64 {
-	in := m.in
-	outSize := in.C * (in.H / 2) * (in.W / 2)
-	if cap(m.dx) < b*in.Size() {
-		m.dx = make([]float64, b*in.Size())
+	size := m.in.Size()
+	if cap(m.dx) < b*size {
+		m.dx = make([]float64, b*size)
 	}
-	dx := m.dx[:b*in.Size()]
-	for i := range dx {
-		dx[i] = 0
-	}
-	arg := m.argmax[:b*outSize]
+	dx := m.dx[:b*size]
+	clear(dx)
+	arg := m.argmax[:b*len(m.plan)]
 	for i, g := range dy {
 		dx[arg[i]] += g
 	}
@@ -398,10 +398,7 @@ func (d *Dense) Forward(x []float64, b int) []float64 {
 	out := d.out[:b*d.Out]
 	tensor.MatMulABT(out, x, d.weights, b, in, d.Out)
 	for s := 0; s < b; s++ {
-		row := out[s*d.Out : (s+1)*d.Out]
-		for j := range row {
-			row[j] += d.bias[j]
-		}
+		tensor.Add(out[s*d.Out:(s+1)*d.Out], d.bias)
 	}
 	d.lastX = x
 	return out
@@ -416,10 +413,7 @@ func (d *Dense) Backward(dy []float64, b int) []float64 {
 	tensor.MatMulATB(dwTmp, dy, d.lastX, b, d.Out, in)
 	tensor.Add(d.dw, dwTmp)
 	for s := 0; s < b; s++ {
-		row := dy[s*d.Out : (s+1)*d.Out]
-		for j, v := range row {
-			d.db[j] += v
-		}
+		tensor.Add(d.db, dy[s*d.Out:(s+1)*d.Out])
 	}
 	if d.noDx {
 		return nil

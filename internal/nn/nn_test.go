@@ -177,6 +177,18 @@ func TestMaxPoolForwardValues(t *testing.T) {
 	}
 }
 
+func TestMaxPoolShortInputPanics(t *testing.T) {
+	in := Shape{C: 2, H: 4, W: 4}
+	p := NewMaxPool2()
+	p.Bind(in, nil, nil)
+	defer func() {
+		if recover() == nil {
+			t.Error("an input shorter than the batch should panic")
+		}
+	}()
+	p.Forward(make([]float64, 3*in.Size()-1), 3)
+}
+
 func TestOddKernelRequired(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -365,27 +377,71 @@ func TestIm2colCol2imMatchReference(t *testing.T) {
 			refIm2col(s.in, s.k, x, want)
 			bitsEqual(t, fmt.Sprintf("im2col %v k=%d", s.in, s.k), got, want)
 
-			cols := make([]float64, n)
+			cols := make([]float64, n+1) // the column gradient, then the sentinel
 			fill(rng, cols)
 			gotDx, wantDx := make([]float64, s.in.Size()), make([]float64, s.in.Size())
-			fill(rng, gotDx) // col2im accumulates onto what is there
-			copy(wantDx, gotDx)
+			fill(rng, gotDx) // col2im writes dx from +0
 			c.col2im(cols, gotDx)
 			refCol2im(s.in, s.k, cols, wantDx)
-			// Sums of NaNs may differ in payload; everything else in bits.
-			for i := range wantDx {
-				if math.IsNaN(wantDx[i]) && math.IsNaN(gotDx[i]) {
-					gotDx[i] = wantDx[i]
-				}
-			}
 			bitsEqual(t, fmt.Sprintf("col2im %v k=%d", s.in, s.k), gotDx, wantDx)
 		}
 	}
 }
 
+// TestCol2imPlanInvertsIm2col checks Conv2D.back on every convShapes
+// entry: it names every plan cell that copies an input cell exactly once,
+// under that cell and the cell's kernel offset, and each input cell's
+// entries, taken in ascending offset, are in ascending plan order — the
+// scatter's order; every other entry is the sentinel.
+func TestCol2imPlanInvertsIm2col(t *testing.T) {
+	for _, s := range convShapes {
+		c := NewConv2D(4, s.k)
+		np := c.ParamCount(s.in)
+		c.Bind(s.in, make([]float64, np), make([]float64, np))
+		n, kk := s.in.Size(), s.k*s.k
+		sentinel := int32(len(c.plan))
+		if len(c.back) != kk*n {
+			t.Fatalf("%v k=%d: back has %d entries, want %d", s.in, s.k, len(c.back), kk*n)
+		}
+		named := make([]int, len(c.plan))
+		for j := 0; j < n; j++ {
+			last := int32(-1)
+			for tk := 0; tk < kk; tk++ {
+				i := c.back[tk*n+j]
+				if i == sentinel {
+					continue
+				}
+				if i < 0 || i > sentinel || int(c.plan[i]) != j || int(i)/(s.in.H*s.in.W)%kk != tk {
+					t.Fatalf("%v k=%d: back[%d][%d] = %d does not copy cell %d at that offset", s.in, s.k, tk, j, i, j)
+				}
+				if i <= last {
+					t.Fatalf("%v k=%d: cell %d lists plan cell %d after %d", s.in, s.k, j, i, last)
+				}
+				last = i
+				named[i]++
+			}
+		}
+		for i, src := range c.plan {
+			want := 0
+			if int(src) < n {
+				want = 1
+			}
+			if named[i] != want {
+				t.Fatalf("%v k=%d: plan cell %d (source %d) named %d times, want %d", s.in, s.k, i, src, named[i], want)
+			}
+		}
+	}
+}
+
+// TestMaxPoolMatchesReference pins MaxPool2 to the compare-and-branch
+// loop on the CNN's two pools (128 and 64 outputs a sample) and on shapes
+// whose per-sample output counts (1–7, 9, 18, 27, 30) leave every tail
+// 1–7 after the kernel's blocks of eight, some with blocks in front, and
+// odd output widths (1, 3, 5, 9).
 func TestMaxPoolMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
-	for _, in := range []Shape{{8, 8, 8}, {16, 4, 4}, {2, 6, 10}, {3, 2, 2}, {1, 4, 2}} {
+	for _, in := range []Shape{{8, 8, 8}, {16, 4, 4}, {2, 6, 10}, {3, 2, 2}, {1, 4, 2},
+		{1, 2, 2}, {1, 2, 4}, {1, 4, 4}, {5, 2, 2}, {3, 2, 4}, {7, 2, 2}, {1, 2, 18}, {3, 6, 6}, {1, 4, 18}} {
 		for _, b := range []int{1, 3} {
 			for rep := 0; rep < 20; rep++ {
 				x := make([]float64, b*in.Size())

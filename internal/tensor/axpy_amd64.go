@@ -47,11 +47,31 @@ func gemmRow1AVX(c *float64, a *float64, aps int, b *float64, ldb, k, n int)
 //go:noescape
 func gatherAVX512(dst, src *float64, srcLen int, idx *int32, n int) int
 
+// gatherAddAVX512 is GatherAdd's AVX-512F kernel: gatherAVX512's walk,
+// check and stop, with each block added to dst's eight cells.
+//
+//go:noescape
+func gatherAddAVX512(dst, src *float64, srcLen int, idx *int32, n int) int
+
+// windowMax4AVX512 is WindowMax4's AVX-512F kernel over the first n
+// outputs, n a positive multiple of 8 and bound = len(x)−w−1 at least 1
+// (w >= 0): it stops in front of the first block of eight holding a plan
+// entry outside [0, bound) and returns the outputs it wrote.
+//
+//go:noescape
+func windowMax4AVX512(out *float64, arg *int, x *float64, bound int, plan *int32, n, w, base int) int
+
 // axpy1AVX performs c[j] += a·b[j] for j = 0…n−1, n >= 1, with the
 // same separate multiply and add: Add's kernel.
 //
 //go:noescape
 func axpy1AVX(c, b *float64, n int, a float64)
+
+// addConstAVX performs v[j] += c for j = 0…n−1, n >= 1: AddConst's
+// kernel.
+//
+//go:noescape
+func addConstAVX(v *float64, n int, c float64)
 
 // meanAVX is Mean's kernel over n cells of count vectors, vs pointing
 // at the first of their slice headers: each lane sums one cell from +0

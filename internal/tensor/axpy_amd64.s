@@ -460,6 +460,54 @@ done1:
 	VZEROUPPER
 	RET
 
+// func addConstAVX(v *float64, n int, c float64)
+//
+// v[j] += c for j = 0…n−1, n >= 1; each lane loads its cell and adds
+// the broadcast c to it, the cell the first source. Cells go 8 at a
+// time, then 4, then singly.
+TEXT ·addConstAVX(SB), NOSPLIT, $0-24
+	MOVQ v+0(FP), DI
+	MOVQ n+8(FP), CX
+	VBROADCASTSD c+16(FP), Y0
+	XORQ AX, AX
+	MOVQ CX, DX
+	ANDQ $-8, DX
+
+loop8:
+	CMPQ AX, DX
+	JGE  quad
+	VMOVUPD (DI)(AX*8), Y1
+	VMOVUPD 32(DI)(AX*8), Y2
+	VADDPD  Y0, Y1, Y1
+	VADDPD  Y0, Y2, Y2
+	VMOVUPD Y1, (DI)(AX*8)
+	VMOVUPD Y2, 32(DI)(AX*8)
+	ADDQ $8, AX
+	JMP  loop8
+
+quad:
+	MOVQ CX, DX
+	ANDQ $-4, DX
+	CMPQ AX, DX
+	JGE  tail
+	VMOVUPD (DI)(AX*8), Y1
+	VADDPD  Y0, Y1, Y1
+	VMOVUPD Y1, (DI)(AX*8)
+	ADDQ $4, AX
+
+tail:
+	CMPQ AX, CX
+	JGE  done
+	VMOVSD (DI)(AX*8), X1
+	VADDSD X0, X1, X1
+	VMOVSD X1, (DI)(AX*8)
+	INCQ AX
+	JMP  tail
+
+done:
+	VZEROUPPER
+	RET
+
 // func meanAVX(dst *float64, vs *[]float64, count, n int, inv float64)
 //
 // dst[i] = ((0 + vs[0][i]) + vs[1][i] + … + vs[count−1][i])·inv for
@@ -718,5 +766,117 @@ loop:
 
 done:
 	MOVQ AX, ret+40(FP)
+	VZEROUPPER
+	RET
+
+// func gatherAddAVX512(dst, src *float64, srcLen int, idx *int32, n int) int
+//
+// dst[i] += src[idx[i]] for i = 0…n−1: gatherAVX512's blocks, checks and
+// stop, with each gathered block added to dst's cells, dst the first
+// source of the VADDPD as the accumulator is of the Go loop's add.
+TEXT ·gatherAddAVX512(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ srcLen+16(FP), R8
+	MOVQ idx+24(FP), DX
+	MOVQ n+32(FP), CX
+	MOVL $0x80000000, R9
+	CMPQ R8, R9
+	CMOVQHI R9, R8
+	VPBROADCASTD R8, Z15
+	XORQ AX, AX
+
+loop:
+	VMOVDQU  (DX)(AX*4), Y1
+	VPCMPUD  $5, Z15, Z1, K2
+	KORTESTW K2, K2
+	JNZ      done
+	KXNORW   K1, K1, K1
+	VXORPD   Y0, Y0, Y0
+	VGATHERDPD (SI)(Y1*8), K1, Z0
+	VMOVUPD  (DI)(AX*8), Z2
+	VADDPD   Z0, Z2, Z2 // dst + src[idx]
+	VMOVUPD  Z2, (DI)(AX*8)
+	ADDQ $8, AX
+	CMPQ AX, CX
+	JLT  loop
+
+done:
+	MOVQ AX, ret+40(FP)
+	VZEROUPPER
+	RET
+
+// func windowMax4AVX512(out *float64, arg *int, x *float64, bound int, plan *int32, n, w, base int) int
+//
+// For i = 0…n−1 and k = plan[i]: the lead starts at a = x[k] and is
+// replaced by b = x[k+1], c = x[k+w], d = x[k+w+1] in turn wherever the
+// candidate compares greater (VCMPPD GT_OQ: false if either side is
+// NaN, so a NaN neither wins nor is beaten); out[i] is the lead and
+// arg[i] base plus its index. Eight outputs per block: one VGATHERDPD per
+// window cell, then per candidate a compare into K3, a VBLENDMPD of the
+// value and a K3-masked VPADDQ writing the candidate's index over the
+// lead's. n is a positive multiple of 8, w >= 0 and bound = len(x)−w−1
+// >= 1. Each block's plan entries are first compared unsigned against
+// min(bound, 2³¹), as gatherAVX512 compares its indices: an entry below
+// it has its whole window inside x. The walk stops in front of the first
+// block holding one that is not and returns how many outputs it wrote.
+TEXT ·windowMax4AVX512(SB), NOSPLIT, $0-72
+	MOVQ out+0(FP), DI
+	MOVQ arg+8(FP), R11
+	MOVQ x+16(FP), SI
+	MOVQ bound+24(FP), R8
+	MOVQ plan+32(FP), DX
+	MOVQ n+40(FP), CX
+	MOVQ w+48(FP), BX
+	MOVL $0x80000000, R9
+	CMPQ R8, R9
+	CMOVQHI R9, R8
+	VPBROADCASTD R8, Z15
+	LEAQ (SI)(BX*8), R10 // the window's lower row
+	VPBROADCASTQ base+56(FP), Z14
+	MOVQ $1, R9
+	VPBROADCASTQ R9, Z11 // b's offset
+	VPBROADCASTQ BX, Z12 // c's
+	INCQ BX
+	VPBROADCASTQ BX, Z13 // d's
+	XORQ AX, AX
+
+loop:
+	VMOVDQU  (DX)(AX*4), Y1 // VEX: Z1's upper eight lanes read 0, in range
+	VPCMPUD  $5, Z15, Z1, K2 // K2: the lanes with k >= bound
+	KORTESTW K2, K2
+	JNZ      done
+	KXNORW   K1, K1, K1
+	VXORPD   Y2, Y2, Y2 // no wait on the last block's registers
+	VGATHERDPD (SI)(Y1*8), K1, Z2 // a: the lead
+	KXNORW   K1, K1, K1
+	VXORPD   Y3, Y3, Y3
+	VGATHERDPD 8(SI)(Y1*8), K1, Z3 // b
+	KXNORW   K1, K1, K1
+	VXORPD   Y4, Y4, Y4
+	VGATHERDPD (R10)(Y1*8), K1, Z4 // c
+	KXNORW   K1, K1, K1
+	VXORPD   Y5, Y5, Y5
+	VGATHERDPD 8(R10)(Y1*8), K1, Z5 // d
+	VPMOVZXDQ Y1, Z6
+	VPADDQ    Z14, Z6, Z6 // base + k: a's index, the lead's
+	VMOVDQA64 Z6, Z7
+	VCMPPD    $0x1e, Z2, Z3, K3 // b > lead
+	VBLENDMPD Z3, Z2, K3, Z2
+	VPADDQ    Z11, Z6, K3, Z7
+	VCMPPD    $0x1e, Z2, Z4, K3 // c > lead
+	VBLENDMPD Z4, Z2, K3, Z2
+	VPADDQ    Z12, Z6, K3, Z7
+	VCMPPD    $0x1e, Z2, Z5, K3 // d > lead
+	VBLENDMPD Z5, Z2, K3, Z2
+	VPADDQ    Z13, Z6, K3, Z7
+	VMOVUPD   Z2, (DI)(AX*8)
+	VMOVDQU64 Z7, (R11)(AX*8)
+	ADDQ $8, AX
+	CMPQ AX, CX
+	JLT  loop
+
+done:
+	MOVQ AX, ret+64(FP)
 	VZEROUPPER
 	RET

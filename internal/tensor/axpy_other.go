@@ -13,6 +13,18 @@ func gatherAVX512(dst, src *float64, srcLen int, idx *int32, n int) int {
 	panic("tensor: gatherAVX512 on non-amd64")
 }
 
+func gatherAddAVX512(dst, src *float64, srcLen int, idx *int32, n int) int {
+	panic("tensor: gatherAddAVX512 on non-amd64")
+}
+
+func windowMax4AVX512(out *float64, arg *int, x *float64, bound int, plan *int32, n, w, base int) int {
+	panic("tensor: windowMax4AVX512 on non-amd64")
+}
+
+func addConstAVX(v *float64, n int, c float64) {
+	panic("tensor: addConstAVX on non-amd64")
+}
+
 func gemmTile4AVX(c *float64, ldc int, a *float64, ars, aps int, b *float64, ldb, k, n int) {
 	panic("tensor: gemmTile4AVX on non-amd64")
 }

@@ -50,6 +50,63 @@ func Gather(dst, src []float64, idx []int32) {
 	}
 }
 
+// GatherAdd adds src[idx[i]] to dst[i] for every i, the accumulator the
+// first operand of each add; dst and idx must have the same length. It
+// checks and panics as Gather does, and with AVX-512F adds eight gathered
+// cells per VADDPD.
+func GatherAdd(dst, src []float64, idx []int32) {
+	if len(dst) != len(idx) {
+		panic(fmt.Sprintf("tensor: GatherAdd length mismatch dst=%d idx=%d", len(dst), len(idx)))
+	}
+	if haveAVX512 && len(idx) >= 8 && len(src) > 0 {
+		i := gatherAddAVX512(&dst[0], &src[0], len(src), &idx[0], len(idx)&^7)
+		dst, idx = dst[i:], idx[i:]
+	}
+	dst = dst[:len(idx)]
+	for i, k := range idx {
+		dst[i] += src[k]
+	}
+}
+
+// WindowMax4 takes the maximum of 2×2 windows of a row-major x with rows
+// w long: out[i] is the largest of x[k], x[k+1], x[k+w] and x[k+w+1] for
+// k = plan[i], compared in that order by strict > — the first of equal
+// values wins, and a NaN neither wins nor loses the lead — and arg[i] is
+// base plus the winner's index in x. out, arg and plan must have the same
+// length. A window reaching outside x panics as indexing it does, after
+// the outputs in front of it are written. With AVX-512F the outputs go
+// eight per step, each block's plan entries range-checked first as
+// Gather's are: one VGATHERDPD per window cell, then three compare-selects
+// (VCMPPD GT_OQ, the comparison above). The tail below eight, a block
+// holding a bad entry, and hosts without AVX-512F take the Go loop.
+func WindowMax4(out []float64, arg []int, x []float64, plan []int32, w, base int) {
+	if len(out) != len(plan) || len(arg) != len(plan) {
+		panic(fmt.Sprintf("tensor: WindowMax4 length mismatch out=%d arg=%d plan=%d", len(out), len(arg), len(plan)))
+	}
+	if haveAVX512 && len(plan) >= 8 && w >= 0 && len(x)-w-1 > 0 {
+		i := windowMax4AVX512(&out[0], &arg[0], &x[0], len(x)-w-1, &plan[0], len(plan)&^7, w, base)
+		out, arg, plan = out[i:], arg[i:], plan[i:]
+	}
+	out, arg = out[:len(plan)], arg[:len(plan)]
+	// Plain branches: on pooled activations they measured faster than
+	// selecting the winner's index or bits without them.
+	for i, k := range plan {
+		a := int(k)
+		c := a + w
+		bv, bi := x[a], a
+		if v := x[a+1]; v > bv {
+			bv, bi = v, a+1
+		}
+		if v := x[c]; v > bv {
+			bv, bi = v, c
+		}
+		if v := x[c+1]; v > bv {
+			bv, bi = v, c+1
+		}
+		out[i], arg[i] = bv, base+bi
+	}
+}
+
 // AXPY computes dst += alpha * x.
 func AXPY(dst []float64, alpha float64, x []float64) {
 	if len(dst) != len(x) {
@@ -74,6 +131,18 @@ func Add(dst, x []float64) {
 		panic(fmt.Sprintf("tensor: Add length mismatch %d vs %d", len(dst), len(x)))
 	}
 	axpy1(dst, x, 1)
+}
+
+// AddConst computes v += c, one add of c per element, through a vector
+// kernel when the CPU has one.
+func AddConst(v []float64, c float64) {
+	if haveAVX && len(v) >= axpyVecMin {
+		addConstAVX(&v[0], len(v), c)
+		return
+	}
+	for i := range v {
+		v[i] += c
+	}
 }
 
 // Dot returns the inner product of a and b.

@@ -22,7 +22,7 @@ cd "$(dirname "$0")/.."
 
 OUT="${BENCH_OUT:-BENCH_gemm.json}"
 BENCHTIME="${BENCH_TIME:-200x}"
-PATTERN="${BENCH_PATTERN:-Gemm|Axpy|Gather|Delta|WireCompress|WireDecode}"
+PATTERN="${BENCH_PATTERN:-Gemm|Axpy|Gather|WindowMax|Delta|WireCompress|WireDecode}"
 LIVE_OUT="${BENCH_LIVE_OUT:-BENCH_live.json}"
 LIVE_BENCHTIME="${BENCH_LIVE_TIME:-3x}"
 LIVE_PATTERN="${BENCH_LIVE_PATTERN:-LiveLoopback}"
