@@ -89,12 +89,15 @@ func (monitor) Unlock() {}
 
 func (m monitor) NewCond() core.Cond { return sim.NewCond(m.k) }
 
-// host implements core.Host on the simulator.
+// host is the simulated cluster the workers share: kernel, fabric,
+// engine and compute plane. Each worker reaches it through its own
+// core.Runtime, a worker.
 type host struct {
 	k       *sim.Kernel
 	fabric  *netsim.Fabric
 	engine  *core.Engine
 	compute hetero.Compute
+	workers []worker
 	rngs    []*rand.Rand // per-worker slowdown RNG
 	procs   []*sim.Proc
 	steps   []gradStep
@@ -116,7 +119,13 @@ type gradStep struct {
 	offload bool
 }
 
-func (h *host) Now() time.Duration { return h.k.Now() }
+// worker is worker w's core.Runtime on the simulator.
+type worker struct {
+	h *host
+	w int
+}
+
+func (r *worker) Now() time.Duration { return r.h.k.Now() }
 
 // Compute starts worker w's gradient step on the compute plane. The
 // math costs no *virtual* time; in host time it overlaps the other
@@ -130,7 +139,8 @@ func (h *host) Now() time.Duration { return h.k.Now() }
 // Wait, Spawn, After) or block on another simulated process; it may
 // fan out across real OS threads — the tensor pool's goroutines are
 // not simulated processes — as long as none outlive the join.
-func (h *host) Compute(w, iter int, fn func()) time.Duration {
+func (r *worker) Compute(iter int, fn func()) time.Duration {
+	h, w := r.h, r.w
 	switch s := &h.steps[w]; {
 	case s.offload:
 		s.task.Start(fn)
@@ -145,27 +155,43 @@ func (h *host) Compute(w, iter int, fn func()) time.Duration {
 	return h.compute.IterTime(w, iter, h.rngs[w])
 }
 
-func (h *host) EndCompute(w int, t time.Duration) {
+func (r *worker) EndCompute(t time.Duration) {
+	h := r.h
 	if d := t - h.k.Now(); d > 0 {
-		h.procs[w].Sleep(d)
+		h.procs[r.w].Sleep(d)
 	}
-	h.steps[w].task.Join()
+	h.steps[r.w].task.Join()
 }
 
 // Send and SendAck route through DeliverData, the chaos-injectable
 // path: when the scenario enables net faults, updates and ACKs can be
 // dropped, duplicated, reordered, corrupted, or partitioned. Death
-// notices (below) keep the fault-free Deliver — chaos models a lossy
+// notices (Run) keep the fault-free Deliver — chaos models a lossy
 // data plane, not a lying failure detector. Messages travel as typed
 // records (src is always u.From) and arrive at deliver, so a send
 // allocates no closure.
-func (h *host) Send(src, dst int, u core.Update) {
-	h.fabric.DeliverData(h.payload, netsim.Message{Dst: dst, From: src, Iter: u.Iter, Reply: u.Reply, Params: u.Params})
+func (r *worker) Send(dst int, u core.Update) {
+	r.h.fabric.DeliverData(r.h.payload, netsim.Message{Dst: dst, From: r.w, Iter: u.Iter, Reply: u.Reply, Params: u.Params})
 }
 
-func (h *host) SendAck(src, dst, iter int) {
-	h.fabric.DeliverData(h.ack, netsim.Message{Dst: dst, From: src, Iter: iter, Ack: true})
+func (r *worker) SendAck(dst, iter int) {
+	r.h.fabric.DeliverData(r.h.ack, netsim.Message{Dst: dst, From: r.w, Iter: iter, Ack: true})
 }
+
+// GrantTokens bypasses the fabric: in shared memory the paper's
+// TokenQ(i→j) and the consumer-side counter are literally the same
+// object, so the grant goes straight into it and no round trip is
+// modeled (token messages are metadata-sized next to parameter
+// updates).
+func (r *worker) GrantTokens(dst, iter, count int) {
+	r.h.engine.Worker(dst).DeliverTokens(r.w, count)
+}
+
+// PeerIter is exact in simulation: the global gap tracker knows every
+// worker's current iteration (the §6.2(b) check's best case).
+func (r *worker) PeerIter(peer int) int { return r.h.engine.Gaps().Iter(peer) }
+
+func (r *worker) ObserveAdvance(iter int) { r.h.engine.Gaps().Advance(r.w, iter) }
 
 // deliver is the fabric's message handler: the arrival end of Send and
 // SendAck.
@@ -220,6 +246,7 @@ func Run(opts Options) (*Result, error) {
 		k:       k,
 		fabric:  fabric,
 		compute: opts.Compute,
+		workers: make([]worker, n),
 		rngs:    make([]*rand.Rand, n),
 		procs:   make([]*sim.Proc, n),
 		steps:   make([]gradStep, n),
@@ -227,6 +254,7 @@ func Run(opts Options) (*Result, error) {
 		ack:     opts.AckBytes,
 	}
 	for i := 0; i < n; i++ {
+		h.workers[i] = worker{h: h, w: i}
 		h.rngs[i] = rand.New(rand.NewSource(opts.Seed + int64(i)*104729 + 11))
 	}
 
@@ -250,7 +278,7 @@ func Run(opts Options) (*Result, error) {
 		}
 	}
 
-	eng, err := core.NewEngine(cfg, h, monitor{k})
+	eng, err := core.NewEngine(cfg, monitor{k}, func(w int) core.Runtime { return &h.workers[w] })
 	if err != nil {
 		return nil, err
 	}

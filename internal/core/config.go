@@ -231,10 +231,6 @@ type Config struct {
 	// flight on the compute plane (Runtime.Compute).
 	OnIteration func(w, iter int, trainLoss float64, now time.Duration)
 
-	// OnJump, when non-nil, is called when worker w skips from
-	// iteration from to iteration to (§5).
-	OnJump func(w, from, to int, now time.Duration)
-
 	// Tracers, when non-nil, holds one optional decision trace per
 	// worker (entries may be nil); the protocol records iteration
 	// advances, jumps and stale exclusions into it (trace.go). Used by

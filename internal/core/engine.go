@@ -2,41 +2,36 @@ package core
 
 // The Engine is the simulator-side shell around the runtime-agnostic
 // Protocol state machine (protocol.go): it builds one Protocol per
-// worker, adapts the simulation Host to the per-worker Runtime
-// interface, and keeps the cluster-wide observability the experiments
-// read (gap tracker, aggregated stats, Table 1 bounds). All protocol
-// logic — iteration modes, Recv/Reduce semantics, skipping, token
-// accounting — lives in protocol.go and is shared verbatim with the
-// live TCP runtime (internal/live).
+// worker on the Runtime its host supplies, and keeps the cluster-wide
+// observability the experiments read (gap tracker, aggregated stats,
+// Table 1 bounds). All protocol logic — iteration modes, Recv/Reduce
+// semantics, skipping, token accounting — lives in protocol.go and is
+// shared verbatim with the live TCP runtime (internal/live).
 
-import (
-	"time"
-
-	"hop/internal/counters"
-)
+import "hop/internal/counters"
 
 // Engine wires per-worker protocol instances and trainers for one
 // simulated cluster and exposes the per-worker protocol loop.
 type Engine struct {
-	cfg  Config
-	host Host
-	mon  Monitor
+	cfg Config
+	mon Monitor
+	rt  func(w int) Runtime
 
 	n       int
 	workers []*Protocol
 	gaps    *GapTracker
 }
 
-// NewEngine validates cfg and builds the cluster state. The host is
-// responsible for delivering messages sent through it back into the
-// engine via Deliver/DeliverAck, and for running RunWorker once per
-// worker.
-func NewEngine(cfg Config, host Host, mon Monitor) (*Engine, error) {
+// NewEngine validates cfg and builds the cluster state, worker w's
+// protocol running on rt(w). The host behind rt is responsible for
+// delivering messages sent through it back into the engine via
+// Deliver/DeliverAck, and for running RunWorker once per worker.
+func NewEngine(cfg Config, mon Monitor, rt func(w int) Runtime) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	n := cfg.Graph.N()
-	e := &Engine{cfg: cfg, host: host, mon: mon, n: n}
+	e := &Engine{cfg: cfg, mon: mon, rt: rt, n: n}
 	e.gaps = NewGapTrackerFor(mon, cfg.Graph)
 	e.workers = make([]*Protocol, n)
 	for w := 0; w < n; w++ {
@@ -44,7 +39,7 @@ func NewEngine(cfg Config, host Host, mon Monitor) (*Engine, error) {
 		if cfg.Tracers != nil {
 			tr = cfg.Tracers[w]
 		}
-		p, err := NewProtocol(cfg, w, cfg.Trainers[w], mon, &engineRuntime{e: e, w: w}, tr)
+		p, err := NewProtocol(cfg, w, cfg.Trainers[w], mon, rt(w), tr)
 		if err != nil {
 			return nil, err
 		}
@@ -52,38 +47,6 @@ func NewEngine(cfg Config, host Host, mon Monitor) (*Engine, error) {
 	}
 	return e, nil
 }
-
-// engineRuntime adapts the cluster-wide Host to one worker's Runtime.
-// Token grants short-circuit into the consumer's local counter — in
-// shared memory the paper's TokenQ(i→j) and the consumer-side counter
-// are literally the same object, so no fabric round-trip is modeled
-// (token messages are metadata-sized next to parameter updates).
-type engineRuntime struct {
-	e *Engine
-	w int
-}
-
-func (r *engineRuntime) Now() time.Duration { return r.e.host.Now() }
-
-func (r *engineRuntime) Compute(iter int, fn func()) time.Duration {
-	return r.e.host.Compute(r.w, iter, fn)
-}
-
-func (r *engineRuntime) EndCompute(t time.Duration) { r.e.host.EndCompute(r.w, t) }
-
-func (r *engineRuntime) Send(dst int, u Update) { r.e.host.Send(r.w, dst, u) }
-
-func (r *engineRuntime) SendAck(dst, iter int) { r.e.host.SendAck(r.w, dst, iter) }
-
-func (r *engineRuntime) GrantTokens(dst, iter, count int) {
-	r.e.workers[dst].DeliverTokens(r.w, count)
-}
-
-// PeerIter is exact in simulation: the global gap tracker knows every
-// worker's current iteration (the §6.2(b) check's best case).
-func (r *engineRuntime) PeerIter(peer int) int { return r.e.gaps.Iter(peer) }
-
-func (r *engineRuntime) ObserveAdvance(iter int) { r.e.gaps.Advance(r.w, iter) }
 
 // Deliver enqueues a network-delivered update at worker dst.
 func (e *Engine) Deliver(dst int, u Update) { e.workers[dst].Deliver(u) }
@@ -128,10 +91,10 @@ func (e *Engine) RunWorker(w int) error { return e.workers[w].Run() }
 
 // RestartWorker replaces worker w's protocol instance with a fresh
 // rejoining participant: same trainer (parameters as of the crash),
-// same decision trace, fresh queues, Config.Rejoin set and the crash
-// schedule cleared. The host then runs RunWorker(w) again on a new
-// process; in-flight deliveries resolve the worker at delivery time,
-// so they land on the new instance.
+// same decision trace, on rt(w) again, with fresh queues, Config.Rejoin
+// set and the crash schedule cleared. The host then runs RunWorker(w)
+// again on a new process; in-flight deliveries resolve the worker at
+// delivery time, so they land on the new instance.
 func (e *Engine) RestartWorker(w int) error {
 	cfg := e.cfg
 	cfg.Rejoin = true
@@ -140,7 +103,7 @@ func (e *Engine) RestartWorker(w int) error {
 	if cfg.Tracers != nil {
 		tr = cfg.Tracers[w]
 	}
-	p, err := NewProtocol(cfg, w, e.cfg.Trainers[w], e.mon, &engineRuntime{e: e, w: w}, tr)
+	p, err := NewProtocol(cfg, w, e.cfg.Trainers[w], e.mon, e.rt(w), tr)
 	if err != nil {
 		return err
 	}

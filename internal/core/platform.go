@@ -14,14 +14,13 @@
 //     simulator's implementation is a no-op lock (the sim kernel runs
 //     one process at a time); the live implementation wraps sync.Mutex
 //     and sync.Cond.
-//   - Host: the execution environment of a worker — the clock, the
-//     modeling of gradient-computation time, message delivery, and
-//     peer-iteration inquiry (§6.2's send-side check).
+//   - Runtime (protocol.go): the execution environment of one worker —
+//     the clock, the modeling of gradient-computation time, message
+//     delivery, and peer-iteration inquiry (§6.2's send-side check).
 package core
 
 import (
 	"sync"
-	"time"
 
 	"hop/internal/compress"
 )
@@ -75,34 +74,6 @@ type Update struct {
 	// Reply marks an AD-PSGD averaging reply (baselines.go); every
 	// other update, AD-PSGD's requests included, leaves it false.
 	Reply bool
-}
-
-// Host is the execution environment the worker engine runs against.
-type Host interface {
-	// Now returns the current time (virtual in simulation, wall-clock
-	// live).
-	Now() time.Duration
-
-	// Compute starts the gradient computation of worker w at iteration
-	// iter and returns its modeled duration (Runtime.Compute, per
-	// worker). In simulation fn costs no virtual time and may still be
-	// running on the compute plane when Compute returns; live, fn has
-	// run and its real execution time is the cost.
-	Compute(w, iter int, fn func()) time.Duration
-
-	// EndCompute blocks worker w until the given time (no-op if past)
-	// and until the fn of its last Compute has finished. It is how the
-	// engine realizes the parallel computation graph: compute and Recv
-	// overlap, and the iteration ends at max(computeDone, recvDone).
-	EndCompute(w int, t time.Duration)
-
-	// Send delivers u to dst's update queue asynchronously (the Send
-	// operation of §3.2 is non-blocking). src == dst never happens;
-	// the engine short-circuits self-delivery.
-	Send(src, dst int, u Update)
-
-	// SendAck delivers a NOTIFY-ACK acknowledgment for iter to dst.
-	SendAck(src, dst, iter int)
 }
 
 // Stats aggregates engine-level counters, separate from the network

@@ -422,9 +422,6 @@ func (p *Protocol) run() error {
 				p.stats.IterationsSkipped += next - k - 1
 				p.mon.Unlock()
 				p.trace.jump(k, next)
-				if cfg.OnJump != nil {
-					cfg.OnJump(p.id, k, next, p.rt.Now())
-				}
 			}
 		}
 		if cfg.MaxIG > 0 {

@@ -29,6 +29,7 @@ import (
 	"sync"
 	"time"
 
+	"hop/internal/chaos"
 	"hop/internal/core"
 	"hop/internal/model"
 	"hop/internal/tensor"
@@ -60,8 +61,8 @@ type WorkerConfig struct {
 	// Trainers and Tracers are ignored (Trainer and Trace below are this
 	// worker's), this worker's scheduled fault is Faults[ID] (RunCluster
 	// restarts it after Faults[ID].RestartAfter), Compression is
-	// negotiated per connection at Dial, and OnIteration/OnJump may be
-	// called concurrently with other workers' callbacks.
+	// negotiated per connection at Dial, and OnIteration may be called
+	// concurrently with other workers' callbacks.
 	core.Config
 
 	ID int
@@ -98,9 +99,10 @@ type WorkerConfig struct {
 	OnHeal    func(peer int)
 
 	// Chaos, when non-nil, injects seeded network faults into this
-	// worker's outgoing frames (transport.ChaosConfig). Used by the
-	// scenario layer and hopnode -chaos-seed.
-	Chaos *transport.ChaosConfig
+	// worker's outgoing frames (transport.Config.Chaos): the spec's
+	// fault.net clause with this worker's seed. Used by the scenario
+	// layer and hopnode -chaos-seed.
+	Chaos *chaos.Config
 
 	// ComputeDelay, when non-nil, injects artificial per-iteration
 	// compute time (for demonstrating heterogeneity on real clusters).

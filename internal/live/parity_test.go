@@ -101,8 +101,6 @@ func TestLiveStaleWeightingSkipCompressionMatrix(t *testing.T) {
 						return model.NewQuadratic(x0, target, 0.2, 0.02)
 					}
 					g := graph.Ring(4)
-					jumps := 0
-					var mu sync.Mutex
 					workers := launch(t, g, func(i int) WorkerConfig {
 						cfg := WorkerConfig{
 							Config: core.Config{
@@ -120,11 +118,7 @@ func TestLiveStaleWeightingSkipCompressionMatrix(t *testing.T) {
 							cfg.Skip = &core.SkipConfig{MaxJump: 4, TriggerBehind: 2}
 							if i == 0 {
 								cfg.ComputeDelay = func(int) time.Duration { return 4 * time.Millisecond }
-								cfg.OnJump = func(_, from, to int, _ time.Duration) {
-									mu.Lock()
-									jumps++
-									mu.Unlock()
-								}
+								cfg.Trace = core.NewTrace()
 							}
 						}
 						return cfg
@@ -145,12 +139,15 @@ func TestLiveStaleWeightingSkipCompressionMatrix(t *testing.T) {
 						}
 					}
 					if skip {
-						mu.Lock()
-						j := jumps
-						mu.Unlock()
+						j := 0
+						for _, e := range workers[0].Trace().Events() {
+							if e.Kind == core.TraceJump {
+								j++
+							}
+						}
 						stats := workers[0].Stats()
 						if stats.Jumps != j {
-							t.Errorf("straggler protocol stats report %d jumps, OnJump saw %d", stats.Jumps, j)
+							t.Errorf("straggler protocol stats report %d jumps, its trace %d", stats.Jumps, j)
 						}
 						if j == 0 {
 							t.Log("straggler never jumped (timing-dependent); acceptable but unusual")

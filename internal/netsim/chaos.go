@@ -15,61 +15,9 @@ package netsim
 // event. The counters keep them distinct.
 
 import (
-	"fmt"
 	"math/rand"
 	"time"
 )
-
-// ChaosPartition severs the link between workers A and B (both
-// directions) for messages tagged with iterations in [FromIter,
-// ToIter).
-type ChaosPartition struct {
-	A, B             int
-	FromIter, ToIter int
-}
-
-// ChaosConfig tunes the injector. Probabilities are per-message in
-// [0, 1].
-type ChaosConfig struct {
-	// Drop is the probability a message silently vanishes.
-	Drop float64
-	// Duplicate is the probability a message is delivered twice (the
-	// second copy one reorder-delay later).
-	Duplicate float64
-	// Reorder is the probability a message is delayed long enough for
-	// later traffic on the link to overtake it.
-	Reorder float64
-	// Corrupt is the probability a message arrives damaged; the
-	// receiver's integrity check drops it (counted separately from
-	// Drop).
-	Corrupt float64
-	// Partitions lists severed worker pairs and their windows.
-	Partitions []ChaosPartition
-	// Seed derives every per-link RNG.
-	Seed int64
-}
-
-// validate panics on configs that cannot mean what they say — the
-// loud-failure precedent of the burst validation in New.
-func (c *ChaosConfig) validate() {
-	check := func(name string, p float64) {
-		if p < 0 || p > 1 {
-			panic(fmt.Sprintf("netsim: chaos %s probability %g outside [0, 1]", name, p))
-		}
-	}
-	check("drop", c.Drop)
-	check("duplicate", c.Duplicate)
-	check("reorder", c.Reorder)
-	check("corrupt", c.Corrupt)
-	for _, p := range c.Partitions {
-		if p.A == p.B {
-			panic(fmt.Sprintf("netsim: chaos partition pairs worker %d with itself", p.A))
-		}
-		if p.FromIter < 0 || p.ToIter <= p.FromIter {
-			panic(fmt.Sprintf("netsim: chaos partition window [%d, %d) is empty or negative", p.FromIter, p.ToIter))
-		}
-	}
-}
 
 // linkRNG returns the ordered link's private RNG, creating it on first
 // use. The seed derivation mirrors the burst-schedule convention
@@ -111,12 +59,9 @@ func (f *Fabric) DeliverData(bytes int, m Message) {
 		f.eq.enqueueMsg(f.placement[dst], f.arrivalTime(src, dst, bytes), m)
 		return
 	}
-	for _, p := range c.Partitions {
-		if ((src == p.A && dst == p.B) || (src == p.B && dst == p.A)) &&
-			iter >= p.FromIter && iter < p.ToIter {
-			f.stats.NetPartitioned++
-			return
-		}
+	if c.Severs(src, dst, iter) {
+		f.stats.NetPartitioned++
+		return
 	}
 	// Exactly four draws per message, fault or no fault: the draw
 	// schedule — and therefore every later draw on this link — is

@@ -31,6 +31,7 @@ import (
 	"math/rand"
 	"time"
 
+	"hop/internal/chaos"
 	"hop/internal/sim"
 )
 
@@ -92,7 +93,27 @@ type Config struct {
 	// Chaos, when non-nil, enables the seeded network-fault injector
 	// (drop/duplicate/reorder/corrupt plus partition windows) on
 	// messages routed through DeliverData. See chaos.go.
-	Chaos *ChaosConfig
+	Chaos *chaos.Config
+}
+
+// Validate reports the first setting that cannot mean what it says on
+// a fabric of the given worker count: a configured-but-ineffective
+// burst, or a chaos clause chaos.Config.Validate refuses. New panics on
+// it; the scenario layer returns it from spec validation.
+func (c *Config) Validate(workers int) error {
+	if b := c.Burst; b != nil {
+		if b.Factor <= 1 {
+			return fmt.Errorf("netsim: burst factor must be > 1, got %g", b.Factor)
+		}
+		if b.MeanOn < MinBurstDwell || b.MeanOff < MinBurstDwell {
+			return fmt.Errorf("netsim: burst means must be >= %v (did a bare number parse as nanoseconds?), got on=%v off=%v",
+				MinBurstDwell, b.MeanOn, b.MeanOff)
+		}
+	}
+	if c.Chaos != nil {
+		return c.Chaos.Validate(workers)
+	}
+	return nil
 }
 
 // Default1GbE mirrors the paper's testbed: 1000 Mbit/s Ethernet
@@ -190,6 +211,11 @@ func New(k *sim.Kernel, cfg Config, workers int, placement []int) *Fabric {
 	if len(placement) != workers {
 		panic(fmt.Sprintf("netsim: placement has %d entries for %d workers", len(placement), workers))
 	}
+	// A configured-but-ineffective setting must fail loudly (like the
+	// placement check above), not quietly run a uniform network.
+	if err := cfg.Validate(workers); err != nil {
+		panic(err.Error())
+	}
 	machines := 0
 	for _, m := range placement {
 		if m+1 > machines {
@@ -209,8 +235,7 @@ func New(k *sim.Kernel, cfg Config, workers int, placement []int) *Fabric {
 	}
 	if cfg.Chaos != nil {
 		c := *cfg.Chaos
-		c.Partitions = append([]ChaosPartition(nil), c.Partitions...)
-		c.validate()
+		c.Partitions = append([]chaos.Partition(nil), c.Partitions...)
 		cfg.Chaos = &c
 	}
 	f := &Fabric{
@@ -225,14 +250,6 @@ func New(k *sim.Kernel, cfg Config, workers int, placement []int) *Fabric {
 		f.chaosRNG = make(map[[2]int]*rand.Rand)
 	}
 	if b := cfg.Burst; b != nil {
-		// A configured-but-ineffective burst must fail loudly (like the
-		// placement check above), not quietly run a uniform network.
-		if b.Factor <= 1 {
-			panic(fmt.Sprintf("netsim: burst factor must be > 1, got %g", b.Factor))
-		}
-		if b.MeanOn < MinBurstDwell || b.MeanOff < MinBurstDwell {
-			panic(fmt.Sprintf("netsim: burst means must be >= %v, got on=%v off=%v", MinBurstDwell, b.MeanOn, b.MeanOff))
-		}
 		f.bursts = make([]*burstState, machines)
 		affected := func(m int) bool {
 			if len(b.Machines) == 0 {

@@ -11,10 +11,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
+	"time"
 
+	"hop/internal/chaos"
 	"hop/internal/cluster"
 	"hop/internal/core"
+	"hop/internal/leaktest"
 	"hop/internal/live"
+	"hop/internal/netsim"
 )
 
 func TestNetFaultValidation(t *testing.T) {
@@ -27,29 +31,27 @@ func TestNetFaultValidation(t *testing.T) {
 		name     string
 		protocol Protocol
 		comp     string
-		net      *NetFault
+		net      *chaos.Config
 		ok       bool
 	}{
-		{"drop over one", Protocol{Staleness: 5}, "", &NetFault{Drop: 1.5}, false},
-		{"negative reorder", Protocol{Staleness: 5}, "", &NetFault{Reorder: -0.1}, false},
-		{"drop needs loss absorption", Protocol{}, "", &NetFault{Drop: 0.1}, false},
-		{"corrupt needs loss absorption", Protocol{}, "", &NetFault{Corrupt: 0.1}, false},
-		{"duplicate and reorder are not lossy", Protocol{}, "", &NetFault{Duplicate: 0.2, Reorder: 0.2}, true},
-		{"drop with staleness", Protocol{Staleness: 5}, "", &NetFault{Drop: 0.1}, true},
+		// The clause's own ranges are internal/chaos's tests; one case
+		// shows the spec surfaces them, against its own worker count.
+		{"partition worker out of range", Protocol{Staleness: 5}, "", &chaos.Config{Partitions: []chaos.Partition{{A: 0, B: 4, FromIter: 2, ToIter: 4}}}, false},
+		{"drop needs loss absorption", Protocol{}, "", &chaos.Config{Drop: 0.1}, false},
+		{"corrupt needs loss absorption", Protocol{}, "", &chaos.Config{Corrupt: 0.1}, false},
+		{"duplicate and reorder are not lossy", Protocol{}, "", &chaos.Config{Duplicate: 0.2, Reorder: 0.2}, true},
+		{"drop with staleness", Protocol{Staleness: 5}, "", &chaos.Config{Drop: 0.1}, true},
 		// Backup needs token queues (core), loss refuses them: Validate
 		// used to accept this and Run reject it.
-		{"drop with backup alone", Protocol{Backup: 1}, "", &NetFault{Drop: 0.1}, false},
-		{"drop with backup and token queues", Protocol{MaxIG: 4, Backup: 1}, "", &NetFault{Drop: 0.1}, false},
-		{"loss under notify-ack", Protocol{Mode: "notify-ack", Staleness: 5}, "", &NetFault{Drop: 0.1}, false},
-		{"loss with token queues", Protocol{MaxIG: 4, Staleness: 5}, "", &NetFault{Drop: 0.1}, false},
-		{"partition worker out of range", Protocol{Staleness: 5}, "", &NetFault{Partitions: []Partition{{A: 0, B: 4, FromIter: 2, ToIter: 4}}}, false},
-		{"self partition", Protocol{Staleness: 5}, "", &NetFault{Partitions: []Partition{{A: 2, B: 2, FromIter: 2, ToIter: 4}}}, false},
-		{"empty partition window", Protocol{Staleness: 5}, "", &NetFault{Partitions: []Partition{{A: 0, B: 1, FromIter: 4, ToIter: 4}}}, false},
-		{"partition window exceeds staleness", Protocol{Staleness: 3}, "", &NetFault{Partitions: []Partition{{A: 0, B: 1, FromIter: 2, ToIter: 6}}}, false},
-		{"partition window within staleness", Protocol{Staleness: 5}, "", &NetFault{Partitions: []Partition{{A: 0, B: 1, FromIter: 2, ToIter: 6}}}, true},
-		{"topk with drop", Protocol{Staleness: 5}, "topk", &NetFault{Drop: 0.1}, false},
-		{"topk with duplicate", Protocol{Staleness: 5}, "topk", &NetFault{Duplicate: 0.1}, false},
-		{"topk with corrupt only", Protocol{Staleness: 5}, "topk", &NetFault{Corrupt: 0.05}, true},
+		{"drop with backup alone", Protocol{Backup: 1}, "", &chaos.Config{Drop: 0.1}, false},
+		{"drop with backup and token queues", Protocol{MaxIG: 4, Backup: 1}, "", &chaos.Config{Drop: 0.1}, false},
+		{"loss under notify-ack", Protocol{Mode: "notify-ack", Staleness: 5}, "", &chaos.Config{Drop: 0.1}, false},
+		{"loss with token queues", Protocol{MaxIG: 4, Staleness: 5}, "", &chaos.Config{Drop: 0.1}, false},
+		{"partition window exceeds staleness", Protocol{Staleness: 3}, "", &chaos.Config{Partitions: []chaos.Partition{{A: 0, B: 1, FromIter: 2, ToIter: 6}}}, false},
+		{"partition window within staleness", Protocol{Staleness: 5}, "", &chaos.Config{Partitions: []chaos.Partition{{A: 0, B: 1, FromIter: 2, ToIter: 6}}}, true},
+		{"topk with drop", Protocol{Staleness: 5}, "topk", &chaos.Config{Drop: 0.1}, false},
+		{"topk with duplicate", Protocol{Staleness: 5}, "topk", &chaos.Config{Duplicate: 0.1}, false},
+		{"topk with corrupt only", Protocol{Staleness: 5}, "topk", &chaos.Config{Corrupt: 0.05}, true},
 	}
 	for _, c := range cases {
 		spec := base
@@ -63,6 +65,80 @@ func TestNetFaultValidation(t *testing.T) {
 		if !c.ok && err == nil {
 			t.Errorf("%s: invalid net fault accepted", c.name)
 		}
+	}
+}
+
+// TestNetFaultRejectionsObserved runs each rule of validateNetFault
+// past the check, on the simulator, and pins what it prevents: a
+// deadlocked run, or — for the two rules that guard something the
+// simulator does not model as a wedge — a completed one.
+func TestNetFaultRejectionsObserved(t *testing.T) {
+	const workers, iters = 4, 40
+	part := func(from, to int) []chaos.Partition {
+		return []chaos.Partition{{A: 0, B: 1, FromIter: from, ToIter: to}}
+	}
+	cases := []struct {
+		name     string
+		protocol Protocol
+		net      chaos.Config
+		wedges   bool
+	}{
+		{"standard with drop", Protocol{}, chaos.Config{Drop: 0.1}, true},
+		{"standard with corrupt", Protocol{}, chaos.Config{Corrupt: 0.1}, true},
+		{"standard with a partition", Protocol{}, chaos.Config{Partitions: part(3, 4)}, true},
+		{"notify-ack with drop", Protocol{Mode: "notify-ack"}, chaos.Config{Drop: 0.1}, true},
+		{"partition longer than staleness", Protocol{Staleness: 3}, chaos.Config{Partitions: part(2, 10)}, true},
+		{"prague with drop", Protocol{Mode: "prague", GroupSize: 2}, chaos.Config{Drop: 0.1}, true},
+		// Token grants never cross the simulated fabric, so only the
+		// live token frame can be lost: the rule guards live runs.
+		{"token queues with drop", Protocol{MaxIG: 4, Staleness: 5}, chaos.Config{Drop: 0.1}, false},
+		// A duplicate can stand in for a missing quorum member; that
+		// changes what a reduce means, and wedges nothing.
+		{"prague with duplicate", Protocol{Mode: "prague", GroupSize: 2}, chaos.Config{Duplicate: 0.3}, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			spec := Spec{
+				Workload: "quadratic",
+				Topology: Topology{Kind: "ring", Workers: workers, Machines: 1},
+				Protocol: c.protocol,
+				MaxIter:  iters,
+				Seed:     3,
+			}
+			if err := spec.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			// The spec is valid without its clause; adding the clause
+			// is what validateNetFault refuses.
+			spec.Fault = &Fault{Net: &c.net}
+			if spec.Validate() == nil {
+				t.Fatal("validateNetFault accepted the clause")
+			}
+			spec.Fault = nil
+			opts, err := spec.Resolve()
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts.Net = netsim.Default1GbE()
+			c.net.Seed = 403
+			opts.Net.Chaos = &c.net
+			done := 0
+			opts.Core.OnIteration = func(int, int, float64, time.Duration) { done++ }
+			res, err := cluster.Run(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wedged := res.Deadlock != nil; wedged != c.wedges {
+				t.Fatalf("deadlocked = %v after %d worker-iterations, want %v", wedged, done, c.wedges)
+			}
+			st := res.Fabric.Stats()
+			if st.NetDropped+st.NetCorrupted+st.NetPartitioned+st.NetDuplicated == 0 {
+				t.Errorf("no fault fired: %+v", st)
+			}
+			if !c.wedges && done != workers*iters {
+				t.Errorf("%d worker-iterations completed, want %d", done, workers*iters)
+			}
+		})
 	}
 }
 
@@ -166,6 +242,7 @@ func TestSimChaosDeterministic(t *testing.T) {
 // deliberately not used here: it asserts zero read errors, and
 // CRC-dropped frames legitimately produce them.
 func TestLiveChaosConverges(t *testing.T) {
+	defer leaktest.Check(t, 0)()
 	spec := loadSpec(t, "../../examples/scenarios/ring4-chaos.json")
 	res, err := spec.RunLive(LiveOptions{
 		Logger: live.NopLogger(),

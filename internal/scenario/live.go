@@ -27,14 +27,12 @@ import (
 	"math/rand"
 	"time"
 
+	"hop/internal/chaos"
 	"hop/internal/cluster"
 	"hop/internal/core"
 	"hop/internal/hetero"
 	"hop/internal/live"
-
 	"hop/internal/model"
-	"hop/internal/netsim"
-	"hop/internal/transport"
 )
 
 // LiveOptions tune how a Spec is realized on the live runtime.
@@ -174,35 +172,19 @@ func liveComputeDelay(w int, c hetero.Compute, seed int64, scale float64, extra 
 	}
 }
 
-// liveChaos translates the resolved simulator chaos config into
-// worker w's transport-level injector. Reorder becomes Delay — on a
-// real TCP stream a message cannot overtake its predecessors, so the
-// live realization of reordering is holding a frame, and with it its
-// connection (the peer's one writer sleeps), long enough for the
-// worker's traffic on its other connections to land first: live
-// reordering is across connections, never within one. Each worker
-// derives its own seed from the base so the per-process RNG streams
-// are uncorrelated but reproducible from the spec.
-func liveChaos(c *netsim.ChaosConfig, w int, seedOverride int64) *transport.ChaosConfig {
+// liveChaos is worker w's copy of the resolved fault.net clause: each
+// worker derives its own seed from the base, so the per-process RNG
+// streams are uncorrelated but reproducible from the spec.
+func liveChaos(c *chaos.Config, w int, seedOverride int64) *chaos.Config {
 	if c == nil {
 		return nil
 	}
-	base := c.Seed
+	wc := *c
 	if seedOverride != 0 {
-		base = seedOverride
+		wc.Seed = seedOverride
 	}
-	parts := make([]transport.ChaosPartition, len(c.Partitions))
-	for i, p := range c.Partitions {
-		parts[i] = transport.ChaosPartition{A: p.A, B: p.B, FromIter: p.FromIter, ToIter: p.ToIter}
-	}
-	return &transport.ChaosConfig{
-		Drop:       c.Drop,
-		Duplicate:  c.Duplicate,
-		Corrupt:    c.Corrupt,
-		Delay:      c.Reorder,
-		Partitions: parts,
-		Seed:       base + int64(w)*104729 + 17,
-	}
+	wc.Seed += int64(w)*104729 + 17
+	return &wc
 }
 
 // RunLive resolves the spec and executes it as a live loopback TCP

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"hop/internal/chaos"
 	"hop/internal/cluster"
 )
 
@@ -52,7 +53,7 @@ func TestPragueSpecValidation(t *testing.T) {
 			MaxIter:  10,
 		}, `group_size/group_quorum/group_seed are prague knobs; set protocol mode "prague"`},
 		{"chaos rejected", prague(func(s *Spec) {
-			s.Fault = &Fault{Net: &NetFault{Drop: 0.01}}
+			s.Fault = &Fault{Net: &chaos.Config{Drop: 0.01}}
 		}), "fault net chaos cannot run under prague"},
 		{"restart rejected", prague(func(s *Spec) {
 			s.Fault = &Fault{Crashes: []Crash{{Worker: 3, Iter: 5, Restart: Duration(time.Second)}}}

@@ -21,6 +21,7 @@ import (
 	"strings"
 	"time"
 
+	"hop/internal/chaos"
 	"hop/internal/cluster"
 	"hop/internal/compress"
 	"hop/internal/core"
@@ -304,84 +305,27 @@ type Fault struct {
 	Crashes []Crash `json:"crashes,omitempty"`
 	// Net injects seeded network faults into the data plane: per-link
 	// drop/duplicate/reorder/corrupt probabilities and partition
-	// windows. Realized deterministically by the simulator
-	// (netsim.ChaosConfig) and as seeded frame-level injection on live
-	// TCP (transport.ChaosConfig) — same spec, faults in both planes.
-	Net *NetFault `json:"net,omitempty"`
+	// windows. The one clause both planes read: deterministically on the
+	// simulator (netsim.Config.Chaos), as seeded frame-level injection
+	// on live TCP (live.WorkerConfig.Chaos). Loss-inducing knobs need a
+	// protocol configuration that can absorb loss (validateNetFault).
+	Net *chaos.Config `json:"net,omitempty"`
 }
 
-// NetFault is the declarative network-fault clause. All probabilities
-// are per-message in [0, 1]. Loss-inducing knobs (drop, corrupt,
-// partitions) require a protocol configuration that can absorb loss:
-// bounded staleness or backup workers, no NOTIFY-ACK, no token queues
-// — validation enforces it, because a lost ACK or token grant wedges
-// those modes forever rather than slowing them down.
-type NetFault struct {
-	// Drop is the probability a message silently vanishes.
-	Drop float64 `json:"drop,omitempty"`
-	// Duplicate is the probability a message is delivered twice.
-	Duplicate float64 `json:"duplicate,omitempty"`
-	// Reorder is the probability a message is delayed past later
-	// traffic (live: a seeded pre-write delay that holds the frame's
-	// connection, so it is overtaken by the sender's other connections
-	// only).
-	Reorder float64 `json:"reorder,omitempty"`
-	// Corrupt is the probability a message is damaged in flight; the
-	// receiver's CRC32-C check detects and drops it.
-	Corrupt float64 `json:"corrupt,omitempty"`
-	// Partitions lists severed worker pairs and iteration windows.
-	Partitions []Partition `json:"partitions,omitempty"`
-	// Seed drives the fault RNGs; 0 derives 400+spec seed (layering
-	// after batch 100+S, slowdown 200+S, burst 300+S).
-	Seed int64 `json:"seed,omitempty"`
-}
-
-// Partition severs the data-plane link between workers A and B (both
-// directions) for messages tagged with iterations in [FromIter,
-// ToIter).
-type Partition struct {
-	A        int `json:"a"`
-	B        int `json:"b"`
-	FromIter int `json:"from_iter"`
-	ToIter   int `json:"to_iter"`
-}
-
-// lossy reports whether the clause can make messages disappear.
-func (nf *NetFault) lossy() bool {
-	return nf.Drop > 0 || nf.Corrupt > 0 || len(nf.Partitions) > 0
-}
-
-// validate checks the clause against the worker count and resolved
-// protocol configuration.
-func (nf *NetFault) validate(n int, cfg core.Config, comp compress.Spec) error {
+// validateNetFault refuses a fault.net clause the resolved protocol
+// cannot run under. The clause's own ranges are chaos.Config.Validate's
+// (through netsim.Config.Validate); these are only the rules that pair
+// a fault with a protocol. TestNetFaultRejectionsObserved runs each one
+// past this check and pins what happens.
+func validateNetFault(nf *chaos.Config, cfg core.Config, comp compress.Spec) error {
 	if cfg.Mode == core.ModePrague {
-		// Prague's quorum counts queue entries, so duplicated frames
-		// satisfy it with members missing, and there is no staleness
-		// bound to absorb loss — no chaos knob is survivable.
+		// Prague's quorum counts queue entries, not distinct members, so
+		// a duplicated frame can stand in for a missing member and close a
+		// reduce the schedule meant to wait for; and with no staleness
+		// bound, a lost update wedges its group.
 		return fmt.Errorf("scenario: fault net chaos cannot run under prague (count-based quorum; no staleness bound to absorb loss)")
 	}
-	probs := []struct {
-		name string
-		p    float64
-	}{
-		{"drop", nf.Drop}, {"duplicate", nf.Duplicate},
-		{"reorder", nf.Reorder}, {"corrupt", nf.Corrupt},
-	}
-	for _, pr := range probs {
-		if pr.p < 0 || pr.p > 1 {
-			return fmt.Errorf("scenario: fault net %s probability %g outside [0, 1]", pr.name, pr.p)
-		}
-	}
 	for i, p := range nf.Partitions {
-		if p.A < 0 || p.A >= n || p.B < 0 || p.B >= n {
-			return fmt.Errorf("scenario: fault net partition %d pairs workers (%d, %d), outside [0, %d)", i, p.A, p.B, n)
-		}
-		if p.A == p.B {
-			return fmt.Errorf("scenario: fault net partition %d pairs worker %d with itself", i, p.A)
-		}
-		if p.FromIter < 0 || p.ToIter <= p.FromIter {
-			return fmt.Errorf("scenario: fault net partition %d window [%d, %d) is empty or negative", i, p.FromIter, p.ToIter)
-		}
 		if cfg.Staleness > 0 && p.ToIter-p.FromIter > cfg.Staleness {
 			// A window longer than the staleness bound lets both sides
 			// block on each other with every bridging update dropped —
@@ -390,7 +334,7 @@ func (nf *NetFault) validate(n int, cfg core.Config, comp compress.Spec) error {
 				i, p.ToIter-p.FromIter, cfg.Staleness)
 		}
 	}
-	if nf.lossy() {
+	if nf.Lossy() {
 		if cfg.Staleness <= 0 && cfg.Backup <= 0 {
 			return fmt.Errorf("scenario: fault net loss (drop/corrupt/partitions) needs staleness or backup to absorb missing updates")
 		}
@@ -398,7 +342,11 @@ func (nf *NetFault) validate(n int, cfg core.Config, comp compress.Spec) error {
 			return fmt.Errorf("scenario: fault net loss cannot run under notify-ack (a lost ACK blocks the sender forever)")
 		}
 		if cfg.MaxIG > 0 {
-			return fmt.Errorf("scenario: fault net loss cannot run with token queues (a lost grant starves the receiver)")
+			// Token grants travel as token frames on the live wire only:
+			// the simulator hands a grant straight to its consumer, past
+			// the fabric and its faults. A lost live token frame starves
+			// its receiver.
+			return fmt.Errorf("scenario: fault net loss cannot run with token queues (a lost live token frame starves the receiver)")
 		}
 	}
 	if comp.Kind == compress.TopK && (nf.Drop > 0 || nf.Duplicate > 0 || len(nf.Partitions) > 0) {
@@ -410,26 +358,6 @@ func (nf *NetFault) validate(n int, cfg core.Config, comp compress.Spec) error {
 		return fmt.Errorf("scenario: fault net drop/duplicate/partitions cannot run under topk compression (silent delta-stream desync); corrupt is allowed")
 	}
 	return nil
-}
-
-// chaosConfig resolves the clause to the simulator's injector config.
-func (nf *NetFault) chaosConfig(specSeed int64) *netsim.ChaosConfig {
-	seed := nf.Seed
-	if seed == 0 {
-		seed = 400 + specSeed
-	}
-	parts := make([]netsim.ChaosPartition, len(nf.Partitions))
-	for i, p := range nf.Partitions {
-		parts[i] = netsim.ChaosPartition{A: p.A, B: p.B, FromIter: p.FromIter, ToIter: p.ToIter}
-	}
-	return &netsim.ChaosConfig{
-		Drop:       nf.Drop,
-		Duplicate:  nf.Duplicate,
-		Reorder:    nf.Reorder,
-		Corrupt:    nf.Corrupt,
-		Partitions: parts,
-		Seed:       seed,
-	}
 }
 
 // Crash halts one worker at the top of iteration Iter (its last update
@@ -725,17 +653,6 @@ func (s Spec) resolve(buildTrainer bool) (cluster.Options, error) {
 	if err != nil {
 		return zero, fmt.Errorf("scenario: %w", err)
 	}
-	if b := s.Net.Burst; b != nil {
-		// Mirror netsim.New's burst panics as errors so an invalid
-		// spec fails at validation, before any cluster is built.
-		if b.Factor <= 1 {
-			return zero, fmt.Errorf("scenario: burst factor must be > 1, got %g", b.Factor)
-		}
-		if time.Duration(b.MeanOn) < netsim.MinBurstDwell || time.Duration(b.MeanOff) < netsim.MinBurstDwell {
-			return zero, fmt.Errorf("scenario: burst means must be >= %v (did a bare number parse as nanoseconds?), got on=%v off=%v",
-				netsim.MinBurstDwell, time.Duration(b.MeanOn), time.Duration(b.MeanOff))
-		}
-	}
 
 	cfg := core.Config{
 		Graph:       g,
@@ -836,16 +753,27 @@ func (s Spec) resolve(buildTrainer bool) (cluster.Options, error) {
 
 	netCfg := s.Net.config(s.Seed)
 	if s.Fault != nil && s.Fault.Net != nil {
-		if err := s.Fault.Net.validate(g.N(), cfg, comp); err != nil {
-			return zero, err
-		}
 		// Chaos rides the resolved fabric config; an otherwise-default
 		// network must materialize Default1GbE here, because a non-zero
 		// Config is passed through as-is by cluster.Run.
 		if netCfg.IsZero() {
 			netCfg = netsim.Default1GbE()
 		}
-		netCfg.Chaos = s.Fault.Net.chaosConfig(s.Seed)
+		c := *s.Fault.Net
+		if c.Seed == 0 {
+			c.Seed = 400 + s.Seed
+		}
+		netCfg.Chaos = &c
+	}
+	// Surface netsim.New's construction panics as errors, so an invalid
+	// spec fails at validation, before any cluster is built.
+	if err := netCfg.Validate(g.N()); err != nil {
+		return zero, err
+	}
+	if c := netCfg.Chaos; c != nil {
+		if err := validateNetFault(c, cfg, comp); err != nil {
+			return zero, err
+		}
 	}
 
 	opts := cluster.Options{

@@ -1,9 +1,9 @@
 package transport
 
-// chaos.go — the live plane's seeded fault injector. ChaosConfig sits
-// in each peer's writer, between frame encoding and the socket write:
-// every frame of a batch meets the injector on its own before the
-// batch is assembled, and can be dropped, duplicated, delayed, or
+// chaos.go — the live plane's seeded fault injector. It realizes a
+// chaos.Config in each peer's writer, between frame encoding and the
+// socket write: every frame of a batch meets the injector on its own
+// before the batch is assembled, and can be dropped, duplicated, delayed, or
 // bit-flipped before it reaches the wire; partition windows sever the
 // data plane between a pair of workers for an iteration range. The CRC
 // trailer (codec.go) turns every injected bit-flip into a detected
@@ -31,67 +31,30 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"hop/internal/chaos"
 )
 
-// ChaosPartition severs the data plane between workers A and B: every
-// update/token/ACK frame between them whose iteration tag falls in
-// [FromIter, ToIter) is silently dropped.
-type ChaosPartition struct {
-	A, B             int
-	FromIter, ToIter int
-}
-
-// ChaosConfig tunes the injector. All probabilities are per-frame in
-// [0, 1]; the zero value injects nothing.
-type ChaosConfig struct {
-	// Drop is the probability a frame is silently discarded.
-	Drop float64
-	// Duplicate is the probability a frame is written twice. Chunks of
-	// multi-chunk updates are never duplicated (a duplicate chunk is a
-	// reassembly-contract violation, which would model a sender bug
-	// rather than a network fault).
-	Duplicate float64
-	// Corrupt is the probability one random bit of the frame is
-	// flipped before the write. The receiver's CRC check drops it.
-	Corrupt float64
-	// Delay is the probability a frame's write is delayed by a random
-	// duration up to MaxDelay — the live realization of the scenario
-	// axis's reorder probability. The peer's one writer sleeps, so the
-	// delay holds that connection's stream back as a whole and reorders
-	// it against the node's other connections, not within itself.
-	Delay float64
-	// MaxDelay caps injected delays (default 20ms).
-	MaxDelay time.Duration
-	// Partitions lists the severed pairs and their windows.
-	Partitions []ChaosPartition
-	// Seed seeds the injector's RNG; 0 derives a seed from the clock.
-	Seed int64
-}
-
-func (c *ChaosConfig) maxDelay() time.Duration {
-	if c.MaxDelay > 0 {
-		return c.MaxDelay
-	}
-	return 20 * time.Millisecond
-}
+// maxDelay caps the pre-write delay a reordered frame waits.
+const maxDelay = 20 * time.Millisecond
 
 // chaosState is the per-node injector: one seeded RNG shared across
 // connections, guarded by mu. It counts the faults it injects in its
 // node's Stats (the Chaos* counters).
 type chaosState struct {
-	cfg ChaosConfig
+	cfg chaos.Config
 	st  *Stats
 
 	mu  sync.Mutex
 	rng *rand.Rand
 }
 
-func newChaosState(cfg ChaosConfig, st *Stats) *chaosState {
+func newChaosState(cfg chaos.Config, st *Stats) *chaosState {
 	seed := cfg.Seed
 	if seed == 0 {
 		seed = time.Now().UnixNano()
 	}
-	cfg.Partitions = append([]ChaosPartition(nil), cfg.Partitions...)
+	cfg.Partitions = append([]chaos.Partition(nil), cfg.Partitions...)
 	return &chaosState{cfg: cfg, st: st, rng: rand.New(rand.NewSource(seed))}
 }
 
@@ -122,15 +85,9 @@ func (c *chaosState) inject(self, peer int, iov [][]byte, frames int, parts ...[
 		size += len(part)
 	}
 	kind := frameKind(head[4])
-	if kind != frameHeartbeat {
-		iter := int(int32(binary.LittleEndian.Uint32(head[16:20])))
-		for _, pt := range c.cfg.Partitions {
-			if ((self == pt.A && peer == pt.B) || (self == pt.B && peer == pt.A)) &&
-				iter >= pt.FromIter && iter < pt.ToIter {
-				atomic.AddInt64(&c.st.ChaosPartitioned, 1)
-				return iov, frames
-			}
-		}
+	if kind != frameHeartbeat && c.cfg.Severs(self, peer, int(int32(binary.LittleEndian.Uint32(head[16:20])))) {
+		atomic.AddInt64(&c.st.ChaosPartitioned, 1)
+		return iov, frames
 	}
 	// Chunks of multi-chunk updates are never duplicated: a duplicate
 	// chunk violates the reassembly contract, modeling a sender bug
@@ -141,8 +98,12 @@ func (c *chaosState) inject(self, peer int, iov [][]byte, frames int, parts ...[
 	dup := dupable && c.rng.Float64() < c.cfg.Duplicate
 	corrupt := c.rng.Float64() < c.cfg.Corrupt
 	var delay time.Duration
-	if c.rng.Float64() < c.cfg.Delay {
-		delay = time.Duration(c.rng.Float64() * float64(c.cfg.maxDelay()))
+	if c.rng.Float64() < c.cfg.Reorder {
+		// On a TCP stream a frame cannot overtake its predecessors: the
+		// live reorder holds the frame — and with it the connection, the
+		// peer's one writer sleeping — so the node's other connections
+		// land first.
+		delay = time.Duration(c.rng.Float64() * float64(maxDelay))
 	}
 	bit := 0
 	switch {

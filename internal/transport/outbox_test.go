@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"hop/internal/chaos"
 	"hop/internal/compress"
 	"hop/internal/tensor"
 )
@@ -295,7 +296,7 @@ func TestOutboxLoneTokenLeavesAtOnce(t *testing.T) {
 func TestOutboxEmptyUpdateIsDelivered(t *testing.T) {
 	for name, cfg := range map[string]Config{
 		"plain": {},
-		"chaos": {Chaos: &ChaosConfig{Seed: 1}}, // injects nothing, still filters
+		"chaos": {Chaos: &chaos.Config{Seed: 1}}, // injects nothing, still filters
 	} {
 		t.Run(name, func(t *testing.T) {
 			l := linkFake(t, cfg)

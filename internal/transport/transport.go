@@ -39,6 +39,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"hop/internal/chaos"
 	"hop/internal/compress"
 	"hop/internal/counters"
 	"hop/internal/tensor"
@@ -183,8 +184,8 @@ type Config struct {
 	OnSendError func(peer int, err error)
 	// Chaos, when non-nil, injects seeded faults (drop, duplicate,
 	// delay, bit-flip, partition windows) into outgoing frames before
-	// they reach the socket. See ChaosConfig.
-	Chaos *ChaosConfig
+	// they reach the socket. See chaos.go.
+	Chaos *chaos.Config
 }
 
 func (c Config) compressor() compress.Compressor {
@@ -242,7 +243,7 @@ type Stats struct {
 	// one-in-flight barrier. A high value relative to UpdatesSent means
 	// the wire, not the compute, is the bottleneck.
 	PipelineStalls int64 `json:"pipeline_stalls"`
-	// Chaos* count faults injected by this node's ChaosConfig (all zero
+	// Chaos* count faults injected by this node's Config.Chaos (all zero
 	// when chaos is off — live_smoke.sh asserts exactly that in
 	// non-chaos runs).
 	ChaosDropped     int64 `json:"chaos_dropped"`

@@ -9,7 +9,9 @@
 #      `scripts/<name>` path mentioned in README.md actually exists, and
 #      so does every package the README's package-map tree names under
 #      `internal/` (rows like "  nn / model / svm / opt / data ..."), so the
-#      package map cannot keep listing a deleted package;
+#      package map cannot keep listing a deleted package — and every
+#      `internal/` package with non-test Go code is named in that tree,
+#      so a new package cannot land unmapped;
 #   3. every `DESIGN.md §x.y` cited from a tracked *.go file is the
 #      number of a DESIGN.md heading, so renumbering a section cannot
 #      leave source comments pointing at another one;
@@ -70,7 +72,7 @@ if [ -f README.md ]; then
     # The tree under the "internal/" line of the package map: a row
     # starts with exactly two spaces and one or more package names
     # joined by " / "; deeper-indented rows continue a description.
-    for pkg in $(awk '
+    mapped=$(awk '
         /^internal\/$/ { tree = 1; next }
         /^```/ { tree = 0 }
         tree && /^  [a-z]/ {
@@ -78,9 +80,17 @@ if [ -f README.md ]; then
                 print $i
                 if ($(i + 1) != "/") break
             }
-        }' README.md); do
+        }' README.md)
+    for pkg in $mapped; do
         if [ ! -d "internal/$pkg" ]; then
             note "BROKEN PACKAGE REF: README.md package map lists internal/$pkg which does not exist"
+        fi
+    done
+    for dir in internal/*/; do
+        pkg=$(basename "$dir")
+        if ls "$dir" | grep -v '_test\.go$' | grep -q '\.go$' &&
+           ! grep -qxF "$pkg" <<< "$mapped"; then
+            note "UNMAPPED PACKAGE: internal/$pkg is missing from README.md's package map"
         fi
     done
 fi
