@@ -74,9 +74,12 @@ var (
 	// steps queues started whole steps for the pool. An entry is a
 	// hint, not ownership: whoever wins the step's queued→running
 	// transition runs it, and entries whose step the owner already ran
-	// are skipped. Sized for the largest committed cluster (1024
-	// simulated workers, each with at most one step outstanding); a
-	// Start that finds it full leaves the step to its owner's Join.
+	// are skipped. A stale entry stays in the channel until someone
+	// receives it, so a Step may have several entries queued: the first
+	// received claims its queued run, if any, and the rest are skipped.
+	// Sized for the largest committed cluster (1024 simulated workers,
+	// one queued run each); a Start that finds it full — stale entries
+	// count — leaves the step to its owner's Join.
 	steps = make(chan *Step, 1024)
 
 	// started counts live worker goroutines; ensureWorkers grows the
@@ -186,7 +189,11 @@ func (s *Step) runIfQueued() {
 // queued the joiner runs it itself, and while a pool worker has it the
 // joiner runs other queued steps — so pool goroutines plus joiner keep
 // Workers() cores busy, and at width 1 the joiner is the only
-// executor.
+// executor. Its own completion comes first: a select picks uniformly
+// among ready cases, so without the poll a joiner whose step is
+// already done would run a queued step half the time, and the pool
+// goroutine that could have run it would sit idle while the owner does
+// its serial work late (DESIGN.md §3.2).
 func (s *Step) Join() {
 	switch s.state.Load() {
 	case stepIdle:
@@ -199,6 +206,12 @@ func (s *Step) Join() {
 		}
 	}
 	for {
+		select {
+		case <-s.done:
+			s.state.Store(stepIdle)
+			return
+		default:
+		}
 		select {
 		case <-s.done:
 			s.state.Store(stepIdle)

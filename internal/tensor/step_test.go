@@ -3,6 +3,7 @@ package tensor
 import (
 	"bytes"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -70,6 +71,65 @@ func TestStepRunsExactlyOnce(t *testing.T) {
 			if n := runs.Load(); n != 1 {
 				t.Fatalf("width %d: second Join re-ran the step (%d runs)", w, n)
 			}
+		}
+	}
+}
+
+// TestJoinTakesOwnCompletionFirst pins Join's order at width 2: a
+// joiner whose step a pool goroutine has already finished returns at
+// once, and leaves the queued steps to the pool. Each round the pool
+// goroutine runs x, is then pinned inside z, and y waits behind z; x's
+// Join must not run y. A Join that picked among its own completion and
+// the queue at random would run y in half the rounds.
+func TestJoinTakesOwnCompletionFirst(t *testing.T) {
+	defer SetWorkers(0)
+	SetWorkers(2)
+	ensureWorkers(1) // before the count: the pool goroutine outlives the test
+	defer leaktest.Check(t, 0)()
+	for round := 0; round < 100; round++ {
+		var x, y, z Step
+		var ranOn atomic.Int64
+		x.Start(func() {})
+		entered, release := make(chan struct{}), make(chan struct{})
+		z.Start(func() { entered <- struct{}{}; <-release })
+		<-entered // the one pool goroutine finished x before taking z
+		y.Start(func() { ranOn.Store(int64(goid())) })
+		x.Join()
+		helped := ranOn.Load() != 0
+		close(release)
+		z.Join()
+		y.Join()
+		if helped {
+			t.Fatalf("round %d: x.Join ran the queued step y after its own step had finished", round)
+		}
+	}
+}
+
+// TestJoinHelpsWhileOwnStepRuns is the converse: while a pool
+// goroutine still runs x, x.Join runs the queued y itself. y's closure
+// is what releases x, so a Join that only waited would hang; the
+// watchdog frees x after five seconds and the round fails instead.
+func TestJoinHelpsWhileOwnStepRuns(t *testing.T) {
+	defer SetWorkers(0)
+	SetWorkers(2)
+	ensureWorkers(1)
+	defer leaktest.Check(t, 0)()
+	me := goid()
+	for round := 0; round < 100; round++ {
+		var x, y Step
+		var ranOn atomic.Int64
+		entered, release := make(chan struct{}), make(chan struct{})
+		var once sync.Once
+		free := func() { once.Do(func() { close(release) }) }
+		watchdog := time.AfterFunc(5*time.Second, free)
+		x.Start(func() { entered <- struct{}{}; <-release })
+		<-entered // the one pool goroutine is pinned inside x
+		y.Start(func() { ranOn.Store(int64(goid())); free() })
+		x.Join()
+		watchdog.Stop()
+		y.Join()
+		if id := ranOn.Load(); id != int64(me) {
+			t.Fatalf("round %d: y ran on goroutine %d, want the joiner %d", round, id, me)
 		}
 	}
 }
