@@ -145,12 +145,33 @@ func BenchmarkCNNLossGrad(b *testing.B) {
 	}
 }
 
+// BenchmarkCNNLossGradClones16 is the same step taken round-robin by 16
+// clones of one trainer, each with its own rng: sim-cnn-hetero16's
+// replicas on one core, each step starting where another replica's
+// left the cache.
+func BenchmarkCNNLossGradClones16(b *testing.B) {
+	base := model.NewCNN(model.DefaultCNNConfig())
+	clones := make([]model.Trainer, 16)
+	rngs := make([]*rand.Rand, len(clones))
+	for i := range clones {
+		clones[i] = base.Clone()
+		rngs[i] = rand.New(rand.NewSource(int64(i) + 1))
+		clones[i].ComputeGrad(rngs[i]) // warm-up: grow the batch buffer and scratch
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w := i % len(clones)
+		clones[w].ComputeGrad(rngs[w])
+	}
+}
+
 // BenchmarkCNNEvalLoss is MiniVGG's forward pass at the eval batch
-// (128 samples): the held-out loss cluster.Run evaluates inline on the
-// scheduling plane.
+// (128 samples, streamed through one workspace 16 at a time): the
+// held-out loss cluster.Run evaluates inline on the scheduling plane.
 func BenchmarkCNNEvalLoss(b *testing.B) {
 	c := model.NewCNN(model.DefaultCNNConfig())
-	c.EvalLoss() // grow the layers' scratch to the eval batch
+	c.EvalLoss() // grow the layers' scratch to the eval chunk
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -128,7 +128,10 @@ func (c *CNN) EvalAccuracy() float64 {
 }
 
 // Clone implements Trainer. The clone shares the (read-only) dataset
-// and eval batch, copies parameters, and gets fresh momentum.
+// and eval batch, copies parameters, and gets fresh momentum. It also
+// shares the network's workspaces (nn.Network): a replica keeps its
+// parameters, gradients, momentum and batch buffer, and the layer
+// scratch a step or an evaluation runs in belongs to the running call.
 func (c *CNN) Clone() Trainer {
 	return &CNN{cfg: c.cfg, net: c.net.Clone(), sgd: c.sgd.Clone(), ds: c.ds, eval: c.eval}
 }

@@ -63,12 +63,16 @@ func (c *Conv2D) ParamCount(in Shape) int { return c.OutC*in.C*c.K*c.K + c.OutC 
 
 func (c *Conv2D) Bind(in Shape, params, grads []float64) {
 	c.in = in
-	nw := c.OutC * in.C * c.K * c.K
-	c.weights, c.bias = params[:nw], params[nw:]
-	c.dw, c.db = grads[:nw], grads[nw:]
+	c.setParams(params, grads)
 	c.plan = im2colPlan(in, c.K)
 	c.xpad = make([]float64, in.Size()+1)
 	c.back = col2imPlan(c.plan, in, c.K)
+}
+
+func (c *Conv2D) setParams(params, grads []float64) {
+	nw := c.OutC * c.in.C * c.K * c.K
+	c.weights, c.bias = params[:nw], params[nw:]
+	c.dw, c.db = grads[:nw], grads[nw:]
 }
 
 // im2colPlan is Conv2D.plan for input shape in and a k×k kernel.
@@ -254,6 +258,7 @@ func (r *ReLU) ParamCount(in Shape) int          { return 0 }
 func (r *ReLU) Bind(Shape, []float64, []float64) {}
 func (r *ReLU) Init(*rand.Rand)                  {}
 func (r *ReLU) clone() Layer                     { return NewReLU() }
+func (r *ReLU) setParams([]float64, []float64)   {}
 
 func (r *ReLU) Forward(x []float64, b int) []float64 {
 	if cap(r.out) < len(x) {
@@ -314,6 +319,8 @@ func (m *MaxPool2) Init(*rand.Rand) {}
 
 func (m *MaxPool2) clone() Layer { return NewMaxPool2() }
 
+func (m *MaxPool2) setParams([]float64, []float64) {}
+
 // Forward pools each sample's windows by the plan in window order, the
 // first of equal values winning and a NaN never beating a number (nor
 // losing the lead): tensor.WindowMax4's rule.
@@ -371,7 +378,11 @@ func (d *Dense) ParamCount(in Shape) int { return d.Out*in.Size() + d.Out }
 
 func (d *Dense) Bind(in Shape, params, grads []float64) {
 	d.in = in
-	nw := d.Out * in.Size()
+	d.setParams(params, grads)
+}
+
+func (d *Dense) setParams(params, grads []float64) {
+	nw := d.Out * d.in.Size()
 	d.weights, d.bias = params[:nw], params[nw:]
 	d.dw, d.db = grads[:nw], grads[nw:]
 }

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"hop/internal/tensor"
 )
@@ -32,8 +33,9 @@ func (s Shape) String() string { return fmt.Sprintf("%dx%dx%d", s.C, s.H, s.W) }
 
 // Layer is one differentiable stage of a network. Layers are stateful
 // across a Forward/Backward pair (they retain the activations backward
-// needs) and are not safe for concurrent use; each worker owns its own
-// network clone.
+// needs) and are not safe for concurrent use. A network's layers belong
+// to its workspaces, not to the network: each running call has a set to
+// itself (see Network).
 type Layer interface {
 	// Name identifies the layer in diagnostics.
 	Name() string
@@ -53,59 +55,136 @@ type Layer interface {
 	Backward(dy []float64, b int) []float64
 }
 
+// wsLayer is what a workspace needs of a layer beyond Layer: a copy of
+// its architecture holding no scratch, and a rebind to another replica's
+// parameters and gradients that moves slice headers only.
+type wsLayer interface {
+	Layer
+	clone() Layer
+	setParams(params, grads []float64)
+}
+
 // inputGradSkipper is implemented by layers that pay for dLoss/dIn
-// separately from their parameter gradients; NewNetwork tells its first
-// layer to leave it out.
+// separately from their parameter gradients; a workspace tells its
+// first layer to leave it out.
 type inputGradSkipper interface{ skipInputGrad() }
 
-// Network is a sequential stack of layers with a flat parameter store.
+// evalChunk is the most samples Loss and Accuracy forward at once: the
+// CNN workload's training batch, so an evaluation runs in the scratch
+// the training steps have grown, however large its batch.
+const evalChunk = 16
+
+// Network is one replica of a sequential stack of layers: a flat
+// parameter store and its gradient. The layers themselves, with every
+// activation and scratch buffer a pass needs, live in workspaces the
+// network shares with its clones — its family. LossGrad, Loss, Accuracy
+// and Init take a free workspace, point its layers at this replica's
+// parameters and gradients, and put it back before they return, so a
+// family holds as many workspaces as its calls ever ran at once, however
+// many replicas it has. Clones may run concurrently; one network may not.
 type Network struct {
+	params []float64
+	grads  []float64
+	fam    *family
+}
+
+// family is what a network and its clones share.
+type family struct {
 	in      Shape
 	classes int
-	layers  []Layer
-	params  []float64
-	grads   []float64
+	offs    []int     // layer i binds params[offs[i]:offs[i+1]]
+	proto   []wsLayer // NewNetwork's layers, which a new workspace clones
 
-	// scratch for the softmax cross-entropy head
-	probs []float64
+	mu   sync.Mutex
+	free []*workspace // last in, first out: the warmest set is taken next
+}
+
+// workspace is one full set of a family's layers, their scratch sized
+// by the largest batch the set has run, and the softmax head's
+// probabilities.
+type workspace struct {
+	layers []wsLayer
+	probs  []float64
 }
 
 // NewNetwork builds a network for input shape in, ending with a
 // softmax cross-entropy head over the output of the last layer (whose
-// output size defines the number of classes).
+// output size defines the number of classes). The layers, which must be
+// this package's, become the family's first workspace.
 func NewNetwork(in Shape, layers ...Layer) *Network {
-	n := &Network{in: in, layers: layers}
+	f := &family{in: in, offs: make([]int, len(layers)+1)}
+	ws := &workspace{layers: make([]wsLayer, len(layers))}
 	shape := in
-	total := 0
-	for _, l := range layers {
-		total += l.ParamCount(shape)
+	for i, l := range layers {
+		wl, ok := l.(wsLayer)
+		if !ok {
+			panic(fmt.Sprintf("nn: layer %s cannot join a workspace", l.Name()))
+		}
+		ws.layers[i] = wl
+		f.offs[i+1] = f.offs[i] + l.ParamCount(shape)
 		shape = l.OutShape(shape)
 	}
 	if shape.H != 1 || shape.W != 1 {
 		panic(fmt.Sprintf("nn: final layer output %v is not a class vector", shape))
 	}
-	n.classes = shape.C
-	n.params = make([]float64, total)
-	n.grads = make([]float64, total)
-	shape = in
-	off := 0
-	for _, l := range layers {
-		c := l.ParamCount(shape)
-		l.Bind(shape, n.params[off:off+c], n.grads[off:off+c])
-		off += c
+	f.classes, f.proto = shape.C, ws.layers
+	total := f.offs[len(layers)]
+	n := &Network{params: make([]float64, total), grads: make([]float64, total), fam: f}
+	f.setUp(ws, n)
+	f.free = append(f.free, ws)
+	return n
+}
+
+// setUp binds a new workspace's layers to their input shapes and to n's
+// parameters, and tells the first layer to skip the input gradient.
+func (f *family) setUp(ws *workspace, n *Network) {
+	shape := f.in
+	for i, l := range ws.layers {
+		l.Bind(shape, n.params[f.offs[i]:f.offs[i+1]], n.grads[f.offs[i]:f.offs[i+1]])
 		shape = l.OutShape(shape)
 	}
-	if len(layers) > 0 {
-		if l, ok := layers[0].(inputGradSkipper); ok {
+	if len(ws.layers) > 0 {
+		if l, ok := ws.layers[0].(inputGradSkipper); ok {
 			l.skipInputGrad()
 		}
 	}
-	return n
+}
+
+// get takes the most recently returned workspace, or makes one when
+// every workspace is in use, and points it at n's parameters. A
+// workspace made here joins the family when put back.
+func (f *family) get(n *Network) *workspace {
+	f.mu.Lock()
+	if k := len(f.free); k > 0 {
+		ws := f.free[k-1]
+		f.free = f.free[:k-1]
+		f.mu.Unlock()
+		for i, l := range ws.layers {
+			l.setParams(n.params[f.offs[i]:f.offs[i+1]], n.grads[f.offs[i]:f.offs[i+1]])
+		}
+		return ws
+	}
+	f.mu.Unlock()
+	ws := &workspace{layers: make([]wsLayer, len(f.proto))}
+	for i, l := range f.proto {
+		ws.layers[i] = l.clone().(wsLayer)
+	}
+	f.setUp(ws, n)
+	return ws
+}
+
+// put returns a workspace to the free list.
+func (f *family) put(ws *workspace) {
+	f.mu.Lock()
+	f.free = append(f.free, ws)
+	f.mu.Unlock()
 }
 
 // Init initializes all parameters with the given RNG.
 func (n *Network) Init(rng *rand.Rand) {
-	for _, l := range n.layers {
+	ws := n.fam.get(n)
+	defer n.fam.put(ws)
+	for _, l := range ws.layers {
 		l.Init(rng)
 	}
 }
@@ -120,64 +199,98 @@ func (n *Network) Grads() []float64 { return n.grads }
 func (n *Network) NumParams() int { return len(n.params) }
 
 // Classes returns the number of output classes.
-func (n *Network) Classes() int { return n.classes }
+func (n *Network) Classes() int { return n.fam.classes }
 
-// Forward runs the network and returns the logits for b samples.
-func (n *Network) Forward(x []float64, b int) []float64 {
-	if len(x) != b*n.in.Size() {
-		panic(fmt.Sprintf("nn: input length %d for batch %d of %v", len(x), b, n.in))
+// check panics unless x and labels hold a batch of b samples.
+func (n *Network) check(x []float64, labels []int, b int) {
+	if len(x) != b*n.fam.in.Size() {
+		panic(fmt.Sprintf("nn: input length %d for batch %d of %v", len(x), b, n.fam.in))
 	}
-	for _, l := range n.layers {
+	if len(labels) != b {
+		panic(fmt.Sprintf("nn: %d labels for batch %d", len(labels), b))
+	}
+}
+
+// forward runs the workspace's layers and returns the logits for b
+// samples, in the last layer's scratch.
+func (ws *workspace) forward(x []float64, b int) []float64 {
+	for _, l := range ws.layers {
 		x = l.Forward(x, b)
 	}
 	return x
 }
 
 // Loss returns the mean softmax cross-entropy of the batch without
-// touching gradients.
+// touching gradients. The batch streams through the workspace evalChunk
+// samples at a time, each sample's −log p joining one running sum in
+// sample order that is divided by b once: the whole batch's bits.
 func (n *Network) Loss(x []float64, labels []int, b int) float64 {
-	logits := n.Forward(x, b)
-	loss, _ := n.softmax(logits, labels, b, false)
-	return loss
+	n.check(x, labels, b)
+	ws := n.fam.get(n)
+	defer n.fam.put(ws)
+	size := n.fam.in.Size()
+	sum := 0.0
+	for s := 0; s < b; s += evalChunk {
+		k := min(evalChunk, b-s)
+		sum = ws.softmax(ws.forward(x[s*size:(s+k)*size], k), labels[s:s+k], n.fam.classes, sum)
+	}
+	return sum / float64(b)
 }
 
 // LossGrad runs forward and backward, overwriting the gradient buffer
 // with batch-averaged gradients, and returns the mean loss.
 func (n *Network) LossGrad(x []float64, labels []int, b int) float64 {
+	n.check(x, labels, b)
+	ws := n.fam.get(n)
+	defer n.fam.put(ws)
 	tensor.Fill(n.grads, 0)
-	logits := n.Forward(x, b)
-	loss, dy := n.softmax(logits, labels, b, true)
-	for i := len(n.layers) - 1; i >= 0; i-- {
-		dy = n.layers[i].Backward(dy, b)
+	c := n.fam.classes
+	loss := ws.softmax(ws.forward(x, b), labels, c, 0) / float64(b)
+	// dLoss/dLogits = (probs − onehot) / b, in place
+	dy := ws.probs[:b*c]
+	inv := 1 / float64(b)
+	for i := 0; i < b; i++ {
+		prow := dy[i*c : (i+1)*c]
+		for j := range prow {
+			prow[j] *= inv
+		}
+		prow[labels[i]] -= inv
+	}
+	for i := len(ws.layers) - 1; i >= 0; i-- {
+		dy = ws.layers[i].Backward(dy, b)
 	}
 	return loss
 }
 
 // Accuracy returns the fraction of samples whose argmax logit matches
-// the label.
+// the label, forwarding evalChunk samples at a time.
 func (n *Network) Accuracy(x []float64, labels []int, b int) float64 {
-	logits := n.Forward(x, b)
+	n.check(x, labels, b)
+	ws := n.fam.get(n)
+	defer n.fam.put(ws)
+	size, c := n.fam.in.Size(), n.fam.classes
 	correct := 0
-	for i := 0; i < b; i++ {
-		if tensor.ArgMax(logits[i*n.classes:(i+1)*n.classes]) == labels[i] {
-			correct++
+	for s := 0; s < b; s += evalChunk {
+		k := min(evalChunk, b-s)
+		logits := ws.forward(x[s*size:(s+k)*size], k)
+		for i := 0; i < k; i++ {
+			if tensor.ArgMax(logits[i*c:(i+1)*c]) == labels[s+i] {
+				correct++
+			}
 		}
 	}
 	return float64(correct) / float64(b)
 }
 
-// softmax computes mean cross-entropy and, when wantGrad, the gradient
-// of the loss with respect to the logits (already divided by b).
-func (n *Network) softmax(logits []float64, labels []int, b int, wantGrad bool) (float64, []float64) {
-	c := n.classes
-	if len(labels) != b {
-		panic(fmt.Sprintf("nn: %d labels for batch %d", len(labels), b))
+// softmax writes the class probabilities of len(labels) samples' logits
+// (c classes each) into ws.probs and returns sum less each sample's
+// −log p of its label, subtracted in sample order.
+func (ws *workspace) softmax(logits []float64, labels []int, c int, sum float64) float64 {
+	b := len(labels)
+	if cap(ws.probs) < b*c {
+		ws.probs = make([]float64, b*c)
 	}
-	if cap(n.probs) < b*c {
-		n.probs = make([]float64, b*c)
-	}
-	probs := n.probs[:b*c]
-	loss := 0.0
+	probs := ws.probs[:b*c]
 	for i := 0; i < b; i++ {
 		row := logits[i*c : (i+1)*c]
 		prow := probs[i*c : (i+1)*c]
@@ -187,46 +300,27 @@ func (n *Network) softmax(logits []float64, labels []int, b int, wantGrad bool) 
 				max = v
 			}
 		}
-		sum := 0.0
+		total := 0.0
 		for j, v := range row {
 			e := math.Exp(v - max)
 			prow[j] = e
-			sum += e
+			total += e
 		}
 		for j := range prow {
-			prow[j] /= sum
+			prow[j] /= total
 		}
 		p := prow[labels[i]]
 		if p < 1e-300 {
 			p = 1e-300
 		}
-		loss -= math.Log(p)
+		sum -= math.Log(p)
 	}
-	loss /= float64(b)
-	if !wantGrad {
-		return loss, nil
-	}
-	inv := 1 / float64(b)
-	for i := 0; i < b; i++ {
-		prow := probs[i*c : (i+1)*c]
-		for j := range prow {
-			prow[j] *= inv
-		}
-		prow[labels[i]] -= inv
-	}
-	return loss, probs
+	return sum
 }
 
-// Clone returns a new network with the same architecture and a copy of
-// the current parameters. Layer scratch state is not shared.
+// Clone returns a new replica of the network: a copy of the current
+// parameters, its own gradient buffer, and the same family of
+// workspaces.
 func (n *Network) Clone() *Network {
-	layers := make([]Layer, len(n.layers))
-	for i, l := range n.layers {
-		layers[i] = l.(cloner).clone()
-	}
-	c := NewNetwork(n.in, layers...)
-	copy(c.params, n.params)
-	return c
+	return &Network{params: tensor.Clone(n.params), grads: make([]float64, len(n.grads)), fam: n.fam}
 }
-
-type cloner interface{ clone() Layer }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"hop/internal/tensor"
@@ -206,7 +207,7 @@ func TestBatchInputLengthChecked(t *testing.T) {
 			t.Error("bad input length should panic")
 		}
 	}()
-	net.Forward([]float64{1, 2, 3}, 2)
+	net.Loss([]float64{1, 2, 3}, []int{0, 1}, 2)
 }
 
 func TestLayerNames(t *testing.T) {
@@ -236,6 +237,15 @@ func TestLossGradZeroSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("LossGrad allocates %.1f objects/step in steady state, want 0", allocs)
+	}
+	// An evaluation of the eval batch streams through the scratch the
+	// training step grew.
+	caps := scratchCaps(net.fam)
+	xe, le := randomBatch(rng, in, 4, 128)
+	net.Loss(xe, le, 128)
+	net.Accuracy(xe, le, 128)
+	if got := scratchCaps(net.fam); fmt.Sprint(got) != fmt.Sprint(caps) {
+		t.Errorf("scratch capacities %v after an eval, %v after the step", got, caps)
 	}
 }
 
@@ -575,24 +585,224 @@ func TestFirstLayerSkipsInputGrad(t *testing.T) {
 			}
 			bitsEqual(t, tc.name+" grads", lead.Grads(), behind.Grads())
 		}
-		switch l := first.(type) {
-		case *Conv2D:
-			if l.dx != nil || l.dcol != nil {
-				t.Errorf("conv as first layer holds dx (%d) / dcol (%d) scratch", cap(l.dx), cap(l.dcol))
+		// A clone running beside the network makes each family a second
+		// workspace; every workspace's first layer skips dx.
+		leadWS, behindWS := runBeside(lead, x, labels, b), runBeside(behind, x, labels, b)
+		if len(leadWS) != 2 || len(behindWS) != 2 {
+			t.Fatalf("%s: %d and %d workspaces, want 2 each", tc.name, len(leadWS), len(behindWS))
+		}
+		for i := range leadWS {
+			switch l := leadWS[i].layers[0].(type) {
+			case *Conv2D:
+				if l.dx != nil || l.dcol != nil {
+					t.Errorf("workspace %d: conv as first layer holds dx (%d) / dcol (%d) scratch", i, cap(l.dx), cap(l.dcol))
+				}
+				if s := behindWS[i].layers[1].(*Conv2D); s.dx == nil || s.dcol == nil {
+					t.Errorf("workspace %d: conv as second layer computed no input gradient", i)
+				}
+			case *Dense:
+				if l.dx != nil {
+					t.Errorf("workspace %d: dense as first layer holds dx (%d) scratch", i, cap(l.dx))
+				}
+				if behindWS[i].layers[1].(*Dense).dx == nil {
+					t.Errorf("workspace %d: dense as second layer computed no input gradient", i)
+				}
 			}
-			if s := second.(*Conv2D); s.dx == nil || s.dcol == nil {
-				t.Errorf("conv as second layer computed no input gradient")
-			}
-		case *Dense:
-			if l.dx != nil {
-				t.Errorf("dense as first layer holds dx (%d) scratch", cap(l.dx))
-			}
-			if second.(*Dense).dx == nil {
-				t.Errorf("dense as second layer computed no input gradient")
+			first := leadWS[i].layers[0]
+			if dx := first.Backward(make([]float64, b*first.OutShape(tc.in).Size()), b); dx != nil {
+				t.Errorf("%s as first layer of workspace %d returned an input gradient of %d values", tc.name, i, len(dx))
 			}
 		}
-		if dx := first.Backward(make([]float64, b*first.OutShape(tc.in).Size()), b); dx != nil {
-			t.Errorf("%s as first layer returned an input gradient of %d values", tc.name, len(dx))
+	}
+}
+
+// runBeside runs a LossGrad of a clone of n while n's family lends its
+// only free workspace to an unfinished call, so the family makes a
+// second one; it returns the family's workspaces.
+func runBeside(n *Network, x []float64, labels []int, b int) []*workspace {
+	held := n.fam.get(n)
+	n.Clone().LossGrad(x, labels, b)
+	n.fam.put(held)
+	return n.fam.free
+}
+
+// --- Workspaces --------------------------------------------------------
+
+// familyScratch returns every scratch buffer of the family's workspaces
+// (all of them free while no call runs) at its full capacity: what a
+// call may write and must not read before writing. The im2col plans are
+// read-only and not listed; lastX fields alias a layer's input.
+func familyScratch(f *family) (floats [][]float64, ints [][]int) {
+	full := func(v []float64) []float64 { return v[:cap(v)] }
+	for _, ws := range f.free {
+		floats = append(floats, full(ws.probs))
+		for _, l := range ws.layers {
+			switch l := l.(type) {
+			case *Conv2D:
+				floats = append(floats, full(l.xpad), full(l.lastCol), full(l.out),
+					full(l.dx), full(l.doutT), full(l.dwT), full(l.dcol))
+			case *ReLU:
+				floats = append(floats, full(l.out), full(l.dx))
+			case *MaxPool2:
+				floats = append(floats, full(l.out), full(l.dx))
+				ints = append(ints, l.argmax[:cap(l.argmax)])
+			case *Dense:
+				floats = append(floats, full(l.out), full(l.dx), full(l.dwTmp))
+			}
 		}
+	}
+	return floats, ints
+}
+
+// scratchCaps lists the capacity of every scratch buffer of the family.
+func scratchCaps(f *family) []int {
+	floats, ints := familyScratch(f)
+	var caps []int
+	for _, v := range floats {
+		caps = append(caps, len(v))
+	}
+	for _, v := range ints {
+		caps = append(caps, len(v))
+	}
+	return caps
+}
+
+// poison fills every scratch buffer of the family with NaN, and every
+// argmax with an index out of range.
+func poison(f *family) {
+	floats, ints := familyScratch(f)
+	for _, v := range floats {
+		tensor.Fill(v, math.NaN())
+	}
+	for _, v := range ints {
+		for i := range v {
+			v[i] = -1
+		}
+	}
+}
+
+// evalResult is what one replica's calls return: LossGrad's loss and
+// gradients, then Loss and Accuracy.
+type evalResult struct {
+	loss  float64
+	grads []float64
+	eval  float64
+	acc   float64
+}
+
+func runReplica(n *Network, x []float64, labels []int, b int) evalResult {
+	loss := n.LossGrad(x, labels, b)
+	return evalResult{loss, tensor.Clone(n.Grads()), n.Loss(x, labels, b), n.Accuracy(x, labels, b)}
+}
+
+func resultsEqual(t *testing.T, name string, got, want evalResult) {
+	t.Helper()
+	bitsEqual(t, name+" LossGrad", []float64{got.loss}, []float64{want.loss})
+	bitsEqual(t, name+" grads", got.grads, want.grads)
+	bitsEqual(t, name+" Loss", []float64{got.eval}, []float64{want.eval})
+	bitsEqual(t, name+" Accuracy", []float64{got.acc}, []float64{want.acc})
+}
+
+// TestWorkspacesCarryNothingBetweenReplicas: no call reads a value an
+// earlier call, of another replica or of another batch size, left in a
+// workspace. One clone runs at batch 37, every scratch buffer of the
+// family is then set to NaN, and another clone's LossGrad, Loss and
+// Accuracy must equal those of a network that shares nothing with it.
+// Then 8 clones run at once, each as often as it can, and every run must
+// equal the clone's serial one.
+func TestWorkspacesCarryNothingBetweenReplicas(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	in := Shape{C: 3, H: 8, W: 8}
+	net := MiniVGG(in, 4)
+	net.Init(rng)
+	clones := make([]*Network, 8)
+	for i := range clones {
+		clones[i] = net.Clone()
+		for j := range clones[i].Params() {
+			clones[i].Params()[j] += 0.01 * rng.NormFloat64()
+		}
+	}
+
+	x37, labels37 := randomBatch(rng, in, 4, 37)
+	clones[0].LossGrad(x37, labels37, 37)
+	for _, b := range []int{16, 37} {
+		poison(net.fam)
+		x, labels := randomBatch(rng, in, 4, b)
+		alone := MiniVGG(in, 4)
+		copy(alone.Params(), clones[1].Params())
+		resultsEqual(t, fmt.Sprintf("after poison, b=%d", b), runReplica(clones[1], x, labels, b), runReplica(alone, x, labels, b))
+	}
+
+	const b = 16
+	xs, labels := make([][]float64, len(clones)), make([][]int, len(clones))
+	serial := make([]evalResult, len(clones))
+	for i, c := range clones {
+		xs[i], labels[i] = randomBatch(rng, in, 4, b)
+		serial[i] = runReplica(c, xs[i], labels[i], b)
+	}
+	got := make([][]evalResult, len(clones))
+	var wg sync.WaitGroup
+	for i, c := range clones {
+		wg.Add(1)
+		go func(i int, c *Network) {
+			defer wg.Done()
+			for r := 0; r < 10; r++ {
+				got[i] = append(got[i], runReplica(c, xs[i], labels[i], b))
+			}
+		}(i, c)
+	}
+	wg.Wait()
+	for i := range clones {
+		for r, res := range got[i] {
+			resultsEqual(t, fmt.Sprintf("clone %d, concurrent run %d", i, r), res, serial[i])
+		}
+	}
+	if n := len(net.fam.free); n > len(clones) {
+		t.Errorf("%d workspaces for %d concurrent clones", n, len(clones))
+	}
+}
+
+// TestChunkedEvalMatchesPerSample pins Loss and Accuracy, which stream a
+// batch through the workspace evalChunk samples at a time, to a
+// reference that forwards each sample alone, subtracts each −log p from
+// one sum in sample order and divides by b once — on batches below, at,
+// just above and well above a chunk.
+func TestChunkedEvalMatchesPerSample(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	in := Shape{C: 3, H: 8, W: 8}
+	net := MiniVGG(in, 4)
+	net.Init(rng)
+	ref := net.Clone()
+	c := net.Classes()
+	for _, b := range []int{1, 15, 16, 17, 37, 128} {
+		x, labels := randomBatch(rng, in, 4, b)
+		sum, correct := 0.0, 0
+		for s := 0; s < b; s++ {
+			ws := ref.fam.get(ref)
+			logits := ws.forward(x[s*in.Size():(s+1)*in.Size()], 1)
+			ref.fam.put(ws)
+			max := logits[0]
+			for _, v := range logits[1:] {
+				if v > max {
+					max = v
+				}
+			}
+			total := 0.0
+			probs := make([]float64, c)
+			for j, v := range logits {
+				probs[j] = math.Exp(v - max)
+				total += probs[j]
+			}
+			p := probs[labels[s]] / total
+			if p < 1e-300 {
+				p = 1e-300
+			}
+			sum -= math.Log(p)
+			if tensor.ArgMax(logits) == labels[s] {
+				correct++
+			}
+		}
+		bitsEqual(t, fmt.Sprintf("Loss b=%d", b), []float64{net.Loss(x, labels, b)}, []float64{sum / float64(b)})
+		bitsEqual(t, fmt.Sprintf("Accuracy b=%d", b), []float64{net.Accuracy(x, labels, b)}, []float64{float64(correct) / float64(b)})
 	}
 }

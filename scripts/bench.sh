@@ -27,10 +27,10 @@ LIVE_OUT="${BENCH_LIVE_OUT:-BENCH_live.json}"
 LIVE_BENCHTIME="${BENCH_LIVE_TIME:-3x}"
 LIVE_PATTERN="${BENCH_LIVE_PATTERN:-LiveLoopback}"
 # The 16-worker CNN workload end to end at width=1|2|4 — whole gradient
-# steps overlapping — then one replica's step alone and the eval-batch
-# forward pass the scheduling plane runs inline. One op of the first is
-# a full 4800-step run; one of either of the other two is under a
-# millisecond.
+# steps overlapping — then one replica's step alone, the same step taken
+# round-robin by 16 clones, and the eval-batch forward pass the
+# scheduling plane runs inline. One op of the first is a full 4800-step
+# run; one of any of the other three is under a millisecond.
 E2E_OUT="${BENCH_E2E_OUT:-BENCH_e2e.json}"
 E2E_BENCHTIME="${BENCH_E2E_TIME:-3x}"
 E2E_STEP_BENCHTIME="${BENCH_E2E_STEP_TIME:-3000x}"
@@ -65,8 +65,8 @@ echo "wrote $LIVE_OUT" >&2
 
 echo "running: go test -run '^$' -bench 'SimCNNHetero16' -benchtime=$E2E_BENCHTIME ./" >&2
 go test -run '^$' -bench 'SimCNNHetero16' -benchtime="$E2E_BENCHTIME" -count=1 ./ | tee "$E2E_RAW" >&2
-echo "running: go test -run '^$' -bench 'CNNLossGrad|CNNEvalLoss' -benchmem -benchtime=$E2E_STEP_BENCHTIME ./" >&2
-go test -run '^$' -bench 'CNNLossGrad|CNNEvalLoss' -benchmem -benchtime="$E2E_STEP_BENCHTIME" -count=1 ./ | tee -a "$E2E_RAW" >&2
+echo "running: go test -run '^$' -bench '^Benchmark(CNNLossGrad|CNNLossGradClones16|CNNEvalLoss)$' -benchmem -benchtime=$E2E_STEP_BENCHTIME ./" >&2
+go test -run '^$' -bench '^Benchmark(CNNLossGrad|CNNLossGradClones16|CNNEvalLoss)$' -benchmem -benchtime="$E2E_STEP_BENCHTIME" -count=1 ./ | tee -a "$E2E_RAW" >&2
 bench_to_json "$E2E_RAW" "$E2E_OUT"
 echo "wrote $E2E_OUT" >&2
 
