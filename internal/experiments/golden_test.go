@@ -21,7 +21,7 @@ func TestQuickReportsGolden(t *testing.T) {
 	const path = "testdata/quick_reports.golden"
 	ids := []string{"table1", "fig21", "deadlock"}
 	if *update || !testing.Short() {
-		ids = append(ids, "fig13", "fig18")
+		ids = append(ids, "fig13", "fig18", "fig12", "fig14", "fig15", "fig17", "fig19", "fig20")
 	}
 	var got bytes.Buffer
 	for _, id := range ids {
