@@ -86,8 +86,7 @@ func main() {
 	cfg.ListenAddr = *listen
 	cfg.WireChunkBytes = *chunk
 	if *rejoin {
-		cfg.Rejoin = true
-		cfg.Faults = nil // drops its crash schedule without writing to the resolved slice
+		cfg.Config = cfg.Restarted()
 	}
 	cfg.OnIteration = func(_, iter int, loss float64, _ time.Duration) {
 		if iter%10 == 0 {

@@ -81,7 +81,7 @@ func TestAblationTokenQueuesCapMemory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.Engine.Queue(0).HighWater()
+		return res.Engine.Worker(0).Queue().HighWater()
 	}
 	unbounded := run(0)
 	bounded := run(2)

@@ -1,7 +1,7 @@
 // Package cluster assembles a complete simulated training cluster: the
 // deterministic kernel (internal/sim), the network fabric
-// (internal/netsim), the heterogeneity model (internal/hetero), the
-// protocol engine (internal/core), per-worker model replicas
+// (internal/netsim), the heterogeneity model (internal/hetero), one
+// core.Protocol per worker (internal/core), per-worker model replicas
 // (internal/model) and a metrics recorder (internal/metrics).
 //
 // One call to Run executes one experiment configuration end to end in
@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"hop/internal/core"
+	"hop/internal/counters"
 	"hop/internal/hetero"
 	"hop/internal/metrics"
 	"hop/internal/model"
@@ -64,7 +65,7 @@ type Options struct {
 // Result is everything a run produced.
 type Result struct {
 	Metrics  *metrics.Recorder
-	Engine   *core.Engine
+	Engine   *Host // the cluster run: per-worker protocols, gaps, counters
 	Fabric   *netsim.Fabric
 	Trainers []model.Trainer // the per-worker replicas actually trained
 	Duration time.Duration   // virtual time at completion
@@ -89,13 +90,15 @@ func (monitor) Unlock() {}
 
 func (m monitor) NewCond() core.Cond { return sim.NewCond(m.k) }
 
-// host is the simulated cluster the workers share: kernel, fabric,
-// engine and compute plane. Each worker reaches it through its own
-// core.Runtime, a worker.
-type host struct {
+// Host is the simulated cluster the workers share: kernel, fabric,
+// compute plane, the gap tracker, and one core.Protocol per worker,
+// built on that worker's core.Runtime (a worker). Run delivers death
+// notices and restarts through it.
+type Host struct {
 	k       *sim.Kernel
 	fabric  *netsim.Fabric
-	engine  *core.Engine
+	protos  []*core.Protocol
+	gaps    *core.GapTracker
 	compute hetero.Compute
 	workers []worker
 	rngs    []*rand.Rand // per-worker slowdown RNG
@@ -121,7 +124,7 @@ type gradStep struct {
 
 // worker is worker w's core.Runtime on the simulator.
 type worker struct {
-	h *host
+	h *Host
 	w int
 }
 
@@ -184,23 +187,59 @@ func (r *worker) SendAck(dst, iter int) {
 // modeled (token messages are metadata-sized next to parameter
 // updates).
 func (r *worker) GrantTokens(dst, iter, count int) {
-	r.h.engine.Worker(dst).DeliverTokens(r.w, count)
+	r.h.protos[dst].DeliverTokens(r.w, count)
 }
 
 // PeerIter is exact in simulation: the global gap tracker knows every
 // worker's current iteration (the §6.2(b) check's best case).
-func (r *worker) PeerIter(peer int) int { return r.h.engine.Gaps().Iter(peer) }
+func (r *worker) PeerIter(peer int) int { return r.h.gaps.Iter(peer) }
 
-func (r *worker) ObserveAdvance(iter int) { r.h.engine.Gaps().Advance(r.w, iter) }
+// Observe feeds the gap tracker: the one decision the simulator acts
+// on is a worker entering an iteration.
+func (r *worker) Observe(e core.TraceEvent) {
+	if e.Kind == core.TraceAdvance {
+		r.h.gaps.Advance(r.w, e.Iter)
+	}
+}
 
 // deliver is the fabric's message handler: the arrival end of Send and
-// SendAck.
-func (h *host) deliver(m netsim.Message) {
+// SendAck. The protocol is resolved at delivery time, so a message in
+// flight across a restart lands on the new instance.
+func (h *Host) deliver(m netsim.Message) {
 	if m.Ack {
-		h.engine.DeliverAck(m.Dst, m.From, m.Iter)
+		h.protos[m.Dst].DeliverAck(m.From, m.Iter)
 		return
 	}
-	h.engine.Deliver(m.Dst, core.Update{Params: m.Params, Iter: m.Iter, From: m.From, Reply: m.Reply})
+	h.protos[m.Dst].Deliver(core.Update{Params: m.Params, Iter: m.Iter, From: m.From, Reply: m.Reply})
+}
+
+// build makes worker w's protocol from cfg, on w's runtime.
+func (h *Host) build(cfg core.Config, w int) error {
+	var tr *core.Trace
+	if cfg.Tracers != nil {
+		tr = cfg.Tracers[w]
+	}
+	p, err := core.NewProtocol(cfg, w, cfg.Trainers[w], monitor{h.k}, &h.workers[w], tr)
+	if err != nil {
+		return err
+	}
+	h.protos[w] = p
+	return nil
+}
+
+// Worker returns worker w's current protocol instance.
+func (h *Host) Worker(w int) *core.Protocol { return h.protos[w] }
+
+// Gaps returns the iteration-gap tracker.
+func (h *Host) Gaps() *core.GapTracker { return h.gaps }
+
+// Stats returns the protocol counters aggregated over all workers.
+func (h *Host) Stats() core.Stats {
+	var total core.Stats
+	for _, p := range h.protos {
+		counters.Add(&total, p.Stats())
+	}
+	return total
 }
 
 // Run executes the configured cluster and returns its results.
@@ -242,9 +281,11 @@ func Run(opts Options) (*Result, error) {
 	fabric := netsim.New(k, opts.Net, n, cfg.Graph.Machine)
 	rec := metrics.NewRecorder(n)
 
-	h := &host{
+	h := &Host{
 		k:       k,
 		fabric:  fabric,
+		protos:  make([]*core.Protocol, n),
+		gaps:    core.NewGapTrackerFor(monitor{k}, cfg.Graph),
 		compute: opts.Compute,
 		workers: make([]worker, n),
 		rngs:    make([]*rand.Rand, n),
@@ -255,7 +296,7 @@ func Run(opts Options) (*Result, error) {
 	}
 	for i := 0; i < n; i++ {
 		h.workers[i] = worker{h: h, w: i}
-		h.rngs[i] = rand.New(rand.NewSource(opts.Seed + int64(i)*104729 + 11))
+		h.rngs[i] = hetero.WorkerRNG(opts.Seed, i)
 	}
 
 	evalWorker := opts.EvalWorker
@@ -278,11 +319,14 @@ func Run(opts Options) (*Result, error) {
 		}
 	}
 
-	eng, err := core.NewEngine(cfg, monitor{k}, func(w int) core.Runtime { return &h.workers[w] })
-	if err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	h.engine = eng
+	for w := 0; w < n; w++ {
+		if err := h.build(cfg, w); err != nil {
+			return nil, err
+		}
+	}
 	fabric.Handle(h.deliver)
 
 	// dead tracks currently-crashed workers, so a restarted worker can
@@ -298,7 +342,10 @@ func Run(opts Options) (*Result, error) {
 		// A (re)started worker's first step is timed afresh.
 		h.steps[w].timed, h.steps[w].offload = false, false
 		h.procs[w] = k.Spawn(name, func(p *sim.Proc) {
-			err := eng.RunWorker(w)
+			// The simulator never aborts a protocol (the kernel kills
+			// processes at its deadline instead), so the only error is
+			// ErrCrashed from a scheduled fault.
+			err := h.protos[w].Run()
 			if err == nil || !errors.Is(err, core.ErrCrashed) || !cfg.FaultTolerance {
 				// Without FaultTolerance a crash simply wedges the
 				// neighbors — the kernel's deadlock detector reports it,
@@ -312,11 +359,13 @@ func Run(opts Options) (*Result, error) {
 			// sent before dying.
 			for _, j := range cfg.ProtocolPeers(w) {
 				j := j
-				fabric.Deliver(w, j, opts.AckBytes, func() { eng.Worker(j).DeclarePeerDead(w) })
+				fabric.Deliver(w, j, opts.AckBytes, func() { h.protos[j].DeclarePeerDead(w) })
 			}
 			if f := cfg.Faults[w]; f.RestartAfter > 0 {
 				k.After(f.RestartAfter, func() {
-					if err := eng.RestartWorker(w); err != nil {
+					// The replacement keeps the trainer (parameters as of
+					// the crash) and the decision trace, with fresh queues.
+					if err := h.build(cfg.Restarted(), w); err != nil {
 						panic(fmt.Sprintf("cluster: restart worker %d: %v", w, err))
 					}
 					delete(dead, w)
@@ -331,7 +380,7 @@ func Run(opts Options) (*Result, error) {
 					}
 					sort.Ints(stillDead)
 					for _, d := range stillDead {
-						eng.Worker(w).DeclarePeerDead(d)
+						h.protos[w].DeclarePeerDead(d)
 					}
 					spawnWorker(w, true)
 				})
@@ -352,7 +401,7 @@ func Run(opts Options) (*Result, error) {
 	}
 	res := &Result{
 		Metrics:        rec,
-		Engine:         eng,
+		Engine:         h,
 		Fabric:         fabric,
 		Trainers:       trainers,
 		Duration:       k.Now(),

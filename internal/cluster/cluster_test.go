@@ -88,7 +88,7 @@ func TestTheorem1GapBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bounds := res.Engine.Bounds()
+	bounds := core.NewBounds(opts.Core)
 	for i := 0; i < 8; i++ {
 		for j := 0; j < 8; j++ {
 			if got, bound := res.Engine.Gaps().MaxGap(i, j), bounds.Gap(i, j); got > bound {
@@ -117,19 +117,19 @@ func TestTheorem2TokenBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bounds := res.Engine.Bounds()
+	bounds := core.NewBounds(opts.Core)
 	for i := 0; i < 8; i++ {
 		for j := 0; j < 8; j++ {
 			if got, bound := res.Engine.Gaps().MaxGap(i, j), bounds.Gap(i, j); got > bound {
 				t.Errorf("gap(%d,%d) = %d exceeds Table 1 bound %d", i, j, got, bound)
 			}
-			if tq := res.Engine.TokenQ(i, j); tq != nil {
+			if tq := res.Engine.Worker(j).TokenIn(i); tq != nil {
 				if cap := bounds.TokenCapacity(i, j); tq.HighWater() > cap {
 					t.Errorf("TokenQ(%d→%d) high water %d exceeds Theorem 2 capacity %d", i, j, tq.HighWater(), cap)
 				}
 			}
 		}
-		if hw, cap := res.Engine.Queue(i).HighWater(), bounds.UpdateQueueCapacity(i, g); hw > cap {
+		if hw, cap := res.Engine.Worker(i).Queue().HighWater(), bounds.UpdateQueueCapacity(i, g); hw > cap {
 			t.Errorf("UpdateQ(%d) high water %d exceeds §4.2 capacity %d", i, hw, cap)
 		}
 	}
@@ -202,7 +202,7 @@ func TestBoundedStalenessAdvancePastStraggler(t *testing.T) {
 	if iters[1] != s+1 {
 		t.Errorf("neighbor at %d, want s+1 = %d", iters[1], s+1)
 	}
-	bounds := res.Engine.Bounds()
+	bounds := core.NewBounds(opts.Core)
 	for i := 0; i < 8; i++ {
 		for j := 0; j < 8; j++ {
 			if got, bound := res.Engine.Gaps().MaxGap(i, j), bounds.Gap(i, j); got > bound {
@@ -267,7 +267,7 @@ func TestNotifyAckGapBound(t *testing.T) {
 	if res.Deadlock != nil {
 		t.Fatalf("deadlock: %v", res.Deadlock)
 	}
-	bounds := res.Engine.Bounds()
+	bounds := core.NewBounds(opts.Core)
 	for i := 0; i < 8; i++ {
 		for j := 0; j < 8; j++ {
 			got, bound := res.Engine.Gaps().MaxGap(i, j), bounds.Gap(i, j)
@@ -393,7 +393,7 @@ func TestStaleDiscardHappens(t *testing.T) {
 	}
 	total := 0
 	for w := 0; w < 8; w++ {
-		total += res.Engine.Queue(w).StaleDiscarded()
+		total += res.Engine.Worker(w).Queue().StaleDiscarded()
 	}
 	if total == 0 {
 		t.Error("expected stale updates to be discarded somewhere")

@@ -65,7 +65,7 @@ func (r *echoRuntime) GrantTokens(dst, iter, count int) {
 
 func (r *echoRuntime) PeerIter(int) int { return 0 }
 
-func (r *echoRuntime) ObserveAdvance(int) {}
+func (r *echoRuntime) Observe(TraceEvent) {}
 
 // blockingMonitor is a SyncMonitor whose conds signal blocked as a Wait
 // begins. The waiter holds the monitor until it parks, so Abort or

@@ -5,7 +5,7 @@ package core
 // Fig. 13 (ModePS) and AD-PSGD, the asynchronous pairwise averaging §5
 // argues against (ModeADPSGD). Both use the Runtime primitives as they
 // are — Send/Deliver into the update queue, Compute/EndCompute,
-// ObserveAdvance — so the simulator runs them with decision traces and
+// Observe — so the simulator runs them with decision traces and
 // the compute plane, and the parameter server also runs on live TCP.
 
 import (

@@ -205,16 +205,8 @@ type Config struct {
 	// observes their current iterations, and fast-forwards to one past
 	// the newest (DESIGN.md §6.3). Requires FaultTolerance. Meaningful
 	// per instance, not per cluster — a restart constructs a new
-	// Protocol with Rejoin set.
+	// Protocol from Restarted.
 	Rejoin bool
-
-	// OnMembership, when non-nil, is called when worker w applies a
-	// membership change: ev.Kind is TraceDeath or TraceJoin, ev.From
-	// the peer, ev.Iter the worker's current iteration. Called with
-	// the cluster monitor held — it must not block or re-enter the
-	// protocol (spawn a goroutine for real work, as the live runtime
-	// does to redial a rejoined peer).
-	OnMembership func(w int, ev TraceEvent)
 
 	// Trainers holds one model replica per worker. All replicas must
 	// start from identical parameters (x0,i = p0, Fig. 4).
@@ -236,6 +228,16 @@ type Config struct {
 	// advances, jumps and stale exclusions into it (trace.go). Used by
 	// the sim↔live differential tests.
 	Tracers []*Trace
+}
+
+// Restarted returns the configuration a restarted worker runs under:
+// Rejoin set and no fault schedule, so the replacement announces
+// itself (DESIGN.md §6.3) and does not halt again. Faults is dropped,
+// not written: the receiver's schedule slice is left as it was.
+func (c Config) Restarted() Config {
+	c.Rejoin = true
+	c.Faults = nil
+	return c
 }
 
 // Validate checks the full cluster configuration: the protocol

@@ -41,7 +41,7 @@ type GapTracker struct {
 	minVal, minCount, overall int
 }
 
-// gapDenseLimit is the largest cluster the engine tracks with the
+// gapDenseLimit is the largest cluster the simulator tracks with the
 // dense all-pairs matrix. Sparse is never slower (BenchmarkGapAdvance,
 // DESIGN.md §10.2), so dense is kept for what it answers — every
 // ordered pair — up to where its 1.2 ns·n per Advance stops being
@@ -58,7 +58,7 @@ func NewGapTracker(mon Monitor, n int) *GapTracker {
 	return t
 }
 
-// NewGapTrackerFor creates the tracker the engine uses for g: dense up
+// NewGapTrackerFor creates the tracker the simulator uses for g: dense up
 // to gapDenseLimit workers, sparse (adjacent pairs + exact overall
 // maximum) beyond it.
 func NewGapTrackerFor(mon Monitor, g *graph.Graph) *GapTracker {

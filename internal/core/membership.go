@@ -144,10 +144,7 @@ func (p *Protocol) applyMembership(k int) {
 		if joined && !p.joinLogged[d] {
 			p.joinLogged[d] = true
 			p.stats.PeersJoined++
-			p.trace.join(d, k)
-			if cb := p.cfg.OnMembership; cb != nil {
-				cb(p.id, TraceEvent{Kind: TraceJoin, From: d, Iter: k})
-			}
+			p.note(TraceEvent{Kind: TraceJoin, Iter: k, From: d})
 		}
 	}
 }
@@ -180,10 +177,7 @@ func (p *Protocol) applyDeathLocked(d int) {
 		return
 	}
 	p.stats.PeersLost++
-	p.trace.death(d, p.curIter)
-	if cb := p.cfg.OnMembership; cb != nil {
-		cb(p.id, TraceEvent{Kind: TraceDeath, From: d, Iter: p.curIter})
-	}
+	p.note(TraceEvent{Kind: TraceDeath, Iter: p.curIter, From: d})
 }
 
 func (p *Protocol) rebuildInLocked() {
@@ -271,12 +265,12 @@ func (p *Protocol) joinSync() int {
 		}
 	}
 	if newest.Params == nil {
-		p.trace.rejoin(p.cfg.MaxIter)
+		p.note(TraceEvent{Kind: TraceRejoin, Iter: p.cfg.MaxIter})
 		return p.cfg.MaxIter
 	}
 	tensor.Copy(x, newest.Params)
 	k0 := newest.Iter + 1
-	p.trace.rejoin(k0)
+	p.note(TraceEvent{Kind: TraceRejoin, Iter: k0})
 	return k0
 }
 

@@ -134,7 +134,7 @@ func (p *Protocol) groupUpdates(ups []Update, k int) []Update {
 			p.mon.Lock()
 			p.stats.GroupExcluded++
 			p.mon.Unlock()
-			p.trace.groupSkip(j, k)
+			p.note(TraceEvent{Kind: TraceGroupSkip, Iter: k, From: j})
 		}
 	}
 	return kept

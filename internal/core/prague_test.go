@@ -115,7 +115,7 @@ func praguePeer(t *testing.T, k, quorum int) (*Protocol, *Trace, []int) {
 	cfg := Config{Graph: graph.Ring(n), Mode: ModePrague, Staleness: -1, FaultTolerance: true,
 		Prague: &PragueConfig{GroupSize: 4, Quorum: quorum, Seed: seed}}
 	tr := NewTrace()
-	p, err := NewProtocol(cfg, 0, nil, NewSyncMonitor(), nil, tr)
+	p, err := NewProtocol(cfg, 0, nil, NewSyncMonitor(), nopRuntime{}, tr)
 	if err != nil {
 		t.Fatal(err)
 	}

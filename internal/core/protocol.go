@@ -5,7 +5,7 @@ package core
 // NOTIFY-ACK baseline; prague.go and baselines.go add the other
 // protocols as modes of the same loop) written once, against the
 // Runtime interface, and driven by two very different shells — the
-// deterministic simulator (Engine, engine.go) and the live TCP runtime
+// deterministic simulator (internal/cluster) and the live TCP runtime
 // (internal/live.Worker). Before this extraction the live runtime
 // hand-mirrored recvReduce/jumpTarget/renewParams and silently lacked
 // NOTIFY-ACK, the serial graph and stale weighting; now any protocol
@@ -93,9 +93,15 @@ type Runtime interface {
 	// there and remains one here.
 	PeerIter(peer int) int
 
-	// ObserveAdvance notes that this worker is now executing iteration
-	// iter (the simulator's gap tracker; a no-op live).
-	ObserveAdvance(iter int)
+	// Observe receives each decision this worker makes, in program
+	// order, as it is made — the events the decision trace records
+	// (trace.go), whether or not a trace is attached. The simulator
+	// advances its gap tracker on TraceAdvance; live, a TraceJoin
+	// starts the redial of the rejoined peer. Death and join events
+	// arrive with the monitor held, so Observe must not block or
+	// re-enter the protocol, and e.Members is the protocol's own slice,
+	// valid only for the duration of the call.
+	Observe(e TraceEvent)
 }
 
 // ParamsAllocator is optionally implemented by a Runtime whose
@@ -396,12 +402,11 @@ func (p *Protocol) run() error {
 			// before any send or compute — so the final update the
 			// crashed worker contributed is tagged crashIter−1 on both
 			// planes: a deterministic cut.
-			p.trace.crash(k)
+			p.note(TraceEvent{Kind: TraceCrash, Iter: k})
 			return ErrCrashed
 		}
 		p.applyMembership(k)
-		p.rt.ObserveAdvance(k)
-		p.trace.advance(k)
+		p.note(TraceEvent{Kind: TraceAdvance, Iter: k})
 		switch cfg.Mode {
 		case ModePS:
 			p.iterPS(k)
@@ -421,7 +426,7 @@ func (p *Protocol) run() error {
 				p.stats.Jumps++
 				p.stats.IterationsSkipped += next - k - 1
 				p.mon.Unlock()
-				p.trace.jump(k, next)
+				p.note(TraceEvent{Kind: TraceJump, Iter: next, From: k})
 			}
 		}
 		if cfg.MaxIG > 0 {
@@ -460,7 +465,7 @@ func (p *Protocol) iterate(k int) {
 	serial := p.cfg.Serial || notifyAck
 	if pc := p.cfg.Prague; pc != nil {
 		p.group = PragueGroupOf(pc.Seed, k, p.cfg.Graph.N(), pc.GroupSize, p.id)
-		p.trace.group(p.group, k)
+		p.note(TraceEvent{Kind: TraceGroup, Iter: k, Members: p.group})
 	}
 	if serial {
 		start := p.rt.Now()
@@ -595,7 +600,7 @@ func (p *Protocol) recvReduceStaleInto(dst []float64, k int) {
 			weights = append(weights, p.cfg.StaleWeighting.weight(newest.Iter-minIter+1))
 			p.noteStaleness(k - newest.Iter)
 		} else {
-			p.trace.staleSkip(k, j)
+			p.note(TraceEvent{Kind: TraceStaleSkip, Iter: k, From: j})
 		}
 	}
 	// The self update sent this iteration always satisfies the bound,

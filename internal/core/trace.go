@@ -129,26 +129,26 @@ type Trace struct {
 // NewTrace returns an empty decision trace.
 func NewTrace() *Trace { return &Trace{} }
 
+// note is the one place a decision leaves the protocol: it tells the
+// runtime (Runtime.Observe) and records the event in the trace.
+func (p *Protocol) note(e TraceEvent) {
+	p.rt.Observe(e)
+	p.trace.record(e)
+}
+
+// record appends e with its own copy of a group's Members: the slice
+// is the protocol's (Runtime.Observe may read it only during the call).
 func (t *Trace) record(e TraceEvent) {
 	if t == nil {
 		return
+	}
+	if e.Members != nil {
+		e.Members = append([]int(nil), e.Members...)
 	}
 	t.mu.Lock()
 	t.events = append(t.events, e)
 	t.mu.Unlock()
 }
-
-func (t *Trace) advance(iter int)   { t.record(TraceEvent{Kind: TraceAdvance, Iter: iter}) }
-func (t *Trace) jump(from, to int)  { t.record(TraceEvent{Kind: TraceJump, Iter: to, From: from}) }
-func (t *Trace) staleSkip(k, j int) { t.record(TraceEvent{Kind: TraceStaleSkip, Iter: k, From: j}) }
-func (t *Trace) crash(iter int)     { t.record(TraceEvent{Kind: TraceCrash, Iter: iter}) }
-func (t *Trace) death(peer, k int)  { t.record(TraceEvent{Kind: TraceDeath, Iter: k, From: peer}) }
-func (t *Trace) join(peer, k int)   { t.record(TraceEvent{Kind: TraceJoin, Iter: k, From: peer}) }
-func (t *Trace) rejoin(iter int)    { t.record(TraceEvent{Kind: TraceRejoin, Iter: iter}) }
-func (t *Trace) group(members []int, k int) {
-	t.record(TraceEvent{Kind: TraceGroup, Iter: k, Members: append([]int(nil), members...)})
-}
-func (t *Trace) groupSkip(j, k int) { t.record(TraceEvent{Kind: TraceGroupSkip, Iter: k, From: j}) }
 
 // Events returns a copy of the recorded decisions.
 func (t *Trace) Events() []TraceEvent {

@@ -91,6 +91,13 @@ type Compute struct {
 	Slow Slowdown
 }
 
+// WorkerRNG returns worker w's slowdown RNG for run seed seed — the
+// rng IterTime draws from. The simulator and the live plane both build
+// it here, so random profiles draw identical factor sequences on both.
+func WorkerRNG(seed int64, w int) *rand.Rand {
+	return rand.New(rand.NewSource(seed + int64(w)*104729 + 11))
+}
+
 // IterTime returns the modeled gradient-computation time of worker w
 // at iteration iter.
 func (c Compute) IterTime(w, iter int, rng *rand.Rand) time.Duration {

@@ -157,8 +157,7 @@ func RunCluster(cfgs []WorkerConfig, dialTimeout time.Duration) (*ClusterResult,
 			time.Sleep(restart)
 			cfg := cfgs[i]
 			cfg.ListenAddr = w.Addr()
-			cfg.Faults = nil // the replacement runs fault-free
-			cfg.Rejoin = true
+			cfg.Config = cfg.Restarted()
 			nw, nerr := NewWorker(cfg)
 			if nerr != nil {
 				errs[i] = fmt.Errorf("live: restart worker %d: %w", i, nerr)

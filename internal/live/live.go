@@ -211,20 +211,6 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		logger:    logger,
 	}
 	coreCfg := cfg.Config
-	if cfg.FaultTolerance {
-		// A rejoined peer needs a fresh outbound connection before the
-		// protocol's next send to it; the membership callback runs
-		// under the monitor, so the redial happens off to the side.
-		onMembership := cfg.OnMembership
-		coreCfg.OnMembership = func(id int, ev core.TraceEvent) {
-			if onMembership != nil {
-				onMembership(id, ev)
-			}
-			if ev.Kind == core.TraceJoin {
-				go w.redialPeer(ev.From)
-			}
-		}
-	}
 	coreCfg.OnIteration = func(id, iter int, loss float64, now time.Duration) {
 		w.mu.Lock()
 		w.lastLoss = loss
@@ -505,9 +491,16 @@ func (r *liveRuntime) PeerIter(peer int) int {
 	return r.w.peerIter[peer]
 }
 
-// ObserveAdvance is a no-op live: there is no global gap tracker on a
-// real cluster. Peers learn this worker's iteration from its messages.
-func (r *liveRuntime) ObserveAdvance(int) {}
+// Observe acts on one decision live: a re-admitted peer needs a fresh
+// outbound connection before the protocol's next send to it. Join
+// events arrive with the monitor held, so the redial happens off to
+// the side. There is no global gap tracker on a real cluster; peers
+// learn this worker's iteration from its messages.
+func (r *liveRuntime) Observe(e core.TraceEvent) {
+	if e.Kind == core.TraceJoin {
+		go r.w.redialPeer(e.From)
+	}
+}
 
 // The live runtime satisfies core.ParamsAllocator: every inbound
 // update decodes into its own buffer (transport readConn draws from

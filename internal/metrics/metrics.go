@@ -6,7 +6,6 @@ package metrics
 import (
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"time"
 )
@@ -163,23 +162,6 @@ func (r *Recorder) MinWorkerIterations() int {
 	return min
 }
 
-// MeanIterDuration returns the mean per-iteration duration of worker
-// w, skipping the warm-up iterations.
-func (r *Recorder) MeanIterDuration(w, skipWarmup int) time.Duration {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	d := r.durations[w]
-	if len(d) <= skipWarmup {
-		return 0
-	}
-	d = d[skipWarmup:]
-	var sum time.Duration
-	for _, x := range d {
-		sum += x
-	}
-	return sum / time.Duration(len(d))
-}
-
 // MeanIterDurationAll averages per-iteration durations over all
 // workers.
 func (r *Recorder) MeanIterDurationAll(skipWarmup int) time.Duration {
@@ -200,22 +182,6 @@ func (r *Recorder) MeanIterDurationAll(skipWarmup int) time.Duration {
 		return 0
 	}
 	return sum / time.Duration(n)
-}
-
-// P99IterDuration returns the 99th-percentile iteration duration over
-// all workers.
-func (r *Recorder) P99IterDuration() time.Duration {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var all []time.Duration
-	for _, d := range r.durations {
-		all = append(all, d...)
-	}
-	if len(all) == 0 {
-		return 0
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	return all[(len(all)*99)/100]
 }
 
 // Throughput returns cluster-wide iterations per second up to now.

@@ -24,7 +24,6 @@ package scenario
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"hop/internal/chaos"
@@ -155,9 +154,7 @@ func liveComputeDelay(w int, c hetero.Compute, seed int64, scale float64, extra 
 	if homogeneous && extra == nil {
 		return nil
 	}
-	// The cluster runner's slowdown seed layering, so random profiles
-	// draw identical factor sequences in both planes.
-	rng := rand.New(rand.NewSource(seed + int64(w)*104729 + 11))
+	rng := hetero.WorkerRNG(seed, w)
 	return func(iter int) time.Duration {
 		var d time.Duration
 		if !homogeneous {

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"sort"
 	"strings"
 	"time"
 
@@ -374,15 +373,4 @@ func (r *SweepResult) Cell(id string) (CellReport, bool) {
 		}
 	}
 	return CellReport{}, false
-}
-
-// SortedCellIDs returns every cell id in lexical order (handy for
-// stable file listings in tests and tools).
-func (r *SweepResult) SortedCellIDs() []string {
-	ids := make([]string, len(r.Cells))
-	for i, c := range r.Cells {
-		ids[i] = c.ID
-	}
-	sort.Strings(ids)
-	return ids
 }

@@ -80,6 +80,3 @@ func (b *Backoff) Next() time.Duration {
 	}
 	return d
 }
-
-// Reset returns the sequence to its initial delay (after a success).
-func (b *Backoff) Reset() { b.cur = b.cfg.Initial }

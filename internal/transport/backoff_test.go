@@ -6,7 +6,7 @@ import (
 )
 
 // TestBackoffDeterministicSequence pins the jitter-free sequence:
-// exact exponential growth capped at Max, reset returning to Initial.
+// exact exponential growth capped at Max.
 func TestBackoffDeterministicSequence(t *testing.T) {
 	b := NewBackoff(BackoffConfig{
 		Initial: 10 * time.Millisecond,
@@ -22,10 +22,6 @@ func TestBackoffDeterministicSequence(t *testing.T) {
 		if got := b.Next(); got != w {
 			t.Errorf("Next() #%d = %v, want %v", i, got, w)
 		}
-	}
-	b.Reset()
-	if got := b.Next(); got != 10*time.Millisecond {
-		t.Errorf("after Reset, Next() = %v, want 10ms", got)
 	}
 }
 

@@ -24,6 +24,8 @@
 #      renaming a function, exported or not, cannot leave the design
 #      prose naming it. Markdown table rows are exempt: they record
 #      before/after measurements of code that has since been deleted.
+#   6. DESIGN.md and BENCH.md stay within a byte ceiling: a document
+#      grows only if something else in it is cut.
 #
 # Usage: scripts/check_docs.sh    (exits non-zero listing broken refs)
 
@@ -119,6 +121,15 @@ for id in $(grep -vE '^[[:space:]]*\|' DESIGN.md | grep -oE '`[^`]+`' |
             sed -E 's/^[^A-Za-z]//' | sort -u); do
     if ! git grep -qw -e "$id" -- '*.go'; then
         note "STALE NAME: DESIGN.md names \`$id\`, which no tracked .go file contains"
+    fi
+done
+
+# --- 6. document size budget -----------------------------------------
+for budget in DESIGN.md:120564 BENCH.md:31723; do
+    doc=${budget%%:*} max=${budget#*:}
+    size=$(wc -c < "$doc")
+    if [ "$size" -gt "$max" ]; then
+        note "OVER BUDGET: $doc is $size bytes, over its $max-byte ceiling: cut before adding"
     fi
 done
 
