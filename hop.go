@@ -7,7 +7,7 @@
 //
 //   - Topologies and spectral analysis (Ring, RingBased, DoubleRing,
 //     Complete, the Figure 21 settings, SpectralGap).
-//   - The protocol configuration (Config, Mode, SkipConfig): update
+//   - The protocol configuration (Config, SkipConfig): update
 //     queues, token queues, backup workers, bounded staleness,
 //     skipping iterations, NOTIFY-ACK.
 //   - Workloads (NewCNN, NewSVM, NewQuadratic) exposing the Trainer
@@ -49,7 +49,6 @@ import (
 	"hop/internal/graph"
 	"hop/internal/hetero"
 	"hop/internal/live"
-	"hop/internal/metrics"
 	"hop/internal/model"
 	"hop/internal/netsim"
 	"hop/internal/scenario"
@@ -111,26 +110,11 @@ func SpectralGap(w [][]float64) float64 { return graph.SpectralGap(w) }
 // -1 to disable bounded staleness.
 type Config = core.Config
 
-// Mode selects standard queue-based coordination, the NOTIFY-ACK
-// baseline, or the Prague partial all-reduce protocol.
-type Mode = core.Mode
-
-// Protocol modes.
-const (
-	ModeStandard  = core.ModeStandard
-	ModeNotifyAck = core.ModeNotifyAck
-	ModePrague    = core.ModePrague
-)
+// ModeNotifyAck selects the NOTIFY-ACK baseline (Config.Mode).
+const ModeNotifyAck = core.ModeNotifyAck
 
 // SkipConfig enables skipping iterations (§5).
 type SkipConfig = core.SkipConfig
-
-// PragueConfig configures the Prague partial all-reduce protocol
-// (group size, quorum, schedule seed); required with ModePrague.
-type PragueConfig = core.PragueConfig
-
-// Update is one parameter message with its (iter, w_id) tags.
-type Update = core.Update
 
 // Bounds computes the Table 1 iteration-gap bounds for a Config.
 type Bounds = core.Bounds
@@ -225,9 +209,6 @@ type Result = cluster.Result
 // simulator.
 func Run(opts Options) (*Result, error) { return cluster.Run(opts) }
 
-// Series is a recorded (time, step, value) sequence.
-type Series = metrics.Series
-
 // --- Scenarios and sweeps -----------------------------------------------
 
 // Scenario is a declarative experiment spec: every axis of one
@@ -244,11 +225,6 @@ type ScenarioProtocol = scenario.Protocol
 
 // ScenarioHetero selects a Scenario's compute-heterogeneity profile.
 type ScenarioHetero = scenario.Hetero
-
-// ScenarioNet selects a Scenario's network condition, including the
-// heterogeneous link classes (per-machine bandwidth, bursty
-// stragglers).
-type ScenarioNet = scenario.Net
 
 // ScenarioDuration is a time.Duration that reads and writes the
 // human-friendly "500ms"/"4s" JSON form scenario specs use.
@@ -287,8 +263,8 @@ func RunSweep(sw Sweep, width int) (*SweepResult, error) { return sw.Run(width) 
 // --- Live scenarios -----------------------------------------------------
 
 // ScenarioLiveOptions tune how a Scenario is realized on the live TCP
-// runtime (time scaling of injected heterogeneity, dial timeout,
-// logging, decision tracing).
+// runtime (time scaling of injected heterogeneity, logging, decision
+// tracing).
 type ScenarioLiveOptions = scenario.LiveOptions
 
 // LiveWorkerConfig configures one live TCP worker: an embedded Config
@@ -303,12 +279,6 @@ type LiveWorker = live.Worker
 // LiveClusterResult carries a live loopback cluster run's workers,
 // final losses and wall-clock duration.
 type LiveClusterResult = live.ClusterResult
-
-// DecisionTrace records one worker's protocol decisions (iteration
-// advances, jumps, stale exclusions); the same spec and seed produce
-// identical traces on the simulator and a live cluster whenever the
-// spec's decisions are timing-forced (DESIGN.md §5).
-type DecisionTrace = core.Trace
 
 // NewLiveWorker validates the configuration, binds the listener and
 // prepares one live TCP worker (Connect, then Run).
@@ -352,11 +322,8 @@ type Experiment = experiments.Entry
 // ExperimentScale selects Quick (CI) or Full (EXPERIMENTS.md) runs.
 type ExperimentScale = experiments.Scale
 
-// Experiment scales.
-const (
-	ScaleQuick = experiments.Quick
-	ScaleFull  = experiments.Full
-)
+// ScaleQuick selects the quick (CI-sized) experiment scale.
+const ScaleQuick = experiments.Quick
 
 // Experiments lists every reproducible table and figure.
 func Experiments() []Experiment { return experiments.Registry }

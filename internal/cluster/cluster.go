@@ -26,6 +26,10 @@ import (
 	"hop/internal/tensor"
 )
 
+// ackBytes is the modeled wire size of a NOTIFY-ACK and of a death
+// notice: metadata, next to a parameter update's PayloadBytes.
+const ackBytes = 64
+
 // Options configure one simulated run.
 type Options struct {
 	// Core is the protocol configuration; Trainers may be left nil, in
@@ -43,10 +47,8 @@ type Options struct {
 	Net netsim.Config
 
 	// PayloadBytes is the modeled wire size of one parameter update
-	// (the paper-scale model size; see DESIGN.md §1). AckBytes
-	// defaults to 64.
+	// (the paper-scale model size; see DESIGN.md §1).
 	PayloadBytes int
-	AckBytes     int
 
 	// Deadline stops the run at this virtual time (0 = run to
 	// MaxIter).
@@ -105,7 +107,6 @@ type Host struct {
 	procs   []*sim.Proc
 	steps   []gradStep
 	payload int
-	ack     int
 
 	offloaded int // Result.StepsOffloaded
 }
@@ -178,7 +179,7 @@ func (r *worker) Send(dst int, u core.Update) {
 }
 
 func (r *worker) SendAck(dst, iter int) {
-	r.h.fabric.DeliverData(r.h.ack, netsim.Message{Dst: dst, From: r.w, Iter: iter, Ack: true})
+	r.h.fabric.DeliverData(ackBytes, netsim.Message{Dst: dst, From: r.w, Iter: iter, Ack: true})
 }
 
 // GrantTokens bypasses the fabric: in shared memory the paper's
@@ -264,9 +265,6 @@ func Run(opts Options) (*Result, error) {
 	if opts.PayloadBytes <= 0 {
 		opts.PayloadBytes = 1 << 20
 	}
-	if opts.AckBytes <= 0 {
-		opts.AckBytes = 64
-	}
 	if opts.EvalEvery <= 0 {
 		opts.EvalEvery = 10
 	}
@@ -292,7 +290,6 @@ func Run(opts Options) (*Result, error) {
 		procs:   make([]*sim.Proc, n),
 		steps:   make([]gradStep, n),
 		payload: opts.PayloadBytes,
-		ack:     opts.AckBytes,
 	}
 	for i := 0; i < n; i++ {
 		h.workers[i] = worker{h: h, w: i}
@@ -359,7 +356,7 @@ func Run(opts Options) (*Result, error) {
 			// sent before dying.
 			for _, j := range cfg.ProtocolPeers(w) {
 				j := j
-				fabric.Deliver(w, j, opts.AckBytes, func() { h.protos[j].DeclarePeerDead(w) })
+				fabric.Deliver(w, j, ackBytes, func() { h.protos[j].DeclarePeerDead(w) })
 			}
 			if f := cfg.Faults[w]; f.RestartAfter > 0 {
 				k.After(f.RestartAfter, func() {

@@ -53,7 +53,7 @@ func TestProfilesSane(t *testing.T) {
 
 func TestPaperTopologies(t *testing.T) {
 	for _, kind := range []string{"ring", "ring-based", "double-ring"} {
-		g, err := paperTopology(kind).Build()
+		g, err := paperTopology(kind).BuildSeeded(0)
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
@@ -64,7 +64,7 @@ func TestPaperTopologies(t *testing.T) {
 			t.Errorf("%s: %v", kind, err)
 		}
 	}
-	if _, err := paperTopology("mystery").Build(); err == nil {
+	if _, err := paperTopology("mystery").BuildSeeded(0); err == nil {
 		t.Error("unknown graph kind should fail to build")
 	}
 }

@@ -77,27 +77,6 @@ type WorkerConfig struct {
 	// transport.DefaultMaxChunk.
 	WireChunkBytes int
 
-	// HeartbeatInterval and ReadDeadline tune the liveness layer
-	// (transport.Config semantics). Zero means the defaults below when
-	// FaultTolerance is set and disabled otherwise; negative disables
-	// explicitly.
-	HeartbeatInterval time.Duration
-	ReadDeadline      time.Duration
-
-	// SuspectBudget bounds how long a suspected peer is probed with
-	// redials before DeclarePeerDead. Zero means DefaultSuspectBudget.
-	// While suspected, the peer is neither dead nor trusted: a
-	// heartbeat, any protocol frame, or a successful redial heals it
-	// with no membership event.
-	SuspectBudget time.Duration
-
-	// OnSuspect and OnHeal, when non-nil, observe failure-detector
-	// transitions (diagnostics and tests; membership changes still
-	// surface only through the protocol trace). Called from transport
-	// goroutines; must be safe for concurrent use.
-	OnSuspect func(peer int)
-	OnHeal    func(peer int)
-
 	// Chaos, when non-nil, injects seeded network faults into this
 	// worker's outgoing frames (transport.Config.Chaos): the spec's
 	// fault.net clause with this worker's seed. Used by the scenario
@@ -109,7 +88,8 @@ type WorkerConfig struct {
 	ComputeDelay func(iter int) time.Duration
 
 	// Logger receives the worker's diagnostics (dropped in-neighbor
-	// connections, ...). nil means the standard library logger.
+	// connections, the failure detector's "peer P suspected" and "peer
+	// P healed", ...). nil means the standard library logger.
 	Logger Logger
 
 	// Trace, when non-nil, records this worker's protocol decisions
@@ -117,22 +97,25 @@ type WorkerConfig struct {
 	Trace *core.Trace
 }
 
-// Liveness defaults, applied when FaultTolerance is on and the knobs
-// are zero. A healthy connection is never silent longer than about one
-// heartbeat interval, so the read deadline — several intervals — only
-// expires when frames are actually not arriving; the suspect budget
-// then buys a transient stall time to clear before membership reforms.
-// DefaultSuspectBudget must stay below any orchestrated restart delay
-// (e.g. live_smoke.sh's rejoin-after) so a genuinely dead peer is
-// declared before its replacement tries to join.
+// Liveness timings, in force when FaultTolerance is on (the liveness
+// layer is off otherwise). A healthy connection is never silent longer
+// than about one heartbeat interval, so the read deadline — several
+// intervals — only expires when frames are actually not arriving; the
+// suspect budget then buys a transient stall time to clear before
+// membership reforms: a suspected peer is probed with redials for
+// suspectBudget before DeclarePeerDead, and a heartbeat, any protocol
+// frame or a successful redial heals it with no membership event.
+// suspectBudget must stay below any orchestrated restart delay (e.g.
+// live_smoke.sh's rejoin-after) so a genuinely dead peer is declared
+// before its replacement tries to join.
 const (
-	DefaultHeartbeatInterval = 250 * time.Millisecond
-	DefaultReadDeadline      = 1500 * time.Millisecond
-	DefaultSuspectBudget     = time.Second
-	// DefaultWriteTimeout bounds frame writes so an alive-but-wedged
-	// peer (open socket, nothing draining it) surfaces as a prompt send
+	heartbeatInterval = 250 * time.Millisecond
+	readDeadline      = 1500 * time.Millisecond
+	suspectBudget     = time.Second
+	// writeTimeout bounds frame writes so an alive-but-wedged peer
+	// (open socket, nothing draining it) surfaces as a prompt send
 	// error instead of blocking the protocol loop forever.
-	DefaultWriteTimeout = 2 * time.Second
+	writeTimeout = 2 * time.Second
 )
 
 // Worker is one live protocol participant: transport shell + shared
@@ -228,23 +211,10 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		w.peerIter[j] = -1
 		w.ended[j] = false
 	}
-	// Liveness defaults kick in with fault tolerance; explicit values
-	// always win, negative disables.
-	hb, rd, wt := cfg.HeartbeatInterval, cfg.ReadDeadline, time.Duration(0)
+	// The liveness layer runs with fault tolerance only.
+	var hb, rd, wt time.Duration
 	if cfg.FaultTolerance {
-		if hb == 0 {
-			hb = DefaultHeartbeatInterval
-		}
-		if rd == 0 {
-			rd = DefaultReadDeadline
-		}
-		wt = DefaultWriteTimeout
-	}
-	if hb < 0 {
-		hb = 0
-	}
-	if rd < 0 {
-		rd = 0
+		hb, rd, wt = heartbeatInterval, readDeadline, writeTimeout
 	}
 	node, err := transport.ListenConfig(cfg.ID, cfg.ListenAddr, w.handle, transport.Config{
 		Compressor: cfg.Compression.New(),
@@ -366,14 +336,6 @@ func (w *Worker) noteSendError(dst int, err error) {
 	w.suspect(dst, "send failed")
 }
 
-// suspectBudget returns the configured probe budget.
-func (cfg WorkerConfig) suspectBudget() time.Duration {
-	if cfg.SuspectBudget > 0 {
-		return cfg.SuspectBudget
-	}
-	return DefaultSuspectBudget
-}
-
 // suspect marks peer as possibly gone and starts (at most one) probe
 // goroutine for it. Suspicion is a detector state, not a membership
 // state: nothing in the protocol changes until the probe gives up.
@@ -394,9 +356,6 @@ func (w *Worker) suspect(peer int, cause string) {
 	w.suspected[peer] = true
 	w.mu.Unlock()
 	w.logger.Printf("hop/live: worker %d: peer %d suspected (%s)", w.cfg.ID, peer, cause)
-	if cb := w.cfg.OnSuspect; cb != nil {
-		cb(peer)
-	}
 	go w.probe(peer)
 }
 
@@ -406,16 +365,10 @@ func (w *Worker) suspect(peer int, cause string) {
 func (w *Worker) notePeerAlive(peer int) {
 	w.mu.Lock()
 	was := w.suspected[peer]
-	if was {
-		delete(w.suspected, peer)
-	}
+	delete(w.suspected, peer)
 	w.mu.Unlock()
-	if !was {
-		return
-	}
-	w.logger.Printf("hop/live: worker %d: peer %d healed", w.cfg.ID, peer)
-	if cb := w.cfg.OnHeal; cb != nil {
-		cb(peer)
+	if was {
+		w.logger.Printf("hop/live: worker %d: peer %d healed", w.cfg.ID, peer)
 	}
 }
 
@@ -428,7 +381,7 @@ func (w *Worker) probe(peer int) {
 	w.mu.Lock()
 	addr, hasAddr := w.addrs[peer]
 	w.mu.Unlock()
-	deadline := time.Now().Add(w.cfg.suspectBudget())
+	deadline := time.Now().Add(suspectBudget)
 	bo := transport.NewBackoff(transport.BackoffConfig{
 		Initial: 20 * time.Millisecond, Max: 200 * time.Millisecond,
 	})

@@ -14,10 +14,10 @@ package live
 // timeouts.
 
 import (
+	"fmt"
 	"net"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -215,33 +215,54 @@ func waitRun(t *testing.T, name string, ch chan error, timeout time.Duration) er
 	}
 }
 
+// lineLogger is a Logger that keeps every line, so a test can count
+// the failure detector's transitions.
+type lineLogger struct {
+	mu    sync.Mutex
+	lines []string
+}
+
+func (l *lineLogger) Printf(format string, v ...any) {
+	l.mu.Lock()
+	l.lines = append(l.lines, fmt.Sprintf(format, v...))
+	l.mu.Unlock()
+}
+
+// count returns how many lines contain word.
+func (l *lineLogger) count(word string) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := 0
+	for _, line := range l.lines {
+		if strings.Contains(line, word) {
+			n++
+		}
+	}
+	return n
+}
+
 // TestLiveStallSuspectsThenHeals: a mid-run stall of one direction of
-// a pair — longer than the receive deadline, shorter than the suspect
-// budget — must trip the failure detector (OnSuspect) and then clear
-// it (OnHeal) once traffic resumes, with zero membership events: a
-// transient stall is detector state, never a declaration.
+// a pair — longer than the read deadline, shorter than the read
+// deadline plus the suspect budget — must trip the failure detector
+// ("suspected") and then clear it ("healed") once traffic resumes,
+// with zero membership events: a transient stall is detector state,
+// never a declaration.
 func TestLiveStallSuspectsThenHeals(t *testing.T) {
 	g := graph.Chain(2)
-	var suspects, heals atomic.Int64
+	log0 := &lineLogger{}
 	workers, addrs := buildWorkers(t, g, func(i int) WorkerConfig {
 		cfg := WorkerConfig{
 			Config: core.Config{
 				Staleness: -1, MaxIter: 60, Seed: 1,
 				FaultTolerance: true,
 			},
-			Trainer: quadStart(i),
-			Logger:  NopLogger(),
-			Trace:   core.NewTrace(),
-			// Fast detector, generous budget: the 400ms stall must
-			// outlive the 150ms deadline but never the 5s budget.
-			HeartbeatInterval: 40 * time.Millisecond,
-			ReadDeadline:      150 * time.Millisecond,
-			SuspectBudget:     5 * time.Second,
-			ComputeDelay:      func(int) time.Duration { return 10 * time.Millisecond },
+			Trainer:      quadStart(i),
+			Logger:       NopLogger(),
+			Trace:        core.NewTrace(),
+			ComputeDelay: func(int) time.Duration { return 10 * time.Millisecond },
 		}
 		if i == 0 {
-			cfg.OnSuspect = func(int) { suspects.Add(1) }
-			cfg.OnHeal = func(int) { heals.Add(1) }
+			cfg.Logger = log0
 		}
 		return cfg
 	})
@@ -261,7 +282,11 @@ func TestLiveStallSuspectsThenHeals(t *testing.T) {
 	chans := runWorkers(workers)
 	time.Sleep(80 * time.Millisecond)
 	proxy.stall()
-	time.Sleep(400 * time.Millisecond)
+	// Worker 0 suspects worker 1 once the read deadline (1.5s) passes
+	// with nothing heard, and would declare it only after a further
+	// suspect budget (1s) of failed probes, at 2.5s. A 2s stall ends
+	// halfway between the two.
+	time.Sleep(2 * time.Second)
 	proxy.resume()
 
 	for i, ch := range chans {
@@ -269,11 +294,11 @@ func TestLiveStallSuspectsThenHeals(t *testing.T) {
 			t.Fatalf("worker %d run: %v", i, err)
 		}
 	}
-	if suspects.Load() == 0 {
-		t.Error("stall past the receive deadline never tripped OnSuspect")
+	if log0.count("suspected") == 0 {
+		t.Error("stall past the receive deadline never raised suspicion")
 	}
-	if heals.Load() == 0 {
-		t.Error("resumed traffic never tripped OnHeal")
+	if log0.count("healed") == 0 {
+		t.Error("resumed traffic never healed the suspicion")
 	}
 	for i, w := range workers {
 		if got := w.Trace().MembershipString(); got != "" {
@@ -296,13 +321,10 @@ func TestLiveStallPastBudgetDeclaresDead(t *testing.T) {
 				Staleness: -1, MaxIter: 40, Seed: 1,
 				FaultTolerance: true,
 			},
-			Trainer:           quadStart(i),
-			Logger:            NopLogger(),
-			Trace:             core.NewTrace(),
-			HeartbeatInterval: 40 * time.Millisecond,
-			ReadDeadline:      150 * time.Millisecond,
-			SuspectBudget:     400 * time.Millisecond,
-			ComputeDelay:      func(int) time.Duration { return 5 * time.Millisecond },
+			Trainer:      quadStart(i),
+			Logger:       NopLogger(),
+			Trace:        core.NewTrace(),
+			ComputeDelay: func(int) time.Duration { return 5 * time.Millisecond },
 		}
 	})
 
@@ -328,7 +350,8 @@ func TestLiveStallPastBudgetDeclaresDead(t *testing.T) {
 	toTwo.stall()
 	toZero.stall()
 	toOne.stall()
-	// Never resumed: detection must come from timeouts alone.
+	// Never resumed: detection must come from timeouts alone, a read
+	// deadline (1.5s) and then a suspect budget (1s) after the stall.
 
 	for i, ch := range chans {
 		if err := waitRun(t, "worker "+string(rune('0'+i)), ch, 30*time.Second); err != nil {

@@ -43,16 +43,14 @@ type LinkParams struct {
 	Bandwidth float64
 }
 
-// BurstConfig describes bursty straggler links: the NICs of the
-// affected machines alternate between full configured bandwidth and
-// bandwidth divided by Factor. On/off dwell times are drawn from
-// exponential distributions with the given means, from a private RNG
+// BurstConfig describes bursty straggler links: every machine's NIC
+// alternates between full configured bandwidth and bandwidth divided
+// by Factor. On/off dwell times are drawn from exponential
+// distributions with the given means, from a private RNG per machine
 // seeded by Seed — the schedule is a pure function of the
 // configuration, so simulated runs that share a config regenerate
 // bit-identically (the determinism contract of DESIGN.md §4.4).
 type BurstConfig struct {
-	// Machines lists the affected machines; empty means every machine.
-	Machines []int
 	// Factor divides the machine's NIC bandwidth while a burst is
 	// active (must be > 1 to have any effect).
 	Factor float64
@@ -187,7 +185,7 @@ type Fabric struct {
 	egressFree  []time.Duration // per machine
 	ingressFree []time.Duration
 
-	bursts []*burstState // per machine, nil entries = never bursts
+	bursts []*burstState // per machine; nil when Config.Burst is nil
 
 	// chaosRNG holds the per-ordered-link fault RNGs (see chaos.go);
 	// nil when Config.Chaos is nil.
@@ -230,7 +228,6 @@ func New(k *sim.Kernel, cfg Config, workers int, placement []int) *Fabric {
 	}
 	if cfg.Burst != nil {
 		b := *cfg.Burst
-		b.Machines = append([]int(nil), b.Machines...)
 		cfg.Burst = &b
 	}
 	if cfg.Chaos != nil {
@@ -251,21 +248,7 @@ func New(k *sim.Kernel, cfg Config, workers int, placement []int) *Fabric {
 	}
 	if b := cfg.Burst; b != nil {
 		f.bursts = make([]*burstState, machines)
-		affected := func(m int) bool {
-			if len(b.Machines) == 0 {
-				return true
-			}
-			for _, am := range b.Machines {
-				if am == m {
-					return true
-				}
-			}
-			return false
-		}
 		for m := 0; m < machines; m++ {
-			if !affected(m) {
-				continue
-			}
 			f.bursts[m] = &burstState{rng: rand.New(rand.NewSource(b.Seed + int64(m)*15485863 + 7))}
 		}
 	}
@@ -308,7 +291,7 @@ func (f *Fabric) bandwidthAt(m int, t time.Duration) (bw float64, bursting bool)
 	if m < len(f.cfg.MachineBandwidth) && f.cfg.MachineBandwidth[m] > 0 {
 		bw = f.cfg.MachineBandwidth[m]
 	}
-	if f.bursts != nil && f.bursts[m] != nil && f.bursts[m].bursting(f.cfg.Burst, t) {
+	if f.bursts != nil && f.bursts[m].bursting(f.cfg.Burst, t) {
 		return bw / f.cfg.Burst.Factor, true
 	}
 	return bw, false

@@ -229,19 +229,19 @@ func TestBurstDeterministic(t *testing.T) {
 }
 
 // TestBurstSlowsTransfers: with bursts enabled, total transfer time
-// grows and burst-degraded messages are counted; machines outside
-// Burst.Machines are untouched.
+// grows and burst-degraded messages are counted; in-machine transfers,
+// which cross no NIC, are untouched.
 func TestBurstSlowsTransfers(t *testing.T) {
 	c := cfg()
-	c.Burst = &BurstConfig{Machines: []int{1}, Factor: 100, MeanOn: 10 * time.Second, MeanOff: time.Millisecond, Seed: 3}
+	c.Burst = &BurstConfig{Factor: 100, MeanOn: 10 * time.Second, MeanOff: time.Millisecond, Seed: 3}
 	k := sim.NewKernel()
-	f := New(k, c, 3, []int{0, 1, 2})
+	f := New(k, c, 3, []int{0, 1, 1})
 	var slow, fast time.Duration
 	f.Deliver(0, 1, 1_000_000, func() { slow = k.Now() })
-	f.Deliver(2, 0, 1_000_000, func() { fast = k.Now() })
+	f.Deliver(2, 1, 1_000_000, func() { fast = k.Now() })
 	run(t, k, time.Hour)
-	if fast != 10*time.Millisecond+time.Second {
-		t.Errorf("unaffected machine delivered at %v, want 1.01s", fast)
+	if fast != 2*time.Millisecond {
+		t.Errorf("in-machine transfer delivered at %v, want 2ms", fast)
 	}
 	// With MeanOff=1ms and MeanOn=10s, machine 1 is almost surely
 	// degraded when reception starts; 100x slower = ~100s.

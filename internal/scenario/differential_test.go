@@ -169,8 +169,8 @@ func TestDifferentialTracePrague(t *testing.T) {
 	sim := simTraces(t, spec)
 	lv := liveTraces(t, spec, 1)
 
-	// Rebuild the forced decision sequence from the schedule: group_seed
-	// derives as 500+seed, and each step contributes "+k G<members>@k".
+	// Rebuild the forced decision sequence from the schedule: the group
+	// seed is 500+seed, and each step contributes "+k G<members>@k".
 	n := spec.Topology.Workers
 	seed := 500 + spec.Seed
 	for w := 0; w < n; w++ {

@@ -210,9 +210,8 @@ func TestLiveCrashRestartConverges(t *testing.T) {
 		Seed:    7,
 	}
 	res, err := spec.RunLive(LiveOptions{
-		Logger:      live.NopLogger(),
-		Trace:       true,
-		DialTimeout: 5 * time.Second,
+		Logger: live.NopLogger(),
+		Trace:  true,
 	})
 	if err != nil {
 		t.Fatal(err)

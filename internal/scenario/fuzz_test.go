@@ -34,7 +34,7 @@ func FuzzScenarioParse(f *testing.F) {
 		f.Add(append([]byte(`{"no_such_field": 1, `), data[1:]...))
 	}
 	f.Add([]byte(`{}`))
-	f.Add([]byte(`{"topology": {"kind": "expander", "workers": 64, "degree": 6}}`))
+	f.Add([]byte(`{"topology": {"kind": "expander", "workers": 64}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		spec, err := Parse(data)
 		if err != nil {

@@ -40,9 +40,6 @@ type LiveOptions struct {
 	// comment); 0 means 1. Tests use small scales to run straggler
 	// scenarios in milliseconds.
 	TimeScale float64
-	// DialTimeout bounds neighbor dialing; 0 means
-	// live.DefaultDialTimeout.
-	DialTimeout time.Duration
 	// Logger receives worker diagnostics; nil means the standard
 	// library logger (live.NopLogger runs quiet).
 	Logger live.Logger
@@ -192,7 +189,7 @@ func (s Spec) RunLive(o LiveOptions) (*live.ClusterResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := live.RunCluster(cfgs, o.DialTimeout)
+	res, err := live.RunCluster(cfgs, live.DefaultDialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("scenario %q: %w", s.Name, err)
 	}

@@ -51,7 +51,7 @@ func TestPragueSpecValidation(t *testing.T) {
 			Topology: Topology{Kind: "ring", Workers: 4, Machines: 1},
 			Protocol: Protocol{GroupSize: 2},
 			MaxIter:  10,
-		}, `group_size/group_quorum/group_seed are prague knobs; set protocol mode "prague"`},
+		}, `group_size/group_quorum are prague knobs; set protocol mode "prague"`},
 		{"chaos rejected", prague(func(s *Spec) {
 			s.Fault = &Fault{Net: &chaos.Config{Drop: 0.01}}
 		}), "fault net chaos cannot run under prague"},

@@ -67,7 +67,8 @@ type Topology struct {
 	// Workers nodes; hier-ring | hier-allreduce are the hierarchical
 	// kinds (one group of workers per machine — a ring or a full
 	// all-reduce inside each group — under an inter-group gossip
-	// ring); expander is the seeded constant-degree low-diameter kind;
+	// ring); expander is the degree-4 low-diameter kind, its chords
+	// seeded by 600+spec seed;
 	// setting1 | setting2 | setting3 are the fixed Figure 21 graphs
 	// (Workers and Machines are ignored for them).
 	Kind string `json:"kind"`
@@ -78,26 +79,11 @@ type Topology struct {
 	// on in contiguous blocks; 0 means the paper's 4. For the hier-*
 	// kinds it is also the group count.
 	Machines int `json:"machines,omitempty"`
-	// Degree is the expander kind's per-worker degree bound (even,
-	// >= 4); 0 means 4. Rejected for every other kind.
-	Degree int `json:"degree,omitempty"`
-	// Seed drives the expander kind's chord permutations; 0 derives
-	// 600+spec seed (the seed-layering contract). Rejected for every
-	// other kind.
-	Seed int64 `json:"seed,omitempty"`
 }
 
-// Build constructs the configured graph with its placement, deriving
-// seeded kinds from spec seed 0. Callers holding a Spec use
-// BuildSeeded so the seed-layering contract applies.
-func (t Topology) Build() (*graph.Graph, error) { return t.BuildSeeded(0) }
-
 // BuildSeeded constructs the configured graph with its placement,
-// deriving any unset topology seed from the spec seed.
+// deriving the expander kind's chord seed from the spec seed.
 func (t Topology) BuildSeeded(specSeed int64) (*graph.Graph, error) {
-	if t.Kind != "expander" && (t.Degree != 0 || t.Seed != 0) {
-		return nil, fmt.Errorf("scenario: degree/seed are expander topology knobs, not %q knobs", t.Kind)
-	}
 	switch t.Kind {
 	case "setting1":
 		return graph.Setting1(), nil
@@ -146,18 +132,7 @@ func (t Topology) BuildSeeded(specSeed int64) (*graph.Graph, error) {
 		if n < 4 {
 			return nil, fmt.Errorf("scenario: expander topology needs >= 4 workers, got %d", n)
 		}
-		deg := t.Degree
-		if deg == 0 {
-			deg = 4
-		}
-		if deg < 4 || deg%2 != 0 {
-			return nil, fmt.Errorf("scenario: expander degree must be even and >= 4, got %d", deg)
-		}
-		seed := t.Seed
-		if seed == 0 {
-			seed = 600 + specSeed
-		}
-		g = graph.Expander(n, deg, seed)
+		g = graph.Expander(n, 4, 600+specSeed)
 	default:
 		return nil, fmt.Errorf("scenario: unknown topology kind %q", t.Kind)
 	}
@@ -181,10 +156,6 @@ type Protocol struct {
 	// included — a Prague group reduce waits for; 0 means the full
 	// live group (prague mode only).
 	GroupQuorum int `json:"group_quorum,omitempty"`
-	// GroupSeed seeds the Prague group schedule; 0 derives 500+spec
-	// seed, layering after batch 100+S, slowdown 200+S, burst 300+S
-	// and chaos 400+S (prague mode only).
-	GroupSeed int64 `json:"group_seed,omitempty"`
 	// Serial selects the serial computation graph (Fig. 2a).
 	Serial bool `json:"serial,omitempty"`
 	// MaxIG enables token queues with this max adjacent iteration gap
@@ -258,19 +229,13 @@ func (h Hetero) Slowdown(n int) (hetero.Slowdown, error) {
 	return nil, fmt.Errorf("scenario: unknown hetero kind %q", h.Kind)
 }
 
-// Net selects the network condition: a uniform base (the paper's 1GbE
-// testbed unless overridden) plus the heterogeneous link classes of
-// netsim.
+// Net selects the network condition: the paper's 1GbE testbed
+// (netsim.Default1GbE), its NIC speed optionally overridden, plus the
+// heterogeneous link classes of netsim.
 type Net struct {
 	// InterBandwidth overrides the cross-machine NIC speed in bytes
 	// per second (e.g. 12.5e6 for 100 Mbit/s).
 	InterBandwidth float64 `json:"inter_bandwidth,omitempty"`
-	// InterLatency overrides the cross-machine wire latency.
-	InterLatency Duration `json:"inter_latency,omitempty"`
-	// IntraBandwidth overrides the in-machine path speed (bytes/s).
-	IntraBandwidth float64 `json:"intra_bandwidth,omitempty"`
-	// IntraLatency overrides the in-machine latency.
-	IntraLatency Duration `json:"intra_latency,omitempty"`
 	// MachineBandwidth gives individual machines their own NIC speed
 	// (bytes/s); entry m overrides machine m, entries <= 0 keep the
 	// uniform speed. This is the heterogeneous-bandwidth link class.
@@ -279,20 +244,16 @@ type Net struct {
 	Burst *Burst `json:"burst,omitempty"`
 }
 
-// Burst is the declarative form of netsim.BurstConfig: the affected
-// machines' NICs alternate between full speed and speed/Factor on a
-// deterministic seeded schedule.
+// Burst is the declarative form of netsim.BurstConfig: every
+// machine's NIC alternates between full speed and speed/Factor on a
+// deterministic schedule seeded by 300+spec seed.
 type Burst struct {
-	// Machines lists affected machines; empty means all.
-	Machines []int `json:"machines,omitempty"`
 	// Factor divides NIC bandwidth during a burst (> 1).
 	Factor float64 `json:"factor"`
 	// MeanOn is the mean degraded-period duration.
 	MeanOn Duration `json:"mean_on"`
 	// MeanOff is the mean full-speed duration between bursts.
 	MeanOff Duration `json:"mean_off"`
-	// Seed drives the schedule RNG; 0 derives it from the spec seed.
-	Seed int64 `json:"seed,omitempty"`
 }
 
 // Fault is the declarative fault axis: scheduled worker crashes (and
@@ -403,9 +364,7 @@ func (f *Fault) faults(n int) ([]core.FaultSchedule, error) {
 
 // isZero reports whether no network field is set.
 func (n *Net) isZero() bool {
-	return n.InterBandwidth == 0 && n.InterLatency == 0 &&
-		n.IntraBandwidth == 0 && n.IntraLatency == 0 &&
-		n.MachineBandwidth == nil && n.Burst == nil
+	return n.InterBandwidth == 0 && n.MachineBandwidth == nil && n.Burst == nil
 }
 
 // config resolves to a netsim.Config. A fully-unset Net returns the
@@ -419,29 +378,15 @@ func (n *Net) config(specSeed int64) netsim.Config {
 	if n.InterBandwidth > 0 {
 		cfg.Inter.Bandwidth = n.InterBandwidth
 	}
-	if n.InterLatency > 0 {
-		cfg.Inter.Latency = time.Duration(n.InterLatency)
-	}
-	if n.IntraBandwidth > 0 {
-		cfg.Intra.Bandwidth = n.IntraBandwidth
-	}
-	if n.IntraLatency > 0 {
-		cfg.Intra.Latency = time.Duration(n.IntraLatency)
-	}
 	if len(n.MachineBandwidth) > 0 {
 		cfg.MachineBandwidth = append([]float64(nil), n.MachineBandwidth...)
 	}
 	if b := n.Burst; b != nil {
-		seed := b.Seed
-		if seed == 0 {
-			seed = 300 + specSeed
-		}
 		cfg.Burst = &netsim.BurstConfig{
-			Machines: append([]int(nil), b.Machines...),
-			Factor:   b.Factor,
-			MeanOn:   time.Duration(b.MeanOn),
-			MeanOff:  time.Duration(b.MeanOff),
-			Seed:     seed,
+			Factor:  b.Factor,
+			MeanOn:  time.Duration(b.MeanOn),
+			MeanOff: time.Duration(b.MeanOff),
+			Seed:    300 + specSeed,
 		}
 	}
 	return cfg
@@ -476,8 +421,6 @@ type Spec struct {
 	// PayloadBytes is the modeled uncompressed update size; 0 means
 	// the workload's paper-scale default.
 	PayloadBytes int `json:"payload_bytes,omitempty"`
-	// AckBytes is the modeled ACK size; 0 means 64.
-	AckBytes int `json:"ack_bytes,omitempty"`
 	// ComputeBase is the homogeneous per-iteration gradient time; 0
 	// means the workload default.
 	ComputeBase Duration `json:"compute_base,omitempty"`
@@ -493,8 +436,9 @@ type Spec struct {
 	// means the workload default.
 	TargetLoss float64 `json:"target_loss,omitempty"`
 	// Seed is the scenario seed S. Runs derive every RNG stream from
-	// it (mini-batch seed 100+S, slowdown seed 200+S, burst seed
-	// 300+S), matching the experiment registry's historical layering.
+	// it (mini-batch seed 100+S, slowdown 200+S, burst 300+S, chaos
+	// 400+S, Prague groups 500+S, expander chords 600+S), matching the
+	// experiment registry's historical layering.
 	Seed int64 `json:"seed,omitempty"`
 }
 
@@ -671,14 +615,10 @@ func (s Spec) resolve(buildTrainer bool) (cluster.Options, error) {
 		cfg.Mode = core.ModeNotifyAck
 	case "prague":
 		cfg.Mode = core.ModePrague
-		gseed := s.Protocol.GroupSeed
-		if gseed == 0 {
-			gseed = 500 + s.Seed
-		}
 		cfg.Prague = &core.PragueConfig{
 			GroupSize: s.Protocol.GroupSize,
 			Quorum:    s.Protocol.GroupQuorum,
-			Seed:      gseed,
+			Seed:      500 + s.Seed,
 		}
 	case "ps":
 		cfg.Mode = core.ModePS
@@ -687,8 +627,8 @@ func (s Spec) resolve(buildTrainer bool) (cluster.Options, error) {
 	default:
 		return zero, fmt.Errorf("scenario: unknown protocol mode %q (known: standard, notify-ack, prague, ps, adpsgd)", s.Protocol.Mode)
 	}
-	if cfg.Mode != core.ModePrague && (s.Protocol.GroupSize != 0 || s.Protocol.GroupQuorum != 0 || s.Protocol.GroupSeed != 0) {
-		return zero, fmt.Errorf("scenario: group_size/group_quorum/group_seed are prague knobs; set protocol mode \"prague\"")
+	if cfg.Mode != core.ModePrague && (s.Protocol.GroupSize != 0 || s.Protocol.GroupQuorum != 0) {
+		return zero, fmt.Errorf("scenario: group_size/group_quorum are prague knobs; set protocol mode \"prague\"")
 	}
 	if s.Protocol.Staleness > 0 {
 		cfg.Staleness = s.Protocol.Staleness
@@ -781,7 +721,6 @@ func (s Spec) resolve(buildTrainer bool) (cluster.Options, error) {
 		Compute:      hetero.Compute{Base: base, Slow: slow},
 		Net:          netCfg,
 		PayloadBytes: payload,
-		AckBytes:     s.AckBytes,
 		Deadline:     time.Duration(s.Deadline),
 		EvalEvery:    evalEvery,
 		Seed:         200 + s.Seed,

@@ -10,6 +10,7 @@ import (
 
 	"hop/internal/core"
 	"hop/internal/hetero"
+	"hop/internal/netsim"
 )
 
 // fullSpec exercises every axis the grammar names.
@@ -29,13 +30,11 @@ func fullSpec() Spec {
 		Hetero: Hetero{Kind: "det", Factor: 4, Workers: []int{0, 3}},
 		Net: Net{
 			InterBandwidth:   12.5e6,
-			InterLatency:     Duration(time.Millisecond),
 			MachineBandwidth: []float64{0, 5e6},
-			Burst:            &Burst{Machines: []int{1}, Factor: 8, MeanOn: Duration(time.Second), MeanOff: Duration(5 * time.Second)},
+			Burst:            &Burst{Factor: 8, MeanOn: Duration(time.Second), MeanOff: Duration(5 * time.Second)},
 		},
 		Compression:  "topk:0.25",
 		PayloadBytes: 1 << 20,
-		AckBytes:     128,
 		ComputeBase:  Duration(50 * time.Millisecond),
 		Deadline:     Duration(20 * time.Second),
 		EvalEvery:    5,
@@ -67,11 +66,24 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 }
 
 func TestParseRejectsUnknownFields(t *testing.T) {
-	if _, err := Parse([]byte(`{"workload": "cnn", "wrokload": "oops", "deadline": "1s"}`)); err == nil {
-		t.Error("typoed field should be rejected")
-	}
-	if _, err := Parse([]byte(`{"topology": {"knid": "ring"}}`)); err == nil {
-		t.Error("typoed nested field should be rejected")
+	for _, doc := range []string{
+		`{"workload": "cnn", "wrokload": "oops", "deadline": "1s"}`,
+		`{"topology": {"knid": "ring"}}`,
+		// Keys of the old grammar: each is now a constant, so a spec
+		// still setting one must fail instead of running the default.
+		`{"topology": {"kind": "expander", "degree": 6}}`,
+		`{"topology": {"kind": "expander", "seed": 9}}`,
+		`{"protocol": {"mode": "prague", "group_size": 2, "group_seed": 9}}`,
+		`{"net": {"inter_latency": "1ms"}}`,
+		`{"net": {"intra_bandwidth": 1e9}}`,
+		`{"net": {"intra_latency": "1ms"}}`,
+		`{"net": {"burst": {"machines": [1], "factor": 10, "mean_on": "1s", "mean_off": "1s"}}}`,
+		`{"net": {"burst": {"seed": 9, "factor": 10, "mean_on": "1s", "mean_off": "1s"}}}`,
+		`{"ack_bytes": 128}`,
+	} {
+		if _, err := Parse([]byte(doc)); err == nil {
+			t.Errorf("unknown field accepted: %s", doc)
+		}
 	}
 }
 
@@ -145,8 +157,9 @@ func TestResolveProtocolAxes(t *testing.T) {
 	if !ok || det.Factors[0] != 4 || det.Factors[3] != 4 || len(det.Factors) != 2 {
 		t.Errorf("det slowdown: %+v", opts.Compute.Slow)
 	}
-	if opts.Net.Inter.Bandwidth != 12.5e6 || opts.Net.Inter.Latency != time.Millisecond {
-		t.Errorf("net overrides: %+v", opts.Net.Inter)
+	if opts.Net.Inter.Bandwidth != 12.5e6 || opts.Net.Inter.Latency != netsim.Default1GbE().Inter.Latency ||
+		opts.Net.Intra != netsim.Default1GbE().Intra {
+		t.Errorf("net overrides: %+v", opts.Net)
 	}
 	if opts.Net.Burst == nil || opts.Net.Burst.Factor != 8 || opts.Net.Burst.Seed != 300+7 {
 		t.Errorf("burst: %+v", opts.Net.Burst)

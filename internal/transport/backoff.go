@@ -19,21 +19,14 @@ type BackoffConfig struct {
 	Initial time.Duration
 	// Max caps the grown delay (default 1s).
 	Max time.Duration
-	// Factor multiplies the delay after each attempt (default 2).
-	Factor float64
-	// Jitter is the fraction of each delay drawn uniformly at random
-	// (default 0.5): a delay d becomes d·(1−Jitter) + U[0,1)·d·Jitter.
-	// Negative disables jitter entirely, making delays exact — the
-	// deterministic mode tests pin sequences against.
-	Jitter float64
-	// Seed seeds the jitter RNG; 0 derives a seed from the clock.
-	Seed int64
 }
 
-// Backoff produces the sleep sequence of one retry loop. It is not
-// safe for concurrent use; create one per loop.
+// Backoff produces the sleep sequence of one retry loop: a delay d
+// that doubles after each attempt up to Max, each drawn uniformly from
+// [d/2, d) by a clock-seeded RNG. It is not safe for concurrent use;
+// create one per loop.
 type Backoff struct {
-	cfg BackoffConfig
+	max time.Duration
 	cur time.Duration
 	rng *rand.Rand
 }
@@ -50,33 +43,13 @@ func NewBackoff(cfg BackoffConfig) *Backoff {
 	if cfg.Max < cfg.Initial {
 		cfg.Max = cfg.Initial
 	}
-	if cfg.Factor < 1 {
-		cfg.Factor = 2
-	}
-	if cfg.Jitter == 0 {
-		cfg.Jitter = 0.5
-	}
-	if cfg.Jitter > 1 {
-		cfg.Jitter = 1
-	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = time.Now().UnixNano()
-	}
-	return &Backoff{cfg: cfg, cur: cfg.Initial, rng: rand.New(rand.NewSource(seed))}
+	return &Backoff{max: cfg.Max, cur: cfg.Initial, rng: rand.New(rand.NewSource(time.Now().UnixNano()))}
 }
 
 // Next returns the delay to sleep before the next attempt and advances
 // the sequence.
 func (b *Backoff) Next() time.Duration {
 	d := b.cur
-	grown := time.Duration(float64(b.cur) * b.cfg.Factor)
-	if grown > b.cfg.Max {
-		grown = b.cfg.Max
-	}
-	b.cur = grown
-	if j := b.cfg.Jitter; j > 0 {
-		d = time.Duration(float64(d) * (1 - j + b.rng.Float64()*j))
-	}
-	return d
+	b.cur = min(2*b.cur, b.max)
+	return time.Duration(float64(d) * (0.5 + b.rng.Float64()*0.5))
 }

@@ -618,15 +618,20 @@ var errSendsClosed = errors.New("transport: node closed for sending")
 // backoff and jitter (see backoff.go) until the deadline. Transient
 // failures — connection refused, reset/EOF/timeout while the peer
 // restarts mid-accept — retry; a protocol mismatch fails immediately.
-// Each attempt's handshake gets its own short deadline so one wedged
-// accept cannot consume the whole budget.
+// Each attempt's TCP connect and handshake get their own short
+// deadlines so one blackholed SYN or wedged accept cannot consume the
+// whole budget, and neither outlasts the budget itself.
 func (n *Node) connect(addr string, deadline time.Time) (net.Conn, compress.Compressor, error) {
 	bo := NewBackoff(BackoffConfig{})
 	// Never empty-handed without an error: a budget that has run out by
 	// the time the first attempt would start is a failed dial.
 	lastErr := error(os.ErrDeadlineExceeded)
-	for time.Now().Before(deadline) {
-		conn, err := net.DialTimeout("tcp", addr, time.Second)
+	for {
+		remain := time.Until(deadline)
+		if remain <= 0 {
+			break
+		}
+		conn, err := net.DialTimeout("tcp", addr, min(time.Second, remain))
 		if err == nil {
 			hsDeadline := time.Now().Add(2 * time.Second)
 			if hsDeadline.After(deadline) {
