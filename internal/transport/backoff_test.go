@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -12,6 +13,27 @@ func checkBackoff(t *testing.T, b *Backoff, base []time.Duration) {
 	for i, d := range base {
 		if got := b.Next(); got < d/2 || got >= d {
 			t.Errorf("Next() #%d = %v, outside [%v, %v)", i, got, d/2, d)
+		}
+	}
+}
+
+// TestBackoffDeterministicSequence pins the jitter-free base sequence,
+// exact exponential growth capped at Max, and checks that two Backoffs
+// drawing from identically seeded RNGs sleep the same delays.
+func TestBackoffDeterministicSequence(t *testing.T) {
+	cfg := BackoffConfig{Initial: 10 * time.Millisecond, Max: 80 * time.Millisecond}
+	a, b := NewBackoff(cfg), NewBackoff(cfg)
+	a.rng, b.rng = rand.New(rand.NewSource(7)), rand.New(rand.NewSource(7))
+	want := []time.Duration{
+		10 * time.Millisecond, 20 * time.Millisecond, 40 * time.Millisecond,
+		80 * time.Millisecond, 80 * time.Millisecond,
+	}
+	for i, w := range want {
+		if a.cur != w {
+			t.Errorf("base delay #%d = %v, want %v", i, a.cur, w)
+		}
+		if ga, gb := a.Next(), b.Next(); ga != gb {
+			t.Errorf("Next() #%d: same seed diverged: %v vs %v", i, ga, gb)
 		}
 	}
 }
