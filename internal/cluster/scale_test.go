@@ -1,6 +1,7 @@
 package cluster
 
-// scale_test.go — the O(degree) per-step cost contract at large n.
+// scale_test.go — the O(degree) per-step cost contract at large n,
+// and the O(n + E) set-up contract beside it.
 //
 // The membership audit behind it: under Hop, death notices, live dials
 // and the live shutdown wait already walk the graph neighborhood
@@ -16,6 +17,7 @@ import (
 	"runtime"
 	"testing"
 
+	"hop/internal/core"
 	"hop/internal/graph"
 	"hop/internal/model"
 )
@@ -28,11 +30,7 @@ func stepAllocCost(t *testing.T, n int) float64 {
 	t.Helper()
 	const shortIter, longIter = 2, 22
 	run := func(maxIter int) uint64 {
-		opts := baseOptions(graph.Ring(n), maxIter)
-		opts.Core.Trainers = make([]model.Trainer, n)
-		for i := 0; i < n; i++ {
-			opts.Core.Trainers[i] = model.NewQuadratic([]float64{5}, []float64{1}, 0.2, 0)
-		}
+		opts := quadraticRing(n, maxIter)
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
@@ -53,9 +51,9 @@ func stepAllocCost(t *testing.T, n int) float64 {
 // n=1024 must stay within 2.5x of n=64. Any O(n) bookkeeping per step
 // would show up as a ~16x ratio. Beside the ratio an absolute ceiling:
 // a steady-state step allocates its parameter snapshot and, amortized,
-// the metrics series (measured 1.1–1.2); a closure per message, a
-// timer per sleep and a queue array per slot would each add one or
-// more, so 5 catches any of them coming back.
+// the probe worker's loss series (measured 1.0); a closure per
+// message, a timer per sleep and a queue array per slot would each add
+// one or more, so 5 catches any of them coming back.
 func TestStepAllocsIndependentOfClusterSize(t *testing.T) {
 	if testing.Short() {
 		t.Skip("four multi-hundred-worker simulations; skipped with -short")
@@ -69,5 +67,59 @@ func TestStepAllocsIndependentOfClusterSize(t *testing.T) {
 	if big > small*2.5 {
 		t.Fatalf("per-step allocations grew with cluster size: n=64 %.1f vs n=1024 %.1f (> 2.5x)",
 			small, big)
+	}
+}
+
+// quadraticRing is the options for a ring of n quadratic workers.
+func quadraticRing(n, maxIter int) Options {
+	opts := baseOptions(graph.Ring(n), maxIter)
+	opts.Core.Trainers = make([]model.Trainer, n)
+	for i := 0; i < n; i++ {
+		opts.Core.Trainers[i] = model.NewQuadratic([]float64{5}, []float64{1}, 0.2, 0)
+	}
+	return opts
+}
+
+// setupBytes returns the bytes allocated by what a one-iteration run on
+// a ring of n workers costs end to end, the way a benchmark child
+// checks it: cluster.Run, the Table 1 bounds, and one Gap per adjacent
+// pair.
+func setupBytes(t *testing.T, n int) uint64 {
+	t.Helper()
+	opts := quadraticRing(n, 1)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	res, err := Run(opts)
+	if err != nil {
+		t.Fatalf("n=%d: %v", n, err)
+	}
+	b := core.NewBounds(opts.Core)
+	g := opts.Core.Graph
+	for i := 0; i < n; i++ {
+		for _, j := range g.Out(i) {
+			if b.Gap(i, j) < res.Engine.Gaps().MaxGap(i, j) {
+				t.Fatalf("n=%d: gap(%d,%d) exceeds its bound", n, i, j)
+			}
+		}
+	}
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestSetupBytesLinearInClusterSize is the set-up gate: building,
+// validating and bounds-checking a ring of 2048 workers must allocate
+// at most 2.3× what 1024 workers do. Linear set-up reads ≈ 2; anything
+// n×n — a distance matrix, a per-worker all-workers scan that
+// allocates, a queue sized by the diameter — pushes it towards 4.
+func TestSetupBytesLinearInClusterSize(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two multi-thousand-worker simulations; skipped with -short")
+	}
+	small, big := setupBytes(t, 1024), setupBytes(t, 2048)
+	ratio := float64(big) / float64(small)
+	t.Logf("set-up bytes: n=1024 %.1f MiB, n=2048 %.1f MiB (%.2fx)", float64(small)/(1<<20), float64(big)/(1<<20), ratio)
+	if ratio > 2.3 {
+		t.Fatalf("set-up allocation grew %.2fx from n=1024 to n=2048, want <= 2.3x", ratio)
 	}
 }

@@ -420,7 +420,8 @@ func isStarOnZero(g *graph.Graph) bool {
 // max_ig+1 when token queues bound the gap, otherwise a Theorem 1 /
 // staleness-derived bound from the topology. AD-PSGD's gap is unbounded
 // and its messages are not matched by iteration, so its queue is one
-// arrival-ordered slot.
+// arrival-ordered slot. The diameter is asked for only up to
+// maxQueueSlots: every larger one sizes the queue at the cap anyway.
 func (c *Config) numSlots() int {
 	if c.Mode == ModeADPSGD {
 		return 1
@@ -428,10 +429,7 @@ func (c *Config) numSlots() int {
 	if c.MaxIG > 0 {
 		return c.MaxIG + 1
 	}
-	d := c.Graph.Diameter()
-	if d < 1 {
-		d = 1
-	}
+	d := max(c.Graph.DiameterUpTo(maxQueueSlots), 1)
 	if c.Staleness >= 0 {
 		return (c.Staleness+1)*d + 1
 	}

@@ -221,18 +221,53 @@ func (t *GapTracker) Snapshot() []int {
 // Unbounded marks an infinite Table 1 bound.
 const Unbounded = math.MaxInt32
 
-// Bounds precomputes the Table 1 iteration-gap upper bounds for a
-// protocol configuration on a topology.
+// Bounds computes the Table 1 iteration-gap upper bounds for a
+// protocol configuration on a topology. It keeps no distance matrix:
+// each bound measures the path lengths it needs when asked — 1 for an
+// edge, otherwise a BFS that stops at its target — so building one is
+// O(1) and a query about adjacent workers O(degree). Bounds holds no
+// mutable state and is safe for concurrent use as long as nobody adds
+// edges to the graph.
 type Bounds struct {
-	dist [][]int // dist[j][i] = length(Path j→i)
-	cfg  Config
-	n    int
+	cfg Config
 }
 
 // NewBounds derives the Table 1 bound calculator for cfg's graph and
 // synchronization settings.
 func NewBounds(cfg Config) *Bounds {
-	return &Bounds{dist: cfg.Graph.ShortestPaths(), cfg: cfg, n: cfg.Graph.N()}
+	return &Bounds{cfg: cfg}
+}
+
+// dist returns length(Path s→t) following directed edges: 0 for s==t,
+// 1 for an edge, -1 if t is unreachable from s.
+func (b *Bounds) dist(s, t int) int {
+	g := b.cfg.Graph
+	switch {
+	case s == t:
+		return 0
+	case g.HasEdge(s, t):
+		return 1
+	}
+	d := make([]int, g.N())
+	for i := range d {
+		d[i] = -1
+	}
+	d[s] = 0
+	queue := []int{s}
+	for head := 0; head < len(queue); head++ {
+		v := queue[head]
+		for _, w := range g.Out(v) {
+			if d[w] != -1 {
+				continue
+			}
+			if w == t {
+				return d[v] + 1
+			}
+			d[w] = d[v] + 1
+			queue = append(queue, w)
+		}
+	}
+	return -1
 }
 
 // base returns b0 of Table 1: the bound on Iter(i)−Iter(j) for
@@ -255,17 +290,15 @@ func (b *Bounds) Gap(i, j int) int {
 	if i == j {
 		return 0
 	}
-	dJI := b.dist[j][i] // length(Path j→i)
-	dIJ := b.dist[i][j]
+	dJI := b.dist(j, i) // length(Path j→i)
 	if b.cfg.Mode == ModeNotifyAck {
-		return minBound(dJI, mulBound(2, dIJ))
+		return minBound(dJI, mulBound(2, b.dist(i, j)))
 	}
-	b0 := b.base()
-	forward := mulBound(b0, dJI)
+	forward := mulBound(b.base(), dJI)
 	if b.cfg.MaxIG <= 0 {
 		return forward
 	}
-	return minBound(forward, mulBound(b.cfg.MaxIG, dIJ))
+	return minBound(forward, mulBound(b.cfg.MaxIG, b.dist(i, j)))
 }
 
 // TokenCapacity returns the Theorem 2 bound on the number of tokens in
@@ -275,7 +308,7 @@ func (b *Bounds) TokenCapacity(i, j int) int {
 	if b.cfg.MaxIG <= 0 {
 		return Unbounded
 	}
-	return b.cfg.MaxIG * (b.dist[i][j] + 1)
+	return b.cfg.MaxIG * (b.dist(i, j) + 1)
 }
 
 // UpdateQueueCapacity returns the §4.2 bound on UpdateQ(i) occupancy,

@@ -9,8 +9,8 @@
 // 1/|Nin(j)| counting self.
 //
 // The package provides the topologies used in the paper's evaluation
-// (Figures 11 and 21), all-pairs shortest paths (the quantity bounding
-// the iteration gap in Theorems 1 and 2), doubly-stochastic weight
+// (Figures 11 and 21), the diameter and strong-connectivity checks a
+// cluster is validated and sized by, doubly-stochastic weight
 // constructions, and the spectral gap ‖λ1‖−‖λ2‖ computed with a
 // from-scratch symmetric Jacobi eigensolver (with a power-iteration
 // fallback for asymmetric weight matrices).
@@ -37,16 +37,18 @@ type Graph struct {
 	// a uniform default placement.
 	Machine []int
 
-	// diam caches Diameter: it costs an all-pairs BFS (O(n·E)), and
-	// protocol construction consults it once per worker to size the
-	// update queue — without the cache an n-worker engine pays
-	// O(n²·E) before the first simulated event fires. diamUnknown
-	// means "not computed since the last AddEdge".
-	diam int
+	// connected memoizes StronglyConnected and diam the BFS sweep
+	// behind Diameter and DiameterUpTo: every worker's protocol is
+	// validated against the graph and sizes its update queue from it,
+	// so without the memo an n-worker cluster pays n connectivity
+	// checks and n sweeps before the first simulated event fires.
+	// diam is the exact diameter when diamExact, otherwise a lower
+	// bound (a capped sweep reached depth diam). AddEdge resets both.
+	// The first call writes the memo, so it must not race another.
+	connected, connKnown bool
+	diam                 int
+	diamExact            bool
 }
-
-// diamUnknown marks the diameter cache invalid (any AddEdge resets it).
-const diamUnknown = -2
 
 // New returns an empty graph (no edges besides implicit self-loops)
 // over n workers.
@@ -59,7 +61,6 @@ func New(name string, n int) *Graph {
 		n:    n,
 		out:  make([][]int, n),
 		in:   make([][]int, n),
-		diam: diamUnknown,
 	}
 }
 
@@ -79,7 +80,7 @@ func (g *Graph) AddEdge(i, j int) {
 	}
 	g.out[i] = insertSorted(g.out[i], j)
 	g.in[j] = insertSorted(g.in[j], i)
-	g.diam = diamUnknown
+	g.connKnown, g.diam, g.diamExact = false, 0, false
 }
 
 // AddBiEdge inserts edges in both directions between i and j.
@@ -140,97 +141,97 @@ func (g *Graph) NumMachines() int {
 
 // StronglyConnected reports whether every worker can reach every other
 // following directed edges. Decentralized training requires it
-// (otherwise some updates never influence some workers).
+// (otherwise some updates never influence some workers). The verdict
+// is computed once, O(n+E), and kept until the next AddEdge.
 func (g *Graph) StronglyConnected() bool {
-	if g.n == 0 {
-		return false
+	if !g.connKnown {
+		g.connected = g.n > 0 && g.reachesAll(g.out) && g.reachesAll(g.in)
+		g.connKnown = true
 	}
-	reach := func(adj [][]int) int {
-		seen := make([]bool, g.n)
-		stack := []int{0}
-		seen[0] = true
-		count := 1
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, w := range adj[v] {
-				if !seen[w] {
-					seen[w] = true
-					count++
-					stack = append(stack, w)
-				}
-			}
-		}
-		return count
-	}
-	return reach(g.out) == g.n && reach(g.in) == g.n
+	return g.connected
 }
 
-// ShortestPaths returns the all-pairs shortest path length matrix
-// following directed edges: dist[j][i] = length(Path j→i). Unreachable
-// pairs get -1. Self distances are 0. Path lengths ignore self-loops.
-func (g *Graph) ShortestPaths() [][]int {
-	dist := make([][]int, g.n)
-	for s := 0; s < g.n; s++ {
-		d := make([]int, g.n)
-		for i := range d {
-			d[i] = -1
-		}
-		d[s] = 0
-		queue := []int{s}
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			for _, w := range g.out[v] {
-				if d[w] == -1 {
-					d[w] = d[v] + 1
-					queue = append(queue, w)
-				}
+// reachesAll reports whether a DFS over adj from worker 0 visits every
+// worker.
+func (g *Graph) reachesAll(adj [][]int) bool {
+	seen := make([]bool, g.n)
+	stack := []int{0}
+	seen[0] = true
+	count := 1
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, w := range adj[v] {
+			if !seen[w] {
+				seen[w] = true
+				count++
+				stack = append(stack, w)
 			}
 		}
-		dist[s] = d
 	}
-	return dist
+	return count == g.n
 }
 
 // Diameter returns the longest shortest-path length over all ordered
-// pairs, or -1 if the graph is not strongly connected. The result is
-// cached until the next AddEdge, and the BFS sweep reuses one scratch
-// distance array instead of materializing the ShortestPaths matrix.
-func (g *Graph) Diameter() int {
-	if g.diam != diamUnknown {
-		return g.diam
+// pairs, or -1 if the graph is not strongly connected: DiameterUpTo
+// with a limit no path reaches.
+func (g *Graph) Diameter() int { return g.DiameterUpTo(g.n) }
+
+// DiameterUpTo returns min(Diameter(), limit) for limit ≥ 1, or -1 if
+// the graph is not strongly connected. Its BFS sweep stops as soon as
+// one source reaches depth limit: on a graph where every worker is
+// that far from some other (a ring, a torus), the first source's
+// shallow BFS replaces the all-pairs sweep. The result is memoized
+// until the next AddEdge.
+func (g *Graph) DiameterUpTo(limit int) int {
+	if !g.StronglyConnected() {
+		return -1
 	}
+	if !g.diamExact && g.diam < limit {
+		g.diam = g.sweep(limit)
+		g.diamExact = g.diam < limit
+	}
+	return min(g.diam, limit)
+}
+
+// sweep runs a BFS from every source and returns the largest depth any
+// reaches, or limit as soon as one reaches it. A source's BFS ends once
+// it has reached every worker, and it resets only the distances it
+// set, so on a strongly connected graph each source costs O(edges
+// scanned), not O(n).
+func (g *Graph) sweep(limit int) int {
 	d := make([]int, g.n)
+	for i := range d {
+		d[i] = -1
+	}
 	queue := make([]int, 0, g.n)
-	max := 0
+	deepest := 0
 	for s := 0; s < g.n; s++ {
-		for i := range d {
-			d[i] = -1
-		}
 		d[s] = 0
 		queue = append(queue[:0], s)
-		reached := 1
+	bfs:
 		for head := 0; head < len(queue); head++ {
 			v := queue[head]
 			for _, w := range g.out[v] {
-				if d[w] == -1 {
-					d[w] = d[v] + 1
-					reached++
-					if d[w] > max {
-						max = d[w]
-					}
-					queue = append(queue, w)
+				if d[w] != -1 {
+					continue
+				}
+				d[w] = d[v] + 1
+				if d[w] >= limit {
+					return limit
+				}
+				deepest = max(deepest, d[w])
+				queue = append(queue, w)
+				if len(queue) == g.n {
+					break bfs
 				}
 			}
 		}
-		if reached < g.n {
-			g.diam = -1
-			return -1
+		for _, v := range queue {
+			d[v] = -1
 		}
 	}
-	g.diam = max
-	return max
+	return deepest
 }
 
 // IsBipartite reports whether the graph, viewed as undirected (ignoring

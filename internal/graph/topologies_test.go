@@ -76,16 +76,9 @@ func TestTopologyProperties(t *testing.T) {
 				}
 			}
 			// The cached diameter must match a fresh all-pairs result.
-			want := 0
-			for _, row := range g.ShortestPaths() {
-				for _, d := range row {
-					if d > want {
-						want = d
-					}
-				}
-			}
+			want := oracleDiameter(g)
 			if got := g.Diameter(); got != want {
-				t.Errorf("Diameter = %d, ShortestPaths max = %d", got, want)
+				t.Errorf("Diameter = %d, all-pairs max = %d", got, want)
 			}
 			if got := g.Diameter(); got != want { // cached second call
 				t.Errorf("cached Diameter = %d, want %d", got, want)
@@ -189,5 +182,65 @@ func TestDiameterCacheInvalidation(t *testing.T) {
 	g.AddBiEdge(0, 7) // close the ring
 	if d := g.Diameter(); d != 4 {
 		t.Fatalf("after closing the ring, diameter = %d, want 4", d)
+	}
+}
+
+// TestDiameterUpTo: the capped sweep answers min(diameter, limit) at
+// every limit, whether it starts fresh or from what an earlier limit
+// left memoized (ascending and descending), and -1 without strong
+// connectivity.
+func TestDiameterUpTo(t *testing.T) {
+	disc := New("disc", 4)
+	disc.AddBiEdge(0, 1)
+	disc.AddBiEdge(2, 3)
+	graphs := map[string]func() *Graph{
+		"single":    func() *Graph { return New("one", 1) },
+		"ring-40":   func() *Graph { return Ring(40) },
+		"dring-9":   func() *Graph { return DirectedRing(9) },
+		"chain-12":  func() *Graph { return Chain(12) },
+		"complete":  func() *Graph { return Complete(7) },
+		"star":      func() *Graph { return Star(9) },
+		"expander":  func() *Graph { return Expander(64, 4, 600) },
+		"hier-ring": func() *Graph { return HierRing(32, 4) },
+		"disc":      func() *Graph { return disc },
+	}
+	for name, build := range graphs {
+		want := oracleDiameter(build())
+		top := want + 3
+		asc, desc := build(), build()
+		for limit := 1; limit <= top; limit++ {
+			exp := min(want, limit)
+			if got := build().DiameterUpTo(limit); got != exp {
+				t.Errorf("%s: fresh DiameterUpTo(%d) = %d, want %d", name, limit, got, exp)
+			}
+			if got := asc.DiameterUpTo(limit); got != exp {
+				t.Errorf("%s: ascending DiameterUpTo(%d) = %d, want %d", name, limit, got, exp)
+			}
+			dl := top + 1 - limit
+			if got := desc.DiameterUpTo(dl); got != min(want, dl) {
+				t.Errorf("%s: descending DiameterUpTo(%d) = %d, want %d", name, dl, got, min(want, dl))
+			}
+		}
+		if got := asc.Diameter(); got != want {
+			t.Errorf("%s: Diameter after capped calls = %d, want %d", name, got, want)
+		}
+	}
+}
+
+// TestConnectivityCacheInvalidation: the memoized verdict follows
+// AddEdge, as the diameter does.
+func TestConnectivityCacheInvalidation(t *testing.T) {
+	g := New("path", 3)
+	g.AddEdge(0, 1)
+	g.AddEdge(1, 2)
+	if g.StronglyConnected() || g.DiameterUpTo(1) != -1 {
+		t.Fatal("directed path reported strongly connected")
+	}
+	g.AddEdge(2, 0)
+	if !g.StronglyConnected() {
+		t.Fatal("closing the directed cycle left the cached verdict stale")
+	}
+	if d := g.Diameter(); d != 2 {
+		t.Fatalf("directed 3-cycle diameter = %d, want 2", d)
 	}
 }

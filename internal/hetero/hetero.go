@@ -94,9 +94,30 @@ type Compute struct {
 // WorkerRNG returns worker w's slowdown RNG for run seed seed — the
 // rng IterTime draws from. The simulator and the live plane both build
 // it here, so random profiles draw identical factor sequences on both.
+// Its source is seeded on the first draw, so a profile that never
+// draws (None, Deterministic) never pays for seeding.
 func WorkerRNG(seed int64, w int) *rand.Rand {
-	return rand.New(rand.NewSource(seed + int64(w)*104729 + 11))
+	return rand.New(&lazySource{seed: seed + int64(w)*104729 + 11})
 }
+
+// lazySource is rand.NewSource(seed), created on the first draw.
+// Seeding a math/rand source costs as much as thousands of draws, and
+// a cluster holds one slowdown RNG per worker.
+type lazySource struct {
+	seed int64
+	src  rand.Source64
+}
+
+func (s *lazySource) source() rand.Source64 {
+	if s.src == nil {
+		s.src = rand.NewSource(s.seed).(rand.Source64)
+	}
+	return s.src
+}
+
+func (s *lazySource) Int63() int64    { return s.source().Int63() }
+func (s *lazySource) Uint64() uint64  { return s.source().Uint64() }
+func (s *lazySource) Seed(seed int64) { s.seed, s.src = seed, nil }
 
 // IterTime returns the modeled gradient-computation time of worker w
 // at iteration iter.

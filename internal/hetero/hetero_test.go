@@ -76,3 +76,70 @@ func TestStringsNonEmpty(t *testing.T) {
 		}
 	}
 }
+
+// TestWorkerRNGMatchesEagerSource: the lazily seeded RNG draws the
+// sequence an eagerly seeded one does, through every Rand method the
+// profiles and tests use, and after a reseed.
+func TestWorkerRNGMatchesEagerSource(t *testing.T) {
+	const seed = 7
+	for _, w := range []int{0, 1, 1023} {
+		got := WorkerRNG(seed, w)
+		want := rand.New(rand.NewSource(seed + int64(w)*104729 + 11))
+		for round := 0; round < 2; round++ {
+			for i := 0; i < 200; i++ {
+				switch i % 5 {
+				case 0:
+					if a, b := got.Float64(), want.Float64(); a != b {
+						t.Fatalf("w=%d draw %d Float64: %v != %v", w, i, a, b)
+					}
+				case 1:
+					if a, b := got.Int63(), want.Int63(); a != b {
+						t.Fatalf("w=%d draw %d Int63: %v != %v", w, i, a, b)
+					}
+				case 2:
+					if a, b := got.Uint64(), want.Uint64(); a != b {
+						t.Fatalf("w=%d draw %d Uint64: %v != %v", w, i, a, b)
+					}
+				case 3:
+					if a, b := got.NormFloat64(), want.NormFloat64(); a != b {
+						t.Fatalf("w=%d draw %d NormFloat64: %v != %v", w, i, a, b)
+					}
+				case 4:
+					if a, b := got.Intn(1000), want.Intn(1000); a != b {
+						t.Fatalf("w=%d draw %d Intn: %v != %v", w, i, a, b)
+					}
+				}
+			}
+			got.Seed(int64(100 + w))
+			want.Seed(int64(100 + w))
+		}
+	}
+}
+
+// rngSink keeps the RNGs the allocation counts build on the heap.
+var rngSink *rand.Rand
+
+// TestWorkerRNGSeedsOnFirstDraw: IterTime under the profiles that draw
+// nothing never seeds the worker's source — building the RNG and
+// timing many iterations allocates exactly what building it alone
+// does — while a Random profile seeds it once, on its first draw.
+func TestWorkerRNGSeedsOnFirstDraw(t *testing.T) {
+	build := testing.AllocsPerRun(100, func() { rngSink = WorkerRNG(1, 3) })
+	timed := func(slow Slowdown) float64 {
+		c := Compute{Base: time.Millisecond, Slow: slow}
+		return testing.AllocsPerRun(100, func() {
+			rngSink = WorkerRNG(1, 3)
+			for i := 0; i < 50; i++ {
+				c.IterTime(3, i, rngSink)
+			}
+		})
+	}
+	for _, slow := range []Slowdown{nil, None{}, Deterministic{Factors: map[int]float64{3: 4}}} {
+		if got := timed(slow); got != build {
+			t.Errorf("%v: %v allocations, want %v (building the RNG alone): the source was seeded", slow, got, build)
+		}
+	}
+	if got := timed(Random{Fact: 6, Prob: 0.5}); got != build+1 {
+		t.Errorf("random: %v allocations, want %v (one seeded source)", got, build+1)
+	}
+}

@@ -91,27 +91,41 @@ type Recorder struct {
 	// Train is the probe worker's mini-batch training loss.
 	Train Series
 
-	iterCount []int
-	lastIter  []time.Duration
-	durations [][]time.Duration
+	workers []workerIters
+}
+
+// maxWarmup is the largest warm-up MeanIterDurationAll can skip: the
+// recorder keeps each worker's first maxWarmup completion times and no
+// others.
+const maxWarmup = 4
+
+// workerIters is what the recorder keeps of one worker's completions:
+// their count, the last time, and the first maxWarmup times. The
+// durations MeanIterDurationAll averages are differences of successive
+// completion times, so their sum telescopes to last − first.
+type workerIters struct {
+	count int
+	last  time.Duration
+	first [maxWarmup]time.Duration
 }
 
 // NewRecorder creates a recorder for n workers.
 func NewRecorder(n int) *Recorder {
-	return &Recorder{
-		iterCount: make([]int, n),
-		lastIter:  make([]time.Duration, n),
-		durations: make([][]time.Duration, n),
-	}
+	return &Recorder{workers: make([]workerIters, n)}
 }
 
 // RecordIteration notes that worker w completed iteration iter at now.
+// The worker's iteration duration is now minus its previous completion
+// time (minus zero for its first).
 func (r *Recorder) RecordIteration(w, iter int, now time.Duration) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.iterCount[w]++
-	r.durations[w] = append(r.durations[w], now-r.lastIter[w])
-	r.lastIter[w] = now
+	s := &r.workers[w]
+	if s.count < maxWarmup {
+		s.first[s.count] = now
+	}
+	s.count++
+	s.last = now
 }
 
 // RecordTrain appends a training-loss sample for the probe worker.
@@ -133,8 +147,8 @@ func (r *Recorder) Iterations() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	total := 0
-	for _, c := range r.iterCount {
-		total += c
+	for _, s := range r.workers {
+		total += s.count
 	}
 	return total
 }
@@ -143,7 +157,7 @@ func (r *Recorder) Iterations() int {
 func (r *Recorder) WorkerIterations(w int) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.iterCount[w]
+	return r.workers[w].count
 }
 
 // MinWorkerIterations returns the slowest worker's completed count.
@@ -151,9 +165,9 @@ func (r *Recorder) MinWorkerIterations() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	min := -1
-	for _, c := range r.iterCount {
-		if min == -1 || c < min {
-			min = c
+	for _, s := range r.workers {
+		if min == -1 || s.count < min {
+			min = s.count
 		}
 	}
 	if min == -1 {
@@ -163,20 +177,27 @@ func (r *Recorder) MinWorkerIterations() int {
 }
 
 // MeanIterDurationAll averages per-iteration durations over all
-// workers.
+// workers, skipping each worker's first skipWarmup durations (0 ≤
+// skipWarmup ≤ maxWarmup; callers skip 0–2). A worker's durations from
+// the k-th on sum to its last completion time minus its (k−1)-th (minus
+// zero for k = 0), so the mean is exact in integer nanoseconds.
 func (r *Recorder) MeanIterDurationAll(skipWarmup int) time.Duration {
+	if skipWarmup < 0 || skipWarmup > maxWarmup {
+		panic(fmt.Sprintf("metrics: warm-up %d outside [0, %d]", skipWarmup, maxWarmup))
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var sum time.Duration
 	n := 0
-	for _, d := range r.durations {
-		if len(d) <= skipWarmup {
+	for _, s := range r.workers {
+		if s.count <= skipWarmup {
 			continue
 		}
-		for _, x := range d[skipWarmup:] {
-			sum += x
-			n++
+		sum += s.last
+		if skipWarmup > 0 {
+			sum -= s.first[skipWarmup-1]
 		}
+		n += s.count - skipWarmup
 	}
 	if n == 0 {
 		return 0

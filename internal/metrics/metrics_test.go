@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -84,5 +85,76 @@ func TestEmptyRecorder(t *testing.T) {
 	empty := NewRecorder(0)
 	if empty.MinWorkerIterations() != 0 {
 		t.Error("zero workers")
+	}
+}
+
+// TestMeanIterDurationTelescopes: on random completion times the
+// recorder's telescoped mean equals the mean of the explicit
+// per-iteration durations (each completion minus the worker's previous
+// one, the first minus zero) at every supported warm-up. Worker 0
+// crashes and restarts: a long gap, then its iteration numbers start
+// over. Workers 1 and 2 complete fewer iterations than some warm-ups
+// skip.
+func TestMeanIterDurationTelescopes(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	const n = 6
+	r := NewRecorder(n)
+	durations := make([][]time.Duration, n)
+	counts := []int{40, 1, 3, 25, 60, 0}
+	for w, count := range counts {
+		var now time.Duration
+		for i := 0; i < count; i++ {
+			d := time.Duration(rng.Int63n(int64(300 * time.Millisecond)))
+			iter := i
+			if w == 0 && i >= 20 {
+				iter = i - 20 // the restarted instance counts from zero
+				if i == 20 {
+					d += 7 * time.Second // down while crashed
+				}
+			}
+			now += d
+			durations[w] = append(durations[w], d)
+			r.RecordIteration(w, iter, now)
+		}
+	}
+	for k := 0; k <= maxWarmup; k++ {
+		var sum time.Duration
+		m := 0
+		for _, ds := range durations {
+			for _, d := range ds[min(k, len(ds)):] {
+				sum += d
+				m++
+			}
+		}
+		if got, want := r.MeanIterDurationAll(k), sum/time.Duration(m); got != want {
+			t.Errorf("MeanIterDurationAll(%d) = %v, explicit mean %v", k, got, want)
+		}
+	}
+}
+
+func TestMeanIterDurationWarmupRange(t *testing.T) {
+	r := NewRecorder(1)
+	for _, k := range []int{-1, maxWarmup + 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("MeanIterDurationAll(%d) did not panic", k)
+				}
+			}()
+			r.MeanIterDurationAll(k)
+		}()
+	}
+}
+
+func TestRecordIterationAllocatesNothing(t *testing.T) {
+	r := NewRecorder(4)
+	var now time.Duration
+	iter := 0
+	if allocs := testing.AllocsPerRun(1000, func() {
+		now += time.Millisecond
+		r.RecordIteration(iter%4, iter, now)
+		iter++
+	}); allocs != 0 {
+		t.Errorf("RecordIteration allocates %.1f per call, want 0", allocs)
 	}
 }

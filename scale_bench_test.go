@@ -3,12 +3,15 @@ package hop_test
 // scale_bench_test.go — the steps/s-vs-n trajectory: one fixed
 // 30-iteration quadratic run per (topology, n) point, with n workers
 // over n/8 machines, reported as a custom steps/s metric (completed
-// worker iterations per wall-clock second). scripts/bench_scale.sh
+// worker iterations per wall-clock second), beside setup-ms, the wall
+// time of the same spec cut to one iteration — the share of each run
+// that is building the cluster, not stepping it. scripts/bench_scale.sh
 // folds these into BENCH_scale.json, the committed scaling curve that
 // bench_compare.sh diffs like the GEMM and live-throughput baselines.
 
 import (
 	"testing"
+	"time"
 
 	"hop"
 )
@@ -37,6 +40,15 @@ func benchScale(b *testing.B, kind string, n int) {
 		}
 	}
 	b.ReportMetric(float64(b.N*n*scaleBenchIters)/b.Elapsed().Seconds(), "steps/s")
+	b.StopTimer()
+	spec.MaxIter = 1
+	t0 := time.Now()
+	for i := 0; i < b.N; i++ {
+		if _, err := hop.RunScenario(spec); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(time.Since(t0).Seconds()*1e3/float64(b.N), "setup-ms")
 }
 
 func BenchmarkScaleRingN8(b *testing.B)    { benchScale(b, "ring", 8) }

@@ -125,7 +125,7 @@ for id in $(grep -vE '^[[:space:]]*\|' DESIGN.md | grep -oE '`[^`]+`' |
 done
 
 # --- 6. document size budget -----------------------------------------
-for budget in DESIGN.md:120378 BENCH.md:31723; do
+for budget in DESIGN.md:120378 BENCH.md:31506; do
     doc=${budget%%:*} max=${budget#*:}
     size=$(wc -c < "$doc")
     if [ "$size" -gt "$max" ]; then
