@@ -69,19 +69,28 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	extra := func(w, iter int) time.Duration {
-		if w == *id {
-			return *delay
-		}
-		return 0
+	if *chaosSeed != 0 && spec.Fault != nil && spec.Fault.Net != nil {
+		// Chaos is a property of the scenario, its seed a property of
+		// the run: an explicit fault.net seed replaces the spec-derived
+		// default, and every worker still derives its own from it.
+		fault, net := *spec.Fault, *spec.Fault.Net
+		net.Seed = *chaosSeed
+		fault.Net = &net
+		spec.Fault = &fault
 	}
-	cfg, err := hop.ResolveScenarioLiveWorker(spec, *id, hop.ScenarioLiveOptions{
-		TimeScale:  *timeScale,
-		ExtraDelay: extra,
-		ChaosSeed:  *chaosSeed,
-	})
+	cfg, err := hop.ResolveScenarioLiveWorker(spec, *id, hop.ScenarioLiveOptions{TimeScale: *timeScale})
 	if err != nil {
 		fail(err)
+	}
+	if *delay > 0 {
+		// -delay adds to whatever heterogeneity the spec injects.
+		hetero := cfg.ComputeDelay
+		cfg.ComputeDelay = func(iter int) time.Duration {
+			if hetero == nil {
+				return *delay
+			}
+			return hetero(iter) + *delay
+		}
 	}
 	cfg.ListenAddr = *listen
 	cfg.WireChunkBytes = *chunk

@@ -31,6 +31,29 @@ func allPairsDist(g *graph.Graph) [][]int {
 	return dist
 }
 
+// boundsTopologies is one strongly connected graph of every topology
+// kind.
+func boundsTopologies() []*graph.Graph {
+	return []*graph.Graph{
+		graph.Ring(8), graph.DirectedRing(7), graph.Chain(6), graph.Star(6),
+		graph.Complete(5), graph.RingBased(8), graph.DoubleRing(8),
+		graph.HierRing(24, 4), graph.HierAllReduce(24, 4), graph.Expander(32, 4, 600),
+		graph.Setting1(), graph.Setting2(), graph.Setting3(),
+	}
+}
+
+// boundsSettings is one configuration of every Table 1 row.
+var boundsSettings = []struct {
+	name string
+	cfg  Config
+}{
+	{"standard", Config{Staleness: -1}},
+	{"staleness", Config{Staleness: 2}},
+	{"max_ig", Config{Staleness: -1, MaxIG: 3}},
+	{"backup", Config{Staleness: -1, MaxIG: 2, Backup: 1}},
+	{"notify-ack", Config{Mode: ModeNotifyAck, Staleness: -1}},
+}
+
 // TestBoundsMatchAllPairsOracle pins Table 1 as computed per pair to
 // the same rows evaluated on a full distance matrix, for every ordered
 // pair of every topology kind under every setting.
@@ -39,25 +62,9 @@ func TestBoundsMatchAllPairsOracle(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		path.AddEdge(i, i+1)
 	}
-	topologies := []*graph.Graph{
-		graph.Ring(8), graph.DirectedRing(7), graph.Chain(6), graph.Star(6),
-		graph.Complete(5), graph.RingBased(8), graph.DoubleRing(8),
-		graph.HierRing(24, 4), graph.HierAllReduce(24, 4), graph.Expander(32, 4, 600),
-		graph.Setting1(), graph.Setting2(), graph.Setting3(), path,
-	}
-	settings := []struct {
-		name string
-		cfg  Config
-	}{
-		{"standard", Config{Staleness: -1}},
-		{"staleness", Config{Staleness: 2}},
-		{"max_ig", Config{Staleness: -1, MaxIG: 3}},
-		{"backup", Config{Staleness: -1, MaxIG: 2, Backup: 1}},
-		{"notify-ack", Config{Mode: ModeNotifyAck, Staleness: -1}},
-	}
-	for _, g := range topologies {
+	for _, g := range append(boundsTopologies(), path) {
 		dist := allPairsDist(g)
-		for _, s := range settings {
+		for _, s := range boundsSettings {
 			cfg := s.cfg
 			cfg.Graph = g
 			b := NewBounds(cfg)
@@ -96,6 +103,65 @@ func TestBoundsMatchAllPairsOracle(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestBoundsComposeAlongPaths is why the gap tracker watches adjacent
+// pairs only: if every adjacent ordered pair keeps within its own Table
+// 1 bound, every other pair keeps within its bound too. The adjacent
+// bounds are difference constraints Iter(a) − Iter(b) ≤ Gap(a, b), an
+// edge b→a of that weight; the shortest j→i path is the largest
+// Iter(i) − Iter(j) they allow together, and it must not exceed
+// Gap(i, j).
+func TestBoundsComposeAlongPaths(t *testing.T) {
+	for _, g := range boundsTopologies() {
+		n := g.N()
+		for _, s := range boundsSettings {
+			cfg := s.cfg
+			cfg.Graph = g
+			b := NewBounds(cfg)
+			// sp[x][y]: shortest x→y path in the constraint graph
+			// (Floyd–Warshall; Unbounded is no edge).
+			sp := make([][]int, n)
+			for x := range sp {
+				sp[x] = make([]int, n)
+				for y := range sp[x] {
+					if x != y {
+						sp[x][y] = Unbounded
+					}
+				}
+			}
+			for a := 0; a < n; a++ {
+				for _, bb := range g.Neighbors(a) {
+					sp[bb][a] = b.Gap(a, bb)
+				}
+			}
+			for k := 0; k < n; k++ {
+				for x := 0; x < n; x++ {
+					for y := 0; y < n; y++ {
+						if via := addBound(sp[x][k], sp[k][y]); via < sp[x][y] {
+							sp[x][y] = via
+						}
+					}
+				}
+			}
+			for i := 0; i < n; i++ {
+				for j := 0; j < n; j++ {
+					if got, bound := sp[j][i], b.Gap(i, j); got > bound {
+						t.Errorf("%s/%s: adjacent bounds allow Iter(%d)−Iter(%d) = %d, Table 1 bound %d",
+							g.Name, s.name, i, j, got, bound)
+					}
+				}
+			}
+		}
+	}
+}
+
+// addBound adds two bounds, Unbounded absorbing.
+func addBound(a, b int) int {
+	if a >= Unbounded || b >= Unbounded {
+		return Unbounded
+	}
+	return a + b
 }
 
 // TestBoundsConcurrentQueries backs the doc claim that a Bounds may be

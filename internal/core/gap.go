@@ -6,31 +6,24 @@ package core
 
 import (
 	"math"
+	"slices"
 
 	"hop/internal/graph"
 )
 
 // GapTracker records every worker's iteration and the maximum observed
-// value of Iter(i) − Iter(j). It is the runtime witness for Theorems 1
-// and 2 and Table 1.
-//
-// Two representations share the API. The dense form keeps the full
-// n×n max-gap matrix — exact for every ordered pair, O(n) per Advance
-// — and is what small clusters (and NewGapTracker callers) get; the
-// Theorem 1 and Table 1 assertions check non-adjacent pairs too. Above
-// gapDenseLimit workers, NewGapTrackerFor switches to the sparse form:
-// per-pair maxima are kept for graph-adjacent ordered pairs only
-// (the pairs every protocol decision concerns), and the overall
-// maximum is maintained incrementally from the cluster-wide minimum
-// iteration — O(degree) amortized per Advance, which is what keeps the
-// per-step cost of an n=1000+ simulation independent of n.
+// value of Iter(i) − Iter(j) for every graph-adjacent ordered pair —
+// the pairs every protocol decision concerns, and the pairs the Table
+// 1 bounds compose along (TestBoundsComposeAlongPaths) — plus the
+// overall maximum of max(Iter) − min(Iter). It is the runtime witness
+// for Theorems 1 and 2 and Table 1. An Advance costs O(degree)
+// amortized, which keeps the per-step cost of an n=1000+ simulation
+// independent of n.
 type GapTracker struct {
-	mon    Monitor
-	iters  []int
-	maxGap [][]int // dense: full ordered-pair maxima; nil in sparse form
-
-	// Sparse form: nbrs[w] is w's sorted neighbor set (in ∪ out) and
-	// nbrMax[w][k] the observed max of Iter(w) − Iter(nbrs[w][k]).
+	mon   Monitor
+	iters []int
+	// nbrs[w] is w's sorted neighbor set (in ∪ out) and nbrMax[w][k]
+	// the observed max of Iter(w) − Iter(nbrs[w][k]).
 	nbrs   [][]int
 	nbrMax [][]int
 	// Incremental overall maximum: minVal/minCount track the
@@ -41,69 +34,19 @@ type GapTracker struct {
 	minVal, minCount, overall int
 }
 
-// gapDenseLimit is the largest cluster the simulator tracks with the
-// dense all-pairs matrix. Sparse is never slower (BenchmarkGapAdvance,
-// DESIGN.md §10.2), so dense is kept for what it answers — every
-// ordered pair — up to where its 1.2 ns·n per Advance stops being
-// cheap: ~155 ns at n=128, 4% of an engine step.
-const gapDenseLimit = 128
-
-// NewGapTracker creates a dense tracker for n workers, all at
-// iteration 0: exact max gaps for every ordered pair.
-func NewGapTracker(mon Monitor, n int) *GapTracker {
-	t := &GapTracker{mon: mon, iters: make([]int, n), maxGap: make([][]int, n), minCount: n}
-	for i := range t.maxGap {
-		t.maxGap[i] = make([]int, n)
-	}
-	return t
-}
-
-// NewGapTrackerFor creates the tracker the simulator uses for g: dense up
-// to gapDenseLimit workers, sparse (adjacent pairs + exact overall
-// maximum) beyond it.
+// NewGapTrackerFor creates the tracker for g's workers, all at
+// iteration 0.
 func NewGapTrackerFor(mon Monitor, g *graph.Graph) *GapTracker {
-	if g.N() <= gapDenseLimit {
-		return NewGapTracker(mon, g.N())
-	}
-	return newSparseGapTracker(mon, g)
-}
-
-// newSparseGapTracker creates the adjacent-pairs form for g.
-func newSparseGapTracker(mon Monitor, g *graph.Graph) *GapTracker {
 	n := g.N()
 	t := &GapTracker{mon: mon, iters: make([]int, n), minCount: n}
 	t.nbrs = make([][]int, n)
 	t.nbrMax = make([][]int, n)
 	for w := 0; w < n; w++ {
-		in, out := g.In(w), g.Out(w)
-		nb := make([]int, 0, len(in)+len(out))
-		nb = append(append(nb, in...), out...)
-		nb = sortedUnique(nb)
-		t.nbrs[w] = nb
-		t.nbrMax[w] = make([]int, len(nb))
+		t.nbrs[w] = g.Neighbors(w)
+		t.nbrMax[w] = make([]int, len(t.nbrs[w]))
 	}
 	return t
 }
-
-// sortedUnique sorts xs in place and drops duplicates.
-func sortedUnique(xs []int) []int {
-	for i := 1; i < len(xs); i++ { // insertion sort: degree-sized inputs
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
-	out := xs[:0]
-	for i, x := range xs {
-		if i == 0 || x != out[len(out)-1] {
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
-// Dense reports whether the tracker keeps exact maxima for every
-// ordered pair (the sparse form tracks graph-adjacent pairs only).
-func (t *GapTracker) Dense() bool { return t.maxGap != nil }
 
 // Advance records that worker w is now executing iteration iter and
 // refreshes the max-gap bookkeeping.
@@ -112,17 +55,6 @@ func (t *GapTracker) Advance(w, iter int) {
 	defer t.mon.Unlock()
 	old := t.iters[w]
 	t.iters[w] = iter
-	if t.maxGap != nil {
-		for j := range t.iters {
-			if j == w {
-				continue
-			}
-			if g := iter - t.iters[j]; g > t.maxGap[w][j] {
-				t.maxGap[w][j] = g
-			}
-		}
-		return
-	}
 	for k, j := range t.nbrs[w] {
 		if g := iter - t.iters[j]; g > t.nbrMax[w][k] {
 			t.nbrMax[w][k] = g
@@ -164,51 +96,23 @@ func (t *GapTracker) Iter(w int) int {
 	return t.iters[w]
 }
 
-// MaxGap returns the maximum observed Iter(i) − Iter(j). A dense
-// tracker answers for every ordered pair; a sparse one tracks
-// graph-adjacent pairs (the pairs the Table 1 adjacency bounds
-// concern) and reports 0 for the rest.
+// MaxGap returns the maximum observed Iter(i) − Iter(j) for
+// graph-adjacent i and j, and 0 for any other pair.
 func (t *GapTracker) MaxGap(i, j int) int {
 	t.mon.Lock()
 	defer t.mon.Unlock()
-	if t.maxGap != nil {
-		return t.maxGap[i][j]
-	}
-	nb := t.nbrs[i]
-	lo, hi := 0, len(nb)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if nb[mid] < j {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(nb) && nb[lo] == j {
-		return t.nbrMax[i][lo]
+	if k, ok := slices.BinarySearch(t.nbrs[i], j); ok {
+		return t.nbrMax[i][k]
 	}
 	return 0
 }
 
 // MaxGapOverall returns the largest observed max(Iter)−min(Iter) over
-// the run — for the dense form the matrix maximum, for the sparse form
-// the incrementally-maintained value (identical by construction: both
-// equal the largest iter−min any Advance ever produced).
+// the run: the largest iter−min any Advance produced.
 func (t *GapTracker) MaxGapOverall() int {
 	t.mon.Lock()
 	defer t.mon.Unlock()
-	if t.maxGap == nil {
-		return t.overall
-	}
-	max := 0
-	for i := range t.maxGap {
-		for _, g := range t.maxGap[i] {
-			if g > max {
-				max = g
-			}
-		}
-	}
-	return max
+	return t.overall
 }
 
 // Snapshot returns a copy of the current iterations.

@@ -9,7 +9,7 @@ import (
 )
 
 func TestGapTracker(t *testing.T) {
-	g := NewGapTracker(NewSyncMonitor(), 3)
+	g := NewGapTrackerFor(NewSyncMonitor(), graph.Complete(3)) // every pair adjacent
 	g.Advance(0, 1)
 	g.Advance(1, 4)
 	g.Advance(2, 2)
@@ -188,23 +188,15 @@ func TestNumSlots(t *testing.T) {
 	}
 }
 
-// BenchmarkGapAdvance measures one Advance on a ring, dense against
-// sparse at the same n — the measurement behind gapDenseLimit
-// (DESIGN.md §10.2).
+// BenchmarkGapAdvance measures one Advance on a ring (DESIGN.md
+// §10.2): its cost does not grow with n.
 func BenchmarkGapAdvance(b *testing.B) {
 	for _, n := range []int{8, 16, 64, 128, 1024} {
-		g := graph.Ring(n)
-		forms := map[string]*GapTracker{
-			"dense":  NewGapTracker(NewSyncMonitor(), n),
-			"sparse": newSparseGapTracker(NewSyncMonitor(), g),
-		}
-		for _, form := range []string{"dense", "sparse"} {
-			tr := forms[form]
-			b.Run(fmt.Sprintf("%s/n=%d", form, n), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					tr.Advance(i%n, i/n+1)
-				}
-			})
-		}
+		tr := NewGapTrackerFor(NewSyncMonitor(), graph.Ring(n))
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				tr.Advance(i%n, i/n+1)
+			}
+		})
 	}
 }

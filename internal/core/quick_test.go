@@ -131,12 +131,13 @@ func TestPropertyBoundsMonotoneInMaxIG(t *testing.T) {
 }
 
 // Property: gap tracker max is monotone non-decreasing and consistent
-// with a reference computation.
+// with a reference computation, on a complete graph (every pair
+// adjacent).
 func TestPropertyGapTrackerMatchesReference(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(5)
-		tr := NewGapTracker(NewSyncMonitor(), n)
+		tr := NewGapTrackerFor(NewSyncMonitor(), graph.Complete(n))
 		iters := make([]int, n)
 		ref := make([][]int, n)
 		for i := range ref {

@@ -15,9 +15,11 @@ import (
 // Table1 — Theoretical upper bounds on the iteration gap (§3-§4,
 // Table 1), validated at runtime: for every synchronization setting the
 // paper lists, run an adversarially slowed cluster with a frozen model
-// and compare the maximum observed Iter(i)−Iter(j) for every ordered
-// pair against the closed-form bound. A violation anywhere fails the
-// experiment; the report shows how tight the adjacent-pair bounds are.
+// and compare the maximum observed Iter(i)−Iter(j) for every adjacent
+// ordered pair against the closed-form bound (the other pairs' bounds
+// follow from these, core.TestBoundsComposeAlongPaths). A violation
+// fails the experiment; the report shows how tight the adjacent-pair
+// bounds are.
 func Table1(scale Scale) (*Report, error) {
 	rep := newReport("table1", "iteration-gap upper bounds, observed vs theoretical")
 	deadline := 300 * time.Second
@@ -61,25 +63,16 @@ func Table1(scale Scale) (*Report, error) {
 				return nil, err
 			}
 			bounds := core.NewBounds(cfg)
-			worstSlack := 1 << 30
 			violations := 0
 			maxAdjObserved, maxAdjBound := 0, 0
 			for i := 0; i < g.N(); i++ {
-				for j := 0; j < g.N(); j++ {
-					if i == j {
-						continue
-					}
+				for _, j := range g.Neighbors(i) {
 					obs := res.Engine.Gaps().MaxGap(i, j)
 					bound := bounds.Gap(i, j)
-					if bound != core.Unbounded {
-						if obs > bound {
-							violations++
-						}
-						if slack := bound - obs; slack < worstSlack {
-							worstSlack = slack
-						}
+					if obs > bound {
+						violations++
 					}
-					if g.HasEdge(j, i) && j != i {
+					if g.HasEdge(j, i) {
 						if obs > maxAdjObserved {
 							maxAdjObserved = obs
 						}

@@ -112,6 +112,18 @@ func (g *Graph) Out(i int) []int { return g.out[i] }
 // slice must not be modified.
 func (g *Graph) In(i int) []int { return g.in[i] }
 
+// Neighbors returns worker i's neighbors in either direction, In(i) ∪
+// Out(i), sorted, in a fresh slice.
+func (g *Graph) Neighbors(i int) []int {
+	nb := append([]int(nil), g.in[i]...)
+	for _, j := range g.out[i] {
+		if !containsInt(nb, j) {
+			nb = insertSorted(nb, j)
+		}
+	}
+	return nb
+}
+
 // InDegreeWithSelf returns |Nin(i)| counting the implicit self-loop;
 // this is the denominator of the uniform reduce weight in Eq. 1.
 func (g *Graph) InDegreeWithSelf(i int) int { return len(g.in[i]) + 1 }

@@ -97,26 +97,16 @@ type WorkerConfig struct {
 	Trace *core.Trace
 }
 
-// Liveness timings, in force when FaultTolerance is on (the liveness
-// layer is off otherwise). A healthy connection is never silent longer
-// than about one heartbeat interval, so the read deadline — several
-// intervals — only expires when frames are actually not arriving; the
-// suspect budget then buys a transient stall time to clear before
-// membership reforms: a suspected peer is probed with redials for
+// suspectBudget buys a transient stall time to clear before membership
+// reforms, when FaultTolerance is on (the liveness layer, with its
+// heartbeat and read-deadline timings in internal/transport, is off
+// otherwise): a suspected peer is probed with redials for
 // suspectBudget before DeclarePeerDead, and a heartbeat, any protocol
 // frame or a successful redial heals it with no membership event.
 // suspectBudget must stay below any orchestrated restart delay (e.g.
 // live_smoke.sh's rejoin-after) so a genuinely dead peer is declared
 // before its replacement tries to join.
-const (
-	heartbeatInterval = 250 * time.Millisecond
-	readDeadline      = 1500 * time.Millisecond
-	suspectBudget     = time.Second
-	// writeTimeout bounds frame writes so an alive-but-wedged peer
-	// (open socket, nothing draining it) surfaces as a prompt send
-	// error instead of blocking the protocol loop forever.
-	writeTimeout = 2 * time.Second
-)
+const suspectBudget = time.Second
 
 // Worker is one live protocol participant: transport shell + shared
 // protocol state machine.
@@ -211,29 +201,27 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		w.peerIter[j] = -1
 		w.ended[j] = false
 	}
-	// The liveness layer runs with fault tolerance only.
-	var hb, rd, wt time.Duration
-	if cfg.FaultTolerance {
-		hb, rd, wt = heartbeatInterval, readDeadline, writeTimeout
-	}
 	node, err := transport.ListenConfig(cfg.ID, cfg.ListenAddr, w.handle, transport.Config{
 		Compressor: cfg.Compression.New(),
 		MaxChunk:   cfg.WireChunkBytes,
 		// A dropped in-neighbor otherwise manifests only as a silent
-		// hang in the Recv; log the diagnosis (also counted in
-		// WireStats().ReadErrors).
-		OnReadError: func(err error) {
-			logger.Printf("hop/live: worker %d: %v", cfg.ID, err)
-		},
-		// A handshake-pinned inbound connection ending means the peer
-		// sends nothing more on it, and — the per-connection frame
-		// stream being sequential — everything it sent before has
-		// already been delivered: the peer has ended (Finish). It is
-		// also the live plane's death evidence. A goodbye (err == nil)
-		// is the peer *announcing* its exit — declared dead immediately;
-		// an abrupt end (EOF, reset) could be a transient network event,
-		// so it only raises suspicion and lets the probe budget decide.
+		// hang in the Recv: log the diagnosis (also counted in
+		// WireStats().ReadErrors). A handshake-pinned inbound
+		// connection ending means the peer sends nothing more on it,
+		// and — the per-connection frame stream being sequential —
+		// everything it sent before has already been delivered: the
+		// peer has ended (Finish). It is also the live plane's death
+		// evidence. A goodbye (err == nil) is the peer *announcing* its
+		// exit — declared dead immediately; an abrupt end (EOF, reset)
+		// could be a transient network event, so it only raises
+		// suspicion and lets the probe budget decide.
 		OnPeerDown: func(peer int, err error) {
+			if err != nil {
+				logger.Printf("hop/live: worker %d: %v", cfg.ID, err)
+			}
+			if peer < 0 {
+				return // not a peer: the connection ended before its hello
+			}
 			w.mu.Lock()
 			w.ended[peer] = true
 			w.mu.Unlock()
@@ -247,12 +235,10 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 				w.proto.DeclarePeerDead(peer)
 				return
 			}
-			logger.Printf("hop/live: worker %d: peer %d down: %v", cfg.ID, peer, err)
 			w.suspect(peer, "connection lost")
 		},
-		HeartbeatInterval: hb,
-		ReadDeadline:      rd,
-		WriteTimeout:      wt,
+		// The liveness layer runs with fault tolerance only.
+		Liveness: cfg.FaultTolerance,
 		// A full read-deadline window of silence from a peer: the
 		// failure detector's trigger.
 		OnPeerSilent: func(peer int) { w.suspect(peer, "silent past read deadline") },
@@ -401,7 +387,7 @@ func (w *Worker) probe(peer int) {
 			if dialT > 300*time.Millisecond {
 				dialT = 300 * time.Millisecond
 			}
-			err := w.node.Redial(peer, addr, dialT)
+			err := w.node.Dial(peer, addr, dialT)
 			if err == nil && w.cfg.Staleness >= 0 {
 				// What the torn connection swallowed before its first
 				// write failed is gone, and this worker may by now be
@@ -515,7 +501,7 @@ func (w *Worker) redialPeer(peer int) {
 	if !ok {
 		return
 	}
-	if err := w.node.Redial(peer, addr, DefaultDialTimeout); err != nil {
+	if err := w.node.Dial(peer, addr, DefaultDialTimeout); err != nil {
 		w.logger.Printf("hop/live: worker %d: redial peer %d: %v", w.cfg.ID, peer, err)
 	}
 }

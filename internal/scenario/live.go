@@ -46,16 +46,6 @@ type LiveOptions struct {
 	// Trace attaches a core.Trace decision trace to every worker
 	// (read back via Worker.Trace).
 	Trace bool
-	// ExtraDelay, when non-nil, adds artificial per-iteration compute
-	// time on top of the heterogeneity surplus for worker w — the
-	// -delay knob of cmd/hopnode.
-	ExtraDelay func(w, iter int) time.Duration
-	// ChaosSeed, when non-zero, overrides the base seed of the live
-	// chaos injection derived from the spec's fault.net clause — the
-	// -chaos-seed knob of cmd/hopnode. It has no effect when the spec
-	// has no fault.net clause: chaos is a property of the scenario,
-	// the seed a property of the run.
-	ChaosSeed int64
 }
 
 // ResolveLive turns the spec into one live worker configuration per
@@ -130,8 +120,8 @@ func liveWorkerConfig(opts cluster.Options, i int, o LiveOptions, t model.Traine
 		ListenAddr:   "127.0.0.1:0",
 		Trainer:      t,
 		Logger:       o.Logger,
-		ComputeDelay: liveComputeDelay(i, opts.Compute, opts.Seed, o.timeScale(), o.ExtraDelay),
-		Chaos:        liveChaos(opts.Net.Chaos, i, o.ChaosSeed),
+		ComputeDelay: liveComputeDelay(i, opts.Compute, opts.Seed, o.timeScale()),
+		Chaos:        liveChaos(opts.Net.Chaos, i),
 	}
 	if o.Trace {
 		cfg.Trace = core.NewTrace()
@@ -141,42 +131,29 @@ func liveWorkerConfig(opts cluster.Options, i int, o LiveOptions, t model.Traine
 
 // liveComputeDelay builds worker w's injected per-iteration delay: the
 // heterogeneity surplus over the homogeneous base (the real gradient
-// computation stands in for the base itself), scaled, plus any extra.
-// Returns nil when nothing would ever be injected.
-func liveComputeDelay(w int, c hetero.Compute, seed int64, scale float64, extra func(w, iter int) time.Duration) func(int) time.Duration {
-	_, homogeneous := c.Slow.(hetero.None)
-	if c.Slow == nil {
-		homogeneous = true
-	}
-	if homogeneous && extra == nil {
+// computation stands in for the base itself), scaled. Returns nil when
+// nothing would ever be injected.
+func liveComputeDelay(w int, c hetero.Compute, seed int64, scale float64) func(int) time.Duration {
+	if _, homogeneous := c.Slow.(hetero.None); homogeneous || c.Slow == nil {
 		return nil
 	}
 	rng := hetero.WorkerRNG(seed, w)
 	return func(iter int) time.Duration {
-		var d time.Duration
-		if !homogeneous {
-			if surplus := c.IterTime(w, iter, rng) - c.Base; surplus > 0 {
-				d = time.Duration(float64(surplus) * scale)
-			}
+		if surplus := c.IterTime(w, iter, rng) - c.Base; surplus > 0 {
+			return time.Duration(float64(surplus) * scale)
 		}
-		if extra != nil {
-			d += extra(w, iter)
-		}
-		return d
+		return 0
 	}
 }
 
 // liveChaos is worker w's copy of the resolved fault.net clause: each
 // worker derives its own seed from the base, so the per-process RNG
 // streams are uncorrelated but reproducible from the spec.
-func liveChaos(c *chaos.Config, w int, seedOverride int64) *chaos.Config {
+func liveChaos(c *chaos.Config, w int) *chaos.Config {
 	if c == nil {
 		return nil
 	}
 	wc := *c
-	if seedOverride != 0 {
-		wc.Seed = seedOverride
-	}
 	wc.Seed += int64(w)*104729 + 17
 	return &wc
 }

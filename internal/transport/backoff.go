@@ -1,10 +1,9 @@
 package transport
 
 // backoff.go — capped exponential backoff with jitter for connection
-// retry loops. One shared helper replaces the fixed 50ms sleeps that
-// used to sit in four places across Dial and Redial: retries start
-// fast, spread out exponentially under sustained failure, and jitter
-// so a cluster of workers redialing one restarted peer does not
+// retry loops (Dial's, and the live failure detector's probe): retries
+// start fast, spread out exponentially under sustained failure, and
+// jitter so a cluster of workers redialing one restarted peer does not
 // thunder against its listener in lockstep.
 
 import (

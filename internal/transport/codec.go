@@ -52,14 +52,9 @@ const (
 	// a giant allocation.
 	maxFramePayload = 1 << 24
 
-	// maxPendingPartials bounds per-connection chunk-reassembly state;
-	// past it the connection is dropped as misbehaving.
-	maxPendingPartials = 256
-
-	// maxPendingBytes bounds the total payload bytes buffered across
-	// all incomplete messages of one connection — the message-count
-	// cap alone would still let a hostile peer hold chunkCount×16 MiB
-	// per message.
+	// maxPendingBytes bounds the payload bytes a connection's partial
+	// update may buffer: without it a hostile peer could claim
+	// chunkCount×16 MiB.
 	maxPendingBytes = 256 << 20
 )
 
@@ -80,9 +75,10 @@ const (
 	frameGoodbye
 	// frameHeartbeat keeps an idle connection audibly alive: the
 	// heartbeat loop sends one on any connection that has written
-	// nothing for half of Config.HeartbeatInterval, so a receiver with
-	// a read deadline can tell a quiet healthy peer from a partitioned
-	// or hung one. Heartbeats surface to handlers as KindHeartbeat.
+	// nothing for half the heartbeat interval (Config.Liveness), so a
+	// receiver with a read deadline can tell a quiet healthy peer from
+	// a partitioned or hung one. Heartbeats surface to handlers as
+	// KindHeartbeat.
 	frameHeartbeat
 )
 
@@ -325,66 +321,59 @@ func (fr *frameReader) next() (frameHeader, []byte, error) {
 	return verifyFrame(frame[:headerLen], frame[headerLen:headerLen+plen], frame[headerLen+plen:])
 }
 
-// partialMsg accumulates the chunks of one in-flight update message.
-type partialMsg struct {
-	header frameHeader // header of the first chunk seen (tags + codec)
-	chunks [][]byte
-	got    int
-	bytes  int
-}
-
-// reassembler tracks chunked updates per connection, keyed by the
-// sender-assigned sequence number, so chunks of different messages
-// (and interleaved control frames) can share one TCP stream.
+// reassembler holds the one chunked update a connection can have in
+// flight. The sender's one-update-in-flight barrier (DESIGN.md §9.1)
+// writes an update's chunks in order, with no other update between
+// them (control frames may interleave), so a partial update is its
+// first chunk's header, the index of the chunk it waits for, and one
+// growing buffer.
 type reassembler struct {
-	pending      map[uint32]*partialMsg
-	pendingBytes int
-}
-
-func newReassembler() *reassembler {
-	return &reassembler{pending: make(map[uint32]*partialMsg)}
+	header frameHeader // first chunk's header (tags + codec); valid while open
+	next   uint16      // index of the chunk the open update waits for
+	open   bool
+	buf    []byte // payload so far, reused from update to update
 }
 
 // add folds one update frame in. It returns the completed (header,
-// payload) when the final chunk of a message arrives, and an error if
-// the stream violates the chunking contract. Single-chunk messages are
-// returned aliasing the caller's payload (valid until its next frame
-// read); multi-chunk stashes are copied, so the caller may reuse its
-// frame buffer immediately.
+// payload) when the final chunk of an update arrives, and an error if
+// the stream violates the chunking contract: a repeated chunk, chunks
+// of one update disagreeing on their tags, or a partial larger than
+// maxPendingBytes. A chunk that does not come next can only mean the
+// chaos injector dropped its predecessor (it never reorders or
+// duplicates chunks): that update is lost, as a dropped single-frame
+// update is, and its remaining chunks are ignored. A single-chunk
+// update is returned aliasing the caller's payload (valid until its
+// next frame read), a multi-chunk one aliasing the reassembler's buffer
+// (valid until the next add).
 func (ra *reassembler) add(h frameHeader, payload []byte) (frameHeader, []byte, bool, error) {
 	if h.chunkCount == 1 {
 		return h, payload, true, nil
 	}
-	p, ok := ra.pending[h.seq]
-	if !ok {
-		if len(ra.pending) >= maxPendingPartials {
-			return frameHeader{}, nil, false, fmt.Errorf("transport: %d incomplete chunked messages pending", len(ra.pending))
+	if !ra.open || h.seq != ra.header.seq {
+		if h.chunkIndex != 0 {
+			return frameHeader{}, nil, false, nil // its update lost a chunk
 		}
-		p = &partialMsg{header: h, chunks: make([][]byte, h.chunkCount)}
-		ra.pending[h.seq] = p
+		ra.header, ra.next, ra.open, ra.buf = h, 0, true, ra.buf[:0]
 	}
-	if h.chunkCount != p.header.chunkCount || h.codec != p.header.codec ||
-		h.from != p.header.from || h.iter != p.header.iter {
+	if h.chunkCount != ra.header.chunkCount || h.codec != ra.header.codec ||
+		h.from != ra.header.from || h.iter != ra.header.iter {
 		return frameHeader{}, nil, false, fmt.Errorf("transport: inconsistent chunk headers for seq %d", h.seq)
 	}
-	if p.chunks[h.chunkIndex] != nil {
+	switch {
+	case h.chunkIndex < ra.next:
 		return frameHeader{}, nil, false, fmt.Errorf("transport: duplicate chunk %d for seq %d", h.chunkIndex, h.seq)
-	}
-	if ra.pendingBytes+len(payload) > maxPendingBytes {
-		return frameHeader{}, nil, false, fmt.Errorf("transport: %d bytes of incomplete chunked messages pending", ra.pendingBytes)
-	}
-	p.chunks[h.chunkIndex] = append([]byte(nil), payload...)
-	p.got++
-	p.bytes += len(payload)
-	ra.pendingBytes += len(payload)
-	if p.got < int(p.header.chunkCount) {
+	case h.chunkIndex > ra.next:
+		ra.open = false // chunk ra.next was lost
 		return frameHeader{}, nil, false, nil
 	}
-	delete(ra.pending, h.seq)
-	ra.pendingBytes -= p.bytes
-	joined := make([]byte, 0, p.bytes)
-	for _, c := range p.chunks {
-		joined = append(joined, c...)
+	if len(ra.buf)+len(payload) > maxPendingBytes {
+		return frameHeader{}, nil, false, fmt.Errorf("transport: %d bytes of incomplete chunked update pending", len(ra.buf))
 	}
-	return p.header, joined, true, nil
+	ra.buf = append(ra.buf, payload...)
+	ra.next++
+	if ra.next < h.chunkCount {
+		return frameHeader{}, nil, false, nil
+	}
+	ra.open = false
+	return ra.header, ra.buf, true, nil
 }

@@ -82,60 +82,71 @@ func FuzzParseHeader(f *testing.F) {
 }
 
 func TestReassembler(t *testing.T) {
-	ra := newReassembler()
+	var ra reassembler
 	hdr := func(seq uint32, idx, count uint16) frameHeader {
 		return frameHeader{kind: frameUpdate, codec: compress.None, seq: seq, chunkIndex: idx, chunkCount: count, from: 1, iter: 4}
+	}
+	// feed adds the chunks of update seq with the given indices, each
+	// carrying payload seq*10+index, and returns what completed.
+	feed := func(seq uint32, count uint16, idx ...uint16) [][]byte {
+		t.Helper()
+		var done [][]byte
+		for _, i := range idx {
+			_, payload, ok, err := ra.add(hdr(seq, i, count), []byte{byte(seq*10) + byte(i)})
+			if err != nil {
+				t.Fatalf("seq %d chunk %d: %v", seq, i, err)
+			}
+			if ok {
+				done = append(done, append([]byte(nil), payload...))
+			}
+		}
+		return done
 	}
 	// Single-chunk messages pass straight through.
 	h, payload, done, err := ra.add(hdr(1, 0, 1), []byte{9})
 	if err != nil || !done || len(payload) != 1 || h.iter != 4 {
 		t.Fatalf("single chunk: done=%v err=%v", done, err)
 	}
-	// Chunks of two messages interleaved, each delivered out of order.
-	if _, _, done, err = ra.add(hdr(2, 1, 2), []byte{20}); done || err != nil {
-		t.Fatalf("partial completed early: %v", err)
+	// Chunks in order complete the update, once.
+	if got := feed(2, 3, 0, 1, 2); len(got) != 1 || !bytes.Equal(got[0], []byte{20, 21, 22}) {
+		t.Fatalf("in-order update: %v", got)
 	}
-	if _, _, done, err = ra.add(hdr(3, 1, 2), []byte{31}); done || err != nil {
-		t.Fatalf("partial completed early: %v", err)
+	// A lost middle chunk loses its update; the next one recovers.
+	if got := feed(3, 3, 0, 2); len(got) != 0 {
+		t.Fatalf("update with a lost middle chunk completed: %v", got)
 	}
-	h, payload, done, err = ra.add(hdr(2, 0, 2), []byte{10})
-	if err != nil || !done || !bytes.Equal(payload, []byte{10, 20}) {
-		t.Fatalf("seq 2: payload %v err %v", payload, err)
+	if got := feed(4, 2, 0, 1); len(got) != 1 || !bytes.Equal(got[0], []byte{40, 41}) {
+		t.Fatalf("update after a lost middle chunk: %v", got)
 	}
-	h, payload, done, err = ra.add(hdr(3, 0, 2), []byte{30})
-	if err != nil || !done || !bytes.Equal(payload, []byte{30, 31}) {
-		t.Fatalf("seq 3: payload %v err %v", payload, err)
+	// So does a lost first chunk.
+	if got := feed(5, 3, 1, 2); len(got) != 0 {
+		t.Fatalf("update with a lost first chunk completed: %v", got)
 	}
-	// Contract violations are errors, not corruption.
-	ra.add(hdr(5, 0, 3), []byte{1})
-	if _, _, _, err = ra.add(hdr(5, 0, 3), []byte{1}); err == nil {
+	if got := feed(6, 2, 0, 1); len(got) != 1 || !bytes.Equal(got[0], []byte{60, 61}) {
+		t.Fatalf("update after a lost first chunk: %v", got)
+	}
+	// Contract violations are errors, not loss.
+	feed(7, 3, 0)
+	if _, _, _, err = ra.add(hdr(7, 0, 3), []byte{1}); err == nil {
 		t.Error("duplicate chunk accepted")
 	}
-	if _, _, _, err = ra.add(hdr(5, 1, 4), []byte{1}); err == nil {
+	if _, _, _, err = ra.add(hdr(7, 1, 4), []byte{1}); err == nil {
 		t.Error("inconsistent chunk count accepted")
 	}
-	bad := hdr(5, 1, 3)
+	bad := hdr(7, 1, 3)
 	bad.codec = compress.Float32
 	if _, _, _, err = ra.add(bad, []byte{1}); err == nil {
 		t.Error("inconsistent codec accepted")
 	}
-	bad = hdr(5, 1, 3)
+	bad = hdr(7, 1, 3)
 	bad.iter = 99
 	if _, _, _, err = ra.add(bad, []byte{1}); err == nil {
 		t.Error("inconsistent iter accepted — chunks of two updates would merge")
 	}
-	bad = hdr(5, 1, 3)
+	bad = hdr(7, 1, 3)
 	bad.from = 9
 	if _, _, _, err = ra.add(bad, []byte{1}); err == nil {
 		t.Error("inconsistent from accepted")
-	}
-	for s := uint32(100); ; s++ {
-		if _, _, _, err = ra.add(hdr(s, 0, 2), []byte{1}); err != nil {
-			break // pending cap reached
-		}
-		if s > 100+2*maxPendingPartials {
-			t.Fatal("pending partials never capped")
-		}
 	}
 }
 
@@ -279,15 +290,25 @@ func TestNegotiationDowngradesUnsupportedCodec(t *testing.T) {
 }
 
 // TestRejectsNonHopPeer: garbage instead of a hello must close the
-// connection without delivering anything.
+// connection without delivering anything, and be reported as a
+// connection that died before its hello.
 func TestRejectsNonHopPeer(t *testing.T) {
-	rx, _, got := pipe(t, Config{}, Config{})
+	type down struct {
+		peer int
+		err  error
+	}
+	downs := make(chan down, 4)
+	rx, _, got := pipe(t, Config{OnPeerDown: func(peer int, err error) {
+		downs <- down{peer, err}
+	}}, Config{})
 	conn, err := net.Dial("tcp", rx.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	conn.Write([]byte("GET / HTTP/1.1\r\n\r\n"))
+	// Longer than a frame header, so the verdict does not wait on more
+	// bytes.
+	conn.Write([]byte("GET / HTTP/1.1\r\nHost: hop.invalid\r\n\r\n"))
 	buf := make([]byte, 1)
 	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
 	if _, err := conn.Read(buf); err == nil {
@@ -295,6 +316,17 @@ func TestRejectsNonHopPeer(t *testing.T) {
 	}
 	if len(got()) != 0 {
 		t.Errorf("garbage delivered messages: %v", got())
+	}
+	select {
+	case d := <-downs:
+		if d.peer != -1 || d.err == nil || !strings.Contains(d.err.Error(), "bad magic") {
+			t.Errorf("OnPeerDown(%d, %v), want peer -1 with a bad-magic diagnosis", d.peer, d.err)
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatal("dropped connection never reported")
+	}
+	if n := rx.Stats().ReadErrors; n != 1 {
+		t.Errorf("ReadErrors = %d, want 1", n)
 	}
 }
 
@@ -342,12 +374,12 @@ func TestTopKUpdatesAreDeltaStreams(t *testing.T) {
 }
 
 // TestReadErrorsObservable: a protocol violation after the handshake
-// must surface through Config.OnReadError and the ReadErrors counter
+// must surface through Config.OnPeerDown and the ReadErrors counter
 // instead of tearing the connection down silently.
 func TestReadErrorsObservable(t *testing.T) {
 	errCh := make(chan error, 4)
 	rx, err := ListenConfig(1, "127.0.0.1:0", func(Message) {}, Config{
-		OnReadError: func(e error) { errCh <- e },
+		OnPeerDown: func(_ int, e error) { errCh <- e },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -384,17 +416,32 @@ func TestReadErrorsObservable(t *testing.T) {
 }
 
 // TestPeerDeathVsCleanCloseObservability: an EOF without a preceding
-// goodbye frame (peer process died) must be reported, while an orderly
-// Node.Close — which announces itself with a goodbye — must not.
+// goodbye frame (peer process died) must be reported with a diagnosis,
+// while an orderly Node.Close — which announces itself with a goodbye —
+// is a clean end.
 func TestPeerDeathVsCleanCloseObservability(t *testing.T) {
-	errCh := make(chan error, 4)
+	type down struct {
+		peer int
+		err  error
+	}
+	downs := make(chan down, 4)
 	rx, err := ListenConfig(1, "127.0.0.1:0", func(Message) {}, Config{
-		OnReadError: func(e error) { errCh <- e },
+		OnPeerDown: func(peer int, e error) { downs <- down{peer, e} },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rx.Close()
+	next := func(what string) down {
+		t.Helper()
+		select {
+		case d := <-downs:
+			return d
+		case <-time.After(3 * time.Second):
+			t.Fatalf("%s never reported", what)
+		}
+		return down{}
+	}
 
 	// Orderly close: a real node dials, sends, closes.
 	tx, err := Listen(0, "127.0.0.1:0", func(Message) {})
@@ -408,10 +455,8 @@ func TestPeerDeathVsCleanCloseObservability(t *testing.T) {
 		t.Fatal(err)
 	}
 	tx.Close()
-	select {
-	case e := <-errCh:
-		t.Fatalf("orderly close reported as failure: %v", e)
-	case <-time.After(300 * time.Millisecond):
+	if d := next("orderly close"); d.peer != 0 || d.err != nil {
+		t.Fatalf("orderly close reported as OnPeerDown(%d, %v), want (0, nil)", d.peer, d.err)
 	}
 
 	// Peer death: handshake succeeds, then the socket dies with no
@@ -428,13 +473,11 @@ func TestPeerDeathVsCleanCloseObservability(t *testing.T) {
 		t.Fatalf("no hello-ack: %v", err)
 	}
 	conn.Close()
-	select {
-	case e := <-errCh:
-		if !strings.Contains(e.Error(), "without goodbye") {
-			t.Errorf("unexpected diagnosis: %v", e)
-		}
-	case <-time.After(3 * time.Second):
-		t.Fatal("peer death never reported")
+	if d := next("peer death"); d.peer != 7 || d.err == nil || !strings.Contains(d.err.Error(), "without goodbye") {
+		t.Errorf("peer death reported as OnPeerDown(%d, %v)", d.peer, d.err)
+	}
+	if n := rx.Stats().ReadErrors; n != 1 {
+		t.Errorf("ReadErrors = %d, want 1 (the death, not the orderly close)", n)
 	}
 }
 
@@ -450,7 +493,7 @@ func TestConnectionPinnedToHelloSender(t *testing.T) {
 		mu.Lock()
 		got = append(got, m)
 		mu.Unlock()
-	}, Config{OnReadError: func(e error) { errCh <- e }})
+	}, Config{OnPeerDown: func(_ int, e error) { errCh <- e }})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,7 +74,7 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		fr := newFrameReader(bytes.NewReader(stream))
 		ref := bytes.NewReader(stream)
-		ra := newReassembler()
+		var ra reassembler
 		for {
 			h, payload, err := fr.next()
 			rh, rpayload, rerr := readFrame(ref)
@@ -103,7 +103,7 @@ func TestFuzzSeedsDecode(t *testing.T) {
 	// corpus itself against rot when the wire format changes).
 	for i, s := range fuzzSeedFrames()[:6] {
 		fr := newFrameReader(bytes.NewReader(s))
-		ra := newReassembler()
+		var ra reassembler
 		for frames := 0; ; frames++ {
 			h, payload, err := fr.next()
 			if err == io.EOF && frames > 0 {

@@ -35,7 +35,7 @@ const (
 )
 
 // errPeerClosed is what a send finds once its connection has been
-// stopped (Node.Close, or a Redial that replaced it).
+// stopped (Node.Close, or a Dial that replaced it).
 var errPeerClosed = errors.New("connection closed")
 
 // peer is one dialed connection: the outbox and the state of the
@@ -64,7 +64,7 @@ type peer struct {
 	busy       bool
 	writing    bool // the writer holds a batch it has not finished with
 	closed     bool // stop was called: no new frames, the writer drains and exits
-	goodbye    bool // the writer's last frame is a goodbye (Node.Close, not Redial)
+	goodbye    bool // the writer's last frame is a goodbye (Node.Close, not a replacing Dial)
 
 	// Owned by the writer.
 	spare   []byte // the other half of ctl's double buffer
@@ -306,7 +306,7 @@ func (n *Node) stageUpdate(p *peer, m Message) updateJob {
 
 // Resend queues the update this node staged last — for whichever peer —
 // once more, for peer id. It is for a caller whose protocol absorbs
-// lost and repeated updates, after a Redial has healed a torn
+// lost and repeated updates, after a Dial has replaced a torn
 // connection: a dead connection is only reported by a later write, so
 // the updates the old one accepted in its last moments may never have
 // arrived, and a sender that is by then blocked on this very peer would
@@ -504,8 +504,8 @@ func (n *Node) writeUpdate(p *peer, id int, job updateJob, ctl []byte) error {
 // p.hdr (chunk may be empty: an empty update is a header-only frame
 // carrying its tags) — header, payload chunk and CRC trailer as separate
 // vectors, so the payload goes from the shared entry to the kernel
-// without being copied into a frame first. Config.WriteTimeout arms
-// once per flush and lastWrite is stamped once. With chaos configured
+// without being copied into a frame first. Under Config.Liveness
+// writeTimeout arms once per flush; lastWrite is stamped once. With chaos configured
 // each frame meets the injector first, and what it lets through is
 // still one write. Handshake and goodbye frames never pass through
 // here, which is what keeps them structurally exempt from chaos.
@@ -533,7 +533,7 @@ func (n *Node) flush(p *peer, id int, ctl, chunk []byte, update bool) error {
 		}
 	}
 	p.iov = iov[:k]
-	if n.cfg.HeartbeatInterval > 0 {
+	if n.cfg.Liveness {
 		for off := 4; off < len(ctl); off += ctlFrameLen {
 			if frameKind(ctl[off]) == frameHeartbeat {
 				heartbeats++
@@ -541,8 +541,8 @@ func (n *Node) flush(p *peer, id int, ctl, chunk []byte, update bool) error {
 		}
 	}
 	if bytes > 0 { // chaos may have dropped the whole batch "on the wire"
-		if d := n.cfg.WriteTimeout; d > 0 && !p.closing {
-			p.conn.SetWriteDeadline(time.Now().Add(d))
+		if n.cfg.Liveness && !p.closing {
+			p.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 		}
 		p.bufs = p.iov
 		_, err := p.bufs.WriteTo(p.conn)

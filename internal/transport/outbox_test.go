@@ -550,8 +550,8 @@ func TestOutboxSteadyStateAllocatesNothing(t *testing.T) {
 	}
 }
 
-// Resend repeats the newest staged update on a redialed connection,
-// whichever codec staged it: a stateless entry holds only its payload,
+// Resend repeats the newest staged update on a connection a second
+// Dial replaced, whichever codec staged it: a stateless entry holds only its payload,
 // a stream entry its snapshot, and the fresh TopK stream starts dense.
 func TestResendAfterRedial(t *testing.T) {
 	for name, comp := range map[string]compress.Compressor{
@@ -584,7 +584,7 @@ func TestResendAfterRedial(t *testing.T) {
 			}
 			first := <-got
 			clear(x) // the caller's vector is long gone by the time of a heal
-			if err := tx.Redial(1, rx.Addr(), 2*time.Second); err != nil {
+			if err := tx.Dial(1, rx.Addr(), 2*time.Second); err != nil {
 				t.Fatal(err)
 			}
 			if err := tx.Resend(1); err != nil {

@@ -60,7 +60,7 @@ const (
 	// Iter update (NOTIFY-ACK, §3.3).
 	KindAck
 	// KindHeartbeat is liveness evidence on an otherwise idle
-	// connection (Config.HeartbeatInterval). It carries no protocol
+	// connection (Config.Liveness). It carries no protocol
 	// payload: handlers use it to clear peer suspicion, never to
 	// advance protocol state.
 	KindHeartbeat
@@ -132,48 +132,29 @@ type Config struct {
 	// MaxChunk is the largest per-frame payload in bytes; 0 means
 	// DefaultMaxChunk.
 	MaxChunk int
-	// OnReadError, when non-nil, is invoked whenever an inbound
-	// connection is torn down for a reason other than a clean close or
-	// this node shutting down: handshake rejection, chunk-contract
-	// violation, reassembly limits, codec decode failure, abrupt peer
-	// death. Without it a dropped peer is visible only as updates
-	// silently ceasing (and the ReadErrors counter). Called from reader
+	// OnPeerDown, when non-nil, is invoked once for every inbound
+	// connection that ends while this node is not itself closing. peer
+	// is the sender the handshake pinned, or -1 if the connection ended
+	// before its hello. err is nil for a clean end — an announced
+	// goodbye (Node.Close or CloseSends at the peer), or a connection
+	// that left before saying anything — and otherwise the diagnosis of
+	// why the connection was dropped: handshake rejection, chunk-contract
+	// violation, codec decode failure, EOF without goodbye (process
+	// death). Every non-nil err is also counted in Stats.ReadErrors.
+	// TCP delivers data in order before the FIN and the reader is
+	// sequential, so the callback runs strictly after every message the
+	// peer sent on this connection has been handled. Called from reader
 	// goroutines; must be safe for concurrent use.
-	OnReadError func(err error)
-	// OnPeerDown, when non-nil, is invoked when an inbound connection
-	// whose sender was pinned by the handshake ends for any reason —
-	// err is nil for an announced goodbye (Node.Close or CloseSends at
-	// the peer), non-nil for EOF or a read failure (process death). It does
-	// not fire while this node is itself closing. TCP delivers data in
-	// order before the FIN and the reader is sequential, so the
-	// callback runs strictly after every message the peer sent on this
-	// connection has been handled. Called from reader goroutines; must
-	// be safe for concurrent use.
 	OnPeerDown func(peer int, err error)
-	// HeartbeatInterval, when > 0, keeps outgoing connections audibly
-	// alive: a node-level loop sends a heartbeat frame on every peer
-	// connection that has written nothing for half the interval, so
-	// the longest silent gap a healthy receiver observes is about one
-	// interval. Pair the receiving side's ReadDeadline with several
-	// multiples of the senders' interval.
-	HeartbeatInterval time.Duration
-	// ReadDeadline, when > 0, bounds post-handshake read silence on
-	// inbound connections. A window expiring fires OnPeerSilent and
-	// the read *continues* — the connection is not torn down, so bytes
-	// still in flight (buffered behind a transient stall) are
-	// delivered when the stall clears. This is the failure detector's
-	// trigger, not its verdict: declaring the peer dead is the
-	// caller's policy.
-	ReadDeadline time.Duration
-	// WriteTimeout, when > 0, bounds each socket write (one flush of a
-	// peer's outbox), so a peer that is alive-but-wedged (an open
-	// connection accepting no bytes) surfaces as a prompt send error
-	// instead of blocking its writer forever.
-	WriteTimeout time.Duration
+	// Liveness turns on the failure detector's wire half (heartbeatLoop,
+	// silenceReader, flush): idle outgoing connections carry heartbeats,
+	// inbound silence past readDeadline fires OnPeerSilent, and every
+	// socket write is bounded by writeTimeout.
+	Liveness bool
 	// OnPeerSilent, when non-nil, is invoked each time an inbound
-	// connection pinned to peer completes a full ReadDeadline window
-	// with no traffic. Called from reader goroutines; must be safe for
-	// concurrent use.
+	// connection pinned to peer completes a full readDeadline window
+	// with no traffic (Liveness only). Called from reader goroutines;
+	// must be safe for concurrent use.
 	OnPeerSilent func(peer int)
 	// OnSendError, when non-nil, receives every failed socket write:
 	// Send has long returned by the time a frame reaches the wire, so
@@ -227,7 +208,7 @@ type Stats struct {
 	RawUpdateBytesSent  int64 `json:"raw_update_bytes_sent"`
 	WireUpdateBytesSent int64 `json:"wire_update_bytes_sent"`
 	// ReadErrors counts inbound connections dropped for protocol-level
-	// failures (everything Config.OnReadError reports).
+	// failures (every non-nil error Config.OnPeerDown reports).
 	ReadErrors int64 `json:"read_errors"`
 	// HeartbeatsSent and HeartbeatsRecv count liveness frames;
 	// HeartbeatsMissed counts heartbeat sends that failed (a strong
@@ -313,7 +294,7 @@ func ListenConfig(id int, addr string, handler Handler, cfg Config) (*Node, erro
 	}
 	n.wg.Add(1)
 	go n.acceptLoop()
-	if cfg.HeartbeatInterval > 0 {
+	if cfg.Liveness {
 		n.wg.Add(1)
 		go n.heartbeatLoop()
 	}
@@ -329,7 +310,20 @@ func (n *Node) Addr() string { return n.ln.Addr().String() }
 // Stats returns a snapshot of the wire counters.
 func (n *Node) Stats() Stats { return counters.Load(&n.st) }
 
-// heartbeatLoop ticks at half the configured interval and queues a
+// Liveness timings (Config.Liveness). A healthy connection is never
+// silent longer than about one heartbeatInterval, so readDeadline —
+// several intervals — expires only when frames are actually not
+// arriving. writeTimeout bounds each socket write (one flush of a
+// peer's outbox), so a peer that is alive but wedged (an open
+// connection accepting no bytes) surfaces as a prompt send error
+// instead of blocking its writer forever.
+const (
+	heartbeatInterval = 250 * time.Millisecond
+	readDeadline      = 1500 * time.Millisecond
+	writeTimeout      = 2 * time.Second
+)
+
+// heartbeatLoop ticks at half the heartbeat interval and queues a
 // heartbeat frame on every outgoing connection that has written
 // nothing for at least that long, bounding a healthy connection's
 // silent gap at about one interval. It never waits on a peer: a full
@@ -338,10 +332,7 @@ func (n *Node) Stats() Stats { return counters.Load(&n.st) }
 // and reports the failure through OnSendError like any other.
 func (n *Node) heartbeatLoop() {
 	defer n.wg.Done()
-	tick := n.cfg.HeartbeatInterval / 2
-	if tick <= 0 {
-		tick = n.cfg.HeartbeatInterval
-	}
+	const tick = heartbeatInterval / 2
 	t := time.NewTicker(tick)
 	defer t.Stop()
 	var idle []*peer
@@ -390,18 +381,13 @@ func (n *Node) readLoop(conn net.Conn) {
 	defer n.wg.Done()
 	defer conn.Close()
 	sender, err := n.readConn(conn)
-	if err != nil {
-		n.noteReadError(conn, err)
-	}
-	if sender >= 0 {
-		n.notePeerDown(sender, err)
-	}
+	n.notePeerDown(conn, sender, err)
 }
 
 // readConn drives one inbound connection until it ends, returning the
 // handshake-pinned sender id (-1 if the connection ended before the
 // hello). A nil error is a clean close; any error is a diagnosis of
-// why the peer was dropped, surfaced through noteReadError so the
+// why the peer was dropped, surfaced through notePeerDown so the
 // failure is observable instead of manifesting as updates silently
 // ceasing.
 func (n *Node) readConn(conn net.Conn) (int, error) {
@@ -410,7 +396,7 @@ func (n *Node) readConn(conn net.Conn) (int, error) {
 	// pinned a sender to report.
 	var src io.Reader = conn
 	var silence *silenceReader
-	if n.cfg.ReadDeadline > 0 {
+	if n.cfg.Liveness {
 		silence = &silenceReader{conn: conn}
 		src = silence
 	}
@@ -423,7 +409,7 @@ func (n *Node) readConn(conn net.Conn) (int, error) {
 	h, _, err := fr.next()
 	if err != nil {
 		if errors.Is(err, io.EOF) {
-			return -1, nil // connect-and-leave (port probe); nothing to report
+			return -1, nil // connect-and-leave (port probe): a clean end
 		}
 		return -1, fmt.Errorf("handshake: %w", err)
 	}
@@ -439,7 +425,7 @@ func (n *Node) readConn(conn net.Conn) (int, error) {
 		return -1, fmt.Errorf("handshake ack: %w", err)
 	}
 
-	ra := newReassembler()
+	var ra reassembler
 	// The hello pins this connection's sender id: Send always stamps
 	// the dialing node's own id, so a data frame claiming any other id
 	// is a protocol violation. Enforcing it also lets the TopK delta
@@ -447,12 +433,14 @@ func (n *Node) readConn(conn net.Conn) (int, error) {
 	// attacker-growable map keyed by fabricated sender ids.
 	sender := int(h.from)
 	// Post-handshake reads run behind the rolling-silence detector: a
-	// full ReadDeadline window with no bytes fires OnPeerSilent and
+	// full readDeadline window with no bytes fires OnPeerSilent and
 	// keeps reading, so a transient stall suspects the peer without
-	// sacrificing the bytes still in flight behind it.
+	// sacrificing the bytes still in flight behind it. The window is
+	// the failure detector's trigger, not its verdict: declaring the
+	// peer dead is the caller's policy.
 	if silence != nil {
 		silence.onSilent = func() { n.notePeerSilent(sender) }
-		silence.window = n.cfg.ReadDeadline
+		silence.window = readDeadline
 	}
 	var delta *compress.DeltaDecoder
 	for {
@@ -475,7 +463,7 @@ func (n *Node) readConn(conn net.Conn) (int, error) {
 		}
 		switch h.kind {
 		case frameUpdate:
-			mh, joined, done, err := ra.add(h, payload)
+			mh, whole, done, err := ra.add(h, payload)
 			if err != nil {
 				return sender, err // stream violated the chunking contract
 			}
@@ -491,9 +479,9 @@ func (n *Node) readConn(conn net.Conn) (int, error) {
 				if delta == nil {
 					delta = new(compress.DeltaDecoder)
 				}
-				params, err = delta.DecodeInto(tensor.GetVec(0), joined)
+				params, err = delta.DecodeInto(tensor.GetVec(0), whole)
 			} else {
-				params, err = compress.DecodeInto(tensor.GetVec(0), mh.codec, joined)
+				params, err = compress.DecodeInto(tensor.GetVec(0), mh.codec, whole)
 			}
 			if err != nil {
 				return sender, fmt.Errorf("update from %d iter %d: %w", mh.from, mh.iter, err)
@@ -567,30 +555,11 @@ func (n *Node) notePeerSilent(sender int) {
 	cb(sender)
 }
 
-// notePeerDown reports the end of a handshake-pinned inbound
-// connection through Config.OnPeerDown, unless this node is itself
-// shutting down (its own Close tears every connection).
-func (n *Node) notePeerDown(sender int, err error) {
-	cb := n.cfg.OnPeerDown
-	if cb == nil {
-		return
-	}
-	if err != nil && errors.Is(err, net.ErrClosed) {
-		return
-	}
-	n.mu.Lock()
-	closed := n.closed
-	n.mu.Unlock()
-	if closed {
-		return
-	}
-	cb(sender, err)
-}
-
-// noteReadError records an abnormal inbound-connection teardown and
-// surfaces it through Config.OnReadError. Clean closes and this node's
-// own shutdown are not diagnostics and stay silent.
-func (n *Node) noteReadError(conn net.Conn, err error) {
+// notePeerDown reports the end of an inbound connection through
+// Config.OnPeerDown, counting a diagnosis in Stats.ReadErrors, unless
+// this node is itself shutting down (its own Close tears every
+// connection).
+func (n *Node) notePeerDown(conn net.Conn, sender int, err error) {
 	if errors.Is(err, net.ErrClosed) {
 		return
 	}
@@ -600,9 +569,12 @@ func (n *Node) noteReadError(conn net.Conn, err error) {
 	if closed {
 		return
 	}
-	atomic.AddInt64(&n.st.ReadErrors, 1)
-	if cb := n.cfg.OnReadError; cb != nil {
-		cb(fmt.Errorf("transport: dropping inbound connection %v: %w", conn.RemoteAddr(), err))
+	if err != nil {
+		atomic.AddInt64(&n.st.ReadErrors, 1)
+		err = fmt.Errorf("transport: dropping inbound connection %v: %w", conn.RemoteAddr(), err)
+	}
+	if cb := n.cfg.OnPeerDown; cb != nil {
+		cb(sender, err)
 	}
 }
 
@@ -613,7 +585,7 @@ var errProtocol = errors.New("protocol mismatch")
 // errSendsClosed is what a dial finds after CloseSends or Close.
 var errSendsClosed = errors.New("transport: node closed for sending")
 
-// connect is the shared retry loop under Dial and Redial: TCP connect
+// connect is Dial's retry loop: TCP connect
 // plus hello/hello-ack handshake, retried with capped exponential
 // backoff and jitter (see backoff.go) until the deadline. Transient
 // failures — connection refused, reset/EOF/timeout while the peer
@@ -663,26 +635,16 @@ func (n *Node) connect(addr string, deadline time.Time) (net.Conn, compress.Comp
 // transient handshake failures such as a peer restarting mid-accept —
 // until the deadline (peers start in arbitrary order), then performs
 // the hello/hello-ack handshake: version check plus compressor
-// negotiation. Protocol mismatches fail immediately; dialing the same
-// peer twice is an error.
+// negotiation. Protocol mismatches fail immediately.
+//
+// A connection to a peer that is already connected (it restarted on
+// its original address, or the old connection was torn) replaces the
+// old one: sends switch to the new connection at once, the old one's
+// writer drains what its outbox still holds (bounded by
+// closeDrainTimeout if the socket is wedged — an abandoned update was
+// never committed, so its mass is re-sent on the new connection) and
+// Dial returns once it has closed it.
 func (n *Node) Dial(id int, addr string, timeout time.Duration) error {
-	return n.dial(id, addr, timeout, false)
-}
-
-// Redial re-establishes the outgoing connection to peer id (e.g. after
-// the peer restarted on its original address), replacing — and closing
-// — any existing connection to it: sends switch to the new connection
-// at once, the old one's writer drains what its outbox still holds
-// (bounded by closeDrainTimeout if the socket is wedged — an abandoned
-// update was never committed, so its mass is re-sent on the new
-// connection) and Redial returns once it has closed it. Unlike Dial it
-// tolerates an already-connected peer; everything else (retry loop,
-// handshake, negotiation) is identical.
-func (n *Node) Redial(id int, addr string, timeout time.Duration) error {
-	return n.dial(id, addr, timeout, true)
-}
-
-func (n *Node) dial(id int, addr string, timeout time.Duration, replace bool) error {
 	n.mu.Lock()
 	closed := n.sendsClosed
 	n.mu.Unlock()
@@ -694,30 +656,18 @@ func (n *Node) dial(id int, addr string, timeout time.Duration, replace bool) er
 		if errors.Is(err, errProtocol) {
 			return err
 		}
-		verb := "dial"
-		if replace {
-			verb = "redial"
-		}
-		return fmt.Errorf("transport: %s peer %d at %s: %w", verb, id, addr, err)
+		return fmt.Errorf("transport: dial peer %d at %s: %w", id, addr, err)
 	}
 	n.mu.Lock()
-	old := n.peers[id]
-	switch {
-	case n.sendsClosed:
-		err = errSendsClosed
-	case old != nil && !replace:
-		err = fmt.Errorf("transport: peer %d already connected", id)
-	}
-	if err != nil {
+	if n.sendsClosed {
 		n.mu.Unlock()
-		if err == errSendsClosed {
-			// CloseSends ran while this dial connected: leave the way every
-			// other connection did, with a goodbye.
-			conn.Write(appendFrame(nil, frameHeader{kind: frameGoodbye, from: uint32(n.id)}, nil))
-		}
+		// CloseSends ran while this dial connected: leave the way every
+		// other connection did, with a goodbye.
+		conn.Write(appendFrame(nil, frameHeader{kind: frameGoodbye, from: uint32(n.id)}, nil))
 		conn.Close()
-		return err
+		return errSendsClosed
 	}
+	old := n.peers[id]
 	n.adopt(id, conn, comp)
 	n.mu.Unlock()
 	if old != nil {
@@ -806,7 +756,7 @@ func (n *Node) Send(id int, m Message) error {
 			err = fmt.Errorf("unknown message kind %d", m.Kind)
 		}
 		if err == errPeerClosed && n.peer(id) != p {
-			continue // a Redial replaced the connection meanwhile: the frame belongs on the new one
+			continue // a Dial replaced the connection meanwhile: the frame belongs on the new one
 		}
 		if err != nil {
 			return fmt.Errorf("transport: send to %d: %w", id, err)
@@ -844,8 +794,7 @@ func (n *Node) Flush() {
 
 // CloseSends ends this node's sending half and returns once it is
 // done: every outgoing connection drains its outbox, says goodbye and
-// closes, exactly as under Close, and later Sends, Dials and Redials
-// fail. The listener and the inbound readers keep running, so a node
+// closes, exactly as under Close, and later Sends and Dials fail. The listener and the inbound readers keep running, so a node
 // that has nothing more to say still hears the peers that do.
 func (n *Node) CloseSends() {
 	for _, p := range n.stopSends() {

@@ -135,25 +135,6 @@ func TestDialTimeout(t *testing.T) {
 	}
 }
 
-func TestDuplicateDialRejected(t *testing.T) {
-	rx, err := Listen(1, "127.0.0.1:0", func(Message) {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rx.Close()
-	tx, err := Listen(0, "127.0.0.1:0", func(Message) {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tx.Close()
-	if err := tx.Dial(1, rx.Addr(), time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Dial(1, rx.Addr(), time.Second); err == nil {
-		t.Error("duplicate dial should fail")
-	}
-}
-
 // TestCloseIdempotentAndStopsAccept: Close may be called twice, and
 // once both ends of a connection are closed no goroutine of either
 // node — accept loop, reader, writer — is left running.
@@ -330,7 +311,7 @@ func TestConcurrentKindsToTwoPeers(t *testing.T) {
 }
 
 // A dial whose budget is spent before its first attempt fails with an
-// error (live's probe redials with whatever its budget has left).
+// error (live's probe dials with whatever its budget has left).
 func TestDialWithSpentBudgetFails(t *testing.T) {
 	rx, err := Listen(1, "127.0.0.1:0", func(Message) {})
 	if err != nil {
@@ -342,8 +323,8 @@ func TestDialWithSpentBudgetFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tx.Close()
-	if err := tx.Redial(1, rx.Addr(), 0); err == nil {
-		t.Fatal("Redial with no time left reported success")
+	if err := tx.Dial(1, rx.Addr(), 0); err == nil {
+		t.Fatal("Dial with no time left reported success")
 	}
 }
 
@@ -397,8 +378,8 @@ func TestCloseSendsKeepsReceiving(t *testing.T) {
 	if err := a.Send(1, Message{Kind: KindAck, Iter: 99}); err == nil {
 		t.Error("Send after CloseSends succeeded")
 	}
-	if err := a.Redial(1, b.Addr(), time.Second); err == nil {
-		t.Error("Redial after CloseSends succeeded")
+	if err := a.Dial(1, b.Addr(), time.Second); err == nil {
+		t.Error("Dial after CloseSends succeeded")
 	}
 	if err := b.Send(0, Message{Kind: KindAck, Iter: 7}); err != nil {
 		t.Fatal(err)
