@@ -44,7 +44,6 @@ func main() {
 		dialWait  = flag.Duration("dial-wait", 30*time.Second, "how long to retry dialing peers")
 		linger    = flag.Duration("linger", live.DefaultLinger, "after finishing, how long to keep serving slower neighbors before closing")
 		timeScale = flag.Float64("time-scale", 1, "scale the spec's injected heterogeneity delay")
-		chunk     = flag.Int("chunk-bytes", 0, "max wire payload bytes per frame (0 = transport default)")
 		delay     = flag.Duration("delay", 0, "artificial extra compute time per iteration")
 		rejoin    = flag.Bool("rejoin", false, "rejoin a running cluster as a restarted worker (clears this worker's own crash schedule)")
 		chaosSeed = flag.Int64("chaos-seed", 0, "override the base seed of the spec's fault.net chaos injection (0 = spec seed; no effect without fault.net)")
@@ -93,7 +92,6 @@ func main() {
 		}
 	}
 	cfg.ListenAddr = *listen
-	cfg.WireChunkBytes = *chunk
 	if *rejoin {
 		cfg.Config = cfg.Restarted()
 	}

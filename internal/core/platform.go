@@ -19,11 +19,7 @@
 //     delivery, and peer-iteration inquiry (§6.2's send-side check).
 package core
 
-import (
-	"sync"
-
-	"hop/internal/compress"
-)
+import "sync"
 
 // Cond is a condition variable bound to its Monitor's lock. Wait
 // atomically releases the lock and blocks until Broadcast; the caller
@@ -64,12 +60,6 @@ type Update struct {
 	Params []float64
 	Iter   int
 	From   int
-
-	// Codec records the wire compressor the update arrived under
-	// (compress.None for local or simulated updates) — diagnostic
-	// metadata the live runtime stamps on receipt; the protocol never
-	// branches on it.
-	Codec compress.Kind
 
 	// Reply marks an AD-PSGD averaging reply (baselines.go); every
 	// other update, AD-PSGD's requests included, leaves it false.

@@ -72,11 +72,6 @@ type WorkerConfig struct {
 
 	Trainer model.Trainer
 
-	// WireChunkBytes caps the per-frame payload size so control
-	// frames interleave with large updates; 0 means
-	// transport.DefaultMaxChunk.
-	WireChunkBytes int
-
 	// Chaos, when non-nil, injects seeded network faults into this
 	// worker's outgoing frames (transport.Config.Chaos): the spec's
 	// fault.net clause with this worker's seed. Used by the scenario
@@ -203,7 +198,6 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	}
 	node, err := transport.ListenConfig(cfg.ID, cfg.ListenAddr, w.handle, transport.Config{
 		Compressor: cfg.Compression.New(),
-		MaxChunk:   cfg.WireChunkBytes,
 		// A dropped in-neighbor otherwise manifests only as a silent
 		// hang in the Recv: log the diagnosis (also counted in
 		// WireStats().ReadErrors). A handshake-pinned inbound
@@ -527,7 +521,7 @@ func (w *Worker) handle(m transport.Message) {
 	w.observeIter(m.From, m.Iter)
 	switch m.Kind {
 	case transport.KindUpdate:
-		w.proto.Deliver(core.Update{Params: m.Params, Iter: m.Iter, From: m.From, Codec: m.Codec})
+		w.proto.Deliver(core.Update{Params: m.Params, Iter: m.Iter, From: m.From})
 	case transport.KindToken:
 		w.proto.DeliverTokens(m.From, m.Count)
 	case transport.KindAck:

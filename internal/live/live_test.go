@@ -2,6 +2,7 @@ package live
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -195,20 +196,26 @@ func TestLiveIterationCallbacksOrdered(t *testing.T) {
 // regression for the binary wire layer: with bounded staleness s, the
 // oldest update a Reduce may aggregate is k−s, and that bound must
 // survive updates that arrive compressed, split across many chunks,
-// and interleaved out of order relative to token frames. A tiny
-// WireChunkBytes forces every update through the chunk-reassembly
-// path; per-worker jitter shuffles arrival order.
+// and interleaved out of order relative to token frames. Updates longer
+// than 16 384 coordinates take more than one 64 KiB frame even at
+// float32 (and TopK's dense warm start with them); per-worker jitter
+// shuffles arrival order. The workers disagree on 64 coordinates and
+// start the rest at the target, with the gradient noise scaled so the
+// whole vector carries as much of it as 64 coordinates at 0.02.
 func TestLiveStalenessBoundWithCompressedChunkedUpdates(t *testing.T) {
-	const s = 2
-	dim := 64
+	const s, dim, active = 2, 20000, 64
+	noise := 0.02 * math.Sqrt(active/float64(dim))
 	start := func(i int) model.Trainer {
 		x0 := make([]float64, dim)
 		target := make([]float64, dim)
 		for d := range x0 {
-			x0[d] = float64(i%3) + 0.5
 			target[d] = float64(d%5) / 5
+			x0[d] = target[d]
+			if d < active {
+				x0[d] = float64(i%3) + 0.5
+			}
 		}
-		return model.NewQuadratic(x0, target, 0.2, 0.02)
+		return model.NewQuadratic(x0, target, 0.2, noise)
 	}
 	// topk:0.1 is the headline sparse operating point: it exercises the
 	// delta-stream path end to end (a zero-filled decode averaged into
@@ -235,7 +242,6 @@ func TestLiveStalenessBoundWithCompressedChunkedUpdates(t *testing.T) {
 			workers := launch(t, g, func(i int) WorkerConfig {
 				cfg := WorkerConfig{Config: coreCfg, Trainer: coreCfg.Trainers[i]}
 				cfg.Seed += int64(i)
-				cfg.WireChunkBytes = 64 // 64-dim updates -> >=4 chunks even at float32
 				if i%2 == 0 {
 					cfg.ComputeDelay = func(iter int) time.Duration {
 						return time.Duration(iter%3) * time.Millisecond

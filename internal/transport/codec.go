@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"time"
 
 	"hop/internal/compress"
 )
@@ -42,19 +43,16 @@ const (
 	// a fresh connection always starts with).
 	crcLen = 4
 
-	// DefaultMaxChunk is the largest per-frame payload unless Config
-	// overrides it. 64 KiB keeps the worst-case control-frame latency
-	// behind a chunk to one socket write.
-	DefaultMaxChunk = 64 << 10
-
-	// maxFramePayload bounds payloadLen on the read side regardless of
-	// sender configuration: a corrupt or hostile header must not drive
-	// a giant allocation.
-	maxFramePayload = 1 << 24
+	// maxChunk is the largest per-frame payload: the writer splits
+	// updates at it and the reader rejects a header claiming more before
+	// reading on. 64 KiB keeps the worst-case control-frame latency
+	// behind a chunk to one socket write, and lets every frame be parsed
+	// in place from the read buffer.
+	maxChunk = 64 << 10
 
 	// maxPendingBytes bounds the payload bytes a connection's partial
 	// update may buffer: without it a hostile peer could claim
-	// chunkCount×16 MiB.
+	// 65 535 chunks of maxChunk each.
 	maxPendingBytes = 256 << 20
 )
 
@@ -87,10 +85,11 @@ const (
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // errCorruptFrame marks a frame whose CRC32-C trailer did not match
-// its bytes (or whose claimed length was unreadably absurd): line
+// its bytes, whose claimed length exceeds maxChunk, or whose body did
+// not arrive within readDeadline of its header (silenceReader): line
 // noise, a hostile peer, or the chaos injector. The connection is torn
 // down and the event counted in Stats.CorruptFrames.
-var errCorruptFrame = errors.New("frame CRC mismatch (corrupt)")
+var errCorruptFrame = errors.New("corrupt frame")
 
 // frameHeader is the fixed prefix of every frame:
 //
@@ -181,9 +180,6 @@ func parseHeader(b []byte) (frameHeader, error) {
 	if h.kind > frameHeartbeat {
 		return frameHeader{}, fmt.Errorf("transport: unknown frame kind %d", h.kind)
 	}
-	if h.payloadLen > maxFramePayload {
-		return frameHeader{}, fmt.Errorf("transport: frame payload %d exceeds limit %d", h.payloadLen, maxFramePayload)
-	}
 	if h.kind == frameUpdate {
 		if h.chunkCount < 1 {
 			return frameHeader{}, fmt.Errorf("transport: update frame with zero chunk count")
@@ -207,8 +203,8 @@ func framePrefix(hb []byte) (int, error) {
 		return 0, fmt.Errorf("transport: bad magic %q (version mismatch or not a hop peer): %w", hb[0:4], errProtocol)
 	}
 	plen := binary.LittleEndian.Uint32(hb[28:])
-	if plen > maxFramePayload {
-		return 0, fmt.Errorf("transport: frame payload %d exceeds limit %d: %w", plen, maxFramePayload, errCorruptFrame)
+	if plen > maxChunk {
+		return 0, fmt.Errorf("transport: frame payload %d exceeds limit %d: %w", plen, maxChunk, errCorruptFrame)
 	}
 	return int(plen), nil
 }
@@ -237,57 +233,39 @@ func verifyFrame(hb, payload, trailer []byte) (frameHeader, []byte, error) {
 // which is what the dialer's handshake needs of an unbuffered
 // connection.
 func readFrame(r io.Reader) (frameHeader, []byte, error) {
-	h, payload, _, err := readFrameBuf(r, nil)
-	return h, payload, err
-}
-
-// readFrameBuf is readFrame reading the frame body into scratch's
-// capacity (growing it only when too small). The returned payload
-// aliases the returned scratch and is valid only until the next call
-// with the same buffer.
-func readFrameBuf(r io.Reader, scratch []byte) (frameHeader, []byte, []byte, error) {
-	var hb [headerLen]byte
-	if _, err := io.ReadFull(r, hb[:]); err != nil {
-		return frameHeader{}, nil, scratch, err
+	hb := make([]byte, headerLen)
+	if _, err := io.ReadFull(r, hb); err != nil {
+		return frameHeader{}, nil, err
 	}
-	plen, err := framePrefix(hb[:])
+	plen, err := framePrefix(hb)
 	if err != nil {
-		return frameHeader{}, nil, scratch, err
+		return frameHeader{}, nil, err
 	}
-	if need := plen + crcLen; cap(scratch) < need {
-		scratch = make([]byte, need)
-	}
-	body := scratch[:plen+crcLen]
+	body := make([]byte, plen+crcLen)
 	if _, err := io.ReadFull(r, body); err != nil {
-		return frameHeader{}, nil, scratch, err
+		return frameHeader{}, nil, err
 	}
-	h, payload, err := verifyFrame(hb[:], body[:plen], body[plen:])
-	return h, payload, scratch, err
+	return verifyFrame(hb, body[:plen], body[plen:])
 }
-
-// readBufLen sizes a connection's read buffer for one maximal frame at
-// the default chunk size, so every frame a default-configured sender
-// emits is parsed where the socket read put it.
-const readBufLen = headerLen + DefaultMaxChunk + crcLen
 
 // frameReader is the per-connection read path: frames are parsed,
-// CRC-checked and handed out in place from the read buffer, so a
-// payload is touched once on its way from the socket to the decoded
-// vector. Only a frame larger than the buffer (a sender configured
-// with MaxChunk above the default) is copied out, into scratch. A
-// returned payload is valid until the next call.
+// CRC-checked and handed out in place from a read buffer that holds one
+// maximal frame, so a payload is touched once on its way from the
+// socket to the decoded vector. A returned payload is valid until the
+// next call.
 type frameReader struct {
 	br      *bufio.Reader
-	held    int    // bytes of the frame handed out in place, discarded by the next call
-	scratch []byte // body of a frame too large for br
+	held    int            // bytes of the frame handed out in place, discarded by the next call
+	silence *silenceReader // br's source under Config.Liveness, told when a frame body is due
 }
 
 func newFrameReader(r io.Reader) *frameReader {
-	return &frameReader{br: bufio.NewReaderSize(r, readBufLen)}
+	return &frameReader{br: bufio.NewReaderSize(r, headerLen+maxChunk+crcLen)}
 }
 
 // next returns the next verified frame. Errors are readFrame's: io.EOF
-// only at a frame boundary, io.ErrUnexpectedEOF inside a frame.
+// only at a frame boundary, io.ErrUnexpectedEOF inside a frame, and
+// errCorruptFrame for a body that is overdue (silenceReader).
 func (fr *frameReader) next() (frameHeader, []byte, error) {
 	if fr.held > 0 {
 		fr.br.Discard(fr.held) // buffered by the Peek that handed it out: cannot fail
@@ -305,12 +283,14 @@ func (fr *frameReader) next() (frameHeader, []byte, error) {
 		return frameHeader{}, nil, err
 	}
 	total := headerLen + plen + crcLen
-	if total > fr.br.Size() {
-		h, payload, scratch, err := readFrameBuf(fr.br, fr.scratch)
-		fr.scratch = scratch
-		return h, payload, err
+	timed := fr.silence != nil && fr.br.Buffered() < total
+	if timed {
+		fr.silence.frameStart = time.Now()
 	}
 	frame, err := fr.br.Peek(total)
+	if timed {
+		fr.silence.frameStart = time.Time{}
+	}
 	if err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF

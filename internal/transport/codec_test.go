@@ -2,6 +2,9 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"net"
@@ -46,7 +49,6 @@ func TestParseHeaderRejectsMalformed(t *testing.T) {
 		{"future version", func(b []byte) { b[3] = 9 }},
 		{"unknown kind", func(b []byte) { b[4] = 99 }},
 		{"reserved set", func(b []byte) { b[10] = 1 }},
-		{"oversized payload", func(b []byte) { b[28], b[29], b[30], b[31] = 0xff, 0xff, 0xff, 0x7f }},
 		{"zero chunk count", func(b []byte) { b[4] = byte(frameUpdate); b[8], b[9] = 0, 0 }},
 		{"chunk index past count", func(b []byte) { b[4] = byte(frameUpdate); b[6] = 5; b[8] = 2 }},
 		{"empty chunk in multi-chunk", func(b []byte) { b[4] = byte(frameUpdate); b[8] = 4 }},
@@ -60,6 +62,12 @@ func TestParseHeaderRejectsMalformed(t *testing.T) {
 	}
 	if _, err := parseHeader(valid()[:12]); err == nil {
 		t.Error("short header accepted")
+	}
+	// The payload length is checked before the CRC can be, by framePrefix.
+	oversized := valid()
+	binary.LittleEndian.PutUint32(oversized[28:], maxChunk+1)
+	if _, err := framePrefix(oversized); !errors.Is(err, errCorruptFrame) {
+		t.Errorf("oversized payload: framePrefix says %v, want errCorruptFrame", err)
 	}
 }
 
@@ -210,11 +218,11 @@ func waitFor(t *testing.T, cond func() bool) {
 	}
 }
 
-// TestChunkedUpdateRoundTrip forces multi-chunk updates with a tiny
-// MaxChunk and checks tags and params survive exactly.
+// TestChunkedUpdateRoundTrip sends an update several chunks long and
+// checks tags and params survive exactly.
 func TestChunkedUpdateRoundTrip(t *testing.T) {
-	rx, tx, got := pipe(t, Config{}, Config{MaxChunk: 128})
-	params := make([]float64, 1000) // 8000 raw bytes -> 63 chunks
+	rx, tx, got := pipe(t, Config{}, Config{})
+	params := make([]float64, 3*maxChunk/8+100) // 3 full chunks and a partial one
 	rng := rand.New(rand.NewSource(7))
 	for i := range params {
 		params[i] = rng.NormFloat64()
@@ -232,8 +240,8 @@ func TestChunkedUpdateRoundTrip(t *testing.T) {
 			t.Fatalf("coord %d: %g != %g in %v", i, m.Params[i], params[i], m)
 		}
 	}
-	if s := tx.Stats(); s.FramesSent < 63 {
-		t.Errorf("only %d frames for a 63-chunk update", s.FramesSent)
+	if s := tx.Stats(); s.FramesSent < 4 {
+		t.Errorf("only %d frames for a 4-chunk update", s.FramesSent)
 	}
 	if s := rx.Stats(); s.UpdatesRecv != 1 {
 		t.Errorf("receiver counted %d updates", s.UpdatesRecv)
@@ -415,6 +423,116 @@ func TestReadErrorsObservable(t *testing.T) {
 	}
 }
 
+// helloConn dials addr and completes the handshake as sender from, for
+// tests that then write raw bytes.
+func helloConn(t *testing.T, addr string, from uint32) net.Conn {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	if _, err := conn.Write(appendFrame(nil, frameHeader{kind: frameHello, codec: compress.None, from: from}, nil)); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if _, err := io.ReadFull(conn, make([]byte, headerLen+crcLen)); err != nil {
+		t.Fatalf("no hello-ack: %v", err)
+	}
+	return conn
+}
+
+// listenDowns starts a receiver with the given Liveness whose
+// OnPeerDown calls arrive on the returned channel.
+func listenDowns(t *testing.T, liveness bool) (*Node, chan error) {
+	t.Helper()
+	downs := make(chan error, 4)
+	rx, err := ListenConfig(1, "127.0.0.1:0", func(Message) {}, Config{
+		Liveness: liveness,
+		OnPeerDown: func(peer int, err error) {
+			if peer != 5 {
+				err = fmt.Errorf("OnPeerDown for peer %d, want 5: %v", peer, err)
+			}
+			downs <- err
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rx.Close)
+	return rx, downs
+}
+
+// updateHeader is an update frame's header claiming plen payload bytes.
+func updateHeader(plen uint32) []byte {
+	var b [headerLen]byte
+	putHeader(&b, frameHeader{kind: frameUpdate, chunkCount: 1, from: 5, payloadLen: plen})
+	return b[:]
+}
+
+// TestOversizedLengthTornAtOnce: a header claiming more than maxChunk
+// payload bytes is corrupt on sight; the reader does not wait for the
+// body, with or without a deadline.
+func TestOversizedLengthTornAtOnce(t *testing.T) {
+	rx, downs := listenDowns(t, false)
+	conn := helloConn(t, rx.Addr(), 5)
+	if _, err := conn.Write(updateHeader(maxChunk + 1)); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-downs:
+		if !errors.Is(err, errCorruptFrame) {
+			t.Fatalf("OnPeerDown(5, %v), want errCorruptFrame", err)
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatal("oversized length never tore the connection")
+	}
+	if n := rx.Stats().CorruptFrames; n != 1 {
+		t.Errorf("CorruptFrames = %d, want 1", n)
+	}
+}
+
+// TestOverdueFrameBodyTorn: a header whose length promises more bytes
+// than follow, on a connection that stays audibly alive, must not wedge
+// the reader. Under Liveness the body is due readDeadline after the
+// header; the trickle of heartbeats behind it (which would take minutes
+// to fill maxChunk bytes) does not extend that.
+func TestOverdueFrameBodyTorn(t *testing.T) {
+	rx, downs := listenDowns(t, true)
+	conn := helloConn(t, rx.Addr(), 5)
+	if _, err := conn.Write(append(updateHeader(maxChunk), 1, 2, 3)); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	defer close(stop)
+	go func() {
+		hb := appendFrame(nil, frameHeader{kind: frameHeartbeat, from: 5}, nil)
+		tick := time.NewTicker(heartbeatInterval / 2)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+			}
+			if _, err := conn.Write(hb); err != nil {
+				return
+			}
+		}
+	}()
+	select {
+	case err := <-downs:
+		if !errors.Is(err, errCorruptFrame) {
+			t.Fatalf("OnPeerDown(5, %v), want errCorruptFrame", err)
+		}
+	case <-time.After(2 * readDeadline):
+		t.Fatalf("reader still waiting for the body %v after its header", 2*readDeadline)
+	}
+	if n := rx.Stats().CorruptFrames; n != 1 {
+		t.Errorf("CorruptFrames = %d, want 1", n)
+	}
+}
+
 // TestPeerDeathVsCleanCloseObservability: an EOF without a preceding
 // goodbye frame (peer process died) must be reported with a diagnosis,
 // while an orderly Node.Close — which announces itself with a goodbye —
@@ -542,11 +660,11 @@ func TestConnectionPinnedToHelloSender(t *testing.T) {
 // once — the -race workhorse for the wire layer. Interleaved control
 // frames must never corrupt chunked updates.
 func TestStressConcurrentKinds(t *testing.T) {
-	_, tx, got := pipe(t, Config{}, Config{Compressor: compress.NewFloat32(), MaxChunk: 256})
+	_, tx, got := pipe(t, Config{}, Config{Compressor: compress.NewFloat32()})
 	const (
 		senders    = 4
 		perSender  = 30
-		updateDim  = 300 // 1200 compressed bytes -> 5 chunks
+		updateDim  = 2*maxChunk/4 + 300 // float32 -> 3 chunks
 		tokenCount = senders * perSender
 	)
 	var wg sync.WaitGroup

@@ -19,9 +19,12 @@ import (
 	"hop/internal/compress"
 )
 
+// healthySeeds counts the undamaged seeds that open fuzzSeedFrames.
+const healthySeeds = 7
+
 // fuzzSeedFrames builds a representative corpus: control frames, a
-// single-chunk update, a multi-chunk update pair, and deliberately
-// damaged variants of each.
+// single-chunk update, a multi-chunk update pair, a maximal frame, and
+// deliberately damaged variants.
 func fuzzSeedFrames() [][]byte {
 	var seeds [][]byte
 	add := func(b []byte) { seeds = append(seeds, b) }
@@ -46,8 +49,13 @@ func fuzzSeedFrames() [][]byte {
 	}, []byte{5, 6, 7, 8})
 	add(multi)
 
+	// The largest frame the reader admits.
+	add(appendFrame(nil, frameHeader{
+		kind: frameUpdate, codec: compress.None, chunkCount: 1, from: 1, iter: 10,
+	}, make([]byte, maxChunk)))
+
 	// Damaged variants: truncation, bit flips in header / payload /
-	// trailer, absurd claimed payload length.
+	// trailer, a claimed payload length one past maxChunk.
 	add(upd[:headerLen-3])
 	flip := func(src []byte, bit int) []byte {
 		b := append([]byte(nil), src...)
@@ -58,7 +66,7 @@ func fuzzSeedFrames() [][]byte {
 	add(flip(upd, (headerLen+2)*8))  // payload
 	add(flip(upd, (len(upd)-2)*8+4)) // CRC trailer
 	huge := append([]byte(nil), upd...)
-	binary.LittleEndian.PutUint32(huge[28:], maxFramePayload+1)
+	binary.LittleEndian.PutUint32(huge[28:], maxChunk+1)
 	add(huge)
 	return seeds
 }
@@ -101,7 +109,7 @@ func FuzzFrameDecode(f *testing.F) {
 func TestFuzzSeedsDecode(t *testing.T) {
 	// The healthy seeds must decode cleanly end-to-end (guards the
 	// corpus itself against rot when the wire format changes).
-	for i, s := range fuzzSeedFrames()[:6] {
+	for i, s := range fuzzSeedFrames()[:healthySeeds] {
 		fr := newFrameReader(bytes.NewReader(s))
 		var ra reassembler
 		for frames := 0; ; frames++ {

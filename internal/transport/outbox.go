@@ -452,7 +452,6 @@ func (n *Node) writeUpdate(p *peer, id int, job updateJob, ctl []byte) error {
 		}
 	}
 	payload := e.payload
-	maxChunk := n.cfg.maxChunk()
 	chunks := (len(payload) + maxChunk - 1) / maxChunk
 	if chunks < 1 {
 		chunks = 1 // empty payload still needs one frame to carry the tags
@@ -461,7 +460,7 @@ func (n *Node) writeUpdate(p *peer, id int, job updateJob, ctl []byte) error {
 		if err := n.flush(p, id, ctl, nil, false); err != nil {
 			return err
 		}
-		return fmt.Errorf("transport: send to %d: update of %d payload bytes needs %d chunks (limit %d); raise MaxChunk", id, len(payload), chunks, 1<<16-1)
+		return fmt.Errorf("transport: send to %d: update of %d payload bytes needs %d chunks (limit %d)", id, len(payload), chunks, 1<<16-1)
 	}
 	p.seq++
 	for c := 0; c < chunks; c++ {

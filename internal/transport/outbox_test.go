@@ -321,10 +321,10 @@ func TestOutboxEmptyUpdateIsDelivered(t *testing.T) {
 // (c) A token queued while a multi-chunk update is being written goes
 // out between its chunks.
 func TestOutboxTokenInterleavesBetweenChunks(t *testing.T) {
-	l := linkFake(t, Config{MaxChunk: 16})
+	l := linkFake(t, Config{})
 	l.conn.keepLog = true
 	l.conn.hold()
-	if err := l.tx.Send(1, Message{Kind: KindUpdate, Iter: 2, Params: make([]float64, 6)}); err != nil { // 48 B: 3 chunks
+	if err := l.tx.Send(1, Message{Kind: KindUpdate, Iter: 2, Params: make([]float64, 2*maxChunk/8+1)}); err != nil { // 3 chunks
 		t.Fatal(err)
 	}
 	select {

@@ -21,7 +21,7 @@
 // microseconds later by an update leaves as one syscall, and a lone
 // token on an idle connection leaves at once (DESIGN.md §9.1).
 //
-// Update payloads larger than Config.MaxChunk are split across frames
+// Update payloads larger than 64 KiB (maxChunk) are split across frames
 // tagged with a per-peer sequence number and reassembled on receipt;
 // the writer drains the outbox's control frames again before every
 // chunk, so token and ACK frames interleave instead of queueing behind
@@ -123,15 +123,12 @@ func (m Message) String() string {
 type Handler func(Message)
 
 // Config tunes a node's wire behavior. The zero value is valid: no
-// compression, DefaultMaxChunk chunking.
+// compression, no failure detector.
 type Config struct {
 	// Compressor encodes outgoing update payloads; nil means
 	// compress.NewNone(). The actually-used codec per connection is
 	// the handshake-negotiated one.
 	Compressor compress.Compressor
-	// MaxChunk is the largest per-frame payload in bytes; 0 means
-	// DefaultMaxChunk.
-	MaxChunk int
 	// OnPeerDown, when non-nil, is invoked once for every inbound
 	// connection that ends while this node is not itself closing. peer
 	// is the sender the handshake pinned, or -1 if the connection ended
@@ -148,8 +145,9 @@ type Config struct {
 	OnPeerDown func(peer int, err error)
 	// Liveness turns on the failure detector's wire half (heartbeatLoop,
 	// silenceReader, flush): idle outgoing connections carry heartbeats,
-	// inbound silence past readDeadline fires OnPeerSilent, and every
-	// socket write is bounded by writeTimeout.
+	// inbound silence past readDeadline fires OnPeerSilent, a frame body
+	// not complete readDeadline after its header drops the connection as
+	// corrupt, and every socket write is bounded by writeTimeout.
 	Liveness bool
 	// OnPeerSilent, when non-nil, is invoked each time an inbound
 	// connection pinned to peer completes a full readDeadline window
@@ -174,16 +172,6 @@ func (c Config) compressor() compress.Compressor {
 		return compress.NewNone()
 	}
 	return c.Compressor
-}
-
-func (c Config) maxChunk() int {
-	if c.MaxChunk <= 0 {
-		return DefaultMaxChunk
-	}
-	if c.MaxChunk > maxFramePayload {
-		return maxFramePayload
-	}
-	return c.MaxChunk
 }
 
 // Stats holds a node's wire counters. It is a counter table
@@ -401,6 +389,7 @@ func (n *Node) readConn(conn net.Conn) (int, error) {
 		src = silence
 	}
 	fr := newFrameReader(src)
+	fr.silence = silence
 
 	// Handshake: the first frame must be a hello carrying a compatible
 	// magic/version (the frame reader rejects the rest). Answer with
@@ -440,7 +429,6 @@ func (n *Node) readConn(conn net.Conn) (int, error) {
 	// peer dead is the caller's policy.
 	if silence != nil {
 		silence.onSilent = func() { n.notePeerSilent(sender) }
-		silence.window = readDeadline
 	}
 	var delta *compress.DeltaDecoder
 	for {
@@ -507,29 +495,42 @@ func (n *Node) readConn(conn net.Conn) (int, error) {
 }
 
 // silenceReader puts a rolling read deadline on a connection, beneath
-// its read buffer: once armed (window > 0), every Read arms the
-// deadline, a pure timeout (no bytes) fires the silence callback and
-// retries in place, and a timeout racing real data just returns the
-// data. The connection — and everything later delivered on it —
-// survives the stall; only real errors surface.
+// its read buffer: once armed (onSilent set), every Read arms the
+// deadline readDeadline ahead, a pure timeout (no bytes) fires the
+// silence callback and retries in place, and a timeout racing real data
+// just returns the data. The connection — and everything later
+// delivered on it — survives the stall; only real errors surface.
+//
+// While frameStart is set (frameReader: a parsed header whose body is
+// still to arrive) the deadline is capped at frameStart + readDeadline
+// and expiring there is an error, errCorruptFrame: a length field that
+// promised bytes the sender never sends would otherwise keep the
+// reader waiting for as long as heartbeats trickle in.
 type silenceReader struct {
-	conn     net.Conn
-	window   time.Duration
-	onSilent func()
+	conn       net.Conn
+	onSilent   func()
+	frameStart time.Time
 }
 
 func (s *silenceReader) Read(p []byte) (int, error) {
-	if s.window <= 0 {
+	if s.onSilent == nil {
 		return s.conn.Read(p)
 	}
 	for {
-		s.conn.SetReadDeadline(time.Now().Add(s.window))
+		from, framed := time.Now(), !s.frameStart.IsZero()
+		if framed {
+			from = s.frameStart
+		}
+		s.conn.SetReadDeadline(from.Add(readDeadline))
 		n, err := s.conn.Read(p)
 		if err != nil {
 			var ne net.Error
 			if errors.As(err, &ne) && ne.Timeout() {
 				if n > 0 {
 					return n, nil
+				}
+				if framed {
+					return 0, fmt.Errorf("transport: frame body overdue %v after its header: %w", readDeadline, errCorruptFrame)
 				}
 				s.onSilent()
 				continue

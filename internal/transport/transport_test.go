@@ -246,9 +246,7 @@ func TestConcurrentKindsToTwoPeers(t *testing.T) {
 	defer rx1.Close()
 	rx2, c2 := newRx(2)
 	defer rx2.Close()
-	// Small MaxChunk so updates span many frames and the writers
-	// re-drain the control frames between them.
-	tx, err := ListenConfig(0, "127.0.0.1:0", func(Message) {}, Config{MaxChunk: 64})
+	tx, err := Listen(0, "127.0.0.1:0", func(Message) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +259,9 @@ func TestConcurrentKindsToTwoPeers(t *testing.T) {
 	}
 
 	const goroutines, perG = 8, 60
-	params := make([]float64, 64) // 512 B payload -> 8 chunks at MaxChunk 64
+	// Updates span several frames, so the writers re-drain the control
+	// frames between them.
+	params := make([]float64, 2*maxChunk/8+64) // 3 chunks
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		g := g
