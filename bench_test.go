@@ -635,26 +635,10 @@ func BenchmarkAblationBackupNoSendCheck(b *testing.B) {
 	ablationRun(b, func(c *hop.Config) { c.MaxIG = 4; c.Backup = 1 })
 }
 
-// BenchmarkAblationStaleWeighting{Linear,Uniform,Exponential}: the
-// §4.4 Eq. 2 aggregation against the future-work alternatives.
-func BenchmarkAblationStaleWeightingLinear(b *testing.B) {
+// BenchmarkAblationStaleness: bounded staleness with the §4.4 Eq. 2
+// aggregation.
+func BenchmarkAblationStaleness(b *testing.B) {
 	ablationRun(b, func(c *hop.Config) { c.MaxIG = 8; c.Staleness = 5 })
-}
-
-func BenchmarkAblationStaleWeightingUniform(b *testing.B) {
-	ablationRun(b, func(c *hop.Config) {
-		c.MaxIG = 8
-		c.Staleness = 5
-		c.StaleWeighting = core.WeightUniform
-	})
-}
-
-func BenchmarkAblationStaleWeightingExponential(b *testing.B) {
-	ablationRun(b, func(c *hop.Config) {
-		c.MaxIG = 8
-		c.Staleness = 5
-		c.StaleWeighting = core.WeightExponential
-	})
 }
 
 // BenchmarkClusterIteration measures simulator throughput: virtual

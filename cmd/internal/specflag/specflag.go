@@ -88,8 +88,6 @@ func Register(fs *flag.FlagSet, def scenario.Spec) *Flags {
 			s.Protocol.SkipMaxJump = v
 		}
 	})
-	add(f, "trigger", fs.Int("trigger", 2, "iterations behind out-neighbors before jumping"),
-		func(s *spec, v int) { s.Protocol.SkipTrigger = v })
 
 	add(f, "slow", fs.String("slow", "none", "none | random | det"),
 		func(s *spec, v string) { s.Hetero.Kind = v })

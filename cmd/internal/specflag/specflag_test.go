@@ -76,7 +76,7 @@ func TestOnlySetFlagsOverrideTheFile(t *testing.T) {
 		"name": "committed",
 		"workload": "quadratic",
 		"topology": {"kind": "ring-based", "workers": 6, "machines": 2},
-		"protocol": {"max_ig": 3, "backup": 1, "staleness": 0, "skip_max_jump": 5, "skip_trigger": 3},
+		"protocol": {"max_ig": 3, "backup": 1, "staleness": 0, "skip_max_jump": 5},
 		"hetero": {"kind": "det", "factor": 4},
 		"compression": "float32",
 		"max_iter": 60,

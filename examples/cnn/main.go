@@ -65,8 +65,7 @@ func main() {
 		c.MaxIG, c.Backup, c.SendCheck = 4, 1, true
 	})
 	run("4x-straggler backup+skip-10", straggler, func(c *hop.Config) {
-		c.MaxIG, c.Backup, c.SendCheck = 4, 1, true
-		c.Skip = &hop.SkipConfig{MaxJump: 10, TriggerBehind: 2}
+		c.MaxIG, c.Backup, c.SendCheck, c.MaxJump = 4, 1, true, 10
 	})
 	fmt.Println()
 	fmt.Println("Skipping iterations almost fully hides a deterministic straggler (paper Fig. 18-19).")

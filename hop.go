@@ -7,9 +7,9 @@
 //
 //   - Topologies and spectral analysis (Ring, RingBased, DoubleRing,
 //     Complete, the Figure 21 settings, SpectralGap).
-//   - The protocol configuration (Config, SkipConfig): update
-//     queues, token queues, backup workers, bounded staleness,
-//     skipping iterations, NOTIFY-ACK.
+//   - The protocol configuration (Config): update queues, token
+//     queues, backup workers, bounded staleness, skipping iterations
+//     (MaxJump), NOTIFY-ACK.
 //   - Workloads (NewCNN, NewSVM, NewQuadratic) exposing the Trainer
 //     interface.
 //   - Heterogeneity models (NoSlowdown, RandomSlowdown,
@@ -112,9 +112,6 @@ type Config = core.Config
 
 // ModeNotifyAck selects the NOTIFY-ACK baseline (Config.Mode).
 const ModeNotifyAck = core.ModeNotifyAck
-
-// SkipConfig enables skipping iterations (§5).
-type SkipConfig = core.SkipConfig
 
 // Bounds computes the Table 1 iteration-gap bounds for a Config.
 type Bounds = core.Bounds

@@ -218,14 +218,14 @@ func TestBoundedStalenessAdvancePastStraggler(t *testing.T) {
 // completes far more iterations.
 func TestSkippingIterationsUnblocksStraggler(t *testing.T) {
 	g := graph.RingBased(8)
-	run := func(skip *core.SkipConfig) (minIter int, jumps int) {
+	run := func(maxJump int) (minIter int, jumps int) {
 		opts := baseOptions(g, 0)
 		opts.Deadline = 120 * time.Second
 		opts.Core.Trainers = frozenTrainers(8)
 		opts.Core.MaxIG = 4
 		opts.Core.Backup = 1
 		opts.Core.SendCheck = true
-		opts.Core.Skip = skip
+		opts.Core.MaxJump = maxJump
 		opts.Compute.Slow = hetero.Deterministic{Factors: map[int]float64{0: 6}}
 		res, err := Run(opts)
 		if err != nil {
@@ -240,11 +240,11 @@ func TestSkippingIterationsUnblocksStraggler(t *testing.T) {
 		}
 		return min, res.Engine.Stats().Jumps
 	}
-	minNoSkip, jumps0 := run(nil)
+	minNoSkip, jumps0 := run(0)
 	if jumps0 != 0 {
 		t.Errorf("no-skip run reported %d jumps", jumps0)
 	}
-	minSkip, jumps := run(&core.SkipConfig{MaxJump: 10, TriggerBehind: 2})
+	minSkip, jumps := run(10)
 	if jumps == 0 {
 		t.Error("skip run executed no jumps")
 	}
@@ -301,7 +301,7 @@ func TestQuadraticConvergesAllModes(t *testing.T) {
 		"skip": func(o *Options) {
 			o.Core.MaxIG = 4
 			o.Core.Backup = 1
-			o.Core.Skip = &core.SkipConfig{MaxJump: 5, TriggerBehind: 2}
+			o.Core.MaxJump = 5
 		},
 	}
 	for name, mut := range cases {

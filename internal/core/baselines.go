@@ -24,7 +24,7 @@ func (p *Protocol) iterPS(k int) {
 	if p.id == 0 {
 		ups := p.recv(k, 0) // every leaf's gradients
 		mean := p.reduceScratch(len(x))
-		p.meanInto(mean, ups)
+		p.meanInto(mean, nil, ups)
 		p.recycleUpdates(ups)
 		p.trainer.Apply(mean)
 		snap := tensor.Clone(x)

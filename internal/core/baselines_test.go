@@ -65,7 +65,7 @@ func checkBaselineRejections(t *testing.T, mode Mode) {
 		{"max_ig", func(c *Config) { c.MaxIG = 2 }, "token queues (MaxIG) do"},
 		{"backup", func(c *Config) { c.Backup = 1 }, "Backup does"},
 		{"staleness", func(c *Config) { c.Staleness = 2 }, "bounded staleness does"},
-		{"skip", func(c *Config) { c.Skip = &SkipConfig{MaxJump: 2} }, "skipping iterations does"},
+		{"skip", func(c *Config) { c.MaxJump = 2 }, "skipping iterations does"},
 		{"send_check", func(c *Config) { c.SendCheck = true }, "SendCheck does"},
 		{"rejoin", func(c *Config) { c.Rejoin, c.FaultTolerance = true, true }, "rejoin does"},
 		{"restart", func(c *Config) {

@@ -56,56 +56,6 @@ func (m Mode) String() string {
 	return fmt.Sprintf("mode(%d)", int(m))
 }
 
-// StaleWeighting selects how bounded staleness weighs updates of
-// different ages in the Reduce (§4.4).
-type StaleWeighting int
-
-const (
-	// WeightLinear is Eq. 2: weight = iter − (k−s) + 1, linear in
-	// freshness. The paper's default.
-	WeightLinear StaleWeighting = iota
-	// WeightUniform gives every satisfactory update weight 1 (the
-	// "simple averaging" the paper compared against and found slightly
-	// worse).
-	WeightUniform
-	// WeightExponential doubles the weight per iteration of freshness,
-	// emphasizing the newest updates strongly (a §4.4 future-work
-	// variant).
-	WeightExponential
-)
-
-func (sw StaleWeighting) String() string {
-	switch sw {
-	case WeightLinear:
-		return "linear"
-	case WeightUniform:
-		return "uniform"
-	case WeightExponential:
-		return "exponential"
-	}
-	return fmt.Sprintf("weighting(%d)", int(sw))
-}
-
-// weight returns the aggregation weight for an update that is
-// `fresh` ≥ 1 steps inside the staleness window (fresh = iter −
-// (k−s) + 1, floored at 1).
-func (sw StaleWeighting) weight(fresh int) float64 {
-	if fresh < 1 {
-		fresh = 1
-	}
-	switch sw {
-	case WeightUniform:
-		return 1
-	case WeightExponential:
-		if fresh > 30 {
-			fresh = 30
-		}
-		return float64(int(1) << uint(fresh-1))
-	default:
-		return float64(fresh)
-	}
-}
-
 // FaultSchedule is one worker's scheduled fault (DESIGN.md §6).
 type FaultSchedule struct {
 	// CrashIter halts the worker at the start of this iteration
@@ -115,18 +65,6 @@ type FaultSchedule struct {
 	// rejoining participant this long after the crash. Requires
 	// CrashIter > 0 and FaultTolerance.
 	RestartAfter time.Duration
-}
-
-// SkipConfig enables skipping iterations (§5) for deterministic
-// stragglers.
-type SkipConfig struct {
-	// MaxJump caps how many iterations one jump may cover (the paper
-	// evaluates 2 and 10 in Fig. 19).
-	MaxJump int
-	// TriggerBehind is the user-specified trigger: a worker considers
-	// jumping only when it is at least this many iterations behind all
-	// of its out-going neighbors (measured through token counts).
-	TriggerBehind int
 }
 
 // Config describes one decentralized training run.
@@ -152,13 +90,6 @@ type Config struct {
 	// Staleness is the bound s of §4.4; -1 disables bounded staleness.
 	Staleness int
 
-	// StaleWeighting selects the aggregation weights for bounded
-	// staleness. The default (WeightLinear) is the paper's Eq. 2; the
-	// paper leaves better weightings as future work (§4.4), so
-	// uniform and exponential alternatives are provided and compared
-	// in the ablation benchmarks.
-	StaleWeighting StaleWeighting
-
 	// SendCheck enables the §6.2(b) optimization: inquire the
 	// receiver's iteration before sending and skip the send if the
 	// receiver has already advanced past the sender.
@@ -172,8 +103,10 @@ type Config struct {
 	// lossless (compress.None).
 	Compression compress.Spec
 
-	// Skip enables skipping iterations (§5); requires MaxIG > 0.
-	Skip *SkipConfig
+	// MaxJump enables skipping iterations (§5) when > 0, capping one
+	// jump at this many iterations (the paper evaluates 2 and 10 in
+	// Fig. 19); requires MaxIG > 0.
+	MaxJump int
 
 	// Prague configures the Prague partial all-reduce protocol
 	// (prague.go); required exactly when Mode == ModePrague.
@@ -303,18 +236,16 @@ func (c *Config) ValidateProtocol() error {
 	if c.Staleness >= 0 && c.Backup > 0 {
 		return fmt.Errorf("core: bounded staleness and backup workers are alternative Recv/Reduce semantics; enable one")
 	}
-	if c.Skip != nil {
-		if c.MaxIG <= 0 {
-			return fmt.Errorf("core: skipping iterations requires token queues (MaxIG>0)")
-		}
-		if c.Skip.MaxJump < 1 {
-			return fmt.Errorf("core: SkipConfig.MaxJump must be >=1, got %d", c.Skip.MaxJump)
-		}
+	if c.MaxJump < 0 {
+		return fmt.Errorf("core: MaxJump must be >=0, got %d", c.MaxJump)
+	}
+	if c.MaxJump > 0 && c.MaxIG <= 0 {
+		return fmt.Errorf("core: skipping iterations requires token queues (MaxIG>0)")
 	}
 	if err := c.Compression.Validate(); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	if c.Mode == ModeNotifyAck && (c.MaxIG > 0 || c.Backup > 0 || c.Staleness >= 0 || c.Skip != nil || c.SendCheck) {
+	if c.Mode == ModeNotifyAck && (c.MaxIG > 0 || c.Backup > 0 || c.Staleness >= 0 || c.MaxJump > 0 || c.SendCheck) {
 		return fmt.Errorf("core: NOTIFY-ACK is the fixed-gap baseline; token queues, backup workers, staleness, skipping and the send check do not compose with it (§3.4-3.5)")
 	}
 	if c.Faults != nil && len(c.Faults) != n {
@@ -384,7 +315,7 @@ var hopOnlyKnobs = []struct {
 		"backup workers relax Hop's neighbour reduce, which the mode does not run"},
 	{"bounded staleness does", func(c *Config) bool { return c.Staleness >= 0 },
 		"bounded staleness relaxes Hop's neighbour reduce, which the mode does not run"},
-	{"skipping iterations does", func(c *Config) bool { return c.Skip != nil },
+	{"skipping iterations does", func(c *Config) bool { return c.MaxJump > 0 },
 		"a jump is triggered by token counts, which the mode does not keep"},
 	{"SendCheck does", func(c *Config) bool { return c.SendCheck },
 		"every send of the mode is awaited by its receiver"},

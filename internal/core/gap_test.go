@@ -152,11 +152,11 @@ func TestConfigValidation(t *testing.T) {
 	if err := mk(func(c *Config) { c.Backup = 1; c.MaxIG = 3; c.Staleness = 2 }); err == nil {
 		t.Error("backup plus staleness should fail")
 	}
-	if err := mk(func(c *Config) { c.Skip = &SkipConfig{MaxJump: 2} }); err == nil {
+	if err := mk(func(c *Config) { c.MaxJump = 2 }); err == nil {
 		t.Error("skip without tokens should fail")
 	}
-	if err := mk(func(c *Config) { c.Skip = &SkipConfig{MaxJump: 0}; c.MaxIG = 2 }); err == nil {
-		t.Error("skip with MaxJump<1 should fail")
+	if err := mk(func(c *Config) { c.MaxJump = -1; c.MaxIG = 2 }); err == nil {
+		t.Error("negative MaxJump should fail")
 	}
 	if err := mk(func(c *Config) { c.Mode = ModeNotifyAck; c.MaxIG = 1 }); err == nil {
 		t.Error("notify-ack with tokens should fail")

@@ -232,7 +232,7 @@ func TestObserveMatchesTraceCrashRestart(t *testing.T) {
 func TestObserveMatchesTraceSkip(t *testing.T) {
 	const maxIG = 3
 	cfg := Config{Graph: graph.Ring(3), Staleness: -1, MaxIter: 12, MaxIG: maxIG, Backup: 1,
-		Skip: &SkipConfig{MaxJump: maxIG, TriggerBehind: 2}}
+		MaxJump: maxIG}
 	var ahead sync.WaitGroup
 	ahead.Add(2)
 	rts, trs := runMesh(t, cfg, func(r *recordRuntime) {

@@ -5,8 +5,10 @@ package core
 // partition and determinism properties are pinned directly.
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
 	"hop/internal/graph"
 )
@@ -107,15 +109,16 @@ func TestPragueConfigValidate(t *testing.T) {
 }
 
 // praguePeer builds worker 0 of an 8-worker Prague cluster (groups of
-// 4, fault tolerant) with the group of step k in place, as iterate
-// leaves it before the reduce, and returns the group's other members.
-func praguePeer(t *testing.T, k, quorum int) (*Protocol, *Trace, []int) {
+// 4, fault tolerant) on mon with the group of step k in place, as
+// iterate leaves it before the reduce, and returns the group's other
+// members.
+func praguePeer(t *testing.T, mon Monitor, k, quorum int) (*Protocol, *Trace, []int) {
 	t.Helper()
 	const seed, n = 5, 8
 	cfg := Config{Graph: graph.Ring(n), Mode: ModePrague, Staleness: -1, FaultTolerance: true,
 		Prague: &PragueConfig{GroupSize: 4, Quorum: quorum, Seed: seed}}
 	tr := NewTrace()
-	p, err := NewProtocol(cfg, 0, nil, NewSyncMonitor(), nopRuntime{}, tr)
+	p, err := NewProtocol(cfg, 0, nil, mon, nopRuntime{}, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,12 +138,12 @@ func praguePeer(t *testing.T, k, quorum int) (*Protocol, *Trace, []int) {
 // an exclusion.
 func TestPragueReduceCountsEachMemberOnce(t *testing.T) {
 	const k = 3
-	p, tr, others := praguePeer(t, k, 2)
+	p, tr, others := praguePeer(t, NewSyncMonitor(), k, 2)
 	p.queue.Enqueue(Update{Params: []float64{0}, Iter: k, From: 0})
 	p.queue.Enqueue(Update{Params: []float64{3}, Iter: k, From: others[0]})
 	p.queue.Enqueue(Update{Params: []float64{9}, Iter: k, From: others[0]})
 	dst := []float64{-1}
-	p.recvReduceInto(dst, k)
+	p.recvReduceInto(dst, k, nil)
 	if dst[0] != 1.5 {
 		t.Errorf("reduced %v, want the mean of one update per member, 1.5", dst[0])
 	}
@@ -164,7 +167,7 @@ func TestPragueReduceCountsEachMemberOnce(t *testing.T) {
 // when a shared step blocks on it.
 func TestPragueReduceAppliesOnlyMemberDeaths(t *testing.T) {
 	const k = 3
-	p, _, others := praguePeer(t, k, 0)
+	p, _, others := praguePeer(t, NewSyncMonitor(), k, 0)
 	outsider := -1
 	for j := 1; j < 8 && outsider < 0; j++ {
 		if !containsInt(p.group, j) {
@@ -177,11 +180,43 @@ func TestPragueReduceAppliesOnlyMemberDeaths(t *testing.T) {
 	p.queue.Enqueue(Update{Params: []float64{3}, Iter: k, From: others[0]})
 	p.queue.Enqueue(Update{Params: []float64{6}, Iter: k, From: others[2]})
 	dst := []float64{-1}
-	p.recvReduceInto(dst, k)
+	p.recvReduceInto(dst, k, nil)
 	if dst[0] != 3 {
 		t.Errorf("reduced %v, want 3", dst[0])
 	}
 	if got, want := p.DeadPeers(), []int{others[1]}; !reflect.DeepEqual(got, want) {
 		t.Errorf("dead peers %v, want %v: only the blocking member's death applies", got, want)
+	}
+}
+
+// TestPragueReduceProceedsAtQuorum: with Quorum 3 in a group of 4, the
+// group reduce blocks on two member updates and proceeds on the third
+// — the worker's own counted — without the fourth member, which it
+// records as an exclusion.
+func TestPragueReduceProceedsAtQuorum(t *testing.T) {
+	const k = 3
+	mon := blockingMonitor{NewSyncMonitor(), make(chan struct{}, 1)}
+	p, tr, others := praguePeer(t, mon, k, 3)
+	p.queue.Enqueue(Update{Params: []float64{0}, Iter: k, From: 0})
+	p.queue.Enqueue(Update{Params: []float64{3}, Iter: k, From: others[0]})
+	dst := []float64{-1}
+	done := goReduce(func() { p.recvReduceInto(dst, k, nil) })
+	select {
+	case <-mon.blocked:
+	case <-done:
+		t.Fatal("group reduce proceeded on 2 member updates, quorum 3")
+	case <-time.After(10 * time.Second):
+		t.Fatal("group reduce never blocked")
+	}
+	p.queue.Enqueue(Update{Params: []float64{6}, Iter: k, From: others[1]})
+	mustFinish(t, p, done)
+	if dst[0] != 3 {
+		t.Errorf("reduced %v, want the quorum's mean 3", dst[0])
+	}
+	if got := p.Stats().GroupExcluded; got != 1 {
+		t.Errorf("GroupExcluded = %d, want 1", got)
+	}
+	if got, want := tr.String(), fmt.Sprintf("P%d@%d", others[2], k); got != want {
+		t.Errorf("trace %q, want %q", got, want)
 	}
 }

@@ -349,9 +349,10 @@ func (p *Protocol) Stats() Stats {
 }
 
 // MaxObservedStaleness reports the largest k − iter over all updates a
-// bounded-staleness Reduce actually aggregated: Fig. 9 guarantees it
-// never exceeds the configured bound, however updates arrive. It is 0
-// when bounded staleness is disabled.
+// bounded-staleness Reduce — the §5 pre-jump refresh's included —
+// actually aggregated: Fig. 9 guarantees it never exceeds the
+// configured bound, however updates arrive. It is 0 when bounded
+// staleness is disabled.
 func (p *Protocol) MaxObservedStaleness() int {
 	p.mon.Lock()
 	defer p.mon.Unlock()
@@ -417,7 +418,7 @@ func (p *Protocol) run() error {
 		}
 
 		next := k + 1
-		if cfg.Skip != nil {
+		if cfg.MaxJump > 0 {
 			next = p.jumpTarget(k)
 			if next > k+1 {
 				p.renewParams(next - 1)
@@ -489,7 +490,7 @@ func (p *Protocol) iterate(k int) {
 		// Reduce directly into x: the snapshot above (not x itself) is
 		// what sits in the queue, so no aggregated vector aliases the
 		// destination.
-		p.recvReduceInto(x, k)
+		p.recvReduceInto(x, k, nil)
 	} else {
 		// Compute gradients on x_k; the runtime returns the modeled
 		// duration so the protocol can overlap it with Recv below.
@@ -500,7 +501,7 @@ func (p *Protocol) iterate(k int) {
 		// scratch — not into x, which stays untouched until the compute
 		// overlap below ends: the gradient step may still be reading it.
 		reduced := p.reduceScratch(len(x))
-		p.recvReduceInto(reduced, k)
+		p.recvReduceInto(reduced, k, nil)
 
 		// The iteration ends no earlier than the compute does.
 		p.rt.EndCompute(start + d)
@@ -539,18 +540,25 @@ func (p *Protocol) sendAll(k int, snap []float64) {
 }
 
 // recvReduceInto performs the mode-appropriate Recv + Reduce for
-// iteration k, writing the reduced parameter vector into dst. dst must
-// not alias any queued update (snapshots are copies, never x itself).
-func (p *Protocol) recvReduceInto(dst []float64, k int) {
+// iteration k, writing the reduced parameter vector into dst. self nil
+// reduces the worker's own update queued for k (§3.1); non-nil, self
+// stands in for it — the §5 pre-jump refresh passes the current
+// parameters — and is reduced first. dst must not alias any queued
+// update (snapshots are copies, never x itself) nor self.
+func (p *Protocol) recvReduceInto(dst []float64, k int, self []float64) {
 	if p.cfg.Staleness >= 0 {
-		p.recvReduceStaleInto(dst, k)
+		p.recvReduceStaleInto(dst, k, self)
 		return
 	}
-	ups := p.recv(k, 1) // the worker's own update is queued too (§3.1)
+	own := 1
+	if self != nil {
+		own = 0
+	}
+	ups := p.recv(k, own)
 	if p.group != nil {
 		ups = p.groupUpdates(ups, k)
 	}
-	p.meanInto(dst, ups)
+	p.meanInto(dst, self, ups)
 	p.recycleUpdates(ups)
 }
 
@@ -583,32 +591,41 @@ func (p *Protocol) recv(iter, own int) []Update {
 
 // recvReduceStaleInto implements §4.4: keep the newest update per
 // in-neighbor, require it to be at most s iterations old (blocking for
-// a fresh one otherwise), and aggregate with the configured
-// iteration-based weights (Eq. 2 by default) into dst.
-func (p *Protocol) recvReduceStaleInto(dst []float64, k int) {
-	s := p.cfg.Staleness
-	minIter := k - s
+// a fresh one otherwise), and aggregate with the Eq. 2 weights into
+// dst. A non-nil self takes the worker's own slot first, at the oldest
+// admissible weight, in place of its queued update.
+func (p *Protocol) recvReduceStaleInto(dst []float64, k int, self []float64) {
+	minIter := k - p.cfg.Staleness
 	var vecs [][]float64
 	var weights []float64
-	for _, j := range append(append(make([]int, 0, len(p.in)+1), p.in...), p.id) {
+	peers := append(append(make([]int, 0, len(p.in)+1), p.in...), p.id)
+	if self != nil {
+		vecs, weights = append(vecs, self), append(weights, 1)
+		peers = p.in
+	}
+	for _, j := range peers {
 		newest := p.newestFrom(j, minIter)
 		// Include j only if an update actually arrived this iteration
 		// and is within the bound; j's older information is already
 		// folded into x by earlier reduces (§4.4).
 		if newest.Params != nil && newest.Iter >= minIter {
 			vecs = append(vecs, newest.Params)
-			weights = append(weights, p.cfg.StaleWeighting.weight(newest.Iter-minIter+1))
+			weights = append(weights, staleWeight(newest.Iter-minIter+1))
 			p.noteStaleness(k - newest.Iter)
 		} else {
 			p.note(TraceEvent{Kind: TraceStaleSkip, Iter: k, From: j})
 		}
 	}
-	// The self update sent this iteration always satisfies the bound,
-	// so vecs is never empty. Drained buffers are not recycled here:
-	// the stale mode's drain flow is shared with membership resync and
-	// stays on the allocator-free path for simplicity.
+	// The self update always satisfies the bound, so vecs is never
+	// empty. Drained buffers are not recycled here: the stale mode's
+	// drain flow is shared with membership resync and stays on the
+	// allocator-free path for simplicity.
 	tensor.WeightedMean(dst, vecs, weights)
 }
+
+// staleWeight is Eq. 2's aggregation weight for an update fresh =
+// iter − (k−s) + 1 steps inside the staleness window, floored at 1.
+func staleWeight(fresh int) float64 { return float64(max(fresh, 1)) }
 
 // newestFrom drains sender j's queued updates, keeps the newest, and
 // blocks until the newest iteration ever received from j reaches
@@ -631,15 +648,18 @@ func (p *Protocol) newestFrom(j, minIter int) Update {
 	return newest
 }
 
-// jumpTarget implements the §5 trigger: at the end of iteration k,
-// read the local token counts toward this worker's out-going
-// neighbors; their minimum equals min_j Iter(j) − k + max_ig. If the
-// worker is at least TriggerBehind iterations behind all out-going
-// neighbors, jump forward, bounded by MaxJump and by not surpassing
-// any out-going neighbor (§5's "intuitive upper-bound" max_jump −
-// max_ig).
+// jumpTrigger is §5's trigger: a worker jumps only when it is at least
+// this many iterations behind all of its out-going neighbors. A jump
+// of 1 would be the normal advance.
+const jumpTrigger = 2
+
+// jumpTarget implements the §5 jump: at the end of iteration k, read
+// the local token counts toward this worker's out-going neighbors;
+// their minimum equals min_j Iter(j) − k + max_ig. A worker at least
+// jumpTrigger iterations behind all of them jumps forward, bounded by
+// MaxJump and by not surpassing any out-going neighbor (§5's
+// "intuitive upper-bound" max_jump − max_ig).
 func (p *Protocol) jumpTarget(k int) int {
-	sc := p.cfg.Skip
 	if len(p.out) == 0 {
 		return k + 1
 	}
@@ -650,26 +670,12 @@ func (p *Protocol) jumpTarget(k int) int {
 		}
 	}
 	behind := minTok - p.cfg.MaxIG // = min_j Iter(j) − Iter(me)
-	trigger := sc.TriggerBehind
-	if trigger < 2 {
-		trigger = 2 // a jump below 2 is just the normal advance
-	}
-	if behind < trigger {
+	if behind < jumpTrigger {
 		return k + 1
 	}
-	delta := behind
-	if delta > sc.MaxJump {
-		delta = sc.MaxJump
-	}
-	if delta < 1 {
-		delta = 1
-	}
-	next := k + delta
-	if p.cfg.MaxIter > 0 && next > p.cfg.MaxIter {
-		next = p.cfg.MaxIter
-	}
-	if next <= k {
-		return k + 1
+	next := k + min(behind, p.cfg.MaxJump)
+	if p.cfg.MaxIter > 0 {
+		next = min(next, p.cfg.MaxIter)
 	}
 	return next
 }
@@ -679,32 +685,9 @@ func (p *Protocol) jumpTarget(k int) int {
 // current parameters, so the post-jump model is not stale.
 func (p *Protocol) renewParams(kr int) {
 	x := p.trainer.Params()
-	if p.cfg.Staleness >= 0 {
-		minIter := kr - p.cfg.Staleness
-		vecs := [][]float64{x}
-		weights := []float64{1} // own params: oldest admissible weight
-		for _, j := range p.in {
-			newest := p.newestFrom(j, minIter)
-			if newest.Params != nil && newest.Iter >= minIter {
-				vecs = append(vecs, newest.Params)
-				weights = append(weights, p.cfg.StaleWeighting.weight(newest.Iter-minIter+1))
-			}
-		}
-		reduced := p.reduceScratch(len(x))
-		tensor.WeightedMean(reduced, vecs, weights)
-		tensor.Copy(x, reduced)
-		return
-	}
-	ups := p.recv(kr, 0)
-	vecs := make([][]float64, 0, len(ups)+1)
-	vecs = append(vecs, x)
-	for _, u := range ups {
-		vecs = append(vecs, u.Params)
-	}
 	reduced := p.reduceScratch(len(x))
-	tensor.Mean(reduced, vecs)
+	p.recvReduceInto(reduced, kr, x)
 	tensor.Copy(x, reduced)
-	p.recycleUpdates(ups)
 }
 
 func (p *Protocol) noteStaleness(age int) {
@@ -715,15 +698,17 @@ func (p *Protocol) noteStaleness(age int) {
 	p.mon.Unlock()
 }
 
-// meanInto overwrites dst with the element-wise mean of the dequeued
-// updates' parameters (the Reduce of §3.2) — same summation order as
-// the old allocate-and-copy reduce, so results are bit-identical. dst
-// must not alias any update's buffer.
-func (p *Protocol) meanInto(dst []float64, ups []Update) {
-	if len(ups) == 0 {
+// meanInto overwrites dst with the element-wise mean of self (when
+// non-nil, summed first) and the dequeued updates' parameters (the
+// Reduce of §3.2). dst must not alias self or any update's buffer.
+func (p *Protocol) meanInto(dst, self []float64, ups []Update) {
+	if self == nil && len(ups) == 0 {
 		panic("core: Reduce over zero updates")
 	}
 	vecs := p.vecScratch[:0]
+	if self != nil {
+		vecs = append(vecs, self)
+	}
 	for _, u := range ups {
 		vecs = append(vecs, u.Params)
 	}

@@ -25,9 +25,9 @@ const (
 	TraceAdvance TraceKind = iota
 	// TraceJump records a §5 skip from iteration From to Iter.
 	TraceJump
-	// TraceStaleSkip records a bounded-staleness Reduce at iteration
-	// Iter excluding sender From (no fresh-enough update arrived this
-	// iteration).
+	// TraceStaleSkip records a bounded-staleness Reduce (or §5
+	// pre-jump refresh) at iteration Iter excluding sender From (no
+	// fresh-enough update arrived this iteration).
 	TraceStaleSkip
 	// TraceCrash records this worker halting at iteration Iter under a
 	// scheduled fault (Config.Faults).

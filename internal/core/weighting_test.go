@@ -1,43 +1,22 @@
 package core
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
+// TestStaleWeightingValues pins Eq. 2: an update's weight is its
+// freshness inside the staleness window, floored at 1.
 func TestStaleWeightingValues(t *testing.T) {
 	cases := []struct {
-		sw    StaleWeighting
 		fresh int
 		want  float64
 	}{
-		{WeightLinear, 1, 1},
-		{WeightLinear, 4, 4},
-		{WeightLinear, 0, 1}, // floored
-		{WeightLinear, -3, 1},
-		{WeightUniform, 1, 1},
-		{WeightUniform, 9, 1},
-		{WeightExponential, 1, 1},
-		{WeightExponential, 2, 2},
-		{WeightExponential, 5, 16},
-		{WeightExponential, 0, 1},
+		{1, 1},
+		{4, 4},
+		{0, 1}, // floored
+		{-3, 1},
 	}
 	for _, c := range cases {
-		if got := c.sw.weight(c.fresh); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("%v.weight(%d) = %g, want %g", c.sw, c.fresh, got, c.want)
+		if got := staleWeight(c.fresh); got != c.want {
+			t.Errorf("staleWeight(%d) = %g, want %g", c.fresh, got, c.want)
 		}
-	}
-	// Exponential must cap, not overflow.
-	if got := WeightExponential.weight(1000); got != float64(int(1)<<29) {
-		t.Errorf("exponential cap = %g", got)
-	}
-}
-
-func TestStaleWeightingStrings(t *testing.T) {
-	if WeightLinear.String() != "linear" || WeightUniform.String() != "uniform" || WeightExponential.String() != "exponential" {
-		t.Error("weighting strings")
-	}
-	if StaleWeighting(9).String() == "" {
-		t.Error("unknown weighting string")
 	}
 }

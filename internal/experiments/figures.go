@@ -243,7 +243,6 @@ func Fig18(scale Scale) (*Report, error) {
 		return nil, err
 	}
 	spec.Protocol.SkipMaxJump = 10
-	spec.Protocol.SkipTrigger = 2
 	skip, err := runSpec(spec)
 	if err != nil {
 		return nil, err
@@ -273,8 +272,8 @@ func Fig19(scale Scale) (*Report, error) {
 		}{
 			{"standard", scenario.Protocol{}},
 			{"backup", backupProtocol()},
-			{"skip-2", scenario.Protocol{MaxIG: 4, Backup: 1, SendCheck: true, SkipMaxJump: 2, SkipTrigger: 2}},
-			{"skip-10", scenario.Protocol{MaxIG: 4, Backup: 1, SendCheck: true, SkipMaxJump: 10, SkipTrigger: 2}},
+			{"skip-2", scenario.Protocol{MaxIG: 4, Backup: 1, SendCheck: true, SkipMaxJump: 2}},
+			{"skip-10", scenario.Protocol{MaxIG: 4, Backup: 1, SendCheck: true, SkipMaxJump: 10}},
 		}
 		for _, c := range configs {
 			spec := decSpec(p, scale, paperTopology("ring-based"), 7)

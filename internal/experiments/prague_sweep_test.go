@@ -20,7 +20,7 @@ import (
 var praguePatch = json.RawMessage(`{"protocol": {
 	"mode": "prague", "group_size": 4, "group_quorum": 2,
 	"max_ig": 0, "backup": 0, "staleness": 0, "send_check": false,
-	"skip_max_jump": 0, "skip_trigger": 0, "serial": false}}`)
+	"skip_max_jump": 0, "serial": false}}`)
 
 func TestBuiltinSweepsAcceptPragueAxis(t *testing.T) {
 	for _, sw := range Sweeps() {

@@ -6,7 +6,7 @@
 // shared core.Protocol state machine (internal/core/protocol.go) make
 // every decision. The full protocol surface — standard, serial and
 // NOTIFY-ACK modes, token queues, backup workers, bounded staleness
-// with configurable weighting, skipping iterations — runs here
+// with Eq. 2 weighting, skipping iterations — runs here
 // verbatim from the same code the deterministic simulator executes.
 //
 // Queue placement follows the protocol core's consumer-side
@@ -628,7 +628,8 @@ func (w *Worker) Stats() core.Stats { return w.proto.Stats() }
 func (w *Worker) TokenIn(j int) *core.TokenQueue { return w.proto.TokenIn(j) }
 
 // MaxObservedStaleness reports the largest k − iter over all updates a
-// bounded-staleness Reduce actually aggregated: Fig. 9 guarantees it
+// bounded-staleness Reduce — the §5 pre-jump refresh's included —
+// actually aggregated: Fig. 9 guarantees it
 // never exceeds the configured bound, however updates arrive
 // (compressed, chunked, out of order relative to tokens). It is 0 when
 // bounded staleness is disabled.

@@ -138,7 +138,7 @@ func TestLiveSkipWithStraggler(t *testing.T) {
 			Config: core.Config{
 				Staleness: -1,
 				MaxIG:     3, Backup: 1, SendCheck: true,
-				Skip:    &core.SkipConfig{MaxJump: 5, TriggerBehind: 2},
+				MaxJump: 5,
 				MaxIter: 40, Seed: 4,
 			},
 			Trainer: quadStart(i),
@@ -302,7 +302,7 @@ func TestLiveConfigValidation(t *testing.T) {
 		{Config: core.Config{Graph: g, MaxIter: 1}, ID: 9, Trainer: quadStart(0)},
 		{Config: core.Config{Graph: g}, ID: 0, Trainer: quadStart(0)},
 		{Config: core.Config{Graph: g, MaxIter: 1, Backup: 1}, ID: 0, Trainer: quadStart(0)},
-		{Config: core.Config{Graph: g, MaxIter: 1, Skip: &core.SkipConfig{MaxJump: 2}}, ID: 0, Trainer: quadStart(0)},
+		{Config: core.Config{Graph: g, MaxIter: 1, MaxJump: 2}, ID: 0, Trainer: quadStart(0)},
 		{Config: core.Config{Graph: g, MaxIter: 1, Compression: compress.Spec{Kind: compress.TopK, Ratio: 1e-5}}, ID: 0, Trainer: quadStart(0)},
 	}
 	for i, cfg := range cases {

@@ -68,93 +68,89 @@ func TestLiveSerialGraph(t *testing.T) {
 	}
 }
 
-// TestLiveStaleWeightingSkipCompressionMatrix crosses the three axes
-// that interact in the bounded-staleness Reduce: the §4.4 weighting
-// (linear Eq. 2, uniform, exponential), §5 skipping under a real
-// straggler, and the negotiated wire codec. Every cell must converge,
-// respect the staleness bound however updates arrive, and drop no
-// connections.
+// TestLiveStaleWeightingSkipCompressionMatrix crosses the two axes
+// that interact with the bounded-staleness Reduce and its linear §4.4
+// Eq. 2 weighting: §5 skipping under a real straggler, and the
+// negotiated wire codec. Every cell must converge, respect the
+// staleness bound however updates arrive — the pre-jump refresh
+// included — and drop no connections.
 func TestLiveStaleWeightingSkipCompressionMatrix(t *testing.T) {
 	const s = 2
-	weightings := []core.StaleWeighting{core.WeightLinear, core.WeightUniform, core.WeightExponential}
 	comps := []string{"none", "topk:0.5"}
-	for _, sw := range weightings {
-		for _, skip := range []bool{false, true} {
-			for _, cs := range comps {
-				sw, skip, cs := sw, skip, cs
-				t.Run(fmt.Sprintf("%v-skip=%v-%s", sw, skip, cs), func(t *testing.T) {
-					t.Parallel()
-					comp, err := compress.ParseSpec(cs)
-					if err != nil {
-						t.Fatal(err)
+	for _, skip := range []bool{false, true} {
+		for _, cs := range comps {
+			skip, cs := skip, cs
+			t.Run(fmt.Sprintf("linear-skip=%v-%s", skip, cs), func(t *testing.T) {
+				t.Parallel()
+				comp, err := compress.ParseSpec(cs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// 64-dim replicas so the sparse codec's realized
+				// wire ratio is not swamped by frame overhead.
+				const dim = 64
+				start := func(i int) model.Trainer {
+					x0 := make([]float64, dim)
+					target := make([]float64, dim)
+					for d := range x0 {
+						x0[d] = float64(i%3) + 0.5
+						target[d] = float64(d%5) / 5
 					}
-					// 64-dim replicas so the sparse codec's realized
-					// wire ratio is not swamped by frame overhead.
-					const dim = 64
-					start := func(i int) model.Trainer {
-						x0 := make([]float64, dim)
-						target := make([]float64, dim)
-						for d := range x0 {
-							x0[d] = float64(i%3) + 0.5
-							target[d] = float64(d%5) / 5
-						}
-						return model.NewQuadratic(x0, target, 0.2, 0.02)
-					}
-					g := graph.Ring(4)
-					workers := launch(t, g, func(i int) WorkerConfig {
-						cfg := WorkerConfig{
-							Config: core.Config{
-								Staleness:      s,
-								StaleWeighting: sw,
-								MaxIG:          6,
-								Compression:    comp,
-								MaxIter:        30,
-								Seed:           int64(23 + i),
-							},
-							Trainer: start(i),
-							Logger:  NopLogger(),
-						}
-						if skip {
-							cfg.Skip = &core.SkipConfig{MaxJump: 4, TriggerBehind: 2}
-							if i == 0 {
-								cfg.ComputeDelay = func(int) time.Duration { return 4 * time.Millisecond }
-								cfg.Trace = core.NewTrace()
-							}
-						}
-						return cfg
-					})
-					for i, w := range workers {
-						if loss := w.Trainer().EvalLoss(); loss > 0.5 {
-							t.Errorf("worker %d loss %g", i, loss)
-						}
-						if got := w.MaxObservedStaleness(); got > s {
-							t.Errorf("worker %d aggregated an update %d iterations old, bound %d", i, got, s)
-						}
-						st := w.WireStats()
-						if st.ReadErrors != 0 {
-							t.Errorf("worker %d: %d inbound connections dropped", i, st.ReadErrors)
-						}
-						if comp.Kind == compress.TopK && st.CompressionRatio() < 1.5 {
-							t.Errorf("worker %d: topk:0.5 realized only %.2fx on the wire", i, st.CompressionRatio())
-						}
+					return model.NewQuadratic(x0, target, 0.2, 0.02)
+				}
+				g := graph.Ring(4)
+				workers := launch(t, g, func(i int) WorkerConfig {
+					cfg := WorkerConfig{
+						Config: core.Config{
+							Staleness:   s,
+							MaxIG:       6,
+							Compression: comp,
+							MaxIter:     30,
+							Seed:        int64(23 + i),
+						},
+						Trainer: start(i),
+						Logger:  NopLogger(),
 					}
 					if skip {
-						j := 0
-						for _, e := range workers[0].Trace().Events() {
-							if e.Kind == core.TraceJump {
-								j++
-							}
-						}
-						stats := workers[0].Stats()
-						if stats.Jumps != j {
-							t.Errorf("straggler protocol stats report %d jumps, its trace %d", stats.Jumps, j)
-						}
-						if j == 0 {
-							t.Log("straggler never jumped (timing-dependent); acceptable but unusual")
+						cfg.MaxJump = 4
+						if i == 0 {
+							cfg.ComputeDelay = func(int) time.Duration { return 4 * time.Millisecond }
+							cfg.Trace = core.NewTrace()
 						}
 					}
+					return cfg
 				})
-			}
+				for i, w := range workers {
+					if loss := w.Trainer().EvalLoss(); loss > 0.5 {
+						t.Errorf("worker %d loss %g", i, loss)
+					}
+					if got := w.MaxObservedStaleness(); got > s {
+						t.Errorf("worker %d aggregated an update %d iterations old, bound %d", i, got, s)
+					}
+					st := w.WireStats()
+					if st.ReadErrors != 0 {
+						t.Errorf("worker %d: %d inbound connections dropped", i, st.ReadErrors)
+					}
+					if comp.Kind == compress.TopK && st.CompressionRatio() < 1.5 {
+						t.Errorf("worker %d: topk:0.5 realized only %.2fx on the wire", i, st.CompressionRatio())
+					}
+				}
+				if skip {
+					j := 0
+					for _, e := range workers[0].Trace().Events() {
+						if e.Kind == core.TraceJump {
+							j++
+						}
+					}
+					stats := workers[0].Stats()
+					if stats.Jumps != j {
+						t.Errorf("straggler protocol stats report %d jumps, its trace %d", stats.Jumps, j)
+					}
+					if j == 0 {
+						t.Log("straggler never jumped (timing-dependent); acceptable but unusual")
+					}
+				}
+			})
 		}
 	}
 }

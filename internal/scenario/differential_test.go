@@ -126,7 +126,6 @@ func TestDifferentialTraceSkipStraggler(t *testing.T) {
 			MaxIG:       3,
 			Backup:      1,
 			SkipMaxJump: 3,
-			SkipTrigger: 2,
 		},
 		// Worker 0 is 40× slower; with compute_base 5ms its modeled
 		// iteration takes 200ms (sim) while its live surplus sleep is

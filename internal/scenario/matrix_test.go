@@ -80,7 +80,7 @@ func TestCrossProtocolMatrix(t *testing.T) {
 				Deadline:    Duration(2 * time.Second),
 				Seed:        3,
 			},
-			hop: Protocol{MaxIG: 4, Backup: 1, SendCheck: true, SkipMaxJump: 10, SkipTrigger: 2},
+			hop: Protocol{MaxIG: 4, Backup: 1, SendCheck: true, SkipMaxJump: 10},
 		},
 	}
 

@@ -166,16 +166,11 @@ type Protocol struct {
 	// Staleness is the bound s of §4.4; 0 disables bounded staleness
 	// (the spec form cannot express s=0, which no evaluation uses).
 	Staleness int `json:"staleness,omitempty"`
-	// StaleWeighting is "" | "linear" | "uniform" | "exponential".
-	StaleWeighting string `json:"stale_weighting,omitempty"`
 	// SendCheck enables the §6.2(b) receiver-iteration send check.
 	SendCheck bool `json:"send_check,omitempty"`
 	// SkipMaxJump enables skipping iterations (§5) when > 0, capping
 	// one jump at this many iterations.
 	SkipMaxJump int `json:"skip_max_jump,omitempty"`
-	// SkipTrigger is how many iterations behind its out-neighbors a
-	// worker must fall before jumping; 0 means 2.
-	SkipTrigger int `json:"skip_trigger,omitempty"`
 }
 
 // Hetero selects the compute-heterogeneity profile.
@@ -605,6 +600,7 @@ func (s Spec) resolve(buildTrainer bool) (cluster.Options, error) {
 		Backup:      s.Protocol.Backup,
 		Staleness:   -1,
 		SendCheck:   s.Protocol.SendCheck,
+		MaxJump:     s.Protocol.SkipMaxJump,
 		Compression: comp,
 		MaxIter:     s.MaxIter,
 		Seed:        100 + s.Seed,
@@ -632,22 +628,6 @@ func (s Spec) resolve(buildTrainer bool) (cluster.Options, error) {
 	}
 	if s.Protocol.Staleness > 0 {
 		cfg.Staleness = s.Protocol.Staleness
-	}
-	switch s.Protocol.StaleWeighting {
-	case "", "linear":
-	case "uniform":
-		cfg.StaleWeighting = core.WeightUniform
-	case "exponential":
-		cfg.StaleWeighting = core.WeightExponential
-	default:
-		return zero, fmt.Errorf("scenario: unknown stale weighting %q", s.Protocol.StaleWeighting)
-	}
-	if s.Protocol.SkipMaxJump > 0 {
-		trigger := s.Protocol.SkipTrigger
-		if trigger == 0 {
-			trigger = 2
-		}
-		cfg.Skip = &core.SkipConfig{MaxJump: s.Protocol.SkipMaxJump, TriggerBehind: trigger}
 	}
 	if s.Fault != nil {
 		faults, err := s.Fault.faults(g.N())

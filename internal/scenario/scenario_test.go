@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"hop/internal/core"
 	"hop/internal/hetero"
 	"hop/internal/netsim"
 )
@@ -25,7 +24,6 @@ func fullSpec() Spec {
 			Backup:      1,
 			SendCheck:   true,
 			SkipMaxJump: 10,
-			SkipTrigger: 3,
 		},
 		Hetero: Hetero{Kind: "det", Factor: 4, Workers: []int{0, 3}},
 		Net: Net{
@@ -74,6 +72,8 @@ func TestParseRejectsUnknownFields(t *testing.T) {
 		`{"topology": {"kind": "expander", "degree": 6}}`,
 		`{"topology": {"kind": "expander", "seed": 9}}`,
 		`{"protocol": {"mode": "prague", "group_size": 2, "group_seed": 9}}`,
+		`{"protocol": {"staleness": 2, "stale_weighting": "uniform"}}`,
+		`{"protocol": {"max_ig": 2, "skip_max_jump": 4, "skip_trigger": 3}}`,
 		`{"net": {"inter_latency": "1ms"}}`,
 		`{"net": {"intra_bandwidth": 1e9}}`,
 		`{"net": {"intra_latency": "1ms"}}`,
@@ -150,8 +150,8 @@ func TestResolveProtocolAxes(t *testing.T) {
 	if c.MaxIG != 4 || c.Backup != 1 || !c.SendCheck {
 		t.Errorf("protocol: %+v", c)
 	}
-	if c.Skip == nil || c.Skip.MaxJump != 10 || c.Skip.TriggerBehind != 3 {
-		t.Errorf("skip: %+v", c.Skip)
+	if c.MaxJump != 10 {
+		t.Errorf("max jump: %d", c.MaxJump)
 	}
 	det, ok := opts.Compute.Slow.(hetero.Deterministic)
 	if !ok || det.Factors[0] != 4 || det.Factors[3] != 4 || len(det.Factors) != 2 {
@@ -180,14 +180,14 @@ func TestResolveStaleness(t *testing.T) {
 	s := Spec{
 		Workload: "quadratic",
 		Topology: Topology{Kind: "ring", Workers: 8, Machines: 2},
-		Protocol: Protocol{MaxIG: 8, Staleness: 5, StaleWeighting: "uniform"},
+		Protocol: Protocol{MaxIG: 8, Staleness: 5},
 		Deadline: Duration(5 * time.Second),
 	}
 	opts, err := s.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opts.Core.Staleness != 5 || opts.Core.StaleWeighting != core.WeightUniform {
+	if opts.Core.Staleness != 5 {
 		t.Errorf("staleness: %+v", opts.Core)
 	}
 }
@@ -200,7 +200,7 @@ func TestResolveErrors(t *testing.T) {
 		{Hetero: Hetero{Kind: "cosmic"}, Deadline: Duration(time.Second)},
 		{Hetero: Hetero{Kind: "det", Workers: []int{99}}, Deadline: Duration(time.Second)},
 		{Protocol: Protocol{Mode: "quantum"}, Deadline: Duration(time.Second)},
-		{Protocol: Protocol{StaleWeighting: "cubic"}, Deadline: Duration(time.Second)},
+		{Protocol: Protocol{MaxIG: 2, SkipMaxJump: -1}, Deadline: Duration(time.Second)},
 		{Compression: "gzip", Deadline: Duration(time.Second)},
 		{Net: Net{Burst: &Burst{Factor: 10}}, Deadline: Duration(time.Second)},                       // no dwell means
 		{Net: Net{Burst: &Burst{Factor: 1, MeanOn: 1, MeanOff: 1}}, Deadline: Duration(time.Second)}, // factor <= 1
