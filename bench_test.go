@@ -582,7 +582,7 @@ func ablationRun(b *testing.B, mutate func(*hop.Config)) {
 	for i := 0; i < b.N; i++ {
 		g := graph.RingBased(16)
 		graph.EvenPlacement(g, 4)
-		cfg := hop.Config{Graph: g, Staleness: -1, Seed: 31}
+		cfg := hop.Config{Graph: g, Seed: 31}
 		if mutate != nil {
 			mutate(&cfg)
 		}
@@ -649,7 +649,7 @@ func BenchmarkClusterIteration(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := hop.Run(hop.Options{
-			Core:         hop.Config{Graph: g, Staleness: -1, MaxIter: 20, Seed: 1},
+			Core:         hop.Config{Graph: g, MaxIter: 20, Seed: 1},
 			Trainer:      model.NewQuadratic(make([]float64, 64), make([]float64, 64), 0.1, 0),
 			Compute:      hetero.Compute{Base: 100 * time.Millisecond},
 			PayloadBytes: 1 << 20,

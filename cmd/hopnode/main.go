@@ -44,9 +44,7 @@ func main() {
 		dialWait  = flag.Duration("dial-wait", 30*time.Second, "how long to retry dialing peers")
 		linger    = flag.Duration("linger", live.DefaultLinger, "after finishing, how long to keep serving slower neighbors before closing")
 		timeScale = flag.Float64("time-scale", 1, "scale the spec's injected heterogeneity delay")
-		delay     = flag.Duration("delay", 0, "artificial extra compute time per iteration")
 		rejoin    = flag.Bool("rejoin", false, "rejoin a running cluster as a restarted worker (clears this worker's own crash schedule)")
-		chaosSeed = flag.Int64("chaos-seed", 0, "override the base seed of the spec's fault.net chaos injection (0 = spec seed; no effect without fault.net)")
 	)
 	// Worker placement has no live meaning; 1 machine always satisfies
 	// topology validation.
@@ -68,28 +66,9 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	if *chaosSeed != 0 && spec.Fault != nil && spec.Fault.Net != nil {
-		// Chaos is a property of the scenario, its seed a property of
-		// the run: an explicit fault.net seed replaces the spec-derived
-		// default, and every worker still derives its own from it.
-		fault, net := *spec.Fault, *spec.Fault.Net
-		net.Seed = *chaosSeed
-		fault.Net = &net
-		spec.Fault = &fault
-	}
 	cfg, err := hop.ResolveScenarioLiveWorker(spec, *id, hop.ScenarioLiveOptions{TimeScale: *timeScale})
 	if err != nil {
 		fail(err)
-	}
-	if *delay > 0 {
-		// -delay adds to whatever heterogeneity the spec injects.
-		hetero := cfg.ComputeDelay
-		cfg.ComputeDelay = func(iter int) time.Duration {
-			if hetero == nil {
-				return *delay
-			}
-			return hetero(iter) + *delay
-		}
 	}
 	cfg.ListenAddr = *listen
 	if *rejoin {

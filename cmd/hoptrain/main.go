@@ -9,10 +9,10 @@
 //
 //	hoptrain -graph ring-based -workers 16 -machines 4 \
 //	         -workload cnn -slow random -factor 6 \
-//	         -maxig 4 -backup 1 -deadline 500s
+//	         -maxig 4 -backup 1 -send-check -deadline 500s
 //
 //	hoptrain -graph ring -workload svm -slow det -slow-worker 0 -factor 4 \
-//	         -maxig 4 -backup 1 -skip -max-jump 10 -deadline 60s
+//	         -maxig 4 -backup 1 -send-check -max-jump 10 -deadline 60s
 //
 //	hoptrain -scenario spec.json             # a committed spec
 //	hoptrain -scenario spec.json -backup 2   # the same spec, one axis overridden

@@ -52,42 +52,24 @@ func Register(fs *flag.FlagSet, def scenario.Spec) *Flags {
 	add(f, "workload", fs.String("workload", def.Workload, "cnn | svm | quadratic"),
 		func(s *spec, v string) { s.Workload = v })
 
-	groupSize := fs.Int("group-size", 4, "with -protocol prague: partial all-reduce group size")
 	add(f, "protocol", fs.String("protocol", "standard", "standard | notify-ack | prague | ps | adpsgd"),
-		func(s *spec, v string) {
-			s.Protocol.Mode = v
-			if v == "prague" && s.Protocol.GroupSize == 0 {
-				s.Protocol.GroupSize = *groupSize
-			}
-		})
-	add(f, "group-size", groupSize, func(s *spec, v int) { s.Protocol.GroupSize = v })
+		func(s *spec, v string) { s.Protocol.Mode = v })
+	add(f, "group-size", fs.Int("group-size", 0, "with -protocol prague: partial all-reduce group size"),
+		func(s *spec, v int) { s.Protocol.GroupSize = v })
 	add(f, "group-quorum", fs.Int("group-quorum", 0, "with -protocol prague: member updates a reduce waits for (0 = full group)"),
 		func(s *spec, v int) { s.Protocol.GroupQuorum = v })
 	add(f, "serial", fs.Bool("serial", false, "serial computation graph (Fig. 2a)"),
 		func(s *spec, v bool) { s.Protocol.Serial = v })
 	add(f, "maxig", fs.Int("maxig", 0, "token-queue max iteration gap (0 = no token queues)"),
 		func(s *spec, v int) { s.Protocol.MaxIG = v })
-	add(f, "backup", fs.Int("backup", 0, "backup workers N_buw; > 0 also turns the §6.2(b) send check on"),
-		func(s *spec, v int) { s.Protocol.Backup, s.Protocol.SendCheck = v, v > 0 })
+	add(f, "backup", fs.Int("backup", 0, "backup workers N_buw"),
+		func(s *spec, v int) { s.Protocol.Backup = v })
 	add(f, "send-check", fs.Bool("send-check", false, "§6.2(b) receiver-iteration send check"),
 		func(s *spec, v bool) { s.Protocol.SendCheck = v })
-	add(f, "staleness", fs.Int("staleness", -1, "staleness bound s (<= 0 disables)"),
-		func(s *spec, v int) { s.Protocol.Staleness = max(v, 0) })
-	maxJump := fs.Int("max-jump", 10, "max iterations per jump")
-	add(f, "skip", fs.Bool("skip", false, "enable skipping iterations (§5)"),
-		func(s *spec, v bool) {
-			s.Protocol.SkipMaxJump = 0
-			if v {
-				s.Protocol.SkipMaxJump = *maxJump
-			}
-		})
-	// -max-jump alone re-caps a spec that already enables skipping; it
-	// never toggles skipping itself.
-	add(f, "max-jump", maxJump, func(s *spec, v int) {
-		if s.Protocol.SkipMaxJump > 0 {
-			s.Protocol.SkipMaxJump = v
-		}
-	})
+	add(f, "staleness", fs.Int("staleness", 0, "staleness bound s (0 = off)"),
+		func(s *spec, v int) { s.Protocol.Staleness = v })
+	add(f, "max-jump", fs.Int("max-jump", 0, "skipping iterations (§5): max iterations per jump (0 = off)"),
+		func(s *spec, v int) { s.Protocol.SkipMaxJump = v })
 
 	add(f, "slow", fs.String("slow", "none", "none | random | det"),
 		func(s *spec, v string) { s.Hetero.Kind = v })

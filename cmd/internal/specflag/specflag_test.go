@@ -62,7 +62,7 @@ func TestFlagsEqualTheEquivalentSpec(t *testing.T) {
 		"max_iter": 100,
 		"seed": 3
 	}`)
-	got := parse(t, "-graph", "ring", "-workers", "8", "-maxig", "4", "-backup", "1", "-skip", "-max-jump", "6", "-seed", "3")
+	got := parse(t, "-graph", "ring", "-workers", "8", "-maxig", "4", "-backup", "1", "-send-check", "-max-jump", "6", "-seed", "3")
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("flags gave\n%+v\nthe equivalent spec is\n%+v", got, want)
 	}
@@ -86,55 +86,25 @@ func TestOnlySetFlagsOverrideTheFile(t *testing.T) {
 		t.Errorf("no override flags changed the file's spec:\n%+v\nvs\n%+v", got, base)
 	}
 	want := base
-	want.Protocol.Backup, want.Protocol.SendCheck = 2, true
+	want.Protocol.Backup = 2
 	if got := parse(t, "-scenario", path, "-backup", "2"); !reflect.DeepEqual(got, want) {
-		t.Errorf("-backup 2 gave\n%+v\nwant backup and send_check changed and nothing else:\n%+v", got, want)
+		t.Errorf("-backup 2 gave\n%+v\nwant backup changed and nothing else:\n%+v", got, want)
 	}
 	want = base
 	want.Protocol.Backup = 0
 	if got := parse(t, "-scenario", path, "-backup", "0"); !reflect.DeepEqual(got, want) {
 		t.Errorf("-backup 0 gave\n%+v\nwant\n%+v", got, want)
 	}
-	// An explicit -send-check wins over the one -backup implies,
-	// whatever the order on the command line.
-	if got := parse(t, "-send-check=false", "-backup", "1"); got.Protocol.SendCheck || got.Protocol.Backup != 1 {
-		t.Errorf("-send-check=false -backup 1 gave %+v", got.Protocol)
-	}
-}
-
-// TestMaxJumpNeverEnablesSkipping pins hopnode's rule: -max-jump alone
-// re-caps a spec that already skips, and does nothing to one that does
-// not; -skip takes its cap from -max-jump (default 10).
-func TestMaxJumpNeverEnablesSkipping(t *testing.T) {
-	if got := parse(t, "-max-jump", "6"); got.Protocol.SkipMaxJump != 0 {
-		t.Errorf("-max-jump alone enabled skipping: %+v", got.Protocol)
-	}
-	path, _ := specFile(t, `{"protocol": {"max_ig": 3, "skip_max_jump": 5}, "max_iter": 10}`)
-	for _, c := range []struct {
-		args []string
-		want int
-	}{
-		{nil, 5},
-		{[]string{"-max-jump", "6"}, 6},
-		{[]string{"-skip"}, 10},
-		{[]string{"-max-jump", "6", "-skip"}, 6},
-		{[]string{"-skip=false"}, 0},
-		{[]string{"-skip=false", "-max-jump", "6"}, 0},
-	} {
-		got := parse(t, append([]string{"-scenario", path}, c.args...)...)
-		if got.Protocol.SkipMaxJump != c.want {
-			t.Errorf("%v: skip_max_jump %d, want %d", c.args, got.Protocol.SkipMaxJump, c.want)
-		}
-	}
 }
 
 // TestBadNamesFailInTheScenarioPackage: the flag layer passes strings
-// through, so the one copy of each "unknown ..." message is the spec's.
+// through, so the one copy of each "unknown ..." message is the spec's
+// (core's, for the mode names the spec reads from it).
 func TestBadNamesFailInTheScenarioPackage(t *testing.T) {
 	for _, c := range []struct{ flag, value, want string }{
 		{"-graph", "torus", `scenario: unknown topology kind "torus"`},
 		{"-workload", "transformer", `scenario: unknown workload "transformer"`},
-		{"-protocol", "quantum", `scenario: unknown protocol mode "quantum"`},
+		{"-protocol", "quantum", `core: unknown protocol mode "quantum"`},
 		{"-slow", "cosmic", `scenario: unknown hetero kind "cosmic"`},
 		{"-compress", "gzip", `scenario: `},
 	} {
@@ -146,9 +116,9 @@ func TestBadNamesFailInTheScenarioPackage(t *testing.T) {
 }
 
 func TestPragueAndHeteroFlags(t *testing.T) {
-	got := parse(t, "-protocol", "prague", "-slow", "det", "-slow-worker", "2", "-staleness", "-1")
+	got := parse(t, "-protocol", "prague", "-group-size", "4", "-slow", "det", "-slow-worker", "2")
 	if got.Protocol.Mode != "prague" || got.Protocol.GroupSize != 4 {
-		t.Errorf("-protocol prague: %+v, want the default group size 4", got.Protocol)
+		t.Errorf("-protocol prague -group-size 4: %+v", got.Protocol)
 	}
 	if !reflect.DeepEqual(got.Hetero, scenario.Hetero{Kind: "det", Workers: []int{2}}) {
 		t.Errorf("hetero %+v", got.Hetero)

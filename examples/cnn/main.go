@@ -23,7 +23,7 @@ const (
 func run(label string, slow hop.Slowdown, mutate func(*hop.Config)) {
 	g := hop.RingBased(workers)
 	hop.PlaceEvenly(g, machines)
-	cfg := hop.Config{Graph: g, Staleness: -1, Seed: 11}
+	cfg := hop.Config{Graph: g, Seed: 11}
 	if mutate != nil {
 		mutate(&cfg)
 	}

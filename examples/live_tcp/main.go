@@ -39,7 +39,6 @@ func main() {
 		MaxIG:       3,
 		Backup:      1,
 		SendCheck:   true,
-		Staleness:   -1,
 		MaxIter:     maxIter,
 		Compression: comp,
 	}

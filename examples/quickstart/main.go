@@ -18,9 +18,8 @@ func run(label string, slow hop.Slowdown, mutate func(*hop.Config)) {
 	hop.PlaceEvenly(g, 2)
 
 	cfg := hop.Config{
-		Graph:     g,
-		Staleness: -1, // bounded staleness off
-		Seed:      1,
+		Graph: g,
+		Seed:  1,
 	}
 	if mutate != nil {
 		mutate(&cfg)

@@ -15,7 +15,7 @@ import (
 func run(label string, mutate func(*hop.Config)) {
 	g := hop.RingBased(16)
 	hop.PlaceEvenly(g, 4)
-	cfg := hop.Config{Graph: g, Staleness: -1, Seed: 21}
+	cfg := hop.Config{Graph: g, Seed: 21}
 	if mutate != nil {
 		mutate(&cfg)
 	}

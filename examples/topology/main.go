@@ -48,11 +48,11 @@ func main() {
 		label string
 		cfg   core.Config
 	}{
-		{"standard", core.Config{Graph: hop.Ring(8), Staleness: -1}},
+		{"standard", core.Config{Graph: hop.Ring(8)}},
 		{"staleness s=2", core.Config{Graph: hop.Ring(8), Staleness: 2}},
-		{"tokens max_ig=3", core.Config{Graph: hop.Ring(8), Staleness: -1, MaxIG: 3}},
-		{"backup + tokens", core.Config{Graph: hop.Ring(8), Staleness: -1, MaxIG: 3, Backup: 1}},
-		{"notify-ack", core.Config{Graph: hop.Ring(8), Staleness: -1, Mode: core.ModeNotifyAck}},
+		{"tokens max_ig=3", core.Config{Graph: hop.Ring(8), MaxIG: 3}},
+		{"backup + tokens", core.Config{Graph: hop.Ring(8), MaxIG: 3, Backup: 1}},
+		{"notify-ack", core.Config{Graph: hop.Ring(8), Mode: core.ModeNotifyAck}},
 	} {
 		b := hop.NewBounds(row.cfg)
 		fmt.Printf("  %-18s Iter(1)-Iter(0) <= %s\n", row.label, boundStr(b.Gap(1, 0)))

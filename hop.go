@@ -9,7 +9,7 @@
 //     Complete, the Figure 21 settings, SpectralGap).
 //   - The protocol configuration (Config): update queues, token
 //     queues, backup workers, bounded staleness, skipping iterations
-//     (MaxJump), NOTIFY-ACK.
+//     (MaxJump), NOTIFY-ACK — each off at its zero value.
 //   - Workloads (NewCNN, NewSVM, NewQuadratic) exposing the Trainer
 //     interface.
 //   - Heterogeneity models (NoSlowdown, RandomSlowdown,
@@ -30,7 +30,7 @@
 //	g := hop.RingBased(16)
 //	hop.PlaceEvenly(g, 4)
 //	res, err := hop.Run(hop.Options{
-//	    Core:    hop.Config{Graph: g, Staleness: -1, MaxIG: 4, Backup: 1, SendCheck: true},
+//	    Core:    hop.Config{Graph: g, MaxIG: 4, Backup: 1, SendCheck: true},
 //	    Trainer: hop.NewCNN(hop.DefaultCNNConfig()),
 //	    Compute: hop.Compute{Base: 4 * time.Second, Slow: hop.RandomSlowdown(6, 1.0/16)},
 //	    Deadline: 500 * time.Second,
@@ -106,8 +106,9 @@ func SpectralGap(w [][]float64) float64 { return graph.SpectralGap(w) }
 // --- Protocol ---------------------------------------------------------
 
 // Config is the protocol configuration (modes, token queues, backup
-// workers, bounded staleness, skipping iterations). Set Staleness to
-// -1 to disable bounded staleness.
+// workers, bounded staleness, skipping iterations). Every knob is off
+// at its zero value, so Config{Graph: g} is standard decentralized
+// training (Fig. 4).
 type Config = core.Config
 
 // ModeNotifyAck selects the NOTIFY-ACK baseline (Config.Mode).

@@ -18,7 +18,6 @@ func TestFacadeEndToEnd(t *testing.T) {
 	res, err := hop.Run(hop.Options{
 		Core: hop.Config{
 			Graph:     g,
-			Staleness: -1,
 			MaxIG:     4,
 			Backup:    1,
 			SendCheck: true,
@@ -45,7 +44,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 		}
 	}
 	// Table 1 bounds are reachable through the façade too.
-	bounds := hop.NewBounds(hop.Config{Graph: g, Staleness: -1, MaxIG: 4, Backup: 1})
+	bounds := hop.NewBounds(hop.Config{Graph: g, MaxIG: 4, Backup: 1})
 	if bounds.Gap(1, 0) == hop.Unbounded {
 		t.Error("token queues should bound the gap")
 	}

@@ -35,10 +35,9 @@ func quadTrainer(dim int) model.Trainer {
 func baseOptions(g *graph.Graph, maxIter int) Options {
 	return Options{
 		Core: core.Config{
-			Graph:     g,
-			Staleness: -1,
-			MaxIter:   maxIter,
-			Seed:      42,
+			Graph:   g,
+			MaxIter: maxIter,
+			Seed:    42,
 		},
 		Compute:      hetero.Compute{Base: 100 * time.Millisecond},
 		PayloadBytes: 1 << 16,
@@ -453,7 +452,7 @@ func TestMissingConfigRejected(t *testing.T) {
 	if _, err := Run(Options{}); err == nil {
 		t.Error("empty options should fail")
 	}
-	o := Options{Core: core.Config{Graph: graph.Ring(4), Staleness: -1}}
+	o := Options{Core: core.Config{Graph: graph.Ring(4)}}
 	if _, err := Run(o); err == nil {
 		t.Error("missing trainer should fail")
 	}

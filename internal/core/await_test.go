@@ -93,7 +93,7 @@ func (c blockingCond) Wait() {
 
 func TestEveryWaitHonoursAbortAndDeath(t *testing.T) {
 	hop := func(mutate func(*Config)) Config {
-		c := Config{Graph: graph.Ring(3), Staleness: -1}
+		c := Config{Graph: graph.Ring(3)}
 		if mutate != nil {
 			mutate(&c)
 		}
@@ -108,11 +108,11 @@ func TestEveryWaitHonoursAbortAndDeath(t *testing.T) {
 		reforms bool // a Hop-family wait: the missing peer's death lets it proceed
 	}{
 		{"reduce", hop(nil), 0, 2, "update", true},
-		{"staleness newest-from", hop(func(c *Config) { c.Staleness = 0 }), 0, 2, "update", true},
+		{"staleness newest-from", hop(func(c *Config) { c.Staleness = 1 }), 0, 2, "update", true},
 		{"token take", hop(func(c *Config) { c.MaxIG = 1 }), 0, 2, "grant", true},
 		{"notify-ack ack", hop(func(c *Config) { c.Mode = ModeNotifyAck }), 0, 2, "ack", true},
-		{"adpsgd reply", Config{Graph: graph.Chain(2), Mode: ModeADPSGD, Staleness: -1}, 0, 1, "update", false},
-		{"ps leaf", Config{Graph: graph.Star(3), Mode: ModePS, Staleness: -1}, 1, 0, "update", false},
+		{"adpsgd reply", Config{Graph: graph.Chain(2), Mode: ModeADPSGD}, 0, 1, "update", false},
+		{"ps leaf", Config{Graph: graph.Star(3), Mode: ModePS}, 1, 0, "update", false},
 	}
 	for _, row := range rows {
 		for _, act := range []string{"abort", "death"} {
@@ -140,15 +140,18 @@ func TestEveryWaitHonoursAbortAndDeath(t *testing.T) {
 				case <-time.After(10 * time.Second):
 					t.Fatal("worker never blocked")
 				}
-				if k := lastAdvance(tr); k != echoBlockAt {
-					t.Errorf("blocked in iteration %d, want %d", k, echoBlockAt)
+				// Under staleness s the starved peer's last update still
+				// serves s more iterations.
+				blockAt := echoBlockAt + cfg.Staleness
+				if k := lastAdvance(tr); k != blockAt {
+					t.Errorf("blocked in iteration %d, want %d", k, blockAt)
 				}
 				wantErr, wantMembership := ErrAborted, ""
 				if act == "abort" {
 					p.Abort()
 				} else {
 					p.DeclarePeerDead(row.missing)
-					wantErr, wantMembership = nil, fmt.Sprintf("D%d@%d", row.missing, echoBlockAt)
+					wantErr, wantMembership = nil, fmt.Sprintf("D%d@%d", row.missing, blockAt)
 				}
 				select {
 				case err := <-done:

@@ -18,7 +18,7 @@ func TestPSOptionValidation(t *testing.T) {
 	checkBaselineRejections(t, ModePS)
 	for _, g := range []*graph.Graph{graph.Ring(5), graph.Complete(4), graph.Chain(3), graph.Star(1)} {
 		t.Run("ps/"+g.Name, func(t *testing.T) {
-			c := Config{Graph: g, Mode: ModePS, Staleness: -1}
+			c := Config{Graph: g, Mode: ModePS}
 			want := "ps needs a star graph with the server at node 0"
 			if err := c.ValidateProtocol(); err == nil || !strings.Contains(err.Error(), want) {
 				t.Fatalf("error %v, want one containing %q", err, want)
@@ -32,7 +32,7 @@ func TestPSOptionValidation(t *testing.T) {
 func TestADPSGDOptionValidation(t *testing.T) {
 	checkBaselineRejections(t, ModeADPSGD)
 	for _, g := range []*graph.Graph{graph.Star(5), graph.Complete(4), graph.DirectedRing(5)} {
-		c := Config{Graph: g, Mode: ModeADPSGD, Staleness: -1}
+		c := Config{Graph: g, Mode: ModeADPSGD}
 		if err := c.ValidateProtocol(); err != nil {
 			t.Errorf("adpsgd on %s rejected: %v", g.Name, err)
 		}
@@ -50,7 +50,7 @@ func checkBaselineRejections(t *testing.T, mode Mode) {
 		if mode == ModePS {
 			g = graph.Star(5)
 		}
-		c := Config{Graph: g, Mode: mode, Staleness: -1, MaxIter: 10}
+		c := Config{Graph: g, Mode: mode, MaxIter: 10}
 		if mutate != nil {
 			mutate(&c)
 		}
@@ -118,7 +118,7 @@ func TestADPSGDInitiators(t *testing.T) {
 		{graph.Ring(3), []bool{true, true, true}, []int{2, 2, 2}},
 		{graph.Star(3), []bool{true, false, false}, []int{0, 1, 1}},
 	} {
-		cfg := Config{Graph: tc.g, Mode: ModeADPSGD, Staleness: -1}
+		cfg := Config{Graph: tc.g, Mode: ModeADPSGD}
 		for w := 0; w < tc.g.N(); w++ {
 			p, err := NewProtocol(cfg, w, nil, NewSyncMonitor(), nil, nil)
 			if err != nil {

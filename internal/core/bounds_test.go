@@ -47,11 +47,11 @@ var boundsSettings = []struct {
 	name string
 	cfg  Config
 }{
-	{"standard", Config{Staleness: -1}},
+	{"standard", Config{}},
 	{"staleness", Config{Staleness: 2}},
-	{"max_ig", Config{Staleness: -1, MaxIG: 3}},
-	{"backup", Config{Staleness: -1, MaxIG: 2, Backup: 1}},
-	{"notify-ack", Config{Mode: ModeNotifyAck, Staleness: -1}},
+	{"max_ig", Config{MaxIG: 3}},
+	{"backup", Config{MaxIG: 2, Backup: 1}},
+	{"notify-ack", Config{Mode: ModeNotifyAck}},
 }
 
 // TestBoundsMatchAllPairsOracle pins Table 1 as computed per pair to
@@ -72,7 +72,7 @@ func TestBoundsMatchAllPairsOracle(t *testing.T) {
 			switch {
 			case cfg.Backup > 0:
 				b0 = Unbounded
-			case cfg.Staleness >= 0:
+			case cfg.Staleness > 0:
 				b0 = cfg.Staleness + 1
 			}
 			for i := 0; i < g.N(); i++ {
@@ -168,7 +168,7 @@ func addBound(a, b int) int {
 // queried from several goroutines at once (run under -race).
 func TestBoundsConcurrentQueries(t *testing.T) {
 	g := graph.Expander(64, 4, 600)
-	b := NewBounds(Config{Graph: g, Staleness: -1, MaxIG: 2})
+	b := NewBounds(Config{Graph: g, MaxIG: 2})
 	want := make([]int, g.N()*g.N())
 	for k := range want {
 		want[k] = b.Gap(k/g.N(), k%g.N())

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"hop/internal/compress"
@@ -40,20 +41,31 @@ const (
 	ModeADPSGD
 )
 
+// modeNames is the one table of mode names, read by String and by
+// ParseMode (the spec grammar's protocol.mode).
+var modeNames = [...]string{
+	ModeStandard:  "standard",
+	ModeNotifyAck: "notify-ack",
+	ModePrague:    "prague",
+	ModePS:        "ps",
+	ModeADPSGD:    "adpsgd",
+}
+
 func (m Mode) String() string {
-	switch m {
-	case ModeStandard:
-		return "standard"
-	case ModeNotifyAck:
-		return "notify-ack"
-	case ModePrague:
-		return "prague"
-	case ModePS:
-		return "ps"
-	case ModeADPSGD:
-		return "adpsgd"
+	if m >= 0 && int(m) < len(modeNames) {
+		return modeNames[m]
 	}
 	return fmt.Sprintf("mode(%d)", int(m))
+}
+
+// ParseMode returns the mode whose String is name.
+func ParseMode(name string) (Mode, error) {
+	for m, n := range modeNames {
+		if n == name {
+			return Mode(m), nil
+		}
+	}
+	return 0, fmt.Errorf("core: unknown protocol mode %q (known: %s)", name, strings.Join(modeNames[:], ", "))
 }
 
 // FaultSchedule is one worker's scheduled fault (DESIGN.md §6).
@@ -87,7 +99,7 @@ type Config struct {
 	// make the gap unbounded (§3.4).
 	Backup int
 
-	// Staleness is the bound s of §4.4; -1 disables bounded staleness.
+	// Staleness enables bounded staleness (§4.4) with bound s when > 0.
 	Staleness int
 
 	// SendCheck enables the §6.2(b) optimization: inquire the
@@ -233,11 +245,14 @@ func (c *Config) ValidateProtocol() error {
 			}
 		}
 	}
-	if c.Staleness >= 0 && c.Backup > 0 {
+	if c.Staleness > 0 && c.Backup > 0 {
 		return fmt.Errorf("core: bounded staleness and backup workers are alternative Recv/Reduce semantics; enable one")
 	}
 	if c.MaxJump < 0 {
 		return fmt.Errorf("core: MaxJump must be >=0, got %d", c.MaxJump)
+	}
+	if c.Staleness < 0 {
+		return fmt.Errorf("core: Staleness must be >=0, got %d", c.Staleness)
 	}
 	if c.MaxJump > 0 && c.MaxIG <= 0 {
 		return fmt.Errorf("core: skipping iterations requires token queues (MaxIG>0)")
@@ -245,7 +260,9 @@ func (c *Config) ValidateProtocol() error {
 	if err := c.Compression.Validate(); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	if c.Mode == ModeNotifyAck && (c.MaxIG > 0 || c.Backup > 0 || c.Staleness >= 0 || c.MaxJump > 0 || c.SendCheck) {
+	// Backup and skipping need token queues (checked above), so MaxIG
+	// stands for them here.
+	if c.Mode == ModeNotifyAck && (c.MaxIG > 0 || c.Staleness > 0 || c.SendCheck) {
 		return fmt.Errorf("core: NOTIFY-ACK is the fixed-gap baseline; token queues, backup workers, staleness, skipping and the send check do not compose with it (§3.4-3.5)")
 	}
 	if c.Faults != nil && len(c.Faults) != n {
@@ -313,7 +330,7 @@ var hopOnlyKnobs = []struct {
 		"the mode's own exchange sets the iteration gap"},
 	{"Backup does", func(c *Config) bool { return c.Backup > 0 },
 		"backup workers relax Hop's neighbour reduce, which the mode does not run"},
-	{"bounded staleness does", func(c *Config) bool { return c.Staleness >= 0 },
+	{"bounded staleness does", func(c *Config) bool { return c.Staleness > 0 },
 		"bounded staleness relaxes Hop's neighbour reduce, which the mode does not run"},
 	{"skipping iterations does", func(c *Config) bool { return c.MaxJump > 0 },
 		"a jump is triggered by token counts, which the mode does not keep"},
@@ -361,7 +378,7 @@ func (c *Config) numSlots() int {
 		return c.MaxIG + 1
 	}
 	d := max(c.Graph.DiameterUpTo(maxQueueSlots), 1)
-	if c.Staleness >= 0 {
+	if c.Staleness > 0 {
 		return (c.Staleness+1)*d + 1
 	}
 	return d + 1

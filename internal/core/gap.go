@@ -181,7 +181,7 @@ func (b *Bounds) base() int {
 	switch {
 	case b.cfg.Backup > 0:
 		return Unbounded
-	case b.cfg.Staleness >= 0:
+	case b.cfg.Staleness > 0:
 		return b.cfg.Staleness + 1
 	default:
 		return 1

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"hop/internal/graph"
 	"hop/internal/model"
@@ -46,7 +47,7 @@ func TestBoundsTable1DirectedRing(t *testing.T) {
 	}{
 		{
 			name: "standard",
-			cfg:  Config{Graph: g, Staleness: -1},
+			cfg:  Config{Graph: g},
 			// Iter(1)−Iter(0): 1 is downstream, receiver: ≤ dist(0→1)=1.
 			fwd:  1,
 			back: 4,
@@ -59,19 +60,19 @@ func TestBoundsTable1DirectedRing(t *testing.T) {
 		},
 		{
 			name: "notifyack",
-			cfg:  Config{Graph: g, Mode: ModeNotifyAck, Staleness: -1},
+			cfg:  Config{Graph: g, Mode: ModeNotifyAck},
 			fwd:  1, // min(dist(0→1), 2·dist(1→0)) = min(1, 8)
 			back: 2, // min(dist(1→0), 2·dist(0→1)) = min(4, 2)
 		},
 		{
 			name: "tokens3",
-			cfg:  Config{Graph: g, Staleness: -1, MaxIG: 3},
+			cfg:  Config{Graph: g, MaxIG: 3},
 			fwd:  1, // min(1·1, 3·4)
 			back: 3, // min(1·4, 3·1)
 		},
 		{
 			name: "backup-tokens",
-			cfg:  Config{Graph: g, Staleness: -1, MaxIG: 3, Backup: 1},
+			cfg:  Config{Graph: g, MaxIG: 3, Backup: 1},
 			fwd:  12, // min(∞, 3·4)
 			back: 3,  // min(∞, 3·1)
 		},
@@ -91,7 +92,7 @@ func TestBoundsTable1DirectedRing(t *testing.T) {
 }
 
 func TestBoundsBackupWithoutTokensUnbounded(t *testing.T) {
-	cfg := Config{Graph: graph.Ring(4), Staleness: -1, Backup: 1}
+	cfg := Config{Graph: graph.Ring(4), Backup: 1}
 	b := NewBounds(cfg)
 	if got := b.Gap(1, 0); got != Unbounded {
 		t.Errorf("backup without tokens should be unbounded, got %d", got)
@@ -103,7 +104,7 @@ func TestBoundsBackupWithoutTokensUnbounded(t *testing.T) {
 
 func TestBoundsTokenAndQueueCapacity(t *testing.T) {
 	g := graph.Ring(6)
-	cfg := Config{Graph: g, Staleness: -1, MaxIG: 2}
+	cfg := Config{Graph: g, MaxIG: 2}
 	b := NewBounds(cfg)
 	// Ring 6: dist(0→1)=1 → capacity 2·2 = 4.
 	if got := b.TokenCapacity(0, 1); got != 4 {
@@ -126,46 +127,80 @@ func TestConfigValidation(t *testing.T) {
 		for i := range trainers {
 			trainers[i] = model.NewFrozen([]float64{0})
 		}
-		return Config{Graph: g, Staleness: -1, Trainers: trainers}
+		return Config{Graph: g, Trainers: trainers}
 	}
 	base := valid()
 	if err := base.Validate(); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
-	mk := func(mut func(*Config)) error {
-		c := valid()
-		mut(&c)
-		return c.Validate()
+	if err := (&Config{Graph: g, MaxIG: 4, Backup: 1}).ValidateProtocol(); err != nil {
+		t.Errorf("backup with token queues rejected: %v", err)
 	}
-	if err := mk(func(c *Config) { c.Trainers = c.Trainers[:1] }); err == nil {
-		t.Error("wrong trainer count should fail validation")
+	split := graph.New("two-pairs", 4) // 0↔1 and 2↔3, nothing between
+	split.AddEdge(0, 1)
+	split.AddEdge(1, 0)
+	split.AddEdge(2, 3)
+	split.AddEdge(3, 2)
+	// Each row breaks exactly one rule: with that rule gone, the row's
+	// config validates.
+	for _, c := range []struct {
+		name string
+		mut  func(*Config)
+	}{
+		{"wrong trainer count", func(c *Config) { c.Trainers = c.Trainers[:1] }},
+		{"wrong tracer count", func(c *Config) { c.Tracers = make([]*Trace, 1) }},
+		{"nil graph", func(c *Config) { c.Graph = nil }},
+		{"disconnected graph", func(c *Config) { c.Graph = split }},
+		{"prague mode without a Prague config", func(c *Config) { c.Mode = ModePrague }},
+		{"backup without tokens", func(c *Config) { c.Backup = 1 }},
+		{"backup >= in-degree", func(c *Config) { c.Backup = 3; c.MaxIG = 2 }},
+		{"backup plus staleness", func(c *Config) { c.Backup = 1; c.MaxIG = 3; c.Staleness = 2 }},
+		{"skip without tokens", func(c *Config) { c.MaxJump = 2 }},
+		{"negative MaxJump", func(c *Config) { c.MaxJump = -1; c.MaxIG = 2 }},
+		{"negative staleness", func(c *Config) { c.Staleness = -2 }},
+		{"notify-ack with tokens", func(c *Config) { c.Mode = ModeNotifyAck; c.MaxIG = 1 }},
+		{"notify-ack with staleness", func(c *Config) { c.Mode = ModeNotifyAck; c.Staleness = 2 }},
+		{"rejoin without fault tolerance", func(c *Config) { c.Rejoin = true }},
+		{"wrong fault schedule count", func(c *Config) { c.FaultTolerance = true; c.Faults = make([]FaultSchedule, 1) }},
+		{"negative crash iteration", func(c *Config) {
+			c.FaultTolerance = true
+			c.Faults = make([]FaultSchedule, 4)
+			c.Faults[1].CrashIter = -1
+		}},
+		{"negative restart delay", func(c *Config) {
+			c.FaultTolerance = true
+			c.Faults = make([]FaultSchedule, 4)
+			c.Faults[1] = FaultSchedule{CrashIter: 2, RestartAfter: -time.Second}
+		}},
+		{"restart without a crash", func(c *Config) {
+			c.FaultTolerance = true
+			c.Faults = make([]FaultSchedule, 4)
+			c.Faults[1].RestartAfter = time.Second
+		}},
+		{"restart without fault tolerance", func(c *Config) {
+			c.Faults = make([]FaultSchedule, 4)
+			c.Faults[1] = FaultSchedule{CrashIter: 2, RestartAfter: time.Second}
+		}},
+	} {
+		cfg := valid()
+		c.mut(&cfg)
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%s: accepted", c.name)
+		}
 	}
-	if err := mk(func(c *Config) { c.Graph = nil }); err == nil {
-		t.Error("nil graph should fail")
-	}
-	if err := mk(func(c *Config) { c.Backup = 1 }); err == nil {
-		t.Error("backup without tokens should fail")
-	}
-	if err := mk(func(c *Config) { c.Backup = 3; c.MaxIG = 2 }); err == nil {
-		t.Error("backup >= in-degree should fail")
-	}
-	if err := mk(func(c *Config) { c.Backup = 1; c.MaxIG = 3; c.Staleness = 2 }); err == nil {
-		t.Error("backup plus staleness should fail")
-	}
-	if err := mk(func(c *Config) { c.MaxJump = 2 }); err == nil {
-		t.Error("skip without tokens should fail")
-	}
-	if err := mk(func(c *Config) { c.MaxJump = -1; c.MaxIG = 2 }); err == nil {
-		t.Error("negative MaxJump should fail")
-	}
-	if err := mk(func(c *Config) { c.Mode = ModeNotifyAck; c.MaxIG = 1 }); err == nil {
-		t.Error("notify-ack with tokens should fail")
+	if _, err := NewProtocol(base, g.N(), nil, NewSyncMonitor(), nopRuntime{}, nil); err == nil {
+		t.Errorf("worker id %d of %d accepted", g.N(), g.N())
 	}
 }
 
 func TestModeString(t *testing.T) {
-	if ModeStandard.String() != "standard" || ModeNotifyAck.String() != "notify-ack" {
-		t.Error("mode strings")
+	for m := ModeStandard; m <= ModeADPSGD; m++ {
+		if got, err := ParseMode(m.String()); got != m || err != nil {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v", m.String(), got, err, m)
+		}
+	}
+	if _, err := ParseMode("gossip"); err == nil {
+		t.Error("unknown mode name parsed")
 	}
 	if Mode(9).String() == "" {
 		t.Error("unknown mode string empty")
@@ -174,11 +209,11 @@ func TestModeString(t *testing.T) {
 
 func TestNumSlots(t *testing.T) {
 	g := graph.Ring(8) // diameter 4
-	c := Config{Graph: g, Staleness: -1, MaxIG: 3}
+	c := Config{Graph: g, MaxIG: 3}
 	if got := c.numSlots(); got != 4 {
 		t.Errorf("with tokens numSlots = %d, want 4", got)
 	}
-	c = Config{Graph: g, Staleness: -1}
+	c = Config{Graph: g}
 	if got := c.numSlots(); got != 5 {
 		t.Errorf("standard numSlots = %d, want diameter+1 = 5", got)
 	}

@@ -198,7 +198,7 @@ func TestObserveMatchesTraceCrashRestart(t *testing.T) {
 	const crash = 3
 	faults := make([]FaultSchedule, 3)
 	faults[2] = FaultSchedule{CrashIter: crash, RestartAfter: time.Nanosecond}
-	cfg := Config{Graph: graph.Ring(3), Staleness: -1, MaxIter: 10, FaultTolerance: true, Faults: faults}
+	cfg := Config{Graph: graph.Ring(3), MaxIter: 10, FaultTolerance: true, Faults: faults}
 	announced := make(chan struct{})
 	var once sync.Once
 	rts, trs := runMesh(t, cfg, func(r *recordRuntime) {
@@ -231,7 +231,7 @@ func TestObserveMatchesTraceCrashRestart(t *testing.T) {
 // iteration 0 it is max_ig behind and jumps (§5).
 func TestObserveMatchesTraceSkip(t *testing.T) {
 	const maxIG = 3
-	cfg := Config{Graph: graph.Ring(3), Staleness: -1, MaxIter: 12, MaxIG: maxIG, Backup: 1,
+	cfg := Config{Graph: graph.Ring(3), MaxIter: 12, MaxIG: maxIG, Backup: 1,
 		MaxJump: maxIG}
 	var ahead sync.WaitGroup
 	ahead.Add(2)
@@ -272,7 +272,7 @@ func (nopRuntime) Observe(TraceEvent)                {}
 // TestObserveAllocationFree: with tracing off, telling the runtime a
 // decision — a Prague group's Members included — allocates nothing.
 func TestObserveAllocationFree(t *testing.T) {
-	p, err := NewProtocol(Config{Graph: graph.Ring(3), Staleness: -1}, 0, nil, NewSyncMonitor(), nopRuntime{}, nil)
+	p, err := NewProtocol(Config{Graph: graph.Ring(3)}, 0, nil, NewSyncMonitor(), nopRuntime{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -115,7 +115,7 @@ func TestPragueConfigValidate(t *testing.T) {
 func praguePeer(t *testing.T, mon Monitor, k, quorum int) (*Protocol, *Trace, []int) {
 	t.Helper()
 	const seed, n = 5, 8
-	cfg := Config{Graph: graph.Ring(n), Mode: ModePrague, Staleness: -1, FaultTolerance: true,
+	cfg := Config{Graph: graph.Ring(n), Mode: ModePrague, FaultTolerance: true,
 		Prague: &PragueConfig{GroupSize: 4, Quorum: quorum, Seed: seed}}
 	tr := NewTrace()
 	p, err := NewProtocol(cfg, 0, nil, mon, nopRuntime{}, tr)

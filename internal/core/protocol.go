@@ -34,6 +34,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"time"
 
@@ -217,6 +218,9 @@ type Protocol struct {
 func NewProtocol(cfg Config, id int, t model.Trainer, mon Monitor, rt Runtime, tr *Trace) (*Protocol, error) {
 	if err := cfg.ValidateProtocol(); err != nil {
 		return nil, err
+	}
+	if n := cfg.Graph.N(); id < 0 || id >= n {
+		return nil, fmt.Errorf("core: worker id %d out of range for %d workers", id, n)
 	}
 	p := &Protocol{
 		cfg:     cfg,
@@ -546,7 +550,7 @@ func (p *Protocol) sendAll(k int, snap []float64) {
 // parameters — and is reduced first. dst must not alias any queued
 // update (snapshots are copies, never x itself) nor self.
 func (p *Protocol) recvReduceInto(dst []float64, k int, self []float64) {
-	if p.cfg.Staleness >= 0 {
+	if p.cfg.Staleness > 0 {
 		p.recvReduceStaleInto(dst, k, self)
 		return
 	}

@@ -113,9 +113,9 @@ func TestPropertyBoundsMonotoneInMaxIG(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 3 + rng.Intn(6)
 		g := graph.Ring(n) // strongly connected, asymmetric paths when directed
-		small := NewBounds(Config{Graph: g, Staleness: -1, MaxIG: 1 + rng.Intn(3)})
+		small := NewBounds(Config{Graph: g, MaxIG: 1 + rng.Intn(3)})
 		bigIG := 4 + rng.Intn(4)
-		big := NewBounds(Config{Graph: g, Staleness: -1, MaxIG: bigIG})
+		big := NewBounds(Config{Graph: g, MaxIG: bigIG})
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				if small.Gap(i, j) > big.Gap(i, j) {

@@ -94,7 +94,7 @@ func TestPreJumpRefreshReduce(t *testing.T) {
 	})
 
 	t.Run("backup", func(t *testing.T) {
-		p, _ := refreshPeer(t, Config{Staleness: -1, MaxIG: 2, Backup: 1}, x0)
+		p, _ := refreshPeer(t, Config{MaxIG: 2, Backup: 1}, x0)
 		// Two of three in-neighbours are enough; 3's update of an older
 		// iteration is no part of Recv(kr).
 		p.queue.Enqueue(Update{Params: a, Iter: kr, From: 1})

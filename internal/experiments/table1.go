@@ -41,7 +41,7 @@ func Table1(scale Scale) (*Report, error) {
 
 	for _, g := range graphs {
 		for _, s := range settings {
-			cfg := core.Config{Graph: g, Staleness: -1, Seed: 11}
+			cfg := core.Config{Graph: g, Seed: 11}
 			if s.mut != nil {
 				s.mut(&cfg)
 			}

@@ -22,8 +22,8 @@ func faultClusterConfigs(g *graph.Graph, mut func(i int, cfg *WorkerConfig)) []W
 	for i := range cfgs {
 		cfgs[i] = WorkerConfig{
 			Config: core.Config{
-				Graph:     g,
-				Staleness: -1, MaxIter: 20, Seed: 1,
+				Graph:   g,
+				MaxIter: 20, Seed: 1,
 			},
 			ID: i, Trainer: quadStart(i),
 			Logger: NopLogger(),
@@ -182,8 +182,8 @@ func TestWorkerAbortCloseRunRace(t *testing.T) {
 		for i := 0; i < n; i++ {
 			cfg := WorkerConfig{
 				Config: core.Config{
-					Graph:     g,
-					Staleness: -1, MaxIter: 200, Seed: 1,
+					Graph:   g,
+					MaxIter: 200, Seed: 1,
 					// Fault tolerance keeps post-Close send failures from
 					// panicking the loop; they declare the peer dead instead.
 					FaultTolerance: true,

@@ -74,8 +74,8 @@ type WorkerConfig struct {
 
 	// Chaos, when non-nil, injects seeded network faults into this
 	// worker's outgoing frames (transport.Config.Chaos): the spec's
-	// fault.net clause with this worker's seed. Used by the scenario
-	// layer and hopnode -chaos-seed.
+	// fault.net clause with this worker's seed, set by the scenario
+	// layer.
 	Chaos *chaos.Config
 
 	// ComputeDelay, when non-nil, injects artificial per-iteration
@@ -147,20 +147,11 @@ func (w *Worker) fail(err error) {
 // prepares the protocol state. Call Addr to learn the bound address,
 // Connect to dial the neighbors, then Run.
 func NewWorker(cfg WorkerConfig) (*Worker, error) {
-	if cfg.Graph == nil {
-		return nil, fmt.Errorf("live: no graph")
-	}
-	if err := cfg.Graph.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.ID < 0 || cfg.ID >= cfg.Graph.N() {
-		return nil, fmt.Errorf("live: worker id %d out of range", cfg.ID)
-	}
 	if cfg.Trainer == nil {
 		return nil, fmt.Errorf("live: no trainer")
 	}
 	if cfg.MaxIter <= 0 {
-		return nil, fmt.Errorf("live: MaxIter must be positive")
+		return nil, fmt.Errorf("live: MaxIter must be positive (a deadline is virtual time only)")
 	}
 	if cfg.Mode == core.ModeADPSGD {
 		return nil, fmt.Errorf("live: adpsgd does not run live: the wire has no reply frame")
@@ -382,7 +373,7 @@ func (w *Worker) probe(peer int) {
 				dialT = 300 * time.Millisecond
 			}
 			err := w.node.Dial(peer, addr, dialT)
-			if err == nil && w.cfg.Staleness >= 0 {
+			if err == nil && w.cfg.Staleness > 0 {
 				// What the torn connection swallowed before its first
 				// write failed is gone, and this worker may by now be
 				// blocked on the very peer that is waiting for it.

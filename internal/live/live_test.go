@@ -77,7 +77,7 @@ func quadStart(i int) model.Trainer {
 func TestLiveStandardConverges(t *testing.T) {
 	g := graph.Ring(4)
 	workers := launch(t, g, func(i int) WorkerConfig {
-		return WorkerConfig{Config: core.Config{Staleness: -1, MaxIter: 40, Seed: 1}, Trainer: quadStart(i)}
+		return WorkerConfig{Config: core.Config{MaxIter: 40, Seed: 1}, Trainer: quadStart(i)}
 	})
 	for i, w := range workers {
 		if loss := w.cfg.Trainer.EvalLoss(); loss > 0.3 {
@@ -97,8 +97,7 @@ func TestLiveTokensAndBackup(t *testing.T) {
 	workers := launch(t, g, func(i int) WorkerConfig {
 		return WorkerConfig{
 			Config: core.Config{
-				Staleness: -1,
-				MaxIG:     3, Backup: 1, SendCheck: true,
+				MaxIG: 3, Backup: 1, SendCheck: true,
 				MaxIter: 30, Seed: 2,
 			},
 			Trainer: quadStart(i), ComputeDelay: delay(i),
@@ -136,8 +135,7 @@ func TestLiveSkipWithStraggler(t *testing.T) {
 	workers := launch(t, g, func(i int) WorkerConfig {
 		cfg := WorkerConfig{
 			Config: core.Config{
-				Staleness: -1,
-				MaxIG:     3, Backup: 1, SendCheck: true,
+				MaxIG: 3, Backup: 1, SendCheck: true,
 				MaxJump: 5,
 				MaxIter: 40, Seed: 4,
 			},
@@ -170,7 +168,7 @@ func TestLiveIterationCallbacksOrdered(t *testing.T) {
 	var iters []int
 	var mu sync.Mutex
 	launch(t, g, func(i int) WorkerConfig {
-		cfg := WorkerConfig{Config: core.Config{Staleness: -1, MaxIter: 10, Seed: 5}, Trainer: quadStart(i)}
+		cfg := WorkerConfig{Config: core.Config{MaxIter: 10, Seed: 5}, Trainer: quadStart(i)}
 		if i == 0 {
 			cfg.OnIteration = func(_, iter int, _ float64, _ time.Duration) {
 				mu.Lock()
@@ -306,7 +304,6 @@ func TestLiveConfigValidation(t *testing.T) {
 		{Config: core.Config{Graph: g, MaxIter: 1, Compression: compress.Spec{Kind: compress.TopK, Ratio: 1e-5}}, ID: 0, Trainer: quadStart(0)},
 	}
 	for i, cfg := range cases {
-		cfg.Staleness = -1
 		if _, err := NewWorker(cfg); err == nil {
 			t.Errorf("case %d: invalid config accepted", i)
 		}
@@ -318,7 +315,7 @@ func TestLiveConfigValidation(t *testing.T) {
 // is bound.
 func TestLiveRejectsADPSGD(t *testing.T) {
 	_, err := NewWorker(WorkerConfig{
-		Config: core.Config{Graph: graph.Ring(4), Mode: core.ModeADPSGD, Staleness: -1, MaxIter: 1},
+		Config: core.Config{Graph: graph.Ring(4), Mode: core.ModeADPSGD, MaxIter: 1},
 		ID:     0, ListenAddr: "127.0.0.1:0",
 		Trainer: quadStart(0),
 	})
@@ -330,7 +327,7 @@ func TestLiveRejectsADPSGD(t *testing.T) {
 func TestLiveMissingNeighborAddress(t *testing.T) {
 	g := graph.Ring(3)
 	w, err := NewWorker(WorkerConfig{
-		Config: core.Config{Graph: g, Staleness: -1, MaxIter: 1},
+		Config: core.Config{Graph: g, MaxIter: 1},
 		ID:     0, ListenAddr: "127.0.0.1:0",
 		Trainer: quadStart(0),
 	})
@@ -346,7 +343,7 @@ func TestLiveMissingNeighborAddress(t *testing.T) {
 func TestLiveAddrFormat(t *testing.T) {
 	g := graph.Ring(3)
 	w, err := NewWorker(WorkerConfig{
-		Config: core.Config{Graph: g, Staleness: -1, MaxIter: 1},
+		Config: core.Config{Graph: g, MaxIter: 1},
 		ID:     1, ListenAddr: "127.0.0.1:0",
 		Trainer: quadStart(1),
 	})

@@ -253,7 +253,7 @@ func TestLiveStallSuspectsThenHeals(t *testing.T) {
 	workers, addrs := buildWorkers(t, g, func(i int) WorkerConfig {
 		cfg := WorkerConfig{
 			Config: core.Config{
-				Staleness: -1, MaxIter: 60, Seed: 1,
+				MaxIter: 60, Seed: 1,
 				FaultTolerance: true,
 			},
 			Trainer:      quadStart(i),
@@ -318,7 +318,7 @@ func TestLiveStallPastBudgetDeclaresDead(t *testing.T) {
 	workers, addrs := buildWorkers(t, g, func(i int) WorkerConfig {
 		return WorkerConfig{
 			Config: core.Config{
-				Staleness: -1, MaxIter: 40, Seed: 1,
+				MaxIter: 40, Seed: 1,
 				FaultTolerance: true,
 			},
 			Trainer:      quadStart(i),
@@ -377,7 +377,7 @@ func TestLiveSendFailureFailsFastWithoutTolerance(t *testing.T) {
 	g := graph.Chain(2)
 	workers, addrs := buildWorkers(t, g, func(i int) WorkerConfig {
 		return WorkerConfig{
-			Config:       core.Config{Staleness: -1, MaxIter: 500, Seed: 1},
+			Config:       core.Config{MaxIter: 500, Seed: 1},
 			Trainer:      quadStart(i),
 			Logger:       NopLogger(),
 			ComputeDelay: func(int) time.Duration { return 2 * time.Millisecond },

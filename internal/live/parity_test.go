@@ -29,8 +29,7 @@ func TestLiveNotifyAck(t *testing.T) {
 	workers := launch(t, g, func(i int) WorkerConfig {
 		return WorkerConfig{
 			Config: core.Config{
-				Mode: core.ModeNotifyAck, Staleness: -1,
-				MaxIter: 30, Seed: 21,
+				Mode: core.ModeNotifyAck, MaxIter: 30, Seed: 21,
 			},
 			Trainer: quadStart(i), Logger: NopLogger(),
 		}
@@ -55,8 +54,7 @@ func TestLiveSerialGraph(t *testing.T) {
 	workers := launch(t, g, func(i int) WorkerConfig {
 		return WorkerConfig{
 			Config: core.Config{
-				Serial: true, Staleness: -1,
-				MaxIter: 30, Seed: 22,
+				Serial: true, MaxIter: 30, Seed: 22,
 			},
 			Trainer: quadStart(i), Logger: NopLogger(),
 		}
@@ -170,7 +168,7 @@ func TestLiveAbortUnblocksWorkers(t *testing.T) {
 	for i := 0; i < n; i++ {
 		w, err := NewWorker(WorkerConfig{
 			Config: core.Config{
-				Graph: g, Staleness: -1,
+				Graph:   g,
 				MaxIter: 1 << 20, // far beyond what this test lets run
 				Seed:    31,
 			},
@@ -227,7 +225,7 @@ func TestLiveAbortBeforeRun(t *testing.T) {
 	g := graph.Ring(3)
 	w, err := NewWorker(WorkerConfig{
 		Config: core.Config{
-			Graph: g, Staleness: -1, MaxIter: 100,
+			Graph: g, MaxIter: 100,
 			Seed: 32,
 		},
 		ID: 0, ListenAddr: "127.0.0.1:0",

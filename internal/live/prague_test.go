@@ -64,7 +64,6 @@ func TestLivePragueMatrix(t *testing.T) {
 							Config: core.Config{
 								Mode:        core.ModePrague,
 								Prague:      &core.PragueConfig{GroupSize: gs, Quorum: quorum, Seed: 513},
-								Staleness:   -1,
 								Compression: comp,
 								MaxIter:     30,
 								Seed:        int64(41 + i),

@@ -72,9 +72,6 @@ func (s Spec) ResolveLiveWorker(id int, o LiveOptions) (live.WorkerConfig, error
 	if err != nil {
 		return live.WorkerConfig{}, err
 	}
-	if n := opts.Core.Graph.N(); id < 0 || id >= n {
-		return live.WorkerConfig{}, fmt.Errorf("scenario: worker id %d out of range for %d-worker scenario", id, n)
-	}
 	// The fresh prototype Resolve built is this worker's replica.
 	return liveWorkerConfig(opts, id, o, opts.Trainer), nil
 }
@@ -87,18 +84,16 @@ func (o LiveOptions) timeScale() float64 {
 	return o.TimeScale
 }
 
-// resolveLiveOptions resolves the spec and applies the live-execution
-// constraints. Restart delays model virtual time in the spec; they are
-// realized on the same clock as the injected heterogeneity delays —
-// scaled once, into a copy, because the n worker configs built from
-// these options all share the one Faults slice.
+// resolveLiveOptions resolves the spec for live execution (whose
+// constraints live.NewWorker checks). Restart delays model virtual
+// time in the spec; they are realized on the same clock as the
+// injected heterogeneity delays — scaled once, into a copy, because
+// the n worker configs built from these options all share the one
+// Faults slice.
 func (s Spec) resolveLiveOptions(o LiveOptions) (cluster.Options, error) {
 	opts, err := s.Resolve()
 	if err != nil {
 		return cluster.Options{}, err
-	}
-	if opts.Core.MaxIter <= 0 {
-		return cluster.Options{}, fmt.Errorf("scenario: live execution needs max_iter (deadline is virtual-time only)")
 	}
 	faults := append([]core.FaultSchedule(nil), opts.Core.Faults...)
 	for i, f := range faults {

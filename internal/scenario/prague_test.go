@@ -51,7 +51,7 @@ func TestPragueSpecValidation(t *testing.T) {
 			Topology: Topology{Kind: "ring", Workers: 4, Machines: 1},
 			Protocol: Protocol{GroupSize: 2},
 			MaxIter:  10,
-		}, `group_size/group_quorum are prague knobs; set protocol mode "prague"`},
+		}, "Prague config set but mode is standard"},
 		{"chaos rejected", prague(func(s *Spec) {
 			s.Fault = &Fault{Net: &chaos.Config{Drop: 0.01}}
 		}), "fault net chaos cannot run under prague"},

@@ -163,8 +163,7 @@ type Protocol struct {
 	MaxIG int `json:"max_ig,omitempty"`
 	// Backup is N_buw, the in-updates each worker may miss (§4.3).
 	Backup int `json:"backup,omitempty"`
-	// Staleness is the bound s of §4.4; 0 disables bounded staleness
-	// (the spec form cannot express s=0, which no evaluation uses).
+	// Staleness enables bounded staleness (§4.4) with bound s when > 0.
 	Staleness int `json:"staleness,omitempty"`
 	// SendCheck enables the §6.2(b) receiver-iteration send check.
 	SendCheck bool `json:"send_check,omitempty"`
@@ -291,11 +290,11 @@ func validateNetFault(nf *chaos.Config, cfg core.Config, comp compress.Spec) err
 		}
 	}
 	if nf.Lossy() {
-		if cfg.Staleness <= 0 && cfg.Backup <= 0 {
-			return fmt.Errorf("scenario: fault net loss (drop/corrupt/partitions) needs staleness or backup to absorb missing updates")
-		}
-		if cfg.Mode == core.ModeNotifyAck {
-			return fmt.Errorf("scenario: fault net loss cannot run under notify-ack (a lost ACK blocks the sender forever)")
+		// Backup workers would absorb loss too, but they need token
+		// queues, which the next rule refuses; notify-ack refuses
+		// staleness (core).
+		if cfg.Staleness <= 0 {
+			return fmt.Errorf("scenario: fault net loss (drop/corrupt/partitions) needs bounded staleness to absorb missing updates")
 		}
 		if cfg.MaxIG > 0 {
 			// Token grants travel as token frames on the live wire only:
@@ -345,9 +344,6 @@ func (f *Fault) faults(n int) ([]core.FaultSchedule, error) {
 		}
 		if c.Iter < 1 {
 			return nil, fmt.Errorf("scenario: fault crash iter must be >= 1, got %d", c.Iter)
-		}
-		if c.Restart < 0 {
-			return nil, fmt.Errorf("scenario: fault crash restart must be >= 0, got %v", time.Duration(c.Restart))
 		}
 		out[c.Worker] = core.FaultSchedule{
 			CrashIter:    c.Iter,
@@ -598,36 +594,25 @@ func (s Spec) resolve(buildTrainer bool) (cluster.Options, error) {
 		Serial:      s.Protocol.Serial,
 		MaxIG:       s.Protocol.MaxIG,
 		Backup:      s.Protocol.Backup,
-		Staleness:   -1,
+		Staleness:   s.Protocol.Staleness,
 		SendCheck:   s.Protocol.SendCheck,
 		MaxJump:     s.Protocol.SkipMaxJump,
 		Compression: comp,
 		MaxIter:     s.MaxIter,
 		Seed:        100 + s.Seed,
 	}
-	switch s.Protocol.Mode {
-	case "", "standard":
-	case "notify-ack":
-		cfg.Mode = core.ModeNotifyAck
-	case "prague":
-		cfg.Mode = core.ModePrague
+	if s.Protocol.Mode != "" {
+		if cfg.Mode, err = core.ParseMode(s.Protocol.Mode); err != nil {
+			return zero, err
+		}
+	}
+	if cfg.Mode == core.ModePrague || s.Protocol.GroupSize != 0 || s.Protocol.GroupQuorum != 0 {
+		// Core rejects group knobs under any other mode.
 		cfg.Prague = &core.PragueConfig{
 			GroupSize: s.Protocol.GroupSize,
 			Quorum:    s.Protocol.GroupQuorum,
 			Seed:      500 + s.Seed,
 		}
-	case "ps":
-		cfg.Mode = core.ModePS
-	case "adpsgd":
-		cfg.Mode = core.ModeADPSGD
-	default:
-		return zero, fmt.Errorf("scenario: unknown protocol mode %q (known: standard, notify-ack, prague, ps, adpsgd)", s.Protocol.Mode)
-	}
-	if cfg.Mode != core.ModePrague && (s.Protocol.GroupSize != 0 || s.Protocol.GroupQuorum != 0) {
-		return zero, fmt.Errorf("scenario: group_size/group_quorum are prague knobs; set protocol mode \"prague\"")
-	}
-	if s.Protocol.Staleness > 0 {
-		cfg.Staleness = s.Protocol.Staleness
 	}
 	if s.Fault != nil {
 		faults, err := s.Fault.faults(g.N())

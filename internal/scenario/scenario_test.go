@@ -125,8 +125,8 @@ func TestResolveMatchesRegistryConventions(t *testing.T) {
 	if opts.Core.Graph.N() != 16 || opts.Core.Graph.NumMachines() != 4 {
 		t.Errorf("default topology %v", opts.Core.Graph)
 	}
-	if opts.Core.Staleness != -1 {
-		t.Errorf("staleness default %d, want -1 (disabled)", opts.Core.Staleness)
+	if opts.Core.Staleness != 0 {
+		t.Errorf("staleness default %d, want 0 (disabled)", opts.Core.Staleness)
 	}
 	if opts.Compute.Base != 4*time.Second || opts.PayloadBytes != 37<<20 || opts.EvalEvery != 5 {
 		t.Errorf("cnn defaults: base=%v payload=%d evalEvery=%d", opts.Compute.Base, opts.PayloadBytes, opts.EvalEvery)

@@ -15,9 +15,9 @@
 #   3. every `DESIGN.md §x.y` cited from a tracked *.go file is the
 #      number of a DESIGN.md heading, so renumbering a section cannot
 #      leave source comments pointing at another one;
-#   4. every protocol mode the spec grammar accepts (the "known:" list
-#      of internal/scenario's unknown-mode error) is named in README.md
-#      as `mode`, so a new mode cannot land undocumented;
+#   4. every protocol mode the spec grammar accepts (the modeNames
+#      table of internal/core/config.go) is named in README.md as
+#      `mode`, so a new mode cannot land undocumented;
 #   5. every camelCase or PascalCase identifier with an inner capital
 #      (`applyDeathsLocked`, `CloseSends`) inside a backticked span on a
 #      DESIGN.md line occurs in a tracked *.go file, so deleting or
@@ -25,7 +25,10 @@
 #      prose naming it. Markdown table rows are exempt: they record
 #      before/after measurements of code that has since been deleted.
 #   6. DESIGN.md and BENCH.md stay within a byte ceiling: a document
-#      grows only if something else in it is cut.
+#      grows only if something else in it is cut;
+#   7. every `-flag` in the flag column of DESIGN.md §5.0's knob table
+#      is registered by some command under cmd/, so deleting a flag
+#      cannot leave the table naming it.
 #
 # Usage: scripts/check_docs.sh    (exits non-zero listing broken refs)
 
@@ -106,9 +109,9 @@ while IFS=: read -r file line ref; do
 done < <(git ls-files '*.go' | xargs grep -noE 'DESIGN\.md §[0-9]+(\.[0-9]+[a-z]?)?')
 
 # --- 4. protocol modes named in README.md ----------------------------
-modes=$(grep -oE 'unknown protocol mode %q \(known: [^)]*\)' internal/scenario/scenario.go |
-        sed -E 's/.*known: ([^)]*)\)/\1/; s/,/ /g')
-[ -z "$modes" ] && note "MODE LIST: no \"known:\" mode list found in internal/scenario/scenario.go"
+modes=$(awk '/^var modeNames = /{ on = 1; next } on && /^}/{ on = 0 } on' internal/core/config.go |
+        grep -oE '"[^"]+"' | tr -d '"' || true)
+[ -z "$modes" ] && note "MODE LIST: no modeNames table found in internal/core/config.go"
 for mode in $modes; do
     if ! grep -qF "\`$mode\`" README.md; then
         note "MISSING MODE: README.md does not name protocol mode \`$mode\`"
@@ -125,11 +128,22 @@ for id in $(grep -vE '^[[:space:]]*\|' DESIGN.md | grep -oE '`[^`]+`' |
 done
 
 # --- 6. document size budget -----------------------------------------
-for budget in DESIGN.md:120203 BENCH.md:31506; do
+for budget in DESIGN.md:120193 BENCH.md:31506; do
     doc=${budget%%:*} max=${budget#*:}
     size=$(wc -c < "$doc")
     if [ "$size" -gt "$max" ]; then
         note "OVER BUDGET: $doc is $size bytes, over its $max-byte ceiling: cut before adding"
+    fi
+done
+
+# --- 7. flags named in DESIGN.md §5.0's knob table -------------------
+flags=$(awk '/^### §5\.0 /{ on = 1; next } /^#/{ on = 0 } on && /^\|/' DESIGN.md |
+        awk -F'|' '{ print $3 }' | grep -oE '(^|[ `])-[a-z][a-z0-9-]*' |
+        sed -E 's/^[ `]//' | sort -u || true)
+[ -z "$flags" ] && note "FLAG TABLE: no flags found in DESIGN.md §5.0's knob table"
+for fl in $flags; do
+    if ! git grep -qF "(\"${fl#-}\"," -- 'cmd/*.go' ':!*_test.go'; then
+        note "STALE FLAG: DESIGN.md §5.0 names $fl, which no command under cmd/ registers"
     fi
 done
 

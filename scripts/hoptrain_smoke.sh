@@ -14,7 +14,7 @@ SPEC=examples/scenarios/smoke-ring4.json
 # The flag spelling of $SPEC. -deadline 0 because the spec has none and
 # hoptrain's built-in default does.
 FLAGS=(-workload quadratic -graph ring -workers 4 -machines 1
-    -maxig 3 -backup 1 -compress float32 -iters 60 -seed 7 -deadline 0)
+    -maxig 3 -backup 1 -send-check -compress float32 -iters 60 -seed 7 -deadline 0)
 
 WORKDIR="$(mktemp -d)"
 trap 'rm -rf "$WORKDIR"' EXIT
