@@ -9,8 +9,7 @@ package core
 // the compute plane, and the parameter server also runs on live TCP.
 
 import (
-	"math/rand"
-
+	"hop/internal/seeded"
 	"hop/internal/tensor"
 )
 
@@ -60,7 +59,7 @@ func (p *Protocol) initADPSGD() {
 			p.initiatorsIn++
 		}
 	}
-	p.pick = rand.New(rand.NewSource(p.cfg.Seed + int64(p.id)*7919 + 31))
+	p.pick = seeded.New(p.cfg.Seed + int64(p.id)*7919 + 31)
 }
 
 // iterADPSGD is one AD-PSGD iteration: serve the averaging requests

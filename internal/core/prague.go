@@ -26,6 +26,8 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+
+	"hop/internal/seeded"
 )
 
 // PragueConfig configures the Prague partial all-reduce protocol
@@ -76,29 +78,43 @@ const pragueStepStride = 1_000_003
 // sorted ascending so group renderings — and therefore decision
 // traces — are canonical.
 func PragueGroups(seed int64, step, n, size int) [][]int {
-	rng := rand.New(rand.NewSource(seed + int64(step)*pragueStepStride))
-	perm := rng.Perm(n)
+	perm := praguePerm(rand.New(new(seeded.Source)), seed, step, n)
 	groups := make([][]int, 0, (n+size-1)/size)
 	for i := 0; i < n; i += size {
-		end := i + size
-		if end > n {
-			end = n
-		}
-		g := append([]int(nil), perm[i:end]...)
-		sort.Ints(g)
-		groups = append(groups, g)
+		groups = append(groups, sortedBlock(perm, i, size))
 	}
 	return groups
 }
 
-// PragueGroupOf returns the group containing worker w at step.
+// PragueGroupOf returns the group containing worker w at step: the
+// PragueGroups group that holds w.
 func PragueGroupOf(seed int64, step, n, size, w int) []int {
-	for _, g := range PragueGroups(seed, step, n, size) {
-		if containsInt(g, w) {
-			return g
+	return pragueGroupOf(rand.New(new(seeded.Source)), seed, step, n, size, w)
+}
+
+// pragueGroupOf is PragueGroupOf drawing from rng, which it reseeds in
+// place: it finds w in the step's permutation and sorts only w's block.
+func pragueGroupOf(rng *rand.Rand, seed int64, step, n, size, w int) []int {
+	perm := praguePerm(rng, seed, step, n)
+	for i, v := range perm {
+		if v == w {
+			return sortedBlock(perm, i-i%size, size)
 		}
 	}
 	panic(fmt.Sprintf("core: worker %d not in any prague group (n=%d)", w, n))
+}
+
+// praguePerm reseeds rng for step and draws the step's permutation.
+func praguePerm(rng *rand.Rand, seed int64, step, n int) []int {
+	rng.Seed(seed + int64(step)*pragueStepStride)
+	return rng.Perm(n)
+}
+
+// sortedBlock returns a sorted copy of the group of perm starting at i.
+func sortedBlock(perm []int, i, size int) []int {
+	g := append([]int(nil), perm[i:min(i+size, len(perm))]...)
+	sort.Ints(g)
+	return g
 }
 
 // groupQuorum is the reduce requirement of a Prague step: the live

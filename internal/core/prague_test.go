@@ -69,14 +69,20 @@ func TestPragueGroupsDeterministic(t *testing.T) {
 	}
 }
 
+// TestPragueGroupOfConsistent pins PragueGroupOf, which sorts only the
+// caller's block of the step's permutation, to the full partition.
 func TestPragueGroupOfConsistent(t *testing.T) {
-	const seed, n, size = 513, 8, 3
-	for step := 0; step < 30; step++ {
-		groups := PragueGroups(seed, step, n, size)
-		for _, g := range groups {
-			for _, w := range g {
-				if got := PragueGroupOf(seed, step, n, size, w); !reflect.DeepEqual(got, g) {
-					t.Fatalf("step %d worker %d: GroupOf %v, partition has %v", step, w, got, g)
+	const seed = 513
+	for n := 2; n <= 12; n++ {
+		for size := 2; size <= n; size++ {
+			for step := 0; step < 64; step++ {
+				for _, g := range PragueGroups(seed, step, n, size) {
+					for _, w := range g {
+						if got := PragueGroupOf(seed, step, n, size, w); !reflect.DeepEqual(got, g) {
+							t.Fatalf("n=%d size=%d step=%d worker %d: GroupOf %v, partition has %v",
+								n, size, step, w, got, g)
+						}
+					}
 				}
 			}
 		}

@@ -39,6 +39,7 @@ import (
 	"time"
 
 	"hop/internal/model"
+	"hop/internal/seeded"
 	"hop/internal/tensor"
 )
 
@@ -180,8 +181,10 @@ type Protocol struct {
 	loss      float64
 
 	// group is this step's Prague group (prague.go), set at the top of
-	// each iteration; nil in every other mode.
-	group []int
+	// each iteration from pragueRng, reseeded in place every step; both
+	// nil in every other mode.
+	group     []int
+	pragueRng *rand.Rand
 
 	// crashIter is this worker's scheduled halt (0 = none).
 	crashIter int
@@ -232,12 +235,15 @@ func NewProtocol(cfg Config, id int, t model.Trainer, mon Monitor, rt Runtime, t
 		acks:    NewAckTracker(mon),
 		in:      cfg.Graph.In(id),
 		out:     cfg.Graph.Out(id),
-		rng:     rand.New(rand.NewSource(cfg.Seed + int64(id)*7919 + 1)),
+		rng:     seeded.New(cfg.Seed + int64(id)*7919 + 1),
 		trace:   tr,
 	}
 	p.alloc, _ = rt.(ParamsAllocator)
 	p.computeFn = func() { p.grads, p.loss = p.trainer.ComputeGrad(p.rng) }
 	p.gnbrs = cfg.ProtocolPeers(id)
+	if cfg.Prague != nil {
+		p.pragueRng = rand.New(new(seeded.Source))
+	}
 	if cfg.Mode == ModePrague {
 		// The live neighbor views — which elastic membership filters —
 		// cover every peer a Prague group may name.
@@ -469,7 +475,7 @@ func (p *Protocol) iterate(k int) {
 	notifyAck := p.cfg.Mode == ModeNotifyAck
 	serial := p.cfg.Serial || notifyAck
 	if pc := p.cfg.Prague; pc != nil {
-		p.group = PragueGroupOf(pc.Seed, k, p.cfg.Graph.N(), pc.GroupSize, p.id)
+		p.group = pragueGroupOf(p.pragueRng, pc.Seed, k, p.cfg.Graph.N(), pc.GroupSize, p.id)
 		p.note(TraceEvent{Kind: TraceGroup, Iter: k, Members: p.group})
 	}
 	if serial {

@@ -28,6 +28,8 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+
+	"hop/internal/seeded"
 )
 
 // ImageBatch is a batch of dense image samples with integer labels.
@@ -49,7 +51,7 @@ type Images struct {
 // NewImages creates a dataset of classes Gaussian prototypes over
 // C×H×W images with the given per-pixel noise level.
 func NewImages(c, h, w, classes int, noise float64, seed int64) *Images {
-	rng := rand.New(rand.NewSource(seed))
+	rng := seeded.New(seed)
 	d := &Images{C: c, H: h, W: w, Classes: classes, noise: noise}
 	size := c * h * w
 	d.prototypes = make([][]float64, classes)
@@ -157,7 +159,7 @@ func NewWebspam(features, nnz int, flip float64, seed int64) *Webspam {
 	if !(flip >= 0 && flip <= 1) {
 		panic(fmt.Sprintf("data: NewWebspam: label-flip probability %g outside [0, 1]", flip))
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := seeded.New(seed)
 	d := &Webspam{Features: features, nnz: nnz, flip: flip}
 	d.truth = make([]float64, features)
 	for i := range d.truth {

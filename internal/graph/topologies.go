@@ -2,7 +2,8 @@ package graph
 
 import (
 	"fmt"
-	"math/rand"
+
+	"hop/internal/seeded"
 )
 
 // Ring returns the bidirectional ring of Figure 11(a): worker i is
@@ -274,7 +275,7 @@ func Expander(n, degree int, seed int64) *Graph {
 	}
 	layers := (degree - 2) / 2
 	for l := 0; l < layers; l++ {
-		rng := rand.New(rand.NewSource(seed + int64(l)*15485863 + 3))
+		rng := seeded.New(seed + int64(l)*15485863 + 3)
 		for i, j := range rng.Perm(n) {
 			if i != j {
 				g.AddBiEdge(i, j)

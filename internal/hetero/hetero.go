@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"math/rand"
 	"time"
+
+	"hop/internal/seeded"
 )
 
 // Slowdown yields a multiplicative compute-time factor (≥1) for worker
@@ -100,17 +102,17 @@ func WorkerRNG(seed int64, w int) *rand.Rand {
 	return rand.New(&lazySource{seed: seed + int64(w)*104729 + 11})
 }
 
-// lazySource is rand.NewSource(seed), created on the first draw.
-// Seeding a math/rand source costs as much as thousands of draws, and
-// a cluster holds one slowdown RNG per worker.
+// lazySource is seeded.NewSource(seed), created on the first draw.
+// A source is 4.9 KB of state and seeding it costs about a thousand
+// draws, and a cluster holds one slowdown RNG per worker.
 type lazySource struct {
 	seed int64
-	src  rand.Source64
+	src  *seeded.Source
 }
 
-func (s *lazySource) source() rand.Source64 {
+func (s *lazySource) source() *seeded.Source {
 	if s.src == nil {
-		s.src = rand.NewSource(s.seed).(rand.Source64)
+		s.src = seeded.NewSource(s.seed)
 	}
 	return s.src
 }

@@ -14,6 +14,7 @@ import (
 	"hop/internal/data"
 	"hop/internal/nn"
 	"hop/internal/opt"
+	"hop/internal/seeded"
 	"hop/internal/svm"
 )
 
@@ -86,9 +87,9 @@ type CNN struct {
 func NewCNN(cfg CNNConfig) *CNN {
 	ds := data.NewImages(cfg.Channels, cfg.Height, cfg.Width, cfg.Classes, cfg.Noise, cfg.Seed)
 	net := nn.MiniVGG(nn.Shape{C: cfg.Channels, H: cfg.Height, W: cfg.Width}, cfg.Classes)
-	initRng := rand.New(rand.NewSource(cfg.Seed + 1000))
+	initRng := seeded.New(cfg.Seed + 1000)
 	net.Init(initRng)
-	evalRng := rand.New(rand.NewSource(cfg.Seed + 2000))
+	evalRng := seeded.New(cfg.Seed + 2000)
 	return &CNN{
 		cfg:  cfg,
 		net:  net,
@@ -175,7 +176,7 @@ type SVM struct {
 // NewSVM builds the SVM workload.
 func NewSVM(cfg SVMConfig) *SVM {
 	ds := data.NewWebspam(cfg.Features, cfg.NNZ, cfg.Flip, cfg.Seed)
-	evalRng := rand.New(rand.NewSource(cfg.Seed + 2000))
+	evalRng := seeded.New(cfg.Seed + 2000)
 	return &SVM{
 		cfg:   cfg,
 		m:     svm.New(cfg.Features),

@@ -17,6 +17,8 @@ package netsim
 import (
 	"math/rand"
 	"time"
+
+	"hop/internal/seeded"
 )
 
 // linkRNG returns the ordered link's private RNG, creating it on first
@@ -27,7 +29,7 @@ func (f *Fabric) linkRNG(src, dst int) *rand.Rand {
 	r, ok := f.chaosRNG[key]
 	if !ok {
 		c := f.cfg.Chaos
-		r = rand.New(rand.NewSource(c.Seed + int64(src)*104729 + int64(dst)*15485863 + 13))
+		r = seeded.New(c.Seed + int64(src)*104729 + int64(dst)*15485863 + 13)
 		f.chaosRNG[key] = r
 	}
 	return r

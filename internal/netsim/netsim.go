@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"hop/internal/chaos"
+	"hop/internal/seeded"
 	"hop/internal/sim"
 )
 
@@ -249,7 +250,7 @@ func New(k *sim.Kernel, cfg Config, workers int, placement []int) *Fabric {
 	if b := cfg.Burst; b != nil {
 		f.bursts = make([]*burstState, machines)
 		for m := 0; m < machines; m++ {
-			f.bursts[m] = &burstState{rng: rand.New(rand.NewSource(b.Seed + int64(m)*15485863 + 7))}
+			f.bursts[m] = &burstState{rng: seeded.New(b.Seed + int64(m)*15485863 + 7)}
 		}
 	}
 	return f

@@ -9,6 +9,8 @@ package transport
 import (
 	"math/rand"
 	"time"
+
+	"hop/internal/seeded"
 )
 
 // BackoffConfig tunes a Backoff. The zero value uses the defaults
@@ -42,7 +44,7 @@ func NewBackoff(cfg BackoffConfig) *Backoff {
 	if cfg.Max < cfg.Initial {
 		cfg.Max = cfg.Initial
 	}
-	return &Backoff{max: cfg.Max, cur: cfg.Initial, rng: rand.New(rand.NewSource(time.Now().UnixNano()))}
+	return &Backoff{max: cfg.Max, cur: cfg.Initial, rng: seeded.New(time.Now().UnixNano())}
 }
 
 // Next returns the delay to sleep before the next attempt and advances

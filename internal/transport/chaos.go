@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"hop/internal/chaos"
+	"hop/internal/seeded"
 )
 
 // maxDelay caps the pre-write delay a reordered frame waits.
@@ -55,7 +56,7 @@ func newChaosState(cfg chaos.Config, st *Stats) *chaosState {
 		seed = time.Now().UnixNano()
 	}
 	cfg.Partitions = append([]chaos.Partition(nil), cfg.Partitions...)
-	return &chaosState{cfg: cfg, st: st, rng: rand.New(rand.NewSource(seed))}
+	return &chaosState{cfg: cfg, st: st, rng: seeded.New(seed)}
 }
 
 // filter passes one batch — the control frames in ctl and, with update
