@@ -252,6 +252,54 @@ func TestSkippingIterationsUnblocksStraggler(t *testing.T) {
 	}
 }
 
+// TestSkipJumpStopsAtMaxIter: the 6× straggler of a bounded skip run
+// jumps by max_ig until its neighbours finish, then its last jump lands
+// on MaxIter (8 → 10): the least lead is bounded by the neighbours'
+// MaxIter. No jump passes MaxIter, the run ends without deadlock, and
+// each worker's IterationsSkipped is the sum of next − k − 1 over its
+// traced jumps.
+func TestSkipJumpStopsAtMaxIter(t *testing.T) {
+	const n, maxIter = 8, 10
+	opts := baseOptions(graph.RingBased(n), maxIter)
+	opts.Core.Trainers = frozenTrainers(n)
+	opts.Core.MaxIG = 4
+	opts.Core.Backup = 1
+	opts.Core.SendCheck = true
+	opts.Core.MaxJump = 10
+	opts.Compute.Slow = hetero.Deterministic{Factors: map[int]float64{0: 6}}
+	opts.Core.Tracers = make([]*core.Trace, n)
+	for i := range opts.Core.Tracers {
+		opts.Core.Tracers[i] = core.NewTrace()
+	}
+	res, err := Run(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Deadlock != nil {
+		t.Fatalf("deadlock: %v", res.Deadlock)
+	}
+	last := false
+	for w, tr := range opts.Core.Tracers {
+		skipped := 0
+		for _, e := range tr.Events() {
+			if e.Kind != core.TraceJump {
+				continue
+			}
+			if e.Iter > maxIter {
+				t.Errorf("worker %d jumped %d -> %d, past MaxIter %d", w, e.From, e.Iter, maxIter)
+			}
+			last = last || e.Iter == maxIter && e.Iter-e.From < opts.Core.MaxIG
+			skipped += e.Iter - e.From - 1
+		}
+		if got := res.Engine.Worker(w).Stats().IterationsSkipped; got != skipped {
+			t.Errorf("worker %d: IterationsSkipped = %d, traced jumps skip %d", w, got, skipped)
+		}
+	}
+	if !last {
+		t.Error("no jump landed on MaxIter short of max_ig: the run lost its last-iterations case")
+	}
+}
+
 // TestNotifyAckGapBound: NOTIFY-ACK keeps adjacent gaps within 2 in
 // both directions (§3.3) and still converges.
 func TestNotifyAckGapBound(t *testing.T) {

@@ -52,7 +52,7 @@ func stepAllocCost(t *testing.T, n int) float64 {
 // would show up as a ~16x ratio. Beside the ratio an absolute ceiling:
 // a steady-state step allocates its parameter snapshot and, amortized,
 // the probe worker's loss series (measured 1.0); a closure per
-// message, a timer per sleep and a queue array per slot would each add
+// message, a timer per sleep and a queue array per iteration would each add
 // one or more, so 5 catches any of them coming back.
 func TestStepAllocsIndependentOfClusterSize(t *testing.T) {
 	if testing.Short() {

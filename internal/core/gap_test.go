@@ -207,22 +207,6 @@ func TestModeString(t *testing.T) {
 	}
 }
 
-func TestNumSlots(t *testing.T) {
-	g := graph.Ring(8) // diameter 4
-	c := Config{Graph: g, MaxIG: 3}
-	if got := c.numSlots(); got != 4 {
-		t.Errorf("with tokens numSlots = %d, want 4", got)
-	}
-	c = Config{Graph: g}
-	if got := c.numSlots(); got != 5 {
-		t.Errorf("standard numSlots = %d, want diameter+1 = 5", got)
-	}
-	c = Config{Graph: g, Staleness: 2}
-	if got := c.numSlots(); got != 13 {
-		t.Errorf("staleness numSlots = %d, want 13", got)
-	}
-}
-
 // BenchmarkGapAdvance measures one Advance on a ring (DESIGN.md
 // §10.2): its cost does not grow with n.
 func BenchmarkGapAdvance(b *testing.B) {

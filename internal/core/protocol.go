@@ -231,7 +231,7 @@ func NewProtocol(cfg Config, id int, t model.Trainer, mon Monitor, rt Runtime, t
 		trainer: t,
 		rt:      rt,
 		mon:     mon,
-		queue:   NewUpdateQueue(mon, cfg.numSlots()),
+		queue:   NewUpdateQueue(mon, len(cfg.Graph.In(id))+1),
 		acks:    NewAckTracker(mon),
 		in:      cfg.Graph.In(id),
 		out:     cfg.Graph.Out(id),

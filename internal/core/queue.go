@@ -3,14 +3,13 @@ package core
 // This file implements the three queue types of the Hop design:
 //
 //   - UpdateQueue (§4.1, §6.1): a tagged FIFO of parameter updates,
-//     physically laid out as rotating per-iteration slots indexed by
-//     iter mod numSlots, exactly the multi-queue implementation of
-//     §6.1. Entries carry their full (iter, w_id) tags, so correctness
-//     never depends on the slot count — or on which backing array a
-//     slot holds: emptied slots recycle their arrays through a spare
-//     list, so memory follows occupancy and the steady state allocates
-//     nothing. The slot layout is what keeps dequeue scans O(slot) and
-//     lets stale entries be found and discarded cheaply.
+//     one array in arrival order. §6.1 lays the queue out as
+//     per-iteration queues; here every entry carries its full
+//     (iter, w_id) tag, so a dequeue filters by tag and the layout
+//     decides nothing. A dequeue at iteration k drops every entry
+//     tagged below k (§6.2(a)). Removed entries are compacted out in
+//     place, so the array grows to the peak occupancy once and the
+//     steady state allocates nothing.
 //   - TokenQueue (§4.2): a counting semaphore realizing the
 //     iteration-gap control of Theorem 2. Its Size doubles as the
 //     straggler self-identification signal of §5.
@@ -31,45 +30,21 @@ type UpdateQueue struct {
 	mon  Monitor
 	cond Cond
 
-	slots    [][]Update
-	numSlots int
-	// spare holds the (zeroed, length-0) backing arrays of emptied
-	// slots; the next Enqueue into an empty slot draws from it. out is
-	// the result buffer takeIterLocked fills.
-	spare [][]Update
-	out   []Update
+	// q holds the queued entries in arrival order; out is the result
+	// buffer takeIterLocked fills.
+	q   []Update
+	out []Update
 
-	size      int
-	highWater int // maximum total occupancy ever observed
-	slotHigh  int // maximum single-slot occupancy ever observed
+	highWater int // maximum occupancy ever observed
 	stale     int // stale entries discarded at dequeue
 }
 
-// maxQueueSlots caps the rotating-slot count. The Theorem 1 sizing
-// diameter+1 is 513 slot headers per worker on a 1024-ring, nearly all
-// of them empty at any instant; since entries are fully tagged, folding
-// iterations that far apart onto one slot changes no dequeue result,
-// only lets a stale entry be found a lap sooner.
-const maxQueueSlots = 16
-
-// NewUpdateQueue creates an update queue with the given number of
-// rotating slots (≥1), capped at maxQueueSlots. §6.1 sizes it at
-// max_ig+1 when token queues bound the gap; callers without a bound
-// may pass the graph diameter+1 per Theorem 1.
-func NewUpdateQueue(mon Monitor, numSlots int) *UpdateQueue {
-	if numSlots < 1 {
-		panic(fmt.Sprintf("core: update queue needs >=1 slot, got %d", numSlots))
-	}
-	numSlots = min(numSlots, maxQueueSlots)
-	return &UpdateQueue{
-		mon:      mon,
-		cond:     mon.NewCond(),
-		slots:    make([][]Update, numSlots),
-		numSlots: numSlots,
-	}
+// NewUpdateQueue creates an empty update queue with room for capacity
+// entries before its array first grows; a worker passes its
+// in-degree+1, one iteration's updates.
+func NewUpdateQueue(mon Monitor, capacity int) *UpdateQueue {
+	return &UpdateQueue{mon: mon, cond: mon.NewCond(), q: make([]Update, 0, capacity)}
 }
-
-func (q *UpdateQueue) slotOf(iter int) int { return iter % q.numSlots }
 
 // Enqueue pushes an update (the q.enqueue(update, iter, w_id) of
 // §4.1). Callers may invoke it from any process/goroutine; it wakes
@@ -77,59 +52,37 @@ func (q *UpdateQueue) slotOf(iter int) int { return iter % q.numSlots }
 func (q *UpdateQueue) Enqueue(u Update) {
 	q.mon.Lock()
 	defer q.mon.Unlock()
-	s := q.slotOf(u.Iter)
-	slot := q.slots[s]
-	if n := len(q.spare); slot == nil && n > 0 {
-		slot, q.spare[n-1] = q.spare[n-1], nil
-		q.spare = q.spare[:n-1]
-	}
-	slot = append(slot, u)
-	q.slots[s] = slot
-	q.size++
-	if q.size > q.highWater {
-		q.highWater = q.size
-	}
-	if n := len(slot); n > q.slotHigh {
-		q.slotHigh = n
-	}
+	q.q = append(q.q, u)
+	q.highWater = max(q.highWater, len(q.q))
 	q.cond.Broadcast()
 }
 
-// compactLocked replaces slot s by keep, the surviving entries
-// compacted in place over the slot's own array. The vacated tail is
-// zeroed so the array does not pin removed parameter vectors, and an
-// emptied slot gives its array to the spare list.
-func (q *UpdateQueue) compactLocked(s int, keep []Update) {
-	old := q.slots[s]
-	clear(old[len(keep):])
-	if old != nil && len(keep) == 0 {
-		q.spare = append(q.spare, keep)
-		keep = nil
-	}
-	q.slots[s] = keep
+// compactLocked replaces the queue by keep, the surviving entries
+// compacted in place over the queue's own array. The vacated tail is
+// zeroed so the array does not pin removed parameter vectors.
+func (q *UpdateQueue) compactLocked(keep []Update) {
+	clear(q.q[len(keep):])
+	q.q = keep
 }
 
 // countIterLocked returns how many entries tagged exactly iter are
-// queued, discarding stale entries (iter'<iter) found in the slot on
-// the way — the "stale updates are found and discarded in the dequeue
-// operation" rule of §6.2(a).
+// queued, discarding every stale entry (iter'<iter) on the way — the
+// "stale updates are found and discarded in the dequeue operation"
+// rule of §6.2(a).
 func (q *UpdateQueue) countIterLocked(iter int) int {
-	s := q.slotOf(iter)
-	keep := q.slots[s][:0]
+	keep := q.q[:0]
 	n := 0
-	for _, u := range q.slots[s] {
+	for _, u := range q.q {
 		switch {
-		case u.Iter == iter:
-			n++
-			keep = append(keep, u)
 		case u.Iter < iter:
 			q.stale++
-			q.size--
-		default: // future iteration that happens to share the slot
-			keep = append(keep, u)
+			continue
+		case u.Iter == iter:
+			n++
 		}
+		keep = append(keep, u)
 	}
-	q.compactLocked(s, keep)
+	q.compactLocked(keep)
 	return n
 }
 
@@ -161,20 +114,17 @@ func (q *UpdateQueue) takeIterLocked(need, iter int) ([]Update, bool) {
 	if q.countIterLocked(iter) < need {
 		return nil, false
 	}
-	s := q.slotOf(iter)
 	clear(q.out) // the previous result is dead: unpin its vectors
-	out := q.out[:0]
-	keep := q.slots[s][:0]
-	for _, u := range q.slots[s] {
-		if u.Iter == iter {
+	out, keep := q.out[:0], q.q[:0]
+	for _, u := range q.q {
+		if u.Iter == iter { // in arrival order: the reduce sums in this order
 			out = append(out, u)
 		} else {
 			keep = append(keep, u)
 		}
 	}
-	q.compactLocked(s, keep)
+	q.compactLocked(keep)
 	q.out = out
-	q.size -= len(out)
 	return out, true
 }
 
@@ -189,34 +139,27 @@ func (q *UpdateQueue) DrainFrom(wid int) []Update {
 
 func (q *UpdateQueue) drainFromLocked(wid int) []Update {
 	var out []Update
-	for s := range q.slots {
-		keep := q.slots[s][:0]
-		for _, u := range q.slots[s] {
-			if u.From == wid {
-				out = append(out, u)
-			} else {
-				keep = append(keep, u)
-			}
+	keep := q.q[:0]
+	for _, u := range q.q {
+		if u.From == wid {
+			out = append(out, u)
+		} else {
+			keep = append(keep, u)
 		}
-		q.compactLocked(s, keep)
 	}
-	q.size -= len(out)
+	q.compactLocked(keep)
 	return out
 }
 
 // takeFirstLocked removes and returns the oldest queued entry match
 // accepts, or reports false. Entries are matched by content, never by
 // iteration, and nothing is discarded as stale: this is AD-PSGD's
-// inbox (baselines.go), whose single slot keeps arrival order. Caller
-// holds the monitor.
+// inbox (baselines.go). Caller holds the monitor.
 func (q *UpdateQueue) takeFirstLocked(match func(Update) bool) (Update, bool) {
-	for s, slot := range q.slots {
-		for i, u := range slot {
-			if match(u) {
-				q.compactLocked(s, append(slot[:i], slot[i+1:]...))
-				q.size--
-				return u, true
-			}
+	for i, u := range q.q {
+		if match(u) {
+			q.compactLocked(append(q.q[:i], q.q[i+1:]...))
+			return u, true
 		}
 	}
 	return Update{}, false
@@ -226,7 +169,7 @@ func (q *UpdateQueue) takeFirstLocked(match func(Update) bool) (Update, bool) {
 // sender wid is queued — the guard that keeps a peer's already-arrived
 // final update consumable after its death notice lands (DESIGN.md §6).
 func (q *UpdateQueue) hasIterFromLocked(wid, iter int) bool {
-	for _, u := range q.slots[q.slotOf(iter)] {
+	for _, u := range q.q {
 		if u.From == wid && u.Iter == iter {
 			return true
 		}
@@ -239,7 +182,7 @@ func (q *UpdateQueue) hasIterFromLocked(wid, iter int) bool {
 func (q *UpdateQueue) Size() int {
 	q.mon.Lock()
 	defer q.mon.Unlock()
-	return q.size
+	return len(q.q)
 }
 
 // SizeIter returns the number of entries tagged iter.
@@ -247,7 +190,7 @@ func (q *UpdateQueue) SizeIter(iter int) int {
 	q.mon.Lock()
 	defer q.mon.Unlock()
 	n := 0
-	for _, u := range q.slots[q.slotOf(iter)] {
+	for _, u := range q.q {
 		if u.Iter == iter {
 			n++
 		}
@@ -261,13 +204,6 @@ func (q *UpdateQueue) HighWater() int {
 	q.mon.Lock()
 	defer q.mon.Unlock()
 	return q.highWater
-}
-
-// SlotHighWater returns the maximum single-slot occupancy observed.
-func (q *UpdateQueue) SlotHighWater() int {
-	q.mon.Lock()
-	defer q.mon.Unlock()
-	return q.slotHigh
 }
 
 // StaleDiscarded returns how many stale entries dequeues dropped.

@@ -1,14 +1,14 @@
 package core
 
 // queue_recycle_test.go — the memory contracts of UpdateQueue: removed
-// parameter vectors are not pinned by slot, spare or result arrays; the
+// parameter vectors are not pinned by the queue or result arrays; the
 // steady state allocates nothing; retained capacity follows occupancy,
-// not the slot count.
+// not the run length.
 
 import "testing"
 
-// retained walks every array the queue holds — slots, spares and the
-// result buffer — over its full capacity and returns the total entry
+// retained walks both arrays the queue holds — the queue and the
+// result buffer — over their full capacity and returns the total entry
 // capacity plus the number of entries beyond an array's length that
 // still reference a parameter vector.
 func (q *UpdateQueue) retained() (capacity, pinned int) {
@@ -20,35 +20,30 @@ func (q *UpdateQueue) retained() (capacity, pinned int) {
 			}
 		}
 	}
-	for _, a := range q.slots {
-		scan(a)
-	}
-	for _, a := range q.spare {
-		scan(a)
-	}
+	scan(q.q)
 	scan(q.out)
 	return capacity, pinned
 }
 
-// TestUpdateQueueCompactionUnpinsParams: after entries leave a slot —
-// dequeued, discarded as stale, or drained by sender — no backing array
-// still references their parameter vectors beyond its length.
+// TestUpdateQueueCompactionUnpinsParams: after entries leave the queue
+// — dequeued, discarded as stale, or drained by sender — no backing
+// array still references their parameter vectors beyond its length.
 func TestUpdateQueueCompactionUnpinsParams(t *testing.T) {
-	const slots, in = 4, 3
-	q := NewUpdateQueue(NewSyncMonitor(), slots)
+	const iters, in = 8, 3
+	q := NewUpdateQueue(NewSyncMonitor(), in+1)
 	check := func(when string) {
 		t.Helper()
 		if _, pinned := q.retained(); pinned != 0 {
 			t.Fatalf("%s: %d removed entries still pin their Params", when, pinned)
 		}
 	}
-	for iter := 0; iter < 2*slots; iter++ { // two laps
+	for iter := 0; iter < iters; iter++ {
 		for from := 0; from <= in; from++ {
 			q.Enqueue(upd(iter, from, float64(iter)))
 		}
 		q.Enqueue(upd(iter+1, 1, 0.5)) // a neighbor one iteration ahead
 		if iter >= 1 {
-			q.Enqueue(upd(iter-1, 2, 0.25)) // late: stale when its slot comes round
+			q.Enqueue(upd(iter-1, 2, 0.25)) // late: stale at this dequeue
 		}
 		if got := q.DequeueIterAtLeast(in+1, iter); len(got) < in+1 {
 			t.Fatalf("iter %d: dequeued %d, want >= %d", iter, len(got), in+1)
@@ -77,11 +72,10 @@ func TestUpdateQueueCompactionUnpinsParams(t *testing.T) {
 
 // TestUpdateQueueSteadyStateAllocsNothing: one iteration's traffic —
 // in-degree+1 enqueues, one dequeue — allocates nothing once the
-// recycled arrays have reached their working size, on a queue sized by
-// the Theorem 1 fallback of a 1024-ring.
+// arrays have reached their working size.
 func TestUpdateQueueSteadyStateAllocsNothing(t *testing.T) {
 	const in = 2
-	q := NewUpdateQueue(NewSyncMonitor(), 513)
+	q := NewUpdateQueue(NewSyncMonitor(), in+1)
 	params := []float64{1, 2, 3}
 	iter := 0
 	step := func() {
@@ -102,13 +96,12 @@ func TestUpdateQueueSteadyStateAllocsNothing(t *testing.T) {
 	}
 }
 
-// TestUpdateQueueRetainedCapacityBounded: ten laps over a 513-slot
-// queue leave a constant amount of entry capacity behind — what the
-// occupancy needed — where every slot once kept its own grown array.
+// TestUpdateQueueRetainedCapacityBounded: 5 130 iterations leave a
+// constant amount of entry capacity behind — what the occupancy needed.
 func TestUpdateQueueRetainedCapacityBounded(t *testing.T) {
-	const in, slots = 2, 513
-	q := NewUpdateQueue(NewSyncMonitor(), slots)
-	for iter := 0; iter < 10*slots; iter++ {
+	const in, iters = 2, 5130
+	q := NewUpdateQueue(NewSyncMonitor(), in+1)
+	for iter := 0; iter < iters; iter++ {
 		for from := 0; from <= in; from++ {
 			q.Enqueue(upd(iter, from, 1))
 		}
@@ -116,12 +109,9 @@ func TestUpdateQueueRetainedCapacityBounded(t *testing.T) {
 		q.DequeueIterAtLeast(in+1, iter)
 	}
 	capacity, _ := q.retained()
-	// Two live slots, their spares and the result buffer, each grown
-	// by doubling to at most 2·(in+2) entries; 64 is generous.
+	// The queue and the result buffer, each grown by doubling to at
+	// most 2·(in+2) entries; 64 is generous.
 	if capacity > 64 {
-		t.Errorf("queue retains capacity for %d entries after 10 laps, want a constant (<= 64)", capacity)
-	}
-	if len(q.slots) > maxQueueSlots {
-		t.Errorf("%d slot headers, want <= %d", len(q.slots), maxQueueSlots)
+		t.Errorf("queue retains capacity for %d entries after %d iterations, want a constant (<= 64)", capacity, iters)
 	}
 }

@@ -13,7 +13,7 @@ func TestUpdateQueueBasicDequeue(t *testing.T) {
 	q := NewUpdateQueue(NewSyncMonitor(), 4)
 	q.Enqueue(upd(0, 1, 1))
 	q.Enqueue(upd(0, 2, 2))
-	q.Enqueue(upd(1, 1, 3)) // future iteration, different slot
+	q.Enqueue(upd(1, 1, 3)) // future iteration
 	got := q.DequeueIterAtLeast(2, 0)
 	if len(got) != 2 {
 		t.Fatalf("got %d updates, want 2", len(got))
@@ -41,7 +41,7 @@ func TestUpdateQueueTakesExtrasBeyondNeed(t *testing.T) {
 func TestUpdateQueueDiscardsStaleOnDequeue(t *testing.T) {
 	q := NewUpdateQueue(NewSyncMonitor(), 4)
 	q.Enqueue(upd(0, 1, 1)) // will become stale
-	q.Enqueue(upd(4, 2, 2)) // same slot (4 mod 4 == 0)
+	q.Enqueue(upd(4, 2, 2))
 	got := q.DequeueIterAtLeast(1, 4)
 	if len(got) != 1 || got[0].Iter != 4 {
 		t.Fatalf("dequeue(iter=4) = %+v", got)
@@ -54,10 +54,10 @@ func TestUpdateQueueDiscardsStaleOnDequeue(t *testing.T) {
 	}
 }
 
-func TestUpdateQueueKeepsFutureSlotSharers(t *testing.T) {
+func TestUpdateQueueKeepsFutureEntries(t *testing.T) {
 	q := NewUpdateQueue(NewSyncMonitor(), 4)
-	q.Enqueue(upd(5, 1, 1)) // slot 1
-	q.Enqueue(upd(1, 2, 2)) // slot 1, the one we want
+	q.Enqueue(upd(5, 1, 1)) // queued ahead of the one we want
+	q.Enqueue(upd(1, 2, 2))
 	got := q.DequeueIterAtLeast(1, 1)
 	if len(got) != 1 || got[0].Iter != 1 {
 		t.Fatalf("dequeue(iter=1) = %+v", got)
@@ -110,6 +110,30 @@ func TestDrainFromAndWaitFrom(t *testing.T) {
 	}
 }
 
+// TestHasIterFromMatchesExactTag: the death guard asks whether one
+// sender's update of exactly one iteration is queued; that sender's
+// entries of other iterations, and other senders', do not count.
+func TestHasIterFromMatchesExactTag(t *testing.T) {
+	q := NewUpdateQueue(NewSyncMonitor(), 4)
+	q.Enqueue(upd(3, 1, 1))
+	q.Enqueue(upd(5, 1, 1))
+	q.Enqueue(upd(4, 2, 1))
+	for _, tc := range []struct {
+		wid, iter int
+		want      bool
+	}{
+		{1, 3, true}, {1, 4, false}, {1, 5, true},
+		{2, 3, false}, {2, 4, true}, {2, 5, false},
+	} {
+		q.mon.Lock()
+		got := q.hasIterFromLocked(tc.wid, tc.iter)
+		q.mon.Unlock()
+		if got != tc.want {
+			t.Errorf("hasIterFrom(%d, %d) = %v, want %v", tc.wid, tc.iter, got, tc.want)
+		}
+	}
+}
+
 func TestHighWaterTracking(t *testing.T) {
 	q := NewUpdateQueue(NewSyncMonitor(), 2)
 	for i := 0; i < 5; i++ {
@@ -118,9 +142,6 @@ func TestHighWaterTracking(t *testing.T) {
 	q.DequeueIterAtLeast(5, 0)
 	if q.HighWater() != 5 {
 		t.Errorf("high water %d, want 5", q.HighWater())
-	}
-	if q.SlotHighWater() != 5 {
-		t.Errorf("slot high water %d, want 5", q.SlotHighWater())
 	}
 	if q.Size() != 0 {
 		t.Errorf("size after drain = %d", q.Size())
@@ -178,15 +199,6 @@ func TestAckTracker(t *testing.T) {
 	if done(0, []int{1}) {
 		t.Error("a done iteration is not forgotten")
 	}
-}
-
-func TestQueuePanicsOnBadSlots(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	NewUpdateQueue(NewSyncMonitor(), 0)
 }
 
 func TestTokenQueuePanicsOnNegative(t *testing.T) {

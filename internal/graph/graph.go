@@ -37,17 +37,12 @@ type Graph struct {
 	// a uniform default placement.
 	Machine []int
 
-	// connected memoizes StronglyConnected and diam the BFS sweep
-	// behind Diameter and DiameterUpTo: every worker's protocol is
-	// validated against the graph and sizes its update queue from it,
-	// so without the memo an n-worker cluster pays n connectivity
-	// checks and n sweeps before the first simulated event fires.
-	// diam is the exact diameter when diamExact, otherwise a lower
-	// bound (a capped sweep reached depth diam). AddEdge resets both.
-	// The first call writes the memo, so it must not race another.
+	// connected memoizes StronglyConnected: every worker's protocol is
+	// validated against the graph, so without the memo an n-worker
+	// cluster pays n connectivity checks before the first simulated
+	// event fires. AddEdge resets it. The first call writes the memo, so
+	// it must not race another.
 	connected, connKnown bool
-	diam                 int
-	diamExact            bool
 }
 
 // New returns an empty graph (no edges besides implicit self-loops)
@@ -80,7 +75,7 @@ func (g *Graph) AddEdge(i, j int) {
 	}
 	g.out[i] = insertSorted(g.out[i], j)
 	g.in[j] = insertSorted(g.in[j], i)
-	g.connKnown, g.diam, g.diamExact = false, 0, false
+	g.connKnown = false
 }
 
 // AddBiEdge inserts edges in both directions between i and j.
@@ -185,33 +180,14 @@ func (g *Graph) reachesAll(adj [][]int) bool {
 }
 
 // Diameter returns the longest shortest-path length over all ordered
-// pairs, or -1 if the graph is not strongly connected: DiameterUpTo
-// with a limit no path reaches.
-func (g *Graph) Diameter() int { return g.DiameterUpTo(g.n) }
-
-// DiameterUpTo returns min(Diameter(), limit) for limit ≥ 1, or -1 if
-// the graph is not strongly connected. Its BFS sweep stops as soon as
-// one source reaches depth limit: on a graph where every worker is
-// that far from some other (a ring, a torus), the first source's
-// shallow BFS replaces the all-pairs sweep. The result is memoized
-// until the next AddEdge.
-func (g *Graph) DiameterUpTo(limit int) int {
+// pairs, or -1 if the graph is not strongly connected. It runs a BFS
+// from every source; a source's BFS ends once it has reached every
+// worker, and it resets only the distances it set, so each source
+// costs O(edges scanned), not O(n).
+func (g *Graph) Diameter() int {
 	if !g.StronglyConnected() {
 		return -1
 	}
-	if !g.diamExact && g.diam < limit {
-		g.diam = g.sweep(limit)
-		g.diamExact = g.diam < limit
-	}
-	return min(g.diam, limit)
-}
-
-// sweep runs a BFS from every source and returns the largest depth any
-// reaches, or limit as soon as one reaches it. A source's BFS ends once
-// it has reached every worker, and it resets only the distances it
-// set, so on a strongly connected graph each source costs O(edges
-// scanned), not O(n).
-func (g *Graph) sweep(limit int) int {
 	d := make([]int, g.n)
 	for i := range d {
 		d[i] = -1
@@ -229,9 +205,6 @@ func (g *Graph) sweep(limit int) int {
 					continue
 				}
 				d[w] = d[v] + 1
-				if d[w] >= limit {
-					return limit
-				}
 				deepest = max(deepest, d[w])
 				queue = append(queue, w)
 				if len(queue) == g.n {

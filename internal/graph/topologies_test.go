@@ -75,13 +75,9 @@ func TestTopologyProperties(t *testing.T) {
 					t.Fatalf("placement differs at node %d", i)
 				}
 			}
-			// The cached diameter must match a fresh all-pairs result.
-			want := oracleDiameter(g)
-			if got := g.Diameter(); got != want {
+			// The diameter must match the all-pairs result.
+			if got, want := g.Diameter(), oracleDiameter(g); got != want {
 				t.Errorf("Diameter = %d, all-pairs max = %d", got, want)
-			}
-			if got := g.Diameter(); got != want { // cached second call
-				t.Errorf("cached Diameter = %d, want %d", got, want)
 			}
 		})
 	}
@@ -173,7 +169,7 @@ func TestTopologyPanics(t *testing.T) {
 }
 
 // TestDiameterCacheInvalidation: adding an edge after a Diameter call
-// must invalidate the cached value.
+// changes the next answer.
 func TestDiameterCacheInvalidation(t *testing.T) {
 	g := Chain(8)
 	if d := g.Diameter(); d != 7 {
@@ -185,55 +181,37 @@ func TestDiameterCacheInvalidation(t *testing.T) {
 	}
 }
 
-// TestDiameterUpTo: the capped sweep answers min(diameter, limit) at
-// every limit, whether it starts fresh or from what an earlier limit
-// left memoized (ascending and descending), and -1 without strong
-// connectivity.
-func TestDiameterUpTo(t *testing.T) {
+// TestDiameterMatchesOracle: the BFS sweep equals the all-pairs
+// oracle on graphs of every shape, including a disconnected one (-1).
+func TestDiameterMatchesOracle(t *testing.T) {
 	disc := New("disc", 4)
 	disc.AddBiEdge(0, 1)
 	disc.AddBiEdge(2, 3)
-	graphs := map[string]func() *Graph{
-		"single":    func() *Graph { return New("one", 1) },
-		"ring-40":   func() *Graph { return Ring(40) },
-		"dring-9":   func() *Graph { return DirectedRing(9) },
-		"chain-12":  func() *Graph { return Chain(12) },
-		"complete":  func() *Graph { return Complete(7) },
-		"star":      func() *Graph { return Star(9) },
-		"expander":  func() *Graph { return Expander(64, 4, 600) },
-		"hier-ring": func() *Graph { return HierRing(32, 4) },
-		"disc":      func() *Graph { return disc },
+	graphs := map[string]*Graph{
+		"single":    New("one", 1),
+		"ring-40":   Ring(40),
+		"dring-9":   DirectedRing(9),
+		"chain-12":  Chain(12),
+		"complete":  Complete(7),
+		"star":      Star(9),
+		"expander":  Expander(64, 4, 600),
+		"hier-ring": HierRing(32, 4),
+		"disc":      disc,
 	}
-	for name, build := range graphs {
-		want := oracleDiameter(build())
-		top := want + 3
-		asc, desc := build(), build()
-		for limit := 1; limit <= top; limit++ {
-			exp := min(want, limit)
-			if got := build().DiameterUpTo(limit); got != exp {
-				t.Errorf("%s: fresh DiameterUpTo(%d) = %d, want %d", name, limit, got, exp)
-			}
-			if got := asc.DiameterUpTo(limit); got != exp {
-				t.Errorf("%s: ascending DiameterUpTo(%d) = %d, want %d", name, limit, got, exp)
-			}
-			dl := top + 1 - limit
-			if got := desc.DiameterUpTo(dl); got != min(want, dl) {
-				t.Errorf("%s: descending DiameterUpTo(%d) = %d, want %d", name, dl, got, min(want, dl))
-			}
-		}
-		if got := asc.Diameter(); got != want {
-			t.Errorf("%s: Diameter after capped calls = %d, want %d", name, got, want)
+	for name, g := range graphs {
+		if got, want := g.Diameter(), oracleDiameter(g); got != want {
+			t.Errorf("%s: Diameter = %d, oracle %d", name, got, want)
 		}
 	}
 }
 
 // TestConnectivityCacheInvalidation: the memoized verdict follows
-// AddEdge, as the diameter does.
+// AddEdge.
 func TestConnectivityCacheInvalidation(t *testing.T) {
 	g := New("path", 3)
 	g.AddEdge(0, 1)
 	g.AddEdge(1, 2)
-	if g.StronglyConnected() || g.DiameterUpTo(1) != -1 {
+	if g.StronglyConnected() || g.Diameter() != -1 {
 		t.Fatal("directed path reported strongly connected")
 	}
 	g.AddEdge(2, 0)

@@ -23,7 +23,7 @@ package tensor
 import "sync"
 
 // maxPooledVecs bounds the free list. Live steady state needs roughly
-// (queue slots + in-flight decodes) buffers per worker; 256 covers any
+// (queued updates + in-flight decodes) buffers per worker; 256 covers any
 // realistic single-process cluster while capping retained memory.
 const maxPooledVecs = 256
 

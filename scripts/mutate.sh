@@ -6,10 +6,12 @@
 # attacks, separated by tabs; blank lines and lines starting with # are
 # skipped. The old string must occur exactly once in the file. Rows are
 # applied one at a time to a copy of the tracked tree under $TMPDIR.
-# Each mutant runs `go test -short` over the mutated file's package plus
-# the protocol's six packages (core, cluster, scenario, experiments,
-# live and the root package) and prints one line — a test that hangs
-# past the timeout (a mutant can wedge a live cluster) kills it too:
+# Each mutant runs `go test` over the mutated file's package plus the
+# protocol's six packages (core, cluster, scenario, experiments, live
+# and the root package) and prints one line — a test that hangs past
+# the timeout (a mutant can wedge a live cluster) kills it too. There is
+# no -short: it saves about a second a mutant, and it leaves out the
+# golden runs that jump (§5):
 #
 #   killed    <file>: <old> -> <new>  by <first failing test>
 #   survived  <file>: <old> -> <new>  (<claim>)
@@ -53,7 +55,7 @@ while IFS=$'\t' read -r file old new claim; do
     printf '%s' "${src/"$old"/"$new"}" > "$work/$file"
     pkg=./$(dirname "$file")
     [ "$pkg" = ./. ] && pkg=.
-    if out=$(cd "$work" && go test -short -count=1 -timeout 120s "$pkg" "${pkgs[@]}" 2>&1); then
+    if out=$(cd "$work" && go test -count=1 -timeout 120s "$pkg" "${pkgs[@]}" 2>&1); then
         echo "survived  $row  ($claim)"
         survived=$((survived + 1))
     elif grep -qE '\[(build|setup) failed\]' <<< "$out"; then
