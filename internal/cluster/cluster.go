@@ -12,8 +12,10 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
+	"testing"
 	"time"
 
 	"hop/internal/core"
@@ -108,6 +110,14 @@ type Host struct {
 	steps   []gradStep
 	payload int
 
+	// free is the cluster's parameter-buffer free list (worker.GetParams,
+	// worker.RecycleParams). Only the scheduling plane, one simulated
+	// process or kernel callback at a time, touches it, so it needs no
+	// lock; it grows to the peak number of buffers in use and stays.
+	// Under test a recycled buffer is filled with NaN, so a read after
+	// release shows up as a NaN loss.
+	free [][]float64
+
 	offloaded int // Result.StepsOffloaded
 }
 
@@ -173,8 +183,15 @@ func (r *worker) EndCompute(t time.Duration) {
 // notices (Run) keep the fault-free Deliver — chaos models a lossy
 // data plane, not a lying failure detector. Messages travel as typed
 // records (src is always u.From) and arrive at deliver, so a send
-// allocates no closure.
+// allocates no closure. Like the live transport, Send is done with
+// u.Params when it returns: the message carries its own copy, from the
+// free list, which the receiving protocol owns and recycles.
 func (r *worker) Send(dst int, u core.Update) {
+	if u.Params != nil {
+		buf := r.GetParams(len(u.Params))
+		copy(buf, u.Params)
+		u.Params = buf
+	}
 	r.h.fabric.DeliverData(r.h.payload, netsim.Message{Dst: dst, From: r.w, Iter: u.Iter, Reply: u.Reply, Params: u.Params})
 }
 
@@ -189,6 +206,30 @@ func (r *worker) SendAck(dst, iter int) {
 // updates).
 func (r *worker) GrantTokens(dst, iter, count int) {
 	r.h.protos[dst].DeliverTokens(r.w, count)
+}
+
+// GetParams pops a buffer off the cluster's free list, or makes one.
+func (r *worker) GetParams(n int) []float64 {
+	h := r.h
+	if last := len(h.free) - 1; last >= 0 && cap(h.free[last]) >= n {
+		v := h.free[last]
+		h.free = h.free[:last]
+		return v[:n]
+	}
+	return make([]float64, n)
+}
+
+// RecycleParams pushes v onto the cluster's free list.
+func (r *worker) RecycleParams(v []float64) {
+	if cap(v) == 0 {
+		return
+	}
+	if testing.Testing() {
+		for i := range v {
+			v[i] = math.NaN()
+		}
+	}
+	r.h.free = append(r.h.free, v)
 }
 
 // PeerIter is exact in simulation: the global gap tracker knows every

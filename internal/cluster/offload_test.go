@@ -177,3 +177,46 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// slowTrainer stretches each gradient step past tensor.StepOffloadMin,
+// so every step after a worker's first runs on the compute pool.
+type slowTrainer struct{ model.Trainer }
+
+func (s slowTrainer) ComputeGrad(rng *rand.Rand) ([]float64, float64) {
+	time.Sleep(2 * tensor.StepOffloadMin)
+	return s.Trainer.ComputeGrad(rng)
+}
+
+func (s slowTrainer) Clone() model.Trainer { return slowTrainer{s.Trainer.Clone()} }
+
+// TestFreeListBesideTheComputePlane: the host's parameter free list is
+// the scheduling plane's alone, while offloaded gradient steps read
+// their workers' parameters on the pool's goroutines; -race checks the
+// two never share a buffer. Under test a recycled buffer is filled with
+// NaN, so an update read after its release, or a step reading a buffer
+// the list handed out again, would leave NaN in the parameters.
+func TestFreeListBesideTheComputePlane(t *testing.T) {
+	defer tensor.SetWorkers(0)
+	tensor.SetWorkers(4)
+	opts := baseOptions(graph.RingBased(8), 12)
+	opts.Trainer = slowTrainer{quadTrainer(4)}
+	opts.Compute.Slow = hetero.Random{Fact: 6, Prob: 1.0 / 8}
+	opts.Core.MaxIG, opts.Core.Backup, opts.Core.SendCheck = 4, 1, true
+	res, err := Run(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.StepsOffloaded == 0 {
+		t.Fatal("no step was offloaded; the test exercises nothing")
+	}
+	if res.Engine.Stats().StaleDiscarded == 0 {
+		t.Error("no stale discards; their recycling went untested")
+	}
+	for w, tr := range res.Trainers {
+		for i, v := range tr.Params() {
+			if math.IsNaN(v) {
+				t.Fatalf("worker %d param %d is NaN: a recycled buffer was read", w, i)
+			}
+		}
+	}
+}

@@ -14,6 +14,7 @@ import (
 
 	"hop/internal/graph"
 	"hop/internal/model"
+	"hop/internal/tensor"
 )
 
 // echoBlockAt is the iteration whose wait the missing peer starves.
@@ -44,7 +45,7 @@ func (r *echoRuntime) EndCompute(time.Duration) {}
 
 func (r *echoRuntime) Send(dst int, u Update) {
 	if !r.stopped("update", dst, u.Iter) {
-		r.p.Deliver(Update{Params: u.Params, Iter: u.Iter, From: dst, Reply: r.p.cfg.Mode == ModeADPSGD})
+		r.p.Deliver(Update{Params: tensor.Clone(u.Params), Iter: u.Iter, From: dst, Reply: r.p.cfg.Mode == ModeADPSGD})
 	}
 }
 
@@ -66,6 +67,10 @@ func (r *echoRuntime) GrantTokens(dst, iter, count int) {
 func (r *echoRuntime) PeerIter(int) int { return 0 }
 
 func (r *echoRuntime) Observe(TraceEvent) {}
+
+func (r *echoRuntime) GetParams(n int) []float64 { return make([]float64, n) }
+
+func (r *echoRuntime) RecycleParams([]float64) {}
 
 // blockingMonitor is a SyncMonitor whose conds signal blocked as a Wait
 // begins. The waiter holds the monitor until it parks, so Abort or

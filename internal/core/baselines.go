@@ -26,16 +26,15 @@ func (p *Protocol) iterPS(k int) {
 		p.meanInto(mean, nil, ups)
 		p.recycleUpdates(ups)
 		p.trainer.Apply(mean)
-		snap := tensor.Clone(x)
 		for _, j := range p.out {
-			p.rt.Send(j, Update{Params: snap, Iter: k, From: p.id})
+			p.rt.Send(j, Update{Params: x, Iter: k, From: p.id})
 		}
 		return
 	}
 	start := p.rt.Now()
 	d := p.rt.Compute(k, p.computeFn)
 	p.rt.EndCompute(start + d)
-	p.rt.Send(0, Update{Params: tensor.Clone(p.grads), Iter: k, From: p.id})
+	p.rt.Send(0, Update{Params: p.grads, Iter: k, From: p.id})
 	ups := p.recv(k, 0) // the server's parameters, its one in-neighbor
 	tensor.Copy(x, ups[0].Params)
 	p.recycleUpdates(ups)
@@ -76,9 +75,10 @@ func (p *Protocol) iterADPSGD(k int) {
 	p.serve(false)
 	if p.initiator {
 		j := p.out[p.pick.Intn(len(p.out))]
-		p.rt.Send(j, Update{Params: tensor.Clone(x), Iter: k, From: p.id})
+		p.rt.Send(j, Update{Params: x, Iter: k, From: p.id})
 		reply, _ := p.takeMatching(isReply, true)
 		tensor.Copy(x, reply.Params)
+		p.rt.RecycleParams(reply.Params)
 	}
 	p.trainer.Apply(p.grads)
 	if p.cfg.OnIteration != nil {
@@ -105,7 +105,8 @@ func (p *Protocol) serve(wait bool) {
 		avg := p.reduceScratch(len(x))
 		tensor.Mean(avg, [][]float64{x, u.Params})
 		tensor.Copy(x, avg)
-		p.rt.Send(u.From, Update{Params: tensor.Clone(x), Iter: u.Iter, From: p.id, Reply: true})
+		p.rt.RecycleParams(u.Params)
+		p.rt.Send(u.From, Update{Params: x, Iter: u.Iter, From: p.id, Reply: true})
 	}
 }
 

@@ -120,7 +120,7 @@ func TestADPSGDInitiators(t *testing.T) {
 	} {
 		cfg := Config{Graph: tc.g, Mode: ModeADPSGD}
 		for w := 0; w < tc.g.N(); w++ {
-			p, err := NewProtocol(cfg, w, nil, NewSyncMonitor(), nil, nil)
+			p, err := NewProtocol(cfg, w, nil, NewSyncMonitor(), nopRuntime{}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -246,9 +246,8 @@ func (p *Protocol) applyDeathsLocked(peers []int, missing func(int) bool) bool {
 // synchronize with, the worker finishes immediately.
 func (p *Protocol) joinSync() int {
 	x := p.trainer.Params()
-	snap := tensor.Clone(x)
 	for _, j := range p.out {
-		p.rt.Send(j, Update{Params: snap, Iter: 0, From: p.id})
+		p.rt.Send(j, Update{Params: x, Iter: 0, From: p.id})
 	}
 	for _, j := range p.in {
 		if !containsInt(p.out, j) {
@@ -260,15 +259,18 @@ func (p *Protocol) joinSync() int {
 		if p.isDeadIn(j) {
 			continue
 		}
-		if u := p.newestFrom(j, 0); u.Iter > newest.Iter {
-			newest = u
+		u := p.newestFrom(j, 0)
+		if u.Iter > newest.Iter {
+			u, newest = newest, u
 		}
+		p.rt.RecycleParams(u.Params)
 	}
 	if newest.Params == nil {
 		p.note(TraceEvent{Kind: TraceRejoin, Iter: p.cfg.MaxIter})
 		return p.cfg.MaxIter
 	}
 	tensor.Copy(x, newest.Params)
+	p.rt.RecycleParams(newest.Params)
 	k0 := newest.Iter + 1
 	p.note(TraceEvent{Kind: TraceRejoin, Iter: k0})
 	return k0

@@ -14,6 +14,7 @@ import (
 
 	"hop/internal/graph"
 	"hop/internal/model"
+	"hop/internal/tensor"
 )
 
 // mesh is an in-process cluster under one monitor: every worker's
@@ -65,6 +66,7 @@ func (r *recordRuntime) Compute(iter int, fn func()) time.Duration {
 func (r *recordRuntime) EndCompute(time.Duration) {}
 
 func (r *recordRuntime) Send(dst int, u Update) {
+	u.Params = tensor.Clone(u.Params)
 	r.m.at(dst).Deliver(u)
 	if r.sent != nil {
 		r.sent()
@@ -76,6 +78,10 @@ func (r *recordRuntime) SendAck(dst, iter int) { r.m.at(dst).DeliverAck(r.w, ite
 func (r *recordRuntime) GrantTokens(dst, _, count int) { r.m.at(dst).DeliverTokens(r.w, count) }
 
 func (r *recordRuntime) PeerIter(int) int { return -1 }
+
+func (r *recordRuntime) GetParams(n int) []float64 { return make([]float64, n) }
+
+func (r *recordRuntime) RecycleParams([]float64) {}
 
 // Observe copies Members: the slice is the protocol's own.
 func (r *recordRuntime) Observe(e TraceEvent) {
@@ -268,6 +274,8 @@ func (nopRuntime) SendAck(int, int)                  {}
 func (nopRuntime) GrantTokens(int, int, int)         {}
 func (nopRuntime) PeerIter(int) int                  { return 0 }
 func (nopRuntime) Observe(TraceEvent)                {}
+func (nopRuntime) GetParams(n int) []float64         { return make([]float64, n) }
+func (nopRuntime) RecycleParams([]float64)           {}
 
 // TestObserveAllocationFree: with tracing off, telling the runtime a
 // decision — a Prague group's Members included — allocates nothing.

@@ -143,6 +143,8 @@ func (p *Protocol) groupUpdates(ups []Update, k int) []Update {
 	for _, u := range ups {
 		if !hasSender(kept, u.From) {
 			kept = append(kept, u)
+		} else {
+			p.rt.RecycleParams(u.Params)
 		}
 	}
 	for _, j := range p.group {

@@ -77,7 +77,8 @@ type Runtime interface {
 
 	// Send delivers u to dst's update queue asynchronously (the Send
 	// operation of §3.2 is non-blocking). dst is never this worker;
-	// the protocol short-circuits self-delivery.
+	// the protocol short-circuits self-delivery. Send is done with
+	// u.Params when it returns (copied or serialized; nil stays nil).
 	Send(dst int, u Update)
 
 	// SendAck delivers a NOTIFY-ACK acknowledgment for iter to dst.
@@ -104,25 +105,13 @@ type Runtime interface {
 	// re-enter the protocol, and e.Members is the protocol's own slice,
 	// valid only for the duration of the call.
 	Observe(e TraceEvent)
-}
 
-// ParamsAllocator is optionally implemented by a Runtime whose
-// delivered update buffers are exclusively owned: every Update handed
-// to Deliver carries a slice referenced nowhere else, and every slice
-// the protocol passes to Send is released by the runtime before Send
-// returns (copied or fully serialized). Under that ownership contract
-// the protocol snapshots parameters from GetParams and hands reduced
-// update buffers back through RecycleParams, making the per-iteration
-// hot path allocation-free. The live runtime qualifies (each decoded
-// frame is a fresh buffer; the transport snapshots before returning);
-// the simulator does NOT — its zero-copy fan-out delivers one slice to
-// many queues and chaos can duplicate entries — so it simply does not
-// implement the interface and the protocol falls back to cloning.
-type ParamsAllocator interface {
-	// GetParams returns a length-n vector with unspecified contents.
+	// GetParams returns a length-n vector with unspecified contents;
+	// RecycleParams takes back one the protocol is done with (nil is
+	// ignored). Every delivered Update owns its slice, so a reduced,
+	// stale-dropped or superseded update's buffer goes back here
+	// (DESIGN.md §5.1). Both run with the monitor held; neither blocks.
 	GetParams(n int) []float64
-	// RecycleParams takes back a buffer the protocol no longer
-	// references.
 	RecycleParams(v []float64)
 }
 
@@ -164,12 +153,12 @@ type Protocol struct {
 	rng   *rand.Rand
 	trace *Trace
 
-	// alloc is rt's buffer recycler when the runtime's ownership rules
-	// allow one (ParamsAllocator); nil otherwise. vecScratch is the
-	// reduce's reusable [][]float64 header block.
-	alloc      ParamsAllocator
-	vecScratch [][]float64
-	reduceBuf  []float64
+	// vecScratch, weightScratch and peerScratch are the reduces'
+	// reusable vector-header, weight and sender blocks.
+	vecScratch    [][]float64
+	weightScratch []float64
+	peerScratch   []int
+	reduceBuf     []float64
 
 	// computeFn is the gradient step handed to Runtime.Compute, leaving
 	// its results in grads/loss — readable only after EndCompute. It is
@@ -238,7 +227,7 @@ func NewProtocol(cfg Config, id int, t model.Trainer, mon Monitor, rt Runtime, t
 		rng:     seeded.New(cfg.Seed + int64(id)*7919 + 1),
 		trace:   tr,
 	}
-	p.alloc, _ = rt.(ParamsAllocator)
+	p.queue.recycle = rt.RecycleParams
 	p.computeFn = func() { p.grads, p.loss = p.trainer.ComputeGrad(p.rng) }
 	p.gnbrs = cfg.ProtocolPeers(id)
 	if cfg.Prague != nil {
@@ -491,8 +480,10 @@ func (p *Protocol) iterate(k int) {
 			p.out, func(d int) bool { return !p.acks.hasLocked(k-1, d) })
 	}
 
-	// Send x_k (self-loop delivered locally for free, §3.1).
-	snap := p.snapshotParams(x)
+	// Send x_k (self-loop delivered locally for free, §3.1); the
+	// queued snapshot is the worker's own buffer.
+	snap := p.rt.GetParams(len(x))
+	tensor.Copy(snap, x)
 	p.queue.Enqueue(Update{Params: snap, Iter: k, From: p.id})
 	p.sendAll(k, snap)
 
@@ -606,9 +597,9 @@ func (p *Protocol) recv(iter, own int) []Update {
 // admissible weight, in place of its queued update.
 func (p *Protocol) recvReduceStaleInto(dst []float64, k int, self []float64) {
 	minIter := k - p.cfg.Staleness
-	var vecs [][]float64
-	var weights []float64
-	peers := append(append(make([]int, 0, len(p.in)+1), p.in...), p.id)
+	vecs, weights := p.vecScratch[:0], p.weightScratch[:0]
+	peers := append(append(p.peerScratch[:0], p.in...), p.id)
+	p.peerScratch = peers
 	if self != nil {
 		vecs, weights = append(vecs, self), append(weights, 1)
 		peers = p.in
@@ -623,14 +614,21 @@ func (p *Protocol) recvReduceStaleInto(dst []float64, k int, self []float64) {
 			weights = append(weights, staleWeight(newest.Iter-minIter+1))
 			p.noteStaleness(k - newest.Iter)
 		} else {
+			p.rt.RecycleParams(newest.Params)
 			p.note(TraceEvent{Kind: TraceStaleSkip, Iter: k, From: j})
 		}
 	}
 	// The self update always satisfies the bound, so vecs is never
-	// empty. Drained buffers are not recycled here: the stale mode's
-	// drain flow is shared with membership resync and stays on the
-	// allocator-free path for simplicity.
+	// empty. Every drained buffer is dead once reduced; self is not
+	// the protocol's to give back.
+	p.vecScratch, p.weightScratch = vecs, weights
 	tensor.WeightedMean(dst, vecs, weights)
+	if self != nil {
+		vecs = vecs[1:]
+	}
+	for _, v := range vecs {
+		p.rt.RecycleParams(v)
+	}
 }
 
 // staleWeight is Eq. 2's aggregation weight for an update fresh =
@@ -641,14 +639,15 @@ func staleWeight(fresh int) float64 { return float64(max(fresh, 1)) }
 // blocks until the newest iteration ever received from j reaches
 // minIter (the Fig. 9 staleness gate). A pending death of j is applied
 // while the gate is shut, and a dead j ends the wait with whatever was
-// drained.
+// drained. Superseded updates are recycled on the way.
 func (p *Protocol) newestFrom(j, minIter int) Update {
 	newest := Update{Iter: -1}
 	p.await(p.queue.cond, func() bool {
 		for _, u := range p.queue.drainFromLocked(j) {
 			if u.Iter > newest.Iter {
-				newest = u
+				u, newest = newest, u
 			}
+			p.rt.RecycleParams(u.Params)
 		}
 		if cur, ok := p.iterRecv[j]; !ok || newest.Iter > cur {
 			p.iterRecv[j] = newest.Iter
@@ -726,26 +725,12 @@ func (p *Protocol) meanInto(dst, self []float64, ups []Update) {
 	tensor.Mean(dst, vecs)
 }
 
-// snapshotParams clones x for enqueue/send, drawing from the runtime's
-// buffer pool when its ownership contract permits (ParamsAllocator).
-func (p *Protocol) snapshotParams(x []float64) []float64 {
-	if p.alloc != nil {
-		snap := p.alloc.GetParams(len(x))
-		tensor.Copy(snap, x)
-		return snap
-	}
-	return tensor.Clone(x)
-}
-
 // recycleUpdates hands fully-reduced update buffers back to the
-// runtime's pool. Only call it with terminally dequeued updates —
-// removed from the queue, reduced, and never referenced again.
+// runtime. Only call it with terminally dequeued updates — removed
+// from the queue, reduced, and never referenced again.
 func (p *Protocol) recycleUpdates(ups []Update) {
-	if p.alloc == nil {
-		return
-	}
 	for i := range ups {
-		p.alloc.RecycleParams(ups[i].Params)
+		p.rt.RecycleParams(ups[i].Params)
 		ups[i].Params = nil
 	}
 }

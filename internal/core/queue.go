@@ -37,6 +37,8 @@ type UpdateQueue struct {
 
 	highWater int // maximum occupancy ever observed
 	stale     int // stale entries discarded at dequeue
+
+	recycle func([]float64) // takes back stale entries' buffers; nil drops them
 }
 
 // NewUpdateQueue creates an empty update queue with room for capacity
@@ -76,6 +78,9 @@ func (q *UpdateQueue) countIterLocked(iter int) int {
 		switch {
 		case u.Iter < iter:
 			q.stale++
+			if q.recycle != nil {
+				q.recycle(u.Params)
+			}
 			continue
 		case u.Iter == iter:
 			n++
@@ -130,7 +135,9 @@ func (q *UpdateQueue) takeIterLocked(need, iter int) ([]Update, bool) {
 
 // DrainFrom removes and returns all queued entries from sender w_id,
 // in arrival order, without blocking (drainFromLocked is the
-// bounded-staleness Recv's pass, which keeps only the newest).
+// bounded-staleness Recv's pass, which keeps only the newest). Like
+// DequeueIterAtLeast it returns the queue's result buffer, valid until
+// the next dequeue.
 func (q *UpdateQueue) DrainFrom(wid int) []Update {
 	q.mon.Lock()
 	defer q.mon.Unlock()
@@ -138,8 +145,8 @@ func (q *UpdateQueue) DrainFrom(wid int) []Update {
 }
 
 func (q *UpdateQueue) drainFromLocked(wid int) []Update {
-	var out []Update
-	keep := q.q[:0]
+	clear(q.out)
+	out, keep := q.out[:0], q.q[:0]
 	for _, u := range q.q {
 		if u.From == wid {
 			out = append(out, u)
@@ -148,6 +155,7 @@ func (q *UpdateQueue) drainFromLocked(wid int) []Update {
 		}
 	}
 	q.compactLocked(keep)
+	q.out = out
 	return out
 }
 

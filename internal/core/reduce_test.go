@@ -48,13 +48,47 @@ func mustFinish(t *testing.T, p *Protocol, done <-chan struct{}) {
 	}
 }
 
+// recyclingRuntime is a nopRuntime that records every buffer the
+// protocol hands back.
+type recyclingRuntime struct {
+	nopRuntime
+	recycled [][]float64
+}
+
+func (r *recyclingRuntime) RecycleParams(v []float64) {
+	if v != nil {
+		r.recycled = append(r.recycled, v)
+	}
+}
+
+// checkRecycled fails unless the buffers p handed back are exactly
+// want, each once, in any order: every update the refresh drained is
+// dead once reduced, and the worker's own parameters never are.
+func checkRecycled(t *testing.T, p *Protocol, want ...[]float64) {
+	t.Helper()
+	got := p.rt.(*recyclingRuntime).recycled
+	left := map[*float64]bool{}
+	for _, v := range want {
+		left[&v[0]] = true
+	}
+	for _, v := range got {
+		if !left[&v[0]] {
+			t.Fatalf("recycled %v, which is not one of the drained updates, or twice", v)
+		}
+		delete(left, &v[0])
+	}
+	if len(left) > 0 {
+		t.Errorf("recycled %d buffers, want all %d drained updates", len(got), len(want))
+	}
+}
+
 // refreshPeer builds worker 0 of a 4-worker complete graph, whose
 // in-neighbours are 1, 2 and 3, with parameters x0.
 func refreshPeer(t *testing.T, cfg Config, x0 []float64) (*Protocol, *Trace) {
 	t.Helper()
 	cfg.Graph = graph.Complete(4)
 	tr := NewTrace()
-	p, err := NewProtocol(cfg, 0, model.NewFrozen(x0), NewSyncMonitor(), nopRuntime{}, tr)
+	p, err := NewProtocol(cfg, 0, model.NewFrozen(x0), NewSyncMonitor(), &recyclingRuntime{}, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,6 +126,7 @@ func TestPreJumpRefreshReduce(t *testing.T) {
 		if got := p.MaxObservedStaleness(); got != s {
 			t.Errorf("MaxObservedStaleness = %d, want %d: the refresh's oldest input sits at the bound", got, s)
 		}
+		checkRecycled(t, p, a, b, c)
 	})
 
 	t.Run("backup", func(t *testing.T) {
@@ -108,6 +143,7 @@ func TestPreJumpRefreshReduce(t *testing.T) {
 		if got := p.trainer.Params(); !reflect.DeepEqual(got, want) {
 			t.Errorf("refreshed to %v, want the mean %v", got, want)
 		}
+		checkRecycled(t, p, a, b, c)
 	})
 }
 

@@ -426,12 +426,12 @@ func (r *liveRuntime) Observe(e core.TraceEvent) {
 	}
 }
 
-// The live runtime satisfies core.ParamsAllocator: every inbound
-// update decodes into its own buffer (transport readConn draws from
-// tensor.GetVec), and outbound Send releases the caller's slice before
-// returning (the transport encodes or snapshots it while staging the
-// update). The protocol may therefore recycle reduced update buffers,
-// making the live iteration hot path allocation-free.
+// GetParams and RecycleParams keep the buffer-ownership contract on
+// tensor's vector pool: every inbound update decodes into its own
+// buffer (transport readConn draws from tensor.GetVec), and outbound
+// Send releases the caller's slice before returning (the transport
+// encodes or snapshots it while staging the update), so the live
+// iteration hot path is allocation-free.
 func (r *liveRuntime) GetParams(n int) []float64 { return tensor.GetVec(n) }
 
 func (r *liveRuntime) RecycleParams(v []float64) { tensor.PutVec(v) }

@@ -16,6 +16,7 @@ package netsim
 
 import (
 	"math/rand"
+	"slices"
 	"time"
 
 	"hop/internal/seeded"
@@ -90,7 +91,10 @@ func (f *Fabric) DeliverData(bytes int, m Message) {
 	}
 	f.eq.enqueueMsg(f.placement[dst], at, m)
 	if dup {
+		// The copy carries its own parameters: every delivered slice
+		// has one owner, who recycles it.
 		f.stats.NetDuplicated++
+		m.Params = slices.Clone(m.Params)
 		f.eq.enqueueMsg(f.placement[dst], at+f.reorderDelay(), m)
 	}
 }

@@ -129,3 +129,41 @@ func TestChaosOffIsIdentity(t *testing.T) {
 		t.Errorf("chaos counters moved without chaos: %+v", s)
 	}
 }
+
+// TestChaosDuplicateOwnsItsParams: every delivered slice has one owner,
+// who may recycle it once reduced, so a duplicate carries a copy of
+// the parameters, never the original's slice. A message without
+// parameters (an ACK) stays without.
+func TestChaosDuplicateOwnsItsParams(t *testing.T) {
+	k := sim.NewKernel()
+	f := New(k, chaosCfg(&chaos.Config{Duplicate: 1, Seed: 42}), 2, []int{0, 1})
+	var got []Message
+	f.Handle(func(m Message) { got = append(got, m) })
+	sent := Message{From: 0, Dst: 1, Iter: 3, Params: []float64{1, 2}}
+	k.Spawn("tx", func(*sim.Proc) {
+		f.DeliverData(100, sent)
+		f.DeliverData(100, Message{From: 0, Dst: 1, Iter: 3, Ack: true})
+	})
+	run(t, k, time.Second)
+	if len(got) != 4 {
+		t.Fatalf("%d deliveries, want 2 messages twice", len(got))
+	}
+	var params [][]float64
+	for _, m := range got {
+		if m.Ack {
+			if m.Params != nil {
+				t.Errorf("a duplicated ACK carries parameters %v", m.Params)
+			}
+			continue
+		}
+		params = append(params, m.Params)
+	}
+	if len(params) != 2 || &params[0][0] == &params[1][0] {
+		t.Fatalf("the update and its duplicate share one slice")
+	}
+	for _, p := range params {
+		if p[0] != 1 || p[1] != 2 {
+			t.Errorf("delivered parameters %v, want [1 2]", p)
+		}
+	}
+}

@@ -51,10 +51,12 @@ type eventQueue struct {
 	free    []int32   // vacant msgs indices, reused before msgs grows
 	seq     int64
 	drainFn func() // q.drain, bound once: arming a timer allocates nothing
-	// armedAt is the earliest drain timer currently armed in the
-	// kernel, or eqNone. Stale timers (superseded by an earlier arm)
-	// fire as no-ops; the invariant that matters is that a nonempty
-	// queue always has a timer armed at or before its head's time.
+	// armedAt is the time of the drain timer that covers the queue's
+	// head, or eqNone. The invariant is that a nonempty queue always
+	// has a timer armed at armedAt, at or before its head's time. An
+	// earlier arm supersedes a later timer without cancelling it; that
+	// timer still fires, sees now != armedAt and returns at once, so
+	// at most one armed timer ever drains and re-arms.
 	armedAt time.Duration
 }
 
@@ -122,9 +124,14 @@ func (q *eventQueue) arm() {
 // drain is the armed kernel callback: it fires every due delivery, in
 // global (when, seq) order, then re-arms for the next head. Callbacks
 // may enqueue further deliveries; the loop re-reads the head after
-// each one, matching the kernel's own same-instant semantics.
+// each one, matching the kernel's own same-instant semantics. A
+// superseded timer returns at once: re-arming from it would keep a
+// second chain of timers alive for good, each firing with nothing due.
 func (q *eventQueue) drain() {
 	now := q.k.Now()
+	if now != q.armedAt {
+		return
+	}
 	q.armedAt = eqNone
 	for s := q.head(); s >= 0 && q.shards[s][0].When <= now; s = q.head() {
 		e := q.shards[s].Pop()

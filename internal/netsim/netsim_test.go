@@ -453,3 +453,35 @@ func TestDeliveriesFireInTimeThenPricingOrder(t *testing.T) {
 		t.Error("no same-instant deliveries; the tie-break went untested")
 	}
 }
+
+// TestSupersededDrainTimersDie: a message that arrives before the
+// queue's head arms an earlier drain timer, and the later one it
+// supersedes still fires. That one must return without re-arming;
+// otherwise it starts a second chain of drains that fire with nothing
+// due, and the chains multiply while the queue stays nonempty. Here
+// every step sends a slow inter-machine message (11.9 ms) and a fast
+// intra-machine one (1 ms) that arrives before the head, so every step
+// supersedes a timer. The queue arms at most one timer per push and one
+// per drain that delivers, so twice the deliveries bound the firings.
+func TestSupersededDrainTimersDie(t *testing.T) {
+	const steps = 200
+	k := sim.NewKernel()
+	f := New(k, cfg(), 3, []int{0, 1, 0})
+	fired, drain := 0, f.eq.drainFn
+	f.eq.drainFn = func() { fired++; drain() }
+	delivered := 0
+	k.Spawn("tx", func(p *sim.Proc) {
+		for i := 0; i < steps; i++ {
+			f.Deliver(0, 1, 1900, func() { delivered++ })
+			f.Deliver(0, 2, 1, func() { delivered++ })
+			p.Sleep(2 * time.Millisecond)
+		}
+	})
+	run(t, k, time.Second)
+	if delivered != 2*steps {
+		t.Fatalf("%d of %d deliveries fired", delivered, 2*steps)
+	}
+	if fired > 2*delivered {
+		t.Errorf("%d drain timers fired for %d deliveries, want at most %d", fired, delivered, 2*delivered)
+	}
+}

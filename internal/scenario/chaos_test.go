@@ -40,6 +40,8 @@ func TestNetFaultValidation(t *testing.T) {
 		{"drop needs loss absorption", Protocol{}, "", &chaos.Config{Drop: 0.1}, false},
 		{"corrupt needs loss absorption", Protocol{}, "", &chaos.Config{Corrupt: 0.1}, false},
 		{"duplicate and reorder are not lossy", Protocol{}, "", &chaos.Config{Duplicate: 0.2, Reorder: 0.2}, true},
+		{"duplicate with token queues", Protocol{MaxIG: 2}, "", &chaos.Config{Duplicate: 0.3}, false},
+		{"reorder with token queues", Protocol{MaxIG: 2}, "", &chaos.Config{Reorder: 0.3}, true},
 		{"drop with staleness", Protocol{Staleness: 5}, "", &chaos.Config{Drop: 0.1}, true},
 		// Backup needs token queues (core), loss refuses them: Validate
 		// used to accept this and Run reject it.
@@ -92,6 +94,7 @@ func TestNetFaultRejectionsObserved(t *testing.T) {
 		// Token grants never cross the simulated fabric, so only the
 		// live token frame can be lost: the rule guards live runs.
 		{"token queues with drop", Protocol{MaxIG: 4, Staleness: 5}, chaos.Config{Drop: 0.1}, false},
+		{"token queues with duplicate", Protocol{MaxIG: 2}, chaos.Config{Duplicate: 0.3}, false},
 		// A duplicate can stand in for a missing quorum member; that
 		// changes what a reduce means, and wedges nothing.
 		{"prague with duplicate", Protocol{Mode: "prague", GroupSize: 2}, chaos.Config{Duplicate: 0.3}, false},

@@ -289,6 +289,12 @@ func validateNetFault(nf *chaos.Config, cfg core.Config, comp compress.Spec) err
 				i, p.ToIter-p.FromIter, cfg.Staleness)
 		}
 	}
+	if nf.Duplicate > 0 && cfg.MaxIG > 0 {
+		// The live chaos interceptor duplicates token frames too, and
+		// every copy is a grant: the consumer's counter climbs past
+		// Theorem 2's bound. The simulator's grants bypass the fabric.
+		return fmt.Errorf("scenario: fault net duplicate cannot run with token queues (a duplicated live token frame grants twice)")
+	}
 	if nf.Lossy() {
 		// Backup workers would absorb loss too, but they need token
 		// queues, which the next rule refuses; notify-ack refuses

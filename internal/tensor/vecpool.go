@@ -10,10 +10,9 @@ package tensor
 // Contract: GetVec returns a vector with *unspecified contents* — the
 // caller must overwrite every element before reading any. PutVec
 // transfers ownership to the pool; the caller must hold no other
-// reference. Only ever Put a buffer with exclusive ownership — in
-// particular the simulator must not use the pool, because its
-// zero-copy fan-out delivers one slice to many queues (see
-// core.ParamsAllocator).
+// reference. The live runtime backs core.Runtime's GetParams and
+// RecycleParams with it; the simulator keeps its own free list per
+// cluster (cluster.Host), under the same ownership contract.
 //
 // A mutex-guarded free list is used instead of sync.Pool so the steady
 // state is truly allocation-free (sync.Pool's Put boxes the slice
