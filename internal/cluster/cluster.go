@@ -185,14 +185,17 @@ func (r *worker) EndCompute(t time.Duration) {
 // records (src is always u.From) and arrive at deliver, so a send
 // allocates no closure. Like the live transport, Send is done with
 // u.Params when it returns: the message carries its own copy, from the
-// free list, which the receiving protocol owns and recycles.
+// free list, which the receiving protocol owns and recycles — or, if
+// the fabric loses the message, the sender does at once.
 func (r *worker) Send(dst int, u core.Update) {
 	if u.Params != nil {
 		buf := r.GetParams(len(u.Params))
 		copy(buf, u.Params)
 		u.Params = buf
 	}
-	r.h.fabric.DeliverData(r.h.payload, netsim.Message{Dst: dst, From: r.w, Iter: u.Iter, Reply: u.Reply, Params: u.Params})
+	if !r.h.fabric.DeliverData(r.h.payload, netsim.Message{Dst: dst, From: r.w, Iter: u.Iter, Reply: u.Reply, Params: u.Params}) {
+		r.RecycleParams(u.Params)
+	}
 }
 
 func (r *worker) SendAck(dst, iter int) {

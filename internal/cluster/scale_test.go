@@ -17,10 +17,12 @@ import (
 	"runtime"
 	"testing"
 
+	"hop/internal/chaos"
 	"hop/internal/core"
 	"hop/internal/graph"
 	"hop/internal/hetero"
 	"hop/internal/model"
+	"hop/internal/netsim"
 )
 
 // stepAllocCost runs the cluster build(n, ·) makes three times — a
@@ -60,11 +62,12 @@ func stepAllocCost(t *testing.T, build func(n, maxIter int) Options, n int) (per
 // and the runtime's own noise, a few dozen objects a run, and the free
 // list's and queues' growth to their peaks: measured under 0.02 a step,
 // -race included, against a gate of 0.05. The backup + send-check ring
-// with random stragglers drops stale updates, and the bounded-staleness
-// ring drains and supersedes them, so the gate covers their recycling.
+// with random stragglers drops stale updates, the bounded-staleness
+// ring drains and supersedes them, and the lossy one has the fabric
+// drop a tenth of its messages, so the gate covers their recycling.
 func TestStepAllocsIndependentOfClusterSize(t *testing.T) {
 	if testing.Short() {
-		t.Skip("eighteen multi-hundred-worker simulations; skipped with -short")
+		t.Skip("twenty-four multi-hundred-worker simulations; skipped with -short")
 	}
 	for _, c := range []struct {
 		name       string
@@ -82,6 +85,13 @@ func TestStepAllocsIndependentOfClusterSize(t *testing.T) {
 			opts := quadraticRing(n, maxIter)
 			opts.Core.Staleness = 3
 			opts.Compute.Slow = hetero.Random{Fact: 6, Prob: 1.0 / 16}
+			return opts
+		}, false},
+		{"ring staleness drop", func(n, maxIter int) Options {
+			opts := quadraticRing(n, maxIter)
+			opts.Core.Staleness = 5
+			opts.Net = netsim.Default1GbE()
+			opts.Net.Chaos = &chaos.Config{Drop: 0.1, Seed: 403}
 			return opts
 		}, false},
 	} {

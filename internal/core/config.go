@@ -265,6 +265,9 @@ func (c *Config) ValidateProtocol() error {
 	if c.Mode == ModeNotifyAck && (c.MaxIG > 0 || c.Staleness > 0 || c.SendCheck) {
 		return fmt.Errorf("core: NOTIFY-ACK is the fixed-gap baseline; token queues, backup workers, staleness, skipping and the send check do not compose with it (§3.4-3.5)")
 	}
+	if c.Mode == ModeNotifyAck && c.restarts() {
+		return fmt.Errorf("core: NOTIFY-ACK does not compose with crash restarts: a survivor gates Send(k) on an ACK(k-1) that the rejoiner, starting past k, never sends (DESIGN.md §6.3)")
+	}
 	if c.Faults != nil && len(c.Faults) != n {
 		return fmt.Errorf("core: %d fault schedules for %d workers", len(c.Faults), n)
 	}
@@ -280,6 +283,13 @@ func (c *Config) ValidateProtocol() error {
 		}
 		if f.RestartAfter > 0 && !c.FaultTolerance {
 			return fmt.Errorf("core: worker %d restarts, which requires FaultTolerance (rejoin needs elastic membership)", i)
+		}
+		if f.RestartAfter > 0 && c.MaxIG > 0 {
+			for _, j := range c.Graph.Out(i) {
+				if !containsInt(c.Graph.In(i), j) {
+					return fmt.Errorf("core: worker %d restarts with token queues, but its out-neighbor %d is not an in-neighbor: the rejoin iteration comes from in-neighbors only, and %d may be more than MaxIG past it (DESIGN.md §6.3)", i, j, j)
+				}
+			}
 		}
 	}
 	if c.Rejoin && !c.FaultTolerance {
@@ -336,17 +346,22 @@ var hopOnlyKnobs = []struct {
 		"a jump is triggered by token counts, which the mode does not keep"},
 	{"SendCheck does", func(c *Config) bool { return c.SendCheck },
 		"every send of the mode is awaited by its receiver"},
-	{"rejoin does", func(c *Config) bool {
-		for _, f := range c.Faults {
-			if f.RestartAfter > 0 {
-				return true
-			}
-		}
-		return c.Rejoin
-	}, "the rejoin handshake waits for neighbour updates the mode does not send"},
+	{"rejoin does", (*Config).restarts,
+		"the rejoin handshake waits for neighbour updates the mode does not send"},
 	{"faults do", func(c *Config) bool {
 		return c.Mode != ModePrague && (c.FaultTolerance || c.Faults != nil)
 	}, "the baseline has no elastic membership"},
+}
+
+// restarts reports whether some worker restarts after a crash, or this
+// instance is the restarted one.
+func (c *Config) restarts() bool {
+	for _, f := range c.Faults {
+		if f.RestartAfter > 0 {
+			return true
+		}
+	}
+	return c.Rejoin
 }
 
 // isStarOnZero reports whether g is a star with node 0 as the hub:

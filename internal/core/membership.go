@@ -40,27 +40,20 @@ import "hop/internal/tensor"
 // from any goroutine; a no-op unless FaultTolerance is on, and for
 // non-neighbors, self, and peers already fully dead.
 func (p *Protocol) DeclarePeerDead(peer int) {
-	if !p.cfg.FaultTolerance || peer == p.id {
+	r := p.peerOf(peer)
+	if !p.cfg.FaultTolerance || peer == p.id || r == nil {
 		return
 	}
 	p.mon.Lock()
 	defer p.mon.Unlock()
-	inG := containsInt(p.gin, peer)
-	outG := containsInt(p.gout, peer)
-	if !inG && !outG {
+	fullyDead := (r.deadIn || !containsInt(p.gin, peer)) && (r.deadOut || !containsInt(p.gout, peer))
+	if fullyDead && !r.joining || r.dying {
 		return
 	}
-	fullyDead := (!inG || p.deadIn[peer]) && (!outG || p.deadOut[peer])
-	if fullyDead && !p.pendingJoin[peer] {
-		return
-	}
-	if p.pendingDead[peer] {
-		return
-	}
-	p.pendingDead[peer] = true
+	r.dying = true
+	p.dying++
 	// A death during a rejoin window cancels the rejoin.
-	delete(p.pendingJoin, peer)
-	delete(p.joinFirst, peer)
+	r.joining, r.k0 = false, 0
 	p.wakeAllLocked()
 }
 
@@ -74,7 +67,7 @@ func (p *Protocol) DeadPeers() []int {
 	defer p.mon.Unlock()
 	var out []int
 	for _, j := range p.gnbrs {
-		if p.deadIn[j] || p.deadOut[j] {
+		if r := p.peerOf(j); r.deadIn || r.deadOut {
 			out = append(out, j)
 		}
 	}
@@ -88,18 +81,20 @@ func (p *Protocol) DeadPeers() []int {
 // bookkeeping. Updates with iter ≥ 1 from a dead in-peer pin k0, the
 // first iteration the rejoiner will actually send.
 func (p *Protocol) noteAlive(from, iter int, isUpdate bool) {
-	if !p.cfg.FaultTolerance || from == p.id {
+	if !p.cfg.FaultTolerance {
+		return
+	}
+	r := p.peerOf(from)
+	if r == nil {
 		return
 	}
 	p.mon.Lock()
 	defer p.mon.Unlock()
-	delete(p.pendingDead, from)
-	if p.deadIn[from] || p.deadOut[from] {
-		p.pendingJoin[from] = true
-		if isUpdate && iter > 0 && p.deadIn[from] {
-			if _, ok := p.joinFirst[from]; !ok {
-				p.joinFirst[from] = iter
-			}
+	p.undeclareLocked(r)
+	if r.deadIn || r.deadOut {
+		r.joining = true
+		if isUpdate && iter > 0 && r.deadIn && r.k0 == 0 {
+			r.k0 = iter
 		}
 	}
 }
@@ -115,34 +110,34 @@ func (p *Protocol) applyMembership(k int) {
 	p.mon.Lock()
 	defer p.mon.Unlock()
 	p.curIter = k
-	if len(p.pendingJoin) == 0 && len(p.joinFirst) == 0 {
-		return
-	}
 	for _, d := range p.gnbrs {
+		r := p.peerOf(d)
+		if !r.joining {
+			continue
+		}
 		joined := false
-		if p.pendingJoin[d] && p.deadOut[d] {
+		if r.deadOut {
 			// Stage one: resume sending to (and taking tokens from)
 			// the peer — it needs our updates before it can send any.
-			delete(p.deadOut, d)
-			p.rebuildOutLocked()
-			if tq := p.tokens[d]; tq != nil {
-				tq.resetLocked(p.cfg.MaxIG)
+			r.deadOut = false
+			if r.tokens != nil {
+				r.tokens.resetLocked(p.cfg.MaxIG)
 			}
 			joined = true
 		}
-		if k0, ok := p.joinFirst[d]; ok && p.deadIn[d] && k >= k0 {
+		if r.deadIn && r.k0 > 0 && k >= r.k0 {
 			// Stage two: require the peer's updates again from k0, the
 			// first iteration it actually sends.
-			delete(p.deadIn, d)
-			delete(p.joinFirst, d)
-			p.rebuildInLocked()
+			r.deadIn, r.k0 = false, 0
 			joined = true
 		}
-		if !p.deadIn[d] && !p.deadOut[d] {
-			delete(p.pendingJoin, d)
+		if !joined {
+			continue
 		}
-		if joined && !p.joinLogged[d] {
-			p.joinLogged[d] = true
+		p.rebuildLocked()
+		r.joining = r.deadIn || r.deadOut
+		if !r.joinLogged {
+			r.joinLogged = true
 			p.stats.PeersJoined++
 			p.note(TraceEvent{Kind: TraceJoin, Iter: k, From: d})
 		}
@@ -155,49 +150,52 @@ func (p *Protocol) applyMembership(k int) {
 // with the monitor held, only from the Run goroutine's blocking waits
 // (applyDeathsLocked).
 func (p *Protocol) applyDeathLocked(d int) {
-	delete(p.pendingDead, d)
-	delete(p.pendingJoin, d)
-	delete(p.joinFirst, d)
-	delete(p.joinLogged, d)
+	r := p.peerOf(d)
+	p.undeclareLocked(r)
+	r.joining, r.k0, r.joinLogged = false, 0, false
 	changed := false
-	if containsInt(p.gin, d) && !p.deadIn[d] {
-		p.deadIn[d] = true
-		p.rebuildInLocked()
+	if containsInt(p.gin, d) && !r.deadIn {
+		r.deadIn = true
 		changed = true
 	}
-	if containsInt(p.gout, d) && !p.deadOut[d] {
-		p.deadOut[d] = true
-		p.rebuildOutLocked()
-		if tq := p.tokens[d]; tq != nil {
-			tq.releaseLocked()
+	if containsInt(p.gout, d) && !r.deadOut {
+		r.deadOut = true
+		if r.tokens != nil {
+			r.tokens.releaseLocked()
 		}
 		changed = true
 	}
 	if !changed {
 		return
 	}
+	p.rebuildLocked()
 	p.stats.PeersLost++
 	p.note(TraceEvent{Kind: TraceDeath, Iter: p.curIter, From: d})
 }
 
-func (p *Protocol) rebuildInLocked() {
-	in := make([]int, 0, len(p.gin))
+// undeclareLocked clears r's declared death, if any.
+func (p *Protocol) undeclareLocked(r *peer) {
+	if r.dying {
+		r.dying = false
+		p.dying--
+	}
+}
+
+// rebuildLocked replaces the live neighbor views with fresh slices of
+// the graph neighbors whose edges are not removed.
+func (p *Protocol) rebuildLocked() {
+	in, out := make([]int, 0, len(p.gin)), make([]int, 0, len(p.gout))
 	for _, j := range p.gin {
-		if !p.deadIn[j] {
+		if !p.peerOf(j).deadIn {
 			in = append(in, j)
 		}
 	}
-	p.in = in
-}
-
-func (p *Protocol) rebuildOutLocked() {
-	out := make([]int, 0, len(p.gout))
 	for _, j := range p.gout {
-		if !p.deadOut[j] {
+		if !p.peerOf(j).deadOut {
 			out = append(out, j)
 		}
 	}
-	p.out = out
+	p.in, p.out = in, out
 }
 
 // wakeAllLocked wakes every wait this worker may be blocked in so it
@@ -205,9 +203,11 @@ func (p *Protocol) rebuildOutLocked() {
 // monitor.
 func (p *Protocol) wakeAllLocked() {
 	p.queue.cond.Broadcast()
-	p.acks.cond.Broadcast()
-	for _, tq := range p.tokens {
-		tq.cond.Broadcast()
+	p.acked.Broadcast()
+	for i := range p.peers {
+		if tq := p.peers[i].tokens; tq != nil {
+			tq.cond.Broadcast()
+		}
 	}
 }
 
@@ -220,12 +220,12 @@ func (p *Protocol) wakeAllLocked() {
 // depend on notice timing. Applying replaces p.in and p.out with fresh
 // slices and never writes the one being ranged over.
 func (p *Protocol) applyDeathsLocked(peers []int, missing func(int) bool) bool {
-	if len(p.pendingDead) == 0 {
+	if p.dying == 0 {
 		return false
 	}
 	applied := false
 	for _, d := range peers {
-		if p.pendingDead[d] && missing(d) {
+		if p.peerOf(d).dying && missing(d) {
 			p.applyDeathLocked(d)
 			applied = true
 		}
@@ -255,10 +255,9 @@ func (p *Protocol) joinSync() int {
 		}
 	}
 	newest := Update{Iter: -1}
-	for _, j := range append([]int(nil), p.in...) {
-		if p.isDeadIn(j) {
-			continue
-		}
+	// No death is applied before this loop, and each wait applies only
+	// its own peer's, so every j is live or pending when reached.
+	for _, j := range p.in {
 		u := p.newestFrom(j, 0)
 		if u.Iter > newest.Iter {
 			u, newest = newest, u
@@ -274,12 +273,6 @@ func (p *Protocol) joinSync() int {
 	k0 := newest.Iter + 1
 	p.note(TraceEvent{Kind: TraceRejoin, Iter: k0})
 	return k0
-}
-
-func (p *Protocol) isDeadIn(j int) bool {
-	p.mon.Lock()
-	defer p.mon.Unlock()
-	return p.deadIn[j]
 }
 
 func containsInt(xs []int, v int) bool {

@@ -36,6 +36,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"time"
 
 	"hop/internal/model"
@@ -115,11 +117,10 @@ type Runtime interface {
 	RecycleParams(v []float64)
 }
 
-// Protocol is one worker's Hop state machine: the update queue, ack
-// tracker, consumer-side token counters and staleness bookkeeping of a
-// single participant, plus the per-iteration decision loop. It is
-// runtime-agnostic — construct it with NewProtocol, feed inbound
-// messages through Deliver/DeliverAck/DeliverTokens (any
+// Protocol is one worker's Hop state machine: the update queue, the
+// per-peer records and the per-iteration decision loop of a single
+// participant. It is runtime-agnostic — construct it with NewProtocol,
+// feed inbound messages through Deliver/DeliverAck/DeliverTokens (any
 // goroutine/process), and call Run on the worker's own
 // goroutine/process.
 type Protocol struct {
@@ -130,16 +131,14 @@ type Protocol struct {
 	mon     Monitor
 
 	queue *UpdateQueue
-	acks  *AckTracker
-	// tokens[j] is this worker's counter for TokenQ(j→me), j ranging
-	// over the out-going neighbors; nil map when MaxIG == 0.
-	tokens map[int]*TokenQueue
+	acked Cond // announces a NOTIFY-ACK (peer.acked)
 
-	// iterRecv[j]: iteration of the most recent u_{j→me} ever received
-	// (staleness bookkeeping, Fig. 9); owned by the Run loop. Keyed by
-	// sender and sized by the in-neighborhood, not the cluster — absent
-	// means nothing received yet (-1).
-	iterRecv map[int]int
+	// peers holds one record per protocol peer and one for the worker
+	// itself, sorted by id (peerOf); dying counts the records with a
+	// declared death not yet applied, so a wait without one checks in
+	// O(1).
+	peers []peer
+	dying int
 
 	// in and out are the live neighbor views the iteration loop reads.
 	// Without fault tolerance they alias the immutable graph sets gin
@@ -185,19 +184,50 @@ type Protocol struct {
 	pick                *rand.Rand
 	initiatorsIn, dones int
 
-	// Elastic-membership state (membership.go); guarded by mon, nil
-	// maps when fault tolerance is off.
-	deadIn, deadOut map[int]bool
-	pendingDead     map[int]bool
-	pendingJoin     map[int]bool
-	joinFirst       map[int]int
-	joinLogged      map[int]bool
-	curIter         int
+	// curIter is the iteration death events applied mid-iteration are
+	// recorded at (membership.go).
+	curIter int
 
 	// stats, maxStale and aborted (set by Abort) are guarded by mon.
 	stats    Stats
 	maxStale int
 	aborted  bool
+}
+
+// peer is what one worker keeps about one protocol peer, guarded by
+// the monitor.
+type peer struct {
+	id int
+
+	// tokens is the counter for TokenQ(id→me) (§4.2); nil unless id is
+	// a graph out-neighbor and token queues are on.
+	tokens *TokenQueue
+
+	// iterRecv is the newest iteration ever received from id (Fig. 9's
+	// iter_rcv), owned by the Run loop; acked is id's newest NOTIFY-ACK.
+	// Both are −1 until the first arrives. An ACK for k implies every
+	// earlier one: id acks k only after it holds this worker's update k,
+	// which was sent only after id's ACK(k−1).
+	iterRecv, acked int
+
+	// Elastic membership (membership.go): the in- and out-edges to id
+	// are removed (deadIn, deadOut); its death is declared but not yet
+	// applied (dying); a removed peer has sent again (joining); its
+	// re-admission is traced (joinLogged). k0 is the tag of its first
+	// real update while joining, 0 until one arrives.
+	deadIn, deadOut, dying, joining, joinLogged bool
+	k0                                          int
+}
+
+// peerOf returns j's record, or nil if j is neither a protocol peer
+// nor this worker. It reads only ids, which never change, so it needs
+// no lock.
+func (p *Protocol) peerOf(j int) *peer {
+	i := sort.Search(len(p.peers), func(i int) bool { return p.peers[i].id >= j })
+	if i == len(p.peers) || p.peers[i].id != j {
+		return nil
+	}
+	return &p.peers[i]
 }
 
 // NewProtocol builds the state machine for worker id. cfg supplies the
@@ -221,7 +251,7 @@ func NewProtocol(cfg Config, id int, t model.Trainer, mon Monitor, rt Runtime, t
 		rt:      rt,
 		mon:     mon,
 		queue:   NewUpdateQueue(mon, len(cfg.Graph.In(id))+1),
-		acks:    NewAckTracker(mon),
+		acked:   mon.NewCond(),
 		in:      cfg.Graph.In(id),
 		out:     cfg.Graph.Out(id),
 		rng:     seeded.New(cfg.Seed + int64(id)*7919 + 1),
@@ -239,11 +269,15 @@ func NewProtocol(cfg Config, id int, t model.Trainer, mon Monitor, rt Runtime, t
 		p.in, p.out = p.gnbrs, p.gnbrs
 	}
 	p.gin, p.gout = p.in, p.out
-	p.iterRecv = make(map[int]int, len(p.gin))
+	ids := append(slices.Clone(p.gnbrs), id)
+	slices.Sort(ids)
+	p.peers = make([]peer, len(ids))
+	for i, j := range ids {
+		p.peers[i] = peer{id: j, iterRecv: -1, acked: -1}
+	}
 	if cfg.MaxIG > 0 {
-		p.tokens = make(map[int]*TokenQueue, len(p.out))
-		for _, j := range p.out {
-			p.tokens[j] = NewTokenQueue(mon, cfg.MaxIG)
+		for _, j := range p.gout {
+			p.peerOf(j).tokens = NewTokenQueue(mon, cfg.MaxIG)
 		}
 	}
 	if cfg.Faults != nil {
@@ -251,14 +285,6 @@ func NewProtocol(cfg Config, id int, t model.Trainer, mon Monitor, rt Runtime, t
 	}
 	if cfg.Mode == ModeADPSGD {
 		p.initADPSGD()
-	}
-	if cfg.FaultTolerance {
-		p.deadIn = make(map[int]bool)
-		p.deadOut = make(map[int]bool)
-		p.pendingDead = make(map[int]bool)
-		p.pendingJoin = make(map[int]bool)
-		p.joinFirst = make(map[int]int)
-		p.joinLogged = make(map[int]bool)
 	}
 	return p, nil
 }
@@ -316,7 +342,12 @@ func (p *Protocol) Deliver(u Update) {
 // for iter.
 func (p *Protocol) DeliverAck(from, iter int) {
 	p.noteAlive(from, 0, false)
-	p.acks.Deliver(from, iter)
+	p.mon.Lock()
+	defer p.mon.Unlock()
+	if r := p.peerOf(from); r != nil {
+		r.acked = max(r.acked, iter)
+	}
+	p.acked.Broadcast()
 }
 
 // DeliverTokens feeds count tokens granted by out-going neighbor from
@@ -325,7 +356,7 @@ func (p *Protocol) DeliverAck(from, iter int) {
 // them; the simulator never does).
 func (p *Protocol) DeliverTokens(from, count int) {
 	p.noteAlive(from, 0, false)
-	if tq, ok := p.tokens[from]; ok {
+	if tq := p.TokenIn(from); tq != nil {
 		tq.Put(count)
 	}
 }
@@ -335,7 +366,12 @@ func (p *Protocol) Queue() *UpdateQueue { return p.queue }
 
 // TokenIn returns the local counter for TokenQ(j→me), or nil if j is
 // not an out-going neighbor or token queues are disabled.
-func (p *Protocol) TokenIn(j int) *TokenQueue { return p.tokens[j] }
+func (p *Protocol) TokenIn(j int) *TokenQueue {
+	if r := p.peerOf(j); r != nil {
+		return r.tokens
+	}
+	return nil
+}
 
 // Stats snapshots this worker's protocol counters. Stale discards are
 // counted where they happen, in the update queue.
@@ -433,7 +469,7 @@ func (p *Protocol) run() error {
 			delta := next - k
 			for _, j := range p.out {
 				// A pending death of j releases its queue, which ends the take.
-				tq := p.tokens[j]
+				tq := p.peerOf(j).tokens
 				p.await(tq.cond, func() bool { return tq.takeLocked(delta) },
 					p.out, func(d int) bool { return d == j })
 			}
@@ -474,10 +510,10 @@ func (p *Protocol) iterate(k int) {
 		t.Apply(p.grads)
 	}
 	if notifyAck {
-		// Send(k) is gated on the previous iteration's ACKs; a dead
+		// Send(k) is gated on every live out-neighbor's ACK(k−1); a dead
 		// neighbor's pending edge is released rather than waited on.
-		p.await(p.acks.cond, func() bool { return p.acks.doneLocked(k-1, p.out) },
-			p.out, func(d int) bool { return !p.acks.hasLocked(k-1, d) })
+		p.await(p.acked, func() bool { return p.ackedAllLocked(k - 1) },
+			p.out, func(d int) bool { return p.peerOf(d).acked < k-1 })
 	}
 
 	// Send x_k (self-loop delivered locally for free, §3.1); the
@@ -520,6 +556,18 @@ func (p *Protocol) iterate(k int) {
 	if p.cfg.OnIteration != nil {
 		p.cfg.OnIteration(p.id, k, p.loss, p.rt.Now())
 	}
+}
+
+// ackedAllLocked reports whether every live out-neighbor has acked
+// iteration iter; iterations below zero are: there is nothing to
+// acknowledge before the first Send. Caller holds the monitor.
+func (p *Protocol) ackedAllLocked(iter int) bool {
+	for _, j := range p.out {
+		if p.peerOf(j).acked < iter {
+			return false
+		}
+	}
+	return true
 }
 
 // sendAll sends the iteration-k snapshot to all out-going neighbors —
@@ -642,6 +690,7 @@ func staleWeight(fresh int) float64 { return float64(max(fresh, 1)) }
 // drained. Superseded updates are recycled on the way.
 func (p *Protocol) newestFrom(j, minIter int) Update {
 	newest := Update{Iter: -1}
+	r := p.peerOf(j)
 	p.await(p.queue.cond, func() bool {
 		for _, u := range p.queue.drainFromLocked(j) {
 			if u.Iter > newest.Iter {
@@ -649,10 +698,8 @@ func (p *Protocol) newestFrom(j, minIter int) Update {
 			}
 			p.rt.RecycleParams(u.Params)
 		}
-		if cur, ok := p.iterRecv[j]; !ok || newest.Iter > cur {
-			p.iterRecv[j] = newest.Iter
-		}
-		return p.iterRecv[j] >= minIter || p.deadIn[j]
+		r.iterRecv = max(r.iterRecv, newest.Iter)
+		return r.iterRecv >= minIter || r.deadIn
 	}, p.in, func(d int) bool { return d == j })
 	return newest
 }
@@ -674,7 +721,7 @@ func (p *Protocol) jumpTarget(k int) int {
 	}
 	minTok := int(^uint(0) >> 1)
 	for _, j := range p.out {
-		if s := p.tokens[j].Size(); s < minTok {
+		if s := p.peerOf(j).tokens.Size(); s < minTok {
 			minTok = s
 		}
 	}

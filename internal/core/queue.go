@@ -1,6 +1,6 @@
 package core
 
-// This file implements the three queue types of the Hop design:
+// This file implements the two queue types of the Hop design:
 //
 //   - UpdateQueue (§4.1, §6.1): a tagged FIFO of parameter updates,
 //     one array in arrival order. §6.1 lays the queue out as
@@ -13,8 +13,6 @@ package core
 //   - TokenQueue (§4.2): a counting semaphore realizing the
 //     iteration-gap control of Theorem 2. Its Size doubles as the
 //     straggler self-identification signal of §5.
-//   - AckTracker (§3.3): per-iteration ACK counting for the NOTIFY-ACK
-//     baseline.
 //
 // The queues are passive state under the cluster's Monitor: a worker's
 // protocol blocks on them only through Protocol.await, whose ready
@@ -312,58 +310,4 @@ func (t *TokenQueue) HighWater() int {
 	t.mon.Lock()
 	defer t.mon.Unlock()
 	return t.highWater
-}
-
-// --- AckTracker --------------------------------------------------------
-
-// AckTracker records NOTIFY-ACK acknowledgments per iteration for one
-// worker (§3.3): a worker may not Send(k) until it holds ACK(k-1) from
-// all out-going neighbors. Acks are tracked per sender so a dead
-// neighbor's pending edge can be released without miscounting.
-type AckTracker struct {
-	mon  Monitor
-	cond Cond
-
-	acks map[int]map[int]bool // iter → set of acked senders
-}
-
-// NewAckTracker creates an empty tracker.
-func NewAckTracker(mon Monitor) *AckTracker {
-	return &AckTracker{mon: mon, cond: mon.NewCond(), acks: make(map[int]map[int]bool)}
-}
-
-// Deliver records sender from's ACK for iteration iter.
-func (a *AckTracker) Deliver(from, iter int) {
-	a.mon.Lock()
-	defer a.mon.Unlock()
-	set := a.acks[iter]
-	if set == nil {
-		set = make(map[int]bool)
-		a.acks[iter] = set
-	}
-	set[from] = true
-	a.cond.Broadcast()
-}
-
-// doneLocked reports whether every worker in want has acked iteration
-// iter, and then forgets the iteration. Iterations below zero are done:
-// there is nothing to acknowledge before the first Send. Caller holds
-// the monitor.
-func (a *AckTracker) doneLocked(iter int, want []int) bool {
-	if iter < 0 {
-		return true
-	}
-	for _, j := range want {
-		if !a.acks[iter][j] {
-			return false
-		}
-	}
-	delete(a.acks, iter)
-	return true
-}
-
-// hasLocked reports whether sender from has acked iteration iter.
-// Caller holds the monitor.
-func (a *AckTracker) hasLocked(iter, from int) bool {
-	return a.acks[iter][from]
 }

@@ -3,6 +3,9 @@ package core
 import (
 	"testing"
 	"time"
+
+	"hop/internal/graph"
+	"hop/internal/model"
 )
 
 func upd(iter, from int, v float64) Update {
@@ -173,31 +176,35 @@ func TestTokenQueueTakeBlocks(t *testing.T) {
 	}
 }
 
-func TestAckTracker(t *testing.T) {
-	mon := NewSyncMonitor()
-	a := NewAckTracker(mon)
-	done := func(iter int, want []int) bool {
-		mon.Lock()
-		defer mon.Unlock()
-		return a.doneLocked(iter, want)
+// TestAckGateIsCumulative: a NOTIFY-ACK worker may Send(k) once every
+// out-neighbor's newest ACK reaches k−1. An ACK for k stands for every
+// earlier one, so a duplicate of an older ACK arriving late does not
+// take it back.
+func TestAckGateIsCumulative(t *testing.T) {
+	cfg := Config{Graph: graph.Ring(3), Mode: ModeNotifyAck, MaxIter: 10}
+	p, err := NewProtocol(cfg, 0, model.NewFrozen([]float64{0}), NewSyncMonitor(), nopRuntime{}, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !done(-1, []int{1, 2, 3}) {
-		t.Error("iteration -1 not done: there is nothing to acknowledge before iteration 0")
+	acked := func(iter int) bool {
+		p.mon.Lock()
+		defer p.mon.Unlock()
+		return p.ackedAllLocked(iter)
 	}
-	a.Deliver(1, 0)
-	if done(0, []int{1, 2}) {
-		t.Fatal("done with 1 of 2 acks")
+	if !acked(-1) {
+		t.Error("iteration -1 not acked: there is nothing to acknowledge before iteration 0")
 	}
-	a.Deliver(1, 0) // duplicate from the same sender must not satisfy it
-	if done(0, []int{1, 2}) {
-		t.Fatal("done on a duplicate ack")
+	p.DeliverAck(1, 4)
+	if acked(0) {
+		t.Fatal("acked with one of two out-neighbors heard from")
 	}
-	a.Deliver(2, 0)
-	if !done(0, []int{1, 2}) {
-		t.Fatal("not done with both acks")
+	p.DeliverAck(2, 5)
+	p.DeliverAck(2, 3) // a late duplicate
+	if !acked(4) {
+		t.Error("Send(5) still gated with ACK(4) from 1 and ACK(5) from 2")
 	}
-	if done(0, []int{1}) {
-		t.Error("a done iteration is not forgotten")
+	if acked(5) {
+		t.Error("Send(6) released without ACK(5) from 1")
 	}
 }
 

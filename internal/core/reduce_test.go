@@ -109,7 +109,7 @@ func TestPreJumpRefreshReduce(t *testing.T) {
 		// queued from it is a duplicate from before the window.
 		p.queue.Enqueue(Update{Params: a, Iter: kr - 1, From: 1})
 		p.queue.Enqueue(Update{Params: b, Iter: minIter, From: 2})
-		p.iterRecv[3] = kr - 1
+		p.peerOf(3).iterRecv = kr - 1
 		p.queue.Enqueue(Update{Params: c, Iter: minIter - 1, From: 3})
 		mustFinish(t, p, goReduce(func() { p.renewParams(kr) }))
 
@@ -169,7 +169,7 @@ func TestJumpTarget(t *testing.T) {
 	} {
 		p, _ := refreshPeer(t, Config{MaxIG: maxIG, MaxJump: tc.maxJump, MaxIter: tc.maxIt}, []float64{0})
 		for i, a := range tc.ahead {
-			p.tokens[i+1].Put(a)
+			p.TokenIn(i + 1).Put(a)
 		}
 		if got := p.jumpTarget(k); got != tc.want {
 			t.Errorf("%s: jumpTarget(%d) = %d, want %d", tc.name, k, got, tc.want)

@@ -51,8 +51,10 @@ func (f *Fabric) reorderDelay() time.Duration {
 // to the fabric's handler (Handle) on arrival, routing it through the
 // chaos injector first. Membership/control traffic (death notices)
 // should keep using Deliver: chaos models a lossy data plane, not a
-// lying failure detector.
-func (f *Fabric) DeliverData(bytes int, m Message) {
+// lying failure detector. It reports whether the message is on its
+// way: a lost one (partition, drop or corruption) never reaches the
+// handler, so its Params are still the sender's to recycle.
+func (f *Fabric) DeliverData(bytes int, m Message) bool {
 	if f.eq.handle == nil {
 		panic("netsim: DeliverData before Handle installed a message handler")
 	}
@@ -60,11 +62,11 @@ func (f *Fabric) DeliverData(bytes int, m Message) {
 	c := f.cfg.Chaos
 	if c == nil {
 		f.eq.enqueueMsg(f.placement[dst], f.arrivalTime(src, dst, bytes), m)
-		return
+		return true
 	}
 	if c.Severs(src, dst, iter) {
 		f.stats.NetPartitioned++
-		return
+		return false
 	}
 	// Exactly four draws per message, fault or no fault: the draw
 	// schedule — and therefore every later draw on this link — is
@@ -77,12 +79,12 @@ func (f *Fabric) DeliverData(bytes int, m Message) {
 	switch {
 	case drop:
 		f.stats.NetDropped++
-		return
+		return false
 	case corrupt:
 		// The live receiver CRC-drops a corrupt frame, so here it is
 		// loss with its own counter.
 		f.stats.NetCorrupted++
-		return
+		return false
 	}
 	at := f.arrivalTime(src, dst, bytes)
 	if reorder {
@@ -97,4 +99,5 @@ func (f *Fabric) DeliverData(bytes int, m Message) {
 		m.Params = slices.Clone(m.Params)
 		f.eq.enqueueMsg(f.placement[dst], at+f.reorderDelay(), m)
 	}
+	return true
 }

@@ -7,6 +7,7 @@ package scenario
 // and on loopback TCP.
 
 import (
+	"fmt"
 	"os"
 	"testing"
 	"time"
@@ -46,6 +47,60 @@ func TestFaultAxisValidation(t *testing.T) {
 		}
 		if !c.ok && err == nil {
 			t.Errorf("%s: invalid fault accepted", c.name)
+		}
+	}
+}
+
+// TestRestartWedgesRefused pins the two crash-restart families the
+// validator refuses, each with a spec that deadlocks on the simulator
+// when accepted: NOTIFY-ACK, whose survivors gate Send(k) on an
+// ACK(k−1) the rejoiner never sends (sim: deadlock at 1.6 s), and token
+// queues where the restarting worker sends to a neighbor it does not
+// hear from, so its rejoin iteration ignores how far that neighbor ran
+// ahead (deadlock at 1.0 s with the crash at 5, 2.0 s at 15, seeds
+// 1–3). The same specs without the restart are valid and finish.
+func TestRestartWedgesRefused(t *testing.T) {
+	restart := func(w, iter int, after time.Duration) *Fault {
+		return &Fault{Crashes: []Crash{{Worker: w, Iter: iter, Restart: Duration(after)}}}
+	}
+	var specs []Spec
+	specs = append(specs, Spec{
+		Name:     "notify-ack ring-4",
+		Workload: "quadratic",
+		Topology: Topology{Kind: "ring", Workers: 4, Machines: 1},
+		Protocol: Protocol{Mode: "notify-ack"},
+		Fault:    restart(3, 10, 500*time.Millisecond),
+		MaxIter:  40,
+		Seed:     7,
+	})
+	for _, iter := range []int{5, 15} {
+		for seed := int64(1); seed <= 3; seed++ {
+			specs = append(specs, Spec{
+				Name:     fmt.Sprintf("max_ig 2 directed-ring-5, crash at %d, seed %d", iter, seed),
+				Workload: "quadratic",
+				Topology: Topology{Kind: "directed-ring", Workers: 5, Machines: 1},
+				Protocol: Protocol{MaxIG: 2},
+				Fault:    restart(1, iter, 150*time.Millisecond),
+				MaxIter:  60,
+				Seed:     seed,
+			})
+		}
+	}
+	for _, spec := range specs {
+		if spec.Validate() == nil {
+			t.Errorf("%s: crash restart accepted", spec.Name)
+		}
+		spec.Fault = restart(spec.Fault.Crashes[0].Worker, spec.Fault.Crashes[0].Iter, 0)
+		opts, err := spec.Resolve()
+		if err != nil {
+			t.Fatalf("%s without the restart: %v", spec.Name, err)
+		}
+		res, err := cluster.Run(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Deadlock != nil {
+			t.Errorf("%s without the restart: %v", spec.Name, res.Deadlock)
 		}
 	}
 }
