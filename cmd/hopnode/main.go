@@ -74,7 +74,7 @@ func main() {
 	if *rejoin {
 		cfg.Config = cfg.Restarted()
 	}
-	cfg.OnIteration = func(_, iter int, loss float64, _ time.Duration) {
+	cfg.OnIteration = func(iter int, loss float64) {
 		if iter%10 == 0 {
 			fmt.Printf("worker %d: iteration %d, train loss %.4f\n", *id, iter, loss)
 		}

@@ -49,7 +49,7 @@ func TestAblationNotifyAckSlowerUnderHeterogeneity(t *testing.T) {
 		opts := baseOptions(g, 0)
 		opts.Deadline = 60 * time.Second
 		opts.Core.Mode = mode
-		opts.Core.Trainers = frozenTrainers(8)
+		opts.Trainers = frozenTrainers(8)
 		opts.Compute.Slow = hetero.Random{Fact: 6, Prob: 1.0 / 8}
 		res, err := Run(opts)
 		if err != nil {
@@ -75,7 +75,7 @@ func TestAblationTokenQueuesCapMemory(t *testing.T) {
 		opts := baseOptions(g, 0)
 		opts.Deadline = 120 * time.Second
 		opts.Core.MaxIG = maxIG
-		opts.Core.Trainers = frozenTrainers(8)
+		opts.Trainers = frozenTrainers(8)
 		opts.Compute.Slow = hetero.Deterministic{Factors: map[int]float64{0: 30}}
 		res, err := Run(opts)
 		if err != nil {
@@ -105,7 +105,7 @@ func TestAblationSendCheckReducesTraffic(t *testing.T) {
 		opts.Core.MaxIG = 6
 		opts.Core.Backup = 1
 		opts.Core.SendCheck = check
-		opts.Core.Trainers = frozenTrainers(8)
+		opts.Trainers = frozenTrainers(8)
 		opts.Compute.Slow = hetero.Deterministic{Factors: map[int]float64{0: 25}}
 		res, err := Run(opts)
 		if err != nil {
@@ -133,7 +133,7 @@ func TestAblationStalenessBoundTightness(t *testing.T) {
 		opts.Deadline = 100 * time.Second
 		opts.Core.Staleness = s
 		opts.Core.MaxIG = 20
-		opts.Core.Trainers = frozenTrainers(8)
+		opts.Trainers = frozenTrainers(8)
 		opts.Compute.Slow = hetero.Deterministic{Factors: map[int]float64{0: 8000}}
 		res, err := Run(opts)
 		if err != nil {

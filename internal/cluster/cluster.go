@@ -34,13 +34,23 @@ const ackBytes = 64
 
 // Options configure one simulated run.
 type Options struct {
-	// Core is the protocol configuration; Trainers may be left nil, in
-	// which case Trainer below is cloned per worker.
+	// Core is the protocol configuration.
 	Core core.Config
 
+	// Trainers holds one model replica per worker; the paper starts
+	// them all from identical parameters (x0,i = p0, Fig. 4). nil
+	// clones Trainer below per worker.
+	Trainers []model.Trainer
+
 	// Trainer is the prototype model replica (cloned per worker when
-	// Core.Trainers is nil).
+	// Trainers is nil).
 	Trainer model.Trainer
+
+	// Tracers, when non-nil, holds one optional decision trace per
+	// worker (entries may be nil): the protocol records its decisions
+	// into it (core.Trace), a restarted worker continuing its
+	// predecessor's. The sim↔live differential tests read them.
+	Tracers []*core.Trace
 
 	// Compute models gradient-computation time and slowdowns.
 	Compute hetero.Compute
@@ -99,16 +109,25 @@ func (m monitor) NewCond() core.Cond { return sim.NewCond(m.k) }
 // built on that worker's core.Runtime (a worker). Run delivers death
 // notices and restarts through it.
 type Host struct {
-	k       *sim.Kernel
-	fabric  *netsim.Fabric
-	protos  []*core.Protocol
-	gaps    *core.GapTracker
-	compute hetero.Compute
-	workers []worker
-	rngs    []*rand.Rand // per-worker slowdown RNG
-	procs   []*sim.Proc
-	steps   []gradStep
-	payload int
+	k        *sim.Kernel
+	fabric   *netsim.Fabric
+	protos   []*core.Protocol
+	gaps     *core.GapTracker
+	compute  hetero.Compute
+	workers  []worker
+	trainers []model.Trainer
+	tracers  []*core.Trace
+	rngs     []*rand.Rand // per-worker slowdown RNG
+	procs    []*sim.Proc
+	steps    []gradStep
+	payload  int
+
+	// rec records every finished iteration (worker.Iterated); the eval
+	// worker's loss is sampled on its evalEvery-th, counted in evals.
+	rec        *metrics.Recorder
+	evalWorker int
+	evalEvery  int
+	evals      int
 
 	// free is the cluster's parameter-buffer free list (worker.GetParams,
 	// worker.RecycleParams). Only the scheduling plane, one simulated
@@ -122,15 +141,17 @@ type Host struct {
 }
 
 // gradStep is one worker's slot on the compute plane: the reusable
-// whole-step task its gradient closures run as, and where they run.
-// The choice is made from the closure itself: the worker's first step
-// is timed inline, and its later steps go to the pool only if that one
-// took longer than a hand-off is worth (tensor.StepOffloadMin). The
-// closure is pure, so the choice can move host time and nothing else.
+// whole-step task its gradient closures run as, where they run, and
+// the virtual time the step ends. The choice is made from the closure
+// itself: the worker's first step is timed inline, and its later steps
+// go to the pool only if that one took longer than a hand-off is worth
+// (tensor.StepOffloadMin). The closure is pure, so the choice can move
+// host time and nothing else.
 type gradStep struct {
 	task    tensor.Step
 	timed   bool
 	offload bool
+	end     time.Duration
 }
 
 // worker is worker w's core.Runtime on the simulator.
@@ -139,9 +160,8 @@ type worker struct {
 	w int
 }
 
-func (r *worker) Now() time.Duration { return r.h.k.Now() }
-
-// Compute starts worker w's gradient step on the compute plane. The
+// Compute starts worker w's gradient step on the compute plane and
+// draws its modeled cost, the virtual time EndCompute waits for. The
 // math costs no *virtual* time; in host time it overlaps the other
 // workers' steps and everything the scheduler does until w's
 // EndCompute, which joins it (DESIGN.md §3.2).
@@ -153,9 +173,10 @@ func (r *worker) Now() time.Duration { return r.h.k.Now() }
 // Wait, Spawn, After) or block on another simulated process; it may
 // fan out across real OS threads — the tensor pool's goroutines are
 // not simulated processes — as long as none outlive the join.
-func (r *worker) Compute(iter int, fn func()) time.Duration {
+func (r *worker) Compute(iter int, fn func()) {
 	h, w := r.h, r.w
-	switch s := &h.steps[w]; {
+	s := &h.steps[w]
+	switch {
 	case s.offload:
 		s.task.Start(fn)
 		h.offloaded++
@@ -166,15 +187,33 @@ func (r *worker) Compute(iter int, fn func()) time.Duration {
 		fn()
 		s.timed, s.offload = true, time.Since(t0) > tensor.StepOffloadMin
 	}
-	return h.compute.IterTime(w, iter, h.rngs[w])
+	s.end = h.k.Now() + h.compute.IterTime(w, iter, h.rngs[w])
 }
 
-func (r *worker) EndCompute(t time.Duration) {
+func (r *worker) EndCompute() {
 	h := r.h
-	if d := t - h.k.Now(); d > 0 {
+	s := &h.steps[r.w]
+	if d := s.end - h.k.Now(); d > 0 {
 		h.procs[r.w].Sleep(d)
 	}
-	h.steps[r.w].task.Join()
+	s.task.Join()
+}
+
+// Iterated records worker w's finished iteration. The eval worker's
+// held-out loss is sampled on every evalEvery-th iteration it finishes,
+// counted rather than read off iter: a jumping worker skips iteration
+// numbers.
+func (r *worker) Iterated(iter int, loss float64) {
+	h, now := r.h, r.h.k.Now()
+	h.rec.RecordIteration(r.w, iter, now)
+	if r.w != h.evalWorker {
+		return
+	}
+	h.rec.RecordTrain(now, iter, loss)
+	if h.evals%h.evalEvery == 0 {
+		h.rec.RecordEval(now, iter, h.trainers[r.w].EvalLoss())
+	}
+	h.evals++
 }
 
 // Send and SendAck route through DeliverData, the chaos-injectable
@@ -261,10 +300,10 @@ func (h *Host) deliver(m netsim.Message) {
 // build makes worker w's protocol from cfg, on w's runtime.
 func (h *Host) build(cfg core.Config, w int) error {
 	var tr *core.Trace
-	if cfg.Tracers != nil {
-		tr = cfg.Tracers[w]
+	if h.tracers != nil {
+		tr = h.tracers[w]
 	}
-	p, err := core.NewProtocol(cfg, w, cfg.Trainers[w], monitor{h.k}, &h.workers[w], tr)
+	p, err := core.NewProtocol(cfg, w, h.trainers[w], monitor{h.k}, &h.workers[w], tr)
 	if err != nil {
 		return err
 	}
@@ -294,14 +333,21 @@ func Run(opts Options) (*Result, error) {
 		return nil, fmt.Errorf("cluster: no graph configured")
 	}
 	n := cfg.Graph.N()
-	if cfg.Trainers == nil {
+	trainers := opts.Trainers
+	if trainers == nil {
 		if opts.Trainer == nil {
 			return nil, fmt.Errorf("cluster: no trainer configured")
 		}
-		cfg.Trainers = make([]model.Trainer, n)
-		for i := 0; i < n; i++ {
-			cfg.Trainers[i] = opts.Trainer.Clone()
+		trainers = make([]model.Trainer, n)
+		for i := range trainers {
+			trainers[i] = opts.Trainer.Clone()
 		}
+	}
+	if len(trainers) != n {
+		return nil, fmt.Errorf("cluster: %d trainers for %d workers", len(trainers), n)
+	}
+	if opts.Tracers != nil && len(opts.Tracers) != n {
+		return nil, fmt.Errorf("cluster: %d tracers for %d workers", len(opts.Tracers), n)
 	}
 	if opts.Net.IsZero() {
 		opts.Net = netsim.Default1GbE()
@@ -321,48 +367,29 @@ func Run(opts Options) (*Result, error) {
 
 	k := sim.NewKernel()
 	fabric := netsim.New(k, opts.Net, n, cfg.Graph.Machine)
-	rec := metrics.NewRecorder(n)
 
 	h := &Host{
-		k:       k,
-		fabric:  fabric,
-		protos:  make([]*core.Protocol, n),
-		gaps:    core.NewGapTrackerFor(monitor{k}, cfg.Graph),
-		compute: opts.Compute,
-		workers: make([]worker, n),
-		rngs:    make([]*rand.Rand, n),
-		procs:   make([]*sim.Proc, n),
-		steps:   make([]gradStep, n),
-		payload: opts.PayloadBytes,
+		k:          k,
+		fabric:     fabric,
+		protos:     make([]*core.Protocol, n),
+		gaps:       core.NewGapTrackerFor(monitor{k}, cfg.Graph),
+		compute:    opts.Compute,
+		workers:    make([]worker, n),
+		trainers:   trainers,
+		tracers:    opts.Tracers,
+		rngs:       make([]*rand.Rand, n),
+		procs:      make([]*sim.Proc, n),
+		steps:      make([]gradStep, n),
+		payload:    opts.PayloadBytes,
+		rec:        metrics.NewRecorder(n),
+		evalWorker: opts.EvalWorker,
+		evalEvery:  opts.EvalEvery,
 	}
 	for i := 0; i < n; i++ {
 		h.workers[i] = worker{h: h, w: i}
 		h.rngs[i] = hetero.WorkerRNG(opts.Seed, i)
 	}
 
-	evalWorker := opts.EvalWorker
-	trainers := cfg.Trainers
-	userIter := cfg.OnIteration
-	evalCount := 0 // completed iterations of the eval worker; jumping
-	// workers skip iteration numbers, so cadence must not depend on
-	// iter % EvalEvery.
-	cfg.OnIteration = func(w, iter int, loss float64, now time.Duration) {
-		rec.RecordIteration(w, iter, now)
-		if w == evalWorker {
-			rec.RecordTrain(now, iter, loss)
-			if evalCount%opts.EvalEvery == 0 {
-				rec.RecordEval(now, iter, trainers[w].EvalLoss())
-			}
-			evalCount++
-		}
-		if userIter != nil {
-			userIter(w, iter, loss, now)
-		}
-	}
-
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	for w := 0; w < n; w++ {
 		if err := h.build(cfg, w); err != nil {
 			return nil, err
@@ -441,7 +468,7 @@ func Run(opts Options) (*Result, error) {
 		h.steps[w].task.Join()
 	}
 	res := &Result{
-		Metrics:        rec,
+		Metrics:        h.rec,
 		Engine:         h,
 		Fabric:         fabric,
 		Trainers:       trainers,

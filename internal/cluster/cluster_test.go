@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -52,7 +53,7 @@ func TestConsensusAndMeanPreservation(t *testing.T) {
 	for _, gb := range []*graph.Graph{graph.Ring(8), graph.RingBased(8), graph.Complete(6)} {
 		n := gb.N()
 		opts := baseOptions(gb, 30)
-		opts.Core.Trainers = frozenTrainers(n)
+		opts.Trainers = frozenTrainers(n)
 		res, err := Run(opts)
 		if err != nil {
 			t.Fatalf("%s: %v", gb.Name, err)
@@ -63,7 +64,7 @@ func TestConsensusAndMeanPreservation(t *testing.T) {
 		wantMean := float64(n-1) / 2
 		sum := 0.0
 		for i := 0; i < n; i++ {
-			v := opts.Core.Trainers[i].Params()[0]
+			v := opts.Trainers[i].Params()[0]
 			sum += v
 			if math.Abs(v-wantMean) > 0.05 {
 				t.Errorf("%s: worker %d at %.4f, want ≈%.2f (consensus)", gb.Name, i, v, wantMean)
@@ -82,7 +83,7 @@ func TestConsensusAndMeanPreservation(t *testing.T) {
 func TestTheorem1GapBound(t *testing.T) {
 	g := graph.Ring(8)
 	opts := baseOptions(g, 40)
-	opts.Core.Trainers = frozenTrainers(8)
+	opts.Trainers = frozenTrainers(8)
 	opts.Compute.Slow = hetero.Deterministic{Factors: map[int]float64{0: 8}}
 	res, err := Run(opts)
 	if err != nil {
@@ -109,7 +110,7 @@ func TestTheorem2TokenBound(t *testing.T) {
 	g := graph.RingBased(8)
 	const maxIG = 3
 	opts := baseOptions(g, 40)
-	opts.Core.Trainers = frozenTrainers(8)
+	opts.Trainers = frozenTrainers(8)
 	opts.Core.MaxIG = maxIG
 	opts.Compute.Slow = hetero.Deterministic{Factors: map[int]float64{0: 50}}
 	opts.Deadline = 2 * time.Hour
@@ -146,7 +147,7 @@ func TestBackupWorkersAdvancePastStraggler(t *testing.T) {
 	run := func(backup int) []int {
 		opts := baseOptions(g, 0)
 		opts.Deadline = 100 * time.Second // straggler needs ~800s/iter
-		opts.Core.Trainers = frozenTrainers(8)
+		opts.Trainers = frozenTrainers(8)
 		opts.Core.MaxIG = maxIG
 		opts.Core.Backup = backup
 		opts.Core.SendCheck = backup > 0
@@ -185,7 +186,7 @@ func TestBoundedStalenessAdvancePastStraggler(t *testing.T) {
 	const s = 4
 	opts := baseOptions(g, 0)
 	opts.Deadline = 100 * time.Second
-	opts.Core.Trainers = frozenTrainers(8)
+	opts.Trainers = frozenTrainers(8)
 	opts.Core.Staleness = s
 	opts.Core.MaxIG = 10 // loose token bound, staleness binds first
 	opts.Compute.Slow = hetero.Deterministic{Factors: map[int]float64{0: 8000}}
@@ -220,7 +221,7 @@ func TestSkippingIterationsUnblocksStraggler(t *testing.T) {
 	run := func(maxJump int) (minIter int, jumps int) {
 		opts := baseOptions(g, 0)
 		opts.Deadline = 120 * time.Second
-		opts.Core.Trainers = frozenTrainers(8)
+		opts.Trainers = frozenTrainers(8)
 		opts.Core.MaxIG = 4
 		opts.Core.Backup = 1
 		opts.Core.SendCheck = true
@@ -261,15 +262,15 @@ func TestSkippingIterationsUnblocksStraggler(t *testing.T) {
 func TestSkipJumpStopsAtMaxIter(t *testing.T) {
 	const n, maxIter = 8, 10
 	opts := baseOptions(graph.RingBased(n), maxIter)
-	opts.Core.Trainers = frozenTrainers(n)
+	opts.Trainers = frozenTrainers(n)
 	opts.Core.MaxIG = 4
 	opts.Core.Backup = 1
 	opts.Core.SendCheck = true
 	opts.Core.MaxJump = 10
 	opts.Compute.Slow = hetero.Deterministic{Factors: map[int]float64{0: 6}}
-	opts.Core.Tracers = make([]*core.Trace, n)
-	for i := range opts.Core.Tracers {
-		opts.Core.Tracers[i] = core.NewTrace()
+	opts.Tracers = make([]*core.Trace, n)
+	for i := range opts.Tracers {
+		opts.Tracers[i] = core.NewTrace()
 	}
 	res, err := Run(opts)
 	if err != nil {
@@ -279,7 +280,7 @@ func TestSkipJumpStopsAtMaxIter(t *testing.T) {
 		t.Fatalf("deadlock: %v", res.Deadlock)
 	}
 	last := false
-	for w, tr := range opts.Core.Tracers {
+	for w, tr := range opts.Tracers {
 		skipped := 0
 		for _, e := range tr.Events() {
 			if e.Kind != core.TraceJump {
@@ -306,7 +307,7 @@ func TestNotifyAckGapBound(t *testing.T) {
 	g := graph.Ring(8)
 	opts := baseOptions(g, 30)
 	opts.Core.Mode = core.ModeNotifyAck
-	opts.Core.Trainers = frozenTrainers(8)
+	opts.Trainers = frozenTrainers(8)
 	opts.Compute.Slow = hetero.Random{Fact: 4, Prob: 0.2}
 	res, err := Run(opts)
 	if err != nil {
@@ -411,7 +412,7 @@ func TestSendCheckSuppressesStaleSends(t *testing.T) {
 	g := graph.Ring(8)
 	opts := baseOptions(g, 0)
 	opts.Deadline = 60 * time.Second
-	opts.Core.Trainers = frozenTrainers(8)
+	opts.Trainers = frozenTrainers(8)
 	opts.Core.MaxIG = 6
 	opts.Core.Backup = 1
 	opts.Core.SendCheck = true
@@ -431,7 +432,7 @@ func TestStaleDiscardHappens(t *testing.T) {
 	g := graph.Ring(8)
 	opts := baseOptions(g, 0)
 	opts.Deadline = 120 * time.Second
-	opts.Core.Trainers = frozenTrainers(8)
+	opts.Trainers = frozenTrainers(8)
 	opts.Core.MaxIG = 6
 	opts.Core.Backup = 1
 	opts.Compute.Slow = hetero.Deterministic{Factors: map[int]float64{0: 10}}
@@ -457,7 +458,7 @@ func TestStaleDiscardHappens(t *testing.T) {
 // deadline with partial progress recorded.
 func TestDeadlineTermination(t *testing.T) {
 	opts := baseOptions(graph.Ring(4), 0)
-	opts.Core.Trainers = frozenTrainers(4)
+	opts.Trainers = frozenTrainers(4)
 	opts.Deadline = 1 * time.Second // 100ms compute → ~9 iterations
 	res, err := Run(opts)
 	if err != nil {
@@ -478,7 +479,7 @@ func TestMeanPreservedUnderBackup(t *testing.T) {
 	g := graph.RingBased(8)
 	opts := baseOptions(g, 0)
 	opts.Deadline = 60 * time.Second
-	opts.Core.Trainers = frozenTrainers(8)
+	opts.Trainers = frozenTrainers(8)
 	opts.Core.MaxIG = 4
 	opts.Core.Backup = 1
 	opts.Core.SendCheck = true
@@ -488,7 +489,7 @@ func TestMeanPreservedUnderBackup(t *testing.T) {
 		t.Fatal(err)
 	}
 	for w := 0; w < 8; w++ {
-		v := opts.Core.Trainers[w].Params()[0]
+		v := opts.Trainers[w].Params()[0]
 		if v < 0 || v > 7 {
 			t.Errorf("worker %d escaped the convex hull: %g", w, v)
 		}
@@ -508,6 +509,28 @@ func TestMissingConfigRejected(t *testing.T) {
 	if _, err := Run(o); err == nil {
 		t.Error("missing termination should fail")
 	}
+	// Each row breaks one per-worker length of otherwise valid options.
+	valid := func() Options {
+		o := baseOptions(graph.Ring(4), 1)
+		o.Trainers = frozenTrainers(4)
+		return o
+	}
+	if _, err := Run(valid()); err != nil {
+		t.Fatalf("valid options rejected: %v", err)
+	}
+	for _, c := range []struct {
+		name, want string
+		mut        func(*Options)
+	}{
+		{"wrong trainer count", "1 trainers for 4 workers", func(o *Options) { o.Trainers = o.Trainers[:1] }},
+		{"wrong tracer count", "1 tracers for 4 workers", func(o *Options) { o.Tracers = make([]*core.Trace, 1) }},
+	} {
+		o := valid()
+		c.mut(&o)
+		if _, err := Run(o); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got %v, want an error naming %q", c.name, err, c.want)
+		}
+	}
 }
 
 // TestFrozenMeanInvariantExact: on a regular graph with standard mode
@@ -516,7 +539,7 @@ func TestMissingConfigRejected(t *testing.T) {
 func TestFrozenMeanInvariantExact(t *testing.T) {
 	g := graph.DoubleRing(8)
 	opts := baseOptions(g, 25)
-	opts.Core.Trainers = frozenTrainers(8)
+	opts.Trainers = frozenTrainers(8)
 	res, err := Run(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -526,7 +549,7 @@ func TestFrozenMeanInvariantExact(t *testing.T) {
 	}
 	sum := 0.0
 	for w := 0; w < 8; w++ {
-		sum += opts.Core.Trainers[w].Params()[0]
+		sum += opts.Trainers[w].Params()[0]
 	}
 	if math.Abs(sum-28) > 1e-9 {
 		t.Errorf("sum %v, want 28", sum)
@@ -534,7 +557,7 @@ func TestFrozenMeanInvariantExact(t *testing.T) {
 	// Consensus distance must have shrunk drastically.
 	var maxDist float64
 	for w := 0; w < 8; w++ {
-		d := tensor.Dist2(opts.Core.Trainers[w].Params(), []float64{3.5})
+		d := tensor.Dist2(opts.Trainers[w].Params(), []float64{3.5})
 		if d > maxDist {
 			maxDist = d
 		}

@@ -104,9 +104,9 @@ func TestOffloadInvisibleAcrossCrashRestart(t *testing.T) {
 		opts.Core.FaultTolerance = true
 		opts.Core.Faults = make([]core.FaultSchedule, n)
 		opts.Core.Faults[3] = core.FaultSchedule{CrashIter: 4, RestartAfter: 9 * time.Second}
-		opts.Core.Tracers = make([]*core.Trace, n)
-		for i := range opts.Core.Tracers {
-			opts.Core.Tracers[i] = core.NewTrace()
+		opts.Tracers = make([]*core.Trace, n)
+		for i := range opts.Tracers {
+			opts.Tracers[i] = core.NewTrace()
 		}
 		res, err := Run(opts)
 		if err != nil {
@@ -118,8 +118,8 @@ func TestOffloadInvisibleAcrossCrashRestart(t *testing.T) {
 		if width > 1 && res.StepsOffloaded == 0 {
 			t.Fatalf("width %d: no step was offloaded", width)
 		}
-		out := outcome{duration: res.Duration, members: opts.Core.Tracers[3].MembershipString()}
-		for i, tr := range opts.Core.Tracers {
+		out := outcome{duration: res.Duration, members: opts.Tracers[3].MembershipString()}
+		for i, tr := range opts.Tracers {
 			out.traces = append(out.traces, tr.String())
 			out.params = append(out.params, res.Trainers[i].Params())
 		}

@@ -113,9 +113,9 @@ func TestStepAllocsIndependentOfClusterSize(t *testing.T) {
 // quadraticRing is the options for a ring of n quadratic workers.
 func quadraticRing(n, maxIter int) Options {
 	opts := baseOptions(graph.Ring(n), maxIter)
-	opts.Core.Trainers = make([]model.Trainer, n)
+	opts.Trainers = make([]model.Trainer, n)
 	for i := 0; i < n; i++ {
-		opts.Core.Trainers[i] = model.NewQuadratic([]float64{5}, []float64{1}, 0.2, 0)
+		opts.Trainers[i] = model.NewQuadratic([]float64{5}, []float64{1}, 0.2, 0)
 	}
 	return opts
 }

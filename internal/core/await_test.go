@@ -37,11 +37,11 @@ func (r *echoRuntime) stopped(kind string, peer, iter int) bool {
 	return kind == r.swallow && peer == r.missing && iter >= echoBlockAt
 }
 
-func (r *echoRuntime) Now() time.Duration { return 0 }
+func (r *echoRuntime) Compute(_ int, fn func()) { fn() }
 
-func (r *echoRuntime) Compute(_ int, fn func()) time.Duration { fn(); return 0 }
+func (r *echoRuntime) EndCompute() {}
 
-func (r *echoRuntime) EndCompute(time.Duration) {}
+func (r *echoRuntime) Iterated(int, float64) {}
 
 func (r *echoRuntime) Send(dst int, u Update) {
 	if !r.stopped("update", dst, u.Iter) {

@@ -31,16 +31,13 @@ func (p *Protocol) iterPS(k int) {
 		}
 		return
 	}
-	start := p.rt.Now()
-	d := p.rt.Compute(k, p.computeFn)
-	p.rt.EndCompute(start + d)
+	p.rt.Compute(k, p.computeFn)
+	p.rt.EndCompute()
 	p.rt.Send(0, Update{Params: p.grads, Iter: k, From: p.id})
 	ups := p.recv(k, 0) // the server's parameters, its one in-neighbor
 	tensor.Copy(x, ups[0].Params)
 	p.recycleUpdates(ups)
-	if p.cfg.OnIteration != nil {
-		p.cfg.OnIteration(p.id, k, p.loss, p.rt.Now())
-	}
+	p.rt.Iterated(k, p.loss)
 }
 
 // initADPSGD lets the graph decide who initiates: on a bipartite graph
@@ -69,9 +66,8 @@ func (p *Protocol) initADPSGD() {
 func (p *Protocol) iterADPSGD(k int) {
 	x := p.trainer.Params()
 	p.serve(false)
-	start := p.rt.Now()
-	d := p.rt.Compute(k, p.computeFn)
-	p.rt.EndCompute(start + d)
+	p.rt.Compute(k, p.computeFn)
+	p.rt.EndCompute()
 	p.serve(false)
 	if p.initiator {
 		j := p.out[p.pick.Intn(len(p.out))]
@@ -81,9 +77,7 @@ func (p *Protocol) iterADPSGD(k int) {
 		p.rt.RecycleParams(reply.Params)
 	}
 	p.trainer.Apply(p.grads)
-	if p.cfg.OnIteration != nil {
-		p.cfg.OnIteration(p.id, k, p.loss, p.rt.Now())
-	}
+	p.rt.Iterated(k, p.loss)
 }
 
 // serve answers queued averaging requests in arrival order — x becomes

@@ -20,7 +20,7 @@ func TestPSOptionValidation(t *testing.T) {
 		t.Run("ps/"+g.Name, func(t *testing.T) {
 			c := Config{Graph: g, Mode: ModePS}
 			want := "ps needs a star graph with the server at node 0"
-			if err := c.ValidateProtocol(); err == nil || !strings.Contains(err.Error(), want) {
+			if err := c.Validate(); err == nil || !strings.Contains(err.Error(), want) {
 				t.Fatalf("error %v, want one containing %q", err, want)
 			}
 		})
@@ -33,7 +33,7 @@ func TestADPSGDOptionValidation(t *testing.T) {
 	checkBaselineRejections(t, ModeADPSGD)
 	for _, g := range []*graph.Graph{graph.Star(5), graph.Complete(4), graph.DirectedRing(5)} {
 		c := Config{Graph: g, Mode: ModeADPSGD}
-		if err := c.ValidateProtocol(); err != nil {
+		if err := c.Validate(); err != nil {
 			t.Errorf("adpsgd on %s rejected: %v", g.Name, err)
 		}
 	}
@@ -82,7 +82,7 @@ func checkBaselineRejections(t *testing.T, mode Mode) {
 
 	t.Run(mode.String()+"/valid", func(t *testing.T) {
 		c := base(nil)
-		if err := c.ValidateProtocol(); err != nil {
+		if err := c.Validate(); err != nil {
 			t.Fatalf("rejected: %v", err)
 		}
 	})
@@ -90,7 +90,7 @@ func checkBaselineRejections(t *testing.T, mode Mode) {
 		c := base(r.mutate)
 		want := r.wantErr + " not compose with " + mode.String()
 		t.Run(mode.String()+"/"+r.name, func(t *testing.T) {
-			err := c.ValidateProtocol()
+			err := c.Validate()
 			if err == nil || !strings.Contains(err.Error(), want) {
 				t.Fatalf("error %v, want one containing %q", err, want)
 			}
@@ -99,7 +99,7 @@ func checkBaselineRejections(t *testing.T, mode Mode) {
 	t.Run(mode.String()+"/prague block", func(t *testing.T) {
 		c := base(func(c *Config) { c.Prague = &PragueConfig{GroupSize: 2} })
 		want := "Prague config set but mode is " + mode.String()
-		if err := c.ValidateProtocol(); err == nil || !strings.Contains(err.Error(), want) {
+		if err := c.Validate(); err == nil || !strings.Contains(err.Error(), want) {
 			t.Fatalf("error %v, want one containing %q", err, want)
 		}
 	})

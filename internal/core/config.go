@@ -7,7 +7,6 @@ import (
 
 	"hop/internal/compress"
 	"hop/internal/graph"
-	"hop/internal/model"
 )
 
 // Mode selects the coordination protocol.
@@ -153,26 +152,8 @@ type Config struct {
 	// Protocol from Restarted.
 	Rejoin bool
 
-	// Trainers holds one model replica per worker. All replicas must
-	// start from identical parameters (x0,i = p0, Fig. 4).
-	Trainers []model.Trainer
-
 	// Seed derives each worker's mini-batch RNG (seed + worker id).
 	Seed int64
-
-	// OnIteration, when non-nil, is called after worker w finishes
-	// iteration iter (post-apply) with the training loss of the batch.
-	// In simulation it runs in deterministic order; live it may be
-	// called concurrently from worker goroutines. It may touch worker
-	// w's trainer only: any other worker's gradient step may be in
-	// flight on the compute plane (Runtime.Compute).
-	OnIteration func(w, iter int, trainLoss float64, now time.Duration)
-
-	// Tracers, when non-nil, holds one optional decision trace per
-	// worker (entries may be nil); the protocol records iteration
-	// advances, jumps and stale exclusions into it (trace.go). Used by
-	// the sim↔live differential tests.
-	Tracers []*Trace
 }
 
 // Restarted returns the configuration a restarted worker runs under:
@@ -185,29 +166,12 @@ func (c Config) Restarted() Config {
 	return c
 }
 
-// Validate checks the full cluster configuration: the protocol
-// constraints of ValidateProtocol plus one trainer per worker.
+// Validate checks the constraints the paper establishes on the
+// protocol knobs (e.g. backup workers strictly require token queues,
+// and the non-Hop modes reject every hopOnlyKnobs row). NewProtocol
+// applies it, so a single-worker runtime (one live process) is checked
+// without materializing the whole cluster.
 func (c *Config) Validate() error {
-	if err := c.ValidateProtocol(); err != nil {
-		return err
-	}
-	n := c.Graph.N()
-	if len(c.Trainers) != n {
-		return fmt.Errorf("core: %d trainers for %d workers", len(c.Trainers), n)
-	}
-	if c.Tracers != nil && len(c.Tracers) != n {
-		return fmt.Errorf("core: %d tracers for %d workers", len(c.Tracers), n)
-	}
-	return nil
-}
-
-// ValidateProtocol checks the constraints the paper establishes on the
-// protocol knobs themselves (e.g. backup workers strictly require
-// token queues, and the non-Hop modes reject every hopOnlyKnobs row),
-// ignoring Trainers — the check a single-worker runtime (one live
-// process) can apply without materializing the whole cluster's
-// replicas.
-func (c *Config) ValidateProtocol() error {
 	if c.Graph == nil {
 		return fmt.Errorf("core: config has no graph")
 	}

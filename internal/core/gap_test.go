@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"hop/internal/graph"
-	"hop/internal/model"
 )
 
 func TestGapTracker(t *testing.T) {
@@ -122,18 +121,12 @@ func TestBoundsTokenAndQueueCapacity(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	g := graph.Ring(4)
-	valid := func() Config {
-		trainers := make([]model.Trainer, g.N())
-		for i := range trainers {
-			trainers[i] = model.NewFrozen([]float64{0})
-		}
-		return Config{Graph: g, Trainers: trainers}
-	}
+	valid := func() Config { return Config{Graph: g} }
 	base := valid()
 	if err := base.Validate(); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
-	if err := (&Config{Graph: g, MaxIG: 4, Backup: 1}).ValidateProtocol(); err != nil {
+	if err := (&Config{Graph: g, MaxIG: 4, Backup: 1}).Validate(); err != nil {
 		t.Errorf("backup with token queues rejected: %v", err)
 	}
 	split := graph.New("two-pairs", 4) // 0↔1 and 2↔3, nothing between
@@ -147,8 +140,6 @@ func TestConfigValidation(t *testing.T) {
 		name string
 		mut  func(*Config)
 	}{
-		{"wrong trainer count", func(c *Config) { c.Trainers = c.Trainers[:1] }},
-		{"wrong tracer count", func(c *Config) { c.Tracers = make([]*Trace, 1) }},
 		{"nil graph", func(c *Config) { c.Graph = nil }},
 		{"disconnected graph", func(c *Config) { c.Graph = split }},
 		{"prague mode without a Prague config", func(c *Config) { c.Mode = ModePrague }},

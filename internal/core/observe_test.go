@@ -48,22 +48,27 @@ type recordRuntime struct {
 	gate func(iter int)
 	sent func() // called after each delivered Send
 
-	mu      sync.Mutex
-	changed *sync.Cond // on mu, broadcast by Observe
-	seen    []TraceEvent
+	mu       sync.Mutex
+	changed  *sync.Cond // on mu, broadcast by Observe
+	seen     []TraceEvent
+	iterated []int
 }
 
-func (r *recordRuntime) Now() time.Duration { return 0 }
-
-func (r *recordRuntime) Compute(iter int, fn func()) time.Duration {
+func (r *recordRuntime) Compute(iter int, fn func()) {
 	if r.gate != nil {
 		r.gate(iter)
 	}
 	fn()
-	return 0
 }
 
-func (r *recordRuntime) EndCompute(time.Duration) {}
+func (r *recordRuntime) EndCompute() {}
+
+// Iterated logs each finished iteration beside the decisions.
+func (r *recordRuntime) Iterated(iter int, _ float64) {
+	r.mu.Lock()
+	r.iterated = append(r.iterated, iter)
+	r.mu.Unlock()
+}
 
 func (r *recordRuntime) Send(dst int, u Update) {
 	u.Params = tensor.Clone(u.Params)
@@ -106,6 +111,12 @@ func (r *recordRuntime) awaitDeath(peer int) {
 		}
 		r.changed.Wait()
 	}
+}
+
+func (r *recordRuntime) finished() []int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]int(nil), r.iterated...)
 }
 
 func (r *recordRuntime) observed() []TraceEvent {
@@ -180,7 +191,9 @@ func runMesh(t *testing.T, cfg Config, setup func(*recordRuntime)) ([]*recordRun
 }
 
 // checkObserved asserts that every worker's runtime saw exactly its
-// trace's events, in order, and returns the kinds seen.
+// trace's events, in order, and was told of exactly the iterations the
+// trace advanced into — a crashed worker's halting iteration and a
+// jump's skipped ones are never entered — and returns the kinds seen.
 func checkObserved(t *testing.T, rts []*recordRuntime, trs []*Trace) map[TraceKind]bool {
 	t.Helper()
 	kinds := map[TraceKind]bool{}
@@ -189,8 +202,15 @@ func checkObserved(t *testing.T, rts []*recordRuntime, trs []*Trace) map[TraceKi
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("worker %d: Observe saw %v, trace recorded %v", w, got, want)
 		}
+		var entered []int
 		for _, e := range want {
 			kinds[e.Kind] = true
+			if e.Kind == TraceAdvance {
+				entered = append(entered, e.Iter)
+			}
+		}
+		if iterated := rts[w].finished(); !reflect.DeepEqual(iterated, entered) {
+			t.Errorf("worker %d: Iterated for %v, trace advanced into %v", w, iterated, entered)
 		}
 	}
 	return kinds
@@ -263,19 +283,41 @@ func TestObserveMatchesTraceSkip(t *testing.T) {
 	}
 }
 
+// TestIteratedNeverForPSServer: a parameter-server leaf reports every
+// round it computes, with its number; the server computes nothing and
+// reports none.
+func TestIteratedNeverForPSServer(t *testing.T) {
+	const iters = 5
+	rts, trs := runMesh(t, Config{Graph: graph.Star(3), Mode: ModePS, MaxIter: iters}, func(*recordRuntime) {})
+	if got := rts[0].finished(); len(got) != 0 {
+		t.Errorf("server: Iterated for %v, want none", got)
+	}
+	for w := 1; w < len(rts); w++ {
+		if got, want := rts[w].finished(), []int{0, 1, 2, 3, 4}; !reflect.DeepEqual(got, want) {
+			t.Errorf("leaf %d: Iterated for %v, want %v", w, got, want)
+		}
+	}
+	checkObserved(t, rts[1:], trs[1:])
+	// The server did enter every round: its silence is not a run cut
+	// short.
+	if n := len(trs[0].Events()); n != iters {
+		t.Errorf("server recorded %d events, want %d advances", n, iters)
+	}
+}
+
 // nopRuntime is a Runtime that ignores everything.
 type nopRuntime struct{}
 
-func (nopRuntime) Now() time.Duration                { return 0 }
-func (nopRuntime) Compute(int, func()) time.Duration { return 0 }
-func (nopRuntime) EndCompute(time.Duration)          {}
-func (nopRuntime) Send(int, Update)                  {}
-func (nopRuntime) SendAck(int, int)                  {}
-func (nopRuntime) GrantTokens(int, int, int)         {}
-func (nopRuntime) PeerIter(int) int                  { return 0 }
-func (nopRuntime) Observe(TraceEvent)                {}
-func (nopRuntime) GetParams(n int) []float64         { return make([]float64, n) }
-func (nopRuntime) RecycleParams([]float64)           {}
+func (nopRuntime) Compute(int, func())       {}
+func (nopRuntime) EndCompute()               {}
+func (nopRuntime) Iterated(int, float64)     {}
+func (nopRuntime) Send(int, Update)          {}
+func (nopRuntime) SendAck(int, int)          {}
+func (nopRuntime) GrantTokens(int, int, int) {}
+func (nopRuntime) PeerIter(int) int          { return 0 }
+func (nopRuntime) Observe(TraceEvent)        {}
+func (nopRuntime) GetParams(n int) []float64 { return make([]float64, n) }
+func (nopRuntime) RecycleParams([]float64)   {}
 
 // TestObserveAllocationFree: with tracing off, telling the runtime a
 // decision — a Prague group's Members included — allocates nothing.

@@ -15,8 +15,9 @@
 //     one process at a time); the live implementation wraps sync.Mutex
 //     and sync.Cond.
 //   - Runtime (protocol.go): the execution environment of one worker —
-//     the clock, the modeling of gradient-computation time, message
-//     delivery, and peer-iteration inquiry (§6.2's send-side check).
+//     the modeling of gradient-computation time, message delivery,
+//     peer-iteration inquiry (§6.2's send-side check) and the report of
+//     each finished iteration. The protocol itself reads no clock.
 package core
 
 import "sync"

@@ -118,9 +118,9 @@ func sortedBlock(perm []int, i, size int) []int {
 }
 
 // groupQuorum is the reduce requirement of a Prague step: the live
-// members of p.group (the worker itself included), capped at Quorum.
-// It is re-evaluated per pass — a member's death shrinks the live group
-// mid-wait.
+// members of p.group (the worker itself included, so at least one),
+// capped at Quorum. It is re-evaluated per pass — a member's death
+// shrinks the live group mid-wait.
 func (p *Protocol) groupQuorum() int {
 	live := 0
 	for _, j := range p.group {
@@ -131,7 +131,7 @@ func (p *Protocol) groupQuorum() int {
 	if q := p.cfg.Prague.Quorum; q > 0 {
 		live = min(live, q)
 	}
-	return max(live, 1)
+	return live
 }
 
 // groupUpdates keeps one update per group member — first arrival wins,

@@ -38,7 +38,6 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
-	"time"
 
 	"hop/internal/model"
 	"hop/internal/seeded"
@@ -46,36 +45,40 @@ import (
 )
 
 // Runtime is the execution environment one Protocol instance runs
-// against: the clock, the cost model of gradient computation, and the
-// message plane. The simulator implements it on the virtual-time
-// kernel and network fabric; the live runtime implements it on
-// wall-clock time and TCP. Everything the protocol decides — when to
-// advance, jump, block, aggregate or discard — flows exclusively
-// through this interface, which is what makes decision traces
-// comparable across runtimes (DESIGN.md §5).
+// against: the cost model of gradient computation and the message
+// plane. The simulator implements it on the virtual-time kernel and
+// network fabric; the live runtime implements it on real time and TCP.
+// The protocol reads no clock: everything it decides — when to
+// advance, jump, block, aggregate or discard — depends on iteration
+// tags and counts and flows exclusively through this interface, which
+// is what makes decision traces comparable across runtimes (DESIGN.md
+// §5).
 type Runtime interface {
-	// Now returns the current time (virtual in simulation, wall-clock
-	// live).
-	Now() time.Duration
-
-	// Compute starts the gradient computation of iteration iter and
-	// returns its modeled duration; EndCompute(start+d) is the join.
-	// Between the two calls fn may be running on another goroutine, so
-	// everything it touches — the trainer (parameters read-only to
-	// everyone, the rest not at all), the mini-batch RNG, the grads and
-	// loss it leaves behind — is off-limits to the caller, and fn
-	// itself must be pure compute. The simulator runs fn on the compute
-	// plane, concurrently with other workers' steps, and returns the
-	// heterogeneity model's cost; live, fn has run when Compute returns
-	// and its real execution time (plus any injected delay) is the
-	// cost. The parallel computation graph uses the return value to
-	// overlap compute with Recv.
-	Compute(iter int, fn func()) time.Duration
+	// Compute starts the gradient computation of iteration iter;
+	// EndCompute is the join. Between the two calls fn may be running
+	// on another goroutine, so everything it touches — the trainer
+	// (parameters read-only to everyone, the rest not at all), the
+	// mini-batch RNG, the grads and loss it leaves behind — is
+	// off-limits to the caller, and fn itself must be pure compute. The
+	// simulator runs fn on the compute plane, concurrently with other
+	// workers' steps, and draws the heterogeneity model's cost; live, fn
+	// has run when Compute returns, and took its real execution time
+	// plus any injected delay. The parallel computation graph overlaps
+	// the two calls with Recv.
+	Compute(iter int, fn func())
 
 	// EndCompute ends the compute overlap: it blocks this worker until
-	// time t (no-op if past) and until the fn handed to the last
-	// Compute has finished. Only then are fn's results readable.
-	EndCompute(t time.Duration)
+	// the modeled cost of the last Compute has elapsed and the fn handed
+	// to it has finished. Only then are fn's results readable.
+	EndCompute()
+
+	// Iterated reports that this worker finished iteration iter
+	// (post-apply) with the training loss of its batch. It is called
+	// once per executed iteration — never for one a §5 jump skipped,
+	// nor by the parameter server, which computes nothing — on the
+	// worker's own goroutine, and may touch this worker's trainer only:
+	// any other worker's gradient step may be in flight.
+	Iterated(iter int, loss float64)
 
 	// Send delivers u to dst's update queue asynchronously (the Send
 	// operation of §3.2 is non-blocking). dst is never this worker;
@@ -231,14 +234,13 @@ func (p *Protocol) peerOf(j int) *peer {
 }
 
 // NewProtocol builds the state machine for worker id. cfg supplies the
-// cluster-wide protocol knobs (cfg.Trainers is ignored; the replica is
-// passed explicitly so single-process runtimes need not materialize
-// the whole cluster's models). The monitor must be the one the
-// runtime's delivery path locks against; the runtime must deliver
-// inbound messages via Deliver/DeliverAck/DeliverTokens. tr may be nil
-// (no decision trace).
+// cluster-wide protocol knobs and t this worker's replica, so a
+// single-process runtime need not materialize the whole cluster's
+// models. The monitor must be the one the runtime's delivery path
+// locks against; the runtime must deliver inbound messages via
+// Deliver/DeliverAck/DeliverTokens. tr may be nil (no decision trace).
 func NewProtocol(cfg Config, id int, t model.Trainer, mon Monitor, rt Runtime, tr *Trace) (*Protocol, error) {
-	if err := cfg.ValidateProtocol(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if n := cfg.Graph.N(); id < 0 || id >= n {
@@ -504,9 +506,8 @@ func (p *Protocol) iterate(k int) {
 		p.note(TraceEvent{Kind: TraceGroup, Iter: k, Members: p.group})
 	}
 	if serial {
-		start := p.rt.Now()
-		d := p.rt.Compute(k, p.computeFn)
-		p.rt.EndCompute(start + d)
+		p.rt.Compute(k, p.computeFn)
+		p.rt.EndCompute()
 		t.Apply(p.grads)
 	}
 	if notifyAck {
@@ -529,10 +530,8 @@ func (p *Protocol) iterate(k int) {
 		// destination.
 		p.recvReduceInto(x, k, nil)
 	} else {
-		// Compute gradients on x_k; the runtime returns the modeled
-		// duration so the protocol can overlap it with Recv below.
-		start := p.rt.Now()
-		d := p.rt.Compute(k, p.computeFn)
+		// Compute gradients on x_k, overlapped with the Recv below.
+		p.rt.Compute(k, p.computeFn)
 
 		// Recv and Reduce (mode-dependent) into the persistent reduce
 		// scratch — not into x, which stays untouched until the compute
@@ -541,7 +540,7 @@ func (p *Protocol) iterate(k int) {
 		p.recvReduceInto(reduced, k, nil)
 
 		// The iteration ends no earlier than the compute does.
-		p.rt.EndCompute(start + d)
+		p.rt.EndCompute()
 
 		// Apply gradients to the reduced parameters.
 		tensor.Copy(x, reduced)
@@ -553,9 +552,7 @@ func (p *Protocol) iterate(k int) {
 		}
 	}
 
-	if p.cfg.OnIteration != nil {
-		p.cfg.OnIteration(p.id, k, p.loss, p.rt.Now())
-	}
+	p.rt.Iterated(k, p.loss)
 }
 
 // ackedAllLocked reports whether every live out-neighbor has acked

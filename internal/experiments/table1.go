@@ -49,10 +49,10 @@ func Table1(scale Scale) (*Report, error) {
 			for i := range trainers {
 				trainers[i] = model.NewFrozen([]float64{float64(i)})
 			}
-			cfg.Trainers = trainers
 			res, err := cluster.Run(cluster.Options{
-				Core:    cfg,
-				Compute: hetero.Compute{Base: 100 * time.Millisecond, Slow: hetero.Deterministic{Factors: map[int]float64{0: 60}}},
+				Core:     cfg,
+				Trainers: trainers,
+				Compute:  hetero.Compute{Base: 100 * time.Millisecond, Slow: hetero.Deterministic{Factors: map[int]float64{0: 60}}},
 				// Small payload: this experiment is about
 				// synchronization, not bandwidth.
 				PayloadBytes: 1 << 10,

@@ -58,11 +58,9 @@ type WorkerConfig struct {
 	// Config holds every protocol knob with core.Config semantics — the
 	// same struct the simulator runs, so a knob crosses into the live
 	// plane without being restated. One process holds one worker's view:
-	// Trainers and Tracers are ignored (Trainer and Trace below are this
-	// worker's), this worker's scheduled fault is Faults[ID] (RunCluster
-	// restarts it after Faults[ID].RestartAfter), Compression is
-	// negotiated per connection at Dial, and OnIteration may be called
-	// concurrently with other workers' callbacks.
+	// this worker's scheduled fault is Faults[ID] (RunCluster restarts
+	// it after Faults[ID].RestartAfter), and Compression is negotiated
+	// per connection at Dial.
 	core.Config
 
 	ID int
@@ -90,6 +88,12 @@ type WorkerConfig struct {
 	// Trace, when non-nil, records this worker's protocol decisions
 	// (core.Trace) — the live half of the sim↔live differential tests.
 	Trace *core.Trace
+
+	// OnIteration, when non-nil, is called on the worker's Run
+	// goroutine after each iteration it finishes (core.Runtime.Iterated),
+	// with the training loss of the batch; RunCluster's workers call it
+	// concurrently.
+	OnIteration func(iter int, loss float64)
 }
 
 // suspectBudget buys a transient stall time to clear before membership
@@ -110,7 +114,6 @@ type Worker struct {
 	node   *transport.Node
 	mon    core.Monitor
 	proto  *core.Protocol
-	start  time.Time
 	logger Logger
 
 	// mu guards peerIter (the §6.2(b) observation), ended, lastLoss,
@@ -166,19 +169,9 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		peerIter:  make(map[int]int),
 		ended:     make(map[int]bool),
 		suspected: make(map[int]bool),
-		start:     time.Now(),
 		logger:    logger,
 	}
-	coreCfg := cfg.Config
-	coreCfg.OnIteration = func(id, iter int, loss float64, now time.Duration) {
-		w.mu.Lock()
-		w.lastLoss = loss
-		w.mu.Unlock()
-		if cfg.OnIteration != nil {
-			cfg.OnIteration(id, iter, loss, now)
-		}
-	}
-	proto, err := core.NewProtocol(coreCfg, cfg.ID, cfg.Trainer, w.mon, &liveRuntime{w: w}, cfg.Trace)
+	proto, err := core.NewProtocol(cfg.Config, cfg.ID, cfg.Trainer, w.mon, &liveRuntime{w: w}, cfg.Trace)
 	if err != nil {
 		return nil, fmt.Errorf("live: %w", err)
 	}
@@ -240,36 +233,33 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	return w, nil
 }
 
-// liveRuntime adapts sockets and wall-clock time to core.Runtime. The
+// liveRuntime adapts sockets and real time to core.Runtime. The
 // protocol loop calls these from the worker's Run goroutine; inbound
 // deliveries arrive through Worker.handle on transport reader
 // goroutines, synchronized by the worker's monitor inside the protocol
 // queues.
 type liveRuntime struct{ w *Worker }
 
-func (r *liveRuntime) Now() time.Duration { return time.Since(r.w.start) }
-
-// Compute runs the gradient step for real; its cost is its real
-// duration plus any injected heterogeneity delay.
-func (r *liveRuntime) Compute(iter int, fn func()) time.Duration {
-	t0 := time.Now()
+// Compute runs the gradient step for real, then sleeps any injected
+// heterogeneity delay: its cost is spent before it returns.
+func (r *liveRuntime) Compute(iter int, fn func()) {
 	fn()
 	if d := r.w.cfg.ComputeDelay; d != nil {
 		if dd := d(iter); dd > 0 {
 			time.Sleep(dd)
 		}
 	}
-	return time.Since(t0)
 }
 
-// EndCompute realizes the parallel computation graph's "iteration ends
-// no earlier than the compute" rule. Live compute is synchronous — fn
-// ran, and took its real time, inside Compute — so there is nothing to
-// join and the wait is effectively a no-op; it is kept faithful for
-// completeness.
-func (r *liveRuntime) EndCompute(t time.Duration) {
-	if d := t - time.Since(r.w.start); d > 0 {
-		time.Sleep(d)
+// EndCompute has nothing to wait for: Compute already took its time.
+func (r *liveRuntime) EndCompute() {}
+
+func (r *liveRuntime) Iterated(iter int, loss float64) {
+	r.w.mu.Lock()
+	r.w.lastLoss = loss
+	r.w.mu.Unlock()
+	if f := r.w.cfg.OnIteration; f != nil {
+		f(iter, loss)
 	}
 }
 

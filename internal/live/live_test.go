@@ -144,7 +144,7 @@ func TestLiveSkipWithStraggler(t *testing.T) {
 		if i == 0 {
 			cfg.ComputeDelay = func(int) time.Duration { return 5 * time.Millisecond }
 			prev := -1
-			cfg.OnIteration = func(_, iter int, _ float64, _ time.Duration) {
+			cfg.OnIteration = func(iter int, _ float64) {
 				mu.Lock()
 				if prev >= 0 && iter > prev+1 {
 					jumpsSeen++
@@ -170,7 +170,7 @@ func TestLiveIterationCallbacksOrdered(t *testing.T) {
 	launch(t, g, func(i int) WorkerConfig {
 		cfg := WorkerConfig{Config: core.Config{MaxIter: 10, Seed: 5}, Trainer: quadStart(i)}
 		if i == 0 {
-			cfg.OnIteration = func(_, iter int, _ float64, _ time.Duration) {
+			cfg.OnIteration = func(iter int, _ float64) {
 				mu.Lock()
 				iters = append(iters, iter)
 				mu.Unlock()
@@ -231,14 +231,11 @@ func TestLiveStalenessBoundWithCompressedChunkedUpdates(t *testing.T) {
 				Graph: g, Staleness: s, MaxIG: maxIG,
 				Compression: comp, MaxIter: 40, Seed: 10,
 			}
-			for i := 0; i < g.N(); i++ {
-				coreCfg.Trainers = append(coreCfg.Trainers, start(i))
-			}
 			if err := coreCfg.Validate(); err != nil {
 				t.Fatal(err)
 			}
 			workers := launch(t, g, func(i int) WorkerConfig {
-				cfg := WorkerConfig{Config: coreCfg, Trainer: coreCfg.Trainers[i]}
+				cfg := WorkerConfig{Config: coreCfg, Trainer: start(i)}
 				cfg.Seed += int64(i)
 				if i%2 == 0 {
 					cfg.ComputeDelay = func(iter int) time.Duration {

@@ -6,7 +6,6 @@ package metrics
 import (
 	"fmt"
 	"io"
-	"sync"
 	"time"
 )
 
@@ -80,12 +79,10 @@ func (s *Series) Render(w io.Writer) {
 	}
 }
 
-// Recorder collects everything one training run produces. It is safe
-// for concurrent use (the live runtime records from worker
-// goroutines).
+// Recorder collects everything one simulated training run produces.
+// It takes no lock: the simulator records from one process at a time,
+// and its caller reads it after the run.
 type Recorder struct {
-	mu sync.Mutex
-
 	// Eval is the held-out loss of the probe worker over time.
 	Eval Series
 	// Train is the probe worker's mini-batch training loss.
@@ -118,8 +115,6 @@ func NewRecorder(n int) *Recorder {
 // The worker's iteration duration is now minus its previous completion
 // time (minus zero for its first).
 func (r *Recorder) RecordIteration(w, iter int, now time.Duration) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	s := &r.workers[w]
 	if s.count < maxWarmup {
 		s.first[s.count] = now
@@ -130,22 +125,16 @@ func (r *Recorder) RecordIteration(w, iter int, now time.Duration) {
 
 // RecordTrain appends a training-loss sample for the probe worker.
 func (r *Recorder) RecordTrain(now time.Duration, step int, loss float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.Train.Add(now, step, loss)
 }
 
 // RecordEval appends an evaluation-loss sample.
 func (r *Recorder) RecordEval(now time.Duration, step int, loss float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.Eval.Add(now, step, loss)
 }
 
 // Iterations returns the total iterations completed across workers.
 func (r *Recorder) Iterations() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	total := 0
 	for _, s := range r.workers {
 		total += s.count
@@ -155,15 +144,11 @@ func (r *Recorder) Iterations() int {
 
 // WorkerIterations returns the iterations completed by worker w.
 func (r *Recorder) WorkerIterations(w int) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.workers[w].count
 }
 
 // MinWorkerIterations returns the slowest worker's completed count.
 func (r *Recorder) MinWorkerIterations() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	min := -1
 	for _, s := range r.workers {
 		if min == -1 || s.count < min {
@@ -185,8 +170,6 @@ func (r *Recorder) MeanIterDurationAll(skipWarmup int) time.Duration {
 	if skipWarmup < 0 || skipWarmup > maxWarmup {
 		panic(fmt.Sprintf("metrics: warm-up %d outside [0, %d]", skipWarmup, maxWarmup))
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	var sum time.Duration
 	n := 0
 	for _, s := range r.workers {

@@ -11,7 +11,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
-	"time"
 
 	"hop/internal/chaos"
 	"hop/internal/cluster"
@@ -125,12 +124,11 @@ func TestNetFaultRejectionsObserved(t *testing.T) {
 			opts.Net = netsim.Default1GbE()
 			c.net.Seed = 403
 			opts.Net.Chaos = &c.net
-			done := 0
-			opts.Core.OnIteration = func(int, int, float64, time.Duration) { done++ }
 			res, err := cluster.Run(opts)
 			if err != nil {
 				t.Fatal(err)
 			}
+			done := res.Metrics.Iterations()
 			if wedged := res.Deadlock != nil; wedged != c.wedges {
 				t.Fatalf("deadlocked = %v after %d worker-iterations, want %v", wedged, done, c.wedges)
 			}
@@ -158,7 +156,7 @@ func chaosSimRun(t *testing.T, spec Spec) ([]string, *cluster.Result) {
 	for i := range tracers {
 		tracers[i] = core.NewTrace()
 	}
-	opts.Core.Tracers = tracers
+	opts.Tracers = tracers
 	res, err := cluster.Run(opts)
 	if err != nil {
 		t.Fatal(err)

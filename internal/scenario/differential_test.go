@@ -44,7 +44,7 @@ func simTraces(t *testing.T, spec Spec) []string {
 	for i := range tracers {
 		tracers[i] = core.NewTrace()
 	}
-	opts.Core.Tracers = tracers
+	opts.Tracers = tracers
 	res, err := cluster.Run(opts)
 	if err != nil {
 		t.Fatal(err)

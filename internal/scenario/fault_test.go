@@ -223,7 +223,7 @@ func TestSimCrashRestart(t *testing.T) {
 	for i := range tracers {
 		tracers[i] = core.NewTrace()
 	}
-	opts.Core.Tracers = tracers
+	opts.Tracers = tracers
 	res, err := cluster.Run(opts)
 	if err != nil {
 		t.Fatal(err)

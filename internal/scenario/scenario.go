@@ -639,7 +639,7 @@ func (s Spec) resolve(buildTrainer bool) (cluster.Options, error) {
 	// compositions, group size bounds, fault schedules) at spec
 	// validation, not first at cluster construction — sweeps validate
 	// every cell up front.
-	if err := cfg.ValidateProtocol(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return zero, err
 	}
 

@@ -28,7 +28,10 @@
 #      grows only if something else in it is cut;
 #   7. every `-flag` in the flag column of DESIGN.md §5.0's knob table
 #      is registered by some command under cmd/, so deleting a flag
-#      cannot leave the table naming it.
+#      cannot leave the table naming it;
+#   8. the newest CHANGES.md entry (the last line starting "PR <n>" or
+#      "- PR <n>") is at most 1536 bytes: details belong in DESIGN.md
+#      and the commit, not in a log nobody rereads whole.
 #
 # Usage: scripts/check_docs.sh    (exits non-zero listing broken refs)
 
@@ -128,7 +131,7 @@ for id in $(grep -vE '^[[:space:]]*\|' DESIGN.md | grep -oE '`[^`]+`' |
 done
 
 # --- 6. document size budget -----------------------------------------
-for budget in DESIGN.md:120966 BENCH.md:31506; do
+for budget in DESIGN.md:118486 BENCH.md:31506; do
     doc=${budget%%:*} max=${budget#*:}
     size=$(wc -c < "$doc")
     if [ "$size" -gt "$max" ]; then
@@ -146,6 +149,15 @@ for fl in $flags; do
         note "STALE FLAG: DESIGN.md §5.0 names $fl, which no command under cmd/ registers"
     fi
 done
+
+# --- 8. the newest CHANGES.md entry's size --------------------------
+entry=$(grep -E '^(- )?PR [0-9]+' CHANGES.md | tail -n 1 || true)
+size=$(printf '%s' "$entry" | LC_ALL=C wc -c)
+if [ -z "$entry" ]; then
+    note "CHANGES.md: no entry found"
+elif [ "$size" -gt 1536 ]; then
+    note "OVER BUDGET: the newest CHANGES.md entry (${entry:0:12}...) is $size bytes, over 1536"
+fi
 
 if [ -n "$errors" ]; then
     printf '%s' "$errors" >&2
