@@ -267,9 +267,7 @@ func (r *worker) RecycleParams(v []float64) {
 		return
 	}
 	if testing.Testing() {
-		for i := range v {
-			v[i] = math.NaN()
-		}
+		tensor.Fill(v, math.NaN())
 	}
 	r.h.free = append(r.h.free, v)
 }

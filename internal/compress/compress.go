@@ -12,7 +12,7 @@
 //     lossy only by float32 rounding — the "half-width" codec common
 //     in decentralized-training systems.
 //   - TopK: magnitude sparsification. Only the k largest-|x| coords
-//     are transmitted as (uint32 index, float32 value) pairs. On the
+//     are transmitted, as (gap varint, float32 value) pairs. On the
 //     wire TopK is a *delta stream with error feedback* (see delta.go):
 //     frames carry sparse deltas against a per-connection replica and
 //     dropped mass is remembered and re-sent, so the receiver always
@@ -22,8 +22,7 @@
 //     DeltaEncoder/DeltaDecoder for state synchronization.
 //
 // The simulator never touches this package: simulated runs model
-// payload *size* only, so their behavior is byte-identical whether or
-// not compression is configured.
+// payload *size* only, scaled by scenario.WireRatio (DESIGN.md §4.2).
 package compress
 
 import (
@@ -328,12 +327,15 @@ func (float32Codec) Compress(dst []byte, src []float64) []byte {
 // TopK payload layout (little-endian):
 //
 //	uint32 n   original vector length
-//	uint32 k   number of (index, value) pairs that follow
-//	k × { uint32 index, float32 value }
+//	uint32 k   number of pairs that follow
+//	k × { gap, float32 value }
 //
-// Indices are strictly increasing, which Decode verifies: it makes the
-// payload canonical and rejects duplicate-index mass inflation from a
-// corrupt or malicious sender.
+// A pair's gap is index − previous index − 1 (the first measured from
+// −1) as a minimal LEB128 varint: one byte below 128, so a pair is
+// five bytes at any density above 1/128. Indices are therefore strictly
+// increasing by construction; Decode rejects a non-minimal varint, an
+// index that reaches n, a payload that ends inside a pair and any byte
+// left after pair k, which keeps the payload canonical.
 type topKCodec struct{ ratio float64 }
 
 func (topKCodec) Kind() Kind { return TopK }
@@ -432,8 +434,8 @@ func selectTopK(idx []int, src []float64, k int) {
 
 // parseTopKHeader validates everything about a TopK payload that can
 // be checked before touching the pairs: header presence, k<=n,
-// canonical non-zero k, exact payload length, and the allocation
-// bounds. It returns (n, k).
+// canonical non-zero k, room for k pairs of at least minPairLen bytes,
+// and the allocation bounds. It returns (n, k).
 func parseTopKHeader(payload []byte) (n, k int, err error) {
 	if len(payload) < 8 {
 		return 0, 0, fmt.Errorf("compress: topk payload too short (%d bytes)", len(payload))
@@ -448,8 +450,8 @@ func parseTopKHeader(payload []byte) (n, k int, err error) {
 		// vector; a zero-k payload is a decompression bomb, not data.
 		return 0, 0, fmt.Errorf("compress: topk k=0 for n=%d is not canonical", n)
 	}
-	if len(payload) != 8+8*k {
-		return 0, 0, fmt.Errorf("compress: topk payload %d bytes, want %d for k=%d", len(payload), 8+8*k, k)
+	if room := (len(payload) - 8) / minPairLen; k > room {
+		return 0, 0, fmt.Errorf("compress: topk payload %d bytes cannot hold k=%d pairs", len(payload), k)
 	}
 	const maxVector = 1 << 26 // 512 MiB of float64s; far beyond any model here
 	if n > maxVector {
@@ -457,38 +459,64 @@ func parseTopKHeader(payload []byte) (n, k int, err error) {
 	}
 	// Allocation bound: every supported encoder keeps k >= n/maxTopKExpansion
 	// (MinTopKRatio), so a frame claiming more is a decompression bomb —
-	// without this, 16 wire bytes (k=1) could demand a 512 MiB vector.
+	// without this, 13 wire bytes (k=1) could demand a 512 MiB vector.
 	if n > k*maxTopKExpansion {
 		return 0, 0, fmt.Errorf("compress: topk n=%d exceeds %d·k (k=%d)", n, maxTopKExpansion, k)
 	}
 	return n, k, nil
 }
 
-// pairError names what is wrong with the first invalid pair of a
-// payload parseTopKHeader accepted (n, k) and foldPairs rejected: an
-// index out of range, or one not above its predecessor's.
-func pairError(payload []byte, n, k int) error {
-	prev := -1
-	for p := 0; p < k; p++ {
-		i := int(binary.LittleEndian.Uint32(payload[8+8*p:]))
-		if i >= n {
-			return fmt.Errorf("compress: topk index %d out of range n=%d", i, n)
-		}
-		if i <= prev {
-			return fmt.Errorf("compress: topk indices not strictly increasing at pair %d", p)
-		}
-		prev = i
+// minPairLen is the shortest pair: a one-byte gap and a float32.
+const minPairLen = 5
+
+// maxGapLen is the longest gap varint Decode accepts: four bytes carry
+// 28 bits, past the largest n parseTopKHeader admits.
+const maxGapLen = 4
+
+// fault is why foldPairs stopped before the end of a payload.
+type fault uint8
+
+const (
+	faultNone     fault = iota
+	faultShort          // the bytes end inside a pair
+	faultLong           // a gap varint runs past maxGapLen bytes
+	faultPadded         // a gap varint ends in a zero byte: not minimal
+	faultRange          // the index reaches n
+	faultTrailing       // bytes are left after pair k
+)
+
+// err names fault f, met at pair p (0-based) of a payload whose
+// header gave n and k. A fault past pair k is a byte after it.
+func (f fault) err(p, n, k int) error {
+	if p >= k {
+		f = faultTrailing
+	}
+	switch f {
+	case faultShort:
+		return fmt.Errorf("compress: topk payload ends before pair %d of k=%d is complete", p, k)
+	case faultLong:
+		return fmt.Errorf("compress: topk pair %d: gap varint longer than %d bytes", p, maxGapLen)
+	case faultPadded:
+		return fmt.Errorf("compress: topk pair %d: gap varint not minimal", p)
+	case faultRange:
+		return fmt.Errorf("compress: topk pair %d: index out of range n=%d", p, n)
+	case faultTrailing:
+		return fmt.Errorf("compress: topk payload has bytes after pair k=%d", k)
 	}
 	return nil
 }
 
-// foldPairs folds a TopK pairs region into dst, of length n: dst[i] += v
-// when add, dst[i] = v otherwise. An index is valid when it is above its
-// predecessor's and below n, one unsigned comparison; at the first
-// invalid pair foldPairs stops and reports false, with dst partially
-// written, and pairError says why. The loop calls nothing, so its
-// values stay in registers: with the error built inside it, the
-// compiler spilled the index to the stack on every pair.
+// foldPairs folds the k pairs of a TopK pairs region into dst, of
+// length n: dst[i] += v when add, dst[i] = v otherwise. It decodes each
+// gap varint in place, and at the first fault stops with dst partially
+// written and reports which, with the number of pairs it had yet to
+// fold (fault.err turns both into the error). The loop runs while a
+// pair's worth of bytes is left and counts k down, rather than testing
+// k on every pair, which made it about 1.2× slower; the count is
+// checked after it, so pairs past the kth are folded before the
+// payload is refused. It calls nothing, so its values stay in
+// registers: with the error built inside it, the compiler spilled the
+// index to the stack on every pair.
 //
 // Both replicas of a delta stream advance through this one compiled
 // loop (DeltaEncoder.Commit and DeltaDecoder.DecodeInto), so they stay
@@ -499,24 +527,52 @@ func pairError(payload []byte, n, k int) error {
 // NaN seed tells the difference). Hence out of line.
 //
 //go:noinline
-func foldPairs(dst []float64, pairs []byte, n int, add bool) bool {
-	prev := -1
-	for len(pairs) >= 8 {
-		pair := binary.LittleEndian.Uint64(pairs)
-		pairs = pairs[8:]
-		i := int(uint32(pair))
-		if uint(i-prev-1) >= uint(n-prev-1) {
-			return false
+func foldPairs(dst []float64, pairs []byte, n, k int, add bool) (fault, int) {
+	i := -1
+	for len(pairs) >= minPairLen {
+		gap := uint(pairs[0])
+		if gap >= 0x80 { // the varint continues
+			gap &= 0x7f
+			for s := uint(7); ; s += 7 {
+				pairs = pairs[1:]
+				if s >= 7*maxGapLen {
+					return faultLong, k
+				}
+				// Each byte of a gap varint but the last promises a
+				// pair's worth of bytes after it.
+				if len(pairs) < minPairLen {
+					return faultShort, k
+				}
+				b := pairs[0]
+				if b == 0 {
+					return faultPadded, k
+				}
+				gap |= uint(b&0x7f) << s
+				if b < 0x80 {
+					break
+				}
+			}
 		}
-		v := float64(math.Float32frombits(uint32(pair >> 32)))
+		i += int(gap) + 1
+		if uint(i) >= uint(n) {
+			return faultRange, k
+		}
+		v := float64(math.Float32frombits(binary.LittleEndian.Uint32(pairs[1:5])))
+		pairs = pairs[5:]
 		if add {
 			dst[i] += v
 		} else {
 			dst[i] = v
 		}
-		prev = i
+		k--
 	}
-	return true
+	if k > 0 {
+		return faultShort, k
+	}
+	if k < 0 || len(pairs) != 0 {
+		return faultTrailing, 0
+	}
+	return faultNone, 0
 }
 
 func decodeTopKInto(dst []float64, payload []byte) ([]float64, error) {
@@ -530,8 +586,8 @@ func decodeTopKInto(dst []float64, payload []byte) ([]float64, error) {
 	for i := range out {
 		out[i] = 0
 	}
-	if !foldPairs(out, payload[8:], n, false) {
-		return nil, pairError(payload, n, k)
+	if f, left := foldPairs(out, payload[8:], n, k, false); f != faultNone {
+		return nil, f.err(k-left, n, k)
 	}
 	return out, nil
 }

@@ -280,16 +280,27 @@ func TestSpecValidate(t *testing.T) {
 	}
 }
 
-// topkFrame builds a TopK payload with the given header and pair
-// indices; every value is 1.
-func topkFrame(n, k int, idx ...uint32) []byte {
+// topkFrame builds a TopK payload with the given header and pairs:
+// each pair is its gap bytes, taken as given, then the float32 1.
+func topkFrame(n, k int, gaps ...[]byte) []byte {
 	b := binary.LittleEndian.AppendUint32(nil, uint32(n))
 	b = binary.LittleEndian.AppendUint32(b, uint32(k))
-	for _, i := range idx {
-		b = binary.LittleEndian.AppendUint32(b, i)
+	for _, g := range gaps {
+		b = append(b, g...)
 		b = binary.LittleEndian.AppendUint32(b, math.Float32bits(1))
 	}
 	return b
+}
+
+// gapsOf returns the minimal gap varints of ascending indices.
+func gapsOf(idx ...int) [][]byte {
+	gaps := make([][]byte, len(idx))
+	last := -1
+	for p, i := range idx {
+		gaps[p] = binary.AppendUvarint(nil, uint64(i-last-1))
+		last = i
+	}
+	return gaps
 }
 
 // TestDecodeRejectsMalformed feeds malformed payloads to Decode and, for
@@ -297,11 +308,18 @@ func topkFrame(n, k int, idx ...uint32) []byte {
 // dimension, so a sparse frame gets past the re-key check to its pairs.
 // Both decoders must reject every TopK case with the same text.
 func TestDecodeRejectsMalformed(t *testing.T) {
-	cases := []struct {
+	type malformed struct {
 		kind    Kind
 		payload []byte
 		err     string // TopK only
-	}{
+	}
+	const n = 16
+	good := gapsOf(1, 3, 6, 9, 12)
+	two := gapsOf(1, 3, 6, 9, 200) // the last gap takes two bytes
+	truncated := topkFrame(256, 5, two...)
+	truncated = truncated[:len(truncated)-1]
+	long := gapsOf(128, 257, 386, 515, 644)
+	cases := []malformed{
 		{None, make([]byte, 7), ""},
 		{None, make([]byte, 12), ""}, // whole float32s, not whole float64s
 		{Float32, make([]byte, 6), ""},
@@ -309,36 +327,48 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		{TopK, nil, "compress: topk payload too short (0 bytes)"},
 		{TopK, make([]byte, 7), "compress: topk payload too short (7 bytes)"},
 		{TopK, topkFrame(2, 3), "compress: topk k=3 exceeds n=2"},
-		{TopK, topkFrame(4, 1), "compress: topk payload 8 bytes, want 16 for k=1"}, // missing pairs
-		{TopK, topkFrame(2, 1, 9), "compress: topk index 9 out of range n=2"},
-		{TopK, topkFrame(2, 2, 0, 0), "compress: topk indices not strictly increasing at pair 1"},
-		// Expansion bomb: 16 wire bytes claiming an n=2^20 vector (k=1)
+		{TopK, topkFrame(4, 1), "compress: topk payload 8 bytes cannot hold k=1 pairs"}, // missing pairs
+		// k larger than the bytes can hold, by one pair and by one byte.
+		{TopK, topkFrame(n, 6, good...), "compress: topk payload 33 bytes cannot hold k=6 pairs"},
+		{TopK, topkFrame(n, 5, good...)[:32], "compress: topk payload 32 bytes cannot hold k=5 pairs"},
+		// A truncated last pair that the header's room check cannot see:
+		// an earlier gap took two bytes.
+		{TopK, truncated, "compress: topk payload ends before pair 4 of k=5 is complete"},
+		// Five two-byte gaps spend the bytes the room check counted for
+		// a sixth pair, leaving four bytes of it or none.
+		{TopK, append(topkFrame(700, 6, long...), 0, 0, 0, 0), "compress: topk payload ends before pair 5 of k=6 is complete"},
+		{TopK, topkFrame(700, 6, long...), "compress: topk payload ends before pair 5 of k=6 is complete"},
+		// Bytes after pair k: one stray byte, and one whole extra pair.
+		{TopK, append(topkFrame(n, 5, good...), 0), "compress: topk payload has bytes after pair k=5"},
+		{TopK, topkFrame(n, 4, good...), "compress: topk payload has bytes after pair k=4"},
+		// Expansion bomb: 13 wire bytes claiming an n=2^20 vector (k=1)
 		// must not buy a megacoordinate allocation.
-		{TopK, topkFrame(1<<20, 1, 0), "compress: topk n=1048576 exceeds 1024·k (k=1)"},
+		{TopK, topkFrame(1<<20, 1, []byte{0}), "compress: topk n=1048576 exceeds 1024·k (k=1)"},
 	}
-	// One bad pair among five valid ones, at the first, a middle and the
-	// last position: an index out of range (at n, and at the largest
-	// uint32), one repeating its predecessor, one below it. The first
-	// pair has no predecessor, so only the out-of-range kinds fit there.
-	const n = 16
-	good := []uint32{1, 3, 6, 9, 12}
+	// One bad gap among five valid ones, at the first, a middle and the
+	// last position: one carrying the index to n, the largest four-byte
+	// varint, a two-byte varint ending in a zero byte (gap 0 written
+	// long), and a varint that continues past four bytes — the last of
+	// which would wrap to gap 0 if its shifts were not capped.
 	for _, p := range []int{0, len(good) / 2, len(good) - 1} {
-		bad := map[uint32]string{
-			n:              fmt.Sprintf("compress: topk index %d out of range n=%d", n, n),
-			math.MaxUint32: fmt.Sprintf("compress: topk index %d out of range n=%d", uint32(math.MaxUint32), n),
-		}
+		last := -1
 		if p > 0 {
-			bad[good[p-1]] = fmt.Sprintf("compress: topk indices not strictly increasing at pair %d", p)
-			bad[good[p-1]-1] = bad[good[p-1]]
+			last = []int{1, 3, 6, 9, 12}[p-1]
 		}
-		for i, want := range bad {
-			idx := append([]uint32(nil), good...)
-			idx[p] = i
-			cases = append(cases, struct {
-				kind    Kind
-				payload []byte
-				err     string
-			}{TopK, topkFrame(n, len(idx), idx...), want})
+		bad := []struct {
+			gap []byte
+			err string
+		}{
+			{binary.AppendUvarint(nil, uint64(n-last-1)), fmt.Sprintf("compress: topk pair %d: index out of range n=%d", p, n)},
+			{[]byte{0xff, 0xff, 0xff, 0x7f}, fmt.Sprintf("compress: topk pair %d: index out of range n=%d", p, n)},
+			{[]byte{0x80, 0x00}, fmt.Sprintf("compress: topk pair %d: gap varint not minimal", p)},
+			{[]byte{0x81, 0x80, 0x80, 0x80, 0x00}, fmt.Sprintf("compress: topk pair %d: gap varint longer than 4 bytes", p)},
+			{[]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02}, fmt.Sprintf("compress: topk pair %d: gap varint longer than 4 bytes", p)},
+		}
+		for _, b := range bad {
+			gaps := append([][]byte(nil), good...)
+			gaps[p] = b.gap
+			cases = append(cases, malformed{TopK, topkFrame(n, len(gaps), gaps...), b.err})
 		}
 	}
 	for i, c := range cases {
@@ -355,16 +385,47 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		}
 		var dec DeltaDecoder
 		if n, _, err := parseTopKHeader(c.payload); err == nil {
-			dense := make([]uint32, n)
+			dense := make([]int, n)
 			for j := range dense {
-				dense[j] = uint32(j)
+				dense[j] = j
 			}
-			if _, err := dec.Decode(topkFrame(n, n, dense...)); err != nil {
+			if _, err := dec.Decode(topkFrame(n, n, gapsOf(dense...)...)); err != nil {
 				t.Fatalf("case %d: dense frame of dimension %d: %v", i, n, err)
 			}
 		}
 		if _, err := dec.DecodeInto(nil, c.payload); err == nil || err.Error() != c.err {
 			t.Errorf("case %d: DeltaDecoder says %v, want %q", i, err, c.err)
+		}
+	}
+}
+
+// TestGapVarintWidths round-trips a pair at each gap the varint's
+// width changes at, through the encoder's pair writer and the decoder:
+// one byte up to 127, two from 128 (whose first byte is exactly the
+// continuation bit), three from 2^14, four from 2^21. The pair is the
+// first of k; the other k−1 follow it at gap 0, as many as the
+// decoder's n ≤ 1024·k bound asks for.
+func TestGapVarintWidths(t *testing.T) {
+	for _, gap := range []int{0, 1, 127, 128, 129, 255, 16383, 16384, 1<<21 - 1, 1 << 21} {
+		k := max(1, (gap+maxTopKExpansion-2)/(maxTopKExpansion-1))
+		n := gap + k
+		payload := binary.LittleEndian.AppendUint32(nil, uint32(n))
+		payload = binary.LittleEndian.AppendUint32(payload, uint32(k))
+		pairs := make([]byte, pairsCap(n, k))
+		w := putPair(pairs, uint32(gap), 0.5)
+		want := binary.AppendUvarint(nil, uint64(gap))
+		if w != len(want)+4 || !bytes.Equal(pairs[:len(want)], want) {
+			t.Fatalf("gap %d: pair % x, want the varint % x", gap, pairs[:w], want)
+		}
+		for p := 1; p < k; p++ {
+			w += putPair(pairs[w:], 0, 0.25)
+		}
+		out, err := Decode(TopK, append(payload, pairs[:w]...))
+		if err != nil {
+			t.Fatalf("gap %d: %v", gap, err)
+		}
+		if out[gap] != 0.5 || (gap > 0 && out[gap-1] != 0) || (k > 1 && out[n-1] != 0.25) {
+			t.Fatalf("gap %d: decoded %g at index %d", gap, out[gap], gap)
 		}
 	}
 }
@@ -560,19 +621,90 @@ func TestDeltaDecoderRejectsSparseRekey(t *testing.T) {
 }
 
 // FuzzDecode asserts Decode never panics and never returns oversized
-// allocations on arbitrary wire bytes.
+// allocations on arbitrary wire bytes, and that a DeltaDecoder whose
+// replica has the payload's dimension accepts and refuses the same TopK
+// payloads. The TopK seeds are a valid frame and one of each hostile
+// kind: an overlong gap varint, a gap that carries the index to n, a
+// truncated last pair, a byte after pair k, and a k the bytes cannot
+// hold.
 func FuzzDecode(f *testing.F) {
 	f.Add(uint8(None), []byte{0, 0, 0, 0, 0, 0, 0, 64})
 	f.Add(uint8(Float32), []byte{0, 0, 128, 63})
-	f.Add(uint8(TopK), NewTopK(0.5).Compress(nil, []float64{1, -2, 3, 0.25}))
+	valid := NewTopK(0.5).Compress(nil, []float64{1, -2, 3, 0.25})
+	f.Add(uint8(TopK), valid)
+	for how := 0; how < hostileKinds; how++ {
+		f.Add(uint8(TopK), hostile(valid, how))
+	}
+	f.Add(uint8(TopK), topkFrame(16, 2, []byte{0x81, 0x80, 0x80, 0x80, 0x80, 0x00}, []byte{0}))
 	f.Fuzz(func(t *testing.T, kind uint8, payload []byte) {
 		out, err := Decode(Kind(kind), payload)
-		if err == nil && Kind(kind) == TopK && len(payload) >= 4 {
-			if want := int(uint32(payload[0]) | uint32(payload[1])<<8 | uint32(payload[2])<<16 | uint32(payload[3])<<24); len(out) != want {
-				t.Fatalf("topk decoded %d coords, header says %d", len(out), want)
+		if err != nil || Kind(kind) != TopK {
+			if Kind(kind) == TopK && len(payload) >= 8 {
+				checkPrimedDelta(t, payload, err)
 			}
+			return
 		}
+		n, k := binary.LittleEndian.Uint32(payload), binary.LittleEndian.Uint32(payload[4:])
+		if len(out) != int(n) {
+			t.Fatalf("topk decoded %d coords, header says %d", len(out), n)
+		}
+		// The allocation bound: n ≤ 1024·k, with k pairs of at least
+		// five bytes each really present.
+		if int(k) > (len(payload)-8)/minPairLen || len(out) > maxTopKExpansion*int(k) {
+			t.Fatalf("%d payload bytes decoded to %d coords (k=%d)", len(payload), len(out), k)
+		}
+		checkPrimedDelta(t, payload, nil)
 	})
+}
+
+// checkPrimedDelta decodes a TopK payload with a DeltaDecoder whose
+// replica already has the payload's dimension, when its header admits
+// one, and requires the verdict Decode gave: want.
+func checkPrimedDelta(t *testing.T, payload []byte, want error) {
+	t.Helper()
+	n, _, err := parseTopKHeader(payload)
+	if err != nil {
+		return
+	}
+	var dec DeltaDecoder
+	if _, err := dec.Decode(NewTopK(1).Compress(nil, make([]float64, n))); err != nil {
+		t.Fatalf("dense frame of dimension %d: %v", n, err)
+	}
+	if _, err := dec.Decode(payload); (err == nil) != (want == nil) || (err != nil && err.Error() != want.Error()) {
+		t.Fatalf("DeltaDecoder says %v, Decode %v", err, want)
+	}
+}
+
+// hostileKinds is the number of ways hostile damages a payload.
+const hostileKinds = 5
+
+// hostile returns a copy of a well-formed TopK payload damaged in the
+// way how (mod hostileKinds) picks, each of which a decoder must
+// refuse: the first gap written non-minimally (an overlong varint),
+// the last pair's gap carrying its index to n, the last pair
+// truncated, a byte after pair k, and a k one larger than the pairs
+// the bytes hold.
+func hostile(payload []byte, how int) []byte {
+	b := append([]byte(nil), payload...)
+	switch how % hostileKinds {
+	case 0:
+		gap, w := binary.Uvarint(b[8:])
+		long := binary.AppendUvarint(nil, gap)
+		long[len(long)-1] |= 0x80
+		long = append(long, 0)
+		return append(append(b[:8:8], long...), b[8+w:]...)
+	case 1:
+		v3 := v3Of(b)
+		copy(v3[len(v3)-8:], b[:4]) // the last index becomes n
+		return gapCode(v3)
+	case 2:
+		return b[:len(b)-1]
+	case 3:
+		return append(b, 0)
+	default:
+		binary.LittleEndian.PutUint32(b[4:], binary.LittleEndian.Uint32(b[4:])+1)
+		return b
+	}
 }
 
 // FuzzRoundTrip asserts compress→decode preserves every codec's

@@ -26,7 +26,10 @@ package compress
 // use; the transport serializes update sends per peer and decodes per
 // connection.
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // StreamCompressor is implemented by codecs whose encoding is stateful
 // per connection. The transport calls NewStream once per dialed peer
@@ -152,7 +155,8 @@ func (e *DeltaEncoder) Commit() {
 	if e.pendingRekey {
 		e.ref = make([]float64, len(e.delta))
 	}
-	if !foldPairs(e.ref, payload[8:], len(e.ref), true) {
+	k := int(binary.LittleEndian.Uint32(payload[4:]))
+	if f, _ := foldPairs(e.ref, payload[8:], len(e.ref), k, true); f != faultNone {
 		// The encoder or a sibling stream made this frame: only a bug
 		// gets here.
 		panic("compress: staged frame has an invalid pair")
@@ -196,8 +200,8 @@ func (d *DeltaDecoder) DecodeInto(dst []float64, payload []byte) ([]float64, err
 		}
 		d.ref = make([]float64, n)
 	}
-	if !foldPairs(d.ref, payload[8:], n, true) {
-		return nil, pairError(payload, n, k)
+	if f, left := foldPairs(d.ref, payload[8:], n, k, true); f != faultNone {
+		return nil, f.err(k-left, n, k)
 	}
 	out := sizeVec(dst, n)
 	copy(out, d.ref)

@@ -14,7 +14,9 @@ import (
 
 // One script byte is one frame: the low three bits say what happens to
 // the state x before it is encoded, opDrop that the frame is staged but
-// never committed (a failed send).
+// never committed (a failed send), opHostile that before the decoder
+// folds the frame it is offered, on a copy of its replica, the frame
+// damaged in the way the top three bits pick (hostile), and refuses it.
 const (
 	opDrift    = iota // every coordinate takes a random step
 	opCollapse        // the residual x − ref shrinks 100×: the threshold falls through the margin
@@ -26,6 +28,7 @@ const (
 	opResize          // the dimension changes: the next frame re-keys densely
 	opKinds    = 8
 	opDrop     = 8
+	opHostile  = 16
 )
 
 // runDeltaStream drives an encoder through script, and a decoder behind
@@ -94,9 +97,12 @@ func runDeltaStream(t testing.TB, n int, ratio float64, seed int64, frames int, 
 				nan = nan || math.IsNaN(delta[i])
 			}
 		}
-		want := refEncodeTopK(delta, k)
+		want3 := refEncodeV3(delta, k)
+		want := gapCode(want3)
 		if nan && k < len(x) {
-			emitReference(want[8:], delta, k)
+			pairs := make([]byte, pairsCap(len(x), k))
+			want = append(want[:8], pairs[:emitReference(pairs, delta, k)]...)
+			want3 = v3Of(want)
 		}
 		// The refill rule, restated: a sparse frame gathers twice exactly
 		// when the stream has a threshold and fewer than k magnitudes
@@ -119,11 +125,22 @@ func runDeltaStream(t testing.TB, n int, ratio float64, seed int64, frames int, 
 		if !bytes.Equal(payload, want) {
 			t.Fatalf("frame %d (op %#x, n=%d k=%d): payload differs from the specification", f, op, len(x), k)
 		}
+		// The specification's (index, float32) pairs in the v3 layout
+		// decode to the same bits as the frame.
+		if got, err := Decode(TopK, payload); err != nil || !sameBits(got, decodeV3(want3)) {
+			t.Fatalf("frame %d (op %#x): decode differs from the v3 reference decode (err %v)", f, op, err)
+		}
 		if sparse && (enc.sel.lastT >= 0) == nan {
 			t.Fatalf("frame %d (op %#x): threshold hint %g after a frame with NaN=%v", f, op, enc.sel.lastT, nan)
 		}
 		if enc.sel.refills != wantRefills {
 			t.Fatalf("frame %d (op %#x, n=%d k=%d): %d refills so far, want %d", f, op, len(x), k, enc.sel.refills, wantRefills)
+		}
+		if op&opHostile != 0 {
+			probe := DeltaDecoder{ref: append([]float64(nil), dec.ref...)}
+			if _, err := probe.Decode(hostile(payload, int(op>>5))); err == nil {
+				t.Fatalf("frame %d (op %#x): damaged frame accepted", f, op)
+			}
 		}
 		if op&opDrop == 0 {
 			enc.Commit()
@@ -146,7 +163,7 @@ func runDeltaStream(t testing.TB, n int, ratio float64, seed int64, frames int, 
 	return enc.sel
 }
 
-// The five turns the issue names, as scripts (each is cycled, so every
+// The turns a stream can take, as scripts (each is cycled, so every
 // perturbation meets a stream that has drifted since the last one).
 var (
 	scriptCollapse  = []byte{opDrift, opDrift, opDrift, opDrift, opCollapse, opDrift}
@@ -154,6 +171,9 @@ var (
 	scriptNonFinite = []byte{opDrift, opDrift, opNaN | opDrop, opDrift, opInf | opDrop, opDrift, opDrift, opNaN, opDrift, opDrift, opResize}
 	scriptDropped   = []byte{opDrift, opDrift, opDrift | opDrop, opHold, opCollapse | opDrop, opHold, opResize | opDrop, opDrift}
 	scriptResize    = []byte{opDrift, opDrift, opDrift, opResize, opDrift, opDrift, opTies, opResize | opDrop, opResize}
+	// Each hostile kind, on a sparse frame, a NaN frame and a re-key.
+	scriptHostile = []byte{opDrift, opDrift | opHostile, opDrift | opHostile | 1<<5, opNaN | opHostile | 2<<5,
+		opDrift | opHostile | 3<<5, opResize | opHostile | 4<<5, opDrift | opHostile | 4<<5, opResize | opHostile}
 )
 
 // TestDeltaStreamMatchesReference runs long dense-drift streams — the
@@ -161,13 +181,15 @@ var (
 // with every perturbation above injected along the way: a committed NaN
 // poisons the replica until the next re-key, so the script also covers
 // a stream that stays on the fallback for a while and then recovers.
+// Every frame, dense re-keys and NaN frames included, decodes to the
+// bits a v3 decode of the specification's pairs gives.
 func TestDeltaStreamMatchesReference(t *testing.T) {
 	frames := 320
 	if testing.Short() {
 		frames = 80
 	}
 	var script []byte
-	for _, s := range [][]byte{scriptCollapse, scriptTies, scriptNonFinite, scriptDropped, scriptResize} {
+	for _, s := range [][]byte{scriptCollapse, scriptTies, scriptNonFinite, scriptDropped, scriptResize, scriptHostile} {
 		for i := 0; i < 12; i++ {
 			script = append(script, opDrift)
 		}
@@ -185,9 +207,9 @@ func TestDeltaStreamMatchesReference(t *testing.T) {
 
 // FuzzDeltaStream lets the fuzzer write the script: frame count,
 // dimension, keep ratio and the per-frame perturbations all come from
-// its bytes. The seed corpus is the five scripts above.
+// its bytes. The seed corpus is the six scripts above.
 func FuzzDeltaStream(f *testing.F) {
-	for i, s := range [][]byte{scriptCollapse, scriptTies, scriptNonFinite, scriptDropped, scriptResize} {
+	for i, s := range [][]byte{scriptCollapse, scriptTies, scriptNonFinite, scriptDropped, scriptResize, scriptHostile} {
 		f.Add(uint8(40), uint16(300+i), uint8(25), int64(i), s)
 	}
 	f.Add(uint8(12), uint16(1), uint8(0), int64(9), []byte{opTies, opNaN})

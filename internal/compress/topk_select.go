@@ -23,11 +23,11 @@ package compress
 //	        order as the magnitudes do: a branch-free histogram of the
 //	        8 bits below their common prefix per round, only the bucket
 //	        holding T carried into the next (candThreshold).
-//	emit    one scan of the candidate indices writes the (uint32 index,
-//	        float32 value) pairs of everything above T plus the
-//	        lowest-indexed ties at T, already in ascending index order,
-//	        each pair stored unconditionally and kept by advancing the
-//	        cursor.
+//	emit    one scan of the candidate indices compacts everything above
+//	        T plus the lowest-indexed ties at T, already in ascending
+//	        index order, each index stored unconditionally and kept by
+//	        advancing the cursor; then their (gap, float32 value) pairs
+//	        are written.
 //
 // Byte identity: selection follows the strict total order of topKLess
 // (|value| descending, index ascending), under which the top-k *set*
@@ -151,7 +151,8 @@ func encodeTopK(dst []byte, src []float64, k int, x, ref []float64, sel *streamS
 	if k <= 0 {
 		return dst
 	}
-	dst, out := extend(dst, 8*k)
+	start := len(dst)
+	dst, out := extend(dst, pairsCap(n, k))
 	hinted := k < n && sel != nil && sel.lastT >= 0
 	if x != nil && !hinted {
 		for i := range src {
@@ -159,11 +160,12 @@ func encodeTopK(dst []byte, src []float64, k int, x, ref []float64, sel *streamS
 		}
 	}
 	if k >= n {
-		// Every coordinate survives: nothing to select.
-		for i, v := range src {
-			putPair(out[8*i:], i, v)
+		// Every coordinate survives: nothing to select, every gap 0.
+		p := 0
+		for _, v := range src {
+			p += putPair(out[p:], 0, v)
 		}
-		return dst
+		return dst[:start+p]
 	}
 	sc := sel.scratch()
 	if cap(sc.idx) < n {
@@ -186,12 +188,13 @@ func encodeTopK(dst []byte, src []float64, k int, x, ref []float64, sel *streamS
 		lo, hi = min(lo, b), max(hi, b)
 	}
 	T := -1.0 // after a NaN, the next frame gathers everything
+	var p int
 	if hi <= infBits {
 		tb, g := candThreshold(mag, k, lo, hi)
-		emitCand(out, src, idx, tb, k-g)
+		p = putPairs(out, src, keepCand(sc.idx[:k], idx, src, tb, k-g))
 		T = math.Float64frombits(tb)
 	} else {
-		emitReference(out, src, k)
+		p = emitReference(out, src, k)
 	}
 	if sel != nil {
 		sel.lastT = T
@@ -199,7 +202,16 @@ func encodeTopK(dst []byte, src []float64, k int, x, ref []float64, sel *streamS
 		sel.cands += len(idx)
 	}
 	sel.release(sc)
-	return dst
+	return dst[:start+p]
+}
+
+// pairsCap bounds the pairs region of k pairs out of n coordinates,
+// plus the slack putPair's wide store needs past the last pair. Every
+// pair takes minPairLen bytes and one more per gap varint byte past the
+// first; a gap of at least 2^(7j) spans that many indices of the n, so
+// at most n>>(7j) gaps take a (j+1)th byte.
+func pairsCap(n, k int) int {
+	return minPairLen*k + n>>7 + n>>14 + n>>21 + n>>28 + 3
 }
 
 // candThreshold selects the threshold among the candidates' magnitude
@@ -268,29 +280,29 @@ func candThreshold(mag []uint64, k int, lo, hi uint64) (T uint64, g int) {
 	return lo, g
 }
 
-// emitCand fills out, the payload's pairs region, from the candidates:
-// everything whose magnitude bits exceed T plus the first ties at T, in
-// index order. idx is ascending, so scanning it keeps exactly what a
-// scan of the whole vector would, while touching only the gathered
-// coordinates — and it stops at the kth pair, which a frame of ties
-// reaches long before the last candidate. Each pair is written at the
-// cursor unconditionally and the cursor advances by the keep
-// predicate, so the loop has no data-dependent branch; candThreshold
-// has permuted the magnitudes, so they are re-derived from src.
-func emitCand(out []byte, src []float64, idx []int32, T uint64, ties int) {
-	p := 0 // byte offset of the next pair
+// keepCand compacts into kept, of length k, the candidates that
+// survive: everything whose magnitude bits exceed T plus the first
+// ties at T, in index order. idx is ascending, so scanning it keeps
+// exactly what a scan of the whole vector would, while touching only
+// the gathered coordinates — and it stops at the kth, which a frame of
+// ties reaches long before the last candidate. Each index is written at
+// the cursor unconditionally and the cursor advances by the keep
+// predicate, so the loop has no data-dependent branch; kept may alias
+// idx, as the cursor never passes the scan. candThreshold has permuted
+// the magnitudes, so they are re-derived from src.
+func keepCand(kept, idx []int32, src []float64, T uint64, ties int) []int32 {
+	m := 0
 	for _, i := range idx {
-		if p >= len(out) {
-			return
+		if m == len(kept) {
+			break
 		}
-		v := src[i]
-		a := math.Float64bits(v) &^ (1 << 63)
-		pair := uint64(uint32(i)) | uint64(math.Float32bits(float32(v)))<<32
-		binary.LittleEndian.PutUint64(out[p:p+8], pair)
+		a := math.Float64bits(src[i]) &^ (1 << 63)
 		eq := b2i(a == T)
-		p += 8 * (b2i(a > T) | eq&b2i(ties > 0))
+		kept[m] = i
+		m += b2i(a > T) | eq&b2i(ties > 0)
 		ties -= eq
 	}
+	return kept[:m]
 }
 
 // b2i is 1 for true and 0 for false; the compiler makes it a flag set,
@@ -303,17 +315,45 @@ func b2i(b bool) int {
 	return i
 }
 
-// putPair writes one (uint32 index, float32 value) pair.
-func putPair(out []byte, i int, v float64) {
-	binary.LittleEndian.PutUint32(out, uint32(i))
-	binary.LittleEndian.PutUint32(out[4:], math.Float32bits(float32(v)))
+// putPairs writes the pairs of the kept indices, ascending, and of
+// their values in src to out, and returns their length in bytes. Both
+// selections emit through it: the threshold path's int32 candidates and
+// the quickselect fallback's ints.
+func putPairs[I int | int32](out []byte, src []float64, kept []I) int {
+	p, last := 0, -1
+	for _, i := range kept {
+		p += putPair(out[p:], uint32(int(i)-last-1), src[i])
+		last = int(i)
+	}
+	return p
+}
+
+// putPair writes one pair at the start of out — the minimal LEB128
+// varint of gap, then v rounded to float32 — and returns its length,
+// minPairLen to 9 bytes. A gap below 128 is one 8-byte store, so out
+// must hold 8 bytes even where the pair takes 5 (pairsCap's slack).
+func putPair(out []byte, gap uint32, v float64) int {
+	f := math.Float32bits(float32(v))
+	if gap < 0x80 {
+		binary.LittleEndian.PutUint64(out, uint64(gap)|uint64(f)<<8)
+		return minPairLen
+	}
+	w := 0
+	for ; gap >= 0x80; gap >>= 7 {
+		out[w] = byte(gap) | 0x80
+		w++
+	}
+	out[w] = byte(gap)
+	binary.LittleEndian.PutUint32(out[w+1:], f)
+	return w + minPairLen
 }
 
 // emitReference writes the pairs region via the original index
-// quickselect — kept both as the specification oracle of the property
-// tests and as the fallback for vectors holding a NaN, where it
-// reproduces the pre-threshold encoder's bytes exactly.
-func emitReference(out []byte, src []float64, k int) {
+// quickselect and returns its length — kept both as the specification
+// oracle of the property tests and as the fallback for vectors holding
+// a NaN, where it reproduces the pre-threshold encoder's selection
+// exactly.
+func emitReference(out []byte, src []float64, k int) int {
 	n := len(src)
 	ip := idxPool.Get().(*[]int)
 	if cap(*ip) < n {
@@ -326,8 +366,7 @@ func emitReference(out []byte, src []float64, k int) {
 	selectTopK(idx, src, k)
 	kept := idx[:k]
 	sort.Ints(kept)
-	for p, i := range kept {
-		putPair(out[8*p:], i, src[i])
-	}
+	p := putPairs(out, src, kept)
 	idxPool.Put(ip)
+	return p
 }

@@ -10,9 +10,18 @@ import (
 )
 
 // refEncodeTopK is the specification encoder: full sort by (|value|
-// desc, index asc), emit the first k indices in ascending order. Every
-// payload the threshold path produces must match it byte for byte.
+// desc, index asc), emit the first k indices in ascending order, then
+// gap-code them. Every payload the threshold path produces must match
+// it byte for byte.
 func refEncodeTopK(src []float64, k int) []byte {
+	return gapCode(refEncodeV3(src, k))
+}
+
+// refEncodeV3 is the specification selection in the retired v3 layout,
+// which carried each kept coordinate as a (uint32 index, float32 value)
+// pair. It survives here only as the reference the gap-coded layout is
+// pinned against: same indices, same float32 bits.
+func refEncodeV3(src []float64, k int) []byte {
 	n := len(src)
 	dst := binary.LittleEndian.AppendUint32(nil, uint32(n))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(k))
@@ -28,6 +37,60 @@ func refEncodeTopK(src []float64, k int) []byte {
 		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(float32(src[i])))
 	}
 	return dst
+}
+
+// gapCode rewrites a v3 payload in the current layout: each index
+// becomes the minimal varint of its distance from the previous one,
+// less one, which the standard library's AppendUvarint writes.
+func gapCode(v3 []byte) []byte {
+	dst := append([]byte(nil), v3[:8]...)
+	last := -1
+	for p := v3[8:]; len(p) >= 8; p = p[8:] {
+		i := int(binary.LittleEndian.Uint32(p))
+		dst = binary.AppendUvarint(dst, uint64(i-last-1))
+		dst = append(dst, p[4:8]...)
+		last = i
+	}
+	return dst
+}
+
+// decodeV3 is the reference decode of a v3 payload: its pairs' float32
+// values at their indices, zero elsewhere.
+func decodeV3(v3 []byte) []float64 {
+	out := make([]float64, binary.LittleEndian.Uint32(v3))
+	for p := v3[8:]; len(p) >= 8; p = p[8:] {
+		out[binary.LittleEndian.Uint32(p)] = float64(math.Float32frombits(binary.LittleEndian.Uint32(p[4:])))
+	}
+	return out
+}
+
+// v3Of is gapCode's inverse: the v3 payload carrying a well-formed
+// payload's (index, float32) pairs, read with the standard library's
+// Uvarint.
+func v3Of(payload []byte) []byte {
+	dst := append([]byte(nil), payload[:8]...)
+	last := -1
+	for p := payload[8:]; len(p) > 0; {
+		gap, w := binary.Uvarint(p)
+		last += int(gap) + 1
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(last))
+		dst = append(dst, p[w:w+4]...)
+		p = p[w+4:]
+	}
+	return dst
+}
+
+// sameBits reports whether a and b hold the same float64 bit patterns.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestTopKBytesPoolWidthInvariant is the determinism pin: the
@@ -100,15 +163,16 @@ func TestTopKThresholdFallbackNonFinite(t *testing.T) {
 		c := NewTopK(0.3).(topKCodec)
 		k := c.KeepCount(n)
 		got := c.Compress(nil, src)
-		if len(got) != 8+8*k {
-			t.Fatalf("n=%d: payload %d bytes, want %d", n, len(got), 8+8*k)
-		}
 		// The fallback is the old encoder verbatim: emitReference into a
 		// pre-sized buffer must agree with it.
-		want := make([]byte, 8*k)
-		emitReference(want, src, k)
+		want := make([]byte, pairsCap(n, k))
+		want = want[:emitReference(want, src, k)]
 		if !bytes.Equal(got[8:], want) {
 			t.Fatalf("n=%d: non-finite payload does not match reference path", n)
+		}
+		// And it is a whole payload: k pairs, every byte consumed.
+		if _, err := Decode(TopK, got); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
 		}
 	}
 }

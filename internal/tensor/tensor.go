@@ -15,10 +15,16 @@ func Zeros(n int) []float64 { return make([]float64, n) }
 // Clone returns a copy of v.
 func Clone(v []float64) []float64 { return append([]float64(nil), v...) }
 
-// Fill sets every element of v to x.
+// Fill sets every element of v to x, bit for bit. It writes v[0] and
+// then doubles the filled prefix with copy, so a long vector fills at
+// memmove speed rather than one store per element.
 func Fill(v []float64, x float64) {
-	for i := range v {
-		v[i] = x
+	if len(v) == 0 {
+		return
+	}
+	v[0] = x
+	for f := 1; f < len(v); f *= 2 {
+		copy(v[f:], v[:f])
 	}
 }
 

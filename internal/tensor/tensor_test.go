@@ -179,6 +179,27 @@ func TestFillZerosClone(t *testing.T) {
 	}
 }
 
+// TestFillBits: Fill writes x's exact bits to every element — the sign
+// of zero and a NaN's payload included — at every length around the
+// doubling's powers of two, and nothing past the slice.
+func TestFillBits(t *testing.T) {
+	for _, x := range []float64{0, math.Copysign(0, -1), 2.5, math.NaN(), math.Float64frombits(0x7ff8dead0000beef), math.Inf(-1)} {
+		for _, n := range []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 63, 64, 65, 1000, 4097} {
+			buf := make([]float64, n+1)
+			buf[n] = 42
+			Fill(buf[:n], x)
+			for i, v := range buf[:n] {
+				if math.Float64bits(v) != math.Float64bits(x) {
+					t.Fatalf("x=%#x n=%d: element %d is %#x", math.Float64bits(x), n, i, math.Float64bits(v))
+				}
+			}
+			if buf[n] != 42 {
+				t.Fatalf("x=%#x n=%d: wrote past the slice", math.Float64bits(x), n)
+			}
+		}
+	}
+}
+
 // meanRef is the implementation Mean replaced: zero-fill, one AXPY per
 // vector, scale.
 func meanRef(dst []float64, vectors [][]float64) {

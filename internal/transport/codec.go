@@ -29,8 +29,10 @@ const (
 	// mis-aggregate them, so the formats must not interoperate.
 	// Version 3 appended the CRC32-C trailer to every frame and added
 	// the heartbeat control kind; a v2 peer would read the trailer as
-	// the next frame's magic and desync.
-	magic = "HOP\x03"
+	// the next frame's magic and desync. Version 4 gap-codes the index
+	// of each TopK pair as a varint (compress.go); a v3 peer would read
+	// the varint and the value as a uint32 index.
+	magic = "HOP\x04"
 
 	headerLen = 32
 
@@ -94,7 +96,7 @@ var errCorruptFrame = errors.New("corrupt frame")
 // frameHeader is the fixed prefix of every frame:
 //
 //	off size field
-//	 0   4   magic "HOP" + version 0x03
+//	 0   4   magic "HOP" + version 0x04
 //	 4   1   frame kind
 //	 5   1   payload codec (compress.Kind)
 //	 6   2   chunk index

@@ -301,6 +301,26 @@ func TestNegotiationDowngradesUnsupportedCodec(t *testing.T) {
 // connection without delivering anything, and be reported as a
 // connection that died before its hello.
 func TestRejectsNonHopPeer(t *testing.T) {
+	// Longer than a frame header, so the verdict does not wait on more
+	// bytes.
+	refusesFirstBytes(t, []byte("GET / HTTP/1.1\r\nHost: hop.invalid\r\n\r\n"))
+}
+
+// TestRefusesV3Hello: a well-formed hello from a version-3 peer, whose
+// TopK pairs carry uint32 indices where this version reads gap
+// varints, is refused at the handshake like any non-hop peer.
+func TestRefusesV3Hello(t *testing.T) {
+	hello := appendFrame(nil, frameHeader{kind: frameHello, codec: compress.TopK, from: 1}, nil)
+	hello[3] = 3
+	binary.LittleEndian.PutUint32(hello[headerLen:], frameCRC(hello[:headerLen], nil))
+	refusesFirstBytes(t, hello)
+}
+
+// refusesFirstBytes opens a connection to a listening node, writes b
+// and requires the node to drop the connection unanswered, deliver
+// nothing and report a bad magic from a peer it never identified.
+func refusesFirstBytes(t *testing.T, b []byte) {
+	t.Helper()
 	type down struct {
 		peer int
 		err  error
@@ -314,9 +334,7 @@ func TestRejectsNonHopPeer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	// Longer than a frame header, so the verdict does not wait on more
-	// bytes.
-	conn.Write([]byte("GET / HTTP/1.1\r\nHost: hop.invalid\r\n\r\n"))
+	conn.Write(b)
 	buf := make([]byte, 1)
 	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
 	if _, err := conn.Read(buf); err == nil {

@@ -25,6 +25,8 @@
 #     SMOKE_KILL_WORKER=3 scripts/live_smoke.sh
 #   SMOKE_SPEC=examples/scenarios/smoke-prague4.json \
 #     SMOKE_PORT_BASE=29900 scripts/live_smoke.sh
+#   SMOKE_SPEC=examples/scenarios/smoke-ring4-topk.json \
+#     SMOKE_LOSS_MAX=0.6 scripts/live_smoke.sh   # svm's loss settles near 0.55
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
