@@ -404,12 +404,17 @@ func benchCompressor(b *testing.B, spec string) {
 	gobBytes := gobUpdateBytes(params)
 	var wire int64
 	// Before the timer the set-up's garbage (the gob baseline) is
-	// collected and the retained buffer grown. Otherwise the first op
-	// grows the buffer, and collections finishing inside the timer can
-	// empty the TopK codec's scratch pool. Steady state is 0 B/op;
+	// collected and the retained buffer grown. Steady state is 0 B/op;
 	// allocs/op is gated by CI.
 	runtime.GC()
 	dst := comp.Compress(nil, params)
+	if c, ok := comp.(compress.StreamCommitter); ok {
+		// TopK is a delta stream: with its dense warm start committed,
+		// every timed frame is a sparse delta against it (never
+		// committed, so each op encodes the same one).
+		c.Commit()
+		dst = comp.Compress(dst[:0], params)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -428,8 +433,9 @@ func BenchmarkWireCompressNone(b *testing.B)    { benchCompressor(b, "none") }
 func BenchmarkWireCompressFloat32(b *testing.B) { benchCompressor(b, "float32") }
 func BenchmarkWireCompressTopK10(b *testing.B)  { benchCompressor(b, "topk:0.1") }
 
-// BenchmarkWireDecode measures the receive path: decode of a TopK
-// payload back to a dense vector.
+// BenchmarkWireDecode measures the receive path of a TopK update: a
+// DeltaDecoder folding one sparse frame into its replica and copying
+// out the dense vector.
 func BenchmarkWireDecode(b *testing.B) { benchDecode(b, "topk:0.1", 1<<16) }
 
 // BenchmarkWireDecodeNone is the same for the uncompressed payload of
@@ -439,17 +445,30 @@ func BenchmarkWireDecodeNone(b *testing.B) { benchDecode(b, "none", 4096) }
 func benchDecode(b *testing.B, spec string, n int) {
 	sp, _ := hop.ParseCompression(spec)
 	comp := sp.New()
-	payload := comp.Compress(nil, wireParams(n))
+	params := wireParams(n)
+	payload := comp.Compress(nil, params)
+	decode := func(dst []float64) ([]float64, error) { return compress.DecodeInto(dst, comp.Kind(), payload) }
+	if c, ok := comp.(compress.StreamCommitter); ok {
+		// A TopK frame is a delta: the decoder takes the dense warm
+		// start, then the timed op folds one sparse frame.
+		c.Commit()
+		var dec compress.DeltaDecoder
+		if _, err := dec.Decode(payload); err != nil {
+			b.Fatal(err)
+		}
+		payload = comp.Compress(nil, params)
+		decode = func(dst []float64) ([]float64, error) { return dec.DecodeInto(dst, payload) }
+	}
 	// The retained buffer is warmed before the timer: steady state is
 	// 0 allocs/op, gated by CI.
-	out, err := compress.DecodeInto(nil, comp.Kind(), payload)
+	out, err := decode(nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if out, err = compress.DecodeInto(out, comp.Kind(), payload); err != nil {
+		if out, err = decode(out); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -556,7 +575,8 @@ func BenchmarkDeltaFold(b *testing.B) {
 
 // TestWireCompressionBeatsGob pins the ISSUE acceptance criterion:
 // float32 values + top-10% sparsification must cut bytes per update at
-// least 4x versus the gob baseline.
+// least 4x versus the gob baseline, measured on a sparse delta frame
+// (the stream's dense warm start committed).
 func TestWireCompressionBeatsGob(t *testing.T) {
 	params := wireParams(1 << 16)
 	gobBytes := gobUpdateBytes(params)
@@ -564,7 +584,10 @@ func TestWireCompressionBeatsGob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ratio := float64(gobBytes) / float64(len(sp.New().Compress(nil, params))); ratio < 4 {
+	enc := sp.New()
+	enc.Compress(nil, params)
+	enc.(compress.StreamCommitter).Commit()
+	if ratio := float64(gobBytes) / float64(len(enc.Compress(nil, params))); ratio < 4 {
 		t.Fatalf("float32+topk(10%%) only %.2fx smaller than gob (want >=4x)", ratio)
 	} else {
 		t.Logf("float32+topk(10%%): %.1fx fewer bytes per update than gob", ratio)

@@ -3,8 +3,8 @@
 // using the live runtime (no simulator involved). The same protocol
 // state machine (update queues, token queues, backup workers;
 // core.Protocol, DESIGN.md §5) that the simulated experiments use
-// drives real sockets here, with float32 wire compression negotiated
-// per connection; cmd/hopnode runs the same worker one-per-process
+// drives real sockets here, with float32 wire compression named in
+// each connection's handshake; cmd/hopnode runs the same worker one-per-process
 // across machines, and hop.RunLiveCluster does the bind/mesh/run/join
 // choreography in one call.
 package main

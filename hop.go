@@ -29,12 +29,14 @@
 //
 //	g := hop.RingBased(16)
 //	hop.PlaceEvenly(g, 4)
-//	res, err := hop.Run(hop.Options{
-//	    Core:    hop.Config{Graph: g, MaxIG: 4, Backup: 1, SendCheck: true},
-//	    Trainer: hop.NewCNN(hop.DefaultCNNConfig()),
-//	    Compute: hop.Compute{Base: 4 * time.Second, Slow: hop.RandomSlowdown(6, 1.0/16)},
+//	opts := hop.Options{
+//	    Core:     hop.Config{Graph: g, MaxIG: 4, Backup: 1, SendCheck: true},
+//	    Trainer:  hop.NewCNN(hop.DefaultCNNConfig()),
 //	    Deadline: 500 * time.Second,
-//	})
+//	}
+//	opts.Compute.Base = 4 * time.Second
+//	opts.Compute.Slow = hop.RandomSlowdown(6, 1.0/16)
+//	res, err := hop.Run(opts)
 package hop
 
 import (
@@ -171,9 +173,6 @@ func NewQuadratic(start, target []float64, lr, noise float64) Trainer {
 
 // Slowdown models per-iteration compute slowdowns.
 type Slowdown = hetero.Slowdown
-
-// Compute is the per-iteration compute-time model.
-type Compute = hetero.Compute
 
 // NoSlowdown is the homogeneous environment.
 func NoSlowdown() Slowdown { return hetero.None{} }

@@ -1,25 +1,21 @@
 // Package compress implements the pluggable gradient/parameter
 // compressors of the live wire layer (see DESIGN.md §2.3). A
 // Compressor turns a dense []float64 update into a compact byte
-// payload; Decode reverses any payload given only the codec kind
-// carried in the frame header, so a receiver never needs the sender's
-// configuration to decompress.
+// payload; the frame header carries the codec kind, so a receiver never
+// needs the sender's configuration to decompress.
 //
 // Three codecs are provided:
 //
 //   - None: raw little-endian float64s, lossless (8 bytes/coord).
 //   - Float32: cast-down to little-endian float32s (4 bytes/coord),
 //     lossy only by float32 rounding — the "half-width" codec common
-//     in decentralized-training systems.
-//   - TopK: magnitude sparsification. Only the k largest-|x| coords
-//     are transmitted, as (gap varint, float32 value) pairs. On the
-//     wire TopK is a *delta stream with error feedback* (see delta.go):
-//     frames carry sparse deltas against a per-connection replica and
-//     dropped mass is remembered and re-sent, so the receiver always
-//     reconstructs full dense state. The stateless codec below is the
-//     frame format only; averaging its zero-filled decode of a raw
-//     parameter vector into a model is unsound — use
-//     DeltaEncoder/DeltaDecoder for state synchronization.
+//     in decentralized-training systems. Decode reverses either.
+//   - TopK: magnitude sparsification, only ever as a *delta stream
+//     with error feedback* (delta.go): each frame carries the k
+//     largest-|·| coordinates of the difference between the state and
+//     a per-connection replica, as (gap varint, float32 value) pairs,
+//     and dropped mass stays in that difference and is re-sent, so the
+//     receiver's DeltaDecoder always reconstructs full dense state.
 //
 // The simulator never touches this package: simulated runs model
 // payload *size* only, scaled by scenario.WireRatio (DESIGN.md §4.2).
@@ -32,7 +28,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"sync"
 	"unsafe"
 )
 
@@ -59,10 +54,8 @@ func (k Kind) String() string {
 	return fmt.Sprintf("codec(%d)", uint8(k))
 }
 
-// Supported reports whether this build can decode payloads of kind k.
-// Connection negotiation uses it: an acceptor that does not support
-// the dialer's proposed codec answers with None and both sides fall
-// back (see transport.Dial).
+// Supported reports whether k is one of this package's codecs. The
+// transport refuses any other kind, in a configuration and in a hello.
 func Supported(k Kind) bool {
 	switch k {
 	case None, Float32, TopK:
@@ -71,9 +64,10 @@ func Supported(k Kind) bool {
 	return false
 }
 
-// Compressor encodes dense update vectors into wire payloads. A
-// Compressor must be safe for concurrent use; all implementations in
-// this package are stateless.
+// Compressor encodes dense update vectors into wire payloads. None and
+// Float32 are stateless and safe for concurrent use. TopK's is a
+// StreamCompressor: a user of the wire takes one stream per connection
+// from NewStream and serializes its Compress calls.
 type Compressor interface {
 	// Kind is the byte written into every frame header so the
 	// receiver can decode without out-of-band configuration.
@@ -99,10 +93,10 @@ const DefaultTopKRatio = 0.1
 
 // MinTopKRatio is the smallest accepted keep fraction. It exists for
 // the decoder, not the statistics: an honest encoder with ratio r
-// emits k ≥ r·n pairs, so bounding r ≥ 1/maxTopKExpansion lets Decode
-// reject any frame claiming a vector more than maxTopKExpansion times
-// larger than the pairs it actually carries — a tiny frame can no
-// longer demand a multi-hundred-MiB allocation.
+// emits k ≥ r·n pairs, so bounding r ≥ 1/maxTopKExpansion lets a
+// DeltaDecoder reject any frame claiming a vector more than
+// maxTopKExpansion times larger than the pairs it actually carries — a
+// tiny frame can no longer demand a multi-hundred-MiB allocation.
 const MinTopKRatio = 1.0 / maxTopKExpansion
 
 // maxTopKExpansion bounds n/k on decode; see MinTopKRatio.
@@ -157,10 +151,11 @@ func (s Spec) String() string {
 	return s.Kind.String()
 }
 
-// New builds the Compressor a Spec describes. It panics (via NewTopK)
-// on a ratio outside [MinTopKRatio, 1] — the same values Validate
-// rejects — rather than silently adjusting what goes on the wire;
-// call Validate first on untrusted configuration.
+// New builds the Compressor a Spec describes; TopK's is a DeltaEncoder.
+// It panics (via NewDeltaEncoder) on a ratio outside [MinTopKRatio, 1]
+// — the same values Validate rejects — rather than silently adjusting
+// what goes on the wire; call Validate first on untrusted
+// configuration.
 func (s Spec) New() Compressor {
 	switch s.Kind {
 	case Float32:
@@ -170,7 +165,7 @@ func (s Spec) New() Compressor {
 		if r == 0 {
 			r = DefaultTopKRatio
 		}
-		return NewTopK(r)
+		return NewDeltaEncoder(r)
 	default:
 		return noneCodec{}
 	}
@@ -182,20 +177,10 @@ func NewNone() Compressor { return noneCodec{} }
 // NewFloat32 returns the float32 cast-down codec.
 func NewFloat32() Compressor { return float32Codec{} }
 
-// NewTopK returns the magnitude-sparsification codec keeping
-// ceil(ratio·n) coordinates; ratio must be in [MinTopKRatio, 1].
-func NewTopK(ratio float64) Compressor {
-	if ratio < MinTopKRatio || ratio > 1 {
-		panic(fmt.Sprintf("compress: topk ratio %g out of [%g,1]", ratio, MinTopKRatio))
-	}
-	return topKCodec{ratio: ratio}
-}
-
-// Decode reverses Compress for any supported kind. It never panics on
+// Decode reverses Compress for None and Float32. It never panics on
 // malformed payloads; it returns an error instead (wire input is
-// untrusted). For TopK the result is the sparse frame content with
-// dropped coordinates as zero — in stream use that is a *delta*, which
-// DeltaDecoder accumulates into the full state.
+// untrusted). A TopK payload is a delta against a replica only a
+// DeltaDecoder holds, so Decode refuses it.
 func Decode(k Kind, payload []byte) ([]float64, error) {
 	return DecodeInto(nil, k, payload)
 }
@@ -245,7 +230,7 @@ func DecodeInto(dst []float64, k Kind, payload []byte) ([]float64, error) {
 		}
 		return out, nil
 	case TopK:
-		return decodeTopKInto(dst, payload)
+		return nil, fmt.Errorf("compress: a topk payload is a stream delta: decode it with a DeltaDecoder")
 	}
 	return nil, fmt.Errorf("compress: unsupported codec %v", k)
 }
@@ -333,104 +318,9 @@ func (float32Codec) Compress(dst []byte, src []float64) []byte {
 // A pair's gap is index − previous index − 1 (the first measured from
 // −1) as a minimal LEB128 varint: one byte below 128, so a pair is
 // five bytes at any density above 1/128. Indices are therefore strictly
-// increasing by construction; Decode rejects a non-minimal varint, an
-// index that reaches n, a payload that ends inside a pair and any byte
-// left after pair k, which keeps the payload canonical.
-type topKCodec struct{ ratio float64 }
-
-func (topKCodec) Kind() Kind { return TopK }
-
-// KeepCount returns how many coordinates of an n-vector survive:
-// ceil(ratio·n), floored at 1 for non-empty input.
-func (c topKCodec) KeepCount(n int) int {
-	if n == 0 {
-		return 0
-	}
-	k := int(math.Ceil(c.ratio * float64(n)))
-	if k < 1 {
-		k = 1
-	}
-	if k > n {
-		k = n
-	}
-	return k
-}
-
-// idxPool recycles the index scratch of the emitReference fallback
-// path (topk_select.go); the threshold path keeps its own pooled
-// candidate scratch.
-var idxPool = sync.Pool{New: func() any { return new([]int) }}
-
-// Compress selects via the threshold path of topk_select.go:
-// radix-select the kth largest magnitude, then one index-order scan
-// keeps everything above it plus the lowest-indexed ties. The
-// selection order is the same strict total order (|value| descending,
-// index ascending) as selectTopK, so the kept *set* — and therefore
-// the wire bytes — is deterministic and identical to the index-
-// quickselect reference. It runs on the calling goroutine, whatever
-// the worker-pool width.
-func (c topKCodec) Compress(dst []byte, src []float64) []byte {
-	return encodeTopK(dst, src, c.KeepCount(len(src)), nil, nil, nil)
-}
-
-// topKLess is the selection order: |src[a]| > |src[b]|, ties broken by
-// smaller index — a strict total order, so every correct selection
-// algorithm picks the same k elements.
-func topKLess(src []float64, a, b int) bool {
-	va, vb := math.Abs(src[a]), math.Abs(src[b])
-	if va != vb {
-		return va > vb
-	}
-	return a < b
-}
-
-// selectTopK partially orders idx so its first k entries are the k
-// first elements under topKLess, via iterative median-of-three
-// quickselect with an insertion-sort base case.
-func selectTopK(idx []int, src []float64, k int) {
-	lo, hi := 0, len(idx)
-	for hi-lo > 12 {
-		// Median-of-three pivot, moved to lo.
-		mid := lo + (hi-lo)/2
-		a, b, c := idx[lo], idx[mid], idx[hi-1]
-		var pv int
-		switch {
-		case topKLess(src, a, b) == topKLess(src, b, c):
-			pv = mid
-		case topKLess(src, a, c) == topKLess(src, c, b):
-			pv = hi - 1
-		default:
-			pv = lo
-		}
-		idx[lo], idx[pv] = idx[pv], idx[lo]
-		pivot := idx[lo]
-		// Hoare-style partition: entries ordered before the pivot end
-		// up in [lo, p).
-		p := lo
-		for i := lo + 1; i < hi; i++ {
-			if topKLess(src, idx[i], pivot) {
-				p++
-				idx[p], idx[i] = idx[i], idx[p]
-			}
-		}
-		idx[lo], idx[p] = idx[p], idx[lo]
-		switch {
-		case p == k || p == k-1:
-			return
-		case p > k:
-			hi = p
-		default:
-			lo = p + 1
-		}
-	}
-	// Insertion sort the small remainder; only [lo, min(hi, k)) needs
-	// ordering, but the range is tiny so sorting it whole is simplest.
-	for i := lo + 1; i < hi; i++ {
-		for j := i; j > lo && topKLess(src, idx[j], idx[j-1]); j-- {
-			idx[j], idx[j-1] = idx[j-1], idx[j]
-		}
-	}
-}
+// increasing by construction; DeltaDecoder rejects a non-minimal varint,
+// an index that reaches n, a payload that ends inside a pair and any
+// byte left after pair k, which keeps the payload canonical.
 
 // parseTopKHeader validates everything about a TopK payload that can
 // be checked before touching the pairs: header presence, k<=n,
@@ -469,8 +359,8 @@ func parseTopKHeader(payload []byte) (n, k int, err error) {
 // minPairLen is the shortest pair: a one-byte gap and a float32.
 const minPairLen = 5
 
-// maxGapLen is the longest gap varint Decode accepts: four bytes carry
-// 28 bits, past the largest n parseTopKHeader admits.
+// maxGapLen is the longest gap varint a DeltaDecoder accepts: four
+// bytes carry 28 bits, past the largest n parseTopKHeader admits.
 const maxGapLen = 4
 
 // fault is why foldPairs stopped before the end of a payload.
@@ -506,17 +396,16 @@ func (f fault) err(p, n, k int) error {
 	return nil
 }
 
-// foldPairs folds the k pairs of a TopK pairs region into dst, of
-// length n: dst[i] += v when add, dst[i] = v otherwise. It decodes each
-// gap varint in place, and at the first fault stops with dst partially
-// written and reports which, with the number of pairs it had yet to
-// fold (fault.err turns both into the error). The loop runs while a
-// pair's worth of bytes is left and counts k down, rather than testing
-// k on every pair, which made it about 1.2× slower; the count is
-// checked after it, so pairs past the kth are folded before the
-// payload is refused. It calls nothing, so its values stay in
-// registers: with the error built inside it, the compiler spilled the
-// index to the stack on every pair.
+// foldPairs adds the k pairs of a TopK pairs region into dst, of
+// length n: dst[i] += v. It decodes each gap varint in place, and at the
+// first fault stops with dst partially written and reports which, with
+// the number of pairs it had yet to fold (fault.err turns both into the
+// error). The loop runs while a pair's worth of bytes is left and counts
+// k down, rather than testing k on every pair, which made it about 1.2×
+// slower; the count is checked after it, so pairs past the kth are
+// folded before the payload is refused. It calls nothing, so its values
+// stay in registers: with the error built inside it, the compiler
+// spilled the index to the stack on every pair.
 //
 // Both replicas of a delta stream advance through this one compiled
 // loop (DeltaEncoder.Commit and DeltaDecoder.DecodeInto), so they stay
@@ -527,7 +416,7 @@ func (f fault) err(p, n, k int) error {
 // NaN seed tells the difference). Hence out of line.
 //
 //go:noinline
-func foldPairs(dst []float64, pairs []byte, n, k int, add bool) (fault, int) {
+func foldPairs(dst []float64, pairs []byte, n, k int) (fault, int) {
 	i := -1
 	for len(pairs) >= minPairLen {
 		gap := uint(pairs[0])
@@ -559,11 +448,7 @@ func foldPairs(dst []float64, pairs []byte, n, k int, add bool) (fault, int) {
 		}
 		v := float64(math.Float32frombits(binary.LittleEndian.Uint32(pairs[1:5])))
 		pairs = pairs[5:]
-		if add {
-			dst[i] += v
-		} else {
-			dst[i] = v
-		}
+		dst[i] += v
 		k--
 	}
 	if k > 0 {
@@ -573,21 +458,4 @@ func foldPairs(dst []float64, pairs []byte, n, k int, add bool) (fault, int) {
 		return faultTrailing, 0
 	}
 	return faultNone, 0
-}
-
-func decodeTopKInto(dst []float64, payload []byte) ([]float64, error) {
-	n, k, err := parseTopKHeader(payload)
-	if err != nil {
-		return nil, err
-	}
-	out := sizeVec(dst, n)
-	// A reused buffer carries stale values; the sparse fill below only
-	// touches k of n coordinates, so clear first.
-	for i := range out {
-		out[i] = 0
-	}
-	if f, left := foldPairs(out, payload[8:], n, k, false); f != faultNone {
-		return nil, f.err(k-left, n, k)
-	}
-	return out, nil
 }

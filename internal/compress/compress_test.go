@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"strings"
 	"testing"
 )
 
@@ -120,19 +120,20 @@ func TestDenseCodecBytesMatchElementwiseReference(t *testing.T) {
 	})
 }
 
-// TestTopKProperties checks the sparsification contract: exactly
-// ceil(ratio*n) coords survive, the kept set is the k largest by
-// magnitude, kept values are float32-exact, dropped coords decode to
-// zero, and the L1 error is bounded by the dropped mass plus float32
-// rounding on the kept mass.
+// TestTopKProperties checks the sparsification contract on a stream's
+// first sparse frame after a zero warm start, whose delta is the vector
+// itself: exactly ceil(ratio*n) coords survive, the kept set is the k
+// largest by magnitude, kept values are float32-exact, dropped coords
+// fold to zero, and the L1 error is bounded by the dropped mass plus
+// float32 rounding on the kept mass.
 func TestTopKProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, ratio := range []float64{0.01, 0.1, 0.5, 1.0} {
 		for _, n := range []int{1, 10, 257, 2048} {
 			src := randVec(rng, n)
-			c := NewTopK(ratio).(topKCodec)
-			k := c.KeepCount(n)
-			got, err := Decode(TopK, c.Compress(nil, src))
+			payload, enc := firstSparse(ratio, src)
+			k := enc.keepCount(n)
+			got, err := foldFrame(payload)
 			if err != nil {
 				t.Fatalf("ratio=%g n=%d: %v", ratio, n, err)
 			}
@@ -185,7 +186,8 @@ func TestTopKProperties(t *testing.T) {
 
 func TestTopKRatioOneKeepsEverything(t *testing.T) {
 	src := []float64{3, -1, 0.5, -7, 2}
-	got, err := Decode(TopK, NewTopK(1.0).Compress(nil, src))
+	payload, _ := firstSparse(1.0, src)
+	got, err := foldFrame(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +201,8 @@ func TestTopKRatioOneKeepsEverything(t *testing.T) {
 func TestTopKCompressionRatio(t *testing.T) {
 	src := randVec(rand.New(rand.NewSource(4)), 1<<14)
 	raw := len(NewNone().Compress(nil, src))
-	topk := len(NewTopK(0.1).Compress(nil, src))
+	payload, _ := firstSparse(0.1, src)
+	topk := len(payload)
 	if ratio := float64(raw) / float64(topk); ratio < 4 {
 		t.Fatalf("topk:0.1 only %.1fx smaller than raw", ratio)
 	}
@@ -305,8 +308,9 @@ func gapsOf(idx ...int) [][]byte {
 
 // TestDecodeRejectsMalformed feeds malformed payloads to Decode and, for
 // TopK, to a DeltaDecoder whose replica already has the frame's
-// dimension, so a sparse frame gets past the re-key check to its pairs.
-// Both decoders must reject every TopK case with the same text.
+// dimension, so a sparse frame gets past the re-key check to its pairs;
+// it must reject every TopK case with the given text. Decode refuses
+// any TopK payload, a well-formed one included.
 func TestDecodeRejectsMalformed(t *testing.T) {
 	type malformed struct {
 		kind    Kind
@@ -372,16 +376,11 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		}
 	}
 	for i, c := range cases {
-		_, err := Decode(c.kind, c.payload)
-		if err == nil {
-			t.Errorf("case %d (%v, %d bytes): malformed payload accepted", i, c.kind, len(c.payload))
-			continue
-		}
 		if c.kind != TopK {
+			if _, err := Decode(c.kind, c.payload); err == nil {
+				t.Errorf("case %d (%v, %d bytes): malformed payload accepted", i, c.kind, len(c.payload))
+			}
 			continue
-		}
-		if err.Error() != c.err {
-			t.Errorf("case %d: Decode says %q, want %q", i, err, c.err)
 		}
 		var dec DeltaDecoder
 		if n, _, err := parseTopKHeader(c.payload); err == nil {
@@ -396,6 +395,9 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		if _, err := dec.DecodeInto(nil, c.payload); err == nil || err.Error() != c.err {
 			t.Errorf("case %d: DeltaDecoder says %v, want %q", i, err, c.err)
 		}
+	}
+	if _, err := Decode(TopK, topkFrame(n, 5, good...)); err == nil || !strings.Contains(err.Error(), "DeltaDecoder") {
+		t.Errorf("Decode of a topk payload says %v, want a refusal naming DeltaDecoder", err)
 	}
 }
 
@@ -420,7 +422,7 @@ func TestGapVarintWidths(t *testing.T) {
 		for p := 1; p < k; p++ {
 			w += putPair(pairs[w:], 0, 0.25)
 		}
-		out, err := Decode(TopK, append(payload, pairs[:w]...))
+		out, err := foldFrame(append(payload, pairs[:w]...))
 		if err != nil {
 			t.Fatalf("gap %d: %v", gap, err)
 		}
@@ -598,7 +600,7 @@ func TestDeltaStreamRekeysOnDimensionChange(t *testing.T) {
 func TestDeltaDecoderRejectsSparseRekey(t *testing.T) {
 	dec := new(DeltaDecoder)
 	// First frame sparse: k < n with no established replica.
-	sparse := NewTopK(MinTopKRatio).Compress(nil, make([]float64, 2048))
+	sparse, _ := firstSparse(MinTopKRatio, make([]float64, 2048))
 	if _, err := dec.Decode(sparse); err == nil {
 		t.Error("sparse first frame accepted")
 	}
@@ -620,28 +622,29 @@ func TestDeltaDecoderRejectsSparseRekey(t *testing.T) {
 	}
 }
 
-// FuzzDecode asserts Decode never panics and never returns oversized
-// allocations on arbitrary wire bytes, and that a DeltaDecoder whose
-// replica has the payload's dimension accepts and refuses the same TopK
-// payloads. The TopK seeds are a valid frame and one of each hostile
-// kind: an overlong gap varint, a gap that carries the index to n, a
-// truncated last pair, a byte after pair k, and a k the bytes cannot
-// hold.
+// FuzzDecode asserts decoding never panics on arbitrary wire bytes —
+// Decode for the dense kinds, a DeltaDecoder whose replica has the
+// payload's dimension for TopK — and that what a DeltaDecoder accepts
+// respects the allocation bound. The TopK seeds are a valid frame and
+// one of each hostile kind: an overlong gap varint, a gap that carries
+// the index to n, a truncated last pair, a byte after pair k, and a k
+// the bytes cannot hold.
 func FuzzDecode(f *testing.F) {
 	f.Add(uint8(None), []byte{0, 0, 0, 0, 0, 0, 0, 64})
 	f.Add(uint8(Float32), []byte{0, 0, 128, 63})
-	valid := NewTopK(0.5).Compress(nil, []float64{1, -2, 3, 0.25})
+	valid, _ := firstSparse(0.5, []float64{1, -2, 3, 0.25})
 	f.Add(uint8(TopK), valid)
 	for how := 0; how < hostileKinds; how++ {
 		f.Add(uint8(TopK), hostile(valid, how))
 	}
 	f.Add(uint8(TopK), topkFrame(16, 2, []byte{0x81, 0x80, 0x80, 0x80, 0x80, 0x00}, []byte{0}))
 	f.Fuzz(func(t *testing.T, kind uint8, payload []byte) {
-		out, err := Decode(Kind(kind), payload)
-		if err != nil || Kind(kind) != TopK {
-			if Kind(kind) == TopK && len(payload) >= 8 {
-				checkPrimedDelta(t, payload, err)
-			}
+		if Kind(kind) != TopK {
+			Decode(Kind(kind), payload)
+			return
+		}
+		out, err := foldFrame(payload)
+		if err != nil {
 			return
 		}
 		n, k := binary.LittleEndian.Uint32(payload), binary.LittleEndian.Uint32(payload[4:])
@@ -653,26 +656,12 @@ func FuzzDecode(f *testing.F) {
 		if int(k) > (len(payload)-8)/minPairLen || len(out) > maxTopKExpansion*int(k) {
 			t.Fatalf("%d payload bytes decoded to %d coords (k=%d)", len(payload), len(out), k)
 		}
-		checkPrimedDelta(t, payload, nil)
+		// A decoder with no replica yet takes only a dense frame.
+		var fresh DeltaDecoder
+		if _, err := fresh.Decode(payload); (err == nil) != (k == n) {
+			t.Fatalf("a fresh decoder says %v to a frame of k=%d, n=%d", err, k, n)
+		}
 	})
-}
-
-// checkPrimedDelta decodes a TopK payload with a DeltaDecoder whose
-// replica already has the payload's dimension, when its header admits
-// one, and requires the verdict Decode gave: want.
-func checkPrimedDelta(t *testing.T, payload []byte, want error) {
-	t.Helper()
-	n, _, err := parseTopKHeader(payload)
-	if err != nil {
-		return
-	}
-	var dec DeltaDecoder
-	if _, err := dec.Decode(NewTopK(1).Compress(nil, make([]float64, n))); err != nil {
-		t.Fatalf("dense frame of dimension %d: %v", n, err)
-	}
-	if _, err := dec.Decode(payload); (err == nil) != (want == nil) || (err != nil && err.Error() != want.Error()) {
-		t.Fatalf("DeltaDecoder says %v, Decode %v", err, want)
-	}
 }
 
 // hostileKinds is the number of ways hostile damages a payload.
@@ -708,7 +697,8 @@ func hostile(payload []byte, how int) []byte {
 }
 
 // FuzzRoundTrip asserts compress→decode preserves every codec's
-// contract on arbitrary vectors.
+// contract on arbitrary vectors; TopK's frame is a stream's first
+// sparse frame after a zero warm start.
 func FuzzRoundTrip(f *testing.F) {
 	f.Add(int64(1), 10)
 	f.Add(int64(99), 1)
@@ -717,67 +707,26 @@ func FuzzRoundTrip(f *testing.F) {
 			t.Skip()
 		}
 		src := randVec(rand.New(rand.NewSource(seed)), n)
-		for _, c := range []Compressor{NewNone(), NewFloat32(), NewTopK(0.3)} {
-			got, err := Decode(c.Kind(), c.Compress(nil, src))
+		topk, _ := firstSparse(0.3, src)
+		for _, c := range []struct {
+			kind    Kind
+			payload []byte
+		}{{None, NewNone().Compress(nil, src)}, {Float32, NewFloat32().Compress(nil, src)}, {TopK, topk}} {
+			got, err := Decode(c.kind, c.payload)
+			if c.kind == TopK {
+				got, err = foldFrame(c.payload)
+			}
 			if err != nil {
-				t.Fatalf("%v: %v", c.Kind(), err)
+				t.Fatalf("%v: %v", c.kind, err)
 			}
 			if len(got) != len(src) {
-				t.Fatalf("%v: length %d want %d", c.Kind(), len(got), len(src))
+				t.Fatalf("%v: length %d want %d", c.kind, len(got), len(src))
 			}
 			for i := range got {
 				if got[i] != 0 && got[i] != src[i] && got[i] != float64(float32(src[i])) {
-					t.Fatalf("%v coord %d: %g from %g", c.Kind(), i, got[i], src[i])
+					t.Fatalf("%v coord %d: %g from %g", c.kind, i, got[i], src[i])
 				}
 			}
 		}
 	})
-}
-
-// TestSelectTopKMatchesSortReference pins the quickselect against the
-// specification it replaced: a full sort by (|value| desc, index asc).
-// The selected set — and therefore the encoded payload — must be
-// identical for every input, including heavy ties.
-func TestSelectTopKMatchesSortReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	for trial := 0; trial < 200; trial++ {
-		n := 1 + rng.Intn(200)
-		src := make([]float64, n)
-		for i := range src {
-			switch rng.Intn(4) {
-			case 0:
-				src[i] = 0 // force ties
-			case 1:
-				src[i] = 1 // force |·| ties with mixed sign
-				if rng.Intn(2) == 0 {
-					src[i] = -1
-				}
-			default:
-				src[i] = rng.NormFloat64()
-			}
-		}
-		k := 1 + rng.Intn(n)
-
-		ref := make([]int, n)
-		for i := range ref {
-			ref[i] = i
-		}
-		sort.Slice(ref, func(a, b int) bool { return topKLess(src, ref[a], ref[b]) })
-		want := append([]int(nil), ref[:k]...)
-		sort.Ints(want)
-
-		got := make([]int, n)
-		for i := range got {
-			got[i] = i
-		}
-		selectTopK(got, src, k)
-		gotK := append([]int(nil), got[:k]...)
-		sort.Ints(gotK)
-
-		for i := range want {
-			if gotK[i] != want[i] {
-				t.Fatalf("trial %d (n=%d k=%d): selected %v, reference %v", trial, n, k, gotK, want)
-			}
-		}
-	}
 }

@@ -1,10 +1,10 @@
 package compress
 
-// delta.go — the stateful half of the TopK codec. Sparsifying a full
-// parameter vector and averaging the zero-filled reconstruction into a
-// model destroys training (the dropped 90% of coordinates enter the
-// mean as zeros). TopK is therefore defined on the wire as a *delta
-// stream*: each frame carries the top-k coordinates of
+// delta.go — the TopK codec. Sparsifying a full parameter vector and
+// averaging the zero-filled reconstruction into a model destroys
+// training (the dropped 90% of coordinates enter the mean as zeros).
+// TopK is therefore only a *delta stream*: each frame carries the top-k
+// coordinates of
 //
 //	delta_t = x_t − ref_t
 //
@@ -29,6 +29,7 @@ package compress
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 )
 
 // StreamCompressor is implemented by codecs whose encoding is stateful
@@ -40,10 +41,6 @@ type StreamCompressor interface {
 	// NewStream returns a fresh, independent per-connection encoder.
 	NewStream() Compressor
 }
-
-// NewStream makes TopK a StreamCompressor: its per-connection form is
-// the replica-tracking delta encoder.
-func (c topKCodec) NewStream() Compressor { return &DeltaEncoder{codec: c} }
 
 // StreamCommitter is implemented by stream encoders whose Compress
 // only *stages* a frame. The caller must invoke Commit once the frame
@@ -57,7 +54,7 @@ type StreamCommitter interface {
 
 // DeltaEncoder is the sender half of a TopK delta stream.
 type DeltaEncoder struct {
-	codec topKCodec
+	ratio float64 // the keep fraction, in [MinTopKRatio, 1]
 	// ref replicates the receiver's reconstruction (bit-for-bit: both
 	// sides accumulate the same float32 values in the same order);
 	// delta is scratch for x − ref. The untransmitted mass x − ref is
@@ -77,7 +74,23 @@ type DeltaEncoder struct {
 // NewDeltaEncoder returns a delta-stream encoder keeping ceil(ratio·n)
 // coordinates per frame; ratio must be in [MinTopKRatio, 1].
 func NewDeltaEncoder(ratio float64) *DeltaEncoder {
-	return &DeltaEncoder{codec: NewTopK(ratio).(topKCodec)}
+	if ratio < MinTopKRatio || ratio > 1 {
+		panic(fmt.Sprintf("compress: topk ratio %g out of [%g,1]", ratio, MinTopKRatio))
+	}
+	return &DeltaEncoder{ratio: ratio}
+}
+
+// NewStream makes the encoder a StreamCompressor: a fresh stream at the
+// same keep ratio, sharing no state with this one.
+func (e *DeltaEncoder) NewStream() Compressor { return &DeltaEncoder{ratio: e.ratio} }
+
+// keepCount returns how many coordinates of an n-vector a sparse frame
+// carries: ceil(ratio·n), floored at 1 for non-empty input.
+func (e *DeltaEncoder) keepCount(n int) int {
+	if n == 0 {
+		return 0
+	}
+	return min(max(int(math.Ceil(e.ratio*float64(n))), 1), n)
 }
 
 // Kind returns TopK: delta frames are ordinary TopK payloads; the
@@ -91,7 +104,6 @@ func (e *DeltaEncoder) Kind() Kind { return TopK }
 // the stream and is sent dense. Staging a new frame discards an
 // uncommitted one.
 func (e *DeltaEncoder) Compress(dst []byte, x []float64) []byte {
-	enc := e.codec
 	// delta always takes the dimension of *this* frame: an uncommitted
 	// staged frame (e.g. a failed re-key to a different dimension) must
 	// not leak its length into the next encode.
@@ -104,12 +116,12 @@ func (e *DeltaEncoder) Compress(dst []byte, x []float64) []byte {
 	if e.pendingRekey {
 		// Dense warm start (k = n): replicas begin float32-exact.
 		copy(e.delta, x)
-		dst = encodeTopK(dst, e.delta, len(e.delta), nil, nil, nil)
+		dst = encodeTopK(dst, e.delta, len(e.delta), nil, nil, &e.sel)
 	} else {
 		// Fused hot path: the selector's gather pass computes
 		// delta = x − ref while it collects the candidates above the
 		// previous frame's threshold.
-		dst = encodeTopK(dst, e.delta, enc.KeepCount(len(x)), x, e.ref, &e.sel)
+		dst = encodeTopK(dst, e.delta, e.keepCount(len(x)), x, e.ref, &e.sel)
 	}
 	e.pending = dst[start:]
 	return dst
@@ -156,7 +168,7 @@ func (e *DeltaEncoder) Commit() {
 		e.ref = make([]float64, len(e.delta))
 	}
 	k := int(binary.LittleEndian.Uint32(payload[4:]))
-	if f, _ := foldPairs(e.ref, payload[8:], len(e.ref), k, true); f != faultNone {
+	if f, _ := foldPairs(e.ref, payload[8:], len(e.ref), k); f != faultNone {
 		// The encoder or a sibling stream made this frame: only a bug
 		// gets here.
 		panic("compress: staged frame has an invalid pair")
@@ -200,7 +212,7 @@ func (d *DeltaDecoder) DecodeInto(dst []float64, payload []byte) ([]float64, err
 		}
 		d.ref = make([]float64, n)
 	}
-	if f, left := foldPairs(d.ref, payload[8:], n, k, true); f != faultNone {
+	if f, left := foldPairs(d.ref, payload[8:], n, k); f != faultNone {
 		return nil, f.err(k-left, n, k)
 	}
 	out := sizeVec(dst, n)

@@ -12,24 +12,33 @@ import (
 
 // TestDecodeIntoMatchesDecode feeds every codec kind a dirty reused
 // buffer and requires DecodeInto to produce exactly what a fresh
-// Decode does — in particular the TopK path must clear the stale
-// coordinates a sparse fill would otherwise leak through.
+// Decode does — for TopK, DeltaDecoder.DecodeInto against Decode on a
+// decoder whose replica is the same, so the stale coordinates of the
+// buffer must not leak into the reconstruction.
 func TestDecodeIntoMatchesDecode(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	src := make([]float64, 600)
 	for i := range src {
 		src[i] = rng.NormFloat64()
 	}
+	topk, _ := firstSparse(0.1, src)
 	for _, spec := range []struct {
-		name string
-		c    Compressor
+		name    string
+		kind    Kind
+		payload []byte
 	}{
-		{"none", NewNone()},
-		{"float32", NewFloat32()},
-		{"topk", NewTopK(0.1)},
+		{"none", None, NewNone().Compress(nil, src)},
+		{"float32", Float32, NewFloat32().Compress(nil, src)},
+		{"topk", TopK, topk},
 	} {
-		payload := spec.c.Compress(nil, src)
-		want, err := Decode(spec.c.Kind(), payload)
+		decodeInto := func(dst []float64) ([]float64, error) {
+			if spec.kind != TopK {
+				return DecodeInto(dst, spec.kind, spec.payload)
+			}
+			dec := DeltaDecoder{ref: make([]float64, len(src))}
+			return dec.DecodeInto(dst, spec.payload)
+		}
+		want, err := decodeInto(nil)
 		if err != nil {
 			t.Fatalf("%s: Decode: %v", spec.name, err)
 		}
@@ -38,7 +47,7 @@ func TestDecodeIntoMatchesDecode(t *testing.T) {
 		for i := range dirty {
 			dirty[i] = 1e300
 		}
-		got, err := DecodeInto(dirty, spec.c.Kind(), payload)
+		got, err := decodeInto(dirty)
 		if err != nil {
 			t.Fatalf("%s: DecodeInto: %v", spec.name, err)
 		}

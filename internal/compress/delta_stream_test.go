@@ -87,23 +87,16 @@ func runDeltaStream(t testing.TB, n int, ratio float64, seed int64, frames int, 
 		}
 
 		// The specification for this frame: the top k of x − ref by the
-		// full sort, or — where a NaN leaves the order undefined — what
-		// the index quickselect makes of it.
-		k, delta, nan := len(x), append([]float64(nil), x...), false
+		// full sort on magnitude bits, NaNs included.
+		k, delta := len(x), append([]float64(nil), x...)
 		if !rekey {
-			k = enc.codec.KeepCount(len(x))
+			k = enc.keepCount(len(x))
 			for i := range delta {
 				delta[i] -= enc.ref[i]
-				nan = nan || math.IsNaN(delta[i])
 			}
 		}
 		want3 := refEncodeV3(delta, k)
 		want := gapCode(want3)
-		if nan && k < len(x) {
-			pairs := make([]byte, pairsCap(len(x), k))
-			want = append(want[:8], pairs[:emitReference(pairs, delta, k)]...)
-			want3 = v3Of(want)
-		}
 		// The refill rule, restated: a sparse frame gathers twice exactly
 		// when the stream has a threshold and fewer than k magnitudes
 		// clear nine tenths of it (a NaN clears any cutoff).
@@ -127,11 +120,15 @@ func runDeltaStream(t testing.TB, n int, ratio float64, seed int64, frames int, 
 		}
 		// The specification's (index, float32) pairs in the v3 layout
 		// decode to the same bits as the frame.
-		if got, err := Decode(TopK, payload); err != nil || !sameBits(got, decodeV3(want3)) {
+		if got, err := foldFrame(payload); err != nil || !sameBits(got, decodeV3(want3)) {
 			t.Fatalf("frame %d (op %#x): decode differs from the v3 reference decode (err %v)", f, op, err)
 		}
-		if sparse && (enc.sel.lastT >= 0) == nan {
-			t.Fatalf("frame %d (op %#x): threshold hint %g after a frame with NaN=%v", f, op, enc.sel.lastT, nan)
+		// A sparse frame leaves its threshold, the kth magnitude, as the
+		// next frame's hint.
+		if sparse {
+			if T := magBits(delta, bySpec(delta)[k-1]); math.Float64bits(enc.sel.lastT) != T {
+				t.Fatalf("frame %d (op %#x): threshold hint %#x, want the kth magnitude %#x", f, op, math.Float64bits(enc.sel.lastT), T)
+			}
 		}
 		if enc.sel.refills != wantRefills {
 			t.Fatalf("frame %d (op %#x, n=%d k=%d): %d refills so far, want %d", f, op, len(x), k, enc.sel.refills, wantRefills)
@@ -180,7 +177,7 @@ var (
 // shape training produces, where the threshold hint does its work —
 // with every perturbation above injected along the way: a committed NaN
 // poisons the replica until the next re-key, so the script also covers
-// a stream that stays on the fallback for a while and then recovers.
+// a stream whose every delta holds a NaN for a while and then recovers.
 // Every frame, dense re-keys and NaN frames included, decodes to the
 // bits a v3 decode of the specification's pairs gives.
 func TestDeltaStreamMatchesReference(t *testing.T) {
@@ -227,7 +224,7 @@ func TestDeltaStreamWorkBound(t *testing.T) {
 	const n, warm, frames = 4096, 20, 1000
 	rng := rand.New(rand.NewSource(17))
 	enc := NewDeltaEncoder(0.1)
-	k := enc.codec.KeepCount(n)
+	k := enc.keepCount(n)
 	x := make([]float64, n)
 	var buf []byte
 	var base streamSel

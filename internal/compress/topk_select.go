@@ -1,46 +1,44 @@
 package compress
 
-// topk_select.go — the threshold selection behind the TopK codec
+// topk_select.go — the threshold selection behind the TopK delta stream
 // (DESIGN.md §2.3). The original encoder built an explicit index
 // permutation, quickselected it with indirect compares, and sorted the
 // survivors; this one selects by *value threshold* among a gathered
 // candidate set, in three steps on the calling goroutine:
 //
 //	gather  the candidates are the indices whose magnitude exceeds a
-//	        cutoff, in ascending order. A delta stream that has a
-//	        threshold from its previous frame cuts at 0.9 × it: the kth
-//	        magnitude drifts slowly from frame to frame, so about 1.5·k
-//	        of the n coordinates clear the cutoff, and one pass computes
+//	        cutoff, in ascending order. A stream that has a threshold
+//	        from its previous frame cuts at 0.9 × it: the kth magnitude
+//	        drifts slowly from frame to frame, so about 1.5·k of the n
+//	        coordinates clear the cutoff, and one pass computes
 //	        src[i] = x[i] − ref[i] and compacts their indices. Without
 //	        a cutoff every index is a candidate and there is nothing to
-//	        compact: the stateless codec, a stream's first sparse frame
-//	        after a NaN, and a refill — fewer than k candidates cleared
-//	        the cutoff, so the threshold fell by more than the margin.
+//	        compact: the first sparse frame after a NaN threshold, and a
+//	        refill — fewer than k candidates cleared the cutoff, so the
+//	        threshold fell by more than the margin.
 //	select  the threshold T — the kth largest magnitude — is the kth
 //	        largest candidate: at least k magnitudes exceed the cutoff,
 //	        so T does, and every magnitude ≥ T is a candidate. A radix
-//	        select finds it on the candidates' magnitude bits, which
-//	        order as the magnitudes do: a branch-free histogram of the
-//	        8 bits below their common prefix per round, only the bucket
-//	        holding T carried into the next (candThreshold).
+//	        select finds it on the candidates' magnitude bits: a
+//	        branch-free histogram of the 8 bits below their common
+//	        prefix per round, only the bucket holding T carried into the
+//	        next (candThreshold).
 //	emit    one scan of the candidate indices compacts everything above
 //	        T plus the lowest-indexed ties at T, already in ascending
 //	        index order, each index stored unconditionally and kept by
 //	        advancing the cursor; then their (gap, float32 value) pairs
 //	        are written.
 //
-// Byte identity: selection follows the strict total order of topKLess
-// (|value| descending, index ascending), under which the top-k *set*
-// is unique — all magnitudes above T, plus the lowest-indexed ties at
-// T — so the payload is the same whatever the cutoff was and identical
-// to the index-quickselect reference the property tests pin against.
-//
-// topKLess is a total order only without NaNs (±Inf compare like any
-// other magnitude). The gather compares magnitude *bits* as integers,
-// under which a NaN exceeds every cutoff, so a NaN anywhere in the
-// vector is always among the candidates; the encoder finds it there
-// and falls back to emitReference, the original index-quickselect
-// path, which never panics on any input.
+// Every step ranks a magnitude by its bits as an unsigned integer: the
+// float order on non-NaN magnitudes (±Inf included), with every NaN
+// above +Inf and NaNs ordered by payload. Selection follows the strict
+// total order (magnitude bits descending, index ascending), under which
+// the top-k *set* is unique — all magnitudes above T, plus the
+// lowest-indexed ties at T — so the payload is the same whatever the
+// cutoff was and identical to a full sort's, the specification the
+// property tests pin against. No step compares floats, so a NaN needs
+// no path of its own; only the hint does: a NaN threshold fails
+// lastT ≥ 0, and the frame after it gathers everything.
 //
 // Nothing here is sharded over the tensor worker pool. An earlier
 // version fanned every pass out; on the vectors this repository
@@ -52,24 +50,14 @@ import (
 	"encoding/binary"
 	"math"
 	"math/bits"
-	"sort"
-	"sync"
 )
 
-// topkScratch is the per-encode state: the gathered candidates. A delta
-// stream keeps its own in its streamSel; the stateless codec borrows one
-// from topkPool, which a collection may empty between encodes.
+// topkScratch is a stream's selection scratch: the gathered candidates.
 type topkScratch struct {
 	idx []int32  // candidate indices, ascending
 	mag []uint64 // their magnitudes' bits; permuted by the selection
 	all []int32  // 0, 1, 2, …: the candidates when there is no cutoff
 }
-
-// infBits is the bit pattern of +Inf: a magnitude's bits above it are a
-// NaN's.
-const infBits = 0x7ff0000000000000
-
-var topkPool = sync.Pool{New: func() any { return new(topkScratch) }}
 
 // everything returns the candidate list of a gather without a cutoff:
 // all n indices.
@@ -86,7 +74,8 @@ func (sc *topkScratch) everything(n int) []int32 {
 type streamSel struct {
 	// lastT is the previous frame's threshold. The zero value gathers
 	// every non-zero coordinate, which is right for a first sparse
-	// frame; −1, left by a frame that held a NaN, gathers everything.
+	// frame; a NaN, left by a frame whose threshold was one, fails
+	// lastT ≥ 0 and gathers everything.
 	lastT float64
 	// Work counters for the in-package work-bound test: sparse frames
 	// encoded, refills among them, and candidates selected among.
@@ -96,27 +85,6 @@ type streamSel struct {
 	sc topkScratch
 }
 
-// scratch returns the stream's own candidate scratch or, for the
-// stateless codec (a nil stream), one from topkPool; release hands the
-// latter back. Both stay out of line: inlined, their branches cost
-// encodeTopK's loops their registers (the gather pass spilled its index
-// and cursor and ran about 1.2× slower).
-//
-//go:noinline
-func (s *streamSel) scratch() *topkScratch {
-	if s == nil {
-		return topkPool.Get().(*topkScratch)
-	}
-	return &s.sc
-}
-
-//go:noinline
-func (s *streamSel) release(sc *topkScratch) {
-	if s == nil {
-		topkPool.Put(sc)
-	}
-}
-
 // gatherDelta fills src[i] = x[i] − ref[i] and compacts into idx, in
 // ascending order, the indices whose magnitude exceeds cutoff ≥ 0; it
 // returns their count. Magnitudes are compared as integers on their
@@ -124,6 +92,11 @@ func (s *streamSel) release(sc *topkScratch) {
 // all of them — and each index is stored unconditionally while the
 // cursor advances by the comparison's sign bit, so the loop has no
 // data-dependent branch to mispredict. idx must hold len(src) entries.
+// It stays out of line: inlined into encodeTopK, whose other loops keep
+// more values live, the loop spilled its index and cursor on every
+// element and ran about 1.3× slower.
+//
+//go:noinline
 func gatherDelta(idx []int32, src, x, ref []float64, cutoff float64) int {
 	n, cut := len(src), int64(math.Float64bits(cutoff))
 	idx, x, ref = idx[:n], x[:n], ref[:n]
@@ -139,11 +112,11 @@ func gatherDelta(idx []int32, src, x, ref []float64, cutoff float64) int {
 
 // encodeTopK appends the canonical TopK payload (header, then pairs in
 // ascending index order) for src to dst, keeping the k coordinates
-// that come first under (|value| desc, index asc). When x and ref are
-// non-nil it first computes src[i] = x[i] − ref[i] — src then aliases
-// the caller's delta scratch and is overwritten. sel, which goes with
-// x and ref, is the stream's selection state: its threshold narrows the
-// gather and is replaced by this frame's.
+// that come first under (magnitude bits desc, index asc). When x and
+// ref are non-nil it first computes src[i] = x[i] − ref[i] — src then
+// aliases the caller's delta scratch and is overwritten. sel is the
+// stream's selection state: its threshold narrows the gather and is
+// replaced by this frame's.
 func encodeTopK(dst []byte, src []float64, k int, x, ref []float64, sel *streamSel) []byte {
 	n := len(src)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
@@ -153,7 +126,7 @@ func encodeTopK(dst []byte, src []float64, k int, x, ref []float64, sel *streamS
 	}
 	start := len(dst)
 	dst, out := extend(dst, pairsCap(n, k))
-	hinted := k < n && sel != nil && sel.lastT >= 0
+	hinted := k < n && sel.lastT >= 0
 	if x != nil && !hinted {
 		for i := range src {
 			src[i] = x[i] - ref[i]
@@ -167,7 +140,7 @@ func encodeTopK(dst []byte, src []float64, k int, x, ref []float64, sel *streamS
 		}
 		return dst[:start+p]
 	}
-	sc := sel.scratch()
+	sc := &sel.sc
 	if cap(sc.idx) < n {
 		sc.idx, sc.mag = make([]int32, n), make([]uint64, n)
 	}
@@ -181,28 +154,28 @@ func encodeTopK(dst []byte, src []float64, k int, x, ref []float64, sel *streamS
 		}
 	}
 	mag := sc.mag[:len(idx)]
-	lo, hi := uint64(math.MaxUint64), uint64(0)
+	lo, hi := magnitudes(mag, idx, src)
+	tb, g := candThreshold(mag, k, lo, hi)
+	p := putPairs(out, src, keepCand(sc.idx[:k], idx, src, tb, k-g))
+	sel.lastT = math.Float64frombits(tb)
+	sel.frames++
+	sel.cands += len(idx)
+	return dst[:start+p]
+}
+
+// magnitudes fills mag[j] with the magnitude bits of src[idx[j]] and
+// returns the smallest and largest. Out of line for the reason
+// gatherDelta is.
+//
+//go:noinline
+func magnitudes(mag []uint64, idx []int32, src []float64) (lo, hi uint64) {
+	lo = math.MaxUint64
 	for j, i := range idx {
 		b := math.Float64bits(src[i]) &^ (1 << 63)
 		mag[j] = b
 		lo, hi = min(lo, b), max(hi, b)
 	}
-	T := -1.0 // after a NaN, the next frame gathers everything
-	var p int
-	if hi <= infBits {
-		tb, g := candThreshold(mag, k, lo, hi)
-		p = putPairs(out, src, keepCand(sc.idx[:k], idx, src, tb, k-g))
-		T = math.Float64frombits(tb)
-	} else {
-		p = emitReference(out, src, k)
-	}
-	if sel != nil {
-		sel.lastT = T
-		sel.frames++
-		sel.cands += len(idx)
-	}
-	sel.release(sc)
-	return dst[:start+p]
+	return lo, hi
 }
 
 // pairsCap bounds the pairs region of k pairs out of n coordinates,
@@ -215,10 +188,10 @@ func pairsCap(n, k int) int {
 }
 
 // candThreshold selects the threshold among the candidates' magnitude
-// bits — non-negative and non-NaN, so their bit patterns order as their
-// values do — which it permutes: T is the kth largest candidate and g
-// the count above it (equal to the global count above T), for
-// 1 ≤ k ≤ len(mag). lo and hi are the smallest and largest of mag.
+// bits, which it permutes and compares as integers: T is the kth
+// largest candidate and g the count above it (equal to the global count
+// above T), for 1 ≤ k ≤ len(mag). lo and hi are the smallest and
+// largest of mag.
 //
 // It is a radix select. Each round histograms the 8 bits just below the
 // common prefix of lo and hi, finds the bucket holding the kth largest,
@@ -316,10 +289,8 @@ func b2i(b bool) int {
 }
 
 // putPairs writes the pairs of the kept indices, ascending, and of
-// their values in src to out, and returns their length in bytes. Both
-// selections emit through it: the threshold path's int32 candidates and
-// the quickselect fallback's ints.
-func putPairs[I int | int32](out []byte, src []float64, kept []I) int {
+// their values in src to out, and returns their length in bytes.
+func putPairs(out []byte, src []float64, kept []int32) int {
 	p, last := 0, -1
 	for _, i := range kept {
 		p += putPair(out[p:], uint32(int(i)-last-1), src[i])
@@ -346,27 +317,4 @@ func putPair(out []byte, gap uint32, v float64) int {
 	out[w] = byte(gap)
 	binary.LittleEndian.PutUint32(out[w+1:], f)
 	return w + minPairLen
-}
-
-// emitReference writes the pairs region via the original index
-// quickselect and returns its length — kept both as the specification
-// oracle of the property tests and as the fallback for vectors holding
-// a NaN, where it reproduces the pre-threshold encoder's selection
-// exactly.
-func emitReference(out []byte, src []float64, k int) int {
-	n := len(src)
-	ip := idxPool.Get().(*[]int)
-	if cap(*ip) < n {
-		*ip = make([]int, n)
-	}
-	idx := (*ip)[:n]
-	for i := range idx {
-		idx[i] = i
-	}
-	selectTopK(idx, src, k)
-	kept := idx[:k]
-	sort.Ints(kept)
-	p := putPairs(out, src, kept)
-	idxPool.Put(ip)
-	return p
 }

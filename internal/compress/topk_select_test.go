@@ -9,10 +9,34 @@ import (
 	"testing"
 )
 
-// refEncodeTopK is the specification encoder: full sort by (|value|
-// desc, index asc), emit the first k indices in ascending order, then
-// gap-code them. Every payload the threshold path produces must match
-// it byte for byte.
+// infBits is the bit pattern of +Inf: a magnitude's bits above it are a
+// NaN's.
+const infBits = 0x7ff0000000000000
+
+// magBits is the rank of src[i] in the selection: its magnitude's bits.
+func magBits(src []float64, i int) uint64 { return math.Float64bits(src[i]) &^ (1 << 63) }
+
+// bySpec returns src's indices sorted into the specification's order:
+// magnitude bits descending, index ascending. On non-NaN values that is
+// |value| descending; every NaN ranks above +Inf.
+func bySpec(src []float64) []int {
+	idx := make([]int, len(src))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.Slice(idx, func(a, b int) bool {
+		ma, mb := magBits(src, idx[a]), magBits(src, idx[b])
+		if ma != mb {
+			return ma > mb
+		}
+		return idx[a] < idx[b]
+	})
+	return idx
+}
+
+// refEncodeTopK is the specification encoder: the first k indices of
+// bySpec in ascending order, gap-coded. Every payload the threshold
+// path produces must match it byte for byte.
 func refEncodeTopK(src []float64, k int) []byte {
 	return gapCode(refEncodeV3(src, k))
 }
@@ -25,12 +49,7 @@ func refEncodeV3(src []float64, k int) []byte {
 	n := len(src)
 	dst := binary.LittleEndian.AppendUint32(nil, uint32(n))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(k))
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return topKLess(src, idx[a], idx[b]) })
-	kept := append([]int(nil), idx[:k]...)
+	kept := append([]int(nil), bySpec(src)[:k]...)
 	sort.Ints(kept)
 	for _, i := range kept {
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(i))
@@ -54,14 +73,37 @@ func gapCode(v3 []byte) []byte {
 	return dst
 }
 
-// decodeV3 is the reference decode of a v3 payload: its pairs' float32
-// values at their indices, zero elsewhere.
+// decodeV3 is the reference decode of a v3 payload into a zero
+// replica: its pairs' float32 values added at their indices, zero
+// elsewhere.
 func decodeV3(v3 []byte) []float64 {
 	out := make([]float64, binary.LittleEndian.Uint32(v3))
 	for p := v3[8:]; len(p) >= 8; p = p[8:] {
-		out[binary.LittleEndian.Uint32(p)] = float64(math.Float32frombits(binary.LittleEndian.Uint32(p[4:])))
+		out[binary.LittleEndian.Uint32(p)] += float64(math.Float32frombits(binary.LittleEndian.Uint32(p[4:])))
 	}
 	return out
+}
+
+// firstSparse returns the first sparse frame of a stream at ratio whose
+// committed warm start was the zero vector: the delta is src itself, so
+// the frame is the TopK selection of src. The stream is returned too,
+// with that frame staged.
+func firstSparse(ratio float64, src []float64) ([]byte, *DeltaEncoder) {
+	enc := NewDeltaEncoder(ratio)
+	enc.Compress(nil, make([]float64, len(src)))
+	enc.Commit()
+	return enc.Compress(nil, src), enc
+}
+
+// foldFrame decodes payload with a DeltaDecoder whose replica is the
+// zero vector of the payload's dimension, when its header admits one:
+// the frame's pairs, zero elsewhere.
+func foldFrame(payload []byte) ([]float64, error) {
+	var dec DeltaDecoder
+	if n, _, err := parseTopKHeader(payload); err == nil {
+		dec.ref = make([]float64, n)
+	}
+	return dec.Decode(payload)
 }
 
 // v3Of is gapCode's inverse: the v3 payload carrying a well-formed
@@ -94,10 +136,10 @@ func sameBits(a, b []float64) bool {
 }
 
 // TestTopKBytesPoolWidthInvariant is the determinism pin: the
-// threshold encoder runs on the caller's goroutine and its payload is a
-// function of the vector alone — the sort-reference bytes, across keep
-// ratios, shapes (including n ≤ 1), heavy-tie vectors, and the all-zero
-// gradient.
+// threshold encoder runs on the caller's goroutine and a stream's first
+// sparse frame is a function of the delta alone — the sort-reference
+// bytes, across keep ratios, shapes (including n ≤ 1), heavy-tie
+// vectors, and the all-zero gradient.
 func TestTopKBytesPoolWidthInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	shapes := []int{0, 1, 2, 7, 100, 127, 128, 129, 500, 2048, 4097}
@@ -121,9 +163,8 @@ func TestTopKBytesPoolWidthInvariant(t *testing.T) {
 						// all-zero gradient: every coordinate ties at 0
 					}
 				}
-				c := NewTopK(ratio).(topKCodec)
-				want := refEncodeTopK(src, c.KeepCount(n))
-				if got := c.Compress(nil, src); !bytes.Equal(got, want) {
+				got, enc := firstSparse(ratio, src)
+				if want := refEncodeTopK(src, enc.keepCount(n)); !bytes.Equal(got, want) {
 					t.Fatalf("n=%d ratio=%g fill=%s: payload differs from sort reference (%d vs %d bytes)",
 						n, ratio, fill, len(got), len(want))
 				}
@@ -142,10 +183,11 @@ func TestDeltaEncoderBytesPoolWidthInvariant(t *testing.T) {
 	}
 }
 
-// TestTopKThresholdFallbackNonFinite feeds NaN and Inf magnitudes —
-// a NaN defeats value-threshold comparisons — and checks the encoder
-// falls back to the index-quickselect reference bytes instead of
-// panicking or emitting a short payload.
+// TestTopKThresholdFallbackNonFinite feeds NaN and ±Inf magnitudes to
+// the threshold path, which ranks them by their bits like any other:
+// every NaN above +Inf, ties broken by index. A frame whose threshold is
+// a NaN leaves no usable hint, so the next frame gathers every
+// coordinate, and does not count that as a refill.
 func TestTopKThresholdFallbackNonFinite(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, n := range []int{10, 200, 1024} {
@@ -160,21 +202,59 @@ func TestTopKThresholdFallbackNonFinite(t *testing.T) {
 				src[i] = rng.NormFloat64()
 			}
 		}
-		c := NewTopK(0.3).(topKCodec)
-		k := c.KeepCount(n)
-		got := c.Compress(nil, src)
-		// The fallback is the old encoder verbatim: emitReference into a
-		// pre-sized buffer must agree with it.
-		want := make([]byte, pairsCap(n, k))
-		want = want[:emitReference(want, src, k)]
-		if !bytes.Equal(got[8:], want) {
-			t.Fatalf("n=%d: non-finite payload does not match reference path", n)
+		got, enc := firstSparse(0.3, src)
+		if want := refEncodeTopK(src, enc.keepCount(n)); !bytes.Equal(got, want) {
+			t.Fatalf("n=%d: non-finite payload differs from the sort reference", n)
 		}
 		// And it is a whole payload: k pairs, every byte consumed.
-		if _, err := Decode(TopK, got); err != nil {
+		if _, err := foldFrame(got); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 	}
+
+	// Three infinities below two NaNs, k = 3: both NaNs and the first
+	// infinity by index, not the three infinities that come first.
+	nan, inf := math.NaN(), math.Inf(1)
+	got, _ := firstSparse(3.0/8, []float64{inf, -inf, inf, nan, nan, 1, 2, 3})
+	if want := gapCode(v3Pairs(8, []int{0, 3, 4}, []float64{inf, nan, nan})); !bytes.Equal(got, want) {
+		t.Fatalf("kept % x, want % x (coordinates 0, 3 and 4)", got, want)
+	}
+
+	// k = 10 of 100 coordinates, 20 of them NaN: the threshold is a NaN.
+	x := make([]float64, 100)
+	for i := range x {
+		x[i] = rng.NormFloat64()
+		if i%5 == 0 {
+			x[i] = nan
+		}
+	}
+	_, enc := firstSparse(0.1, x)
+	if !math.IsNaN(enc.sel.lastT) {
+		t.Fatalf("threshold %g after a frame whose kth magnitude is a NaN", enc.sel.lastT)
+	}
+	before := enc.sel
+	for i := range x {
+		x[i] = rng.NormFloat64()
+	}
+	got = enc.Compress(nil, x)
+	if want := refEncodeTopK(x, 10); !bytes.Equal(got, want) {
+		t.Fatal("the frame after a NaN threshold differs from the sort reference")
+	}
+	if c, r := enc.sel.cands-before.cands, enc.sel.refills-before.refills; c != len(x) || r != 0 {
+		t.Fatalf("the frame after a NaN threshold selected among %d candidates with %d refills, want all %d and none", c, r, len(x))
+	}
+}
+
+// v3Pairs returns the v3 payload of an n-vector keeping the given
+// ascending indices with the given values.
+func v3Pairs(n int, idx []int, vals []float64) []byte {
+	dst := binary.LittleEndian.AppendUint32(nil, uint32(n))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(idx)))
+	for p, i := range idx {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(i))
+		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(float32(vals[p])))
+	}
+	return dst
 }
 
 // sortThreshold is candThreshold's specification: sort the magnitude

@@ -107,7 +107,7 @@ type Config struct {
 	SendCheck bool
 
 	// Compression selects the wire codec the live runtime compresses
-	// update payloads with (negotiated per connection; see
+	// update payloads with (named in each connection's handshake; see
 	// internal/transport and DESIGN.md §2.3). The simulator models
 	// payload size, not payload bytes, so simulated runs are
 	// byte-identical whatever this is set to. The zero value is

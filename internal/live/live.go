@@ -59,8 +59,8 @@ type WorkerConfig struct {
 	// same struct the simulator runs, so a knob crosses into the live
 	// plane without being restated. One process holds one worker's view:
 	// this worker's scheduled fault is Faults[ID] (RunCluster restarts
-	// it after Faults[ID].RestartAfter), and Compression is negotiated
-	// per connection at Dial.
+	// it after Faults[ID].RestartAfter), and Compression is the codec
+	// of every connection this worker dials.
 	core.Config
 
 	ID int

@@ -5,8 +5,7 @@ package transport
 // optional payload; large update payloads are split across several
 // frames (chunks) so a multi-megabyte parameter vector never
 // head-of-line-blocks the token/ACK frames that gate protocol
-// progress. See DESIGN.md §2 for the full layout and the negotiation
-// handshake.
+// progress. See DESIGN.md §2 for the full layout and the handshake.
 
 import (
 	"bufio"

@@ -163,7 +163,7 @@ func TestMessageString(t *testing.T) {
 		m    Message
 		want string
 	}{
-		{Message{Kind: KindUpdate, From: 2, Iter: 7, Params: make([]float64, 3), Codec: compress.Float32}, "update{from:2 iter:7 dim:3 codec:float32}"},
+		{Message{Kind: KindUpdate, From: 2, Iter: 7, Params: make([]float64, 3)}, "update{from:2 iter:7 dim:3}"},
 		{Message{Kind: KindToken, From: 1, Iter: 4, Count: 2}, "token{from:1 iter:4 count:2}"},
 		{Message{Kind: KindAck, From: 0, Iter: 9}, "ack{from:0 iter:9}"},
 	}
@@ -232,7 +232,7 @@ func TestChunkedUpdateRoundTrip(t *testing.T) {
 	}
 	waitFor(t, func() bool { return len(got()) == 1 })
 	m := got()[0]
-	if m.From != 0 || m.Iter != 42 || m.Codec != compress.None {
+	if m.From != 0 || m.Iter != 42 {
 		t.Fatalf("tags corrupted: %v", m)
 	}
 	for i := range params {
@@ -259,9 +259,6 @@ func TestCompressedUpdateNegotiated(t *testing.T) {
 	}
 	waitFor(t, func() bool { return len(got()) == 1 })
 	m := got()[0]
-	if m.Codec != compress.Float32 {
-		t.Fatalf("codec metadata %v", m)
-	}
 	for i := range params {
 		if m.Params[i] != float64(float32(params[i])) {
 			t.Fatalf("coord %d: %g in %v", i, m.Params[i], m)
@@ -276,25 +273,22 @@ func TestCompressedUpdateNegotiated(t *testing.T) {
 	}
 }
 
-// unsupportedCodec proposes a codec kind this build cannot decode, to
-// exercise the negotiation downgrade path.
+// unsupportedCodec names a codec kind no build of this wire version
+// decodes.
 type unsupportedCodec struct{ compress.Compressor }
 
 func (unsupportedCodec) Kind() compress.Kind { return compress.Kind(200) }
 
-// TestNegotiationDowngradesUnsupportedCodec: the acceptor answers None
-// for a codec it cannot decode and the dialer must fall back, so the
-// update still arrives — losslessly.
-func TestNegotiationDowngradesUnsupportedCodec(t *testing.T) {
-	_, tx, got := pipe(t, Config{}, Config{Compressor: unsupportedCodec{compress.NewNone()}})
-	if err := tx.Send(1, Message{Kind: KindUpdate, Iter: 1, Params: []float64{3.25}}); err != nil {
-		t.Fatal(err)
+// TestRefusesUnsupportedCodec: a node will not be configured with a
+// Compressor whose kind is not a wire codec, and a hello naming one is
+// refused at the handshake like any non-hop peer, never downgraded.
+func TestRefusesUnsupportedCodec(t *testing.T) {
+	if n, err := ListenConfig(0, "127.0.0.1:0", func(Message) {}, Config{Compressor: unsupportedCodec{compress.NewNone()}}); err == nil {
+		n.Close()
+		t.Fatal("ListenConfig accepted a compressor of kind 200")
 	}
-	waitFor(t, func() bool { return len(got()) == 1 })
-	m := got()[0]
-	if m.Codec != compress.None || m.Params[0] != 3.25 {
-		t.Fatalf("downgrade failed: %v", m)
-	}
+	hello := appendFrame(nil, frameHeader{kind: frameHello, codec: compress.Kind(200), from: 1}, nil)
+	refusesFirstBytes(t, hello, "codec(200), not a wire codec")
 }
 
 // TestRejectsNonHopPeer: garbage instead of a hello must close the
@@ -303,7 +297,7 @@ func TestNegotiationDowngradesUnsupportedCodec(t *testing.T) {
 func TestRejectsNonHopPeer(t *testing.T) {
 	// Longer than a frame header, so the verdict does not wait on more
 	// bytes.
-	refusesFirstBytes(t, []byte("GET / HTTP/1.1\r\nHost: hop.invalid\r\n\r\n"))
+	refusesFirstBytes(t, []byte("GET / HTTP/1.1\r\nHost: hop.invalid\r\n\r\n"), "bad magic")
 }
 
 // TestRefusesV3Hello: a well-formed hello from a version-3 peer, whose
@@ -313,13 +307,14 @@ func TestRefusesV3Hello(t *testing.T) {
 	hello := appendFrame(nil, frameHeader{kind: frameHello, codec: compress.TopK, from: 1}, nil)
 	hello[3] = 3
 	binary.LittleEndian.PutUint32(hello[headerLen:], frameCRC(hello[:headerLen], nil))
-	refusesFirstBytes(t, hello)
+	refusesFirstBytes(t, hello, "bad magic")
 }
 
 // refusesFirstBytes opens a connection to a listening node, writes b
 // and requires the node to drop the connection unanswered, deliver
-// nothing and report a bad magic from a peer it never identified.
-func refusesFirstBytes(t *testing.T, b []byte) {
+// nothing and report a diagnosis containing why from a peer it never
+// identified.
+func refusesFirstBytes(t *testing.T, b []byte, why string) {
 	t.Helper()
 	type down struct {
 		peer int
@@ -345,8 +340,8 @@ func refusesFirstBytes(t *testing.T, b []byte) {
 	}
 	select {
 	case d := <-downs:
-		if d.peer != -1 || d.err == nil || !strings.Contains(d.err.Error(), "bad magic") {
-			t.Errorf("OnPeerDown(%d, %v), want peer -1 with a bad-magic diagnosis", d.peer, d.err)
+		if d.peer != -1 || d.err == nil || !strings.Contains(d.err.Error(), why) {
+			t.Errorf("OnPeerDown(%d, %v), want peer -1 with a diagnosis containing %q", d.peer, d.err, why)
 		}
 	case <-time.After(3 * time.Second):
 		t.Fatal("dropped connection never reported")
@@ -361,7 +356,7 @@ func refusesFirstBytes(t *testing.T, b []byte) {
 // residual feedback), not a zero-filled sparse vector — the defect
 // that made topk:0.1 destroy training when averaged into a model.
 func TestTopKUpdatesAreDeltaStreams(t *testing.T) {
-	_, tx, got := pipe(t, Config{}, Config{Compressor: compress.NewTopK(0.25)})
+	_, tx, got := pipe(t, Config{}, Config{Compressor: compress.NewDeltaEncoder(0.25)})
 	const dim, rounds = 64, 30
 	x := make([]float64, dim)
 	for i := range x {
@@ -382,9 +377,6 @@ func TestTopKUpdatesAreDeltaStreams(t *testing.T) {
 	// A constant state must stay fully reconstructed on every
 	// subsequent frame — no coordinate may collapse to zero.
 	last := got()[rounds-1]
-	if last.Codec != compress.TopK {
-		t.Fatalf("codec metadata %v", last)
-	}
 	for i, v := range last.Params {
 		if diff := v - x[i]; diff > 1e-4 || diff < -1e-4 {
 			t.Fatalf("steady state coord %d drifted: %g vs %g", i, v, x[i])

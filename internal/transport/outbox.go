@@ -42,7 +42,7 @@ var errPeerClosed = errors.New("connection closed")
 // writer goroutine (Node.writeLoop).
 type peer struct {
 	conn net.Conn
-	comp compress.Compressor // negotiated for this connection
+	comp compress.Compressor // this connection's encoder
 	// lastWrite is the UnixNano timestamp of the last successful socket
 	// write; the heartbeat loop reads it to find idle connections.
 	lastWrite atomic.Int64
@@ -76,7 +76,7 @@ type peer struct {
 	bufs    net.Buffers
 
 	// hist fingerprints this peer's update-stream state: seeded from
-	// the negotiated codec kind, advanced on every committed stream
+	// the connection's codec kind, advanced on every committed stream
 	// frame by the frame's iteration tag. Two peers of one node with
 	// equal hist have byte-identical encoder replicas (same codec spec,
 	// same committed frame sequence from the same snapshots, and the
@@ -110,8 +110,8 @@ type updateJob struct {
 }
 
 // encShared is one encoded update payload shared across every peer
-// whose stream state is bit-identical at stage time: same negotiated
-// codec (hist seed), same committed frame history (hist), same source
+// whose stream state is bit-identical at stage time: same codec
+// (hist seed), same committed frame history (hist), same source
 // update (iter and parameter vector). The first peer staged — the
 // leader — produces the payload: a stateless codec's at stage time, on
 // the sender's goroutine, where the encode doubles as the snapshot of
@@ -212,8 +212,8 @@ func (e *encShared) carries(params []float64) bool {
 	return true
 }
 
-// histSeed is the FNV-1a offset basis mixed with the negotiated codec
-// kind; histNext is one FNV-1a-style step folding a committed frame's
+// histSeed is the FNV-1a offset basis mixed with the connection's
+// codec kind; histNext is one FNV-1a-style step folding a committed frame's
 // iteration tag in.
 func histSeed(k compress.Kind) uint64 { return 0xcbf29ce484222325 ^ uint64(k) }
 

@@ -193,12 +193,11 @@ func linkFake(t *testing.T, txCfg Config) *fakeLink {
 		}
 		l.down <- err
 	}()
-	comp, err := l.tx.handshake(dial, time.Now().Add(time.Second))
-	if err != nil {
+	if err := l.tx.handshake(dial, time.Now().Add(time.Second)); err != nil {
 		t.Fatal(err)
 	}
 	l.tx.mu.Lock()
-	l.tx.adopt(1, dial, comp)
+	l.tx.adopt(1, dial)
 	l.tx.mu.Unlock()
 	return l
 }
@@ -408,7 +407,7 @@ func TestOutboxFailedWriteIsNeverCommitted(t *testing.T) {
 	var mu sync.Mutex
 	var reports []error
 	l := linkFake(t, Config{
-		Compressor: compress.NewTopK(0.25),
+		Compressor: compress.NewDeltaEncoder(0.25),
 		OnSendError: func(peer int, err error) {
 			mu.Lock()
 			reports = append(reports, err)
@@ -503,7 +502,7 @@ func TestOutboxSteadyStateAllocatesNothing(t *testing.T) {
 	}
 	rx1, rx2 := listen(1, Config{}), listen(2, Config{})
 	tx := listen(0, Config{})
-	txTopK := listen(3, Config{Compressor: compress.NewTopK(0.1)})
+	txTopK := listen(3, Config{Compressor: compress.NewDeltaEncoder(0.1)})
 	for _, d := range []struct {
 		from *Node
 		to   int
@@ -555,7 +554,7 @@ func TestOutboxSteadyStateAllocatesNothing(t *testing.T) {
 // a stream entry its snapshot, and the fresh TopK stream starts dense.
 func TestResendAfterRedial(t *testing.T) {
 	for name, comp := range map[string]compress.Compressor{
-		"none": nil, "float32": compress.NewFloat32(), "topk": compress.NewTopK(0.25),
+		"none": nil, "float32": compress.NewFloat32(), "topk": compress.NewDeltaEncoder(0.25),
 	} {
 		t.Run(name, func(t *testing.T) {
 			got := make(chan Message, 8)

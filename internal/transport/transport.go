@@ -5,10 +5,9 @@
 // reliable, typed messages between named workers.
 //
 // Each connection starts with a hello/hello-ack handshake that checks
-// the wire-format version and negotiates the update compressor: the
-// dialer proposes its configured codec, the acceptor answers with that
-// codec if it supports it and compress.None otherwise, and the dialer
-// sends with whatever was accepted. Every data frame carries its own
+// the wire-format version and names the dialer's update codec; the
+// acceptor refuses a codec that is not one of compress's kinds, which
+// every build of this version decodes. Every data frame carries its own
 // codec byte; None and Float32 frames decode statelessly, while TopK
 // frames form a per-connection delta stream with error feedback
 // (compress.DeltaEncoder/DeltaDecoder), so sparsification never zeroes
@@ -90,16 +89,13 @@ func (k Kind) String() string {
 //	KindHeartbeat   ✓     –     –      –      –
 //
 // From is always stamped by Send with the sending node's id; fields
-// marked – are zero and ignored for that kind. Codec records which
-// compressor the params arrived under (receive-side metadata; Send
-// ignores it and uses the connection's negotiated codec).
+// marked – are zero and ignored for that kind.
 type Message struct {
 	Kind   Kind
 	From   int
 	Iter   int
 	Count  int
 	Params []float64
-	Codec  compress.Kind
 }
 
 // String renders the populated fields only, for test-failure and log
@@ -107,7 +103,7 @@ type Message struct {
 func (m Message) String() string {
 	switch m.Kind {
 	case KindUpdate:
-		return fmt.Sprintf("update{from:%d iter:%d dim:%d codec:%v}", m.From, m.Iter, len(m.Params), m.Codec)
+		return fmt.Sprintf("update{from:%d iter:%d dim:%d}", m.From, m.Iter, len(m.Params))
 	case KindToken:
 		return fmt.Sprintf("token{from:%d iter:%d count:%d}", m.From, m.Iter, m.Count)
 	case KindAck:
@@ -125,9 +121,10 @@ type Handler func(Message)
 // Config tunes a node's wire behavior. The zero value is valid: no
 // compression, no failure detector.
 type Config struct {
-	// Compressor encodes outgoing update payloads; nil means
-	// compress.NewNone(). The actually-used codec per connection is
-	// the handshake-negotiated one.
+	// Compressor encodes outgoing update payloads on every dialed
+	// connection, each stream of a StreamCompressor its own; nil means
+	// compress.NewNone(). ListenConfig refuses a Compressor whose Kind
+	// is not one of compress's codecs.
 	Compressor compress.Compressor
 	// OnPeerDown, when non-nil, is invoked once for every inbound
 	// connection that ends while this node is not itself closing. peer
@@ -165,13 +162,6 @@ type Config struct {
 	// delay, bit-flip, partition windows) into outgoing frames before
 	// they reach the socket. See chaos.go.
 	Chaos *chaos.Config
-}
-
-func (c Config) compressor() compress.Compressor {
-	if c.Compressor == nil {
-		return compress.NewNone()
-	}
-	return c.Compressor
 }
 
 // Stats holds a node's wire counters. It is a counter table
@@ -268,6 +258,11 @@ func Listen(id int, addr string, handler Handler) (*Node, error) {
 // ListenConfig starts a node and begins accepting inbound connections,
 // feeding every decoded message to handler.
 func ListenConfig(id int, addr string, handler Handler, cfg Config) (*Node, error) {
+	if cfg.Compressor == nil {
+		cfg.Compressor = compress.NewNone()
+	} else if k := cfg.Compressor.Kind(); !compress.Supported(k) {
+		return nil, fmt.Errorf("transport: compressor kind %v is not a wire codec", k)
+	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
@@ -392,9 +387,8 @@ func (n *Node) readConn(conn net.Conn) (int, error) {
 	fr.silence = silence
 
 	// Handshake: the first frame must be a hello carrying a compatible
-	// magic/version (the frame reader rejects the rest). Answer with
-	// the codec this build supports — the dialer's proposal if
-	// decodable, compress.None otherwise.
+	// magic/version (the frame reader rejects the rest) and a codec this
+	// build decodes; the ack echoes it.
 	h, _, err := fr.next()
 	if err != nil {
 		if errors.Is(err, io.EOF) {
@@ -405,11 +399,10 @@ func (n *Node) readConn(conn net.Conn) (int, error) {
 	if h.kind != frameHello {
 		return -1, fmt.Errorf("handshake: first frame is %d, want hello", h.kind)
 	}
-	accepted := h.codec
-	if !compress.Supported(accepted) {
-		accepted = compress.None
+	if !compress.Supported(h.codec) {
+		return -1, fmt.Errorf("handshake: hello names %v, not a wire codec", h.codec)
 	}
-	ack := appendFrame(nil, frameHeader{kind: frameHelloAck, codec: accepted, from: uint32(n.id)}, nil)
+	ack := appendFrame(nil, frameHeader{kind: frameHelloAck, codec: h.codec, from: uint32(n.id)}, nil)
 	if _, err := conn.Write(ack); err != nil {
 		return -1, fmt.Errorf("handshake ack: %w", err)
 	}
@@ -477,7 +470,7 @@ func (n *Node) readConn(conn net.Conn) (int, error) {
 			atomic.AddInt64(&n.st.UpdatesRecv, 1)
 			n.handler(Message{
 				Kind: KindUpdate, From: int(mh.from), Iter: int(mh.iter),
-				Params: params, Codec: mh.codec,
+				Params: params,
 			})
 		case frameToken:
 			n.handler(Message{Kind: KindToken, From: int(h.from), Iter: int(h.iter), Count: int(h.count)})
@@ -594,7 +587,7 @@ var errSendsClosed = errors.New("transport: node closed for sending")
 // Each attempt's TCP connect and handshake get their own short
 // deadlines so one blackholed SYN or wedged accept cannot consume the
 // whole budget, and neither outlasts the budget itself.
-func (n *Node) connect(addr string, deadline time.Time) (net.Conn, compress.Compressor, error) {
+func (n *Node) connect(addr string, deadline time.Time) (net.Conn, error) {
 	bo := NewBackoff(BackoffConfig{})
 	// Never empty-handed without an error: a budget that has run out by
 	// the time the first attempt would start is a failed dial.
@@ -610,13 +603,13 @@ func (n *Node) connect(addr string, deadline time.Time) (net.Conn, compress.Comp
 			if hsDeadline.After(deadline) {
 				hsDeadline = deadline
 			}
-			comp, herr := n.handshake(conn, hsDeadline)
+			herr := n.handshake(conn, hsDeadline)
 			if herr == nil {
-				return conn, comp, nil
+				return conn, nil
 			}
 			conn.Close()
 			if errors.Is(herr, errProtocol) {
-				return nil, nil, herr
+				return nil, herr
 			}
 			err = herr
 		}
@@ -629,14 +622,14 @@ func (n *Node) connect(addr string, deadline time.Time) (net.Conn, compress.Comp
 			time.Sleep(d)
 		}
 	}
-	return nil, nil, lastErr
+	return nil, lastErr
 }
 
 // Dial connects to peer id at addr, retrying the TCP connect — and
 // transient handshake failures such as a peer restarting mid-accept —
 // until the deadline (peers start in arbitrary order), then performs
-// the hello/hello-ack handshake: version check plus compressor
-// negotiation. Protocol mismatches fail immediately.
+// the hello/hello-ack handshake, which checks the version and names
+// the update codec. Protocol mismatches fail immediately.
 //
 // A connection to a peer that is already connected (it restarted on
 // its original address, or the old connection was torn) replaces the
@@ -652,7 +645,7 @@ func (n *Node) Dial(id int, addr string, timeout time.Duration) error {
 	if closed {
 		return errSendsClosed
 	}
-	conn, comp, err := n.connect(addr, time.Now().Add(timeout))
+	conn, err := n.connect(addr, time.Now().Add(timeout))
 	if err != nil {
 		if errors.Is(err, errProtocol) {
 			return err
@@ -669,7 +662,7 @@ func (n *Node) Dial(id int, addr string, timeout time.Duration) error {
 		return errSendsClosed
 	}
 	old := n.peers[id]
-	n.adopt(id, conn, comp)
+	n.adopt(id, conn)
 	n.mu.Unlock()
 	if old != nil {
 		old.stop(false)
@@ -680,35 +673,31 @@ func (n *Node) Dial(id int, addr string, timeout time.Duration) error {
 
 // adopt installs a handshaken connection as the one to peer id and
 // starts its writer. Called under n.mu.
-func (n *Node) adopt(id int, conn net.Conn, comp compress.Compressor) {
-	p := newPeer(conn, comp)
+func (n *Node) adopt(id int, conn net.Conn) {
+	p := newPeer(conn, n.cfg.Compressor)
 	n.peers[id] = p
 	n.wg.Add(1)
 	go n.writeLoop(p, id)
 }
 
-// handshake proposes this node's configured codec and returns the
-// compressor to use on the connection per the acceptor's answer.
-func (n *Node) handshake(conn net.Conn, deadline time.Time) (compress.Compressor, error) {
-	proposed := n.cfg.compressor()
+// handshake names this node's codec in a hello and waits for the
+// acceptor's ack, which echoes it.
+func (n *Node) handshake(conn net.Conn, deadline time.Time) error {
+	codec := n.cfg.Compressor.Kind()
 	conn.SetDeadline(deadline)
 	defer conn.SetDeadline(time.Time{})
-	hello := appendFrame(nil, frameHeader{kind: frameHello, codec: proposed.Kind(), from: uint32(n.id)}, nil)
+	hello := appendFrame(nil, frameHeader{kind: frameHello, codec: codec, from: uint32(n.id)}, nil)
 	if _, err := conn.Write(hello); err != nil {
-		return nil, fmt.Errorf("transport: handshake send: %w", err)
+		return fmt.Errorf("transport: handshake send: %w", err)
 	}
 	h, _, err := readFrame(conn)
 	if err != nil {
-		return nil, fmt.Errorf("transport: handshake read: %w", err)
+		return fmt.Errorf("transport: handshake read: %w", err)
 	}
-	if h.kind != frameHelloAck {
-		return nil, fmt.Errorf("transport: handshake got frame kind %d, want hello-ack: %w", h.kind, errProtocol)
+	if h.kind != frameHelloAck || h.codec != codec {
+		return fmt.Errorf("transport: handshake got frame kind %d codec %v, want a hello-ack of %v: %w", h.kind, h.codec, codec, errProtocol)
 	}
-	if h.codec == proposed.Kind() {
-		return proposed, nil
-	}
-	// The acceptor downgraded us (it cannot decode the proposal).
-	return compress.NewNone(), nil
+	return nil
 }
 
 // perStream instantiates per-connection encoder state for stateful

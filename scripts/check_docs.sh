@@ -131,7 +131,7 @@ for id in $(grep -vE '^[[:space:]]*\|' DESIGN.md | grep -oE '`[^`]+`' |
 done
 
 # --- 6. document size budget -----------------------------------------
-for budget in DESIGN.md:118486 BENCH.md:31506; do
+for budget in DESIGN.md:118255 BENCH.md:31506; do
     doc=${budget%%:*} max=${budget#*:}
     size=$(wc -c < "$doc")
     if [ "$size" -gt "$max" ]; then
