@@ -758,7 +758,7 @@ func BenchmarkTransportTokenThenUpdate(b *testing.B) {
 	}
 	params := wireParams(4096)
 	exchange := func(iter int) {
-		if err := tx.Send(1, transport.Message{Kind: transport.KindToken, Iter: iter, Count: 1}); err != nil {
+		if err := tx.Send(1, transport.Message{Kind: transport.KindToken, Iter: iter}); err != nil {
 			b.Fatal(err)
 		}
 		if err := tx.Send(1, transport.Message{Kind: transport.KindUpdate, Iter: iter, Params: params}); err != nil {

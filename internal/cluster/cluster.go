@@ -242,12 +242,11 @@ func (r *worker) SendAck(dst, iter int) {
 }
 
 // GrantTokens bypasses the fabric: in shared memory the paper's
-// TokenQ(i→j) and the consumer-side counter are literally the same
-// object, so the grant goes straight into it and no round trip is
-// modeled (token messages are metadata-sized next to parameter
-// updates).
-func (r *worker) GrantTokens(dst, iter, count int) {
-	r.h.protos[dst].DeliverTokens(r.w, count)
+// TokenQ(i→j) and the consumer's view of it are the same object, so
+// the grant goes straight to the consumer and no round trip is modeled
+// (token messages are metadata-sized next to parameter updates).
+func (r *worker) GrantTokens(dst, iter int) {
+	r.h.protos[dst].DeliverTokens(r.w, iter)
 }
 
 // GetParams pops a buffer off the cluster's free list, or makes one.

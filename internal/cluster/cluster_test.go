@@ -124,9 +124,9 @@ func TestTheorem2TokenBound(t *testing.T) {
 			if got, bound := res.Engine.Gaps().MaxGap(i, j), bounds.Gap(i, j); got > bound {
 				t.Errorf("gap(%d,%d) = %d exceeds Table 1 bound %d", i, j, got, bound)
 			}
-			if tq := res.Engine.Worker(j).TokenIn(i); tq != nil {
-				if cap := bounds.TokenCapacity(i, j); tq.HighWater() > cap {
-					t.Errorf("TokenQ(%d→%d) high water %d exceeds Theorem 2 capacity %d", i, j, tq.HighWater(), cap)
+			if _, high, ok := res.Engine.Worker(j).Tokens(i); ok {
+				if cap := bounds.TokenCapacity(i, j); high > cap {
+					t.Errorf("TokenQ(%d→%d) high water %d exceeds Theorem 2 capacity %d", i, j, high, cap)
 				}
 			}
 		}

@@ -56,11 +56,11 @@ func (r *echoRuntime) SendAck(dst, iter int) {
 	}
 }
 
-// GrantTokens' iter is the iteration entered, whose closing take the
-// grant feeds.
-func (r *echoRuntime) GrantTokens(dst, iter, count int) {
+// GrantTokens' iter is the iteration entered, whose closing gate the
+// grant opens.
+func (r *echoRuntime) GrantTokens(dst, iter int) {
 	if !r.stopped("grant", dst, iter) {
-		r.p.DeliverTokens(dst, count)
+		r.p.DeliverTokens(dst, iter)
 	}
 }
 

@@ -248,13 +248,6 @@ func (c *Config) Validate() error {
 		if f.RestartAfter > 0 && !c.FaultTolerance {
 			return fmt.Errorf("core: worker %d restarts, which requires FaultTolerance (rejoin needs elastic membership)", i)
 		}
-		if f.RestartAfter > 0 && c.MaxIG > 0 {
-			for _, j := range c.Graph.Out(i) {
-				if !containsInt(c.Graph.In(i), j) {
-					return fmt.Errorf("core: worker %d restarts with token queues, but its out-neighbor %d is not an in-neighbor: the rejoin iteration comes from in-neighbors only, and %d may be more than MaxIG past it (DESIGN.md §6.3)", i, j, j)
-				}
-			}
-		}
 	}
 	if c.Rejoin && !c.FaultTolerance {
 		return fmt.Errorf("core: Rejoin requires FaultTolerance")

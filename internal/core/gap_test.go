@@ -177,11 +177,6 @@ func TestConfigValidation(t *testing.T) {
 			c.Faults = make([]FaultSchedule, 4)
 			c.Faults[1] = FaultSchedule{CrashIter: 2, RestartAfter: time.Second}
 		}},
-		{"token queues with a restart and an out-only neighbor", func(c *Config) {
-			c.Graph, c.MaxIG, c.FaultTolerance = graph.DirectedRing(4), 2, true
-			c.Faults = make([]FaultSchedule, 4)
-			c.Faults[1] = FaultSchedule{CrashIter: 2, RestartAfter: time.Second}
-		}},
 	} {
 		cfg := valid()
 		c.mut(&cfg)

@@ -6,8 +6,8 @@ package core
 //
 // Declaration is eager, application is lazy. DeclarePeerDead only
 // marks the peer pending and wakes every blocked wait; the death is
-// *applied* — peer dropped from the in/out-neighbor sets, its token
-// queue released, its pending NOTIFY-ACK edges forgiven — inside a
+// *applied* — peer dropped from the in/out-neighbor sets, which ends
+// its token gate and forgives its pending NOTIFY-ACK edges — inside a
 // blocking wait that provably cannot proceed without the dead peer's
 // data. That guard is what makes the applied iteration a deterministic
 // function of protocol state rather than of detection timing: a
@@ -22,16 +22,20 @@ package core
 // Rejoin is a two-stage re-admission, because requirement and supply
 // are asymmetric: a restarted peer can only send updates from its
 // rejoin iteration k0 onward, and it cannot even pick k0 until its
-// neighbors resume sending to it. Stage one (any message from a dead
-// peer, applied at the next loop top): re-admit the out-edge — resume
-// sending updates and taking tokens, with the token counter rearmed at
-// max_ig. Stage two (applied at the loop top of the first iteration
-// k ≥ k0, where k0 is the tag of the peer's first real update):
-// re-admit the in-edge — require the peer's updates in reduces and
-// grant it tokens. Requiring the in-edge any earlier would block on
-// tagged-k updates the rejoiner never sends. The token invariant of
-// Theorem 2 is re-established over the new membership, re-based at k0
-// rather than carried through the outage.
+// neighbors resume sending to it. Stage one (the rejoiner's announce,
+// applied at the next loop top): re-admit the out-edge — resume
+// sending updates and gating on the peer's grants, taking its granted
+// iteration as at least the current one, k. Stage two (applied at the
+// loop top of the first iteration k ≥ k0, where k0 is the tag of the
+// peer's first real update): re-admit the in-edge — require the peer's
+// updates in reduces and grant it tokens, starting with k itself: the
+// rejoiner has seen no grant of ours, and may not get within max_ig of
+// k without one. Requiring the in-edge any earlier would block on
+// tagged-k updates the rejoiner never sends.
+// The rejoiner grants k0 as it enters k0, like every advance, and
+// takes its own out-neighbors' grants as at least k0, so the token
+// invariant of Theorem 2 is re-based at the rejoin rather than carried
+// through the outage.
 
 import "hop/internal/tensor"
 
@@ -74,13 +78,19 @@ func (p *Protocol) DeadPeers() []int {
 	return out
 }
 
-// noteAlive records evidence of life from a delivered message: it
-// clears any pending death (pre-death messages always precede the
-// death notice on both planes, so a cleared declaration was stale or
-// the peer restarted) and, for a dead peer, begins the rejoin
-// bookkeeping. Updates with iter ≥ 1 from a dead in-peer pin k0, the
-// first iteration the rejoiner will actually send.
-func (p *Protocol) noteAlive(from, iter int, isUpdate bool) {
+// noteAlive records evidence of life from a delivered message whose
+// sender was at iteration iter (an update's tag, a grant's iteration;
+// −1 for an ACK, which announces nothing). Pre-death messages always
+// precede the death notice on both planes, so a message from a peer
+// declared or removed dead is from a restarted incarnation or shows
+// the declaration was stale. An iteration-0 update or grant is a
+// restart's announce (joinSync): it marks the rejoin and leaves a
+// pending death to the lazy rule, since the old incarnation's updates
+// are still missing. Any other message clears a pending death outside
+// a rejoin and begins the rejoin of a removed peer. While joining, an
+// update or grant with iter ≥ 1 from a graph in-neighbor pins k0, the
+// first iteration the rejoiner actually sends.
+func (p *Protocol) noteAlive(from, iter int) {
 	if !p.cfg.FaultTolerance {
 		return
 	}
@@ -90,22 +100,27 @@ func (p *Protocol) noteAlive(from, iter int, isUpdate bool) {
 	}
 	p.mon.Lock()
 	defer p.mon.Unlock()
-	p.undeclareLocked(r)
-	if r.deadIn || r.deadOut {
+	if iter == 0 && (r.dying || r.deadIn || r.deadOut) {
 		r.joining = true
-		if isUpdate && iter > 0 && r.deadIn && r.k0 == 0 {
-			r.k0 = iter
-		}
+		return
+	}
+	if !r.joining {
+		p.undeclareLocked(r)
+		r.joining = r.deadIn || r.deadOut
+	}
+	if r.joining && iter > 0 && r.k0 == 0 && containsInt(p.gin, from) {
+		r.k0 = iter
 	}
 }
 
 // applyMembership runs at the top of iteration k, on the Run
 // goroutine: it re-admits rejoining peers whose stage conditions hold
-// (see the package comment) and records the worker's current iteration
-// for death events applied mid-iteration.
-func (p *Protocol) applyMembership(k int) {
+// (see the package comment), records the worker's current iteration
+// for death events applied mid-iteration, and reports whether it
+// re-admitted an in-edge.
+func (p *Protocol) applyMembership(k int) (inJoined bool) {
 	if !p.cfg.FaultTolerance {
-		return
+		return false
 	}
 	p.mon.Lock()
 	defer p.mon.Unlock()
@@ -117,19 +132,18 @@ func (p *Protocol) applyMembership(k int) {
 		}
 		joined := false
 		if r.deadOut {
-			// Stage one: resume sending to (and taking tokens from)
-			// the peer — it needs our updates before it can send any.
+			// Stage one: resume sending to (and gating on grants
+			// from) the peer — it needs our updates before it can
+			// send any.
 			r.deadOut = false
-			if r.tokens != nil {
-				r.tokens.resetLocked(p.cfg.MaxIG)
-			}
+			r.granted = max(r.granted, k)
 			joined = true
 		}
 		if r.deadIn && r.k0 > 0 && k >= r.k0 {
 			// Stage two: require the peer's updates again from k0, the
 			// first iteration it actually sends.
 			r.deadIn, r.k0 = false, 0
-			joined = true
+			joined, inJoined = true, true
 		}
 		if !joined {
 			continue
@@ -142,17 +156,18 @@ func (p *Protocol) applyMembership(k int) {
 			p.note(TraceEvent{Kind: TraceJoin, Iter: k, From: d})
 		}
 	}
+	return inJoined
 }
 
 // applyDeathLocked reforms the graph around dead peer d: drops it from
-// the live in/out views, releases its token queue so takes stop
-// counting the departed edge, and records the membership event. Called
-// with the monitor held, only from the Run goroutine's blocking waits
-// (applyDeathsLocked).
+// the live in/out views, so no wait counts the departed edges, and
+// records the membership event. A restart announced before the death
+// was applied stays under way. Called with the monitor held, only from
+// the Run goroutine's blocking waits (applyDeathsLocked).
 func (p *Protocol) applyDeathLocked(d int) {
 	r := p.peerOf(d)
 	p.undeclareLocked(r)
-	r.joining, r.k0, r.joinLogged = false, 0, false
+	r.joinLogged = false
 	changed := false
 	if containsInt(p.gin, d) && !r.deadIn {
 		r.deadIn = true
@@ -160,9 +175,6 @@ func (p *Protocol) applyDeathLocked(d int) {
 	}
 	if containsInt(p.gout, d) && !r.deadOut {
 		r.deadOut = true
-		if r.tokens != nil {
-			r.tokens.releaseLocked()
-		}
 		changed = true
 	}
 	if !changed {
@@ -203,12 +215,7 @@ func (p *Protocol) rebuildLocked() {
 // monitor.
 func (p *Protocol) wakeAllLocked() {
 	p.queue.cond.Broadcast()
-	p.acked.Broadcast()
-	for i := range p.peers {
-		if tq := p.peers[i].tokens; tq != nil {
-			tq.cond.Broadcast()
-		}
-	}
+	p.gate.Broadcast()
 }
 
 // applyDeathsLocked is the death rule of a blocked wait (Protocol.await):
@@ -235,14 +242,16 @@ func (p *Protocol) applyDeathsLocked(peers []int, missing func(int) bool) bool {
 
 // joinSync is the rejoin handshake a restarted worker runs before its
 // first iteration. Announce: an iteration-0 update to every
-// out-neighbor and a zero-count token grant to the remaining
-// in-neighbors — either message re-admits this worker's out-edge at
-// the receiver (stage one there), and the tagged-0 update is discarded
-// as stale by any real dequeue. Observe: wait for one update from
-// every surviving in-neighbor; the newest seeds the local model and
-// k0 = newest+1 becomes the first iteration this worker executes — so
-// every in-neighbor is at an iteration < k0 and will still send the
-// tagged-k0 updates the first reduce needs. With no survivors to
+// out-neighbor and an iteration-0 grant to the remaining in-neighbors
+// — either message re-admits this worker's out-edge at the receiver
+// (stage one there); the tagged-0 update is discarded as stale by any
+// real dequeue, and the grant raises nothing. Observe: wait for one
+// update from every surviving in-neighbor; the newest seeds the local
+// model and k0 = newest+1 becomes the first iteration this worker
+// executes — so every in-neighbor is at an iteration < k0 and will
+// still send the tagged-k0 updates the first reduce needs. Entering
+// k0, the worker grants it to its in-neighbors and takes every
+// out-neighbor's grant as at least k0. With no survivors to
 // synchronize with, the worker finishes immediately.
 func (p *Protocol) joinSync() int {
 	x := p.trainer.Params()
@@ -251,7 +260,7 @@ func (p *Protocol) joinSync() int {
 	}
 	for _, j := range p.in {
 		if !containsInt(p.out, j) {
-			p.rt.GrantTokens(j, 0, 0)
+			p.rt.GrantTokens(j, 0)
 		}
 	}
 	newest := Update{Iter: -1}
@@ -272,6 +281,18 @@ func (p *Protocol) joinSync() int {
 	p.rt.RecycleParams(newest.Params)
 	k0 := newest.Iter + 1
 	p.note(TraceEvent{Kind: TraceRejoin, Iter: k0})
+	if p.cfg.MaxIG > 0 {
+		p.mon.Lock()
+		p.curIter = k0
+		for _, j := range p.out {
+			r := p.peerOf(j)
+			r.granted = max(r.granted, k0)
+		}
+		p.mon.Unlock()
+		for _, j := range p.in {
+			p.rt.GrantTokens(j, k0)
+		}
+	}
 	return k0
 }
 

@@ -53,26 +53,100 @@ func TestRejoinRequiresInEdgeFromK0(t *testing.T) {
 }
 
 // TestRejoinRearmsTokensAtMaxIG: stage one re-admits the out-edge to a
-// restarted peer with its token counter at max_ig, the Theorem 2 count
-// of two workers at the same iteration — whatever the counter held
-// when the peer died.
+// restarted peer at the survivor's iteration k with the peer's grant
+// taken as at least k, so once the survivor has run past the dead
+// peer's last grant the queue holds max_ig, the Theorem 2 count of two
+// workers at the same iteration. The restart's announce, an
+// iteration-0 grant, raises nothing.
 func TestRejoinRearmsTokensAtMaxIG(t *testing.T) {
-	const d, maxIG = 1, 2
+	const d, maxIG, k = 1, 2, 4
 	cfg := Config{Graph: graph.Ring(3), MaxIter: 10, MaxIG: maxIG, FaultTolerance: true}
 	p, err := NewProtocol(cfg, 0, model.NewFrozen([]float64{0}), NewSyncMonitor(), nopRuntime{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.TokenIn(d).Put(3) // d had run ahead before it crashed
+	p.DeliverTokens(d, k-1) // d's last grant before it crashed
 	crashPeer(t, p, d)
 
-	// The restart announces itself with a zero-count grant.
 	p.DeliverTokens(d, 0)
-	p.applyMembership(4)
+	p.applyMembership(k)
 	if !slices.Contains(p.out, d) {
 		t.Fatalf("out-edge to %d not re-admitted (out %v)", d, p.out)
 	}
-	if got := p.TokenIn(d).Size(); got != maxIG {
-		t.Errorf("token counter toward %d holds %d after the rejoin, want max_ig = %d", d, got, maxIG)
+	if n, _, _ := p.Tokens(d); n != maxIG {
+		t.Errorf("TokenQ(%d→0) holds %d after the rejoin at %d, want max_ig = %d", d, n, k, maxIG)
+	}
+}
+
+// TestRestartAnnounceKeepsDeathPending: worker 1 of a ring crashed, and
+// worker 0 holds its death declared but not applied — no wait of 0's
+// has yet lacked an update the old incarnation never sent. The
+// restart's iteration-0 announce must leave that death pending:
+// clearing it would leave 0 waiting on the old incarnation forever.
+// The wait that lacks 1's update applies it, the rejoin the announce
+// began stays under way with the k0 the new incarnation's first real
+// update pinned meanwhile, and both edges come back in their stages.
+func TestRestartAnnounceKeepsDeathPending(t *testing.T) {
+	const d, k, k0 = 1, 5, 7
+	cfg := Config{Graph: graph.Ring(3), MaxIter: 10, FaultTolerance: true}
+	p, err := NewProtocol(cfg, 0, model.NewFrozen([]float64{0}), NewSyncMonitor(), nopRuntime{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.DeclarePeerDead(d)
+	p.Deliver(Update{Params: []float64{1}, Iter: 0, From: d})
+	p.Deliver(Update{Params: []float64{1}, Iter: k0, From: d})
+	p.mon.Lock()
+	dying := p.peerOf(d).dying
+	p.applyDeathsLocked([]int{d}, func(int) bool { return true })
+	p.mon.Unlock()
+	if !dying {
+		t.Fatal("the restart's announce cleared the pending death")
+	}
+	if slices.Contains(p.in, d) || slices.Contains(p.out, d) {
+		t.Fatalf("after the death: in %v, out %v still hold %d", p.in, p.out, d)
+	}
+	for _, it := range []int{k, k0} {
+		p.applyMembership(it)
+		if !slices.Contains(p.out, d) {
+			t.Errorf("iteration %d: out-edge to %d not re-admitted (out %v)", it, d, p.out)
+		}
+		if got, want := slices.Contains(p.in, d), it >= k0; got != want {
+			t.Errorf("iteration %d: in-edge from %d required = %v, want %v (k0 = %d)", it, d, got, want, k0)
+		}
+	}
+}
+
+// grantRuntime records every grant its protocol makes.
+type grantRuntime struct {
+	nopRuntime
+	grants [][2]int // (dst, iter)
+}
+
+func (r *grantRuntime) GrantTokens(dst, iter int) { r.grants = append(r.grants, [2]int{dst, iter}) }
+
+// TestRejoinerEntersK0WithTokens: a restarted worker enters its rejoin
+// iteration k0 like any advance. It grants k0 to its in-neighbors, after
+// the iteration-0 announce an in-only neighbor gets, and it reads each
+// out-neighbor's queue as holding max_ig, the Theorem 2 count at equal
+// iterations, not the negative count of a view that has seen no grant.
+func TestRejoinerEntersK0WithTokens(t *testing.T) {
+	const maxIG, newest = 2, 5
+	// On a directed ring worker 0 hears from 3 and sends to 1.
+	cfg := Config{Graph: graph.DirectedRing(4), MaxIter: 10, MaxIG: maxIG, FaultTolerance: true, Rejoin: true}
+	rt := &grantRuntime{}
+	p, err := NewProtocol(cfg, 0, model.NewFrozen([]float64{0}), NewSyncMonitor(), rt, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Deliver(Update{Params: []float64{1}, Iter: newest, From: 3})
+	if k0 := p.joinSync(); k0 != newest+1 {
+		t.Fatalf("rejoined at %d, want %d", k0, newest+1)
+	}
+	if want := [][2]int{{3, 0}, {3, newest + 1}}; !slices.Equal(rt.grants, want) {
+		t.Errorf("grants %v, want %v", rt.grants, want)
+	}
+	if n, _, _ := p.Tokens(1); n != maxIG {
+		t.Errorf("TokenQ(1→0) holds %d at k0, want max_ig = %d", n, maxIG)
 	}
 }

@@ -80,7 +80,7 @@ func (r *recordRuntime) Send(dst int, u Update) {
 
 func (r *recordRuntime) SendAck(dst, iter int) { r.m.at(dst).DeliverAck(r.w, iter) }
 
-func (r *recordRuntime) GrantTokens(dst, _, count int) { r.m.at(dst).DeliverTokens(r.w, count) }
+func (r *recordRuntime) GrantTokens(dst, iter int) { r.m.at(dst).DeliverTokens(r.w, iter) }
 
 func (r *recordRuntime) PeerIter(int) int { return -1 }
 
@@ -313,7 +313,7 @@ func (nopRuntime) EndCompute()               {}
 func (nopRuntime) Iterated(int, float64)     {}
 func (nopRuntime) Send(int, Update)          {}
 func (nopRuntime) SendAck(int, int)          {}
-func (nopRuntime) GrantTokens(int, int, int) {}
+func (nopRuntime) GrantTokens(int, int)      {}
 func (nopRuntime) PeerIter(int) int          { return 0 }
 func (nopRuntime) Observe(TraceEvent)        {}
 func (nopRuntime) GetParams(n int) []float64 { return make([]float64, n) }

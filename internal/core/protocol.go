@@ -11,18 +11,18 @@ package core
 // NOTIFY-ACK, the serial graph and stale weighting; now any protocol
 // change lands on both planes by construction. See DESIGN.md §5.
 //
-// Token accounting. The protocol folds Fig. 7's "insert at iteration
-// start / remove at iteration end" into a single advance step: moving
-// from iteration k to iteration next (normally next = k+1; a §5 jump
-// makes next larger) takes (next−k) tokens from every out-going
-// neighbor's queue toward this worker and grants (next−k) tokens to
-// every in-coming neighbor. Token queues are placed at their
-// *consumer*: TokenQ(i→j), which the paper stores at worker i, is
-// realized as a counter at worker j that i feeds through
-// Runtime.GrantTokens. The Theorem 2 invariant count = Iter(i) −
-// Iter(j) + max_ig is preserved exactly — in shared memory the grant
-// is a direct Put, on the wire it is a token frame whose flight time
-// only delays j, never violates the bound.
+// Token accounting. TokenQ(i→j), which the paper stores at worker i,
+// is realized at its consumer j as one number: granted, the newest
+// iteration i has entered. Theorem 2 then reads the queue as
+// granted − Iter(j) + max_ig tokens, so j may enter next once
+// granted + max_ig ≥ next for every live out-neighbor — the
+// cumulative shape of the NOTIFY-ACK gate. Fig. 7's "insert at
+// iteration start / remove at iteration end" folds into one advance
+// step: moving from k to next (next = k+1, or further after a §5
+// jump) passes that gate and grants next to every in-neighbor through
+// Runtime.GrantTokens. A grant only ever raises granted, so a
+// duplicated, reordered or superseded grant is a no-op, and a grant's
+// flight time only delays j, never breaks the bound.
 //
 // Bounded staleness. Fig. 9's pseudocode dequeues at least one update
 // from every in-neighbor per iteration, which would contradict the
@@ -89,11 +89,10 @@ type Runtime interface {
 	// SendAck delivers a NOTIFY-ACK acknowledgment for iter to dst.
 	SendAck(dst, iter int)
 
-	// GrantTokens feeds count tokens into TokenQ(me→dst), the counter
-	// held by consumer dst (§4.2). iter is the iteration this worker
-	// is entering — metadata for the live runtime's peer-iteration
-	// observation; the count alone carries the invariant.
-	GrantTokens(dst, iter, count int)
+	// GrantTokens tells in-neighbor dst, the consumer of TokenQ(me→dst)
+	// (§4.2), that this worker entered iteration iter; dst hands it to
+	// DeliverTokens.
+	GrantTokens(dst, iter int)
 
 	// PeerIter reports the newest known iteration of peer, for the
 	// §6.2(b) send-side check: exact in simulation (global gap
@@ -134,7 +133,7 @@ type Protocol struct {
 	mon     Monitor
 
 	queue *UpdateQueue
-	acked Cond // announces a NOTIFY-ACK (peer.acked)
+	gate  Cond // announces a NOTIFY-ACK or a token grant (peer.acked, peer.granted)
 
 	// peers holds one record per protocol peer and one for the worker
 	// itself, sorted by id (peerOf); dying counts the records with a
@@ -187,8 +186,11 @@ type Protocol struct {
 	pick                *rand.Rand
 	initiatorsIn, dones int
 
-	// curIter is the iteration death events applied mid-iteration are
-	// recorded at (membership.go).
+	// curIter is the iteration this worker is in, guarded by mon: the
+	// one death events applied mid-iteration are recorded at
+	// (membership.go) and token counts are read against. Fault
+	// tolerance sets it at each loop top, token queues as the gate
+	// admits the next iteration.
 	curIter int
 
 	// stats, maxStale and aborted (set by Abort) are guarded by mon.
@@ -202,9 +204,12 @@ type Protocol struct {
 type peer struct {
 	id int
 
-	// tokens is the counter for TokenQ(id→me) (§4.2); nil unless id is
-	// a graph out-neighbor and token queues are on.
-	tokens *TokenQueue
+	// granted is the newest iteration id has granted this worker, so
+	// TokenQ(id→me) holds granted − curIter + max_ig tokens (§4.2,
+	// Theorem 2), and tokensHigh is the most it ever held. Both are
+	// meaningful only when id is a graph out-neighbor and token queues
+	// are on.
+	granted, tokensHigh int
 
 	// iterRecv is the newest iteration ever received from id (Fig. 9's
 	// iter_rcv), owned by the Run loop; acked is id's newest NOTIFY-ACK.
@@ -253,7 +258,7 @@ func NewProtocol(cfg Config, id int, t model.Trainer, mon Monitor, rt Runtime, t
 		rt:      rt,
 		mon:     mon,
 		queue:   NewUpdateQueue(mon, len(cfg.Graph.In(id))+1),
-		acked:   mon.NewCond(),
+		gate:    mon.NewCond(),
 		in:      cfg.Graph.In(id),
 		out:     cfg.Graph.Out(id),
 		rng:     seeded.New(cfg.Seed + int64(id)*7919 + 1),
@@ -275,12 +280,7 @@ func NewProtocol(cfg Config, id int, t model.Trainer, mon Monitor, rt Runtime, t
 	slices.Sort(ids)
 	p.peers = make([]peer, len(ids))
 	for i, j := range ids {
-		p.peers[i] = peer{id: j, iterRecv: -1, acked: -1}
-	}
-	if cfg.MaxIG > 0 {
-		for _, j := range p.gout {
-			p.peerOf(j).tokens = NewTokenQueue(mon, cfg.MaxIG)
-		}
+		p.peers[i] = peer{id: j, iterRecv: -1, acked: -1, tokensHigh: cfg.MaxIG}
 	}
 	if cfg.Faults != nil {
 		p.crashIter = cfg.Faults[id].CrashIter
@@ -336,43 +336,52 @@ func (p *Protocol) await(c Cond, ready func() bool, peers []int, missing func(in
 
 // Deliver enqueues a network-delivered update.
 func (p *Protocol) Deliver(u Update) {
-	p.noteAlive(u.From, u.Iter, true)
+	p.noteAlive(u.From, u.Iter)
 	p.queue.Enqueue(u)
 }
 
 // DeliverAck records a network-delivered NOTIFY-ACK from sender from
 // for iter.
 func (p *Protocol) DeliverAck(from, iter int) {
-	p.noteAlive(from, 0, false)
+	p.noteAlive(from, -1)
 	p.mon.Lock()
 	defer p.mon.Unlock()
 	if r := p.peerOf(from); r != nil {
 		r.acked = max(r.acked, iter)
 	}
-	p.acked.Broadcast()
+	p.gate.Broadcast()
 }
 
-// DeliverTokens feeds count tokens granted by out-going neighbor from
-// into the local TokenQ(from→me) counter. Grants from workers this
-// protocol holds no queue for are ignored (the live wire may present
-// them; the simulator never does).
-func (p *Protocol) DeliverTokens(from, count int) {
-	p.noteAlive(from, 0, false)
-	if tq := p.TokenIn(from); tq != nil {
-		tq.Put(count)
+// DeliverTokens records a network-delivered grant: peer from entered
+// iteration iter. It max-merges iter into from's granted iteration, so
+// a grant older than one already seen changes nothing.
+func (p *Protocol) DeliverTokens(from, iter int) {
+	p.noteAlive(from, iter)
+	r := p.peerOf(from)
+	if r == nil {
+		return
 	}
+	p.mon.Lock()
+	defer p.mon.Unlock()
+	r.granted = max(r.granted, iter)
+	r.tokensHigh = max(r.tokensHigh, r.granted-p.curIter+p.cfg.MaxIG)
+	p.gate.Broadcast()
 }
 
 // Queue returns this worker's update queue (runtimes, tests).
 func (p *Protocol) Queue() *UpdateQueue { return p.queue }
 
-// TokenIn returns the local counter for TokenQ(j→me), or nil if j is
-// not an out-going neighbor or token queues are disabled.
-func (p *Protocol) TokenIn(j int) *TokenQueue {
-	if r := p.peerOf(j); r != nil {
-		return r.tokens
+// Tokens reports TokenQ(j→me) as Theorem 2 counts it, granted_j −
+// Iter(me) + max_ig, and the most it ever held; ok is false unless j
+// is a graph out-neighbor and token queues are on.
+func (p *Protocol) Tokens(j int) (n, high int, ok bool) {
+	if p.cfg.MaxIG == 0 || !containsInt(p.gout, j) {
+		return 0, 0, false
 	}
-	return nil
+	p.mon.Lock()
+	defer p.mon.Unlock()
+	r := p.peerOf(j)
+	return r.granted - p.curIter + p.cfg.MaxIG, r.tokensHigh, true
 }
 
 // Stats snapshots this worker's protocol counters. Stale discards are
@@ -443,7 +452,12 @@ func (p *Protocol) run() error {
 			p.note(TraceEvent{Kind: TraceCrash, Iter: k})
 			return ErrCrashed
 		}
-		p.applyMembership(k)
+		if p.applyMembership(k) && cfg.MaxIG > 0 {
+			// A re-admitted in-neighbor holds no grant of ours yet.
+			for _, j := range p.in {
+				p.rt.GrantTokens(j, k)
+			}
+		}
 		p.note(TraceEvent{Kind: TraceAdvance, Iter: k})
 		switch cfg.Mode {
 		case ModePS:
@@ -468,15 +482,12 @@ func (p *Protocol) run() error {
 			}
 		}
 		if cfg.MaxIG > 0 {
-			delta := next - k
-			for _, j := range p.out {
-				// A pending death of j releases its queue, which ends the take.
-				tq := p.peerOf(j).tokens
-				p.await(tq.cond, func() bool { return tq.takeLocked(delta) },
-					p.out, func(d int) bool { return d == j })
-			}
+			// A dead out-neighbor leaves p.out, so its pending death
+			// opens the gate.
+			p.await(p.gate, func() bool { return p.grantedAllLocked(next) },
+				p.out, func(d int) bool { return p.peerOf(d).granted+cfg.MaxIG < next })
 			for _, j := range p.in {
-				p.rt.GrantTokens(j, next, delta)
+				p.rt.GrantTokens(j, next)
 			}
 		}
 		k = next
@@ -513,7 +524,7 @@ func (p *Protocol) iterate(k int) {
 	if notifyAck {
 		// Send(k) is gated on every live out-neighbor's ACK(k−1); a dead
 		// neighbor's pending edge is released rather than waited on.
-		p.await(p.acked, func() bool { return p.ackedAllLocked(k - 1) },
+		p.await(p.gate, func() bool { return p.ackedAllLocked(k - 1) },
 			p.out, func(d int) bool { return p.peerOf(d).acked < k-1 })
 	}
 
@@ -564,6 +575,19 @@ func (p *Protocol) ackedAllLocked(iter int) bool {
 			return false
 		}
 	}
+	return true
+}
+
+// grantedAllLocked is the token gate: it reports whether every live
+// out-neighbor's grant admits iteration next, and if so enters it.
+// Caller holds the monitor.
+func (p *Protocol) grantedAllLocked(next int) bool {
+	for _, j := range p.out {
+		if p.peerOf(j).granted+p.cfg.MaxIG < next {
+			return false
+		}
+	}
+	p.curIter = next
 	return true
 }
 
@@ -707,30 +731,27 @@ func (p *Protocol) newestFrom(j, minIter int) Update {
 const jumpTrigger = 2
 
 // jumpTarget implements the §5 jump: at the end of iteration k, read
-// the local token counts toward this worker's out-going neighbors;
-// their minimum equals min_j Iter(j) − k + max_ig. A worker at least
-// jumpTrigger iterations behind all of them jumps forward, bounded by
-// MaxJump and by not surpassing any out-going neighbor (§5's
-// "intuitive upper-bound" max_jump − max_ig).
+// the token counts granted_j − k + max_ig toward this worker's
+// out-going neighbors; their minimum less max_ig is min_j Iter(j) − k.
+// A worker at least jumpTrigger iterations behind all of them jumps
+// forward, bounded by MaxJump and by not surpassing any out-going
+// neighbor (§5's "intuitive upper-bound" max_jump − max_ig).
 func (p *Protocol) jumpTarget(k int) int {
 	if len(p.out) == 0 {
 		return k + 1
 	}
-	minTok := int(^uint(0) >> 1)
+	p.mon.Lock()
+	granted := int(^uint(0) >> 1)
 	for _, j := range p.out {
-		if s := p.peerOf(j).tokens.Size(); s < minTok {
-			minTok = s
-		}
+		granted = min(granted, p.peerOf(j).granted)
 	}
-	behind := minTok - p.cfg.MaxIG // = min_j Iter(j) − Iter(me)
+	p.mon.Unlock()
+	behind := granted - k // = min_j Iter(j) − Iter(me)
 	if behind < jumpTrigger {
 		return k + 1
 	}
-	next := k + min(behind, p.cfg.MaxJump)
-	if p.cfg.MaxIter > 0 {
-		next = min(next, p.cfg.MaxIter)
-	}
-	return next
+	// No worker grants past MaxIter, so no jump passes it.
+	return k + min(behind, p.cfg.MaxJump)
 }
 
 // renewParams implements the pre-jump refresh of §5: Recv(kr) with the

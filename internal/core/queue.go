@@ -10,16 +10,17 @@ package core
 //     tagged below k (§6.2(a)). Removed entries are compacted out in
 //     place, so the array grows to the peak occupancy once and the
 //     steady state allocates nothing.
-//   - TokenQueue (§4.2): a counting semaphore realizing the
-//     iteration-gap control of Theorem 2. Its Size doubles as the
-//     straggler self-identification signal of §5.
+//   - TokenQueue (§4.2): the paper's token queue as a counting
+//     semaphore, for callers without a protocol (tests, benchmarks).
+//     The protocol keeps each queue as its owner's granted iteration
+//     instead (protocol.go).
 //
-// The queues are passive state under the cluster's Monitor: a worker's
-// protocol blocks on them only through Protocol.await, whose ready
-// closures call the …Locked predicates below, so the same code runs
-// deterministically in simulation and concurrently in the live
-// runtime. DequeueIterAtLeast and Take are the standalone blocking
-// forms for callers without a protocol (tests, benchmarks).
+// The update queue is passive state under the cluster's Monitor: a
+// worker's protocol blocks on it only through Protocol.await, whose
+// ready closures call the …Locked predicates below, so the same code
+// runs deterministically in simulation and concurrently in the live
+// runtime. DequeueIterAtLeast is the standalone blocking form for
+// callers without a protocol.
 
 import "fmt"
 
@@ -221,16 +222,12 @@ func (q *UpdateQueue) StaleDiscarded() int {
 
 // --- TokenQueue -------------------------------------------------------
 
-// TokenQueue is TokenQ(i→j): stored at worker i, holding tokens that
-// permit in-neighbor j to advance (§4.2). Tokens are a pure count; the
-// paper tags them with iterations but never uses the tags.
+// TokenQueue is TokenQ(i→j) as a plain counting semaphore: tokens that
+// permit in-neighbor j to advance (§4.2).
 type TokenQueue struct {
-	mon  Monitor
-	cond Cond
-
-	tokens    int
-	highWater int
-	released  bool // owner left the graph: takes pass freely
+	mon    Monitor
+	cond   Cond
+	tokens int
 }
 
 // NewTokenQueue creates a token queue holding initial tokens.
@@ -238,7 +235,7 @@ func NewTokenQueue(mon Monitor, initial int) *TokenQueue {
 	if initial < 0 {
 		panic(fmt.Sprintf("core: negative initial tokens %d", initial))
 	}
-	return &TokenQueue{mon: mon, cond: mon.NewCond(), tokens: initial, highWater: initial}
+	return &TokenQueue{mon: mon, cond: mon.NewCond(), tokens: initial}
 }
 
 // Put inserts n tokens (the owner does this when entering a new
@@ -247,67 +244,23 @@ func (t *TokenQueue) Put(n int) {
 	t.mon.Lock()
 	defer t.mon.Unlock()
 	t.tokens += n
-	if t.tokens > t.highWater {
-		t.highWater = t.tokens
-	}
 	t.cond.Broadcast()
 }
 
 // Take removes n tokens, blocking until they are available (the
-// in-neighbor does this to advance). A released queue — its owner left
-// the graph — admits any take without blocking or counting.
+// in-neighbor does this to advance).
 func (t *TokenQueue) Take(n int) {
 	t.mon.Lock()
 	defer t.mon.Unlock()
-	for !t.takeLocked(n) {
+	for t.tokens < n {
 		t.cond.Wait()
 	}
-}
-
-// takeLocked is one non-blocking pass of Take: it removes n tokens if
-// they are there and reports whether the take is done. Caller holds
-// the monitor.
-func (t *TokenQueue) takeLocked(n int) bool {
-	if t.released {
-		return true
-	}
-	if t.tokens < n {
-		return false
-	}
 	t.tokens -= n
-	return true
 }
 
-// releaseLocked marks the owner dead: current and future takes return
-// immediately — the Theorem 2 invariant is dissolved for this edge and
-// re-established over the surviving set (DESIGN.md §6). Caller holds
-// the monitor.
-func (t *TokenQueue) releaseLocked() {
-	t.released = true
-	t.cond.Broadcast()
-}
-
-// resetLocked rearms a released queue with a fresh initial count when
-// its owner rejoins. Caller holds the monitor.
-func (t *TokenQueue) resetLocked(initial int) {
-	t.released = false
-	t.tokens = initial
-	t.cond.Broadcast()
-}
-
-// Size returns the current token count: Iter(owner) − Iter(consumer) +
-// max_ig by the Theorem 2 invariant, which is also the straggler
-// signal of §5.
+// Size returns the current token count.
 func (t *TokenQueue) Size() int {
 	t.mon.Lock()
 	defer t.mon.Unlock()
 	return t.tokens
-}
-
-// HighWater returns the maximum token count observed; Theorem 2 bounds
-// it by max_ig·(length(Path i→j)+1).
-func (t *TokenQueue) HighWater() int {
-	t.mon.Lock()
-	defer t.mon.Unlock()
-	return t.highWater
 }

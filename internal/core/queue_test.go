@@ -171,8 +171,8 @@ func TestTokenQueueTakeBlocks(t *testing.T) {
 		t.Fatal("Take did not wake")
 	}
 	tq.Put(5)
-	if tq.HighWater() != 5 {
-		t.Errorf("high water %d, want 5", tq.HighWater())
+	if tq.Size() != 5 {
+		t.Errorf("size %d, want 5", tq.Size())
 	}
 }
 
@@ -205,6 +205,45 @@ func TestAckGateIsCumulative(t *testing.T) {
 	}
 	if acked(5) {
 		t.Error("Send(6) released without ACK(5) from 1")
+	}
+}
+
+// TestTokenGateIsCumulative: a worker enters next once every
+// out-neighbor's newest grant reaches next − max_ig. A grant names the
+// iteration its sender entered and stands for every earlier one, so a
+// duplicate or a late older grant changes nothing.
+func TestTokenGateIsCumulative(t *testing.T) {
+	const maxIG = 2
+	cfg := Config{Graph: graph.Ring(3), MaxIG: maxIG, MaxIter: 10}
+	p, err := NewProtocol(cfg, 0, model.NewFrozen([]float64{0}), NewSyncMonitor(), nopRuntime{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	admits := func(next int) bool {
+		p.mon.Lock()
+		defer p.mon.Unlock()
+		return p.grantedAllLocked(next)
+	}
+	if admits(maxIG + 1) {
+		t.Fatal("entered max_ig+1 with no grant: Theorem 2 allows max_ig")
+	}
+	if !admits(maxIG) {
+		t.Fatal("max_ig not admitted with every neighbor at iteration 0")
+	}
+	p.DeliverTokens(1, 4)
+	p.DeliverTokens(2, 5)
+	p.DeliverTokens(2, 5) // a duplicate
+	p.DeliverTokens(1, 3) // a late older grant
+	if admits(5 + maxIG) {
+		t.Fatal("entered 5+max_ig with 1's grant at 4")
+	}
+	if !admits(4 + maxIG) {
+		t.Fatal("4+max_ig still gated with grants 4 and 5")
+	}
+	// Now at 4+max_ig, 2's grant of 5 leaves one token; it left five
+	// when it arrived at iteration max_ig.
+	if n, high, ok := p.Tokens(2); !ok || n != 1 || high != 5 {
+		t.Errorf("TokenQ(2→0) = %d (high %d, ok %v), want 1 (high 5)", n, high, ok)
 	}
 }
 

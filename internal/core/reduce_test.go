@@ -147,29 +147,26 @@ func TestPreJumpRefreshReduce(t *testing.T) {
 	})
 }
 
-// TestJumpTarget: §5's jump decision read off the token counts toward
-// the out-neighbours, each max_ig plus how far that neighbour is ahead.
-// A worker at least jumpTrigger behind all of them jumps by the least
-// lead, bounded by MaxJump and clamped to MaxIter. No neighbour passes
-// MaxIter, so only a counter holding more tokens than that, as a
-// duplicated grant frame leaves it, meets the clamp.
+// TestJumpTarget: §5's jump decision read off the iterations the
+// out-neighbours granted, each how far that neighbour is ahead. A
+// worker at least jumpTrigger behind all of them jumps by the least
+// lead, bounded by MaxJump.
 func TestJumpTarget(t *testing.T) {
 	const k, maxIG = 10, 3
 	for _, tc := range []struct {
-		name           string
-		ahead          [3]int // Iter(j) − k for out-neighbours 1, 2, 3
-		maxJump, maxIt int
-		want           int
+		name    string
+		ahead   [3]int // Iter(j) − k for out-neighbours 1, 2, 3
+		maxJump int
+		want    int
 	}{
-		{"one behind: normal advance", [3]int{1, 4, 5}, 5, 0, k + 1},
-		{"exactly the trigger behind", [3]int{2, 2, 2}, 5, 0, k + 2},
-		{"least lead governs", [3]int{6, 3, 9}, 5, 0, k + 3},
-		{"bounded by MaxJump", [3]int{7, 8, 9}, 5, 0, k + 5},
-		{"clamped to MaxIter", [3]int{7, 8, 9}, 5, k + 3, k + 3},
+		{"one behind: normal advance", [3]int{1, 4, 5}, 5, k + 1},
+		{"exactly the trigger behind", [3]int{2, 2, 2}, 5, k + 2},
+		{"least lead governs", [3]int{6, 3, 9}, 5, k + 3},
+		{"bounded by MaxJump", [3]int{7, 8, 9}, 5, k + 5},
 	} {
-		p, _ := refreshPeer(t, Config{MaxIG: maxIG, MaxJump: tc.maxJump, MaxIter: tc.maxIt}, []float64{0})
+		p, _ := refreshPeer(t, Config{MaxIG: maxIG, MaxJump: tc.maxJump}, []float64{0})
 		for i, a := range tc.ahead {
-			p.TokenIn(i + 1).Put(a)
+			p.DeliverTokens(i+1, k+a)
 		}
 		if got := p.jumpTarget(k); got != tc.want {
 			t.Errorf("%s: jumpTarget(%d) = %d, want %d", tc.name, k, got, tc.want)

@@ -276,8 +276,8 @@ func (r *liveRuntime) SendAck(dst, iter int) {
 	}
 }
 
-func (r *liveRuntime) GrantTokens(dst, iter, count int) {
-	err := r.w.node.Send(dst, transport.Message{Kind: transport.KindToken, Iter: iter, Count: count})
+func (r *liveRuntime) GrantTokens(dst, iter int) {
+	err := r.w.node.Send(dst, transport.Message{Kind: transport.KindToken, Iter: iter})
 	if err != nil {
 		r.w.noteSendError(dst, err)
 	}
@@ -504,7 +504,7 @@ func (w *Worker) handle(m transport.Message) {
 	case transport.KindUpdate:
 		w.proto.Deliver(core.Update{Params: m.Params, Iter: m.Iter, From: m.From})
 	case transport.KindToken:
-		w.proto.DeliverTokens(m.From, m.Count)
+		w.proto.DeliverTokens(m.From, m.Iter)
 	case transport.KindAck:
 		w.proto.DeliverAck(m.From, m.Iter)
 	}
@@ -604,9 +604,9 @@ func (w *Worker) LastLoss() float64 {
 // engine aggregates.
 func (w *Worker) Stats() core.Stats { return w.proto.Stats() }
 
-// TokenIn returns the local counter for TokenQ(j→me) (diagnostics and
-// the Theorem 2 conservation tests), or nil.
-func (w *Worker) TokenIn(j int) *core.TokenQueue { return w.proto.TokenIn(j) }
+// Tokens reports TokenQ(j→me) and its high water (diagnostics and the
+// Theorem 2 conservation tests); see core.Protocol.Tokens.
+func (w *Worker) Tokens(j int) (n, high int, ok bool) { return w.proto.Tokens(j) }
 
 // MaxObservedStaleness reports the largest k − iter over all updates a
 // bounded-staleness Reduce — the §5 pre-jump refresh's included —

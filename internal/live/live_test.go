@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"hop/internal/chaos"
 	"hop/internal/compress"
 	"hop/internal/core"
 	"hop/internal/graph"
@@ -199,7 +200,9 @@ func TestLiveIterationCallbacksOrdered(t *testing.T) {
 // float32 (and TopK's dense warm start with them); per-worker jitter
 // shuffles arrival order. The workers disagree on 64 coordinates and
 // start the rest at the target, with the gradient noise scaled so the
-// whole vector carries as much of it as 64 coordinates at 0.02.
+// whole vector carries as much of it as 64 coordinates at 0.02. The
+// duplicate case delivers 30 % of the single-frame messages twice —
+// the token frames, since a multi-chunk update is never duplicated.
 func TestLiveStalenessBoundWithCompressedChunkedUpdates(t *testing.T) {
 	const s, dim, active = 2, 20000, 64
 	noise := 0.02 * math.Sqrt(active/float64(dim))
@@ -218,10 +221,19 @@ func TestLiveStalenessBoundWithCompressedChunkedUpdates(t *testing.T) {
 	// topk:0.1 is the headline sparse operating point: it exercises the
 	// delta-stream path end to end (a zero-filled decode averaged into
 	// the model would blow the loss bound below).
-	for _, spec := range []string{"none", "float32", "topk:1", "topk:0.1"} {
-		spec := spec
-		t.Run(spec, func(t *testing.T) {
-			comp, err := compress.ParseSpec(spec)
+	for _, tc := range []struct {
+		name, spec string
+		chaos      *chaos.Config
+	}{
+		{"none", "none", nil},
+		{"float32", "float32", nil},
+		{"topk:1", "topk:1", nil},
+		{"topk:0.1", "topk:0.1", nil},
+		{"duplicate", "none", &chaos.Config{Duplicate: 0.3}},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			comp, err := compress.ParseSpec(tc.spec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -237,6 +249,11 @@ func TestLiveStalenessBoundWithCompressedChunkedUpdates(t *testing.T) {
 			workers := launch(t, g, func(i int) WorkerConfig {
 				cfg := WorkerConfig{Config: coreCfg, Trainer: start(i)}
 				cfg.Seed += int64(i)
+				if tc.chaos != nil {
+					c := *tc.chaos
+					c.Seed = 400 + int64(i)
+					cfg.Chaos = &c
+				}
 				if i%2 == 0 {
 					cfg.ComputeDelay = func(iter int) time.Duration {
 						return time.Duration(iter%3) * time.Millisecond
@@ -264,23 +281,27 @@ func TestLiveStalenessBoundWithCompressedChunkedUpdates(t *testing.T) {
 				if st.ReadErrors != 0 {
 					t.Errorf("worker %d: %d inbound connections dropped", i, st.ReadErrors)
 				}
+				if tc.chaos != nil && st.ChaosDuplicated == 0 {
+					t.Errorf("worker %d: no frame duplicated", i)
+				}
 			}
 			// Token conservation: with every worker at MaxIter, Theorem 2
 			// gives count = Iter(j) − Iter(i) + max_ig = max_ig exactly,
 			// once in-flight grants land. Unlike the staleness-window
 			// assertion above (which the Reduce guard enforces by
 			// construction), this one is falsifiable by the wire layer: a
-			// token frame lost, duplicated, or mis-decoded during chunk
-			// interleaving leaves a count permanently below or above
-			// max_ig.
+			// token frame lost, mis-decoded during chunk interleaving, or
+			// counted twice when duplicated leaves a count permanently
+			// below or above max_ig.
 			deadline := time.Now().Add(5 * time.Second)
 			for i, w := range workers {
 				for _, j := range g.Out(i) {
-					tq := w.TokenIn(j)
-					for tq.Size() < maxIG && time.Now().Before(deadline) {
+					got, _, _ := w.Tokens(j)
+					for got < maxIG && time.Now().Before(deadline) {
 						time.Sleep(time.Millisecond) // grants may still be in flight
+						got, _, _ = w.Tokens(j)
 					}
-					if got := tq.Size(); got != maxIG {
+					if got != maxIG {
 						t.Errorf("worker %d token count for out-neighbor %d: %d, want exactly %d", i, j, got, maxIG)
 					}
 				}

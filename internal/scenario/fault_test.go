@@ -51,28 +51,86 @@ func TestFaultAxisValidation(t *testing.T) {
 	}
 }
 
-// TestRestartWedgesRefused pins the two crash-restart families the
-// validator refuses, each with a spec that deadlocks on the simulator
-// when accepted: NOTIFY-ACK, whose survivors gate Send(k) on an
-// ACK(k−1) the rejoiner never sends (sim: deadlock at 1.6 s), and token
-// queues where the restarting worker sends to a neighbor it does not
-// hear from, so its rejoin iteration ignores how far that neighbor ran
-// ahead (deadlock at 1.0 s with the crash at 5, 2.0 s at 15, seeds
-// 1–3). The same specs without the restart are valid and finish.
+func restartAfter(w, iter int, after time.Duration) *Fault {
+	return &Fault{Crashes: []Crash{{Worker: w, Iter: iter, Restart: Duration(after)}}}
+}
+
+// TestRestartWedgesRefused pins the crash-restart family the validator
+// refuses with a spec that deadlocks on the simulator when accepted:
+// NOTIFY-ACK, whose survivors gate Send(k) on an ACK(k−1) the rejoiner
+// never sends (sim: deadlock at 1.6 s). The same spec without the
+// restart is valid and finishes.
 func TestRestartWedgesRefused(t *testing.T) {
-	restart := func(w, iter int, after time.Duration) *Fault {
-		return &Fault{Crashes: []Crash{{Worker: w, Iter: iter, Restart: Duration(after)}}}
-	}
-	var specs []Spec
-	specs = append(specs, Spec{
+	spec := Spec{
 		Name:     "notify-ack ring-4",
 		Workload: "quadratic",
 		Topology: Topology{Kind: "ring", Workers: 4, Machines: 1},
 		Protocol: Protocol{Mode: "notify-ack"},
-		Fault:    restart(3, 10, 500*time.Millisecond),
+		Fault:    restartAfter(3, 10, 500*time.Millisecond),
 		MaxIter:  40,
 		Seed:     7,
-	})
+	}
+	if spec.Validate() == nil {
+		t.Errorf("%s: crash restart accepted", spec.Name)
+	}
+	spec.Fault = restartAfter(3, 10, 0)
+	opts, err := spec.Resolve()
+	if err != nil {
+		t.Fatalf("%s without the restart: %v", spec.Name, err)
+	}
+	res, err := cluster.Run(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Deadlock != nil {
+		t.Errorf("%s without the restart: %v", spec.Name, res.Deadlock)
+	}
+}
+
+// TestRestartGridFinishes runs a worker crash and restart across
+// topologies, protocols, restart delays, stragglers, crash iterations
+// and seeds on the simulator; every spec must validate and finish. It
+// covers the rejoin wedges fixed by cumulative grants and restart
+// announces: a survivor that let the announce clear the old
+// incarnation's pending death waited forever for its tagged-k update
+// (ring-6, standard, worker 1 crashing at 10 and back after 20 ms,
+// worker 0 slowed 4×, seed 1), and a rejoiner whose token view started
+// at max_ig rather than at the iteration it entered wedged against
+// survivors ahead of it. On a directed ring the rejoiner's out-neighbor
+// is not an in-neighbor, so its rejoin iteration ignores how far that
+// neighbor ran ahead: with the straggler feeding the rejoiner the
+// neighbor gets more than max_ig past it, and it waits for the
+// rejoiner's updates while the rejoiner waits for its grants unless
+// re-admitting the in-edge grants the iteration it is in (80 directed
+// specs wedged without that grant). The directed-ring-5 specs wedged
+// at 1.0 s (crash at 5) and 2.0 s (crash at 15) while the grant was a
+// token count.
+func TestRestartGridFinishes(t *testing.T) {
+	protocols := []Protocol{{}, {MaxIG: 2}, {Staleness: 2}, {MaxIG: 4, Backup: 1}}
+	heteros := []Hetero{{}, {Kind: "det", Workers: []int{0}}, {Kind: "det", Workers: []int{2}}}
+	var specs []Spec
+	for _, kind := range []string{"ring", "ring-based", "chain", "complete", "directed-ring"} {
+		for _, proto := range protocols {
+			for _, after := range []time.Duration{1, 20, 60, 150} {
+				for _, het := range heteros {
+					for _, iter := range []int{1, 2, 10, 30} {
+						for seed := int64(1); seed <= 2; seed++ {
+							specs = append(specs, Spec{
+								Name:     fmt.Sprintf("%s-6 %+v restart %v %+v crash %d seed %d", kind, proto, after*time.Millisecond, het, iter, seed),
+								Workload: "quadratic",
+								Topology: Topology{Kind: kind, Workers: 6, Machines: 1},
+								Protocol: proto,
+								Hetero:   het,
+								Fault:    restartAfter(1, iter, after*time.Millisecond),
+								MaxIter:  40,
+								Seed:     seed,
+							})
+						}
+					}
+				}
+			}
+		}
+	}
 	for _, iter := range []int{5, 15} {
 		for seed := int64(1); seed <= 3; seed++ {
 			specs = append(specs, Spec{
@@ -80,28 +138,30 @@ func TestRestartWedgesRefused(t *testing.T) {
 				Workload: "quadratic",
 				Topology: Topology{Kind: "directed-ring", Workers: 5, Machines: 1},
 				Protocol: Protocol{MaxIG: 2},
-				Fault:    restart(1, iter, 150*time.Millisecond),
+				Fault:    restartAfter(1, iter, 150*time.Millisecond),
 				MaxIter:  60,
 				Seed:     seed,
 			})
 		}
 	}
+	wedged := 0
 	for _, spec := range specs {
-		if spec.Validate() == nil {
-			t.Errorf("%s: crash restart accepted", spec.Name)
-		}
-		spec.Fault = restart(spec.Fault.Crashes[0].Worker, spec.Fault.Crashes[0].Iter, 0)
 		opts, err := spec.Resolve()
 		if err != nil {
-			t.Fatalf("%s without the restart: %v", spec.Name, err)
+			t.Fatalf("%s: %v", spec.Name, err)
 		}
 		res, err := cluster.Run(opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Deadlock != nil {
-			t.Errorf("%s without the restart: %v", spec.Name, res.Deadlock)
+			if wedged++; wedged <= 5 {
+				t.Errorf("%s: %v", spec.Name, res.Deadlock)
+			}
 		}
+	}
+	if wedged > 0 {
+		t.Errorf("%d of %d specs deadlocked", wedged, len(specs))
 	}
 }
 

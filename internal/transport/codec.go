@@ -30,8 +30,11 @@ const (
 	// the heartbeat control kind; a v2 peer would read the trailer as
 	// the next frame's magic and desync. Version 4 gap-codes the index
 	// of each TopK pair as a varint (compress.go); a v3 peer would read
-	// the varint and the value as a uint32 index.
-	magic = "HOP\x04"
+	// the varint and the value as a uint32 index. Version 5 drops the
+	// token grant count: a grant is the iteration its sender entered,
+	// and header bytes 20–23 are reserved; a v4 peer would read every
+	// v5 grant as zero tokens.
+	magic = "HOP\x05"
 
 	headerLen = 32
 
@@ -95,15 +98,15 @@ var errCorruptFrame = errors.New("corrupt frame")
 // frameHeader is the fixed prefix of every frame:
 //
 //	off size field
-//	 0   4   magic "HOP" + version 0x04
+//	 0   4   magic "HOP" + version 0x05
 //	 4   1   frame kind
 //	 5   1   payload codec (compress.Kind)
 //	 6   2   chunk index
 //	 8   2   chunk count (>=1 on update frames)
 //	10   2   reserved, must be zero
 //	12   4   from: sender worker id
-//	16   4   iter (int32)
-//	20   4   count (int32): token grant count
+//	16   4   iter (int32); a token grant's is the iteration entered
+//	20   4   reserved, must be zero
 //	24   4   seq: per-peer message sequence, keys chunk reassembly
 //	28   4   payload length in bytes
 //
@@ -118,7 +121,6 @@ type frameHeader struct {
 	chunkCount uint16
 	from       uint32
 	iter       int32
-	count      int32
 	seq        uint32
 	payloadLen uint32
 }
@@ -133,7 +135,7 @@ func putHeader(b *[headerLen]byte, h frameHeader) {
 	b[10], b[11] = 0, 0
 	binary.LittleEndian.PutUint32(b[12:], h.from)
 	binary.LittleEndian.PutUint32(b[16:], uint32(h.iter))
-	binary.LittleEndian.PutUint32(b[20:], uint32(h.count))
+	binary.LittleEndian.PutUint32(b[20:], 0)
 	binary.LittleEndian.PutUint32(b[24:], h.seq)
 	binary.LittleEndian.PutUint32(b[28:], h.payloadLen)
 }
@@ -171,11 +173,10 @@ func parseHeader(b []byte) (frameHeader, error) {
 		chunkCount: binary.LittleEndian.Uint16(b[8:]),
 		from:       binary.LittleEndian.Uint32(b[12:]),
 		iter:       int32(binary.LittleEndian.Uint32(b[16:])),
-		count:      int32(binary.LittleEndian.Uint32(b[20:])),
 		seq:        binary.LittleEndian.Uint32(b[24:]),
 		payloadLen: binary.LittleEndian.Uint32(b[28:]),
 	}
-	if b[10] != 0 || b[11] != 0 {
+	if b[10] != 0 || b[11] != 0 || binary.LittleEndian.Uint32(b[20:]) != 0 {
 		return frameHeader{}, fmt.Errorf("transport: reserved header bytes set")
 	}
 	if h.kind > frameHeartbeat {

@@ -20,7 +20,7 @@ func TestFrameHeaderRoundTrip(t *testing.T) {
 	want := frameHeader{
 		kind: frameUpdate, codec: compress.TopK,
 		chunkIndex: 3, chunkCount: 9,
-		from: 41, iter: 1 << 20, count: -7, seq: 0xdeadbeef,
+		from: 41, iter: 1 << 20, seq: 0xdeadbeef,
 	}
 	payload := []byte{1, 2, 3, 4, 5}
 	h, got, err := readFrame(bytes.NewReader(appendFrame(nil, want, payload)))
@@ -38,7 +38,7 @@ func TestFrameHeaderRoundTrip(t *testing.T) {
 
 func TestParseHeaderRejectsMalformed(t *testing.T) {
 	valid := func() []byte {
-		return appendFrame(nil, frameHeader{kind: frameToken, from: 1, iter: 2, count: 3}, nil)
+		return appendFrame(nil, frameHeader{kind: frameToken, from: 1, iter: 2}, nil)
 	}
 	cases := []struct {
 		name   string
@@ -49,6 +49,7 @@ func TestParseHeaderRejectsMalformed(t *testing.T) {
 		{"future version", func(b []byte) { b[3] = 9 }},
 		{"unknown kind", func(b []byte) { b[4] = 99 }},
 		{"reserved set", func(b []byte) { b[10] = 1 }},
+		{"reserved grant count set", func(b []byte) { b[20] = 1 }}, // a v4 token frame's count
 		{"zero chunk count", func(b []byte) { b[4] = byte(frameUpdate); b[8], b[9] = 0, 0 }},
 		{"chunk index past count", func(b []byte) { b[4] = byte(frameUpdate); b[6] = 5; b[8] = 2 }},
 		{"empty chunk in multi-chunk", func(b []byte) { b[4] = byte(frameUpdate); b[8] = 4 }},
@@ -164,7 +165,7 @@ func TestMessageString(t *testing.T) {
 		want string
 	}{
 		{Message{Kind: KindUpdate, From: 2, Iter: 7, Params: make([]float64, 3)}, "update{from:2 iter:7 dim:3}"},
-		{Message{Kind: KindToken, From: 1, Iter: 4, Count: 2}, "token{from:1 iter:4 count:2}"},
+		{Message{Kind: KindToken, From: 1, Iter: 4}, "token{from:1 iter:4}"},
 		{Message{Kind: KindAck, From: 0, Iter: 9}, "ack{from:0 iter:9}"},
 	}
 	for _, c := range cases {
@@ -302,12 +303,16 @@ func TestRejectsNonHopPeer(t *testing.T) {
 
 // TestRefusesV3Hello: a well-formed hello from a version-3 peer, whose
 // TopK pairs carry uint32 indices where this version reads gap
-// varints, is refused at the handshake like any non-hop peer.
+// varints, or from a version-4 peer, whose token frames carry a grant
+// count where this version reads the iteration entered, is refused at
+// the handshake like any non-hop peer.
 func TestRefusesV3Hello(t *testing.T) {
-	hello := appendFrame(nil, frameHeader{kind: frameHello, codec: compress.TopK, from: 1}, nil)
-	hello[3] = 3
-	binary.LittleEndian.PutUint32(hello[headerLen:], frameCRC(hello[:headerLen], nil))
-	refusesFirstBytes(t, hello, "bad magic")
+	for _, version := range []byte{3, 4} {
+		hello := appendFrame(nil, frameHeader{kind: frameHello, codec: compress.TopK, from: 1}, nil)
+		hello[3] = version
+		binary.LittleEndian.PutUint32(hello[headerLen:], frameCRC(hello[:headerLen], nil))
+		refusesFirstBytes(t, hello, "bad magic")
+	}
 }
 
 // refusesFirstBytes opens a connection to a listening node, writes b
@@ -639,10 +644,10 @@ func TestConnectionPinnedToHelloSender(t *testing.T) {
 		t.Fatalf("no hello-ack: %v", err)
 	}
 	// Matching sender passes, mismatched sender kills the connection.
-	if _, err := conn.Write(appendFrame(nil, frameHeader{kind: frameToken, from: 9, iter: 1, count: 1}, nil)); err != nil {
+	if _, err := conn.Write(appendFrame(nil, frameHeader{kind: frameToken, from: 9, iter: 1}, nil)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := conn.Write(appendFrame(nil, frameHeader{kind: frameToken, from: 8, iter: 2, count: 1}, nil)); err != nil {
+	if _, err := conn.Write(appendFrame(nil, frameHeader{kind: frameToken, from: 8, iter: 2}, nil)); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -692,7 +697,7 @@ func TestStressConcurrentKinds(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if err := tx.Send(1, Message{Kind: KindToken, Iter: i, Count: 1}); err != nil {
+				if err := tx.Send(1, Message{Kind: KindToken, Iter: i}); err != nil {
 					t.Error(err)
 					return
 				}

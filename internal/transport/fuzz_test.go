@@ -30,7 +30,7 @@ func fuzzSeedFrames() [][]byte {
 	add := func(b []byte) { seeds = append(seeds, b) }
 
 	add(appendFrame(nil, frameHeader{kind: frameAck, from: 2, iter: 11}, nil))
-	add(appendFrame(nil, frameHeader{kind: frameToken, from: 1, iter: 3, count: 5}, nil))
+	add(appendFrame(nil, frameHeader{kind: frameToken, from: 1, iter: 3}, nil))
 	add(appendFrame(nil, frameHeader{kind: frameHeartbeat, from: 4}, nil))
 	add(appendFrame(nil, frameHeader{kind: frameGoodbye, from: 0}, nil))
 	upd := appendFrame(nil, frameHeader{

@@ -224,7 +224,7 @@ func (l *fakeLink) recv(t *testing.T, n int) []Message {
 func (l *fakeLink) blockWriter(t *testing.T) {
 	t.Helper()
 	l.conn.hold()
-	if err := l.tx.Send(1, Message{Kind: KindToken, Iter: -1, Count: 1}); err != nil {
+	if err := l.tx.Send(1, Message{Kind: KindToken, Iter: -1}); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -249,7 +249,7 @@ func TestOutboxCoalescesIntoOneWrite(t *testing.T) {
 	l := linkFake(t, Config{})
 	l.blockWriter(t)
 	for _, m := range []Message{
-		{Kind: KindToken, Iter: 4, Count: 2},
+		{Kind: KindToken, Iter: 4},
 		{Kind: KindAck, Iter: 3},
 		{Kind: KindUpdate, Iter: 4, Params: []float64{1, 2, 3}},
 	} {
@@ -263,7 +263,7 @@ func TestOutboxCoalescesIntoOneWrite(t *testing.T) {
 	l.conn.release()
 	got := l.recv(t, 4)
 	wantKinds(t, got, KindToken, KindToken, KindAck, KindUpdate)
-	if got[1].Iter != 4 || got[1].Count != 2 || got[2].Iter != 3 || got[3].Iter != 4 || len(got[3].Params) != 3 {
+	if got[1].Iter != 4 || got[2].Iter != 3 || got[3].Iter != 4 || len(got[3].Params) != 3 {
 		t.Fatalf("fields garbled: %v", got)
 	}
 	l.tx.Flush()
@@ -278,7 +278,7 @@ func TestOutboxCoalescesIntoOneWrite(t *testing.T) {
 // last-iteration cases.
 func TestOutboxLoneTokenLeavesAtOnce(t *testing.T) {
 	l := linkFake(t, Config{})
-	if err := l.tx.Send(1, Message{Kind: KindToken, Iter: 9, Count: 1}); err != nil {
+	if err := l.tx.Send(1, Message{Kind: KindToken, Iter: 9}); err != nil {
 		t.Fatal(err)
 	}
 	got := l.recv(t, 1)
@@ -331,7 +331,7 @@ func TestOutboxTokenInterleavesBetweenChunks(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("writer never reached the socket")
 	}
-	if err := l.tx.Send(1, Message{Kind: KindToken, Iter: 3, Count: 1}); err != nil {
+	if err := l.tx.Send(1, Message{Kind: KindToken, Iter: 3}); err != nil {
 		t.Fatal(err)
 	}
 	l.conn.release()
@@ -369,7 +369,7 @@ func TestOutboxTokenInterleavesBetweenChunks(t *testing.T) {
 func TestOutboxCloseDrainsBeforeGoodbye(t *testing.T) {
 	l := linkFake(t, Config{})
 	l.blockWriter(t)
-	if err := l.tx.Send(1, Message{Kind: KindToken, Iter: 7, Count: 1}); err != nil {
+	if err := l.tx.Send(1, Message{Kind: KindToken, Iter: 7}); err != nil {
 		t.Fatal(err)
 	}
 	closed := make(chan struct{})
@@ -523,7 +523,7 @@ func TestOutboxSteadyStateAllocatesNothing(t *testing.T) {
 				params[i] += float64((i*7+iter*13)%31-15) * 1e-3
 			}
 			for _, id := range to {
-				if err := from.Send(id, Message{Kind: kind, Iter: iter, Count: 1, Params: params}); err != nil {
+				if err := from.Send(id, Message{Kind: kind, Iter: iter, Params: params}); err != nil {
 					t.Fatal(err)
 				}
 			}

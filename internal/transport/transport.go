@@ -52,8 +52,8 @@ const (
 	// KindUpdate carries model parameters tagged (Iter, From) — the
 	// update-queue entries of §4.1.
 	KindUpdate Kind = iota
-	// KindToken grants Count tokens from the sender's token queue
-	// toward the receiver (§4.2, receiver-side counting).
+	// KindToken is a token grant (§4.2): Iter is the iteration the
+	// sender entered, which the receiver's token gate reads.
 	KindToken
 	// KindAck acknowledges consumption of the receiver's iteration
 	// Iter update (NOTIFY-ACK, §3.3).
@@ -82,11 +82,11 @@ func (k Kind) String() string {
 // Message is the single wire type: a tagged union discriminated by
 // Kind. Field validity per kind —
 //
-//	Kind           From  Iter  Count  Params  Codec
-//	KindUpdate      ✓     ✓     –      ✓      ✓ (set on receive)
-//	KindToken       ✓     ✓     ✓      –      –
-//	KindAck         ✓     ✓     –      –      –
-//	KindHeartbeat   ✓     –     –      –      –
+//	Kind           From  Iter  Params
+//	KindUpdate      ✓     ✓     ✓
+//	KindToken       ✓     ✓     –
+//	KindAck         ✓     ✓     –
+//	KindHeartbeat   ✓     –     –
 //
 // From is always stamped by Send with the sending node's id; fields
 // marked – are zero and ignored for that kind.
@@ -94,7 +94,6 @@ type Message struct {
 	Kind   Kind
 	From   int
 	Iter   int
-	Count  int
 	Params []float64
 }
 
@@ -105,7 +104,7 @@ func (m Message) String() string {
 	case KindUpdate:
 		return fmt.Sprintf("update{from:%d iter:%d dim:%d}", m.From, m.Iter, len(m.Params))
 	case KindToken:
-		return fmt.Sprintf("token{from:%d iter:%d count:%d}", m.From, m.Iter, m.Count)
+		return fmt.Sprintf("token{from:%d iter:%d}", m.From, m.Iter)
 	case KindAck:
 		return fmt.Sprintf("ack{from:%d iter:%d}", m.From, m.Iter)
 	case KindHeartbeat:
@@ -473,7 +472,7 @@ func (n *Node) readConn(conn net.Conn) (int, error) {
 				Params: params,
 			})
 		case frameToken:
-			n.handler(Message{Kind: KindToken, From: int(h.from), Iter: int(h.iter), Count: int(h.count)})
+			n.handler(Message{Kind: KindToken, From: int(h.from), Iter: int(h.iter)})
 		case frameAck:
 			n.handler(Message{Kind: KindAck, From: int(h.from), Iter: int(h.iter)})
 		case frameHeartbeat:
@@ -739,7 +738,7 @@ func (n *Node) Send(id int, m Message) error {
 		case KindUpdate:
 			err = n.sendUpdate(p, m)
 		case KindToken:
-			err = p.enqueue(frameHeader{kind: frameToken, from: uint32(n.id), iter: int32(m.Iter), count: int32(m.Count)}, true)
+			err = p.enqueue(frameHeader{kind: frameToken, from: uint32(n.id), iter: int32(m.Iter)}, true)
 		case KindAck:
 			err = p.enqueue(frameHeader{kind: frameAck, from: uint32(n.id), iter: int32(m.Iter)}, true)
 		default:

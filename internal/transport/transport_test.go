@@ -82,7 +82,7 @@ func TestOrderedDeliveryPerPeer(t *testing.T) {
 	}
 	const n = 200
 	for i := 0; i < n; i++ {
-		if err := tx.Send(1, Message{Kind: KindToken, Iter: i, Count: 1}); err != nil {
+		if err := tx.Send(1, Message{Kind: KindToken, Iter: i}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -273,7 +273,7 @@ func TestConcurrentKindsToTwoPeers(t *testing.T) {
 				var err error
 				switch i % 3 {
 				case 0:
-					err = tx.Send(dst, Message{Kind: KindToken, Iter: i, Count: 1})
+					err = tx.Send(dst, Message{Kind: KindToken, Iter: i})
 				case 1:
 					err = tx.Send(dst, Message{Kind: KindAck, Iter: i})
 				default:
@@ -370,7 +370,7 @@ func TestCloseSendsKeepsReceiving(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if err := a.Send(1, Message{Kind: KindToken, Iter: i, Count: 1}); err != nil {
+		if err := a.Send(1, Message{Kind: KindToken, Iter: i}); err != nil {
 			t.Fatal(err)
 		}
 	}
