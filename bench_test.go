@@ -408,7 +408,7 @@ func benchCompressor(b *testing.B, spec string) {
 	// allocs/op is gated by CI.
 	runtime.GC()
 	dst := comp.Compress(nil, params)
-	if c, ok := comp.(compress.StreamCommitter); ok {
+	if c, ok := comp.(*compress.DeltaEncoder); ok {
 		// TopK is a delta stream: with its dense warm start committed,
 		// every timed frame is a sparse delta against it (never
 		// committed, so each op encodes the same one).
@@ -448,7 +448,7 @@ func benchDecode(b *testing.B, spec string, n int) {
 	params := wireParams(n)
 	payload := comp.Compress(nil, params)
 	decode := func(dst []float64) ([]float64, error) { return compress.DecodeInto(dst, comp.Kind(), payload) }
-	if c, ok := comp.(compress.StreamCommitter); ok {
+	if c, ok := comp.(*compress.DeltaEncoder); ok {
 		// A TopK frame is a delta: the decoder takes the dense warm
 		// start, then the timed op folds one sparse frame.
 		c.Commit()
@@ -586,7 +586,7 @@ func TestWireCompressionBeatsGob(t *testing.T) {
 	}
 	enc := sp.New()
 	enc.Compress(nil, params)
-	enc.(compress.StreamCommitter).Commit()
+	enc.(*compress.DeltaEncoder).Commit()
 	if ratio := float64(gobBytes) / float64(len(enc.Compress(nil, params))); ratio < 4 {
 		t.Fatalf("float32+topk(10%%) only %.2fx smaller than gob (want >=4x)", ratio)
 	} else {

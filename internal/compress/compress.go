@@ -66,7 +66,7 @@ func Supported(k Kind) bool {
 
 // Compressor encodes dense update vectors into wire payloads. None and
 // Float32 are stateless and safe for concurrent use. TopK's is a
-// StreamCompressor: a user of the wire takes one stream per connection
+// *DeltaEncoder: a user of the wire takes one stream per connection
 // from NewStream and serializes its Compress calls.
 type Compressor interface {
 	// Kind is the byte written into every frame header so the

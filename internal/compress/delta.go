@@ -32,27 +32,12 @@ import (
 	"math"
 )
 
-// StreamCompressor is implemented by codecs whose encoding is stateful
-// per connection. The transport calls NewStream once per dialed peer
-// and must serialize Compress calls on the returned instance; stateless
-// codecs are shared as-is.
-type StreamCompressor interface {
-	Compressor
-	// NewStream returns a fresh, independent per-connection encoder.
-	NewStream() Compressor
-}
-
-// StreamCommitter is implemented by stream encoders whose Compress
-// only *stages* a frame. The caller must invoke Commit once the frame
-// has actually been handed to the reliable stream (all chunks
-// written); a failed send is simply never committed, so the encoder
-// re-sends the same mass later instead of desyncing from a receiver
-// that saw nothing.
-type StreamCommitter interface {
-	Commit()
-}
-
-// DeltaEncoder is the sender half of a TopK delta stream.
+// DeltaEncoder is the sender half of a TopK delta stream. Its Compress
+// only *stages* a frame: the caller invokes Commit once the frame has
+// actually been handed to the reliable stream (all chunks written), and
+// a failed send is simply never committed, so the encoder re-sends the
+// same mass later instead of desyncing from a receiver that saw
+// nothing.
 type DeltaEncoder struct {
 	ratio float64 // the keep fraction, in [MinTopKRatio, 1]
 	// ref replicates the receiver's reconstruction (bit-for-bit: both
@@ -80,9 +65,9 @@ func NewDeltaEncoder(ratio float64) *DeltaEncoder {
 	return &DeltaEncoder{ratio: ratio}
 }
 
-// NewStream makes the encoder a StreamCompressor: a fresh stream at the
-// same keep ratio, sharing no state with this one.
-func (e *DeltaEncoder) NewStream() Compressor { return &DeltaEncoder{ratio: e.ratio} }
+// NewStream returns a fresh stream at the same keep ratio, sharing no
+// state with this one: the transport takes one per dialed peer.
+func (e *DeltaEncoder) NewStream() *DeltaEncoder { return &DeltaEncoder{ratio: e.ratio} }
 
 // keepCount returns how many coordinates of an n-vector a sparse frame
 // carries: ceil(ratio·n), floored at 1 for non-empty input.
@@ -143,15 +128,6 @@ func (e *DeltaEncoder) StageShared(payload []byte, n int) {
 	e.delta = e.delta[:n] // Commit reads the staged dimension from delta
 	e.pendingRekey = len(e.ref) != n
 	e.pending = payload
-}
-
-// SharedStager is implemented by stream encoders that can adopt a
-// frame produced by a bit-identical sibling stream instead of
-// re-encoding it (see DeltaEncoder.StageShared). The transport uses it
-// to encode one update payload once per node rather than once per
-// peer whose stream state matches.
-type SharedStager interface {
-	StageShared(payload []byte, n int)
 }
 
 // Commit advances the replica by the float32-rounded sparse vector the

@@ -134,28 +134,17 @@ func (p *Protocol) groupQuorum() int {
 	return live
 }
 
-// groupUpdates keeps one update per group member — first arrival wins,
-// so a duplicated delivery can never skew the mean — and records every
-// member absent from the reduce (quorum proceeded without it, or it is
-// dead) as a group exclusion. It compacts ups in place.
-func (p *Protocol) groupUpdates(ups []Update, k int) []Update {
-	kept := ups[:0]
-	for _, u := range ups {
-		if !hasSender(kept, u.From) {
-			kept = append(kept, u)
-		} else {
-			p.rt.RecycleParams(u.Params)
-		}
-	}
+// noteGroupExclusions records every member absent from the reduce ups
+// (quorum proceeded without it, or it is dead) as a group exclusion.
+func (p *Protocol) noteGroupExclusions(ups []Update, k int) {
 	for _, j := range p.group {
-		if j != p.id && !hasSender(kept, j) {
+		if j != p.id && !hasSender(ups, j) {
 			p.mon.Lock()
 			p.stats.GroupExcluded++
 			p.mon.Unlock()
 			p.note(TraceEvent{Kind: TraceGroupSkip, Iter: k, From: j})
 		}
 	}
-	return kept
 }
 
 func hasSender(ups []Update, from int) bool {

@@ -139,9 +139,10 @@ func praguePeer(t *testing.T, mon Monitor, k, quorum int) (*Protocol, *Trace, []
 }
 
 // TestPragueReduceCountsEachMemberOnce: the group reduce averages one
-// update per member — first arrival wins, so a duplicated delivery
-// cannot skew the mean — and records every member it went without as
-// an exclusion.
+// update per member — the queue keeps the first arrival and drops a
+// duplicated delivery, which can then neither skew the mean nor close
+// the quorum — and records every member it went without as an
+// exclusion.
 func TestPragueReduceCountsEachMemberOnce(t *testing.T) {
 	const k = 3
 	p, tr, others := praguePeer(t, NewSyncMonitor(), k, 2)

@@ -626,7 +626,7 @@ func (p *Protocol) recvReduceInto(dst []float64, k int, self []float64) {
 	}
 	ups := p.recv(k, own)
 	if p.group != nil {
-		ups = p.groupUpdates(ups, k)
+		p.noteGroupExclusions(ups, k)
 	}
 	p.meanInto(dst, self, ups)
 	p.recycleUpdates(ups)

@@ -49,10 +49,20 @@ func NewUpdateQueue(mon Monitor, capacity int) *UpdateQueue {
 
 // Enqueue pushes an update (the q.enqueue(update, iter, w_id) of
 // §4.1). Callers may invoke it from any process/goroutine; it wakes
-// blocked dequeuers.
+// blocked dequeuers. An update whose (From, Iter, Reply) is already
+// queued is a duplicated delivery — a chaos duplicate, a resend — and
+// is dropped, its buffer recycled, so a reduce counts each sender once.
 func (q *UpdateQueue) Enqueue(u Update) {
 	q.mon.Lock()
 	defer q.mon.Unlock()
+	for _, v := range q.q {
+		if v.From == u.From && v.Iter == u.Iter && v.Reply == u.Reply {
+			if q.recycle != nil {
+				q.recycle(u.Params)
+			}
+			return
+		}
+	}
 	q.q = append(q.q, u)
 	q.highWater = max(q.highWater, len(q.q))
 	q.cond.Broadcast()

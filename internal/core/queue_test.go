@@ -137,6 +137,34 @@ func TestHasIterFromMatchesExactTag(t *testing.T) {
 	}
 }
 
+// A duplicated delivery — a chaos duplicate, a resend after a redial —
+// is dropped at the queue with its buffer recycled, so a reduce counts
+// each sender once: two updates from one sender would fill a quorum or
+// a backup reduce's slot a missing peer should hold, and weigh that
+// sender twice in the mean. A different Reply flag or iteration is a
+// different update.
+func TestEnqueueDropsDuplicateTag(t *testing.T) {
+	q := NewUpdateQueue(NewSyncMonitor(), 4)
+	var recycled [][]float64
+	q.recycle = func(v []float64) { recycled = append(recycled, v) }
+	dup := []float64{9}
+	q.Enqueue(upd(3, 1, 1))
+	q.Enqueue(Update{Params: dup, Iter: 3, From: 1})
+	q.Enqueue(Update{Params: []float64{2}, Iter: 3, From: 1, Reply: true})
+	q.Enqueue(upd(4, 1, 3))
+	q.Enqueue(upd(3, 2, 4))
+	if len(recycled) != 1 || &recycled[0][0] != &dup[0] {
+		t.Fatalf("recycled %v, want only the duplicate's buffer", recycled)
+	}
+	got := q.DequeueIterAtLeast(3, 3)
+	if len(got) != 3 || got[0].Params[0] != 1 || !got[1].Reply || got[2].From != 2 {
+		t.Fatalf("iteration 3 reduces %v, want the first arrival from 1, its reply and 2's", got)
+	}
+	if q.Size() != 1 {
+		t.Fatalf("%d entries left, want iteration 4's", q.Size())
+	}
+}
+
 func TestHighWaterTracking(t *testing.T) {
 	q := NewUpdateQueue(NewSyncMonitor(), 2)
 	for i := 0; i < 5; i++ {

@@ -8,22 +8,28 @@ import (
 	"hop/internal/graph"
 )
 
-// Property: over any random operation sequence, update-queue
-// accounting is conserved — entries enqueued equal entries dequeued
-// plus stale-discarded plus still-queued.
+// Property: over any random operation sequence of distinct tags,
+// update-queue accounting is conserved — entries enqueued equal entries
+// dequeued plus stale-discarded plus still-queued. (A repeated tag is a
+// duplicate the queue drops: TestEnqueueDropsDuplicateTag.)
 func TestPropertyUpdateQueueConservation(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		q := NewUpdateQueue(NewSyncMonitor(), 1+rng.Intn(5))
 		enq, deq := 0, 0
 		maxIter := 0
+		seen := map[[2]int]bool{}
 		for op := 0; op < 200; op++ {
 			if rng.Intn(2) == 0 {
-				iter := rng.Intn(8)
+				iter, from := rng.Intn(8), rng.Intn(4)
+				if seen[[2]int{iter, from}] {
+					continue
+				}
+				seen[[2]int{iter, from}] = true
 				if iter > maxIter {
 					maxIter = iter
 				}
-				q.Enqueue(Update{Params: []float64{1}, Iter: iter, From: rng.Intn(4)})
+				q.Enqueue(Update{Params: []float64{1}, Iter: iter, From: from})
 				enq++
 			} else {
 				iter := rng.Intn(8)
@@ -48,16 +54,21 @@ func TestPropertyUpdateQueueConservation(t *testing.T) {
 }
 
 // Property: DrainFrom returns exactly the entries of that sender and
-// leaves everything else.
+// leaves everything else, over distinct tags.
 func TestPropertyDrainFromPartition(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		q := NewUpdateQueue(NewSyncMonitor(), 3)
 		perSender := map[int]int{}
 		total := 0
+		seen := map[[2]int]bool{}
 		for i := 0; i < 100; i++ {
-			from := rng.Intn(5)
-			q.Enqueue(Update{Params: []float64{1}, Iter: rng.Intn(6), From: from})
+			iter, from := rng.Intn(6), rng.Intn(5)
+			if seen[[2]int{iter, from}] {
+				continue
+			}
+			seen[[2]int{iter, from}] = true
+			q.Enqueue(Update{Params: []float64{1}, Iter: iter, From: from})
 			perSender[from]++
 			total++
 		}

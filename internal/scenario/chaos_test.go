@@ -47,6 +47,10 @@ func TestNetFaultValidation(t *testing.T) {
 		{"drop with backup alone", Protocol{Backup: 1}, "", &chaos.Config{Drop: 0.1}, false},
 		{"drop with backup and token queues", Protocol{MaxIG: 4, Backup: 1}, "", &chaos.Config{Drop: 0.1}, false},
 		{"loss under notify-ack", Protocol{Mode: "notify-ack", Staleness: 5}, "", &chaos.Config{Drop: 0.1}, false},
+		{"loss under prague", Protocol{Mode: "prague", GroupSize: 2}, "", &chaos.Config{Drop: 0.1}, false},
+		// The queue drops a duplicated update, so a duplicate cannot
+		// stand in for a missing quorum member.
+		{"duplicate and reorder under prague", Protocol{Mode: "prague", GroupSize: 2}, "", &chaos.Config{Duplicate: 0.2, Reorder: 0.2}, true},
 		{"loss with token queues", Protocol{MaxIG: 4, Staleness: 5}, "", &chaos.Config{Drop: 0.1}, false},
 		{"partition window exceeds staleness", Protocol{Staleness: 3}, "", &chaos.Config{Partitions: []chaos.Partition{{A: 0, B: 1, FromIter: 2, ToIter: 6}}}, false},
 		{"partition window within staleness", Protocol{Staleness: 5}, "", &chaos.Config{Partitions: []chaos.Partition{{A: 0, B: 1, FromIter: 2, ToIter: 6}}}, true},
@@ -71,8 +75,8 @@ func TestNetFaultValidation(t *testing.T) {
 
 // TestNetFaultRejectionsObserved runs each rule of validateNetFault
 // past the check, on the simulator, and pins what it prevents: a
-// deadlocked run, or — for the two rules that guard something the
-// simulator does not model as a wedge — a completed one.
+// deadlocked run, or — for the token rule, which guards a live token
+// frame the simulator does not model — a completed one.
 func TestNetFaultRejectionsObserved(t *testing.T) {
 	const workers, iters = 4, 40
 	part := func(from, to int) []chaos.Partition {
@@ -93,9 +97,6 @@ func TestNetFaultRejectionsObserved(t *testing.T) {
 		// Token grants never cross the simulated fabric, so only the
 		// live token frame can be lost: the rule guards live runs.
 		{"token queues with drop", Protocol{MaxIG: 4, Staleness: 5}, chaos.Config{Drop: 0.1}, false},
-		// A duplicate can stand in for a missing quorum member; that
-		// changes what a reduce means, and wedges nothing.
-		{"prague with duplicate", Protocol{Mode: "prague", GroupSize: 2}, chaos.Config{Duplicate: 0.3}, false},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -139,6 +140,44 @@ func TestNetFaultRejectionsObserved(t *testing.T) {
 				t.Errorf("%d worker-iterations completed, want %d", done, workers*iters)
 			}
 		})
+	}
+}
+
+// TestPragueDuplicateReorderFinishes: Prague accepts the non-lossy
+// chaos knobs, and every such run finishes on the simulator, with the
+// faults firing. A duplicate is dropped at the receiver's queue, so it
+// can neither close a quorum for a missing member nor be left queued
+// to close a later one.
+func TestPragueDuplicateReorderFinishes(t *testing.T) {
+	nets := []chaos.Config{{Duplicate: 0.2}, {Reorder: 0.2}, {Duplicate: 0.2, Reorder: 0.2}}
+	for _, group := range []int{2, 4} {
+		for _, nf := range nets {
+			for seed := int64(1); seed <= 10; seed++ {
+				nf := nf
+				spec := Spec{
+					Workload: "quadratic",
+					Topology: Topology{Kind: "ring", Workers: 8, Machines: 1},
+					Protocol: Protocol{Mode: "prague", GroupSize: group},
+					Hetero:   Hetero{Kind: "random", Factor: 4},
+					Fault:    &Fault{Net: &nf},
+					MaxIter:  40,
+					Seed:     seed,
+				}
+				opts, err := spec.Resolve()
+				if err != nil {
+					t.Fatalf("group %d %+v seed %d: %v", group, nf, seed, err)
+				}
+				res, err := cluster.Run(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Deadlock != nil {
+					t.Errorf("group %d %+v seed %d: %v", group, nf, seed, res.Deadlock)
+				} else if st := res.Fabric.Stats(); st.NetDuplicated+st.NetReordered == 0 {
+					t.Errorf("group %d %+v seed %d: no fault fired", group, nf, seed)
+				}
+			}
+		}
 	}
 }
 

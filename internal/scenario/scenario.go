@@ -109,10 +109,19 @@ func (t Topology) BuildSeeded(specSeed int64) (*graph.Graph, error) {
 	var g *graph.Graph
 	switch t.Kind {
 	case "", "ring":
+		if n < 2 {
+			return nil, fmt.Errorf("scenario: ring topology needs >= 2 workers, got %d", n)
+		}
 		g = graph.Ring(n)
 	case "ring-based":
+		if n%2 != 0 {
+			return nil, fmt.Errorf("scenario: ring-based topology needs an even worker count, got %d", n)
+		}
 		g = graph.RingBased(n)
 	case "double-ring":
+		if n%4 != 0 {
+			return nil, fmt.Errorf("scenario: double-ring topology needs a worker count divisible by 4, got %d", n)
+		}
 		g = graph.DoubleRing(n)
 	case "complete":
 		g = graph.Complete(n)
@@ -121,6 +130,9 @@ func (t Topology) BuildSeeded(specSeed int64) (*graph.Graph, error) {
 	case "chain":
 		g = graph.Chain(n)
 	case "directed-ring":
+		if n < 2 {
+			return nil, fmt.Errorf("scenario: directed-ring topology needs >= 2 workers, got %d", n)
+		}
 		g = graph.DirectedRing(n)
 	case "hier-ring":
 		// The hierarchical generators assign their own machine-aligned
@@ -273,13 +285,6 @@ type Fault struct {
 // a fault with a protocol. TestNetFaultRejectionsObserved runs each one
 // past this check and pins what happens.
 func validateNetFault(nf *chaos.Config, cfg core.Config, comp compress.Spec) error {
-	if cfg.Mode == core.ModePrague {
-		// Prague's quorum counts queue entries, not distinct members, so
-		// a duplicated frame can stand in for a missing member and close a
-		// reduce the schedule meant to wait for; and with no staleness
-		// bound, a lost update wedges its group.
-		return fmt.Errorf("scenario: fault net chaos cannot run under prague (count-based quorum; no staleness bound to absorb loss)")
-	}
 	for i, p := range nf.Partitions {
 		if cfg.Staleness > 0 && p.ToIter-p.FromIter > cfg.Staleness {
 			// A window longer than the staleness bound lets both sides
@@ -291,8 +296,8 @@ func validateNetFault(nf *chaos.Config, cfg core.Config, comp compress.Spec) err
 	}
 	if nf.Lossy() {
 		// Backup workers would absorb loss too, but they need token
-		// queues, which the next rule refuses; notify-ack refuses
-		// staleness (core).
+		// queues, which the next rule refuses; notify-ack and prague
+		// refuse staleness (core), so a lost update wedges them.
 		if cfg.Staleness <= 0 {
 			return fmt.Errorf("scenario: fault net loss (drop/corrupt/partitions) needs bounded staleness to absorb missing updates")
 		}

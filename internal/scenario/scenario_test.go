@@ -213,6 +213,37 @@ func TestResolveErrors(t *testing.T) {
 	}
 }
 
+// TestBuildSeededNeverPanics: every topology kind at every small
+// worker and machine count either builds a graph that validates or
+// returns an error; a count its generator cannot take (one worker on a
+// ring, an odd ring-based, a double-ring not divisible by 4) is a named
+// error, not a panic.
+func TestBuildSeededNeverPanics(t *testing.T) {
+	kinds := []string{"", "ring", "ring-based", "double-ring", "complete", "star", "chain",
+		"directed-ring", "hier-ring", "hier-allreduce", "expander", "setting1", "setting2", "setting3"}
+	for _, kind := range kinds {
+		for n := 1; n <= 9; n++ {
+			for m := 1; m <= 3; m++ {
+				top := Topology{Kind: kind, Workers: n, Machines: m}
+				func() {
+					defer func() {
+						if r := recover(); r != nil {
+							t.Errorf("%+v: panic: %v", top, r)
+						}
+					}()
+					g, err := top.BuildSeeded(1)
+					if err != nil {
+						return
+					}
+					if err := g.Validate(); err != nil {
+						t.Errorf("%+v: %v", top, err)
+					}
+				}()
+			}
+		}
+	}
+}
+
 // TestValidateRejectsWhatRunRejects: the core protocol constraints hold
 // for every mode at spec validation, with the error Run would return —
 // hopsweep validates every cell up front, so a spec Validate accepts

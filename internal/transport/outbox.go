@@ -9,7 +9,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -43,6 +42,9 @@ var errPeerClosed = errors.New("connection closed")
 type peer struct {
 	conn net.Conn
 	comp compress.Compressor // this connection's encoder
+	// delta is comp when it is a TopK delta stream, this connection's
+	// own; nil for the stateless codecs.
+	delta *compress.DeltaEncoder
 	// lastWrite is the UnixNano timestamp of the last successful socket
 	// write; the heartbeat loop reads it to find idle connections.
 	lastWrite atomic.Int64
@@ -50,7 +52,7 @@ type peer struct {
 
 	// The outbox, guarded by mu. ctl holds whole encoded control frames
 	// in send order and never outgrows its initial capacity; job is the
-	// one update the barrier admits (job.e nil: none staged). busy is
+	// one update the barrier admits (nil: none staged). busy is
 	// set from the moment a sender claims the update slot until the
 	// writer has resolved that update (written and committed, or
 	// failed), so the stream codec's stage → write → commit steps of
@@ -60,7 +62,7 @@ type peer struct {
 	mu         sync.Mutex
 	work, room sync.Cond
 	ctl        []byte
-	job        updateJob
+	job        *encShared
 	busy       bool
 	writing    bool // the writer holds a batch it has not finished with
 	closed     bool // stop was called: no new frames, the writer drains and exits
@@ -81,8 +83,9 @@ type peer struct {
 	// equal hist have byte-identical encoder replicas (same codec spec,
 	// same committed frame sequence from the same snapshots, and the
 	// codec is deterministic), so they can share one encoded payload.
-	// Owned by whoever holds the update slot: the sender that claimed
-	// it until the job is staged, the writer until it is resolved.
+	// Owned, like delta, by whoever holds the update slot: the sender
+	// that claimed it until the job is staged, the writer until it is
+	// resolved.
 	hist uint64
 }
 
@@ -91,10 +94,15 @@ type peer struct {
 // the epoch.
 func newPeer(conn net.Conn, comp compress.Compressor) *peer {
 	p := &peer{
-		conn: conn, comp: perStream(comp), done: make(chan struct{}),
+		conn: conn, comp: comp, done: make(chan struct{}),
 		ctl:   make([]byte, 0, outboxFrames*ctlFrameLen),
 		spare: make([]byte, 0, outboxFrames*ctlFrameLen),
 		iov:   make([][]byte, 0, 4),
+	}
+	if d, ok := comp.(*compress.DeltaEncoder); ok {
+		// The encoder tracks this peer's replica: a stream of its own.
+		p.delta = d.NewStream()
+		p.comp = p.delta
 	}
 	p.work.L, p.room.L = &p.mu, &p.mu
 	p.hist = histSeed(p.comp.Kind())
@@ -102,22 +110,13 @@ func newPeer(conn net.Conn, comp compress.Compressor) *peer {
 	return p
 }
 
-// updateJob is one staged update send; the payload (or, for a stream
-// codec's leader, the snapshot still to encode) travels in e.
-type updateJob struct {
-	e      *encShared
-	leader bool // the writer encodes e before sending (stream codecs)
-}
-
 // encShared is one encoded update payload shared across every peer
 // whose stream state is bit-identical at stage time: same codec
 // (hist seed), same committed frame history (hist), same source
 // update (iter and parameter vector). The first peer staged — the
-// leader — produces the payload: a stateless codec's at stage time, on
-// the sender's goroutine, where the encode doubles as the snapshot of
-// the caller's vector; a stream codec's on the leader's writer, from a
-// snapshot, because its selection pass must stay off the protocol
-// goroutine. Riders adopt the payload byte for byte, which is exactly
+// leader — encodes the payload at stage time, on the sender's
+// goroutine, where the encode doubles as the snapshot of the caller's
+// vector. Riders adopt the payload byte for byte, which is exactly
 // what their encoder would have produced (codec determinism plus
 // induction over the shared history). In a ring this halves encode
 // CPU: one worker encodes once and sends to two neighbors.
@@ -129,59 +128,14 @@ type encShared struct {
 	// rider is matched without reading it (Node.Send's contract).
 	src     *float64
 	n       int
-	params  []float64 // stream codecs only: the snapshot the leader encodes
+	params  []float64 // stream codecs only: the snapshot Resend re-encodes
 	payload []byte
-	ready   latch // fired once payload is valid
 	// refs counts the stage hand-offs plus Node.encCur's matchability
 	// reference; the entry returns to the pool at zero.
 	refs atomic.Int32
 }
 
-var encSharedPool = sync.Pool{New: func() any {
-	e := new(encShared)
-	e.ready.cond.L = &e.ready.mu
-	return e
-}}
-
-// latch is a one-shot event that can be armed again, so it lives in
-// the pooled entry where a channel would have to be made per update.
-// Arming is the stager's alone, before the entry is visible to anyone
-// else; whoever waits holds a reference to the entry, so no waiter is
-// left when it returns to the pool.
-type latch struct {
-	mu    sync.Mutex
-	cond  sync.Cond
-	fired bool
-}
-
-// arm resets the latch: already fired (encodedAtStage, a stateless
-// codec's entry) or to be fired by the leader's writer.
-func (l *latch) arm(encodedAtStage bool) {
-	l.mu.Lock()
-	l.fired = encodedAtStage
-	l.mu.Unlock()
-}
-
-func (l *latch) fire() {
-	l.mu.Lock()
-	l.fired = true
-	l.mu.Unlock()
-	l.cond.Broadcast()
-}
-
-func (l *latch) hasFired() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.fired
-}
-
-func (l *latch) wait() {
-	l.mu.Lock()
-	for !l.fired {
-		l.cond.Wait()
-	}
-	l.mu.Unlock()
-}
+var encSharedPool = sync.Pool{New: func() any { return new(encShared) }}
 
 func releaseEncShared(e *encShared) {
 	if e.refs.Add(-1) == 0 {
@@ -191,25 +145,9 @@ func releaseEncShared(e *encShared) {
 }
 
 // carries reports whether the entry was staged from params: the same
-// backing array and length, or — for a stream codec's snapshot — the
-// same bits (Float64bits, so NaNs only match themselves and -0 ≠ +0:
-// the encoder is a function of the bits).
+// backing array and length.
 func (e *encShared) carries(params []float64) bool {
-	if len(params) != e.n {
-		return false
-	}
-	if e.n == 0 || &params[0] == e.src {
-		return true
-	}
-	if len(e.params) != e.n {
-		return false
-	}
-	for i, v := range e.params {
-		if math.Float64bits(v) != math.Float64bits(params[i]) {
-			return false
-		}
-	}
-	return true
+	return len(params) == e.n && (e.n == 0 || &params[0] == e.src)
 }
 
 // histSeed is the FNV-1a offset basis mixed with the connection's
@@ -261,47 +199,48 @@ func (n *Node) sendUpdate(p *peer, m Message) error {
 	// Staged outside the outbox lock: tokens and ACKs for this peer
 	// keep flowing while the vector is encoded. The writer does not
 	// exit while the slot is claimed, so the job is always resolved.
-	job := n.stageUpdate(p, m)
+	e := n.stageUpdate(p, m)
 	p.mu.Lock()
-	p.job = job
+	p.job = e
 	p.mu.Unlock()
 	p.work.Signal()
 	return nil
 }
 
-// stageUpdate returns the job for m: a ride on the newest shared-encode
-// entry when it is for the same update and the peer's stream
-// fingerprint equals the leader's at stage time — the condition under
-// which the leader's bytes are provably this peer's bytes — or a new
-// entry this peer leads. The caller holds p's update slot (hist
-// quiescent).
-func (n *Node) stageUpdate(p *peer, m Message) updateJob {
+// stageUpdate stages m on p's stream and returns the shared-encode
+// entry it travels in: the newest entry when it is for the same update
+// and p's stream fingerprint equals the leader's at stage time — the
+// condition under which the leader's bytes are provably p's bytes — or
+// a new entry p leads, encoded here. The caller holds p's update slot
+// (hist and delta quiescent); encMu serializes its two callers, the
+// sender and Resend.
+func (n *Node) stageUpdate(p *peer, m Message) *encShared {
 	n.encMu.Lock()
 	defer n.encMu.Unlock()
 	if e := n.encCur; e != nil && e.iter == m.Iter && e.hist == p.hist && e.carries(m.Params) {
+		if p.delta != nil {
+			p.delta.StageShared(e.payload, e.n)
+		}
 		e.refs.Add(1)
-		return updateJob{e: e}
+		return e
 	}
 	e := encSharedPool.Get().(*encShared)
 	e.iter, e.hist, e.kind, e.n, e.src = m.Iter, p.hist, p.comp.Kind(), len(m.Params), nil
 	if len(m.Params) > 0 {
 		e.src = &m.Params[0]
 	}
-	_, stream := p.comp.(compress.StreamCommitter)
-	if stream {
-		e.params = append(e.params[:0], m.Params...)
-	} else {
-		// One pass: the encode is the snapshot.
-		e.params = e.params[:0]
-		e.payload = p.comp.Compress(e.payload[:0], m.Params)
+	e.params = e.params[:0]
+	if p.delta != nil {
+		// A delta frame decodes only against this stream's replica.
+		e.params = append(e.params, m.Params...)
 	}
-	e.ready.arm(!stream)
+	e.payload = p.comp.Compress(e.payload[:0], m.Params)
 	e.refs.Store(2) // this stage + encCur's matchability reference
 	if old := n.encCur; old != nil {
 		releaseEncShared(old)
 	}
 	n.encCur = e
-	return updateJob{e: e, leader: stream}
+	return e
 }
 
 // Resend queues the update this node staged last — for whichever peer —
@@ -348,15 +287,15 @@ func (n *Node) writeLoop(p *peer, id int) {
 	defer close(p.done)
 	defer p.conn.Close()
 	for {
-		ctl, job := p.take(true)
-		if len(ctl) == 0 && job.e == nil {
+		ctl, e := p.take(true)
+		if len(ctl) == 0 && e == nil {
 			break // stopped and drained
 		}
 		var err error
-		if job.e == nil {
+		if e == nil {
 			err = n.flush(p, id, ctl, nil, false)
 		} else {
-			err = n.writeUpdate(p, id, job, ctl)
+			err = n.writeUpdate(p, id, e, ctl)
 			p.mu.Lock()
 			p.busy = false
 			p.mu.Unlock()
@@ -384,16 +323,16 @@ func (n *Node) writeLoop(p *peer, id int) {
 // calls before each further chunk of an update. Either way senders get
 // the other, empty half of the control double buffer: the writer is
 // done with the half it got last time.
-func (p *peer) take(wait bool) (ctl []byte, job updateJob) {
+func (p *peer) take(wait bool) (ctl []byte, job *encShared) {
 	p.mu.Lock()
 	if wait {
 		p.writing = false
-		for len(p.ctl) == 0 && p.job.e == nil && !(p.closed && !p.busy) {
+		for len(p.ctl) == 0 && p.job == nil && !(p.closed && !p.busy) {
 			p.room.Broadcast() // idle: what Flush waits for
 			p.work.Wait()
 		}
-		job, p.job = p.job, updateJob{}
-		p.writing = len(p.ctl) > 0 || job.e != nil
+		job, p.job = p.job, nil
+		p.writing = len(p.ctl) > 0 || job != nil
 	}
 	p.closing = p.closed
 	ctl = p.ctl
@@ -406,7 +345,7 @@ func (p *peer) take(wait bool) (ctl []byte, job updateJob) {
 // idle reports whether everything queued has left the outbox and the
 // writer. Called under mu.
 func (p *peer) idle() bool {
-	return len(p.ctl) == 0 && p.job.e == nil && !p.busy && !p.writing
+	return len(p.ctl) == 0 && p.job == nil && !p.busy && !p.writing
 }
 
 // stop closes the outbox: later sends fail, the writer drains what is
@@ -421,36 +360,12 @@ func (p *peer) stop(goodbye bool) {
 	p.conn.SetWriteDeadline(time.Now().Add(closeDrainTimeout))
 }
 
-// writeUpdate realizes one staged update: a stream codec's leader
-// encodes the entry's snapshot and publishes the payload; a rider
-// adopts the published payload into its own stream encoder verbatim
-// (compress.SharedStager). The payload then leaves as chunked frames,
-// the first one in the same write as ctl and every later one behind
-// whatever control frames were queued meanwhile. Stream-codec state —
-// and the stream fingerprint — advance only after every chunk is on
-// the wire.
-func (n *Node) writeUpdate(p *peer, id int, job updateJob, ctl []byte) error {
-	e := job.e
+// writeUpdate writes one staged update as chunked frames, the first
+// one in the same write as ctl and every later one behind whatever
+// control frames were queued meanwhile. Stream-codec state — and the
+// stream fingerprint — advance only after every chunk is on the wire.
+func (n *Node) writeUpdate(p *peer, id int, e *encShared, ctl []byte) error {
 	defer releaseEncShared(e)
-	if job.leader {
-		// Published before any socket write of this update, so a wedged
-		// connection here does not hold the riders' payload back.
-		e.payload = p.comp.Compress(e.payload[:0], e.params)
-		e.ready.fire()
-	} else {
-		if !e.ready.hasFired() {
-			// The leader is still encoding: this peer's control frames
-			// do not wait for it.
-			if err := n.flush(p, id, ctl, nil, false); err != nil {
-				return err
-			}
-			e.ready.wait()
-			ctl, _ = p.take(false)
-		}
-		if s, ok := p.comp.(compress.SharedStager); ok {
-			s.StageShared(e.payload, e.n)
-		}
-	}
 	payload := e.payload
 	chunks := (len(payload) + maxChunk - 1) / maxChunk
 	if chunks < 1 {
@@ -488,8 +403,8 @@ func (n *Node) writeUpdate(p *peer, id int, job updateJob, ctl []byte) error {
 	// next time instead of desyncing from a receiver that saw nothing.
 	// Stateless codecs keep their seed fingerprint: their payloads are
 	// pure functions of the params, so history never gates sharing.
-	if c, ok := p.comp.(compress.StreamCommitter); ok {
-		c.Commit()
+	if p.delta != nil {
+		p.delta.Commit()
 		p.hist = histNext(p.hist, e.iter)
 	}
 	atomic.AddInt64(&n.st.UpdatesSent, 1)

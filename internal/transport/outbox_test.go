@@ -167,9 +167,21 @@ type fakeLink struct {
 // every received message is reported on got.
 func linkFake(t *testing.T, txCfg Config) *fakeLink {
 	t.Helper()
-	l := &fakeLink{got: make(chan Message, 4096), down: make(chan error, 1)}
+	tx, err := ListenConfig(0, "127.0.0.1:0", func(Message) {}, txCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(tx.Close)
+	return fakePeer(t, tx, 1)
+}
+
+// fakePeer is linkFake for an existing tx: a new rx node with the given
+// id, reached over its own fake connection.
+func fakePeer(t *testing.T, tx *Node, id int) *fakeLink {
+	t.Helper()
+	l := &fakeLink{tx: tx, got: make(chan Message, 4096), down: make(chan error, 1)}
 	var err error
-	l.rx, err = Listen(1, "127.0.0.1:0", func(m Message) {
+	l.rx, err = Listen(id, "127.0.0.1:0", func(m Message) {
 		if m.Kind == KindUpdate {
 			m.Params = append([]float64(nil), m.Params...)
 		}
@@ -179,26 +191,21 @@ func linkFake(t *testing.T, txCfg Config) *fakeLink {
 		t.Fatal(err)
 	}
 	t.Cleanup(l.rx.Close)
-	l.tx, err = ListenConfig(0, "127.0.0.1:0", func(Message) {}, txCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(l.tx.Close)
 	dial, accept := fakePair()
 	l.conn = dial
 	go func() {
 		sender, err := l.rx.readConn(accept)
-		if err == nil && sender != 0 {
+		if err == nil && sender != tx.id {
 			err = errors.New("connection pinned to the wrong sender")
 		}
 		l.down <- err
 	}()
-	if err := l.tx.handshake(dial, time.Now().Add(time.Second)); err != nil {
+	if err := tx.handshake(dial, time.Now().Add(time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	l.tx.mu.Lock()
-	l.tx.adopt(1, dial)
-	l.tx.mu.Unlock()
+	tx.mu.Lock()
+	tx.adopt(id, dial)
+	tx.mu.Unlock()
 	return l
 }
 
@@ -452,6 +459,45 @@ func TestOutboxFailedWriteIsNeverCommitted(t *testing.T) {
 	}
 }
 
+// Two TopK peers of one node share an encode only while their streams
+// are identical (§9.2): once a failed write leaves one peer's frame
+// uncommitted, its sibling's next frame is a different delta, and a
+// shared payload would leave that sibling's receiver off by the lost
+// frame for good. Both receivers end on the sender's vector bit for
+// bit.
+func TestOutboxDivergedSiblingsStopSharing(t *testing.T) {
+	tx, err := ListenConfig(0, "127.0.0.1:0", func(Message) {}, Config{Compressor: compress.NewDeltaEncoder(0.25)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(tx.Close)
+	links := []*fakeLink{fakePeer(t, tx, 1), fakePeer(t, tx, 2)}
+	x := make([]float64, 8)
+	send := func(iter int) {
+		t.Helper()
+		for id := 1; id <= 2; id++ {
+			if err := tx.Send(id, Message{Kind: KindUpdate, Iter: iter, Params: x}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tx.Flush()
+	}
+	send(0) // dense warm start, shared
+	x[1], x[6] = 5, -7
+	links[0].conn.failNext.Store(1)
+	send(1) // shared, lost on the way to peer 1 only
+	x[3] = 2
+	for iter := 2; iter < 6; iter++ {
+		send(iter)
+	}
+	for i, l := range links {
+		got := l.recv(t, 5+i) // peer 1 never saw iteration 1
+		if last := got[len(got)-1]; last.Iter != 5 || !slices.Equal(last.Params, x) {
+			t.Errorf("receiver %d ends on %v %v, sender holds %v", i+1, last, last.Params, x)
+		}
+	}
+}
+
 // (f) A full outbox blocks its producer until the writer drains it,
 // and loses nothing.
 func TestOutboxFullBlocksProducer(t *testing.T) {
@@ -485,8 +531,7 @@ func TestOutboxFullBlocksProducer(t *testing.T) {
 // peer's handler, and an uncompressed update likewise, both ways
 // through the outbox, the vectored write and the in-place reader — and
 // a topk:0.1 update to two sibling peers, one stream leading the encode
-// and the other riding it (§9.2), through the pooled shared entry and
-// its ready latch.
+// and the other riding it (§9.2), through the pooled shared entry.
 func TestOutboxSteadyStateAllocatesNothing(t *testing.T) {
 	got := make(chan struct{}, 2)
 	listen := func(id int, cfg Config) *Node {

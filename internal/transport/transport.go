@@ -18,7 +18,10 @@
 // put in the peer's outbox, and each time the writer wakes it drains
 // all of it into a single vectored write: a token grant followed
 // microseconds later by an update leaves as one syscall, and a lone
-// token on an idle connection leaves at once (DESIGN.md §9.1).
+// token on an idle connection leaves at once (DESIGN.md §9.1). The
+// writer only writes: an update is encoded when its send is staged, on
+// the sender's goroutine, once for every peer whose stream state
+// matches (DESIGN.md §9.2).
 //
 // Update payloads larger than 64 KiB (maxChunk) are split across frames
 // tagged with a per-peer sequence number and reassembled on receipt;
@@ -121,8 +124,8 @@ type Handler func(Message)
 // compression, no failure detector.
 type Config struct {
 	// Compressor encodes outgoing update payloads on every dialed
-	// connection, each stream of a StreamCompressor its own; nil means
-	// compress.NewNone(). ListenConfig refuses a Compressor whose Kind
+	// connection, a TopK DeltaEncoder as one stream per connection
+	// (DeltaEncoder.NewStream); nil means compress.NewNone(). ListenConfig refuses a Compressor whose Kind
 	// is not one of compress's codecs.
 	Compressor compress.Compressor
 	// OnPeerDown, when non-nil, is invoked once for every inbound
@@ -699,25 +702,15 @@ func (n *Node) handshake(conn net.Conn, deadline time.Time) error {
 	return nil
 }
 
-// perStream instantiates per-connection encoder state for stateful
-// codecs (the TopK delta stream); stateless codecs are shared as-is.
-// Each dialed peer gets its own instance because the encoder tracks
-// that peer's reconstruction replica.
-func perStream(c compress.Compressor) compress.Compressor {
-	if s, ok := c.(compress.StreamCompressor); ok {
-		return s.NewStream()
-	}
-	return c
-}
-
 // Send queues m (stamped with this node's id) for peer id and returns;
 // the peer's writer puts it on the wire. It is safe for concurrent use
 // and frames to one peer leave in the order their Sends returned,
 // except that control frames overtake an update still being written
-// (between its chunks) or still being encoded. Send blocks only when
+// (between its chunks). Send blocks only when
 // the peer's outbox is full or, for an update, while the previous
-// update to the same peer is unresolved. An update's Params are
-// snapshotted before Send returns.
+// update to the same peer is unresolved. An update is encoded before
+// Send returns, on the caller's goroutine, and its Params are not read
+// after.
 //
 // Updates sent to several peers are encoded once where the streams
 // allow it, and recognised by identity, not content: within one Iter,
