@@ -13,9 +13,10 @@
 //   - TopK: magnitude sparsification, only ever as a *delta stream
 //     with error feedback* (delta.go): each frame carries the k
 //     largest-|·| coordinates of the difference between the state and
-//     a per-connection replica, as (gap varint, float32 value) pairs,
-//     and dropped mass stays in that difference and is re-sent, so the
-//     receiver's DeltaDecoder always reconstructs full dense state.
+//     a per-connection replica, each packed with its index gap into
+//     one word, and dropped mass stays in that difference and is
+//     re-sent, so the receiver's DeltaDecoder always reconstructs full
+//     dense state.
 //
 // The simulator never touches this package: simulated runs model
 // payload *size* only, scaled by scenario.WireRatio (DESIGN.md §4.2).
@@ -311,55 +312,93 @@ func (float32Codec) Compress(dst []byte, src []float64) []byte {
 
 // TopK payload layout (little-endian):
 //
-//	uint32 n   original vector length
-//	uint32 k   number of pairs that follow
-//	k × { gap, float32 value }
+//	uint32 n     original vector length
+//	uint32 k     number of pairs that follow
+//	uint8  base  the frame's base exponent
+//	k × pair
 //
-// A pair's gap is index − previous index − 1 (the first measured from
-// −1) as a minimal LEB128 varint: one byte below 128, so a pair is
-// five bytes at any density above 1/128. Indices are therefore strictly
-// increasing by construction; DeltaDecoder rejects a non-minimal varint,
-// an index that reaches n, a payload that ends inside a pair and any
-// byte left after pair k, which keeps the payload canonical.
+// Every kept value sits just above one selection threshold, so nearly
+// all of a frame's float32 exponents are within two of the smallest;
+// base is the smallest non-zero exponent field among the frame's
+// values (0 when every value has a zero field: zeros and subnormals;
+// an empty frame's base is 0 too). A pair is one uint32 word:
+//
+//	bits  0–22  the float32 mantissa
+//	bits 23–24  the exponent's offset from base
+//	bits 25–30  the gap: index − previous index − 1, the first from −1
+//	bit     31  the float32 sign
+//
+// so a narrow pair is (f − base<<23) | gap<<25 of the value's bits f,
+// and folds back as (w & 0x81ffffff) + base<<23. Two escapes keep the
+// layout lossless: offset field 3 means the value's exponent byte
+// follows the word (an exponent at base+3 or beyond, NaN or ±Inf among
+// finite values, a zero among normals), and gap field 63 means the
+// minimal LEB128 varint of gap − 63 follows, after the exponent byte
+// when both apply. A pair is four bytes at any density above 1/64 when
+// its exponent is within two of base.
+//
+// Indices are strictly increasing by construction, and DeltaDecoder
+// refuses everything the encoder cannot produce — a base no pair's
+// exponent equals or one above a non-zero exponent, an escaped exponent
+// the word could carry, a base plus offset past 255, a non-minimal or
+// overlong gap extension, an index that reaches n, a payload that ends
+// inside a pair and any byte left after pair k — which keeps the
+// payload canonical.
+
+// topkHeaderLen is the length of a TopK payload's header: n, k, base.
+const topkHeaderLen = 9
 
 // parseTopKHeader validates everything about a TopK payload that can
 // be checked before touching the pairs: header presence, k<=n,
 // canonical non-zero k, room for k pairs of at least minPairLen bytes,
-// and the allocation bounds. It returns (n, k).
-func parseTopKHeader(payload []byte) (n, k int, err error) {
-	if len(payload) < 8 {
-		return 0, 0, fmt.Errorf("compress: topk payload too short (%d bytes)", len(payload))
+// and the allocation bounds. It returns (n, k, base).
+func parseTopKHeader(payload []byte) (n, k int, base uint8, err error) {
+	if len(payload) < topkHeaderLen {
+		return 0, 0, 0, fmt.Errorf("compress: topk payload too short (%d bytes)", len(payload))
 	}
 	n = int(binary.LittleEndian.Uint32(payload))
 	k = int(binary.LittleEndian.Uint32(payload[4:]))
+	base = payload[8]
 	if k > n {
-		return 0, 0, fmt.Errorf("compress: topk k=%d exceeds n=%d", k, n)
+		return 0, 0, 0, fmt.Errorf("compress: topk k=%d exceeds n=%d", k, n)
 	}
 	if k == 0 && n > 0 {
 		// The encoder always keeps >=1 coordinate of a non-empty
 		// vector; a zero-k payload is a decompression bomb, not data.
-		return 0, 0, fmt.Errorf("compress: topk k=0 for n=%d is not canonical", n)
+		return 0, 0, 0, fmt.Errorf("compress: topk k=0 for n=%d is not canonical", n)
 	}
-	if room := (len(payload) - 8) / minPairLen; k > room {
-		return 0, 0, fmt.Errorf("compress: topk payload %d bytes cannot hold k=%d pairs", len(payload), k)
+	if k == 0 && base != 0 {
+		return 0, 0, 0, faultNoBase.err(0, n, k, base)
+	}
+	if room := (len(payload) - topkHeaderLen) / minPairLen; k > room {
+		return 0, 0, 0, fmt.Errorf("compress: topk payload %d bytes cannot hold k=%d pairs", len(payload), k)
 	}
 	const maxVector = 1 << 26 // 512 MiB of float64s; far beyond any model here
 	if n > maxVector {
-		return 0, 0, fmt.Errorf("compress: topk n=%d exceeds sanity bound", n)
+		return 0, 0, 0, fmt.Errorf("compress: topk n=%d exceeds sanity bound", n)
 	}
 	// Allocation bound: every supported encoder keeps k >= n/maxTopKExpansion
 	// (MinTopKRatio), so a frame claiming more is a decompression bomb —
 	// without this, 13 wire bytes (k=1) could demand a 512 MiB vector.
 	if n > k*maxTopKExpansion {
-		return 0, 0, fmt.Errorf("compress: topk n=%d exceeds %d·k (k=%d)", n, maxTopKExpansion, k)
+		return 0, 0, 0, fmt.Errorf("compress: topk n=%d exceeds %d·k (k=%d)", n, maxTopKExpansion, k)
 	}
-	return n, k, nil
+	return n, k, base, nil
 }
 
-// minPairLen is the shortest pair: a one-byte gap and a float32.
-const minPairLen = 5
+// The pair word's fields.
+const (
+	minPairLen = 4       // the shortest pair: one word
+	offField   = 3 << 23 // the exponent's offset from base
+	gapShift   = 25
+	gapField   = 63 << gapShift // the gap
+	expField   = 0xff << 23     // a float32's exponent
+	wideOff    = 3              // offset field value: the exponent byte follows
+	wideGap    = 63             // gap field value: the varint of gap − 63 follows
+	maxNarrow  = 2              // the largest offset a word carries
+)
 
-// maxGapLen is the longest gap varint a DeltaDecoder accepts: four
+// maxGapLen is the longest gap extension a DeltaDecoder accepts: four
 // bytes carry 28 bits, past the largest n parseTopKHeader admits.
 const maxGapLen = 4
 
@@ -369,46 +408,57 @@ type fault uint8
 const (
 	faultNone     fault = iota
 	faultShort          // the bytes end inside a pair
-	faultLong           // a gap varint runs past maxGapLen bytes
-	faultPadded         // a gap varint ends in a zero byte: not minimal
+	faultLong           // a gap extension runs past maxGapLen bytes
+	faultPadded         // a gap extension ends in a zero byte: not minimal
 	faultRange          // the index reaches n
+	faultCarried        // an escaped exponent the word could carry
+	faultBelow          // a non-zero exponent below base, or above a base of 0
+	faultPast           // base plus a narrow offset passes 255
 	faultTrailing       // bytes are left after pair k
+	faultNoBase         // no pair's exponent equals base
 )
 
 // err names fault f, met at pair p (0-based) of a payload whose
-// header gave n and k. A fault past pair k is a byte after it.
-func (f fault) err(p, n, k int) error {
-	if p >= k {
+// header gave n, k and base. A fault in a pair past pair k is a byte
+// after it.
+func (f fault) err(p, n, k int, base uint8) error {
+	if p >= k && f < faultTrailing {
 		f = faultTrailing
 	}
 	switch f {
 	case faultShort:
 		return fmt.Errorf("compress: topk payload ends before pair %d of k=%d is complete", p, k)
 	case faultLong:
-		return fmt.Errorf("compress: topk pair %d: gap varint longer than %d bytes", p, maxGapLen)
+		return fmt.Errorf("compress: topk pair %d: gap extension longer than %d bytes", p, maxGapLen)
 	case faultPadded:
-		return fmt.Errorf("compress: topk pair %d: gap varint not minimal", p)
+		return fmt.Errorf("compress: topk pair %d: gap extension not minimal", p)
 	case faultRange:
 		return fmt.Errorf("compress: topk pair %d: index out of range n=%d", p, n)
+	case faultCarried:
+		return fmt.Errorf("compress: topk pair %d: exponent escaped though base %d carries it", p, base)
+	case faultBelow:
+		return fmt.Errorf("compress: topk pair %d: base %d is not the smallest non-zero exponent", p, base)
+	case faultPast:
+		return fmt.Errorf("compress: topk pair %d: exponent past 255 (base %d)", p, base)
 	case faultTrailing:
 		return fmt.Errorf("compress: topk payload has bytes after pair k=%d", k)
+	case faultNoBase:
+		return fmt.Errorf("compress: topk base %d: no pair's exponent equals it", base)
 	}
 	return nil
 }
 
 // foldPairs adds the k pairs of a TopK pairs region into dst, of
-// length n: dst[i] += v. It decodes each gap varint in place, and at the
-// first fault stops with dst partially written and reports which, with
-// the number of pairs it had yet to fold (fault.err turns both into the
-// error). The loop runs while a pair's worth of bytes is left and counts
-// k down, rather than testing k on every pair, which made it about 1.2×
-// slower; the count is checked after it, so pairs past the kth are
-// folded before the payload is refused. It calls nothing, so its values
-// stay in registers: with the error built inside it, the compiler
-// spilled the index to the stack on every pair.
+// length n: dst[i] += v. It reads each pair in place, and at the first
+// fault stops with dst partially written and reports which, with the
+// number of pairs it had yet to fold (fault.err turns both into the
+// error). Runs of narrow pairs go to foldRun; foldPairs itself takes
+// the other pairs one at a time, with every check. Neither tests k per
+// pair: the count is checked at the end, so pairs past the kth are
+// folded before the payload is refused.
 //
 // Both replicas of a delta stream advance through this one compiled
-// loop (DeltaEncoder.Commit and DeltaDecoder.DecodeInto), so they stay
+// code (DeltaEncoder.Commit and DeltaDecoder.DecodeInto), so they stay
 // bit-identical even through NaNs: when both operands of an add are
 // NaN the result carries one operand's payload, which one depends on
 // the instruction's operand order, and the compiler may order a
@@ -416,39 +466,84 @@ func (f fault) err(p, n, k int) error {
 // NaN seed tells the difference). Hence out of line.
 //
 //go:noinline
-func foldPairs(dst []float64, pairs []byte, n, k int) (fault, int) {
+func foldPairs(dst []float64, pairs []byte, base uint8, n, k int) (fault, int) {
+	dst = dst[:n]
+	b := uint32(base) << 23
 	i := -1
-	for len(pairs) >= minPairLen {
-		gap := uint(pairs[0])
-		if gap >= 0x80 { // the varint continues
-			gap &= 0x7f
-			for s := uint(7); ; s += 7 {
-				pairs = pairs[1:]
+	// atBase records that a pair's exponent equals base; an empty frame
+	// has no pair to carry it.
+	atBase := k == 0
+	// Runs of narrow pairs go to foldRun once a pair at base has been
+	// seen — it checks no offset — and never under a base of 0 or above
+	// 253, where an offset needs the checks below.
+	run := base != 0 && base <= 0xff-maxNarrow
+	for {
+		if run && atBase {
+			rest, j := foldRun(dst, pairs, i, base)
+			k -= (len(pairs) - len(rest)) / minPairLen
+			pairs, i = rest, j
+			if i >= n {
+				return faultRange, k
+			}
+		}
+		if len(pairs) < minPairLen {
+			break
+		}
+		// An escaped pair, a pair before the first at base, or any pair
+		// when there are no runs.
+		w := binary.LittleEndian.Uint32(pairs)
+		pairs = pairs[minPairLen:]
+		off := w & offField >> 23
+		f := w&^gapField + b
+		switch {
+		case off == wideOff:
+			if len(pairs) == 0 { // no exponent byte
+				return faultShort, k
+			}
+			e := uint32(pairs[0])
+			pairs = pairs[1:]
+			if e-uint32(base) <= maxNarrow {
+				return faultCarried, k
+			}
+			if e != 0 && (e < uint32(base) || base == 0) {
+				return faultBelow, k
+			}
+			f = w&^(gapField|expField) | e<<23
+		case uint32(base)+off > 0xff:
+			return faultPast, k
+		case base == 0 && off != 0:
+			return faultBelow, k
+		case off == 0:
+			atBase = true
+		}
+		gap := uint(w >> gapShift & wideGap)
+		if gap == wideGap {
+			// The varint of gap − 63 follows.
+			x := uint(0)
+			for s := uint(0); ; s += 7 {
 				if s >= 7*maxGapLen {
 					return faultLong, k
 				}
-				// Each byte of a gap varint but the last promises a
-				// pair's worth of bytes after it.
-				if len(pairs) < minPairLen {
+				if len(pairs) == 0 { // the varint is cut short
 					return faultShort, k
 				}
-				b := pairs[0]
-				if b == 0 {
-					return faultPadded, k
-				}
-				gap |= uint(b&0x7f) << s
-				if b < 0x80 {
+				c := pairs[0]
+				pairs = pairs[1:]
+				x |= uint(c&0x7f) << s
+				if c < 0x80 {
+					if c == 0 && s > 0 {
+						return faultPadded, k
+					}
 					break
 				}
 			}
+			gap += x
 		}
 		i += int(gap) + 1
 		if uint(i) >= uint(n) {
 			return faultRange, k
 		}
-		v := float64(math.Float32frombits(binary.LittleEndian.Uint32(pairs[1:5])))
-		pairs = pairs[5:]
-		dst[i] += v
+		dst[i] += float64(math.Float32frombits(f))
 		k--
 	}
 	if k > 0 {
@@ -457,5 +552,51 @@ func foldPairs(dst []float64, pairs []byte, n, k int) (fault, int) {
 	if k < 0 || len(pairs) != 0 {
 		return faultTrailing, 0
 	}
+	if !atBase {
+		return faultNoBase, 0
+	}
 	return faultNone, 0
 }
+
+// foldRun folds the run of narrow pairs at the start of pairs into dst,
+// the index continuing from i, and returns the rest of the pairs and
+// the index reached. It stops at the first escaped word, when fewer
+// than four bytes are left, or at an index that reaches len(dst), which
+// it returns unfolded. It calls nothing, so its values stay in
+// registers: with the escaped pairs taken inside its loop, the fold ran
+// about 1.5× slower. Each instruction in it counts — the fold is
+// throughput-bound, not memory-bound, even at n = 65536 — so one table
+// load gives both the escape test and the index step, and the check
+// that some pair sits at base is left to foldPairs: with the two field
+// tests and the check in the loop it ran about 1.3× slower.
+//
+//go:noinline
+func foldRun(dst []float64, pairs []byte, i int, base uint8) ([]byte, int) {
+	b := uint32(base) << 23
+	for len(pairs) >= minPairLen {
+		w := binary.LittleEndian.Uint32(pairs)
+		step := narrowStep[uint8(w>>23)]
+		if step == 0 {
+			break
+		}
+		i += int(step)
+		if uint(i) >= uint(len(dst)) {
+			break
+		}
+		dst[i] += float64(math.Float32frombits(w&^gapField + b))
+		pairs = pairs[minPairLen:]
+	}
+	return pairs, i
+}
+
+// narrowStep maps bits 23–30 of a pair word, its offset and gap fields,
+// to a narrow pair's index step, gap + 1, and to 0 when either field is
+// an escape.
+var narrowStep = func() (t [256]uint8) {
+	for x := range t {
+		if x&3 != wideOff && x>>2 != wideGap {
+			t[x] = uint8(x>>2 + 1)
+		}
+	}
+	return t
+}()

@@ -283,27 +283,30 @@ func TestSpecValidate(t *testing.T) {
 	}
 }
 
-// topkFrame builds a TopK payload with the given header and pairs:
-// each pair is its gap bytes, taken as given, then the float32 1.
-func topkFrame(n, k int, gaps ...[]byte) []byte {
-	b := binary.LittleEndian.AppendUint32(nil, uint32(n))
-	b = binary.LittleEndian.AppendUint32(b, uint32(k))
-	for _, g := range gaps {
-		b = append(b, g...)
-		b = binary.LittleEndian.AppendUint32(b, math.Float32bits(1))
+// Float32 bits of values whose exponent fields are 126, 127, 129, 130
+// and 254, and of +Inf.
+const (
+	half   = 0x3f000000
+	one    = 0x3f800000
+	four   = 0x40800000
+	eight  = 0x41000000
+	huge   = 0x7f000000
+	infF32 = 0x7f800000
+)
+
+// pairsAt returns pairs of the value bits f at the ascending indices.
+func pairsAt(f uint32, idx ...int) []refPair {
+	ps := make([]refPair, len(idx))
+	for p, i := range idx {
+		ps[p] = refPair{i, f}
 	}
-	return b
+	return ps
 }
 
-// gapsOf returns the minimal gap varints of ascending indices.
-func gapsOf(idx ...int) [][]byte {
-	gaps := make([][]byte, len(idx))
-	last := -1
-	for p, i := range idx {
-		gaps[p] = binary.AppendUvarint(nil, uint64(i-last-1))
-		last = i
-	}
-	return gaps
+// wideWord is the word of a pair of bits f whose gap field says an
+// extension follows, with offset field off.
+func wideWord(f uint32, off int) []byte {
+	return binary.LittleEndian.AppendUint32(nil, f&0x807fffff|uint32(off)<<23|63<<25)
 }
 
 // TestDecodeRejectsMalformed feeds malformed payloads to Decode and, for
@@ -318,61 +321,93 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		err     string // TopK only
 	}
 	const n = 16
-	good := gapsOf(1, 3, 6, 9, 12)
-	two := gapsOf(1, 3, 6, 9, 200) // the last gap takes two bytes
-	truncated := topkFrame(256, 5, two...)
-	truncated = truncated[:len(truncated)-1]
-	long := gapsOf(128, 257, 386, 515, 644)
+	idx := []int{1, 3, 6, 9, 12}
+	good := pairsAt(one, idx...)
+	// withPair is the frame of good with pair p's bytes replaced by bad,
+	// each other pair written canonically.
+	withPair := func(n, base int, ps []refPair, p int, bad []byte) []byte {
+		b, last := topkHeader(n, len(ps), base), -1
+		for q, r := range ps {
+			if q == p {
+				b = append(b, bad...)
+			} else {
+				b = appendPair(b, r.f, canonOff(base, r.f), r.i-last-1)
+			}
+			last = r.i
+		}
+		return b
+	}
+	escaped := append(append([]refPair(nil), good[:4]...), refPair{12, eight})
+	gapped := append(append([]refPair(nil), good[:4]...), refPair{100, one})
 	cases := []malformed{
 		{None, make([]byte, 7), ""},
 		{None, make([]byte, 12), ""}, // whole float32s, not whole float64s
 		{Float32, make([]byte, 6), ""},
 		{Kind(250), []byte{1, 2, 3}, ""}, // unknown codec
 		{TopK, nil, "compress: topk payload too short (0 bytes)"},
-		{TopK, make([]byte, 7), "compress: topk payload too short (7 bytes)"},
-		{TopK, topkFrame(2, 3), "compress: topk k=3 exceeds n=2"},
-		{TopK, topkFrame(4, 1), "compress: topk payload 8 bytes cannot hold k=1 pairs"}, // missing pairs
+		{TopK, make([]byte, 8), "compress: topk payload too short (8 bytes)"},
+		{TopK, topkHeader(2, 3, 0), "compress: topk k=3 exceeds n=2"},
+		{TopK, topkHeader(4, 1, 127), "compress: topk payload 9 bytes cannot hold k=1 pairs"}, // missing pairs
 		// k larger than the bytes can hold, by one pair and by one byte.
-		{TopK, topkFrame(n, 6, good...), "compress: topk payload 33 bytes cannot hold k=6 pairs"},
-		{TopK, topkFrame(n, 5, good...)[:32], "compress: topk payload 32 bytes cannot hold k=5 pairs"},
-		// A truncated last pair that the header's room check cannot see:
-		// an earlier gap took two bytes.
-		{TopK, truncated, "compress: topk payload ends before pair 4 of k=5 is complete"},
-		// Five two-byte gaps spend the bytes the room check counted for
-		// a sixth pair, leaving four bytes of it or none.
-		{TopK, append(topkFrame(700, 6, long...), 0, 0, 0, 0), "compress: topk payload ends before pair 5 of k=6 is complete"},
-		{TopK, topkFrame(700, 6, long...), "compress: topk payload ends before pair 5 of k=6 is complete"},
+		{TopK, frameOf(n, 6, 127, good), "compress: topk payload 29 bytes cannot hold k=6 pairs"},
+		{TopK, frameOf(n, 5, 127, good)[:28], "compress: topk payload 28 bytes cannot hold k=5 pairs"},
+		// A truncated last pair that the header's room check cannot see
+		// — an earlier pair escaped its exponent — and a last pair
+		// missing its exponent byte or its gap extension.
+		{TopK, withPair(n, 127, good, 0, appendPair(nil, eight, 3, 1))[:29], "compress: topk payload ends before pair 4 of k=5 is complete"},
+		{TopK, frameOf(n, 5, 127, escaped)[:29], "compress: topk payload ends before pair 4 of k=5 is complete"},
+		{TopK, frameOf(128, 5, 127, gapped)[:29], "compress: topk payload ends before pair 4 of k=5 is complete"},
+		// Five escaped pairs spend the bytes the room check counted for
+		// a sixth, leaving three bytes of it or none.
+		{TopK, append(frameOf(n, 6, 127, pairsAt(eight, idx...)), 0, 0, 0), "compress: topk payload ends before pair 5 of k=6 is complete"},
+		{TopK, frameOf(n, 6, 127, pairsAt(eight, idx...)), "compress: topk payload ends before pair 5 of k=6 is complete"},
 		// Bytes after pair k: one stray byte, and one whole extra pair.
-		{TopK, append(topkFrame(n, 5, good...), 0), "compress: topk payload has bytes after pair k=5"},
-		{TopK, topkFrame(n, 4, good...), "compress: topk payload has bytes after pair k=4"},
+		{TopK, append(frameOf(n, 5, 127, good), 0), "compress: topk payload has bytes after pair k=5"},
+		{TopK, frameOf(n, 4, 127, good), "compress: topk payload has bytes after pair k=4"},
 		// Expansion bomb: 13 wire bytes claiming an n=2^20 vector (k=1)
 		// must not buy a megacoordinate allocation.
-		{TopK, topkFrame(1<<20, 1, []byte{0}), "compress: topk n=1048576 exceeds 1024·k (k=1)"},
+		{TopK, frameOf(1<<20, 1, 127, good[:1]), "compress: topk n=1048576 exceeds 1024·k (k=1)"},
+		// A base no pair's exponent equals: every pair one above it, and
+		// an empty frame's base other than 0.
+		{TopK, frameOf(n, 5, 126, good), "compress: topk base 126: no pair's exponent equals it"},
+		{TopK, topkHeader(0, 0, 5), "compress: topk base 5: no pair's exponent equals it"},
+		// A base of 0 under a pair whose exponent field is 1, narrow or
+		// escaped, and one whose exponent escapes at 127.
+		{TopK, withPair(n, 0, pairsAt(0, idx...), 2, appendPair(nil, 0, 1, 2)), "compress: topk pair 2: base 0 is not the smallest non-zero exponent"},
+		{TopK, withPair(n, 0, pairsAt(0, idx...), 2, appendPair(nil, 1<<23, 3, 2)), "compress: topk pair 2: exponent escaped though base 0 carries it"},
+		{TopK, withPair(n, 0, pairsAt(0, idx...), 2, appendPair(nil, one, 3, 2)), "compress: topk pair 2: base 0 is not the smallest non-zero exponent"},
+		// A base plus offset past 255, under bases 254 and 255.
+		{TopK, withPair(n, 254, pairsAt(huge, idx...), 1, appendPair(nil, huge, 2, 1)), "compress: topk pair 1: exponent past 255 (base 254)"},
+		{TopK, withPair(n, 255, pairsAt(infF32, idx...), 0, appendPair(nil, infF32, 1, 1)), "compress: topk pair 0: exponent past 255 (base 255)"},
 	}
-	// One bad gap among five valid ones, at the first, a middle and the
-	// last position: one carrying the index to n, the largest four-byte
-	// varint, a two-byte varint ending in a zero byte (gap 0 written
-	// long), and a varint that continues past four bytes — the last of
-	// which would wrap to gap 0 if its shifts were not capped.
+	// One bad pair among five valid ones, at the first, a middle and the
+	// last position: one carrying the index to n, its gap written
+	// narrow and as the largest extension; a gap extension ending in a
+	// zero byte (gap 63 written long); extensions that continue past four
+	// bytes — the last of which would wrap to 0 if its shifts were not
+	// capped; an exponent escaped though base or base+2 carries it; and
+	// an escaped exponent below base.
 	for _, p := range []int{0, len(good) / 2, len(good) - 1} {
 		last := -1
 		if p > 0 {
-			last = []int{1, 3, 6, 9, 12}[p-1]
+			last = idx[p-1]
 		}
+		gap := idx[p] - last - 1
 		bad := []struct {
-			gap []byte
-			err string
+			pair []byte
+			err  string
 		}{
-			{binary.AppendUvarint(nil, uint64(n-last-1)), fmt.Sprintf("compress: topk pair %d: index out of range n=%d", p, n)},
-			{[]byte{0xff, 0xff, 0xff, 0x7f}, fmt.Sprintf("compress: topk pair %d: index out of range n=%d", p, n)},
-			{[]byte{0x80, 0x00}, fmt.Sprintf("compress: topk pair %d: gap varint not minimal", p)},
-			{[]byte{0x81, 0x80, 0x80, 0x80, 0x00}, fmt.Sprintf("compress: topk pair %d: gap varint longer than 4 bytes", p)},
-			{[]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02}, fmt.Sprintf("compress: topk pair %d: gap varint longer than 4 bytes", p)},
+			{appendPair(nil, one, 0, n-last-1), fmt.Sprintf("compress: topk pair %d: index out of range n=%d", p, n)},
+			{append(wideWord(one, 0), 0xff, 0xff, 0xff, 0x7f), fmt.Sprintf("compress: topk pair %d: index out of range n=%d", p, n)},
+			{append(wideWord(one, 0), 0x80, 0x00), fmt.Sprintf("compress: topk pair %d: gap extension not minimal", p)},
+			{append(wideWord(one, 0), 0x81, 0x80, 0x80, 0x80, 0x00), fmt.Sprintf("compress: topk pair %d: gap extension longer than 4 bytes", p)},
+			{append(wideWord(one, 0), 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02), fmt.Sprintf("compress: topk pair %d: gap extension longer than 4 bytes", p)},
+			{appendPair(nil, one, 3, gap), fmt.Sprintf("compress: topk pair %d: exponent escaped though base 127 carries it", p)},
+			{appendPair(nil, four, 3, gap), fmt.Sprintf("compress: topk pair %d: exponent escaped though base 127 carries it", p)},
+			{appendPair(nil, half, 3, gap), fmt.Sprintf("compress: topk pair %d: base 127 is not the smallest non-zero exponent", p)},
 		}
 		for _, b := range bad {
-			gaps := append([][]byte(nil), good...)
-			gaps[p] = b.gap
-			cases = append(cases, malformed{TopK, topkFrame(n, len(gaps), gaps...), b.err})
+			cases = append(cases, malformed{TopK, withPair(n, 127, good, p, b.pair), b.err})
 		}
 	}
 	for i, c := range cases {
@@ -383,12 +418,12 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 			continue
 		}
 		var dec DeltaDecoder
-		if n, _, err := parseTopKHeader(c.payload); err == nil {
+		if n, _, _, err := parseTopKHeader(c.payload); err == nil {
 			dense := make([]int, n)
 			for j := range dense {
 				dense[j] = j
 			}
-			if _, err := dec.Decode(topkFrame(n, n, gapsOf(dense...)...)); err != nil {
+			if _, err := dec.Decode(frameOf(n, n, 127, pairsAt(one, dense...))); err != nil {
 				t.Fatalf("case %d: dense frame of dimension %d: %v", i, n, err)
 			}
 		}
@@ -396,38 +431,48 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 			t.Errorf("case %d: DeltaDecoder says %v, want %q", i, err, c.err)
 		}
 	}
-	if _, err := Decode(TopK, topkFrame(n, 5, good...)); err == nil || !strings.Contains(err.Error(), "DeltaDecoder") {
+	if _, err := Decode(TopK, frameOf(n, 5, 127, good)); err == nil || !strings.Contains(err.Error(), "DeltaDecoder") {
 		t.Errorf("Decode of a topk payload says %v, want a refusal naming DeltaDecoder", err)
 	}
 }
 
-// TestGapVarintWidths round-trips a pair at each gap the varint's
-// width changes at, through the encoder's pair writer and the decoder:
-// one byte up to 127, two from 128 (whose first byte is exactly the
-// continuation bit), three from 2^14, four from 2^21. The pair is the
-// first of k; the other k−1 follow it at gap 0, as many as the
-// decoder's n ≤ 1024·k bound asks for.
+// TestGapVarintWidths round-trips a pair at each gap the pair's width
+// changes at, through the encoder's pair writer and the decoder: the
+// word alone up to 62, then the varint of gap − 63 in one byte from 63
+// (a zero byte) to 190, two from 191, three from 63 + 2^14, four from
+// 63 + 2^21. The pair is the first of k; the other k−1 follow it at gap
+// 0, as many as the decoder's n ≤ 1024·k bound asks for.
 func TestGapVarintWidths(t *testing.T) {
-	for _, gap := range []int{0, 1, 127, 128, 129, 255, 16383, 16384, 1<<21 - 1, 1 << 21} {
+	for _, gap := range []int{0, 1, 62, 63, 64, 190, 191, 63 + 1<<14 - 1, 63 + 1<<14, 63 + 1<<21 - 1, 63 + 1<<21} {
 		k := max(1, (gap+maxTopKExpansion-2)/(maxTopKExpansion-1))
 		n := gap + k
-		payload := binary.LittleEndian.AppendUint32(nil, uint32(n))
-		payload = binary.LittleEndian.AppendUint32(payload, uint32(k))
-		pairs := make([]byte, pairsCap(n, k))
-		w := putPair(pairs, uint32(gap), 0.5)
-		want := binary.AppendUvarint(nil, uint64(gap))
-		if w != len(want)+4 || !bytes.Equal(pairs[:len(want)], want) {
-			t.Fatalf("gap %d: pair % x, want the varint % x", gap, pairs[:w], want)
+		src := make([]float64, n)
+		kept := make([]int32, 0, k)
+		for i := gap; i < n; i++ {
+			src[i] = 0.25
+			kept = append(kept, int32(i))
 		}
-		for p := 1; p < k; p++ {
-			w += putPair(pairs[w:], 0, 0.25)
+		src[gap] = 0.5
+		out := make([]byte, 1+pairsCap(n, k))
+		w := putPairs(out, src, kept, frameBase(src, kept))
+		ps := []refPair{{gap, half}}
+		for i := gap + 1; i < n; i++ {
+			ps = append(ps, refPair{i, math.Float32bits(0.25)})
 		}
-		out, err := foldFrame(append(payload, pairs[:w]...))
+		want := frameOf(n, k, refBase(ps), ps)
+		ext := 0
+		if gap >= 63 {
+			ext = len(binary.AppendUvarint(nil, uint64(gap-63)))
+		}
+		if payload := append(topkHeader(n, k, 0)[:8], out[:w]...); !bytes.Equal(payload, want) || len(want) != topkHeaderLen+4*k+ext {
+			t.Fatalf("gap %d: pairs % x, want % x", gap, out[:min(w, 16)], want[8:min(len(want), 24)])
+		}
+		got, err := foldFrame(want)
 		if err != nil {
 			t.Fatalf("gap %d: %v", gap, err)
 		}
-		if out[gap] != 0.5 || (gap > 0 && out[gap-1] != 0) || (k > 1 && out[n-1] != 0.25) {
-			t.Fatalf("gap %d: decoded %g at index %d", gap, out[gap], gap)
+		if got[gap] != 0.5 || (gap > 0 && got[gap-1] != 0) || (k > 1 && got[n-1] != 0.25) {
+			t.Fatalf("gap %d: decoded %g at index %d", gap, got[gap], gap)
 		}
 	}
 }
@@ -625,19 +670,26 @@ func TestDeltaDecoderRejectsSparseRekey(t *testing.T) {
 // FuzzDecode asserts decoding never panics on arbitrary wire bytes —
 // Decode for the dense kinds, a DeltaDecoder whose replica has the
 // payload's dimension for TopK — and that what a DeltaDecoder accepts
-// respects the allocation bound. The TopK seeds are a valid frame and
-// one of each hostile kind: an overlong gap varint, a gap that carries
-// the index to n, a truncated last pair, a byte after pair k, and a k
-// the bytes cannot hold.
+// respects the allocation bound. The TopK seeds are valid frames — one
+// sparse, one whose exponents span more than two and mix NaN, ±Inf, a
+// zero and a subnormal with normal values, one whose gaps reach 63 and
+// 191 — one of each hostile kind made from each, and an overlong gap
+// extension.
 func FuzzDecode(f *testing.F) {
 	f.Add(uint8(None), []byte{0, 0, 0, 0, 0, 0, 0, 64})
 	f.Add(uint8(Float32), []byte{0, 0, 128, 63})
 	valid, _ := firstSparse(0.5, []float64{1, -2, 3, 0.25})
-	f.Add(uint8(TopK), valid)
-	for how := 0; how < hostileKinds; how++ {
-		f.Add(uint8(TopK), hostile(valid, how))
+	wide, _ := firstSparse(1, []float64{1, -1e-3, 3e5, 0, math.NaN(), math.Inf(-1), 2e-45, 0.75})
+	gaps := make([]float64, 512)
+	gaps[0], gaps[64], gaps[256] = 1, -1.5, 2 // gaps 63 and 191
+	gapped, _ := firstSparse(3.0/512, gaps)
+	for _, v := range [][]byte{valid, wide, gapped} {
+		f.Add(uint8(TopK), v)
+		for how := 0; how < hostileKinds; how++ {
+			f.Add(uint8(TopK), hostile(v, how))
+		}
 	}
-	f.Add(uint8(TopK), topkFrame(16, 2, []byte{0x81, 0x80, 0x80, 0x80, 0x80, 0x00}, []byte{0}))
+	f.Add(uint8(TopK), withExt(frameOf(16, 2, 127, pairsAt(one, 0, 1)), 0x81, 0x80, 0x80, 0x80, 0x80, 0x00))
 	f.Fuzz(func(t *testing.T, kind uint8, payload []byte) {
 		if Kind(kind) != TopK {
 			Decode(Kind(kind), payload)
@@ -652,9 +704,14 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("topk decoded %d coords, header says %d", len(out), n)
 		}
 		// The allocation bound: n ≤ 1024·k, with k pairs of at least
-		// five bytes each really present.
-		if int(k) > (len(payload)-8)/minPairLen || len(out) > maxTopKExpansion*int(k) {
+		// four bytes each really present.
+		if int(k) > (len(payload)-topkHeaderLen)/minPairLen || len(out) > maxTopKExpansion*int(k) {
 			t.Fatalf("%d payload bytes decoded to %d coords (k=%d)", len(payload), len(out), k)
+		}
+		// An accepted frame is canonical: the reference layout of its
+		// pairs is the frame itself.
+		if n, _, ps := pairsOf(payload); !bytes.Equal(frameOf(n, int(k), refBase(ps), ps), payload) {
+			t.Fatalf("accepted a frame that is not the canonical layout of its pairs: % x", payload)
 		}
 		// A decoder with no replica yet takes only a dense frame.
 		var fresh DeltaDecoder
@@ -664,35 +721,75 @@ func FuzzDecode(f *testing.F) {
 	})
 }
 
-// hostileKinds is the number of ways hostile damages a payload.
-const hostileKinds = 5
+// withExt returns a frame whose first pair's word says a gap extension
+// follows, with ext as that extension.
+func withExt(payload []byte, ext ...byte) []byte {
+	b := append([]byte(nil), payload[:topkHeaderLen+4]...)
+	b[topkHeaderLen+3] |= 63 << 1 // the gap field's bits in the word's top byte
+	return append(append(b, ext...), payload[topkHeaderLen+4:]...)
+}
 
-// hostile returns a copy of a well-formed TopK payload damaged in the
-// way how (mod hostileKinds) picks, each of which a decoder must
-// refuse: the first gap written non-minimally (an overlong varint),
-// the last pair's gap carrying its index to n, the last pair
-// truncated, a byte after pair k, and a k one larger than the pairs
-// the bytes hold.
+// hostileKinds is the number of ways hostile damages a payload.
+const hostileKinds = 9
+
+// hostile returns a copy of a well-formed TopK payload with at least
+// one pair, damaged in the way how (mod hostileKinds) picks, each of
+// which a decoder must refuse: the first pair's gap extension written
+// non-minimally (a first gap below 63 grows to 63 for it), the last
+// pair's index moved to n, the last byte cut off, a byte after pair k,
+// a k one larger than the pairs the bytes hold, a base one below the
+// frame's (one above a base of 0) that no pair's exponent equals, an
+// exponent escaped that the word carries, a base of 255 under a first
+// word whose offset is 1, and a base one above the frame's (0 below a
+// base of 255), which leaves an exponent below it.
 func hostile(payload []byte, how int) []byte {
-	b := append([]byte(nil), payload...)
+	n, base, ps := pairsOf(payload)
+	k := len(ps)
+	rebased := func(b int) []byte { return frameOf(n, k, b, ps) }
+	// withFirst is the frame under base b with its first pair's bytes
+	// replaced by first.
+	withFirst := func(b int, first []byte) []byte {
+		rest := rebased(b)[len(frameOf(n, 1, b, ps[:1])):]
+		return append(append(topkHeader(n, k, b), first...), rest...)
+	}
 	switch how % hostileKinds {
 	case 0:
-		gap, w := binary.Uvarint(b[8:])
-		long := binary.AppendUvarint(nil, gap)
-		long[len(long)-1] |= 0x80
-		long = append(long, 0)
-		return append(append(b[:8:8], long...), b[8+w:]...)
+		first := appendPair(nil, ps[0].f, canonOff(base, ps[0].f), max(ps[0].i, 63))
+		first[len(first)-1] |= 0x80
+		return withFirst(base, append(first, 0))
 	case 1:
-		v3 := v3Of(b)
-		copy(v3[len(v3)-8:], b[:4]) // the last index becomes n
-		return gapCode(v3)
+		ps[k-1].i = n
+		return rebased(base)
 	case 2:
-		return b[:len(b)-1]
+		return append([]byte(nil), payload[:len(payload)-1]...)
 	case 3:
-		return append(b, 0)
-	default:
-		binary.LittleEndian.PutUint32(b[4:], binary.LittleEndian.Uint32(b[4:])+1)
+		return append(append([]byte(nil), payload...), 0)
+	case 4:
+		return append(topkHeader(n, k+1, base), payload[topkHeaderLen:]...)
+	case 5:
+		if base == 0 {
+			return rebased(1)
+		}
+		return rebased(base - 1)
+	case 6:
+		b, last := topkHeader(n, k, base), -1
+		carried := false
+		for _, p := range ps {
+			off := canonOff(base, p.f)
+			if off < 3 && !carried {
+				off, carried = 3, true
+			}
+			b = appendPair(b, p.f, off, p.i-last-1)
+			last = p.i
+		}
 		return b
+	case 7:
+		return withFirst(255, appendPair(nil, ps[0].f, 1, ps[0].i))
+	default:
+		if base == 255 {
+			return rebased(0)
+		}
+		return rebased(base + 1)
 	}
 }
 

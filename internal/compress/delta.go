@@ -144,7 +144,7 @@ func (e *DeltaEncoder) Commit() {
 		e.ref = make([]float64, len(e.delta))
 	}
 	k := int(binary.LittleEndian.Uint32(payload[4:]))
-	if f, _ := foldPairs(e.ref, payload[8:], len(e.ref), k); f != faultNone {
+	if f, _ := foldPairs(e.ref, payload[topkHeaderLen:], payload[8], len(e.ref), k); f != faultNone {
 		// The encoder or a sibling stream made this frame: only a bug
 		// gets here.
 		panic("compress: staged frame has an invalid pair")
@@ -178,7 +178,7 @@ func (d *DeltaDecoder) Decode(payload []byte) ([]float64, error) {
 // contents are ignored. Replica semantics — including the
 // partially-advanced-on-error caveat above — are identical to Decode.
 func (d *DeltaDecoder) DecodeInto(dst []float64, payload []byte) ([]float64, error) {
-	n, k, err := parseTopKHeader(payload)
+	n, k, base, err := parseTopKHeader(payload)
 	if err != nil {
 		return nil, err
 	}
@@ -188,8 +188,8 @@ func (d *DeltaDecoder) DecodeInto(dst []float64, payload []byte) ([]float64, err
 		}
 		d.ref = make([]float64, n)
 	}
-	if f, left := foldPairs(d.ref, payload[8:], n, k); f != faultNone {
-		return nil, f.err(k-left, n, k)
+	if f, left := foldPairs(d.ref, payload[topkHeaderLen:], base, n, k); f != faultNone {
+		return nil, f.err(k-left, n, k, base)
 	}
 	out := sizeVec(dst, n)
 	copy(out, d.ref)

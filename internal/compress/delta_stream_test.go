@@ -16,7 +16,7 @@ import (
 // the state x before it is encoded, opDrop that the frame is staged but
 // never committed (a failed send), opHostile that before the decoder
 // folds the frame it is offered, on a copy of its replica, the frame
-// damaged in the way the top three bits pick (hostile), and refuses it.
+// damaged in each of the ways hostile knows, and refuses every one.
 const (
 	opDrift    = iota // every coordinate takes a random step
 	opCollapse        // the residual x − ref shrinks 100×: the threshold falls through the margin
@@ -121,7 +121,7 @@ func runDeltaStream(t testing.TB, n int, ratio float64, seed int64, frames int, 
 		// The specification's (index, float32) pairs in the v3 layout
 		// decode to the same bits as the frame.
 		if got, err := foldFrame(payload); err != nil || !sameBits(got, decodeV3(want3)) {
-			t.Fatalf("frame %d (op %#x): decode differs from the v3 reference decode (err %v)", f, op, err)
+			t.Fatalf("frame %d (op %#x): decode differs from the reference decode of its pairs (err %v)", f, op, err)
 		}
 		// A sparse frame leaves its threshold, the kth magnitude, as the
 		// next frame's hint.
@@ -134,9 +134,11 @@ func runDeltaStream(t testing.TB, n int, ratio float64, seed int64, frames int, 
 			t.Fatalf("frame %d (op %#x, n=%d k=%d): %d refills so far, want %d", f, op, len(x), k, enc.sel.refills, wantRefills)
 		}
 		if op&opHostile != 0 {
-			probe := DeltaDecoder{ref: append([]float64(nil), dec.ref...)}
-			if _, err := probe.Decode(hostile(payload, int(op>>5))); err == nil {
-				t.Fatalf("frame %d (op %#x): damaged frame accepted", f, op)
+			for how := 0; how < hostileKinds; how++ {
+				probe := DeltaDecoder{ref: append([]float64(nil), dec.ref...)}
+				if _, err := probe.Decode(hostile(payload, how)); err == nil {
+					t.Fatalf("frame %d (op %#x): frame damaged in way %d accepted", f, op, how)
+				}
 			}
 		}
 		if op&opDrop == 0 {
@@ -169,8 +171,8 @@ var (
 	scriptDropped   = []byte{opDrift, opDrift, opDrift | opDrop, opHold, opCollapse | opDrop, opHold, opResize | opDrop, opDrift}
 	scriptResize    = []byte{opDrift, opDrift, opDrift, opResize, opDrift, opDrift, opTies, opResize | opDrop, opResize}
 	// Each hostile kind, on a sparse frame, a NaN frame and a re-key.
-	scriptHostile = []byte{opDrift, opDrift | opHostile, opDrift | opHostile | 1<<5, opNaN | opHostile | 2<<5,
-		opDrift | opHostile | 3<<5, opResize | opHostile | 4<<5, opDrift | opHostile | 4<<5, opResize | opHostile}
+	scriptHostile = []byte{opDrift, opDrift | opHostile, opNaN | opHostile, opSettle | opHostile,
+		opTies | opHostile, opResize | opHostile, opDrift | opHostile}
 )
 
 // TestDeltaStreamMatchesReference runs long dense-drift streams — the
@@ -210,6 +212,12 @@ func FuzzDeltaStream(f *testing.F) {
 		f.Add(uint8(40), uint16(300+i), uint8(25), int64(i), s)
 	}
 	f.Add(uint8(12), uint16(1), uint8(0), int64(9), []byte{opTies, opNaN})
+	// Gaps reaching 63 and 191 (k = 4 of 1000), dense frames whose
+	// exponents span far more than two, and zeros, NaN and ±Inf among
+	// normal values.
+	f.Add(uint8(30), uint16(999), uint8(1), int64(10), []byte{opDrift})
+	f.Add(uint8(20), uint16(299), uint8(255), int64(11), []byte{opDrift, opNaN, opDrift, opInf | opHostile})
+	f.Add(uint8(30), uint16(199), uint8(200), int64(12), []byte{opTies, opNaN | opHostile, opTies, opInf, opSettle, opTies})
 	f.Fuzz(func(t *testing.T, frames uint8, n uint16, ratio uint8, seed int64, script []byte) {
 		r := math.Max(MinTopKRatio, float64(ratio)/255)
 		runDeltaStream(t, 1+int(n)%1024, r, seed, int(frames), script)
@@ -245,5 +253,116 @@ func TestDeltaStreamWorkBound(t *testing.T) {
 	if got.frames != frames || got.refills != 0 || got.cands > 2*k*frames {
 		t.Errorf("%d sparse frames, %d refills, %.0f candidates a frame (k=%d, n=%d); want %d, 0, at most %d",
 			got.frames, got.refills, float64(got.cands)/frames, k, n, frames, 2*k)
+	}
+}
+
+// TestFrameShapesMatchPairReference pins each kind of frame the
+// layout's escapes exist for to the specification: the frame is the
+// reference layout (gapCode) of the specification's (index, float32)
+// pairs, and both a DeltaDecoder and the encoder's own replica fold it
+// to the bits the plain decode of those pairs gives (decodeV3) — the
+// bits the v5 layout's frames decoded to. Every case also checks that
+// its frame has the shape it is named for.
+func TestFrameShapesMatchPairReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	nan, inf := math.NaN(), math.Inf(1)
+	spaced := func(n, step int, extra ...int) []float64 {
+		v := make([]float64, n)
+		for i := 0; i < n; i += step {
+			v[i] = 1 + rng.Float64()
+		}
+		for _, i := range extra {
+			v[i] = -3
+		}
+		return v
+	}
+	escaped := func(base int, ps []refPair) (n int) {
+		for _, p := range ps {
+			if canonOff(base, p.f) == 3 {
+				n++
+			}
+		}
+		return n
+	}
+	maxGap := func(ps []refPair) (g int) {
+		last := -1
+		for _, p := range ps {
+			g, last = max(g, p.i-last-1), p.i
+		}
+		return g
+	}
+	cases := []struct {
+		name  string
+		src   []float64
+		ratio float64 // 0: the stream's dense re-key frame
+		shape func(base int, ps []refPair) bool
+	}{
+		{"exponent span above two", randVec(rng, 600), 0.1, func(base int, ps []refPair) bool {
+			return escaped(base, ps) > 0
+		}},
+		{"NaN and Inf among normals", []float64{1, nan, 2, -inf, 3, inf, 0.5, -nan, 1.5, 4}, 0.8, func(base int, ps []refPair) bool {
+			return base == 127 && escaped(base, ps) == 4
+		}},
+		{"zero among normals", []float64{0, 1, 0, -1, 0, 0, 1, 0}, 0.75, func(base int, ps []refPair) bool {
+			return base == 127 && escaped(base, ps) == 3
+		}},
+		{"subnormals among normals", []float64{1e-45, 1, -3e-42, 2, 0.75, 0}, 1, func(base int, ps []refPair) bool {
+			return base == 126 && escaped(base, ps) == 3
+		}},
+		{"a threshold that is zero in float32", []float64{1e-45, 1, 0, -3e-42, 2, 0.75, 0, 1e-50}, 0.625, func(base int, ps []refPair) bool {
+			return base == 126 && escaped(base, ps) == 2
+		}},
+		{"every value zero", make([]float64, 64), 0.25, func(base int, ps []refPair) bool {
+			return base == 0 && escaped(base, ps) == 0
+		}},
+		{"exponents at 254 and 255", []float64{3e38, -inf, nan, -2e38, 1, 3.3e38}, 1, func(base int, ps []refPair) bool {
+			return base == 127 && escaped(base, ps) == 5
+		}},
+		{"only exponents 254 and 255", []float64{3e38, -inf, nan, -2e38, 3.3e38}, 1, func(base int, ps []refPair) bool {
+			return base == 254 && escaped(base, ps) == 0
+		}},
+		{"gaps of 63", spaced(4096, 64), 1.0 / 64, func(_ int, ps []refPair) bool { return maxGap(ps) == 63 }},
+		{"two above base after a gap past 62", func() []float64 {
+			v := make([]float64, 256)
+			v[0], v[100] = 1.5, -5
+			return v
+		}(), 2.0 / 256, func(base int, ps []refPair) bool {
+			return len(ps) == 2 && expOf(ps[1].f) == base+2 && escaped(base, ps) == 0
+		}},
+		{"gaps of 191 and more", spaced(4096, 192, 1000), 22.0 / 4096, func(_ int, ps []refPair) bool {
+			return maxGap(ps) >= 191
+		}},
+		{"gaps past 2^14", spaced(1<<15, 1<<14+200), 0.001, func(_ int, ps []refPair) bool { return maxGap(ps) > 1<<14 }},
+		{"dense re-key", append(randVec(rng, 300), nan, -inf, 0, 1e-40), 0, func(base int, ps []refPair) bool {
+			return len(ps) == 304 && escaped(base, ps) > 3
+		}},
+	}
+	for _, c := range cases {
+		n, k := len(c.src), len(c.src)
+		var payload []byte
+		var enc *DeltaEncoder
+		if c.ratio == 0 {
+			enc = NewDeltaEncoder(0.1)
+			payload = enc.Compress(nil, c.src)
+		} else {
+			payload, enc = firstSparse(c.ratio, c.src)
+			k = enc.keepCount(n)
+		}
+		want3 := refEncodeV3(c.src, k)
+		if !bytes.Equal(payload, gapCode(want3)) {
+			t.Errorf("%s: the frame is not the reference layout of the specification's pairs", c.name)
+			continue
+		}
+		if _, base, ps := pairsOf(payload); !c.shape(base, ps) {
+			t.Errorf("%s: the frame (base %d, %d pairs) does not have the shape the case is for", c.name, base, len(ps))
+		}
+		got, err := foldFrame(payload)
+		if err != nil || !sameBits(got, decodeV3(want3)) {
+			t.Errorf("%s: the decode differs from the reference decode of the pairs (err %v)", c.name, err)
+		}
+		enc.Commit()
+		if !sameBits(enc.ref, decodeV3(want3)) {
+			t.Errorf("%s: the encoder's replica differs from the reference decode of the pairs", c.name)
+		}
 	}
 }

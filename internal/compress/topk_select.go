@@ -26,8 +26,8 @@ package compress
 //	emit    one scan of the candidate indices compacts everything above
 //	        T plus the lowest-indexed ties at T, already in ascending
 //	        index order, each index stored unconditionally and kept by
-//	        advancing the cursor; then their (gap, float32 value) pairs
-//	        are written.
+//	        advancing the cursor; then the frame's base exponent and
+//	        their pairs are written (compress.go has the layout).
 //
 // Every step ranks a magnitude by its bits as an unsigned integer: the
 // float order on non-NaN magnitudes (±Inf included), with every NaN
@@ -122,25 +122,22 @@ func encodeTopK(dst []byte, src []float64, k int, x, ref []float64, sel *streamS
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(k))
 	if k <= 0 {
-		return dst
+		return append(dst, 0) // an empty frame's base
 	}
 	start := len(dst)
-	dst, out := extend(dst, pairsCap(n, k))
+	dst, out := extend(dst, 1+pairsCap(n, k))
 	hinted := k < n && sel.lastT >= 0
 	if x != nil && !hinted {
 		for i := range src {
 			src[i] = x[i] - ref[i]
 		}
 	}
+	sc := &sel.sc
 	if k >= n {
 		// Every coordinate survives: nothing to select, every gap 0.
-		p := 0
-		for _, v := range src {
-			p += putPair(out[p:], 0, v)
-		}
-		return dst[:start+p]
+		all := sc.everything(n)
+		return dst[:start+putPairs(out, src, all, frameBase(src, all))]
 	}
-	sc := &sel.sc
 	if cap(sc.idx) < n {
 		sc.idx, sc.mag = make([]int32, n), make([]uint64, n)
 	}
@@ -156,7 +153,15 @@ func encodeTopK(dst []byte, src []float64, k int, x, ref []float64, sel *streamS
 	mag := sc.mag[:len(idx)]
 	lo, hi := magnitudes(mag, idx, src)
 	tb, g := candThreshold(mag, k, lo, hi)
-	p := putPairs(out, src, keepCand(sc.idx[:k], idx, src, tb, k-g))
+	kept := keepCand(sc.idx[:k], idx, src, tb, k-g)
+	// Every kept magnitude is at least T, one is T, and rounding to
+	// float32 keeps the order of magnitudes (a NaN's exponent field is
+	// the largest): T's exponent is the base, unless it is 0.
+	base := uint8(math.Float32bits(float32(math.Float64frombits(tb))) >> 23)
+	if base == 0 {
+		base = frameBase(src, kept)
+	}
+	p := putPairs(out, src, kept, base)
 	sel.lastT = math.Float64frombits(tb)
 	sel.frames++
 	sel.cands += len(idx)
@@ -178,13 +183,13 @@ func magnitudes(mag []uint64, idx []int32, src []float64) (lo, hi uint64) {
 	return lo, hi
 }
 
-// pairsCap bounds the pairs region of k pairs out of n coordinates,
-// plus the slack putPair's wide store needs past the last pair. Every
-// pair takes minPairLen bytes and one more per gap varint byte past the
-// first; a gap of at least 2^(7j) spans that many indices of the n, so
-// at most n>>(7j) gaps take a (j+1)th byte.
+// pairsCap bounds the pairs region of k pairs out of n coordinates.
+// A pair takes minPairLen bytes, one more when its exponent escapes,
+// and its gap extension, which is never longer than one byte per 64
+// indices the gap spans: all the extensions of a frame take at most
+// n>>6 bytes.
 func pairsCap(n, k int) int {
-	return minPairLen*k + n>>7 + n>>14 + n>>21 + n>>28 + 3
+	return (minPairLen+1)*k + n>>6
 }
 
 // candThreshold selects the threshold among the candidates' magnitude
@@ -288,33 +293,54 @@ func b2i(b bool) int {
 	return i
 }
 
-// putPairs writes the pairs of the kept indices, ascending, and of
-// their values in src to out, and returns their length in bytes.
-func putPairs(out []byte, src []float64, kept []int32) int {
-	p, last := 0, -1
+// frameBase returns the base exponent of the kept indices' values in
+// src: the smallest non-zero float32 exponent field among them, or 0
+// when all are zero. The −1 wraps a zero field past every other, and
+// the +1 wraps an all-zero minimum back to 0.
+func frameBase(src []float64, kept []int32) uint8 {
+	m := uint32(math.MaxUint32)
 	for _, i := range kept {
-		p += putPair(out[p:], uint32(int(i)-last-1), src[i])
+		m = min(m, math.Float32bits(float32(src[i]))>>23&0xff-1)
+	}
+	return uint8(m + 1)
+}
+
+// putPairs writes base, then the pairs of the kept indices, ascending,
+// and of their values in src, to out, and returns the length in bytes.
+func putPairs(out []byte, src []float64, kept []int32, base uint8) int {
+	out[0] = base
+	b := uint32(base) << 23
+	p, last := 1, -1
+	for _, i := range kept {
+		f, gap := math.Float32bits(float32(src[i])), uint32(int(i)-last-1)
 		last = int(i)
+		if f>>23&0xff-uint32(base) > maxNarrow || gap >= wideGap {
+			p += putWide(out[p:], f, gap, base)
+			continue
+		}
+		binary.LittleEndian.PutUint32(out[p:], f-b|gap<<gapShift)
+		p += minPairLen
 	}
 	return p
 }
 
-// putPair writes one pair at the start of out — the minimal LEB128
-// varint of gap, then v rounded to float32 — and returns its length,
-// minPairLen to 9 bytes. A gap below 128 is one 8-byte store, so out
-// must hold 8 bytes even where the pair takes 5 (pairsCap's slack).
-func putPair(out []byte, gap uint32, v float64) int {
-	f := math.Float32bits(float32(v))
-	if gap < 0x80 {
-		binary.LittleEndian.PutUint64(out, uint64(gap)|uint64(f)<<8)
-		return minPairLen
+// putWide writes a pair that needs an escape at the start of out — the
+// word, the exponent byte when the exponent is not within maxNarrow
+// above base, then the minimal varint of gap − 63 when the gap does not
+// fit the word — and returns its length.
+func putWide(out []byte, f, gap uint32, base uint8) int {
+	w, p := f-uint32(base)<<23, minPairLen
+	if e := f >> 23 & 0xff; e-uint32(base) > maxNarrow {
+		w = f&^expField | wideOff<<23
+		out[p] = byte(e)
+		p++
 	}
-	w := 0
-	for ; gap >= 0x80; gap >>= 7 {
-		out[w] = byte(gap) | 0x80
-		w++
+	if gap >= wideGap {
+		w |= wideGap << gapShift
+		p += binary.PutUvarint(out[p:], uint64(gap-wideGap))
+	} else {
+		w |= gap << gapShift
 	}
-	out[w] = byte(gap)
-	binary.LittleEndian.PutUint32(out[w+1:], f)
-	return w + minPairLen
+	binary.LittleEndian.PutUint32(out, w)
+	return p
 }

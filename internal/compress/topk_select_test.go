@@ -35,15 +35,15 @@ func bySpec(src []float64) []int {
 }
 
 // refEncodeTopK is the specification encoder: the first k indices of
-// bySpec in ascending order, gap-coded. Every payload the threshold
-// path produces must match it byte for byte.
+// bySpec in ascending order, in the current layout. Every payload the
+// threshold path produces must match it byte for byte.
 func refEncodeTopK(src []float64, k int) []byte {
 	return gapCode(refEncodeV3(src, k))
 }
 
 // refEncodeV3 is the specification selection in the retired v3 layout,
 // which carried each kept coordinate as a (uint32 index, float32 value)
-// pair. It survives here only as the reference the gap-coded layout is
+// pair. It survives here only as the reference the current layout is
 // pinned against: same indices, same float32 bits.
 func refEncodeV3(src []float64, k int) []byte {
 	n := len(src)
@@ -58,19 +58,85 @@ func refEncodeV3(src []float64, k int) []byte {
 	return dst
 }
 
-// gapCode rewrites a v3 payload in the current layout: each index
-// becomes the minimal varint of its distance from the previous one,
-// less one, which the standard library's AppendUvarint writes.
+// gapCode rewrites a v3 payload in the current layout, by the
+// layout's definition rather than the encoder's code: base is the
+// smallest non-zero exponent field among the values, and each pair is
+// written by appendPair with the offset field canonOff gives.
 func gapCode(v3 []byte) []byte {
-	dst := append([]byte(nil), v3[:8]...)
-	last := -1
+	n, ps := pairsV3(v3)
+	return frameOf(n, len(ps), refBase(ps), ps)
+}
+
+// refPair is a kept coordinate: its index and its value's float32 bits.
+type refPair struct {
+	i int
+	f uint32
+}
+
+// pairsV3 reads a v3 payload's dimension and pairs.
+func pairsV3(v3 []byte) (n int, ps []refPair) {
 	for p := v3[8:]; len(p) >= 8; p = p[8:] {
-		i := int(binary.LittleEndian.Uint32(p))
-		dst = binary.AppendUvarint(dst, uint64(i-last-1))
-		dst = append(dst, p[4:8]...)
-		last = i
+		ps = append(ps, refPair{int(binary.LittleEndian.Uint32(p)), binary.LittleEndian.Uint32(p[4:])})
+	}
+	return int(binary.LittleEndian.Uint32(v3)), ps
+}
+
+// expOf is the exponent field of float32 bits f.
+func expOf(f uint32) int { return int(f >> 23 & 0xff) }
+
+// refBase is the base exponent of ps: the smallest non-zero exponent
+// field, or 0 when there is none.
+func refBase(ps []refPair) int {
+	base := 0
+	for _, p := range ps {
+		if e := expOf(p.f); e != 0 && (base == 0 || e < base) {
+			base = e
+		}
+	}
+	return base
+}
+
+// canonOff is the offset field a pair of bits f takes under base: the
+// exponent's distance above base when that is at most two, else the
+// escape 3.
+func canonOff(base int, f uint32) int {
+	if off := expOf(f) - base; off >= 0 && off <= 2 {
+		return off
+	}
+	return 3
+}
+
+// appendPair appends one pair with the given offset field and gap:
+// offset 3 appends the exponent byte after the word, and a gap of 63
+// or more puts 63 in the word and appends the varint of gap − 63.
+func appendPair(dst []byte, f uint32, off, gap int) []byte {
+	g := min(gap, 63)
+	dst = binary.LittleEndian.AppendUint32(dst, f&0x807fffff|uint32(off)<<23|uint32(g)<<25)
+	if off == 3 {
+		dst = append(dst, byte(expOf(f)))
+	}
+	if g == 63 {
+		dst = binary.AppendUvarint(dst, uint64(gap-63))
 	}
 	return dst
+}
+
+// topkHeader is a payload's header: n, k and base.
+func topkHeader(n, k, base int) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, uint32(n))
+	b = binary.LittleEndian.AppendUint32(b, uint32(k))
+	return append(b, byte(base))
+}
+
+// frameOf writes the payload of ps under the given header, each pair
+// with its canonical offset field under base.
+func frameOf(n, k, base int, ps []refPair) []byte {
+	b, last := topkHeader(n, k, base), -1
+	for _, p := range ps {
+		b = appendPair(b, p.f, canonOff(base, p.f), p.i-last-1)
+		last = p.i
+	}
+	return b
 }
 
 // decodeV3 is the reference decode of a v3 payload into a zero
@@ -100,26 +166,34 @@ func firstSparse(ratio float64, src []float64) ([]byte, *DeltaEncoder) {
 // the frame's pairs, zero elsewhere.
 func foldFrame(payload []byte) ([]float64, error) {
 	var dec DeltaDecoder
-	if n, _, err := parseTopKHeader(payload); err == nil {
+	if n, _, _, err := parseTopKHeader(payload); err == nil {
 		dec.ref = make([]float64, n)
 	}
 	return dec.Decode(payload)
 }
 
-// v3Of is gapCode's inverse: the v3 payload carrying a well-formed
-// payload's (index, float32) pairs, read with the standard library's
-// Uvarint.
-func v3Of(payload []byte) []byte {
-	dst := append([]byte(nil), payload[:8]...)
+// pairsOf is gapCode's inverse, written as plainly: a well-formed
+// payload's dimension, base and (index, float32 bits) pairs, the gap
+// extensions read with the standard library's Uvarint.
+func pairsOf(payload []byte) (n, base int, ps []refPair) {
+	n, base = int(binary.LittleEndian.Uint32(payload)), int(payload[8])
 	last := -1
-	for p := payload[8:]; len(p) > 0; {
-		gap, w := binary.Uvarint(p)
-		last += int(gap) + 1
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(last))
-		dst = append(dst, p[w:w+4]...)
-		p = p[w+4:]
+	for p := payload[9:]; len(p) > 0; {
+		w := binary.LittleEndian.Uint32(p)
+		p = p[4:]
+		e := base + int(w>>23&3)
+		if w>>23&3 == 3 {
+			e, p = int(p[0]), p[1:]
+		}
+		gap := int(w >> 25 & 63)
+		if gap == 63 {
+			x, l := binary.Uvarint(p)
+			gap, p = gap+int(x), p[l:]
+		}
+		last += gap + 1
+		ps = append(ps, refPair{last, w&0x807fffff | uint32(e)<<23})
 	}
-	return dst
+	return n, base, ps
 }
 
 // sameBits reports whether a and b hold the same float64 bit patterns.

@@ -150,7 +150,7 @@ func TestPragueReduceCountsEachMemberOnce(t *testing.T) {
 	p.queue.Enqueue(Update{Params: []float64{3}, Iter: k, From: others[0]})
 	p.queue.Enqueue(Update{Params: []float64{9}, Iter: k, From: others[0]})
 	dst := []float64{-1}
-	p.recvReduceInto(dst, k, nil)
+	mustFinish(t, p, goReduce(func() { p.recvReduceInto(dst, k, nil) }))
 	if dst[0] != 1.5 {
 		t.Errorf("reduced %v, want the mean of one update per member, 1.5", dst[0])
 	}

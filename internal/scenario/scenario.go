@@ -509,8 +509,8 @@ func WorkloadByName(name string) (Workload, error) {
 
 // WireRatio returns the nominal on-the-wire size ratio of a
 // compression spec relative to raw float64 coordinates: 1 for none,
-// 0.5 for float32, ratio·5/8 for topk (a one-byte index gap and a
-// float32 value per kept coordinate vs 8 raw bytes per coordinate).
+// 0.5 for float32, ratio·4/8 for topk (one four-byte word per kept
+// coordinate vs 8 raw bytes per coordinate).
 // The simulator multiplies the modeled payload by it (DESIGN.md §4.2);
 // live runs realize the same ratio on real sockets.
 func WireRatio(spec compress.Spec) float64 {
@@ -522,7 +522,7 @@ func WireRatio(spec compress.Spec) float64 {
 		if r == 0 {
 			r = compress.DefaultTopKRatio
 		}
-		return r * 5 / 8
+		return r * 4 / 8
 	}
 	return 1
 }

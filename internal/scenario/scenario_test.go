@@ -164,9 +164,9 @@ func TestResolveProtocolAxes(t *testing.T) {
 	if opts.Net.Burst == nil || opts.Net.Burst.Factor != 8 || opts.Net.Burst.Seed != 300+7 {
 		t.Errorf("burst: %+v", opts.Net.Burst)
 	}
-	// topk:0.25 keeps a quarter of the coordinates, at 5 of 8 bytes each.
-	if opts.PayloadBytes != (1<<20)/4*5/8 {
-		t.Errorf("compressed payload %d, want %d", opts.PayloadBytes, (1<<20)/4*5/8)
+	// topk:0.25 keeps a quarter of the coordinates, at 4 of 8 bytes each.
+	if opts.PayloadBytes != (1<<20)/4*4/8 {
+		t.Errorf("compressed payload %d, want %d", opts.PayloadBytes, (1<<20)/4*4/8)
 	}
 	if c.Compression.Ratio != 0.25 {
 		t.Errorf("compression carried: %+v", c.Compression)
@@ -301,7 +301,7 @@ func TestWireRatio(t *testing.T) {
 		spec string
 		want float64
 	}{
-		{"none", 1}, {"", 1}, {"float32", 0.5}, {"topk:0.1", 0.0625}, {"topk", 0.0625}, {"topk:0.5", 0.3125},
+		{"none", 1}, {"", 1}, {"float32", 0.5}, {"topk:0.1", 0.05}, {"topk", 0.05}, {"topk:0.5", 0.25},
 	} {
 		s := Spec{Workload: "quadratic", Topology: Topology{Kind: "ring", Workers: 4, Machines: 2},
 			Compression: tc.spec, Deadline: Duration(time.Second)}

@@ -33,8 +33,10 @@ const (
 	// the varint and the value as a uint32 index. Version 5 drops the
 	// token grant count: a grant is the iteration its sender entered,
 	// and header bytes 20–23 are reserved; a v4 peer would read every
-	// v5 grant as zero tokens.
-	magic = "HOP\x05"
+	// v5 grant as zero tokens. Version 6 packs each TopK pair into one
+	// word, its exponent an offset from the frame's base (compress.go);
+	// a v5 peer would read the base byte as a gap.
+	magic = "HOP\x06"
 
 	headerLen = 32
 
@@ -98,7 +100,7 @@ var errCorruptFrame = errors.New("corrupt frame")
 // frameHeader is the fixed prefix of every frame:
 //
 //	off size field
-//	 0   4   magic "HOP" + version 0x05
+//	 0   4   magic "HOP" + version 0x06
 //	 4   1   frame kind
 //	 5   1   payload codec (compress.Kind)
 //	 6   2   chunk index

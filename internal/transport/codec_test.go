@@ -302,12 +302,13 @@ func TestRejectsNonHopPeer(t *testing.T) {
 }
 
 // TestRefusesV3Hello: a well-formed hello from a version-3 peer, whose
-// TopK pairs carry uint32 indices where this version reads gap
-// varints, or from a version-4 peer, whose token frames carry a grant
-// count where this version reads the iteration entered, is refused at
+// TopK pairs carry uint32 indices where this version reads pair words,
+// from a version-4 peer, whose token frames carry a grant count where
+// this version reads the iteration entered, or from a version-5 peer,
+// whose TopK pairs are a gap varint and a whole float32, is refused at
 // the handshake like any non-hop peer.
 func TestRefusesV3Hello(t *testing.T) {
-	for _, version := range []byte{3, 4} {
+	for _, version := range []byte{3, 4, 5} {
 		hello := appendFrame(nil, frameHeader{kind: frameHello, codec: compress.TopK, from: 1}, nil)
 		hello[3] = version
 		binary.LittleEndian.PutUint32(hello[headerLen:], frameCRC(hello[:headerLen], nil))
