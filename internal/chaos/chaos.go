@@ -18,9 +18,12 @@ type Partition struct {
 }
 
 // Config tunes an injector. All probabilities are per-message in
-// [0, 1]; the zero value injects nothing.
+// [0, 1], drop's below 1; the zero value injects nothing.
 type Config struct {
-	// Drop is the probability a message silently vanishes.
+	// Drop is the probability a transmission attempt is lost. The link
+	// retransmits a dropped message after a fixed timeout, and the
+	// retransmission draws its fate again, so a drop delays a message
+	// and never loses it.
 	Drop float64 `json:"drop,omitempty"`
 	// Duplicate is the probability a message is delivered twice.
 	Duplicate float64 `json:"duplicate,omitempty"`
@@ -51,6 +54,9 @@ func (c *Config) Validate(n int) error {
 			return fmt.Errorf("chaos: %s probability %g outside [0, 1]", pr.name, pr.p)
 		}
 	}
+	if c.Drop == 1 {
+		return fmt.Errorf("chaos: drop probability 1 loses every retransmission, so no message would ever arrive")
+	}
 	for i, p := range c.Partitions {
 		if p.A < 0 || p.A >= n || p.B < 0 || p.B >= n {
 			return fmt.Errorf("chaos: partition %d pairs workers (%d, %d), outside [0, %d)", i, p.A, p.B, n)
@@ -65,9 +71,10 @@ func (c *Config) Validate(n int) error {
 	return nil
 }
 
-// Lossy reports whether the config can make messages disappear.
+// Lossy reports whether the config can make messages disappear: a
+// corrupt frame or a partition window, never a retransmitted drop.
 func (c *Config) Lossy() bool {
-	return c.Drop > 0 || c.Corrupt > 0 || len(c.Partitions) > 0
+	return c.Corrupt > 0 || len(c.Partitions) > 0
 }
 
 // Severs reports whether a partition window cuts the link between a and

@@ -4,7 +4,8 @@ import "testing"
 
 // TestValidate: impossible probabilities, partitions naming a worker
 // outside the cluster or pairing one with itself, and empty windows
-// are refused; every knob at its bounds is accepted.
+// are refused, and so is a drop of 1, which no retransmission would
+// survive; every other knob at its bounds is accepted.
 func TestValidate(t *testing.T) {
 	cases := []struct {
 		name string
@@ -12,7 +13,8 @@ func TestValidate(t *testing.T) {
 		ok   bool
 	}{
 		{"zero value", Config{}, true},
-		{"every probability at its bounds", Config{Drop: 1, Duplicate: 0, Reorder: 1, Corrupt: 0.5}, true},
+		{"every probability at its bounds", Config{Drop: 0.99, Duplicate: 0, Reorder: 1, Corrupt: 0.5}, true},
+		{"drop of one", Config{Drop: 1}, false},
 		{"one-iteration window", Config{Partitions: []Partition{{A: 0, B: 2, FromIter: 0, ToIter: 1}}}, true},
 		{"drop over one", Config{Drop: 1.5}, false},
 		{"negative corrupt", Config{Corrupt: -0.1}, false},
@@ -65,7 +67,7 @@ func TestLossy(t *testing.T) {
 	}{
 		{Config{}, false},
 		{Config{Duplicate: 0.5, Reorder: 0.5}, false},
-		{Config{Drop: 0.1}, true},
+		{Config{Drop: 0.1}, false},
 		{Config{Corrupt: 0.1}, true},
 		{Config{Partitions: []Partition{{A: 0, B: 1, FromIter: 0, ToIter: 1}}}, true},
 	} {

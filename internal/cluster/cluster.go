@@ -218,7 +218,8 @@ func (r *worker) Iterated(iter int, loss float64) {
 
 // Send and SendAck route through DeliverData, the chaos-injectable
 // path: when the scenario enables net faults, updates and ACKs can be
-// dropped, duplicated, reordered, corrupted, or partitioned. Death
+// retransmitted after a drop, duplicated, reordered, corrupted, or
+// partitioned. Death
 // notices (Run) keep the fault-free Deliver — chaos models a lossy
 // data plane, not a lying failure detector. Messages travel as typed
 // records (src is always u.From) and arrive at deliver, so a send

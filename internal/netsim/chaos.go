@@ -3,16 +3,18 @@ package netsim
 // chaos.go — the simulated plane's seeded network-fault injector, the
 // deterministic twin of internal/transport's live chaos interceptor.
 // Each ordered link (src, dst) owns a private RNG derived from the
-// chaos seed, and every data message draws exactly four values from it
-// (drop, duplicate, reorder, corrupt) regardless of which faults are
-// enabled or fire — so enabling one fault never re-times another, and
-// a run is a pure function of (spec, seed): the byte-identical-traces
-// contract of DESIGN.md §7.
+// chaos seed, and every transmission attempt draws exactly four values
+// from it (drop, duplicate, reorder, corrupt) regardless of which
+// faults are enabled or fire — so enabling duplicate, reorder or
+// corrupt never re-times another fault, and a run is a pure function
+// of (spec, seed): the byte-identical-traces contract of DESIGN.md §7.
 //
-// Corruption is modeled as loss: the live plane flips a bit and the
-// receiver's CRC check discards the frame, so by the time the protocol
-// would see it, a corrupt message and a dropped message are the same
-// event. The counters keep them distinct.
+// A dropped attempt is retransmitted: the message arrives one
+// retransmission timeout later per dropped attempt, and each
+// retransmission draws its four values again. Corruption is modeled as
+// loss: the live plane flips a bit and the receiver's CRC check
+// discards the frame (and tears its connection), so the protocol never
+// sees the message.
 
 import (
 	"math/rand"
@@ -38,7 +40,8 @@ func (f *Fabric) linkRNG(src, dst int) *rand.Rand {
 
 // reorderDelay is how long a reordered (or duplicated) message lags
 // behind its natural arrival: several wire latencies, enough for
-// later sends on the link to overtake it.
+// later sends on the link to overtake it. A retransmission waits twice
+// that.
 func (f *Fabric) reorderDelay() time.Duration {
 	d := 4 * f.cfg.Inter.Latency
 	if d < time.Millisecond {
@@ -47,12 +50,19 @@ func (f *Fabric) reorderDelay() time.Duration {
 	return d
 }
 
+// fate draws one transmission attempt's four values on the link, in
+// order.
+func (f *Fabric) fate(src, dst int) (drop, dup, reorder, corrupt bool) {
+	rng, c := f.linkRNG(src, dst), f.cfg.Chaos
+	return rng.Float64() < c.Drop, rng.Float64() < c.Duplicate, rng.Float64() < c.Reorder, rng.Float64() < c.Corrupt
+}
+
 // DeliverData prices protocol data message m like Deliver and hands it
 // to the fabric's handler (Handle) on arrival, routing it through the
 // chaos injector first. Membership/control traffic (death notices)
 // should keep using Deliver: chaos models a lossy data plane, not a
 // lying failure detector. It reports whether the message is on its
-// way: a lost one (partition, drop or corruption) never reaches the
+// way: a lost one (partition or corruption) never reaches the
 // handler, so its Params are still the sender's to recycle.
 func (f *Fabric) DeliverData(bytes int, m Message) bool {
 	if f.eq.handle == nil {
@@ -68,25 +78,18 @@ func (f *Fabric) DeliverData(bytes int, m Message) bool {
 		f.stats.NetPartitioned++
 		return false
 	}
-	// Exactly four draws per message, fault or no fault: the draw
-	// schedule — and therefore every later draw on this link — is
-	// independent of which faults fire.
-	rng := f.linkRNG(src, dst)
-	drop := rng.Float64() < c.Drop
-	dup := rng.Float64() < c.Duplicate
-	reorder := rng.Float64() < c.Reorder
-	corrupt := rng.Float64() < c.Corrupt
-	switch {
-	case drop:
+	drop, dup, reorder, corrupt := f.fate(src, dst)
+	var late time.Duration
+	for drop {
 		f.stats.NetDropped++
-		return false
-	case corrupt:
-		// The live receiver CRC-drops a corrupt frame, so here it is
-		// loss with its own counter.
+		late += 2 * f.reorderDelay()
+		drop, dup, reorder, corrupt = f.fate(src, dst)
+	}
+	if corrupt {
 		f.stats.NetCorrupted++
 		return false
 	}
-	at := f.arrivalTime(src, dst, bytes)
+	at := f.arrivalTime(src, dst, bytes) + late
 	if reorder {
 		f.stats.NetReordered++
 		at += f.reorderDelay()

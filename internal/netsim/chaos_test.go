@@ -47,12 +47,52 @@ func TestChaosDeterministic(t *testing.T) {
 	if s1 != s2 {
 		t.Fatalf("stats differ:\n%+v\n%+v", s1, s2)
 	}
-	lost := s1.NetDropped + s1.NetCorrupted
-	if lost == 0 || s1.NetDuplicated == 0 || s1.NetReordered == 0 {
+	if s1.NetDropped == 0 || s1.NetCorrupted == 0 || s1.NetDuplicated == 0 || s1.NetReordered == 0 {
 		t.Errorf("faults never fired: %+v", s1)
 	}
-	if got := 40 - lost + s1.NetDuplicated; len(a1) != got {
-		t.Errorf("%d deliveries, want sent - lost + dup = %d", len(a1), got)
+	// A drop is retransmitted; only a corrupt message is lost.
+	if got := 40 - s1.NetCorrupted + s1.NetDuplicated; len(a1) != got {
+		t.Errorf("%d deliveries, want sent - corrupt + dup = %d", len(a1), got)
+	}
+}
+
+// TestChaosDropRetransmits: a dropped attempt delays its message by one
+// retransmission timeout, twice the reorder delay, and the
+// retransmission meets the drop draw again; every message arrives.
+func TestChaosDropRetransmits(t *testing.T) {
+	const msgs = 50
+	k := sim.NewKernel()
+	f := New(k, chaosCfg(&chaos.Config{Drop: 0.9, Seed: 42}), 2, []int{0, 1})
+	rto := 2 * f.reorderDelay()
+	sent := map[int]time.Duration{}
+	var attempts int
+	f.Handle(func(m Message) {
+		lag := k.Now() - sent[m.Iter] - 10*time.Millisecond - 100*time.Microsecond // latency + 100 B at 1 MB/s
+		if lag < 0 || lag%rto != 0 {
+			t.Errorf("message %d arrived %v after its fault-free arrival, not a whole number of %v timeouts", m.Iter, lag, rto)
+		}
+		attempts += 1 + int(lag/rto)
+		delete(sent, m.Iter)
+	})
+	k.Spawn("tx", func(p *sim.Proc) {
+		for i := 0; i < msgs; i++ {
+			sent[i] = k.Now()
+			f.DeliverData(100, Message{From: 0, Dst: 1, Iter: i})
+			p.Sleep(time.Second) // the link is idle again before each send
+		}
+	})
+	run(t, k, 2*msgs*time.Second)
+	s := f.Stats()
+	if len(sent) != 0 {
+		t.Errorf("%d of %d messages never arrived", len(sent), msgs)
+	}
+	if attempts != msgs+s.NetDropped {
+		t.Errorf("%d attempts in the arrival times, want one per message plus %d drops", attempts, s.NetDropped)
+	}
+	// At drop 0.9 a message takes ten attempts on average: a link that
+	// retransmitted only once would count at most one drop a message.
+	if s.NetDropped <= msgs {
+		t.Errorf("%d drops over %d messages: a retransmission was never dropped again", s.NetDropped, msgs)
 	}
 }
 

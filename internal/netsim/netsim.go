@@ -149,9 +149,9 @@ type Stats struct {
 	// transfer started.
 	BurstMessages int `json:"burst_messages"`
 	// Net* count faults injected by Config.Chaos on DeliverData
-	// messages (all zero when chaos is off). NetCorrupted is loss the
-	// receiver's integrity check would produce, kept distinct from
-	// NetDropped, the wire's own loss.
+	// messages (all zero when chaos is off). NetDropped counts dropped
+	// attempts, each retransmitted; NetCorrupted is loss the receiver's
+	// integrity check would produce.
 	NetDropped     int `json:"net_dropped"`
 	NetDuplicated  int `json:"net_duplicated"`
 	NetReordered   int `json:"net_reordered"`

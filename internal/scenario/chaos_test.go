@@ -10,7 +10,9 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"testing"
+	"time"
 
 	"hop/internal/chaos"
 	"hop/internal/cluster"
@@ -18,6 +20,7 @@ import (
 	"hop/internal/leaktest"
 	"hop/internal/live"
 	"hop/internal/netsim"
+	"hop/internal/transport"
 )
 
 func TestNetFaultValidation(t *testing.T) {
@@ -36,25 +39,30 @@ func TestNetFaultValidation(t *testing.T) {
 		// The clause's own ranges are internal/chaos's tests; one case
 		// shows the spec surfaces them, against its own worker count.
 		{"partition worker out of range", Protocol{Staleness: 5}, "", &chaos.Config{Partitions: []chaos.Partition{{A: 0, B: 4, FromIter: 2, ToIter: 4}}}, false},
-		{"drop needs loss absorption", Protocol{}, "", &chaos.Config{Drop: 0.1}, false},
+		// A drop is retransmitted, so no protocol needs to absorb it.
+		{"drop is not lossy", Protocol{}, "", &chaos.Config{Drop: 0.1}, true},
 		{"corrupt needs loss absorption", Protocol{}, "", &chaos.Config{Corrupt: 0.1}, false},
 		{"duplicate and reorder are not lossy", Protocol{}, "", &chaos.Config{Duplicate: 0.2, Reorder: 0.2}, true},
 		{"duplicate with token queues", Protocol{MaxIG: 2}, "", &chaos.Config{Duplicate: 0.3}, true},
 		{"reorder with token queues", Protocol{MaxIG: 2}, "", &chaos.Config{Reorder: 0.3}, true},
 		{"drop with staleness", Protocol{Staleness: 5}, "", &chaos.Config{Drop: 0.1}, true},
+		{"drop with backup and token queues", Protocol{MaxIG: 4, Backup: 1}, "", &chaos.Config{Drop: 0.1}, true},
+		{"drop under notify-ack", Protocol{Mode: "notify-ack"}, "", &chaos.Config{Drop: 0.1}, true},
+		{"drop under prague", Protocol{Mode: "prague", GroupSize: 2}, "", &chaos.Config{Drop: 0.1}, true},
 		// Backup needs token queues (core), loss refuses them: Validate
 		// used to accept this and Run reject it.
-		{"drop with backup alone", Protocol{Backup: 1}, "", &chaos.Config{Drop: 0.1}, false},
-		{"drop with backup and token queues", Protocol{MaxIG: 4, Backup: 1}, "", &chaos.Config{Drop: 0.1}, false},
-		{"loss under notify-ack", Protocol{Mode: "notify-ack", Staleness: 5}, "", &chaos.Config{Drop: 0.1}, false},
-		{"loss under prague", Protocol{Mode: "prague", GroupSize: 2}, "", &chaos.Config{Drop: 0.1}, false},
+		{"corrupt with backup alone", Protocol{Backup: 1}, "", &chaos.Config{Corrupt: 0.1}, false},
+		{"corrupt with backup and token queues", Protocol{MaxIG: 4, Backup: 1}, "", &chaos.Config{Corrupt: 0.1}, false},
+		{"loss under notify-ack", Protocol{Mode: "notify-ack", Staleness: 5}, "", &chaos.Config{Corrupt: 0.1}, false},
+		{"loss under prague", Protocol{Mode: "prague", GroupSize: 2}, "", &chaos.Config{Corrupt: 0.1}, false},
 		// The queue drops a duplicated update, so a duplicate cannot
 		// stand in for a missing quorum member.
 		{"duplicate and reorder under prague", Protocol{Mode: "prague", GroupSize: 2}, "", &chaos.Config{Duplicate: 0.2, Reorder: 0.2}, true},
-		{"loss with token queues", Protocol{MaxIG: 4, Staleness: 5}, "", &chaos.Config{Drop: 0.1}, false},
+		{"loss with token queues", Protocol{MaxIG: 4, Staleness: 5}, "", &chaos.Config{Corrupt: 0.1}, false},
+		{"drop with token queues", Protocol{MaxIG: 4}, "", &chaos.Config{Drop: 0.1}, true},
 		{"partition window exceeds staleness", Protocol{Staleness: 3}, "", &chaos.Config{Partitions: []chaos.Partition{{A: 0, B: 1, FromIter: 2, ToIter: 6}}}, false},
 		{"partition window within staleness", Protocol{Staleness: 5}, "", &chaos.Config{Partitions: []chaos.Partition{{A: 0, B: 1, FromIter: 2, ToIter: 6}}}, true},
-		{"topk with drop", Protocol{Staleness: 5}, "topk", &chaos.Config{Drop: 0.1}, false},
+		{"topk with drop", Protocol{}, "topk", &chaos.Config{Drop: 0.1}, true},
 		{"topk with duplicate", Protocol{Staleness: 5}, "topk", &chaos.Config{Duplicate: 0.1}, false},
 		{"topk with corrupt only", Protocol{Staleness: 5}, "topk", &chaos.Config{Corrupt: 0.05}, true},
 	}
@@ -88,15 +96,12 @@ func TestNetFaultRejectionsObserved(t *testing.T) {
 		net      chaos.Config
 		wedges   bool
 	}{
-		{"standard with drop", Protocol{}, chaos.Config{Drop: 0.1}, true},
 		{"standard with corrupt", Protocol{}, chaos.Config{Corrupt: 0.1}, true},
 		{"standard with a partition", Protocol{}, chaos.Config{Partitions: part(3, 4)}, true},
-		{"notify-ack with drop", Protocol{Mode: "notify-ack"}, chaos.Config{Drop: 0.1}, true},
 		{"partition longer than staleness", Protocol{Staleness: 3}, chaos.Config{Partitions: part(2, 10)}, true},
-		{"prague with drop", Protocol{Mode: "prague", GroupSize: 2}, chaos.Config{Drop: 0.1}, true},
 		// Token grants never cross the simulated fabric, so only the
 		// live token frame can be lost: the rule guards live runs.
-		{"token queues with drop", Protocol{MaxIG: 4, Staleness: 5}, chaos.Config{Drop: 0.1}, false},
+		{"token queues with corrupt", Protocol{MaxIG: 4, Staleness: 5}, chaos.Config{Corrupt: 0.1}, false},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -140,6 +145,91 @@ func TestNetFaultRejectionsObserved(t *testing.T) {
 				t.Errorf("%d worker-iterations completed, want %d", done, workers*iters)
 			}
 		})
+	}
+}
+
+// dropRun runs spec on the simulator with fault.net's drop set, and
+// fails t unless the run finishes, with drops fired. A dropped attempt
+// is retransmitted, so no protocol, mode or staleness bound is needed
+// for a drop-only spec to finish. It returns the worker-iterations
+// completed.
+func dropRun(t *testing.T, spec Spec, drop float64) int {
+	t.Helper()
+	var f Fault
+	if spec.Fault != nil {
+		f = *spec.Fault
+	}
+	f.Net = &chaos.Config{Drop: drop}
+	spec.Fault = &f
+	opts, err := spec.Resolve()
+	if err != nil {
+		t.Fatalf("%s: %v", spec.Name, err)
+	}
+	res, err := cluster.Run(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Deadlock != nil {
+		t.Errorf("%s: %v", spec.Name, res.Deadlock)
+	} else if res.Fabric.Stats().NetDropped == 0 {
+		t.Errorf("%s: no drop fired", spec.Name)
+	}
+	return res.Metrics.Iterations()
+}
+
+// TestDropGridFinishes: ring-4, 40 iterations, staleness 0, 1, 2 and 5
+// against drop 0.05, 0.2 and 0.4, 40 spec seeds a cell, every run
+// completing every worker-iteration. A drop that lost its message
+// would wedge this grid two ways: mid-run (seeds 38 and 40 at staleness
+// 1, drop 0.05), where a worker blocked on a lost update stops sending
+// and its in-neighbour blocks on it, and at the tail (seeds 13, 22, 34
+// and 40 at staleness 5, drop 0.4), where a worker waits for an update
+// its finished neighbour will never send again.
+func TestDropGridFinishes(t *testing.T) {
+	for _, stale := range []int{0, 1, 2, 5} {
+		for _, drop := range []float64{0.05, 0.2, 0.4} {
+			for seed := int64(1); seed <= 40; seed++ {
+				spec := Spec{
+					Name:     fmt.Sprintf("staleness %d drop %g seed %d", stale, drop, seed),
+					Workload: "quadratic",
+					Topology: Topology{Kind: "ring", Workers: 4, Machines: 1},
+					Protocol: Protocol{Staleness: stale},
+					MaxIter:  40,
+					Seed:     seed,
+				}
+				if done := dropRun(t, spec, drop); done != 4*40 {
+					t.Errorf("%s: %d worker-iterations completed, want 160", spec.Name, done)
+				}
+			}
+		}
+	}
+}
+
+// TestDropModesFinish: at drop 0.3 every mode that accepts faults
+// finishes on the simulator — the waits a lost update would wedge
+// (NOTIFY-ACK's ACK gate, a Prague quorum, a backup reduce, a §5
+// jump's token read, the serial graph's send order, a directed ring's
+// one in-edge, and a rejoin's first update) are each only delayed by
+// a retransmission.
+func TestDropModesFinish(t *testing.T) {
+	ring := func(n int) Topology { return Topology{Kind: "ring", Workers: n, Machines: 1} }
+	cases := []Spec{
+		{Name: "notify-ack", Topology: ring(4), Protocol: Protocol{Mode: "notify-ack"}},
+		{Name: "prague group 2", Topology: ring(8), Protocol: Protocol{Mode: "prague", GroupSize: 2}},
+		{Name: "max_ig 4 backup 1", Topology: ring(4), Protocol: Protocol{MaxIG: 4, Backup: 1}},
+		{Name: "skip beside a 4x straggler", Topology: ring(4), Protocol: Protocol{MaxIG: 3, Backup: 1, SkipMaxJump: 3},
+			Hetero: Hetero{Kind: "det", Factor: 4, Workers: []int{0}}},
+		{Name: "serial", Topology: ring(4), Protocol: Protocol{Serial: true}},
+		{Name: "directed ring", Topology: Topology{Kind: "directed-ring", Workers: 4, Machines: 1}},
+		{Name: "crash restart", Topology: ring(4), Fault: restartAfter(1, 10, 150*time.Millisecond)},
+	}
+	for _, c := range cases {
+		for seed := int64(1); seed <= 10; seed++ {
+			spec := c
+			spec.Name = fmt.Sprintf("%s seed %d", c.Name, seed)
+			spec.Workload, spec.MaxIter, spec.Seed = "quadratic", 40, seed
+			dropRun(t, spec, 0.3)
+		}
 	}
 }
 
@@ -304,5 +394,41 @@ func TestLiveChaosConverges(t *testing.T) {
 		if loss := worker.Trainer().EvalLoss(); loss > 0.3 {
 			t.Errorf("worker %d loss %g under live chaos", w, loss)
 		}
+	}
+}
+
+// TestLiveDropFinishes: on loopback, drop 0.2 under token queues and a
+// TopK delta stream, with no staleness bound, finishes with no read
+// error. Standard mode without staleness reduces exactly the updates
+// of each iteration, so a retransmission changes when an update lands,
+// never what is reduced: the worst worker's eval loss equals the
+// fault-free run's bit for bit.
+func TestLiveDropFinishes(t *testing.T) {
+	defer leaktest.Check(t, 0)()
+	spec := loadSpec(t, "../../examples/scenarios/smoke-ring4-drop.json")
+	worst := func(spec Spec) (float64, transport.Stats) {
+		t.Helper()
+		res, err := spec.RunLive(LiveOptions{Logger: live.NopLogger()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		loss := 0.0
+		for _, w := range res.Workers {
+			loss = max(loss, w.Trainer().EvalLoss())
+		}
+		return loss, res.WireStats()
+	}
+	lossy, st := worst(spec)
+	if st.ChaosDropped == 0 {
+		t.Error("no frame was dropped")
+	}
+	if st.ReadErrors != 0 {
+		t.Errorf("%d inbound connections dropped", st.ReadErrors)
+	}
+	spec.Fault = nil
+	clean, _ := worst(spec)
+	t.Logf("worst eval loss %g, fault-free %g, %d drops", lossy, clean, st.ChaosDropped)
+	if lossy != clean {
+		t.Errorf("worst eval loss %g under drop 0.2, %g without faults", lossy, clean)
 	}
 }

@@ -53,8 +53,8 @@ func TestPragueSpecValidation(t *testing.T) {
 			MaxIter:  10,
 		}, "Prague config set but mode is standard"},
 		{"chaos rejected", prague(func(s *Spec) {
-			s.Fault = &Fault{Net: &chaos.Config{Drop: 0.01}}
-		}), "fault net loss (drop/corrupt/partitions) needs bounded staleness"},
+			s.Fault = &Fault{Net: &chaos.Config{Corrupt: 0.01}}
+		}), "fault net loss (corrupt/partitions) needs bounded staleness"},
 		{"restart rejected", prague(func(s *Spec) {
 			s.Fault = &Fault{Crashes: []Crash{{Worker: 3, Iter: 5, Restart: Duration(time.Second)}}}
 		}), "rejoin does not compose with prague"},

@@ -274,8 +274,9 @@ type Fault struct {
 	// drop/duplicate/reorder/corrupt probabilities and partition
 	// windows. The one clause both planes read: deterministically on the
 	// simulator (netsim.Config.Chaos), as seeded frame-level injection
-	// on live TCP (live.WorkerConfig.Chaos). Loss-inducing knobs need a
-	// protocol configuration that can absorb loss (validateNetFault).
+	// on live TCP (live.WorkerConfig.Chaos). A drop is retransmitted;
+	// corruption and partitions lose messages and need a protocol
+	// configuration that can absorb loss (validateNetFault).
 	Net *chaos.Config `json:"net,omitempty"`
 }
 
@@ -299,7 +300,7 @@ func validateNetFault(nf *chaos.Config, cfg core.Config, comp compress.Spec) err
 		// queues, which the next rule refuses; notify-ack and prague
 		// refuse staleness (core), so a lost update wedges them.
 		if cfg.Staleness <= 0 {
-			return fmt.Errorf("scenario: fault net loss (drop/corrupt/partitions) needs bounded staleness to absorb missing updates")
+			return fmt.Errorf("scenario: fault net loss (corrupt/partitions) needs bounded staleness to absorb missing updates")
 		}
 		if cfg.MaxIG > 0 {
 			// Token grants travel as token frames on the live wire only:
@@ -309,13 +310,14 @@ func validateNetFault(nf *chaos.Config, cfg core.Config, comp compress.Spec) err
 			return fmt.Errorf("scenario: fault net loss cannot run with token queues (a lost live token frame starves the receiver)")
 		}
 	}
-	if comp.Kind == compress.TopK && (nf.Drop > 0 || nf.Duplicate > 0 || len(nf.Partitions) > 0) {
+	if comp.Kind == compress.TopK && (nf.Duplicate > 0 || len(nf.Partitions) > 0) {
 		// TopK updates are a stateful delta stream: a silently lost or
 		// doubled message desyncs the receiver's error-feedback replica
-		// with no teardown to trigger a resync. Corruption is fine —
-		// the CRC drops the connection and the redial's dense
-		// warm-start frame resyncs the stream.
-		return fmt.Errorf("scenario: fault net drop/duplicate/partitions cannot run under topk compression (silent delta-stream desync); corrupt is allowed")
+		// with no teardown to trigger a resync. A drop is retransmitted
+		// in order, and corruption is fine — the CRC drops the
+		// connection and the redial's dense warm-start frame resyncs
+		// the stream.
+		return fmt.Errorf("scenario: fault net duplicate/partitions cannot run under topk compression (silent delta-stream desync); drop and corrupt are allowed")
 	}
 	return nil
 }

@@ -3,9 +3,12 @@ package transport
 // chaos.go — the live plane's seeded fault injector. It realizes a
 // chaos.Config in each peer's writer, between frame encoding and the
 // socket write: every frame of a batch meets the injector on its own
-// before the batch is assembled, and can be dropped, duplicated, delayed, or
-// bit-flipped before it reaches the wire; partition windows sever the
-// data plane between a pair of workers for an iteration range. The CRC
+// before the batch is assembled, and can be dropped and retransmitted,
+// duplicated, delayed, or bit-flipped before it reaches the wire;
+// partition windows sever the data plane between a pair of workers for
+// an iteration range. A dropped attempt costs the frame a retransmission
+// timeout of pre-write delay, the same delay path a reorder takes, and
+// the retransmission draws the drop again. The CRC
 // trailer (codec.go) turns every injected bit-flip into a detected
 // corrupt frame at the receiver, which tears the connection down and
 // recovers via redial + the dense warm-start delta frame — never by
@@ -36,7 +39,8 @@ import (
 	"hop/internal/seeded"
 )
 
-// maxDelay caps the pre-write delay a reordered frame waits.
+// maxDelay caps the pre-write delay a reordered frame waits; a
+// retransmission waits twice that.
 const maxDelay = 20 * time.Millisecond
 
 // chaosState is the per-node injector: one seeded RNG shared across
@@ -76,9 +80,8 @@ func (c *chaosState) filter(self, peer int, iov [][]byte, ctl []byte, update boo
 
 // inject applies the configured faults to one encoded frame, given as
 // consecutive parts of which the first starts with the header: the
-// frame is appended to iov zero times (dropped, partitioned), once
-// (possibly after a sleep, possibly as a bit-flipped copy) or twice
-// (duplicated).
+// frame is appended to iov zero times (partitioned), once (possibly
+// after a sleep, possibly as a bit-flipped copy) or twice (duplicated).
 func (c *chaosState) inject(self, peer int, iov [][]byte, frames int, parts ...[]byte) ([][]byte, int) {
 	head := parts[0]
 	size := 0
@@ -94,40 +97,31 @@ func (c *chaosState) inject(self, peer int, iov [][]byte, frames int, parts ...[
 	// chunk violates the reassembly contract, modeling a sender bug
 	// rather than a network fault.
 	dupable := !(kind == frameUpdate && binary.LittleEndian.Uint16(head[8:10]) > 1)
+	// On a TCP stream a frame cannot overtake its predecessors: a delay
+	// holds the frame — and with it the connection, the peer's one
+	// writer sleeping — so the node's other connections land first.
+	var delay time.Duration
 	c.mu.Lock()
-	drop := c.rng.Float64() < c.cfg.Drop
+	for c.rng.Float64() < c.cfg.Drop {
+		atomic.AddInt64(&c.st.ChaosDropped, 1)
+		delay += 2 * maxDelay
+	}
 	dup := dupable && c.rng.Float64() < c.cfg.Duplicate
 	corrupt := c.rng.Float64() < c.cfg.Corrupt
-	var delay time.Duration
 	if c.rng.Float64() < c.cfg.Reorder {
-		// On a TCP stream a frame cannot overtake its predecessors: the
-		// live reorder holds the frame — and with it the connection, the
-		// peer's one writer sleeping — so the node's other connections
-		// land first.
-		delay = time.Duration(c.rng.Float64() * float64(maxDelay))
+		atomic.AddInt64(&c.st.ChaosDelayed, 1)
+		delay += time.Duration(c.rng.Float64() * float64(maxDelay))
 	}
 	bit := 0
 	switch {
-	case drop:
-		atomic.AddInt64(&c.st.ChaosDropped, 1)
 	case corrupt:
 		atomic.AddInt64(&c.st.ChaosCorrupted, 1)
 		bit = c.rng.Intn(size * 8)
 	case dup:
 		atomic.AddInt64(&c.st.ChaosDuplicated, 1)
 	}
-	if !drop && delay > 0 {
-		atomic.AddInt64(&c.st.ChaosDelayed, 1)
-	}
 	c.mu.Unlock()
 
-	if drop {
-		// The frame vanishes "on the wire": the sender sees success,
-		// the receiver sees nothing. (The scenario layer refuses drop
-		// faults under configurations that cannot absorb loss —
-		// stateful TopK streams, NOTIFY-ACK, token queues.)
-		return iov, frames
-	}
 	if delay > 0 {
 		time.Sleep(delay)
 	}

@@ -320,35 +320,28 @@ type reassembler struct {
 
 // add folds one update frame in. It returns the completed (header,
 // payload) when the final chunk of an update arrives, and an error if
-// the stream violates the chunking contract: a repeated chunk, chunks
-// of one update disagreeing on their tags, or a partial larger than
-// maxPendingBytes. A chunk that does not come next can only mean the
-// chaos injector dropped its predecessor (it never reorders or
-// duplicates chunks): that update is lost, as a dropped single-frame
-// update is, and its remaining chunks are ignored. A single-chunk
-// update is returned aliasing the caller's payload (valid until its
-// next frame read), a multi-chunk one aliasing the reassembler's buffer
-// (valid until the next add).
+// the stream violates the chunking contract: a chunk that is not the
+// one due (repeated, or with a predecessor missing), chunks of one
+// update disagreeing on their tags, or a partial larger than
+// maxPendingBytes. No chunk goes missing on a live connection: the
+// chaos injector retransmits a dropped frame, a partition severs a
+// whole update by its tag, and a corrupt frame tears the connection
+// down. A single-chunk update is returned aliasing the caller's payload
+// (valid until its next frame read), a multi-chunk one aliasing the
+// reassembler's buffer (valid until the next add).
 func (ra *reassembler) add(h frameHeader, payload []byte) (frameHeader, []byte, bool, error) {
 	if h.chunkCount == 1 {
 		return h, payload, true, nil
 	}
 	if !ra.open || h.seq != ra.header.seq {
-		if h.chunkIndex != 0 {
-			return frameHeader{}, nil, false, nil // its update lost a chunk
-		}
 		ra.header, ra.next, ra.open, ra.buf = h, 0, true, ra.buf[:0]
 	}
 	if h.chunkCount != ra.header.chunkCount || h.codec != ra.header.codec ||
 		h.from != ra.header.from || h.iter != ra.header.iter {
 		return frameHeader{}, nil, false, fmt.Errorf("transport: inconsistent chunk headers for seq %d", h.seq)
 	}
-	switch {
-	case h.chunkIndex < ra.next:
-		return frameHeader{}, nil, false, fmt.Errorf("transport: duplicate chunk %d for seq %d", h.chunkIndex, h.seq)
-	case h.chunkIndex > ra.next:
-		ra.open = false // chunk ra.next was lost
-		return frameHeader{}, nil, false, nil
+	if h.chunkIndex != ra.next {
+		return frameHeader{}, nil, false, fmt.Errorf("transport: chunk %d for seq %d, chunk %d due", h.chunkIndex, h.seq, ra.next)
 	}
 	if len(ra.buf)+len(payload) > maxPendingBytes {
 		return frameHeader{}, nil, false, fmt.Errorf("transport: %d bytes of incomplete chunked update pending", len(ra.buf))

@@ -64,18 +64,17 @@ type peer struct {
 	ctl        []byte
 	job        *encShared
 	busy       bool
-	writing    bool // the writer holds a batch it has not finished with
-	closed     bool // stop was called: no new frames, the writer drains and exits
-	goodbye    bool // the writer's last frame is a goodbye (Node.Close, not a replacing Dial)
+	writing    bool        // the writer holds a batch it has not finished with
+	closed     atomic.Bool // stop was called: no new frames, the writer drains and exits; set under mu
+	goodbye    bool        // the writer's last frame is a goodbye (Node.Close, not a replacing Dial)
 
 	// Owned by the writer.
-	spare   []byte // the other half of ctl's double buffer
-	seq     uint32 // per-peer update sequence, keys chunk reassembly
-	closing bool   // closed, as of the writer's last look at the outbox
-	hdr     [headerLen]byte
-	crc     [crcLen]byte
-	iov     [][]byte
-	bufs    net.Buffers
+	spare []byte // the other half of ctl's double buffer
+	seq   uint32 // per-peer update sequence, keys chunk reassembly
+	hdr   [headerLen]byte
+	crc   [crcLen]byte
+	iov   [][]byte
+	bufs  net.Buffers
 
 	// hist fingerprints this peer's update-stream state: seeded from
 	// the connection's codec kind, advanced on every committed stream
@@ -164,13 +163,13 @@ func histNext(h uint64, iter int) uint64 { return (h ^ uint64(uint32(iter))) * 1
 func (p *peer) enqueue(h frameHeader, wait bool) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for !p.closed && len(p.ctl)+ctlFrameLen > cap(p.ctl) {
+	for !p.closed.Load() && len(p.ctl)+ctlFrameLen > cap(p.ctl) {
 		if !wait {
 			return nil
 		}
 		p.room.Wait()
 	}
-	if p.closed {
+	if p.closed.Load() {
 		return errPeerClosed
 	}
 	p.ctl = appendFrame(p.ctl, h, nil)
@@ -184,13 +183,13 @@ func (p *peer) enqueue(h frameHeader, wait bool) error {
 // derived from them — stages the update and hands it to the writer.
 func (n *Node) sendUpdate(p *peer, m Message) error {
 	p.mu.Lock()
-	if p.busy && !p.closed {
+	if p.busy && !p.closed.Load() {
 		atomic.AddInt64(&n.st.PipelineStalls, 1)
 	}
-	for p.busy && !p.closed {
+	for p.busy && !p.closed.Load() {
 		p.room.Wait()
 	}
-	if p.closed {
+	if p.closed.Load() {
 		p.mu.Unlock()
 		return errPeerClosed
 	}
@@ -302,7 +301,7 @@ func (n *Node) writeLoop(p *peer, id int) {
 		}
 		// A stopped connection drains best-effort: its far end may
 		// already be gone, which is not news.
-		if cb := n.cfg.OnSendError; err != nil && cb != nil && !p.closing {
+		if cb := n.cfg.OnSendError; err != nil && cb != nil && !p.closed.Load() {
 			cb(id, err)
 		}
 	}
@@ -327,14 +326,13 @@ func (p *peer) take(wait bool) (ctl []byte, job *encShared) {
 	p.mu.Lock()
 	if wait {
 		p.writing = false
-		for len(p.ctl) == 0 && p.job == nil && !(p.closed && !p.busy) {
+		for len(p.ctl) == 0 && p.job == nil && !(p.closed.Load() && !p.busy) {
 			p.room.Broadcast() // idle: what Flush waits for
 			p.work.Wait()
 		}
 		job, p.job = p.job, nil
 		p.writing = len(p.ctl) > 0 || job != nil
 	}
-	p.closing = p.closed
 	ctl = p.ctl
 	p.ctl, p.spare = p.spare[:0], ctl
 	p.mu.Unlock()
@@ -353,7 +351,8 @@ func (p *peer) idle() bool {
 // exits. The write deadline bounds the drain when the socket is wedged.
 func (p *peer) stop(goodbye bool) {
 	p.mu.Lock()
-	p.closed, p.goodbye = true, goodbye
+	p.closed.Store(true)
+	p.goodbye = goodbye
 	p.mu.Unlock()
 	p.work.Signal()
 	p.room.Broadcast()
@@ -418,11 +417,13 @@ func (n *Node) writeUpdate(p *peer, id int, e *encShared, ctl []byte) error {
 // p.hdr (chunk may be empty: an empty update is a header-only frame
 // carrying its tags) — header, payload chunk and CRC trailer as separate
 // vectors, so the payload goes from the shared entry to the kernel
-// without being copied into a frame first. Under Config.Liveness
-// writeTimeout arms once per flush; lastWrite is stamped once. With chaos configured
-// each frame meets the injector first, and what it lets through is
-// still one write. Handshake and goodbye frames never pass through
-// here, which is what keeps them structurally exempt from chaos.
+// without being copied into a frame first. Once the peer is stopped
+// closeDrainTimeout arms once per flush, otherwise under
+// Config.Liveness writeTimeout does; lastWrite is stamped once. With
+// chaos configured each frame meets the injector first, and what it
+// lets through is still one write. Handshake and goodbye frames never
+// pass through here, which is what keeps them structurally exempt from
+// chaos.
 func (n *Node) flush(p *peer, id int, ctl, chunk []byte, update bool) error {
 	if update {
 		binary.LittleEndian.PutUint32(p.crc[:], frameCRC(p.hdr[:], chunk))
@@ -454,8 +455,13 @@ func (n *Node) flush(p *peer, id int, ctl, chunk []byte, update bool) error {
 			}
 		}
 	}
-	if bytes > 0 { // chaos may have dropped the whole batch "on the wire"
-		if n.cfg.Liveness && !p.closing {
+	if bytes > 0 { // a partition may have severed the whole batch
+		switch {
+		case p.closed.Load():
+			// The drain deadline bounds this write, not the delay the
+			// chaos injector slept before it.
+			p.conn.SetWriteDeadline(time.Now().Add(closeDrainTimeout))
+		case n.cfg.Liveness:
 			p.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 		}
 		p.bufs = p.iov

@@ -206,7 +206,8 @@ type Stats struct {
 	PipelineStalls int64 `json:"pipeline_stalls"`
 	// Chaos* count faults injected by this node's Config.Chaos (all zero
 	// when chaos is off — live_smoke.sh asserts exactly that in
-	// non-chaos runs).
+	// non-chaos runs). ChaosDropped counts dropped attempts, each
+	// retransmitted.
 	ChaosDropped     int64 `json:"chaos_dropped"`
 	ChaosDuplicated  int64 `json:"chaos_duplicated"`
 	ChaosDelayed     int64 `json:"chaos_delayed"`

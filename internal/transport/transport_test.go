@@ -3,9 +3,11 @@ package transport
 import (
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"hop/internal/chaos"
 	"hop/internal/counters"
 	"hop/internal/leaktest"
 )
@@ -409,6 +411,63 @@ func TestCloseSendsKeepsReceiving(t *testing.T) {
 	}
 	if aGot[0].Kind != KindAck || aGot[0].Iter != 7 {
 		t.Errorf("a received %v after CloseSends, want ack{iter:7}", aGot[0])
+	}
+}
+
+// TestCloseSendsDeliversARetransmittedUpdate: an update sent just
+// before CloseSends arrives even when the chaos injector holds it in
+// retransmission longer than the drain deadline: the deadline bounds
+// the socket write, not the injected delay before it. Each try is its
+// own pair of nodes, the tries run side by side, and at drop 0.9 most
+// frames wait out several retransmissions.
+func TestCloseSendsDeliversARetransmittedUpdate(t *testing.T) {
+	defer leaktest.Check(t, 0)()
+	const tries = 20
+	var dropped atomic.Int64
+	var wg sync.WaitGroup
+	for try := 0; try < tries; try++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			got := make(chan Message, 1)
+			rx, err := Listen(1, "127.0.0.1:0", func(m Message) { got <- m })
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer rx.Close()
+			tx, err := ListenConfig(0, "127.0.0.1:0", func(Message) {}, Config{Chaos: &chaos.Config{Drop: 0.9, Seed: seed}})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer tx.Close()
+			if err := tx.Dial(1, rx.Addr(), time.Second); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := tx.Send(1, Message{Kind: KindUpdate, Iter: 3, Params: []float64{1, 2}}); err != nil {
+				t.Error(err)
+				return
+			}
+			time.Sleep(10 * time.Millisecond) // the writer took the update before the close
+			tx.CloseSends()
+			dropped.Add(tx.Stats().ChaosDropped)
+			select {
+			case m := <-got:
+				if m.Iter != 3 || len(m.Params) != 2 {
+					t.Errorf("seed %d: received %v, want the update of iteration 3", seed, m)
+				}
+			case <-time.After(time.Second):
+				t.Errorf("seed %d: the update sent before CloseSends never arrived (%d drops)", seed, tx.Stats().ChaosDropped)
+			}
+		}(int64(try + 1))
+	}
+	wg.Wait()
+	// A retransmission meets the drop draw again: at drop 0.9 a frame
+	// is dropped nine times on average, not at most once.
+	if d := dropped.Load(); d <= tries {
+		t.Errorf("%d drops over %d frames: no retransmission was dropped again", d, tries)
 	}
 }
 
