@@ -224,12 +224,14 @@ func TestDropModesFinish(t *testing.T) {
 		{Name: "crash restart", Topology: ring(4), Fault: restartAfter(1, 10, 150*time.Millisecond)},
 	}
 	for _, c := range cases {
-		for seed := int64(1); seed <= 10; seed++ {
-			spec := c
-			spec.Name = fmt.Sprintf("%s seed %d", c.Name, seed)
-			spec.Workload, spec.MaxIter, spec.Seed = "quadratic", 40, seed
-			dropRun(t, spec, 0.3)
-		}
+		t.Run(c.Name, func(t *testing.T) {
+			for seed := int64(1); seed <= 10; seed++ {
+				spec := c
+				spec.Name = fmt.Sprintf("seed %d", seed)
+				spec.Workload, spec.MaxIter, spec.Seed = "quadratic", 40, seed
+				dropRun(t, spec, 0.3)
+			}
+		})
 	}
 }
 
