@@ -1,8 +1,8 @@
 // Package chaos is the one description of injected network faults: the
 // spec's fault.net clause, read as is by both fault injectors — the
-// simulator's per-link injector (internal/netsim) and the live
-// frame-level one (internal/transport). DESIGN.md §7 has the grammar
-// and how each plane realizes it.
+// simulator's (internal/netsim) and the live frame-level one
+// (internal/transport) — and the one source of their randomness, Fate.
+// DESIGN.md §7 has the grammar and how each plane realizes it.
 package chaos
 
 import "fmt"
@@ -37,9 +37,8 @@ type Config struct {
 	Corrupt float64 `json:"corrupt,omitempty"`
 	// Partitions lists severed worker pairs and iteration windows.
 	Partitions []Partition `json:"partitions,omitempty"`
-	// Seed drives the fault RNGs. In a spec, 0 derives 400+spec seed
-	// (layering after batch 100+S, slowdown 200+S, burst 300+S); the
-	// live injector derives a seed from the clock when handed 0.
+	// Seed keys every fate. In a spec, 0 derives 400+spec seed
+	// (layering after batch 100+S, slowdown 200+S, burst 300+S).
 	Seed int64 `json:"seed,omitempty"`
 }
 
@@ -86,4 +85,62 @@ func (c *Config) Severs(a, b, iter int) bool {
 		}
 	}
 	return false
+}
+
+// Kind is a message's kind as Fate keys it: the live wire's frame kind
+// byte (internal/transport), with Reply or-ed into an AD-PSGD averaging
+// reply, which only the simulator sends.
+type Kind uint8
+
+const (
+	Update    Kind = 0
+	Token     Kind = 1
+	Ack       Kind = 2
+	Heartbeat Kind = 6
+	Reply     Kind = 0x80
+)
+
+// Msg is a message's identity, the key of its fate.
+type Msg struct {
+	Src, Dst int
+	Kind     Kind
+	Iter     int // the iteration tag; a heartbeat's: its connection's heartbeat count
+	Chunk    int // a live multi-chunk update's chunk index
+	Gen      int // connections Src dialed to Dst before this one; 0 on the simulator
+}
+
+// Outcome is one transmission attempt's fate.
+type Outcome struct {
+	Drop, Duplicate, Reorder, Corrupt bool
+	Lag                               float64 // a reorder's share of its plane's delay cap, in [0, 1)
+	Bit                               uint64  // a corrupt frame's flipped bit, mod its length in bits
+}
+
+// gamma is SplitMix64's increment, the golden ratio in 64 bits.
+const gamma uint64 = 0x9e3779b97f4a7c15
+
+// mix is SplitMix64's finaliser, a bijection that avalanches every bit.
+func mix(z uint64) uint64 {
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
+}
+
+// Fate is attempt number attempt's outcome for message m, a pure
+// function of the seed, m and attempt: a counter-based generator
+// (Salmon et al., SC 2011) keyed by folding each identity field into
+// the seed through mix, which, being a bijection, changes the key when
+// any one field changes. Outcome i is mix(key + i·gamma). Both planes
+// call it and keep no other fault randomness.
+func (c *Config) Fate(m Msg, attempt int) Outcome {
+	k := uint64(c.Seed)
+	for _, v := range [...]int{m.Src, m.Dst, int(m.Kind), m.Iter, m.Chunk, m.Gen, attempt} {
+		k = mix((k + gamma) ^ uint64(v))
+	}
+	out := func(i uint64) uint64 { return mix(k + i*gamma) }
+	u := func(i uint64) float64 { return float64(out(i)>>11) / (1 << 53) }
+	return Outcome{
+		Drop: u(1) < c.Drop, Duplicate: u(2) < c.Duplicate, Reorder: u(3) < c.Reorder, Corrupt: u(4) < c.Corrupt,
+		Lag: u(5), Bit: out(6),
+	}
 }

@@ -138,6 +138,8 @@ type Host struct {
 	free [][]float64
 
 	offloaded int // Result.StepsOffloaded
+
+	check *checker // the run's invariants, under test only (check.go)
 }
 
 // gradStep is one worker's slot on the compute plane: the reusable
@@ -205,6 +207,7 @@ func (r *worker) EndCompute() {
 // numbers.
 func (r *worker) Iterated(iter int, loss float64) {
 	h, now := r.h, r.h.k.Now()
+	h.check.iterated(r.w, iter, loss)
 	h.rec.RecordIteration(r.w, iter, now)
 	if r.w != h.evalWorker {
 		return
@@ -276,11 +279,12 @@ func (r *worker) RecycleParams(v []float64) {
 // worker's current iteration (the §6.2(b) check's best case).
 func (r *worker) PeerIter(peer int) int { return r.h.gaps.Iter(peer) }
 
-// Observe feeds the gap tracker: the one decision the simulator acts
-// on is a worker entering an iteration.
+// Observe feeds the gap tracker and the checker: the one decision the
+// simulator acts on is a worker entering an iteration.
 func (r *worker) Observe(e core.TraceEvent) {
 	if e.Kind == core.TraceAdvance {
 		r.h.gaps.Advance(r.w, e.Iter)
+		r.h.check.advanced(r.w, e.Iter)
 	}
 }
 
@@ -394,6 +398,9 @@ func Run(opts Options) (*Result, error) {
 		}
 	}
 	fabric.Handle(h.deliver)
+	if testing.Testing() {
+		h.check = newChecker(h, cfg)
+	}
 
 	// dead tracks currently-crashed workers, so a restarted worker can
 	// be told about peers that died before it existed. Kernel callbacks
@@ -412,6 +419,9 @@ func Run(opts Options) (*Result, error) {
 			// processes at its deadline instead), so the only error is
 			// ErrCrashed from a scheduled fault.
 			err := h.protos[w].Run()
+			if errors.Is(err, core.ErrCrashed) {
+				h.check.crashed()
+			}
 			if err == nil || !errors.Is(err, core.ErrCrashed) || !cfg.FaultTolerance {
 				// Without FaultTolerance a crash simply wedges the
 				// neighbors — the kernel's deadlock detector reports it,
@@ -431,6 +441,7 @@ func Run(opts Options) (*Result, error) {
 				k.After(f.RestartAfter, func() {
 					// The replacement keeps the trainer (parameters as of
 					// the crash) and the decision trace, with fresh queues.
+					h.check.restarting(w)
 					if err := h.build(cfg.Restarted(), w); err != nil {
 						panic(fmt.Sprintf("cluster: restart worker %d: %v", w, err))
 					}
@@ -474,11 +485,11 @@ func Run(opts Options) (*Result, error) {
 		StepsOffloaded: h.offloaded,
 	}
 	if runErr != nil {
-		if _, ok := runErr.(*sim.DeadlockError); ok {
-			res.Deadlock = runErr
-			return res, nil
+		if _, ok := runErr.(*sim.DeadlockError); !ok {
+			return nil, runErr
 		}
-		return nil, runErr
+		res.Deadlock = runErr
 	}
+	h.check.finished(res.Deadlock)
 	return res, nil
 }

@@ -63,8 +63,10 @@ func stepAllocCost(t *testing.T, build func(n, maxIter int) Options, n int) (per
 // list's and queues' growth to their peaks: measured under 0.02 a step,
 // -race included, against a gate of 0.05. The backup + send-check ring
 // with random stragglers drops stale updates, the bounded-staleness
-// ring drains and supersedes them, and the lossy one has the fabric
-// drop a tenth of its messages, so the gate covers their recycling.
+// ring drains and supersedes them, the drop ring retransmits a tenth
+// of its attempts, and the corrupt ring has the fabric lose a tenth of
+// its messages, so the gate covers the chaos path and the recycling of
+// what it loses.
 func TestStepAllocsIndependentOfClusterSize(t *testing.T) {
 	if testing.Short() {
 		t.Skip("twenty-four multi-hundred-worker simulations; skipped with -short")
@@ -92,6 +94,13 @@ func TestStepAllocsIndependentOfClusterSize(t *testing.T) {
 			opts.Core.Staleness = 5
 			opts.Net = netsim.Default1GbE()
 			opts.Net.Chaos = &chaos.Config{Drop: 0.1, Seed: 403}
+			return opts
+		}, false},
+		{"ring staleness corrupt", func(n, maxIter int) Options {
+			opts := quadraticRing(n, maxIter)
+			opts.Core.Staleness = 5
+			opts.Net = netsim.Default1GbE()
+			opts.Net.Chaos = &chaos.Config{Corrupt: 0.1, Seed: 403}
 			return opts
 		}, false},
 	} {

@@ -72,7 +72,7 @@ type WorkerConfig struct {
 
 	// Chaos, when non-nil, injects seeded network faults into this
 	// worker's outgoing frames (transport.Config.Chaos): the spec's
-	// fault.net clause with this worker's seed, set by the scenario
+	// fault.net clause as every worker reads it, set by the scenario
 	// layer.
 	Chaos *chaos.Config
 

@@ -1,42 +1,25 @@
 package netsim
 
-// chaos.go — the simulated plane's seeded network-fault injector, the
-// deterministic twin of internal/transport's live chaos interceptor.
-// Each ordered link (src, dst) owns a private RNG derived from the
-// chaos seed, and every transmission attempt draws exactly four values
-// from it (drop, duplicate, reorder, corrupt) regardless of which
-// faults are enabled or fire — so enabling duplicate, reorder or
-// corrupt never re-times another fault, and a run is a pure function
-// of (spec, seed): the byte-identical-traces contract of DESIGN.md §7.
+// chaos.go — the simulated plane's network-fault injector, the twin of
+// internal/transport's live one: both take every transmission
+// attempt's outcome from chaos.Config.Fate, keyed by the message's
+// identity, so a run is a pure function of (spec, seed) — the
+// byte-identical-traces contract of DESIGN.md §7 — and a fault lands
+// on the same message on both planes.
 //
 // A dropped attempt is retransmitted: the message arrives one
 // retransmission timeout later per dropped attempt, and each
-// retransmission draws its four values again. Corruption is modeled as
-// loss: the live plane flips a bit and the receiver's CRC check
-// discards the frame (and tears its connection), so the protocol never
-// sees the message.
+// retransmission meets a fresh fate. Corruption is modeled as loss:
+// the live plane flips a bit and the receiver's CRC check discards the
+// frame (and tears its connection), so the protocol never sees the
+// message.
 
 import (
-	"math/rand"
 	"slices"
 	"time"
 
-	"hop/internal/seeded"
+	"hop/internal/chaos"
 )
-
-// linkRNG returns the ordered link's private RNG, creating it on first
-// use. The seed derivation mirrors the burst-schedule convention
-// (large primes keep nearby links' streams uncorrelated).
-func (f *Fabric) linkRNG(src, dst int) *rand.Rand {
-	key := [2]int{src, dst}
-	r, ok := f.chaosRNG[key]
-	if !ok {
-		c := f.cfg.Chaos
-		r = seeded.New(c.Seed + int64(src)*104729 + int64(dst)*15485863 + 13)
-		f.chaosRNG[key] = r
-	}
-	return r
-}
 
 // reorderDelay is how long a reordered (or duplicated) message lags
 // behind its natural arrival: several wire latencies, enough for
@@ -48,13 +31,6 @@ func (f *Fabric) reorderDelay() time.Duration {
 		d = time.Millisecond
 	}
 	return d
-}
-
-// fate draws one transmission attempt's four values on the link, in
-// order.
-func (f *Fabric) fate(src, dst int) (drop, dup, reorder, corrupt bool) {
-	rng, c := f.linkRNG(src, dst), f.cfg.Chaos
-	return rng.Float64() < c.Drop, rng.Float64() < c.Duplicate, rng.Float64() < c.Reorder, rng.Float64() < c.Corrupt
 }
 
 // DeliverData prices protocol data message m like Deliver and hands it
@@ -78,24 +54,31 @@ func (f *Fabric) DeliverData(bytes int, m Message) bool {
 		f.stats.NetPartitioned++
 		return false
 	}
-	drop, dup, reorder, corrupt := f.fate(src, dst)
+	id := chaos.Msg{Src: src, Dst: dst, Kind: chaos.Update, Iter: iter}
+	switch {
+	case m.Ack:
+		id.Kind = chaos.Ack
+	case m.Reply:
+		id.Kind |= chaos.Reply
+	}
 	var late time.Duration
-	for drop {
+	fate := c.Fate(id, 0)
+	for a := 1; fate.Drop; a++ {
 		f.stats.NetDropped++
 		late += 2 * f.reorderDelay()
-		drop, dup, reorder, corrupt = f.fate(src, dst)
+		fate = c.Fate(id, a)
 	}
-	if corrupt {
+	if fate.Corrupt {
 		f.stats.NetCorrupted++
 		return false
 	}
 	at := f.arrivalTime(src, dst, bytes) + late
-	if reorder {
+	if fate.Reorder {
 		f.stats.NetReordered++
 		at += f.reorderDelay()
 	}
 	f.eq.enqueueMsg(f.placement[dst], at, m)
-	if dup {
+	if fate.Duplicate {
 		// The copy carries its own parameters: every delivered slice
 		// has one owner, who recycles it.
 		f.stats.NetDuplicated++

@@ -188,10 +188,6 @@ type Fabric struct {
 
 	bursts []*burstState // per machine; nil when Config.Burst is nil
 
-	// chaosRNG holds the per-ordered-link fault RNGs (see chaos.go);
-	// nil when Config.Chaos is nil.
-	chaosRNG map[[2]int]*rand.Rand
-
 	// eq shards pending deliveries by destination machine so the
 	// kernel's timer heap stays small regardless of how many messages
 	// are in flight (see eventq.go).
@@ -243,9 +239,6 @@ func New(k *sim.Kernel, cfg Config, workers int, placement []int) *Fabric {
 		egressFree:  make([]time.Duration, machines),
 		ingressFree: make([]time.Duration, machines),
 		eq:          newEventQueue(k, machines),
-	}
-	if cfg.Chaos != nil {
-		f.chaosRNG = make(map[[2]int]*rand.Rand)
 	}
 	if b := cfg.Burst; b != nil {
 		f.bursts = make([]*burstState, machines)

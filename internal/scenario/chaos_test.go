@@ -11,12 +11,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"hop/internal/chaos"
 	"hop/internal/cluster"
 	"hop/internal/core"
+	"hop/internal/graph"
 	"hop/internal/leaktest"
 	"hop/internal/live"
 	"hop/internal/netsim"
@@ -129,14 +131,14 @@ func TestNetFaultRejectionsObserved(t *testing.T) {
 			opts.Net = netsim.Default1GbE()
 			c.net.Seed = 403
 			opts.Net.Chaos = &c.net
-			res, err := cluster.Run(opts)
-			if err != nil {
-				t.Fatal(err)
+			res, wedged := runRefused(t, opts)
+			if wedged != c.wedges {
+				t.Fatalf("deadlocked = %v, want %v", wedged, c.wedges)
+			}
+			if wedged {
+				return
 			}
 			done := res.Metrics.Iterations()
-			if wedged := res.Deadlock != nil; wedged != c.wedges {
-				t.Fatalf("deadlocked = %v after %d worker-iterations, want %v", wedged, done, c.wedges)
-			}
 			st := res.Fabric.Stats()
 			if st.NetDropped+st.NetCorrupted+st.NetPartitioned+st.NetDuplicated == 0 {
 				t.Errorf("no fault fired: %+v", st)
@@ -146,6 +148,27 @@ func TestNetFaultRejectionsObserved(t *testing.T) {
 			}
 		})
 	}
+}
+
+// runRefused runs opts, built from a spec the validator refuses, on the
+// simulator and reports whether the cluster deadlocked. Under test the
+// cluster's invariant checker fails a deadlocked run by panicking, so
+// the wedge such a spec is refused for shows as that panic.
+func runRefused(t *testing.T, opts cluster.Options) (res *cluster.Result, wedged bool) {
+	t.Helper()
+	defer func() {
+		if r := recover(); r != nil {
+			if msg, ok := r.(string); !ok || !strings.Contains(msg, "sim: deadlock") {
+				panic(r)
+			}
+			wedged = true
+		}
+	}()
+	res, err := cluster.Run(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, false
 }
 
 // dropRun runs spec on the simulator with fault.net's drop set, and
@@ -365,13 +388,15 @@ func TestSimChaosDeterministic(t *testing.T) {
 }
 
 // TestLiveChaosConverges: the same committed spec on loopback TCP.
-// Live chaos shares the spec's fault rates but rides real goroutine
-// scheduling, so the assertions are structural: the run completes,
-// every worker converges, and the injectors demonstrably fired —
-// including real CRC-detected corruption, which tears connections
-// that the suspect/probe machinery must then heal. liveTraces is
-// deliberately not used here: it asserts zero read errors, and
-// CRC-dropped frames legitimately produce them.
+// Each frame meets the fate chaos.Fate gives its identity, as on the
+// simulator, but this spec corrupts: a corrupt frame tears its
+// connection, and which frames follow — resends on the new
+// generation, heartbeats on idle connections — is up to timing. So
+// the assertions are structural: the run completes, every worker
+// converges, and the injectors demonstrably fired — including real
+// CRC-detected corruption, which the suspect/probe machinery must
+// heal. liveTraces is deliberately not used here: it asserts zero
+// read errors, and CRC-dropped frames legitimately produce them.
 func TestLiveChaosConverges(t *testing.T) {
 	defer leaktest.Check(t, 0)()
 	spec := loadSpec(t, "../../examples/scenarios/ring4-chaos.json")
@@ -432,5 +457,114 @@ func TestLiveDropFinishes(t *testing.T) {
 	t.Logf("worst eval loss %g, fault-free %g, %d drops", lossy, clean, st.ChaosDropped)
 	if lossy != clean {
 		t.Errorf("worst eval loss %g under drop 0.2, %g without faults", lossy, clean)
+	}
+}
+
+// fateMsgs is the message set of a timing-forced spec on its graph:
+// an update per out-neighbor and iteration, a NOTIFY-ACK per
+// in-neighbor and iteration, and with token queues a grant per
+// in-neighbor and iteration entered.
+func fateMsgs(spec Spec, g *graph.Graph) []chaos.Msg {
+	var msgs []chaos.Msg
+	for w := 0; w < g.N(); w++ {
+		for k := 0; k < spec.MaxIter; k++ {
+			for _, j := range g.Out(w) {
+				msgs = append(msgs, chaos.Msg{Src: w, Dst: j, Kind: chaos.Update, Iter: k})
+			}
+			for _, j := range g.In(w) {
+				if spec.Protocol.Mode == "notify-ack" {
+					msgs = append(msgs, chaos.Msg{Src: w, Dst: j, Kind: chaos.Ack, Iter: k})
+				}
+				if spec.Protocol.MaxIG > 0 {
+					msgs = append(msgs, chaos.Msg{Src: w, Dst: j, Kind: chaos.Token, Iter: k + 1})
+				}
+			}
+		}
+	}
+	return msgs
+}
+
+// fateCounts is what chaos.Fate gives over msgs: every dropped attempt,
+// and the duplicates and reorders of the attempts that got through, and
+// how many messages lost a retransmission too. With tokens false the
+// grants are left out: the simulator hands them over in shared memory.
+func fateCounts(c *chaos.Config, msgs []chaos.Msg, tokens bool) (drop, dup, reorder, redropped int64) {
+	for _, m := range msgs {
+		if m.Kind == chaos.Token && !tokens {
+			continue
+		}
+		f := c.Fate(m, 0)
+		for a := 1; f.Drop; a++ {
+			drop++
+			if a == 2 {
+				redropped++
+			}
+			f = c.Fate(m, a)
+		}
+		if f.Duplicate {
+			dup++
+		}
+		if f.Reorder {
+			reorder++
+		}
+	}
+	return drop, dup, reorder, redropped
+}
+
+// TestFateCountsMatchBothPlanes: on timing-forced specs under drop,
+// duplicate and reorder, each plane's fault counters equal the counts
+// chaos.Fate gives over the spec's message set — updates and ACKs on
+// both planes, token grants on loopback, where they are frames. A
+// fault is a function of the message it hits, not of the schedule.
+// Corrupt stays out: a torn connection changes which frames follow.
+// So does fault tolerance, which the fault.net clause turns on: its
+// heartbeats go out when a connection idles, which timing decides.
+func TestFateCountsMatchBothPlanes(t *testing.T) {
+	for name, p := range map[string]Protocol{"standard": {}, "max_ig": {MaxIG: 2}, "notify-ack": {Mode: "notify-ack"}} {
+		spec := Spec{
+			Name:     "fate-counts",
+			Workload: "quadratic",
+			Topology: Topology{Kind: "ring", Workers: 4, Machines: 1},
+			Protocol: p,
+			Fault:    &Fault{Net: &chaos.Config{Drop: 0.25, Duplicate: 0.2, Reorder: 0.2}},
+			MaxIter:  20,
+			Seed:     5,
+		}
+		t.Run(name, func(t *testing.T) {
+			opts, err := spec.Resolve()
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, msgs := opts.Net.Chaos, fateMsgs(spec, opts.Core.Graph)
+			opts.Core.FaultTolerance = false
+			res, err := cluster.Run(opts)
+			if err != nil || res.Deadlock != nil {
+				t.Fatalf("sim: %v %v", err, res.Deadlock)
+			}
+			drop, dup, reorder, redropped := fateCounts(c, msgs, false)
+			if redropped == 0 || dup == 0 || reorder == 0 {
+				t.Fatalf("a fault never fires on this message set: redropped %d, dup %d, reorder %d", redropped, dup, reorder)
+			}
+			s := res.Fabric.Stats()
+			if got := [3]int64{int64(s.NetDropped), int64(s.NetDuplicated), int64(s.NetReordered)}; got != [3]int64{drop, dup, reorder} {
+				t.Errorf("sim drop, dup, reorder %v, fates give %v", got, [3]int64{drop, dup, reorder})
+			}
+			cfgs, err := spec.ResolveLive(LiveOptions{Logger: live.NopLogger()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range cfgs {
+				cfgs[i].Config.FaultTolerance = false
+			}
+			lv, err := live.RunCluster(cfgs, live.DefaultDialTimeout)
+			if err != nil {
+				t.Fatal(err)
+			}
+			drop, dup, reorder, _ = fateCounts(c, msgs, true)
+			w := lv.WireStats()
+			if got := [3]int64{w.ChaosDropped, w.ChaosDuplicated, w.ChaosDelayed}; got != [3]int64{drop, dup, reorder} {
+				t.Errorf("live drop, dup, reorder %v, fates give %v", got, [3]int64{drop, dup, reorder})
+			}
+		})
 	}
 }

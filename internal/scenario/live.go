@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"time"
 
-	"hop/internal/chaos"
 	"hop/internal/cluster"
 	"hop/internal/core"
 	"hop/internal/hetero"
@@ -116,7 +115,7 @@ func liveWorkerConfig(opts cluster.Options, i int, o LiveOptions, t model.Traine
 		Trainer:      t,
 		Logger:       o.Logger,
 		ComputeDelay: liveComputeDelay(i, opts.Compute, opts.Seed, o.timeScale()),
-		Chaos:        liveChaos(opts.Net.Chaos, i),
+		Chaos:        opts.Net.Chaos,
 	}
 	if o.Trace {
 		cfg.Trace = core.NewTrace()
@@ -139,18 +138,6 @@ func liveComputeDelay(w int, c hetero.Compute, seed int64, scale float64) func(i
 		}
 		return 0
 	}
-}
-
-// liveChaos is worker w's copy of the resolved fault.net clause: each
-// worker derives its own seed from the base, so the per-process RNG
-// streams are uncorrelated but reproducible from the spec.
-func liveChaos(c *chaos.Config, w int) *chaos.Config {
-	if c == nil {
-		return nil
-	}
-	wc := *c
-	wc.Seed += int64(w)*104729 + 17
-	return &wc
 }
 
 // RunLive resolves the spec and executes it as a live loopback TCP

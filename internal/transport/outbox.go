@@ -70,6 +70,8 @@ type peer struct {
 
 	// Owned by the writer.
 	spare []byte // the other half of ctl's double buffer
+	gen   int    // connections to this peer adopted before this one (chaos keys)
+	beats int    // heartbeats through the chaos injector (their chaos key)
 	seq   uint32 // per-peer update sequence, keys chunk reassembly
 	hdr   [headerLen]byte
 	crc   [crcLen]byte
@@ -430,8 +432,8 @@ func (n *Node) flush(p *peer, id int, ctl, chunk []byte, update bool) error {
 	}
 	iov, frames := p.iov[:0], len(ctl)/ctlFrameLen
 	switch {
-	case n.chaos != nil:
-		iov, frames = n.chaos.filter(n.id, id, iov, ctl, update, p.hdr[:], chunk, p.crc[:])
+	case n.cfg.Chaos != nil:
+		iov, frames = n.filter(p, id, iov, ctl, update, chunk)
 	case update:
 		frames++
 		iov = append(iov, ctl, p.hdr[:], chunk, p.crc[:])

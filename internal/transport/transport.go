@@ -37,6 +37,7 @@ import (
 	"io"
 	"net"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -244,8 +245,6 @@ type Node struct {
 	done        chan struct{} // closed by Close; stops the heartbeat loop
 	wg          sync.WaitGroup
 
-	chaos *chaosState // nil when Config.Chaos is nil
-
 	// encMu guards encCur, the newest shared-encode entry; peers whose
 	// stream state matches it ride the leader's payload (see encShared).
 	encMu  sync.Mutex
@@ -266,6 +265,11 @@ func ListenConfig(id int, addr string, handler Handler, cfg Config) (*Node, erro
 	} else if k := cfg.Compressor.Kind(); !compress.Supported(k) {
 		return nil, fmt.Errorf("transport: compressor kind %v is not a wire codec", k)
 	}
+	if c := cfg.Chaos; c != nil {
+		cc := *c
+		cc.Partitions = slices.Clone(c.Partitions)
+		cfg.Chaos = &cc
+	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
@@ -274,9 +278,6 @@ func ListenConfig(id int, addr string, handler Handler, cfg Config) (*Node, erro
 		id: id, ln: ln, handler: handler, cfg: cfg,
 		peers: make(map[int]*peer),
 		done:  make(chan struct{}),
-	}
-	if cfg.Chaos != nil {
-		n.chaos = newChaosState(*cfg.Chaos, &n.st)
 	}
 	n.wg.Add(1)
 	go n.acceptLoop()
@@ -678,6 +679,9 @@ func (n *Node) Dial(id int, addr string, timeout time.Duration) error {
 // starts its writer. Called under n.mu.
 func (n *Node) adopt(id int, conn net.Conn) {
 	p := newPeer(conn, n.cfg.Compressor)
+	if old := n.peers[id]; old != nil {
+		p.gen = old.gen + 1
+	}
 	n.peers[id] = p
 	n.wg.Add(1)
 	go n.writeLoop(p, id)

@@ -498,3 +498,66 @@ func TestStatsAddCoversEveryField(t *testing.T) {
 		}
 	}
 }
+
+// TestChaosFateKeys: the injector keys each frame's fate by its header
+// and its connection — a Dial's new connection meets fresh fates, and
+// heartbeats, which carry no iteration, by the connection's heartbeat
+// count — and never duplicates a chunk of a multi-chunk update.
+func TestChaosFateKeys(t *testing.T) {
+	defer leaktest.Check(t, 0)()
+	// The injector keys a frame by its kind byte, the simulator by
+	// these names: a message meets one fate on both planes.
+	if chaos.Kind(frameUpdate) != chaos.Update || chaos.Kind(frameToken) != chaos.Token ||
+		chaos.Kind(frameAck) != chaos.Ack || chaos.Kind(frameHeartbeat) != chaos.Heartbeat {
+		t.Fatal("chaos.Kind and the frame kinds disagree")
+	}
+	rx, err := Listen(1, "127.0.0.1:0", func(Message) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rx.Close()
+	tx, err := ListenConfig(0, "127.0.0.1:0", func(Message) {}, Config{Chaos: &chaos.Config{Duplicate: 0.5, Seed: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tx.Close()
+	var conns []*peer
+	for i := 0; i < 2; i++ {
+		if err := tx.Dial(1, rx.Addr(), time.Second); err != nil {
+			t.Fatal(err)
+		}
+		conns = append(conns, tx.peer(1))
+	}
+	// dups passes 64 frames built by h through p's injector and reports
+	// which were duplicated.
+	dups := func(p *peer, h func(i int) frameHeader) (out [64]bool) {
+		for i := range out {
+			_, frames := tx.inject(p, 1, nil, 0, appendFrame(nil, h(i), nil))
+			out[i] = frames == 2
+		}
+		return out
+	}
+	token := func(i int) frameHeader { return frameHeader{kind: frameToken, iter: int32(i)} }
+	if dups(conns[0], token) == dups(conns[1], token) {
+		t.Error("a frame meets the same fate on a redialed connection")
+	}
+	beats := dups(conns[0], func(int) frameHeader { return frameHeader{kind: frameHeartbeat} })
+	if n := count(beats[:]); n == 0 || n == len(beats) {
+		t.Errorf("%d of %d heartbeats duplicated: every heartbeat meets one fate", n, len(beats))
+	}
+	chunked := dups(conns[0], func(i int) frameHeader {
+		return frameHeader{kind: frameUpdate, chunkCount: 2, iter: int32(i)}
+	})
+	if n := count(chunked[:]); n != 0 {
+		t.Errorf("%d chunks of multi-chunk updates duplicated", n)
+	}
+}
+
+func count(bs []bool) (n int) {
+	for _, b := range bs {
+		if b {
+			n++
+		}
+	}
+	return n
+}
