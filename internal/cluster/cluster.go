@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"hop/internal/chaos"
 	"hop/internal/core"
 	"hop/internal/counters"
 	"hop/internal/hetero"
@@ -28,8 +29,8 @@ import (
 	"hop/internal/tensor"
 )
 
-// ackBytes is the modeled wire size of a NOTIFY-ACK and of a death
-// notice: metadata, next to a parameter update's PayloadBytes.
+// ackBytes is the modeled wire size of a NOTIFY-ACK, a token grant and
+// a death notice: metadata, next to a parameter update's PayloadBytes.
 const ackBytes = 64
 
 // Options configure one simulated run.
@@ -219,38 +220,37 @@ func (r *worker) Iterated(iter int, loss float64) {
 	h.evals++
 }
 
-// Send and SendAck route through DeliverData, the chaos-injectable
-// path: when the scenario enables net faults, updates and ACKs can be
+// Send, SendAck and GrantTokens route through DeliverData, the
+// chaos-injectable path, as typed records (src is always r.w) that
+// arrive at deliver, so a send allocates no closure: when the scenario
+// enables net faults, updates, ACKs and grants alike can be
 // retransmitted after a drop, duplicated, reordered, corrupted, or
-// partitioned. Death
-// notices (Run) keep the fault-free Deliver — chaos models a lossy
-// data plane, not a lying failure detector. Messages travel as typed
-// records (src is always u.From) and arrive at deliver, so a send
-// allocates no closure. Like the live transport, Send is done with
-// u.Params when it returns: the message carries its own copy, from the
-// free list, which the receiving protocol owns and recycles — or, if
-// the fabric loses the message, the sender does at once.
+// partitioned. Death notices (Run) keep the fault-free Deliver — chaos
+// models a lossy data plane, not a lying failure detector. Like the
+// live transport, Send is done with u.Params when it returns: the
+// message carries its own copy, from the free list, which the
+// receiving protocol owns and recycles — or, if the fabric loses the
+// message, the sender does at once.
 func (r *worker) Send(dst int, u core.Update) {
-	if u.Params != nil {
-		buf := r.GetParams(len(u.Params))
-		copy(buf, u.Params)
-		u.Params = buf
+	m := netsim.Message{Dst: dst, From: r.w, Iter: u.Iter, Kind: chaos.Update}
+	if u.Reply {
+		m.Kind |= chaos.Reply
 	}
-	if !r.h.fabric.DeliverData(r.h.payload, netsim.Message{Dst: dst, From: r.w, Iter: u.Iter, Reply: u.Reply, Params: u.Params}) {
-		r.RecycleParams(u.Params)
+	if u.Params != nil {
+		m.Params = r.GetParams(len(u.Params))
+		copy(m.Params, u.Params)
+	}
+	if !r.h.fabric.DeliverData(r.h.payload, m) {
+		r.RecycleParams(m.Params)
 	}
 }
 
 func (r *worker) SendAck(dst, iter int) {
-	r.h.fabric.DeliverData(ackBytes, netsim.Message{Dst: dst, From: r.w, Iter: iter, Ack: true})
+	r.h.fabric.DeliverData(ackBytes, netsim.Message{Dst: dst, From: r.w, Iter: iter, Kind: chaos.Ack})
 }
 
-// GrantTokens bypasses the fabric: in shared memory the paper's
-// TokenQ(i→j) and the consumer's view of it are the same object, so
-// the grant goes straight to the consumer and no round trip is modeled
-// (token messages are metadata-sized next to parameter updates).
 func (r *worker) GrantTokens(dst, iter int) {
-	r.h.protos[dst].DeliverTokens(r.w, iter)
+	r.h.fabric.DeliverData(ackBytes, netsim.Message{Dst: dst, From: r.w, Iter: iter, Kind: chaos.Token})
 }
 
 // GetParams pops a buffer off the cluster's free list, or makes one.
@@ -288,15 +288,18 @@ func (r *worker) Observe(e core.TraceEvent) {
 	}
 }
 
-// deliver is the fabric's message handler: the arrival end of Send and
-// SendAck. The protocol is resolved at delivery time, so a message in
-// flight across a restart lands on the new instance.
+// deliver is the fabric's message handler: the arrival end of Send,
+// SendAck and GrantTokens. The protocol is resolved at delivery time,
+// so a message in flight across a restart lands on the new instance.
 func (h *Host) deliver(m netsim.Message) {
-	if m.Ack {
-		h.protos[m.Dst].DeliverAck(m.From, m.Iter)
-		return
+	switch p := h.protos[m.Dst]; m.Kind {
+	case chaos.Ack:
+		p.DeliverAck(m.From, m.Iter)
+	case chaos.Token:
+		p.DeliverTokens(m.From, m.Iter)
+	default:
+		p.Deliver(core.Update{Params: m.Params, Iter: m.Iter, From: m.From, Reply: m.Kind&chaos.Reply != 0})
 	}
-	h.protos[m.Dst].Deliver(core.Update{Params: m.Params, Iter: m.Iter, From: m.From, Reply: m.Reply})
 }
 
 // build makes worker w's protocol from cfg, on w's runtime.

@@ -285,8 +285,11 @@ func (p *Protocol) joinSync() int {
 		p.mon.Lock()
 		p.curIter = k0
 		for _, j := range p.out {
+			// A grant that arrived before curIter was set read against
+			// iteration 0: the queue's high-water starts here.
 			r := p.peerOf(j)
 			r.granted = max(r.granted, k0)
+			r.tokensHigh = r.granted - k0 + p.cfg.MaxIG
 		}
 		p.mon.Unlock()
 		for _, j := range p.in {

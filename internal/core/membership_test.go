@@ -130,6 +130,8 @@ func (r *grantRuntime) GrantTokens(dst, iter int) { r.grants = append(r.grants, 
 // the iteration-0 announce an in-only neighbor gets, and it reads each
 // out-neighbor's queue as holding max_ig, the Theorem 2 count at equal
 // iterations, not the negative count of a view that has seen no grant.
+// A grant that arrived before k0 was known, read then against no
+// iteration, leaves the queue's high-water at that count too.
 func TestRejoinerEntersK0WithTokens(t *testing.T) {
 	const maxIG, newest = 2, 5
 	// On a directed ring worker 0 hears from 3 and sends to 1.
@@ -139,6 +141,7 @@ func TestRejoinerEntersK0WithTokens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	p.DeliverTokens(1, newest)
 	p.Deliver(Update{Params: []float64{1}, Iter: newest, From: 3})
 	if k0 := p.joinSync(); k0 != newest+1 {
 		t.Fatalf("rejoined at %d, want %d", k0, newest+1)
@@ -146,7 +149,7 @@ func TestRejoinerEntersK0WithTokens(t *testing.T) {
 	if want := [][2]int{{3, 0}, {3, newest + 1}}; !slices.Equal(rt.grants, want) {
 		t.Errorf("grants %v, want %v", rt.grants, want)
 	}
-	if n, _, _ := p.Tokens(1); n != maxIG {
-		t.Errorf("TokenQ(1→0) holds %d at k0, want max_ig = %d", n, maxIG)
+	if n, high, _ := p.Tokens(1); n != maxIG || high != maxIG {
+		t.Errorf("TokenQ(1→0) holds %d, high-water %d at k0, want both max_ig = %d", n, high, maxIG)
 	}
 }

@@ -54,13 +54,7 @@ func (f *Fabric) DeliverData(bytes int, m Message) bool {
 		f.stats.NetPartitioned++
 		return false
 	}
-	id := chaos.Msg{Src: src, Dst: dst, Kind: chaos.Update, Iter: iter}
-	switch {
-	case m.Ack:
-		id.Kind = chaos.Ack
-	case m.Reply:
-		id.Kind |= chaos.Reply
-	}
+	id := chaos.Msg{Src: src, Dst: dst, Kind: m.Kind, Iter: iter}
 	var late time.Duration
 	fate := c.Fate(id, 0)
 	for a := 1; fate.Drop; a++ {

@@ -161,7 +161,7 @@ func TestChaosOffIsIdentity(t *testing.T) {
 	if at != want {
 		t.Errorf("delivery at %v, want %v", at, want)
 	}
-	if got.From != 0 || got.Dst != 1 || got.Iter != 3 || got.Ack || &got.Params[0] != &sent.Params[0] {
+	if got.From != 0 || got.Dst != 1 || got.Iter != 3 || got.Kind != chaos.Update || &got.Params[0] != &sent.Params[0] {
 		t.Errorf("handler received %+v, want the sent message (params shared, not copied)", got)
 	}
 	s := f.Stats()
@@ -182,7 +182,7 @@ func TestChaosDuplicateOwnsItsParams(t *testing.T) {
 	sent := Message{From: 0, Dst: 1, Iter: 3, Params: []float64{1, 2}}
 	k.Spawn("tx", func(*sim.Proc) {
 		f.DeliverData(100, sent)
-		f.DeliverData(100, Message{From: 0, Dst: 1, Iter: 3, Ack: true})
+		f.DeliverData(100, Message{From: 0, Dst: 1, Iter: 3, Kind: chaos.Ack})
 	})
 	run(t, k, time.Second)
 	if len(got) != 4 {
@@ -190,7 +190,7 @@ func TestChaosDuplicateOwnsItsParams(t *testing.T) {
 	}
 	var params [][]float64
 	for _, m := range got {
-		if m.Ack {
+		if m.Kind == chaos.Ack {
 			if m.Params != nil {
 				t.Errorf("a duplicated ACK carries parameters %v", m.Params)
 			}

@@ -301,12 +301,13 @@ func (f *Fabric) Deliver(src, dst, bytes int, fn func()) {
 }
 
 // Message is one protocol data message in flight: worker From's
-// iteration-Iter parameter update for worker Dst or, with Ack set, its
-// NOTIFY-ACK; Reply marks an AD-PSGD averaging reply. It rides the
-// event queue by value, so a send allocates nothing.
+// iteration-Iter message of kind Kind for worker Dst — a parameter
+// update (with chaos.Reply or-ed in, an AD-PSGD averaging reply), a
+// NOTIFY-ACK or a token grant, the kinds of the live wire. It rides
+// the event queue by value, so a send allocates nothing.
 type Message struct {
 	Dst, From, Iter int
-	Ack, Reply      bool
+	Kind            chaos.Kind
 	Params          []float64
 }
 

@@ -118,30 +118,36 @@ func TestDifferentialTraceStandardRing(t *testing.T) {
 	assertTracesEqual(t, sim, lv)
 }
 
-// TestDifferentialTraceChaos: the standard ring under drop and
-// duplicate. A fate is a function of the message, so each update meets
-// the same drops and duplicates on both planes; the reduces stay
-// full-participation, so the traces are still forced, and equal.
+// TestDifferentialTraceChaos: the ring under drop and duplicate, with
+// and without token queues. A fate is a function of the message, so
+// each update and each grant meets the same drops and duplicates on
+// both planes; the reduces stay full-participation, so the traces are
+// still forced, and equal.
 func TestDifferentialTraceChaos(t *testing.T) {
-	spec := Spec{
-		Name:     "diff-chaos-ring",
-		Workload: "quadratic",
-		Topology: Topology{Kind: "ring", Workers: 4, Machines: 1},
-		Fault:    &Fault{Net: &chaos.Config{Drop: 0.2, Duplicate: 0.2}},
-		MaxIter:  20,
-		Seed:     5,
+	for name, p := range map[string]Protocol{"standard": {}, "max_ig": {MaxIG: 2}} {
+		t.Run(name, func(t *testing.T) {
+			spec := Spec{
+				Name:     "diff-chaos-ring",
+				Workload: "quadratic",
+				Topology: Topology{Kind: "ring", Workers: 4, Machines: 1},
+				Protocol: p,
+				Fault:    &Fault{Net: &chaos.Config{Drop: 0.2, Duplicate: 0.2}},
+				MaxIter:  20,
+				Seed:     5,
+			}
+			sim := simTraces(t, spec)
+			want := "+0"
+			for k := 1; k < 20; k++ {
+				want += " " + core.TraceEvent{Kind: core.TraceAdvance, Iter: k}.String()
+			}
+			for w := range sim {
+				if sim[w] != want {
+					t.Errorf("sim worker %d trace %q, want %q", w, sim[w], want)
+				}
+			}
+			assertTracesEqual(t, sim, liveTraces(t, spec, 1))
+		})
 	}
-	sim := simTraces(t, spec)
-	want := "+0"
-	for k := 1; k < 20; k++ {
-		want += " " + core.TraceEvent{Kind: core.TraceAdvance, Iter: k}.String()
-	}
-	for w := range sim {
-		if sim[w] != want {
-			t.Errorf("sim worker %d trace %q, want %q", w, sim[w], want)
-		}
-	}
-	assertTracesEqual(t, sim, liveTraces(t, spec, 1))
 }
 
 func TestDifferentialTraceSkipStraggler(t *testing.T) {

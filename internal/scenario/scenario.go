@@ -303,11 +303,10 @@ func validateNetFault(nf *chaos.Config, cfg core.Config, comp compress.Spec) err
 			return fmt.Errorf("scenario: fault net loss (corrupt/partitions) needs bounded staleness to absorb missing updates")
 		}
 		if cfg.MaxIG > 0 {
-			// Token grants travel as token frames on the live wire only:
-			// the simulator hands a grant straight to its consumer, past
-			// the fabric and its faults. A lost live token frame starves
-			// its receiver.
-			return fmt.Errorf("scenario: fault net loss cannot run with token queues (a lost live token frame starves the receiver)")
+			// A grant is a message on both planes, and staleness absorbs
+			// lost updates, not lost grants: the receiver's token gate
+			// closes max_ig iterations past the last grant it got.
+			return fmt.Errorf("scenario: fault net loss cannot run with token queues (a lost token grant starves the receiver)")
 		}
 	}
 	if comp.Kind == compress.TopK && (nf.Duplicate > 0 || len(nf.Partitions) > 0) {
