@@ -95,7 +95,6 @@ type Kind uint8
 const (
 	Update    Kind = 0
 	Token     Kind = 1
-	Ack       Kind = 2
 	Heartbeat Kind = 6
 	Reply     Kind = 0x80
 )

@@ -100,7 +100,7 @@ func TestFatePure(t *testing.T) {
 	for name, edit := range map[string]func(*Msg){
 		"src":   func(m *Msg) { m.Src = 3 },
 		"dst":   func(m *Msg) { m.Dst = 0 },
-		"kind":  func(m *Msg) { m.Kind = Ack },
+		"kind":  func(m *Msg) { m.Kind = Token },
 		"reply": func(m *Msg) { m.Kind |= Reply },
 		"iter":  func(m *Msg) { m.Iter = 6 },
 		"chunk": func(m *Msg) { m.Chunk = 1 },

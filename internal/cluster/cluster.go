@@ -29,8 +29,9 @@ import (
 	"hop/internal/tensor"
 )
 
-// ackBytes is the modeled wire size of a NOTIFY-ACK, a token grant and
-// a death notice: metadata, next to a parameter update's PayloadBytes.
+// ackBytes is the modeled wire size of a token grant (a NOTIFY-ACK is
+// one) and a death notice: metadata, next to a parameter update's
+// PayloadBytes.
 const ackBytes = 64
 
 // Options configure one simulated run.
@@ -220,17 +221,16 @@ func (r *worker) Iterated(iter int, loss float64) {
 	h.evals++
 }
 
-// Send, SendAck and GrantTokens route through DeliverData, the
-// chaos-injectable path, as typed records (src is always r.w) that
-// arrive at deliver, so a send allocates no closure: when the scenario
-// enables net faults, updates, ACKs and grants alike can be
-// retransmitted after a drop, duplicated, reordered, corrupted, or
-// partitioned. Death notices (Run) keep the fault-free Deliver — chaos
-// models a lossy data plane, not a lying failure detector. Like the
-// live transport, Send is done with u.Params when it returns: the
-// message carries its own copy, from the free list, which the
-// receiving protocol owns and recycles — or, if the fabric loses the
-// message, the sender does at once.
+// Send and GrantTokens route through DeliverData, the chaos-injectable
+// path, as typed records (src is always r.w) that arrive at deliver,
+// so a send allocates no closure: when the scenario enables net
+// faults, updates and grants alike can be retransmitted after a drop,
+// duplicated, reordered, corrupted, or partitioned. Death notices (Run)
+// keep the fault-free Deliver — chaos models a lossy data plane, not a
+// lying failure detector. Like the live transport, Send is done with
+// u.Params when it returns: the message carries its own copy, from the
+// free list, which the receiving protocol owns and recycles — or, if
+// the fabric loses the message, the sender does at once.
 func (r *worker) Send(dst int, u core.Update) {
 	m := netsim.Message{Dst: dst, From: r.w, Iter: u.Iter, Kind: chaos.Update}
 	if u.Reply {
@@ -243,10 +243,6 @@ func (r *worker) Send(dst int, u core.Update) {
 	if !r.h.fabric.DeliverData(r.h.payload, m) {
 		r.RecycleParams(m.Params)
 	}
-}
-
-func (r *worker) SendAck(dst, iter int) {
-	r.h.fabric.DeliverData(ackBytes, netsim.Message{Dst: dst, From: r.w, Iter: iter, Kind: chaos.Ack})
 }
 
 func (r *worker) GrantTokens(dst, iter int) {
@@ -288,13 +284,11 @@ func (r *worker) Observe(e core.TraceEvent) {
 	}
 }
 
-// deliver is the fabric's message handler: the arrival end of Send,
-// SendAck and GrantTokens. The protocol is resolved at delivery time,
+// deliver is the fabric's message handler: the arrival end of Send and
+// GrantTokens. The protocol is resolved at delivery time,
 // so a message in flight across a restart lands on the new instance.
 func (h *Host) deliver(m netsim.Message) {
 	switch p := h.protos[m.Dst]; m.Kind {
-	case chaos.Ack:
-		p.DeliverAck(m.From, m.Iter)
 	case chaos.Token:
 		p.DeliverTokens(m.From, m.Iter)
 	default:
@@ -433,9 +427,9 @@ func Run(opts Options) (*Result, error) {
 			}
 			dead[w] = true
 			// Death notices ride the fabric to every protocol peer as
-			// metadata-sized frames: per-(src,dst) arrival order is
-			// monotone, so the notice lands after everything the worker
-			// sent before dying.
+			// metadata-sized frames; Deliver holds each behind the
+			// worker's last data arrival, so the notice lands after
+			// everything the worker sent before dying.
 			for _, j := range cfg.ProtocolPeers(w) {
 				j := j
 				fabric.Deliver(w, j, ackBytes, func() { h.protos[j].DeclarePeerDead(w) })

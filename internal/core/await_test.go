@@ -21,14 +21,13 @@ import (
 const echoBlockAt = 3
 
 // echoRuntime plays a worker's peers: every Send comes straight back as
-// the destination's update (a reply under AD-PSGD), every ACK as the
-// destination's ACK and every grant as the destination's grant — until
-// the row's missing peer stops sending its kind of message to the wait
-// of iteration echoBlockAt and later.
+// the destination's update (a reply under AD-PSGD) and every grant as
+// the destination's grant — until the row's missing peer stops sending
+// its kind of message to the wait of iteration echoBlockAt and later.
 type echoRuntime struct {
 	p       *Protocol
 	missing int
-	swallow string // "update", "ack" or "grant"
+	swallow string // "update" or "grant"
 }
 
 // stopped reports whether peer's message of kind, which satisfies the
@@ -49,15 +48,8 @@ func (r *echoRuntime) Send(dst int, u Update) {
 	}
 }
 
-// SendAck's ACK for iter is what the ACK wait of iter+1 needs.
-func (r *echoRuntime) SendAck(dst, iter int) {
-	if !r.stopped("ack", dst, iter+1) {
-		r.p.DeliverAck(dst, iter)
-	}
-}
-
 // GrantTokens' iter is the iteration entered, whose closing gate the
-// grant opens.
+// grant opens; under NOTIFY-ACK, the iteration whose Send it opens.
 func (r *echoRuntime) GrantTokens(dst, iter int) {
 	if !r.stopped("grant", dst, iter) {
 		r.p.DeliverTokens(dst, iter)
@@ -115,7 +107,7 @@ func TestEveryWaitHonoursAbortAndDeath(t *testing.T) {
 		{"reduce", hop(nil), 0, 2, "update", true},
 		{"staleness newest-from", hop(func(c *Config) { c.Staleness = 1 }), 0, 2, "update", true},
 		{"token take", hop(func(c *Config) { c.MaxIG = 1 }), 0, 2, "grant", true},
-		{"notify-ack ack", hop(func(c *Config) { c.Mode = ModeNotifyAck }), 0, 2, "ack", true},
+		{"notify-ack ack", hop(func(c *Config) { c.Mode = ModeNotifyAck }), 0, 2, "grant", true},
 		{"adpsgd reply", Config{Graph: graph.Chain(2), Mode: ModeADPSGD}, 0, 1, "update", false},
 		{"ps leaf", Config{Graph: graph.Star(3), Mode: ModePS}, 1, 0, "update", false},
 	}

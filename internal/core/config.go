@@ -230,7 +230,7 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("core: NOTIFY-ACK is the fixed-gap baseline; token queues, backup workers, staleness, skipping and the send check do not compose with it (§3.4-3.5)")
 	}
 	if c.Mode == ModeNotifyAck && c.restarts() {
-		return fmt.Errorf("core: NOTIFY-ACK does not compose with crash restarts: a survivor gates Send(k) on an ACK(k-1) that the rejoiner, starting past k, never sends (DESIGN.md §6.3)")
+		return fmt.Errorf("core: NOTIFY-ACK does not compose with crash restarts: a survivor's Send gate, which has no slack, can apply the old incarnation's pending death to the rejoined worker and withhold the update it waits for (DESIGN.md §6.3)")
 	}
 	if c.Faults != nil && len(c.Faults) != n {
 		return fmt.Errorf("core: %d fault schedules for %d workers", len(c.Faults), n)
@@ -309,6 +309,11 @@ var hopOnlyKnobs = []struct {
 		return c.Mode != ModePrague && (c.FaultTolerance || c.Faults != nil)
 	}, "the baseline has no elastic membership"},
 }
+
+// grants reports whether workers grant their in-neighbors the
+// iteration they reach (Runtime.GrantTokens): token queues grant each
+// iteration entered, NOTIFY-ACK one past each iteration finished.
+func (c *Config) grants() bool { return c.MaxIG > 0 || c.Mode == ModeNotifyAck }
 
 // restarts reports whether some worker restarts after a crash, or this
 // instance is the restarted one.

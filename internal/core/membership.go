@@ -6,8 +6,8 @@ package core
 //
 // Declaration is eager, application is lazy. DeclarePeerDead only
 // marks the peer pending and wakes every blocked wait; the death is
-// *applied* — peer dropped from the in/out-neighbor sets, which ends
-// its token gate and forgives its pending NOTIFY-ACK edges — inside a
+// *applied* — peer dropped from the in/out-neighbor sets, which opens
+// its grant gate (token queues and NOTIFY-ACK alike) — inside a
 // blocking wait that provably cannot proceed without the dead peer's
 // data. That guard is what makes the applied iteration a deterministic
 // function of protocol state rather than of detection timing: a
@@ -79,11 +79,11 @@ func (p *Protocol) DeadPeers() []int {
 }
 
 // noteAlive records evidence of life from a delivered message whose
-// sender was at iteration iter (an update's tag, a grant's iteration;
-// −1 for an ACK, which announces nothing). Pre-death messages always
-// precede the death notice on both planes, so a message from a peer
-// declared or removed dead is from a restarted incarnation or shows
-// the declaration was stale. An iteration-0 update or grant is a
+// sender was at iteration iter (an update's tag, a grant's iteration).
+// Pre-death messages always precede the death notice on both planes
+// (the simulated fabric holds a notice behind its sender's data), so a
+// message from a peer declared or removed dead is from a restarted
+// incarnation or shows the declaration was stale. An iteration-0 update or grant is a
 // restart's announce (joinSync): it marks the rejoin and leaves a
 // pending death to the lazy rule, since the old incarnation's updates
 // are still missing. Any other message clears a pending death outside
@@ -222,7 +222,7 @@ func (p *Protocol) wakeAllLocked() {
 // it applies the pending death of each peer d in peers, in order, for
 // which missing(d) reports that the wait still lacks d's data, and
 // reports whether it applied any. Only such a wait may apply a death: a
-// dead peer's already-arrived final update (or ACK) must be consumed
+// dead peer's already-arrived final update (or grant) must be consumed
 // exactly as if the peer were alive, or the applied iteration would
 // depend on notice timing. Applying replaces p.in and p.out with fresh
 // slices and never writes the one being ranged over.
@@ -281,7 +281,7 @@ func (p *Protocol) joinSync() int {
 	p.rt.RecycleParams(newest.Params)
 	k0 := newest.Iter + 1
 	p.note(TraceEvent{Kind: TraceRejoin, Iter: k0})
-	if p.cfg.MaxIG > 0 {
+	if p.cfg.grants() {
 		p.mon.Lock()
 		p.curIter = k0
 		for _, j := range p.out {

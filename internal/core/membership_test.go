@@ -153,3 +153,34 @@ func TestRejoinerEntersK0WithTokens(t *testing.T) {
 		t.Errorf("TokenQ(1→0) holds %d, high-water %d at k0, want both max_ig = %d", n, high, maxIG)
 	}
 }
+
+// TestNotifyAckRejoinerAcksK0Minus1: under NOTIFY-ACK a restarted
+// worker's grant of k0 is its ACK(k0−1), the one its in-neighbors'
+// Send(k0) waits for, and it takes each out-neighbor's grant as at
+// least k0, so its own Send(k0) waits on no ACK of an iteration it
+// never ran. The validator still refuses NOTIFY-ACK restarts
+// (DESIGN.md §6.3); joinSync's re-base does not depend on that.
+func TestNotifyAckRejoinerAcksK0Minus1(t *testing.T) {
+	const newest = 5
+	// On a directed ring worker 0 hears from 3 and sends to 1.
+	cfg := Config{Graph: graph.DirectedRing(4), MaxIter: 10, Mode: ModeNotifyAck, FaultTolerance: true}
+	rt := &grantRuntime{}
+	p, err := NewProtocol(cfg, 0, model.NewFrozen([]float64{0}), NewSyncMonitor(), rt, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Deliver(Update{Params: []float64{1}, Iter: newest, From: 3})
+	k0 := p.joinSync()
+	if k0 != newest+1 {
+		t.Fatalf("rejoined at %d, want %d", k0, newest+1)
+	}
+	if want := [][2]int{{3, 0}, {3, k0}}; !slices.Equal(rt.grants, want) {
+		t.Errorf("grants %v, want %v", rt.grants, want)
+	}
+	p.mon.Lock()
+	open := p.grantedAllLocked(k0)
+	p.mon.Unlock()
+	if !open {
+		t.Errorf("Send(%d) gated on an ACK of an iteration the rejoiner never ran", k0)
+	}
+}

@@ -78,8 +78,6 @@ func (r *recordRuntime) Send(dst int, u Update) {
 	}
 }
 
-func (r *recordRuntime) SendAck(dst, iter int) { r.m.at(dst).DeliverAck(r.w, iter) }
-
 func (r *recordRuntime) GrantTokens(dst, iter int) { r.m.at(dst).DeliverTokens(r.w, iter) }
 
 func (r *recordRuntime) PeerIter(int) int { return -1 }
@@ -312,7 +310,6 @@ func (nopRuntime) Compute(int, func())       {}
 func (nopRuntime) EndCompute()               {}
 func (nopRuntime) Iterated(int, float64)     {}
 func (nopRuntime) Send(int, Update)          {}
-func (nopRuntime) SendAck(int, int)          {}
 func (nopRuntime) GrantTokens(int, int)      {}
 func (nopRuntime) PeerIter(int) int          { return 0 }
 func (nopRuntime) Observe(TraceEvent)        {}

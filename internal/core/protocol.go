@@ -22,7 +22,10 @@ package core
 // jump) passes that gate and grants next to every in-neighbor through
 // Runtime.GrantTokens. A grant only ever raises granted, so a
 // duplicated, reordered or superseded grant is a no-op, and a grant's
-// flight time only delays j, never breaks the bound.
+// flight time only delays j, never breaks the bound. NOTIFY-ACK's
+// ACK(k) is the same message: finishing k grants k+1, and Send(k)
+// waits for every live out-neighbor's grant of k — the token gate at
+// max_ig = 0.
 //
 // Bounded staleness. Fig. 9's pseudocode dequeues at least one update
 // from every in-neighbor per iteration, which would contradict the
@@ -86,11 +89,9 @@ type Runtime interface {
 	// u.Params when it returns (copied or serialized; nil stays nil).
 	Send(dst int, u Update)
 
-	// SendAck delivers a NOTIFY-ACK acknowledgment for iter to dst.
-	SendAck(dst, iter int)
-
 	// GrantTokens tells in-neighbor dst, the consumer of TokenQ(me→dst)
-	// (§4.2), that this worker entered iteration iter; dst hands it to
+	// (§4.2), that this worker entered iteration iter — under
+	// NOTIFY-ACK, that it finished iter−1 (§3.3's ACK); dst hands it to
 	// DeliverTokens.
 	GrantTokens(dst, iter int)
 
@@ -122,7 +123,7 @@ type Runtime interface {
 // Protocol is one worker's Hop state machine: the update queue, the
 // per-peer records and the per-iteration decision loop of a single
 // participant. It is runtime-agnostic — construct it with NewProtocol,
-// feed inbound messages through Deliver/DeliverAck/DeliverTokens (any
+// feed inbound messages through Deliver/DeliverTokens (any
 // goroutine/process), and call Run on the worker's own
 // goroutine/process.
 type Protocol struct {
@@ -133,7 +134,7 @@ type Protocol struct {
 	mon     Monitor
 
 	queue *UpdateQueue
-	gate  Cond // announces a NOTIFY-ACK or a token grant (peer.acked, peer.granted)
+	gate  Cond // announces a grant (peer.granted)
 
 	// peers holds one record per protocol peer and one for the worker
 	// itself, sorted by id (peerOf); dying counts the records with a
@@ -207,16 +208,16 @@ type peer struct {
 	// granted is the newest iteration id has granted this worker, so
 	// TokenQ(id→me) holds granted − curIter + max_ig tokens (§4.2,
 	// Theorem 2), and tokensHigh is the most it ever held. Both are
-	// meaningful only when id is a graph out-neighbor and token queues
-	// are on.
+	// meaningful only when id is a graph out-neighbor and grants are
+	// on (Config.grants). Under NOTIFY-ACK granted is one past id's
+	// newest ACK; an ACK for k implies every earlier one: id acks k
+	// only after it holds this worker's update k, which was sent only
+	// after id's ACK(k−1).
 	granted, tokensHigh int
 
 	// iterRecv is the newest iteration ever received from id (Fig. 9's
-	// iter_rcv), owned by the Run loop; acked is id's newest NOTIFY-ACK.
-	// Both are −1 until the first arrives. An ACK for k implies every
-	// earlier one: id acks k only after it holds this worker's update k,
-	// which was sent only after id's ACK(k−1).
-	iterRecv, acked int
+	// iter_rcv), owned by the Run loop; −1 until the first arrives.
+	iterRecv int
 
 	// Elastic membership (membership.go): the in- and out-edges to id
 	// are removed (deadIn, deadOut); its death is declared but not yet
@@ -243,7 +244,7 @@ func (p *Protocol) peerOf(j int) *peer {
 // single-process runtime need not materialize the whole cluster's
 // models. The monitor must be the one the runtime's delivery path
 // locks against; the runtime must deliver inbound messages via
-// Deliver/DeliverAck/DeliverTokens. tr may be nil (no decision trace).
+// Deliver/DeliverTokens. tr may be nil (no decision trace).
 func NewProtocol(cfg Config, id int, t model.Trainer, mon Monitor, rt Runtime, tr *Trace) (*Protocol, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -280,7 +281,7 @@ func NewProtocol(cfg Config, id int, t model.Trainer, mon Monitor, rt Runtime, t
 	slices.Sort(ids)
 	p.peers = make([]peer, len(ids))
 	for i, j := range ids {
-		p.peers[i] = peer{id: j, iterRecv: -1, acked: -1, tokensHigh: cfg.MaxIG}
+		p.peers[i] = peer{id: j, iterRecv: -1, tokensHigh: cfg.MaxIG}
 	}
 	if cfg.Faults != nil {
 		p.crashIter = cfg.Faults[id].CrashIter
@@ -313,13 +314,13 @@ func (p *Protocol) Abort() {
 type errAborted struct{}
 
 // await is the one place a worker blocks: the Recv on its update queue,
-// the bounded-staleness drain, a token take, the NOTIFY-ACK wait, and
-// the baselines' receives all come here. With the monitor held it
-// loops until ready() holds: an aborted worker unwinds; otherwise the
-// pending deaths of the peers whose data the wait is missing are
-// applied (applyDeathsLocked) and the wait re-evaluated at once; with
-// none to apply it sleeps on c, the cond whose Broadcast announces this
-// wait's data. ready runs under the monitor and may consume what it
+// the bounded-staleness drain, the grant gate (token queues and
+// NOTIFY-ACK), and the baselines' receives all come here. With the
+// monitor held it loops until ready() holds: an aborted worker unwinds;
+// otherwise the pending deaths of the peers whose data the wait is
+// missing are applied (applyDeathsLocked) and the wait re-evaluated at
+// once; with none to apply it sleeps on c, the cond whose Broadcast
+// announces this wait's data. ready runs under the monitor and may consume what it
 // finds; missing is only called for peers with a pending death.
 func (p *Protocol) await(c Cond, ready func() bool, peers []int, missing func(int) bool) {
 	p.mon.Lock()
@@ -340,21 +341,10 @@ func (p *Protocol) Deliver(u Update) {
 	p.queue.Enqueue(u)
 }
 
-// DeliverAck records a network-delivered NOTIFY-ACK from sender from
-// for iter.
-func (p *Protocol) DeliverAck(from, iter int) {
-	p.noteAlive(from, -1)
-	p.mon.Lock()
-	defer p.mon.Unlock()
-	if r := p.peerOf(from); r != nil {
-		r.acked = max(r.acked, iter)
-	}
-	p.gate.Broadcast()
-}
-
 // DeliverTokens records a network-delivered grant: peer from entered
-// iteration iter. It max-merges iter into from's granted iteration, so
-// a grant older than one already seen changes nothing.
+// iteration iter (under NOTIFY-ACK, finished iter−1). It max-merges
+// iter into from's granted iteration, so a grant older than one already
+// seen changes nothing.
 func (p *Protocol) DeliverTokens(from, iter int) {
 	p.noteAlive(from, iter)
 	r := p.peerOf(from)
@@ -452,7 +442,7 @@ func (p *Protocol) run() error {
 			p.note(TraceEvent{Kind: TraceCrash, Iter: k})
 			return ErrCrashed
 		}
-		if p.applyMembership(k) && cfg.MaxIG > 0 {
+		if p.applyMembership(k) && cfg.grants() {
 			// A re-admitted in-neighbor holds no grant of ours yet.
 			for _, j := range p.in {
 				p.rt.GrantTokens(j, k)
@@ -482,10 +472,7 @@ func (p *Protocol) run() error {
 			}
 		}
 		if cfg.MaxIG > 0 {
-			// A dead out-neighbor leaves p.out, so its pending death
-			// opens the gate.
-			p.await(p.gate, func() bool { return p.grantedAllLocked(next) },
-				p.out, func(d int) bool { return p.peerOf(d).granted+cfg.MaxIG < next })
+			p.awaitGrants(next)
 			for _, j := range p.in {
 				p.rt.GrantTokens(j, next)
 			}
@@ -504,9 +491,11 @@ func (p *Protocol) run() error {
 // reduces: fewer, longer iterations, exact gradients (§3.2). The
 // parallel graph of Fig. 2(b) sends x_k and computes on it while the
 // blocking Recv runs; gradients computed on x_k are applied after the
-// Reduce. NOTIFY-ACK adds its ACK edges around the exchange; Prague
-// (prague.go) names the step's group, which narrows the send, the
-// reduce's quorum and its death rule to the group's members.
+// Reduce. NOTIFY-ACK adds its ACK edges around the exchange as grants:
+// Send(k) waits for every live out-neighbor's grant of k, and finishing
+// k grants k+1. Prague (prague.go) names the step's group, which
+// narrows the send, the reduce's quorum and its death rule to the
+// group's members.
 func (p *Protocol) iterate(k int) {
 	t := p.trainer
 	x := t.Params()
@@ -522,10 +511,7 @@ func (p *Protocol) iterate(k int) {
 		t.Apply(p.grads)
 	}
 	if notifyAck {
-		// Send(k) is gated on every live out-neighbor's ACK(k−1); a dead
-		// neighbor's pending edge is released rather than waited on.
-		p.await(p.gate, func() bool { return p.ackedAllLocked(k - 1) },
-			p.out, func(d int) bool { return p.peerOf(d).acked < k-1 })
+		p.awaitGrants(k)
 	}
 
 	// Send x_k (self-loop delivered locally for free, §3.1); the
@@ -559,28 +545,23 @@ func (p *Protocol) iterate(k int) {
 	}
 	if notifyAck {
 		for _, j := range p.in {
-			p.rt.SendAck(j, k)
+			p.rt.GrantTokens(j, k+1)
 		}
 	}
 
 	p.rt.Iterated(k, p.loss)
 }
 
-// ackedAllLocked reports whether every live out-neighbor has acked
-// iteration iter; iterations below zero are: there is nothing to
-// acknowledge before the first Send. Caller holds the monitor.
-func (p *Protocol) ackedAllLocked(iter int) bool {
-	for _, j := range p.out {
-		if p.peerOf(j).acked < iter {
-			return false
-		}
-	}
-	return true
+// awaitGrants blocks until the grant gate admits iteration next. A
+// dead out-neighbor leaves p.out, so its pending death opens the gate.
+func (p *Protocol) awaitGrants(next int) {
+	p.await(p.gate, func() bool { return p.grantedAllLocked(next) },
+		p.out, func(d int) bool { return p.peerOf(d).granted+p.cfg.MaxIG < next })
 }
 
-// grantedAllLocked is the token gate: it reports whether every live
-// out-neighbor's grant admits iteration next, and if so enters it.
-// Caller holds the monitor.
+// grantedAllLocked is the grant gate: it reports whether every live
+// out-neighbor's grant admits iteration next, and if so enters it (a
+// NOTIFY-ACK Send is already in it). Caller holds the monitor.
 func (p *Protocol) grantedAllLocked(next int) bool {
 	for _, j := range p.out {
 		if p.peerOf(j).granted+p.cfg.MaxIG < next {

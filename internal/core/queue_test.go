@@ -205,33 +205,33 @@ func TestTokenQueueTakeBlocks(t *testing.T) {
 }
 
 // TestAckGateIsCumulative: a NOTIFY-ACK worker may Send(k) once every
-// out-neighbor's newest ACK reaches k−1. An ACK for k stands for every
-// earlier one, so a duplicate of an older ACK arriving late does not
-// take it back.
+// out-neighbor has granted k, the grant that acknowledges k−1 (§3.3's
+// ACK). A grant stands for every earlier one, so a duplicate of an
+// older ACK arriving late does not take it back.
 func TestAckGateIsCumulative(t *testing.T) {
 	cfg := Config{Graph: graph.Ring(3), Mode: ModeNotifyAck, MaxIter: 10}
 	p, err := NewProtocol(cfg, 0, model.NewFrozen([]float64{0}), NewSyncMonitor(), nopRuntime{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	acked := func(iter int) bool {
+	sendable := func(k int) bool {
 		p.mon.Lock()
 		defer p.mon.Unlock()
-		return p.ackedAllLocked(iter)
+		return p.grantedAllLocked(k)
 	}
-	if !acked(-1) {
-		t.Error("iteration -1 not acked: there is nothing to acknowledge before iteration 0")
+	if !sendable(0) {
+		t.Error("Send(0) gated: there is nothing to acknowledge before iteration 0")
 	}
-	p.DeliverAck(1, 4)
-	if acked(0) {
-		t.Fatal("acked with one of two out-neighbors heard from")
+	p.DeliverTokens(1, 5) // ACK(4)
+	if sendable(1) {
+		t.Fatal("Send(1) released with one of two out-neighbors heard from")
 	}
-	p.DeliverAck(2, 5)
-	p.DeliverAck(2, 3) // a late duplicate
-	if !acked(4) {
+	p.DeliverTokens(2, 6)
+	p.DeliverTokens(2, 4) // a late duplicate
+	if !sendable(5) {
 		t.Error("Send(5) still gated with ACK(4) from 1 and ACK(5) from 2")
 	}
-	if acked(5) {
+	if sendable(6) {
 		t.Error("Send(6) released without ACK(5) from 1")
 	}
 }

@@ -270,12 +270,6 @@ func (r *liveRuntime) Send(dst int, u core.Update) {
 	}
 }
 
-func (r *liveRuntime) SendAck(dst, iter int) {
-	if err := r.w.node.Send(dst, transport.Message{Kind: transport.KindAck, Iter: iter}); err != nil {
-		r.w.noteSendError(dst, err)
-	}
-}
-
 func (r *liveRuntime) GrantTokens(dst, iter int) {
 	err := r.w.node.Send(dst, transport.Message{Kind: transport.KindToken, Iter: iter})
 	if err != nil {
@@ -505,8 +499,6 @@ func (w *Worker) handle(m transport.Message) {
 		w.proto.Deliver(core.Update{Params: m.Params, Iter: m.Iter, From: m.From})
 	case transport.KindToken:
 		w.proto.DeliverTokens(m.From, m.Iter)
-	case transport.KindAck:
-		w.proto.DeliverAck(m.From, m.Iter)
 	}
 }
 
@@ -535,8 +527,8 @@ func (w *Worker) Trace() *core.Trace { return w.cfg.Trace }
 func (w *Worker) Run() (float64, error) {
 	err := w.proto.Run()
 	if err == nil {
-		// The loop's last token grants and ACKs are queued, not yet
-		// written: a finished Run means they are on the wire.
+		// The loop's last token grants are queued, not yet written: a
+		// finished Run means they are on the wire.
 		w.node.Flush()
 	}
 	if errors.Is(err, core.ErrAborted) {
@@ -562,8 +554,8 @@ func (w *Worker) Abort() { w.proto.Abort() }
 // worker closed, by goodbye or EOF, after all it sent was handled — or
 // is dead. Peers finish at different iterations by design, and a
 // worker that closed its listener the moment its own loop ended would
-// tear down sockets its slower peers still send their final updates,
-// token grants or ACKs to. The rule names no mode and no knob: a peer
+// tear down sockets its slower peers still send their final updates
+// or token grants to. The rule names no mode and no knob: a peer
 // is done when it says so. Finish returns whether every peer was done
 // before timeout; call Close after it either way.
 func (w *Worker) Finish(timeout time.Duration) bool {

@@ -22,7 +22,8 @@ import (
 )
 
 // TestLiveNotifyAck: the §3.3 baseline on real sockets — Send(k) gated
-// on ACK(k−1) from every out-neighbor, ACKs sent after each Reduce.
+// on ACK(k−1) from every out-neighbor, each ACK a token frame granting
+// k+1 after the Reduce of k.
 // Formerly the live plane had no NotifyAck at all.
 func TestLiveNotifyAck(t *testing.T) {
 	g := graph.Ring(4)
@@ -39,8 +40,9 @@ func TestLiveNotifyAck(t *testing.T) {
 			t.Errorf("worker %d loss %g", i, loss)
 		}
 		st := w.WireStats()
-		// Every iteration sends one update and one ACK per out/in
-		// neighbor: frames must exceed update frames by the ACK volume.
+		// Every iteration sends one update and one ACK (a token frame)
+		// per out/in neighbor: frames must exceed update frames by the
+		// ACK volume.
 		if st.FramesSent < 2*st.UpdatesSent {
 			t.Errorf("worker %d: %d frames for %d updates — ACKs never flowed", i, st.FramesSent, st.UpdatesSent)
 		}

@@ -47,7 +47,7 @@ func (f *Fabric) DeliverData(bytes int, m Message) bool {
 	src, dst, iter := m.From, m.Dst, m.Iter
 	c := f.cfg.Chaos
 	if c == nil {
-		f.eq.enqueueMsg(f.placement[dst], f.arrivalTime(src, dst, bytes), m)
+		f.enqueue(f.arrivalTime(src, dst, bytes), m)
 		return true
 	}
 	if c.Severs(src, dst, iter) {
@@ -71,13 +71,22 @@ func (f *Fabric) DeliverData(bytes int, m Message) bool {
 		f.stats.NetReordered++
 		at += f.reorderDelay()
 	}
-	f.eq.enqueueMsg(f.placement[dst], at, m)
+	f.enqueue(at, m)
 	if fate.Duplicate {
 		// The copy carries its own parameters: every delivered slice
 		// has one owner, who recycles it.
 		f.stats.NetDuplicated++
 		m.Params = slices.Clone(m.Params)
-		f.eq.enqueueMsg(f.placement[dst], at+f.reorderDelay(), m)
+		f.enqueue(at+f.reorderDelay(), m)
 	}
 	return true
+}
+
+// enqueue schedules data message m to arrive at at, or after its
+// sender's earlier notices, whichever is later: a restarted worker's
+// announce must not overtake its predecessor's death notice.
+func (f *Fabric) enqueue(at time.Duration, m Message) {
+	at = max(at, f.noticeFrom[m.From])
+	f.dataFrom[m.From] = max(f.dataFrom[m.From], at)
+	f.eq.enqueueMsg(f.placement[m.Dst], at, m)
 }

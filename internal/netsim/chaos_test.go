@@ -173,7 +173,7 @@ func TestChaosOffIsIdentity(t *testing.T) {
 // TestChaosDuplicateOwnsItsParams: every delivered slice has one owner,
 // who may recycle it once reduced, so a duplicate carries a copy of
 // the parameters, never the original's slice. A message without
-// parameters (an ACK) stays without.
+// parameters (a grant) stays without.
 func TestChaosDuplicateOwnsItsParams(t *testing.T) {
 	k := sim.NewKernel()
 	f := New(k, chaosCfg(&chaos.Config{Duplicate: 1, Seed: 42}), 2, []int{0, 1})
@@ -182,7 +182,7 @@ func TestChaosDuplicateOwnsItsParams(t *testing.T) {
 	sent := Message{From: 0, Dst: 1, Iter: 3, Params: []float64{1, 2}}
 	k.Spawn("tx", func(*sim.Proc) {
 		f.DeliverData(100, sent)
-		f.DeliverData(100, Message{From: 0, Dst: 1, Iter: 3, Kind: chaos.Ack})
+		f.DeliverData(100, Message{From: 0, Dst: 1, Iter: 3, Kind: chaos.Token})
 	})
 	run(t, k, time.Second)
 	if len(got) != 4 {
@@ -190,9 +190,9 @@ func TestChaosDuplicateOwnsItsParams(t *testing.T) {
 	}
 	var params [][]float64
 	for _, m := range got {
-		if m.Kind == chaos.Ack {
+		if m.Kind == chaos.Token {
 			if m.Params != nil {
-				t.Errorf("a duplicated ACK carries parameters %v", m.Params)
+				t.Errorf("a duplicated grant carries parameters %v", m.Params)
 			}
 			continue
 		}

@@ -188,6 +188,13 @@ type Fabric struct {
 
 	bursts []*burstState // per machine; nil when Config.Burst is nil
 
+	// dataFrom and noticeFrom are, per worker, the latest arrival
+	// priced for a DeliverData message it sent (chaos copies included)
+	// and for a Deliver notice: each floors the other kind, so a
+	// worker's notices land after the data it sent before them and
+	// before the data it sends after.
+	dataFrom, noticeFrom []time.Duration
+
 	// eq shards pending deliveries by destination machine so the
 	// kernel's timer heap stays small regardless of how many messages
 	// are in flight (see eventq.go).
@@ -238,6 +245,8 @@ func New(k *sim.Kernel, cfg Config, workers int, placement []int) *Fabric {
 		placement:   append([]int(nil), placement...),
 		egressFree:  make([]time.Duration, machines),
 		ingressFree: make([]time.Duration, machines),
+		dataFrom:    make([]time.Duration, workers),
+		noticeFrom:  make([]time.Duration, workers),
 		eq:          newEventQueue(k, machines),
 	}
 	if b := cfg.Burst; b != nil {
@@ -292,19 +301,24 @@ func (f *Fabric) bandwidthAt(m int, t time.Duration) (bw float64, bursting bool)
 }
 
 // Deliver schedules fn to run when a message of the given size sent
-// now from src to dst would arrive. It must be called from simulation
-// context (a running process or an After callback). It is the
-// control-plane form (death notices); protocol data rides DeliverData
-// as a typed Message, closure-free.
+// now from src to dst would arrive, but never before the data src
+// sent anywhere earlier: a small notice on a fast link, or one racing
+// data that chaos held back, would otherwise overtake a dead worker's
+// last update.
+// It must be called from simulation context (a running process or an
+// After callback). It is the control-plane form (death notices);
+// protocol data rides DeliverData as a typed Message, closure-free.
 func (f *Fabric) Deliver(src, dst, bytes int, fn func()) {
-	f.eq.push(f.placement[dst], sim.Event{When: f.arrivalTime(src, dst, bytes), Fn: fn})
+	at := max(f.arrivalTime(src, dst, bytes), f.dataFrom[src])
+	f.noticeFrom[src] = max(f.noticeFrom[src], at)
+	f.eq.push(f.placement[dst], sim.Event{When: at, Fn: fn})
 }
 
 // Message is one protocol data message in flight: worker From's
 // iteration-Iter message of kind Kind for worker Dst — a parameter
-// update (with chaos.Reply or-ed in, an AD-PSGD averaging reply), a
-// NOTIFY-ACK or a token grant, the kinds of the live wire. It rides
-// the event queue by value, so a send allocates nothing.
+// update (with chaos.Reply or-ed in, an AD-PSGD averaging reply) or a
+// token grant, the kinds of the live wire. It rides the event queue by
+// value, so a send allocates nothing.
 type Message struct {
 	Dst, From, Iter int
 	Kind            chaos.Kind

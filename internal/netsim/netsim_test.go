@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -483,5 +484,26 @@ func TestSupersededDrainTimersDie(t *testing.T) {
 	}
 	if fired > 2*delivered {
 		t.Errorf("%d drain timers fired for %d deliveries, want at most %d", fired, delivered, 2*delivered)
+	}
+}
+
+// TestNoticeKeepsItsSendersOrder: a worker's notice lands after every
+// data message the worker sent before it, whatever their sizes and
+// links, and before every data message it sends after: a death notice
+// must not overtake the dead worker's last update, nor a restarted
+// worker's announce its predecessor's death notice.
+func TestNoticeKeepsItsSendersOrder(t *testing.T) {
+	k := sim.NewKernel()
+	f := New(k, cfg(), 3, []int{0, 0, 1})
+	var got []string
+	f.Handle(func(m Message) { got = append(got, "data to "+string(rune('0'+m.Dst))) })
+	k.Spawn("tx", func(*sim.Proc) {
+		f.DeliverData(1_000_000, Message{From: 0, Dst: 2, Iter: 9}) // 1 s across machines
+		f.Deliver(0, 1, 64, func() { got = append(got, "notice to 1") })
+		f.DeliverData(64, Message{From: 0, Dst: 1}) // 1 ms in-machine
+	})
+	run(t, k, 5*time.Second)
+	if want := []string{"data to 2", "notice to 1", "data to 1"}; !slices.Equal(got, want) {
+		t.Errorf("arrivals %q, want %q", got, want)
 	}
 }

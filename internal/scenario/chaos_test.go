@@ -446,9 +446,9 @@ func TestLiveDropFinishes(t *testing.T) {
 }
 
 // fateMsgs is the message set of a timing-forced spec on its graph:
-// an update per out-neighbor and iteration, a NOTIFY-ACK per
-// in-neighbor and iteration, and with token queues a grant per
-// in-neighbor and iteration entered.
+// an update per out-neighbor and iteration, and with token queues or
+// NOTIFY-ACK a grant per in-neighbor and iteration, of the next one
+// (entered, or acknowledged as the previous one finished).
 func fateMsgs(spec Spec, g *graph.Graph) []chaos.Msg {
 	var msgs []chaos.Msg
 	for w := 0; w < g.N(); w++ {
@@ -457,10 +457,7 @@ func fateMsgs(spec Spec, g *graph.Graph) []chaos.Msg {
 				msgs = append(msgs, chaos.Msg{Src: w, Dst: j, Kind: chaos.Update, Iter: k})
 			}
 			for _, j := range g.In(w) {
-				if spec.Protocol.Mode == "notify-ack" {
-					msgs = append(msgs, chaos.Msg{Src: w, Dst: j, Kind: chaos.Ack, Iter: k})
-				}
-				if spec.Protocol.MaxIG > 0 {
+				if spec.Protocol.MaxIG > 0 || spec.Protocol.Mode == "notify-ack" {
 					msgs = append(msgs, chaos.Msg{Src: w, Dst: j, Kind: chaos.Token, Iter: k + 1})
 				}
 			}
@@ -494,8 +491,8 @@ func fateCounts(c *chaos.Config, msgs []chaos.Msg) (drop, dup, reorder, redroppe
 
 // TestFateCountsMatchBothPlanes: on timing-forced specs under drop,
 // duplicate and reorder, both planes' fault counters equal the one
-// count chaos.Fate gives over the spec's message set: updates, ACKs
-// and token grants. A fault is a function of the message it hits, not
+// count chaos.Fate gives over the spec's message set: updates and
+// token grants, NOTIFY-ACK's ACKs among them. A fault is a function of the message it hits, not
 // of the schedule.
 // Corrupt stays out: a torn connection changes which frames follow.
 // So does fault tolerance, which the fault.net clause turns on: its

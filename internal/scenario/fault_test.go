@@ -57,23 +57,30 @@ func restartAfter(w, iter int, after time.Duration) *Fault {
 
 // TestRestartWedgesRefused pins the crash-restart family the validator
 // refuses with a spec that deadlocks on the simulator when accepted:
-// NOTIFY-ACK, whose survivors gate Send(k) on an ACK(k−1) the rejoiner
-// never sends (sim: deadlock at 1.6 s). The same spec without the
-// restart is valid and finishes.
+// NOTIFY-ACK, whose Send gate has no slack. On a directed ring-6 with
+// worker 2 slowed 4×, worker 1 crashes at iteration 1 and is back
+// 20 ms later, entering iteration 2. Its grants are late, because its
+// own sends wait on the straggler, so survivor 0's gate for Send(4)
+// applies the old incarnation's pending death to it and re-admits it
+// at 5 (trace "D1@4 R1@5"): update 4 is never sent, and the rejoiner
+// waits for it forever. With the refusal lifted, 6 of 480 NOTIFY-ACK
+// specs on TestRestartGridFinishes' grid wedge so, all this shape. The
+// same spec without the restart is valid and finishes.
 func TestRestartWedgesRefused(t *testing.T) {
 	spec := Spec{
-		Name:     "notify-ack ring-4",
+		Name:     "notify-ack directed-ring-6",
 		Workload: "quadratic",
-		Topology: Topology{Kind: "ring", Workers: 4, Machines: 1},
+		Topology: Topology{Kind: "directed-ring", Workers: 6, Machines: 1},
 		Protocol: Protocol{Mode: "notify-ack"},
-		Fault:    restartAfter(3, 10, 500*time.Millisecond),
+		Hetero:   Hetero{Kind: "det", Workers: []int{2}},
+		Fault:    restartAfter(1, 1, 20*time.Millisecond),
 		MaxIter:  40,
-		Seed:     7,
+		Seed:     1,
 	}
 	if spec.Validate() == nil {
 		t.Errorf("%s: crash restart accepted", spec.Name)
 	}
-	spec.Fault = restartAfter(3, 10, 0)
+	spec.Fault = restartAfter(1, 1, 0)
 	opts, err := spec.Resolve()
 	if err != nil {
 		t.Fatalf("%s without the restart: %v", spec.Name, err)
@@ -104,7 +111,12 @@ func TestRestartWedgesRefused(t *testing.T) {
 // re-admitting the in-edge grants the iteration it is in (80 directed
 // specs wedged without that grant). The directed-ring-5 specs wedged
 // at 1.0 s (crash at 5) and 2.0 s (crash at 15) while the grant was a
-// token count.
+// token count. The last spec, complete-6 across two machines with svm's
+// large updates, restarts worker 1 before its last updates, and so its
+// death notices, have landed: a survivor that heard the announce before
+// the notice applied the death to the rejoiner and never re-admitted it
+// (sim: deadlock at 1.58 s), until a restarted worker's messages waited
+// for its predecessor's notices.
 func TestRestartGridFinishes(t *testing.T) {
 	protocols := []Protocol{{}, {MaxIG: 2}, {Staleness: 2}, {MaxIG: 4, Backup: 1}}
 	heteros := []Hetero{{}, {Kind: "det", Workers: []int{0}}, {Kind: "det", Workers: []int{2}}}
@@ -144,6 +156,15 @@ func TestRestartGridFinishes(t *testing.T) {
 			})
 		}
 	}
+	specs = append(specs, Spec{
+		Name:     "max_ig 2 complete-6 on 2 machines, svm, restart 30ms",
+		Workload: "svm",
+		Topology: Topology{Kind: "complete", Workers: 6, Machines: 2},
+		Protocol: Protocol{MaxIG: 2},
+		Fault:    restartAfter(1, 10, 30*time.Millisecond),
+		MaxIter:  40,
+		Seed:     3,
+	})
 	wedged := 0
 	for _, spec := range specs {
 		opts, err := spec.Resolve()
@@ -157,6 +178,60 @@ func TestRestartGridFinishes(t *testing.T) {
 		if res.Deadlock != nil {
 			if wedged++; wedged <= 5 {
 				t.Errorf("%s: %v", spec.Name, res.Deadlock)
+			}
+		}
+	}
+	if wedged > 0 {
+		t.Errorf("%d of %d specs deadlocked", wedged, len(specs))
+	}
+}
+
+// TestCrashGridFinishes runs a plain crash, no restart, on the serial
+// graph (protocol.serial and NOTIFY-ACK) under random 6× slowdowns, the
+// family whose death notice could overtake the crashed worker's last
+// update: a metadata-sized notice on an intra-machine link lands
+// before the payload-sized update, the survivor applies the death and
+// then reads the late update as a rejoin, re-admitting a dead peer.
+// 171 of these 480 specs deadlocked so; chain-6 on 2 machines,
+// NOTIFY-ACK, worker 2 crashing at 20, seed 3 wedged at 19.0 s with
+// workers 0 and 1 blocked. Every spec must finish.
+func TestCrashGridFinishes(t *testing.T) {
+	var specs []Spec
+	for _, kind := range []string{"ring", "ring-based", "chain", "complete", "directed-ring"} {
+		for _, proto := range []Protocol{{Serial: true}, {Mode: "notify-ack"}} {
+			label := "serial"
+			if proto.Mode != "" {
+				label = proto.Mode
+			}
+			for _, machines := range []int{1, 2} {
+				for w := 1; w <= 3; w++ {
+					for _, iter := range []int{5, 20} {
+						for seed := int64(1); seed <= 4; seed++ {
+							specs = append(specs, Spec{
+								Name:     fmt.Sprintf("%s-6 on %d machines, %s, worker %d crashes at %d, seed %d", kind, machines, label, w, iter, seed),
+								Workload: "quadratic",
+								Topology: Topology{Kind: kind, Workers: 6, Machines: machines},
+								Protocol: proto,
+								Hetero:   Hetero{Kind: "random"},
+								Fault:    &Fault{Crashes: []Crash{{Worker: w, Iter: iter}}},
+								MaxIter:  60,
+								Seed:     seed,
+							})
+						}
+					}
+				}
+			}
+		}
+	}
+	wedged := 0
+	for _, spec := range specs {
+		opts, err := spec.Resolve()
+		if err != nil {
+			t.Fatalf("%s: %v", spec.Name, err)
+		}
+		if runRefused(t, opts) {
+			if wedged++; wedged <= 5 {
+				t.Errorf("%s: deadlocked", spec.Name)
 			}
 		}
 	}

@@ -4,8 +4,8 @@ package transport
 // original gob encoding. Every frame is a fixed 32-byte header plus an
 // optional payload; large update payloads are split across several
 // frames (chunks) so a multi-megabyte parameter vector never
-// head-of-line-blocks the token/ACK frames that gate protocol
-// progress. See DESIGN.md §2 for the full layout and the handshake.
+// head-of-line-blocks the token frames that gate protocol progress.
+// See DESIGN.md §2 for the full layout and the handshake.
 
 import (
 	"bufio"
@@ -35,8 +35,11 @@ const (
 	// and header bytes 20–23 are reserved; a v4 peer would read every
 	// v5 grant as zero tokens. Version 6 packs each TopK pair into one
 	// word, its exponent an offset from the frame's base (compress.go);
-	// a v5 peer would read the base byte as a gap.
-	magic = "HOP\x06"
+	// a v5 peer would read the base byte as a gap. Version 7 retires
+	// the ACK frame (kind 2): NOTIFY-ACK acknowledges with a token
+	// grant, and a v6 NOTIFY-ACK peer would wait for ACK frames a v7
+	// peer never sends.
+	magic = "HOP\x07"
 
 	headerLen = 32
 
@@ -69,7 +72,7 @@ type frameKind uint8
 const (
 	frameUpdate frameKind = iota
 	frameToken
-	frameAck
+	_ // retired: NOTIFY-ACK's ACK, now a token grant
 	frameHello
 	frameHelloAck
 	// frameGoodbye announces an orderly shutdown: Node.Close sends it
@@ -100,7 +103,7 @@ var errCorruptFrame = errors.New("corrupt frame")
 // frameHeader is the fixed prefix of every frame:
 //
 //	off size field
-//	 0   4   magic "HOP" + version 0x06
+//	 0   4   magic "HOP" + version 0x07
 //	 4   1   frame kind
 //	 5   1   payload codec (compress.Kind)
 //	 6   2   chunk index

@@ -75,7 +75,7 @@ func TestParseHeaderRejectsMalformed(t *testing.T) {
 // FuzzParseHeader asserts arbitrary header bytes never panic and that
 // anything accepted re-encodes to the same bytes (canonical form).
 func FuzzParseHeader(f *testing.F) {
-	f.Add(appendFrame(nil, frameHeader{kind: frameAck, from: 2, iter: 11}, nil))
+	f.Add(appendFrame(nil, frameHeader{kind: frameToken, from: 2, iter: 11}, nil))
 	f.Add(bytes.Repeat([]byte{0xff}, headerLen))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		h, err := parseHeader(b)
@@ -171,7 +171,6 @@ func TestMessageString(t *testing.T) {
 	}{
 		{Message{Kind: KindUpdate, From: 2, Iter: 7, Params: make([]float64, 3)}, "update{from:2 iter:7 dim:3}"},
 		{Message{Kind: KindToken, From: 1, Iter: 4}, "token{from:1 iter:4}"},
-		{Message{Kind: KindAck, From: 0, Iter: 9}, "ack{from:0 iter:9}"},
 	}
 	for _, c := range cases {
 		if got := c.m.String(); got != c.want {
@@ -403,8 +402,9 @@ func TestTopKUpdatesAreDeltaStreams(t *testing.T) {
 }
 
 // TestReadErrorsObservable: a protocol violation after the handshake
-// must surface through Config.OnPeerDown and the ReadErrors counter
-// instead of tearing the connection down silently.
+// — a second hello, or a frame of the retired ACK kind 2 — must
+// surface through Config.OnPeerDown and the ReadErrors counter instead
+// of tearing the connection down silently.
 func TestReadErrorsObservable(t *testing.T) {
 	errCh := make(chan error, 4)
 	rx, err := ListenConfig(1, "127.0.0.1:0", func(Message) {}, Config{
@@ -414,33 +414,22 @@ func TestReadErrorsObservable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rx.Close()
-	conn, err := net.Dial("tcp", rx.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := conn.Write(appendFrame(nil, frameHeader{kind: frameHello, codec: compress.None, from: 9}, nil)); err != nil {
-		t.Fatal(err)
-	}
-	ackBuf := make([]byte, headerLen+crcLen)
-	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if _, err := io.ReadFull(conn, ackBuf); err != nil {
-		t.Fatalf("no hello-ack: %v", err)
-	}
-	// A hello after the handshake violates the protocol.
-	if _, err := conn.Write(appendFrame(nil, frameHeader{kind: frameHello, from: 9}, nil)); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case e := <-errCh:
-		if !strings.Contains(e.Error(), "after handshake") {
-			t.Errorf("unexpected diagnosis: %v", e)
+	for i, kind := range []frameKind{frameHello, 2} {
+		conn := helloConn(t, rx.Addr(), 9)
+		if _, err := conn.Write(appendFrame(nil, frameHeader{kind: kind, from: 9}, nil)); err != nil {
+			t.Fatal(err)
 		}
-	case <-time.After(3 * time.Second):
-		t.Fatal("read error never reported")
-	}
-	if got := rx.Stats().ReadErrors; got != 1 {
-		t.Errorf("ReadErrors = %d, want 1", got)
+		select {
+		case e := <-errCh:
+			if !strings.Contains(e.Error(), "after handshake") {
+				t.Errorf("kind %d: unexpected diagnosis: %v", kind, e)
+			}
+		case <-time.After(3 * time.Second):
+			t.Fatalf("kind %d: read error never reported", kind)
+		}
+		if got := rx.Stats().ReadErrors; got != int64(i+1) {
+			t.Errorf("kind %d: ReadErrors = %d, want %d", kind, got, i+1)
+		}
 	}
 }
 
@@ -590,7 +579,7 @@ func TestPeerDeathVsCleanCloseObservability(t *testing.T) {
 	if err := tx.Dial(1, rx.Addr(), 2*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.Send(1, Message{Kind: KindAck, Iter: 1}); err != nil {
+	if err := tx.Send(1, Message{Kind: KindToken, Iter: 1}); err != nil {
 		t.Fatal(err)
 	}
 	tx.Close()
@@ -676,8 +665,8 @@ func TestConnectionPinnedToHelloSender(t *testing.T) {
 	}
 }
 
-// TestStressConcurrentKinds pumps updates (big enough to chunk),
-// tokens and ACKs through one real TCP pair from many goroutines at
+// TestStressConcurrentKinds pumps updates (big enough to chunk) and
+// tokens through one real TCP pair from many goroutines at
 // once — the -race workhorse for the wire layer. Interleaved control
 // frames must never corrupt chunked updates.
 func TestStressConcurrentKinds(t *testing.T) {
@@ -707,16 +696,12 @@ func TestStressConcurrentKinds(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if err := tx.Send(1, Message{Kind: KindAck, Iter: i}); err != nil {
-					t.Error(err)
-					return
-				}
 			}
 		}()
 	}
 	wg.Wait()
-	waitFor(t, func() bool { return len(got()) == 3*senders*perSender })
-	var updates, tokens, acks int
+	waitFor(t, func() bool { return len(got()) == 2*senders*perSender })
+	var updates, tokens int
 	for _, m := range got() {
 		switch m.Kind {
 		case KindUpdate:
@@ -732,11 +717,9 @@ func TestStressConcurrentKinds(t *testing.T) {
 			}
 		case KindToken:
 			tokens++
-		case KindAck:
-			acks++
 		}
 	}
-	if updates != tokenCount || tokens != tokenCount || acks != tokenCount {
-		t.Fatalf("got %d updates, %d tokens, %d acks; want %d each", updates, tokens, acks, tokenCount)
+	if updates != tokenCount || tokens != tokenCount {
+		t.Fatalf("got %d updates, %d tokens; want %d each", updates, tokens, tokenCount)
 	}
 }

@@ -22,14 +22,14 @@ import (
 // healthySeeds counts the undamaged seeds that open fuzzSeedFrames.
 const healthySeeds = 7
 
-// fuzzSeedFrames builds a representative corpus: control frames, a
-// single-chunk update, a multi-chunk update pair, a maximal frame, and
+// fuzzSeedFrames builds a representative corpus: control frames (the
+// retired ACK kind among them), a single-chunk update, a multi-chunk update pair, a maximal frame, and
 // deliberately damaged variants.
 func fuzzSeedFrames() [][]byte {
 	var seeds [][]byte
 	add := func(b []byte) { seeds = append(seeds, b) }
 
-	add(appendFrame(nil, frameHeader{kind: frameAck, from: 2, iter: 11}, nil))
+	add(appendFrame(nil, frameHeader{kind: 2, from: 2, iter: 11}, nil))
 	add(appendFrame(nil, frameHeader{kind: frameToken, from: 1, iter: 3}, nil))
 	add(appendFrame(nil, frameHeader{kind: frameHeartbeat, from: 4}, nil))
 	add(appendFrame(nil, frameHeader{kind: frameGoodbye, from: 0}, nil))

@@ -197,8 +197,8 @@ func (n *Node) sendUpdate(p *peer, m Message) error {
 	}
 	p.busy = true
 	p.mu.Unlock()
-	// Staged outside the outbox lock: tokens and ACKs for this peer
-	// keep flowing while the vector is encoded. The writer does not
+	// Staged outside the outbox lock: tokens for this peer keep
+	// flowing while the vector is encoded. The writer does not
 	// exit while the slot is claimed, so the job is always resolved.
 	e := n.stageUpdate(p, m)
 	p.mu.Lock()

@@ -257,7 +257,7 @@ func TestOutboxCoalescesIntoOneWrite(t *testing.T) {
 	l.blockWriter(t)
 	for _, m := range []Message{
 		{Kind: KindToken, Iter: 4},
-		{Kind: KindAck, Iter: 3},
+		{Kind: KindToken, Iter: 3},
 		{Kind: KindUpdate, Iter: 4, Params: []float64{1, 2, 3}},
 	} {
 		if err := l.tx.Send(1, m); err != nil {
@@ -269,7 +269,7 @@ func TestOutboxCoalescesIntoOneWrite(t *testing.T) {
 	}
 	l.conn.release()
 	got := l.recv(t, 4)
-	wantKinds(t, got, KindToken, KindToken, KindAck, KindUpdate)
+	wantKinds(t, got, KindToken, KindToken, KindToken, KindUpdate)
 	if got[1].Iter != 4 || got[2].Iter != 3 || got[3].Iter != 4 || len(got[3].Params) != 3 {
 		t.Fatalf("fields garbled: %v", got)
 	}
@@ -504,12 +504,12 @@ func TestOutboxFullBlocksProducer(t *testing.T) {
 	l := linkFake(t, Config{})
 	l.blockWriter(t)
 	for i := 0; i < outboxFrames; i++ {
-		if err := l.tx.Send(1, Message{Kind: KindAck, Iter: i}); err != nil {
+		if err := l.tx.Send(1, Message{Kind: KindToken, Iter: i}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	sent := make(chan error, 1)
-	go func() { sent <- l.tx.Send(1, Message{Kind: KindAck, Iter: outboxFrames}) }()
+	go func() { sent <- l.tx.Send(1, Message{Kind: KindToken, Iter: outboxFrames}) }()
 	select {
 	case <-sent:
 		t.Fatal("send into a full outbox did not block")
@@ -521,7 +521,7 @@ func TestOutboxFullBlocksProducer(t *testing.T) {
 	}
 	got := l.recv(t, outboxFrames+2)
 	for i, m := range got[1:] {
-		if m.Kind != KindAck || m.Iter != i {
+		if m.Kind != KindToken || m.Iter != i {
 			t.Fatalf("frame %d is %v", i, m)
 		}
 	}

@@ -26,9 +26,9 @@
 // Update payloads larger than 64 KiB (maxChunk) are split across frames
 // tagged with a per-peer sequence number and reassembled on receipt;
 // the writer drains the outbox's control frames again before every
-// chunk, so token and ACK frames interleave instead of queueing behind
-// a large parameter vector (no head-of-line blocking). The full frame
-// layout is documented in DESIGN.md §2 and codec.go.
+// chunk, so token frames interleave instead of queueing behind a large
+// parameter vector (no head-of-line blocking). The full frame layout
+// is documented in DESIGN.md §2 and codec.go.
 package transport
 
 import (
@@ -57,11 +57,9 @@ const (
 	// update-queue entries of §4.1.
 	KindUpdate Kind = iota
 	// KindToken is a token grant (§4.2): Iter is the iteration the
-	// sender entered, which the receiver's token gate reads.
+	// sender entered, which the receiver's token gate reads. A
+	// NOTIFY-ACK worker's ACK of iteration k (§3.3) is a grant of k+1.
 	KindToken
-	// KindAck acknowledges consumption of the receiver's iteration
-	// Iter update (NOTIFY-ACK, §3.3).
-	KindAck
 	// KindHeartbeat is liveness evidence on an otherwise idle
 	// connection (Config.Liveness). It carries no protocol
 	// payload: handlers use it to clear peer suspicion, never to
@@ -75,8 +73,6 @@ func (k Kind) String() string {
 		return "update"
 	case KindToken:
 		return "token"
-	case KindAck:
-		return "ack"
 	case KindHeartbeat:
 		return "heartbeat"
 	}
@@ -89,7 +85,6 @@ func (k Kind) String() string {
 //	Kind           From  Iter  Params
 //	KindUpdate      ✓     ✓     ✓
 //	KindToken       ✓     ✓     –
-//	KindAck         ✓     ✓     –
 //	KindHeartbeat   ✓     –     –
 //
 // From is always stamped by Send with the sending node's id; fields
@@ -109,8 +104,6 @@ func (m Message) String() string {
 		return fmt.Sprintf("update{from:%d iter:%d dim:%d}", m.From, m.Iter, len(m.Params))
 	case KindToken:
 		return fmt.Sprintf("token{from:%d iter:%d}", m.From, m.Iter)
-	case KindAck:
-		return fmt.Sprintf("ack{from:%d iter:%d}", m.From, m.Iter)
 	case KindHeartbeat:
 		return fmt.Sprintf("heartbeat{from:%d}", m.From)
 	}
@@ -443,7 +436,7 @@ func (n *Node) readConn(conn net.Conn) (int, error) {
 		}
 		atomic.AddInt64(&n.st.FramesRecv, 1)
 		atomic.AddInt64(&n.st.BytesRecv, int64(headerLen+crcLen+len(payload)))
-		if (h.kind <= frameAck || h.kind == frameHeartbeat) && int(h.from) != sender {
+		if (h.kind <= frameToken || h.kind == frameHeartbeat) && int(h.from) != sender {
 			return sender, fmt.Errorf("frame from %d on connection pinned to sender %d", h.from, sender)
 		}
 		switch h.kind {
@@ -478,8 +471,6 @@ func (n *Node) readConn(conn net.Conn) (int, error) {
 			})
 		case frameToken:
 			n.handler(Message{Kind: KindToken, From: int(h.from), Iter: int(h.iter)})
-		case frameAck:
-			n.handler(Message{Kind: KindAck, From: int(h.from), Iter: int(h.iter)})
 		case frameHeartbeat:
 			atomic.AddInt64(&n.st.HeartbeatsRecv, 1)
 			n.handler(Message{Kind: KindHeartbeat, From: sender})
@@ -737,8 +728,6 @@ func (n *Node) Send(id int, m Message) error {
 			err = n.sendUpdate(p, m)
 		case KindToken:
 			err = p.enqueue(frameHeader{kind: frameToken, from: uint32(n.id), iter: int32(m.Iter)}, true)
-		case KindAck:
-			err = p.enqueue(frameHeader{kind: frameAck, from: uint32(n.id), iter: int32(m.Iter)}, true)
 		default:
 			err = fmt.Errorf("unknown message kind %d", m.Kind)
 		}

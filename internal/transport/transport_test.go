@@ -156,7 +156,7 @@ func TestCloseIdempotentAndStopsAccept(t *testing.T) {
 	if err := n.Dial(1, peer.Addr(), time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.Send(1, Message{Kind: KindAck, Iter: 1}); err != nil {
+	if err := n.Send(1, Message{Kind: KindToken, Iter: 1}); err != nil {
 		t.Fatal(err)
 	}
 	n.Close()
@@ -190,7 +190,7 @@ func TestConcurrentSendersSafe(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				if err := tx.Send(1, Message{Kind: KindAck, Iter: i}); err != nil {
+				if err := tx.Send(1, Message{Kind: KindToken, Iter: i}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -222,8 +222,8 @@ func TestConcurrentSendersSafe(t *testing.T) {
 // that every message arrives intact.
 func TestConcurrentKindsToTwoPeers(t *testing.T) {
 	type rxCount struct {
-		mu               sync.Mutex
-		tokens, acks, up int
+		mu         sync.Mutex
+		tokens, up int
 	}
 	newRx := func(id int) (*Node, *rxCount) {
 		var c rxCount
@@ -232,8 +232,6 @@ func TestConcurrentKindsToTwoPeers(t *testing.T) {
 			switch m.Kind {
 			case KindToken:
 				c.tokens++
-			case KindAck:
-				c.acks++
 			case KindUpdate:
 				c.up++
 			}
@@ -273,12 +271,9 @@ func TestConcurrentKindsToTwoPeers(t *testing.T) {
 			dst := 1 + g%2
 			for i := 0; i < perG; i++ {
 				var err error
-				switch i % 3 {
-				case 0:
+				if i%2 == 0 {
 					err = tx.Send(dst, Message{Kind: KindToken, Iter: i})
-				case 1:
-					err = tx.Send(dst, Message{Kind: KindAck, Iter: i})
-				default:
+				} else {
 					err = tx.Send(dst, Message{Kind: KindUpdate, Iter: i, Params: params})
 				}
 				if err != nil {
@@ -289,24 +284,22 @@ func TestConcurrentKindsToTwoPeers(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	wantTokens := goroutines / 2 * perG / 3
-	wantAcks := wantTokens
+	wantTokens := goroutines / 2 * perG / 2
 	wantUp := wantTokens
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		c1.mu.Lock()
-		t1, a1, u1 := c1.tokens, c1.acks, c1.up
+		t1, u1 := c1.tokens, c1.up
 		c1.mu.Unlock()
 		c2.mu.Lock()
-		t2, a2, u2 := c2.tokens, c2.acks, c2.up
+		t2, u2 := c2.tokens, c2.up
 		c2.mu.Unlock()
-		if t1 == wantTokens && a1 == wantAcks && u1 == wantUp &&
-			t2 == wantTokens && a2 == wantAcks && u2 == wantUp {
+		if t1 == wantTokens && u1 == wantUp && t2 == wantTokens && u2 == wantUp {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("peer1 got tokens=%d acks=%d updates=%d, peer2 tokens=%d acks=%d updates=%d (want %d/%d/%d each)",
-				t1, a1, u1, t2, a2, u2, wantTokens, wantAcks, wantUp)
+			t.Fatalf("peer1 got tokens=%d updates=%d, peer2 tokens=%d updates=%d (want %d/%d each)",
+				t1, u1, t2, u2, wantTokens, wantUp)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -377,13 +370,13 @@ func TestCloseSendsKeepsReceiving(t *testing.T) {
 		}
 	}
 	a.CloseSends()
-	if err := a.Send(1, Message{Kind: KindAck, Iter: 99}); err == nil {
+	if err := a.Send(1, Message{Kind: KindToken, Iter: 99}); err == nil {
 		t.Error("Send after CloseSends succeeded")
 	}
 	if err := a.Dial(1, b.Addr(), time.Second); err == nil {
 		t.Error("Dial after CloseSends succeeded")
 	}
-	if err := b.Send(0, Message{Kind: KindAck, Iter: 7}); err != nil {
+	if err := b.Send(0, Message{Kind: KindToken, Iter: 7}); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(3 * time.Second)
@@ -409,8 +402,8 @@ func TestCloseSendsKeepsReceiving(t *testing.T) {
 	if last := bEvents[10]; !last.down || last.err != nil {
 		t.Errorf("last event %+v, want a goodbye (peer down, nil error)", last)
 	}
-	if aGot[0].Kind != KindAck || aGot[0].Iter != 7 {
-		t.Errorf("a received %v after CloseSends, want ack{iter:7}", aGot[0])
+	if aGot[0].Kind != KindToken || aGot[0].Iter != 7 {
+		t.Errorf("a received %v after CloseSends, want token{iter:7}", aGot[0])
 	}
 }
 
@@ -508,7 +501,7 @@ func TestChaosFateKeys(t *testing.T) {
 	// The injector keys a frame by its kind byte, the simulator by
 	// these names: a message meets one fate on both planes.
 	if chaos.Kind(frameUpdate) != chaos.Update || chaos.Kind(frameToken) != chaos.Token ||
-		chaos.Kind(frameAck) != chaos.Ack || chaos.Kind(frameHeartbeat) != chaos.Heartbeat {
+		chaos.Kind(frameHeartbeat) != chaos.Heartbeat {
 		t.Fatal("chaos.Kind and the frame kinds disagree")
 	}
 	rx, err := Listen(1, "127.0.0.1:0", func(Message) {})
